@@ -12,7 +12,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/batch"
 	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/command"
-	"github.com/caesar-consensus/caesar/internal/contend"
 	"github.com/caesar-consensus/caesar/internal/flight"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/metrics"
@@ -23,7 +22,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/stack"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
-	"github.com/caesar-consensus/caesar/internal/wal"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
@@ -234,20 +232,7 @@ func newNode(ep transport.Endpoint, opts Options, shards int) (*Node, error) {
 		Flight:           rec,
 		StallThreshold:   opts.StallThreshold,
 		WatchdogInterval: opts.WatchdogInterval,
-		Build: func(g int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
-			gcfg := cfg
-			if gmet != nil {
-				gcfg.Metrics = gmet
-			}
-			gcfg.Contend = ctd
-			gcfg.FlightGroup = int32(g)
-			gcfg.Predelivered = seed.Delivered
-			gcfg.SeqFloor = seed.SeqFloor
-			gcfg.ClockSeed = seed.ClockSeed
-			gcfg.ReserveSeq = seed.ReserveSeq
-			gcfg.ReserveClock = seed.ReserveClock
-			return caesar.New(sep, app, gcfg)
-		},
+		Build:            stack.CaesarEngine(cfg),
 	}
 	if opts.OnStall != nil {
 		onStall := opts.OnStall

@@ -101,7 +101,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/batch"
 	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/command"
-	"github.com/caesar-consensus/caesar/internal/contend"
 	"github.com/caesar-consensus/caesar/internal/flight"
 	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/obs"
@@ -111,8 +110,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/tcpnet"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/trace"
-	"github.com/caesar-consensus/caesar/internal/transport"
-	"github.com/caesar-consensus/caesar/internal/wal"
 )
 
 // options collects the parsed flags.
@@ -206,21 +203,11 @@ func run(o options) error {
 				log.Printf("replica %d STALL %s", o.id, s)
 			}
 		},
-		Build: func(g int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
-			return caesar.New(sep, app, caesar.Config{
-				Metrics:       gmet,
-				Contend:       ctd,
-				Trace:         ring,
-				Flight:        rec,
-				FlightGroup:   int32(g),
-				SlowThreshold: o.slowCommand,
-				Predelivered:  seed.Delivered,
-				SeqFloor:      seed.SeqFloor,
-				ClockSeed:     seed.ClockSeed,
-				ReserveSeq:    seed.ReserveSeq,
-				ReserveClock:  seed.ReserveClock,
-			})
-		},
+		Build: stack.CaesarEngine(caesar.Config{
+			Trace:         ring,
+			Flight:        rec,
+			SlowThreshold: o.slowCommand,
+		}),
 	})
 	if err != nil {
 		return err

@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,26 +36,10 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"github.com/caesar-consensus/caesar/internal/contend"
+	"github.com/caesar-consensus/caesar/internal/obs"
 )
-
-// statusSeries / statusFamily mirror the /statusz document shape
-// (internal/obs). Decoded locally so the binary stays a pure HTTP client.
-type statusSeries struct {
-	Labels          string  `json:"labels"`
-	Value           float64 `json:"value"`
-	Sum             float64 `json:"sum"`
-	Count           int64   `json:"count"`
-	P50             float64 `json:"p50"`
-	P99             float64 `json:"p99"`
-	Max             float64 `json:"max"`
-	Exemplar        string  `json:"exemplar"`
-	ExemplarSeconds float64 `json:"exemplar_seconds"`
-}
-
-type statusFamily struct {
-	Name   string         `json:"name"`
-	Series []statusSeries `json:"series"`
-}
 
 // sample is one node's scrape, reduced to the console's columns.
 type sample struct {
@@ -73,59 +56,23 @@ type sample struct {
 	auditWrites float64
 	exemplar    string
 	exemplarSec float64
-	hot         []workloadKey
+	hot         []contend.KeyStats
 	err         error
-}
-
-// workloadKey mirrors one /workloadz row (internal/contend.KeyStats).
-type workloadKey struct {
-	Key         string  `json:"key"`
-	Group       int     `json:"group"`
-	Events      int64   `json:"events"`
-	Touches     int64   `json:"touches"`
-	Nacks       int64   `json:"nacks"`
-	Waits       int64   `json:"waits"`
-	Parks       int64   `json:"parks"`
-	Retries     int64   `json:"retries"`
-	Recoveries  int64   `json:"recoveries"`
-	Holds       int64   `json:"holds"`
-	WaitSeconds float64 `json:"wait_seconds"`
-}
-
-// workloadDoc mirrors the /workloadz document shape.
-type workloadDoc struct {
-	TopKeys []workloadKey `json:"top_keys"`
 }
 
 // scrapeWorkload fetches one node's contention profile; a miss (older
 // node, endpoint disabled) just leaves the panel without that node's
 // contribution.
-func scrapeWorkload(ctx context.Context, client *http.Client, base string, top int) []workloadKey {
+func scrapeWorkload(ctx context.Context, client *http.Client, base string, top int) []contend.KeyStats {
 	url := fmt.Sprintf("%s/workloadz?top=%d", strings.TrimRight(base, "/"), top)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var doc workloadDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil
-	}
+	doc, _ := obs.FetchJSON[contend.Snapshot](ctx, client, url) // a miss is an empty doc
 	return doc.TopKeys
 }
 
 // nodeSeries returns the family's node-level series (empty label set);
 // sharded nodes also export per-group labeled series, which the console
 // ignores in favour of the aggregate.
-func nodeSeries(fams []statusFamily, name string) (statusSeries, bool) {
+func nodeSeries(fams []obs.StatusFamily, name string) (obs.StatusSeries, bool) {
 	for _, f := range fams {
 		if f.Name != name {
 			continue
@@ -136,35 +83,14 @@ func nodeSeries(fams []statusFamily, name string) (statusSeries, bool) {
 			}
 		}
 	}
-	return statusSeries{}, false
+	return obs.StatusSeries{}, false
 }
 
 func scrape(ctx context.Context, client *http.Client, base string) sample {
 	smp := sample{when: time.Now()}
-	url := strings.TrimRight(base, "/") + "/statusz"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	fams, err := obs.FetchJSON[[]obs.StatusFamily](ctx, client, strings.TrimRight(base, "/")+"/statusz")
 	if err != nil {
 		smp.err = err
-		return smp
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		smp.err = err
-		return smp
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		smp.err = err
-		return smp
-	}
-	if resp.StatusCode != http.StatusOK {
-		smp.err = fmt.Errorf("HTTP %d", resp.StatusCode)
-		return smp
-	}
-	var fams []statusFamily
-	if err := json.Unmarshal(body, &fams); err != nil {
-		smp.err = fmt.Errorf("bad JSON: %v", err)
 		return smp
 	}
 	if s, ok := nodeSeries(fams, "caesar_executed_total"); ok {
@@ -222,7 +148,7 @@ func fmtDur(sec float64) string {
 // cluster-wide hot-key panel: keys ranked by total attributed events,
 // with the loss decomposition and the wait time each key cost.
 func renderHotKeys(w io.Writer, cur []sample, top int) {
-	merged := make(map[string]*workloadKey)
+	merged := make(map[string]*contend.KeyStats)
 	for _, c := range cur {
 		for _, k := range c.hot {
 			m := merged[k.Key]
@@ -245,7 +171,7 @@ func renderHotKeys(w io.Writer, cur []sample, top int) {
 	if len(merged) == 0 {
 		return
 	}
-	keys := make([]*workloadKey, 0, len(merged))
+	keys := make([]*contend.KeyStats, 0, len(merged))
 	for _, m := range merged {
 		keys = append(keys, m)
 	}

@@ -171,6 +171,24 @@
 // durable` for the throughput cost and recovery time, and
 // restart_test.go for the crash-restart conformance run.
 //
+// # Apply chain
+//
+// The paper's DELIVER hands the state machine a command and its agreed
+// timestamp, nothing else, and the node stack (internal/stack) keeps
+// that shape through every layer with two statically typed roles
+// (internal/protocol). The node state machine — the store behind the
+// batch unpacker, protocol.TimestampedAtomicApplier — executes single
+// commands and atomic multi-key units at their decided timestamps. The
+// per-group chain, protocol.TimestampedApplier, is what one group's
+// engine delivers into: rebalance gate → write-ahead log → cross-shard
+// commit table → state machine, each layer taking a chain and returning
+// one, so a layer that dropped the timestamp (and with it the MVCC
+// version stamp local reads depend on) would not compile. One facet
+// stays optional: a chain that may finish a command after its delivery
+// point is also a protocol.DeferringApplier (the rebalance gate, parking
+// commands behind a handoff), and the engine asks for it once, when it
+// is built — the only applier type assertion outside tests.
+//
 // # Observability
 //
 // Every layer of the stack records into a unified node-wide metrics

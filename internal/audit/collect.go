@@ -2,30 +2,25 @@ package audit
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
+
+	"github.com/caesar-consensus/caesar/internal/obs"
 )
 
 // Cross-node audit collection. Every node serves its own audit state on
 // /auditz (Handler); Collect fetches every node's report, and Diff
-// aligns the quotes to prove or rule out divergence. The shapes mirror
-// internal/trace's Handler/Collect so operators and tools treat the two
-// surfaces the same way.
+// aligns the quotes to prove or rule out divergence. Serving and fetching
+// are internal/obs's ServeJSON/FetchJSON, shared with /tracez and
+// /workloadz.
 
 // Handler serves the node's audit report over HTTP as JSON. The report
 // closure is called per request so every scrape sees a fresh, internally
 // consistent quote (one store lock hold). Mounted as /auditz on the
 // node's metrics server.
 func Handler(report func() Report) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		rep := report()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(rep) //nolint:errcheck // best-effort write to a closing client
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		obs.ServeJSON(w, report())
 	})
 }
 
@@ -39,34 +34,10 @@ type Source struct {
 
 // HTTPSource fetches a node's report from its /auditz endpoint.
 func HTTPSource(client *http.Client, base string) Source {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	return Source{
 		Name: base,
 		Fetch: func(ctx context.Context) (Report, error) {
-			url := strings.TrimRight(base, "/") + "/auditz"
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-			if err != nil {
-				return Report{}, err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return Report{}, err
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			if err != nil {
-				return Report{}, err
-			}
-			if resp.StatusCode != http.StatusOK {
-				return Report{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-			}
-			var rep Report
-			if err := json.Unmarshal(body, &rep); err != nil {
-				return Report{}, fmt.Errorf("bad JSON: %v", err)
-			}
-			return rep, nil
+			return obs.FetchJSON[Report](ctx, client, strings.TrimRight(base, "/")+"/auditz")
 		},
 	}
 }

@@ -184,19 +184,17 @@ func Unpack(batched command.Command) ([]command.Command, error) {
 	return cmds, err
 }
 
-// Applier unpacks batch commands before handing them to the inner applier.
+// Applier unpacks batch commands before handing them to the node state
+// machine; it is itself a protocol.TimestampedAtomicApplier, so it can
+// stand wherever the store does.
 type Applier struct {
-	Inner protocol.Applier
+	Inner protocol.TimestampedAtomicApplier
 }
 
-var (
-	_ protocol.Applier                  = Applier{}
-	_ protocol.TimestampedApplier       = Applier{}
-	_ protocol.TimestampedAtomicApplier = Applier{}
-)
+var _ protocol.TimestampedAtomicApplier = Applier{}
 
 // NewApplier wraps inner so it can execute batches.
-func NewApplier(inner protocol.Applier) Applier {
+func NewApplier(inner protocol.TimestampedAtomicApplier) Applier {
 	return Applier{Inner: inner}
 }
 
@@ -205,12 +203,12 @@ func (a Applier) Apply(cmd command.Command) []byte {
 	return a.ApplyAt(cmd, timestamp.Zero)
 }
 
-// ApplyAt implements protocol.TimestampedApplier, forwarding the decided
-// timestamp to the inner applier: every member of a batch was decided —
-// and is therefore stamped — at the batch's timestamp.
+// ApplyAt implements protocol.TimestampedApplier: every member of a
+// batch was decided — and is therefore stamped — at the batch's
+// timestamp.
 func (a Applier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	if cmd.Op != command.OpBatch {
-		return applyAt(a.Inner, cmd, ts)
+		return a.Inner.ApplyAt(cmd, ts)
 	}
 	cmds, err := Unpack(cmd)
 	if err != nil {
@@ -220,39 +218,18 @@ func (a Applier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	return nil
 }
 
-// applyAt hands one command to an applier with its timestamp when the
-// applier wants it.
-func applyAt(app protocol.Applier, cmd command.Command, ts timestamp.Timestamp) []byte {
-	if ta, ok := app.(protocol.TimestampedApplier); ok {
-		return ta.ApplyAt(cmd, ts)
-	}
-	return app.Apply(cmd)
-}
-
-// ApplyAll implements protocol.AtomicApplier, forwarding atomicity to the
-// inner applier when it provides it (a plain applier falls back to
-// sequential application). Nested batch members are flattened first — the
-// inner applier sees only executable ops, never an OpBatch it would drop.
-// When flattening occurs the returned results align with the flattened
-// op list, not the input (batch members have no individual results).
+// ApplyAll implements protocol.TimestampedAtomicApplier.
 func (a Applier) ApplyAll(cmds []command.Command) [][]byte {
 	return a.ApplyAllAt(cmds, timestamp.Zero)
 }
 
-// ApplyAllAt implements protocol.TimestampedAtomicApplier; see ApplyAll.
+// ApplyAllAt implements protocol.TimestampedAtomicApplier. Nested batch
+// members are flattened first — the inner applier sees only executable
+// ops, never an OpBatch it would drop. When flattening occurs the
+// returned results align with the flattened op list, not the input
+// (batch members have no individual results).
 func (a Applier) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte {
-	cmds = flatten(cmds)
-	if ta, ok := a.Inner.(protocol.TimestampedAtomicApplier); ok {
-		return ta.ApplyAllAt(cmds, ts)
-	}
-	if aa, ok := a.Inner.(protocol.AtomicApplier); ok {
-		return aa.ApplyAll(cmds)
-	}
-	out := make([][]byte, len(cmds))
-	for i, c := range cmds {
-		out[i] = applyAt(a.Inner, c, ts)
-	}
-	return out
+	return a.Inner.ApplyAllAt(flatten(cmds), ts)
 }
 
 // flatten expands OpBatch members recursively; undecodable batches are

@@ -266,10 +266,14 @@ func (r *Replica) onRetry(from timestamp.NodeID, m *Retry) {
 // loops and deliver once every predecessor is decided.
 func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 	id := m.Cmd.ID
-	if r.ballots[id] > m.Ballot {
-		return
+	// A decision is final, so it is learned whatever ballot this replica
+	// has promised since: a recoverer's own loop-backed Recover raises
+	// ballots[id] before a survivor's echoStable answers at the record's
+	// original ballot, and dropping that Stable would leave the decision
+	// unlearnable here. The promise only ever moves up.
+	if m.Ballot > r.ballots[id] {
+		r.ballots[id] = m.Ballot
 	}
-	r.ballots[id] = m.Ballot
 	r.clock.Observe(m.Time)
 	rec := r.hist.ensure(m.Cmd)
 	if rec.status == StatusStable || rec.delivered {

@@ -14,7 +14,7 @@ import (
 )
 
 func TestConformance(t *testing.T) {
-	enginetest.Run(t, func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1})
 	})
 }
@@ -23,7 +23,7 @@ func TestConformanceNoGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("variant battery")
 	}
-	enginetest.Run(t, func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1, GCInterval: -1})
 	})
 }
@@ -34,7 +34,7 @@ func TestConformanceWaitDisabled(t *testing.T) {
 	}
 	// The §IV-A ablation must still be safe — it only trades fast
 	// decisions for retries.
-	enginetest.Run(t, func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1, DisableWait: true})
 	})
 }

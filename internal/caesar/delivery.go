@@ -92,12 +92,15 @@ func (r *Replica) deliverable(rec *record) bool {
 }
 
 // deliverNow executes one command and completes client bookkeeping. The
-// applier receives the decided timestamp when it wants one (the cross-shard
-// commit table merges per-group stable timestamps through ApplyAt). A
-// DeferringApplier may postpone the execution past the delivery point; the
-// client callback then fires when the applier completes the command, from
+// applier chain receives the decided timestamp (the cross-shard commit
+// table merges per-group stable timestamps through ApplyAt). A deferring
+// chain may postpone the execution past the delivery point; the client
+// callback then fires when the applier completes the command, from
 // whatever goroutine does so — all replica-side bookkeeping is finished
-// here, inside the event loop, before the applier is invoked.
+// here, inside the event loop, before the applier is invoked. Either way
+// the client-ack bookkeeping (noteClientAck, slow-command report
+// included) runs before done: a waiter woken by done must find the report
+// and the ack event already there.
 func (r *Replica) deliverNow(rec *record) {
 	// A seeded delivered set (crash recovery) can already contain this
 	// command: it was applied — and logged — before the crash, and a
@@ -138,10 +141,10 @@ func (r *Replica) deliverNow(rec *record) {
 	// — acking a delivery whose apply is still deferred (a rebalance
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
-	if da, ok := r.app.(protocol.DeferringApplier); ok {
+	if r.appDefer != nil {
 		ts := rec.ts       // rec must not be touched from the completion goroutine
 		nowFn := r.cfg.Now // r.now is loop-owned state; the callback is not
-		da.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
+		r.appDefer.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
 			// Completion may run on any goroutine — including the event
 			// loop itself (the gate's pass path completes synchronously),
 			// where a blocking Post on a full inbox would deadlock the
@@ -155,19 +158,19 @@ func (r *Replica) deliverNow(rec *record) {
 				go r.loop.Post(evAck{id: id})
 			}
 			if done != nil {
-				done(res)
 				// Stamp from the injected clock: under the fake-clock
 				// harness a wall-clock stamp here is compared against
 				// proposedAt instants nothing else advances, inventing
 				// (or hiding) slow-command latency.
 				r.noteClientAck(id, ts, proposedAt, nowFn())
+				done(res)
 			}
 		})
 		return
 	}
 	var value []byte
-	if ta, ok := r.app.(protocol.TimestampedApplier); ok {
-		value = ta.ApplyAt(rec.cmd, rec.ts)
+	if r.appAt != nil {
+		value = r.appAt.ApplyAt(rec.cmd, rec.ts)
 	} else {
 		value = r.app.Apply(rec.cmd)
 	}
@@ -175,15 +178,15 @@ func (r *Replica) deliverNow(rec *record) {
 	r.releaseReads(id)
 	r.queueAck(id)
 	if done != nil {
-		done(protocol.Result{Value: value})
 		r.noteClientAck(id, rec.ts, proposedAt, r.now)
+		done(protocol.Result{Value: value})
 	}
 }
 
 // noteClientAck records the client-visible acknowledgement of a locally
-// submitted command and, when its submit→ack latency exceeds
-// SlowThreshold, dumps the command's traced history through the
-// slow-command log. Called from the event loop on the synchronous apply
+// submitted command, immediately before its callback fires, and, when
+// its submit→ack latency exceeds SlowThreshold, dumps the command's
+// traced history through the slow-command log. Called from the event loop on the synchronous apply
 // path and from whatever goroutine completes a deferred apply, so it only
 // touches concurrency-safe state.
 func (r *Replica) noteClientAck(id command.ID, ts timestamp.Timestamp, proposedAt, now time.Time) {

@@ -175,8 +175,16 @@ type Replica struct {
 	cq    int // classic quorum size
 	fq    int // fast quorum size
 
-	cfg   Config
-	app   protocol.Applier
+	cfg Config
+	// app is the applier chain decided commands are delivered into.
+	// appAt and appDefer are its two facets, probed once in New — the
+	// only applier probes outside tests: nil appAt means an applier that
+	// takes no timestamp (tests, microbenchmarks), nil appDefer one that
+	// always applies synchronously.
+	app      protocol.Applier
+	appAt    protocol.TimestampedApplier
+	appDefer protocol.DeferringApplier
+
 	met   *metrics.Recorder
 	ctd   *contend.Group
 	clock *timestamp.Clock
@@ -301,6 +309,8 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	if cfg.ReserveClock != nil {
 		r.clock.SetReserve(cfg.ClockSeed, cfg.ReserveClock)
 	}
+	r.appAt, _ = app.(protocol.TimestampedApplier)
+	r.appDefer, _ = app.(protocol.DeferringApplier)
 	r.now = cfg.Now()
 	if cfg.HeartbeatInterval > 0 {
 		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, r.now)

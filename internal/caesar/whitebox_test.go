@@ -7,6 +7,7 @@ package caesar
 
 import (
 	"testing"
+	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
@@ -529,5 +530,70 @@ func TestDisableWaitRejectsInsteadOfWaiting(t *testing.T) {
 	}
 	if len(r.waiters) != 0 {
 		t.Fatal("ablation queued a waiter")
+	}
+}
+
+// TestStableLearnedBelowLocalPromise pins "a decision is final": a
+// survivor that missed a crashed leader's Stable starts recovery, its own
+// loop-backed Recover raises its promise to ballot 1, and a peer that
+// holds the decision answers with echoStable at the record's original
+// ballot 0. The recoverer must learn and deliver it — dropping it as stale
+// leaves the command undeliverable here forever.
+func TestStableLearnedBelowLocalPromise(t *testing.T) {
+	r, _ := testReplica(2)
+	var applied []command.ID
+	r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+		applied = append(applied, cmd.ID)
+		return nil
+	})
+	c := put(0, 1, "k")
+	r.onFastPropose(0, &FastPropose{Cmd: c, Time: ts(5, 0)})
+	r.startRecovery(c.ID)
+	r.onRecover(r.self, &Recover{Ballot: 1, CmdID: c.ID})
+	if r.ballots[c.ID] != 1 {
+		t.Fatalf("own Recover left ballots[c] = %d, want 1", r.ballots[c.ID])
+	}
+
+	r.onStable(1, &Stable{Ballot: 0, Cmd: c, Time: ts(5, 0)})
+	if len(applied) != 1 || applied[0] != c.ID {
+		t.Fatalf("applied %v, want [%v]: the echoed decision was dropped", applied, c.ID)
+	}
+	if r.ballots[c.ID] != 1 {
+		t.Fatalf("ballots[c] = %d after a lower-ballot Stable, want the promise kept at 1", r.ballots[c.ID])
+	}
+}
+
+// syncDeferrer is a DeferringApplier completing every command on the
+// caller's goroutine, like the rebalance gate's pass path.
+type syncDeferrer struct{}
+
+func (syncDeferrer) Apply(command.Command) []byte { return nil }
+func (syncDeferrer) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done func(protocol.Result)) {
+	done(protocol.Result{})
+}
+
+// TestSlowReportPrecedesClientAck pins the order a client can observe on
+// both apply paths: by the time its callback runs, the slow-command report
+// has been emitted (TestSlowCommandLog read the reports right after the
+// callback woke it and found none about once in 200 runs).
+func TestSlowReportPrecedesClientAck(t *testing.T) {
+	for _, path := range []string{"synchronous", "deferred"} {
+		t.Run(path, func(t *testing.T) {
+			r, _ := testReplica(0)
+			if path == "deferred" {
+				r.appDefer = syncDeferrer{}
+			}
+			var order []string
+			r.cfg.SlowThreshold = time.Nanosecond
+			r.cfg.SlowLog = func(string, ...any) { order = append(order, "report") }
+			c := put(0, 1, "k")
+			r.proposals[c.ID] = &coordinator{cmd: c, proposedAt: r.now.Add(-time.Second)}
+			r.dones[c.ID] = func(protocol.Result) { order = append(order, "done") }
+
+			r.onStable(0, &Stable{Cmd: c, Time: ts(1, 0)})
+			if len(order) != 2 || order[0] != "report" || order[1] != "done" {
+				t.Fatalf("observed %v, want [report done]", order)
+			}
+		})
 	}
 }

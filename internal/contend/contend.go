@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/caesar-consensus/caesar/internal/obs"
 )
 
 // DefaultK is the per-group sketch capacity used when NewProfile is
@@ -485,9 +487,6 @@ func (p *Profile) Handler() http.Handler {
 				n = v
 			}
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.Snapshot(n))
+		obs.ServeJSON(w, p.Snapshot(n))
 	})
 }

@@ -25,8 +25,9 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-// Factory builds one replica of the engine under test.
-type Factory func(ep transport.Endpoint, app protocol.Applier) protocol.Engine
+// Factory builds one replica of the engine under test over app, the
+// replica's state machine.
+type Factory func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine
 
 // Recorder is the test applier: a tiny KV store that logs per-key execution
 // order.
@@ -42,10 +43,36 @@ func NewRecorder() *Recorder {
 	return &Recorder{perKey: make(map[string][]command.ID), data: make(map[string][]byte)}
 }
 
-// Apply implements protocol.Applier.
+// The Recorder fills the node state machine role
+// (protocol.TimestampedAtomicApplier), so layered engines under test can
+// stack their chain on it; it ignores timestamps.
+var _ protocol.TimestampedAtomicApplier = (*Recorder)(nil)
+
 func (r *Recorder) Apply(cmd command.Command) []byte {
+	return r.ApplyAt(cmd, timestamp.Zero)
+}
+
+func (r *Recorder) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.applyLocked(cmd)
+}
+
+func (r *Recorder) ApplyAll(cmds []command.Command) [][]byte {
+	return r.ApplyAllAt(cmds, timestamp.Zero)
+}
+
+func (r *Recorder) ApplyAllAt(cmds []command.Command, _ timestamp.Timestamp) [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([][]byte, len(cmds))
+	for i, cmd := range cmds {
+		out[i] = r.applyLocked(cmd)
+	}
+	return out
+}
+
+func (r *Recorder) applyLocked(cmd command.Command) []byte {
 	r.total++
 	switch cmd.Op {
 	case command.OpPut:

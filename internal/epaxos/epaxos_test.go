@@ -13,7 +13,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-func factory(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+func factory(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 	return epaxos.New(ep, app, epaxos.Config{HeartbeatInterval: -1})
 }
 
@@ -73,7 +73,7 @@ func TestRecoveryAfterLeaderCrash(t *testing.T) {
 		RecoveryBackoff:   30 * time.Millisecond,
 		TickInterval:      10 * time.Millisecond,
 	}
-	f := func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	f := func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return epaxos.New(ep, app, cfg)
 	}
 	c := enginetest.NewCluster(t, 5, memnet.Config{}, f)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/wal"
 )
 
@@ -53,7 +54,7 @@ func TestDurableThroughputRatio(t *testing.T) {
 }
 
 // TestDurableHarnessRunRecovers checks the harness data-dir plumbing end
-// to end: a short durable run leaves logs a cold wal.Open can replay.
+// to end: a short durable run leaves logs a cold wal.OpenInto can replay.
 func TestDurableHarnessRunRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock experiment")
@@ -67,9 +68,9 @@ func TestDurableHarnessRunRecovers(t *testing.T) {
 	if res.Throughput <= 0 {
 		t.Fatal("durable run made no progress")
 	}
-	st := reopenNode0(t, dir)
-	if st.Applied == 0 || len(st.KV) == 0 {
-		t.Fatalf("nothing recovered: applied %d, %d keys", st.Applied, len(st.KV))
+	st, store := reopenNode0(t, dir)
+	if st.Applied == 0 || store.Len() == 0 {
+		t.Fatalf("nothing recovered: applied %d, %d keys", st.Applied, store.Len())
 	}
 	if len(st.Delivered) == 0 {
 		t.Fatal("no delivered sets recovered")
@@ -77,12 +78,13 @@ func TestDurableHarnessRunRecovers(t *testing.T) {
 }
 
 // reopenNode0 replays node 0's log from a finished durable run.
-func reopenNode0(t *testing.T, dataDir string) *wal.State {
+func reopenNode0(t *testing.T, dataDir string) (*wal.State, *kvstore.Store) {
 	t.Helper()
-	log, st, err := wal.Open(filepath.Join(dataDir, "node0"), wal.Options{})
+	store := kvstore.New()
+	log, st, err := wal.OpenInto(filepath.Join(dataDir, "node0"), store, wal.Options{})
 	if err != nil {
 		t.Fatalf("reopen node0 log: %v", err)
 	}
 	log.Close()
-	return st
+	return st, store
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/memnet"
 	"github.com/caesar-consensus/caesar/internal/wal"
 )
@@ -537,7 +538,8 @@ func Durable(w io.Writer, base Options) []Result {
 
 	// Crash-recovery time: reopen node 0's log cold and replay it.
 	start := time.Now()
-	log, st, err := wal.Open(filepath.Join(dir, "node0"), wal.Options{})
+	store := kvstore.New()
+	log, st, err := wal.OpenInto(filepath.Join(dir, "node0"), store, wal.Options{})
 	if err != nil {
 		fmt.Fprintf(w, "recovery: %v\n", err)
 		return []Result{mem, nosync, durable}
@@ -545,7 +547,7 @@ func Durable(w io.Writer, base Options) []Result {
 	elapsed := time.Since(start)
 	log.Close()
 	fmt.Fprintf(w, "recovery: replayed %d commands (%d keys) in %s\n",
-		st.Applied, len(st.KV), elapsed.Round(time.Millisecond))
+		st.Applied, store.Len(), elapsed.Round(time.Millisecond))
 	return []Result{mem, nosync, durable}
 }
 

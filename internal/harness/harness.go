@@ -350,7 +350,7 @@ func (s stackReaders) Reader(node int) workload.Reader {
 // configured service time before executing, occupying its group's (serial)
 // delivery pipeline for that long without burning CPU.
 type pacedApplier struct {
-	inner protocol.Applier
+	inner protocol.TimestampedAtomicApplier
 	cost  time.Duration
 }
 
@@ -371,33 +371,17 @@ func (p pacedApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byt
 		}
 	}
 	time.Sleep(time.Duration(n) * p.cost)
-	if ta, ok := p.inner.(protocol.TimestampedApplier); ok {
-		return ta.ApplyAt(cmd, ts)
-	}
-	return p.inner.Apply(cmd)
+	return p.inner.ApplyAt(cmd, ts)
 }
 
-// ApplyAll keeps the inner applier's atomicity visible through the pacing
-// wrapper (the cross-shard commit table type-asserts AtomicApplier on its
-// Exec): the per-op cost is paid up front, outside the atomic window.
 func (p pacedApplier) ApplyAll(cmds []command.Command) [][]byte {
 	return p.ApplyAllAt(cmds, timestamp.Zero)
 }
 
-// ApplyAllAt is ApplyAll with the unit's decided (merged) timestamp.
+// ApplyAllAt pays the per-op cost up front, outside the atomic window.
 func (p pacedApplier) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte {
 	time.Sleep(time.Duration(len(cmds)) * p.cost)
-	if ta, ok := p.inner.(protocol.TimestampedAtomicApplier); ok {
-		return ta.ApplyAllAt(cmds, ts)
-	}
-	if aa, ok := p.inner.(protocol.AtomicApplier); ok {
-		return aa.ApplyAll(cmds)
-	}
-	out := make([][]byte, len(cmds))
-	for i, c := range cmds {
-		out[i] = p.inner.Apply(c)
-	}
-	return out
+	return p.inner.ApplyAllAt(cmds, ts)
 }
 
 // build constructs the cluster's node stacks through the shared
@@ -410,7 +394,7 @@ func (p pacedApplier) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp)
 // (internal/wal). The per-protocol construction is identical either way,
 // so any protocol can be sharded; durable restart seeding is wired for
 // CAESAR, the protocol the durable scenario runs.
-func build(o Options, net *memnet.Network, mets []*metrics.Recorder, stores []*kvstore.Store, apps []protocol.Applier) []*stack.Stack {
+func build(o Options, net *memnet.Network, mets []*metrics.Recorder, stores []*kvstore.Store, apps []protocol.TimestampedAtomicApplier) []*stack.Stack {
 	stacks := make([]*stack.Stack, o.Nodes)
 	crashRun := o.CrashNode >= 0
 	for i := 0; i < o.Nodes; i++ {
@@ -420,22 +404,13 @@ func build(o Options, net *memnet.Network, mets []*metrics.Recorder, stores []*k
 			app = pacedApplier{inner: app, cost: o.ApplyCost}
 		}
 		met := mets[i]
-		mk := func(ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
+		mk := func(g int, ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
 			if gmet == nil {
 				gmet = met
 			}
 			switch o.Protocol {
 			case Caesar, CaesarNoWait:
-				cfg := caesar.Config{
-					Metrics:      gmet,
-					Contend:      ctd,
-					DisableWait:  o.Protocol == CaesarNoWait,
-					Predelivered: seed.Delivered,
-					SeqFloor:     seed.SeqFloor,
-					ClockSeed:    seed.ClockSeed,
-					ReserveSeq:   seed.ReserveSeq,
-					ReserveClock: seed.ReserveClock,
-				}
+				cfg := caesar.Config{DisableWait: o.Protocol == CaesarNoWait}
 				if crashRun {
 					cfg.HeartbeatInterval = 50 * time.Millisecond
 					cfg.SuspectTimeout = 500 * time.Millisecond
@@ -443,7 +418,7 @@ func build(o Options, net *memnet.Network, mets []*metrics.Recorder, stores []*k
 				} else {
 					cfg.HeartbeatInterval = -1
 				}
-				return caesar.New(ep, app, cfg)
+				return stack.CaesarEngine(cfg)(g, ep, app, seed, gmet, ctd)
 			case EPaxos:
 				cfg := epaxos.Config{Metrics: gmet}
 				if crashRun {
@@ -483,11 +458,11 @@ func build(o Options, net *memnet.Network, mets []*metrics.Recorder, stores []*k
 			DataDir:   dataDir,
 			WAL:       wal.Options{NoSync: o.WALNoSync, Metrics: met},
 			Rebalance: o.Protocol == Caesar || o.Protocol == CaesarNoWait,
-			Build: func(_ int, sep transport.Endpoint, gapp protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
+			Build: func(g int, sep transport.Endpoint, gapp protocol.Applier, seed wal.GroupSeed, gmet *metrics.Recorder, ctd *contend.Group) protocol.Engine {
 				// Batching wraps each group, not the sharded fan-out:
 				// batches form per group, so they never span shards
 				// (cross-shard pieces bypass the batcher entirely).
-				eng := mk(sep, gapp, seed, gmet, ctd)
+				eng := mk(g, sep, gapp, seed, gmet, ctd)
 				if o.Batching {
 					eng = batch.Wrap(eng, batch.Config{})
 				}
@@ -519,7 +494,7 @@ func Run(o Options) Result {
 
 	mets := make([]*metrics.Recorder, o.Nodes)
 	stores := make([]*kvstore.Store, o.Nodes)
-	apps := make([]protocol.Applier, o.Nodes)
+	apps := make([]protocol.TimestampedAtomicApplier, o.Nodes)
 	for i := range mets {
 		mets[i] = metrics.NewRecorder()
 		stores[i] = kvstore.New()

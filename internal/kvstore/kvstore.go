@@ -82,12 +82,7 @@ type Store struct {
 	lastFence command.ID
 }
 
-var (
-	_ protocol.Applier                  = (*Store)(nil)
-	_ protocol.TimestampedApplier       = (*Store)(nil)
-	_ protocol.AtomicApplier            = (*Store)(nil)
-	_ protocol.TimestampedAtomicApplier = (*Store)(nil)
-)
+var _ protocol.TimestampedAtomicApplier = (*Store)(nil)
 
 // New returns an empty store.
 func New() *Store {
@@ -178,18 +173,16 @@ func (s *Store) recordVersionLocked(key string, epoch uint32, ts timestamp.Times
 	s.vers[key] = ring
 }
 
-// ApplyAll implements protocol.AtomicApplier: the commands execute under
-// one lock hold, so no concurrent reader observes a strict subset of their
-// effects. The cross-shard commit layer uses this to apply a transaction's
-// writes at a single instant.
+// ApplyAll is ApplyAllAt at the zero timestamp.
 func (s *Store) ApplyAll(cmds []command.Command) [][]byte {
 	return s.ApplyAllAt(cmds, timestamp.Zero)
 }
 
-// ApplyAllAt implements protocol.TimestampedAtomicApplier: like ApplyAll,
-// with every write version-stamped at ts — a cross-shard transaction's
-// writes all carry its merged timestamp, so a snapshot read either sees
-// the whole transaction or none of it.
+// ApplyAllAt implements protocol.TimestampedAtomicApplier: the commands
+// execute under one lock hold, so no concurrent reader observes a strict
+// subset of their effects, with every write version-stamped at ts — a
+// cross-shard transaction's writes all carry its merged timestamp, so a
+// snapshot read either sees the whole transaction or none of it.
 func (s *Store) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()

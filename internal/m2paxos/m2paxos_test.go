@@ -13,7 +13,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-func factory(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+func factory(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 	return m2paxos.New(ep, app, m2paxos.Config{})
 }
 

@@ -12,7 +12,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-func factory(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+func factory(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 	return mencius.New(ep, app, mencius.Config{})
 }
 

@@ -12,7 +12,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-func factory(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+func factory(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 	return multipaxos.New(ep, app, multipaxos.Config{Leader: 0})
 }
 
@@ -48,7 +48,7 @@ func TestRemoteLeaderLatency(t *testing.T) {
 	}
 	// Leader in Mumbai (node 4): a Virginia client pays the long
 	// forwarding hop — the Multi-Paxos-IN configuration of Fig 7.
-	f := func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	f := func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return multipaxos.New(ep, app, multipaxos.Config{Leader: 4})
 	}
 	c := enginetest.NewCluster(t, 5, memnet.Config{Delay: memnet.GeoDelay(0.02)}, f)

@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 )
 
 // httpHandler aliases http.Handler so obs.go's Registry definition does
@@ -67,4 +72,47 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ServeJSON answers a diagnosis endpoint (/tracez, /auditz, /workloadz)
+// with v as an indented JSON document.
+func ServeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v) // best-effort write to a closing client
+}
+
+// fetchLimit bounds how much of a peer's answer FetchJSON reads.
+const fetchLimit = 16 << 20
+
+// FetchJSON is the client half of ServeJSON: GET url, read a bounded
+// body, require 200 and decode it as a T. A nil client is
+// http.DefaultClient.
+func FetchJSON[T any](ctx context.Context, client *http.Client, url string) (T, error) {
+	var v T
+	if client == nil {
+		client = http.DefaultClient
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return v, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return v, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, fetchLimit))
+	if err != nil {
+		return v, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return v, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		var zero T // not a half-decoded v
+		return zero, fmt.Errorf("bad JSON: %v", err)
+	}
+	return v, nil
 }

@@ -122,8 +122,8 @@ func writeHistogram(b *strings.Builder, name string, s *series) {
 	fmt.Fprintf(b, "%s_count%s %d\n", name, s.labels, h.Count())
 }
 
-// statusSeries is one series in the /statusz JSON document.
-type statusSeries struct {
+// StatusSeries is one series in the /statusz JSON document.
+type StatusSeries struct {
 	Labels string  `json:"labels,omitempty"`
 	Value  float64 `json:"value,omitempty"`
 	Sum    float64 `json:"sum,omitempty"`
@@ -139,12 +139,12 @@ type statusSeries struct {
 	ExemplarSeconds float64 `json:"exemplar_seconds,omitempty"`
 }
 
-// statusFamily is one family in the /statusz JSON document.
-type statusFamily struct {
+// StatusFamily is one family in the /statusz JSON document.
+type StatusFamily struct {
 	Name   string         `json:"name"`
 	Type   string         `json:"type"`
 	Help   string         `json:"help"`
-	Series []statusSeries `json:"series"`
+	Series []StatusSeries `json:"series"`
 }
 
 // WriteJSON renders the registry as the /statusz JSON document: the same
@@ -156,11 +156,11 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		return err
 	}
 	fams := r.snapshot()
-	out := make([]statusFamily, 0, len(fams))
+	out := make([]StatusFamily, 0, len(fams))
 	for _, f := range fams {
-		sf := statusFamily{Name: f.name, Type: f.kind.String(), Help: f.help}
+		sf := StatusFamily{Name: f.name, Type: f.kind.String(), Help: f.help}
 		for _, s := range f.series {
-			var e statusSeries
+			var e StatusSeries
 			e.Labels = s.labels
 			switch f.kind {
 			case kindCounter:

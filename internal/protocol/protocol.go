@@ -8,6 +8,15 @@
 // callback fires once the command has been executed at the replica that
 // proposed it — that is the "ordering and processing" latency measured by
 // the paper's evaluation.
+//
+// Below the engine there are two statically typed roles. The node state
+// machine (TimestampedAtomicApplier: the store behind the batch unpacker)
+// executes single commands and atomic units at their decided timestamps.
+// The per-group chain (TimestampedApplier) is what one group's engine
+// delivers into; internal/stack composes it from layers that each take a
+// chain and return one, ending at the state machine. The only runtime
+// probe left is the engine asking, once at construction, whether its
+// chain is also a DeferringApplier.
 package protocol
 
 import (
@@ -47,7 +56,9 @@ type Engine interface {
 	Stop()
 }
 
-// Applier is the deterministic state machine commands are executed against.
+// Applier is the deterministic state machine commands are executed
+// against, as an engine without agreed timestamps (the four baselines,
+// ApplierFunc in tests and microbenchmarks) sees it.
 type Applier interface {
 	// Apply executes cmd and returns its application-level result.
 	// It is called from a single goroutine per replica, in decision
@@ -55,11 +66,14 @@ type Applier interface {
 	Apply(cmd command.Command) []byte
 }
 
-// TimestampedApplier is an Applier that also wants each command's decided
-// logical timestamp. Engines that agree on timestamps (CAESAR) prefer
-// ApplyAt over Apply when the applier implements it; layered appliers use
-// the timestamp to order work across engines — the cross-shard commit table
-// (internal/xshard) merges per-group stable timestamps this way.
+// TimestampedApplier is the per-group delivery chain: what a node stack
+// hands each consensus group's engine. Every layer of the chain — the
+// rebalance gate, the write-ahead log, the cross-shard commit table —
+// takes one and returns one, so the decided timestamp (the only thing the
+// paper's DELIVER hands the state machine besides the command) reaches
+// the store through static types; a layer that would drop it does not
+// compile. Apply is the entry for engines that agree on no timestamp and
+// is ApplyAt at timestamp.Zero.
 type TimestampedApplier interface {
 	Applier
 	// ApplyAt executes cmd, which was decided at ts within its engine's
@@ -67,45 +81,36 @@ type TimestampedApplier interface {
 	ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte
 }
 
-// DeferringApplier is an Applier that may postpone a command's execution
-// past its delivery point: the engine hands it the command plus a
-// completion callback instead of expecting a synchronous return, and the
-// client's DoneFunc fires when the applier completes the command. The live
-// rebalancing gate (internal/rebalance) uses this to hold commands that
-// reached their new consensus group before the group's state handoff
-// finished — delivery of later, unrelated commands is never blocked.
-// Appliers must call done exactly once; calling it synchronously is the
-// common case.
+// TimestampedAtomicApplier is the node state machine: the bottom of
+// every group's chain and the target the cross-shard commit table and
+// the batch unpacker execute units against. ApplyAllAt runs cmds in
+// order as one indivisible unit — no concurrent reader of the state
+// observes a strict subset of its effects — all decided at ts, so a
+// version-recording store (internal/kvstore's MVCC ring, behind
+// internal/reads) stamps every write of a transaction with its one
+// merged timestamp and snapshot reads see it all-or-nothing. ApplyAll is
+// ApplyAllAt at timestamp.Zero.
+type TimestampedAtomicApplier interface {
+	TimestampedApplier
+	ApplyAll(cmds []command.Command) [][]byte
+	ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte
+}
+
+// DeferringApplier is the one optional facet of a chain, and the only
+// one an engine probes for (once, at construction): a chain that may
+// postpone a command's execution past its delivery point. The engine
+// hands it the command plus a completion callback instead of expecting a
+// synchronous return, and the client's DoneFunc fires when the applier
+// completes the command. The live rebalancing gate (internal/rebalance)
+// uses this to hold commands that reached their new consensus group
+// before the group's state handoff finished — delivery of later,
+// unrelated commands is never blocked. Appliers must call done exactly
+// once; calling it synchronously is the common case.
 type DeferringApplier interface {
 	Applier
 	// ApplyDeferred executes cmd — now or later — and reports its result
-	// through done. ts is the command's decided timestamp (zero for
-	// engines without timestamps).
+	// through done. ts is the command's decided timestamp.
 	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result))
-}
-
-// AtomicApplier is an Applier that can execute several commands as one
-// indivisible unit: no concurrent reader of the underlying state observes a
-// strict subset of the group's effects. The cross-shard commit layer uses
-// it to make a transaction's writes visible at a single instant.
-type AtomicApplier interface {
-	Applier
-	// ApplyAll executes cmds in order as one unit and returns their
-	// results.
-	ApplyAll(cmds []command.Command) [][]byte
-}
-
-// TimestampedAtomicApplier is an AtomicApplier that also wants the decided
-// timestamp of the unit it applies. The cross-shard commit table executes
-// a transaction through ApplyAllAt at its merged timestamp, so a
-// version-recording store (internal/kvstore's MVCC ring, behind
-// internal/reads) stamps every write of the transaction with one
-// timestamp and snapshot reads observe the transaction all-or-nothing.
-type TimestampedAtomicApplier interface {
-	AtomicApplier
-	// ApplyAllAt executes cmds in order as one unit, all decided at ts,
-	// and returns their results.
-	ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte
 }
 
 // ApplierFunc adapts a function to the Applier interface.

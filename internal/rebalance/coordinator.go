@@ -20,20 +20,6 @@ type Config struct {
 	// Self is this node's ID; it staggers fence re-proposals and decides
 	// which skipped commands this node re-routes (only its own).
 	Self timestamp.NodeID
-	// Export returns a copy of the locally stored entries whose key
-	// satisfies pred; called while applying a source group's fence, so
-	// the snapshot sits at a replica-deterministic point of the group's
-	// history. May be nil (no state to hand off — the node-shared store
-	// of this repository's stack needs none; see internal/stack).
-	Export func(pred func(key string) bool) map[string][]byte
-	// Import applies a handed-off snapshot before the destination's first
-	// command; deployments with per-group stores route each key to its
-	// new group's store here. Import must be atomic against the
-	// destination store's other writers: cross-shard commit-table
-	// executions are not gated behind handoffs (their pieces are exempt
-	// from the gate, or the handoff wait-graph would cycle), so a
-	// transaction may write a migrating key between Export and Import.
-	Import func(snap map[string][]byte)
 	// FenceTimeout is how long an installed epoch may wait for a group's
 	// fence before this node re-proposes it (a crashed initiator's
 	// propagation is finished by survivors). Default 2s.
@@ -83,17 +69,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// handoff tracks one source group's state transfer during a transition.
+// handoff tracks one source group's handoff during a transition.
 type handoff struct {
-	// imported: the moving keys were exported at the fence point and
-	// imported for their destinations.
-	imported bool
 	// drained: every cross-shard transaction the group ordered before its
 	// fence has resolved (Table.AwaitGroupDrain fired).
 	drained bool
 }
-
-func (h *handoff) done() bool { return h.imported && h.drained }
 
 // transition is one in-flight epoch change.
 type transition struct {
@@ -163,7 +144,12 @@ type fenceEvent struct {
 // Coordinator is one node's rebalancing brain: it owns the epoch table,
 // installs transitions when fences deliver, gates every group's deliveries
 // against the epoch state, runs the state handoff, and retires groups
-// after a shrink. One Coordinator serves all of a node's groups.
+// after a shrink. One Coordinator serves all of a node's groups. The
+// handoff moves no key bytes — the store is node-shared, so it is purely
+// ordering (fences, drains, gated commands) — and must stay that way: a
+// copy-out/copy-in of the migrating keys could overwrite a cross-shard
+// transaction's write landing in between, since commit-table executions
+// are exempt from the gate (classifyLocked).
 type Coordinator struct {
 	cfg Config
 
@@ -204,7 +190,7 @@ type Coordinator struct {
 	drainAgain bool
 
 	// inners holds each group's inner applier chain for queue drains.
-	inners map[int]protocol.Applier
+	inners map[int]protocol.TimestampedApplier
 
 	// Scheduled retirement after a shrink.
 	retireTo int
@@ -258,7 +244,7 @@ func NewCoordinatorAt(cfg Config, epochs map[uint32]int32, epoch uint32) *Coordi
 		epochShards: es,
 		groupEpoch:  make(map[int]uint32),
 		queuedKeys:  make(map[groupKey]int),
-		inners:      make(map[int]protocol.Applier),
+		inners:      make(map[int]protocol.TimestampedApplier),
 		shards:      shards,
 		retireTo:    -1,
 	}
@@ -337,8 +323,8 @@ func (co *Coordinator) DebugState() []string {
 			out = append(out, fmt.Sprintf("group %d: fenced=%v (not a source)", g, t.fenced[g]))
 			continue
 		}
-		out = append(out, fmt.Sprintf("group %d: fenced=%v imported=%v drained=%v preEpochQueued=%v",
-			g, t.fenced[g], h.imported, h.drained, co.queueHoldsPreEpochLocked(g, t.marker.Epoch)))
+		out = append(out, fmt.Sprintf("group %d: fenced=%v drained=%v preEpochQueued=%v",
+			g, t.fenced[g], h.drained, co.queueHoldsPreEpochLocked(g, t.marker.Epoch)))
 	}
 	counts := make(map[string]int)
 	for _, q := range co.queue {
@@ -456,7 +442,7 @@ func (co *Coordinator) Sweep() {
 // Applier wraps one group's applier chain with the epoch gate. It must be
 // the outermost layer (above the cross-shard interception), so fences and
 // epoch checks see every delivery first.
-func (co *Coordinator) Applier(group int, inner protocol.Applier) protocol.Applier {
+func (co *Coordinator) Applier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 	co.mu.Lock()
 	co.inners[group] = inner
 	co.mu.Unlock()
@@ -467,13 +453,10 @@ func (co *Coordinator) Applier(group int, inner protocol.Applier) protocol.Appli
 type gateApplier struct {
 	co    *Coordinator
 	group int
-	inner protocol.Applier
+	inner protocol.TimestampedApplier
 }
 
-var (
-	_ protocol.TimestampedApplier = (*gateApplier)(nil)
-	_ protocol.DeferringApplier   = (*gateApplier)(nil)
-)
+var _ protocol.DeferringApplier = (*gateApplier)(nil)
 
 // Apply implements protocol.Applier.
 func (a *gateApplier) Apply(cmd command.Command) []byte {
@@ -498,17 +481,8 @@ func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp,
 	a.co.gate(a.group, a.inner, cmd, ts, done)
 }
 
-// applyInner runs one released or passing command on the group's inner
-// chain.
-func applyInner(inner protocol.Applier, cmd command.Command, ts timestamp.Timestamp) []byte {
-	if ta, ok := inner.(protocol.TimestampedApplier); ok {
-		return ta.ApplyAt(cmd, ts)
-	}
-	return inner.Apply(cmd)
-}
-
 // gate classifies one delivery and carries out the verdict.
-func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (co *Coordinator) gate(group int, inner protocol.TimestampedApplier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	if cmd.Op == command.OpFence {
 		co.cfg.Trace.Record(co.cfg.Self, trace.KindFence, cmd.ID, ts)
 		if m, err := DecodeMarker(cmd.Payload); err == nil {
@@ -519,7 +493,7 @@ func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Comma
 		// delivery — a restarted replica's delivered set has to contain
 		// fence IDs, or re-sent decisions listing a fence as predecessor
 		// would park forever — and the store ignores fences.
-		applyInner(inner, cmd, ts)
+		inner.ApplyAt(cmd, ts)
 		done(protocol.Result{})
 		return
 	}
@@ -545,7 +519,7 @@ func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Comma
 		return
 	case gatePass:
 		co.mu.Unlock()
-		done(protocol.Result{Value: applyInner(inner, cmd, ts)})
+		done(protocol.Result{Value: inner.ApplyAt(cmd, ts)})
 		return
 	default:
 		co.mu.Unlock()
@@ -713,15 +687,15 @@ func (co *Coordinator) awaitsHandoffLocked(t *transition, cmd command.Command) b
 }
 
 // handoffDoneLocked reports whether one source group's handoff has fully
-// completed: its fence delivered, the moving keys exported and imported,
-// the transactions it ordered pre-fence settled, and — for back-to-back
-// resizes — every command of an earlier epoch this replica still holds
-// queued for the group applied. The last clause keeps a twice-migrating
-// key's history in order: the new epoch's destinations may not proceed
-// while a previous transition still owes the source an application.
+// completed: its fence delivered, the transactions it ordered pre-fence
+// settled, and — for back-to-back resizes — every command of an earlier
+// epoch this replica still holds queued for the group applied. The last
+// clause keeps a twice-migrating key's history in order: the new epoch's
+// destinations may not proceed while a previous transition still owes the
+// source an application.
 func (co *Coordinator) handoffDoneLocked(t *transition, src int) bool {
 	h := t.sources[src]
-	if h == nil || !h.done() || !t.fenced[src] {
+	if h == nil || !h.drained || !t.fenced[src] {
 		return false
 	}
 	return !co.queueHoldsPreEpochLocked(src, t.marker.Epoch)
@@ -773,39 +747,20 @@ func (co *Coordinator) onFence(group int, m Marker) {
 		co.groupEpoch[group] = m.Epoch
 	}
 	h := t.sources[group]
-	prev, next := t.prev, t.next
-	exportFn, importFn := co.cfg.Export, co.cfg.Import
 	table := co.table
 	co.mu.Unlock()
 
-	if h != nil {
-		// Source group: snapshot the moving keys at this exact point of
-		// the group's history and hand them to their destinations, then
-		// wait for the transactions this group ordered pre-fence to
-		// settle.
-		if exportFn != nil {
-			snap := exportFn(func(k string) bool {
-				return prev.Shard(k) == group && next.Shard(k) != group
-			})
-			if importFn != nil && len(snap) > 0 {
-				importFn(snap)
+	if h != nil && table != nil {
+		// Source group: wait for the transactions this group ordered
+		// pre-fence to settle.
+		table.AwaitGroupDrain(int32(group), func() {
+			co.mu.Lock()
+			if co.pending == t {
+				h.drained = true
 			}
-		}
-		co.mu.Lock()
-		if co.pending == t {
-			h.imported = true
-		}
-		co.mu.Unlock()
-		if table != nil {
-			table.AwaitGroupDrain(int32(group), func() {
-				co.mu.Lock()
-				if co.pending == t {
-					h.drained = true
-				}
-				co.mu.Unlock()
-				co.advance()
-			})
-		}
+			co.mu.Unlock()
+			co.advance()
+		})
 	}
 	co.advance()
 }
@@ -992,7 +947,7 @@ func (co *Coordinator) drainQueue() bool {
 			default:
 				res := protocol.Result{}
 				if inner != nil {
-					res.Value = applyInner(inner, q.cmd, q.ts)
+					res.Value = inner.ApplyAt(q.cmd, q.ts)
 				}
 				q.done(res)
 			}

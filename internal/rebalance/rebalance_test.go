@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -45,13 +46,17 @@ func keyHomedAt(t *testing.T, prev, next shard.Router, prevHome, nextHome int) s
 	return ""
 }
 
-// recordingApplier logs applied commands.
+// recordingApplier is a fake inner chain logging applied commands.
 type recordingApplier struct {
 	mu   sync.Mutex
 	keys []string
 }
 
 func (r *recordingApplier) Apply(cmd command.Command) []byte {
+	return r.ApplyAt(cmd, timestamp.Zero)
+}
+
+func (r *recordingApplier) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.keys = append(r.keys, cmd.Key)
@@ -68,7 +73,7 @@ func (r *recordingApplier) applied() []string {
 // the gate directly: no engines, a standalone commit table, manual fences.
 func newTestCoordinator(shards int) (*Coordinator, *recordingApplier) {
 	co := NewCoordinator(Config{Self: 0, Now: time.Now}, shards)
-	co.table = xshard.NewTable(xshard.TableConfig{Self: 0, Exec: protocol.ApplierFunc(func(command.Command) []byte { return nil })})
+	co.table = xshard.NewTable(xshard.TableConfig{Self: 0, Exec: kvstore.New()})
 	app := &recordingApplier{}
 	return co, app
 }
@@ -89,7 +94,7 @@ func applyThrough(co *Coordinator, gate protocol.Applier, cmd command.Command) (
 
 // TestGateQueuesUntilHandoffCompletes drives a 2→4 growth by hand: a
 // new-epoch command on a moved key parks until its source group fences,
-// imports and drains, then applies in arrival order; same-epoch traffic on
+// and drains, then applies in arrival order; same-epoch traffic on
 // unmoved keys flows throughout.
 func TestGateQueuesUntilHandoffCompletes(t *testing.T) {
 	co, app := newTestCoordinator(2)

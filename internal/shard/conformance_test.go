@@ -16,7 +16,7 @@ import (
 )
 
 func TestShardedConformance(t *testing.T) {
-	enginetest.Run(t, func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return shard.New(ep, 4, func(_ int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, app, caesar.Config{HeartbeatInterval: -1})
 		})

@@ -3,9 +3,7 @@
 // sharded fan-out and (optionally) the durable write-ahead log — from a
 // single description. The public caesar package, cmd/caesar-server and
 // the benchmark harness all construct nodes through it, so a new layer
-// threaded here lands in every deployment path at once; before this
-// package the table + coordinator + shard/xshard/rebalance wiring was
-// triplicated across the three.
+// threaded here lands in every deployment path at once.
 //
 // Layer order per consensus group, outermost first:
 //
@@ -31,6 +29,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/audit"
 	"github.com/caesar-consensus/caesar/internal/batch"
+	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/contend"
 	"github.com/caesar-consensus/caesar/internal/flight"
@@ -68,6 +67,27 @@ type ackProber interface {
 // ignore it.
 type BuildEngine func(group int, ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, met *metrics.Recorder, ctd *contend.Group) protocol.Engine
 
+// CaesarEngine is the BuildEngine of every CAESAR deployment: base is the
+// node-wide engine config, and each group runs a copy with its child
+// recorder, contention sketch, flight-group label and crash-recovery seed
+// filled in.
+func CaesarEngine(base caesar.Config) BuildEngine {
+	return func(g int, ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, met *metrics.Recorder, ctd *contend.Group) protocol.Engine {
+		cfg := base
+		if met != nil {
+			cfg.Metrics = met
+		}
+		cfg.Contend = ctd
+		cfg.FlightGroup = int32(g)
+		cfg.Predelivered = seed.Delivered
+		cfg.SeqFloor = seed.SeqFloor
+		cfg.ClockSeed = seed.ClockSeed
+		cfg.ReserveSeq = seed.ReserveSeq
+		cfg.ReserveClock = seed.ReserveClock
+		return caesar.New(ep, app, cfg)
+	}
+}
+
 // Config describes the node to build.
 type Config struct {
 	// Shards is the consensus-group count; < 2 builds an unsharded node.
@@ -77,10 +97,10 @@ type Config struct {
 	// Store is the node's key-value store; nil creates one. Recovery
 	// imports the replayed state into it before any engine starts.
 	Store *kvstore.Store
-	// Applier is the node-level applier transactions and commands
+	// Applier is the node state machine transactions and commands
 	// execute against; nil wraps Store in the batch unpacker. Harness
 	// runs wrap it with pacing here.
-	Applier protocol.Applier
+	Applier protocol.TimestampedAtomicApplier
 	// Metrics receives commit-table and fsync measurements; may be nil.
 	// Each consensus group gets a child recorder (Metrics.Group) so the
 	// per-group decision counters stay separable while node totals keep
@@ -250,7 +270,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	s.Contend = ctd
 	rd.SetContend(ctd)
 	cfg.Obs.RegisterNodeRecorder(cfg.Metrics)
-	buildGroup := func(g int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed) protocol.Engine {
+	buildGroup := func(g int, sep transport.Endpoint, app protocol.TimestampedApplier, seed wal.GroupSeed) protocol.Engine {
 		gm := cfg.Metrics.Group()
 		cfg.Obs.RegisterRecorder(obs.Labels{"group": strconv.Itoa(g)}, gm)
 		s.registerContention(cfg.Obs, g, ctd.Group(g))
@@ -284,20 +304,14 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 			opts.Flight = cfg.Flight
 		}
 		opts.Self = ep.Self()
-		if user := opts.OnEpoch; user != nil {
-			opts.OnEpoch = func(ec wal.EpochChange) {
-				epochTracker.Install(ec.Epoch, ec.Shards)
+		user := opts.OnEpoch
+		opts.OnEpoch = func(ec wal.EpochChange) {
+			epochTracker.Install(ec.Epoch, ec.Shards)
+			if user != nil {
 				user(ec)
-			}
-		} else {
-			opts.OnEpoch = func(ec wal.EpochChange) {
-				epochTracker.Install(ec.Epoch, ec.Shards)
 			}
 		}
 		var err error
-		// OpenInto replays snapshot + log tail directly into the node's
-		// store: no scratch store, no Export, no re-Import — the restart
-		// path carries zero full-state copies.
 		log, st, err = wal.OpenInto(cfg.DataDir, store, opts)
 		if err != nil {
 			return nil, err
@@ -325,7 +339,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		epochTracker.Install(0, int32(shards))
 	}
 
-	wrap := func(g int, inner protocol.Applier) protocol.Applier {
+	wrap := func(g int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 		if log == nil {
 			return inner
 		}
@@ -374,67 +388,52 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	}
 	gens := st.Generations(shards) // nil-safe: zeros for a fresh node
 
-	// Layer order per group (outermost first): rebalance gate → log →
-	// commit table → node applier. The log sits ABOVE the table so piece
-	// and marker deliveries are durable — and in the delivered seed —
-	// before the table reacts to them; transaction effects are logged
-	// separately at execution time (TableConfig.ApplyTx).
+	// chain composes one group's layers in the package comment's order.
 	rd.SetTable(table)
-	if !cfg.Rebalance {
-		inner := shard.NewAt(ep, gens, func(g int, sep transport.Endpoint) protocol.Engine {
-			return buildGroup(g, sep, wrap(g, table.Applier(g, app)), seedFor(g))
-		})
-		rd.SetRouter(inner.Router)
-		ctd.SetGroupOf(func(k string) int { return inner.Router().Shard(k) })
-		s.Engine = xshard.New(inner, table)
-		s.finish(ep, cfg, nil)
-		return s, nil
-	}
-
-	// No Export/Import transfer hooks: the store is node-shared, so a
-	// resize never moves a key's bytes — the "handoff" is purely the
-	// ordering protocol (fences, drains, gated state-machine commands).
-	// Wiring the value-identical store round trip back in would also
-	// reopen a lost-write window: commit-table executions are not gated
-	// behind handoffs (pieces are exempt — see rebalance.classifyLocked),
-	// so an import could overwrite a transaction's write that landed
-	// between the export and the import. Per-group-store deployments
-	// must make Import atomic against their destination store's writers.
-	rcfg := rebalance.Config{
-		Self:   ep.Self(),
-		Trace:  cfg.Trace,
-		Flight: cfg.Flight,
-		Now:    cfg.Now,
-		// Live epoch installs reach the audit tracker before any delivery
-		// can observe the new epoch (same discipline as Journal), so an
-		// epoch-stamped write never misses its attribution.
-		OnInstall: func(m rebalance.Marker) {
-			epochTracker.Install(m.Epoch, m.Shards)
-		},
-	}
-	if log != nil {
-		rcfg.Journal = func(m rebalance.Marker) {
-			_ = log.LogEpoch(wal.EpochChange{Epoch: m.Epoch, Shards: m.Shards, PrevShards: m.PrevShards})
+	chain := func(g int) protocol.TimestampedApplier { return wrap(g, table.Applier(g, app)) }
+	var co *rebalance.Coordinator
+	if cfg.Rebalance {
+		rcfg := rebalance.Config{
+			Self:   ep.Self(),
+			Trace:  cfg.Trace,
+			Flight: cfg.Flight,
+			Now:    cfg.Now,
+			// Live epoch installs reach the audit tracker before any delivery
+			// can observe the new epoch (same discipline as Journal), so an
+			// epoch-stamped write never misses its attribution.
+			OnInstall: func(m rebalance.Marker) {
+				epochTracker.Install(m.Epoch, m.Shards)
+			},
 		}
-	}
-	epochs := map[uint32]int32{0: int32(shards)}
-	epoch := uint32(0)
-	if st != nil && len(st.Epochs) > 0 {
-		epochs = make(map[uint32]int32, len(st.Epochs))
-		for _, ec := range st.Epochs {
-			epochs[ec.Epoch] = ec.Shards
+		if log != nil {
+			rcfg.Journal = func(m rebalance.Marker) {
+				_ = log.LogEpoch(wal.EpochChange{Epoch: m.Epoch, Shards: m.Shards, PrevShards: m.PrevShards})
+			}
 		}
-		epoch = st.Epochs[len(st.Epochs)-1].Epoch
+		epochs := map[uint32]int32{0: int32(shards)}
+		epoch := uint32(0)
+		if st != nil && len(st.Epochs) > 0 {
+			epochs = make(map[uint32]int32, len(st.Epochs))
+			for _, ec := range st.Epochs {
+				epochs[ec.Epoch] = ec.Shards
+			}
+			epoch = st.Epochs[len(st.Epochs)-1].Epoch
+		}
+		co = rebalance.NewCoordinatorAt(rcfg, epochs, epoch)
+		below := chain
+		chain = func(g int) protocol.TimestampedApplier { return co.Applier(g, below(g)) }
 	}
-	co := rebalance.NewCoordinatorAt(rcfg, epochs, epoch)
 	inner := shard.NewAt(ep, gens, func(g int, sep transport.Endpoint) protocol.Engine {
-		return buildGroup(g, sep, co.Applier(g, wrap(g, table.Applier(g, app))), seedFor(g))
+		return buildGroup(g, sep, chain(g), seedFor(g))
 	})
 	rd.SetRouter(inner.Router)
 	ctd.SetGroupOf(func(k string) int { return inner.Router().Shard(k) })
-	reng := rebalance.NewEngine(xshard.New(inner, table), co)
-	s.Resizer = reng
-	s.Engine = reng
+	xe := xshard.New(inner, table)
+	s.Engine = xe
+	if co != nil {
+		s.Resizer = rebalance.NewEngine(xe, co)
+		s.Engine = s.Resizer
+	}
 	s.finish(ep, cfg, co)
 	return s, nil
 }

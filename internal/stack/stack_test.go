@@ -6,14 +6,10 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/command"
-	"github.com/caesar-consensus/caesar/internal/contend"
 	"github.com/caesar-consensus/caesar/internal/memnet"
-	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/stack"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
-	"github.com/caesar-consensus/caesar/internal/transport"
-	"github.com/caesar-consensus/caesar/internal/wal"
 )
 
 // buildCluster assembles n CAESAR nodes through the shared constructor.
@@ -30,18 +26,11 @@ func buildCluster(t *testing.T, net *memnet.Network, n, shards int, dirFor func(
 			DataDir:          dir,
 			SnapshotInterval: -1,
 			Rebalance:        true,
-			Build: func(_ int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, _ *metrics.Recorder, _ *contend.Group) protocol.Engine {
-				return caesar.New(sep, app, caesar.Config{
-					HeartbeatInterval: -1,
-					GCInterval:        10 * time.Millisecond,
-					RetransmitAfter:   100 * time.Millisecond,
-					Predelivered:      seed.Delivered,
-					SeqFloor:          seed.SeqFloor,
-					ClockSeed:         seed.ClockSeed,
-					ReserveSeq:        seed.ReserveSeq,
-					ReserveClock:      seed.ReserveClock,
-				})
-			},
+			Build: stack.CaesarEngine(caesar.Config{
+				HeartbeatInterval: -1,
+				GCInterval:        10 * time.Millisecond,
+				RetransmitAfter:   100 * time.Millisecond,
+			}),
 		})
 		if err != nil {
 			t.Fatalf("Build node %d: %v", i, err)
@@ -96,15 +85,7 @@ func TestDurableShardedRestartRecoversState(t *testing.T) {
 		DataDir:          dirs(2),
 		SnapshotInterval: -1,
 		Rebalance:        true,
-		Build: func(_ int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, _ *metrics.Recorder, _ *contend.Group) protocol.Engine {
-			return caesar.New(sep, app, caesar.Config{
-				HeartbeatInterval: -1,
-				Predelivered:      seed.Delivered,
-				SeqFloor:          seed.SeqFloor,
-				ClockSeed:         seed.ClockSeed,
-				ReserveSeq:        seed.ReserveSeq,
-			})
-		},
+		Build:            stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1}),
 	})
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)

@@ -65,16 +65,8 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 			default:
 			}
 		},
-		Now: now,
-		Build: func(_ int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, _ *metrics.Recorder, _ *contend.Group) protocol.Engine {
-			return caesar.New(sep, app, caesar.Config{
-				HeartbeatInterval: -1,
-				Now:               now,
-				Predelivered:      seed.Delivered,
-				SeqFloor:          seed.SeqFloor,
-				ClockSeed:         seed.ClockSeed,
-			})
-		},
+		Now:   now,
+		Build: stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1, Now: now}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,14 +2,13 @@ package trace
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/obs"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
@@ -71,10 +70,7 @@ func Handler(self timestamp.NodeID, ring *Ring) http.Handler {
 		} else {
 			dump.Events = ring.Snapshot()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(dump) //nolint:errcheck // best-effort write to a closing client
+		obs.ServeJSON(w, dump)
 	})
 }
 
@@ -82,45 +78,18 @@ func Handler(self timestamp.NodeID, ring *Ring) http.Handler {
 // Per-node failures land in the dump's Err field instead of aborting the
 // sweep — a cluster with one dead node is exactly when a trace matters.
 func Collect(ctx context.Context, client *http.Client, urls []string, cmd command.ID) []NodeDump {
-	if client == nil {
-		client = http.DefaultClient
-	}
 	dumps := make([]NodeDump, len(urls))
 	for i, base := range urls {
-		dumps[i] = fetch(ctx, client, base, cmd)
-		if dumps[i].Node == 0 && dumps[i].Err != "" {
+		url := strings.TrimRight(base, "/") + "/tracez?cmd=" + cmd.String()
+		dump, err := obs.FetchJSON[NodeDump](ctx, client, url)
+		if err != nil {
 			// Attribute unreachable nodes by slot so the report still
 			// names them distinctly.
-			dumps[i].Node = timestamp.NodeID(i)
+			dump = NodeDump{Node: timestamp.NodeID(i), Err: err.Error()}
 		}
+		dumps[i] = dump
 	}
 	return dumps
-}
-
-// fetch grabs one node's dump.
-func fetch(ctx context.Context, client *http.Client, base string, cmd command.ID) NodeDump {
-	url := strings.TrimRight(base, "/") + "/tracez?cmd=" + cmd.String()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return NodeDump{Err: err.Error()}
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return NodeDump{Err: err.Error()}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return NodeDump{Err: err.Error()}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return NodeDump{Err: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
-	}
-	var dump NodeDump
-	if err := json.Unmarshal(body, &dump); err != nil {
-		return NodeDump{Err: fmt.Sprintf("bad JSON: %v", err)}
-	}
-	return dump
 }
 
 // MergeTimelines interleaves per-node event histories into one causally

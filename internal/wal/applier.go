@@ -19,17 +19,15 @@ import (
 // returned: the command is treated like one delivered an instant after
 // the crash — not yet durable, so never acknowledged — and the restart
 // path re-delivers it.
-func (l *Log) GroupApplier(group int, inner protocol.Applier) protocol.Applier {
+func (l *Log) GroupApplier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 	return &groupApplier{l: l, group: int32(group), inner: inner}
 }
 
 type groupApplier struct {
 	l     *Log
 	group int32
-	inner protocol.Applier
+	inner protocol.TimestampedApplier
 }
-
-var _ protocol.TimestampedApplier = (*groupApplier)(nil)
 
 func (a *groupApplier) Apply(cmd command.Command) []byte {
 	return a.ApplyAt(cmd, timestamp.Zero)
@@ -40,10 +38,7 @@ func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []by
 		// The record is durable here (the group-commit batch covering it
 		// has synced); the apply is about to run.
 		a.l.opts.Trace.Record(a.l.opts.Self, trace.KindFsync, cmd.ID, ts)
-		if ta, ok := a.inner.(protocol.TimestampedApplier); ok {
-			return ta.ApplyAt(cmd, ts)
-		}
-		return a.inner.Apply(cmd)
+		return a.inner.ApplyAt(cmd, ts)
 	})
 	if err != nil {
 		// ErrClosed during shutdown: drop, see type comment. Any other
@@ -60,10 +55,10 @@ func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []by
 // TxApplier returns the commit-table hook that logs an executed
 // cross-shard transaction and then applies its ops atomically through
 // exec. Wire it as xshard.TableConfig.ApplyTx.
-func (l *Log) TxApplier(exec protocol.Applier) func(xshard.XID, timestamp.Timestamp, []command.Command) {
+func (l *Log) TxApplier(exec protocol.TimestampedAtomicApplier) func(xshard.XID, timestamp.Timestamp, []command.Command) {
 	return func(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command) {
 		_ = l.LogTx(xid, merged, ops, func() {
-			xshard.ExecTx(exec, merged, ops)
+			exec.ApplyAllAt(ops, merged)
 		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 // type metadata every record), and a WAL rewards both.
 
 // ErrCorrupt reports a record that fails its CRC or structure checks in
-// the middle of the log — data after it cannot be trusted, so Open
+// the middle of the log — data after it cannot be trusted, so OpenInto
 // refuses to replay past it. (A torn *final* record is not corruption;
 // it is truncated silently.)
 var ErrCorrupt = errors.New("wal: corrupt record")

@@ -15,31 +15,15 @@ import (
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 )
 
-// Open opens (or creates) the log in dir, replays the newest snapshot
-// plus the segment tail, and returns the log positioned for appending
-// together with the recovered State (including the full KV image). A torn
-// final record — the crash wrote half a frame — is truncated; corruption
-// anywhere earlier fails with ErrCorrupt.
-//
-// Open materializes the state in a scratch store and exports it into
-// State.KV; a caller that owns the target store avoids that copy (and the
-// re-import) entirely with OpenInto — the node stack's restart path.
-func Open(dir string, opts Options) (*Log, *State, error) {
-	store := kvstore.New()
-	l, st, err := OpenInto(dir, store, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.KV = store.Export(nil)
-	return l, st, nil
-}
-
-// OpenInto is Open replaying directly into a caller-supplied store: the
-// snapshot imports into it and the log tail applies onto it, so the
-// restart path performs no scratch-store → Export → Import round trip.
-// The store must be empty (a freshly constructed node's); the returned
-// State carries everything except the KV image, which lives in the store
-// itself (State.KV is nil, State.Applied is set).
+// OpenInto opens (or creates) the log in dir, replays the newest snapshot
+// plus the segment tail directly into the caller's store — the snapshot
+// imports into it and the log tail applies onto it, so a restart carries
+// no full-state copy — and returns the log positioned for appending
+// together with the recovered State. A torn final record — the crash
+// wrote half a frame — is truncated; corruption anywhere earlier fails
+// with ErrCorrupt. The store must be empty (a freshly constructed
+// node's); the KV image lives in it, State.Applied is its
+// executed-command count.
 func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -9,11 +9,9 @@ import (
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-// TestOpenIntoReplaysDirectly checks the copy-free restart path: OpenInto
-// replays snapshot + tail straight into the caller's store (no scratch
-// store, no Export/Import round trip), leaving State.KV nil and the image
-// plus applied count in the store itself — byte-identical to what Open
-// would have exported.
+// TestOpenIntoReplaysDirectly checks the restart path: OpenInto replays
+// snapshot + tail straight into the caller's store, leaving the image plus
+// applied count in the store itself.
 func TestOpenIntoReplaysDirectly(t *testing.T) {
 	dir := t.TempDir()
 	l, st := mustOpen(t, dir, Options{})
@@ -48,9 +46,6 @@ func TestOpenIntoReplaysDirectly(t *testing.T) {
 	if st2.Empty {
 		t.Fatal("recovered state empty")
 	}
-	if st2.KV != nil {
-		t.Fatalf("OpenInto must leave State.KV nil (the state lives in the store), got %d keys", len(st2.KV))
-	}
 	want := map[string]string{"a": "va", "b": "vb", "c": "vc", "t1": "x", "t2": "y"}
 	if store.Len() != len(want) {
 		t.Fatalf("store holds %d keys, want %d", store.Len(), len(want))
@@ -73,24 +68,5 @@ func TestOpenIntoReplaysDirectly(t *testing.T) {
 	}
 	if len(st2.ExecutedTx) != 1 || st2.ExecutedTx[0] != xid {
 		t.Fatalf("ExecutedTx = %v", st2.ExecutedTx)
-	}
-}
-
-// TestOpenMatchesOpenInto pins Open's contract on top of OpenInto: same
-// recovery, with the KV image exported for callers that want a map.
-func TestOpenMatchesOpenInto(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{})
-	logPut(t, l, 0, 1, 1, "k", "v")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if string(st.KV["k"]) != "v" || st.Applied != 1 {
-		t.Fatalf("Open recovered KV=%q Applied=%d", st.KV["k"], st.Applied)
 	}
 }

@@ -212,7 +212,7 @@ func (l *Log) MaybeSnapshot(export func() (map[string][]byte, int64)) error {
 
 // removeCovered deletes segments below the cut and snapshots below the
 // newest. Best-effort: a leftover file is re-collected by the next
-// snapshot (and ignored by Open).
+// snapshot (and ignored by OpenInto).
 func (l *Log) removeCovered(cut uint64) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {

@@ -9,7 +9,7 @@
 // consensus group logs its applied commands at their stable timestamps,
 // the cross-shard commit table logs transaction outcomes at their merged
 // timestamps, the rebalancing layer logs installed routing epochs, and
-// proposers log sequence-number and logical-clock reservations. On restart, Open replays
+// proposers log sequence-number and logical-clock reservations. On restart, OpenInto replays
 // the latest snapshot plus the log tail and hands back a State from
 // which the node stack rebuilds its store, its per-group
 // delivered-command sets (so re-sent decisions are acknowledged but not
@@ -36,7 +36,7 @@
 // persisted; the survivors' recovery protocol (suspect, take over,
 // finish or noop) and the leaders' Stable retransmission re-deliver
 // them after the restart. A torn final record (crash mid-write) is
-// detected by CRC and truncated; corruption anywhere earlier fails Open
+// detected by CRC and truncated; corruption anywhere earlier fails OpenInto
 // loudly rather than replaying a hole.
 package wal
 
@@ -109,15 +109,12 @@ type EpochChange struct {
 	PrevShards int32
 }
 
-// State is everything recovered by Open: the replayed application state
-// plus the bookkeeping a restarting node stack needs to rejoin with
+// State is everything recovered by OpenInto besides the store contents:
+// the bookkeeping a restarting node stack needs to rejoin with
 // exactly-once application intact.
 type State struct {
-	// KV and Applied are the replayed store contents and its
-	// executed-command count (snapshot plus log tail). KV is nil when the
-	// log was opened with OpenInto: the image then lives directly in the
-	// caller's store, with no intermediate copy.
-	KV      map[string][]byte
+	// Applied is the replayed store's executed-command count (snapshot
+	// plus log tail).
 	Applied int64
 	// Delivered holds, per consensus group, the set of command IDs this
 	// node applied before the crash. A restarted group seeds its
@@ -264,7 +261,7 @@ type txAgg struct {
 }
 
 // aggregates is the log's running recovery bookkeeping: rebuilt from
-// snapshot + replay at Open, extended on every append, persisted into
+// snapshot + replay at OpenInto, extended on every append, persisted into
 // the next snapshot. Guarded by Log.mu.
 type aggregates struct {
 	delivered  map[int32]*idset.Set
@@ -390,7 +387,7 @@ func (a *aggregates) toSnapshotData(cut uint64) snapshotData {
 }
 
 // state builds an independent recovery State from the aggregates; the
-// store-side fields (KV, Applied) are filled by the caller. Callers hold
+// store-side field (Applied) is filled by the caller. Callers hold
 // the log's mu.
 func (a *aggregates) state() *State {
 	d := a.toSnapshotData(0)

@@ -16,13 +16,21 @@ import (
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) (*Log, *State) {
+// recovered is what a test sees of a reopened log: the State plus the
+// image OpenInto replayed into the store.
+type recovered struct {
+	*State
+	KV map[string][]byte
+}
+
+func mustOpen(t *testing.T, dir string, opts Options) (*Log, recovered) {
 	t.Helper()
-	l, st, err := Open(dir, opts)
+	store := kvstore.New()
+	l, st, err := OpenInto(dir, store, opts)
 	if err != nil {
-		t.Fatalf("Open(%s): %v", dir, err)
+		t.Fatalf("OpenInto(%s): %v", dir, err)
 	}
-	return l, st
+	return l, recovered{State: st, KV: store.Export(nil)}
 }
 
 func logPut(t *testing.T, l *Log, group int32, node timestamp.NodeID, seq uint64, key, val string) {
@@ -179,8 +187,8 @@ func TestCorruptionBeforeFinalSegmentFails(t *testing.T) {
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(seg, raw, 0o644)
 
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open succeeded over mid-log corruption")
+	if _, _, err := OpenInto(dir, kvstore.New(), Options{}); err == nil {
+		t.Fatal("OpenInto succeeded over mid-log corruption")
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package wire defines the on-the-wire encoding for multi-process
-// deployments: length-delimited gob envelopes carrying the protocol
-// messages of every engine in this repository. In-process transports pass
-// payloads by reference and never touch this package.
+// deployments: length-delimited gob envelopes carrying CAESAR's protocol
+// messages, the shard envelope and the cross-shard payloads — the only
+// engine any binary puts on TCP (the baseline engines run in-process
+// only). In-process transports pass payloads by reference and never touch
+// this package.
 package wire
 
 import (
@@ -10,10 +12,6 @@ import (
 	"sync"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
-	"github.com/caesar-consensus/caesar/internal/epaxos"
-	"github.com/caesar-consensus/caesar/internal/m2paxos"
-	"github.com/caesar-consensus/caesar/internal/mencius"
-	"github.com/caesar-consensus/caesar/internal/multipaxos"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/xshard"
@@ -27,7 +25,6 @@ type Envelope struct {
 
 // register lists every concrete message type that may cross the wire.
 func register() {
-	// CAESAR.
 	gob.Register(&caesar.FastPropose{})
 	gob.Register(&caesar.FastProposeReply{})
 	gob.Register(&caesar.SlowPropose{})
@@ -40,36 +37,8 @@ func register() {
 	gob.Register(&caesar.StableAckBatch{})
 	gob.Register(&caesar.PurgeBatch{})
 	gob.Register(&caesar.Heartbeat{})
-	// EPaxos.
-	gob.Register(&epaxos.PreAccept{})
-	gob.Register(&epaxos.PreAcceptReply{})
-	gob.Register(&epaxos.Accept{})
-	gob.Register(&epaxos.AcceptReply{})
-	gob.Register(&epaxos.Commit{})
-	gob.Register(&epaxos.Prepare{})
-	gob.Register(&epaxos.PrepareReply{})
-	gob.Register(&epaxos.Heartbeat{})
-	// Multi-Paxos.
-	gob.Register(&multipaxos.Forward{})
-	gob.Register(&multipaxos.Accept{})
-	gob.Register(&multipaxos.AcceptOK{})
-	gob.Register(&multipaxos.Commit{})
-	// Mencius.
-	gob.Register(&mencius.Accept{})
-	gob.Register(&mencius.AcceptOK{})
-	gob.Register(&mencius.Commit{})
-	gob.Register(&mencius.SkipTo{})
-	// M2Paxos.
-	gob.Register(&m2paxos.Accept{})
-	gob.Register(&m2paxos.AcceptOK{})
-	gob.Register(&m2paxos.AcceptNACK{})
-	gob.Register(&m2paxos.PrepareKey{})
-	gob.Register(&m2paxos.PrepareKeyOK{})
-	gob.Register(&m2paxos.PrepareKeyNACK{})
-	gob.Register(&m2paxos.Commit{})
-	gob.Register(&m2paxos.Forward{})
 	// Sharding: the envelope tagging each message with its consensus
-	// group (internal/shard); payloads are the engine messages above.
+	// group (internal/shard); payloads are the CAESAR messages above.
 	gob.Register(&shard.Envelope{})
 	// Cross-shard commit layer: participant pieces and abort markers
 	// travel as interface-encoded command payloads inside the engine

@@ -8,10 +8,6 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/command"
-	"github.com/caesar-consensus/caesar/internal/epaxos"
-	"github.com/caesar-consensus/caesar/internal/m2paxos"
-	"github.com/caesar-consensus/caesar/internal/mencius"
-	"github.com/caesar-consensus/caesar/internal/multipaxos"
 	"github.com/caesar-consensus/caesar/internal/rebalance"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/xshard"
@@ -27,20 +23,6 @@ func everyMessage() []any {
 		&caesar.SlowProposeReply{}, &caesar.Retry{}, &caesar.RetryReply{},
 		&caesar.Stable{}, &caesar.Recover{}, &caesar.RecoverReply{},
 		&caesar.StableAckBatch{}, &caesar.PurgeBatch{}, &caesar.Heartbeat{},
-		// EPaxos.
-		&epaxos.PreAccept{}, &epaxos.PreAcceptReply{}, &epaxos.Accept{},
-		&epaxos.AcceptReply{}, &epaxos.Commit{}, &epaxos.Prepare{},
-		&epaxos.PrepareReply{}, &epaxos.Heartbeat{},
-		// Multi-Paxos.
-		&multipaxos.Forward{}, &multipaxos.Accept{}, &multipaxos.AcceptOK{},
-		&multipaxos.Commit{},
-		// Mencius.
-		&mencius.Accept{}, &mencius.AcceptOK{}, &mencius.Commit{},
-		&mencius.SkipTo{},
-		// M2Paxos.
-		&m2paxos.Accept{}, &m2paxos.AcceptOK{}, &m2paxos.AcceptNACK{},
-		&m2paxos.PrepareKey{}, &m2paxos.PrepareKeyOK{}, &m2paxos.PrepareKeyNACK{},
-		&m2paxos.Commit{}, &m2paxos.Forward{},
 		// Sharding.
 		&shard.Envelope{Payload: &caesar.Heartbeat{}},
 	}
@@ -100,8 +82,8 @@ func fill(v reflect.Value, seed *int) {
 
 func TestEveryMessageRoundTrips(t *testing.T) {
 	msgs := everyMessage()
-	// 36 registered engine messages + the shard envelope; see register().
-	if want := 37; len(msgs) != want {
+	// 12 registered CAESAR messages + the shard envelope; see register().
+	if want := 13; len(msgs) != want {
 		t.Fatalf("everyMessage lists %d messages, want %d (register() changed?)", len(msgs), want)
 	}
 	for _, msg := range msgs {
@@ -135,7 +117,7 @@ func TestStreamCarriesMixedTraffic(t *testing.T) {
 	sent := []*Envelope{
 		{From: 0, Payload: &caesar.FastPropose{Ballot: 7, Cmd: command.Put("k", []byte("v"))}},
 		{From: 1, Payload: &shard.Envelope{Shard: 2, Payload: &caesar.Stable{Ballot: 9}}},
-		{From: 2, Payload: &epaxos.Commit{Seq: 11}},
+		{From: 2, Payload: &caesar.Recover{Ballot: 11}},
 		{From: 3, Payload: &caesar.Heartbeat{}},
 	}
 	for _, env := range sent {

@@ -17,7 +17,7 @@ import (
 )
 
 func TestCrossShardEngineConformance(t *testing.T) {
-	enginetest.Run(t, func(ep transport.Endpoint, app protocol.Applier) protocol.Engine {
+	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		table := xshard.NewTable(xshard.TableConfig{Self: ep.Self(), Exec: app})
 		inner := shard.New(ep, 4, func(g int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, table.Applier(g, app), caesar.Config{HeartbeatInterval: -1})

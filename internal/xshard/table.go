@@ -21,10 +21,9 @@ type TableConfig struct {
 	// Self is this node's ID; it stamps XIDs, staggers survivor-side
 	// resolution and decides which entries carry a client callback.
 	Self timestamp.NodeID
-	// Exec is the node-level applier transactions execute against. When
-	// it implements protocol.AtomicApplier the whole transaction is
-	// applied as one indivisible unit.
-	Exec protocol.Applier
+	// Exec is the node state machine transactions execute against: each
+	// one as one indivisible unit at its merged timestamp.
+	Exec protocol.TimestampedAtomicApplier
 	// ApplyTx, when non-nil, executes a completed transaction instead of
 	// Exec: it receives the transaction's identity, merged timestamp and
 	// ops, in the table's decision order. The durable layer
@@ -917,11 +916,10 @@ func (t *Table) executeLocked(e *entry) {
 	}
 	exec, applyTx := t.cfg.Exec, t.cfg.ApplyTx
 	t.queue = append(t.queue, func() {
-		switch {
-		case applyTx != nil:
+		if applyTx != nil {
 			applyTx(xid, merged, ops)
-		default:
-			ExecTx(exec, merged, ops)
+		} else {
+			exec.ApplyAllAt(ops, merged)
 		}
 		// Only now are the transaction's writes in the store; waking a
 		// parked snapshot reader any earlier would let it cut a snapshot
@@ -931,24 +929,6 @@ func (t *Table) executeLocked(e *entry) {
 			done(protocol.Result{})
 		}
 	})
-}
-
-// ExecTx applies a completed transaction's ops through exec: atomically at
-// the merged timestamp when the applier supports it (every write then
-// carries the transaction's single timestamp, which is what keeps snapshot
-// reads un-torn), atomically without the stamp, or sequentially as a last
-// resort. Shared with the durable layer's ApplyTx hook (internal/wal).
-func ExecTx(exec protocol.Applier, merged timestamp.Timestamp, ops []command.Command) {
-	switch a := exec.(type) {
-	case protocol.TimestampedAtomicApplier:
-		a.ApplyAllAt(ops, merged)
-	case protocol.AtomicApplier:
-		a.ApplyAll(ops)
-	default:
-		for _, op := range ops {
-			exec.Apply(op)
-		}
-	}
 }
 
 // pieceFailed reacts to a participant submission that could not be placed
@@ -1060,10 +1040,10 @@ func (t *Table) killUnreachable(xid XID) {
 	t.drainLocked()
 }
 
-// Applier wraps one group's applier: cross-shard pieces and markers are
-// intercepted into the table, everything else passes through (with its
-// timestamp, when the engine provides one).
-func (t *Table) Applier(group int, inner protocol.Applier) protocol.Applier {
+// Applier wraps one group's applier chain: cross-shard pieces and markers
+// are intercepted into the table, everything else passes through with its
+// timestamp.
+func (t *Table) Applier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 	return &groupApplier{t: t, group: int32(group), inner: inner}
 }
 
@@ -1071,10 +1051,8 @@ func (t *Table) Applier(group int, inner protocol.Applier) protocol.Applier {
 type groupApplier struct {
 	t     *Table
 	group int32
-	inner protocol.Applier
+	inner protocol.TimestampedApplier
 }
-
-var _ protocol.TimestampedApplier = (*groupApplier)(nil)
 
 // Apply implements protocol.Applier (engines without timestamps).
 func (a *groupApplier) Apply(cmd command.Command) []byte {
@@ -1096,8 +1074,5 @@ func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []by
 		}
 		return nil
 	}
-	if ta, ok := a.inner.(protocol.TimestampedApplier); ok {
-		return ta.ApplyAt(cmd, ts)
-	}
-	return a.inner.Apply(cmd)
+	return a.inner.ApplyAt(cmd, ts)
 }

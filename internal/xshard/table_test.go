@@ -11,21 +11,32 @@ import (
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
-// recordingExec logs ApplyAll invocations (one per executed transaction).
+// recordingExec is a fake node state machine logging ApplyAllAt
+// invocations (one per executed transaction) and the stamp of the last.
 type recordingExec struct {
-	mu    sync.Mutex
-	calls [][]command.Command
+	mu     sync.Mutex
+	calls  [][]command.Command
+	lastTS timestamp.Timestamp
 }
 
 func (r *recordingExec) Apply(cmd command.Command) []byte {
-	r.ApplyAll([]command.Command{cmd})
+	return r.ApplyAt(cmd, timestamp.Zero)
+}
+
+func (r *recordingExec) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
+	r.ApplyAllAt([]command.Command{cmd}, ts)
 	return nil
 }
 
 func (r *recordingExec) ApplyAll(cmds []command.Command) [][]byte {
+	return r.ApplyAllAt(cmds, timestamp.Zero)
+}
+
+func (r *recordingExec) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls = append(r.calls, cmds)
+	r.lastTS = ts
 	return make([][]byte, len(cmds))
 }
 
@@ -47,7 +58,7 @@ func testOps(keys ...string) []command.Command {
 	return ops
 }
 
-func newTestTable(exec protocol.Applier) *Table {
+func newTestTable(exec protocol.TimestampedAtomicApplier) *Table {
 	return NewTable(TableConfig{Self: 0, Exec: exec, ResolveTimeout: time.Hour})
 }
 
@@ -69,6 +80,9 @@ func TestTableExecutesWhenAllPiecesRegistered(t *testing.T) {
 	tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(9, 2), 0, command.ID{})
 	if exec.count() != 1 || len(exec.calls[0]) != 2 {
 		t.Fatalf("expected one atomic execution of 2 ops, got %v", exec.calls)
+	}
+	if exec.lastTS != ts(9, 2) {
+		t.Fatalf("executed at %v, want the merged (max) piece timestamp %v", exec.lastTS, ts(9, 2))
 	}
 	if res == nil || res.Err != nil {
 		t.Fatalf("done = %v, want success", res)

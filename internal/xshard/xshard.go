@@ -41,9 +41,9 @@
 // Upgrading the held-transaction window to strict ordering is a ROADMAP
 // open item (cross-group dependency agreement, Janus-style).
 //
-// The merged-timestamp ordering requires groups built on a
-// protocol.TimestampedApplier engine (CAESAR). Over engines that only
-// call Apply, every piece registers at timestamp zero: atomicity and the
+// The merged-timestamp ordering requires groups built on an engine that
+// delivers through ApplyAt (CAESAR). Over engines that agree on no
+// timestamp and call Apply, every piece registers at timestamp zero: atomicity and the
 // abort protocol are unaffected, but concurrently held conflicting
 // transactions fall back to deterministic XID order among the ones a node
 // holds together, widening the non-serializability window above.
