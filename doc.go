@@ -189,6 +189,25 @@
 // commands behind a handoff), and the engine asks for it once, when it
 // is built — the only applier type assertion outside tests.
 //
+// # Transports
+//
+// An engine sees its peers through a transport.Endpoint and runs on one
+// goroutine, its protocol.Loop: a transport hands each inbound message to
+// Loop.PostMessage, which carries the sender beside the payload in a
+// typed mailbox entry, so the hop from socket (or in-process network) to
+// engine allocates nothing. In-process deployments (NewLocalCluster, the
+// harness) use internal/memnet and pass payloads by reference.
+// Multi-process deployments (caesar-server) use internal/tcpnet over
+// internal/wire: a hand-rolled binary format — a four-byte length, the
+// sender, one tag byte naming the message, then its fields as uvarints
+// and length-prefixed bytes, the same field code (internal/codec) the
+// write-ahead log's records use — encoded into a reused buffer and decoded
+// straight into the message struct, with every length checked against
+// the bytes present and frames capped at 64 MiB. Each peer link encodes
+// whatever its queue holds into one buffered write and flushes when the
+// queue is momentarily empty: one syscall per burst, no added delay for
+// a lone message. The layout table is in internal/wire's package comment.
+//
 // # Observability
 //
 // Every layer of the stack records into a unified node-wide metrics

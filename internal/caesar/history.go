@@ -109,7 +109,7 @@ func (h *history) ensure(cmd command.Command) *record {
 	if rec, ok := h.recs[cmd.ID]; ok {
 		return rec
 	}
-	rec := &record{cmd: cmd, pred: command.IDSet{}}
+	rec := &record{cmd: cmd}
 	h.recs[cmd.ID] = rec
 	return rec
 }
@@ -260,7 +260,7 @@ func (h *history) conflictsAbove(cmd command.Command, ts timestamp.Timestamp, fn
 // predecessorsBelow computes the plain predecessor set of §V-B: every
 // conflicting command in H with a timestamp lower than ts.
 func (h *history) predecessorsBelow(cmd command.Command, ts timestamp.Timestamp) command.IDSet {
-	pred := command.IDSet{}
+	var pred command.IDSet
 	h.conflictsBelow(cmd, ts, func(rec *record) {
 		pred.Add(rec.id())
 	})
@@ -275,7 +275,7 @@ func (h *history) computePredecessors(cmd command.Command, ts timestamp.Timestam
 	if !hasWhitelist {
 		return h.predecessorsBelow(cmd, ts)
 	}
-	pred := command.IDSet{}
+	var pred command.IDSet
 	for id := range whitelist {
 		pred.Add(id)
 	}

@@ -54,9 +54,12 @@ func (s Status) String() string {
 }
 
 // Wire messages. Pred/whitelist sets travel as sorted ID slices so that
-// in-process transports can share payloads immutably and gob encoding stays
-// deterministic. Ballot identifies the command's current leader (§V-B):
-// acceptors ignore messages whose ballot is below their promise.
+// in-process transports can share payloads immutably and the encoded bytes
+// are deterministic; an empty set travels as a nil slice. internal/wire
+// gives each message a tag and encodes its fields in declaration order —
+// a message added here needs a case there. Ballot identifies the command's
+// current leader (§V-B): acceptors ignore messages whose ballot is below
+// their promise.
 
 // FastPropose opens the fast proposal phase for Cmd at timestamp Time
 // (message PROPOSE/FASTPROPOSE of the paper).

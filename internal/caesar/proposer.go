@@ -62,7 +62,7 @@ func (r *Replica) startFastProposal(c *coordinator, ts timestamp.Timestamp, whit
 	c.phase = phaseFastProposal
 	c.ts = ts
 	c.maxTs = ts
-	c.pred = command.IDSet{}
+	c.pred = nil
 	c.votes = quorum.NewTracker(r.fq)
 	c.anyNack = false
 	c.timedOut = false

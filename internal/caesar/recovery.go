@@ -268,7 +268,7 @@ func (r *Replica) finishRecovery(rc *recovery) {
 		// timestamp with a whitelist constraining the predecessors
 		// (Fig 5, lines 16–25).
 		ts := set[0].Time
-		pred := command.IDSet{}
+		var pred command.IDSet
 		var forced *RecoverReply
 		for _, m := range set {
 			ts = timestamp.Max(ts, m.Time)

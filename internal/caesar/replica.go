@@ -333,7 +333,7 @@ func (r *Replica) Start() {
 	}
 	r.started = true
 	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.Post(protocol.Inbound{From: from, Payload: payload})
+		r.loop.PostMessage(from, payload)
 	})
 	go r.loop.Run(r.handle)
 	r.tickerStop = make(chan struct{})
@@ -412,19 +412,21 @@ func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
 // handle is the single event-loop dispatcher. It snapshots the loop clock
 // once per event; every timeout, deadline and measurement below reads
 // r.now, never the wall clock.
-func (r *Replica) handle(ev any) {
-	if e, ok := ev.(evTick); ok {
+func (r *Replica) handle(ev protocol.Event) {
+	if e, ok := ev.Payload.(evTick); ok {
 		r.now = e.now
 		r.onTick(e.now)
 		return
 	}
 	r.now = r.cfg.Now()
-	switch e := ev.(type) {
-	case protocol.Inbound:
+	if ev.Remote {
 		if r.fd != nil {
-			r.fd.Observe(e.From, r.now)
+			r.fd.Observe(ev.From, r.now)
 		}
-		r.dispatch(e.From, e.Payload)
+		r.dispatch(ev.From, ev.Payload)
+		return
+	}
+	switch e := ev.Payload.(type) {
 	case evSubmit:
 		r.onSubmit(e.cmd, e.done)
 	case evAck:

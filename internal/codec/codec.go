@@ -1,0 +1,240 @@
+// Package codec holds the binary field primitives shared by the two
+// hand-rolled formats in the repo: WAL records (internal/wal) and wire
+// frames (internal/wire). Both are a type byte followed by
+// uvarint/length-prefixed fields; appending goes through the Append*
+// functions, decoding through a Reader that owns every bounds check, so a
+// command, timestamp or ID is laid out — and validated — by one piece of
+// code wherever it is stored or sent.
+//
+// Field layouts (the WAL's on-disk format since PR 4; changing one is a
+// format change for both users):
+//
+//	uvarint    binary.AppendUvarint
+//	bytes      uvarint length, then the bytes
+//	node       uvarint of the NodeID's 32 bits (negative IDs take 5 bytes)
+//	timestamp  uvarint Seq, node
+//	id         node, uvarint Seq
+//	ids        uvarint count, then that many ids
+//	command    id, Op byte, bytes Key, bytes Value, uvarint count +
+//	           that many bytes ExtraKeys, bytes Payload, uvarint Epoch
+package codec
+
+import (
+	"encoding/binary"
+	"errors"
+
+	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
+)
+
+// ErrMalformed reports input that ends early or carries a length its
+// remaining bytes cannot hold.
+var ErrMalformed = errors.New("codec: malformed input")
+
+// AppendUvarint appends v.
+func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
+
+// AppendBytes appends p with its length.
+func AppendBytes(b, p []byte) []byte {
+	b = AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
+}
+
+// AppendString appends s with its length; the layout is AppendBytes'.
+func AppendString(b []byte, s string) []byte {
+	b = AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// AppendBool appends one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendNode appends a node ID.
+func AppendNode(b []byte, n timestamp.NodeID) []byte {
+	return AppendUvarint(b, uint64(uint32(n)))
+}
+
+// AppendTimestamp appends ts.
+func AppendTimestamp(b []byte, ts timestamp.Timestamp) []byte {
+	b = AppendUvarint(b, ts.Seq)
+	return AppendNode(b, ts.Node)
+}
+
+// AppendID appends a command ID.
+func AppendID(b []byte, id command.ID) []byte {
+	b = AppendNode(b, id.Node)
+	return AppendUvarint(b, id.Seq)
+}
+
+// AppendIDs appends a counted list of command IDs.
+func AppendIDs(b []byte, ids []command.ID) []byte {
+	b = AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = AppendID(b, id)
+	}
+	return b
+}
+
+// AppendCommand appends cmd.
+func AppendCommand(b []byte, cmd command.Command) []byte {
+	b = AppendID(b, cmd.ID)
+	b = append(b, byte(cmd.Op))
+	b = AppendString(b, cmd.Key)
+	b = AppendBytes(b, cmd.Value)
+	b = AppendUvarint(b, uint64(len(cmd.ExtraKeys)))
+	for _, k := range cmd.ExtraKeys {
+		b = AppendString(b, k)
+	}
+	b = AppendBytes(b, cmd.Payload)
+	return AppendUvarint(b, uint64(cmd.Epoch))
+}
+
+// Reader walks one encoded buffer. The first malformed field latches Err;
+// every later read returns a zero value, so callers decode a whole
+// structure and check Err once. Decoded strings and byte slices are
+// exact-size copies — nothing returned aliases the buffer, which callers
+// are free to reuse — and empty ones decode to "" and nil.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader returns a Reader over b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Err returns ErrMalformed once any read has failed.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Uvarint reads one uvarint.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.err = ErrMalformed
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) == 0 {
+		r.err = ErrMalformed
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+// Bool reads one byte that must be 0 or 1.
+func (r *Reader) Bool() bool {
+	v := r.Byte()
+	if v > 1 {
+		r.err = ErrMalformed
+	}
+	return v == 1
+}
+
+// take returns the next length-prefixed field without copying it.
+func (r *Reader) take() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if uint64(len(r.b)) < n {
+		r.err = ErrMalformed
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+// Bytes reads a length-prefixed byte slice.
+func (r *Reader) Bytes() []byte {
+	p := r.take()
+	if len(p) == 0 {
+		return nil
+	}
+	return append([]byte(nil), p...)
+}
+
+// String reads a length-prefixed string.
+func (r *Reader) String() string { return string(r.take()) }
+
+// Count reads a list length and checks it against the unread bytes, each
+// element needing at least minSize of them — so a forged count can never
+// size an allocation beyond what the input itself could fill.
+func (r *Reader) Count(minSize int) int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(len(r.b)/minSize) {
+		r.err = ErrMalformed
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Node reads a node ID.
+func (r *Reader) Node() timestamp.NodeID {
+	return timestamp.NodeID(int32(uint32(r.Uvarint())))
+}
+
+// Timestamp reads a timestamp.
+func (r *Reader) Timestamp() timestamp.Timestamp {
+	seq := r.Uvarint()
+	return timestamp.Timestamp{Seq: seq, Node: r.Node()}
+}
+
+// ID reads a command ID.
+func (r *Reader) ID() command.ID {
+	node := r.Node()
+	return command.ID{Node: node, Seq: r.Uvarint()}
+}
+
+// IDs reads a counted list of command IDs; an empty list decodes to nil.
+func (r *Reader) IDs() []command.ID {
+	n := r.Count(2) // an id is at least two uvarint bytes
+	if n == 0 {
+		return nil
+	}
+	ids := make([]command.ID, n)
+	for i := range ids {
+		ids[i] = r.ID()
+	}
+	return ids
+}
+
+// Command reads a command.
+func (r *Reader) Command() command.Command {
+	var cmd command.Command
+	cmd.ID = r.ID()
+	cmd.Op = command.Op(r.Byte())
+	cmd.Key = r.String()
+	cmd.Value = r.Bytes()
+	if n := r.Count(1); n > 0 { // a key is at least its length byte
+		cmd.ExtraKeys = make([]string, n)
+		for i := range cmd.ExtraKeys {
+			cmd.ExtraKeys[i] = r.String()
+		}
+	}
+	cmd.Payload = r.Bytes()
+	cmd.Epoch = uint32(r.Uvarint())
+	return cmd
+}

@@ -9,9 +9,10 @@
 package command
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -257,21 +258,26 @@ func (c Command) String() string {
 // SortIDs sorts a slice of command IDs in place (by node, then sequence)
 // and returns it. Used to make pred-set comparisons and logs deterministic.
 func SortIDs(ids []ID) []ID {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Node != ids[j].Node {
-			return ids[i].Node < ids[j].Node
+	slices.SortFunc(ids, func(a, b ID) int {
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
 		}
-		return ids[i].Seq < ids[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	return ids
 }
 
 // IDSet is a set of command IDs. It represents the predecessor sets (Pred)
-// and whitelists of the paper.
+// and whitelists of the paper. The zero value (nil) is the empty set and
+// costs nothing — most commands conflict with nothing in flight — and Add
+// allocates the map on first use.
 type IDSet map[ID]struct{}
 
-// NewIDSet builds a set from the given ids.
+// NewIDSet builds a set from the given ids; no ids give the nil set.
 func NewIDSet(ids ...ID) IDSet {
+	if len(ids) == 0 {
+		return nil
+	}
 	s := make(IDSet, len(ids))
 	for _, id := range ids {
 		s[id] = struct{}{}
@@ -279,8 +285,14 @@ func NewIDSet(ids ...ID) IDSet {
 	return s
 }
 
-// Add inserts id into the set.
-func (s IDSet) Add(id ID) { s[id] = struct{}{} }
+// Add inserts id into the set, allocating it if it is nil. Copies of a
+// nil set made before the first Add do not see the new map.
+func (s *IDSet) Add(id ID) {
+	if *s == nil {
+		*s = make(IDSet)
+	}
+	(*s)[id] = struct{}{}
+}
 
 // Remove deletes id from the set.
 func (s IDSet) Remove(id ID) { delete(s, id) }
@@ -326,8 +338,11 @@ func (s IDSet) Equal(t IDSet) bool {
 }
 
 // Slice returns the members sorted, for deterministic iteration and wire
-// encoding.
+// encoding; the empty set gives nil.
 func (s IDSet) Slice() []ID {
+	if len(s) == 0 {
+		return nil
+	}
 	ids := make([]ID, 0, len(s))
 	for id := range s {
 		ids = append(ids, id)

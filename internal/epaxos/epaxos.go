@@ -272,7 +272,7 @@ func (r *Replica) Start() {
 	}
 	r.started = true
 	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.Post(protocol.Inbound{From: from, Payload: payload})
+		r.loop.PostMessage(from, payload)
 	})
 	go r.loop.Run(r.handle)
 	r.tickerStop = make(chan struct{})
@@ -317,33 +317,30 @@ func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
 	}
 }
 
-func (r *Replica) handle(ev any) {
-	switch e := ev.(type) {
+func (r *Replica) handle(ev protocol.Event) {
+	if ev.Remote && r.fd != nil {
+		r.fd.Observe(ev.From, time.Now())
+	}
+	switch m := ev.Payload.(type) {
 	case evSubmit:
-		r.onSubmit(e.cmd, e.done)
+		r.onSubmit(m.cmd, m.done)
 	case evTick:
-		r.onTick(e.now)
-	case protocol.Inbound:
-		if r.fd != nil {
-			r.fd.Observe(e.From, time.Now())
-		}
-		switch m := e.Payload.(type) {
-		case *PreAccept:
-			r.onPreAccept(e.From, m)
-		case *PreAcceptReply:
-			r.onPreAcceptReply(e.From, m)
-		case *Accept:
-			r.onAccept(e.From, m)
-		case *AcceptReply:
-			r.onAcceptReply(e.From, m)
-		case *Commit:
-			r.onCommit(m)
-		case *Prepare:
-			r.onPrepare(e.From, m)
-		case *PrepareReply:
-			r.onPrepareReply(e.From, m)
-		case *Heartbeat:
-		}
+		r.onTick(m.now)
+	case *PreAccept:
+		r.onPreAccept(ev.From, m)
+	case *PreAcceptReply:
+		r.onPreAcceptReply(ev.From, m)
+	case *Accept:
+		r.onAccept(ev.From, m)
+	case *AcceptReply:
+		r.onAcceptReply(ev.From, m)
+	case *Commit:
+		r.onCommit(m)
+	case *Prepare:
+		r.onPrepare(ev.From, m)
+	case *PrepareReply:
+		r.onPrepareReply(ev.From, m)
+	case *Heartbeat:
 	}
 }
 

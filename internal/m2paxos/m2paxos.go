@@ -270,7 +270,7 @@ func (r *Replica) Start() {
 	}
 	r.started = true
 	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.Post(protocol.Inbound{From: from, Payload: payload})
+		r.loop.PostMessage(from, payload)
 	})
 	go r.loop.Run(r.handle)
 	r.tickerStop = make(chan struct{})
@@ -320,34 +320,31 @@ func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
 // loop; it is nil outside tests.
 var debugHandler func(r *Replica, ev any) bool
 
-func (r *Replica) handle(ev any) {
-	if debugHandler != nil && debugHandler(r, ev) {
+func (r *Replica) handle(ev protocol.Event) {
+	if debugHandler != nil && debugHandler(r, ev.Payload) {
 		return
 	}
-	switch e := ev.(type) {
+	switch m := ev.Payload.(type) {
 	case evSubmit:
-		r.onSubmit(e.cmd, e.done)
+		r.onSubmit(m.cmd, m.done)
 	case evTick:
-		r.onTick(e.now)
-	case protocol.Inbound:
-		switch m := e.Payload.(type) {
-		case *Accept:
-			r.onAccept(e.From, m)
-		case *AcceptOK:
-			r.onAcceptOK(e.From, m)
-		case *AcceptNACK:
-			r.onAcceptNACK(m)
-		case *PrepareKey:
-			r.onPrepareKey(e.From, m)
-		case *PrepareKeyOK:
-			r.onPrepareKeyOK(e.From, m)
-		case *PrepareKeyNACK:
-			r.onPrepareKeyNACK(m)
-		case *Commit:
-			r.onCommit(m)
-		case *Forward:
-			r.route(m.Cmd, m.Hops)
-		}
+		r.onTick(m.now)
+	case *Accept:
+		r.onAccept(ev.From, m)
+	case *AcceptOK:
+		r.onAcceptOK(ev.From, m)
+	case *AcceptNACK:
+		r.onAcceptNACK(m)
+	case *PrepareKey:
+		r.onPrepareKey(ev.From, m)
+	case *PrepareKeyOK:
+		r.onPrepareKeyOK(ev.From, m)
+	case *PrepareKeyNACK:
+		r.onPrepareKeyNACK(m)
+	case *Commit:
+		r.onCommit(m)
+	case *Forward:
+		r.route(m.Cmd, m.Hops)
 	}
 }
 

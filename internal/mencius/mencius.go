@@ -140,7 +140,7 @@ func (r *Replica) Start() {
 	}
 	r.started = true
 	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.Post(protocol.Inbound{From: from, Payload: payload})
+		r.loop.PostMessage(from, payload)
 	})
 	go r.loop.Run(r.handle)
 }
@@ -168,21 +168,18 @@ func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
 	}
 }
 
-func (r *Replica) handle(ev any) {
-	switch e := ev.(type) {
+func (r *Replica) handle(ev protocol.Event) {
+	switch m := ev.Payload.(type) {
 	case evSubmit:
-		r.onSubmit(e.cmd, e.done)
-	case protocol.Inbound:
-		switch m := e.Payload.(type) {
-		case *Accept:
-			r.onAccept(e.From, m)
-		case *AcceptOK:
-			r.onAcceptOK(e.From, m)
-		case *Commit:
-			r.onCommit(e.From, m)
-		case *SkipTo:
-			r.onSkipTo(e.From, m)
-		}
+		r.onSubmit(m.cmd, m.done)
+	case *Accept:
+		r.onAccept(ev.From, m)
+	case *AcceptOK:
+		r.onAcceptOK(ev.From, m)
+	case *Commit:
+		r.onCommit(ev.From, m)
+	case *SkipTo:
+		r.onSkipTo(ev.From, m)
 	}
 }
 

@@ -6,9 +6,15 @@ import (
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
-// Inbound wraps a transport message for posting into a Loop.
-type Inbound struct {
+// Event is one mailbox entry. Post and TryPost enqueue a local event — a
+// submission, a tick, an engine-internal request — as Payload;
+// PostMessage enqueues a transport message with Remote set and its sender
+// in From. The sender travels beside the payload instead of both being
+// boxed into one interface value: a message payload is already a pointer,
+// so posting it allocates nothing.
+type Event struct {
 	From    timestamp.NodeID
+	Remote  bool
 	Payload any
 }
 
@@ -16,7 +22,7 @@ type Inbound struct {
 // messages, client submissions and timer ticks are all posted as events and
 // consumed sequentially, so protocol state needs no locking.
 type Loop struct {
-	inbox   chan any
+	inbox   chan Event
 	stop    chan struct{}
 	stopped chan struct{}
 	once    sync.Once
@@ -40,16 +46,27 @@ func NewLoop(capacity int) *Loop {
 		capacity = 4096
 	}
 	return &Loop{
-		inbox:   make(chan any, capacity),
+		inbox:   make(chan Event, capacity),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
 }
 
-// Post enqueues an event, blocking if the inbox is full. It reports false
-// once the loop has been stopped; true guarantees the event will be
+// Post enqueues a local event, blocking if the inbox is full. It reports
+// false once the loop has been stopped; true guarantees the event will be
 // handled (the stop path drains the inbox).
 func (l *Loop) Post(ev any) bool {
+	return l.post(Event{Payload: ev})
+}
+
+// PostMessage enqueues a transport message from the given sender, with
+// Post's blocking and stop semantics. It is the body of every engine's
+// transport handler.
+func (l *Loop) PostMessage(from timestamp.NodeID, payload any) bool {
+	return l.post(Event{From: from, Remote: true, Payload: payload})
+}
+
+func (l *Loop) post(ev Event) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if l.closed {
@@ -67,8 +84,8 @@ func (l *Loop) Post(ev any) bool {
 	}
 }
 
-// TryPost enqueues an event without ever blocking: it reports false when
-// the loop is stopped or the inbox is full. For best-effort events posted
+// TryPost enqueues a local event without ever blocking: it reports false
+// when the loop is stopped or the inbox is full. For best-effort events posted
 // from contexts that may BE the loop goroutine (an applier completion
 // callback running synchronously inside handle), where a blocking Post on
 // a full inbox would deadlock the loop against itself.
@@ -79,7 +96,7 @@ func (l *Loop) TryPost(ev any) bool {
 		return false
 	}
 	select {
-	case l.inbox <- ev:
+	case l.inbox <- Event{Payload: ev}:
 		return true
 	default:
 		return false
@@ -88,7 +105,7 @@ func (l *Loop) TryPost(ev any) bool {
 
 // Run consumes events until Stop is called, invoking handle for each.
 // It must be called exactly once, typically via `go loop.Run(...)`.
-func (l *Loop) Run(handle func(ev any)) {
+func (l *Loop) Run(handle func(ev Event)) {
 	defer close(l.stopped)
 	for {
 		select {

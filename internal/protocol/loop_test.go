@@ -13,9 +13,9 @@ func TestLoopProcessesInOrder(t *testing.T) {
 	l := NewLoop(16)
 	var got []int
 	var mu sync.Mutex
-	go l.Run(func(ev any) {
+	go l.Run(func(ev Event) {
 		mu.Lock()
-		got = append(got, ev.(int))
+		got = append(got, ev.Payload.(int))
 		mu.Unlock()
 	})
 	for i := 0; i < 100; i++ {
@@ -49,8 +49,8 @@ func TestStopDrainsBufferedEvents(t *testing.T) {
 	var processed atomic.Int64
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	go l.Run(func(ev any) {
-		if _, ok := ev.(string); ok {
+	go l.Run(func(ev Event) {
+		if _, ok := ev.Payload.(string); ok {
 			started <- struct{}{}
 			<-block // hold the loop so the rest stays buffered
 			return
@@ -74,7 +74,7 @@ func TestStopDrainsBufferedEvents(t *testing.T) {
 
 func TestPostAfterStop(t *testing.T) {
 	l := NewLoop(4)
-	go l.Run(func(any) {})
+	go l.Run(func(Event) {})
 	l.Stop()
 	if l.Post("late") {
 		t.Fatal("post accepted after stop")
@@ -86,7 +86,7 @@ func TestPostAfterStop(t *testing.T) {
 
 func TestStopIdempotent(t *testing.T) {
 	l := NewLoop(4)
-	go l.Run(func(any) {})
+	go l.Run(func(Event) {})
 	l.Stop()
 	l.Stop() // must not panic or deadlock
 }
@@ -99,5 +99,21 @@ func TestApplierFunc(t *testing.T) {
 	})
 	if string(af.Apply(command.Put("k", nil))) != "ok" || !called {
 		t.Fatal("ApplierFunc adapter broken")
+	}
+}
+
+func TestPostMessageCarriesSender(t *testing.T) {
+	l := NewLoop(4)
+	got := make(chan Event, 2)
+	go l.Run(func(ev Event) { got <- ev })
+	defer l.Stop()
+	msg := &struct{ n int }{7}
+	l.PostMessage(3, msg)
+	l.Post("local")
+	if ev := <-got; !ev.Remote || ev.From != 3 || ev.Payload != any(msg) {
+		t.Fatalf("message arrived as %+v", ev)
+	}
+	if ev := <-got; ev.Remote || ev.Payload != "local" {
+		t.Fatalf("local event arrived as %+v", ev)
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // Envelope tags a protocol message with the shard it belongs to, giving
 // every shard one logical channel over a shared transport. internal/wire
-// registers it for gob so tagged traffic crosses tcpnet unchanged. Gen is
+// frames it as tag 13 — shard, generation, then the inner message by its
+// own tag — so tagged traffic crosses tcpnet unchanged. Gen is
 // the generation of the group instance the message belongs to (the routing
 // epoch the instance was created at): after a live resize retires and
 // later recreates a shard slot, traffic from the dead instance carries an

@@ -1,10 +1,22 @@
 // Package tcpnet is the real-sockets transport for multi-process
 // deployments: every node listens on its configured address, lazily dials
-// its peers, and exchanges gob-encoded envelopes (internal/wire) over
-// persistent TCP connections with automatic reconnection.
+// its peers, and exchanges length-framed binary envelopes (internal/wire)
+// over persistent TCP connections with automatic reconnection.
+//
+// Each peer link is one goroutine draining one queue. It takes everything
+// the queue holds at that moment (at most sendBatch envelopes), encodes
+// the lot into a buffered writer and flushes once: a burst costs one
+// write syscall, and a lone message is flushed the moment it is encoded —
+// the link never waits for more traffic. A batch whose write or flush
+// fails is encoded again, whole, on the next connection; the peer may
+// then see the head of the batch twice, which the protocol tolerates as
+// it tolerates any retransmission. Inbound connections are read through
+// one buffered reader each.
 package tcpnet
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -36,12 +48,13 @@ type Transport struct {
 	listener net.Listener
 	counters []peerCounters // one per peer, indexed by NodeID
 
-	mu      sync.Mutex
-	handler transport.Handler
+	handler atomic.Pointer[transport.Handler]
 	sends   []chan any // per-peer outbound queues
-	closed  bool
-	done    chan struct{}
-	wg      sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+	done   chan struct{}
+	wg     sync.WaitGroup
 
 	// inboundOpen counts currently accepted inbound connections; with
 	// the per-peer outbound connected flags it feeds the node's
@@ -120,22 +133,30 @@ func (t *Transport) Stats() []PeerStats {
 	return out
 }
 
-// countingWriter feeds the bytes written through it into a shared
-// counter; gob framing means this sees exactly the wire bytes of the
-// envelopes encoded onto it.
+// sendBatch caps the envelopes one flush carries, which bounds both what
+// a link holds for a retry and how much a failed flush can duplicate.
+const sendBatch = 128
+
+// linkBuffer sizes each link's buffered writer and each inbound
+// connection's buffered reader: a full batch of ordinary messages (a
+// proposal of a small put is ~50 bytes, a reply ~25) fits, so it goes out
+// in one write.
+const linkBuffer = 8 << 10
+
+// countingWriter and countingReader tally the bytes of whole frames: the
+// wire codec writes one frame per Write and reads exactly one frame per
+// Decode, and both sit on the codec's side of the buffering.
 type countingWriter struct {
 	w io.Writer
-	n *atomic.Int64
+	n int64
 }
 
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
+	cw.n += int64(n)
 	return n, err
 }
 
-// countingReader tallies bytes locally; the read loop attributes them to
-// a peer once each decoded envelope reveals its sender.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -199,22 +220,25 @@ func (t *Transport) Peers() []timestamp.NodeID {
 
 // SetHandler implements transport.Endpoint.
 func (t *Transport) SetHandler(h transport.Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
+	if h == nil {
+		t.handler.Store(nil)
+		return
+	}
+	t.handler.Store(&h)
 }
 
-func (t *Transport) getHandler() transport.Handler {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.handler
+// deliver hands one inbound message to the registered handler, if any.
+func (t *Transport) deliver(from timestamp.NodeID, payload any) {
+	if h := t.handler.Load(); h != nil {
+		(*h)(from, payload)
+	}
 }
 
 // Send implements transport.Endpoint. Messages to unreachable peers are
 // buffered until the queue fills, then block (backpressure); messages are
 // dropped when the transport closes.
 func (t *Transport) Send(to timestamp.NodeID, payload any) {
-	if int(to) >= len(t.sends) {
+	if int(to) < 0 || int(to) >= len(t.sends) {
 		return
 	}
 	select {
@@ -263,104 +287,146 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// readLoop decodes envelopes from one inbound connection.
+// readLoop decodes envelopes from one inbound connection until the
+// connection fails, the peer sends something that is not a frame, or the
+// transport closes.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
 	t.inboundOpen.Add(1)
 	defer t.inboundOpen.Add(-1)
+	// Close unblocks the read by closing the connection under it; the
+	// watcher that does so ends with this loop.
+	ended := make(chan struct{})
+	defer close(ended)
+	t.wg.Add(1)
 	go func() {
-		<-t.done
+		defer t.wg.Done()
+		select {
+		case <-t.done:
+		case <-ended:
+		}
 		conn.Close()
 	}()
-	cr := &countingReader{r: conn}
+	cr := &countingReader{r: bufio.NewReaderSize(conn, linkBuffer)}
 	dec := wire.NewDecoder(cr)
-	var seen int64
+	var env wire.Envelope
 	for {
-		var env wire.Envelope
 		if err := dec.Decode(&env); err != nil {
 			return
 		}
 		if i := int(env.From); i >= 0 && i < len(t.counters) {
 			t.counters[i].recvMsgs.Add(1)
-			t.counters[i].recvBytes.Add(cr.n - seen)
+			t.counters[i].recvBytes.Add(cr.n)
 		}
-		seen = cr.n
-		if h := t.getHandler(); h != nil {
-			h(env.From, env.Payload)
-		}
+		cr.n = 0
+		t.deliver(env.From, env.Payload)
 	}
 }
 
 // sendLoop owns the outbound connection to one peer: dial (with retries),
-// drain the queue, reconnect on error. Self-sends short-circuit to the
-// handler to keep local message order tight.
+// drain the queue a batch at a time, reconnect on error. Self-sends
+// short-circuit to the handler to keep local message order tight.
 func (t *Transport) sendLoop(peer timestamp.NodeID) {
 	defer t.wg.Done()
 	ctr := &t.counters[peer]
+	queue := t.sends[peer]
 	if peer == t.cfg.Self {
 		for {
 			select {
 			case <-t.done:
 				return
-			case payload := <-t.sends[peer]:
+			case payload := <-queue:
 				ctr.sentMsgs.Add(1)
 				ctr.recvMsgs.Add(1)
-				if h := t.getHandler(); h != nil {
-					h(t.cfg.Self, payload)
-				}
+				t.deliver(t.cfg.Self, payload)
 			}
 		}
 	}
-	var enc *wire.Encoder
 	var conn net.Conn
-	dial := func() bool {
-		for {
-			var err error
-			conn, err = net.DialTimeout("tcp", t.cfg.Addrs[peer], 2*time.Second)
-			if err == nil {
-				enc = wire.NewEncoder(&countingWriter{w: conn, n: &ctr.sentBytes})
-				ctr.connected.Store(true)
-				return true
-			}
-			select {
-			case <-t.done:
-				return false
-			case <-time.After(t.cfg.DialRetry):
-			}
-		}
-	}
 	defer func() {
 		ctr.connected.Store(false)
 		if conn != nil {
 			conn.Close()
 		}
 	}()
+	bw := bufio.NewWriterSize(nil, linkBuffer)
+	cw := &countingWriter{w: bw}
+	enc := wire.NewEncoder(cw)
+	env := wire.Envelope{From: t.cfg.Self}
+	batch := make([]any, 0, sendBatch)
+	// write puts the whole batch on the current connection and reports
+	// how many envelopes it framed; one the codec cannot frame is dropped,
+	// like a message to a peer that does not exist.
+	write := func() (int64, error) {
+		var framed int64
+		for _, payload := range batch {
+			env.Payload = payload
+			switch err := enc.Encode(&env); {
+			case err == nil:
+				framed++
+			case !errors.Is(err, wire.ErrMessage):
+				return 0, err
+			}
+		}
+		return framed, bw.Flush()
+	}
 	for {
 		select {
 		case <-t.done:
 			return
-		case payload := <-t.sends[peer]:
-			for {
-				if enc == nil && !dial() {
-					return
-				}
-				err := enc.Encode(&wire.Envelope{From: t.cfg.Self, Payload: payload})
-				if err == nil {
-					ctr.sentMsgs.Add(1)
-					break
-				}
-				// Reconnect and retry this message once per new
-				// connection.
-				conn.Close()
-				conn, enc = nil, nil
-				ctr.connected.Store(false)
-				select {
-				case <-t.done:
-					return
-				case <-time.After(t.cfg.DialRetry):
-				}
+		case payload := <-queue:
+			batch = append(batch, payload)
+		}
+	burst:
+		for len(batch) < sendBatch {
+			select {
+			case payload := <-queue:
+				batch = append(batch, payload)
+			default:
+				break burst
 			}
+		}
+		for {
+			if conn == nil {
+				if conn = t.dial(peer); conn == nil {
+					return
+				}
+				bw.Reset(conn)
+				ctr.connected.Store(true)
+			}
+			cw.n = 0
+			framed, err := write()
+			if err == nil {
+				ctr.sentMsgs.Add(framed)
+				ctr.sentBytes.Add(cw.n)
+				break
+			}
+			conn.Close()
+			conn = nil
+			ctr.connected.Store(false)
+			select {
+			case <-t.done:
+				return
+			case <-time.After(t.cfg.DialRetry):
+			}
+		}
+		clear(batch)
+		batch = batch[:0]
+	}
+}
+
+// dial connects to peer, retrying every DialRetry; nil means the
+// transport closed first.
+func (t *Transport) dial(peer timestamp.NodeID) net.Conn {
+	for {
+		conn, err := net.DialTimeout("tcp", t.cfg.Addrs[peer], 2*time.Second)
+		if err == nil {
+			return conn
+		}
+		select {
+		case <-t.done:
+			return nil
+		case <-time.After(t.cfg.DialRetry):
 		}
 	}
 }

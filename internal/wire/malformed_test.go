@@ -1,0 +1,139 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/shard"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
+)
+
+// frame encodes one envelope and returns its bytes.
+func frame(t testing.TB, env *Envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf).Encode(env); err != nil {
+		t.Fatalf("encode %T: %v", env.Payload, err)
+	}
+	return buf.Bytes()
+}
+
+// withBody frames a raw body, valid or not.
+func withBody(body ...byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+func samplePropose() *caesar.FastPropose {
+	cmd := command.Put("p0-0000", bytes.Repeat([]byte{7}, 16))
+	cmd.ID = command.ID{Node: 1, Seq: 42}
+	return &caesar.FastPropose{Cmd: cmd, Time: timestamp.Timestamp{Seq: 9, Node: 1}}
+}
+
+// TestMalformedFramesAreErrors feeds the decoder everything a broken or
+// hostile peer can put on a connection; each must come back as an error —
+// the readLoop's cue to drop the link — and never as a panic or a message.
+func TestMalformedFramesAreErrors(t *testing.T) {
+	good := frame(t, &Envelope{From: 2, Payload: samplePropose()})
+	nested := &shard.Envelope{Shard: 1, Payload: &shard.Envelope{Shard: 2, Payload: &caesar.Heartbeat{}}}
+	if err := NewEncoder(io.Discard).Encode(&Envelope{Payload: nested}); !errors.Is(err, ErrMessage) {
+		t.Fatalf("encode of a nested shard envelope = %v, want ErrMessage", err)
+	}
+	if err := NewEncoder(io.Discard).Encode(&Envelope{Payload: "not a message"}); !errors.Is(err, ErrMessage) {
+		t.Fatalf("encode of an untagged type = %v, want ErrMessage", err)
+	}
+	type badStream struct {
+		name string
+		in   []byte
+		want error
+	}
+	cases := []badStream{
+		{"empty stream", nil, io.EOF},
+		{"truncated header", good[:3], io.ErrUnexpectedEOF},
+		{"header only", good[:frameHeader], io.ErrUnexpectedEOF},
+		{"oversize length", binary.LittleEndian.AppendUint32(nil, MaxFrame+1), ErrFrame},
+		{"empty body", withBody(), ErrFrame},
+		{"sender only", withBody(2), ErrFrame},
+		{"unknown tag", withBody(2, 0), ErrFrame},
+		{"tag past the table", withBody(2, tagShardEnvelope+1), ErrFrame},
+		{"trailing garbage", withBody(2, tagHeartbeat, 0xff), ErrFrame},
+		{"bool out of range", withBody(2, tagRecover, 0, 0, 0, 2), ErrFrame},
+		{"forged id count", withBody(2, tagPurgeBatch, 0xff, 0xff, 0xff, 0xff, 0x0f), ErrFrame},
+		{"nested shard envelope", withBody(2, tagShardEnvelope, 1, 0, tagShardEnvelope, 2, 0, tagHeartbeat), ErrFrame},
+	}
+	for cut := frameHeader + 1; cut < len(good); cut++ {
+		// The body is cut short but the header still claims all of it…
+		cases = append(cases, badStream{"truncated stream", good[:cut], io.ErrUnexpectedEOF})
+		// …or the header is honest about a body that ends mid-field.
+		cases = append(cases, badStream{"truncated body", withBody(good[frameHeader:cut]...), ErrFrame})
+	}
+	for _, tc := range cases {
+		var env Envelope
+		err := NewDecoder(bytes.NewReader(tc.in)).Decode(&env)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s (%d bytes): err = %v, want %v", tc.name, len(tc.in), err, tc.want)
+		}
+		if env.Payload != nil {
+			t.Errorf("%s: a failed decode left payload %T in the envelope", tc.name, env.Payload)
+		}
+	}
+}
+
+// TestEmptySetsDecodeToNil pins that an empty list costs no allocation on
+// the receiving side and reads as the nil set the engine sends.
+func TestEmptySetsDecodeToNil(t *testing.T) {
+	sent := &caesar.FastProposeReply{CmdID: command.ID{Node: 1, Seq: 3}, Pred: []command.ID{}}
+	var got Envelope
+	if err := NewDecoder(bytes.NewReader(frame(t, &Envelope{Payload: sent}))).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	m := got.Payload.(*caesar.FastProposeReply)
+	if m.Pred != nil || m.CmdID != sent.CmdID {
+		t.Fatalf("decoded %#v, want CmdID %v and a nil Pred", m, sent.CmdID)
+	}
+}
+
+// TestForgedLengthAllocatesLittle: a header claiming a MaxFrame body,
+// followed by a few bytes and a hang-up, must not make the decoder
+// allocate the claimed size.
+func TestForgedLengthAllocatesLittle(t *testing.T) {
+	in := append(binary.LittleEndian.AppendUint32(nil, MaxFrame), make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewDecoder(bytes.NewReader(in)).Decode(&Envelope{})
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a forged %d byte length allocated %d bytes", MaxFrame, grew)
+	}
+}
+
+// TestLargeFrameRoundTrips crosses the decoder's growth steps and the
+// keepBuffer bound in both directions, then checks the pair still moves
+// small frames.
+func TestLargeFrameRoundTrips(t *testing.T) {
+	big := samplePropose()
+	big.Cmd.Payload = bytes.Repeat([]byte("x"), 3*keepBuffer+17)
+	var buf bytes.Buffer
+	enc, dec := NewEncoder(&buf), NewDecoder(&buf)
+	for _, payload := range []any{samplePropose(), big, samplePropose()} {
+		if err := enc.Encode(&Envelope{From: 4, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		var got Envelope
+		if err := dec.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Payload, payload) {
+			t.Fatalf("%d byte payload diverged", len(payload.(*caesar.FastPropose).Cmd.Payload))
+		}
+	}
+}

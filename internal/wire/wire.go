@@ -1,20 +1,59 @@
 // Package wire defines the on-the-wire encoding for multi-process
-// deployments: length-delimited gob envelopes carrying CAESAR's protocol
-// messages, the shard envelope and the cross-shard payloads — the only
-// engine any binary puts on TCP (the baseline engines run in-process
-// only). In-process transports pass payloads by reference and never touch
-// this package.
+// deployments: length-framed binary envelopes carrying CAESAR's twelve
+// protocol messages and the shard envelope — the only engine any binary
+// puts on TCP (the baseline engines run in-process only). In-process
+// transports pass payloads by reference and never touch this package.
+//
+// A stream is a sequence of frames, each
+//
+//	[u32 little-endian body length ≤ MaxFrame][body]
+//	body    = node From, message
+//	message = tag byte, then the message's fields in declaration order
+//
+// with the field primitives of internal/codec (uvarint, length-prefixed
+// bytes, node, timestamp, id, ids, command — the WAL's record codec is
+// the same code). A bool is one byte, 0 or 1; a Status is one byte; a
+// Ballot is a uvarint.
+//
+//	tag  message            fields
+//	 1   FastPropose        Ballot, Cmd command, Time timestamp, Whitelist ids, HasWhitelist bool
+//	 2   FastProposeReply   Ballot, CmdID id, Time timestamp, Pred ids, NACK bool
+//	 3   SlowPropose        Ballot, Cmd command, Time timestamp, Pred ids
+//	 4   SlowProposeReply   Ballot, CmdID id, Time timestamp, Pred ids, NACK bool
+//	 5   Retry              Ballot, Cmd command, Time timestamp, Pred ids
+//	 6   RetryReply         Ballot, CmdID id, Time timestamp, Pred ids
+//	 7   Stable             Ballot, Cmd command, Time timestamp, Pred ids
+//	 8   Recover            Ballot, CmdID id
+//	 9   RecoverReply       Ballot, CmdID id, Nop bool, Cmd command, Status byte,
+//	                        Time timestamp, Pred ids, TupleBallot, Forced bool
+//	10   StableAckBatch     IDs ids
+//	11   PurgeBatch         IDs ids
+//	12   Heartbeat          (none)
+//	13   shard.Envelope     uvarint Shard, uvarint Gen, message (tags 1–12 only)
+//
+// Cross-shard pieces, abort markers, batches and resize fences are not
+// messages: they ride inside a command's opaque Payload bytes and need no
+// case here. A message type without a case cannot be encoded — adding one
+// to the engine means adding a tag, an append arm and a read arm.
+//
+// Decoding never trusts the input: a length or count is checked against
+// the bytes actually present before anything is sized by it, an unknown
+// tag, a short body or bytes left over after the message are errors, and
+// decoded keys, values and payloads are exact-size copies, so the
+// decoder's frame buffer is never pinned by a message.
 package wire
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
-	"sync"
+	"slices"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
-	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
 // Envelope frames one protocol message.
@@ -23,66 +62,313 @@ type Envelope struct {
 	Payload any
 }
 
-// register lists every concrete message type that may cross the wire.
-func register() {
-	gob.Register(&caesar.FastPropose{})
-	gob.Register(&caesar.FastProposeReply{})
-	gob.Register(&caesar.SlowPropose{})
-	gob.Register(&caesar.SlowProposeReply{})
-	gob.Register(&caesar.Retry{})
-	gob.Register(&caesar.RetryReply{})
-	gob.Register(&caesar.Stable{})
-	gob.Register(&caesar.Recover{})
-	gob.Register(&caesar.RecoverReply{})
-	gob.Register(&caesar.StableAckBatch{})
-	gob.Register(&caesar.PurgeBatch{})
-	gob.Register(&caesar.Heartbeat{})
-	// Sharding: the envelope tagging each message with its consensus
-	// group (internal/shard); payloads are the CAESAR messages above.
-	gob.Register(&shard.Envelope{})
-	// Cross-shard commit layer: participant pieces and abort markers
-	// travel as interface-encoded command payloads inside the engine
-	// messages, so their concrete types must be in the gob registry on
-	// every process of a sharded deployment (internal/xshard).
-	xshard.RegisterGob()
-}
+// MaxFrame bounds a frame body, so a corrupt length prefix cannot make a
+// decoder wait for (or buffer) gigabytes. It matches the WAL's record
+// bound: what can be logged can be sent.
+const MaxFrame = 64 << 20
 
-// registerOnce guards one-time gob registration (gob panics on
-// duplicates).
-var registerOnce sync.Once
+// keepBuffer is the largest frame buffer an Encoder or Decoder holds on to
+// between frames; one oversized message does not leave its buffer pinned
+// to the link for good.
+const keepBuffer = 64 << 10
 
-func ensureRegistered() {
-	registerOnce.Do(register)
-}
+const frameHeader = 4
 
-// Encoder writes envelopes to a stream.
+// ErrMessage reports a payload Encode cannot frame: a type with no tag, a
+// shard envelope inside a shard envelope, or a body over MaxFrame. Nothing
+// was written, so the stream is still good for the next envelope.
+var ErrMessage = errors.New("wire: unencodable message")
+
+// ErrFrame reports a frame that does not decode: length over MaxFrame,
+// unknown tag, malformed field or trailing bytes. The stream cannot be
+// resynchronised after it.
+var ErrFrame = errors.New("wire: malformed frame")
+
+// Message tags. Values are the wire format; never renumber.
+const (
+	tagFastPropose byte = iota + 1
+	tagFastProposeReply
+	tagSlowPropose
+	tagSlowProposeReply
+	tagRetry
+	tagRetryReply
+	tagStable
+	tagRecover
+	tagRecoverReply
+	tagStableAckBatch
+	tagPurgeBatch
+	tagHeartbeat
+	tagShardEnvelope
+)
+
+// Encoder writes envelopes to a stream, one Write per envelope, from a
+// buffer it reuses.
 type Encoder struct {
-	enc *gob.Encoder
+	w   io.Writer
+	buf []byte
 }
 
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder {
-	ensureRegistered()
-	return &Encoder{enc: gob.NewEncoder(w)}
+	return &Encoder{w: w}
 }
 
-// Encode writes one envelope.
+// Encode writes one envelope. An ErrMessage leaves the stream untouched;
+// any other error is the writer's.
 func (e *Encoder) Encode(env *Envelope) error {
-	return e.enc.Encode(env)
+	b := append(e.buf[:0], 0, 0, 0, 0) // the length, filled in below
+	b = codec.AppendNode(b, env.From)
+	b, err := appendMessage(b, env.Payload, false)
+	if cap(b) <= keepBuffer {
+		e.buf = b[:0]
+	}
+	if err != nil {
+		return err
+	}
+	body := len(b) - frameHeader
+	if body > MaxFrame {
+		return fmt.Errorf("%w: %d byte frame exceeds the %d byte bound", ErrMessage, body, MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(body))
+	_, err = e.w.Write(b)
+	return err
 }
 
-// Decoder reads envelopes from a stream.
+func appendBallot(b []byte, ballot uint32) []byte {
+	return codec.AppendUvarint(b, uint64(ballot))
+}
+
+// appendMessage appends payload's tag and fields. nested is true inside a
+// shard envelope, which may not hold another.
+func appendMessage(b []byte, payload any, nested bool) ([]byte, error) {
+	switch m := payload.(type) {
+	case *caesar.FastPropose:
+		b = appendBallot(append(b, tagFastPropose), m.Ballot)
+		b = codec.AppendCommand(b, m.Cmd)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Whitelist)
+		b = codec.AppendBool(b, m.HasWhitelist)
+	case *caesar.FastProposeReply:
+		b = appendBallot(append(b, tagFastProposeReply), m.Ballot)
+		b = codec.AppendID(b, m.CmdID)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+		b = codec.AppendBool(b, m.NACK)
+	case *caesar.SlowPropose:
+		b = appendBallot(append(b, tagSlowPropose), m.Ballot)
+		b = codec.AppendCommand(b, m.Cmd)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+	case *caesar.SlowProposeReply:
+		b = appendBallot(append(b, tagSlowProposeReply), m.Ballot)
+		b = codec.AppendID(b, m.CmdID)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+		b = codec.AppendBool(b, m.NACK)
+	case *caesar.Retry:
+		b = appendBallot(append(b, tagRetry), m.Ballot)
+		b = codec.AppendCommand(b, m.Cmd)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+	case *caesar.RetryReply:
+		b = appendBallot(append(b, tagRetryReply), m.Ballot)
+		b = codec.AppendID(b, m.CmdID)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+	case *caesar.Stable:
+		b = appendBallot(append(b, tagStable), m.Ballot)
+		b = codec.AppendCommand(b, m.Cmd)
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+	case *caesar.Recover:
+		b = appendBallot(append(b, tagRecover), m.Ballot)
+		b = codec.AppendID(b, m.CmdID)
+	case *caesar.RecoverReply:
+		b = appendBallot(append(b, tagRecoverReply), m.Ballot)
+		b = codec.AppendID(b, m.CmdID)
+		b = codec.AppendBool(b, m.Nop)
+		b = codec.AppendCommand(b, m.Cmd)
+		b = append(b, byte(m.Status))
+		b = codec.AppendTimestamp(b, m.Time)
+		b = codec.AppendIDs(b, m.Pred)
+		b = appendBallot(b, m.TupleBallot)
+		b = codec.AppendBool(b, m.Forced)
+	case *caesar.StableAckBatch:
+		b = codec.AppendIDs(append(b, tagStableAckBatch), m.IDs)
+	case *caesar.PurgeBatch:
+		b = codec.AppendIDs(append(b, tagPurgeBatch), m.IDs)
+	case *caesar.Heartbeat:
+		b = append(b, tagHeartbeat)
+	case *shard.Envelope:
+		if nested {
+			return b, fmt.Errorf("%w: shard envelope inside a shard envelope", ErrMessage)
+		}
+		b = append(b, tagShardEnvelope)
+		b = codec.AppendUvarint(b, uint64(uint32(m.Shard)))
+		b = codec.AppendUvarint(b, uint64(uint32(m.Gen)))
+		return appendMessage(b, m.Payload, true)
+	default:
+		return b, fmt.Errorf("%w: no tag for %T", ErrMessage, payload)
+	}
+	return b, nil
+}
+
+// Decoder reads envelopes from a stream. It reads exactly one frame per
+// Decode and nothing past it, so the reader may be shared with whatever
+// counts or follows the frames; hand it a buffered reader.
 type Decoder struct {
-	dec *gob.Decoder
+	r   io.Reader
+	hdr [frameHeader]byte
+	buf []byte
 }
 
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
-	ensureRegistered()
-	return &Decoder{dec: gob.NewDecoder(r)}
+	return &Decoder{r: r}
 }
 
-// Decode reads one envelope.
+// Decode reads one envelope. It returns io.EOF when the stream ends on a
+// frame boundary, io.ErrUnexpectedEOF when it ends inside a frame, the
+// reader's error otherwise, and an ErrFrame for bytes that are not a
+// frame.
 func (d *Decoder) Decode(env *Envelope) error {
-	return d.dec.Decode(env)
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint32(d.hdr[:])
+	if n > MaxFrame {
+		return fmt.Errorf("%w: length %d exceeds the %d byte bound", ErrFrame, n, MaxFrame)
+	}
+	body, err := d.readBody(int(n))
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(body)
+	from := r.Node()
+	payload, err := readMessage(&r, false)
+	if err != nil {
+		return err
+	}
+	if r.Err() != nil {
+		return fmt.Errorf("%w: %T: %v", ErrFrame, payload, r.Err())
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %T", ErrFrame, r.Len(), payload)
+	}
+	env.From, env.Payload = from, payload
+	return nil
+}
+
+// readBody reads an n-byte body into the reused buffer. The buffer grows
+// with the bytes that actually arrive (doubling, from 4 KiB), never to a
+// claimed length up front, so a forged prefix costs the sender the bytes
+// it claims.
+func (d *Decoder) readBody(n int) ([]byte, error) {
+	buf := d.buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		step := min(n-have, max(cap(buf)-have, have, 4<<10))
+		buf = slices.Grow(buf, step)[:have+step]
+		if _, err := io.ReadFull(d.r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	if cap(buf) <= keepBuffer {
+		d.buf = buf[:0]
+	} else {
+		d.buf = nil
+	}
+	return buf, nil
+}
+
+func readBallot(r *codec.Reader) uint32 { return uint32(r.Uvarint()) }
+
+// readMessage reads one tagged message; nested as in appendMessage. The
+// caller checks r.Err once the whole frame is read.
+func readMessage(r *codec.Reader, nested bool) (any, error) {
+	switch tag := r.Byte(); tag {
+	case tagFastPropose:
+		m := &caesar.FastPropose{Ballot: readBallot(r)}
+		m.Cmd = r.Command()
+		m.Time = r.Timestamp()
+		m.Whitelist = r.IDs()
+		m.HasWhitelist = r.Bool()
+		return m, nil
+	case tagFastProposeReply:
+		m := &caesar.FastProposeReply{Ballot: readBallot(r)}
+		m.CmdID = r.ID()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		m.NACK = r.Bool()
+		return m, nil
+	case tagSlowPropose:
+		m := &caesar.SlowPropose{Ballot: readBallot(r)}
+		m.Cmd = r.Command()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		return m, nil
+	case tagSlowProposeReply:
+		m := &caesar.SlowProposeReply{Ballot: readBallot(r)}
+		m.CmdID = r.ID()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		m.NACK = r.Bool()
+		return m, nil
+	case tagRetry:
+		m := &caesar.Retry{Ballot: readBallot(r)}
+		m.Cmd = r.Command()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		return m, nil
+	case tagRetryReply:
+		m := &caesar.RetryReply{Ballot: readBallot(r)}
+		m.CmdID = r.ID()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		return m, nil
+	case tagStable:
+		m := &caesar.Stable{Ballot: readBallot(r)}
+		m.Cmd = r.Command()
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		return m, nil
+	case tagRecover:
+		m := &caesar.Recover{Ballot: readBallot(r)}
+		m.CmdID = r.ID()
+		return m, nil
+	case tagRecoverReply:
+		m := &caesar.RecoverReply{Ballot: readBallot(r)}
+		m.CmdID = r.ID()
+		m.Nop = r.Bool()
+		m.Cmd = r.Command()
+		m.Status = caesar.Status(r.Byte())
+		m.Time = r.Timestamp()
+		m.Pred = r.IDs()
+		m.TupleBallot = readBallot(r)
+		m.Forced = r.Bool()
+		return m, nil
+	case tagStableAckBatch:
+		return &caesar.StableAckBatch{IDs: r.IDs()}, nil
+	case tagPurgeBatch:
+		return &caesar.PurgeBatch{IDs: r.IDs()}, nil
+	case tagHeartbeat:
+		return &caesar.Heartbeat{}, nil
+	case tagShardEnvelope:
+		if nested {
+			return nil, fmt.Errorf("%w: shard envelope inside a shard envelope", ErrFrame)
+		}
+		m := &shard.Envelope{Shard: int32(uint32(r.Uvarint()))}
+		m.Gen = int32(uint32(r.Uvarint()))
+		payload, err := readMessage(r, true)
+		m.Payload = payload
+		return m, err
+	default:
+		if r.Err() != nil {
+			return nil, fmt.Errorf("%w: empty body", ErrFrame)
+		}
+		return nil, fmt.Errorf("%w: unknown tag %d", ErrFrame, tag)
+	}
 }

@@ -13,9 +13,9 @@ import (
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-// everyMessage returns one instance of every registered wire message,
-// mirroring register(). Keep in sync — TestEveryMessageRoundTrips counts
-// them so an engine gaining a message without test coverage fails loudly.
+// everyMessage returns one instance of every message the codec has a tag
+// for. Keep in sync with the tag table — TestEveryMessageRoundTrips counts
+// them so an engine gaining a message without a codec case fails loudly.
 func everyMessage() []any {
 	return []any{
 		// CAESAR.
@@ -31,7 +31,7 @@ func everyMessage() []any {
 // fill populates every settable exported field with distinct non-zero
 // values, recursing through structs, slices, maps and pointers, so the
 // round trip exercises real payloads rather than zero values. Interface
-// fields are left as the caller set them (gob needs a concrete type).
+// fields are left as the caller set them (the codec needs a concrete type).
 func fill(v reflect.Value, seed *int) {
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -82,9 +82,9 @@ func fill(v reflect.Value, seed *int) {
 
 func TestEveryMessageRoundTrips(t *testing.T) {
 	msgs := everyMessage()
-	// 12 registered CAESAR messages + the shard envelope; see register().
-	if want := 13; len(msgs) != want {
-		t.Fatalf("everyMessage lists %d messages, want %d (register() changed?)", len(msgs), want)
+	// 12 CAESAR messages + the shard envelope; see the tag table.
+	if want := 13; len(msgs) != want || int(tagShardEnvelope) != want {
+		t.Fatalf("everyMessage lists %d messages, the codec has %d tags, want %d of each", len(msgs), tagShardEnvelope, want)
 	}
 	for _, msg := range msgs {
 		seed := 0
@@ -138,10 +138,9 @@ func TestStreamCarriesMixedTraffic(t *testing.T) {
 }
 
 // TestCrossShardPayloadsRoundTrip pins the encoding path of the
-// cross-shard commit layer: pieces and abort markers ride as
-// interface-encoded payloads inside ordinary engine commands, so a sharded
-// multi-process deployment only works if register() put their concrete
-// types into the gob registry.
+// cross-shard commit layer: pieces and abort markers ride as opaque
+// Payload bytes inside ordinary engine commands, so a sharded
+// multi-process deployment only works if those bytes cross unchanged.
 func TestCrossShardPayloadsRoundTrip(t *testing.T) {
 	xid := xshard.XID{Node: 2, Seq: 9}
 	ops := []command.Command{command.Put("a", []byte("1")), command.Add("b", 5)}

@@ -107,14 +107,13 @@ type Abort struct {
 }
 
 // registerOnce guards the gob registration of the payload types. They are
-// encoded as interface values, so multi-process deployments need them in
-// the global gob registry on both ends; internal/wire calls RegisterGob
-// from its own registration for the server binaries.
+// encoded as interface values, so every process needs them in the global
+// gob registry before it encodes or decodes one; both paths below do that.
+// (The bytes are opaque to internal/wire, which carries them as a
+// command's Payload.)
 var registerOnce sync.Once
 
-// RegisterGob registers the cross-shard payload types with gob. Safe to
-// call any number of times.
-func RegisterGob() {
+func registerGob() {
 	registerOnce.Do(func() {
 		gob.Register(&Piece{})
 		gob.Register(&Abort{})
@@ -123,7 +122,7 @@ func RegisterGob() {
 
 // encodePayload gob-encodes a piece or marker as an interface value.
 func encodePayload(v any) ([]byte, error) {
-	RegisterGob()
+	registerGob()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return nil, err
@@ -133,7 +132,7 @@ func encodePayload(v any) ([]byte, error) {
 
 // decodePayload reverses encodePayload.
 func decodePayload(b []byte) (any, error) {
-	RegisterGob()
+	registerGob()
 	var v any
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
 		return nil, err

@@ -13,8 +13,8 @@
 //
 //   - calls to known-blocking primitives (time.Sleep, sync.WaitGroup.Wait,
 //     sync.Cond.Wait, os.File.Sync, net dialing),
-//   - a blocking Post back into a protocol.Loop (TryPost with a goroutine
-//     fallback is the sanctioned pattern),
+//   - a blocking Post or PostMessage back into a protocol.Loop (TryPost
+//     with a goroutine fallback is the sanctioned pattern),
 //   - bare channel sends/receives and default-less selects,
 //   - calls into functions — same package or imported — whose bodies were
 //     found to block (a "blocks" fact every package exports for its
@@ -256,7 +256,7 @@ func (w *walker) walkBody(body ast.Node) {
 }
 
 func (w *walker) checkCall(call *ast.CallExpr) {
-	if isLoopMethod(w.pass, call, "Post") {
+	if isLoopMethod(w.pass, call, "Post") || isLoopMethod(w.pass, call, "PostMessage") {
 		w.reportf(call, "blocking Post from the event loop back into itself deadlocks the replica when the inbox is full (the PR-4 lost-event class) — use TryPost with a goroutine fallback, or annotate //caesarlint:allow loopblock -- <why>")
 		return
 	}

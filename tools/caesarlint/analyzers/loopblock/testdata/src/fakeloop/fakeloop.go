@@ -34,6 +34,11 @@ func (l *Loop) Post(ev any) {
 	}
 }
 
+// PostMessage enqueues a transport message, blocking like Post.
+func (l *Loop) PostMessage(from int32, payload any) {
+	l.Post(payload)
+}
+
 // TryPost enqueues ev only if the inbox has room.
 func (l *Loop) TryPost(ev any) bool {
 	select {

@@ -39,7 +39,8 @@ func (n *node) handle(ev any) {
 	if !n.loop.TryPost(ev) {
 		go n.repost(ev)
 	}
-	n.loop.Post(ev) // want `blocking Post from the event loop back into itself`
+	n.loop.Post(ev)           // want `blocking Post from the event loop back into itself`
+	n.loop.PostMessage(1, ev) // want `blocking Post from the event loop back into itself`
 	n.submit(func() {
 		n.file.Sync() // want `Sync fsyncs a file on the event loop`
 	})
