@@ -209,9 +209,9 @@ func (o Options) toConfig() caesar.Config {
 // newNode wires a replica — or, with shards > 1, a sharded set of replicas
 // multiplexed over the endpoint, under the cross-shard commit and live
 // rebalancing layers, and with a data dir under the durable write-ahead
-// log — to the transport; used by Cluster and the server binaries. The
-// actual layering lives in internal/stack (shared with cmd/caesar-server
-// and the harness); every shard shares the node's store, recorder, commit
+// log — to the transport; used by Cluster. The actual layering lives in
+// internal/stack, which cmd/caesar-server and the harness build through
+// directly; every shard shares the node's store, recorder, commit
 // table, rebalance coordinator and log, so Stats and Read report
 // whole-node aggregates regardless of the shard count, multi-key
 // transactions spanning groups commit atomically instead of failing, and

@@ -1,0 +1,318 @@
+package caesar
+
+// The conflict index (history.byKey and the scans over it) against a
+// brute-force scan of history.recs, under seeded random operation
+// sequences; plus BenchmarkConflictIndex, which keeps on record the
+// per-key depth at which the sorted slices would lose to a tree.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
+)
+
+// purgedCmd is what the naive fencedAbove remembers of a purged record.
+type purgedCmd struct {
+	cmd command.Command
+	ts  timestamp.Timestamp
+}
+
+// indexModel drives a history and answers every index query the slow way.
+type indexModel struct {
+	t      *testing.T
+	rng    *rand.Rand
+	h      *history
+	live   []*record // h.recs in creation order, so choices replay from the seed
+	purged []purgedCmd
+	seq    uint64
+	steps  int
+}
+
+func (m *indexModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("step %d: "+format, append([]any{m.steps}, args...)...)
+}
+
+var indexTestKeys = []string{"a", "b", "c", "d", "e", "f"}
+
+func (m *indexModel) key() string { return indexTestKeys[m.rng.Intn(len(indexTestKeys))] }
+
+// stamp draws from a range small enough that records collide on a
+// timestamp all the time.
+func (m *indexModel) stamp() timestamp.Timestamp {
+	return ts(uint64(1+m.rng.Intn(24)), int32(m.rng.Intn(3)))
+}
+
+// command draws single-key reads and writes, multi-key commands (now and
+// then naming one key twice), noops and fences.
+func (m *indexModel) command() command.Command {
+	var cmd command.Command
+	switch p := m.rng.Intn(20); {
+	case p < 7:
+		cmd = command.Put(m.key(), nil)
+	case p < 10:
+		cmd = command.Get(m.key())
+	case p < 12:
+		cmd = command.Add(m.key(), 1)
+	case p < 17:
+		cmd = command.Put(m.key(), nil)
+		if m.rng.Intn(3) == 0 {
+			cmd.Op = command.OpGet
+		}
+		for n := 1 + m.rng.Intn(3); n > 0; n-- {
+			cmd.ExtraKeys = append(cmd.ExtraKeys, m.key())
+		}
+	case p < 18:
+		cmd = command.Noop()
+	default:
+		cmd = command.Fence(nil)
+	}
+	m.seq++
+	cmd.ID = command.ID{Node: timestamp.NodeID(m.rng.Intn(3)), Seq: m.seq}
+	return cmd
+}
+
+func (m *indexModel) pick() *record { return m.live[m.rng.Intn(len(m.live))] }
+
+// step applies one random mutation to the history.
+func (m *indexModel) step() {
+	p := m.rng.Intn(100)
+	if len(m.live) == 0 || (p < 25 && len(m.live) < 48) {
+		rec := m.h.ensure(m.command())
+		rec.status = Status(m.rng.Intn(int(StatusStable) + 1))
+		m.h.setTimestamp(rec, m.stamp())
+		m.live = append(m.live, rec)
+		return
+	}
+	rec := m.pick()
+	switch {
+	case p < 45:
+		m.h.setTimestamp(rec, m.stamp())
+	case p < 55: // an exact tie with another record
+		m.h.setTimestamp(rec, m.pick().ts)
+	case p < 65: // hop over a neighbour: one step up or down
+		to := rec.ts
+		if m.rng.Intn(2) == 0 && to.Seq > 1 {
+			to.Seq--
+		} else {
+			to.Seq++
+		}
+		m.h.setTimestamp(rec, to)
+	case p < 75:
+		m.h.unindex(rec)
+	case p < 85:
+		m.h.index(rec)
+	default:
+		m.purged = append(m.purged, purgedCmd{cmd: rec.cmd, ts: rec.ts})
+		m.h.purge(rec)
+		for i, r := range m.live {
+			if r == rec {
+				m.live = append(m.live[:i], m.live[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// naive returns the IDs a scan by cmd at bound must report: below, the
+// conflicting indexed records strictly under bound; above, those strictly
+// over it — where a keyed record tied with bound counts as over it (the
+// scans compare against (bound, zero ID)), a fence, or a record met by a
+// fence, does not.
+func (m *indexModel) naive(cmd command.Command, bound timestamp.Timestamp, above bool, keep func(*record) bool) []command.ID {
+	var ids []command.ID
+	for _, rec := range m.h.recs {
+		if !rec.indexed || rec.id() == cmd.ID || !rec.cmd.Conflicts(cmd) {
+			continue
+		}
+		in := rec.ts.Less(bound)
+		if above {
+			in = bound.Less(rec.ts)
+			if rec.ts == bound && cmd.Op != command.OpFence && rec.cmd.Op != command.OpFence {
+				in = true
+			}
+		}
+		if in && (keep == nil || keep(rec)) {
+			ids = append(ids, rec.id())
+		}
+	}
+	return command.SortIDs(ids)
+}
+
+// naiveFenced is fencedAbove from the list of purged commands.
+func (m *indexModel) naiveFenced(cmd command.Command, at timestamp.Timestamp) bool {
+	if cmd.Op == command.OpNoop {
+		return false
+	}
+	for _, p := range m.purged {
+		if !at.Less(p.ts) {
+			continue
+		}
+		if cmd.Op == command.OpFence || p.cmd.Op == command.OpFence {
+			return true
+		}
+		for _, k := range p.cmd.Keys() {
+			if touches(cmd, k) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// once fails the test if a scan reported a record twice, and returns the
+// reported IDs sorted.
+func (m *indexModel) once(what string, got []command.ID) []command.ID {
+	got = command.SortIDs(got)
+	for i := 1; i < len(got); i++ {
+		if got[i] == got[i-1] {
+			m.fatalf("%s reported %v twice", what, got[i])
+		}
+	}
+	return got
+}
+
+func (m *indexModel) same(what string, got, want []command.ID) {
+	if !slices.Equal(got, want) {
+		m.fatalf("%s:\n got  %v\n want %v", what, got, want)
+	}
+}
+
+// check probes the index with cmd at bound and compares every query.
+func (m *indexModel) check(cmd command.Command, bound timestamp.Timestamp) {
+	what := fmt.Sprintf("%v at %v", cmd, bound)
+
+	var got []command.ID
+	m.h.conflictsBelow(cmd, bound, func(rec *record) { got = append(got, rec.id()) })
+	below := m.naive(cmd, bound, false, nil)
+	m.same("conflictsBelow "+what, m.once("conflictsBelow "+what, got), below)
+
+	got = nil
+	m.h.conflictsAbove(cmd, bound, func(rec *record) bool { got = append(got, rec.id()); return true })
+	above := m.naive(cmd, bound, true, nil)
+	m.same("conflictsAbove "+what, m.once("conflictsAbove "+what, got), above)
+
+	// Early stop: exactly limit callbacks (or all of them), each a distinct
+	// member of the full answer.
+	limit := 1 + m.rng.Intn(3)
+	got = nil
+	m.h.conflictsAbove(cmd, bound, func(rec *record) bool { got = append(got, rec.id()); return len(got) < limit })
+	if want := min(limit, len(above)); len(got) != want {
+		m.fatalf("conflictsAbove %s stopping after %d: %d callbacks, want %d", what, limit, len(got), want)
+	}
+	for _, id := range m.once("stopped conflictsAbove "+what, got) {
+		if !slices.Contains(above, id) {
+			m.fatalf("stopped conflictsAbove %s reported %v, not in %v", what, id, above)
+		}
+	}
+
+	m.same("computePredecessors "+what, command.SortIDs(m.h.computePredecessors(cmd, bound, nil, false).Slice()), below)
+	var wl command.IDSet
+	for n := m.rng.Intn(3); n > 0 && len(m.live) > 0; n-- {
+		wl.Add(m.pick().id())
+	}
+	want := command.NewIDSet(m.naive(cmd, bound, false, func(rec *record) bool {
+		return rec.status == StatusSlowPending || rec.status == StatusAccepted || rec.status == StatusStable
+	})...)
+	for id := range wl {
+		want.Add(id)
+	}
+	m.same("whitelisted computePredecessors "+what,
+		command.SortIDs(m.h.computePredecessors(cmd, bound, wl, true).Slice()), command.SortIDs(want.Slice()))
+
+	if got, want := m.h.fencedAbove(cmd, bound), m.naiveFenced(cmd, bound); got != want {
+		m.fatalf("fencedAbove %s = %v, want %v", what, got, want)
+	}
+}
+
+// checkLists verifies the index's own shape: every key's list strictly
+// sorted and non-empty, holding exactly the indexed records on that key.
+func (m *indexModel) checkLists() {
+	entries := 0
+	for k, l := range m.h.byKey {
+		recs := l.recs
+		if len(recs) == 0 {
+			m.fatalf("key %q kept an empty list", k)
+		}
+		for i, rec := range recs {
+			if !rec.indexed || !touches(rec.cmd, k) {
+				m.fatalf("key %q lists %v (indexed=%v)", k, rec.cmd, rec.indexed)
+			}
+			if i > 0 && cmpRecord(recs[i-1], tsKey{ts: rec.ts, id: rec.id()}) >= 0 {
+				m.fatalf("key %q out of order at %d: %v %v then %v %v", k, i, recs[i-1].ts, recs[i-1].id(), rec.ts, rec.id())
+			}
+		}
+		entries += len(recs)
+	}
+	want := 0
+	for _, rec := range m.h.recs {
+		if rec.indexed {
+			distinct := map[string]struct{}{}
+			for _, k := range rec.cmd.Keys() {
+				distinct[k] = struct{}{}
+			}
+			want += len(distinct)
+		}
+	}
+	if entries != want {
+		m.fatalf("index holds %d entries, indexed records have %d keys", entries, want)
+	}
+}
+
+func TestConflictIndexMatchesNaiveScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			m := &indexModel{t: t, rng: rand.New(rand.NewSource(seed)), h: newHistory()}
+			for m.steps = 1; m.steps <= 10000; m.steps++ {
+				m.step()
+				m.checkLists()
+				// A fresh command at a random bound, and a command the
+				// history holds probing at a timestamp some record sits on.
+				m.check(m.command(), m.stamp())
+				if len(m.live) > 0 {
+					m.check(m.pick().cmd, m.pick().ts)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConflictIndex measures the index at per-key depths from the
+// benchmark's common case (1) to far beyond its hottest key (1024): one
+// index+unindex pair at the tail and in the middle of the key's list, and
+// a scan below a bound above every record.
+func BenchmarkConflictIndex(b *testing.B) {
+	for _, depth := range []int{1, 8, 64, 1024} {
+		h := newHistory()
+		for i := 1; i <= depth; i++ {
+			h.setTimestamp(h.ensure(put(0, uint64(i), "k")), ts(uint64(2*i), 0))
+		}
+		probe := put(1, 1, "k")
+		insert := func(at timestamp.Timestamp) func(*testing.B) {
+			return func(b *testing.B) {
+				rec := &record{cmd: probe, ts: at}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					h.index(rec)
+					h.unindex(rec)
+				}
+			}
+		}
+		b.Run(fmt.Sprintf("depth=%d/tail-insert", depth), insert(ts(uint64(2*depth+1), 1)))
+		b.Run(fmt.Sprintf("depth=%d/middle-insert", depth), insert(ts(uint64(depth+1), 1)))
+		b.Run(fmt.Sprintf("depth=%d/scan-below", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				h.conflictsBelow(probe, ts(uint64(2*depth+1), 1), func(*record) { n++ })
+			}
+			if n != depth*b.N {
+				b.Fatalf("visited %d records, want %d", n, depth*b.N)
+			}
+		})
+	}
+}

@@ -56,6 +56,14 @@ func (r *Replica) ReadStamp() timestamp.Timestamp {
 	return r.clock.Next()
 }
 
+// ObserveStamp raises the logical clock to at least ts, so every later
+// ReadStamp orders above it: the read engine's answer to store versions
+// stamped above this group's clock (a cross-shard transaction executes at
+// the merged timestamp of all its groups). Safe for concurrent use.
+func (r *Replica) ObserveStamp(ts timestamp.Timestamp) {
+	r.clock.Observe(ts)
+}
+
 // ReadFence parks done until every command conflicting with keys that this
 // replica has seen and that could still order below ts has been applied to
 // the local store. done is invoked from the event loop (or inline on a
@@ -82,16 +90,11 @@ func (r *Replica) onReadFence(e evReadFence) {
 		phantom.ExtraKeys = e.keys[1:]
 	}
 	w := &readWaiter{done: e.done}
-	seen := make(map[command.ID]struct{})
 	r.hist.conflictsBelow(phantom, e.ts, func(rec *record) {
 		if rec.applied {
 			return
 		}
 		id := rec.id()
-		if _, dup := seen[id]; dup {
-			return // a record touching several of the read's keys
-		}
-		seen[id] = struct{}{}
 		w.remaining++
 		r.readParked[id] = append(r.readParked[id], w)
 		if r.ctd != nil {

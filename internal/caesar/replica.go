@@ -45,8 +45,6 @@ type Config struct {
 	// simulated time; the event loop snapshots it once per event, so all
 	// decisions within one event observe one instant.
 	Now func() time.Time
-	// InboxSize bounds the event-loop mailbox. Default 8192.
-	InboxSize int
 	// DisableWait turns off the §IV-A wait condition (commands that
 	// would wait are rejected instead). Used only by the ablation study;
 	// the protocol remains safe but takes more slow decisions.
@@ -145,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 20 * time.Millisecond
-	}
-	if c.InboxSize == 0 {
-		c.InboxSize = 8192
 	}
 	if c.RetransmitAfter == 0 {
 		c.RetransmitAfter = time.Second
@@ -286,7 +281,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		met:               cfg.Metrics,
 		ctd:               cfg.Contend,
 		clock:             timestamp.NewClock(ep.Self()),
-		loop:              protocol.NewLoop(cfg.InboxSize),
+		loop:              protocol.NewLoop(protocol.InboxSize),
 		hist:              newHistory(),
 		ballots:           make(map[command.ID]uint32),
 		delivered:         delivered,

@@ -303,18 +303,6 @@ func (s IDSet) Has(id ID) bool {
 	return ok
 }
 
-// Union adds every element of t to s (in place) and returns s. A nil
-// receiver allocates a fresh set when t is non-empty.
-func (s IDSet) Union(t IDSet) IDSet {
-	if s == nil && len(t) > 0 {
-		s = make(IDSet, len(t))
-	}
-	for id := range t {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
 // Clone returns an independent copy of the set.
 func (s IDSet) Clone() IDSet {
 	c := make(IDSet, len(s))

@@ -149,8 +149,6 @@ type Config struct {
 	RecoveryBackoff time.Duration
 	// TickInterval is the timer granularity. Default 20ms.
 	TickInterval time.Duration
-	// InboxSize bounds the event-loop mailbox. Default 8192.
-	InboxSize int
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
@@ -167,9 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 20 * time.Millisecond
-	}
-	if c.InboxSize == 0 {
-		c.InboxSize = 8192
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
@@ -247,7 +242,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:               cfg,
 		app:               app,
 		met:               cfg.Metrics,
-		loop:              protocol.NewLoop(cfg.InboxSize),
+		loop:              protocol.NewLoop(protocol.InboxSize),
 		instances:         make(map[InstanceID]*instance),
 		conflicts:         make(map[string]*keyInfo),
 		blockedExec:       make(map[InstanceID][]InstanceID),

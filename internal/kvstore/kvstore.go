@@ -10,7 +10,7 @@
 // writes have already been applied by the time the read's frontier wait
 // completes. The ring is bounded (versionRing entries per key) — a read
 // point that falls off the window reports uncovered and the read layer
-// retries with a fresh stamp.
+// retries with a fresh stamp above the key's retained versions.
 package kvstore
 
 import (
@@ -228,8 +228,13 @@ func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (v
 // SnapshotAt reads several keys at one read point under a single lock
 // hold: because writers (including atomic transaction application) mutate
 // under the write lock, the returned values are a consistent cut — a
-// transaction's writes appear for all of its keys or for none.
-func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) (vals [][]byte, present []bool, covered bool) {
+// transaction's writes appear for all of its keys or for none. When the
+// point is off some key's retention window (covered=false), hidden is the
+// highest stamp among that key's retained versions: a read stamped above
+// it is covered again. Those stamps can sit above the key's own group
+// clock — a cross-shard transaction's writes carry its merged timestamp —
+// so the read layer must push the clock past hidden, not just re-stamp.
+func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) (vals [][]byte, present []bool, hidden timestamp.Timestamp, covered bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	vals = make([][]byte, len(keys))
@@ -237,17 +242,20 @@ func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) 
 	for i, k := range keys {
 		v, p, c := s.getAtLocked(k, epoch, ts)
 		if !c {
-			return nil, nil, false
+			hidden = s.base[k].ts
+			for _, ver := range s.vers[k] {
+				hidden = timestamp.Max(hidden, ver.ts)
+			}
+			return nil, nil, hidden, false
 		}
 		vals[i], present[i] = v, p
 	}
-	return vals, present, true
+	return vals, present, timestamp.Zero, true
 }
 
-// Export returns a copy of every entry whose key satisfies pred — the
-// state-transfer snapshot of a shard handoff (internal/rebalance): the
-// caller invokes it at a consensus-fixed point of the source group's
-// history, so every replica exports the identical subset.
+// Export returns a copy of every entry whose key satisfies pred (nil =
+// every entry): the key-value image a WAL snapshot persists, and what
+// tests and the benchmark's oracle compare replicas by.
 func (s *Store) Export(pred func(key string) bool) map[string][]byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -263,12 +271,11 @@ func (s *Store) Export(pred func(key string) bool) map[string][]byte {
 	return out
 }
 
-// Import writes a snapshot's entries, copying the values. Counterpart of
-// Export on the destination side of a shard handoff; importing does not
-// count toward Applied (the entries were applied by the source group's
-// commands) and records no versions (with the node-shared store the
-// values are already present; keys without version history serve their
-// current state).
+// Import writes a snapshot's entries, copying the values: how recovery
+// loads a WAL snapshot's image before replaying the log tail. Importing
+// does not count toward Applied (the snapshot carries that count; see
+// SetApplied) and records no versions — keys without version history
+// serve their current state.
 func (s *Store) Import(snap map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -86,6 +86,10 @@ func TestGetAtRingEvictionFallsToBaseThenUncovered(t *testing.T) {
 	if _, _, covered := s.GetAt("k", 0, ts(35)); covered {
 		t.Fatal("read below the retention window must report uncovered")
 	}
+	// A snapshot names the stamp a retry has to clear: the key's newest.
+	if _, _, hidden, covered := s.SnapshotAt([]string{"k"}, 0, ts(35)); covered || hidden != ts(10*(versionRing+4)) {
+		t.Fatalf("snapshot at 35: covered=%v hidden=%v, want uncovered behind %v", covered, hidden, ts(10*(versionRing+4)))
+	}
 }
 
 func TestGetAtEarlierEpochVersionsVisible(t *testing.T) {
@@ -118,11 +122,11 @@ func TestSnapshotAtSeesAtomicUnitWholeOrNot(t *testing.T) {
 		command.Put("b", []byte("b1")),
 	}, ts(10))
 
-	vals, _, covered := s.SnapshotAt([]string{"a", "b"}, 0, ts(9))
+	vals, _, _, covered := s.SnapshotAt([]string{"a", "b"}, 0, ts(9))
 	if !covered || string(vals[0]) != "a0" || string(vals[1]) != "b0" {
 		t.Fatalf("snapshot below the tx = %q/%q covered=%v", vals[0], vals[1], covered)
 	}
-	vals, _, covered = s.SnapshotAt([]string{"a", "b"}, 0, ts(10))
+	vals, _, _, covered = s.SnapshotAt([]string{"a", "b"}, 0, ts(10))
 	if !covered || string(vals[0]) != "a1" || string(vals[1]) != "b1" {
 		t.Fatalf("snapshot at the tx = %q/%q covered=%v", vals[0], vals[1], covered)
 	}

@@ -51,8 +51,6 @@ type Config struct {
 	RetryTimeout time.Duration
 	// TickInterval is the timer granularity. Default 25ms.
 	TickInterval time.Duration
-	// InboxSize bounds the event-loop mailbox. Default 8192.
-	InboxSize int
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
@@ -63,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval == 0 {
 		c.TickInterval = 25 * time.Millisecond
-	}
-	if c.InboxSize == 0 {
-		c.InboxSize = 8192
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
@@ -238,7 +233,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:       cfg,
 		app:       app,
 		met:       cfg.Metrics,
-		loop:      protocol.NewLoop(cfg.InboxSize),
+		loop:      protocol.NewLoop(protocol.InboxSize),
 		keys:      make(map[string]*keyState),
 		accepted:  make(map[instKey]acceptedVal),
 		committed: make(map[instKey]command.Command),

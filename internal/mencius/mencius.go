@@ -24,8 +24,6 @@ import (
 
 // Config tunes a Replica.
 type Config struct {
-	// InboxSize bounds the event-loop mailbox. Default 8192.
-	InboxSize int
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
@@ -105,9 +103,6 @@ var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
 func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
-	if cfg.InboxSize == 0 {
-		cfg.InboxSize = 8192
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRecorder()
 	}
@@ -119,7 +114,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:      cfg,
 		app:      app,
 		met:      cfg.Metrics,
-		loop:     protocol.NewLoop(cfg.InboxSize),
+		loop:     protocol.NewLoop(protocol.InboxSize),
 		slots:    make(map[uint64]*slot),
 		skipTo:   make(map[timestamp.NodeID]uint64),
 		acks:     make(map[uint64]*quorum.Tracker),

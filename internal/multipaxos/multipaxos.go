@@ -26,8 +26,6 @@ import (
 type Config struct {
 	// Leader is the node that sequences all commands.
 	Leader timestamp.NodeID
-	// InboxSize bounds the event-loop mailbox. Default 8192.
-	InboxSize int
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
@@ -93,9 +91,6 @@ var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
 func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
-	if cfg.InboxSize == 0 {
-		cfg.InboxSize = 8192
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRecorder()
 	}
@@ -107,7 +102,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:      cfg,
 		app:      app,
 		met:      cfg.Metrics,
-		loop:     protocol.NewLoop(cfg.InboxSize),
+		loop:     protocol.NewLoop(protocol.InboxSize),
 		leader:   ep.Self() == cfg.Leader,
 		acks:     make(map[uint64]*quorum.Tracker),
 		dones:    make(map[command.ID]protocol.DoneFunc),

@@ -37,14 +37,14 @@ type Loop struct {
 	closed bool
 }
 
+// InboxSize is the inbox capacity every engine runs with.
+const InboxSize = 8192
+
 // NewLoop returns a loop with the given inbox capacity. The capacity is a
 // queueing buffer, not a synchronisation channel: it absorbs bursts from
 // the network-delivery goroutines; senders block (backpressure) when it
 // fills.
 func NewLoop(capacity int) *Loop {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &Loop{
 		inbox:   make(chan Event, capacity),
 		stop:    make(chan struct{}),
@@ -136,14 +136,4 @@ func (l *Loop) Stop() {
 		close(l.stop)
 	})
 	<-l.stopped
-}
-
-// Stopping reports whether Stop has been requested.
-func (l *Loop) Stopping() bool {
-	select {
-	case <-l.stop:
-		return true
-	default:
-		return false
-	}
 }

@@ -7,8 +7,6 @@
 // ⌊CQ/2⌋+1 nodes, and any two fast quorums intersect any classic quorum.
 package quorum
 
-import "fmt"
-
 // ClassicSize returns ⌊N/2⌋+1, the classic (majority) quorum size.
 func ClassicSize(n int) int {
 	return n/2 + 1
@@ -26,11 +24,6 @@ func RecoveryMajority(n int) int {
 	return ClassicSize(n)/2 + 1
 }
 
-// MaxFailures returns f = N - CQ, the number of crash failures tolerated.
-func MaxFailures(n int) int {
-	return n - ClassicSize(n)
-}
-
 // EPaxosFastSize returns the optimized EPaxos fast-quorum size
 // F + ⌊(F+1)/2⌋ (including the command leader), with F = ⌊N/2⌋ the number
 // of tolerated failures. For N=5 this is 3, which is the "one node fewer
@@ -38,36 +31,6 @@ func MaxFailures(n int) int {
 func EPaxosFastSize(n int) int {
 	f := n / 2
 	return f + (f+1)/2
-}
-
-// Kind distinguishes the quorum flavours a tracker can wait for.
-type Kind uint8
-
-const (
-	// Classic waits for ⌊N/2⌋+1 replies.
-	Classic Kind = iota + 1
-	// Fast waits for ⌈3N/4⌉ replies.
-	Fast
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Classic:
-		return "classic"
-	case Fast:
-		return "fast"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Size returns the number of replies kind k requires out of n replicas.
-func (k Kind) Size(n int) int {
-	if k == Fast {
-		return FastSize(n)
-	}
-	return ClassicSize(n)
 }
 
 // Tracker counts replies from distinct voters toward a target count.
@@ -98,12 +61,3 @@ func (t *Tracker) Count() int { return len(t.voted) }
 
 // Reached reports whether the target has been met.
 func (t *Tracker) Reached() bool { return len(t.voted) >= t.target }
-
-// Target returns the number of votes required.
-func (t *Tracker) Target() int { return t.target }
-
-// Has reports whether the given voter already voted.
-func (t *Tracker) Has(voter int32) bool {
-	_, ok := t.voted[voter]
-	return ok
-}

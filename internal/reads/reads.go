@@ -59,6 +59,9 @@ type GroupReader interface {
 	// ReadStamp issues a fresh read timestamp, strictly above everything
 	// the group has applied on this node.
 	ReadStamp() timestamp.Timestamp
+	// ObserveStamp raises the group's clock to at least ts: every later
+	// ReadStamp orders above it.
+	ObserveStamp(ts timestamp.Timestamp)
 	// ReadFence calls done (nil error) once every conflicting command the
 	// group has seen that could still order below ts has been applied
 	// locally; done must not block.
@@ -390,12 +393,18 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 		epoch = cur.Epoch()
 	}
 
-	vals, present, covered := e.store.SnapshotAt(keys, epoch, ts)
+	vals, present, hidden, covered := e.store.SnapshotAt(keys, epoch, ts)
 	if !covered {
-		// The read point fell off a key's version-retention window (a
-		// long fence wait under a same-key write burst); a fresh stamp
-		// sits above everything applied and cannot fall off again unless
-		// the race repeats.
+		// The read point fell off a key's version-retention window: a
+		// long fence wait under a same-key write burst, or versions
+		// stamped above the key's group clock (a cross-shard
+		// transaction's merged timestamp). Pushing every touched group's
+		// clock past the stamp that hid the point puts the retry's fresh
+		// stamp above everything applied; re-stamping alone would leave
+		// it below the merged stamp on every attempt.
+		for _, r := range readers {
+			r.ObserveStamp(hidden)
+		}
 		return nil, nil, errRetry
 	}
 	if after := e.currentRouter(); after.Epoch() != epoch {

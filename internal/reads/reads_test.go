@@ -19,6 +19,7 @@ import (
 type fakeGroup struct {
 	mu      sync.Mutex
 	seq     uint64
+	stamps  int // ReadStamp calls: one per read attempt
 	node    timestamp.NodeID
 	parked  []func(error)
 	stopped bool
@@ -28,7 +29,14 @@ func (f *fakeGroup) ReadStamp() timestamp.Timestamp {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.seq++
+	f.stamps++
 	return timestamp.Timestamp{Seq: f.seq, Node: f.node}
+}
+
+func (f *fakeGroup) ObserveStamp(ts timestamp.Timestamp) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.seq = max(f.seq, ts.Seq)
 }
 
 func (f *fakeGroup) ReadFence(_ []string, _ timestamp.Timestamp, done func(error)) {
@@ -114,6 +122,32 @@ func TestReadWaitsForFence(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("read did not complete after fence release")
+	}
+}
+
+// A cross-shard transaction's writes carry its merged timestamp, which can
+// sit far above the key's own group clock. Once they fill the key's
+// version ring, a read stamped from that clock is uncovered, and stays
+// uncovered however often it re-stamps — unless the retry first pushes the
+// clock past the stamps that hid the point (bench/README.md finding 2).
+func TestReadOfKeyVersionedAboveGroupClock(t *testing.T) {
+	store := kvstore.New()
+	g := &instant{}
+	merged := g.ReadStamp()
+	merged.Seq += 1000
+	for i := byte(0); i < 9; i++ { // one more than the ring holds
+		store.ApplyAllAt([]command.Command{command.Put("k", []byte{i})}, merged)
+	}
+	e := New(store, nil)
+	e.Attach(0, g)
+
+	g.stamps = 0
+	val, present, err := e.Read(context.Background(), "k")
+	if err != nil || !present || len(val) != 1 || val[0] != 8 {
+		t.Fatalf("Read = %v,%v,%v, want the last write", val, present, err)
+	}
+	if g.stamps > 2 {
+		t.Fatalf("read took %d attempts, want at most 2", g.stamps)
 	}
 }
 

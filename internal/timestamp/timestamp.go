@@ -39,9 +39,6 @@ func (t Timestamp) Less(u Timestamp) bool {
 	return t.Node < u.Node
 }
 
-// LessEq reports whether t orders before or equals u.
-func (t Timestamp) LessEq(u Timestamp) bool { return !u.Less(t) }
-
 // Compare returns -1, 0 or +1 as t sorts before, equal to, or after u.
 func (t Timestamp) Compare(u Timestamp) int {
 	switch {
