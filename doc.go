@@ -148,8 +148,15 @@
 // transaction, installed routing epoch and ID/clock reservation is
 // written to a segmented, CRC-checksummed write-ahead log
 // (internal/wal) and fsynced — group commit: many decisions, one sync —
-// before its client is acknowledged; periodic snapshots truncate the
-// log. A restarted node replays snapshot + log tail to rebuild its
+// before it is applied and its client is acknowledged. The consensus
+// loops never wait for the disk: a delivery hands the log its record and
+// the loop moves on; after the sync that covers the record the log
+// applies and acknowledges it on its group's completion lane, each
+// group in its log order — so a slow disk grows a queue
+// (caesar_wal_pending_records) instead of stopping decisions, and a
+// command the log refuses (closed, failed disk) fails at its client
+// instead of being acknowledged. Periodic snapshots truncate the log. A
+// restarted node replays snapshot + log tail to rebuild its
 // store, its delivered-command sets, its commit-table state and its
 // routing epoch, then rejoins: decisions it missed while down are
 // re-sent by their leaders (and, for commands its own previous
@@ -185,9 +192,12 @@
 // one, so a layer that dropped the timestamp (and with it the MVCC
 // version stamp local reads depend on) would not compile. One facet
 // stays optional: a chain that may finish a command after its delivery
-// point is also a protocol.DeferringApplier (the rebalance gate, parking
-// commands behind a handoff), and the engine asks for it once, when it
-// is built — the only applier type assertion outside tests.
+// point is also a protocol.DeferringApplier — the rebalance gate, parking
+// commands behind a handoff, and the write-ahead log, completing every
+// command after its sync; the gate forwards the deferral of the chain
+// below it (protocol.Deferring). The engine asks for the facet once, when
+// it is built — with Deferring the only applier type assertions outside
+// tests.
 //
 // # Transports
 //

@@ -154,7 +154,13 @@ func (r *Replica) deliverNow(rec *record) {
 			// unapplied forever, parking every read fence on its keys and
 			// withholding its GC ack (a shutdown race just drops it: Post
 			// fails on a stopped loop).
-			if !r.loop.TryPost(evAck{id: id}) {
+			//
+			// A chain that refused the command (res.Err: the write-ahead
+			// log is closed or its disk failed) neither logged nor applied
+			// it, so there is no ack: a GC-acked command may be purged
+			// cluster-wide, and this one is on no replay path of this
+			// node. The record stays unapplied and the client is told.
+			if res.Err == nil && !r.loop.TryPost(evAck{id: id}) {
 				go r.loop.Post(evAck{id: id})
 			}
 			if done != nil {

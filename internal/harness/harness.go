@@ -370,6 +370,7 @@ func (p pacedApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byt
 			n = len(members)
 		}
 	}
+	//caesarlint:allow loopblock -- the sleep is the model: ApplyCost stands for a state machine that occupies its caller (a group's delivery pipeline) for that long
 	time.Sleep(time.Duration(n) * p.cost)
 	return p.inner.ApplyAt(cmd, ts)
 }

@@ -15,8 +15,9 @@
 // The per-group chain (TimestampedApplier) is what one group's engine
 // delivers into; internal/stack composes it from layers that each take a
 // chain and return one, ending at the state machine. The only runtime
-// probe left is the engine asking, once at construction, whether its
-// chain is also a DeferringApplier.
+// probe left is asking, once at construction, whether a chain is also a
+// DeferringApplier: the engine about the chain it delivers into, and a
+// layer that forwards deferral about the chain below it (Deferring).
 package protocol
 
 import (
@@ -104,13 +105,35 @@ type TimestampedAtomicApplier interface {
 // completes the command. The live rebalancing gate (internal/rebalance)
 // uses this to hold commands that reached their new consensus group
 // before the group's state handoff finished — delivery of later,
-// unrelated commands is never blocked. Appliers must call done exactly
-// once; calling it synchronously is the common case.
+// unrelated commands is never blocked — and the write-ahead log
+// (internal/wal) to complete every command after the fsync that covers
+// its record, from goroutines of its own, so the event loop never waits
+// for the disk. Appliers must call done exactly once, from any goroutine; a
+// Result carrying Err means the command was not applied.
 type DeferringApplier interface {
 	Applier
 	// ApplyDeferred executes cmd — now or later — and reports its result
 	// through done. ts is the command's decided timestamp.
 	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result))
+}
+
+// Deferring returns chain's deferring facet: chain itself when it is a
+// DeferringApplier, otherwise an adapter that applies synchronously and
+// completes before returning. A layer that forwards deferral to the chain
+// below it (the rebalance gate above the write-ahead log) resolves this
+// once, at construction, and calls ApplyDeferred unconditionally.
+func Deferring(chain TimestampedApplier) DeferringApplier {
+	if d, ok := chain.(DeferringApplier); ok {
+		return d
+	}
+	return syncDeferrer{chain}
+}
+
+// syncDeferrer completes every deferred apply synchronously.
+type syncDeferrer struct{ TimestampedApplier }
+
+func (s syncDeferrer) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result)) {
+	done(Result{Value: s.ApplyAt(cmd, ts)})
 }
 
 // ApplierFunc adapts a function to the Applier interface.

@@ -139,6 +139,47 @@ const (
 type fenceEvent struct {
 	group  int
 	marker Marker
+	passed *fencePass
+}
+
+// fencePass orders one fence delivery's source-group drain behind the
+// fence's own trip down the chain. onFence interprets a fence at its
+// delivery point — the verdicts of the group's later deliveries depend on
+// it — but a chain that defers (the write-ahead log) may still hold the
+// group's earlier deliveries then: commands not yet applied, pieces not
+// yet registered. The chain completes a group's deliveries in order, so
+// when the fence itself completes they all have; only then may the drain
+// snapshot the commit table, and the handoff — which releases the moved
+// keys' traffic in their new groups — finish. Its lock is a leaf: nothing
+// is called under it.
+type fencePass struct {
+	mu     sync.Mutex
+	passed bool
+	then   func()
+}
+
+// after runs fn once the fence has passed down the chain — now, if it has.
+func (p *fencePass) after(fn func()) {
+	p.mu.Lock()
+	if !p.passed {
+		p.then, fn = fn, nil
+	}
+	p.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
+// pass marks the fence applied and runs what waited for that.
+func (p *fencePass) pass() {
+	p.mu.Lock()
+	p.passed = true
+	fn := p.then
+	p.then = nil
+	p.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
 }
 
 // Coordinator is one node's rebalancing brain: it owns the epoch table,
@@ -183,14 +224,19 @@ type Coordinator struct {
 	// queue).
 	queue      []*queuedCmd
 	queuedKeys map[groupKey]int
-	draining   bool
+	// handed holds the released entries the chain has taken and not yet
+	// completed: out of the queue — their place in their group's apply
+	// order is fixed — but still owed to their group as far as a later
+	// handoff is concerned (queueHoldsPreEpochLocked).
+	handed   map[*queuedCmd]struct{}
+	draining bool
 	// drainAgain records a drain request that arrived while another
 	// goroutine was draining; the active drainer re-runs instead of the
 	// wakeup being lost.
 	drainAgain bool
 
 	// inners holds each group's inner applier chain for queue drains.
-	inners map[int]protocol.TimestampedApplier
+	inners map[int]protocol.DeferringApplier
 
 	// Scheduled retirement after a shrink.
 	retireTo int
@@ -244,7 +290,8 @@ func NewCoordinatorAt(cfg Config, epochs map[uint32]int32, epoch uint32) *Coordi
 		epochShards: es,
 		groupEpoch:  make(map[int]uint32),
 		queuedKeys:  make(map[groupKey]int),
-		inners:      make(map[int]protocol.TimestampedApplier),
+		handed:      make(map[*queuedCmd]struct{}),
+		inners:      make(map[int]protocol.DeferringApplier),
 		shards:      shards,
 		retireTo:    -1,
 	}
@@ -441,8 +488,13 @@ func (co *Coordinator) Sweep() {
 
 // Applier wraps one group's applier chain with the epoch gate. It must be
 // the outermost layer (above the cross-shard interception), so fences and
-// epoch checks see every delivery first.
-func (co *Coordinator) Applier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
+// epoch checks see every delivery first. The gate forwards deferral: a
+// delivery it lets through goes to the chain's ApplyDeferred, so a chain
+// that completes later (the write-ahead log) never parks the gate's
+// caller, and the order in which the gate hands deliveries down is the
+// order the chain applies them in.
+func (co *Coordinator) Applier(group int, chain protocol.TimestampedApplier) protocol.TimestampedApplier {
+	inner := protocol.Deferring(chain)
 	co.mu.Lock()
 	co.inners[group] = inner
 	co.mu.Unlock()
@@ -453,7 +505,7 @@ func (co *Coordinator) Applier(group int, inner protocol.TimestampedApplier) pro
 type gateApplier struct {
 	co    *Coordinator
 	group int
-	inner protocol.TimestampedApplier
+	inner protocol.DeferringApplier
 }
 
 var _ protocol.DeferringApplier = (*gateApplier)(nil)
@@ -467,34 +519,42 @@ func (a *gateApplier) Apply(cmd command.Command) []byte {
 // support deferral: a gated command blocks until released. The CAESAR
 // engine uses ApplyDeferred instead, which never blocks delivery.
 func (a *gateApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
-	ch := make(chan protocol.Result, 1)
-	a.ApplyDeferred(cmd, ts, func(res protocol.Result) { ch <- res })
-	res := <-ch
+	var (
+		wg  sync.WaitGroup
+		res protocol.Result
+	)
+	wg.Add(1)
+	a.ApplyDeferred(cmd, ts, func(r protocol.Result) { res = r; wg.Done() })
+	//caesarlint:allow loopblock -- the blocking form is for engines that deliver from a goroutine of their own and cannot defer; no protocol.Loop handler calls it (caesar.New finds ApplyDeferred)
+	wg.Wait()
 	return res.Value
 }
 
 // ApplyDeferred implements protocol.DeferringApplier: the gate decides
-// whether the delivery applies now, parks until a handoff completes, or is
-// skipped as stale. done fires exactly once, synchronously on the pass and
-// stale paths.
+// whether the delivery goes down the chain now, parks until a handoff
+// completes, or is skipped as stale. done fires exactly once: synchronously
+// on the stale path, when the chain completes the command otherwise.
 func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	a.co.gate(a.group, a.inner, cmd, ts, done)
 }
 
 // gate classifies one delivery and carries out the verdict.
-func (co *Coordinator) gate(group int, inner protocol.TimestampedApplier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (co *Coordinator) gate(group int, inner protocol.DeferringApplier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	if cmd.Op == command.OpFence {
 		co.cfg.Trace.Record(co.cfg.Self, trace.KindFence, cmd.ID, ts)
+		passed := new(fencePass)
 		if m, err := DecodeMarker(cmd.Payload); err == nil {
-			co.onFence(group, m)
+			co.onFence(group, m, passed)
 		}
 		// Pass the fence down the chain after interpreting it: the
 		// durable log (below the cross-shard table) must record its
 		// delivery — a restarted replica's delivered set has to contain
 		// fence IDs, or re-sent decisions listing a fence as predecessor
 		// would park forever — and the store ignores fences.
-		inner.ApplyAt(cmd, ts)
-		done(protocol.Result{})
+		inner.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+			passed.pass()
+			done(res)
+		})
 		return
 	}
 	co.mu.Lock()
@@ -519,7 +579,7 @@ func (co *Coordinator) gate(group int, inner protocol.TimestampedApplier, cmd co
 		return
 	case gatePass:
 		co.mu.Unlock()
-		done(protocol.Result{Value: inner.ApplyAt(cmd, ts)})
+		inner.ApplyDeferred(cmd, ts, done)
 		return
 	default:
 		co.mu.Unlock()
@@ -701,10 +761,16 @@ func (co *Coordinator) handoffDoneLocked(t *transition, src int) bool {
 	return !co.queueHoldsPreEpochLocked(src, t.marker.Epoch)
 }
 
-// queueHoldsPreEpochLocked reports whether the queue holds a command for
-// the group routed under an epoch older than the given one.
+// queueHoldsPreEpochLocked reports whether a command for the group routed
+// under an epoch older than the given one is still queued, or released to
+// a chain that has not completed it yet.
 func (co *Coordinator) queueHoldsPreEpochLocked(group int, epoch uint32) bool {
 	for _, q := range co.queue {
+		if q.group == group && q.cmd.Epoch < epoch {
+			return true
+		}
+	}
+	for q := range co.handed {
 		if q.group == group && q.cmd.Epoch < epoch {
 			return true
 		}
@@ -713,15 +779,16 @@ func (co *Coordinator) queueHoldsPreEpochLocked(group int, epoch uint32) bool {
 }
 
 // onFence processes one resize marker delivered by a group — the point
-// where this replica's epoch state advances.
-func (co *Coordinator) onFence(group int, m Marker) {
+// where this replica's epoch state advances. passed tells when the fence
+// command itself has gone down the group's chain (see fencePass).
+func (co *Coordinator) onFence(group int, m Marker, passed *fencePass) {
 	co.mu.Lock()
 	if m.Epoch > co.epoch && co.pending != nil && m != co.pending.marker {
 		// A fence beyond the transition in progress: replay when it
 		// completes (fences of one group always arrive in epoch order,
 		// but the first sighting of a future epoch can outrun an older
 		// transition still handing off).
-		co.deferred = append(co.deferred, fenceEvent{group: group, marker: m})
+		co.deferred = append(co.deferred, fenceEvent{group: group, marker: m, passed: passed})
 		co.mu.Unlock()
 		return
 	}
@@ -752,14 +819,17 @@ func (co *Coordinator) onFence(group int, m Marker) {
 
 	if h != nil && table != nil {
 		// Source group: wait for the transactions this group ordered
-		// pre-fence to settle.
-		table.AwaitGroupDrain(int32(group), func() {
-			co.mu.Lock()
-			if co.pending == t {
-				h.drained = true
-			}
-			co.mu.Unlock()
-			co.advance()
+		// pre-fence to settle — all of them, so the set is taken once
+		// every pre-fence delivery has reached the table.
+		passed.after(func() {
+			table.AwaitGroupDrain(int32(group), func() {
+				co.mu.Lock()
+				if co.pending == t {
+					h.drained = true
+				}
+				co.mu.Unlock()
+				co.advance()
+			})
 		})
 	}
 	co.advance()
@@ -879,7 +949,7 @@ func (co *Coordinator) advance() {
 			close(w.ch)
 		}
 		for _, ev := range replay {
-			co.onFence(ev.group, ev.marker) // re-enters advance; drains nest safely
+			co.onFence(ev.group, ev.marker, ev.passed) // re-enters advance; drains nest safely
 		}
 		if !progress && len(release) == 0 && len(replay) == 0 {
 			return
@@ -939,17 +1009,25 @@ func (co *Coordinator) drainQueue() bool {
 			q.releasing = true
 			verdict := co.classifyReleasedLocked(q)
 			inner := co.inners[q.group]
+			skip := verdict == gateStale || verdict == gateDropMarker
+			if !skip && inner != nil {
+				co.handed[q] = struct{}{}
+			}
 			co.mu.Unlock()
 			progress, changed = true, true
-			switch verdict {
-			case gateStale, gateDropMarker:
+			switch {
+			case skip:
 				co.finishSkipped(verdict, q.group, q.cmd, q.done)
+			case inner != nil:
+				// Handing the command down fixes its place in the
+				// chain's apply order; the entry can leave the queue
+				// whether or not the chain has completed it yet.
+				inner.ApplyDeferred(q.cmd, q.ts, func(res protocol.Result) {
+					q.done(res)
+					co.landed(q)
+				})
 			default:
-				res := protocol.Result{}
-				if inner != nil {
-					res.Value = inner.ApplyAt(q.cmd, q.ts)
-				}
-				q.done(res)
+				q.done(protocol.Result{})
 			}
 			co.mu.Lock()
 			for j, e := range co.queue {
@@ -978,6 +1056,18 @@ func (co *Coordinator) drainQueue() bool {
 	co.draining = false
 	co.mu.Unlock()
 	return progress
+}
+
+// landed notes that the chain completed a released entry; a handoff that
+// was waiting for just that can now finish.
+func (co *Coordinator) landed(q *queuedCmd) {
+	co.mu.Lock()
+	delete(co.handed, q)
+	waiting := co.pending != nil
+	co.mu.Unlock()
+	if waiting {
+		co.advance()
+	}
 }
 
 // orderedBehindLocked reports whether queue entry i must wait for an

@@ -107,7 +107,7 @@ func TestGateQueuesUntilHandoffCompletes(t *testing.T) {
 
 	// The new epoch reaches group 2 (its birth group) before group 0's
 	// fence: the moved key's command must wait for group 0's handoff.
-	co.onFence(2, Marker{Epoch: 1, Shards: 4, PrevShards: 2}) // install via first sighting
+	co.onFence(2, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true}) // install via first sighting
 	cmd := command.Put(moved, nil)
 	cmd.Epoch = 1
 	cmd.ID = command.ID{Node: 1, Seq: 1}
@@ -133,8 +133,8 @@ func TestGateQueuesUntilHandoffCompletes(t *testing.T) {
 
 	// Group 0's fence completes the handoff (no pending transactions, no
 	// state hooks in this unit) and releases the queue.
-	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
-	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
+	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	deadline := time.Now().Add(5 * time.Second)
 	for co.QueuedCommands() > 0 {
 		if time.Now().After(deadline) {
@@ -171,7 +171,7 @@ func TestGateSkipsStaleAndReroutes(t *testing.T) {
 	}
 	gate0 := co.Applier(0, app)
 	for g := 0; g < 2; g++ {
-		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	}
 
 	// Someone else's stale command: skipped silently.
@@ -223,7 +223,7 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 	}
 	piece.ID = command.ID{Node: 0, Seq: 5}
 	for g := 0; g < 2; g++ {
-		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	}
 	if ok, _ := applyThrough(co, gate0, piece); !ok {
 		t.Fatal("stale piece delivery did not complete")
@@ -238,8 +238,8 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 // routers after several resizes.
 func TestRouterAtRemembersEpochHistory(t *testing.T) {
 	co, _ := newTestCoordinator(2)
-	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
-	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
+	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	if r := co.RouterAt(0); r.Shards() != 2 || r.Epoch() != 0 {
 		t.Fatalf("RouterAt(0) = %d shards at epoch %d", r.Shards(), r.Epoch())
 	}
@@ -255,12 +255,12 @@ func TestRouterAtRemembersEpochHistory(t *testing.T) {
 // concurrent resize that lost group 0's total order) must be ignored.
 func TestCompetingMarkersFirstWins(t *testing.T) {
 	co, _ := newTestCoordinator(2)
-	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
-	co.onFence(0, Marker{Epoch: 1, Shards: 8, PrevShards: 2}) // the loser
+	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
+	co.onFence(0, Marker{Epoch: 1, Shards: 8, PrevShards: 2}, &fencePass{passed: true}) // the loser
 	if co.Shards() != 4 {
 		t.Fatalf("loser marker took effect: %d shards", co.Shards())
 	}
-	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	if co.Resizing() {
 		t.Fatal("transition wedged by the losing marker")
 	}
@@ -278,11 +278,11 @@ func TestStaleVerdictUsesGroupFencePrefix(t *testing.T) {
 
 	// Epoch 1 (2→4) completes everywhere.
 	for g := 0; g < 2; g++ {
-		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2})
+		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	}
 	// Epoch 2 (4→8) installs via group 1's fence; group 0 has NOT fenced
 	// epoch 2 yet, so its prefix is still epoch 1.
-	co.onFence(1, Marker{Epoch: 2, Shards: 8, PrevShards: 4})
+	co.onFence(1, Marker{Epoch: 2, Shards: 8, PrevShards: 4}, &fencePass{passed: true})
 	if co.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2", co.Epoch())
 	}
@@ -364,7 +364,7 @@ func TestConcurrentFencesDuringScheduledRetirement(t *testing.T) {
 		co, _ := newTestCoordinator(4)
 		// A completed 4→2 shrink with retirement still scheduled.
 		for g := 0; g < 4; g++ {
-			co.onFence(g, Marker{Epoch: 1, Shards: 2, PrevShards: 4})
+			co.onFence(g, Marker{Epoch: 1, Shards: 2, PrevShards: 4}, &fencePass{passed: true})
 		}
 		if co.Resizing() {
 			t.Fatal("shrink did not complete")
@@ -382,7 +382,7 @@ func TestConcurrentFencesDuringScheduledRetirement(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				co.onFence(g, m)
+				co.onFence(g, m, &fencePass{passed: true})
 			}(g)
 		}
 		wg.Wait()
@@ -392,5 +392,118 @@ func TestConcurrentFencesDuringScheduledRetirement(t *testing.T) {
 		if co.Epoch() != 2 {
 			t.Fatalf("epoch = %d, want 2", co.Epoch())
 		}
+	}
+}
+
+// heldChain is a chain that defers like the write-ahead log: it takes a
+// delivery, returns, and completes it when the test says so.
+type heldChain struct {
+	recordingApplier
+	mu   sync.Mutex
+	held []func()
+}
+
+func (h *heldChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = append(h.held, func() { done(protocol.Result{Value: h.ApplyAt(cmd, ts)}) })
+}
+
+// completeAll completes everything the chain holds, in the order taken.
+func (h *heldChain) completeAll() {
+	h.mu.Lock()
+	held := h.held
+	h.held = nil
+	h.mu.Unlock()
+	for _, fn := range held {
+		fn()
+	}
+}
+
+// TestHandoffWaitsForADeferringChain: above a chain that completes later a
+// source group's handoff is done only when the chain has completed the
+// group's pre-fence deliveries — the fence itself, which trails them, and
+// any command of an earlier epoch the gate released to the chain — because
+// until then a destination's command on a moved key could be applied first.
+func TestHandoffWaitsForADeferringChain(t *testing.T) {
+	co, _ := newTestCoordinator(2)
+	r0, r1, r2 := shard.NewRouterAt(0, 2), shard.NewRouterAt(1, 4), shard.NewRouterAt(2, 8)
+	var key string // homed 0, then 2, then 6
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("probe-%d", i); r0.Shard(k) == 0 && r1.Shard(k) == 2 && r2.Shard(k) == 6 {
+			key = k
+		}
+	}
+	chains := make(map[int]*heldChain)
+	gates := make(map[int]protocol.DeferringApplier)
+	for g := 0; g < 8; g++ {
+		chains[g] = &heldChain{}
+		gates[g] = co.Applier(g, chains[g]).(protocol.DeferringApplier)
+	}
+	put := func(g int, epoch uint32, seq uint64) *bool {
+		cmd := command.Put(key, nil)
+		cmd.Epoch = epoch
+		cmd.ID = command.ID{Node: 1, Seq: seq}
+		done := new(bool)
+		gates[g].ApplyDeferred(cmd, timestamp.Zero, func(protocol.Result) { *done = true })
+		return done
+	}
+	fence := func(g int, m Marker) {
+		cmd, err := FenceCommand(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates[g].ApplyDeferred(cmd, timestamp.Zero, func(protocol.Result) {})
+	}
+	taken := func(g int) int {
+		chains[g].mu.Lock()
+		defer chains[g].mu.Unlock()
+		return len(chains[g].held)
+	}
+
+	// Epoch 1: the key moves 0 -> 2. Its new-epoch command reaches group 2
+	// and parks; both old groups fence, but group 0's chain still holds
+	// its fence — and with it whatever the group delivered before.
+	m1 := Marker{Epoch: 1, Shards: 4, PrevShards: 2}
+	fence(1, m1)
+	chains[1].completeAll()
+	first := put(2, 1, 1)
+	fence(0, m1)
+	if co.QueuedCommands() != 1 || taken(2) != 0 {
+		t.Fatalf("group 0's chain holds its fence, yet the moved key's command left the queue (queued %d, taken by group 2's chain %d)",
+			co.QueuedCommands(), taken(2))
+	}
+	chains[0].completeAll()
+	if co.QueuedCommands() != 0 || taken(2) != 1 {
+		t.Fatalf("group 0's fence completed; queued %d, taken by group 2's chain %d, want 0 and 1", co.QueuedCommands(), taken(2))
+	}
+	if co.Resizing() {
+		t.Fatal("epoch 1 still in transition")
+	}
+
+	// Epoch 2: the key moves 2 -> 6 while group 2's chain still holds the
+	// released epoch-1 command. Every fence completes at once; the
+	// epoch-2 command in group 6 must wait for that one command.
+	m2 := Marker{Epoch: 2, Shards: 8, PrevShards: 4}
+	held := chains[2].held
+	chains[2].held = nil
+	for g := 0; g < 4; g++ {
+		fence(g, m2)
+		chains[g].completeAll()
+	}
+	second := put(6, 2, 2)
+	if taken(6) != 0 {
+		t.Fatal("group 6 was handed the key's epoch-2 command while group 2's chain still held its epoch-1 command")
+	}
+	held[0]()
+	if !*first {
+		t.Fatal("the released command's completion did not reach its caller")
+	}
+	if taken(6) != 1 {
+		t.Fatalf("group 2's chain completed the epoch-1 command; group 6's chain has taken %d, want 1", taken(6))
+	}
+	chains[6].completeAll()
+	if !*second || co.Resizing() {
+		t.Fatalf("epoch-2 command done %v, still resizing %v", *second, co.Resizing())
 	}
 }

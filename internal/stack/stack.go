@@ -16,6 +16,12 @@
 // transaction's effects are logged separately when the table executes
 // it. Below the table only plain state-machine commands remain, applied
 // exactly as replay re-applies them.
+//
+// On a durable node the log is also where a delivery leaves its group's
+// event loop: the gate forwards ApplyDeferred to the log, the log appends
+// and returns, and everything below it — table, applier, the client and
+// GC acknowledgements — runs on the group's completion lane in the log,
+// after the sync that covers the record, in the group's append order.
 package stack
 
 import (
@@ -483,6 +489,20 @@ func (s *Stack) finish(ep transport.Endpoint, cfg Config, co *rebalance.Coordina
 		wd.AddSection("commit table", func() string { return strings.Join(t.PendingDetail(), "\n") })
 		wd.AddSection("drain waiters", func() string { return strings.Join(t.DebugDrainWaiters(), "\n") })
 	}
+	if l := s.Log; l != nil {
+		// The event loops do not wait for the disk, so a stalled one shows
+		// here — a queue that grows and ages — and nowhere else.
+		wd.AddProbe(flight.Probe{Name: "wal-pending", Sample: func(time.Time) (flight.Sample, bool) {
+			st := l.Stats()
+			if st.Pending == 0 {
+				return flight.Sample{}, false
+			}
+			return flight.Sample{
+				Detail: fmt.Sprintf("%d write-ahead log record(s) appended, oldest not yet synced and applied", st.Pending),
+				Age:    st.OldestPending,
+			}, true
+		}})
+	}
 	if rd := s.Reads; rd != nil {
 		wd.AddProbe(flight.Probe{Name: "read-fence", Sample: func(now time.Time) (flight.Sample, bool) {
 			keys, since, ok := rd.OldestPending()
@@ -644,6 +664,12 @@ func (s *Stack) registerGauges(ob *obs.Registry, co *rebalance.Coordinator) {
 		ob.Gauge("caesar_wal_bytes_since_snapshot",
 			"Log bytes accumulated since the last snapshot cut.", nil,
 			func() float64 { return float64(l.Stats().SinceSnapshot) })
+		ob.Gauge("caesar_wal_pending_records",
+			"Records appended to the write-ahead log and not yet synced, applied and acknowledged.", nil,
+			func() float64 { return float64(l.Stats().Pending) })
+		ob.Gauge("caesar_wal_oldest_pending_seconds",
+			"Age of the oldest record still waiting for its sync and completion (a stalled disk grows this while the event loops keep deciding).", nil,
+			func() float64 { return l.Stats().OldestPending.Seconds() })
 	}
 	ob.Gauge("caesar_store_keys",
 		"Keys currently resident in the node's store.", nil,
@@ -735,9 +761,12 @@ func (s *Stack) Snapshot() error {
 	return s.Log.Snapshot(s.export)
 }
 
-// Stop shuts the node down: snapshot loop, engines (quiescing all
-// deliveries), then the log — every acknowledged command is already
-// durable, so the close is just a tail flush.
+// Stop shuts the node down: snapshot loop, engines (no loop delivers —
+// appends — anything more), then the log, whose Close syncs, applies and
+// acknowledges every record the loops had appended before it returns. The
+// store a stopped node leaves is therefore exactly what its data dir
+// replays to; completions that run after their engine stopped find its
+// loop closed and drop their GC ack, which a restart re-sends.
 func (s *Stack) Stop() {
 	s.Flight.Eventf(flight.KindNode, "node stopping")
 	s.Watchdog.Stop()

@@ -4,7 +4,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
-	"github.com/caesar-consensus/caesar/internal/trace"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
@@ -15,10 +14,13 @@ import (
 // what this node applies, in local apply order — which is what replay
 // must reproduce.
 //
-// On a closed log (node shutting down) the apply is skipped and nil
-// returned: the command is treated like one delivered an instant after
-// the crash — not yet durable, so never acknowledged — and the restart
-// path re-delivers it.
+// The returned chain is a protocol.DeferringApplier, and that is the
+// entry CAESAR's event loop uses: ApplyDeferred appends the record and
+// returns, and the group's completion lane applies and completes the
+// command after the sync that covers it. A refused append (closed log during
+// shutdown, the sticky failure of a dying disk) completes the command
+// with the error instead: it is in no log, so it is neither applied nor
+// acknowledged, and the restart path re-delivers it.
 func (l *Log) GroupApplier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 	return &groupApplier{l: l, group: int32(group), inner: inner}
 }
@@ -29,36 +31,41 @@ type groupApplier struct {
 	inner protocol.TimestampedApplier
 }
 
+var _ protocol.DeferringApplier = (*groupApplier)(nil)
+
 func (a *groupApplier) Apply(cmd command.Command) []byte {
 	return a.ApplyAt(cmd, timestamp.Zero)
 }
 
+// ApplyAt is the enqueue-and-wait form for engines that cannot defer (the
+// baselines deliver from their own goroutine and expect the value back);
+// see Log.await for who may call it. An error cannot travel through this
+// signature: the value is nil and the command was not applied.
 func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
-	v, err := a.l.LogCommand(a.group, cmd, ts, func() []byte {
-		// The record is durable here (the group-commit batch covering it
-		// has synced); the apply is about to run.
-		a.l.opts.Trace.Record(a.l.opts.Self, trace.KindFsync, cmd.ID, ts)
-		return a.inner.ApplyAt(cmd, ts)
+	var v []byte
+	_ = a.l.await(func(fn func(error)) error {
+		return a.l.appendCommand(a.group, pendingRec{cmd: cmd, ts: ts, inner: a.inner,
+			done: func(res protocol.Result) {
+				v = res.Value
+				fn(res.Err)
+			}})
 	})
-	if err != nil {
-		// ErrClosed during shutdown: drop, see type comment. Any other
-		// error means the durability contract is broken; the value
-		// returned is nil either way and the command is never acked as
-		// durable. Surfacing richer errors through the Applier interface
-		// would change every engine for a path that only a dying disk
-		// takes.
-		return nil
-	}
 	return v
 }
 
+// ApplyDeferred implements protocol.DeferringApplier: it never blocks.
+func (a *groupApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+	e := pendingRec{cmd: cmd, ts: ts, inner: a.inner, done: done}
+	if err := a.l.appendCommand(a.group, e); err != nil {
+		done(protocol.Result{Err: err})
+	}
+}
+
 // TxApplier returns the commit-table hook that logs an executed
-// cross-shard transaction and then applies its ops atomically through
-// exec. Wire it as xshard.TableConfig.ApplyTx.
-func (l *Log) TxApplier(exec protocol.TimestampedAtomicApplier) func(xshard.XID, timestamp.Timestamp, []command.Command) {
-	return func(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command) {
-		_ = l.LogTx(xid, merged, ops, func() {
-			exec.ApplyAllAt(ops, merged)
-		})
+// cross-shard transaction and applies its ops atomically through exec
+// once the record is durable. Wire it as xshard.TableConfig.ApplyTx.
+func (l *Log) TxApplier(exec protocol.TimestampedAtomicApplier) func(xshard.XID, timestamp.Timestamp, []int32, []command.Command, func(error)) {
+	return func(xid xshard.XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, done func(error)) {
+		l.LogTx(xid, merged, groups, ops, func() { exec.ApplyAllAt(ops, merged) }, done)
 	}
 }

@@ -29,8 +29,9 @@ const minCommandLen = 8
 // it is truncated silently.)
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-func encodeCommandRec(group int32, cmd command.Command, ts timestamp.Timestamp) []byte {
-	b := make([]byte, 0, 32+len(cmd.Key)+len(cmd.Value)+len(cmd.Payload))
+// appendCommandRec appends a command record's payload to b — the log
+// encodes straight into its batch buffer.
+func appendCommandRec(b []byte, group int32, cmd command.Command, ts timestamp.Timestamp) []byte {
 	b = append(b, recCommand)
 	b = codec.AppendUvarint(b, uint64(uint32(group)))
 	b = codec.AppendTimestamp(b, ts)

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/flight"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
+	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
@@ -25,6 +27,9 @@ const (
 	// maxRecord bounds a frame so a corrupt length field cannot make the
 	// reader allocate gigabytes.
 	maxRecord = 64 << 20
+	// maxSpare bounds the batch buffer the log keeps between passes: one
+	// oversized record must not pin its megabytes for the node's life.
+	maxSpare = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -35,11 +40,41 @@ var ErrClosed = errors.New("wal: log closed")
 func segName(index uint64) string  { return fmt.Sprintf("wal-%016d.seg", index) }
 func snapName(index uint64) string { return fmt.Sprintf("snap-%016d.snap", index) }
 
+// pendingRec is one entry of the completion queue: a record appended to
+// the batch buffer, waiting for the sync that covers it. Where it
+// completes once durable: on lane, or — meet — on several lanes at once,
+// or, with neither, on the syncer itself, which is for signals only (a
+// reservation's waiter): the syncer never applies and never blocks.
+type pendingRec struct {
+	lane *lane
+	meet *meet
+	// A delivered command on its chain: once durable, inner applies cmd
+	// at ts and done reports the result.
+	cmd   command.Command
+	ts    timestamp.Timestamp
+	inner protocol.TimestampedApplier
+	done  func(protocol.Result)
+	// Every other entry (inner is nil) — LogCommand's command, an
+	// executed transaction, an epoch, a reservation, a snapshot cut —
+	// completes through fn instead.
+	fn func(err error)
+	// err, set when the entry is handed to its lane, is the failure that
+	// kept its record from becoming durable.
+	err error
+}
+
 // Log is one node's write-ahead log handle. All methods are safe for
-// concurrent use; the Log* appenders block until their record is durable
-// (group commit) and then run their apply while the snapshot lock is
-// held shared, so a snapshot always observes a store state that exactly
-// matches a log position.
+// concurrent use. An append encodes its frame into the batch buffer,
+// joins the completion queue and returns; the syncer goroutine writes and
+// fsyncs the buffer and hands the covered entries, in append order, to
+// their groups' completion lanes, which trace KindFsync, apply and
+// acknowledge. Who may wait for what: an event loop may wait for a sync
+// (a reservation), never for a completion; a completion may wait for
+// another lane to reach a meet, never for a sync; the syncer waits for
+// the disk alone. Completion order within a lane is append order, which
+// is replay order; an entry that concerns several groups (a transaction,
+// a snapshot cut) holds its log position in each of their lanes, so a
+// snapshot observes a store that matches its log cut exactly.
 type Log struct {
 	dir  string
 	opts Options
@@ -48,46 +83,56 @@ type Log struct {
 	// cut through it. Set once by OpenInto, before any concurrency.
 	store *kvstore.Store
 
-	// snapMu: record cycles (append → sync → apply) hold it shared;
-	// Snapshot holds it exclusively, so the exported store state sits at
-	// an exact log cut. Transaction cycles (LogTx) use the snapshotting
-	// flag + txActive instead: a LogTx can run nested inside a command
-	// cycle (the commit table executes a completed transaction while its
-	// last piece is being applied), and a nested RLock would deadlock
-	// against a waiting Snapshot writer.
-	//caesarlint:lockorder wal-snap-gate
-	snapMu sync.RWMutex
-	// txActive counts in-flight LogTx cycles; snapshotting (guarded by
-	// mu, waited on via snapCond) gates new top-level ones out while a
-	// snapshot runs. Nested LogTx never observes snapshotting=true: the
-	// snapshot only raises it after acquiring snapMu, which excludes
-	// every command cycle a nested LogTx could ride in.
-	txActive     sync.WaitGroup
-	snapshotting bool
-	snapCond     *sync.Cond
-
-	// snapSerial serializes whole Snapshot invocations (the pause is
-	// brief; the file write runs outside it). It is the log's outermost
-	// lock; Snapshot acquires the snapshot gate and the file lock under
-	// it, in that order (the chain lives on the first-acquired lock).
-	//caesarlint:lockorder wal-snap-serial < wal-snap-gate < wal-file
+	// snapSerial serializes whole Snapshot invocations (the file write
+	// runs under it, outside the other two). It is the log's outermost
+	// lock; the chain lives on the first-acquired lock.
+	//caesarlint:lockorder wal-snap-serial < wal-io < wal-file
 	snapSerial sync.Mutex
 
+	// ioMu owns the active segment's descriptor: the syncer holds it
+	// from the moment a pass takes its batch until the batch is written
+	// and synced, Snapshot while it rolls to the cut's segment — so a
+	// batch never lands in a segment other than the one that was active
+	// when its records were appended.
+	//caesarlint:lockorder wal-io
+	ioMu sync.Mutex
+
 	//caesarlint:lockorder wal-file
-	mu        sync.Mutex // file/buffer/aggregate state
+	mu        sync.Mutex // buffer, queue, lanes, file position and aggregates
 	f         *os.File
-	w         *bufio.Writer
 	segIndex  uint64
 	segBytes  int64
 	sinceSnap int64
 	agg       *aggregates
-	waiters   []chan error
-	werr      error // sticky write/sync failure
-	closed    bool
+	// buf holds the frames appended since the last pass took its batch;
+	// pending their entries, frames counts the entries that own a frame
+	// (a snapshot cut does not). The syncer swaps all three out and hands
+	// the backing arrays back after the pass, so steady-state appends
+	// allocate nothing.
+	buf          []byte
+	pending      []pendingRec
+	frames       int
+	spareBuf     []byte
+	sparePending []pendingRec
+	// pendingSince is when pending's oldest entry joined; inFlight and
+	// inFlightSince describe the batch the syncer is writing.
+	pendingSince  time.Time
+	inFlight      int
+	inFlightSince time.Time
+	// lanes holds the completion lane of every group seen so far, by
+	// group; cut is the snapshot cut a Snapshot call is waiting at.
+	lanes  []*lane
+	cut    *meet
+	werr   error // sticky write/sync failure
+	closed bool
 
 	kick       chan struct{}
 	stop       chan struct{}
 	syncerDone chan struct{}
+	lanesDone  sync.WaitGroup
+	// syncHook, when set (tests, before the first append), replaces the
+	// batch fsync.
+	syncHook func(*os.File) error
 }
 
 // Dir returns the log's data directory.
@@ -101,10 +146,10 @@ func (l *Log) startSyncer() {
 	go l.syncer()
 }
 
-// syncer is the group-commit loop: each pass flushes and fsyncs whatever
-// accumulated since the previous pass — the longer a sync takes, the
-// bigger the next batch, which is the self-tuning at the heart of group
-// commit.
+// syncer is the group-commit loop: each pass writes and fsyncs whatever
+// was appended since the previous pass took its batch — the longer a
+// sync takes, the bigger the next batch, which is the self-tuning at the
+// heart of group commit — and hands the batch to the lanes.
 func (l *Log) syncer() {
 	defer close(l.syncerDone)
 	for {
@@ -118,63 +163,125 @@ func (l *Log) syncer() {
 	}
 }
 
-// syncBatch makes one flush+fsync pass and completes its waiters.
+// syncBatch makes one write+fsync pass and dispatches its entries.
 func (l *Log) syncBatch() {
+	l.ioMu.Lock()
 	l.mu.Lock()
-	waiters := l.waiters
-	l.waiters = nil
-	if len(waiters) == 0 {
+	batch, buf, frames := l.pending, l.buf, l.frames
+	if len(batch) == 0 {
 		l.mu.Unlock()
+		l.ioMu.Unlock()
 		return
 	}
-	err := l.werr
-	if err == nil {
-		err = l.w.Flush()
-	}
-	f := l.f
-	needRoll := err == nil && l.segBytes >= l.opts.SegmentSize
-	if err != nil {
-		l.werr = err
-	}
+	l.pending, l.sparePending = l.sparePending, nil
+	l.buf, l.spareBuf = l.spareBuf, nil
+	l.frames = 0
+	l.inFlight, l.inFlightSince = len(batch), l.pendingSince
+	err, f, since := l.werr, l.f, l.pendingSince
 	l.mu.Unlock()
 
-	if err == nil && !l.opts.NoSync {
-		start := l.opts.Now()
-		err = f.Sync()
-		if m := l.opts.Metrics; m != nil {
-			m.Fsyncs.Inc()
-			m.FsyncedRecords.Add(int64(len(waiters)))
-			m.FsyncLatency.Add(l.opts.Now().Sub(start))
+	// A batch of nothing but a snapshot cut has no record to sync; a batch
+	// whose bytes a segment roll already flushed still syncs (the roll is
+	// rare, the extra fsync harmless).
+	if err == nil && frames > 0 {
+		if len(buf) > 0 {
+			_, err = f.Write(buf)
 		}
-	} else if m := l.opts.Metrics; m != nil && err == nil {
-		m.Fsyncs.Inc()
-		m.FsyncedRecords.Add(int64(len(waiters)))
+		if err == nil {
+			err = l.syncFile(f, frames)
+		}
 	}
-	if err != nil {
-		l.mu.Lock()
-		l.werr = err
-		l.mu.Unlock()
-	}
-	for _, ch := range waiters {
-		ch <- err
-	}
-	if needRoll {
-		l.mu.Lock()
-		if !l.closed && l.werr == nil && l.segBytes >= l.opts.SegmentSize {
-			if err := l.openSegmentLocked(l.segIndex + 1); err != nil {
-				l.werr = err
+	// Hand over first: the roll below is not on any record's way to its
+	// acknowledgement.
+	for i := range batch {
+		e := &batch[i]
+		e.err = err
+		switch {
+		case e.meet != nil:
+			for _, ln := range e.meet.lanes {
+				ln.push(e, since)
 			}
+		case e.lane != nil:
+			e.lane.push(e, since)
+		default:
+			e.fn(err)
 		}
-		l.mu.Unlock()
 	}
+
+	clear(batch) // the lanes hold copies; drop what the entries pinned
+	l.mu.Lock()
+	if err != nil {
+		l.failLocked(err)
+	} else if !l.closed && l.segBytes >= l.opts.SegmentSize {
+		if rerr := l.openSegmentLocked(l.segIndex + 1); rerr != nil {
+			l.failLocked(rerr)
+		}
+	}
+	l.sparePending = batch[:0]
+	if cap(buf) <= maxSpare {
+		l.spareBuf = buf[:0]
+	}
+	l.inFlight = 0
+	l.mu.Unlock()
+	l.ioMu.Unlock()
 }
 
-// openSegmentLocked closes the active segment (if any) and creates the
-// next one. Callers hold l.mu.
+// syncFile fsyncs f for a batch of the given record count and feeds the
+// fsync metrics.
+func (l *Log) syncFile(f *os.File, records int) error {
+	m := l.opts.Metrics
+	if !l.opts.NoSync {
+		fsync := l.syncHook
+		if fsync == nil {
+			fsync = (*os.File).Sync
+		}
+		start := l.opts.Now()
+		if err := fsync(f); err != nil {
+			return err
+		}
+		if m != nil {
+			m.FsyncLatency.Add(l.opts.Now().Sub(start))
+		}
+	}
+	if m != nil {
+		m.Fsyncs.Inc()
+		m.FsyncedRecords.Add(int64(records))
+	}
+	return nil
+}
+
+// failLocked records the log's first write or sync failure: it is sticky,
+// every later append is refused with it, and it is journaled once so an
+// operator reading the flight recorder sees why the node stopped
+// acknowledging. Callers hold l.mu.
+func (l *Log) failLocked(err error) {
+	if l.werr != nil {
+		return
+	}
+	l.werr = err
+	l.opts.Flight.Eventf(flight.KindNode, "write-ahead log failed, every later append is refused: %v", err)
+}
+
+// refusedLocked reports why the log takes no more appends, or nil.
+// Callers hold l.mu.
+func (l *Log) refusedLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.werr
+}
+
+// openSegmentLocked makes the next segment the active one: what the
+// batch buffer still holds belongs to the old segment and is written and
+// synced there first (its entries stay queued and complete on the next
+// pass). Callers hold l.ioMu and l.mu.
 func (l *Log) openSegmentLocked(index uint64) error {
 	if l.f != nil {
-		if err := l.w.Flush(); err != nil {
-			return err
+		if len(l.buf) > 0 {
+			if _, err := l.f.Write(l.buf); err != nil {
+				return err
+			}
+			l.buf = l.buf[:0]
 		}
 		if !l.opts.NoSync {
 			if err := l.f.Sync(); err != nil {
@@ -184,7 +291,7 @@ func (l *Log) openSegmentLocked(index uint64) error {
 		if err := l.f.Close(); err != nil {
 			return err
 		}
-		l.f, l.w = nil, nil
+		l.f = nil
 	}
 	path := filepath.Join(l.dir, segName(index))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -209,7 +316,6 @@ func (l *Log) openSegmentLocked(index uint64) error {
 		}
 	}
 	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.segIndex = index
 	l.segBytes = segHeaderLen
 	return nil
@@ -226,122 +332,192 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// append writes one framed record and blocks until the group commit that
-// covers it completes. It must be called with l.snapMu held shared.
-func (l *Log) append(payload []byte, note func(*aggregates)) error {
+// frameHdrSpace reserves a frame header in the batch buffer.
+var frameHdrSpace [frameHdrLen]byte
+
+// beginFrameLocked starts a frame at the end of the batch buffer unless
+// the log takes no more appends: the caller encodes its payload onto
+// l.buf and seals the frame. Callers hold l.mu.
+func (l *Log) beginFrameLocked() (start int, err error) {
+	if err := l.refusedLocked(); err != nil {
+		return 0, err
+	}
+	start = len(l.buf)
+	l.buf = append(l.buf, frameHdrSpace[:]...)
+	return start, nil
+}
+
+// sealFrameLocked turns the payload encoded since beginFrameLocked
+// returned start into a frame — length and checksum go into the reserved
+// header — queues e behind it and wakes the syncer. An oversized payload
+// is dropped from the buffer and refused. Callers hold l.mu.
+func (l *Log) sealFrameLocked(start int, e pendingRec) error {
+	payload := l.buf[start+frameHdrLen:]
 	if len(payload) > maxRecord {
+		l.buf = l.buf[:start]
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d byte bound", len(payload), maxRecord)
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.werr != nil {
-		err := l.werr
-		l.mu.Unlock()
-		return err
-	}
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		l.werr = err
-		l.mu.Unlock()
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		l.werr = err
-		l.mu.Unlock()
-		return err
-	}
+	binary.LittleEndian.PutUint32(l.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, crcTable))
 	n := int64(frameHdrLen + len(payload))
 	l.segBytes += n
 	l.sinceSnap += n
-	if note != nil {
-		note(l.agg)
-	}
-	ch := make(chan error, 1)
-	l.waiters = append(l.waiters, ch)
-	l.mu.Unlock()
-
-	select {
-	case l.kick <- struct{}{}:
-	default: // a kick is already pending; the syncer will see our record
-	}
-	return <-ch
-}
-
-// LogCommand makes one group's applied command durable, then runs apply
-// and returns its value. The record precedes the application (and the
-// client acknowledgement that follows it) — the "write-ahead" in the
-// name. A failed append (log closed mid-shutdown, disk error) skips
-// apply and returns the error: the command is treated exactly like one
-// delivered an instant after a crash, and its client is never falsely
-// acknowledged.
-func (l *Log) LogCommand(group int32, cmd command.Command, ts timestamp.Timestamp, apply func() []byte) ([]byte, error) {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	err := l.append(encodeCommandRec(group, cmd, ts), func(a *aggregates) {
-		a.noteCommand(group, cmd, ts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return apply(), nil
-}
-
-// LogTx makes an executed cross-shard transaction durable, then runs
-// apply (the atomic application of its ops). It may be called nested
-// inside a LogCommand cycle — the commit table executes a transaction
-// the moment its last piece registers — so it synchronizes with
-// Snapshot through the snapshotting gate + txActive count rather than
-// snapMu (see the Log fields).
-func (l *Log) LogTx(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command, apply func()) error {
-	l.mu.Lock()
-	for l.snapshotting {
-		l.snapCond.Wait()
-	}
-	l.txActive.Add(1)
-	l.mu.Unlock()
-	defer l.txActive.Done()
-	err := l.append(encodeTxRec(xid, merged, ops), func(a *aggregates) {
-		a.noteTx(xid, merged)
-	})
-	if err != nil {
-		return err
-	}
-	apply()
+	l.frames++
+	l.enqueueLocked(e)
 	return nil
 }
 
-// LogEpoch makes an installed routing epoch durable.
-func (l *Log) LogEpoch(ec EpochChange) error {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	return l.append(encodeEpochRec(ec), func(a *aggregates) {
-		a.noteEpoch(ec)
+// enqueueLocked appends e to the completion queue and wakes the syncer (a
+// wake-up already pending covers e too). Callers hold l.mu.
+func (l *Log) enqueueLocked(e pendingRec) {
+	if len(l.pending) == 0 {
+		l.pendingSince = l.opts.Now()
+	}
+	l.pending = append(l.pending, e)
+	select {
+	case l.kick <- struct{}{}:
+	default:
+	}
+}
+
+// appendCommand appends the record of e.cmd, delivered by group at e.ts,
+// and queues e as its completion on the group's lane, returning without
+// waiting for the sync. A refused append (closed log, sticky failure,
+// oversized record) returns the reason and queues nothing.
+func (l *Log) appendCommand(group int32, e pendingRec) error {
+	// Decoded here, not in noteCommand: the gob decode of a cross-shard
+	// payload must not run under the lock every group's append takes.
+	piece, abort := decodeXPayload(e.cmd)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start, err := l.beginFrameLocked()
+	if err != nil {
+		return err
+	}
+	l.buf = appendCommandRec(l.buf, group, e.cmd, e.ts)
+	e.lane = l.laneLocked(group)
+	if err := l.sealFrameLocked(start, e); err != nil {
+		return err
+	}
+	l.agg.noteCommand(group, e.cmd, e.ts, piece, abort)
+	return nil
+}
+
+// appendRecord appends a record that applies nothing — an epoch, a
+// reservation: payload is its encoded form, note folds it into the
+// aggregates, fn completes it on the syncer, which it must not block.
+func (l *Log) appendRecord(payload []byte, note func(*aggregates), fn func(error)) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	start, err := l.beginFrameLocked()
+	if err != nil {
+		return err
+	}
+	l.buf = append(l.buf, payload...)
+	if err := l.sealFrameLocked(start, pendingRec{fn: fn}); err != nil {
+		return err
+	}
+	note(l.agg)
+	return nil
+}
+
+// await runs one append and parks the caller until its entry completed —
+// the enqueue-and-wait form. An entry that completes on a lane (LogCommand,
+// groupApplier.ApplyAt, Snapshot) may be awaited by neither an event loop
+// nor a completion: either would stall every record behind it, the second
+// forever. A reservation completes on the syncer, as soon as its record is
+// synced, so an event loop may await it.
+func (l *Log) await(enqueue func(fn func(error)) error) error {
+	var (
+		wg  sync.WaitGroup
+		res error
+	)
+	wg.Add(1)
+	if err := enqueue(func(err error) { res = err; wg.Done() }); err != nil {
+		return err
+	}
+	//caesarlint:allow loopblock -- the wait for a sync is the caller's contract (see await): CAESAR's loop delivers through ApplyDeferred, which never reaches this, and reserves once per block of submissions
+	wg.Wait()
+	return res
+}
+
+// LogCommand makes one group's applied command durable, then runs apply
+// — on the group's lane, at the command's position in its apply order —
+// and returns its value: enqueue-and-wait over the same queue
+// ApplyDeferred feeds (see await for who may call it). The record
+// precedes the application (and the acknowledgement that follows it) —
+// the "write-ahead" in the name. A failed append skips apply and returns
+// the error.
+func (l *Log) LogCommand(group int32, cmd command.Command, ts timestamp.Timestamp, apply func() []byte) ([]byte, error) {
+	var v []byte
+	err := l.await(func(fn func(error)) error {
+		return l.appendCommand(group, pendingRec{cmd: cmd, ts: ts, fn: func(err error) {
+			if err == nil {
+				v = apply()
+			}
+			fn(err)
+		}})
 	})
+	return v, err
+}
+
+// LogTx appends an executed cross-shard transaction and returns; once the
+// record is durable, and every lane of groups — the transaction's
+// participants — has completed what precedes it, apply runs (the atomic
+// application of its ops) and then done(nil), while those lanes wait. A
+// record that is refused or never becomes durable gets done(err) alone.
+// The commit table calls LogTx from inside a piece's completion — which is
+// why it must not wait.
+func (l *Log) LogTx(xid xshard.XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, apply func(), done func(error)) {
+	payload := encodeTxRec(xid, merged, ops)
+	l.mu.Lock()
+	start, err := l.beginFrameLocked()
+	if err == nil {
+		l.buf = append(l.buf, payload...)
+		err = l.sealFrameLocked(start, pendingRec{meet: newMeet(l.lanesLocked(groups)), fn: func(err error) {
+			if err == nil {
+				apply()
+			}
+			done(err)
+		}})
+	}
+	if err == nil {
+		l.agg.noteTx(xid, merged)
+	}
+	l.mu.Unlock()
+	if err != nil {
+		done(err)
+	}
+}
+
+// LogEpoch appends an installed routing epoch without waiting for its
+// sync: every record of a delivery that observed the epoch is appended
+// after it, so none of them completes before the epoch is durable.
+func (l *Log) LogEpoch(ec EpochChange) error {
+	return l.appendRecord(encodeEpochRec(ec), func(a *aggregates) {
+		a.noteEpoch(ec)
+	}, func(error) {})
 }
 
 // ReserveSeq makes a proposer's sequence reservation durable: after a
 // restart the group's proposer starts above the highest reservation, so
-// command IDs are never reused across the crash.
+// command IDs are never reused across the crash. It returns when the
+// record is synced, whatever the lanes are doing.
 func (l *Log) ReserveSeq(group int32, upto uint64) error {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	return l.append(encodeSeqRec(group, upto), func(a *aggregates) {
-		a.noteSeq(group, upto)
+	return l.await(func(fn func(error)) error {
+		return l.appendRecord(encodeSeqRec(group, upto), func(a *aggregates) {
+			a.noteSeq(group, upto)
+		}, fn)
 	})
 }
 
 // LogClock makes a group's logical-clock issue reservation durable; see
 // timestamp.Clock.SetReserve.
 func (l *Log) LogClock(group int32, upto uint64) error {
-	l.snapMu.RLock()
-	defer l.snapMu.RUnlock()
-	return l.append(encodeClockRec(group, upto), func(a *aggregates) {
-		a.noteClock(group, upto)
+	return l.await(func(fn func(error)) error {
+		return l.appendRecord(encodeClockRec(group, upto), func(a *aggregates) {
+			a.noteClock(group, upto)
+		}, fn)
 	})
 }
 
@@ -364,27 +540,52 @@ func (l *Log) SizeSinceSnapshot() int64 {
 	return l.sinceSnap
 }
 
-// Stats is a point-in-time view of the log's file state, for the
-// observability gauges.
+// Stats is a point-in-time view of the log's file and queue state, for
+// the observability gauges.
 type Stats struct {
 	// SegmentIndex is the active segment's index; SegmentBytes its size.
 	SegmentIndex uint64
 	SegmentBytes int64
 	// SinceSnapshot is the log growth since the last snapshot cut.
 	SinceSnapshot int64
+	// Pending counts the entries appended but not yet completed (one that
+	// meets on several lanes counts on each), and OldestPending is how
+	// long the oldest of them has waited, to the resolution of the sync
+	// that carried it: a stalled disk — or a stalled state machine —
+	// shows as both growing while the event loops keep deciding.
+	Pending       int
+	OldestPending time.Duration
 }
 
-// Stats snapshots the log's file-state gauges.
+// Stats snapshots the log's gauges.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{SegmentIndex: l.segIndex, SegmentBytes: l.segBytes, SinceSnapshot: l.sinceSnap}
+	now := l.opts.Now()
+	st := Stats{
+		SegmentIndex:  l.segIndex,
+		SegmentBytes:  l.segBytes,
+		SinceSnapshot: l.sinceSnap,
+		Pending:       l.inFlight + len(l.pending),
+	}
+	switch {
+	case l.inFlight > 0:
+		st.OldestPending = now.Sub(l.inFlightSince)
+	case len(l.pending) > 0:
+		st.OldestPending = now.Sub(l.pendingSince)
+	}
+	for _, ln := range l.lanes {
+		n, oldest := ln.backlog(now)
+		st.Pending += n
+		st.OldestPending = max(st.OldestPending, oldest)
+	}
+	return st
 }
 
-// Close flushes and syncs the tail, stops the group-commit goroutine and
-// closes the active segment. In-flight appenders complete first (their
-// waiters are answered by the syncer's final pass); appends after Close
-// fail with ErrClosed.
+// Close refuses further appends, lets the syncer's final pass write, sync
+// and dispatch everything appended before, and the lanes complete it —
+// every queued command is applied and acknowledged, once, before Close
+// returns — and closes the active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -396,22 +597,22 @@ func (l *Log) Close() error {
 
 	close(l.stop)
 	<-l.syncerDone
+	l.mu.Lock()
+	lanes := l.lanes // a closed log starts no lane
+	l.mu.Unlock()
+	for _, ln := range lanes {
+		close(ln.wake)
+	}
+	l.lanesDone.Wait()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
+	err := l.werr
 	if l.f != nil {
-		err = l.w.Flush()
-		if err == nil && !l.opts.NoSync {
-			err = l.f.Sync()
-		}
 		if cerr := l.f.Close(); err == nil {
 			err = cerr
 		}
-		l.f, l.w = nil, nil
-	}
-	if err == nil {
-		err = l.werr
+		l.f = nil
 	}
 	return err
 }

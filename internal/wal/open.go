@@ -1,14 +1,12 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"github.com/caesar-consensus/caesar/internal/batch"
 	"github.com/caesar-consensus/caesar/internal/idset"
@@ -30,7 +28,6 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 		return nil, nil, err
 	}
 	l := &Log{dir: dir, opts: opts, agg: newAggregates(), store: store}
-	l.snapCond = sync.NewCond(&l.mu)
 
 	segs, snaps, err := scanDir(dir)
 	if err != nil {
@@ -119,15 +116,14 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 	}
 
 	// Position for appending: continue the last segment, or create the
-	// first one of a fresh (or fully truncated) log.
-	l.mu.Lock()
+	// first one of a fresh (or fully truncated) log. No goroutine shares l
+	// yet, so the locks the roll otherwise needs are not taken.
 	if len(replay) > 0 {
 		last := replay[len(replay)-1]
 		err = l.continueSegment(last)
 	} else {
 		err = l.openSegmentLocked(cut)
 	}
-	l.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,7 +216,8 @@ func (l *Log) replaySegment(idx uint64, final bool, app batch.Applier) (int, err
 func (l *Log) applyRecord(rec decoded, app batch.Applier) {
 	switch rec.typ {
 	case recCommand:
-		l.agg.noteCommand(rec.group, rec.cmd, rec.ts)
+		piece, abort := decodeXPayload(rec.cmd)
+		l.agg.noteCommand(rec.group, rec.cmd, rec.ts, piece, abort)
 		// Control commands (cross-shard pieces and abort markers, resize
 		// fences) are logged for their delivery facts — the delivered
 		// sets and the pending-transaction reconstruction — but carry no
@@ -248,7 +245,7 @@ func (l *Log) applyRecord(rec decoded, app batch.Applier) {
 }
 
 // continueSegment opens an existing (just replayed, tail-truncated)
-// segment for appending. Callers hold l.mu.
+// segment for appending.
 func (l *Log) continueSegment(idx uint64) error {
 	path := filepath.Join(l.dir, segName(idx))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -261,7 +258,6 @@ func (l *Log) continueSegment(idx uint64) error {
 		return err
 	}
 	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.segIndex = idx
 	l.segBytes = info.Size()
 	return nil

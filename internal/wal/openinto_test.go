@@ -22,9 +22,7 @@ func TestOpenIntoReplaysDirectly(t *testing.T) {
 	logPut(t, l, 0, 1, 2, "b", "vb")
 	xid := xshard.XID{Node: 2, Seq: 1}
 	ops := []command.Command{command.Put("t1", []byte("x")), command.Put("t2", []byte("y"))}
-	if err := l.LogTx(xid, timestamp.Timestamp{Seq: 50, Node: 2}, ops, func() {}); err != nil {
-		t.Fatal(err)
-	}
+	logTx(t, l, xid, timestamp.Timestamp{Seq: 50, Node: 2}, ops, func() {})
 	// Force a snapshot so the replay exercises both the import path and
 	// the tail path.
 	if err := l.Snapshot(func() (map[string][]byte, int64) {

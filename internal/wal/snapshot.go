@@ -116,20 +116,56 @@ func readSnapshotFile(path string) (snapshotData, error) {
 	return data, nil
 }
 
-// Snapshot takes a snapshot now. The pause (exclusive snapshot lock)
-// covers only what fixes the cut: rolling to a fresh segment so the cut
-// falls on a segment boundary, copying the aggregates, and exporting the
-// store — microseconds-to-milliseconds of stalled deliveries. The slow
-// part — encoding and fsyncing the snapshot file, then deleting covered
-// segments — runs after the pause lifts: appends resumed in the meantime
-// land in segments >= cut and stay outside the snapshot by construction,
-// and a crash mid-write just leaves the previous snapshot + all segments
-// in place. Concurrent Snapshot calls are serialized.
+// Snapshot takes a snapshot now. What fixes the cut happens in two short
+// steps. At enqueue, under the log's locks: roll to a fresh segment, so
+// the cut falls on a segment boundary, copy the aggregates, and queue a
+// cut entry behind every record appended so far. When every lane has
+// reached the cut — everything before it applied, nothing after it yet,
+// all of them waiting — export the store. The slow part — encoding and
+// fsyncing the snapshot file, then deleting covered segments — runs after
+// that, while appends and completions continue: they land in segments >=
+// cut and stay outside the snapshot by construction, and a crash
+// mid-write just leaves the previous snapshot + all segments in place.
+// Concurrent Snapshot calls are serialized. Snapshot waits for the lanes,
+// so no completion may call it.
 func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 	l.snapSerial.Lock()
 	defer l.snapSerial.Unlock()
 
-	cut, data, err := l.pauseAndCut(export)
+	var data snapshotData
+	err := l.await(func(fn func(error)) error {
+		l.ioMu.Lock()
+		defer l.ioMu.Unlock()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if err := l.refusedLocked(); err != nil {
+			return err
+		}
+		if err := l.openSegmentLocked(l.segIndex + 1); err != nil {
+			l.failLocked(err)
+			return err
+		}
+		data = l.agg.toSnapshotData(l.segIndex)
+		l.cut = newMeet(l.lanesLocked(nil))
+		l.enqueueLocked(pendingRec{meet: l.cut, fn: func(err error) {
+			if err == nil {
+				data.KV, data.Applied = export()
+				// No apply can run between the export above and this
+				// capture — every lane is stopped at the cut — so the
+				// audit digests correspond exactly to the KV cut persisted
+				// next to them. AuditSnapshot also stamps every group
+				// with a "snapshot" cut point.
+				if l.store != nil {
+					data.Audit = l.store.AuditSnapshot()
+				}
+			}
+			fn(err)
+		}})
+		return nil
+	})
+	l.mu.Lock()
+	l.cut = nil
+	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -143,61 +179,9 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 		m.Snapshots.Inc()
 	}
 	l.opts.Flight.Eventf(flight.KindSnapshot,
-		"snapshot cut at %d applied command(s); segments through %d truncated", data.Applied, cut)
-	l.removeCovered(cut)
+		"snapshot cut at %d applied command(s); segments through %d truncated", data.Applied, data.Cut)
+	l.removeCovered(data.Cut)
 	return nil
-}
-
-// pauseAndCut stops all record cycles, rolls the segment, and captures
-// the snapshot image at that exact cut.
-func (l *Log) pauseAndCut(export func() (map[string][]byte, int64)) (uint64, snapshotData, error) {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	// Command cycles are out (snapMu); now gate new top-level
-	// transaction cycles and wait for in-flight ones. Nested transaction
-	// cycles cannot exist here — they only run inside command cycles.
-	l.mu.Lock()
-	l.snapshotting = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.snapshotting = false
-		l.snapCond.Broadcast()
-		l.mu.Unlock()
-	}()
-	l.txActive.Wait()
-
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, snapshotData{}, ErrClosed
-	}
-	if l.werr != nil {
-		err := l.werr
-		l.mu.Unlock()
-		return 0, snapshotData{}, err
-	}
-	// No record cycle is in flight (they hold snapMu shared), so the
-	// buffer drains completely and the roll puts the cut at a segment
-	// boundary.
-	if err := l.openSegmentLocked(l.segIndex + 1); err != nil {
-		l.werr = err
-		l.mu.Unlock()
-		return 0, snapshotData{}, err
-	}
-	cut := l.segIndex
-	data := l.agg.toSnapshotData(cut)
-	l.mu.Unlock()
-
-	data.KV, data.Applied = export()
-	// Record cycles are still excluded (snapMu held exclusively), so no
-	// apply can run between the export above and this capture: the audit
-	// digests correspond exactly to the KV cut persisted next to them.
-	// AuditSnapshot also stamps every group with a "snapshot" cut point.
-	if l.store != nil {
-		data.Audit = l.store.AuditSnapshot()
-	}
-	return cut, data, nil
 }
 
 // MaybeSnapshot snapshots when the log grew past Options.SnapshotBytes

@@ -18,14 +18,39 @@
 //
 // # Group commit
 //
-// Every append is durable before its apply runs and its client is
-// acknowledged, but appends do not fsync individually: a dedicated
-// syncer goroutine flushes and syncs whatever accumulated while the
-// previous sync was in flight — many decisions, one Sync. Under
-// concurrent load from a node's consensus groups the batch size grows
-// with the arrival rate, which is what keeps durable throughput within
-// a small factor of in-memory throughput (HotStuff-1 makes the same
-// trade: speculate on the decision, batch the durability).
+// The log layer defers: an append never waits for the disk. A group's
+// event loop hands the log a delivered command (ApplyDeferred) and moves
+// on to its next decision; the append encodes the record's frame into a
+// batch buffer, joins a completion queue and wakes the syncer. The syncer
+// goroutine writes and fsyncs whatever accumulated while its previous
+// sync was in flight — many decisions, one Sync — and hands the covered
+// entries, in append order, to completion lanes, one goroutine per
+// consensus group: apply to the store, acknowledge the client, release
+// the engine's GC ack. So a record is durable before its apply runs and
+// before anyone is told, and the batch grows with the arrival rate,
+// which is what keeps durable throughput within a small factor of
+// in-memory throughput (HotStuff-1 makes the same trade: speculate on the
+// decision, batch the durability).
+//
+// Order: a group's commands complete in the order of its log records,
+// which is the order replay reproduces. Groups own disjoint keys, so
+// their lanes run side by side — a state machine that takes time holds
+// its own group only. A record that concerns several groups keeps its log
+// position in each of them: an executed transaction completes when the
+// lanes of all its participant groups have reached it, while they wait,
+// and a snapshot cut likewise on every lane, so the exported store is
+// exactly the log prefix before the cut.
+//
+// Who waits for what: an event loop may wait for a sync — a sequence or
+// clock reservation returns as soon as its record is synced — and never
+// for a completion; a completion may wait for other lanes at a
+// transaction or a cut, and never for a sync; the syncer waits for the
+// disk alone and runs nothing but reservation wake-ups. Transactions,
+// epochs, reservations and snapshot cuts travel the same queue. There is
+// no second path: the calls that wait for a completion (LogCommand,
+// Snapshot, the chain's ApplyAt) enqueue like everything else and park
+// only their own caller, which therefore must be neither a completion nor
+// an event loop delivering commands.
 //
 // # Crash model
 //
@@ -284,7 +309,23 @@ func newAggregates() *aggregates {
 	}
 }
 
-func (a *aggregates) noteCommand(group int32, cmd command.Command, ts timestamp.Timestamp) {
+// decodeXPayload decodes the cross-shard payload noteCommand needs: the
+// piece of an OpXCommit, the marker of an OpXAbort, nil for every other
+// command (and for a payload that does not decode, which the commit table
+// ignores too).
+func decodeXPayload(cmd command.Command) (piece *xshard.Piece, abort *xshard.Abort) {
+	switch cmd.Op {
+	case command.OpXCommit:
+		piece, _ = xshard.DecodePiece(cmd.Payload)
+	case command.OpXAbort:
+		abort, _ = xshard.DecodeAbort(cmd.Payload)
+	}
+	return piece, abort
+}
+
+// noteCommand folds one delivered command in; piece and abort are
+// decodeXPayload(cmd), decoded by the caller outside the log's lock.
+func (a *aggregates) noteCommand(group int32, cmd command.Command, ts timestamp.Timestamp, piece *xshard.Piece, abort *xshard.Abort) {
 	set := a.delivered[group]
 	if set == nil {
 		set = idset.New()
@@ -296,15 +337,11 @@ func (a *aggregates) noteCommand(group int32, cmd command.Command, ts timestamp.
 	if ts.Seq > a.maxTS {
 		a.maxTS = ts.Seq
 	}
-	switch cmd.Op {
-	case command.OpXCommit:
-		if p, err := xshard.DecodePiece(cmd.Payload); err == nil {
-			a.notePiece(group, p, ts, cmd.Epoch)
-		}
-	case command.OpXAbort:
-		if ab, err := xshard.DecodeAbort(cmd.Payload); err == nil {
-			a.noteAbort(group, ab.XID)
-		}
+	switch {
+	case piece != nil:
+		a.notePiece(group, piece, ts, cmd.Epoch)
+	case abort != nil:
+		a.noteAbort(group, abort.XID)
 	}
 }
 

@@ -43,6 +43,21 @@ func logPut(t *testing.T, l *Log, group int32, node timestamp.NodeID, seq uint64
 	}
 }
 
+// logTx appends a transaction record and waits for its completion.
+func logTx(t *testing.T, l *Log, xid xshard.XID, merged timestamp.Timestamp, ops []command.Command, apply func()) {
+	t.Helper()
+	var (
+		wg  sync.WaitGroup
+		err error
+	)
+	wg.Add(1)
+	l.LogTx(xid, merged, nil, ops, apply, func(e error) { err = e; wg.Done() })
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("LogTx: %v", err)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, st := mustOpen(t, dir, Options{})
@@ -70,9 +85,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	xid := xshard.XID{Node: 2, Seq: 11}
 	ops := []command.Command{command.Put("t1", []byte("x")), command.Put("t2", []byte("y"))}
-	if err := l.LogTx(xid, timestamp.Timestamp{Seq: 50, Node: 2}, ops, func() {}); err != nil {
-		t.Fatal(err)
-	}
+	logTx(t, l, xid, timestamp.Timestamp{Seq: 50, Node: 2}, ops, func() {})
 	if err := l.LogEpoch(EpochChange{Epoch: 0, Shards: 2, PrevShards: 2}); err != nil {
 		t.Fatal(err)
 	}

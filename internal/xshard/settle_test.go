@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/protocol"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
 // settled registers a settle waiter and returns a poll helper.
@@ -115,5 +117,71 @@ func TestWaitSettledRechecksForNewBlockers(t *testing.T) {
 	}
 	if exec.count() != 2 {
 		t.Fatalf("executions = %d, want 2", exec.count())
+	}
+}
+
+// TestExecutedTransactionIsWaitedForUntilItLands: with a durable layer the
+// commit table decides a transaction, hands it to ApplyTx and is told
+// later that the writes are in the store. In between the transaction is a
+// tombstone, but a snapshot read at or above its timestamp and a handoff
+// drain of a participant group — registered before or after the decision —
+// must both keep waiting; another key's read must not.
+func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
+	var land func(error)
+	var groups []int32
+	tb := NewTable(TableConfig{Self: 0, Exec: &recordingExec{}, ResolveTimeout: time.Hour,
+		ApplyTx: func(_ XID, _ timestamp.Timestamp, gs []int32, _ []command.Command, done func(error)) {
+			groups, land = gs, done
+		}})
+	xid := XID{Node: 0, Seq: 1}
+	ops := testOps("a", "b")
+	var res *protocol.Result
+	tb.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { res = &r })
+	piece := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}
+	tb.registerPiece(0, piece, ts(5, 0), 0, command.ID{})
+
+	early := make(chan struct{})
+	tb.AwaitGroupDrain(0, func() { close(early) })
+	tb.registerPiece(1, piece, ts(9, 2), 0, command.ID{})
+	if land == nil {
+		t.Fatal("a complete transaction was not handed to ApplyTx")
+	}
+	if len(groups) != 2 {
+		t.Fatalf("ApplyTx got participant groups %v, want both", groups)
+	}
+
+	late := make(chan struct{})
+	tb.AwaitGroupDrain(1, func() { close(late) })
+	read := settled(tb, []string{"a"}, 20)
+	if !settled(tb, []string{"z"}, 20)() {
+		t.Error("a read of an unrelated key waited for the landing transaction")
+	}
+	if !settled(tb, []string{"a"}, 8)() {
+		t.Error("a read below the transaction's timestamp waited for it")
+	}
+	// Every release runs on the goroutine that causes it, so a closed
+	// channel is visible at once.
+	fired := func(ch chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	if fired(early) || fired(late) || read() {
+		t.Errorf("released before the transaction's writes reached the store: drain parked before the decision %v, after it %v",
+			fired(early), fired(late))
+	}
+	if res != nil {
+		t.Error("the client was answered before the transaction's writes reached the store")
+	}
+
+	land(nil)
+	if !fired(early) || !fired(late) || !read() {
+		t.Errorf("still parked after the transaction landed: early drain %v, late drain %v", !fired(early), !fired(late))
+	}
+	if res == nil || res.Err != nil {
+		t.Errorf("client result %v after the transaction landed, want success", res)
 	}
 }

@@ -3,6 +3,7 @@ package xshard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -25,12 +26,17 @@ type TableConfig struct {
 	// one as one indivisible unit at its merged timestamp.
 	Exec protocol.TimestampedAtomicApplier
 	// ApplyTx, when non-nil, executes a completed transaction instead of
-	// Exec: it receives the transaction's identity, merged timestamp and
-	// ops, in the table's decision order. The durable layer
-	// (internal/wal) uses it to log the outcome and apply atomically
-	// under its snapshot lock, so crash recovery re-seeds exactly the
-	// executed set.
-	ApplyTx func(xid XID, merged timestamp.Timestamp, ops []command.Command)
+	// Exec: it receives the transaction's identity, merged timestamp,
+	// participant groups and ops, in the table's decision order, and must
+	// not block — it may apply later, in call order among transactions
+	// that share a group, and reports through done exactly once, from any
+	// goroutine: nil once the ops are in the store, the error when they
+	// never will be. The durable layer (internal/wal) uses it to append
+	// the outcome and apply atomically once the record is durable, so
+	// crash recovery re-seeds exactly the executed set; the table is
+	// called from inside that layer's completions, so a wait here would
+	// be a wait on itself.
+	ApplyTx func(xid XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, done func(error))
 	// XIDFloor is the highest transaction sequence a crashed predecessor
 	// may have used (its durable reservation watermark): fresh XIDs start
 	// strictly above it. Without it a restarted coordinator would mint
@@ -152,6 +158,16 @@ type settleWaiter struct {
 	fn        func()
 }
 
+// landing is an executed transaction whose writes have not reached the
+// store yet — a durable layer applies them after the record's sync. Its
+// entry is a tombstone already, but handoff drains and snapshot reads must
+// keep waiting for it exactly as if it were still held.
+type landing struct {
+	groups []int32
+	keys   map[string]struct{}
+	merged timestamp.Timestamp
+}
+
 // Table is one node's cross-shard commit table: it holds each in-flight
 // transaction's delivered pieces until all participating groups have
 // stabilized theirs, then executes the transaction atomically at the
@@ -186,6 +202,7 @@ type Table struct {
 	// (the only drain candidates).
 	pendingByKey  map[string]map[*entry]struct{}
 	completed     map[*entry]struct{}
+	landing       map[XID]landing
 	drainWaiters  []*drainWaiter
 	settleWaiters []*settleWaiter
 	nextSeq       uint64
@@ -213,6 +230,7 @@ func NewTable(cfg TableConfig) *Table {
 		entries:      make(map[XID]*entry),
 		pendingByKey: make(map[string]map[*entry]struct{}),
 		completed:    make(map[*entry]struct{}),
+		landing:      make(map[XID]landing),
 	}
 }
 
@@ -550,14 +568,12 @@ func (t *Table) unindexLocked(e *entry) {
 	delete(t.completed, e)
 }
 
-// noteResolvedLocked resolves xid for every waiter class at once — the
-// path for transactions that died (or were seeded dead): nothing of
-// theirs will ever reach the store, so snapshot readers and handoff
-// drains release together. Executed transactions split the two:
-// executeLocked releases drain waiters at decision time but settle
-// waiters only after the apply lands (settleAfterApply) — a reader woken
-// at decision time could cut its snapshot before the transaction's
-// writes reach the store.
+// noteResolvedLocked resolves xid for both waiter classes — snapshot
+// readers and handoff drains release together, when nothing of the
+// transaction is still on its way to the store: it died (or was seeded
+// dead), or its apply has landed (settleAfterApply). A waiter woken at
+// decision time could cut its snapshot, or complete its handoff, before
+// the transaction's writes reach the store.
 func (t *Table) noteResolvedLocked(xid XID) {
 	t.noteSettledLocked(xid)
 	t.noteDrainedLocked(xid)
@@ -585,14 +601,21 @@ func (t *Table) noteSettledLocked(xid XID) {
 	t.settleWaiters = kept
 }
 
-// settleAfterApply resolves xid for the snapshot readers once its writes
-// are actually in the store; runs on the queue flusher, outside the lock,
-// at the end of the transaction's apply closure. Releases it queues are
-// picked up by the flusher's ongoing drain.
-func (t *Table) settleAfterApply(xid XID) {
+// settleAfterApply finishes an executed transaction once its apply has
+// landed (or, err, never will — a log that refused the record): it
+// resolves xid for the waiters and fires the client callback. It runs
+// outside the lock: on the queue flusher without a durable layer, on a
+// completion lane of the log with one, hence the flush for the releases
+// it queued.
+func (t *Table) settleAfterApply(xid XID, done protocol.DoneFunc, err error) {
 	t.mu.Lock()
-	t.noteSettledLocked(xid)
+	delete(t.landing, xid)
+	t.noteResolvedLocked(xid)
 	t.mu.Unlock()
+	t.flush()
+	if done != nil {
+		done(protocol.Result{Err: err})
+	}
 }
 
 // noteDrainedLocked resolves xid for the parked handoff drains, queueing
@@ -618,7 +641,7 @@ func (t *Table) noteDrainedLocked(xid XID) {
 
 // AwaitGroupDrain snapshots the in-flight transactions holding a piece
 // delivered by the given group and parks fn until every one of them has
-// resolved (executed or died); fn fires immediately when there are none.
+// resolved (applied or died); fn fires immediately when there are none.
 // The snapshot is replica-deterministic when taken at a fixed point of the
 // group's delivery order — the rebalancing layer calls it while applying
 // the group's resize fence, so every node waits for the same transaction
@@ -629,6 +652,11 @@ func (t *Table) AwaitGroupDrain(group int32, fn func()) {
 	w := &drainWaiter{remaining: make(map[XID]struct{}), fn: fn}
 	for xid, e := range t.entries {
 		if e.state == entryPending && e.got[group] {
+			w.remaining[xid] = struct{}{}
+		}
+	}
+	for xid, ld := range t.landing {
+		if slices.Contains(ld.groups, group) {
 			w.remaining[xid] = struct{}{}
 		}
 	}
@@ -674,6 +702,17 @@ func (t *Table) settleCheckLocked(w *settleWaiter) bool {
 			}
 			if !w.bound.Less(e.merged) { // lower bound <= read point: could execute below it
 				w.remaining[e.xid] = struct{}{}
+			}
+		}
+	}
+	for xid, ld := range t.landing {
+		if w.bound.Less(ld.merged) {
+			continue
+		}
+		for _, k := range w.keys {
+			if _, ok := ld.keys[k]; ok {
+				w.remaining[xid] = struct{}{}
+				break
 			}
 		}
 	}
@@ -903,8 +942,8 @@ func (t *Table) blockedLocked(e *entry) bool {
 func (t *Table) executeLocked(e *entry) {
 	t.holdAttributeLocked(e)
 	t.unindexLocked(e)
-	t.noteDrainedLocked(e.xid)
-	xid, merged, ops, done := e.xid, e.merged, e.ops, e.done
+	xid, merged, groups, ops, done := e.xid, e.merged, e.groups, e.ops, e.done
+	t.landing[xid] = landing{groups: groups, keys: e.keys, merged: merged}
 	e.state = entryExecuted
 	for _, id := range e.pieceIDs {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxExec, id, merged)
@@ -917,17 +956,11 @@ func (t *Table) executeLocked(e *entry) {
 	exec, applyTx := t.cfg.Exec, t.cfg.ApplyTx
 	t.queue = append(t.queue, func() {
 		if applyTx != nil {
-			applyTx(xid, merged, ops)
-		} else {
-			exec.ApplyAllAt(ops, merged)
+			applyTx(xid, merged, groups, ops, func(err error) { t.settleAfterApply(xid, done, err) })
+			return
 		}
-		// Only now are the transaction's writes in the store; waking a
-		// parked snapshot reader any earlier would let it cut a snapshot
-		// missing a transaction at or below its read point.
-		t.settleAfterApply(xid)
-		if done != nil {
-			done(protocol.Result{})
-		}
+		exec.ApplyAllAt(ops, merged)
+		t.settleAfterApply(xid, done, nil)
 	})
 }
 

@@ -24,10 +24,18 @@
 // function literals passed as arguments are treated as reachable, because
 // completion callbacks do run synchronously on the loop (the deferred
 // applier's pass path). Interface-dispatched calls cannot be resolved
-// statically and are not walked — the applier chain behind
-// protocol.DeferringApplier exists precisely to make that boundary
-// non-blocking. Test files are not analyzed (tests drive loops with
-// deliberately synchronous handlers).
+// statically and are not walked, with one exception: the applier chain.
+// A loop handler delivers every decided command through an ApplierTypes
+// interface (deliverNow calls the probed protocol.TimestampedApplier or
+// DeferringApplier), so that dispatch is resolved to its implementations:
+// every method by which a type of the analyzed package implements one of
+// those interfaces is walked as a handler root, in the package that
+// declares it — which is how a log layer parking its caller on a
+// per-record channel is caught although no handler names it. A form of
+// such a method that is off-loop by contract (the enqueue-and-wait
+// ApplyAt of engines that cannot defer) says so with an allow annotation.
+// Test files are not analyzed (tests drive loops with deliberately
+// synchronous handlers).
 //
 // Suppress with //caesarlint:allow loopblock -- <why this cannot stall
 // the loop>.
@@ -47,6 +55,15 @@ import (
 // "import/path.TypeName". Tests point it at golden packages.
 var LoopTypes = []string{
 	"github.com/caesar-consensus/caesar/internal/protocol.Loop",
+}
+
+// ApplierTypes lists the interfaces through which a loop handler reaches
+// the applier chain, as "import/path.TypeName": their implementations'
+// methods are handler roots. Tests point it at golden packages.
+var ApplierTypes = []string{
+	"github.com/caesar-consensus/caesar/internal/protocol.Applier",
+	"github.com/caesar-consensus/caesar/internal/protocol.TimestampedApplier",
+	"github.com/caesar-consensus/caesar/internal/protocol.DeferringApplier",
 }
 
 // Analyzer is the loopblock check.
@@ -155,7 +172,78 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
+	for _, fn := range applierRoots(pass, decls) {
+		w.walkFunc(fn)
+	}
 	return nil
+}
+
+// applierRoots returns the declared methods by which a type of this
+// package implements an ApplierTypes interface: the targets of the
+// interface calls a loop handler makes into the applier chain. An
+// interface the package cannot see (not among its transitive imports)
+// has no implementation here that names its types, and is skipped.
+func applierRoots(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl) []*types.Func {
+	var ifaces []*types.Interface
+	for _, full := range ApplierTypes {
+		dot := strings.LastIndex(full, ".")
+		if pkg := findPackage(pass.Pkg, full[:dot], make(map[*types.Package]bool)); pkg != nil {
+			if tn, ok := pkg.Scope().Lookup(full[dot+1:]).(*types.TypeName); ok {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, iface)
+				}
+			}
+		}
+	}
+	var roots []*types.Func
+	for fn := range decls {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		for _, iface := range ifaces {
+			if !hasMethod(iface, fn.Name()) {
+				continue
+			}
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+				roots = append(roots, fn)
+				break
+			}
+		}
+	}
+	return roots
+}
+
+// findPackage finds the package with the given path among pkg and its
+// transitive imports.
+func findPackage(pkg *types.Package, path string, seen map[*types.Package]bool) *types.Package {
+	if pkg.Path() == path {
+		return pkg
+	}
+	seen[pkg] = true
+	for _, imp := range pkg.Imports() {
+		if !seen[imp] {
+			if found := findPackage(imp, path, seen); found != nil {
+				return found
+			}
+		}
+	}
+	return nil
+}
+
+// hasMethod reports whether iface (embedded interfaces included) declares
+// a method of that name.
+func hasMethod(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
 }
 
 // walker performs the reachability walk and reporting.

@@ -11,9 +11,10 @@ import (
 // for the duration of one test.
 func withFakeLoop(t *testing.T) {
 	t.Helper()
-	saved := loopblock.LoopTypes
+	saved, savedAppliers := loopblock.LoopTypes, loopblock.ApplierTypes
 	loopblock.LoopTypes = []string{"fakeloop.Loop"}
-	t.Cleanup(func() { loopblock.LoopTypes = saved })
+	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier", "fakeloop.DeferringApplier"}
+	t.Cleanup(func() { loopblock.LoopTypes, loopblock.ApplierTypes = saved, savedAppliers })
 }
 
 func TestHandlerReachability(t *testing.T) {
@@ -24,4 +25,11 @@ func TestHandlerReachability(t *testing.T) {
 func TestCrossPackageBlocksFacts(t *testing.T) {
 	withFakeLoop(t)
 	analysistest.Run(t, "testdata", loopblock.Analyzer, "loopuser")
+}
+
+// TestApplierDispatch: a blocking receive behind an applier interface is
+// flagged in the implementation although no handler names it.
+func TestApplierDispatch(t *testing.T) {
+	withFakeLoop(t)
+	analysistest.Run(t, "testdata", loopblock.Analyzer, "loopapply")
 }
