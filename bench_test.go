@@ -33,20 +33,13 @@ var (
 
 func runCached(b *testing.B, opts harness.Options) harness.Result {
 	b.Helper()
-	return runCachedAs(b, b.Name(), opts)
-}
-
-// runCachedAs memoises under an explicit key, letting one benchmark reuse
-// another's run (the sharding speedup baseline).
-func runCachedAs(b *testing.B, key string, opts harness.Options) harness.Result {
-	b.Helper()
 	benchCacheMu.Lock()
 	defer benchCacheMu.Unlock()
-	if res, ok := benchCache[key]; ok {
+	if res, ok := benchCache[b.Name()]; ok {
 		return res
 	}
 	res := harness.Run(opts)
-	benchCache[key] = res
+	benchCache[b.Name()] = res
 	return res
 }
 
@@ -241,33 +234,6 @@ func BenchmarkFigure12(b *testing.B) {
 			}
 			if na > 0 {
 				b.ReportMetric(after/float64(na), "tps_after_recovery")
-			}
-			spin(b)
-		})
-	}
-}
-
-// BenchmarkSharding measures the sharded deployment (internal/shard): the
-// aggregate throughput of 1, 2 and 4 consensus groups per node under the
-// pipeline-bound configuration of harness.ShardingOpts, at the paper's low
-// (2%) conflict rate. speedup_vs_1shard is the headline metric: execution
-// within a group is serial, so it should approach the shard count.
-func BenchmarkSharding(b *testing.B) {
-	shardingOpts := func(shards int) harness.Options {
-		base := harness.Options{
-			Duration: 700 * time.Millisecond,
-			Warmup:   250 * time.Millisecond,
-			Seed:     42,
-		}
-		return harness.ShardingOpts(base, harness.Caesar, 2, shards)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			res := runCachedAs(b, fmt.Sprintf("sharding/%d", shards), shardingOpts(shards))
-			base := runCachedAs(b, "sharding/1", shardingOpts(1))
-			b.ReportMetric(res.Throughput, "cmds_per_s")
-			if base.Throughput > 0 {
-				b.ReportMetric(res.Throughput/base.Throughput, "speedup_vs_1shard")
 			}
 			spin(b)
 		})

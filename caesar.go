@@ -210,7 +210,7 @@ func (o Options) toConfig() caesar.Config {
 // multiplexed over the endpoint, under the cross-shard commit and live
 // rebalancing layers, and with a data dir under the durable write-ahead
 // log — to the transport; used by Cluster. The actual layering lives in
-// internal/stack, which cmd/caesar-server and the harness build through
+// internal/stack, which cmd/caesar-server and bench/ build through
 // directly; every shard shares the node's store, recorder, commit
 // table, rebalance coordinator and log, so Stats and Read report
 // whole-node aggregates regardless of the shard count, multi-key

@@ -1,39 +1,29 @@
 // Command caesar-bench regenerates the paper's evaluation (Figures 6–12)
 // on the simulated five-site WAN. Each figure prints the same rows/series
-// the paper plots, and (unless -out "") also writes a machine-readable
-// BENCH_<figure>.json next to it — throughput, latency percentiles, the
-// key protocol counters, the git revision and a timestamp — so two
-// checkouts' results can be diffed with scripts/bench-compare.sh (or
-// caesar-bench -compare a.json b.json directly).
+// the paper plots. It measures the protocols against each other, as the
+// paper does; the system's own performance is measured by bench/
+// (BENCHMARK.json), over real TCP and real fsync.
 //
 // Usage:
 //
 //	caesar-bench -figure 6            # one figure
 //	caesar-bench -figure all          # the whole evaluation
 //	caesar-bench -figure 9 -scale 0.1 -duration 5s
-//	caesar-bench -figure sharding     # 1 vs 2 vs 4 consensus groups/node
-//	caesar-bench -figure crossshard   # throughput vs cross-shard txn mix (0–20%)
-//	caesar-bench -figure elastic      # throughput through a live 2→4 resize
-//	caesar-bench -figure durable      # write-ahead-log cost + crash-recovery time
-//	caesar-bench -figure readheavy    # local linearizable reads vs proposed reads
-//	caesar-bench -figure 9 -shards 4  # any figure on a sharded deployment
-//	caesar-bench -figure sharding -out results/   # JSON into a directory
-//	caesar-bench -compare old.json new.json       # diff two result files
 //
 // Scale 1.0 reproduces the paper's real WAN latencies (slow); the default
 // 0.05 keeps delay ratios while running 20× faster. Reported latencies are
 // rescaled to paper milliseconds.
+//
+// A figure whose clients saw a command fail or time out is not a
+// measurement: caesar-bench says so on stderr and exits 1. Figure 12 is
+// exempt — it crashes a node on purpose, and the commands in flight at
+// that node are expected to be lost.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/harness"
@@ -46,227 +36,16 @@ func main() {
 	}
 }
 
-// benchFile is the schema of BENCH_<figure>.json.
-type benchFile struct {
-	Figure    string        `json:"figure"`
-	GitSHA    string        `json:"git_sha,omitempty"`
-	Timestamp string        `json:"timestamp"`
-	Scale     float64       `json:"scale"`
-	Duration  string        `json:"duration"`
-	Seed      int64         `json:"seed"`
-	Results   []benchResult `json:"results"`
-}
-
-// benchResult is one run's machine-readable row. The label is the row
-// key: it encodes the run's configuration, so identical invocations of
-// two builds produce matching labels for bench-compare to pair up.
-type benchResult struct {
-	Label       string  `json:"label"`
-	Protocol    string  `json:"protocol"`
-	ConflictPct float64 `json:"conflict_pct"`
-	Shards      int     `json:"shards"`
-	Throughput  float64 `json:"throughput_cmds_per_sec"`
-	P50Ms       float64 `json:"p50_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	Fast        int64   `json:"fast_decisions"`
-	Slow        int64   `json:"slow_decisions"`
-	Failed      int64   `json:"failed"`
-	Reads       int64   `json:"reads,omitempty"`
-	ReadP50Ms   float64 `json:"read_p50_ms,omitempty"`
-	ReadP99Ms   float64 `json:"read_p99_ms,omitempty"`
-	Fsyncs      int64   `json:"fsyncs,omitempty"`
-	// Contention profile (internal/contend): the fast-decision share,
-	// acceptor-observed conflict events per completed command, the
-	// fast-path-loss decomposition by cause, and the run's hottest key.
-	FastShare    float64 `json:"fast_share"`
-	ConflictRate float64 `json:"conflict_rate"`
-	LossNack     int64   `json:"loss_nack,omitempty"`
-	LossBlocked  int64   `json:"loss_blocked,omitempty"`
-	LossRetry    int64   `json:"loss_retry,omitempty"`
-	LossRecovery int64   `json:"loss_recovery,omitempty"`
-	HotKey       string  `json:"hot_key,omitempty"`
-	HotKeyEvents int64   `json:"hot_key_events,omitempty"`
-}
-
-func msf(d time.Duration) float64 {
-	return math.Round(float64(d)/float64(time.Millisecond)*1000) / 1000
-}
-
-// toRow flattens one harness result: p50 is the count-weighted mean of
-// the sites' medians, p99 the worst site's tail (the number an operator
-// cares about).
-func toRow(r harness.Result) benchResult {
-	row := benchResult{
-		Label:       r.Label,
-		Protocol:    string(r.Protocol),
-		ConflictPct: r.ConflictPct,
-		Shards:      r.Shards,
-		Throughput:  math.Round(r.Throughput*100) / 100,
-		Fast:        r.FastDecisions,
-		Slow:        r.SlowDecisions,
-		Failed:      r.Failed,
-		Reads:       r.Reads,
-		ReadP50Ms:   msf(r.ReadP50),
-		ReadP99Ms:   msf(r.ReadP99),
-		Fsyncs:      r.FsyncCount,
-
-		FastShare:    math.Round(r.FastShare*10000) / 10000,
-		ConflictRate: math.Round(r.ConflictRate*10000) / 10000,
-		LossNack:     r.LossNack,
-		LossBlocked:  r.LossBlocked,
-		LossRetry:    r.LossRetry,
-		LossRecovery: r.LossRecovery,
-		HotKey:       r.HotKey,
-		HotKeyEvents: r.HotKeyEvents,
-	}
-	var p50Weighted float64
-	var count int64
-	var p99 time.Duration
-	for _, s := range r.Sites {
-		p50Weighted += float64(s.P50) * float64(s.Count)
-		count += s.Count
-		if s.P99 > p99 {
-			p99 = s.P99
-		}
-	}
-	if count > 0 {
-		row.P50Ms = msf(time.Duration(p50Weighted / float64(count)))
-	}
-	row.P99Ms = msf(p99)
-	return row
-}
-
-// gitSHA best-effort resolves the working tree's revision; empty when
-// git (or a repository) is unavailable.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// writeJSON writes BENCH_<figure>.json into dir.
-func writeJSON(dir, figure string, base harness.Options, results []harness.Result) error {
-	bf := benchFile{
-		Figure:    figure,
-		GitSHA:    gitSHA(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Scale:     base.Scale,
-		Duration:  base.Duration.String(),
-		Seed:      base.Seed,
-	}
-	for _, r := range results {
-		bf.Results = append(bf.Results, toRow(r))
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+figure+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (%d result rows)\n", path, len(bf.Results))
-	return nil
-}
-
-// compare diffs two BENCH_*.json files row by row, matched on label.
-func compare(pathA, pathB string) error {
-	load := func(path string) (benchFile, error) {
-		var bf benchFile
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return bf, err
-		}
-		return bf, json.Unmarshal(data, &bf)
-	}
-	a, err := load(pathA)
-	if err != nil {
-		return fmt.Errorf("%s: %w", pathA, err)
-	}
-	b, err := load(pathB)
-	if err != nil {
-		return fmt.Errorf("%s: %w", pathB, err)
-	}
-	fmt.Printf("A: %s  figure=%s sha=%.12s at %s\n", pathA, a.Figure, a.GitSHA, a.Timestamp)
-	fmt.Printf("B: %s  figure=%s sha=%.12s at %s\n\n", pathB, b.Figure, b.GitSHA, b.Timestamp)
-	byLabel := make(map[string]benchResult, len(b.Results))
-	for _, r := range b.Results {
-		byLabel[r.Label] = r
-	}
-	pct := func(from, to float64) string {
-		if from == 0 {
-			return "     n/a"
-		}
-		return fmt.Sprintf("%+7.1f%%", (to-from)/from*100)
-	}
-	// fastShare tolerates result files from builds that predate the
-	// fast_share field by recomputing it from the decision split.
-	fastShare := func(r benchResult) float64 {
-		if r.FastShare > 0 {
-			return r.FastShare
-		}
-		if t := r.Fast + r.Slow; t > 0 {
-			return float64(r.Fast) / float64(t)
-		}
-		return 0
-	}
-	fmt.Printf("%-44s %22s %20s %20s %19s %18s\n",
-		"label", "cmds/s A→B", "p50ms A→B", "p99ms A→B", "fast% A→B", "conflict/cmd A→B")
-	matched := 0
-	for _, ra := range a.Results {
-		rb, ok := byLabel[ra.Label]
-		if !ok {
-			fmt.Printf("%-44s only in A\n", ra.Label)
-			continue
-		}
-		matched++
-		delete(byLabel, ra.Label)
-		fa, fb := 100*fastShare(ra), 100*fastShare(rb)
-		fmt.Printf("%-44s %7.0f→%-7.0f %s %6.1f→%-6.1f %s %6.1f→%-6.1f %s %5.1f→%-5.1f %+5.1fpp %5.2f→%-5.2f %+6.2f\n",
-			ra.Label,
-			ra.Throughput, rb.Throughput, pct(ra.Throughput, rb.Throughput),
-			ra.P50Ms, rb.P50Ms, pct(ra.P50Ms, rb.P50Ms),
-			ra.P99Ms, rb.P99Ms, pct(ra.P99Ms, rb.P99Ms),
-			fa, fb, fb-fa,
-			ra.ConflictRate, rb.ConflictRate, rb.ConflictRate-ra.ConflictRate)
-	}
-	for _, rb := range b.Results {
-		if _, ok := byLabel[rb.Label]; ok {
-			fmt.Printf("%-44s only in B\n", rb.Label)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("no matching labels between %s and %s", pathA, pathB)
-	}
-	return nil
-}
-
 func run() error {
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11a, 11b, 12, sharding, crossshard, elastic, durable, readheavy, or all (the paper's figures)")
+		figure   = flag.String("figure", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11a, 11b, 12, or all")
 		scale    = flag.Float64("scale", 0.05, "WAN latency scale (1.0 = real EC2 latencies)")
 		duration = flag.Duration("duration", 3*time.Second, "measurement window per data point")
 		warmup   = flag.Duration("warmup", time.Second, "warmup before each measurement")
 		clients  = flag.Int("clients", 10, "closed-loop clients per node (latency figures)")
 		seed     = flag.Int64("seed", 42, "workload seed")
-		shards   = flag.Int("shards", 1, "independent consensus groups per node (keys routed by consistent hashing)")
-		obs      = flag.Bool("obs", false, "attach the full observability registry (internal/obs) to every node, to measure its hot-path overhead against a run without it")
-		zipf     = flag.Float64("zipf", 0, "skew the workload's shared-pool key draw zipfian with this exponent (> 1 enables; the contention profile then surfaces the heavy hitters). 0 keeps the paper's uniform draw")
-		out      = flag.String("out", ".", "directory for machine-readable BENCH_<figure>.json result files (empty disables)")
-		cmp      = flag.Bool("compare", false, "diff two BENCH_*.json result files given as arguments, matched row-by-row on label")
 	)
 	flag.Parse()
-	if *cmp {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("usage: caesar-bench -compare <a.json> <b.json>")
-		}
-		return compare(flag.Arg(0), flag.Arg(1))
-	}
 
 	base := harness.Options{
 		Scale:          *scale,
@@ -274,9 +53,6 @@ func run() error {
 		Warmup:         *warmup,
 		ClientsPerNode: *clients,
 		Seed:           *seed,
-		Shards:         *shards,
-		Obs:            *obs,
-		ZipfS:          *zipf,
 	}
 	w := os.Stdout
 	runs := map[string]func() []harness.Result{
@@ -292,39 +68,27 @@ func run() error {
 		"11a": func() []harness.Result { return harness.Figure11a(w, base) },
 		"11b": func() []harness.Result { return harness.Figure11b(w, base) },
 		"12":  func() []harness.Result { return harness.Figure12(w, base) },
-		// Beyond the paper: throughput scaling of the sharded deployment,
-		// the cost of the atomic cross-group commit layer as the
-		// cross-shard transaction mix grows, and throughput through a
-		// live mid-run shard-count resize.
-		"sharding":   func() []harness.Result { return harness.Sharding(w, base) },
-		"crossshard": func() []harness.Result { return harness.CrossShard(w, base) },
-		"elastic":    func() []harness.Result { return harness.Elastic(w, base) },
-		// Durable: throughput with the write-ahead log (group-commit
-		// fsync batching) vs in-memory, plus cold crash-recovery time.
-		"durable": func() []harness.Result { return harness.Durable(w, base) },
-		// ReadHeavy: local linearizable reads (internal/reads) vs
-		// propose-based reads across 50/90/99% read mixes, with read
-		// latency percentiles.
-		"readheavy": func() []harness.Result { return harness.ReadHeavy(w, base) },
 	}
-	emit := func(figure string, results []harness.Result) error {
-		if *out == "" {
-			return nil
-		}
-		return writeJSON(*out, figure, base, results)
-	}
+	figures := []string{*figure}
 	if *figure == "all" {
-		for _, f := range []string{"6", "7", "8", "9", "10", "11a", "11b", "12"} {
-			if err := emit(f, runs[f]()); err != nil {
-				return err
-			}
+		figures = []string{"6", "7", "8", "9", "10", "11a", "11b", "12"}
+	}
+	bad := false
+	for _, f := range figures {
+		fn, ok := runs[f]
+		if !ok {
+			return fmt.Errorf("unknown figure %q", f)
+		}
+		results := fn()
+		if *figure == "all" {
 			fmt.Fprintln(w)
 		}
-		return nil
+		if f != "12" && harness.ReportFailed(os.Stderr, f, results) > 0 {
+			bad = true
+		}
 	}
-	f, ok := runs[*figure]
-	if !ok {
-		return fmt.Errorf("unknown figure %q", *figure)
+	if bad {
+		os.Exit(1)
 	}
-	return emit(*figure, f())
+	return nil
 }

@@ -93,8 +93,8 @@
 // the old epoch but ordered after their group's fence are skipped
 // deterministically and re-proposed by their submitting node; traffic on
 // migrating keys stalls at most one handoff round. See internal/rebalance
-// for the protocol, `caesar-bench -figure elastic` for throughput through
-// a live 2→4 resize, and examples/sharding for a mid-stream resize.
+// for the protocol, rebalance_test.go for the resize-under-load
+// conformance run, and examples/sharding for a mid-stream resize.
 //
 // # Read model
 //
@@ -130,9 +130,9 @@
 // not yet received any message for — a write acknowledged elsewhere whose
 // first message is still in flight here serializes after the read
 // (closing that window requires leases or quorum reads; proposing a Get
-// buys it today). See internal/reads for the mechanism and
-// `caesar-bench -figure readheavy` for what the local path is worth:
-// ≥3–10× propose-based reads at a 90% read mix.
+// buys it today). See internal/reads for the mechanism and the
+// lan3-mixed4g workload of bench/ (reads.read_p50_ms,
+// reads.parks_per_kread) for what a local read costs under load.
 //
 // # Durability and crash restart
 //
@@ -174,9 +174,10 @@
 // is fail-stop with stable storage: a node may lose everything after
 // its last fsync and recover; Byzantine disks (silent corruption past
 // the CRC) and fsync lies are outside it. See internal/wal,
-// internal/stack for how the layers compose, `caesar-bench -figure
-// durable` for the throughput cost and recovery time, and
-// restart_test.go for the crash-restart conformance run.
+// internal/stack for how the layers compose, the lan3-durable workload
+// of bench/ against lan3-mem for the throughput cost (sat_ops_per_s) and
+// recovery time (wal.replay_ms_per_kcmd), and restart_test.go for the
+// crash-restart conformance run.
 //
 // # Apply chain
 //
@@ -357,13 +358,12 @@
 // metrics listener (JSON: top keys and the per-group loss table;
 // ?top=N caps the list), the admin command `WORKLOAD [<n>]`, the
 // caesar_contention_losses_total{group,cause} counter family and the
-// caesar_hotkey_* per-key gauges on /metrics, a merged cluster-wide
-// hot-keys panel in cmd/caesar-top, and per-run conflict and fast-share
-// fields in caesar-bench's BENCH_<figure>.json rows (compare two builds'
-// fast-path health with -compare). caesar-bench -zipf skews the
-// workload's shared pool zipfian to reproduce a heavy-hitter profile on
-// demand. See DIAGNOSING.md ("Why is my fast-path ratio low?") for the
-// runbook.
+// caesar_hotkey_* per-key gauges on /metrics, and a merged cluster-wide
+// hot-keys panel in cmd/caesar-top. The lan3-mixed4g workload of bench/
+// draws its keys zipfian and reproduces a heavy-hitter profile on demand
+// (its caesar.fast_share and caesar.nacks_per_kop rows compare two
+// builds' fast-path health through `go run ./bench -compare`). See
+// DIAGNOSING.md ("Why is my fast-path ratio low?") for the runbook.
 //
 // # Linting
 //

@@ -274,20 +274,6 @@ func (g *Group) keys() []KeyStats {
 	return out
 }
 
-// reset clears the sketch and the loss counters.
-func (g *Group) reset() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.byKey = make(map[string]*entry, g.k)
-	g.mu.Unlock()
-	g.lossNack.Store(0)
-	g.lossBlocked.Store(0)
-	g.lossRetry.Store(0)
-	g.lossRecovery.Store(0)
-}
-
 // Profile aggregates the per-group sketches into one node-wide
 // contention profile. The stack builds one per node and hands each
 // consensus group — resize-created groups included — its Group sketch.
@@ -443,19 +429,6 @@ func (p *Profile) TotalLosses() Losses {
 		t.Recovery += gl.Losses.Recovery
 	}
 	return t
-}
-
-// Reset clears every sketch and loss counter; the harness calls it
-// after warmup so the profile covers only the measurement window.
-func (p *Profile) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.RLock()
-	for _, g := range p.groups {
-		g.reset()
-	}
-	p.mu.RUnlock()
 }
 
 // Snapshot is the /workloadz JSON document: the merged top keys and

@@ -190,26 +190,11 @@ func TestNilSafety(t *testing.T) {
 	g.Hold("k", time.Second)
 	_ = g.Losses()
 	p.SetGroupOf(func(string) int { return 0 })
-	p.Reset()
 	if got := p.TopKeys(5); got != nil {
 		t.Fatalf("nil profile TopKeys = %v", got)
 	}
 	if s := p.Snapshot(5); s.TopKeys != nil || s.Groups != nil {
 		t.Fatalf("nil profile Snapshot = %+v", s)
-	}
-}
-
-// TestReset clears sketches and loss counters between measurement
-// windows.
-func TestReset(t *testing.T) {
-	p := NewProfile(4)
-	p.Group(0).Nack("warm")
-	p.Reset()
-	if got := p.TopKeys(0); len(got) != 0 {
-		t.Fatalf("after Reset TopKeys = %+v", got)
-	}
-	if l := p.TotalLosses(); l != (Losses{}) {
-		t.Fatalf("after Reset losses = %+v", l)
 	}
 }
 
@@ -265,8 +250,8 @@ func TestHandlerJSON(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordScrape hammers one profile from recording,
-// scraping and resetting goroutines; the -race run is the assertion.
+// TestConcurrentRecordScrape hammers one profile from recording and
+// scraping goroutines; the -race run is the assertion.
 func TestConcurrentRecordScrape(t *testing.T) {
 	p := NewProfile(16)
 	var wg sync.WaitGroup
@@ -308,14 +293,6 @@ func TestConcurrentRecordScrape(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			p.Reset()
-			time.Sleep(time.Millisecond)
-		}
-	}()
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()

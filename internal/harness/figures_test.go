@@ -23,12 +23,18 @@ func TestFigureWritersProduceTables(t *testing.T) {
 		t.Skip("figure smoke tests are slow")
 	}
 	cases := []struct {
-		name string
-		run  func(buf *bytes.Buffer) int
-		want string
+		name  string
+		run   func(buf *bytes.Buffer) int
+		want  string
+		lines int // title, header, one row per data point
 	}{
-		{"Figure7", func(buf *bytes.Buffer) int { return len(Figure7(buf, tinyOpts())) }, "multipaxos-in"},
-		{"Figure11b", func(buf *bytes.Buffer) int { return len(Figure11b(buf, tinyOpts())) }, "Mumbai"},
+		{"Figure7", func(buf *bytes.Buffer) int { return len(Figure7(buf, tinyOpts())) }, "multipaxos-in", 2 + 4},
+		{"Figure11b", func(buf *bytes.Buffer) int { return len(Figure11b(buf, tinyOpts())) }, "Mumbai", 2 + len(Figure11bConflicts)},
+		// The line caesar-bench ends a figure with when its clients saw
+		// failures: a stub result, no run, one line and no table under it.
+		{"ReportFailed", func(buf *bytes.Buffer) int {
+			return int(ReportFailed(buf, "7", []Result{{}, {Failed: 3}}))
+		}, "figure 7: 3 client commands failed or timed out", 1},
 	}
 	for _, c := range cases {
 		c := c
@@ -42,10 +48,15 @@ func TestFigureWritersProduceTables(t *testing.T) {
 			if !strings.Contains(out, c.want) {
 				t.Fatalf("output missing %q:\n%s", c.want, out)
 			}
-			// Every row must be populated (no empty columns).
-			for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-				if strings.TrimSpace(line) == "" {
-					continue
+			// Every data row is fully populated: as many fields as the
+			// header has columns.
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			if len(lines) != c.lines {
+				t.Fatalf("%d lines, want %d:\n%s", len(lines), c.lines, out)
+			}
+			for _, row := range lines[1:] {
+				if got, want := len(strings.Fields(row)), len(strings.Fields(lines[1])); got != want {
+					t.Errorf("row %q has %d fields, the header %d", row, got, want)
 				}
 			}
 		})

@@ -70,8 +70,9 @@ func NewRecorder() *Recorder {
 	return &Recorder{Latency: NewHistogram(), ReadLatency: NewHistogram()}
 }
 
-// Reset zeroes every measurement; the harness calls it after warmup so the
-// reported window excludes ramp-up noise.
+// Reset zeroes every measurement; the paper-figure harness
+// (internal/harness) calls it after warmup so the reported window excludes
+// ramp-up noise.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

@@ -2,8 +2,8 @@
 // applier, cross-shard commit table, live-rebalancing coordinator,
 // sharded fan-out and (optionally) the durable write-ahead log — from a
 // single description. The public caesar package, cmd/caesar-server and
-// the benchmark harness all construct nodes through it, so a new layer
-// threaded here lands in every deployment path at once.
+// the repository's benchmark (bench/) all construct nodes through it, so
+// a new layer threaded here lands in every deployment path at once.
 //
 // Layer order per consensus group, outermost first:
 //
@@ -104,8 +104,8 @@ type Config struct {
 	// imports the replayed state into it before any engine starts.
 	Store *kvstore.Store
 	// Applier is the node state machine transactions and commands
-	// execute against; nil wraps Store in the batch unpacker. Harness
-	// runs wrap it with pacing here.
+	// execute against; nil wraps Store in the batch unpacker. The
+	// benchmark's traced runs wrap it here to time the apply.
 	Applier protocol.TimestampedAtomicApplier
 	// Metrics receives commit-table and fsync measurements; may be nil.
 	// Each consensus group gets a child recorder (Metrics.Group) so the

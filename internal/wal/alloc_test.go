@@ -23,7 +23,7 @@ func (nopApplier) ApplyAt(command.Command, timestamp.Timestamp) []byte { return 
 // into the reused queue; the budget is the delivered set's amortized
 // growth). The race detector allocates on its own, hence the build tag.
 func TestApplyDeferredAllocs(t *testing.T) {
-	l, _ := mustOpen(t, t.TempDir(), Options{NoSync: true})
+	l, _ := mustOpen(t, t.TempDir(), Options{})
 	defer l.Close()
 	app := deferring(l, 0, nopApplier{})
 	acked := make(chan struct{}, 1)

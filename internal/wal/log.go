@@ -230,20 +230,16 @@ func (l *Log) syncBatch() {
 // fsync metrics.
 func (l *Log) syncFile(f *os.File, records int) error {
 	m := l.opts.Metrics
-	if !l.opts.NoSync {
-		fsync := l.syncHook
-		if fsync == nil {
-			fsync = (*os.File).Sync
-		}
-		start := l.opts.Now()
-		if err := fsync(f); err != nil {
-			return err
-		}
-		if m != nil {
-			m.FsyncLatency.Add(l.opts.Now().Sub(start))
-		}
+	fsync := l.syncHook
+	if fsync == nil {
+		fsync = (*os.File).Sync
+	}
+	start := l.opts.Now()
+	if err := fsync(f); err != nil {
+		return err
 	}
 	if m != nil {
+		m.FsyncLatency.Add(l.opts.Now().Sub(start))
 		m.Fsyncs.Inc()
 		m.FsyncedRecords.Add(int64(records))
 	}
@@ -283,10 +279,8 @@ func (l *Log) openSegmentLocked(index uint64) error {
 			}
 			l.buf = l.buf[:0]
 		}
-		if !l.opts.NoSync {
-			if err := l.f.Sync(); err != nil {
-				return err
-			}
+		if err := l.f.Sync(); err != nil {
+			return err
 		}
 		if err := l.f.Close(); err != nil {
 			return err
@@ -305,15 +299,13 @@ func (l *Log) openSegmentLocked(index uint64) error {
 		f.Close()
 		return err
 	}
-	if !l.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := syncDir(l.dir); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
 	}
 	l.f = f
 	l.segIndex = index

@@ -42,7 +42,7 @@ const snapMagic = "CAESNAP1"
 
 // writeSnapshotFile atomically writes a snapshot: temp file, fsync,
 // rename, fsync dir.
-func writeSnapshotFile(dir string, data snapshotData, noSync bool) error {
+func writeSnapshotFile(dir string, data snapshotData) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(data); err != nil {
 		return err
@@ -72,11 +72,9 @@ func writeSnapshotFile(dir string, data snapshotData, noSync bool) error {
 		tmp.Close()
 		return werr
 	}
-	if !noSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
-		}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
@@ -84,9 +82,6 @@ func writeSnapshotFile(dir string, data snapshotData, noSync bool) error {
 	final := filepath.Join(dir, snapName(data.Cut))
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return err
-	}
-	if noSync {
-		return nil
 	}
 	return syncDir(dir)
 }
@@ -169,7 +164,7 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(l.dir, data, l.opts.NoSync); err != nil {
+	if err := writeSnapshotFile(l.dir, data); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -215,7 +210,7 @@ func (l *Log) removeCovered(cut uint64) {
 			removed = true
 		}
 	}
-	if removed && !l.opts.NoSync {
+	if removed {
 		_ = syncDir(l.dir)
 	}
 }

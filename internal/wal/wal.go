@@ -85,10 +85,6 @@ type Options struct {
 	// SnapshotBytes is the log growth after which MaybeSnapshot takes a
 	// snapshot and truncates the covered segments. Default 4 MiB.
 	SnapshotBytes int64
-	// NoSync skips the fsync on group commit: appends are still ordered
-	// and torn-tail safe, but an OS crash can lose the acknowledged
-	// tail. For benchmarks (the durable figure's ablation) and tests.
-	NoSync bool
 	// Metrics receives fsync batch measurements; may be nil.
 	Metrics *metrics.Recorder
 	// Trace, when non-nil, records a KindFsync event (attributed to

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -378,18 +377,5 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		return nil
 	}); err == nil {
 		t.Fatal("append on closed log succeeded")
-	}
-}
-
-func TestNoSyncMode(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{NoSync: true})
-	for i := 1; i <= 10; i++ {
-		logPut(t, l, 0, 1, uint64(i), fmt.Sprintf("k%d", i), "v")
-	}
-	l.Close()
-	_, st := mustOpen(t, dir, Options{})
-	if len(st.KV) != 10 {
-		t.Errorf("NoSync lost records: %d keys", len(st.KV))
 	}
 }

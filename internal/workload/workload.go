@@ -15,11 +15,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/caesar-consensus/caesar/internal/batch"
 	"github.com/caesar-consensus/caesar/internal/command"
-	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
-	"github.com/caesar-consensus/caesar/internal/shard"
 )
 
 // DefaultSharedPool is the paper's shared pool size.
@@ -38,28 +35,6 @@ type Config struct {
 	ValueSize int
 	// Seed makes the stream reproducible.
 	Seed int64
-	// CrossShardPct in [0,100]: probability a command is a two-key
-	// transaction whose keys route to different consensus groups of a
-	// SpanShards-group deployment. Requires SpanShards > 1.
-	CrossShardPct float64
-	// ReadPct in [0,100]: probability an operation is a read (NextOp).
-	// Reads follow the conflict rule — the shared pool with probability
-	// ConflictPct, otherwise the client's most recently written private
-	// key (a read-after-write, the pattern that exercises the local read
-	// path's frontier wait).
-	ReadPct float64
-	// SpanShards is the router size used to pick cross-group key pairs.
-	// Using the scenario's group count here keeps the generated stream
-	// identical across deployments being compared (the same pairs are
-	// single-group batches on an unsharded run).
-	SpanShards int
-	// ZipfS skews the shared-pool draw: when > 1, shared keys are drawn
-	// zipfian with exponent s (shared-0 the hottest), concentrating
-	// conflicts on a few heavy hitters instead of spreading them
-	// uniformly — the distribution the contention profile
-	// (internal/contend) is built to surface. <= 1 keeps the paper's
-	// uniform draw.
-	ZipfS float64
 }
 
 // Generator produces the command stream of one client. Not safe for
@@ -67,14 +42,9 @@ type Config struct {
 type Generator struct {
 	cfg    Config
 	rng    *rand.Rand
-	zipf   *rand.Zipf
 	prefix string
 	seq    uint64
 	value  []byte
-	router shard.Router
-	// lastKey is the most recent key this client wrote; reads of private
-	// keys target it.
-	lastKey string
 }
 
 // NewGenerator builds a client generator; prefix namespaces the private
@@ -95,100 +65,30 @@ func NewGenerator(cfg Config, prefix string) *Generator {
 		rng:    rand.New(rand.NewSource(seed)),
 		prefix: prefix,
 		value:  make([]byte, cfg.ValueSize),
-		router: shard.NewRouter(cfg.SpanShards),
 	}
 	g.rng.Read(g.value)
-	if cfg.ZipfS > 1 {
-		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS, 1, uint64(cfg.SharedPool-1))
-	}
 	return g
 }
 
-// sharedKey draws one shared-pool key: zipfian when Config.ZipfS skews
-// the pool, uniform otherwise.
-func (g *Generator) sharedKey() string {
-	if g.zipf != nil {
-		return "shared-" + strconv.FormatUint(g.zipf.Uint64(), 10)
-	}
-	return "shared-" + strconv.Itoa(g.rng.Intn(g.cfg.SharedPool))
-}
-
-// Next returns the client's next command: an update, or — with probability
-// CrossShardPct — a two-key transaction spanning consensus groups.
+// Next returns the client's next command: an update of one key.
 func (g *Generator) Next() command.Command {
-	if g.cfg.SpanShards > 1 && g.rng.Float64()*100 < g.cfg.CrossShardPct {
-		if cmd, ok := g.nextCrossShard(); ok {
-			return cmd
-		}
-	}
 	return command.Put(g.nextKey(), g.value)
-}
-
-// NextOp returns the client's next operation: with probability ReadPct a
-// read of readKey (read true, zero command), otherwise a command from
-// Next. The read-mix scenarios compare serving these reads locally
-// (internal/reads) against proposing them through consensus.
-func (g *Generator) NextOp() (cmd command.Command, readKey string, read bool) {
-	if g.cfg.ReadPct > 0 && g.rng.Float64()*100 < g.cfg.ReadPct {
-		return command.Command{}, g.readKey(), true
-	}
-	return g.Next(), "", false
-}
-
-// readKey draws a read target: a shared-pool key with probability
-// ConflictPct, otherwise this client's most recent private write (falling
-// back to the shared pool before the first write).
-func (g *Generator) readKey() string {
-	if g.lastKey == "" || g.rng.Float64()*100 < g.cfg.ConflictPct {
-		return g.sharedKey()
-	}
-	return g.lastKey
 }
 
 // nextKey draws one key per the conflict rule of §VI.
 func (g *Generator) nextKey() string {
 	if g.rng.Float64()*100 < g.cfg.ConflictPct {
-		k := g.sharedKey()
-		g.lastKey = k
-		return k
+		return "shared-" + strconv.Itoa(g.rng.Intn(g.cfg.SharedPool))
 	}
 	g.seq++
-	k := g.prefix + "-" + strconv.FormatUint(g.seq, 36)
-	g.lastKey = k
-	return k
+	return g.prefix + "-" + strconv.FormatUint(g.seq, 36)
 }
 
-// nextCrossShard builds a two-key transaction whose keys route to
-// different groups of the SpanShards-group topology.
-func (g *Generator) nextCrossShard() (command.Command, bool) {
-	k1 := g.nextKey()
-	for tries := 0; tries < 32; tries++ {
-		k2 := g.nextKey()
-		if k2 == k1 || g.router.Shard(k2) == g.router.Shard(k1) {
-			continue
-		}
-		cmd, err := batch.Pack([]command.Command{
-			command.Put(k1, g.value),
-			command.Put(k2, g.value),
-		})
-		if err != nil {
-			break
-		}
-		return cmd, true
-	}
-	return command.Command{}, false
-}
-
-// ClientStats aggregates one client pool's outcomes. Reads count toward
-// Completed/Failed like writes and additionally feed a latency histogram
-// (the read-latency percentiles of the read-heavy scenarios), whichever
-// path — local or proposed — served them.
+// ClientStats aggregates one client pool's outcomes.
 type ClientStats struct {
 	mu        sync.Mutex
 	completed int64
 	failed    int64
-	reads     int64
-	readLat   *metrics.Histogram
 }
 
 // Completed returns the number of successfully executed commands.
@@ -215,48 +115,6 @@ func (s *ClientStats) add(ok bool) {
 	s.mu.Unlock()
 }
 
-// addRead records one read outcome and its latency.
-func (s *ClientStats) addRead(ok bool, d time.Duration) {
-	s.mu.Lock()
-	if ok {
-		s.completed++
-		s.reads++
-		if s.readLat == nil {
-			s.readLat = metrics.NewHistogram()
-		}
-		s.readLat.Observe(d)
-	} else {
-		s.failed++
-	}
-	s.mu.Unlock()
-}
-
-// Reads returns the number of completed reads.
-func (s *ClientStats) Reads() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads
-}
-
-// ReadLatency returns the completed-read latency histogram; nil before
-// the first read.
-func (s *ClientStats) ReadLatency() *metrics.Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLat
-}
-
-// ResetReads discards the read-latency samples gathered so far (the
-// harness calls it when the measurement window opens, so warmup samples
-// do not skew the percentiles).
-func (s *ClientStats) ResetReads() {
-	s.mu.Lock()
-	if s.readLat != nil {
-		s.readLat.Reset()
-	}
-	s.mu.Unlock()
-}
-
 // Engines selects a submission target; clients use it to fail over when
 // their node crashes (the Fig 12 scenario: "the clients from that node
 // timeout and reconnect to other nodes").
@@ -267,32 +125,11 @@ type Engines interface {
 	Nodes() int
 }
 
-// Reader serves node-local linearizable reads (internal/reads.Engine
-// satisfies it).
-type Reader interface {
-	Read(ctx context.Context, key string) ([]byte, bool, error)
-}
-
-// Readers resolves a node's local reader; a nil resolver (or a nil Reader
-// for a node) makes that node's clients propose their reads through
-// consensus like any other command.
-type Readers interface {
-	Reader(node int) Reader
-}
-
 // RunClosedLoop drives one client in a closed loop against node home until
 // ctx is cancelled: submit, wait for execution, repeat (the latency
 // experiments place "10 clients co-located with each node"). On timeout or
 // node failure the client reconnects to the next live node.
 func RunClosedLoop(ctx context.Context, engines Engines, home int, gen *Generator, timeout time.Duration, stats *ClientStats) {
-	RunClosedLoopMixed(ctx, engines, nil, home, gen, timeout, stats)
-}
-
-// RunClosedLoopMixed is RunClosedLoop with a read mix: operations the
-// generator draws as reads (Config.ReadPct) are served by the node's
-// local Reader when one is supplied, and proposed as consensus GETs
-// otherwise — the two columns of the read-heavy scenario.
-func RunClosedLoopMixed(ctx context.Context, engines Engines, readers Readers, home int, gen *Generator, timeout time.Duration, stats *ClientStats) {
 	node := home
 	for ctx.Err() == nil {
 		eng := engines.Engine(node)
@@ -300,31 +137,8 @@ func RunClosedLoopMixed(ctx context.Context, engines Engines, readers Readers, h
 			node = (node + 1) % engines.Nodes()
 			continue
 		}
-		cmd, readKey, isRead := gen.NextOp()
-		if isRead {
-			var reader Reader
-			if readers != nil {
-				reader = readers.Reader(node)
-			}
-			if reader != nil {
-				start := time.Now()
-				rctx, cancel := context.WithTimeout(ctx, timeout)
-				_, _, err := reader.Read(rctx, readKey)
-				cancel()
-				if ctx.Err() != nil {
-					return
-				}
-				stats.addRead(err == nil, time.Since(start))
-				if err != nil {
-					node = (node + 1) % engines.Nodes()
-				}
-				continue
-			}
-			cmd = command.Get(readKey)
-		}
-		start := time.Now()
 		ch := make(chan protocol.Result, 1)
-		eng.Submit(cmd, func(res protocol.Result) {
+		eng.Submit(gen.Next(), func(res protocol.Result) {
 			select {
 			case ch <- res:
 			default:
@@ -334,20 +148,12 @@ func RunClosedLoopMixed(ctx context.Context, engines Engines, readers Readers, h
 		select {
 		case res := <-ch:
 			timer.Stop()
-			if isRead {
-				stats.addRead(res.Err == nil, time.Since(start))
-			} else {
-				stats.add(res.Err == nil)
-			}
+			stats.add(res.Err == nil)
 			if res.Err != nil {
 				node = (node + 1) % engines.Nodes()
 			}
 		case <-timer.C:
-			if isRead {
-				stats.addRead(false, time.Since(start))
-			} else {
-				stats.add(false)
-			}
+			stats.add(false)
 			node = (node + 1) % engines.Nodes()
 		case <-ctx.Done():
 			timer.Stop()
