@@ -44,15 +44,17 @@ func TestAuditDivergenceE2E(t *testing.T) {
 	}
 
 	// Wait for the cluster to quiesce into a comparable, fully matched
-	// state: every pair compared, every digest equal. This also proves the
-	// healthy path is not vacuous before we break it.
+	// state: every pair compared — 3 node pairs in each of the 2 groups,
+	// so no replica is still applying a put its proposer acknowledged and
+	// no frontier moves after the injection — and every digest equal. This
+	// also proves the healthy path is not vacuous before we break it.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		round := c.Audit(ctx)
 		if len(round.Divergences) > 0 {
 			t.Fatalf("false positive before injection: %+v", round.Divergences)
 		}
-		if round.Compared > 0 && round.Matched == round.Compared && round.Groups == 2 {
+		if round.Compared == 3*2 && round.Matched == round.Compared && round.Groups == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -98,12 +100,15 @@ func TestAuditDivergenceE2E(t *testing.T) {
 	if !audited {
 		t.Error("no audit event in the corrupted node's flight journal")
 	}
+	// Copy under the lock and let go of it: the re-audit below may raise a
+	// fresh divergence, whose callback takes mu.
 	mu.Lock()
-	defer mu.Unlock()
-	if len(bundles) == 0 {
+	got := append([]Divergence(nil), bundles...)
+	mu.Unlock()
+	if len(got) == 0 {
 		t.Fatal("Options.OnDivergence never fired")
 	}
-	for _, d := range bundles {
+	for _, d := range got {
 		if d.Group != wantGroup || d.Kind != "state" {
 			t.Errorf("callback bundle wrong: %+v", d)
 		}

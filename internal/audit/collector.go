@@ -171,8 +171,6 @@ type Collector struct {
 	OnDivergence func(Divergence)
 
 	rounds      atomic.Uint64
-	compared    atomic.Uint64
-	matched     atomic.Uint64
 	divergences atomic.Uint64
 
 	mu       sync.Mutex
@@ -186,12 +184,6 @@ type Collector struct {
 // Rounds returns how many gather rounds have completed.
 func (c *Collector) Rounds() uint64 { return c.rounds.Load() }
 
-// Compared returns the total comparable quote pairs across all rounds.
-func (c *Collector) Compared() uint64 { return c.compared.Load() }
-
-// Matched returns the total digest matches across all rounds.
-func (c *Collector) Matched() uint64 { return c.matched.Load() }
-
 // Divergences returns the total divergences raised.
 func (c *Collector) Divergences() uint64 { return c.divergences.Load() }
 
@@ -202,10 +194,8 @@ func (c *Collector) Divergences() uint64 { return c.divergences.Load() }
 // rounds is promoted to an "apply-set" divergence.
 func (c *Collector) RunOnce(ctx context.Context) ([]Report, []Divergence) {
 	reports := Collect(ctx, c.Sources)
-	divs, stats := Diff(reports)
+	divs, _ := Diff(reports)
 	c.rounds.Add(1)
-	c.compared.Add(uint64(stats.Compared))
-	c.matched.Add(uint64(stats.Matched))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -58,11 +58,6 @@ func Wrap(inner protocol.Engine, cfg Config) *Engine {
 	return &Engine{inner: inner, cfg: cfg.withDefaults()}
 }
 
-// Unwrap exposes the wrapped engine, so layers that need the concrete
-// replica underneath — the local-read engine (internal/reads) discovering
-// each group's read frontier — can reach through the batcher.
-func (e *Engine) Unwrap() protocol.Engine { return e.inner }
-
 // Start starts the inner engine.
 func (e *Engine) Start() { e.inner.Start() }
 
@@ -218,7 +213,8 @@ func (a Applier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	return nil
 }
 
-// ApplyAll implements protocol.TimestampedAtomicApplier.
+// ApplyAll is ApplyAllAt at timestamp.Zero. No interface requires it; the
+// benchmark's timing wrapper (bench/rig.go) calls it on this concrete type.
 func (a Applier) ApplyAll(cmds []command.Command) [][]byte {
 	return a.ApplyAllAt(cmds, timestamp.Zero)
 }

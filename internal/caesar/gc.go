@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -41,16 +42,13 @@ func (r *Replica) onStableAckBatch(from timestamp.NodeID, m *StableAckBatch) {
 		if id.Node != r.self {
 			continue
 		}
-		acks := r.acked[id]
-		if acks == nil {
-			acks = make(map[timestamp.NodeID]struct{}, r.n)
+		acks := r.acked[id] | 1<<uint(from)
+		if bits.OnesCount64(acks) < r.n {
 			r.acked[id] = acks
+			continue
 		}
-		acks[from] = struct{}{}
-		if len(acks) >= r.n {
-			delete(r.acked, id)
-			r.purgePending = append(r.purgePending, id)
-		}
+		delete(r.acked, id)
+		r.purgePending = append(r.purgePending, id)
 	}
 }
 
@@ -104,7 +102,7 @@ func (r *Replica) retransmitStables(now time.Time) {
 				// up on the cycle after it heartbeats again.
 				continue
 			}
-			if _, ok := acks[p]; !ok {
+			if acks&(1<<uint(p)) == 0 {
 				r.echoStable(p, rec)
 				resent++
 			}

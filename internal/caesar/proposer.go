@@ -32,7 +32,7 @@ type coordinator struct {
 	ts   timestamp.Timestamp
 	pred command.IDSet
 
-	votes   *quorum.Tracker
+	votes   quorum.Tracker
 	anyNack bool
 	// maxTs tracks the highest timestamp seen across replies: the
 	// retry phase must use a timestamp greater than any suggestion

@@ -17,7 +17,7 @@ import (
 type recovery struct {
 	id       command.ID
 	ballot   uint32
-	votes    *quorum.Tracker
+	votes    quorum.Tracker
 	replies  map[timestamp.NodeID]*RecoverReply
 	deadline time.Time
 }

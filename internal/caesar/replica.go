@@ -212,9 +212,9 @@ type Replica struct {
 	// ackPending accumulates delivered IDs to acknowledge, per leader.
 	ackPending map[timestamp.NodeID][]command.ID
 	// acked tracks which replicas acknowledged each command's delivery
-	// (leader side); a full set queues the purge, missing members drive
-	// Stable retransmission.
-	acked map[command.ID]map[timestamp.NodeID]struct{}
+	// (leader side), one bit per node ID (a sender outside 0..63 sets
+	// none); a full set queues the purge, clear bits drive retransmission.
+	acked map[command.ID]uint64
 	// unacked tracks locally submitted commands whose client callback
 	// has not fired yet, with their submit instants. Deliberately NOT
 	// event-loop state: the stall watchdog reads it through
@@ -260,11 +260,15 @@ type (
 )
 
 // New builds a replica attached to the endpoint. app receives decided
-// commands in order.
+// commands in order. It panics on more than quorum.MaxNodes peers: votes
+// and acks are sets of node IDs 0..N-1 kept as one bit each.
 func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
 	peers := ep.Peers()
 	n := len(peers)
+	if n > quorum.MaxNodes {
+		panic("caesar: more than quorum.MaxNodes peers")
+	}
 	delivered := cfg.Predelivered
 	if delivered == nil {
 		delivered = idset.New()
@@ -293,7 +297,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		awaitedStuck:      make(map[command.ID]time.Time),
 		readParked:        make(map[command.ID][]*readWaiter),
 		ackPending:        make(map[timestamp.NodeID][]command.ID),
-		acked:             make(map[command.ID]map[timestamp.NodeID]struct{}),
+		acked:             make(map[command.ID]uint64),
 		unacked:           make(map[command.ID]time.Time),
 		nextSeq:           cfg.SeqFloor,
 		seqReserved:       cfg.SeqFloor,
@@ -317,9 +321,6 @@ var _ protocol.Engine = (*Replica)(nil)
 
 // Metrics returns the replica's recorder.
 func (r *Replica) Metrics() *metrics.Recorder { return r.met }
-
-// ID returns the replica's node ID.
-func (r *Replica) ID() timestamp.NodeID { return r.self }
 
 // Start launches the event loop and timers.
 func (r *Replica) Start() {

@@ -6,11 +6,13 @@ package caesar
 // rules, loop-breaking delivery, ballots and recovery case analysis.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
+	"github.com/caesar-consensus/caesar/internal/quorum"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
@@ -596,4 +598,57 @@ func TestSlowReportPrecedesClientAck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Delivery acks are one bit per node: the leader re-sends a delivered
+// decision to exactly the replicas whose bit is clear — a duplicate ack
+// counts once — and the full set queues the purge and leaves nothing behind.
+func TestStableResentOnlyToReplicasOwingAnAck(t *testing.T) {
+	r, ep := testReplica(0) // five nodes
+	cmd := put(0, 1, "k")
+	rec := r.hist.ensure(cmd)
+	r.hist.setTimestamp(rec, ts(5, 0))
+	rec.status, rec.delivered = StatusStable, true
+	r.proposals[cmd.ID] = &coordinator{cmd: cmd, phase: phaseStable, stableAt: r.now}
+	ack := &StableAckBatch{IDs: []command.ID{cmd.ID}}
+	for _, from := range []timestamp.NodeID{0, 3, 3} {
+		r.onStableAckBatch(from, ack)
+	}
+
+	ep.clear()
+	r.retransmitStables(r.now.Add(2 * r.cfg.RetransmitAfter))
+	var resentTo []timestamp.NodeID
+	for _, m := range ep.sent {
+		if st, ok := m.payload.(*Stable); !ok || st.Cmd.ID != cmd.ID {
+			t.Fatalf("retransmission sent %#v", m.payload)
+		}
+		resentTo = append(resentTo, m.to)
+	}
+	if want := []timestamp.NodeID{1, 2, 4}; !slices.Equal(resentTo, want) {
+		t.Fatalf("decision re-sent to %v, want %v (0 and 3 acknowledged)", resentTo, want)
+	}
+
+	for _, from := range []timestamp.NodeID{1, 2} {
+		r.onStableAckBatch(from, ack)
+	}
+	if len(r.purgePending) != 0 {
+		t.Fatal("purge queued with node 4's ack outstanding")
+	}
+	r.onStableAckBatch(4, ack)
+	if !slices.Equal(r.purgePending, []command.ID{cmd.ID}) || len(r.acked) != 0 {
+		t.Fatalf("after the last ack: purgePending %v, %d ack set(s) retained", r.purgePending, len(r.acked))
+	}
+}
+
+// Vote and ack sets hold node IDs 0..63; a larger cluster must be refused
+// at construction, not lose the 65th node's votes at run time.
+func TestNewRefusesMoreNodesThanAVoteSetHolds(t *testing.T) {
+	app := protocol.ApplierFunc(func(command.Command) []byte { return nil })
+	New(&stubEP{n: quorum.MaxNodes}, app, Config{HeartbeatInterval: -1})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted %d peers", quorum.MaxNodes+1)
+		}
+	}()
+	New(&stubEP{n: quorum.MaxNodes + 1}, app, Config{HeartbeatInterval: -1})
 }

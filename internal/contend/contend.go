@@ -143,8 +143,10 @@ func (g *Group) record(key string, f func(*entry)) {
 					min = c
 				}
 			}
+			// Reuse the evicted entry: fresh keys evict on every admission.
 			delete(g.byKey, min.key)
-			e = &entry{key: key, weight: min.weight, errFloor: min.weight}
+			*min = entry{key: key, weight: min.weight, errFloor: min.weight}
+			e = min
 		}
 		g.byKey[key] = e
 	}

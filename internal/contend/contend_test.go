@@ -115,6 +115,22 @@ func TestBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestEvictionStartsTheNewKeyClean pins what reusing the evicted entry
+// must not change: the admitted key inherits the evicted weight as its
+// error floor and none of the evicted key's per-kind counters.
+func TestEvictionStartsTheNewKeyClean(t *testing.T) {
+	g := NewProfile(1).Group(0)
+	g.Touch("old")
+	g.Nack("old")
+	g.Hold("old", time.Second)
+	g.Touch("new")
+	rows := g.keys()
+	want := KeyStats{Key: "new", Events: 4, Touches: 1, ErrFloor: 3}
+	if len(rows) != 1 || rows[0] != want {
+		t.Fatalf("after eviction the sketch holds %+v, want exactly %+v", rows, want)
+	}
+}
+
 // TestAttribution checks each recording method lands in its column and
 // durations accumulate into WaitTime.
 func TestAttribution(t *testing.T) {

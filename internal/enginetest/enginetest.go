@@ -58,10 +58,6 @@ func (r *Recorder) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	return r.applyLocked(cmd)
 }
 
-func (r *Recorder) ApplyAll(cmds []command.Command) [][]byte {
-	return r.ApplyAllAt(cmds, timestamp.Zero)
-}
-
 func (r *Recorder) ApplyAllAt(cmds []command.Command, _ timestamp.Timestamp) [][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()

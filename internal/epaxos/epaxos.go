@@ -107,15 +107,14 @@ type (
 type leadPhase uint8
 
 const (
-	leadNone leadPhase = iota
-	leadPreAccept
+	leadPreAccept leadPhase = iota + 1
 	leadAccept
 )
 
 // leaderState tracks an in-flight instance at its (current) leader.
 type leaderState struct {
 	phase    leadPhase
-	votes    *quorum.Tracker
+	votes    quorum.Tracker
 	allEqual bool
 	seq      uint64
 	deps     map[InstanceID]struct{}

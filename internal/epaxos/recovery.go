@@ -26,7 +26,7 @@ type prepReply struct {
 type recoveryState struct {
 	id       InstanceID
 	ballot   uint32
-	votes    *quorum.Tracker
+	votes    quorum.Tracker
 	replies  []prepReply
 	deadline time.Time
 }

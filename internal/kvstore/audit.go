@@ -220,15 +220,17 @@ func (s *Store) InjectDivergence(key string) int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var epoch uint32
-	if ring := s.vers[key]; len(ring) > 0 {
-		epoch = ring[len(ring)-1].epoch
+	if e := s.keys[key]; e != nil {
+		if n := len(e.ring); n > 0 {
+			epoch = e.ring[n-1].epoch
+		}
+		if len(e.val) > 0 {
+			e.val[0] ^= 0x80
+		}
 	}
 	var g int32
 	if s.groupFn != nil {
 		g = s.groupFn(key, epoch)
-	}
-	if v := s.data[key]; len(v) > 0 {
-		v[0] ^= 0x80
 	}
 	ga := s.audits[g]
 	if ga == nil {

@@ -3,14 +3,21 @@
 // update or read a given key of a fully replicated store, and two commands
 // conflict when they access the same key.
 //
-// Beyond the plain map, the store keeps a small per-key ring of recent
-// versions stamped with each write's decided timestamp and routing epoch
-// (the MVCC window behind internal/reads): a local read registered at
-// timestamp T can be answered with the value *as of* T even when later
-// writes have already been applied by the time the read's frontier wait
-// completes. The ring is bounded (versionRing entries per key) — a read
-// point that falls off the window reports uncovered and the read layer
-// retries with a fresh stamp above the key's retained versions.
+// Each key has one entry behind one map slot: its current value, a small
+// ring of recent versions stamped with each write's decided timestamp and
+// routing epoch (the MVCC window behind internal/reads) and the base, the
+// key's state just below the ring. A local read registered at timestamp T
+// is answered with the value *as of* T even when later writes have been
+// applied by the time its frontier wait completes; a read point that falls
+// off the window (versionRing versions) reports uncovered and the read
+// layer retries with a fresh stamp above the key's retained versions.
+//
+// The ring is a slice that grows 1 → versionRing, not the fixed
+// [versionRing]version that would save its allocations: at 56 bytes a
+// version that is 448 bytes for every key written once, ≈ 33 MB over the
+// 3 × 24,676 keys of the benchmark's lan3-mem run. The entry sits behind a
+// pointer because a Go map never gives back its widest slots (PR 14): the
+// slot stays 24 bytes whatever the entry holds.
 package kvstore
 
 import (
@@ -56,6 +63,25 @@ func (v version) visibleAt(epoch uint32, ts timestamp.Timestamp) bool {
 	return !ts.Less(v.ts) // v.ts <= ts
 }
 
+// entry is one key's state. ring is oldest first and nil until the first
+// recorded write — an imported or recovered key serves val at every read
+// point; base is the last evicted version or, until one is evicted, what
+// the first recorded write found (an imported value, or absence) at the
+// zero stamp. val is the newest version's unless an Import overwrote it.
+type entry struct {
+	val  []byte
+	ring []version
+	base version
+}
+
+// current returns the key's value now; a nil entry is an absent key.
+func (e *entry) current() ([]byte, bool) {
+	if e == nil {
+		return nil, false
+	}
+	return e.val, true
+}
+
 // Store is an in-memory key-value store satisfying protocol.Applier.
 // Apply is invoked from a single goroutine per replica, but reads (Get,
 // GetAt, Len) may come from other goroutines, so access is guarded.
@@ -64,12 +90,7 @@ type Store struct {
 	// rebalance.Coordinator.mu): nothing may be acquired under it.
 	//caesarlint:lockorder store
 	mu   sync.RWMutex
-	data map[string][]byte
-	// vers holds each written key's recent versions, oldest first; base is
-	// the key's state just below the ring (the last evicted version, or
-	// the pre-existing state captured at the first recorded write).
-	vers map[string][]version
-	base map[string]version
+	keys map[string]*entry // every key present
 	// applied counts executed commands, for test assertions.
 	applied int64
 	// Applied-state auditing (see audit.go): per-group digest folds, the
@@ -87,9 +108,7 @@ var _ protocol.TimestampedAtomicApplier = (*Store)(nil)
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		data:   make(map[string][]byte),
-		vers:   make(map[string][]version),
-		base:   make(map[string]version),
+		keys:   make(map[string]*entry),
 		audits: make(map[int32]*groupAudit),
 	}
 }
@@ -126,56 +145,49 @@ func (s *Store) applyLocked(cmd command.Command, ts timestamp.Timestamp) []byte 
 		return nil
 	}
 	s.applied++
+	e := s.keys[cmd.Key]
 	switch cmd.Op {
 	case command.OpPut:
 		// Copy: the command buffer may be shared across in-process
 		// replicas.
 		v := make([]byte, len(cmd.Value))
 		copy(v, cmd.Value)
-		s.recordVersionLocked(cmd.Key, cmd.Epoch, ts, v)
-		s.data[cmd.Key] = v
-		s.foldLocked(cmd, ts, v)
+		s.writeLocked(e, cmd, ts, v)
 		return nil
 	case command.OpGet:
-		return s.data[cmd.Key]
+		v, _ := e.current()
+		return v
 	case command.OpAdd:
-		cur := decodeInt(s.data[cmd.Key])
-		next := cur + cmd.AddDelta()
+		cur, _ := e.current()
 		buf := make([]byte, 8)
-		binary.BigEndian.PutUint64(buf, uint64(next))
-		s.recordVersionLocked(cmd.Key, cmd.Epoch, ts, buf)
-		s.data[cmd.Key] = buf
-		s.foldLocked(cmd, ts, buf)
+		binary.BigEndian.PutUint64(buf, uint64(decodeInt(cur)+cmd.AddDelta()))
+		s.writeLocked(e, cmd, ts, buf)
 		return buf
 	default:
 		return nil
 	}
 }
 
-// recordVersionLocked appends one write to the key's version ring. The
-// first recorded write snapshots the key's pre-existing state (an imported
-// or recovered value, or absence) as the base every earlier read point
-// falls back to; evictions roll the oldest ring entry into the base.
-func (s *Store) recordVersionLocked(key string, epoch uint32, ts timestamp.Timestamp, val []byte) {
-	ring := s.vers[key]
-	if len(ring) == 0 {
-		if _, ok := s.base[key]; !ok {
-			old, present := s.data[key]
-			s.base[key] = version{val: old, present: present}
-		}
+// writeLocked makes val the value of cmd's key — e is its entry, nil on the
+// first write — records the version and folds the write into the audit
+// digests. The first recorded write keeps what it found (an imported or
+// recovered value, or absence) as the base every earlier read point falls
+// back to; a full ring rolls its oldest version into the base.
+func (s *Store) writeLocked(e *entry, cmd command.Command, ts timestamp.Timestamp, val []byte) {
+	if e == nil {
+		e = &entry{}
+		s.keys[cmd.Key] = e
+	} else if e.ring == nil {
+		e.base = version{val: e.val, present: true}
 	}
-	ring = append(ring, version{epoch: epoch, ts: ts, val: val, present: true})
-	if len(ring) > versionRing {
-		s.base[key] = ring[0]
-		copy(ring, ring[1:])
-		ring = ring[:versionRing]
+	if len(e.ring) == versionRing {
+		e.base = e.ring[0]
+		copy(e.ring, e.ring[1:])
+		e.ring = e.ring[:versionRing-1]
 	}
-	s.vers[key] = ring
-}
-
-// ApplyAll is ApplyAllAt at the zero timestamp.
-func (s *Store) ApplyAll(cmds []command.Command) [][]byte {
-	return s.ApplyAllAt(cmds, timestamp.Zero)
+	e.ring = append(e.ring, version{epoch: cmd.Epoch, ts: ts, val: val, present: true})
+	e.val = val
+	s.foldLocked(cmd, ts, val)
 }
 
 // ApplyAllAt implements protocol.TimestampedAtomicApplier: the commands
@@ -206,23 +218,23 @@ func (s *Store) GetAt(key string, epoch uint32, ts timestamp.Timestamp) (val []b
 }
 
 func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (val []byte, present, covered bool) {
-	ring := s.vers[key]
-	for i := len(ring) - 1; i >= 0; i-- {
-		if ring[i].visibleAt(epoch, ts) {
-			return ring[i].val, ring[i].present, true
+	e := s.keys[key]
+	if e == nil || e.ring == nil {
+		val, present = e.current()
+		return val, present, true
+	}
+	for i := len(e.ring) - 1; i >= 0; i-- {
+		if v := e.ring[i]; v.visibleAt(epoch, ts) {
+			return v.val, v.present, true
 		}
 	}
-	if b, ok := s.base[key]; ok {
-		// The first-write base carries the zero epoch and timestamp, so it
-		// is visible at every read point; an evicted ring entry qualifies
-		// by its own stamp.
-		if b.visibleAt(epoch, ts) {
-			return b.val, b.present, true
-		}
-		return nil, false, false
+	// The first-write base carries the zero epoch and timestamp, so it is
+	// visible at every read point; an evicted version qualifies by its own
+	// stamp.
+	if e.base.visibleAt(epoch, ts) {
+		return e.base.val, e.base.present, true
 	}
-	v, ok := s.data[key]
-	return v, ok, true
+	return nil, false, false
 }
 
 // SnapshotAt reads several keys at one read point under a single lock
@@ -242,8 +254,9 @@ func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) 
 	for i, k := range keys {
 		v, p, c := s.getAtLocked(k, epoch, ts)
 		if !c {
-			hidden = s.base[k].ts
-			for _, ver := range s.vers[k] {
+			e := s.keys[k]
+			hidden = e.base.ts
+			for _, ver := range e.ring {
 				hidden = timestamp.Max(hidden, ver.ts)
 			}
 			return nil, nil, hidden, false
@@ -260,12 +273,12 @@ func (s *Store) Export(pred func(key string) bool) map[string][]byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string][]byte)
-	for k, v := range s.data {
+	for k, e := range s.keys {
 		if pred != nil && !pred(k) {
 			continue
 		}
-		c := make([]byte, len(v))
-		copy(c, v)
+		c := make([]byte, len(e.val))
+		copy(c, e.val)
 		out[k] = c
 	}
 	return out
@@ -282,7 +295,11 @@ func (s *Store) Import(snap map[string][]byte) {
 	for k, v := range snap {
 		c := make([]byte, len(v))
 		copy(c, v)
-		s.data[k] = c
+		if e := s.keys[k]; e != nil {
+			e.val = c
+		} else {
+			s.keys[k] = &entry{val: c}
+		}
 	}
 }
 
@@ -290,15 +307,14 @@ func (s *Store) Import(snap map[string][]byte) {
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	return s.keys[key].current()
 }
 
 // Len returns the number of keys present.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return len(s.keys)
 }
 
 // Applied returns the number of commands executed.

@@ -158,7 +158,7 @@ type keyState struct {
 	queue    []command.Command // submissions parked during acquisition
 	nextInst uint64
 	// prepare bookkeeping
-	prepVotes *quorum.Tracker
+	prepVotes quorum.Tracker
 	suffix    map[uint64]SuffixEntry
 	floor     uint64
 	deadline  time.Time
@@ -180,7 +180,7 @@ type instKey struct {
 type pending struct {
 	cmd      command.Command
 	ballot   Ballot
-	votes    *quorum.Tracker
+	votes    quorum.Tracker
 	prev     command.Command
 	prevSet  bool
 	deadline time.Time
@@ -244,9 +244,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		submitAt:  make(map[command.ID]time.Time),
 	}
 }
-
-// Metrics returns the replica's recorder.
-func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
 // key returns the state for k, creating it when absent.
 func (r *Replica) key(k string) *keyState {

@@ -58,7 +58,6 @@ const (
 	slotEmpty slotState = iota
 	slotAccepted
 	slotCommitted
-	slotSkipped
 )
 
 type slot struct {
@@ -124,9 +123,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	r.ownNext = uint64(r.self)
 	return r
 }
-
-// Metrics returns the replica's recorder.
-func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
 // Start launches the event loop.
 func (r *Replica) Start() {
@@ -194,8 +190,9 @@ func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
 	s := r.ownNext
 	r.ownNext += uint64(r.n)
 	r.setSlot(s, slotAccepted, cmd)
-	r.acks[s] = quorum.NewTracker(r.cq)
-	r.acks[s].Add(int32(r.self))
+	acks := quorum.NewTracker(r.cq)
+	acks.Add(int32(r.self))
+	r.acks[s] = &acks
 	if s > r.maxSeen {
 		r.maxSeen = s
 	}

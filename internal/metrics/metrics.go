@@ -37,7 +37,6 @@ var logGrowth = math.Log(histGrowth)
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
-	min     atomic.Int64 // nanoseconds; math.MaxInt64 when empty
 	max     atomic.Int64
 	buckets [histBuckets]atomic.Int64
 
@@ -55,7 +54,6 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
 	h.exIdx.Store(-1)
 	return h
 }
@@ -82,7 +80,6 @@ func bucketUpper(i int) time.Duration {
 func (h *Histogram) Reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
 	h.max.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
@@ -100,12 +97,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.count.Add(1)
 	h.sum.Add(int64(d))
-	for {
-		cur := h.min.Load()
-		if int64(d) >= cur || h.min.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
@@ -178,14 +169,6 @@ func (h *Histogram) Mean() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sum.Load() / n)
-}
-
-// Min returns the smallest sample, or 0 when empty.
-func (h *Histogram) Min() time.Duration {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return time.Duration(h.min.Load())
 }
 
 // Max returns the largest sample.

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Recorder aggregates every per-replica measurement the experiments need.
 // A nil *Recorder is valid and records nothing, so engines can be run
@@ -164,16 +161,4 @@ func (r *Recorder) SlowRatio() float64 {
 		return 0
 	}
 	return float64(slow) / float64(fast+slow)
-}
-
-// Throughput is a sampled count used to build timelines (Fig 12): call
-// Snapshot periodically and difference consecutive values.
-type Throughput struct {
-	last atomic.Int64
-}
-
-// Delta returns current-last and stores current.
-func (t *Throughput) Delta(current int64) int64 {
-	prev := t.last.Swap(current)
-	return current - prev
 }

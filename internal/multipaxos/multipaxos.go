@@ -110,9 +110,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	}
 }
 
-// Metrics returns the replica's recorder.
-func (r *Replica) Metrics() *metrics.Recorder { return r.met }
-
 // Start launches the event loop.
 func (r *Replica) Start() {
 	if r.started {
@@ -187,7 +184,8 @@ func (r *Replica) onForward(m *Forward) {
 func (r *Replica) sequence(cmd command.Command) {
 	idx := r.next
 	r.next++
-	r.acks[idx] = quorum.NewTracker(r.cq)
+	acks := quorum.NewTracker(r.cq)
+	r.acks[idx] = &acks
 	r.ep.Broadcast(&Accept{Index: idx, Cmd: cmd})
 }
 

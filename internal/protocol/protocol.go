@@ -89,11 +89,9 @@ type TimestampedApplier interface {
 // observes a strict subset of its effects — all decided at ts, so a
 // version-recording store (internal/kvstore's MVCC ring, behind
 // internal/reads) stamps every write of a transaction with its one
-// merged timestamp and snapshot reads see it all-or-nothing. ApplyAll is
-// ApplyAllAt at timestamp.Zero.
+// merged timestamp and snapshot reads see it all-or-nothing.
 type TimestampedAtomicApplier interface {
 	TimestampedApplier
-	ApplyAll(cmds []command.Command) [][]byte
 	ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte
 }
 

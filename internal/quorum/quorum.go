@@ -7,6 +7,11 @@
 // ⌊CQ/2⌋+1 nodes, and any two fast quorums intersect any classic quorum.
 package quorum
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // ClassicSize returns ⌊N/2⌋+1, the classic (majority) quorum size.
 func ClassicSize(n int) int {
 	return n/2 + 1
@@ -33,31 +38,36 @@ func EPaxosFastSize(n int) int {
 	return f + (f+1)/2
 }
 
-// Tracker counts replies from distinct voters toward a target count.
-// It is not safe for concurrent use; protocol replicas own one per
-// in-flight phase and drive it from their event loop.
+// MaxNodes is the largest cluster a Tracker can count: a node ID is a bit.
+const MaxNodes = 64
+
+// Tracker counts replies from distinct voters toward a target count. It is
+// a plain value, not safe for concurrent use; protocol replicas hold one
+// per in-flight phase and drive it from their event loop.
 type Tracker struct {
 	target int
-	voted  map[int32]struct{}
+	voted  uint64
 }
 
 // NewTracker returns a tracker that completes after target distinct voters.
-func NewTracker(target int) *Tracker {
-	return &Tracker{target: target, voted: make(map[int32]struct{}, target)}
+func NewTracker(target int) Tracker {
+	return Tracker{target: target}
 }
 
 // Add records a vote from the given voter. It returns true if the vote was
-// new (not a duplicate).
+// new (not a duplicate). A voter outside [0, MaxNodes) panics: shifted past
+// the word, its vote would vanish and the quorum never form.
 func (t *Tracker) Add(voter int32) bool {
-	if _, dup := t.voted[voter]; dup {
-		return false
+	if voter < 0 || voter >= MaxNodes {
+		panic(fmt.Sprintf("quorum: voter %d outside [0, %d)", voter, MaxNodes))
 	}
-	t.voted[voter] = struct{}{}
-	return true
+	before := t.voted
+	t.voted |= 1 << uint(voter)
+	return t.voted != before
 }
 
 // Count returns the number of distinct voters seen.
-func (t *Tracker) Count() int { return len(t.voted) }
+func (t Tracker) Count() int { return bits.OnesCount64(t.voted) }
 
 // Reached reports whether the target has been met.
-func (t *Tracker) Reached() bool { return len(t.voted) >= t.target }
+func (t Tracker) Reached() bool { return t.Count() >= t.target }

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,48 @@ func TestTrackerDedup(t *testing.T) {
 	tr.Add(3)
 	if !tr.Reached() || tr.Count() != 3 {
 		t.Fatalf("count=%d reached=%v", tr.Count(), tr.Reached())
+	}
+}
+
+// The tracker against a plain set of voters: random streams with duplicates
+// over every cluster size the word can hold.
+func TestTrackerMatchesSetModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		n := 1 + rng.Intn(MaxNodes)
+		target := 1 + rng.Intn(n)
+		tr := NewTracker(target)
+		seen := make(map[int32]bool)
+		for i := rng.Intn(3 * n); i >= 0; i-- {
+			voter := int32(rng.Intn(n))
+			if got, want := tr.Add(voter), !seen[voter]; got != want {
+				t.Fatalf("round %d: Add(%d) = %v, want %v (seen %v)", round, voter, got, want, seen)
+			}
+			seen[voter] = true
+			if tr.Count() != len(seen) || tr.Reached() != (len(seen) >= target) {
+				t.Fatalf("round %d: count %d reached %v after %d distinct voters, target %d", round, tr.Count(), tr.Reached(), len(seen), target)
+			}
+		}
+	}
+}
+
+// A voter the word cannot hold must fail loudly: shifted past bit 63 its
+// vote would vanish and the phase wait for a quorum that cannot form.
+func TestTrackerRejectsVoterOutsideWord(t *testing.T) {
+	for _, voter := range []int32{-1, MaxNodes, MaxNodes + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", voter)
+				}
+			}()
+			tr := NewTracker(3)
+			tr.Add(voter)
+		}()
+	}
+	tr := NewTracker(1)
+	if !tr.Add(MaxNodes-1) || !tr.Reached() {
+		t.Fatal("the highest voter the word holds was not counted")
 	}
 }
 

@@ -68,26 +68,6 @@ type GroupReader interface {
 	ReadFence(keys []string, ts timestamp.Timestamp, done func(error))
 }
 
-// Unwrapper lets layered engines (proposer-side batching) expose the
-// engine they wrap, so AsGroupReader can find the replica underneath.
-type Unwrapper interface{ Unwrap() protocol.Engine }
-
-// AsGroupReader extracts the GroupReader behind an engine stack, reaching
-// through Unwrap layers.
-func AsGroupReader(eng protocol.Engine) (GroupReader, bool) {
-	for eng != nil {
-		if gr, ok := eng.(GroupReader); ok {
-			return gr, true
-		}
-		uw, ok := eng.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		eng = uw.Unwrap()
-	}
-	return nil, false
-}
-
 // ErrUnavailable reports that a key's consensus group has no local read
 // support on this node (an engine without read frontiers, e.g. the
 // comparison protocols); callers fall back to proposing the read.

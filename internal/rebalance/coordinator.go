@@ -20,16 +20,6 @@ type Config struct {
 	// Self is this node's ID; it staggers fence re-proposals and decides
 	// which skipped commands this node re-routes (only its own).
 	Self timestamp.NodeID
-	// FenceTimeout is how long an installed epoch may wait for a group's
-	// fence before this node re-proposes it (a crashed initiator's
-	// propagation is finished by survivors). Default 2s.
-	FenceTimeout time.Duration
-	// RetireDelay is the grace between a shrink completing and the
-	// retired groups stopping, covering stragglers still proposing under
-	// the old epoch. Default 3s.
-	RetireDelay time.Duration
-	// SweepInterval is the maintenance timer granularity. Default 250ms.
-	SweepInterval time.Duration
 	// Now is the clock deadlines are computed from. Default time.Now.
 	Now func() time.Time
 	// Journal, when non-nil, durably records each epoch this node
@@ -54,15 +44,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FenceTimeout == 0 {
-		c.FenceTimeout = 2 * time.Second
-	}
-	if c.RetireDelay == 0 {
-		c.RetireDelay = 3 * time.Second
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = 250 * time.Millisecond
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -256,23 +237,15 @@ type waiter struct {
 	ch    chan struct{}
 }
 
-// NewCoordinator builds the coordinator of a node starting at epoch 0 with
-// the given shard count. It must be wired to the engines with bind (done
-// by NewEngine) before traffic flows; its Applier method is safe to use
-// while constructing the groups.
-func NewCoordinator(cfg Config, shards int) *Coordinator {
-	if shards < 1 {
-		shards = 1
-	}
-	return NewCoordinatorAt(cfg, map[uint32]int32{0: int32(shards)}, 0)
-}
-
-// NewCoordinatorAt builds a coordinator restored to a recovered epoch
-// history (crash restart): epochs maps every installed epoch to its
-// shard count, and epoch is the last installed one. The node resumes at
+// NewCoordinatorAt builds a coordinator at a given point of the epoch
+// history — a fresh node's {0: shards} at epoch 0, or the history a crash
+// restart recovered: epochs maps every installed epoch to its shard
+// count, and epoch is the last installed one. It must be wired to the
+// engines with bind (done by NewEngine) before traffic flows; its Applier
+// method is safe to use while constructing the groups. The node resumes at
 // that epoch with no transition in flight — a crash mid-transition is
-// safe because with the node-shared store the handoff import is a local
-// no-op and gated (queued) deliveries were never acknowledged; the
+// safe because with the node-shared store a handoff moves no state and
+// gated (queued) deliveries were never acknowledged; the
 // groups' fence prefixes are treated as complete at the restored epoch.
 func NewCoordinatorAt(cfg Config, epochs map[uint32]int32, epoch uint32) *Coordinator {
 	shards := int(epochs[epoch])
@@ -352,7 +325,7 @@ func (co *Coordinator) QueuedCommands() int {
 }
 
 // DebugState renders the in-flight transition's progress — per-source
-// fence/import/drain state, the pre-epoch queue check, and a queue
+// fence/drain state, the pre-epoch queue check, and a queue
 // breakdown — for tests and stall diagnostics; empty when idle.
 func (co *Coordinator) DebugState() []string {
 	co.mu.Lock()
@@ -426,6 +399,9 @@ func (co *Coordinator) stop() {
 	}
 }
 
+// sweepInterval is the maintenance timer granularity.
+const sweepInterval = 250 * time.Millisecond
+
 // sweeper drives timers: overdue fence re-proposals and scheduled
 // retirements.
 func (co *Coordinator) sweeper(stopCh, doneCh chan struct{}) {
@@ -433,7 +409,7 @@ func (co *Coordinator) sweeper(stopCh, doneCh chan struct{}) {
 	// Real-time cadence by design: fence/retire deadlines inside Sweep
 	// read cfg.Now; deterministic tests call Sweep directly.
 	//caesarlint:allow wallclock -- sweep cadence only; deadlines compare cfg.Now instants
-	tick := time.NewTicker(co.cfg.SweepInterval)
+	tick := time.NewTicker(sweepInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -445,8 +421,13 @@ func (co *Coordinator) sweeper(stopCh, doneCh chan struct{}) {
 	}
 }
 
+// fenceTimeout is how long an installed epoch may wait for a group's fence
+// before this node re-proposes it (a crashed initiator's propagation is
+// finished by survivors).
+const fenceTimeout = 2 * time.Second
+
 // Sweep runs one maintenance pass: it re-proposes fences for groups that
-// have not delivered theirs within FenceTimeout (staggered by node rank so
+// have not delivered theirs within fenceTimeout (staggered by node rank so
 // one survivor usually wins) and executes a due retirement. Tests with an
 // injected clock call it directly.
 func (co *Coordinator) Sweep() {
@@ -455,8 +436,8 @@ func (co *Coordinator) Sweep() {
 	var marker Marker
 	co.mu.Lock()
 	if t := co.pending; t != nil {
-		stagger := time.Duration(int32(co.cfg.Self)) * co.cfg.FenceTimeout / 4
-		if now.Sub(t.startedAt) > co.cfg.FenceTimeout+stagger {
+		stagger := time.Duration(int32(co.cfg.Self)) * fenceTimeout / 4
+		if now.Sub(t.startedAt) > fenceTimeout+stagger {
 			for g := 0; g < int(t.marker.PrevShards); g++ {
 				if !t.fenced[g] {
 					refence = append(refence, g)
@@ -915,6 +896,10 @@ func (co *Coordinator) installLocked(m Marker) bool {
 	return true
 }
 
+// retireDelay is the grace between a shrink completing and the retired
+// groups stopping, covering stragglers still proposing under the old epoch.
+const retireDelay = 3 * time.Second
+
 // advance drains releasable queued commands and completes the transition
 // when every fence has landed and every source handoff is done. A queue
 // release can itself complete a handoff (the back-to-back clause of
@@ -930,7 +915,7 @@ func (co *Coordinator) advance() {
 			co.pending = nil
 			if int(t.marker.Shards) < int(t.marker.PrevShards) {
 				co.retireTo = int(t.marker.Shards)
-				co.retireAt = co.cfg.Now().Add(co.cfg.RetireDelay)
+				co.retireAt = co.cfg.Now().Add(retireDelay)
 			}
 			kept := co.waiters[:0]
 			for _, w := range co.waiters {

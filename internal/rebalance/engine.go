@@ -45,9 +45,6 @@ func NewEngine(x *xshard.Engine, co *Coordinator) *Engine {
 	return e
 }
 
-// Inner returns the wrapped cross-shard engine.
-func (e *Engine) Inner() *xshard.Engine { return e.x }
-
 // Coordinator returns the node's rebalance coordinator.
 func (e *Engine) Coordinator() *Coordinator { return e.co }
 

@@ -28,14 +28,16 @@
 //     fence of the new epoch installs it on that replica: new groups are
 //     created (the Mux buffers their early traffic), the proposer-side
 //     router switches, and the gate below starts classifying.
-//  3. Hand off. When a source group (one that loses keys) delivers its
-//     fence, every replica snapshots the moving keys (kvstore export) at
-//     the exact same point of the group's history, imports them for the
-//     destination groups, and waits for the cross-shard transactions the
-//     group ordered before the fence to settle (Table.AwaitGroupDrain).
-//     Commands that reached a key's new home before the handoff finished
-//     are queued — per-key FIFO, without blocking the group's delivery of
-//     unrelated traffic — and applied the moment it does.
+//  3. Hand off. No key bytes move — every group of a node applies to the
+//     one node-shared store — so the handoff is ordering only: when a
+//     source group (one that loses keys) delivers its fence, every replica
+//     waits, at that same point of the group's history, for the
+//     cross-shard transactions the group ordered before the fence to
+//     settle (Table.AwaitGroupDrain) and for any earlier-epoch command it
+//     still holds for the group to be applied. Commands that reached a
+//     key's new home before the handoff finished are queued — per-key
+//     FIFO, without blocking the group's delivery of unrelated traffic —
+//     and applied the moment it does.
 //  4. Retire. After the transition completes, groups beyond the new count
 //     stop and detach (after a grace window for stragglers); their mux
 //     slots drop stale-generation traffic and can be revived by a later

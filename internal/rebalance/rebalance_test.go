@@ -72,7 +72,7 @@ func (r *recordingApplier) applied() []string {
 // newTestCoordinator builds an unbound coordinator suitable for driving
 // the gate directly: no engines, a standalone commit table, manual fences.
 func newTestCoordinator(shards int) (*Coordinator, *recordingApplier) {
-	co := NewCoordinator(Config{Self: 0, Now: time.Now}, shards)
+	co := NewCoordinatorAt(Config{Self: 0, Now: time.Now}, map[uint32]int32{0: int32(shards)}, 0)
 	co.table = xshard.NewTable(xshard.TableConfig{Self: 0, Exec: kvstore.New()})
 	app := &recordingApplier{}
 	return co, app

@@ -68,7 +68,7 @@ type ackProber interface {
 // (metrics.Recorder.Group of Config.Metrics, already registered with the
 // observability registry under a group label); nil when the node has no
 // recorder — engines treat that as "allocate a private one". ctd is the
-// group's contention sketch (Config.Contend's, always non-nil) — engines
+// group's contention sketch (Stack.Contend's, always non-nil) — engines
 // that attribute contention (CAESAR) wire it into their config, others
 // ignore it.
 type BuildEngine func(group int, ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, met *metrics.Recorder, ctd *contend.Group) protocol.Engine
@@ -117,12 +117,6 @@ type Config struct {
 	// histograms, commit-table occupancy, WAL segment/snapshot gauges and
 	// rebalance epoch state. May be nil (no observability surface).
 	Obs *obs.Registry
-	// Contend is the node's contention profile (internal/contend): each
-	// consensus group records hot-key attribution and fast-path losses
-	// into its Group sketch, and the aggregate serves /workloadz and the
-	// caesar_contention_*/caesar_hotkey_* families. nil builds a fresh
-	// profile — the sketch is bounded and lock-cheap, so it is always on.
-	Contend *contend.Profile
 	// Trace, when non-nil, is threaded through the WAL, the cross-shard
 	// commit table and the rebalance coordinator so their milestones
 	// (fsync, tx hold/exec/abort, fences) land in the same ring the
@@ -134,11 +128,9 @@ type Config struct {
 	// dir replays snapshot + log tail and rejoins. Empty disables
 	// durability (the pre-existing purely in-memory behavior).
 	DataDir string
-	// WAL tunes the log when DataDir is set.
-	WAL wal.Options
 	// SnapshotInterval is how often the snapshot loop checks whether the
-	// log grew past WAL.SnapshotBytes. Default 1s; negative disables the
-	// loop (tests snapshot explicitly).
+	// log grew past wal.Options.SnapshotBytes. Default 1s; negative
+	// disables the loop (tests snapshot explicitly).
 	SnapshotInterval time.Duration
 	// Rebalance layers live resizing over a sharded node. Requires
 	// engines that deliver OpFence markers (CAESAR); plain sharded
@@ -207,8 +199,11 @@ type Stack struct {
 	// Flight is the node's flight recorder (Config.Flight, echoed for
 	// callers that build through opaque wiring); nil when none was given.
 	Flight *flight.Recorder
-	// Contend is the node's contention profile (Config.Contend, or the
-	// one Build created); never nil.
+	// Contend is the node's contention profile (internal/contend): each
+	// consensus group records hot-key attribution and fast-path losses
+	// into its Group sketch, and the aggregate serves /workloadz and the
+	// caesar_contention_*/caesar_hotkey_* families. The sketch is bounded
+	// and lock-cheap, so it is always on; never nil.
 	Contend *contend.Profile
 	// Watchdog is the node's stall watchdog; nil unless
 	// Config.StallThreshold was set. Start/Stop manage its scan loop.
@@ -269,10 +264,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	rd := reads.New(store, cfg.Metrics)
 	rd.SetNow(cfg.Now)
 	s.Reads = rd
-	ctd := cfg.Contend
-	if ctd == nil {
-		ctd = contend.NewProfile(0)
-	}
+	ctd := contend.NewProfile(0)
 	s.Contend = ctd
 	rd.SetContend(ctd)
 	cfg.Obs.RegisterNodeRecorder(cfg.Metrics)
@@ -281,7 +273,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		cfg.Obs.RegisterRecorder(obs.Labels{"group": strconv.Itoa(g)}, gm)
 		s.registerContention(cfg.Obs, g, ctd.Group(g))
 		eng := cfg.Build(g, sep, app, seed, gm, ctd.Group(g))
-		if gr, ok := reads.AsGroupReader(eng); ok {
+		if gr, ok := eng.(reads.GroupReader); ok {
 			rd.Attach(g, gr)
 		}
 		if ap, ok := eng.(ackProber); ok {
@@ -296,29 +288,15 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	var log *wal.Log
 	var st *wal.State
 	if cfg.DataDir != "" {
-		opts := cfg.WAL
-		if opts.Metrics == nil {
-			opts.Metrics = cfg.Metrics
-		}
-		if opts.Trace == nil {
-			opts.Trace = cfg.Trace
-		}
-		if opts.Now == nil {
-			opts.Now = cfg.Now
-		}
-		if opts.Flight == nil {
-			opts.Flight = cfg.Flight
-		}
-		opts.Self = ep.Self()
-		user := opts.OnEpoch
-		opts.OnEpoch = func(ec wal.EpochChange) {
-			epochTracker.Install(ec.Epoch, ec.Shards)
-			if user != nil {
-				user(ec)
-			}
-		}
 		var err error
-		log, st, err = wal.OpenInto(cfg.DataDir, store, opts)
+		log, st, err = wal.OpenInto(cfg.DataDir, store, wal.Options{
+			Metrics: cfg.Metrics,
+			Trace:   cfg.Trace,
+			Flight:  cfg.Flight,
+			Self:    ep.Self(),
+			Now:     cfg.Now,
+			OnEpoch: func(ec wal.EpochChange) { epochTracker.Install(ec.Epoch, ec.Shards) },
+		})
 		if err != nil {
 			return nil, err
 		}

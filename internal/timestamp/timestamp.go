@@ -91,11 +91,6 @@ func NewClock(node NodeID) *Clock {
 	return &Clock{node: node}
 }
 
-// Node returns the node identifier the clock stamps timestamps with.
-func (c *Clock) Node() NodeID {
-	return c.node
-}
-
 // clockReserveBlock is how many issued sequences one durable clock
 // reservation covers.
 const clockReserveBlock = 8192

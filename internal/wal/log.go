@@ -135,9 +135,6 @@ type Log struct {
 	syncHook func(*os.File) error
 }
 
-// Dir returns the log's data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // startSyncer launches the group-commit goroutine.
 func (l *Log) startSyncer() {
 	l.kick = make(chan struct{}, 1)

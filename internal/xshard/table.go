@@ -59,9 +59,6 @@ type TableConfig struct {
 	// table before this node proposes abort markers to the groups whose
 	// pieces are missing. Default 3s.
 	ResolveTimeout time.Duration
-	// SweepInterval is the resolution timer granularity. Default
-	// ResolveTimeout/4.
-	SweepInterval time.Duration
 	// Now is the clock deadlines are computed from. Default time.Now.
 	Now func() time.Time
 	// Contend, when non-nil, receives each resolved transaction's held
@@ -74,9 +71,6 @@ type TableConfig struct {
 func (c TableConfig) withDefaults() TableConfig {
 	if c.ResolveTimeout == 0 {
 		c.ResolveTimeout = 3 * time.Second
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = c.ResolveTimeout / 4
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -485,7 +479,7 @@ func (t *Table) sweeper(stop, stopped chan struct{}) {
 	// Real-time cadence by design: deadlines inside Resolve read
 	// cfg.Now; tests needing determinism call Resolve directly.
 	//caesarlint:allow wallclock -- sweep cadence only; deadlines compare cfg.Now instants
-	tick := time.NewTicker(t.cfg.SweepInterval)
+	tick := time.NewTicker(t.cfg.ResolveTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -991,8 +985,8 @@ func (t *Table) pieceFailed(xid XID, err error) {
 // transactions stuck past their deadline and sweeps expired tombstones.
 // Marker submissions are repeated every ResolveTimeout until the
 // transaction executes or dies — duplicates are harmless, losing every
-// race they cannot win. The background sweeper calls it on SweepInterval
-// (wall clock); tests that inject a fake TableConfig.Now call it directly
+// race they cannot win. The background sweeper calls it every quarter of
+// ResolveTimeout (wall clock); tests that inject a fake TableConfig.Now call it directly
 // after advancing the clock, so resolution deadlines are fully drivable
 // under simulated time. Markers are keyed by the entry's own routing
 // epoch, so they conflict with the pieces they chase even while a resize

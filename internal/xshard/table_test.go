@@ -28,10 +28,6 @@ func (r *recordingExec) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []b
 	return nil
 }
 
-func (r *recordingExec) ApplyAll(cmds []command.Command) [][]byte {
-	return r.ApplyAllAt(cmds, timestamp.Zero)
-}
-
 func (r *recordingExec) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
