@@ -5,15 +5,18 @@
 //
 // A batch command's key set is the union of its members' keys, so the
 // conflict relation — and therefore ordering correctness — is preserved:
-// two batches conflict exactly when some of their members do.
+// two batches conflict exactly when some of their members do. Its payload
+// is the members as one counted command list in internal/codec's layout —
+// the bytes a member takes in a WAL record or a wire frame, with no type
+// description in front — and, like those, it is not versioned: replicas
+// and the data dirs they replay must come from one build.
 package batch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -69,7 +72,7 @@ func (e *Engine) Stop() {
 		e.timer.Stop()
 		e.timer = nil
 	}
-	pending, dones := e.pending, e.dones
+	dones := e.dones
 	e.pending, e.dones = nil, nil
 	e.mu.Unlock()
 	for _, done := range dones {
@@ -77,7 +80,6 @@ func (e *Engine) Stop() {
 			done(protocol.Result{Err: protocol.ErrStopped})
 		}
 	}
-	_ = pending
 	e.inner.Stop()
 }
 
@@ -148,35 +150,25 @@ func (e *Engine) flush() {
 }
 
 // Pack encodes commands into a single batch command whose key set is the
-// union of the members' keys.
+// union of the members' keys, in the members' order: the same members
+// always pack to the same command. The buffer starts at what a handful
+// of small members take and grows by append. The error is always nil (the
+// encoding cannot fail); it stays in the signature because bench/ calls
+// Pack.
 func Pack(cmds []command.Command) (command.Command, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cmds); err != nil {
-		return command.Command{}, err
-	}
-	keySet := make(map[string]struct{})
-	for _, c := range cmds {
-		for _, k := range c.Keys() {
-			keySet[k] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	out := command.Command{Op: command.OpBatch, Payload: buf.Bytes()}
-	if len(keys) > 0 {
-		out.Key = keys[0]
-		out.ExtraKeys = keys[1:]
-	}
-	return out, nil
+	payload := codec.AppendCommands(make([]byte, 0, 128), cmds)
+	return command.Command{Op: command.OpBatch, Payload: payload}.WithKeys(command.KeyUnion(cmds)), nil
 }
 
-// Unpack decodes a batch command's members.
+// Unpack decodes a batch command's members; they alias nothing of its
+// payload.
 func Unpack(batched command.Command) ([]command.Command, error) {
-	var cmds []command.Command
-	err := gob.NewDecoder(bytes.NewReader(batched.Payload)).Decode(&cmds)
-	return cmds, err
+	r := codec.NewReader(batched.Payload)
+	cmds := r.Commands()
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return cmds, nil
 }
 
 // Applier unpacks batch commands before handing them to the node state

@@ -1,13 +1,14 @@
-// Package codec holds the binary field primitives shared by the two
-// hand-rolled formats in the repo: WAL records (internal/wal) and wire
-// frames (internal/wire). Both are a type byte followed by
-// uvarint/length-prefixed fields; appending goes through the Append*
-// functions, decoding through a Reader that owns every bounds check, so a
-// command, timestamp or ID is laid out — and validated — by one piece of
-// code wherever it is stored or sent.
+// Package codec holds the binary field primitives shared by the
+// hand-rolled formats in the repo: WAL records (internal/wal), wire frames
+// (internal/wire) and the payloads consensus orders inside a command
+// (cross-shard pieces and abort markers, batches, resize markers). All are
+// uvarint/length-prefixed fields, most behind a type byte; appending goes
+// through the Append* functions, decoding through a Reader that owns every
+// bounds check, so a command, timestamp or ID is laid out — and validated —
+// by one piece of code wherever it is stored or sent.
 //
 // Field layouts (the WAL's on-disk format since PR 4; changing one is a
-// format change for both users):
+// format change for every user):
 //
 //	uvarint    binary.AppendUvarint
 //	bytes      uvarint length, then the bytes
@@ -17,6 +18,18 @@
 //	ids        uvarint count, then that many ids
 //	command    id, Op byte, bytes Key, bytes Value, uvarint count +
 //	           that many bytes ExtraKeys, bytes Payload, uvarint Epoch
+//	commands   uvarint count, then that many commands
+//
+// Command payloads built from them (a command's Payload, by Op). WAL
+// command records persist them, so changing one is a new segment
+// generation (wal's segMagic):
+//
+//	piece      OpXCommit (xshard): byte 1, node + uvarint Seq (the XID),
+//	           uvarint count + that many uvarint groups, commands
+//	abort      OpXAbort (xshard): byte 2, node + uvarint Seq, uvarint group
+//	batch      OpBatch (batch): commands
+//	marker     OpFence (rebalance): uvarint Epoch, uvarint Shards, uvarint
+//	           PrevShards
 package codec
 
 import (
@@ -94,6 +107,20 @@ func AppendCommand(b []byte, cmd command.Command) []byte {
 	return AppendUvarint(b, uint64(cmd.Epoch))
 }
 
+// minCommandLen is the fewest bytes AppendCommand can emit (a two-byte id,
+// the op and five empty fields); it bounds the count a command list may
+// claim.
+const minCommandLen = 8
+
+// AppendCommands appends a counted list of commands.
+func AppendCommands(b []byte, cmds []command.Command) []byte {
+	b = AppendUvarint(b, uint64(len(cmds)))
+	for _, cmd := range cmds {
+		b = AppendCommand(b, cmd)
+	}
+	return b
+}
+
 // Reader walks one encoded buffer. The first malformed field latches Err;
 // every later read returns a zero value, so callers decode a whole
 // structure and check Err once. Decoded strings and byte slices are
@@ -112,6 +139,15 @@ func (r *Reader) Err() error { return r.err }
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.b) }
+
+// End finishes a decode that must consume its whole input: unread bytes
+// are malformed too. It returns Err.
+func (r *Reader) End() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = ErrMalformed
+	}
+	return r.err
+}
 
 // Uvarint reads one uvarint.
 func (r *Reader) Uvarint() uint64 {
@@ -237,4 +273,17 @@ func (r *Reader) Command() command.Command {
 	cmd.Payload = r.Bytes()
 	cmd.Epoch = uint32(r.Uvarint())
 	return cmd
+}
+
+// Commands reads a counted list of commands; an empty list decodes to nil.
+func (r *Reader) Commands() []command.Command {
+	n := r.Count(minCommandLen)
+	if n == 0 {
+		return nil
+	}
+	cmds := make([]command.Command, n)
+	for i := range cmds {
+		cmds[i] = r.Command()
+	}
+	return cmds
 }

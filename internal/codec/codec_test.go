@@ -72,12 +72,33 @@ func TestForgedCountsAreRejected(t *testing.T) {
 	huge := AppendUvarint(nil, 1<<40)
 	for name, read := range map[string]func(*Reader){
 		"ids":   func(r *Reader) { r.IDs() },
+		"cmds":  func(r *Reader) { r.Commands() },
 		"bytes": func(r *Reader) { r.Bytes() },
 		"count": func(r *Reader) { r.Count(1) },
 	} {
 		r := NewReader(append(huge[:len(huge):len(huge)], 1, 2, 3))
 		if allocs := testing.AllocsPerRun(1, func() { read(&r) }); r.Err() == nil || allocs != 0 {
 			t.Errorf("%s: err %v after %v allocations, want ErrMalformed after none", name, r.Err(), allocs)
+		}
+	}
+}
+
+// TestCommandsRoundTrip: a counted command list reads back whole, an empty
+// one as nil, and End accepts exactly the bytes the list took.
+func TestCommandsRoundTrip(t *testing.T) {
+	cmds := sampleCommands()
+	b := AppendCommands(AppendCommands(nil, cmds), nil)
+	r := NewReader(b)
+	got, empty := r.Commands(), r.Commands()
+	if err := r.End(); err != nil || !reflect.DeepEqual(got, cmds) || empty != nil {
+		t.Fatalf("round trip gave %#v, %#v, %v", got, empty, err)
+	}
+	for _, damaged := range [][]byte{b[:len(b)-2], append(b[:len(b):len(b)], 0)} {
+		r := NewReader(damaged)
+		r.Commands()
+		r.Commands()
+		if r.End() != ErrMalformed || r.Err() != ErrMalformed {
+			t.Fatalf("%d of %d bytes: End %v, want ErrMalformed", len(damaged), len(b), r.End())
 		}
 	}
 }

@@ -185,6 +185,33 @@ func (c Command) Keys() []string {
 	return keys
 }
 
+// KeyUnion returns the distinct keys of cmds in first-seen order — the key
+// set of a command that carries cmds as members (a batch, a cross-shard
+// piece). The order is a function of cmds alone, so two calls build the
+// same command. A transaction has a handful of keys: duplicates are found
+// by scanning the output, not with a map.
+func KeyUnion(cmds []Command) []string {
+	var keys []string
+	for _, c := range cmds {
+		for _, k := range c.Keys() {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+	}
+	return keys
+}
+
+// WithKeys returns c keyed by keys: the first is its Key, the rest its
+// ExtraKeys. An empty set leaves c as it is.
+func (c Command) WithKeys(keys []string) Command {
+	if len(keys) > 0 {
+		c.Key = keys[0]
+		c.ExtraKeys = keys[1:]
+	}
+	return c
+}
+
 // IsWrite reports whether the command mutates state. Batches are treated as
 // writes (they contain at least one write in practice; treating them as
 // writes is conservative and safe), as are cross-shard pieces and abort

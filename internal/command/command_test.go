@@ -1,6 +1,7 @@
 package command
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,29 @@ func TestKeys(t *testing.T) {
 	b := Command{Op: OpBatch, Key: "a", ExtraKeys: []string{"b"}}
 	if got := b.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("batch keys = %v", got)
+	}
+}
+
+// TestKeyUnion: distinct keys in the members' first-seen order, keyless
+// members contributing none — and WithKeys stamps them back as Keys reads
+// them.
+func TestKeyUnion(t *testing.T) {
+	cmds := []Command{
+		Put("d", nil), Noop(), Put("b", nil), Add("d", 1),
+		{Op: OpBatch, Key: "a", ExtraKeys: []string{"b", "c"}}, Fence(nil),
+	}
+	want := []string{"d", "b", "a", "c"}
+	if got := KeyUnion(cmds); !slices.Equal(got, want) {
+		t.Errorf("KeyUnion = %q, want %q", got, want)
+	}
+	if got := KeyUnion([]Command{Noop()}); got != nil {
+		t.Errorf("KeyUnion of keyless commands = %q", got)
+	}
+	if got := (Command{Op: OpBatch}).WithKeys(want).Keys(); !slices.Equal(got, want) {
+		t.Errorf("WithKeys then Keys = %q, want %q", got, want)
+	}
+	if got := Noop().WithKeys(nil); got.Key != "" || got.ExtraKeys != nil {
+		t.Errorf("WithKeys(nil) changed the command to %+v", got)
 	}
 }
 

@@ -70,10 +70,9 @@
 package rebalance
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 )
 
@@ -90,20 +89,27 @@ func (m Marker) String() string {
 	return fmt.Sprintf("resize{epoch %d: %d→%d shards}", m.Epoch, m.PrevShards, m.Shards)
 }
 
-// EncodeMarker serializes a marker for a fence payload.
+// EncodeMarker serializes a marker for a fence payload: its three fields
+// as uvarints, in declaration order (internal/codec's layout table). The
+// error is always nil; it stays in the signature with its callers.
 func EncodeMarker(m Marker) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	b := make([]byte, 0, 8)
+	b = codec.AppendUvarint(b, uint64(m.Epoch))
+	b = codec.AppendUvarint(b, uint64(uint32(m.Shards)))
+	return codec.AppendUvarint(b, uint64(uint32(m.PrevShards))), nil
 }
 
 // DecodeMarker reverses EncodeMarker.
 func DecodeMarker(payload []byte) (Marker, error) {
+	r := codec.NewReader(payload)
 	var m Marker
-	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m)
-	return m, err
+	m.Epoch = uint32(r.Uvarint())
+	m.Shards = int32(uint32(r.Uvarint()))
+	m.PrevShards = int32(uint32(r.Uvarint()))
+	if err := r.End(); err != nil {
+		return Marker{}, err
+	}
+	return m, nil
 }
 
 // FenceCommand builds the consensus command carrying a resize marker: an

@@ -1,11 +1,15 @@
 package rebalance
 
 import (
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/protocol"
@@ -29,6 +33,45 @@ func TestMarkerCodec(t *testing.T) {
 	}
 	if got != m {
 		t.Fatalf("round-trip %+v, want %+v", got, m)
+	}
+}
+
+// goldenMarker is the format: a fence's payload sits in WAL command
+// records, so a change that breaks this test is a new segment generation
+// (wal's segMagic), not a refactor. Epoch 300, 8 shards, 4 before.
+const goldenMarker = "ac020804"
+
+func TestMarkerFormatIsPinned(t *testing.T) {
+	m := Marker{Epoch: 300, Shards: 8, PrevShards: 4}
+	raw, err := EncodeMarker(m)
+	if got := hex.EncodeToString(raw); err != nil || got != goldenMarker {
+		t.Errorf("marker encodes to %s, %v; the format is %s", got, err, goldenMarker)
+	}
+	if got, err := DecodeMarker(raw); err != nil || got != m {
+		t.Errorf("golden marker decodes to %+v, %v; want %+v", got, err, m)
+	}
+	// Every proper prefix and a trailing byte are refused, never misread.
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := DecodeMarker(raw[:cut:cut]); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%d-byte prefix: %v, want ErrMalformed", cut, err)
+		}
+	}
+	if _, err := DecodeMarker(append(raw, 0)); !errors.Is(err, codec.ErrMalformed) {
+		t.Errorf("trailing byte: %v, want ErrMalformed", err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { DecodeMarker(raw) }); avg != 0 {
+		t.Errorf("DecodeMarker: %.1f allocs, want 0", avg)
+	}
+}
+
+func TestMarkerRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 2000; i++ {
+		m := Marker{Epoch: rng.Uint32() >> uint(rng.Intn(32)), Shards: int32(rng.Uint32()), PrevShards: int32(rng.Uint32() >> uint(rng.Intn(32)))}
+		raw, _ := EncodeMarker(m)
+		if got, err := DecodeMarker(raw); err != nil || got != m {
+			t.Fatalf("decode(encode(%+v)) = %+v, %v", m, got, err)
+		}
 	}
 }
 

@@ -18,11 +18,6 @@ import (
 // type metadata every record), and a WAL rewards both. The field
 // primitives live in internal/codec, shared with the wire format.
 
-// minCommandLen is the fewest bytes codec.AppendCommand can emit (a
-// two-byte id, the op and five empty fields); it bounds the operation
-// count a transaction record may claim.
-const minCommandLen = 8
-
 // ErrCorrupt reports a record that fails its CRC or structure checks in
 // the middle of the log — data after it cannot be trusted, so OpenInto
 // refuses to replay past it. (A torn *final* record is not corruption;
@@ -44,11 +39,7 @@ func encodeTxRec(xid xshard.XID, merged timestamp.Timestamp, ops []command.Comma
 	b = codec.AppendNode(b, xid.Node)
 	b = codec.AppendUvarint(b, xid.Seq)
 	b = codec.AppendTimestamp(b, merged)
-	b = codec.AppendUvarint(b, uint64(len(ops)))
-	for _, op := range ops {
-		b = codec.AppendCommand(b, op)
-	}
-	return b
+	return codec.AppendCommands(b, ops)
 }
 
 func encodeEpochRec(ec EpochChange) []byte {
@@ -101,12 +92,7 @@ func decodeRecord(payload []byte) (decoded, error) {
 		rec.xid.Node = d.Node()
 		rec.xid.Seq = d.Uvarint()
 		rec.merged = d.Timestamp()
-		if n := d.Count(minCommandLen); n > 0 {
-			rec.ops = make([]command.Command, n)
-			for i := range rec.ops {
-				rec.ops[i] = d.Command()
-			}
-		}
+		rec.ops = d.Commands()
 	case recEpoch:
 		rec.epoch.Epoch = uint32(d.Uvarint())
 		rec.epoch.Shards = int32(uint32(d.Uvarint()))

@@ -164,6 +164,9 @@ func (l *Log) replaySegment(idx uint64, final bool, app batch.Applier) (int, err
 	if err != nil {
 		return 0, err
 	}
+	if len(raw) >= segHeaderLen && string(raw[:7]) == segMagic[:7] && raw[7] != segMagic[7] {
+		return 0, fmt.Errorf("%w: segment %d was written by format %s, this build reads %s only", ErrCorrupt, idx, raw[:8], segMagic)
+	}
 	if len(raw) < segHeaderLen || string(raw[:8]) != segMagic ||
 		binary.LittleEndian.Uint64(raw[8:16]) != idx {
 		return 0, fmt.Errorf("%w: segment %d header", ErrCorrupt, idx)

@@ -308,7 +308,8 @@ func newAggregates() *aggregates {
 // decodeXPayload decodes the cross-shard payload noteCommand needs: the
 // piece of an OpXCommit, the marker of an OpXAbort, nil for every other
 // command (and for a payload that does not decode, which the commit table
-// ignores too).
+// ignores too; on replay that is never an older build's layout, whose
+// segments replaySegment refuses by their magic).
 func decodeXPayload(cmd command.Command) (piece *xshard.Piece, abort *xshard.Abort) {
 	switch cmd.Op {
 	case command.OpXCommit:

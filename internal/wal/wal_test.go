@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -201,6 +203,34 @@ func TestCorruptionBeforeFinalSegmentFails(t *testing.T) {
 
 	if _, _, err := OpenInto(dir, kvstore.New(), Options{}); err == nil {
 		t.Fatal("OpenInto succeeded over mid-log corruption")
+	}
+}
+
+// TestOldGenerationSegmentIsRefused: a data dir written before the
+// cross-shard, batch and resize payloads left gob (segment magic CAESWAL1)
+// holds command records this build would read as undecodable payloads and
+// skip. It is refused whole instead, by name — even when the segment is
+// the final one, where damage is otherwise truncated away.
+func TestOldGenerationSegmentIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	logPut(t, l, 0, 1, 1, "a", "1")
+	l.Close()
+	segs, _, err := scanDir(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want 1 segment, got %v (%v)", segs, err)
+	}
+	seg := filepath.Join(dir, segName(segs[0]))
+	raw, _ := os.ReadFile(seg)
+	copy(raw, "CAESWAL1")
+	os.WriteFile(seg, raw, 0o644)
+
+	_, _, err = OpenInto(dir, kvstore.New(), Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "written by format CAESWAL1") {
+		t.Fatalf("OpenInto over a CAESWAL1 segment: %v, want ErrCorrupt naming the generation", err)
+	}
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, raw) {
+		t.Fatal("the refused segment was modified")
 	}
 }
 

@@ -91,11 +91,7 @@ func (e *Engine) submitCross(router shard.Router, cmd command.Command, done prot
 	xid := e.table.nextXID()
 	// One payload serves every group — the Piece is identical across
 	// participants, only the key stamping differs.
-	payload, err := encodePayload(&Piece{XID: xid, Groups: groups, Ops: ops})
-	if err != nil {
-		fail(err)
-		return
-	}
+	payload := encodePiece(xid, groups, ops)
 	e.table.Expect(xid, groups, ops, router.Epoch(), done)
 	for _, g := range groups {
 		pc := pieceWithPayload(payload, parts[int(g)])

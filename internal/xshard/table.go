@@ -537,7 +537,7 @@ func (t *Table) fillLocked(e *entry, groups []int32, ops []command.Command, epoc
 	e.epoch = epoch
 	e.regAt = t.cfg.Now()
 	e.keys = make(map[string]struct{})
-	for _, k := range keyUnion(ops) {
+	for _, k := range command.KeyUnion(ops) {
 		e.keys[k] = struct{}{}
 		m := t.pendingByKey[k]
 		if m == nil {

@@ -50,13 +50,11 @@
 package xshard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/caesar-consensus/caesar/internal/batch"
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -89,7 +87,8 @@ func (x XID) String() string { return fmt.Sprintf("x%d.%d", int32(x.Node), x.Seq
 // Piece is the payload of one group's OpXCommit participant command. Every
 // piece carries the full transaction (Groups and Ops are identical across
 // the pieces of one XID), so any node holding any piece can reconstruct
-// the other participants — the basis of survivor-side resolution.
+// the other participants — the basis of survivor-side resolution. Its
+// bytes are kindPiece, the XID, the counted groups, the counted commands.
 type Piece struct {
 	XID XID
 	// Groups lists the participating consensus groups, sorted.
@@ -101,69 +100,90 @@ type Piece struct {
 // Abort is the payload of an OpXAbort marker proposed to one group. The
 // marker shares the piece's keys in that group, so consensus totally
 // orders marker and piece: whichever is delivered first wins the group.
+// Its bytes are kindAbort, the XID and the group.
 type Abort struct {
 	XID   XID
 	Group int32
 }
 
-// registerOnce guards the gob registration of the payload types. They are
-// encoded as interface values, so every process needs them in the global
-// gob registry before it encodes or decodes one; both paths below do that.
-// (The bytes are opaque to internal/wire, which carries them as a
-// command's Payload.)
-var registerOnce sync.Once
+// A payload's first byte is its kind, so a piece handed to DecodeAbort (or
+// the reverse) is refused instead of misread. The rest is internal/codec
+// fields, laid out by hand like a wire frame or a WAL record (the table in
+// that package's comment): nothing is registered, self-described or
+// negotiated, so the replicas of a cluster and the data dirs they restart
+// from must come from one build. internal/wire carries the bytes opaquely,
+// as a command's Payload; the WAL persists them inside command records,
+// which is why changing a layout bumps wal's segment magic.
+const (
+	kindPiece byte = 1
+	kindAbort byte = 2
+)
 
-func registerGob() {
-	registerOnce.Do(func() {
-		gob.Register(&Piece{})
-		gob.Register(&Abort{})
-	})
+// appendHeader starts a payload: its kind and the transaction it is about.
+func appendHeader(b []byte, kind byte, xid XID) []byte {
+	b = append(b, kind)
+	b = codec.AppendNode(b, xid.Node)
+	return codec.AppendUvarint(b, xid.Seq)
 }
 
-// encodePayload gob-encodes a piece or marker as an interface value.
-func encodePayload(v any) ([]byte, error) {
-	registerGob()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
+// readHeader opens a payload that must be of the given kind and reads its
+// XID; the rest is read from r, whose Err also covers the XID.
+func readHeader(payload []byte, kind byte) (r codec.Reader, xid XID, err error) {
+	if len(payload) == 0 {
+		return r, xid, codec.ErrMalformed
 	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload reverses encodePayload.
-func decodePayload(b []byte) (any, error) {
-	registerGob()
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, err
+	if payload[0] != kind {
+		return r, xid, fmt.Errorf("xshard: payload of kind %d, want kind %d", payload[0], kind)
 	}
-	return v, nil
+	r = codec.NewReader(payload[1:])
+	xid.Node = r.Node()
+	xid.Seq = r.Uvarint()
+	return r, xid, nil
 }
 
-// DecodePiece decodes an OpXCommit command's payload.
+// encodePiece lays out a piece's payload. A two-put transaction takes
+// about 70 bytes, so the common piece is one allocation.
+func encodePiece(xid XID, groups []int32, ops []command.Command) []byte {
+	b := appendHeader(make([]byte, 0, 128), kindPiece, xid)
+	b = codec.AppendUvarint(b, uint64(len(groups)))
+	for _, g := range groups {
+		b = codec.AppendUvarint(b, uint64(uint32(g)))
+	}
+	return codec.AppendCommands(b, ops)
+}
+
+// DecodePiece decodes an OpXCommit command's payload. The piece aliases
+// nothing of payload.
 func DecodePiece(payload []byte) (*Piece, error) {
-	v, err := decodePayload(payload)
+	r, xid, err := readHeader(payload, kindPiece)
 	if err != nil {
 		return nil, err
 	}
-	p, ok := v.(*Piece)
-	if !ok {
-		return nil, fmt.Errorf("xshard: payload holds %T, want *Piece", v)
+	var groups []int32
+	if n := r.Count(1); n > 0 { // a group is at least one uvarint byte
+		groups = make([]int32, n)
+		for i := range groups {
+			groups[i] = int32(uint32(r.Uvarint()))
+		}
 	}
-	return p, nil
+	ops := r.Commands()
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return &Piece{XID: xid, Groups: groups, Ops: ops}, nil
 }
 
 // DecodeAbort decodes an OpXAbort command's payload.
 func DecodeAbort(payload []byte) (*Abort, error) {
-	v, err := decodePayload(payload)
+	r, xid, err := readHeader(payload, kindAbort)
 	if err != nil {
 		return nil, err
 	}
-	a, ok := v.(*Abort)
-	if !ok {
-		return nil, fmt.Errorf("xshard: payload holds %T, want *Abort", v)
+	group := int32(uint32(r.Uvarint()))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
-	return a, nil
+	return &Abort{XID: xid, Group: group}, nil
 }
 
 // memberOps returns the executable member commands of cmd: the unpacked
@@ -190,30 +210,6 @@ func partition(r shard.Router, ops []command.Command) (map[int][]command.Command
 	return parts, nil
 }
 
-// keyUnion returns the distinct keys of ops, in first-seen order.
-func keyUnion(ops []command.Command) []string {
-	seen := make(map[string]struct{})
-	var keys []string
-	for _, op := range ops {
-		for _, k := range op.Keys() {
-			if _, ok := seen[k]; !ok {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-	}
-	return keys
-}
-
-// withKeys stamps a command with the given key set.
-func withKeys(cmd command.Command, keys []string) command.Command {
-	if len(keys) > 0 {
-		cmd.Key = keys[0]
-		cmd.ExtraKeys = keys[1:]
-	}
-	return cmd
-}
-
 // pieceWithPayload stamps one group's participant command from the
 // transaction's pre-encoded payload: an OpXCommit keyed by the group's
 // share of the key set, so it conflicts exactly with that group's
@@ -221,25 +217,21 @@ func withKeys(cmd command.Command, keys []string) command.Command {
 // the coordinator's submit loop (which encodes the payload once for all
 // groups).
 func pieceWithPayload(payload []byte, groupOps []command.Command) command.Command {
-	return withKeys(command.Command{Op: command.OpXCommit, Payload: payload}, keyUnion(groupOps))
+	return command.Command{Op: command.OpXCommit, Payload: payload}.WithKeys(command.KeyUnion(groupOps))
 }
 
 // PieceCommand builds the participant command proposed to one group,
-// carrying the full transaction.
+// carrying the full transaction. The error is always nil (the encoding
+// cannot fail); it stays in the signature with its callers.
 func PieceCommand(xid XID, groups []int32, all, groupOps []command.Command) (command.Command, error) {
-	payload, err := encodePayload(&Piece{XID: xid, Groups: groups, Ops: all})
-	if err != nil {
-		return command.Command{}, err
-	}
-	return pieceWithPayload(payload, groupOps), nil
+	return pieceWithPayload(encodePiece(xid, groups, all), groupOps), nil
 }
 
 // AbortCommand builds the abort marker proposed to one group, keyed like
-// the group's piece so the two are totally ordered by that group.
+// the group's piece so the two are totally ordered by that group. The
+// error is always nil, as PieceCommand's.
 func AbortCommand(xid XID, group int32, groupOps []command.Command) (command.Command, error) {
-	payload, err := encodePayload(&Abort{XID: xid, Group: group})
-	if err != nil {
-		return command.Command{}, err
-	}
-	return withKeys(command.Command{Op: command.OpXAbort, Payload: payload}, keyUnion(groupOps)), nil
+	payload := appendHeader(make([]byte, 0, 16), kindAbort, xid)
+	payload = codec.AppendUvarint(payload, uint64(uint32(group)))
+	return command.Command{Op: command.OpXAbort, Payload: payload}.WithKeys(command.KeyUnion(groupOps)), nil
 }
