@@ -16,7 +16,7 @@ import (
 type waiter struct {
 	cmd    command.Command
 	ts     timestamp.Timestamp
-	pred   command.IDSet // predecessor set computed at reception (Fig 4, P13)
+	pred   []command.ID // predecessor set computed at reception (Fig 4, P13)
 	ballot uint32
 	slow   bool // answering a SlowPropose rather than a FastPropose
 	from   timestamp.NodeID
@@ -82,8 +82,8 @@ func (r *Replica) evalBlocking(cmd command.Command, ts timestamp.Timestamp) bloc
 			}
 		}
 	}
-	r.hist.conflictsAbove(cmd, ts, func(other *record) bool {
-		if other.pred.Has(cmd.ID) {
+	r.hist.conflicts(cmd, ts, above, func(other *record) bool {
+		if command.ContainsID(other.pred, cmd.ID) {
 			return true
 		}
 		switch other.status {
@@ -108,30 +108,20 @@ func (r *Replica) evalBlocking(cmd command.Command, ts timestamp.Timestamp) bloc
 // onFastPropose handles the acceptor side of the fast proposal phase
 // (Fig 4, lines P11–P20).
 func (r *Replica) onFastPropose(from timestamp.NodeID, m *FastPropose) {
-	id := m.Cmd.ID
-	if r.ballots[id] > m.Ballot {
+	rec := r.hist.ensure(m.Cmd)
+	if rec.promised > m.Ballot {
 		return
 	}
-	r.ballots[id] = m.Ballot
+	rec.promised = m.Ballot
 	r.clock.Observe(m.Time)
 	r.touchKeys(m.Cmd)
-	rec := r.hist.ensure(m.Cmd)
 	if rec.status == StatusStable || rec.delivered {
 		r.echoStable(from, rec)
 		return
 	}
 
-	var wl command.IDSet
-	if m.HasWhitelist {
-		wl = command.NewIDSet(m.Whitelist...)
-	}
-	pred := r.hist.computePredecessors(m.Cmd, m.Time, wl, m.HasWhitelist)
-	rec.status = StatusFastPending
-	rec.pred = pred
-	rec.ballot = m.Ballot
-	rec.forced = m.HasWhitelist
-	r.hist.setTimestamp(rec, m.Time)
-
+	pred := r.hist.computePredecessors(m.Cmd, m.Time, m.Whitelist, m.HasWhitelist)
+	r.hist.write(rec, StatusFastPending, m.Time, pred, m.Ballot, m.HasWhitelist)
 	r.answerProposal(from, rec, m.Time, pred, m.Ballot, false)
 }
 
@@ -140,27 +130,20 @@ func (r *Replica) onFastPropose(from timestamp.NodeID, m *FastPropose) {
 // rejected; unlike a fast proposal, the predecessor set is the one the
 // leader gathered, not a locally computed one.
 func (r *Replica) onSlowPropose(from timestamp.NodeID, m *SlowPropose) {
-	id := m.Cmd.ID
-	if r.ballots[id] > m.Ballot {
+	rec := r.hist.ensure(m.Cmd)
+	if rec.promised > m.Ballot {
 		return
 	}
-	r.ballots[id] = m.Ballot
+	rec.promised = m.Ballot
 	r.clock.Observe(m.Time)
 	r.touchKeys(m.Cmd)
-	rec := r.hist.ensure(m.Cmd)
 	if rec.status == StatusStable || rec.delivered {
 		r.echoStable(from, rec)
 		return
 	}
 
-	pred := command.NewIDSet(m.Pred...)
-	rec.status = StatusSlowPending
-	rec.pred = pred
-	rec.ballot = m.Ballot
-	rec.forced = false
-	r.hist.setTimestamp(rec, m.Time)
-
-	r.answerProposal(from, rec, m.Time, pred, m.Ballot, true)
+	r.hist.write(rec, StatusSlowPending, m.Time, m.Pred, m.Ballot, false)
+	r.answerProposal(from, rec, m.Time, m.Pred, m.Ballot, true)
 	// A slow-pending mark can unblock nothing, but the timestamp move
 	// (if the record existed at another timestamp) can change waiter
 	// verdicts.
@@ -169,7 +152,7 @@ func (r *Replica) onSlowPropose(from timestamp.NodeID, m *SlowPropose) {
 
 // answerProposal applies the wait condition and replies OK, replies NACK,
 // or parks the proposal as a waiter.
-func (r *Replica) answerProposal(from timestamp.NodeID, rec *record, ts timestamp.Timestamp, pred command.IDSet, ballot uint32, slow bool) {
+func (r *Replica) answerProposal(from timestamp.NodeID, rec *record, ts timestamp.Timestamp, pred []command.ID, ballot uint32, slow bool) {
 	st := r.evalBlocking(rec.cmd, ts)
 	switch {
 	case st.blocked && !r.cfg.DisableWait:
@@ -193,7 +176,7 @@ func (r *Replica) answerProposal(from timestamp.NodeID, rec *record, ts timestam
 		r.rejectProposal(from, rec, ballot, slow, offender)
 	default:
 		r.cfg.Trace.Record(r.self, trace.KindFastOK, rec.cmd.ID, ts)
-		r.replyOK(from, rec.cmd.ID, ts, pred, ballot, slow)
+		r.reply(from, rec.cmd.ID, ts, pred, ballot, slow, false)
 	}
 }
 
@@ -206,26 +189,18 @@ func (r *Replica) rejectProposal(from timestamp.NodeID, rec *record, ballot uint
 	r.ctd.Nack(offender)
 	suggestion := r.clock.Next()
 	pred := r.hist.predecessorsBelow(rec.cmd, suggestion)
-	rec.status = StatusRejected
-	rec.pred = pred
-	rec.ballot = ballot
-	r.hist.setTimestamp(rec, suggestion)
+	r.hist.write(rec, StatusRejected, suggestion, pred, ballot, rec.forced)
 	r.cfg.Trace.Record(r.self, trace.KindNack, rec.cmd.ID, suggestion)
-
-	id := rec.cmd.ID
-	if slow {
-		r.send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: suggestion, Pred: pred.Slice(), NACK: true})
-	} else {
-		r.send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: suggestion, Pred: pred.Slice(), NACK: true})
-	}
+	r.reply(from, rec.cmd.ID, suggestion, pred, ballot, slow, true)
 }
 
-// replyOK confirms the proposed timestamp.
-func (r *Replica) replyOK(from timestamp.NodeID, id command.ID, ts timestamp.Timestamp, pred command.IDSet, ballot uint32, slow bool) {
+// reply answers a proposal: nack false confirms the proposed timestamp ts,
+// true suggests ts instead.
+func (r *Replica) reply(from timestamp.NodeID, id command.ID, ts timestamp.Timestamp, pred []command.ID, ballot uint32, slow, nack bool) {
 	if slow {
-		r.send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred.Slice()})
+		r.send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
 	} else {
-		r.send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred.Slice()})
+		r.send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
 	}
 }
 
@@ -234,29 +209,20 @@ func (r *Replica) replyOK(from timestamp.NodeID, id command.ID, ts timestamp.Tim
 // accepted at the new timestamp and returns the extra predecessors it knows
 // about for that timestamp.
 func (r *Replica) onRetry(from timestamp.NodeID, m *Retry) {
-	id := m.Cmd.ID
-	if r.ballots[id] > m.Ballot {
+	rec := r.hist.ensure(m.Cmd)
+	if rec.promised > m.Ballot {
 		return
 	}
-	r.ballots[id] = m.Ballot
+	rec.promised = m.Ballot
 	r.clock.Observe(m.Time)
-	rec := r.hist.ensure(m.Cmd)
 	if rec.status == StatusStable || rec.delivered {
 		r.echoStable(from, rec)
 		return
 	}
 
-	pred := command.NewIDSet(m.Pred...)
-	r.hist.conflictsBelow(m.Cmd, m.Time, func(other *record) {
-		pred.Add(other.id())
-	})
-	rec.status = StatusAccepted
-	rec.pred = pred
-	rec.ballot = m.Ballot
-	rec.forced = false
-	r.hist.setTimestamp(rec, m.Time)
-
-	r.send(from, &RetryReply{Ballot: m.Ballot, CmdID: id, Time: m.Time, Pred: pred.Slice()})
+	pred := command.UnionIDs(m.Pred, r.hist.predecessorsBelow(m.Cmd, m.Time))
+	r.hist.write(rec, StatusAccepted, m.Time, pred, m.Ballot, false)
+	r.send(from, &RetryReply{Ballot: m.Ballot, CmdID: m.Cmd.ID, Time: m.Time, Pred: pred})
 	// accepted unblocks waiters (Fig 3, line 5).
 	r.resolveWaiters()
 }
@@ -266,16 +232,14 @@ func (r *Replica) onRetry(from timestamp.NodeID, m *Retry) {
 // loops and deliver once every predecessor is decided.
 func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 	id := m.Cmd.ID
+	rec := r.hist.ensure(m.Cmd)
 	// A decision is final, so it is learned whatever ballot this replica
 	// has promised since: a recoverer's own loop-backed Recover raises
-	// ballots[id] before a survivor's echoStable answers at the record's
+	// the promise before a survivor's echoStable answers at the record's
 	// original ballot, and dropping that Stable would leave the decision
 	// unlearnable here. The promise only ever moves up.
-	if m.Ballot > r.ballots[id] {
-		r.ballots[id] = m.Ballot
-	}
+	rec.promised = max(rec.promised, m.Ballot)
 	r.clock.Observe(m.Time)
-	rec := r.hist.ensure(m.Cmd)
 	if rec.status == StatusStable || rec.delivered {
 		if rec.applied {
 			// A duplicate Stable for a command we already applied means
@@ -288,17 +252,13 @@ func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 		}
 		return
 	}
-	rec.status = StatusStable
-	rec.pred = command.NewIDSet(m.Pred...)
-	rec.ballot = m.Ballot
-	rec.forced = false
-	r.hist.setTimestamp(rec, m.Time)
+	r.hist.write(rec, StatusStable, m.Time, m.Pred, m.Ballot, false)
 	r.met.Decided.Inc()
 	r.cfg.Trace.Record(r.self, trace.KindStable, id, m.Time)
 
 	// Leader-side bookkeeping: if we coordinate this command (original
 	// leader or recoverer) the decision is now fixed.
-	if c := r.proposals[id]; c != nil && c.phase != phaseStable {
+	if c := rec.coord; c != nil && c.phase != phaseStable {
 		c.phase = phaseStable
 		c.stableAt = r.now
 	}
@@ -316,7 +276,7 @@ func (r *Replica) echoStable(to timestamp.NodeID, rec *record) {
 		Ballot: rec.ballot,
 		Cmd:    rec.cmd,
 		Time:   rec.ts,
-		Pred:   rec.pred.Slice(),
+		Pred:   rec.pred,
 	})
 }
 
@@ -330,10 +290,8 @@ func (r *Replica) resolveWaiters() {
 	}
 	kept := r.waiters[:0]
 	for _, w := range r.waiters {
-		switch r.resolveWaiter(w) {
-		case waiterKeep:
+		if r.stillWaiting(w) {
 			kept = append(kept, w)
-		case waiterAnswered, waiterDropped:
 		}
 	}
 	// Zero the tail so dropped waiters do not leak.
@@ -343,30 +301,23 @@ func (r *Replica) resolveWaiters() {
 	r.waiters = kept
 }
 
-type waiterVerdict uint8
-
-const (
-	waiterKeep waiterVerdict = iota
-	waiterAnswered
-	waiterDropped
-)
-
-// resolveWaiter decides one waiter's fate.
-func (r *Replica) resolveWaiter(w *waiter) waiterVerdict {
+// stillWaiting decides one waiter's fate: false once it has been answered
+// or dropped.
+func (r *Replica) stillWaiting(w *waiter) bool {
 	rec := r.hist.get(w.cmd.ID)
 	if rec == nil || rec.delivered || rec.ballot != w.ballot || rec.ts != w.ts {
-		return waiterDropped
+		return false
 	}
 	wantStatus := StatusFastPending
 	if w.slow {
 		wantStatus = StatusSlowPending
 	}
 	if rec.status != wantStatus {
-		return waiterDropped
+		return false
 	}
 	st := r.evalBlocking(w.cmd, w.ts)
 	if st.blocked {
-		return waiterKeep
+		return true
 	}
 	r.met.WaitCondition.Add(r.now.Sub(w.start))
 	r.ctd.WaitDone(w.key, r.now.Sub(w.start))
@@ -374,9 +325,9 @@ func (r *Replica) resolveWaiter(w *waiter) waiterVerdict {
 	if st.nack {
 		r.rejectProposal(w.from, rec, w.ballot, w.slow, st.nackKey)
 	} else {
-		r.replyOK(w.from, w.cmd.ID, w.ts, w.pred, w.ballot, w.slow)
+		r.reply(w.from, w.cmd.ID, w.ts, w.pred, w.ballot, w.slow, false)
 	}
-	return waiterAnswered
+	return false
 }
 
 // touchKeys records a proposed command's keys in the contention sketch —

@@ -105,7 +105,7 @@ func TestRecoveryDeadlinesDriveOnFakeClock(t *testing.T) {
 	var gotDeadline time.Time
 	var active bool
 	inspect(t, c.replicas[1], func(r *Replica) {
-		if rc, ok := r.recoveries[orphan.ID]; ok {
+		if rc := r.hist.get(orphan.ID).recovery; rc != nil {
 			active, gotDeadline = true, rc.deadline
 		}
 	})
@@ -134,7 +134,7 @@ func TestRecoveryDeadlinesDriveOnFakeClock(t *testing.T) {
 	waitFor("recovery proposal in flight", func() bool {
 		var proposing bool
 		inspect(t, c.replicas[1], func(r *Replica) {
-			_, proposing = r.proposals[orphan.ID]
+			proposing = r.hist.get(orphan.ID).coord != nil
 		})
 		return proposing
 	})

@@ -2,6 +2,7 @@ package caesar
 
 import (
 	"log"
+	"slices"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -15,16 +16,21 @@ import (
 // "c̄ ∈ Pred(c)" does not imply "T̄ < T"; delivery order follows timestamps,
 // so for every pair of stable conflicting commands the one with the higher
 // timestamp keeps the other as predecessor and the lower one drops it.
+//
+// A predecessor set is shared with the message that carried it — the same
+// Stable pointer reaches every in-process receiver — so a drop writes into
+// a copy, taken on the first one.
 func (r *Replica) breakLoop(rec *record) {
-	for id := range rec.pred {
+	pred, own := rec.pred, false
+	for _, id := range rec.pred {
 		other := r.hist.get(id)
 		if other == nil || other.status != StatusStable {
 			continue
 		}
 		if other.ts.Less(rec.ts) {
 			// other delivers first; it must not wait for rec.
-			if other.pred.Has(rec.id()) {
-				other.pred.Remove(rec.id())
+			if command.ContainsID(other.pred, rec.id()) {
+				other.pred = command.RemoveID(slices.Clone(other.pred), rec.id())
 				if !other.delivered && other.waitingOn == rec.id() {
 					other.waitingOn = command.ID{}
 					r.tryDeliver(other)
@@ -32,9 +38,13 @@ func (r *Replica) breakLoop(rec *record) {
 			}
 		} else {
 			// other has the higher timestamp: rec delivers first.
-			rec.pred.Remove(id)
+			if !own {
+				pred, own = slices.Clone(pred), true
+			}
+			pred = command.RemoveID(pred, id)
 		}
 	}
+	rec.pred = pred
 }
 
 // tryDeliver delivers rec if every remaining predecessor has been decided
@@ -53,11 +63,8 @@ func (r *Replica) tryDeliver(rec *record) {
 		}
 		r.deliverNow(cur)
 		// Wake the records parked on cur.
-		deps := r.awaited[cur.id()]
-		if len(deps) == 0 {
-			continue
-		}
-		delete(r.awaited, cur.id())
+		deps := cur.parked
+		cur.parked = nil
 		for _, d := range deps {
 			if d.waitingOn == cur.id() {
 				d.waitingOn = command.ID{}
@@ -70,7 +77,9 @@ func (r *Replica) tryDeliver(rec *record) {
 }
 
 // deliverable checks rec's predecessors, parking it on the first
-// undelivered one. It returns true when rec can execute now.
+// undelivered one in ID order — on its record, which is created by name if
+// no message has brought that command yet. It returns true when rec can
+// execute now.
 func (r *Replica) deliverable(rec *record) bool {
 	if rec.delivered || rec.status != StatusStable {
 		return false
@@ -81,10 +90,11 @@ func (r *Replica) deliverable(rec *record) bool {
 		}
 		rec.waitingOn = command.ID{}
 	}
-	for id := range rec.pred {
+	for _, id := range rec.pred {
 		if !r.delivered.Has(id) {
 			rec.waitingOn = id
-			r.awaited[id] = append(r.awaited[id], rec)
+			on := r.hist.ensure(command.Command{ID: id})
+			on.parked = append(on.parked, rec)
 			return false
 		}
 	}
@@ -115,15 +125,17 @@ func (r *Replica) deliverNow(rec *record) {
 	id := rec.id()
 	if already {
 		rec.applied = true // replayed from the durable log pre-crash
-		r.releaseReads(id)
+		r.releaseReads(rec)
 		r.queueAck(id)
 		return
 	}
 	r.met.Executed.Inc()
 	var proposedAt time.Time
-	if c := r.proposals[id]; c != nil {
+	var done protocol.DoneFunc
+	if c := rec.coord; c != nil {
 		now := r.now
 		proposedAt = c.proposedAt
+		done, c.done = c.done, nil
 		// The command's ID rides along as the latency histogram's
 		// exemplar: a /statusz p99 spike then names a command an
 		// operator can hand straight to TRACE / caesar-trace.
@@ -132,8 +144,6 @@ func (r *Replica) deliverNow(rec *record) {
 			r.met.DeliverPhase.Add(now.Sub(c.stableAt))
 		}
 	}
-	done := r.dones[id]
-	delete(r.dones, id)
 
 	// The GC ack is queued only after the applier completes: an acked
 	// command may be purged cluster-wide, so on a durable node it must
@@ -142,7 +152,7 @@ func (r *Replica) deliverNow(rec *record) {
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
 	if r.appDefer != nil {
-		ts := rec.ts       // rec must not be touched from the completion goroutine
+		ts := rec.ts       // rec is only read and written inside the event loop: the callback posts it back
 		nowFn := r.cfg.Now // r.now is loop-owned state; the callback is not
 		r.appDefer.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
 			// Completion may run on any goroutine — including the event
@@ -160,8 +170,8 @@ func (r *Replica) deliverNow(rec *record) {
 			// it, so there is no ack: a GC-acked command may be purged
 			// cluster-wide, and this one is on no replay path of this
 			// node. The record stays unapplied and the client is told.
-			if res.Err == nil && !r.loop.TryPost(evAck{id: id}) {
-				go r.loop.Post(evAck{id: id})
+			if res.Err == nil && !r.loop.TryPost(evAck{rec: rec}) {
+				go r.loop.Post(evAck{rec: rec})
 			}
 			if done != nil {
 				// Stamp from the injected clock: under the fake-clock
@@ -181,7 +191,7 @@ func (r *Replica) deliverNow(rec *record) {
 		value = r.app.Apply(rec.cmd)
 	}
 	rec.applied = true
-	r.releaseReads(id)
+	r.releaseReads(rec)
 	r.queueAck(id)
 	if done != nil {
 		r.noteClientAck(id, rec.ts, proposedAt, r.now)
@@ -221,17 +231,16 @@ func (r *Replica) noteClientAck(id command.ID, ts timestamp.Timestamp, proposedA
 
 // onAck marks a deferred apply complete, wakes the read fences parked on
 // it and queues its GC ack.
-func (r *Replica) onAck(id command.ID) {
-	if rec := r.hist.get(id); rec != nil {
-		rec.applied = true
-	}
-	r.releaseReads(id)
-	r.queueAck(id)
+func (r *Replica) onAck(rec *record) {
+	rec.applied = true
+	r.releaseReads(rec)
+	r.queueAck(rec.id())
 }
 
-// queueAck adds one delivered-and-applied command to the GC ack batch.
+// queueAck adds one delivered-and-applied command to the GC ack batch of
+// its leader (an ID naming no node of this cluster has nobody to tell).
 func (r *Replica) queueAck(id command.ID) {
-	if r.cfg.GCInterval > 0 {
-		r.ackPending[id.Node] = append(r.ackPending[id.Node], id)
+	if leader := uint(id.Node); r.cfg.GCInterval > 0 && leader < uint(len(r.ackPending)) {
+		r.ackPending[leader] = append(r.ackPending[leader], id)
 	}
 }

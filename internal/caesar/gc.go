@@ -19,14 +19,15 @@ import (
 // per-key timestamp fence keeps rejecting proposals that would order below
 // an already-purged delivery.
 
-// flushGC sends the batched delivery acks and any pending purges.
+// flushGC sends the batched delivery acks, leader by leader in node order,
+// and any pending purges.
 func (r *Replica) flushGC() {
 	for leader, ids := range r.ackPending {
 		if len(ids) == 0 {
 			continue
 		}
-		r.send(leader, &StableAckBatch{IDs: ids})
-		delete(r.ackPending, leader)
+		r.send(timestamp.NodeID(leader), &StableAckBatch{IDs: ids})
+		r.ackPending[leader] = nil
 	}
 	if len(r.purgePending) > 0 {
 		r.ep.Broadcast(&PurgeBatch{IDs: r.purgePending})
@@ -35,20 +36,22 @@ func (r *Replica) flushGC() {
 }
 
 // onStableAckBatch records acks as the commands' leader; fully
-// acknowledged commands are queued for purging. The sender is remembered
-// (not just counted) so retransmitStables knows who still owes one.
+// acknowledged commands are queued for purging, once. The sender is
+// remembered (not just counted) so retransmitStables knows who still owes
+// one. An ack for a command this replica holds no record of — purged
+// already, or led by a previous incarnation and not relearned yet — is
+// dropped: whoever re-sends the decision makes every replica ack again.
 func (r *Replica) onStableAckBatch(from timestamp.NodeID, m *StableAckBatch) {
+	bit := uint64(1) << uint(from)
 	for _, id := range m.IDs {
-		if id.Node != r.self {
+		rec := r.hist.get(id)
+		if id.Node != r.self || rec == nil || rec.acked&bit != 0 {
 			continue
 		}
-		acks := r.acked[id] | 1<<uint(from)
-		if bits.OnesCount64(acks) < r.n {
-			r.acked[id] = acks
-			continue
+		rec.acked |= bit
+		if bits.OnesCount64(rec.acked) == r.n {
+			r.purgePending = append(r.purgePending, id)
 		}
-		delete(r.acked, id)
-		r.purgePending = append(r.purgePending, id)
 	}
 }
 
@@ -73,47 +76,40 @@ func (r *Replica) onStableAckBatch(from timestamp.NodeID, m *StableAckBatch) {
 //     leader, which resumes purge duty for its predecessor's commands.
 func (r *Replica) retransmitStables(now time.Time) {
 	resent := 0
-	for id, c := range r.proposals {
-		if c.phase != phaseStable {
-			continue
-		}
-		rec := r.hist.get(id)
-		if rec == nil || !rec.delivered || rec.status != StatusStable {
-			continue
-		}
-		base := c.stableAt
-		if c.lastResend.After(base) {
-			base = c.lastResend
-		}
-		if now.Sub(base) < r.cfg.RetransmitAfter {
-			continue
-		}
-		c.lastResend = now
-		rec.resentAt = now
-		acks := r.acked[id]
-		for _, p := range r.peers {
-			if p == r.self {
-				continue
-			}
-			if r.fd != nil && r.fd.Suspected(p) {
-				// A currently dead peer cannot ack; re-sending to it is
-				// pure waste, and a permanently dead one would turn this
-				// loop into unbounded background traffic. It is caught
-				// up on the cycle after it heartbeats again.
-				continue
-			}
-			if acks&(1<<uint(p)) == 0 {
-				r.echoStable(p, rec)
-				resent++
-			}
-		}
-	}
-	for id, rec := range r.hist.recs {
+	for rec := r.hist.first; rec != nil; rec = rec.next {
 		if !rec.delivered || rec.status != StatusStable {
 			continue
 		}
-		if r.proposals[id] != nil {
-			continue // handled precisely above
+		if c := rec.coord; c != nil {
+			if c.phase != phaseStable {
+				continue
+			}
+			base := c.stableAt
+			if c.lastResend.After(base) {
+				base = c.lastResend
+			}
+			if now.Sub(base) < r.cfg.RetransmitAfter {
+				continue
+			}
+			c.lastResend = now
+			rec.resentAt = now
+			for _, p := range r.peers {
+				if p == r.self {
+					continue
+				}
+				if r.fd != nil && r.fd.Suspected(p) {
+					// A currently dead peer cannot ack; re-sending to it is
+					// pure waste, and a permanently dead one would turn this
+					// loop into unbounded background traffic. It is caught
+					// up on the cycle after it heartbeats again.
+					continue
+				}
+				if rec.acked&(1<<uint(p)) == 0 {
+					r.echoStable(p, rec)
+					resent++
+				}
+			}
+			continue
 		}
 		// Fallback cadence backs off with record age: a record whose
 		// purge is missing because some replica is gone for good is
@@ -134,7 +130,7 @@ func (r *Replica) retransmitStables(now time.Time) {
 			Ballot: rec.ballot,
 			Cmd:    rec.cmd,
 			Time:   rec.ts,
-			Pred:   rec.pred.Slice(),
+			Pred:   rec.pred,
 		})
 	}
 	if resent > 0 {
@@ -157,8 +153,6 @@ func (r *Replica) onPurgeBatch(_ timestamp.NodeID, m *PurgeBatch) {
 		}
 		r.cfg.Trace.Record(r.self, trace.KindPurge, id, rec.ts)
 		r.hist.purge(rec)
-		delete(r.ballots, id)
-		delete(r.proposals, id)
 		purged = true
 	}
 	if purged {

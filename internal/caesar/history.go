@@ -9,16 +9,32 @@ import (
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
-// record is one tuple of the history H_i (§V-A): the current timestamp,
-// predecessor set, status, ballot and forced flag of a command, plus
-// delivery bookkeeping.
+// record is everything a replica holds about one command, in one place.
+// The first six fields are the paper's tuple of the history H_i (§V-A):
+// the current timestamp, predecessor set, status, ballot and forced flag;
+// promised is the command's entry of Ballots (Fig 4, Fig 5). The rest is
+// bookkeeping the paper leaves to the implementation — delivery, takeover
+// timers and, on the replica that leads the command, the coordinator.
+//
+// A command this replica knows only by name — a Recover arrived for it, or
+// a stable record lists it as a predecessor — is a record whose status is
+// StatusNone and whose cmd carries nothing but the ID; ensure fills the
+// payload in when a message brings it.
 type record struct {
-	cmd    command.Command
-	ts     timestamp.Timestamp
-	pred   command.IDSet
+	cmd command.Command
+	ts  timestamp.Timestamp
+	// pred is shared with the message it arrived in or went out in and is
+	// never written in place (see the wire-message comment in messages.go):
+	// breakLoop, the one writer, copies first.
+	pred   []command.ID
 	status Status
 	ballot uint32
 	forced bool
+	// promised is Ballots[c]: proposals and prepares below it are ignored.
+	promised uint32
+
+	// next and prev link the history's records in creation order.
+	next, prev *record
 
 	// delivered is set once the command has been handed to the applier;
 	// applied once the applier completed it (a DeferringApplier may hold
@@ -32,16 +48,37 @@ type record struct {
 	deliveredAt time.Time
 	resentAt    time.Time
 	// stuckSince is set by the stuck-record scan the first time it sees
-	// the record pre-stable; a record still pre-stable a full
-	// StuckTimeout later is recovered even if its leader looks alive
-	// (it may be a restarted incarnation that lost the command).
+	// the record unfinished; a record still unfinished a full StuckTimeout
+	// later is recovered even if its leader looks alive (it may be a
+	// restarted incarnation that lost the command).
 	stuckSince time.Time
 	// indexed tracks whether the record currently appears in the
 	// conflict index (at timestamp ts).
 	indexed bool
 	// waitingOn is the predecessor this stable record is currently
-	// parked on in the delivery pipeline (zero when none).
+	// parked on in the delivery pipeline (zero when none); parked lists
+	// the stable records parked on this one, woken by its delivery.
 	waitingOn command.ID
+	parked    []*record
+	// reads lists the read fences waiting for this command to be applied
+	// (internal/reads): a read at timestamp T parks on every known
+	// conflicting command that could still order below T.
+	reads []*readWaiter
+	// recoverAt is when this replica takes the command over (zero: no
+	// takeover scheduled) — the stagger delay between suspecting its
+	// leader and preparing; recovery is the prepare in flight, if any.
+	recoverAt time.Time
+	recovery  *recovery
+
+	// Leader side. coord is set on the replica that leads the command —
+	// a client submitted it here, or this replica recovered it. acked
+	// holds which replicas acknowledged the delivery, one bit per node ID
+	// (a sender outside 0..63 sets none): a full set queues the purge,
+	// clear bits drive retransmission. It sits outside coord because acks
+	// for commands a previous incarnation of this node led arrive here
+	// too, and the purge duty with them.
+	coord *coordinator
+	acked uint64
 }
 
 func (r *record) id() command.ID { return r.cmd.ID }
@@ -106,14 +143,23 @@ func (l *keyList) records() []*record {
 // timestamps only move up — is two to three times cheaper from 64
 // records on and a scan costs the same.
 type history struct {
-	recs  map[command.ID]*record
-	byKey map[string]*keyList
-	// barriers holds the indexed OpFence records. A fence conflicts with
-	// every command, so it lives outside the per-key lists: ordinary
-	// conflict scans consult this (usually empty) set as well, and a
-	// fence's own scans walk the whole history instead of key lists —
-	// resizes are rare, so the one-off O(history) pass is cheap.
-	barriers map[command.ID]*record
+	recs map[command.ID]*record
+	// first and last bound the list of all records in creation order:
+	// whatever walks the history (a fence's conflict scans, Stable
+	// retransmission, shutdown) visits it in an order that is a function
+	// of the messages handled, never of a map's layout. open holds, in the
+	// same order, the records not yet delivered — the only ones a timer
+	// can be running for; see unfinished.
+	first, last *record
+	open        []*record
+	byKey       map[string]*keyList
+	// barriers holds the indexed OpFence records, in the order they were
+	// indexed. A fence conflicts with every command, so it lives outside
+	// the per-key lists: ordinary conflict scans consult this (usually
+	// empty) list as well, and a fence's own scans walk the whole history
+	// instead of key lists — resizes are rare, so the one-off O(history)
+	// pass is cheap.
+	barriers []*record
 	// fence holds, per key, the highest timestamp of a purged (globally
 	// delivered) command on that key; see history.purge.
 	fence map[string]timestamp.Timestamp
@@ -128,10 +174,9 @@ type history struct {
 
 func newHistory() *history {
 	return &history{
-		recs:     make(map[command.ID]*record),
-		byKey:    make(map[string]*keyList),
-		barriers: make(map[command.ID]*record),
-		fence:    make(map[string]timestamp.Timestamp),
+		recs:  make(map[command.ID]*record),
+		byKey: make(map[string]*keyList),
+		fence: make(map[string]timestamp.Timestamp),
 	}
 }
 
@@ -141,14 +186,55 @@ func (h *history) get(id command.ID) *record {
 }
 
 // ensure returns the record for cmd, creating an empty (StatusNone,
-// unindexed) one if absent.
+// unindexed) one if absent. A cmd that is only an ID asks for the record
+// of a command known by name; a record that was one until now takes cmd as
+// its payload.
 func (h *history) ensure(cmd command.Command) *record {
-	if rec, ok := h.recs[cmd.ID]; ok {
-		return rec
+	rec, ok := h.recs[cmd.ID]
+	switch {
+	case !ok:
+		rec = &record{cmd: cmd, prev: h.last}
+		if h.last == nil {
+			h.first = rec
+		} else {
+			h.last.next = rec
+		}
+		h.last = rec
+		h.open = append(h.open, rec)
+		h.recs[cmd.ID] = rec
+	case rec.cmd.Op == 0 && cmd.Op != 0:
+		rec.cmd = cmd
+		// The stuck scan timed how long delivery was parked on the name;
+		// the record it can now see starts its own two-phase count.
+		rec.stuckSince = time.Time{}
 	}
-	rec := &record{cmd: cmd}
-	h.recs[cmd.ID] = rec
 	return rec
+}
+
+// unfinished returns the records not yet delivered, in creation order,
+// dropping from the list those that have been since the last call. It is
+// what the periodic scans walk: a timer (fast-quorum timeout, takeover
+// stagger, prepare deadline, stuck mark) only ever runs for an undelivered
+// command, so their cost follows what is in flight, not the history kept
+// until the purge. The result is a snapshot: records created during the
+// walk are met on the next one.
+func (h *history) unfinished() []*record {
+	kept := h.open[:0]
+	for _, rec := range h.open {
+		if !rec.delivered {
+			kept = append(kept, rec)
+		}
+	}
+	clear(h.open[len(kept):])
+	h.open = kept
+	return kept
+}
+
+// write replaces the record's tuple (§V-A) and repositions it in the
+// conflict index. pred is stored as it is: see record.pred.
+func (h *history) write(rec *record, status Status, ts timestamp.Timestamp, pred []command.ID, ballot uint32, forced bool) {
+	rec.status, rec.pred, rec.ballot, rec.forced = status, pred, ballot, forced
+	h.setTimestamp(rec, ts)
 }
 
 // setTimestamp moves the record to a new timestamp, repositioning it in the
@@ -170,7 +256,7 @@ func (h *history) index(rec *record) {
 	}
 	rec.indexed = true
 	if rec.cmd.Op == command.OpFence {
-		h.barriers[rec.id()] = rec
+		h.barriers = append(h.barriers, rec)
 		return
 	}
 	pos := tsKey{ts: rec.ts, id: rec.id()}
@@ -201,7 +287,8 @@ func (h *history) unindex(rec *record) {
 	}
 	rec.indexed = false
 	if rec.cmd.Op == command.OpFence {
-		delete(h.barriers, rec.id())
+		i := slices.Index(h.barriers, rec)
+		h.barriers = slices.Delete(h.barriers, i, i+1)
 		return
 	}
 	pos := tsKey{ts: rec.ts, id: rec.id()}
@@ -218,10 +305,21 @@ func (h *history) unindex(rec *record) {
 	}
 }
 
-// remove purges the record entirely (garbage collection).
+// remove purges the record entirely (garbage collection). The record keeps
+// its next link, so a walk standing on it carries on.
 func (h *history) remove(rec *record) {
 	h.unindex(rec)
 	delete(h.recs, rec.id())
+	if rec.prev == nil {
+		h.first = rec.next
+	} else {
+		rec.prev.next = rec.next
+	}
+	if rec.next == nil {
+		h.last = rec.prev
+	} else {
+		rec.next.prev = rec.prev
+	}
 }
 
 // touches reports whether k is one of the command's keys.
@@ -246,57 +344,34 @@ func reportable(rec *record, cmd command.Command, earlier []string) bool {
 	return rec.cmd.Conflicts(cmd)
 }
 
-// conflictsBelow calls fn once for every indexed record conflicting with
-// cmd whose timestamp is strictly below ts. A fence conflicts with
-// everything, so a fence command scans the whole history, and every
-// ordinary command checks the (usually empty) barrier set on top of its
-// key lists.
-func (h *history) conflictsBelow(cmd command.Command, ts timestamp.Timestamp, fn func(*record)) {
-	if cmd.Op == command.OpFence {
-		for _, rec := range h.recs {
-			if rec.indexed && rec.id() != cmd.ID && rec.ts.Less(ts) && rec.cmd.Conflicts(cmd) {
-				fn(rec)
-			}
-		}
-		return
-	}
-	for id, rec := range h.barriers {
-		if id != cmd.ID && rec.ts.Less(ts) && rec.cmd.Conflicts(cmd) {
-			fn(rec)
-		}
-	}
-	bound := tsKey{ts: ts}
-	keys := cmd.Keys()
-	for i, k := range keys {
-		for _, rec := range h.byKey[k].records() {
-			if cmpRecord(rec, bound) >= 0 {
-				break
-			}
-			if reportable(rec, cmd, keys[:i]) {
-				fn(rec)
-			}
-		}
-	}
-}
+// The two sides of a timestamp a conflict scan can ask for.
+const below, above = false, true
 
-// conflictsAbove calls fn once for every indexed record conflicting with
-// cmd whose timestamp is strictly above ts; fn returns false to stop early.
-func (h *history) conflictsAbove(cmd command.Command, ts timestamp.Timestamp, fn func(*record) bool) {
-	if cmd.Op == command.OpFence {
-		for _, rec := range h.recs {
-			if rec.indexed && rec.id() != cmd.ID && ts.Less(rec.ts) && rec.cmd.Conflicts(cmd) {
-				if !fn(rec) {
-					return
-				}
-			}
+// conflicts calls fn once for every indexed record conflicting with cmd
+// whose timestamp is strictly on the asked side of ts, until fn returns
+// false. A fence conflicts with everything, so a fence command scans the
+// whole history, and every ordinary command checks the (usually empty)
+// barrier list on top of its key lists.
+func (h *history) conflicts(cmd command.Command, ts timestamp.Timestamp, side bool, fn func(*record) bool) {
+	// unkeyed is the test for a record met outside the key lists.
+	unkeyed := func(rec *record) bool {
+		onSide := rec.ts.Less(ts)
+		if side == above {
+			onSide = ts.Less(rec.ts)
 		}
-		return
+		return onSide && rec.id() != cmd.ID && rec.cmd.Conflicts(cmd)
 	}
-	for id, rec := range h.barriers {
-		if id != cmd.ID && ts.Less(rec.ts) && rec.cmd.Conflicts(cmd) {
-			if !fn(rec) {
+	if cmd.Op == command.OpFence {
+		for rec := h.first; rec != nil; rec = rec.next {
+			if rec.indexed && unkeyed(rec) && !fn(rec) {
 				return
 			}
+		}
+		return
+	}
+	for _, rec := range h.barriers {
+		if unkeyed(rec) && !fn(rec) {
+			return
 		}
 	}
 	// The bound has the zero command ID, which sorts before any real ID
@@ -307,11 +382,15 @@ func (h *history) conflictsAbove(cmd command.Command, ts timestamp.Timestamp, fn
 	keys := cmd.Keys()
 	for i, k := range keys {
 		recs := h.byKey[k].records()
-		from, at := slices.BinarySearchFunc(recs, bound, cmpRecord)
-		if at {
-			from++
+		switch cut, at := slices.BinarySearchFunc(recs, bound, cmpRecord); {
+		case side == below:
+			recs = recs[:cut]
+		case at:
+			recs = recs[cut+1:]
+		default:
+			recs = recs[cut:]
 		}
-		for _, rec := range recs[from:] {
+		for _, rec := range recs {
 			if reportable(rec, cmd, keys[:i]) && !fn(rec) {
 				return
 			}
@@ -320,32 +399,32 @@ func (h *history) conflictsAbove(cmd command.Command, ts timestamp.Timestamp, fn
 }
 
 // predecessorsBelow computes the plain predecessor set of §V-B: every
-// conflicting command in H with a timestamp lower than ts.
-func (h *history) predecessorsBelow(cmd command.Command, ts timestamp.Timestamp) command.IDSet {
-	var pred command.IDSet
-	h.conflictsBelow(cmd, ts, func(rec *record) {
-		pred.Add(rec.id())
+// conflicting command in H with a timestamp lower than ts. The set is
+// freshly built: the caller owns it until it sends it.
+func (h *history) predecessorsBelow(cmd command.Command, ts timestamp.Timestamp) []command.ID {
+	var pred []command.ID
+	h.conflicts(cmd, ts, below, func(rec *record) bool {
+		pred = command.InsertID(pred, rec.id())
+		return true
 	})
 	return pred
 }
 
-// computePredecessors is COMPUTEPREDECESSORS of Fig 3: with a nil whitelist
+// computePredecessors is COMPUTEPREDECESSORS of Fig 3: with no whitelist
 // it returns predecessorsBelow; with a whitelist (recovery), a conflicting
 // command qualifies if it is whitelisted, or if it is past the pending
 // state (slow-pending/accepted/stable) with a lower timestamp.
-func (h *history) computePredecessors(cmd command.Command, ts timestamp.Timestamp, whitelist command.IDSet, hasWhitelist bool) command.IDSet {
+func (h *history) computePredecessors(cmd command.Command, ts timestamp.Timestamp, whitelist []command.ID, hasWhitelist bool) []command.ID {
 	if !hasWhitelist {
 		return h.predecessorsBelow(cmd, ts)
 	}
-	var pred command.IDSet
-	for id := range whitelist {
-		pred.Add(id)
-	}
-	h.conflictsBelow(cmd, ts, func(rec *record) {
+	var pred []command.ID
+	h.conflicts(cmd, ts, below, func(rec *record) bool {
 		switch rec.status {
 		case StatusSlowPending, StatusAccepted, StatusStable:
-			pred.Add(rec.id())
+			pred = command.InsertID(pred, rec.id())
 		}
+		return true
 	})
-	return pred
+	return command.UnionIDs(whitelist, pred)
 }

@@ -187,42 +187,44 @@ func (m *indexModel) check(cmd command.Command, bound timestamp.Timestamp) {
 	what := fmt.Sprintf("%v at %v", cmd, bound)
 
 	var got []command.ID
-	m.h.conflictsBelow(cmd, bound, func(rec *record) { got = append(got, rec.id()) })
-	below := m.naive(cmd, bound, false, nil)
-	m.same("conflictsBelow "+what, m.once("conflictsBelow "+what, got), below)
+	m.h.conflicts(cmd, bound, below, func(rec *record) bool { got = append(got, rec.id()); return true })
+	under := m.naive(cmd, bound, false, nil)
+	m.same("conflictsBelow "+what, m.once("conflictsBelow "+what, got), under)
 
 	got = nil
-	m.h.conflictsAbove(cmd, bound, func(rec *record) bool { got = append(got, rec.id()); return true })
-	above := m.naive(cmd, bound, true, nil)
-	m.same("conflictsAbove "+what, m.once("conflictsAbove "+what, got), above)
+	m.h.conflicts(cmd, bound, above, func(rec *record) bool { got = append(got, rec.id()); return true })
+	over := m.naive(cmd, bound, true, nil)
+	m.same("conflictsAbove "+what, m.once("conflictsAbove "+what, got), over)
 
 	// Early stop: exactly limit callbacks (or all of them), each a distinct
 	// member of the full answer.
 	limit := 1 + m.rng.Intn(3)
 	got = nil
-	m.h.conflictsAbove(cmd, bound, func(rec *record) bool { got = append(got, rec.id()); return len(got) < limit })
-	if want := min(limit, len(above)); len(got) != want {
+	m.h.conflicts(cmd, bound, above, func(rec *record) bool { got = append(got, rec.id()); return len(got) < limit })
+	if want := min(limit, len(over)); len(got) != want {
 		m.fatalf("conflictsAbove %s stopping after %d: %d callbacks, want %d", what, limit, len(got), want)
 	}
 	for _, id := range m.once("stopped conflictsAbove "+what, got) {
-		if !slices.Contains(above, id) {
-			m.fatalf("stopped conflictsAbove %s reported %v, not in %v", what, id, above)
+		if !slices.Contains(over, id) {
+			m.fatalf("stopped conflictsAbove %s reported %v, not in %v", what, id, over)
 		}
 	}
 
-	m.same("computePredecessors "+what, command.SortIDs(m.h.computePredecessors(cmd, bound, nil, false).Slice()), below)
-	var wl command.IDSet
+	// Predecessor sets come out strictly ascending: compared as they are.
+	m.same("computePredecessors "+what, m.h.computePredecessors(cmd, bound, nil, false), under)
+	var wl []command.ID
 	for n := m.rng.Intn(3); n > 0 && len(m.live) > 0; n-- {
-		wl.Add(m.pick().id())
+		wl = command.InsertID(wl, m.pick().id())
 	}
-	want := command.NewIDSet(m.naive(cmd, bound, false, func(rec *record) bool {
+	sent := slices.Clone(wl)
+	want := m.naive(cmd, bound, false, func(rec *record) bool {
 		return rec.status == StatusSlowPending || rec.status == StatusAccepted || rec.status == StatusStable
-	})...)
-	for id := range wl {
-		want.Add(id)
+	})
+	for _, id := range wl {
+		want = command.InsertID(want, id)
 	}
-	m.same("whitelisted computePredecessors "+what,
-		command.SortIDs(m.h.computePredecessors(cmd, bound, wl, true).Slice()), command.SortIDs(want.Slice()))
+	m.same("whitelisted computePredecessors "+what, m.h.computePredecessors(cmd, bound, wl, true), want)
+	m.same("the whitelist after computePredecessors "+what, wl, sent)
 
 	if got, want := m.h.fencedAbove(cmd, bound), m.naiveFenced(cmd, bound); got != want {
 		m.fatalf("fencedAbove %s = %v, want %v", what, got, want)
@@ -308,7 +310,7 @@ func BenchmarkConflictIndex(b *testing.B) {
 			b.ReportAllocs()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				h.conflictsBelow(probe, ts(uint64(2*depth+1), 1), func(*record) { n++ })
+				h.conflicts(probe, ts(uint64(2*depth+1), 1), below, func(*record) bool { n++; return true })
 			}
 			if n != depth*b.N {
 				b.Fatalf("visited %d records, want %d", n, depth*b.N)

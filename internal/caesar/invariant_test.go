@@ -14,6 +14,7 @@ package caesar
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ import (
 // tupleSnapshot is one replica's stable view of one command.
 type tupleSnapshot struct {
 	ts   timestamp.Timestamp
-	pred command.IDSet
+	pred []command.ID
 	cmd  command.Command
 }
 
@@ -40,7 +41,7 @@ func snapshotHistories(c *cluster) []map[command.ID]tupleSnapshot {
 			snap := make(map[command.ID]tupleSnapshot, len(r.hist.recs))
 			for id, rec := range r.hist.recs {
 				if rec.status == StatusStable {
-					snap[id] = tupleSnapshot{ts: rec.ts, pred: rec.pred.Clone(), cmd: rec.cmd}
+					snap[id] = tupleSnapshot{ts: rec.ts, pred: slices.Clone(rec.pred), cmd: rec.cmd}
 				}
 			}
 			ch <- snap
@@ -119,7 +120,7 @@ func TestTheoremInvariantsUnderConflicts(t *testing.T) {
 					loID = id2
 				}
 				_ = lo
-				if !hi.pred.Has(loID) {
+				if !command.ContainsID(hi.pred, loID) {
 					t.Fatalf("node %d: GraphInvariant violated: %v (ts %v) missing from pred of the higher-timestamped conflicting command (ts %v)",
 						i, loID, lo.ts, hi.ts)
 				}

@@ -33,33 +33,33 @@ const (
 	StatusStable
 )
 
+var statusNames = [...]string{"none", "fast-pending", "slow-pending", "accepted", "rejected", "stable"}
+
 // String implements fmt.Stringer.
 func (s Status) String() string {
-	switch s {
-	case StatusNone:
-		return "none"
-	case StatusFastPending:
-		return "fast-pending"
-	case StatusSlowPending:
-		return "slow-pending"
-	case StatusAccepted:
-		return "accepted"
-	case StatusRejected:
-		return "rejected"
-	case StatusStable:
-		return "stable"
-	default:
-		return fmt.Sprintf("Status(%d)", uint8(s))
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Wire messages. Pred/whitelist sets travel as sorted ID slices so that
-// in-process transports can share payloads immutably and the encoded bytes
-// are deterministic; an empty set travels as a nil slice. internal/wire
-// gives each message a tag and encodes its fields in declaration order —
-// a message added here needs a case there. Ballot identifies the command's
-// current leader (§V-B): acceptors ignore messages whose ballot is below
-// their promise.
+// Wire messages. A predecessor set or whitelist is a strictly ascending
+// []command.ID (see internal/command) — in a record, in a message and on
+// the wire, with no conversion in between; the empty set is a nil slice.
+//
+// A message is immutable once sent, and so is every slice reachable from
+// it: the in-process transports hand the same pointer to every receiver,
+// the sender included. A receiver may keep a message's Pred (a record's
+// pred usually is one) but never writes into it — breakLoop, the one place
+// that shrinks a set, copies first, and every union goes through
+// command.UnionIDs, which writes into neither argument. A sender gives up
+// a set the moment it sends it.
+//
+// internal/wire gives each message a tag and encodes its fields in
+// declaration order — a message added here needs a case there — and
+// refuses a Pred or Whitelist from a peer that is not strictly ascending.
+// Ballot identifies the command's current leader (§V-B): acceptors ignore
+// messages whose ballot is below their promise.
 
 // FastPropose opens the fast proposal phase for Cmd at timestamp Time
 // (message PROPOSE/FASTPROPOSE of the paper).

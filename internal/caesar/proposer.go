@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/quorum"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/trace"
@@ -21,23 +22,25 @@ const (
 
 // coordinator is the leader-side state for one command this replica leads,
 // either because a client submitted it here or because this replica
-// recovered it.
+// recovered it; the command's record points at it.
 type coordinator struct {
 	cmd    command.Command
 	ballot uint32
 	phase  coordPhase
 
 	// ts is the timestamp of the current phase; pred accumulates the
-	// union of the predecessor sets reported by the replying quorum.
+	// union of the predecessor sets reported by the replying quorum. It
+	// may share storage with a reply or with the proposal that carried it
+	// (UnionIDs returns an argument when it can), so it is only ever
+	// replaced, never written into.
 	ts   timestamp.Timestamp
-	pred command.IDSet
+	pred []command.ID
 
+	// votes, anyNack and maxTs (the highest timestamp seen across the
+	// replies) are the phase's tally; see vote.
 	votes   quorum.Tracker
 	anyNack bool
-	// maxTs tracks the highest timestamp seen across replies: the
-	// retry phase must use a timestamp greater than any suggestion
-	// (§IV-B).
-	maxTs timestamp.Timestamp
+	maxTs   timestamp.Timestamp
 
 	// deadline is the fast-quorum timeout (§V-D).
 	deadline time.Time
@@ -48,8 +51,15 @@ type coordinator struct {
 	slowPath bool
 	counted  bool
 
-	// instrumentation for the Fig 11a breakdown.
+	// done is the client's callback when the command was submitted here
+	// (nil once it fired, and for a foreign command this replica
+	// recovered); proposedAt is the submit instant its latency is measured
+	// from — the takeover instant for a recovered foreign command. A
+	// coordinator that replaces another (recovery of a command this
+	// replica already led) inherits both.
+	done       protocol.DoneFunc
 	proposedAt time.Time
+	// instrumentation for the Fig 11a breakdown.
 	retryStart time.Time
 	stableAt   time.Time
 	// lastResend throttles Stable retransmission to unacked replicas.
@@ -76,25 +86,35 @@ func (r *Replica) startFastProposal(c *coordinator, ts timestamp.Timestamp, whit
 	})
 }
 
-// onFastProposeReply accumulates one FASTPROPOSER vote (Fig 4, lines
-// P3–P10).
-func (r *Replica) onFastProposeReply(from timestamp.NodeID, m *FastProposeReply) {
-	c := r.proposals[m.CmdID]
-	if c == nil || c.phase != phaseFastProposal || m.Ballot != c.ballot {
-		return
+// vote books one reply towards the quorum of a phase: the sender's vote,
+// its predecessors, its timestamp (the retry phase must exceed every
+// suggestion, §IV-B) and whether it rejected. It returns nil unless the
+// reply answers the coordinator this replica runs for the command, in that
+// phase and ballot, from a node that has not voted yet.
+func (r *Replica) vote(from timestamp.NodeID, id command.ID, phase coordPhase, ballot uint32, ts timestamp.Timestamp, pred []command.ID, nack bool) *coordinator {
+	rec := r.hist.get(id)
+	if rec == nil || rec.coord == nil {
+		return nil
 	}
-	if !c.votes.Add(int32(from)) {
-		return
+	c := rec.coord
+	if c.phase != phase || ballot != c.ballot || !c.votes.Add(int32(from)) {
+		return nil
 	}
-	for _, id := range m.Pred {
-		c.pred.Add(id)
-	}
-	c.maxTs = timestamp.Max(c.maxTs, m.Time)
-	if m.NACK {
+	c.pred = command.UnionIDs(c.pred, pred)
+	c.maxTs = timestamp.Max(c.maxTs, ts)
+	if nack {
 		c.anyNack = true
 		r.met.Nacks.Inc()
 	}
-	r.evaluateFastProposal(c)
+	return c
+}
+
+// onFastProposeReply accumulates one FASTPROPOSER vote (Fig 4, lines
+// P3–P10).
+func (r *Replica) onFastProposeReply(from timestamp.NodeID, m *FastProposeReply) {
+	if c := r.vote(from, m.CmdID, phaseFastProposal, m.Ballot, m.Time, m.Pred, m.NACK); c != nil {
+		r.evaluateFastProposal(c)
+	}
 }
 
 // evaluateFastProposal decides whether the fast proposal phase can conclude
@@ -118,7 +138,7 @@ func (r *Replica) evaluateFastProposal(c *coordinator) {
 
 // startSlowProposal broadcasts a SlowPropose carrying the predecessors
 // gathered so far (Fig 4, lines P21–P23).
-func (r *Replica) startSlowProposal(c *coordinator, ts timestamp.Timestamp, pred command.IDSet) {
+func (r *Replica) startSlowProposal(c *coordinator, ts timestamp.Timestamp, pred []command.ID) {
 	c.phase = phaseSlowProposal
 	c.slowPath = true
 	c.ts = ts
@@ -127,40 +147,25 @@ func (r *Replica) startSlowProposal(c *coordinator, ts timestamp.Timestamp, pred
 	c.votes = quorum.NewTracker(r.cq)
 	c.anyNack = false
 	r.cfg.Trace.Record(r.self, trace.KindSlowPropose, c.cmd.ID, ts)
-	r.ep.Broadcast(&SlowPropose{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred.Slice()})
+	r.ep.Broadcast(&SlowPropose{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
 }
 
 // onSlowProposeReply accumulates one SLOWPROPOSER vote; a classic quorum
 // settles it (Fig 4, lines P24–P30).
 func (r *Replica) onSlowProposeReply(from timestamp.NodeID, m *SlowProposeReply) {
-	c := r.proposals[m.CmdID]
-	if c == nil || c.phase != phaseSlowProposal || m.Ballot != c.ballot {
-		return
-	}
-	if !c.votes.Add(int32(from)) {
-		return
-	}
-	for _, id := range m.Pred {
-		c.pred.Add(id)
-	}
-	c.maxTs = timestamp.Max(c.maxTs, m.Time)
-	if m.NACK {
-		c.anyNack = true
-		r.met.Nacks.Inc()
-	}
-	if c.votes.Count() < r.cq {
-		return
-	}
-	if c.anyNack {
+	c := r.vote(from, m.CmdID, phaseSlowProposal, m.Ballot, m.Time, m.Pred, m.NACK)
+	switch {
+	case c == nil || c.votes.Count() < r.cq:
+	case c.anyNack:
 		r.startRetry(c, c.maxTs, c.pred)
-	} else {
+	default:
 		r.startStable(c)
 	}
 }
 
 // startRetry broadcasts a Retry at a timestamp greater than every
 // suggestion received (Fig 4, lines R1–R4).
-func (r *Replica) startRetry(c *coordinator, ts timestamp.Timestamp, pred command.IDSet) {
+func (r *Replica) startRetry(c *coordinator, ts timestamp.Timestamp, pred []command.ID) {
 	if c.phase == phaseFastProposal || c.phase == phaseSlowProposal {
 		r.met.ProposePhase.Add(r.now.Sub(c.proposedAt))
 	}
@@ -180,23 +185,13 @@ func (r *Replica) startRetry(c *coordinator, ts timestamp.Timestamp, pred comman
 		}
 	}
 	r.cfg.Trace.Record(r.self, trace.KindRetry, c.cmd.ID, ts)
-	r.ep.Broadcast(&Retry{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred.Slice()})
+	r.ep.Broadcast(&Retry{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
 }
 
 // onRetryReply accumulates one RETRYR vote; retries cannot be rejected, so
 // a classic quorum finalises the decision (Fig 4, lines R2–R4).
 func (r *Replica) onRetryReply(from timestamp.NodeID, m *RetryReply) {
-	c := r.proposals[m.CmdID]
-	if c == nil || c.phase != phaseRetry || m.Ballot != c.ballot {
-		return
-	}
-	if !c.votes.Add(int32(from)) {
-		return
-	}
-	for _, id := range m.Pred {
-		c.pred.Add(id)
-	}
-	if c.votes.Reached() {
+	if c := r.vote(from, m.CmdID, phaseRetry, m.Ballot, m.Time, m.Pred, false); c != nil && c.votes.Reached() {
 		r.startStable(c)
 	}
 }
@@ -221,5 +216,5 @@ func (r *Replica) startStable(c *coordinator) {
 	}
 	c.phase = phaseStable
 	c.stableAt = now
-	r.ep.Broadcast(&Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred.Slice()})
+	r.ep.Broadcast(&Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred})
 }

@@ -90,13 +90,13 @@ func (r *Replica) onReadFence(e evReadFence) {
 		phantom.ExtraKeys = e.keys[1:]
 	}
 	w := &readWaiter{done: e.done}
-	r.hist.conflictsBelow(phantom, e.ts, func(rec *record) {
+	r.hist.conflicts(phantom, e.ts, below, func(rec *record) bool {
 		if rec.applied {
-			return
+			return true
 		}
 		id := rec.id()
 		w.remaining++
-		r.readParked[id] = append(r.readParked[id], w)
+		rec.reads = append(rec.reads, w)
 		if r.ctd != nil {
 			// Attribute the park to the blocking command's key shared
 			// with the read.
@@ -105,6 +105,7 @@ func (r *Replica) onReadFence(e evReadFence) {
 		// The event carries the blocking command's ID and the read's
 		// timestamp: the command's history then shows which reads it held.
 		r.cfg.Trace.Record(r.self, trace.KindReadPark, id, e.ts)
+		return true
 	})
 	if w.remaining == 0 {
 		e.done(nil)
@@ -117,21 +118,19 @@ func (r *Replica) onReadFence(e evReadFence) {
 // releaseReads wakes the read fences parked on a command that has just
 // been applied (or recognized as applied by a pre-crash incarnation).
 // Called from the event loop.
-func (r *Replica) releaseReads(id command.ID) {
-	ws := r.readParked[id]
+func (r *Replica) releaseReads(rec *record) {
+	ws := rec.reads
 	if len(ws) == 0 {
 		return
 	}
-	delete(r.readParked, id)
-	r.cfg.Trace.Record(r.self, trace.KindReadRelease, id, timestamp.Zero)
+	rec.reads = nil
+	r.cfg.Trace.Record(r.self, trace.KindReadRelease, rec.id(), timestamp.Zero)
 	// The command that fully unparks a fence is the one that held it
 	// last: charge the whole park duration to its key.
 	var lastKey string
 	if r.ctd != nil {
-		if rec := r.hist.get(id); rec != nil {
-			if ks := rec.cmd.Keys(); len(ks) > 0 {
-				lastKey = ks[0]
-			}
+		if ks := rec.cmd.Keys(); len(ks) > 0 {
+			lastKey = ks[0]
 		}
 	}
 	for _, w := range ws {
@@ -140,22 +139,6 @@ func (r *Replica) releaseReads(id command.ID) {
 				r.ctd.ParkDone(lastKey, r.now.Sub(w.parkedAt))
 			}
 			w.done(nil)
-		}
-	}
-}
-
-// failReadWaiters fails every parked read fence with ErrStopped; called
-// once from Stop after the loop has drained.
-func (r *Replica) failReadWaiters() {
-	failed := make(map[*readWaiter]struct{})
-	for id, ws := range r.readParked {
-		delete(r.readParked, id)
-		for _, w := range ws {
-			if _, done := failed[w]; done {
-				continue
-			}
-			failed[w] = struct{}{}
-			w.done(protocol.ErrStopped)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"slices"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -13,12 +14,12 @@ import (
 // recovery is the state of one in-flight recovery prepare (Fig 5): a
 // Paxos-like ballot is raised for the orphaned command and a classic quorum
 // reports its tuples, from which the new leader deduces how far the old one
-// got.
+// got. replies is indexed by node ID, so the case analysis reads the
+// tuples in node order.
 type recovery struct {
-	id       command.ID
 	ballot   uint32
 	votes    quorum.Tracker
-	replies  map[timestamp.NodeID]*RecoverReply
+	replies  []*RecoverReply
 	deadline time.Time
 }
 
@@ -27,31 +28,15 @@ type recovery struct {
 // plus commands referenced by predecessor sets we are waiting on but whose
 // payload we never saw. Attempts are staggered by this node's rank among
 // the survivors so one recoverer usually wins the ballot race.
-func (r *Replica) onSuspect(q timestamp.NodeID, now time.Time) {
+func (r *Replica) onSuspect(q timestamp.NodeID, now time.Time, open []*record) {
 	if q == r.self {
 		return
 	}
 	delay := time.Duration(r.fd.Rank()) * r.cfg.RecoveryBackoff
-	startAt := now.Add(delay)
-	schedule := func(id command.ID) {
-		if _, active := r.recoveries[id]; active {
-			return
-		}
-		if _, scheduled := r.scheduledRecovery[id]; scheduled {
-			return
-		}
-		r.scheduledRecovery[id] = startAt
-	}
 	scheduled := 0
-	for id, rec := range r.hist.recs {
-		if id.Node == q && rec.status != StatusStable && !rec.delivered {
-			schedule(id)
-			scheduled++
-		}
-	}
-	for id := range r.awaited {
-		if id.Node == q && !r.delivered.Has(id) && r.hist.get(id) == nil {
-			schedule(id)
+	for _, rec := range open {
+		if rec.id().Node == q && orphaned(rec) {
+			scheduleRecovery(rec, now.Add(delay))
 			scheduled++
 		}
 	}
@@ -66,50 +51,39 @@ func (r *Replica) onSuspect(q timestamp.NodeID, now time.Time) {
 // deadline arithmetic, and an unstaggered retry would re-collide them at
 // identical instants every round — the suspected residue behind the rare
 // post-restart liveness stall (see TestStrandedDuelRetriesConverge).
-func (r *Replica) checkRecoveryDeadlines(now time.Time) {
-	for id, at := range r.scheduledRecovery {
-		if now.Before(at) {
-			continue
+func (r *Replica) checkRecoveryDeadlines(now time.Time, open []*record) {
+	for _, rec := range open {
+		if !rec.recoverAt.IsZero() && !now.Before(rec.recoverAt) {
+			rec.recoverAt = time.Time{}
+			r.startRecovery(rec)
 		}
-		delete(r.scheduledRecovery, id)
-		r.startRecovery(id)
-	}
-	for id, rc := range r.recoveries {
-		if now.After(rc.deadline) {
-			delete(r.recoveries, id)
-			if _, scheduled := r.scheduledRecovery[id]; !scheduled {
-				// Rank like onSuspect (dense among survivors, so some
-				// survivor always retries with zero delay), not raw node
-				// ID — with node 0 crashed, an ID stagger would add one
-				// idle backoff to every retry round.
-				r.scheduledRecovery[id] = now.Add(time.Duration(r.fd.Rank()) * r.cfg.RecoveryBackoff)
-			}
+		if rc := rec.recovery; rc != nil && now.After(rc.deadline) {
+			rec.recovery = nil
+			// Rank like onSuspect (dense among survivors, so some
+			// survivor always retries with zero delay), not raw node
+			// ID — with node 0 crashed, an ID stagger would add one
+			// idle backoff to every retry round.
+			scheduleRecovery(rec, now.Add(time.Duration(r.fd.Rank())*r.cfg.RecoveryBackoff))
 		}
 	}
 }
 
 // startRecovery raises a new ballot for the command and asks everyone for
 // their tuples (Fig 5, lines 1–4).
-func (r *Replica) startRecovery(id command.ID) {
-	rec := r.hist.get(id)
-	if r.delivered.Has(id) || (rec != nil && rec.status == StatusStable) {
+func (r *Replica) startRecovery(rec *record) {
+	id := rec.id()
+	if r.delivered.Has(id) || rec.status == StatusStable {
 		return // already finished
 	}
-	ballot := r.ballots[id]
-	if rec != nil && rec.ballot > ballot {
-		ballot = rec.ballot
-	}
-	ballot++
-	rc := &recovery{
-		id:       id,
+	ballot := max(rec.promised, rec.ballot) + 1
+	rec.recovery = &recovery{
 		ballot:   ballot,
 		votes:    quorum.NewTracker(r.cq),
-		replies:  make(map[timestamp.NodeID]*RecoverReply, r.cq),
+		replies:  make([]*RecoverReply, r.n),
 		deadline: r.now.Add(r.cfg.RecoveryTimeout()),
 	}
-	r.recoveries[id] = rc
 	r.met.Recoveries.Inc()
-	if r.ctd != nil && rec != nil {
+	if r.ctd != nil && rec.status != StatusNone {
 		for _, k := range rec.cmd.Keys() {
 			r.ctd.Recovery(k)
 		}
@@ -123,85 +97,85 @@ func (r *Replica) startRecovery(id command.ID) {
 	r.ep.Broadcast(&Recover{Ballot: ballot, CmdID: id})
 }
 
+// tupleReply reports rec's tuple to a recoverer.
+func tupleReply(rec *record, ballot uint32) *RecoverReply {
+	return &RecoverReply{
+		Ballot:      ballot,
+		CmdID:       rec.id(),
+		Cmd:         rec.cmd,
+		Status:      rec.status,
+		Time:        rec.ts,
+		Pred:        rec.pred,
+		TupleBallot: rec.ballot,
+		Forced:      rec.forced,
+	}
+}
+
 // onRecover answers a recovery prepare with this replica's tuple (Fig 5,
-// lines 28–33).
+// lines 28–33). The promise needs a home, so a command never heard of gets
+// a record by name.
 func (r *Replica) onRecover(from timestamp.NodeID, m *Recover) {
-	rec := r.hist.get(m.CmdID)
-	if rec != nil && (rec.status == StatusStable || rec.delivered) {
+	rec := r.hist.ensure(command.Command{ID: m.CmdID})
+	if rec.status == StatusStable || rec.delivered {
 		// The decision already exists; replay it to the recoverer
 		// regardless of ballots — decisions are final.
 		r.echoStable(from, rec)
 		return
 	}
-	if m.Ballot <= r.ballots[m.CmdID] {
+	if m.Ballot <= rec.promised {
 		return
 	}
-	r.ballots[m.CmdID] = m.Ballot
-	reply := &RecoverReply{Ballot: m.Ballot, CmdID: m.CmdID}
-	if rec == nil || rec.status == StatusNone {
-		reply.Nop = true
+	rec.promised = m.Ballot
+	if rec.status == StatusNone {
+		r.send(from, &RecoverReply{Ballot: m.Ballot, CmdID: m.CmdID, Nop: true})
 	} else {
-		reply.Cmd = rec.cmd
-		reply.Status = rec.status
-		reply.Time = rec.ts
-		reply.Pred = rec.pred.Slice()
-		reply.TupleBallot = rec.ballot
-		reply.Forced = rec.forced
+		r.send(from, tupleReply(rec, m.Ballot))
 	}
-	r.send(from, reply)
 }
 
 // onRecoverReply collects tuples until a classic quorum responded, then
 // decides how to finish the command (Fig 5, lines 5–27).
 func (r *Replica) onRecoverReply(from timestamp.NodeID, m *RecoverReply) {
-	rc := r.recoveries[m.CmdID]
-	if rc == nil || m.Ballot != rc.ballot {
+	rec := r.hist.get(m.CmdID)
+	if rec == nil || rec.recovery == nil || m.Ballot != rec.recovery.ballot {
 		return
 	}
-	if !rc.votes.Add(int32(from)) {
+	rc := rec.recovery
+	if uint(from) >= uint(len(rc.replies)) || !rc.votes.Add(int32(from)) {
 		return
 	}
 	rc.replies[from] = m
 	if rc.votes.Reached() {
-		delete(r.recoveries, m.CmdID)
-		r.finishRecovery(rc)
+		rec.recovery = nil
+		r.finishRecovery(rec, rc)
 	}
 }
 
 // finishRecovery implements the case analysis of Fig 5 over the tuples at
-// the highest ballot.
-func (r *Replica) finishRecovery(rc *recovery) {
-	if r.delivered.Has(rc.id) {
+// the highest ballot. Where the figure says "some tuple", the rule is the
+// one from the lowest node ID: the same quorum always re-proposes the same
+// thing.
+func (r *Replica) finishRecovery(rec *record, rc *recovery) {
+	if r.delivered.Has(rec.id()) {
 		return
 	}
 	// The initiator's own tuple always participates: the quorum may have
 	// filled up with NOPs from ignorant nodes before the loopback reply
 	// arrived, and dropping local knowledge could orphan the command
 	// forever.
-	if _, ok := rc.replies[r.self]; !ok {
-		if rec := r.hist.get(rc.id); rec != nil && rec.status != StatusNone {
-			rc.replies[r.self] = &RecoverReply{
-				Ballot:      rc.ballot,
-				CmdID:       rc.id,
-				Cmd:         rec.cmd,
-				Status:      rec.status,
-				Time:        rec.ts,
-				Pred:        rec.pred.Slice(),
-				TupleBallot: rec.ballot,
-				Forced:      rec.forced,
-			}
-		}
+	if rc.replies[r.self] == nil && rec.status != StatusNone {
+		rc.replies[r.self] = tupleReply(rec, rc.ballot)
 	}
 	// RecoverySet: non-NOP tuples at the maximum tuple ballot.
 	var maxBallot uint32
 	for _, m := range rc.replies {
-		if !m.Nop && m.TupleBallot > maxBallot {
-			maxBallot = m.TupleBallot
+		if m != nil && !m.Nop {
+			maxBallot = max(maxBallot, m.TupleBallot)
 		}
 	}
 	set := make([]*RecoverReply, 0, len(rc.replies))
 	for _, m := range rc.replies {
-		if !m.Nop && m.TupleBallot == maxBallot {
+		if m != nil && !m.Nop && m.TupleBallot == maxBallot {
 			set = append(set, m)
 		}
 	}
@@ -210,117 +184,107 @@ func (r *Replica) finishRecovery(rc *recovery) {
 		// either purged (already delivered everywhere) or is known only
 		// outside this quorum. If it still blocks delivery here, try
 		// again later — a retry reaches whoever holds it.
-		if _, awaited := r.awaited[rc.id]; awaited && !r.delivered.Has(rc.id) {
-			r.scheduledRecovery[rc.id] = r.now.Add(r.cfg.RecoveryTimeout())
+		if len(rec.parked) > 0 {
+			rec.recoverAt = r.now.Add(r.cfg.RecoveryTimeout())
 		}
 		return
 	}
 
-	pick := func(status Status) *RecoverReply {
-		for _, m := range set {
-			if m.Status == status {
-				return m
-			}
+	// m is the tuple that decides the case: the first one, in node
+	// order, of the most advanced status present (Fig 5 tests stable,
+	// accepted, rejected, slow-pending in that order).
+	var m *RecoverReply
+	for _, status := range []Status{StatusStable, StatusAccepted, StatusRejected, StatusSlowPending} {
+		if i := slices.IndexFunc(set, func(m *RecoverReply) bool { return m.Status == status }); i >= 0 {
+			m = set[i]
+			break
 		}
-		return nil
 	}
 
-	// A (possibly replaced) coordinator at the recovery ballot.
+	// A (possibly replaced) coordinator at the recovery ballot. Replacing
+	// this replica's own coordinator keeps the client's callback and the
+	// submit instant: the command is as old as its submission, however
+	// many ballots it takes.
 	newCoord := func(cmd command.Command) *coordinator {
 		c := &coordinator{cmd: cmd, ballot: rc.ballot, proposedAt: r.now}
-		r.proposals[rc.id] = c
+		if old := rec.coord; old != nil {
+			c.done, c.proposedAt = old.done, old.proposedAt
+		}
+		r.hist.ensure(cmd).coord = c
 		return c
 	}
 
 	switch {
-	case pick(StatusStable) != nil:
+	case m == nil:
+		r.reproposeFastPending(set, newCoord(set[0].Cmd))
+
+	case m.Status == StatusStable:
 		// i) someone saw the decision: replay it.
-		m := pick(StatusStable)
 		c := newCoord(m.Cmd)
 		c.ts = m.Time
-		c.pred = command.NewIDSet(m.Pred...)
+		c.pred = m.Pred
 		c.slowPath = true
 		r.startStable(c)
 
-	case pick(StatusAccepted) != nil:
+	case m.Status == StatusAccepted:
 		// ii) an accepted tuple survives any decision that was taken:
 		// re-run the retry phase with it.
-		m := pick(StatusAccepted)
-		c := newCoord(m.Cmd)
-		r.startRetry(c, m.Time, command.NewIDSet(m.Pred...))
+		r.startRetry(newCoord(m.Cmd), m.Time, m.Pred)
 
-	case pick(StatusRejected) != nil:
+	case m.Status == StatusRejected:
 		// iii) the command was rejected and cannot have been decided
 		// at its old timestamp: start over with a fresh one.
-		m := pick(StatusRejected)
-		c := newCoord(m.Cmd)
-		r.startFastProposal(c, r.clock.Next(), nil, false)
-
-	case pick(StatusSlowPending) != nil:
-		// iv) re-run the slow proposal phase.
-		m := pick(StatusSlowPending)
-		c := newCoord(m.Cmd)
-		r.startSlowProposal(c, m.Time, command.NewIDSet(m.Pred...))
+		r.startFastProposal(newCoord(m.Cmd), r.clock.Next(), nil, false)
 
 	default:
-		// v) only fast-pending tuples: the command might have been
-		// decided fast at this timestamp, so re-propose it at the same
-		// timestamp with a whitelist constraining the predecessors
-		// (Fig 5, lines 16–25).
-		ts := set[0].Time
-		var pred command.IDSet
-		var forced *RecoverReply
-		for _, m := range set {
-			ts = timestamp.Max(ts, m.Time)
-			for _, id := range m.Pred {
-				pred.Add(id)
-			}
-			if m.Forced && forced == nil {
-				forced = m
-			}
-		}
-		var whitelist []command.ID
-		hasWhitelist := false
-		switch {
-		case forced != nil:
-			// A previous recovery already forced a predecessor set;
-			// reuse it.
-			whitelist = forced.Pred
-			hasWhitelist = true
-		case len(set) >= quorum.RecoveryMajority(r.n):
-			// c̄ may have been a predecessor in a fast decision
-			// unless ⌊CQ/2⌋+1 tuples omit it (that many tuples
-			// intersect every fast quorum).
-			maj := quorum.RecoveryMajority(r.n)
-			whitelist = make([]command.ID, 0, len(pred))
-			for id := range pred {
-				omitted := 0
-				for _, m := range set {
-					if !containsID(m.Pred, id) {
-						omitted++
-					}
-				}
-				if omitted < maj {
-					whitelist = append(whitelist, id)
-				}
-			}
-			command.SortIDs(whitelist)
-			hasWhitelist = true
-		}
-		c := newCoord(set[0].Cmd)
-		r.startFastProposal(c, ts, whitelist, hasWhitelist)
+		// iv) slow-pending: re-run the slow proposal phase.
+		r.startSlowProposal(newCoord(m.Cmd), m.Time, m.Pred)
 	}
 }
 
-// containsID reports membership in a sorted-or-not ID slice (slices here
-// are small: predecessor sets of a single command).
-func containsID(ids []command.ID, id command.ID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
+// reproposeFastPending is case v) of Fig 5 (lines 16–25): only
+// fast-pending tuples, so the command might have been decided fast at this
+// timestamp — it is re-proposed at the same timestamp with a whitelist
+// constraining the predecessors.
+func (r *Replica) reproposeFastPending(set []*RecoverReply, c *coordinator) {
+	ts := set[0].Time
+	var pred []command.ID
+	var forced *RecoverReply
+	for _, m := range set {
+		ts = timestamp.Max(ts, m.Time)
+		pred = command.UnionIDs(pred, m.Pred)
+		if m.Forced && forced == nil {
+			forced = m
 		}
 	}
-	return false
+	var whitelist []command.ID
+	hasWhitelist := false
+	switch {
+	case forced != nil:
+		// A previous recovery already forced a predecessor set; reuse it.
+		whitelist = forced.Pred
+		hasWhitelist = true
+	case len(set) >= quorum.RecoveryMajority(r.n):
+		// c̄ may have been a predecessor in a fast decision unless
+		// ⌊CQ/2⌋+1 tuples omit it (that many tuples intersect every fast
+		// quorum). pred is walked in order, so the whitelist comes out a
+		// set.
+		maj := quorum.RecoveryMajority(r.n)
+		whitelist = make([]command.ID, 0, len(pred))
+		for _, id := range pred {
+			omitted := 0
+			for _, m := range set {
+				if !command.ContainsID(m.Pred, id) {
+					omitted++
+				}
+			}
+			if omitted < maj {
+				whitelist = append(whitelist, id)
+			}
+		}
+		hasWhitelist = true
+	}
+	r.startFastProposal(c, ts, whitelist, hasWhitelist)
 }
 
 // RecoveryTimeout returns how long a recovery prepare may wait for its

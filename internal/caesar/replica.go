@@ -185,36 +185,15 @@ type Replica struct {
 	clock *timestamp.Clock
 	loop  *protocol.Loop
 
+	// hist holds one record per command — the paper's tuple, the promised
+	// ballot and everything this replica tracks beside them (see record).
 	hist      *history
-	ballots   map[command.ID]uint32
 	delivered *idset.Set
-	// awaited maps an undelivered command ID to the stable records
-	// parked on it in the delivery pipeline.
-	awaited map[command.ID][]*record
 	// waiters holds proposals deferred by the §IV-A wait condition.
 	waiters []*waiter
-	// proposals holds leader-side state for commands this node leads
-	// (originally or by recovery).
-	proposals map[command.ID]*coordinator
-	// dones holds client callbacks for locally submitted commands.
-	dones map[command.ID]protocol.DoneFunc
-	// recoveries holds in-flight recovery prepares; scheduledRecovery
-	// holds takeovers waiting out their stagger delay. awaitedStuck
-	// tracks how long delivery has been parked on predecessors with no
-	// local record (recoverStuck's third class).
-	recoveries        map[command.ID]*recovery
-	scheduledRecovery map[command.ID]time.Time
-	awaitedStuck      map[command.ID]time.Time
-	// readParked maps an unapplied command ID to the read fences waiting
-	// on it (internal/reads): a read at timestamp T parks on every known
-	// conflicting command that could still order below T.
-	readParked map[command.ID][]*readWaiter
-	// ackPending accumulates delivered IDs to acknowledge, per leader.
-	ackPending map[timestamp.NodeID][]command.ID
-	// acked tracks which replicas acknowledged each command's delivery
-	// (leader side), one bit per node ID (a sender outside 0..63 sets
-	// none); a full set queues the purge, clear bits drive retransmission.
-	acked map[command.ID]uint64
+	// ackPending accumulates delivered IDs to acknowledge, per leader
+	// (indexed by node ID).
+	ackPending [][]command.ID
 	// unacked tracks locally submitted commands whose client callback
 	// has not fired yet, with their submit instants. Deliberately NOT
 	// event-loop state: the stall watchdog reads it through
@@ -253,7 +232,7 @@ type (
 	evTick struct{ now time.Time }
 	// evAck queues a GC acknowledgement for a command whose deferred
 	// apply completed outside the event loop (see deliverNow).
-	evAck struct{ id command.ID }
+	evAck struct{ rec *record }
 	// evInspect runs fn inside the event loop; tests use it to snapshot
 	// protocol state without data races.
 	evInspect struct{ fn func(*Replica) }
@@ -274,33 +253,24 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		delivered = idset.New()
 	}
 	r := &Replica{
-		ep:                ep,
-		self:              ep.Self(),
-		peers:             peers,
-		n:                 n,
-		cq:                quorum.ClassicSize(n),
-		fq:                quorum.FastSize(n),
-		cfg:               cfg,
-		app:               app,
-		met:               cfg.Metrics,
-		ctd:               cfg.Contend,
-		clock:             timestamp.NewClock(ep.Self()),
-		loop:              protocol.NewLoop(protocol.InboxSize),
-		hist:              newHistory(),
-		ballots:           make(map[command.ID]uint32),
-		delivered:         delivered,
-		awaited:           make(map[command.ID][]*record),
-		proposals:         make(map[command.ID]*coordinator),
-		dones:             make(map[command.ID]protocol.DoneFunc),
-		recoveries:        make(map[command.ID]*recovery),
-		scheduledRecovery: make(map[command.ID]time.Time),
-		awaitedStuck:      make(map[command.ID]time.Time),
-		readParked:        make(map[command.ID][]*readWaiter),
-		ackPending:        make(map[timestamp.NodeID][]command.ID),
-		acked:             make(map[command.ID]uint64),
-		unacked:           make(map[command.ID]time.Time),
-		nextSeq:           cfg.SeqFloor,
-		seqReserved:       cfg.SeqFloor,
+		ep:          ep,
+		self:        ep.Self(),
+		peers:       peers,
+		n:           n,
+		cq:          quorum.ClassicSize(n),
+		fq:          quorum.FastSize(n),
+		cfg:         cfg,
+		app:         app,
+		met:         cfg.Metrics,
+		ctd:         cfg.Contend,
+		clock:       timestamp.NewClock(ep.Self()),
+		loop:        protocol.NewLoop(protocol.InboxSize),
+		hist:        newHistory(),
+		delivered:   delivered,
+		ackPending:  make([][]command.ID, n),
+		unacked:     make(map[command.ID]time.Time),
+		nextSeq:     cfg.SeqFloor,
+		seqReserved: cfg.SeqFloor,
 	}
 	if cfg.ClockSeed > 0 {
 		r.clock.Observe(timestamp.Timestamp{Seq: cfg.ClockSeed})
@@ -368,16 +338,22 @@ func (r *Replica) Stop() {
 	<-r.tickerDone
 	_ = r.ep.Close()
 	r.loop.Stop()
-	// The loop has drained; no concurrent access remains.
-	for id, done := range r.dones {
-		if !r.delivered.Has(id) && done != nil {
-			done(protocol.Result{Err: protocol.ErrStopped})
+	// The loop has drained; no concurrent access remains. Undelivered
+	// submissions and parked read fences fail with ErrStopped.
+	for rec := r.hist.first; rec != nil; rec = rec.next {
+		if c := rec.coord; c != nil && c.done != nil {
+			c.done(protocol.Result{Err: protocol.ErrStopped})
+		}
+		for _, w := range rec.reads {
+			if w.remaining > 0 { // a fence parks on several records: fail it once
+				w.remaining = 0
+				w.done(protocol.ErrStopped)
+			}
 		}
 	}
 	r.unackedMu.Lock()
 	r.unacked = make(map[command.ID]time.Time)
 	r.unackedMu.Unlock()
-	r.failReadWaiters()
 }
 
 // OldestUnacked reports the locally submitted command whose client
@@ -389,6 +365,7 @@ func (r *Replica) OldestUnacked() (command.ID, time.Time, bool) {
 	defer r.unackedMu.Unlock()
 	var oldest command.ID
 	var at time.Time
+	//caesarlint:allow maprange -- takes the minimum, for the watchdog's report; no message, apply or trace event follows from it
 	for id, t := range r.unacked {
 		if at.IsZero() || t.Before(at) {
 			oldest, at = id, t
@@ -426,7 +403,7 @@ func (r *Replica) handle(ev protocol.Event) {
 	case evSubmit:
 		r.onSubmit(e.cmd, e.done)
 	case evAck:
-		r.onAck(e.id)
+		r.onAck(e.rec)
 	case evReadFence:
 		r.onReadFence(e)
 	case evInspect:
@@ -483,7 +460,6 @@ func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
 	cmd.ID = command.ID{Node: r.self, Seq: r.nextSeq}
 	r.met.Proposals.Inc()
 	if done != nil {
-		r.dones[cmd.ID] = done
 		r.unackedMu.Lock()
 		r.unacked[cmd.ID] = r.now
 		r.unackedMu.Unlock()
@@ -492,19 +468,24 @@ func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
 		cmd:        cmd,
 		ballot:     0,
 		proposedAt: r.now,
+		done:       done,
 	}
-	r.proposals[cmd.ID] = c
+	r.hist.ensure(cmd).coord = c
 	ts := r.clock.Next()
 	r.cfg.Trace.Record(r.self, trace.KindPropose, cmd.ID, ts)
 	r.startFastProposal(c, ts, nil, false)
 }
 
 // onTick drives timers: leader fast-quorum timeouts, heartbeats, failure
-// detection, recovery deadlines and GC flushing.
+// detection, recovery deadlines and GC flushing. Everything it walks has a
+// defined order — undelivered records in creation order, peers in node
+// order — so two replicas fed the same events send the same messages in
+// the same order.
 func (r *Replica) onTick(now time.Time) {
+	open := r.hist.unfinished()
 	// Fast-quorum timeouts (§V-D).
-	for _, c := range r.proposals {
-		if c.phase == phaseFastProposal && !c.timedOut && now.After(c.deadline) {
+	for _, rec := range open {
+		if c := rec.coord; c != nil && c.phase == phaseFastProposal && !c.timedOut && now.After(c.deadline) {
 			c.timedOut = true
 			r.evaluateFastProposal(c)
 		}
@@ -516,9 +497,9 @@ func (r *Replica) onTick(now time.Time) {
 			r.ep.Broadcast(&Heartbeat{})
 		}
 		for _, suspect := range r.fd.Tick(now) {
-			r.onSuspect(suspect, now)
+			r.onSuspect(suspect, now, open)
 		}
-		r.checkRecoveryDeadlines(now)
+		r.checkRecoveryDeadlines(now, open)
 	}
 	// Garbage collection.
 	if r.cfg.GCInterval > 0 && now.Sub(r.lastGC) >= r.cfg.GCInterval {
@@ -534,8 +515,28 @@ func (r *Replica) onTick(now time.Time) {
 	// working even with retransmission disabled.
 	if r.fd != nil && r.cfg.StuckTimeout > 0 && now.Sub(r.lastStuck) >= r.cfg.StuckTimeout/4 {
 		r.lastStuck = now
-		r.recoverStuck(now)
+		r.recoverStuck(now, open)
 	}
+}
+
+// orphaned reports whether rec is a command this replica cannot expect to
+// finish by itself: short of stable, and either known (it holds a tuple)
+// or needed (a stable record is parked on it, though no message ever
+// brought its payload). A name nothing waits on — all that a Recover for
+// an unknown command leaves behind — is nobody's to recover.
+func orphaned(rec *record) bool {
+	return rec.status != StatusStable && !rec.delivered &&
+		(rec.status != StatusNone || len(rec.parked) > 0)
+}
+
+// scheduleRecovery arms rec's takeover for at, unless one is armed or in
+// flight already.
+func scheduleRecovery(rec *record, at time.Time) bool {
+	if rec.recovery != nil || !rec.recoverAt.IsZero() {
+		return false
+	}
+	rec.recoverAt = at
+	return true
 }
 
 // recoverStuck schedules recovery for commands that have sat unfinished a
@@ -549,32 +550,17 @@ func (r *Replica) onTick(now time.Time) {
 //     is itself stuck — where "the local proposer will drive it" no
 //     longer holds and a ballot-protected recovery restart is the only
 //     way forward;
-//   - a stable record parked on a predecessor this replica has never
-//     received (r.awaited with no local record): onSuspect recovers those
-//     when the pred's leader goes silent, but a wedged-yet-alive leader
-//     never trips suspicion.
+//   - a predecessor this replica has never received, with a stable record
+//     parked on it: onSuspect recovers those when the pred's leader goes
+//     silent, but a wedged-yet-alive leader never trips suspicion.
 //
-// Every scan is two-phase — mark first, recover if still stuck a timeout
+// The scan is two-phase — mark first, recover if still stuck a timeout
 // later — so fresh records and freshly parked predecessors never trip it,
 // and recovery is ballot-protected, so firing on a merely-slow command is
 // safe.
-func (r *Replica) recoverStuck(now time.Time) {
-	schedule := func(id command.ID) {
-		if _, active := r.recoveries[id]; active {
-			return
-		}
-		if _, scheduled := r.scheduledRecovery[id]; scheduled {
-			return
-		}
-		// Rank like onSuspect (dense among survivors) so some replica
-		// always recovers with zero delay even when low-ID nodes are the
-		// crashed ones. recoverStuck only runs with the detector on.
-		r.scheduledRecovery[id] = now.Add(time.Duration(r.fd.Rank()) * r.cfg.RecoveryBackoff)
-		r.cfg.Flight.Record(flight.KindStuck, r.cfg.FlightGroup, id,
-			"unfinished past %v with a live leader; ballot-protected takeover scheduled", r.cfg.StuckTimeout)
-	}
-	for id, rec := range r.hist.recs {
-		if rec.status == StatusStable || rec.delivered {
+func (r *Replica) recoverStuck(now time.Time, open []*record) {
+	for _, rec := range open {
+		if !orphaned(rec) {
 			continue
 		}
 		if rec.stuckSince.IsZero() {
@@ -585,26 +571,12 @@ func (r *Replica) recoverStuck(now time.Time) {
 			continue
 		}
 		rec.stuckSince = now // throttle rescheduling
-		schedule(id)
-	}
-	for id := range r.awaited {
-		if r.delivered.Has(id) || r.hist.get(id) != nil {
-			continue // a known record: the loop above covers it
-		}
-		since, marked := r.awaitedStuck[id]
-		if !marked {
-			r.awaitedStuck[id] = now
-			continue
-		}
-		if now.Sub(since) < r.cfg.StuckTimeout {
-			continue
-		}
-		r.awaitedStuck[id] = now
-		schedule(id)
-	}
-	for id := range r.awaitedStuck {
-		if _, parked := r.awaited[id]; !parked {
-			delete(r.awaitedStuck, id)
+		// Rank like onSuspect (dense among survivors) so some replica
+		// always recovers with zero delay even when low-ID nodes are the
+		// crashed ones. recoverStuck only runs with the detector on.
+		if scheduleRecovery(rec, now.Add(time.Duration(r.fd.Rank())*r.cfg.RecoveryBackoff)) {
+			r.cfg.Flight.Record(flight.KindStuck, r.cfg.FlightGroup, rec.id(),
+				"unfinished past %v with a live leader; ballot-protected takeover scheduled", r.cfg.StuckTimeout)
 		}
 	}
 }

@@ -127,16 +127,17 @@ func TestStrandedDuelRetriesConverge(t *testing.T) {
 				r.hist.setTimestamp(rec, orphanTs)
 				r.clock.Observe(orphanTs)
 			}
-			r.ballots[orphan.ID] = 1 // everyone promised ballot 1 already
+			// Everyone promised ballot 1 already; node 0 knows the orphan
+			// by that promise alone.
+			r.hist.ensure(command.Command{ID: orphan.ID}).promised = 1
 		})
 	}
 	for _, i := range []int{1, 2} {
 		inspect(t, c.replicas[i], func(r *Replica) {
-			r.recoveries[orphan.ID] = &recovery{
-				id:       orphan.ID,
+			r.hist.get(orphan.ID).recovery = &recovery{
 				ballot:   1,
 				votes:    quorum.NewTracker(r.cq),
-				replies:  make(map[timestamp.NodeID]*RecoverReply),
+				replies:  make([]*RecoverReply, r.n),
 				deadline: r.now.Add(r.cfg.RecoveryTimeout()),
 			}
 		})

@@ -1,0 +1,288 @@
+package caesar
+
+// A replica is a function of the events it handles: fed the same messages,
+// submissions and ticks in the same order, it sends the same messages in
+// the same order and applies the same commands in the same order. The
+// tests here drive unstarted replicas from one goroutine — a queueing
+// network, one fake clock, a pump that delivers FIFO through handle — so
+// the only freedom left is the replica's own, and assert there is none.
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/metrics"
+	"github.com/caesar-consensus/caesar/internal/protocol"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
+	"github.com/caesar-consensus/caesar/internal/transport"
+)
+
+// simMsg is one message in flight.
+type simMsg struct {
+	from, to timestamp.NodeID
+	payload  any
+}
+
+// simNet is n unstarted replicas, the messages between them and their
+// clock. Nothing runs unless the test calls submit, tick or pump.
+type simNet struct {
+	n       int
+	clock   *fakeClock
+	reps    []*Replica
+	applied [][]command.ID
+	queue   []simMsg
+	// down marks crashed nodes: they are not ticked and what is addressed
+	// to them is lost. drop, when set, loses the messages it returns true
+	// for at delivery.
+	down []bool
+	drop func(simMsg) bool
+	// sent is the transcript: every message in the order it was sent,
+	// rendered with %T%+v (a message holds IDs, timestamps, strings, bytes
+	// and slices of them — no map and no pointer, so the rendering is a
+	// function of its content).
+	sent strings.Builder
+}
+
+type simEP struct {
+	net  *simNet
+	self timestamp.NodeID
+}
+
+var _ transport.Endpoint = (*simEP)(nil)
+
+func (e *simEP) Self() timestamp.NodeID { return e.self }
+func (e *simEP) Peers() []timestamp.NodeID {
+	peers := make([]timestamp.NodeID, e.net.n)
+	for i := range peers {
+		peers[i] = timestamp.NodeID(i)
+	}
+	return peers
+}
+func (e *simEP) Send(to timestamp.NodeID, payload any) { e.net.send(e.self, to, payload) }
+func (e *simEP) Broadcast(payload any) {
+	for to := 0; to < e.net.n; to++ {
+		e.net.send(e.self, timestamp.NodeID(to), payload)
+	}
+}
+func (e *simEP) SetHandler(transport.Handler) {}
+func (e *simEP) Close() error                 { return nil }
+
+// newSimNet builds n replicas; cfg gives each its configuration (Now is
+// set to the shared fake clock).
+func newSimNet(n int, cfg func(node int) Config) *simNet {
+	net := &simNet{
+		n:       n,
+		clock:   &fakeClock{now: time.Unix(4_000_000, 0)},
+		applied: make([][]command.ID, n),
+		down:    make([]bool, n),
+	}
+	for i := 0; i < n; i++ {
+		c := cfg(i)
+		c.Now = net.clock.Now
+		node := i // go.mod says 1.21: the loop variable is shared
+		app := protocol.ApplierFunc(func(cmd command.Command) []byte {
+			net.applied[node] = append(net.applied[node], cmd.ID)
+			return nil
+		})
+		net.reps = append(net.reps, New(&simEP{net: net, self: timestamp.NodeID(i)}, app, c))
+	}
+	return net
+}
+
+// send queues one message and writes it into the transcript. A test also
+// calls it directly to inject what a crashed leader got out before dying.
+func (n *simNet) send(from, to timestamp.NodeID, payload any) {
+	fmt.Fprintf(&n.sent, "%v→%v %T%+v\n", from, to, payload, payload)
+	n.queue = append(n.queue, simMsg{from: from, to: to, payload: payload})
+}
+
+// pump delivers queued messages, oldest first, until none is left.
+func (n *simNet) pump() {
+	for len(n.queue) > 0 {
+		m := n.queue[0]
+		n.queue = n.queue[1:]
+		if n.down[m.to] || (n.drop != nil && n.drop(m)) {
+			continue
+		}
+		n.reps[m.to].handle(protocol.Event{From: m.from, Remote: true, Payload: m.payload})
+	}
+}
+
+// tick advances the clock, ticks every live replica in node order and
+// delivers what that sets off.
+func (n *simNet) tick(d time.Duration) {
+	now := n.clock.Advance(d)
+	for i, rep := range n.reps {
+		if !n.down[i] {
+			rep.handle(protocol.Event{Payload: evTick{now: now}})
+		}
+	}
+	n.pump()
+}
+
+func (n *simNet) submit(node int, cmd command.Command, done protocol.DoneFunc) {
+	n.reps[node].handle(protocol.Event{Payload: evSubmit{cmd: cmd, done: done}})
+}
+
+// transcriptRun plays the fixed script once and returns the transcript and
+// every replica's apply order.
+func transcriptRun(t *testing.T) (string, [][]command.ID) {
+	t.Helper()
+	net := newSimNet(5, func(int) Config { return Config{} })
+	acked := 0
+	done := func(res protocol.Result) {
+		if res.Err != nil {
+			t.Fatalf("submission failed: %v", res.Err)
+		}
+		acked++
+	}
+	put := func(node int, key string) {
+		net.submit(node, command.Put(key, []byte{byte(node)}), done)
+	}
+
+	// Conflicting commands on two keys from three leaders, all in flight
+	// together: the wait condition, rejections and retries decide them.
+	for _, s := range []struct {
+		node int
+		key  string
+	}{{0, "x"}, {1, "y"}, {2, "x"}, {0, "y"}, {1, "x"}, {2, "y"}} {
+		put(s.node, s.key)
+	}
+	net.pump()
+	// One GC flush in which every replica owes acks to three leaders; the
+	// purges follow.
+	net.tick(100 * time.Millisecond)
+	net.tick(100 * time.Millisecond)
+
+	// Two of node 3's proposals miss the fast quorum (4 of 5): the votes of
+	// nodes 1 and 2 are lost, both fast-quorum timeouts expire in one tick,
+	// and both commands go through the slow proposal phase.
+	net.drop = func(m simMsg) bool {
+		_, vote := m.payload.(*FastProposeReply)
+		return vote && m.to == 3 && (m.from == 1 || m.from == 2)
+	}
+	put(3, "x")
+	put(3, "y")
+	net.pump()
+	for i := 0; i < 5; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	net.drop = nil
+
+	// Node 4 dies in the middle of two broadcasts: its FastPropose for c2
+	// reached node 0 only, its Retry for c1 nodes 0 and 1 — whose accepted
+	// tuples differ, because node 0 alone counts c2 among c1's
+	// predecessors. The survivors suspect node 4 a second later; node 0
+	// finds two unfinished commands of it, and c1's recovery quorum holds
+	// both accepted tuples.
+	net.down[4] = true
+	c1, c2 := command.Put("x", []byte("c1")), command.Put("x", []byte("c2"))
+	c1.ID, c2.ID = command.ID{Node: 4, Seq: 1}, command.ID{Node: 4, Seq: 2}
+	net.send(4, 0, &FastPropose{Cmd: c2, Time: timestamp.Timestamp{Seq: 100, Node: 4}})
+	for _, to := range []timestamp.NodeID{0, 1} {
+		net.send(4, to, &Retry{Cmd: c1, Time: timestamp.Timestamp{Seq: 101, Node: 4}})
+	}
+	net.pump()
+	if a, b := net.reps[0].hist.get(c1.ID), net.reps[1].hist.get(c1.ID); a.status != StatusAccepted ||
+		b.status != StatusAccepted || slices.Equal(a.pred, b.pred) {
+		t.Fatalf("script broken: want two different accepted tuples of c1, have %v %v and %v %v", a.status, a.pred, b.status, b.pred)
+	}
+	for i := 0; i < 40; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+
+	if acked != 8 {
+		t.Fatalf("%d of 8 submissions acknowledged", acked)
+	}
+	for i, applied := range net.applied[:4] {
+		if len(applied) != 10 {
+			t.Fatalf("node %d applied %d of 10 commands: %v", i, len(applied), applied)
+		}
+	}
+	if recoveries := net.reps[0].met.Recoveries.Load(); recoveries < 2 {
+		t.Fatalf("script broken: node 0 ran %d recoveries, want c1's and c2's", recoveries)
+	}
+	return net.sent.String(), net.applied
+}
+
+// TestTranscriptReproducible plays one script twenty times: conflicting
+// commands, two fast-quorum timeouts in one tick, GC acks owed to three
+// leaders in one flush, a suspected leader with two unfinished commands
+// and a recovery choosing between two accepted tuples. Every run must send
+// byte for byte the same messages in the same order and apply the same
+// commands in the same order on every replica — with any of those walks
+// left to a map's iteration order, two runs in one process already differ.
+func TestTranscriptReproducible(t *testing.T) {
+	first, firstApplied := transcriptRun(t)
+	for _, want := range []string{"SlowPropose", "Retry", "Recover", "StableAckBatch", "PurgeBatch"} {
+		if !strings.Contains(first, " *caesar."+want+"&{") {
+			t.Fatalf("script broken: the transcript holds no %s", want)
+		}
+	}
+	for run := 2; run <= 20; run++ {
+		got, applied := transcriptRun(t)
+		if got != first {
+			a, b := strings.Split(first, "\n"), strings.Split(got, "\n")
+			for i := 0; i < min(len(a), len(b)); i++ {
+				if a[i] != b[i] {
+					t.Fatalf("run %d diverges from run 1 at message %d of %d:\n run 1: %s\n run %d: %s", run, i+1, len(a), a[i], run, b[i])
+				}
+			}
+			t.Fatalf("run %d sent %d messages, run 1 %d", run, len(b), len(a))
+		}
+		for node := range applied {
+			if !slices.Equal(applied[node], firstApplied[node]) {
+				t.Fatalf("run %d: node %d applied %v, run 1 %v", run, node, applied[node], firstApplied[node])
+			}
+		}
+	}
+}
+
+// TestSelfTakeoverKeepsSubmitInstant: a locally submitted command whose
+// proposal wedged (every vote lost) is finished five seconds later by its
+// own leader's ballot-protected takeover. The coordinator the takeover
+// installs replaces the one the submission created; the command's latency
+// sample and the slow-command log must still count from the submission.
+func TestSelfTakeoverKeepsSubmitInstant(t *testing.T) {
+	met := metrics.NewRecorder()
+	slow := 0
+	net := newSimNet(3, func(node int) Config {
+		cfg := Config{HeartbeatInterval: -1} // the takeover is started by hand
+		if node == 0 {
+			cfg.Metrics = met
+			cfg.SlowThreshold = time.Second
+			cfg.SlowLog = func(string, ...any) { slow++ }
+		}
+		return cfg
+	})
+	net.drop = func(m simMsg) bool {
+		vote, ok := m.payload.(*FastProposeReply)
+		return ok && vote.Ballot == 0
+	}
+	acked := 0
+	net.submit(0, command.Put("k", nil), func(protocol.Result) { acked++ })
+	net.pump()
+	id := command.ID{Node: 0, Seq: 1}
+	if acked != 0 || net.reps[0].hist.get(id).status != StatusFastPending {
+		t.Fatal("script broken: the proposal should be wedged fast-pending")
+	}
+
+	net.clock.Advance(5 * time.Second)
+	net.reps[0].handle(protocol.Event{Payload: evInspect{fn: func(r *Replica) {
+		r.startRecovery(r.hist.get(id))
+	}}})
+	net.pump()
+	if c := net.reps[0].hist.get(id).coord; acked != 1 || c == nil || c.ballot != 1 {
+		t.Fatalf("the takeover did not finish the command: %d ack(s), coordinator %+v", acked, c)
+	}
+	if n, total := met.Latency.Count(), met.Latency.Sum(); n != 1 || total < 5*time.Second {
+		t.Fatalf("latency histogram holds %d sample(s) totalling %v, want one of at least 5s", n, total)
+	}
+	if slow != 1 {
+		t.Fatalf("slow-command log fired %d times, want once", slow)
+	}
+}

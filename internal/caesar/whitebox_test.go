@@ -127,7 +127,7 @@ func TestFastProposeNACKOnStableHigherTimestamp(t *testing.T) {
 	if !ts(10, 0).Less(reply.Time) {
 		t.Fatalf("suggestion %v not above the conflicting stable %v", reply.Time, ts(10, 0))
 	}
-	if !containsID(reply.Pred, cbar.ID) {
+	if !command.ContainsID(reply.Pred, cbar.ID) {
 		t.Fatalf("NACK preds %v must include the conflicting command", reply.Pred)
 	}
 	if rec := r.hist.get(c.ID); rec.status != StatusRejected {
@@ -208,7 +208,7 @@ func TestLowerTimestampNeverBlocks(t *testing.T) {
 	if reply.NACK {
 		t.Fatal("unexpected NACK")
 	}
-	if !containsID(reply.Pred, cbar.ID) {
+	if !command.ContainsID(reply.Pred, cbar.ID) {
 		t.Fatalf("pred %v must include the lower-timestamped command", reply.Pred)
 	}
 }
@@ -235,7 +235,7 @@ func TestRetryNeverRejectedAndExtendsPreds(t *testing.T) {
 	}
 	// The reply unions the leader's set with locally known lower
 	// conflicting commands (Fig 4, R7).
-	if !containsID(reply.Pred, cbar.ID) || !containsID(reply.Pred, other.ID) {
+	if !command.ContainsID(reply.Pred, cbar.ID) || !command.ContainsID(reply.Pred, other.ID) {
 		t.Fatalf("retry preds %v must include both %v and %v", reply.Pred, cbar.ID, other.ID)
 	}
 	if rec := r.hist.get(c.ID); rec.status != StatusAccepted {
@@ -328,19 +328,23 @@ func TestComputePredecessorsWhitelist(t *testing.T) {
 
 	// Without a whitelist: every conflicting lower-timestamped command.
 	pred := r.hist.computePredecessors(target, ts(10, 1), nil, false)
-	if len(pred) != 3 {
-		t.Fatalf("plain preds = %v", pred.Slice())
+	if len(pred) != 3 || !command.IsSortedIDs(pred) {
+		t.Fatalf("plain preds = %v", pred)
 	}
 	// With an empty whitelist: only non-fast-pending entries qualify
 	// (Fig 3, lines 1–3).
-	pred = r.hist.computePredecessors(target, ts(10, 1), command.IDSet{}, true)
-	if pred.Has(pending.ID) || !pred.Has(accepted.ID) || !pred.Has(stable.ID) {
-		t.Fatalf("whitelist preds = %v", pred.Slice())
+	pred = r.hist.computePredecessors(target, ts(10, 1), nil, true)
+	if !slices.Equal(pred, []command.ID{accepted.ID, stable.ID}) {
+		t.Fatalf("whitelist preds = %v", pred)
 	}
 	// Whitelisted fast-pending entries are forced in.
-	pred = r.hist.computePredecessors(target, ts(10, 1), command.NewIDSet(pending.ID), true)
-	if !pred.Has(pending.ID) {
-		t.Fatalf("forced pred missing: %v", pred.Slice())
+	whitelist := []command.ID{pending.ID}
+	pred = r.hist.computePredecessors(target, ts(10, 1), whitelist, true)
+	if !slices.Equal(pred, []command.ID{pending.ID, accepted.ID, stable.ID}) {
+		t.Fatalf("forced pred missing: %v", pred)
+	}
+	if !slices.Equal(whitelist, []command.ID{pending.ID}) {
+		t.Fatalf("the message's whitelist was written into: %v", whitelist)
 	}
 }
 
@@ -426,10 +430,13 @@ func TestFinishRecoveryCaseSelection(t *testing.T) {
 			TupleBallot: 0, Forced: forced,
 		}
 	}
-	firstBroadcast := func(replies map[timestamp.NodeID]*RecoverReply) any {
+	firstBroadcast := func(from map[timestamp.NodeID]*RecoverReply) any {
 		r, ep := testReplica(0)
-		rc := &recovery{id: cmd.ID, ballot: 3, replies: replies}
-		r.finishRecovery(rc)
+		rc := &recovery{ballot: 3, replies: make([]*RecoverReply, r.n)}
+		for node, m := range from {
+			rc.replies[node] = m
+		}
+		r.finishRecovery(r.hist.ensure(command.Command{ID: cmd.ID}), rc)
 		if len(ep.sent) == 0 {
 			return nil
 		}
@@ -550,18 +557,19 @@ func TestStableLearnedBelowLocalPromise(t *testing.T) {
 	})
 	c := put(0, 1, "k")
 	r.onFastPropose(0, &FastPropose{Cmd: c, Time: ts(5, 0)})
-	r.startRecovery(c.ID)
+	rec := r.hist.get(c.ID)
+	r.startRecovery(rec)
 	r.onRecover(r.self, &Recover{Ballot: 1, CmdID: c.ID})
-	if r.ballots[c.ID] != 1 {
-		t.Fatalf("own Recover left ballots[c] = %d, want 1", r.ballots[c.ID])
+	if rec.promised != 1 {
+		t.Fatalf("own Recover left Ballots[c] = %d, want 1", rec.promised)
 	}
 
 	r.onStable(1, &Stable{Ballot: 0, Cmd: c, Time: ts(5, 0)})
 	if len(applied) != 1 || applied[0] != c.ID {
 		t.Fatalf("applied %v, want [%v]: the echoed decision was dropped", applied, c.ID)
 	}
-	if r.ballots[c.ID] != 1 {
-		t.Fatalf("ballots[c] = %d after a lower-ballot Stable, want the promise kept at 1", r.ballots[c.ID])
+	if rec.promised != 1 {
+		t.Fatalf("Ballots[c] = %d after a lower-ballot Stable, want the promise kept at 1", rec.promised)
 	}
 }
 
@@ -589,8 +597,8 @@ func TestSlowReportPrecedesClientAck(t *testing.T) {
 			r.cfg.SlowThreshold = time.Nanosecond
 			r.cfg.SlowLog = func(string, ...any) { order = append(order, "report") }
 			c := put(0, 1, "k")
-			r.proposals[c.ID] = &coordinator{cmd: c, proposedAt: r.now.Add(-time.Second)}
-			r.dones[c.ID] = func(protocol.Result) { order = append(order, "done") }
+			r.hist.ensure(c).coord = &coordinator{cmd: c, proposedAt: r.now.Add(-time.Second),
+				done: func(protocol.Result) { order = append(order, "done") }}
 
 			r.onStable(0, &Stable{Cmd: c, Time: ts(1, 0)})
 			if len(order) != 2 || order[0] != "report" || order[1] != "done" {
@@ -602,14 +610,15 @@ func TestSlowReportPrecedesClientAck(t *testing.T) {
 
 // Delivery acks are one bit per node: the leader re-sends a delivered
 // decision to exactly the replicas whose bit is clear — a duplicate ack
-// counts once — and the full set queues the purge and leaves nothing behind.
+// counts once — and the full set queues the purge, once, and the purge leaves
+// nothing behind.
 func TestStableResentOnlyToReplicasOwingAnAck(t *testing.T) {
 	r, ep := testReplica(0) // five nodes
 	cmd := put(0, 1, "k")
 	rec := r.hist.ensure(cmd)
 	r.hist.setTimestamp(rec, ts(5, 0))
 	rec.status, rec.delivered = StatusStable, true
-	r.proposals[cmd.ID] = &coordinator{cmd: cmd, phase: phaseStable, stableAt: r.now}
+	rec.coord = &coordinator{cmd: cmd, phase: phaseStable, stableAt: r.now}
 	ack := &StableAckBatch{IDs: []command.ID{cmd.ID}}
 	for _, from := range []timestamp.NodeID{0, 3, 3} {
 		r.onStableAckBatch(from, ack)
@@ -635,8 +644,16 @@ func TestStableResentOnlyToReplicasOwingAnAck(t *testing.T) {
 		t.Fatal("purge queued with node 4's ack outstanding")
 	}
 	r.onStableAckBatch(4, ack)
-	if !slices.Equal(r.purgePending, []command.ID{cmd.ID}) || len(r.acked) != 0 {
-		t.Fatalf("after the last ack: purgePending %v, %d ack set(s) retained", r.purgePending, len(r.acked))
+	r.onStableAckBatch(4, ack) // a duplicate of the last ack must not queue a second purge
+	if !slices.Equal(r.purgePending, []command.ID{cmd.ID}) {
+		t.Fatalf("after the last ack: purgePending %v, want the command once", r.purgePending)
+	}
+	// The purge takes the ack word with the record; an ack that trails it
+	// finds nothing to mark and leaves nothing behind.
+	r.onPurgeBatch(0, &PurgeBatch{IDs: r.purgePending})
+	r.onStableAckBatch(2, ack)
+	if r.hist.get(cmd.ID) != nil || len(r.hist.recs) != 0 {
+		t.Fatalf("a trailing ack left state behind: %d record(s)", len(r.hist.recs))
 	}
 }
 
@@ -651,4 +668,90 @@ func TestNewRefusesMoreNodesThanAVoteSetHolds(t *testing.T) {
 		}
 	}()
 	New(&stubEP{n: quorum.MaxNodes + 1}, app, Config{HeartbeatInterval: -1})
+}
+
+// A message is immutable once sent: memnet, tcpnet's loopback and the
+// benchmark's loop endpoint hand one pointer to every receiver. Two
+// replicas get the same two Stable messages for a pair of commands that
+// list each other as predecessors, in opposite orders, so each takes a
+// different branch of breakLoop — and each must drop the predecessor from
+// its own copy, leaving the message and the other replica's record alone.
+func TestStableMessageSurvivesLoopBreaking(t *testing.T) {
+	a, b := put(0, 1, "k"), put(1, 1, "k")
+	// Spare capacity, as a slice cut from a decoder's or a union's buffer
+	// has: an in-place removal would not even reallocate.
+	predOf := func(id command.ID) []command.ID { return append(make([]command.ID, 0, 4), id) }
+	stableA := &Stable{Cmd: a, Time: ts(3, 0), Pred: predOf(b.ID)}
+	stableB := &Stable{Cmd: b, Time: ts(7, 1), Pred: predOf(a.ID)}
+
+	deliver := func(first, second *Stable) (*Replica, *[]command.ID) {
+		r, _ := testReplica(2)
+		applied := &[]command.ID{}
+		r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+			*applied = append(*applied, cmd.ID)
+			return nil
+		})
+		r.onStable(first.Cmd.ID.Node, first)
+		r.onStable(second.Cmd.ID.Node, second)
+		return r, applied
+	}
+	check := func(who string, r *Replica, applied []command.ID) {
+		t.Helper()
+		if !slices.Equal(applied, []command.ID{a.ID, b.ID}) {
+			t.Fatalf("%s applied %v, want [a b]", who, applied)
+		}
+		if pa, pb := r.hist.get(a.ID).pred, r.hist.get(b.ID).pred; len(pa) != 0 || !slices.Equal(pb, []command.ID{a.ID}) {
+			t.Fatalf("%s holds pred(a) = %v, pred(b) = %v, want [] and [a]", who, pa, pb)
+		}
+		if !slices.Equal(stableA.Pred, []command.ID{b.ID}) || !slices.Equal(stableB.Pred, []command.ID{a.ID}) {
+			t.Fatalf("after %s delivered, the messages read Pred %v and %v", who, stableA.Pred, stableB.Pred)
+		}
+	}
+	// b first: a arrives with the higher-timestamped b in its own set.
+	r1, applied1 := deliver(stableB, stableA)
+	check("the first replica", r1, *applied1)
+	// a first: it is parked on b when b arrives and unhooks it.
+	r2, applied2 := deliver(stableA, stableB)
+	check("the second replica", r2, *applied2)
+	check("the first replica, after the second delivered,", r1, *applied1)
+}
+
+// The proposer's side of the same rule: replies are merged into the
+// coordinator's set by union, the retry sends that set, and later replies
+// are merged again — and no message, received or sent, changes under it.
+func TestRepliesSurviveTheCoordinatorsUnions(t *testing.T) {
+	r, ep := testReplica(0)
+	r.onSubmit(command.Put("k", nil), nil)
+	id := command.ID{Node: 0, Seq: 1}
+	p, q, s, z := command.ID{Node: 1, Seq: 5}, command.ID{Node: 2, Seq: 5}, command.ID{Node: 3, Seq: 5}, command.ID{Node: 1, Seq: 9}
+	set := func(ids ...command.ID) []command.ID { return append(make([]command.ID, 0, 8), ids...) }
+	replies := []*FastProposeReply{
+		{CmdID: id, Time: ts(1, 0), Pred: set(p, s)},
+		{CmdID: id, Time: ts(9, 2), Pred: set(q, s), NACK: true},
+		{CmdID: id, Time: ts(1, 0), Pred: set(p)},
+	}
+	want := [][]command.ID{{p, s}, {q, s}, {p}}
+	ep.clear()
+	for from, m := range replies {
+		r.onFastProposeReply(timestamp.NodeID(from+1), m)
+	}
+	retry, ok := ep.lastTo(1).(*Retry)
+	if !ok || !slices.Equal(retry.Pred, []command.ID{p, q, s}) {
+		t.Fatalf("a rejection within a classic quorum should retry with the union [p q s]; sent %+v", ep.lastTo(1))
+	}
+	for from, pred := range [][]command.ID{set(z), nil, set(p, z)} {
+		r.onRetryReply(timestamp.NodeID(from+1), &RetryReply{CmdID: id, Time: retry.Time, Pred: pred})
+	}
+	stable, ok := ep.lastTo(1).(*Stable)
+	if !ok || !slices.Equal(stable.Pred, []command.ID{p, z, q, s}) {
+		t.Fatalf("decision should carry [p z q s]; sent %+v", ep.lastTo(1))
+	}
+	for i, m := range replies {
+		if !slices.Equal(m.Pred, want[i]) {
+			t.Fatalf("reply %d reads Pred %v after being merged, was %v", i, m.Pred, want[i])
+		}
+	}
+	if !slices.Equal(retry.Pred, []command.ID{p, q, s}) {
+		t.Fatalf("the Retry reads Pred %v after later replies were merged", retry.Pred)
+	}
 }

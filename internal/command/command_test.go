@@ -1,6 +1,7 @@
 package command
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -111,62 +112,158 @@ func TestKeyUnion(t *testing.T) {
 	}
 }
 
-func TestIDSetOps(t *testing.T) {
-	s := NewIDSet(id(0, 1), id(1, 2))
-	if !s.Has(id(0, 1)) || s.Has(id(2, 3)) {
+func TestSortedIDOps(t *testing.T) {
+	s := []ID{id(0, 1), id(1, 2)}
+	if !ContainsID(s, id(0, 1)) || ContainsID(s, id(2, 3)) {
 		t.Fatal("membership broken")
 	}
-	s.Add(id(2, 3))
-	s.Remove(id(0, 1))
-	if s.Has(id(0, 1)) || !s.Has(id(2, 3)) {
-		t.Fatal("add/remove broken")
+	s = InsertID(s, id(2, 3))
+	s = RemoveID(s, id(0, 1))
+	if ContainsID(s, id(0, 1)) || !ContainsID(s, id(2, 3)) {
+		t.Fatal("insert/remove broken")
 	}
-	u := s.Clone()
-	u.Add(id(4, 4))
-	c := u.Clone()
-	c.Remove(id(4, 4))
-	if !u.Has(id(4, 4)) {
+	u := InsertID(slices.Clone(s), id(4, 4))
+	c := RemoveID(slices.Clone(u), id(4, 4))
+	if !ContainsID(u, id(4, 4)) {
 		t.Fatal("clone aliases original")
 	}
-	if u.Equal(c) {
-		t.Fatal("Equal on different sets")
+	if slices.Equal(u, c) {
+		t.Fatal("equal on different sets")
 	}
-	c.Add(id(4, 4))
-	if !u.Equal(c) {
-		t.Fatal("Equal on equal sets")
+	c = InsertID(c, id(4, 4))
+	if !slices.Equal(u, c) {
+		t.Fatal("unequal on equal sets")
+	}
+	// A union that adds members is a new slice: neither argument moves.
+	a, b := []ID{id(0, 1), id(3, 3)}, []ID{id(1, 1), id(3, 3)}
+	if got, want := UnionIDs(a, b), []ID{id(0, 1), id(1, 1), id(3, 3)}; !slices.Equal(got, want) {
+		t.Fatalf("UnionIDs = %v, want %v", got, want)
+	}
+	if !slices.Equal(a, []ID{id(0, 1), id(3, 3)}) || !slices.Equal(b, []ID{id(1, 1), id(3, 3)}) {
+		t.Fatalf("UnionIDs wrote into an argument: %v %v", a, b)
 	}
 }
 
-// Property: Slice returns sorted unique members matching the set.
-func TestIDSetSliceSorted(t *testing.T) {
+// Property: a set built by InsertID is strictly ascending and holds exactly
+// the inserted members; SortIDs over the distinct members gives the same
+// slice.
+func TestSortedIDsStaySorted(t *testing.T) {
 	f := func(nodes []int32, seqs []uint64) bool {
-		s := IDSet{}
-		n := len(nodes)
-		if len(seqs) < n {
-			n = len(seqs)
+		var s []ID
+		ref := map[ID]struct{}{}
+		for i := 0; i < min(len(nodes), len(seqs)); i++ {
+			x := id(nodes[i]%8, seqs[i]%64+1)
+			s = InsertID(s, x)
+			ref[x] = struct{}{}
 		}
-		for i := 0; i < n; i++ {
-			s.Add(id(nodes[i]%8, seqs[i]%64+1))
-		}
-		out := s.Slice()
-		if len(out) != len(s) {
+		if len(s) != len(ref) || !IsSortedIDs(s) {
 			return false
 		}
-		for i := 1; i < len(out); i++ {
-			a, b := out[i-1], out[i]
-			if a.Node > b.Node || (a.Node == b.Node && a.Seq >= b.Seq) {
+		var members []ID
+		for x := range ref {
+			if !ContainsID(s, x) {
 				return false
 			}
+			members = append(members, x)
 		}
-		for _, x := range out {
-			if !s.Has(x) {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(SortIDs(members), s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIDSlicesMatchMapReference drives the four set operations against a
+// map[ID]struct{} reference over a small ID universe, so duplicates, unions
+// with self, with nil and with overlapping sets, and removals of absent IDs
+// all come up thousands of times.
+func TestIDSlicesMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pick := func() ID { return id(int32(rng.Intn(4)), uint64(1+rng.Intn(12))) }
+	type pair struct {
+		set []ID
+		ref map[ID]struct{}
+	}
+	sets := make([]pair, 4)
+	for i := range sets {
+		sets[i].ref = map[ID]struct{}{}
+	}
+	check := func(step int, what string, p pair) {
+		t.Helper()
+		if len(p.set) != len(p.ref) || !IsSortedIDs(p.set) {
+			t.Fatalf("step %d: %s left %v for reference %v", step, what, p.set, p.ref)
+		}
+		for x := range p.ref {
+			if !ContainsID(p.set, x) {
+				t.Fatalf("step %d: %s lost %v from %v", step, what, x, p.set)
+			}
+		}
+	}
+	for step := 1; step <= 40000; step++ {
+		p := &sets[rng.Intn(len(sets))]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			x := pick()
+			p.set = InsertID(p.set, x)
+			p.ref[x] = struct{}{}
+			check(step, "InsertID", *p)
+		case op < 6:
+			x := pick()
+			p.set = RemoveID(p.set, x)
+			delete(p.ref, x)
+			check(step, "RemoveID", *p)
+		case op < 7:
+			x := pick()
+			if _, want := p.ref[x]; ContainsID(p.set, x) != want {
+				t.Fatalf("step %d: ContainsID(%v, %v) = %v", step, p.set, x, !want)
+			}
+		case op < 8:
+			*p = pair{ref: map[ID]struct{}{}} // back to the nil set
+		default:
+			// Union with another set, with itself or with nil; the
+			// arguments must come out as they went in, whether or not
+			// the result shares storage with one of them.
+			other := [][]ID{sets[rng.Intn(len(sets))].set, p.set, nil}[rng.Intn(3)]
+			before, otherBefore := slices.Clone(p.set), slices.Clone(other)
+			u := UnionIDs(p.set, other)
+			if !slices.Equal(p.set, before) || !slices.Equal(other, otherBefore) {
+				t.Fatalf("step %d: UnionIDs(%v, %v) wrote into an argument", step, before, otherBefore)
+			}
+			// The set may now share storage with another one (or with its
+			// own past self): take a copy before writing into it again,
+			// the rule every caller of InsertID and RemoveID follows.
+			p.set = slices.Clone(u)
+			for _, x := range other {
+				p.ref[x] = struct{}{}
+			}
+			check(step, "UnionIDs", *p)
+		}
+	}
+}
+
+// Lookups and removals never allocate; an insert allocates only to grow.
+func TestIDSliceOpsDoNotAllocate(t *testing.T) {
+	set := make([]ID, 0, 16)
+	for i := uint64(1); i <= 8; i++ {
+		set = InsertID(set, id(int32(i%3), i))
+	}
+	x := id(1, 100)
+	if n := testing.AllocsPerRun(100, func() {
+		if ContainsID(set, x) {
+			t.Fatal("absent ID found")
+		}
+		set = InsertID(set, x) // spare capacity
+		set = RemoveID(set, x)
+		set = RemoveID(set, x) // absent
+	}); n != 0 {
+		t.Fatalf("contains + insert + remove allocated %v times per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got := UnionIDs(set, set[2:5]); len(got) != len(set) {
+			t.Fatal("union with a subset grew the set")
+		}
+	}); n != 0 {
+		t.Fatalf("a union that adds nothing allocated %v times per run", n)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/command"
 )
 
 // FuzzDecode throws arbitrary bytes at the decoder as one stream. Decoding
@@ -21,6 +24,9 @@ func FuzzDecode(f *testing.F) {
 		f.Add(frame(f, &Envelope{Payload: msg})) // zero values: empty lists, keys and payloads
 	}
 	f.Add(withBody(2, tagShardEnvelope, 1, 0, tagShardEnvelope, 2, 0, tagHeartbeat))
+	// A predecessor set out of order: refused, like its neighbours one
+	// mutation away with an ID twice.
+	f.Add(frame(f, &Envelope{From: 1, Payload: &caesar.Stable{Pred: []command.ID{{Node: 1, Seq: 2}, {Node: 0, Seq: 7}}}}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dec := NewDecoder(bytes.NewReader(in))
 		for {

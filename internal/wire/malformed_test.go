@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -67,6 +68,26 @@ func TestMalformedFramesAreErrors(t *testing.T) {
 		{"forged id count", withBody(2, tagPurgeBatch, 0xff, 0xff, 0xff, 0xff, 0x0f), ErrFrame},
 		{"nested shard envelope", withBody(2, tagShardEnvelope, 1, 0, tagShardEnvelope, 2, 0, tagHeartbeat), ErrFrame},
 	}
+	// The engine binary-searches predecessor sets and whitelists: one that
+	// does not ascend strictly (out of order, or an ID twice) is refused in
+	// every message that carries one — though the encoder, which trusts its
+	// caller, framed it.
+	a, b := command.ID{Node: 0, Seq: 7}, command.ID{Node: 1, Seq: 2}
+	for _, set := range [][]command.ID{{b, a}, {a, a}, {a, b, b}} {
+		for _, msg := range []any{
+			&caesar.FastPropose{Whitelist: set, HasWhitelist: true},
+			&caesar.FastProposeReply{Pred: set},
+			&caesar.SlowPropose{Pred: set},
+			&caesar.SlowProposeReply{Pred: set},
+			&caesar.Retry{Pred: set},
+			&caesar.RetryReply{Pred: set},
+			&caesar.Stable{Pred: set},
+			&caesar.RecoverReply{Pred: set},
+			&shard.Envelope{Shard: 1, Payload: &caesar.Stable{Pred: set}},
+		} {
+			cases = append(cases, badStream{fmt.Sprintf("%T with ID set %v", msg, set), frame(t, &Envelope{From: 2, Payload: msg}), ErrFrame})
+		}
+	}
 	for cut := frameHeader + 1; cut < len(good); cut++ {
 		// The body is cut short but the header still claims all of it…
 		cases = append(cases, badStream{"truncated stream", good[:cut], io.ErrUnexpectedEOF})
@@ -81,6 +102,21 @@ func TestMalformedFramesAreErrors(t *testing.T) {
 		}
 		if env.Payload != nil {
 			t.Errorf("%s: a failed decode left payload %T in the envelope", tc.name, env.Payload)
+		}
+	}
+}
+
+// TestBatchIDsAreAList: acks and purges name commands in whatever order
+// they were delivered or fully acknowledged — nothing searches them.
+func TestBatchIDsAreAList(t *testing.T) {
+	ids := []command.ID{{Node: 2, Seq: 9}, {Node: 0, Seq: 4}, {Node: 2, Seq: 1}}
+	for _, msg := range []any{&caesar.StableAckBatch{IDs: ids}, &caesar.PurgeBatch{IDs: ids}} {
+		var got Envelope
+		if err := NewDecoder(bytes.NewReader(frame(t, &Envelope{Payload: msg}))).Decode(&got); err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		if !reflect.DeepEqual(got.Payload, msg) {
+			t.Fatalf("round trip changed %#v to %#v", msg, got.Payload)
 		}
 	}
 }

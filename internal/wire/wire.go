@@ -38,7 +38,10 @@
 //
 // Decoding never trusts the input: a length or count is checked against
 // the bytes actually present before anything is sized by it, an unknown
-// tag, a short body or bytes left over after the message are errors, and
+// tag, a short body or bytes left over after the message are errors, a
+// Pred or Whitelist that is not strictly ascending is an error (the engine
+// binary-searches them; IDs in an ack or purge batch are a list, in any
+// order), and
 // decoded keys, values and payloads are exact-size copies, so the
 // decoder's frame buffer is never pinned by a message.
 package wire
@@ -52,6 +55,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
 	"github.com/caesar-consensus/caesar/internal/codec"
+	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -243,7 +247,7 @@ func (d *Decoder) Decode(env *Envelope) error {
 	if err != nil {
 		return err
 	}
-	r := codec.NewReader(body)
+	r := msgReader{Reader: codec.NewReader(body)}
 	from := r.Node()
 	payload, err := readMessage(&r, false)
 	if err != nil {
@@ -251,6 +255,9 @@ func (d *Decoder) Decode(env *Envelope) error {
 	}
 	if r.Err() != nil {
 		return fmt.Errorf("%w: %T: %v", ErrFrame, payload, r.Err())
+	}
+	if r.unsorted {
+		return fmt.Errorf("%w: %T: ID set not strictly ascending", ErrFrame, payload)
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after %T", ErrFrame, r.Len(), payload)
@@ -284,56 +291,71 @@ func (d *Decoder) readBody(n int) ([]byte, error) {
 	return buf, nil
 }
 
-func readBallot(r *codec.Reader) uint32 { return uint32(r.Uvarint()) }
+// msgReader reads one frame's fields and remembers whether an ID set among
+// them broke the order the engine relies on.
+type msgReader struct {
+	codec.Reader
+	unsorted bool
+}
+
+// idSet reads a predecessor set or whitelist: ids that must ascend
+// strictly. Encoding does not sort — senders hold sets in that form.
+func (r *msgReader) idSet() []command.ID {
+	ids := r.IDs()
+	r.unsorted = r.unsorted || !command.IsSortedIDs(ids)
+	return ids
+}
+
+func readBallot(r *msgReader) uint32 { return uint32(r.Uvarint()) }
 
 // readMessage reads one tagged message; nested as in appendMessage. The
 // caller checks r.Err once the whole frame is read.
-func readMessage(r *codec.Reader, nested bool) (any, error) {
+func readMessage(r *msgReader, nested bool) (any, error) {
 	switch tag := r.Byte(); tag {
 	case tagFastPropose:
 		m := &caesar.FastPropose{Ballot: readBallot(r)}
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
-		m.Whitelist = r.IDs()
+		m.Whitelist = r.idSet()
 		m.HasWhitelist = r.Bool()
 		return m, nil
 	case tagFastProposeReply:
 		m := &caesar.FastProposeReply{Ballot: readBallot(r)}
 		m.CmdID = r.ID()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		m.NACK = r.Bool()
 		return m, nil
 	case tagSlowPropose:
 		m := &caesar.SlowPropose{Ballot: readBallot(r)}
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		return m, nil
 	case tagSlowProposeReply:
 		m := &caesar.SlowProposeReply{Ballot: readBallot(r)}
 		m.CmdID = r.ID()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		m.NACK = r.Bool()
 		return m, nil
 	case tagRetry:
 		m := &caesar.Retry{Ballot: readBallot(r)}
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		return m, nil
 	case tagRetryReply:
 		m := &caesar.RetryReply{Ballot: readBallot(r)}
 		m.CmdID = r.ID()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		return m, nil
 	case tagStable:
 		m := &caesar.Stable{Ballot: readBallot(r)}
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		return m, nil
 	case tagRecover:
 		m := &caesar.Recover{Ballot: readBallot(r)}
@@ -346,7 +368,7 @@ func readMessage(r *codec.Reader, nested bool) (any, error) {
 		m.Cmd = r.Command()
 		m.Status = caesar.Status(r.Byte())
 		m.Time = r.Timestamp()
-		m.Pred = r.IDs()
+		m.Pred = r.idSet()
 		m.TupleBallot = readBallot(r)
 		m.Forced = r.Bool()
 		return m, nil

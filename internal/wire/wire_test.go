@@ -101,6 +101,9 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 			if got.From != 3 {
 				t.Fatalf("From = %v, want 3", got.From)
 			}
+			// Encoding does not sort and decoding refuses an unsorted set:
+			// equality after the trip also pins that fill's ID lists
+			// ascend, the form every sender holds a set in.
 			if !reflect.DeepEqual(got.Payload, msg) {
 				t.Fatalf("round trip mutated the message:\n sent %#v\n got  %#v", msg, got.Payload)
 			}

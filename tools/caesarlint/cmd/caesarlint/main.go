@@ -1,6 +1,6 @@
 // Command caesarlint runs the repo's concurrency & determinism
-// analyzers (wallclock, loopblock, lockorder, atomicfield) in one of two
-// modes:
+// analyzers (wallclock, loopblock, lockorder, atomicfield, maprange) in
+// one of two modes:
 //
 // Standalone (authoritative — whole-repo load, cross-package facts):
 //
@@ -27,6 +27,7 @@ import (
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/atomicfield"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/lockorder"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/loopblock"
+	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/maprange"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/wallclock"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/internal/unitchecker"
 )
@@ -36,6 +37,7 @@ var analyzers = []*analysis.Analyzer{
 	loopblock.Analyzer,
 	lockorder.Analyzer,
 	atomicfield.Analyzer,
+	maprange.Analyzer,
 }
 
 func main() {
