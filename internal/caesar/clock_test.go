@@ -13,6 +13,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/memnet"
+	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
@@ -35,17 +36,17 @@ func (f *fakeClock) Advance(d time.Duration) time.Time {
 	return f.now
 }
 
-// tick posts one timer event carrying the fake instant, exactly as the real
-// ticker would.
+// tick steps one timer event at the fake instant on the replica's loop,
+// as the real ticker's would be.
 func tick(rep *Replica, now time.Time) {
-	rep.loop.Post(evTick{now: now})
+	rep.Inspect(func() { rep.Step(now, protocol.Event{Payload: protocol.Tick{}}) })
 }
 
 // inspect runs fn inside the replica's event loop and waits for it.
 func inspect(t *testing.T, rep *Replica, fn func(*Replica)) {
 	t.Helper()
 	done := make(chan struct{})
-	if !rep.loop.Post(evInspect{fn: func(r *Replica) { fn(r); close(done) }}) {
+	if !rep.Inspect(func() { fn(rep); close(done) }) {
 		t.Fatal("replica loop stopped")
 	}
 	select {

@@ -152,8 +152,7 @@ func (r *Replica) deliverNow(rec *record) {
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
 	if r.appDefer != nil {
-		ts := rec.ts       // rec is only read and written inside the event loop: the callback posts it back
-		nowFn := r.cfg.Now // r.now is loop-owned state; the callback is not
+		ts := rec.ts // rec is only read and written inside the event loop: the callback posts it back
 		r.appDefer.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
 			// Completion may run on any goroutine — including the event
 			// loop itself (the gate's pass path completes synchronously),
@@ -170,15 +169,16 @@ func (r *Replica) deliverNow(rec *record) {
 			// it, so there is no ack: a GC-acked command may be purged
 			// cluster-wide, and this one is on no replay path of this
 			// node. The record stays unapplied and the client is told.
-			if res.Err == nil && !r.loop.TryPost(evAck{rec: rec}) {
-				go r.loop.Post(evAck{rec: rec})
+			if res.Err == nil && !r.TryPost(evAck{rec: rec}) {
+				go r.Post(evAck{rec: rec})
 			}
 			if done != nil {
-				// Stamp from the injected clock: under the fake-clock
-				// harness a wall-clock stamp here is compared against
-				// proposedAt instants nothing else advances, inventing
-				// (or hiding) slow-command latency.
-				r.noteClientAck(id, ts, proposedAt, nowFn())
+				// Stamp from the runtime's (injected) clock — r.now is
+				// loop-owned state, the callback is not: under the
+				// fake-clock harness a wall-clock stamp here is compared
+				// against proposedAt instants nothing else advances,
+				// inventing (or hiding) slow-command latency.
+				r.noteClientAck(id, ts, proposedAt, r.Now())
 				done(res)
 			}
 		})

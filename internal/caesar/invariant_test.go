@@ -37,15 +37,16 @@ func snapshotHistories(c *cluster) []map[command.ID]tupleSnapshot {
 	out := make([]map[command.ID]tupleSnapshot, len(c.replicas))
 	for i, rep := range c.replicas {
 		ch := make(chan map[command.ID]tupleSnapshot, 1)
-		rep.loop.Post(evInspect{fn: func(r *Replica) {
-			snap := make(map[command.ID]tupleSnapshot, len(r.hist.recs))
-			for id, rec := range r.hist.recs {
+		rep := rep // go.mod says 1.21: the loop variable is shared
+		rep.Inspect(func() {
+			snap := make(map[command.ID]tupleSnapshot, len(rep.hist.recs))
+			for id, rec := range rep.hist.recs {
 				if rec.status == StatusStable {
 					snap[id] = tupleSnapshot{ts: rec.ts, pred: slices.Clone(rec.pred), cmd: rec.cmd}
 				}
 			}
 			ch <- snap
-		}})
+		})
 		out[i] = <-ch
 	}
 	return out

@@ -73,7 +73,7 @@ func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done func(err
 		done(nil)
 		return
 	}
-	if !r.loop.Post(evReadFence{keys: keys, ts: ts, done: done}) {
+	if !r.Post(evReadFence{keys: keys, ts: ts, done: done}) {
 		done(protocol.ErrStopped)
 	}
 }

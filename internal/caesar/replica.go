@@ -42,8 +42,9 @@ type Config struct {
 	// Now is the clock every timeout and deadline is computed from.
 	// Default time.Now. Tests inject a fake clock and drive ticks
 	// manually, making the replica's timers fire deterministically under
-	// simulated time; the event loop snapshots it once per event, so all
-	// decisions within one event observe one instant.
+	// simulated time; the runtime reads it once per event and hands the
+	// instant to Step, so all decisions within one event observe one
+	// instant.
 	Now func() time.Time
 	// DisableWait turns off the §IV-A wait condition (commands that
 	// would wait are rejected instead). Used only by the ablation study;
@@ -150,9 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.StuckTimeout == 0 {
 		c.StuckTimeout = 3 * c.SuspectTimeout
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
 	}
@@ -161,8 +159,10 @@ func (c Config) withDefaults() Config {
 
 // Replica is one CAESAR node: it accepts client submissions as a command
 // leader and participates as an acceptor for every peer's commands. All
-// protocol state is owned by a single event-loop goroutine.
+// protocol state is owned by a single event-loop goroutine: the embedded
+// runtime's, which is also where Start, Stop and Submit come from.
 type Replica struct {
+	*protocol.Runtime
 	ep    transport.Endpoint
 	self  timestamp.NodeID
 	peers []timestamp.NodeID
@@ -183,7 +183,6 @@ type Replica struct {
 	met   *metrics.Recorder
 	ctd   *contend.Group
 	clock *timestamp.Clock
-	loop  *protocol.Loop
 
 	// hist holds one record per command — the paper's tuple, the promised
 	// ballot and everything this replica tracks beside them (see record).
@@ -209,34 +208,18 @@ type Replica struct {
 	// seqReserved is the durable sequence reservation watermark: IDs up
 	// to it may be assigned without another Config.ReserveSeq call.
 	seqReserved uint64
-	// now is the event loop's clock: snapshotted from Config.Now (or the
-	// tick being handled) at the start of every event, so all protocol
-	// code sees one consistent instant per event and never reads the wall
-	// clock directly.
-	now        time.Time
-	lastHB     time.Time
-	lastGC     time.Time
-	lastRetx   time.Time
-	lastStuck  time.Time
-	tickerStop chan struct{}
-	tickerDone chan struct{}
-	started    bool
+	// now is the instant of the step being handled: all protocol code
+	// sees one consistent instant per event and never reads a clock.
+	now       time.Time
+	lastHB    time.Time
+	lastGC    time.Time
+	lastRetx  time.Time
+	lastStuck time.Time
 }
 
-// events posted into the loop.
-type (
-	evSubmit struct {
-		cmd  command.Command
-		done protocol.DoneFunc
-	}
-	evTick struct{ now time.Time }
-	// evAck queues a GC acknowledgement for a command whose deferred
-	// apply completed outside the event loop (see deliverNow).
-	evAck struct{ rec *record }
-	// evInspect runs fn inside the event loop; tests use it to snapshot
-	// protocol state without data races.
-	evInspect struct{ fn func(*Replica) }
-)
+// evAck queues a GC acknowledgement for a command whose deferred apply
+// completed outside the event loop (see deliverNow).
+type evAck struct{ rec *record }
 
 // New builds a replica attached to the endpoint. app receives decided
 // commands in order. It panics on more than quorum.MaxNodes peers: votes
@@ -264,7 +247,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		met:         cfg.Metrics,
 		ctd:         cfg.Contend,
 		clock:       timestamp.NewClock(ep.Self()),
-		loop:        protocol.NewLoop(protocol.InboxSize),
 		hist:        newHistory(),
 		delivered:   delivered,
 		ackPending:  make([][]command.ID, n),
@@ -280,7 +262,8 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	}
 	r.appAt, _ = app.(protocol.TimestampedApplier)
 	r.appDefer, _ = app.(protocol.DeferringApplier)
-	r.now = cfg.Now()
+	r.Runtime = protocol.NewRuntime(ep, cfg.Now, cfg.TickInterval, r.Step, r.failInFlight)
+	r.now = r.Now()
 	if cfg.HeartbeatInterval > 0 {
 		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, r.now)
 	}
@@ -292,54 +275,10 @@ var _ protocol.Engine = (*Replica)(nil)
 // Metrics returns the replica's recorder.
 func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
-// Start launches the event loop and timers.
-func (r *Replica) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.PostMessage(from, payload)
-	})
-	go r.loop.Run(r.handle)
-	r.tickerStop = make(chan struct{})
-	r.tickerDone = make(chan struct{})
-	go r.runTicker()
-}
-
-// runTicker posts periodic evTick events into the loop.
-func (r *Replica) runTicker() {
-	defer close(r.tickerDone)
-	// The cadence is real time by design — it only decides how often the
-	// loop samples the injected clock; every instant the protocol
-	// compares comes from cfg.Now. Fake-clock tests bypass this goroutine
-	// and post evTick directly.
-	//caesarlint:allow wallclock -- liveness cadence only; all compared instants come from cfg.Now
-	t := time.NewTicker(r.cfg.TickInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.tickerStop:
-			return
-		case <-t.C:
-			r.loop.Post(evTick{now: r.cfg.Now()})
-		}
-	}
-}
-
-// Stop shuts the replica down, failing in-flight submissions with
-// protocol.ErrStopped.
-func (r *Replica) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	close(r.tickerStop)
-	<-r.tickerDone
-	_ = r.ep.Close()
-	r.loop.Stop()
-	// The loop has drained; no concurrent access remains. Undelivered
-	// submissions and parked read fences fail with ErrStopped.
+// failInFlight is the runtime's drained hook: the loop has exited, no
+// concurrent access remains. Undelivered submissions and parked read
+// fences fail with ErrStopped.
+func (r *Replica) failInFlight() {
 	for rec := r.hist.first; rec != nil; rec = rec.next {
 		if c := rec.coord; c != nil && c.done != nil {
 			c.done(protocol.Result{Err: protocol.ErrStopped})
@@ -374,40 +313,29 @@ func (r *Replica) OldestUnacked() (command.ID, time.Time, bool) {
 	return oldest, at, !at.IsZero()
 }
 
-// Submit proposes cmd on this replica. The replica becomes the command's
-// leader (§V-B); done fires after local execution.
-func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
-	if !r.loop.Post(evSubmit{cmd: cmd, done: done}) && done != nil {
-		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-// handle is the single event-loop dispatcher. It snapshots the loop clock
-// once per event; every timeout, deadline and measurement below reads
-// r.now, never the wall clock.
-func (r *Replica) handle(ev protocol.Event) {
-	if e, ok := ev.Payload.(evTick); ok {
-		r.now = e.now
-		r.onTick(e.now)
-		return
-	}
-	r.now = r.cfg.Now()
+// Step is the single event dispatcher: the runtime calls it for every
+// event with the instant the event is handled at, and so does a test that
+// owns the schedule. Every timeout, deadline and measurement below reads
+// r.now, never a clock. A protocol.Submission makes this replica the
+// command's leader (§V-B); its Done fires after local execution.
+func (r *Replica) Step(now time.Time, ev protocol.Event) {
+	r.now = now
 	if ev.Remote {
 		if r.fd != nil {
-			r.fd.Observe(ev.From, r.now)
+			r.fd.Observe(ev.From, now)
 		}
 		r.dispatch(ev.From, ev.Payload)
 		return
 	}
 	switch e := ev.Payload.(type) {
-	case evSubmit:
-		r.onSubmit(e.cmd, e.done)
+	case protocol.Tick:
+		r.onTick(now)
+	case protocol.Submission:
+		r.onSubmit(e.Cmd, e.Done)
 	case evAck:
 		r.onAck(e.rec)
 	case evReadFence:
 		r.onReadFence(e)
-	case evInspect:
-		e.fn(r)
 	}
 }
 
@@ -437,7 +365,7 @@ func (r *Replica) dispatch(from timestamp.NodeID, payload any) {
 	case *PurgeBatch:
 		r.onPurgeBatch(from, m)
 	case *Heartbeat:
-		// Life already observed in handle.
+		// Life already observed in Step.
 	}
 }
 

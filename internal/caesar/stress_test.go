@@ -63,7 +63,8 @@ func TestGarbageCollectionPurgesHistory(t *testing.T) {
 		remaining := 0
 		for _, rep := range c.replicas {
 			done := make(chan int, 1)
-			rep.loop.Post(evInspect{fn: func(r *Replica) { done <- len(r.hist.recs) }})
+			rep := rep // go.mod says 1.21: the loop variable is shared
+			rep.Inspect(func() { done <- len(rep.hist.recs) })
 			remaining += <-done
 		}
 		if remaining == 0 {
@@ -132,13 +133,14 @@ func TestDeliveryFollowsTimestampOrder(t *testing.T) {
 	// With GC disabled, inspect node 0's final history: delivery order
 	// must equal final-timestamp order.
 	out := make(chan map[command.ID]timestamp.Timestamp, 1)
-	c.replicas[0].loop.Post(evInspect{fn: func(r *Replica) {
+	r := c.replicas[0]
+	r.Inspect(func() {
 		tsOf := make(map[command.ID]timestamp.Timestamp, len(r.hist.recs))
 		for id, rec := range r.hist.recs {
 			tsOf[id] = rec.ts
 		}
 		out <- tsOf
-	}})
+	})
 	tsOf := <-out
 	if len(tsOf) != total {
 		t.Fatalf("history holds %d records, want %d", len(tsOf), total)

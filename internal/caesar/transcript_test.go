@@ -108,7 +108,7 @@ func (n *simNet) pump() {
 		if n.down[m.to] || (n.drop != nil && n.drop(m)) {
 			continue
 		}
-		n.reps[m.to].handle(protocol.Event{From: m.from, Remote: true, Payload: m.payload})
+		n.reps[m.to].Step(n.clock.Now(), protocol.Event{From: m.from, Remote: true, Payload: m.payload})
 	}
 }
 
@@ -118,14 +118,14 @@ func (n *simNet) tick(d time.Duration) {
 	now := n.clock.Advance(d)
 	for i, rep := range n.reps {
 		if !n.down[i] {
-			rep.handle(protocol.Event{Payload: evTick{now: now}})
+			rep.Step(now, protocol.Event{Payload: protocol.Tick{}})
 		}
 	}
 	n.pump()
 }
 
 func (n *simNet) submit(node int, cmd command.Command, done protocol.DoneFunc) {
-	n.reps[node].handle(protocol.Event{Payload: evSubmit{cmd: cmd, done: done}})
+	n.reps[node].Step(n.clock.Now(), protocol.Event{Payload: protocol.Submission{Cmd: cmd, Done: done}})
 }
 
 // transcriptRun plays the fixed script once and returns the transcript and
@@ -271,10 +271,11 @@ func TestSelfTakeoverKeepsSubmitInstant(t *testing.T) {
 		t.Fatal("script broken: the proposal should be wedged fast-pending")
 	}
 
-	net.clock.Advance(5 * time.Second)
-	net.reps[0].handle(protocol.Event{Payload: evInspect{fn: func(r *Replica) {
-		r.startRecovery(r.hist.get(id))
-	}}})
+	// Between two steps, five seconds later: what Inspect would run on a
+	// live loop.
+	r := net.reps[0]
+	r.now = net.clock.Advance(5 * time.Second)
+	r.startRecovery(r.hist.get(id))
 	net.pump()
 	if c := net.reps[0].hist.get(id).coord; acked != 1 || c == nil || c.ballot != 1 {
 		t.Fatalf("the takeover did not finish the command: %d ack(s), coordinator %+v", acked, c)

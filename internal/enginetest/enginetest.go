@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/leakcheck"
 	"github.com/caesar-consensus/caesar/internal/memnet"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -192,8 +193,83 @@ func (c *Cluster) CheckOrder(t testing.TB, keys []string) {
 	}
 }
 
+// lifecycle checks the Start / Stop contract: new → running → stopped,
+// forward only, in-flight submissions failed exactly once, safe under
+// concurrent calls. It waits on callbacks and returns, never on sleeps.
+func lifecycle(t *testing.T, factory Factory) {
+	// submit proposes on e and returns where its callback reports to; a
+	// second invocation of the callback fails the test.
+	submit := func(e protocol.Engine) <-chan protocol.Result {
+		ch := make(chan protocol.Result, 1)
+		e.Submit(command.Put("k", nil), func(res protocol.Result) {
+			select {
+			case ch <- res:
+			default:
+				t.Error("submission callback fired twice")
+			}
+		})
+		return ch
+	}
+	// stopped waits for the callback and requires ErrStopped.
+	stopped := func(what string, ch <-chan protocol.Result) {
+		t.Helper()
+		select {
+		case res := <-ch:
+			if res.Err != protocol.ErrStopped {
+				t.Fatalf("%s: got %+v, want ErrStopped", what, res)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: callback never fired", what)
+		}
+	}
+
+	t.Run("StopFailsInFlightOnce", func(t *testing.T) {
+		c := NewCluster(t, 3, memnet.Config{}, factory)
+		c.Net.Partition(0, 1)
+		c.Net.Partition(0, 2)
+		inFlight := submit(c.Engines[0]) // no quorum reachable: it stays in flight
+		c.Engines[0].Stop()
+		stopped("in flight at Stop", inFlight)
+		c.Engines[0].Stop() // twice: a second failure trips submit's check
+		stopped("submitted after Stop", submit(c.Engines[0]))
+	})
+
+	t.Run("StopBeforeStartIsFinal", func(t *testing.T) {
+		net := memnet.New(memnet.Config{Nodes: 3})
+		e := factory(net.Endpoint(0), NewRecorder())
+		queued := submit(e)
+		e.Stop()
+		stopped("queued before a Stop that preceded Start", queued)
+		e.Start()
+		stopped("submitted after Stop, Start", submit(e))
+		net.Close()
+		if err := leakcheck.Check(5 * time.Second); err != nil {
+			t.Fatalf("Stop, Start left something running: %v", err)
+		}
+	})
+
+	t.Run("ConcurrentStartStop", func(t *testing.T) {
+		net := memnet.New(memnet.Config{Nodes: 3})
+		for round := 0; round < 50; round++ {
+			e := factory(net.Endpoint(0), NewRecorder())
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); e.Start() }()
+			go func() { defer wg.Done(); e.Stop() }()
+			wg.Wait()
+			e.Stop() // whichever order they took, the engine is down after this
+		}
+		net.Close()
+		if err := leakcheck.Check(5 * time.Second); err != nil {
+			t.Fatalf("racing Start and Stop left something running: %v", err)
+		}
+	})
+}
+
 // Run executes the full conformance battery.
 func Run(t *testing.T, factory Factory) {
+	t.Run("Lifecycle", func(t *testing.T) { lifecycle(t, factory) })
+
 	t.Run("SingleCommand", func(t *testing.T) {
 		c := NewCluster(t, 5, memnet.Config{}, factory)
 		res := c.SubmitWait(t, 0, command.Put("x", []byte("v")), 5*time.Second)

@@ -178,8 +178,10 @@ type keyInfo struct {
 	maxSeq uint64
 }
 
-// Replica is one EPaxos node.
+// Replica is one EPaxos node. Start, Stop and Submit are the embedded
+// runtime's.
 type Replica struct {
+	*protocol.Runtime
 	ep    transport.Endpoint
 	self  timestamp.NodeID
 	peers []timestamp.NodeID
@@ -187,10 +189,11 @@ type Replica struct {
 	cq    int
 	fastQ int
 
-	cfg  Config
-	app  protocol.Applier
-	met  *metrics.Recorder
-	loop *protocol.Loop
+	cfg Config
+	app protocol.Applier
+	met *metrics.Recorder
+	// now is the instant of the step being handled.
+	now time.Time
 
 	instances map[InstanceID]*instance
 	conflicts map[string]*keyInfo
@@ -202,27 +205,13 @@ type Replica struct {
 	// instances waiting for it to commit (exec.go).
 	blockedExec map[InstanceID][]InstanceID
 
-	dones    map[command.ID]protocol.DoneFunc
-	submitAt map[command.ID]time.Time
-	nextSeq  uint64
+	pending *protocol.Pending
 
 	fd                *failure.Detector
 	recoveries        map[InstanceID]*recoveryState
 	scheduledRecovery map[InstanceID]time.Time
 	lastHB            time.Time
-
-	tickerStop chan struct{}
-	tickerDone chan struct{}
-	started    bool
 }
-
-type (
-	evSubmit struct {
-		cmd  command.Command
-		done protocol.DoneFunc
-	}
-	evTick struct{ now time.Time }
-)
 
 var _ protocol.Engine = (*Replica)(nil)
 
@@ -241,17 +230,16 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:               cfg,
 		app:               app,
 		met:               cfg.Metrics,
-		loop:              protocol.NewLoop(protocol.InboxSize),
 		instances:         make(map[InstanceID]*instance),
 		conflicts:         make(map[string]*keyInfo),
 		blockedExec:       make(map[InstanceID][]InstanceID),
-		dones:             make(map[command.ID]protocol.DoneFunc),
-		submitAt:          make(map[command.ID]time.Time),
+		pending:           protocol.NewPending(ep.Self(), cfg.Metrics),
 		recoveries:        make(map[InstanceID]*recoveryState),
 		scheduledRecovery: make(map[InstanceID]time.Time),
 	}
+	r.Runtime = protocol.NewRuntime(ep, nil, cfg.TickInterval, r.Step, r.pending.FailAll)
 	if cfg.HeartbeatInterval > 0 {
-		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, time.Now())
+		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, r.Now())
 	}
 	return r
 }
@@ -259,67 +247,18 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 // Metrics returns the replica's recorder.
 func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
-// Start launches the event loop and timers.
-func (r *Replica) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.PostMessage(from, payload)
-	})
-	go r.loop.Run(r.handle)
-	r.tickerStop = make(chan struct{})
-	r.tickerDone = make(chan struct{})
-	go func() {
-		defer close(r.tickerDone)
-		t := time.NewTicker(r.cfg.TickInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.tickerStop:
-				return
-			case now := <-t.C:
-				r.loop.Post(evTick{now: now})
-			}
-		}
-	}()
-}
-
-// Stop shuts the replica down.
-func (r *Replica) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	close(r.tickerStop)
-	<-r.tickerDone
-	_ = r.ep.Close()
-	r.loop.Stop()
-	for id, done := range r.dones {
-		delete(r.dones, id)
-		if done != nil {
-			done(protocol.Result{Err: protocol.ErrStopped})
-		}
-	}
-}
-
-// Submit proposes cmd with this replica as command leader.
-func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
-	if !r.loop.Post(evSubmit{cmd: cmd, done: done}) && done != nil {
-		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-func (r *Replica) handle(ev protocol.Event) {
+// Step handles one event at the instant now; a protocol.Submission makes
+// this replica the command's leader.
+func (r *Replica) Step(now time.Time, ev protocol.Event) {
+	r.now = now
 	if ev.Remote && r.fd != nil {
-		r.fd.Observe(ev.From, time.Now())
+		r.fd.Observe(ev.From, now)
 	}
 	switch m := ev.Payload.(type) {
-	case evSubmit:
-		r.onSubmit(m.cmd, m.done)
-	case evTick:
-		r.onTick(m.now)
+	case protocol.Submission:
+		r.onSubmit(r.pending.Register(now, m))
+	case protocol.Tick:
+		r.onTick(now)
 	case *PreAccept:
 		r.onPreAccept(ev.From, m)
 	case *PreAcceptReply:
@@ -388,14 +327,7 @@ func (r *Replica) getOrCreate(id InstanceID) *instance {
 }
 
 // onSubmit runs the leader side of Phase 1 (PreAccept).
-func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
-	r.nextSeq++
-	cmd.ID = command.ID{Node: r.self, Seq: r.nextSeq}
-	if done != nil {
-		r.dones[cmd.ID] = done
-	}
-	r.submitAt[cmd.ID] = time.Now()
-
+func (r *Replica) onSubmit(cmd command.Command) {
 	id := InstanceID{Replica: r.self, Slot: r.nextSlot}
 	r.nextSlot++
 	seq, deps := r.attributes(cmd)

@@ -1,11 +1,6 @@
 package epaxos
 
-import (
-	"sort"
-	"time"
-
-	"github.com/caesar-consensus/caesar/internal/protocol"
-)
+import "sort"
 
 // Execution: EPaxos delivers by analysing the dependency graph of committed
 // instances — find the strongly connected components reachable from the
@@ -124,17 +119,7 @@ func (r *Replica) execute(inst *instance) {
 	value := r.app.Apply(inst.cmd)
 	r.met.Executed.Inc()
 
-	id := inst.cmd.ID
-	if id.Node == r.self {
-		if at, ok := r.submitAt[id]; ok {
-			r.met.ObserveLatency(time.Since(at))
-			delete(r.submitAt, id)
-		}
-		if done := r.dones[id]; done != nil {
-			delete(r.dones, id)
-			done(protocol.Result{Value: value})
-		}
-	}
+	r.pending.Complete(r.now, inst.cmd.ID, value)
 }
 
 // wakeBlocked retries the roots that were parked on id once it commits.

@@ -93,7 +93,7 @@ func (r *Replica) startRecovery(id InstanceID) {
 		id:       id,
 		ballot:   ballot,
 		votes:    quorum.NewTracker(r.cq),
-		deadline: time.Now().Add(4 * r.cfg.SuspectTimeout),
+		deadline: r.now.Add(4 * r.cfg.SuspectTimeout),
 	}
 	r.recoveries[id] = rc
 	r.met.Recoveries.Inc()

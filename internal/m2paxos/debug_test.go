@@ -99,8 +99,9 @@ func TestDebugConcurrentStall(t *testing.T) {
 // dump prints per-replica key state through the event loop (safe snapshot).
 func dump(t *testing.T, reps []*Replica, keys []string) {
 	for i, rep := range reps {
+		rep := rep // go.mod says 1.21: the loop variable is shared
 		ch := make(chan string, 1)
-		rep.loop.Post(evDump{keys: keys, out: ch})
+		rep.Inspect(func() { ch <- rep.dumpKeys(keys) })
 		select {
 		case s := <-ch:
 			t.Logf("replica %d:\n%s", i, s)
@@ -110,40 +111,29 @@ func dump(t *testing.T, reps []*Replica, keys []string) {
 	}
 }
 
-type evDump struct {
-	keys []string
-	out  chan string
-}
-
-func init() {
-	debugHandler = func(r *Replica, ev any) bool {
-		d, ok := ev.(evDump)
-		if !ok {
-			return false
+// dumpKeys renders the state of keys; loop goroutine only.
+func (r *Replica) dumpKeys(keys []string) string {
+	s := ""
+	for _, k := range keys {
+		ks := r.keys[k]
+		if ks == nil {
+			continue
 		}
-		s := ""
-		for _, k := range d.keys {
-			ks := r.keys[k]
-			if ks == nil {
-				continue
-			}
-			s += fmt.Sprintf("  key %q: role=%d ballot=%d(r%d,n%d) promised=%d(r%d,n%d) owner=%d queue=%d nextInst=%d execNext=%d\n",
-				k, ks.role, ks.ballot, ks.ballot.round(), ks.ballot.node(),
-				ks.promised, ks.promised.round(), ks.promised.node(),
-				ks.owner, len(ks.queue), ks.nextInst, r.execNext[k])
-			for ik, p := range r.pend {
-				if ik.key == k {
-					s += fmt.Sprintf("    pend inst=%d ballot=%d votes=%d cmd=%v\n", ik.inst, p.ballot, p.votes.Count(), p.cmd.ID)
-				}
-			}
-			lo := r.execNext[k]
-			for inst := lo; inst < lo+8; inst++ {
-				if av, ok := r.accepted[instKey{k, inst}]; ok {
-					s += fmt.Sprintf("    acc inst=%d ballot=%d committed=%v cmd=%v\n", inst, av.ballot, av.committed, av.cmd.ID)
-				}
+		s += fmt.Sprintf("  key %q: role=%d ballot=%d(r%d,n%d) promised=%d(r%d,n%d) owner=%d queue=%d nextInst=%d execNext=%d\n",
+			k, ks.role, ks.ballot, ks.ballot.round(), ks.ballot.node(),
+			ks.promised, ks.promised.round(), ks.promised.node(),
+			ks.owner, len(ks.queue), ks.nextInst, r.execNext[k])
+		for ik, p := range r.pend {
+			if ik.key == k {
+				s += fmt.Sprintf("    pend inst=%d ballot=%d votes=%d cmd=%v\n", ik.inst, p.ballot, p.votes.Count(), p.cmd.ID)
 			}
 		}
-		d.out <- s
-		return true
+		lo := r.execNext[k]
+		for inst := lo; inst < lo+8; inst++ {
+			if av, ok := r.accepted[instKey{k, inst}]; ok {
+				s += fmt.Sprintf("    acc inst=%d ballot=%d committed=%v cmd=%v\n", inst, av.ballot, av.committed, av.cmd.ID)
+			}
+		}
 	}
+	return s
 }

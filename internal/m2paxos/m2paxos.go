@@ -49,18 +49,16 @@ type Config struct {
 	// RetryTimeout bounds how long an unacknowledged round waits before
 	// escalating to a prepare at a higher round. Default 500ms.
 	RetryTimeout time.Duration
-	// TickInterval is the timer granularity. Default 25ms.
-	TickInterval time.Duration
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
 
+// tickInterval is the retry timer's granularity.
+const tickInterval = 25 * time.Millisecond
+
 func (c Config) withDefaults() Config {
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 500 * time.Millisecond
-	}
-	if c.TickInterval == 0 {
-		c.TickInterval = 25 * time.Millisecond
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
@@ -186,8 +184,11 @@ type pending struct {
 	deadline time.Time
 }
 
-// Replica is one M2Paxos node.
+// Replica is one M2Paxos node. Start, Stop and Submit are the embedded
+// runtime's: a submission is ordered locally when this node owns (or can
+// claim) the key, forwarded to the owner otherwise.
 type Replica struct {
+	*protocol.Runtime
 	ep   transport.Endpoint
 	self timestamp.NodeID
 	n    int
@@ -195,7 +196,8 @@ type Replica struct {
 	cfg  Config
 	app  protocol.Applier
 	met  *metrics.Recorder
-	loop *protocol.Loop
+	// now is the instant of the step being handled.
+	now time.Time
 
 	keys      map[string]*keyState
 	accepted  map[instKey]acceptedVal
@@ -203,29 +205,15 @@ type Replica struct {
 	execNext  map[string]uint64
 	pend      map[instKey]*pending
 	executed  *idset.Set
-
-	dones      map[command.ID]protocol.DoneFunc
-	submitAt   map[command.ID]time.Time
-	nextSeq    uint64
-	started    bool
-	tickerStop chan struct{}
-	tickerDone chan struct{}
+	pending   *protocol.Pending
 }
-
-type (
-	evSubmit struct {
-		cmd  command.Command
-		done protocol.DoneFunc
-	}
-	evTick struct{ now time.Time }
-)
 
 var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
 func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
-	return &Replica{
+	r := &Replica{
 		ep:        ep,
 		self:      ep.Self(),
 		n:         len(ep.Peers()),
@@ -233,16 +221,16 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg:       cfg,
 		app:       app,
 		met:       cfg.Metrics,
-		loop:      protocol.NewLoop(protocol.InboxSize),
 		keys:      make(map[string]*keyState),
 		accepted:  make(map[instKey]acceptedVal),
 		committed: make(map[instKey]command.Command),
 		execNext:  make(map[string]uint64),
 		pend:      make(map[instKey]*pending),
 		executed:  idset.New(),
-		dones:     make(map[command.ID]protocol.DoneFunc),
-		submitAt:  make(map[command.ID]time.Time),
+		pending:   protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
+	r.Runtime = protocol.NewRuntime(ep, nil, tickInterval, r.Step, r.pending.FailAll)
+	return r
 }
 
 // key returns the state for k, creating it when absent.
@@ -255,72 +243,14 @@ func (r *Replica) key(k string) *keyState {
 	return ks
 }
 
-// Start launches the event loop and retry timer.
-func (r *Replica) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.PostMessage(from, payload)
-	})
-	go r.loop.Run(r.handle)
-	r.tickerStop = make(chan struct{})
-	r.tickerDone = make(chan struct{})
-	go func() {
-		defer close(r.tickerDone)
-		t := time.NewTicker(r.cfg.TickInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.tickerStop:
-				return
-			case now := <-t.C:
-				r.loop.Post(evTick{now: now})
-			}
-		}
-	}()
-}
-
-// Stop shuts the replica down.
-func (r *Replica) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	close(r.tickerStop)
-	<-r.tickerDone
-	_ = r.ep.Close()
-	r.loop.Stop()
-	for id, done := range r.dones {
-		delete(r.dones, id)
-		if done != nil {
-			done(protocol.Result{Err: protocol.ErrStopped})
-		}
-	}
-}
-
-// Submit proposes cmd: ordered locally when this node owns (or can claim)
-// the key, forwarded to the owner otherwise.
-func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
-	if !r.loop.Post(evSubmit{cmd: cmd, done: done}) && done != nil {
-		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-// debugHandler lets white-box tests inject inspection events into the
-// loop; it is nil outside tests.
-var debugHandler func(r *Replica, ev any) bool
-
-func (r *Replica) handle(ev protocol.Event) {
-	if debugHandler != nil && debugHandler(r, ev.Payload) {
-		return
-	}
+// Step handles one event at the instant now.
+func (r *Replica) Step(now time.Time, ev protocol.Event) {
+	r.now = now
 	switch m := ev.Payload.(type) {
-	case evSubmit:
-		r.onSubmit(m.cmd, m.done)
-	case evTick:
-		r.onTick(m.now)
+	case protocol.Submission:
+		r.route(r.pending.Register(now, m), 0)
+	case protocol.Tick:
+		r.onTick(now)
 	case *Accept:
 		r.onAccept(ev.From, m)
 	case *AcceptOK:
@@ -338,16 +268,6 @@ func (r *Replica) handle(ev protocol.Event) {
 	case *Forward:
 		r.route(m.Cmd, m.Hops)
 	}
-}
-
-func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
-	r.nextSeq++
-	cmd.ID = command.ID{Node: r.self, Seq: r.nextSeq}
-	if done != nil {
-		r.dones[cmd.ID] = done
-	}
-	r.submitAt[cmd.ID] = time.Now()
-	r.route(cmd, 0)
 }
 
 // route drives a command toward decision according to this node's
@@ -377,7 +297,7 @@ func (r *Replica) route(cmd command.Command, hops uint8) {
 		}
 		ks.role = roleAcquiring
 		ks.ballot = makeBallot(1, r.self)
-		ks.deadline = time.Now().Add(r.cfg.RetryTimeout)
+		ks.deadline = r.now.Add(r.cfg.RetryTimeout)
 		r.order(ks, cmd)
 	}
 }
@@ -399,7 +319,7 @@ func (r *Replica) orderAt(ks *keyState, key string, inst uint64, cmd command.Com
 		cmd:      cmd,
 		ballot:   ks.ballot,
 		votes:    quorum.NewTracker(r.cq),
-		deadline: time.Now().Add(r.cfg.RetryTimeout),
+		deadline: r.now.Add(r.cfg.RetryTimeout),
 	}
 	r.ep.Broadcast(&Accept{Key: key, Ballot: ks.ballot, Inst: inst, Cmd: cmd})
 }
@@ -520,7 +440,7 @@ func (r *Replica) startPrepare(key string, ks *keyState) {
 	ks.prepVotes = quorum.NewTracker(r.cq)
 	ks.suffix = make(map[uint64]SuffixEntry)
 	ks.floor = r.execNext[key]
-	ks.deadline = time.Now().Add(r.cfg.RetryTimeout)
+	ks.deadline = r.now.Add(r.cfg.RetryTimeout)
 	r.met.Retries.Inc()
 	r.ep.Broadcast(&PrepareKey{Key: key, Ballot: ks.ballot})
 }
@@ -658,16 +578,7 @@ func (r *Replica) execute(key string) {
 		value := r.app.Apply(cmd)
 		r.met.Executed.Inc()
 		r.met.Decided.Inc()
-		if cmd.ID.Node == r.self {
-			if at, ok := r.submitAt[cmd.ID]; ok {
-				r.met.ObserveLatency(time.Since(at))
-				delete(r.submitAt, cmd.ID)
-			}
-			if done := r.dones[cmd.ID]; done != nil {
-				delete(r.dones, cmd.ID)
-				done(protocol.Result{Value: value})
-			}
-		}
+		r.pending.Complete(r.now, cmd.ID, value)
 	}
 }
 

@@ -65,8 +65,11 @@ type slot struct {
 	cmd   command.Command
 }
 
-// Replica is one Mencius node.
+// Replica is one Mencius node. Start, Stop and Submit are the embedded
+// runtime's: a submission is proposed in this node's next pre-assigned
+// slot.
 type Replica struct {
+	*protocol.Runtime
 	ep   transport.Endpoint
 	self timestamp.NodeID
 	n    int
@@ -74,7 +77,8 @@ type Replica struct {
 	cfg  Config
 	app  protocol.Applier
 	met  *metrics.Recorder
-	loop *protocol.Loop
+	// now is the instant of the step being handled.
+	now time.Time
 
 	slots map[uint64]*slot
 	// skipTo[o]: every slot owned by o below this bound without a
@@ -86,16 +90,7 @@ type Replica struct {
 	maxSeen uint64
 	acks    map[uint64]*quorum.Tracker
 	execTo  uint64
-
-	dones    map[command.ID]protocol.DoneFunc
-	submitAt map[command.ID]time.Time
-	nextSeq  uint64
-	started  bool
-}
-
-type evSubmit struct {
-	cmd  command.Command
-	done protocol.DoneFunc
+	pending *protocol.Pending
 }
 
 var _ protocol.Engine = (*Replica)(nil)
@@ -106,63 +101,29 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg.Metrics = metrics.NewRecorder()
 	}
 	r := &Replica{
-		ep:       ep,
-		self:     ep.Self(),
-		n:        len(ep.Peers()),
-		cq:       quorum.ClassicSize(len(ep.Peers())),
-		cfg:      cfg,
-		app:      app,
-		met:      cfg.Metrics,
-		loop:     protocol.NewLoop(protocol.InboxSize),
-		slots:    make(map[uint64]*slot),
-		skipTo:   make(map[timestamp.NodeID]uint64),
-		acks:     make(map[uint64]*quorum.Tracker),
-		dones:    make(map[command.ID]protocol.DoneFunc),
-		submitAt: make(map[command.ID]time.Time),
+		ep:      ep,
+		self:    ep.Self(),
+		n:       len(ep.Peers()),
+		cq:      quorum.ClassicSize(len(ep.Peers())),
+		cfg:     cfg,
+		app:     app,
+		met:     cfg.Metrics,
+		slots:   make(map[uint64]*slot),
+		skipTo:  make(map[timestamp.NodeID]uint64),
+		acks:    make(map[uint64]*quorum.Tracker),
+		pending: protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
+	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.Step, r.pending.FailAll)
 	r.ownNext = uint64(r.self)
 	return r
 }
 
-// Start launches the event loop.
-func (r *Replica) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.PostMessage(from, payload)
-	})
-	go r.loop.Run(r.handle)
-}
-
-// Stop shuts the replica down.
-func (r *Replica) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	_ = r.ep.Close()
-	r.loop.Stop()
-	for id, done := range r.dones {
-		delete(r.dones, id)
-		if done != nil {
-			done(protocol.Result{Err: protocol.ErrStopped})
-		}
-	}
-}
-
-// Submit proposes cmd in this node's next pre-assigned slot.
-func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
-	if !r.loop.Post(evSubmit{cmd: cmd, done: done}) && done != nil {
-		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-func (r *Replica) handle(ev protocol.Event) {
+// Step handles one event at the instant now. Mencius has no timers.
+func (r *Replica) Step(now time.Time, ev protocol.Event) {
+	r.now = now
 	switch m := ev.Payload.(type) {
-	case evSubmit:
-		r.onSubmit(m.cmd, m.done)
+	case protocol.Submission:
+		r.onSubmit(r.pending.Register(now, m))
 	case *Accept:
 		r.onAccept(ev.From, m)
 	case *AcceptOK:
@@ -179,14 +140,7 @@ func (r *Replica) owner(s uint64) timestamp.NodeID {
 	return timestamp.NodeID(s % uint64(r.n))
 }
 
-func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
-	r.nextSeq++
-	cmd.ID = command.ID{Node: r.self, Seq: r.nextSeq}
-	if done != nil {
-		r.dones[cmd.ID] = done
-	}
-	r.submitAt[cmd.ID] = time.Now()
-
+func (r *Replica) onSubmit(cmd command.Command) {
 	s := r.ownNext
 	r.ownNext += uint64(r.n)
 	r.setSlot(s, slotAccepted, cmd)
@@ -300,16 +254,7 @@ func (r *Replica) execute() {
 			value := r.app.Apply(sl.cmd)
 			r.met.Executed.Inc()
 			r.met.Decided.Inc()
-			if sl.cmd.ID.Node == r.self {
-				if at, ok := r.submitAt[sl.cmd.ID]; ok {
-					r.met.ObserveLatency(time.Since(at))
-					delete(r.submitAt, sl.cmd.ID)
-				}
-				if done := r.dones[sl.cmd.ID]; done != nil {
-					delete(r.dones, sl.cmd.ID)
-					done(protocol.Result{Value: value})
-				}
-			}
+			r.pending.Complete(r.now, sl.cmd.ID, value)
 			delete(r.slots, s)
 		case r.resolvedSkip(s):
 			delete(r.slots, s)

@@ -58,33 +58,26 @@ type logEntry struct {
 	ok  bool
 }
 
-// Replica is one Multi-Paxos node.
+// Replica is one Multi-Paxos node. Start, Stop and Submit are the embedded
+// runtime's: non-leaders forward a submission to the leader.
 type Replica struct {
+	*protocol.Runtime
 	ep     transport.Endpoint
-	self   timestamp.NodeID
 	n      int
 	cq     int
 	cfg    Config
 	app    protocol.Applier
 	met    *metrics.Recorder
-	loop   *protocol.Loop
 	leader bool
+	// now is the instant of the step being handled.
+	now time.Time
 
 	log      []logEntry
 	acks     map[uint64]*quorum.Tracker
 	next     uint64 // leader: next index to assign
 	commitTo uint64 // highest decided index + 1
 	execTo   uint64 // highest executed index + 1
-
-	dones    map[command.ID]protocol.DoneFunc
-	submitAt map[command.ID]time.Time
-	nextSeq  uint64
-	started  bool
-}
-
-type evSubmit struct {
-	cmd  command.Command
-	done protocol.DoneFunc
+	pending  *protocol.Pending
 }
 
 var _ protocol.Engine = (*Replica)(nil)
@@ -94,61 +87,33 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRecorder()
 	}
-	return &Replica{
-		ep:       ep,
-		self:     ep.Self(),
-		n:        len(ep.Peers()),
-		cq:       quorum.ClassicSize(len(ep.Peers())),
-		cfg:      cfg,
-		app:      app,
-		met:      cfg.Metrics,
-		loop:     protocol.NewLoop(protocol.InboxSize),
-		leader:   ep.Self() == cfg.Leader,
-		acks:     make(map[uint64]*quorum.Tracker),
-		dones:    make(map[command.ID]protocol.DoneFunc),
-		submitAt: make(map[command.ID]time.Time),
+	r := &Replica{
+		ep:      ep,
+		n:       len(ep.Peers()),
+		cq:      quorum.ClassicSize(len(ep.Peers())),
+		cfg:     cfg,
+		app:     app,
+		met:     cfg.Metrics,
+		leader:  ep.Self() == cfg.Leader,
+		acks:    make(map[uint64]*quorum.Tracker),
+		pending: protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
+	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.Step, r.pending.FailAll)
+	return r
 }
 
-// Start launches the event loop.
-func (r *Replica) Start() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		r.loop.PostMessage(from, payload)
-	})
-	go r.loop.Run(r.handle)
-}
-
-// Stop shuts the replica down.
-func (r *Replica) Stop() {
-	if !r.started {
-		return
-	}
-	r.started = false
-	_ = r.ep.Close()
-	r.loop.Stop()
-	for id, done := range r.dones {
-		delete(r.dones, id)
-		if done != nil {
-			done(protocol.Result{Err: protocol.ErrStopped})
-		}
-	}
-}
-
-// Submit proposes cmd; non-leaders forward it to the leader.
-func (r *Replica) Submit(cmd command.Command, done protocol.DoneFunc) {
-	if !r.loop.Post(evSubmit{cmd: cmd, done: done}) && done != nil {
-		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-func (r *Replica) handle(ev protocol.Event) {
+// Step handles one event at the instant now. The steady-state protocol
+// has no timers.
+func (r *Replica) Step(now time.Time, ev protocol.Event) {
+	r.now = now
 	switch m := ev.Payload.(type) {
-	case evSubmit:
-		r.onSubmit(m.cmd, m.done)
+	case protocol.Submission:
+		cmd := r.pending.Register(now, m)
+		if r.leader {
+			r.sequence(cmd)
+		} else {
+			r.ep.Send(r.cfg.Leader, &Forward{Cmd: cmd})
+		}
 	case *Forward:
 		r.onForward(m)
 	case *Accept:
@@ -157,20 +122,6 @@ func (r *Replica) handle(ev protocol.Event) {
 		r.onAcceptOK(ev.From, m)
 	case *Commit:
 		r.onCommit(m)
-	}
-}
-
-func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
-	r.nextSeq++
-	cmd.ID = command.ID{Node: r.self, Seq: r.nextSeq}
-	if done != nil {
-		r.dones[cmd.ID] = done
-	}
-	r.submitAt[cmd.ID] = time.Now()
-	if r.leader {
-		r.sequence(cmd)
-	} else {
-		r.ep.Send(r.cfg.Leader, &Forward{Cmd: cmd})
 	}
 }
 
@@ -235,15 +186,6 @@ func (r *Replica) execute() {
 		r.met.Executed.Inc()
 		r.met.Decided.Inc()
 		r.execTo++
-		if cmd.ID.Node == r.self {
-			if at, ok := r.submitAt[cmd.ID]; ok {
-				r.met.ObserveLatency(time.Since(at))
-				delete(r.submitAt, cmd.ID)
-			}
-			if done := r.dones[cmd.ID]; done != nil {
-				delete(r.dones, cmd.ID)
-				done(protocol.Result{Value: value})
-			}
-		}
+		r.pending.Complete(r.now, cmd.ID, value)
 	}
 }

@@ -2,7 +2,10 @@
 
 package protocol
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // Posting an inbound message must not allocate: every message of every
 // command on every replica goes through here, and its payload is already
@@ -14,5 +17,20 @@ func TestPostMessageDoesNotAllocate(t *testing.T) {
 	msg := &struct{ n int }{1}
 	if got := testing.AllocsPerRun(runs, func() { l.PostMessage(2, msg) }); got != 0 {
 		t.Fatalf("PostMessage allocates %.1f per message, want 0", got)
+	}
+}
+
+// Nor may the other half of the hop: the runtime taking a posted message
+// off the inbox, reading the clock and stepping the engine with it.
+func TestStepMessageDoesNotAllocate(t *testing.T) {
+	steps := 0
+	rt := NewRuntime(nil, nil, 0, func(time.Time, Event) { steps++ }, func() {})
+	msg := &struct{ n int }{1}
+	got := testing.AllocsPerRun(200, func() {
+		rt.loop.PostMessage(2, msg)
+		rt.handle(<-rt.loop.inbox)
+	})
+	if got != 0 || steps == 0 {
+		t.Fatalf("dequeue + step allocates %.1f per message over %d steps, want 0", got, steps)
 	}
 }

@@ -18,7 +18,10 @@ var ErrNoGroup = errors.New("shard: no live group for shard")
 // endpoint. Called once per shard at Engine construction and again for
 // every group a live resize adds; the applier and metrics each shard
 // should use are captured by the closure, letting callers share one store
-// and recorder per node or keep them per-shard.
+// and recorder per node or keep them per-shard. The engine it returns must
+// have the lifecycle enginetest's Lifecycle case checks (every engine on a
+// protocol.Runtime does): a Stop before Start is final, which is what lets
+// EnsureGroups start a new group without fencing against a racing Stop.
 type BuildFunc func(shard int, ep transport.Endpoint) protocol.Engine
 
 // Engine runs G independent consensus groups behind the protocol.Engine
@@ -155,19 +158,10 @@ func (e *Engine) EnsureGroups(n int, gen int32) error {
 	started := e.started
 	e.mu.Unlock()
 	if started {
+		// A Stop racing this growth may sweep the new groups before they
+		// start; a group's Stop is final, so its Start then does nothing.
 		for _, g := range added {
 			g.Start()
-		}
-		// A Stop racing this growth may have swept the new groups before
-		// they started (their Stop was a no-op then); re-check and shut
-		// them down rather than leaking live groups on a closed engine.
-		e.mu.RLock()
-		stopped := e.stopped
-		e.mu.RUnlock()
-		if stopped {
-			for _, g := range added {
-				g.Stop()
-			}
 		}
 	}
 	return nil

@@ -207,11 +207,13 @@ type Table struct {
 	queue    []func()
 	flushing bool
 
+	// stop and stopped are the sweeper's: nil until start.
 	stop    chan struct{}
 	stopped chan struct{}
-	running bool
 	// halted marks a table shut down by stopAndFail: nothing pending can
-	// resolve anymore, so settle waiters release instead of parking.
+	// resolve anymore, so settle waiters release instead of parking, and
+	// a later start does nothing — like the engines', the lifecycle only
+	// moves forward.
 	halted bool
 }
 
@@ -430,10 +432,9 @@ func (t *Table) OldestHeld() (XID, time.Time, command.ID, bool) {
 func (t *Table) start() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.running {
+	if t.stop != nil || t.halted {
 		return
 	}
-	t.running = true
 	t.stop = make(chan struct{})
 	t.stopped = make(chan struct{})
 	go t.sweeper(t.stop, t.stopped)
@@ -443,11 +444,10 @@ func (t *Table) start() {
 // with protocol.ErrStopped.
 func (t *Table) stopAndFail() {
 	t.mu.Lock()
-	if !t.running {
+	if t.halted {
 		t.mu.Unlock()
 		return
 	}
-	t.running = false
 	t.halted = true
 	stop, stopped := t.stop, t.stopped
 	var dones []protocol.DoneFunc
@@ -460,8 +460,10 @@ func (t *Table) stopAndFail() {
 	settles := t.settleWaiters
 	t.settleWaiters = nil
 	t.mu.Unlock()
-	close(stop)
-	<-stopped
+	if stop != nil {
+		close(stop)
+		<-stopped
+	}
 	for _, done := range dones {
 		done(protocol.Result{Err: protocol.ErrStopped})
 	}

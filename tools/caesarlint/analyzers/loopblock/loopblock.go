@@ -7,14 +7,18 @@
 // lost-event race: a deferred-apply completion blocking on Post from the
 // loop itself) deadlocks the replica outright.
 //
-// The analyzer finds the handler roots (any function value passed to a
-// LoopTypes `Run` method), walks the package-local static call graph from
-// them, and flags, on every reachable path:
+// The analyzer finds the handler roots — the function an engine hands a
+// StepFuncs constructor as its `step` (protocol.NewRuntime: the one method
+// the runtime calls for every event), and any function value passed to a
+// LoopTypes `Run` method (the runtime's own consumer) — walks the
+// package-local static call graph from them, and flags, on every
+// reachable path:
 //
 //   - calls to known-blocking primitives (time.Sleep, sync.WaitGroup.Wait,
 //     sync.Cond.Wait, os.File.Sync, net dialing),
-//   - a blocking Post or PostMessage back into a protocol.Loop (TryPost
-//     with a goroutine fallback is the sanctioned pattern),
+//   - a blocking Post or PostMessage back into a protocol.Loop, directly
+//     or through the protocol.Runtime an engine embeds (TryPost with a
+//     goroutine fallback is the sanctioned pattern),
 //   - bare channel sends/receives and default-less selects,
 //   - calls into functions — same package or imported — whose bodies were
 //     found to block (a "blocks" fact every package exports for its
@@ -55,6 +59,15 @@ import (
 // "import/path.TypeName". Tests point it at golden packages.
 var LoopTypes = []string{
 	"github.com/caesar-consensus/caesar/internal/protocol.Loop",
+	"github.com/caesar-consensus/caesar/internal/protocol.Runtime",
+}
+
+// StepFuncs lists the constructors whose parameter named `step` receives
+// an engine's event handler — a root — as "import/path.FuncName". Their
+// other function parameters (the drained hook) run off the loop and are
+// not roots. Tests point it at golden packages.
+var StepFuncs = []string{
+	"github.com/caesar-consensus/caesar/internal/protocol.NewRuntime",
 }
 
 // ApplierTypes lists the interfaces through which a loop handler reaches
@@ -155,13 +168,14 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if !isLoopMethod(pass, call, "Run") {
-				return true
+			var root ast.Expr
+			if isLoopMethod(pass, call, "Run") && len(call.Args) == 1 {
+				root = call.Args[0]
+			} else if i := stepParam(calleeFunc(pass, call)); i >= 0 && i < len(call.Args) {
+				root = call.Args[i]
 			}
-			if len(call.Args) != 1 {
-				return true
-			}
-			switch arg := call.Args[0].(type) {
+			switch arg := root.(type) {
+			case nil:
 			case *ast.FuncLit:
 				w.walkLit(arg)
 			default:
@@ -445,32 +459,43 @@ func firstBlockingCall(pass *analysis.Pass, body ast.Node, reasonOf func(*types.
 	return foundFn, foundReason
 }
 
-// isLoopMethod reports whether call invokes method `name` on a receiver
-// whose (pointer-stripped) type is one of LoopTypes.
+// isLoopMethod reports whether call invokes method `name` of one of
+// LoopTypes — on a value of the type, or promoted through a struct that
+// embeds it.
 func isLoopMethod(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
+	fn := calleeFunc(pass, call)
+	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
 		return false
 	}
-	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+	p := primitiveOf(fn)
+	full := p.pkg + "." + p.recv
 	for _, lt := range LoopTypes {
-		if full == lt {
+		if p.recv != "" && full == lt {
 			return true
 		}
 	}
 	return false
+}
+
+// stepParam returns the index of the parameter named `step` when fn is one
+// of StepFuncs, -1 otherwise.
+func stepParam(fn *types.Func) int {
+	if fn == nil || fn.Pkg() == nil {
+		return -1
+	}
+	full := fn.Pkg().Path() + "." + fn.Name()
+	for _, sf := range StepFuncs {
+		if full != sf {
+			continue
+		}
+		params := fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if params.At(i).Name() == "step" {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // resolveFuncValue resolves a function-valued argument (method value or

@@ -11,10 +11,13 @@ import (
 // for the duration of one test.
 func withFakeLoop(t *testing.T) {
 	t.Helper()
-	saved, savedAppliers := loopblock.LoopTypes, loopblock.ApplierTypes
-	loopblock.LoopTypes = []string{"fakeloop.Loop"}
+	saved, savedSteps, savedAppliers := loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes
+	loopblock.LoopTypes = []string{"fakeloop.Loop", "fakeloop.Runtime"}
+	loopblock.StepFuncs = []string{"fakeloop.NewRuntime"}
 	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier", "fakeloop.DeferringApplier"}
-	t.Cleanup(func() { loopblock.LoopTypes, loopblock.ApplierTypes = saved, savedAppliers })
+	t.Cleanup(func() {
+		loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes = saved, savedSteps, savedAppliers
+	})
 }
 
 func TestHandlerReachability(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package fakeloop is a stand-in for internal/protocol's event loop so
-// the loopblock golden tests can run outside the repo module; the test
-// points loopblock.LoopTypes at it.
+// Package fakeloop is a stand-in for internal/protocol's event loop and
+// engine runtime so the loopblock golden tests can run outside the repo
+// module; the test points loopblock.LoopTypes and StepFuncs at it.
 package fakeloop
 
 // Loop is a single-goroutine mailbox: one Run consumer, many posters.
@@ -57,6 +57,38 @@ func (l *Loop) Stopped() <-chan struct{} {
 // Stop shuts the loop down.
 func (l *Loop) Stop() {
 	close(l.stop)
+}
+
+// Runtime stands in for protocol.Runtime: an engine embeds one and hands it
+// the function it steps for every event.
+type Runtime struct {
+	loop    *Loop
+	step    func(ev any)
+	drained func()
+}
+
+// NewRuntime builds a runtime: step runs on the loop goroutine, drained on
+// Stop's, after the loop has exited.
+func NewRuntime(step func(ev any), drained func()) *Runtime {
+	return &Runtime{loop: New(), step: step, drained: drained}
+}
+
+// Start launches the loop; the engine's step is called through a field, so
+// nothing here names it.
+func (rt *Runtime) Start() {
+	go rt.loop.Run(func(ev any) { rt.step(ev) })
+}
+
+// Post enqueues ev, blocking while the inbox is full.
+func (rt *Runtime) Post(ev any) { rt.loop.Post(ev) }
+
+// TryPost enqueues ev only if the inbox has room.
+func (rt *Runtime) TryPost(ev any) bool { return rt.loop.TryPost(ev) }
+
+// Stop shuts the loop down and runs the drained hook.
+func (rt *Runtime) Stop() {
+	rt.loop.Stop()
+	rt.drained()
 }
 
 // Applier, TimestampedApplier and DeferringApplier stand in for

@@ -13,17 +13,17 @@ import (
 )
 
 type engine struct {
-	loop      *fakeloop.Loop
+	*fakeloop.Runtime
 	chain     fakeloop.TimestampedApplier
 	deferring fakeloop.DeferringApplier
 }
 
-// Start roots the handler; it names no implementation.
-func Start(e *engine) {
-	go e.loop.Run(e.handle)
+// New roots the step; it names no implementation.
+func New(e *engine) {
+	e.Runtime = fakeloop.NewRuntime(e.step, func() {})
 }
 
-func (e *engine) handle(ev any) {
+func (e *engine) step(ev any) {
 	e.chain.ApplyAt(1, 1)
 	e.deferring.ApplyDeferred(2, 2, func([]byte) {})
 }

@@ -1,7 +1,8 @@
-// Package loopdata exercises loopblock within one package: handler roots
-// via method values and literals, the blocking-primitive denylist,
-// channel operations, selects, self-Post, synchronous callbacks, and the
-// go-statement and allow-annotation exemptions.
+// Package loopdata exercises loopblock within one package: the handler
+// root (the method handed to the runtime as its step), the
+// blocking-primitive denylist, channel operations, selects, self-Post —
+// through the embedded runtime and on a bare loop — synchronous callbacks,
+// and the go-statement and allow-annotation exemptions.
 package loopdata
 
 import (
@@ -13,20 +14,27 @@ import (
 )
 
 type node struct {
+	*fakeloop.Runtime
 	loop *fakeloop.Loop
 	wg   sync.WaitGroup
 	acks chan int
 	file *os.File
 }
 
-// Start hands the loop its handler; the Run argument is the walk root
-// even though the call sits under a go statement — that goroutine IS the
-// loop.
-func Start(n *node) {
-	go n.loop.Run(n.handle)
+// New hands the runtime the node's step — the walk root, though nothing in
+// this package calls it — and its drained hook, which runs off the loop.
+func New() *node {
+	n := &node{loop: fakeloop.New()}
+	n.Runtime = fakeloop.NewRuntime(n.step, n.drained)
+	return n
 }
 
-func (n *node) handle(ev any) {
+// drained runs on Stop's goroutine after the loop has exited: not a root.
+func (n *node) drained() {
+	n.wg.Wait()
+}
+
+func (n *node) step(ev any) {
 	switch ev.(type) {
 	case int:
 		n.persist()
@@ -36,10 +44,10 @@ func (n *node) handle(ev any) {
 	n.wg.Wait() // want `Wait joins a WaitGroup on the event loop`
 	<-n.acks    // want `channel receive blocks the event loop`
 	n.acks <- 1 // want `channel send can block the event loop`
-	if !n.loop.TryPost(ev) {
+	if !n.TryPost(ev) {
 		go n.repost(ev)
 	}
-	n.loop.Post(ev)           // want `blocking Post from the event loop back into itself`
+	n.Post(ev)                // want `blocking Post from the event loop back into itself`
 	n.loop.PostMessage(1, ev) // want `blocking Post from the event loop back into itself`
 	n.submit(func() {
 		n.file.Sync() // want `Sync fsyncs a file on the event loop`
@@ -81,7 +89,7 @@ func (n *node) annotated() {
 // repost runs on its own goroutine, where a blocking Post is the correct
 // fallback.
 func (n *node) repost(ev any) {
-	n.loop.Post(ev)
+	n.Post(ev)
 }
 
 // Shutdown is not loop-reachable; blocking here is fine.

@@ -11,17 +11,17 @@ import (
 )
 
 type svc struct {
-	loop *fakeloop.Loop
+	*fakeloop.Runtime
 	file *os.File
 	ch   chan int
 }
 
-// Start roots the walk at s.handle.
-func Start(s *svc) {
-	go s.loop.Run(s.handle)
+// New roots the walk at s.step.
+func New(s *svc) {
+	s.Runtime = fakeloop.NewRuntime(s.step, func() {})
 }
 
-func (s *svc) handle(ev any) {
+func (s *svc) step(ev any) {
 	loopio.Flush(s.file)    // want `call to Flush on the event loop blocks: it fsyncs a file`
 	loopio.Enqueue(s.ch, 1) // want `call to Enqueue on the event loop blocks: it sends on a channel`
 	loopio.Persist(s.file)  // want `call to Persist on the event loop blocks: it calls Flush`

@@ -2,7 +2,10 @@
 // path. Every timeout, deadline and latency stamp in the consensus-path
 // packages must flow through the injected clock (caesar.Config.Now,
 // xshard.TableConfig.Now, rebalance.Config.Now, wal.Options.Now,
-// stack.Config.Now): the restart conformance tests and the fake-clock
+// stack.Config.Now) — for the five engines, through the `now` their Step
+// is called with, which protocol.Runtime reads from that clock (the four
+// baselines hold no clock at all, so whoever steps them owns their time):
+// the restart conformance tests and the fake-clock
 // harness drive replicas under simulated time, and a single time.Now
 // smuggled onto the path measures (or times out) against a clock nothing
 // else advances — the exact bug fixed at internal/caesar/delivery.go,
@@ -31,6 +34,10 @@ import (
 // caesarlint main binds a flag to it; tests point it at golden packages.
 var PathSuffixes = []string{
 	"internal/caesar",
+	"internal/epaxos",
+	"internal/m2paxos",
+	"internal/mencius",
+	"internal/multipaxos",
 	"internal/xshard",
 	"internal/rebalance",
 	"internal/wal",
