@@ -103,16 +103,20 @@
 //	val, _ := node.Read(ctx, "accounts/alice")            // one key
 //	vals, _ := node.ReadTx(ctx, []string{"a", "b", "c"})  // one snapshot
 //
-// A read is stamped from its key's consensus-group logical clock,
-// registered against the group's delivery frontier, and answered from the
-// local store the moment every conflicting command below the stamp has
-// been applied here — the paper's §IV-A wait condition, applied to reads:
-// no proposal, no quorum round-trip, no log record. A small per-key
-// version ring in the store answers "as of" the stamp even when later
-// writes land during the wait. ReadTx fans the frontier wait across every
-// touched group, merges to the max per-group stamp, waits until no held
-// cross-shard transaction on its keys could still execute below it, and
-// cuts one snapshot under a single store lock.
+// A read goes register → stamp → fence → snapshot: it registers with the
+// local store, is stamped from its key's consensus-group logical clock,
+// fenced at the group's delivery frontier, and answered from the store the
+// moment every conflicting command below the stamp has been applied here —
+// the paper's §IV-A wait condition, applied to reads: no proposal, no
+// quorum round-trip, no log record. While a read is registered the store
+// keeps the versions that writes replace (a handful per key), so it answers
+// "as of" the stamp even when later writes land during the wait; with no
+// read in flight it keeps one version per key and nothing else. A read that
+// begins after a write was applied here sees that write or a later one.
+// ReadTx fans the frontier wait across every touched group, merges to the
+// max per-group stamp, waits until no held cross-shard transaction on its
+// keys could still execute below it, and cuts one snapshot under a single
+// store lock.
 //
 // Guaranteed: a read observes a real point of its key's conflict order —
 // never a torn write, never a reordering; a ReadTx snapshot is one
@@ -124,8 +128,8 @@
 // linearizable with respect to everything the replica has heard of.
 // During a resize, reads racing the epoch switch retry internally under
 // one consistent epoch, and reads of migrating keys stall at most one
-// handoff round; after a restart the version window starts empty, so
-// reads serve the recovered state directly. Not guaranteed: strict
+// handoff round; after a restart every key holds its one recovered
+// version, which reads serve directly. Not guaranteed: strict
 // cross-node real-time ordering against a command the serving replica has
 // not yet received any message for — a write acknowledged elsewhere whose
 // first message is still in flight here serializes after the read

@@ -221,11 +221,9 @@ func (s *Store) InjectDivergence(key string) int32 {
 	defer s.mu.Unlock()
 	var epoch uint32
 	if e := s.keys[key]; e != nil {
-		if n := len(e.ring); n > 0 {
-			epoch = e.ring[n-1].epoch
-		}
-		if len(e.val) > 0 {
-			e.val[0] ^= 0x80
+		epoch = e.cur.epoch
+		if len(e.cur.val) > 0 {
+			e.cur.val[0] ^= 0x80
 		}
 	}
 	var g int32

@@ -3,26 +3,35 @@
 // update or read a given key of a fully replicated store, and two commands
 // conflict when they access the same key.
 //
-// Each key has one entry behind one map slot: its current value, a small
-// ring of recent versions stamped with each write's decided timestamp and
-// routing epoch (the MVCC window behind internal/reads) and the base, the
-// key's state just below the ring. A local read registered at timestamp T
-// is answered with the value *as of* T even when later writes have been
-// applied by the time its frontier wait completes; a read point that falls
-// off the window (versionRing versions) reports uncovered and the read
-// layer retries with a fresh stamp above the key's retained versions.
+// Each key has one entry behind one map slot: its current version, stamped
+// with the write's decided timestamp and routing epoch, and — only while a
+// local read (internal/reads) is in flight — the versions replaced since,
+// so a read stamped T is answered *as of* T even when later writes have
+// been applied by the time its frontier wait completes. A read point no
+// retained version is visible at reports uncovered, and the read layer
+// retries with a fresh stamp above the key's retained versions.
 //
-// The ring is a slice that grows 1 → versionRing, not the fixed
-// [versionRing]version that would save its allocations: at 56 bytes a
-// version that is 448 bytes for every key written once, ≈ 33 MB over the
-// 3 × 24,676 keys of the benchmark's lan3-mem run. The entry sits behind a
-// pointer because a Go map never gives back its widest slots (PR 14): the
-// slot stays 24 bytes whatever the entry holds.
+// Retention follows the readers (BeginRead / EndRead count them): a write
+// that finds one pushes the version it replaces onto the key's older list
+// (at most versionRing, the oldest falls off); a write that finds none
+// replaces the current version in place and drops the list. That is safe
+// because a read registers before it takes its stamp: a write that saw no
+// reader was applied before the read registered, and its group's clock had
+// observed its timestamp before that, so the read's stamp orders above it
+// and cannot select what it replaced. The one write stamped above its
+// group's clock — a cross-shard transaction's, at its merged timestamp —
+// answers a read that began after it uncovered, and the retry returns it.
+// Visibility is decided by stamp alone: a lost race costs a retry, never a
+// wrong value.
+//
+// The entry sits behind a pointer because a Go map never gives back its
+// widest slots (PR 14): the slot stays 24 bytes whatever the entry holds.
 package kvstore
 
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"github.com/caesar-consensus/caesar/internal/audit"
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -38,10 +47,10 @@ func decodeInt(b []byte) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// versionRing bounds the per-key recent-version history. Reads only need
-// the window between their stamp and the moment their frontier wait
-// completes, so a handful of versions suffices; overruns surface as an
-// uncovered read, never a wrong value.
+// versionRing bounds the replaced versions a key retains while reads are
+// in flight. Reads only need the window between their stamp and the moment
+// their frontier wait completes, so a handful of versions suffices;
+// overruns surface as an uncovered read, never a wrong value.
 const versionRing = 8
 
 // version is one write's stamped value. Ordering across versions of a key
@@ -63,15 +72,13 @@ func (v version) visibleAt(epoch uint32, ts timestamp.Timestamp) bool {
 	return !ts.Less(v.ts) // v.ts <= ts
 }
 
-// entry is one key's state. ring is oldest first and nil until the first
-// recorded write — an imported or recovered key serves val at every read
-// point; base is the last evicted version or, until one is evicted, what
-// the first recorded write found (an imported value, or absence) at the
-// zero stamp. val is the newest version's unless an Import overwrote it.
+// entry is one key's state: cur is its newest version — an imported or
+// recovered value carries the zero stamp, visible at every read point —
+// and older, oldest first, the versions replaced while a read was in
+// flight (the zero version, absent, for a key a write created then).
 type entry struct {
-	val  []byte
-	ring []version
-	base version
+	cur   version
+	older []version
 }
 
 // current returns the key's value now; a nil entry is an absent key.
@@ -79,7 +86,7 @@ func (e *entry) current() ([]byte, bool) {
 	if e == nil {
 		return nil, false
 	}
-	return e.val, true
+	return e.cur.val, true
 }
 
 // Store is an in-memory key-value store satisfying protocol.Applier.
@@ -89,8 +96,10 @@ type Store struct {
 	// Innermost rank in the node's declared lock order (see
 	// rebalance.Coordinator.mu): nothing may be acquired under it.
 	//caesarlint:lockorder store
-	mu   sync.RWMutex
-	keys map[string]*entry // every key present
+	mu       sync.RWMutex
+	keys     map[string]*entry // every key present
+	readers  atomic.Int64      // local reads in flight (BeginRead / EndRead)
+	retained int               // older versions held, across all keys
 	// applied counts executed commands, for test assertions.
 	applied int64
 	// Applied-state auditing (see audit.go): per-group digest folds, the
@@ -119,10 +128,17 @@ func (s *Store) Apply(cmd command.Command) []byte {
 	return s.ApplyAt(cmd, timestamp.Zero)
 }
 
-// ApplyAt implements protocol.TimestampedApplier: the write is recorded in
-// the key's version ring at its decided timestamp (and the command's
-// routing epoch), so reads registered at earlier points can still be
-// answered exactly.
+// BeginRead registers a local read: until the matching EndRead every write
+// keeps the version it replaces. Call it before taking the read's stamp.
+func (s *Store) BeginRead() { s.readers.Add(1) }
+
+// EndRead releases a BeginRead.
+func (s *Store) EndRead() { s.readers.Add(-1) }
+
+// ApplyAt implements protocol.TimestampedApplier: the write becomes the
+// key's current version at its decided timestamp (and the command's routing
+// epoch), and while a read is in flight the version it replaces is
+// retained, so reads stamped at earlier points can still be answered.
 func (s *Store) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,25 +184,28 @@ func (s *Store) applyLocked(cmd command.Command, ts timestamp.Timestamp) []byte 
 	}
 }
 
-// writeLocked makes val the value of cmd's key — e is its entry, nil on the
-// first write — records the version and folds the write into the audit
-// digests. The first recorded write keeps what it found (an imported or
-// recovered value, or absence) as the base every earlier read point falls
-// back to; a full ring rolls its oldest version into the base.
+// writeLocked makes val the current version of cmd's key — e is its entry,
+// nil on the first write, whose zero cur stands for the absence it replaces
+// — and folds the write into the audit digests. With a read in flight the
+// replaced version joins older (a full list loses its oldest); with none,
+// no read can ask for it or for the ones before it.
 func (s *Store) writeLocked(e *entry, cmd command.Command, ts timestamp.Timestamp, val []byte) {
 	if e == nil {
 		e = &entry{}
 		s.keys[cmd.Key] = e
-	} else if e.ring == nil {
-		e.base = version{val: e.val, present: true}
 	}
-	if len(e.ring) == versionRing {
-		e.base = e.ring[0]
-		copy(e.ring, e.ring[1:])
-		e.ring = e.ring[:versionRing-1]
+	switch {
+	case s.readers.Load() == 0:
+		s.retained -= len(e.older)
+		e.older = nil
+	case len(e.older) == versionRing:
+		copy(e.older, e.older[1:])
+		e.older[versionRing-1] = e.cur
+	default:
+		e.older = append(e.older, e.cur)
+		s.retained++
 	}
-	e.ring = append(e.ring, version{epoch: cmd.Epoch, ts: ts, val: val, present: true})
-	e.val = val
+	e.cur = version{epoch: cmd.Epoch, ts: ts, val: val, present: true}
 	s.foldLocked(cmd, ts, val)
 }
 
@@ -205,12 +224,11 @@ func (s *Store) ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]b
 	return out
 }
 
-// GetAt reads key as of the read point (epoch, ts): the newest version
-// applied under an earlier routing epoch or at/below ts within the same
-// epoch. covered=false reports that the point has fallen off the key's
-// retention window (the caller retries with a fresh stamp); a key with no
-// recorded versions serves its current state (imported, recovered, or
-// never written).
+// GetAt reads key as of the read point (epoch, ts): the newest retained
+// version applied under an earlier routing epoch or at/below ts within the
+// same epoch. covered=false reports that none is visible at the point (the
+// caller retries with a fresh stamp); an imported or recovered key serves
+// its value at every point, a key never written its absence.
 func (s *Store) GetAt(key string, epoch uint32, ts timestamp.Timestamp) (val []byte, present, covered bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -219,20 +237,16 @@ func (s *Store) GetAt(key string, epoch uint32, ts timestamp.Timestamp) (val []b
 
 func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (val []byte, present, covered bool) {
 	e := s.keys[key]
-	if e == nil || e.ring == nil {
-		val, present = e.current()
-		return val, present, true
+	if e == nil {
+		return nil, false, true
 	}
-	for i := len(e.ring) - 1; i >= 0; i-- {
-		if v := e.ring[i]; v.visibleAt(epoch, ts) {
+	if e.cur.visibleAt(epoch, ts) {
+		return e.cur.val, e.cur.present, true
+	}
+	for i := len(e.older) - 1; i >= 0; i-- {
+		if v := e.older[i]; v.visibleAt(epoch, ts) {
 			return v.val, v.present, true
 		}
-	}
-	// The first-write base carries the zero epoch and timestamp, so it is
-	// visible at every read point; an evicted version qualifies by its own
-	// stamp.
-	if e.base.visibleAt(epoch, ts) {
-		return e.base.val, e.base.present, true
 	}
 	return nil, false, false
 }
@@ -240,12 +254,12 @@ func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (v
 // SnapshotAt reads several keys at one read point under a single lock
 // hold: because writers (including atomic transaction application) mutate
 // under the write lock, the returned values are a consistent cut — a
-// transaction's writes appear for all of its keys or for none. When the
-// point is off some key's retention window (covered=false), hidden is the
-// highest stamp among that key's retained versions: a read stamped above
-// it is covered again. Those stamps can sit above the key's own group
-// clock — a cross-shard transaction's writes carry its merged timestamp —
-// so the read layer must push the clock past hidden, not just re-stamp.
+// transaction's writes appear for all of its keys or for none. When some
+// key has no retained version visible at the point (covered=false), hidden
+// is the highest stamp among those it retains: a read stamped above it is
+// covered again. Those stamps can sit above the key's own group clock — a
+// cross-shard transaction's writes carry its merged timestamp — so the
+// read layer must push the clock past hidden, not just re-stamp.
 func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) (vals [][]byte, present []bool, hidden timestamp.Timestamp, covered bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -255,8 +269,8 @@ func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) 
 		v, p, c := s.getAtLocked(k, epoch, ts)
 		if !c {
 			e := s.keys[k]
-			hidden = e.base.ts
-			for _, ver := range e.ring {
+			hidden = e.cur.ts
+			for _, ver := range e.older {
 				hidden = timestamp.Max(hidden, ver.ts)
 			}
 			return nil, nil, hidden, false
@@ -277,8 +291,8 @@ func (s *Store) Export(pred func(key string) bool) map[string][]byte {
 		if pred != nil && !pred(k) {
 			continue
 		}
-		c := make([]byte, len(e.val))
-		copy(c, e.val)
+		c := make([]byte, len(e.cur.val))
+		copy(c, e.cur.val)
 		out[k] = c
 	}
 	return out
@@ -287,8 +301,8 @@ func (s *Store) Export(pred func(key string) bool) map[string][]byte {
 // Import writes a snapshot's entries, copying the values: how recovery
 // loads a WAL snapshot's image before replaying the log tail. Importing
 // does not count toward Applied (the snapshot carries that count; see
-// SetApplied) and records no versions — keys without version history
-// serve their current state.
+// SetApplied). An imported key is one version at the zero stamp with no
+// history, over a live key too: every read point sees the imported value.
 func (s *Store) Import(snap map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,10 +310,9 @@ func (s *Store) Import(snap map[string][]byte) {
 		c := make([]byte, len(v))
 		copy(c, v)
 		if e := s.keys[k]; e != nil {
-			e.val = c
-		} else {
-			s.keys[k] = &entry{val: c}
+			s.retained -= len(e.older)
 		}
+		s.keys[k] = &entry{cur: version{val: c, present: true}}
 	}
 }
 
@@ -315,6 +328,13 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.keys)
+}
+
+// RetainedVersions returns the older versions held now, across all keys.
+func (s *Store) RetainedVersions() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.retained
 }
 
 // Applied returns the number of commands executed.

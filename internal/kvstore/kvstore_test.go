@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -104,11 +106,45 @@ func TestLastWriterWins(t *testing.T) {
 	}
 }
 
+// BenchmarkApplyPut times one put: on one hot key, and cycling over as many
+// keys as a 20 s lan3-mem run leaves in each replica's store, with no read
+// in flight and with one — where retained-B/key (live heap the store added,
+// per key) is what holding replaced versions costs.
 func BenchmarkApplyPut(b *testing.B) {
-	s := New()
 	val := make([]byte, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Apply(command.Command{Op: command.OpPut, Key: "hot", Value: val})
+	b.Run("hot", func(b *testing.B) {
+		s := New()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Apply(command.Command{Op: command.OpPut, Key: "hot", Value: val})
+		}
+	})
+	keys := make([]string, 24676)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%08d", i)
+	}
+	for _, mode := range []string{"unread", "reader"} {
+		b.Run("keys24676/"+mode, func(b *testing.B) {
+			s := New()
+			if mode == "reader" {
+				s.BeginRead()
+				defer s.EndRead()
+			}
+			heap := func() uint64 {
+				var m runtime.MemStats
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&m)
+				return m.HeapAlloc
+			}
+			before := heap()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ApplyAt(command.Command{Op: command.OpPut, Key: keys[i%len(keys)], Value: val}, ts(uint64(i+1)))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(int64(heap()-before))/float64(s.Len()), "retained-B/key")
+		})
 	}
 }

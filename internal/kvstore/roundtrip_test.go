@@ -81,6 +81,39 @@ func TestExportImportRoundTripProperty(t *testing.T) {
 	}
 }
 
+// An imported key is one version at the zero stamp, whatever the key held
+// before: the import is what every read point sees — a registered read's
+// included — and a divergence injected afterwards is attributed under the
+// imported version's epoch, not the replaced write's.
+func TestImportOverLiveKeyReplacesItsHistory(t *testing.T) {
+	s := New()
+	var attributed []uint32
+	s.SetGroupFn(func(_ string, epoch uint32) int32 {
+		attributed = append(attributed, epoch)
+		return 0
+	})
+	reading(t, s)
+	putAt(s, "k", "v1", 3, 10)
+	putAt(s, "k", "v2", 3, 20)
+	s.Import(map[string][]byte{"k": []byte("imported")})
+
+	for _, at := range []uint64{0, 10, 15, 20, 1000} {
+		for _, epoch := range []uint32{0, 3, 4} {
+			val, present, covered := s.GetAt("k", epoch, ts(at))
+			if !covered || !present || string(val) != "imported" {
+				t.Fatalf("GetAt(epoch %d, %d) after Import = %q,%v,%v, want the imported value", epoch, at, val, present, covered)
+			}
+		}
+	}
+	if got := s.RetainedVersions(); got != 0 {
+		t.Fatalf("RetainedVersions = %d after Import, want 0", got)
+	}
+	s.InjectDivergence("k")
+	if last := attributed[len(attributed)-1]; last != 0 {
+		t.Fatalf("InjectDivergence attributed the key under epoch %d, want the imported version's 0", last)
+	}
+}
+
 func TestExportPredicateSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := New()

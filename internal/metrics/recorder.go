@@ -51,6 +51,11 @@ type Recorder struct {
 	// store could serve them.
 	ReadFenceParks Counter
 
+	// ReadRetries counts local read attempts the store or a resize
+	// invalidated (the read point had no retained version, or a key moved
+	// groups mid-read) and the read engine ran again.
+	ReadRetries Counter
+
 	// Durable-log group commit (internal/wal): Fsyncs counts sync
 	// batches, FsyncedRecords the log records they covered (their ratio
 	// is the group-commit batch size), FsyncLatency the time each batch
@@ -91,6 +96,7 @@ func (r *Recorder) Reset() {
 	r.CrossShardCommits.Reset()
 	r.CrossShardAborts.Reset()
 	r.ReadFenceParks.Reset()
+	r.ReadRetries.Reset()
 	r.Fsyncs.Reset()
 	r.FsyncedRecords.Reset()
 	r.FsyncLatency.Reset()

@@ -401,6 +401,7 @@ func TestRecorderFamilies(t *testing.T) {
 		"caesar_wait_condition_seconds",
 		"caesar_latency_seconds",
 		"caesar_read_latency_seconds",
+		"caesar_read_retries_total",
 		"caesar_xshard_commits_total",
 		"caesar_xshard_aborts_total",
 		"caesar_wal_fsyncs_total",

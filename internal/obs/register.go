@@ -51,6 +51,8 @@ func (r *Registry) RegisterNodeRecorder(rec *metrics.Recorder) {
 		"Client-visible submit-to-executed command latency.", nil, rec.Latency)
 	r.Histogram("caesar_read_latency_seconds",
 		"Client-visible latency of node-local reads.", nil, rec.ReadLatency)
+	r.Counter("caesar_read_retries_total",
+		"Local read attempts invalidated (no retained version at the read point, or a key moved groups) and retried.", nil, &rec.ReadRetries)
 	r.Counter("caesar_xshard_commits_total",
 		"Cross-shard transactions executed at this node's commit table.", nil, &rec.CrossShardCommits)
 	r.Counter("caesar_xshard_aborts_total",

@@ -5,21 +5,27 @@
 //
 // # Mechanism
 //
-// A read is stamped from the key's consensus-group logical clock
-// (GroupReader.ReadStamp) and registered against the group's delivery
-// frontier (GroupReader.ReadFence): the CAESAR replica parks it until
-// every conflicting command it has seen that could still order below the
-// stamp has been applied locally — the paper's §IV-A wait condition,
-// applied to reads instead of proposals. The store's recent-version ring
-// (internal/kvstore) then answers *as of* the stamp even when the
-// frontier has moved past it. A multi-key ReadTx fans the fence across
-// every touched group at the merged (max) per-group stamp, waits the
-// cross-shard commit table's settle point (no held transaction on the
-// keys could still execute below the stamp — xshard.Table.WaitSettled),
-// and cuts one snapshot under a single store lock, so a cross-shard
-// transaction is observed whole or not at all. A read racing a live
-// resize retries under one consistent epoch, exactly like a straddling
-// ProposeTx (rebalance's ErrEpochRetry discipline).
+// A read goes register → stamp → fence → snapshot. It registers with the
+// store (kvstore.Store.BeginRead), which keeps every version a write
+// replaces until the read returns, and only then is stamped from the key's
+// consensus-group logical clock (GroupReader.ReadStamp), above every write
+// the group has applied — so no stamp can select what the store dropped
+// before the read registered. The stamp is registered against the group's
+// delivery frontier (GroupReader.ReadFence): the CAESAR replica parks it
+// until every conflicting command it has seen that could still order below
+// the stamp has been applied locally — the paper's §IV-A wait condition,
+// applied to reads instead of proposals — and the store then answers *as of*
+// the stamp even when the frontier has moved past it. A read that begins
+// after a write was applied sees it or a later one: a write above the group
+// clock (a cross-shard transaction's merged stamp) answers uncovered, the
+// clocks are pushed past it, and the retry returns it. A multi-key ReadTx
+// fans the fence across every touched group at the merged (max) per-group
+// stamp, waits the cross-shard commit table's settle point (no held
+// transaction on the keys could still execute below the stamp —
+// xshard.Table.WaitSettled), and cuts one snapshot under a single store
+// lock, so a cross-shard transaction is observed whole or not at all. A read
+// racing a live resize retries under one consistent epoch, exactly like a
+// straddling ProposeTx (rebalance's ErrEpochRetry discipline).
 //
 // # Guarantee
 //
@@ -267,6 +273,8 @@ func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error
 		delete(e.pending, token)
 		e.pendingMu.Unlock()
 	}()
+	e.store.BeginRead() // before the first stamp (see Mechanism)
+	defer e.store.EndRead()
 	stopped := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		vals, present, err := e.attempt(ctx, keys)
@@ -277,6 +285,9 @@ func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error
 			}
 			continue
 		case errors.Is(err, errRetry):
+			if e.met != nil {
+				e.met.ReadRetries.Inc()
+			}
 			stopped = 0
 			continue
 		}
@@ -285,38 +296,48 @@ func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error
 	return nil, nil, ErrRetriesExhausted
 }
 
+// groupRead is one touched group's share of an attempt.
+type groupRead struct {
+	group  int
+	reader GroupReader
+	keys   []string
+}
+
 func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, error) {
 	// Route every key under one router snapshot; the whole attempt is
 	// invalidated together if a resize moves any key (the read-side
 	// analogue of a ProposeTx's single-epoch split).
 	router := e.currentRouter()
 	epoch := router.Epoch()
-	byGroup := make(map[int][]string)
+	touched := make([]groupRead, 0, 4)
 	for _, k := range keys {
 		g := router.Shard(k)
-		byGroup[g] = append(byGroup[g], k)
-	}
-	readers := make(map[int]GroupReader, len(byGroup))
-	for g := range byGroup {
-		r := e.reader(g)
-		if r == nil {
-			return nil, nil, ErrUnavailable
+		i := 0
+		for i < len(touched) && touched[i].group != g {
+			i++
 		}
-		readers[g] = r
+		if i == len(touched) {
+			r := e.reader(g)
+			if r == nil {
+				return nil, nil, ErrUnavailable
+			}
+			touched = append(touched, groupRead{group: g, reader: r})
+		}
+		touched[i].keys = append(touched[i].keys, k)
 	}
 
 	// The read point is the max of the groups' stamps (the commit table's
 	// merged-timestamp discipline, applied to the read): each group then
 	// fences at that one point.
 	var ts timestamp.Timestamp
-	for _, r := range readers {
-		ts = timestamp.Max(ts, r.ReadStamp())
+	for _, t := range touched {
+		ts = timestamp.Max(ts, t.reader.ReadStamp())
 	}
-	fenced := make(chan error, len(readers))
-	for g, r := range readers {
-		r.ReadFence(byGroup[g], ts, func(err error) { fenced <- err })
+	fenced := make(chan error, len(touched))
+	for _, t := range touched {
+		t.reader.ReadFence(t.keys, ts, func(err error) { fenced <- err })
 	}
-	for range readers {
+	for range touched {
 		select {
 		case err := <-fenced:
 			if err != nil {
@@ -375,15 +396,15 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 
 	vals, present, hidden, covered := e.store.SnapshotAt(keys, epoch, ts)
 	if !covered {
-		// The read point fell off a key's version-retention window: a
-		// long fence wait under a same-key write burst, or versions
+		// No retained version of some key is visible at the read point: a
+		// long fence wait under a same-key write burst, or a version
 		// stamped above the key's group clock (a cross-shard
 		// transaction's merged timestamp). Pushing every touched group's
 		// clock past the stamp that hid the point puts the retry's fresh
 		// stamp above everything applied; re-stamping alone would leave
 		// it below the merged stamp on every attempt.
-		for _, r := range readers {
-			r.ObserveStamp(hidden)
+		for _, t := range touched {
+			t.reader.ObserveStamp(hidden)
 		}
 		return nil, nil, errRetry
 	}

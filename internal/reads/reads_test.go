@@ -9,6 +9,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
+	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -126,16 +127,17 @@ func TestReadWaitsForFence(t *testing.T) {
 }
 
 // A cross-shard transaction's writes carry its merged timestamp, which can
-// sit far above the key's own group clock. Once they fill the key's
-// version ring, a read stamped from that clock is uncovered, and stays
-// uncovered however often it re-stamps — unless the retry first pushes the
-// clock past the stamps that hid the point (bench/README.md finding 2).
+// sit far above the key's own group clock. When they are all the store
+// retains of the key, a read stamped from that clock is uncovered, and
+// stays uncovered however often it re-stamps — unless the retry first
+// pushes the clock past the stamps that hid the point (bench/README.md
+// finding 2).
 func TestReadOfKeyVersionedAboveGroupClock(t *testing.T) {
 	store := kvstore.New()
 	g := &instant{}
 	merged := g.ReadStamp()
 	merged.Seq += 1000
-	for i := byte(0); i < 9; i++ { // one more than the ring holds
+	for i := byte(0); i < 9; i++ { // one more than a key ever retains
 		store.ApplyAllAt([]command.Command{command.Put("k", []byte{i})}, merged)
 	}
 	e := New(store, nil)
@@ -148,6 +150,33 @@ func TestReadOfKeyVersionedAboveGroupClock(t *testing.T) {
 	}
 	if g.stamps > 2 {
 		t.Fatalf("read took %d attempts, want at most 2", g.stamps)
+	}
+}
+
+// A write applied with no read in flight replaces what it found, so a read
+// that begins afterwards cannot be served the older version — not even when
+// the write sits above the group clock the read is stamped from (a
+// transaction's merged timestamp): the store answers uncovered and the one
+// retry returns the write.
+func TestReadAfterAppliedTxSeesIt(t *testing.T) {
+	store := kvstore.New()
+	g := &instant{}
+	store.ApplyAt(command.Put("k", []byte("before")), g.ReadStamp())
+	merged := timestamp.Timestamp{Seq: 1000, Node: 1}
+	store.ApplyAllAt([]command.Command{command.Put("k", []byte("tx"))}, merged)
+	met := metrics.NewRecorder()
+	e := New(store, met)
+	e.Attach(0, g)
+
+	val, present, err := e.Read(context.Background(), "k")
+	if err != nil || !present || string(val) != "tx" {
+		t.Fatalf("Read after the applied transaction = %q,%v,%v, want it", val, present, err)
+	}
+	if got := met.ReadRetries.Load(); got != 1 {
+		t.Fatalf("ReadRetries = %d, want the one uncovered attempt", got)
+	}
+	if got := store.RetainedVersions(); got != 0 {
+		t.Fatalf("RetainedVersions = %d with no write under the read, want 0", got)
 	}
 }
 

@@ -652,6 +652,9 @@ func (s *Stack) registerGauges(ob *obs.Registry, co *rebalance.Coordinator) {
 	ob.Gauge("caesar_store_keys",
 		"Keys currently resident in the node's store.", nil,
 		func() float64 { return float64(s.Store.Len()) })
+	ob.Gauge("caesar_store_retained_versions",
+		"Replaced versions the store holds: kept by writes applied while a local read was in flight, let go by a key's first write with none.", nil,
+		func() float64 { return float64(s.Store.RetainedVersions()) })
 	ob.Gauge("caesar_audit_groups",
 		"Consensus groups with applied-state digest folds.", nil,
 		func() float64 { return float64(s.Store.AuditGroups()) })

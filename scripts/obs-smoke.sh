@@ -92,6 +92,9 @@ for fam in \
     caesar_routing_epoch \
     caesar_shards \
     caesar_read_fence_parks_total \
+    caesar_read_retries_total \
+    caesar_store_keys \
+    caesar_store_retained_versions \
     caesar_net_sent_bytes_total \
     caesar_net_recv_msgs_total \
     caesar_audit_writes_total \
@@ -116,6 +119,8 @@ fi
 # /statusz carries the same families as JSON.
 statusz=$(curl -fsS http://127.0.0.1:9180/statusz)
 echo "$statusz" | grep -q '"caesar_fast_decisions_total"'
+echo "$statusz" | grep -q '"caesar_store_retained_versions"'
+echo "$statusz" | grep -q '"caesar_read_retries_total"'
 
 # Admin commands over the client port.
 exec 3<>/dev/tcp/127.0.0.1/8480
