@@ -211,9 +211,11 @@
 // Loop.PostMessage, which carries the sender beside the payload in a
 // typed mailbox entry, and the engine's protocol.Runtime — the one
 // lifecycle, ticker and clock all five engines share — takes it off the
-// inbox, reads the clock and calls the engine's Step(now, ev), so the hop
-// from socket (or in-process network) to engine allocates nothing and the
-// engine itself reads no clock. In-process deployments (NewLocalCluster, the
+// inbox, reads the clock and calls Step(now, ev), so the hop from socket
+// (or in-process network) to engine allocates nothing and the engine
+// itself reads no clock. What a replica sends itself — a leader's own
+// vote, its own Stable — never touches the transport: the Runtime queues
+// it and steps it before that Step returns. In-process deployments (NewLocalCluster, the
 // harness) use internal/memnet and pass payloads by reference.
 // Multi-process deployments (caesar-server) use internal/tcpnet over
 // internal/wire: a hand-rolled binary format — a four-byte length, the

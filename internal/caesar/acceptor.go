@@ -198,9 +198,9 @@ func (r *Replica) rejectProposal(from timestamp.NodeID, rec *record, ballot uint
 // true suggests ts instead.
 func (r *Replica) reply(from timestamp.NodeID, id command.ID, ts timestamp.Timestamp, pred []command.ID, ballot uint32, slow, nack bool) {
 	if slow {
-		r.send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
+		r.Send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
 	} else {
-		r.send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
+		r.Send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
 	}
 }
 
@@ -222,7 +222,7 @@ func (r *Replica) onRetry(from timestamp.NodeID, m *Retry) {
 
 	pred := command.UnionIDs(m.Pred, r.hist.predecessorsBelow(m.Cmd, m.Time))
 	r.hist.write(rec, StatusAccepted, m.Time, pred, m.Ballot, false)
-	r.send(from, &RetryReply{Ballot: m.Ballot, CmdID: m.Cmd.ID, Time: m.Time, Pred: pred})
+	r.Send(from, &RetryReply{Ballot: m.Ballot, CmdID: m.Cmd.ID, Time: m.Time, Pred: pred})
 	// accepted unblocks waiters (Fig 3, line 5).
 	r.resolveWaiters()
 }
@@ -272,7 +272,7 @@ func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 // proposing the command, typically during recovery races. The decision is
 // idempotent, so replaying it is always safe.
 func (r *Replica) echoStable(to timestamp.NodeID, rec *record) {
-	r.send(to, &Stable{
+	r.Send(to, &Stable{
 		Ballot: rec.ballot,
 		Cmd:    rec.cmd,
 		Time:   rec.ts,
@@ -340,10 +340,4 @@ func (r *Replica) touchKeys(cmd command.Command) {
 	for _, k := range cmd.Keys() {
 		r.ctd.Touch(k)
 	}
-}
-
-// send delivers a protocol message, self included (the transport loops it
-// back through the event loop, keeping processing uniform).
-func (r *Replica) send(to timestamp.NodeID, msg any) {
-	r.ep.Send(to, msg)
 }

@@ -26,11 +26,11 @@ func (r *Replica) flushGC() {
 		if len(ids) == 0 {
 			continue
 		}
-		r.send(timestamp.NodeID(leader), &StableAckBatch{IDs: ids})
+		r.Send(timestamp.NodeID(leader), &StableAckBatch{IDs: ids})
 		r.ackPending[leader] = nil
 	}
 	if len(r.purgePending) > 0 {
-		r.ep.Broadcast(&PurgeBatch{IDs: r.purgePending})
+		r.Broadcast(&PurgeBatch{IDs: r.purgePending})
 		r.purgePending = nil
 	}
 }
@@ -126,7 +126,7 @@ func (r *Replica) retransmitStables(now time.Time) {
 		}
 		rec.resentAt = now
 		resent++
-		r.ep.Broadcast(&Stable{
+		r.Broadcast(&Stable{
 			Ballot: rec.ballot,
 			Cmd:    rec.cmd,
 			Time:   rec.ts,

@@ -77,7 +77,7 @@ func (r *Replica) startFastProposal(c *coordinator, ts timestamp.Timestamp, whit
 	c.anyNack = false
 	c.timedOut = false
 	c.deadline = r.now.Add(r.cfg.FastTimeout)
-	r.ep.Broadcast(&FastPropose{
+	r.Broadcast(&FastPropose{
 		Ballot:       c.ballot,
 		Cmd:          c.cmd,
 		Time:         ts,
@@ -147,7 +147,7 @@ func (r *Replica) startSlowProposal(c *coordinator, ts timestamp.Timestamp, pred
 	c.votes = quorum.NewTracker(r.cq)
 	c.anyNack = false
 	r.cfg.Trace.Record(r.self, trace.KindSlowPropose, c.cmd.ID, ts)
-	r.ep.Broadcast(&SlowPropose{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
+	r.Broadcast(&SlowPropose{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
 }
 
 // onSlowProposeReply accumulates one SLOWPROPOSER vote; a classic quorum
@@ -185,7 +185,7 @@ func (r *Replica) startRetry(c *coordinator, ts timestamp.Timestamp, pred []comm
 		}
 	}
 	r.cfg.Trace.Record(r.self, trace.KindRetry, c.cmd.ID, ts)
-	r.ep.Broadcast(&Retry{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
+	r.Broadcast(&Retry{Ballot: c.ballot, Cmd: c.cmd, Time: ts, Pred: pred})
 }
 
 // onRetryReply accumulates one RETRYR vote; retries cannot be rejected, so
@@ -216,5 +216,5 @@ func (r *Replica) startStable(c *coordinator) {
 	}
 	c.phase = phaseStable
 	c.stableAt = now
-	r.ep.Broadcast(&Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred})
+	r.Broadcast(&Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred})
 }

@@ -92,9 +92,9 @@ func (r *Replica) startRecovery(rec *record) {
 	r.cfg.Flight.Record(flight.KindRecovery, r.cfg.FlightGroup, id,
 		"recovery prepare at ballot %d", ballot)
 	// The ballot is not pre-promised locally: our own reply arrives via
-	// the transport loopback like everyone else's (Fig 5, line 28 needs
+	// the runtime's loopback like everyone else's (Fig 5, line 28 needs
 	// Ballot > Ballots[c] to hold at the receiver, self included).
-	r.ep.Broadcast(&Recover{Ballot: ballot, CmdID: id})
+	r.Broadcast(&Recover{Ballot: ballot, CmdID: id})
 }
 
 // tupleReply reports rec's tuple to a recoverer.
@@ -127,9 +127,9 @@ func (r *Replica) onRecover(from timestamp.NodeID, m *Recover) {
 	}
 	rec.promised = m.Ballot
 	if rec.status == StatusNone {
-		r.send(from, &RecoverReply{Ballot: m.Ballot, CmdID: m.CmdID, Nop: true})
+		r.Send(from, &RecoverReply{Ballot: m.Ballot, CmdID: m.CmdID, Nop: true})
 	} else {
-		r.send(from, tupleReply(rec, m.Ballot))
+		r.Send(from, tupleReply(rec, m.Ballot))
 	}
 }
 

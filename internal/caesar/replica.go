@@ -163,7 +163,6 @@ func (c Config) withDefaults() Config {
 // runtime's, which is also where Start, Stop and Submit come from.
 type Replica struct {
 	*protocol.Runtime
-	ep    transport.Endpoint
 	self  timestamp.NodeID
 	peers []timestamp.NodeID
 	n     int
@@ -236,7 +235,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		delivered = idset.New()
 	}
 	r := &Replica{
-		ep:          ep,
 		self:        ep.Self(),
 		peers:       peers,
 		n:           n,
@@ -262,7 +260,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	}
 	r.appAt, _ = app.(protocol.TimestampedApplier)
 	r.appDefer, _ = app.(protocol.DeferringApplier)
-	r.Runtime = protocol.NewRuntime(ep, cfg.Now, cfg.TickInterval, r.Step, r.failInFlight)
+	r.Runtime = protocol.NewRuntime(ep, cfg.Now, cfg.TickInterval, r.step, r.failInFlight)
 	r.now = r.Now()
 	if cfg.HeartbeatInterval > 0 {
 		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, r.now)
@@ -313,12 +311,12 @@ func (r *Replica) OldestUnacked() (command.ID, time.Time, bool) {
 	return oldest, at, !at.IsZero()
 }
 
-// Step is the single event dispatcher: the runtime calls it for every
-// event with the instant the event is handled at, and so does a test that
-// owns the schedule. Every timeout, deadline and measurement below reads
+// step is the single event dispatcher: the runtime's Step calls it for
+// every event, self-addressed messages included, with the instant the
+// event is handled at. Every timeout, deadline and measurement below reads
 // r.now, never a clock. A protocol.Submission makes this replica the
 // command's leader (§V-B); its Done fires after local execution.
-func (r *Replica) Step(now time.Time, ev protocol.Event) {
+func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	if ev.Remote {
 		if r.fd != nil {
@@ -422,7 +420,7 @@ func (r *Replica) onTick(now time.Time) {
 	if r.fd != nil {
 		if now.Sub(r.lastHB) >= r.cfg.HeartbeatInterval {
 			r.lastHB = now
-			r.ep.Broadcast(&Heartbeat{})
+			r.Broadcast(&Heartbeat{})
 		}
 		for _, suspect := range r.fd.Tick(now) {
 			r.onSuspect(suspect, now, open)

@@ -30,6 +30,7 @@ type simMsg struct {
 // simNet is n unstarted replicas, the messages between them and their
 // clock. Nothing runs unless the test calls submit, tick or pump.
 type simNet struct {
+	t       testing.TB
 	n       int
 	clock   *fakeClock
 	reps    []*Replica
@@ -40,7 +41,8 @@ type simNet struct {
 	// for at delivery.
 	down []bool
 	drop func(simMsg) bool
-	// sent is the transcript: every message in the order it was sent,
+	// sent is the transcript: every message between two nodes (what a
+	// node sends itself never leaves its Step) in the order it was sent,
 	// rendered with %T%+v (a message holds IDs, timestamps, strings, bytes
 	// and slices of them — no map and no pointer, so the rendering is a
 	// function of its content).
@@ -62,19 +64,27 @@ func (e *simEP) Peers() []timestamp.NodeID {
 	}
 	return peers
 }
-func (e *simEP) Send(to timestamp.NodeID, payload any) { e.net.send(e.self, to, payload) }
-func (e *simEP) Broadcast(payload any) {
-	for to := 0; to < e.net.n; to++ {
-		e.net.send(e.self, timestamp.NodeID(to), payload)
+
+// Send queues a message to a peer. A replica steps what it sends itself
+// within the Step that sent it, so neither a self-addressed Send nor a
+// Broadcast (which includes self) may reach the network.
+func (e *simEP) Send(to timestamp.NodeID, payload any) {
+	if to == e.self {
+		e.net.t.Fatalf("node %v sent itself %T through the network", e.self, payload)
 	}
+	e.net.send(e.self, to, payload)
+}
+func (e *simEP) Broadcast(payload any) {
+	e.net.t.Fatalf("node %v broadcast %T through the network", e.self, payload)
 }
 func (e *simEP) SetHandler(transport.Handler) {}
 func (e *simEP) Close() error                 { return nil }
 
 // newSimNet builds n replicas; cfg gives each its configuration (Now is
 // set to the shared fake clock).
-func newSimNet(n int, cfg func(node int) Config) *simNet {
+func newSimNet(t testing.TB, n int, cfg func(node int) Config) *simNet {
 	net := &simNet{
+		t:       t,
 		n:       n,
 		clock:   &fakeClock{now: time.Unix(4_000_000, 0)},
 		applied: make([][]command.ID, n),
@@ -132,7 +142,7 @@ func (n *simNet) submit(node int, cmd command.Command, done protocol.DoneFunc) {
 // every replica's apply order.
 func transcriptRun(t *testing.T) (string, [][]command.ID) {
 	t.Helper()
-	net := newSimNet(5, func(int) Config { return Config{} })
+	net := newSimNet(t, 5, func(int) Config { return Config{} })
 	acked := 0
 	done := func(res protocol.Result) {
 		if res.Err != nil {
@@ -250,7 +260,7 @@ func TestTranscriptReproducible(t *testing.T) {
 func TestSelfTakeoverKeepsSubmitInstant(t *testing.T) {
 	met := metrics.NewRecorder()
 	slow := 0
-	net := newSimNet(3, func(node int) Config {
+	net := newSimNet(t, 3, func(node int) Config {
 		cfg := Config{HeartbeatInterval: -1} // the takeover is started by hand
 		if node == 0 {
 			cfg.Metrics = met
@@ -276,6 +286,7 @@ func TestSelfTakeoverKeepsSubmitInstant(t *testing.T) {
 	r := net.reps[0]
 	r.now = net.clock.Advance(5 * time.Second)
 	r.startRecovery(r.hist.get(id))
+	r.Step(r.now, protocol.Event{}) // an empty step: Inspect's loopback after fn
 	net.pump()
 	if c := net.reps[0].hist.get(id).coord; acked != 1 || c == nil || c.ballot != 1 {
 		t.Fatalf("the takeover did not finish the command: %d ack(s), coordinator %+v", acked, c)

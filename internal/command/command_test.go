@@ -277,3 +277,48 @@ func BenchmarkConflictsSingleKey(b *testing.B) {
 		x.Conflicts(y)
 	}
 }
+
+// FuzzParseID checks the operator-surface parser (TRACE, /tracez,
+// caesar-trace) against String: every ID a replica can mint (node 0..N-1)
+// survives the trip, a negative node — which none can — is refused, and
+// whatever the parser accepts re-parses from its own rendering to itself.
+// The parser is lenient where strconv is ("c+5.7" is c5.7, "5.7" too), so
+// the second trip is the one that must be exact.
+func FuzzParseID(f *testing.F) {
+	for _, s := range []string{"c0.17", "c+5.7", "5.7", "c05.007", "c-1.2", "c2147483647.18446744073709551615", "c1.", ".1", "c1.-1", ""} {
+		f.Add(s, int32(3), uint64(41))
+	}
+	f.Fuzz(func(t *testing.T, s string, node int32, seq uint64) {
+		minted := id(node, seq)
+		got, err := ParseID(minted.String())
+		if node < 0 {
+			if err == nil {
+				t.Fatalf("ParseID(%q) accepted a negative node as %v", minted.String(), got)
+			}
+		} else if err != nil || got != minted {
+			t.Fatalf("ParseID(%q) = %v, %v; want %v", minted.String(), got, err, minted)
+		}
+
+		parsed, err := ParseID(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseID(parsed.String())
+		if err != nil || again != parsed {
+			t.Fatalf("ParseID(%q) = %v, whose rendering %q parses to %v, %v", s, parsed, parsed.String(), again, err)
+		}
+	})
+}
+
+func TestParseIDAcceptsWhatStrconvDoes(t *testing.T) {
+	for s, want := range map[string]ID{"c+5.7": id(5, 7), "5.7": id(5, 7), "c05.007": id(5, 7)} {
+		if got, err := ParseID(s); err != nil || got != want || got.String() != "c5.7" {
+			t.Errorf("ParseID(%q) = %v, %v; want %v, printed c5.7", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"c-1.2", "c1.+2", "cc1.2", "c1", "c1.2.3"} {
+		if got, err := ParseID(s); err == nil {
+			t.Errorf("ParseID(%q) = %v, want an error", s, got)
+		}
+	}
+}

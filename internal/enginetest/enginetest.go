@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,25 @@ func (c *Cluster) CheckOrder(t testing.TB, keys []string) {
 	}
 }
 
+// recordingEP counts what reaches the transport that a replica should
+// have kept on its own loop.
+type recordingEP struct {
+	transport.Endpoint
+	selfSends, broadcasts atomic.Int64
+}
+
+func (e *recordingEP) Send(to timestamp.NodeID, payload any) {
+	if to == e.Self() {
+		e.selfSends.Add(1)
+	}
+	e.Endpoint.Send(to, payload)
+}
+
+func (e *recordingEP) Broadcast(payload any) {
+	e.broadcasts.Add(1)
+	e.Endpoint.Broadcast(payload)
+}
+
 // lifecycle checks the Start / Stop contract: new → running → stopped,
 // forward only, in-flight submissions failed exactly once, safe under
 // concurrent calls. It waits on callbacks and returns, never on sleeps.
@@ -321,6 +341,38 @@ func Run(t *testing.T, factory Factory) {
 		wg.Wait()
 		c.WaitTotals(t, 5*perNode, 20*time.Second)
 		c.CheckOrder(t, keys)
+	})
+
+	t.Run("NoSelfTraffic", func(t *testing.T) {
+		// A replica steps what it sends itself on its own loop: no
+		// message addressed to self, and no Broadcast (which includes
+		// self), ever reaches the transport.
+		var eps []*recordingEP
+		c := NewCluster(t, 5, memnet.Config{Jitter: 200 * time.Microsecond}, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
+			rec := &recordingEP{Endpoint: ep}
+			eps = append(eps, rec)
+			return factory(rec, app)
+		})
+		const perNode = 10
+		keys := []string{"a", "b"}
+		var wg sync.WaitGroup
+		for i := 0; i < 5; i++ {
+			wg.Add(1)
+			go func(node int) {
+				defer wg.Done()
+				for j := 0; j < perNode; j++ {
+					c.SubmitWait(t, node, command.Put(keys[(node+j)%len(keys)], []byte{byte(j)}), 20*time.Second)
+				}
+			}(i)
+		}
+		wg.Wait()
+		c.WaitTotals(t, 5*perNode, 20*time.Second)
+		c.CheckOrder(t, keys)
+		for i, ep := range eps {
+			if s, b := ep.selfSends.Load(), ep.broadcasts.Load(); s != 0 || b != 0 {
+				t.Errorf("replica %d handed its transport %d self-addressed sends and %d broadcasts, want none", i, s, b)
+			}
+		}
 	})
 
 	t.Run("DisjointKeysConcurrent", func(t *testing.T) {

@@ -182,7 +182,6 @@ type keyInfo struct {
 // runtime's.
 type Replica struct {
 	*protocol.Runtime
-	ep    transport.Endpoint
 	self  timestamp.NodeID
 	peers []timestamp.NodeID
 	n     int
@@ -221,7 +220,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	peers := ep.Peers()
 	n := len(peers)
 	r := &Replica{
-		ep:                ep,
 		self:              ep.Self(),
 		peers:             peers,
 		n:                 n,
@@ -237,7 +235,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		recoveries:        make(map[InstanceID]*recoveryState),
 		scheduledRecovery: make(map[InstanceID]time.Time),
 	}
-	r.Runtime = protocol.NewRuntime(ep, nil, cfg.TickInterval, r.Step, r.pending.FailAll)
+	r.Runtime = protocol.NewRuntime(ep, nil, cfg.TickInterval, r.step, r.pending.FailAll)
 	if cfg.HeartbeatInterval > 0 {
 		r.fd = failure.New(r.self, peers, cfg.SuspectTimeout, r.Now())
 	}
@@ -247,9 +245,9 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 // Metrics returns the replica's recorder.
 func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
-// Step handles one event at the instant now; a protocol.Submission makes
+// step handles one event at the instant now; a protocol.Submission makes
 // this replica the command's leader.
-func (r *Replica) Step(now time.Time, ev protocol.Event) {
+func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	if ev.Remote && r.fd != nil {
 		r.fd.Observe(ev.From, now)
@@ -345,7 +343,7 @@ func (r *Replica) onSubmit(cmd command.Command) {
 	}
 	inst.lead.votes.Add(int32(r.self))
 	r.register(inst)
-	r.ep.Broadcast(&PreAccept{Ballot: inst.ballot, ID: id, Cmd: cmd, Seq: seq, Deps: inst.deps})
+	r.Broadcast(&PreAccept{Ballot: inst.ballot, ID: id, Cmd: cmd, Seq: seq, Deps: inst.deps})
 }
 
 // onPreAccept is the acceptor side of Phase 1: merge local interference
@@ -357,7 +355,7 @@ func (r *Replica) onPreAccept(from timestamp.NodeID, m *PreAccept) {
 	inst := r.getOrCreate(m.ID)
 	if inst.ballot > m.Ballot || inst.status >= icommitted {
 		if inst.status >= icommitted {
-			r.send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
+			r.Send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
 		}
 		return
 	}
@@ -387,7 +385,7 @@ func (r *Replica) onPreAccept(from timestamp.NodeID, m *PreAccept) {
 	inst.status = ipreaccepted
 	inst.ballot = m.Ballot
 	r.register(inst)
-	r.send(from, &PreAcceptReply{Ballot: m.Ballot, ID: m.ID, Seq: seq, Deps: inst.deps, Changed: changed})
+	r.Send(from, &PreAcceptReply{Ballot: m.Ballot, ID: m.ID, Seq: seq, Deps: inst.deps, Changed: changed})
 }
 
 // onPreAcceptReply is the leader side of Phase 1 completion: the fast path
@@ -446,7 +444,7 @@ func (r *Replica) startAccept(inst *instance) {
 	inst.deps = depsSlice(ls.deps)
 	inst.status = iaccepted
 	r.register(inst)
-	r.ep.Broadcast(&Accept{Ballot: inst.ballot, ID: inst.id, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
+	r.Broadcast(&Accept{Ballot: inst.ballot, ID: inst.id, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
 }
 
 // onAccept is the acceptor side of the slow path.
@@ -457,7 +455,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 	inst := r.getOrCreate(m.ID)
 	if inst.ballot > m.Ballot || inst.status >= icommitted {
 		if inst.status >= icommitted {
-			r.send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
+			r.Send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
 		}
 		return
 	}
@@ -467,7 +465,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 	inst.status = iaccepted
 	inst.ballot = m.Ballot
 	r.register(inst)
-	r.send(from, &AcceptReply{Ballot: m.Ballot, ID: m.ID})
+	r.Send(from, &AcceptReply{Ballot: m.Ballot, ID: m.ID})
 }
 
 // onAcceptReply completes the slow path once a majority accepted.
@@ -493,7 +491,7 @@ func (r *Replica) commit(inst *instance, seq uint64, deps []InstanceID) {
 	inst.lead = nil
 	r.register(inst)
 	r.met.Decided.Inc()
-	r.ep.Broadcast(&Commit{ID: inst.id, Cmd: inst.cmd, Seq: seq, Deps: deps})
+	r.Broadcast(&Commit{ID: inst.id, Cmd: inst.cmd, Seq: seq, Deps: deps})
 	r.tryExecute(inst)
 	r.wakeBlocked(inst.id)
 }
@@ -515,9 +513,6 @@ func (r *Replica) onCommit(m *Commit) {
 	r.wakeBlocked(inst.id)
 }
 
-// send delivers one message.
-func (r *Replica) send(to timestamp.NodeID, msg any) { r.ep.Send(to, msg) }
-
 // onTick drives heartbeats, failure detection and recovery deadlines.
 func (r *Replica) onTick(now time.Time) {
 	if r.fd == nil {
@@ -525,7 +520,7 @@ func (r *Replica) onTick(now time.Time) {
 	}
 	if now.Sub(r.lastHB) >= r.cfg.HeartbeatInterval {
 		r.lastHB = now
-		r.ep.Broadcast(&Heartbeat{})
+		r.Broadcast(&Heartbeat{})
 	}
 	for _, suspect := range r.fd.Tick(now) {
 		r.onSuspect(suspect, now)

@@ -97,14 +97,14 @@ func (r *Replica) startRecovery(id InstanceID) {
 	}
 	r.recoveries[id] = rc
 	r.met.Recoveries.Inc()
-	r.ep.Broadcast(&Prepare{Ballot: ballot, ID: id})
+	r.Broadcast(&Prepare{Ballot: ballot, ID: id})
 }
 
 // onPrepare answers with this replica's view of the instance.
 func (r *Replica) onPrepare(from timestamp.NodeID, m *Prepare) {
 	inst := r.getOrCreate(m.ID)
 	if inst.status >= icommitted {
-		r.send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
+		r.Send(from, &Commit{ID: m.ID, Cmd: inst.cmd, Seq: inst.seq, Deps: inst.deps})
 		return
 	}
 	if m.Ballot <= inst.ballot && inst.status != inone {
@@ -112,7 +112,7 @@ func (r *Replica) onPrepare(from timestamp.NodeID, m *Prepare) {
 	}
 	prevBallot := inst.ballot
 	inst.ballot = m.Ballot
-	r.send(from, &PrepareReply{
+	r.Send(from, &PrepareReply{
 		Ballot:       m.Ballot,
 		ID:           m.ID,
 		Status:       inst.status,
@@ -220,7 +220,7 @@ func (r *Replica) resumeAccept(inst *instance, cmd command.Command, seq uint64, 
 	if cmd.Op != command.OpNoop {
 		r.register(inst)
 	}
-	r.ep.Broadcast(&Accept{Ballot: inst.ballot, ID: inst.id, Cmd: cmd, Seq: seq, Deps: inst.deps})
+	r.Broadcast(&Accept{Ballot: inst.ballot, ID: inst.id, Cmd: cmd, Seq: seq, Deps: inst.deps})
 }
 
 // restartPreAccept re-runs phase 1 at a recovery ballot (no fast path).
@@ -240,7 +240,7 @@ func (r *Replica) restartPreAccept(inst *instance, cmd command.Command) {
 	}
 	inst.lead.votes.Add(int32(r.self))
 	r.register(inst)
-	r.ep.Broadcast(&PreAccept{Ballot: inst.ballot, ID: inst.id, Cmd: cmd, Seq: seq, Deps: inst.deps})
+	r.Broadcast(&PreAccept{Ballot: inst.ballot, ID: inst.id, Cmd: cmd, Seq: seq, Deps: inst.deps})
 }
 
 // depsEqual compares two sorted dep slices.

@@ -152,3 +152,73 @@ func TestPrepareReturnsSuffixAndRefusesStale(t *testing.T) {
 		t.Fatalf("stale prepare got %T", ep.last())
 	}
 }
+
+// preparing returns replica 3 of five in the middle of a round-2 prepare
+// for key k, with nothing sent yet.
+func preparing() (*Replica, *captureEP, *keyState) {
+	ep := &captureEP{self: 3, n: 5}
+	r := New(ep, protocol.ApplierFunc(func(command.Command) []byte { return nil }), Config{})
+	ks := r.key("k")
+	ks.promised = makeBallot(1, 3)
+	r.startPrepare("k", ks)
+	ep.sent = nil
+	return r, ep, ks
+}
+
+// accepts returns the Accepts sent, by instance.
+func accepts(ep *captureEP) map[uint64]command.ID {
+	out := make(map[uint64]command.ID)
+	for _, m := range ep.sent {
+		if a, ok := m.(*Accept); ok {
+			out[a.Inst] = a.Cmd.ID
+		}
+	}
+	return out
+}
+
+// TestPrepareAdoptsTheChosenRoundOneClaim: nodes 2 and 3 claimed the
+// virgin key at round 1 together, each granting itself first. Node 2's
+// claim won ({1, 2, 4}); node 3's got {0, 3} and lost. Node 3's prepare
+// quorum {0, 1, 3} reports both values — node 3's under the numerically
+// higher round-1 ballot — and cannot tell which was chosen: it must wait
+// for every promise and adopt the value a majority accepted.
+func TestPrepareAdoptsTheChosenRoundOneClaim(t *testing.T) {
+	r, ep, ks := preparing()
+	won, lost := testPut(2, 2, "k"), testPut(3, 1, "k")
+	report := func(from timestamp.NodeID, claimant timestamp.NodeID, cmd command.Command) {
+		r.onPrepareKeyOK(from, &PrepareKeyOK{Key: "k", Ballot: ks.ballot,
+			Suffix: []SuffixEntry{{Inst: 0, Ballot: makeBallot(1, claimant), Cmd: cmd}}})
+	}
+	report(3, 3, lost)
+	report(0, 3, lost)
+	report(1, 2, won)
+	if got := accepts(ep); len(got) != 0 {
+		t.Fatalf("re-proposed %v on a quorum holding two round-1 claims", got)
+	}
+	report(2, 2, won)
+	report(4, 2, won)
+	if got := accepts(ep); got[0] != won.ID || len(got) != 1 {
+		t.Fatalf("re-proposed %v, want instance 0 = %v (the claim a majority accepted)", got, won.ID)
+	}
+}
+
+// TestPrepareLeavesExecutedInstancesAlone: a replier that executed
+// instances 0 and 1 does not report them, and the preparer never saw
+// their Commits yet. Re-proposing them — as no-ops, or as what a replier
+// that accepted but did not execute them reports — could contradict the
+// decision; the Commits are on their way.
+func TestPrepareLeavesExecutedInstancesAlone(t *testing.T) {
+	r, ep, ks := preparing()
+	stale := []SuffixEntry{{Inst: 1, Ballot: makeBallot(1, 3), Cmd: testPut(3, 1, "k")},
+		{Inst: 2, Ballot: makeBallot(1, 2), Cmd: testPut(2, 3, "k")}}
+	r.onPrepareKeyOK(3, &PrepareKeyOK{Key: "k", Ballot: ks.ballot, Suffix: stale})
+	r.onPrepareKeyOK(0, &PrepareKeyOK{Key: "k", Ballot: ks.ballot, Suffix: stale})
+	r.onPrepareKeyOK(2, &PrepareKeyOK{Key: "k", Ballot: ks.ballot, ExecNext: 2,
+		Suffix: []SuffixEntry{{Inst: 2, Ballot: makeBallot(1, 2), Cmd: testPut(2, 3, "k")}}})
+	if got := accepts(ep); len(got) != 1 || got[2] != testPut(2, 3, "k").ID {
+		t.Fatalf("re-proposed %v, want instance 2 alone", got)
+	}
+	if ks.nextInst != 3 {
+		t.Fatalf("next instance %d, want 3", ks.nextInst)
+	}
+}

@@ -14,10 +14,14 @@
 // explicit acquisition (prepare) phase that returns the accepted suffix of
 // the key's instance log so the new owner adopts still-in-flight values —
 // the "ownership acquisition phase to re-distribute ownership records" the
-// paper describes as expensive.
+// paper describes as expensive. Because round-1 claims skip the prepare,
+// an acquisition that finds two of them on one instance cannot rank them
+// by ballot: it waits for every replica's promise and adopts the claim a
+// majority accepted (adoptSuffix).
 package m2paxos
 
 import (
+	"slices"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -157,7 +161,7 @@ type keyState struct {
 	nextInst uint64
 	// prepare bookkeeping
 	prepVotes quorum.Tracker
-	suffix    map[uint64]SuffixEntry
+	suffixes  [][]SuffixEntry // what each promise reported
 	floor     uint64
 	deadline  time.Time
 }
@@ -189,7 +193,6 @@ type pending struct {
 // claim) the key, forwarded to the owner otherwise.
 type Replica struct {
 	*protocol.Runtime
-	ep   transport.Endpoint
 	self timestamp.NodeID
 	n    int
 	cq   int
@@ -214,7 +217,6 @@ var _ protocol.Engine = (*Replica)(nil)
 func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
 	r := &Replica{
-		ep:        ep,
 		self:      ep.Self(),
 		n:         len(ep.Peers()),
 		cq:        quorum.ClassicSize(len(ep.Peers())),
@@ -229,7 +231,7 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		executed:  idset.New(),
 		pending:   protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
-	r.Runtime = protocol.NewRuntime(ep, nil, tickInterval, r.Step, r.pending.FailAll)
+	r.Runtime = protocol.NewRuntime(ep, nil, tickInterval, r.step, r.pending.FailAll)
 	return r
 }
 
@@ -243,8 +245,8 @@ func (r *Replica) key(k string) *keyState {
 	return ks
 }
 
-// Step handles one event at the instant now.
-func (r *Replica) Step(now time.Time, ev protocol.Event) {
+// step handles one event at the instant now.
+func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	switch m := ev.Payload.(type) {
 	case protocol.Submission:
@@ -287,7 +289,7 @@ func (r *Replica) route(cmd command.Command, hops uint8) {
 			r.startPrepare(cmd.Key, ks)
 			return
 		}
-		r.ep.Send(ks.owner, &Forward{Cmd: cmd, Hops: hops + 1})
+		r.Send(ks.owner, &Forward{Cmd: cmd, Hops: hops + 1})
 	default: // roleNone: first touch
 		if ks.promised != 0 && ks.promised.node() != r.self {
 			ks.role = roleRemote
@@ -321,7 +323,7 @@ func (r *Replica) orderAt(ks *keyState, key string, inst uint64, cmd command.Com
 		votes:    quorum.NewTracker(r.cq),
 		deadline: r.now.Add(r.cfg.RetryTimeout),
 	}
-	r.ep.Broadcast(&Accept{Key: key, Ballot: ks.ballot, Inst: inst, Cmd: cmd})
+	r.Broadcast(&Accept{Key: key, Ballot: ks.ballot, Inst: inst, Cmd: cmd})
 }
 
 // onAccept is the acceptor side of the (possibly claiming) accept round.
@@ -337,7 +339,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 		grant = m.Ballot >= ks.promised
 	}
 	if !grant {
-		r.ep.Send(from, &AcceptNACK{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Promised: ks.promised})
+		r.Send(from, &AcceptNACK{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Promised: ks.promised})
 		return
 	}
 	if m.Ballot > ks.promised {
@@ -352,7 +354,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 	} else {
 		r.accepted[ik] = acceptedVal{ballot: m.Ballot, cmd: m.Cmd}
 	}
-	r.ep.Send(from, reply)
+	r.Send(from, reply)
 }
 
 func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
@@ -375,7 +377,7 @@ func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
 	}
 	if p.prevSet && p.prev.ID != p.cmd.ID {
 		// Adopt the decided value and re-order ours at the next slot.
-		r.ep.Broadcast(&Commit{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Cmd: p.prev})
+		r.Broadcast(&Commit{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Cmd: p.prev})
 		if ks.role == roleOwned {
 			r.order(ks, p.cmd)
 		} else {
@@ -383,7 +385,7 @@ func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
 		}
 		return
 	}
-	r.ep.Broadcast(&Commit{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Cmd: p.cmd})
+	r.Broadcast(&Commit{Key: m.Key, Ballot: m.Ballot, Inst: m.Inst, Cmd: p.cmd})
 }
 
 // onAcceptNACK abandons the round: forward to the winner, or escalate to a
@@ -438,18 +440,18 @@ func (r *Replica) startPrepare(key string, ks *keyState) {
 	ks.role = rolePreparing
 	ks.ballot = makeBallot(round, r.self)
 	ks.prepVotes = quorum.NewTracker(r.cq)
-	ks.suffix = make(map[uint64]SuffixEntry)
+	ks.suffixes = nil
 	ks.floor = r.execNext[key]
 	ks.deadline = r.now.Add(r.cfg.RetryTimeout)
 	r.met.Retries.Inc()
-	r.ep.Broadcast(&PrepareKey{Key: key, Ballot: ks.ballot})
+	r.Broadcast(&PrepareKey{Key: key, Ballot: ks.ballot})
 }
 
 // onPrepareKey promises and reports the accepted suffix of the key's log.
 func (r *Replica) onPrepareKey(from timestamp.NodeID, m *PrepareKey) {
 	ks := r.key(m.Key)
 	if m.Ballot <= ks.promised {
-		r.ep.Send(from, &PrepareKeyNACK{Key: m.Key, Ballot: m.Ballot, Promised: ks.promised})
+		r.Send(from, &PrepareKeyNACK{Key: m.Key, Ballot: m.Ballot, Promised: ks.promised})
 		return
 	}
 	ks.promised = m.Ballot
@@ -470,7 +472,7 @@ func (r *Replica) onPrepareKey(from timestamp.NodeID, m *PrepareKey) {
 			})
 		}
 	}
-	r.ep.Send(from, reply)
+	r.Send(from, reply)
 }
 
 func (r *Replica) onPrepareKeyOK(from timestamp.NodeID, m *PrepareKeyOK) {
@@ -481,39 +483,98 @@ func (r *Replica) onPrepareKeyOK(from timestamp.NodeID, m *PrepareKeyOK) {
 	if !ks.prepVotes.Add(int32(from)) {
 		return
 	}
-	for _, e := range m.Suffix {
-		cur, ok := ks.suffix[e.Inst]
-		if !ok || e.Committed && !cur.Committed || (e.Committed == cur.Committed && e.Ballot > cur.Ballot) {
-			ks.suffix[e.Inst] = e
-		}
-	}
+	ks.suffixes = append(ks.suffixes, m.Suffix)
 	if m.ExecNext > ks.floor {
 		ks.floor = m.ExecNext
 	}
 	if !ks.prepVotes.Reached() {
 		return
 	}
+	// Every instance below floor was executed by a replier, so it is
+	// decided and its Commit is on its way here: re-proposing it could
+	// only contradict the decision.
+	base := max(r.execNext[m.Key], ks.floor)
+	adopt, ok := adoptSuffix(ks.suffixes, base, r.cq, ks.prepVotes.Count() == r.n)
+	if !ok {
+		return
+	}
 	// Acquisition complete: adopt the suffix, fill gaps with no-ops, and
 	// resume the instance sequence after it. nextInst must move past the
 	// suffix before the queue drains, or queued commands would collide
 	// with the re-accepted instances.
-	base := r.execNext[m.Key]
 	maxInst := base
-	for inst := range ks.suffix {
+	for inst := range adopt {
 		if inst+1 > maxInst {
 			maxInst = inst + 1
 		}
 	}
 	ks.nextInst = maxInst
 	for inst := base; inst < maxInst; inst++ {
-		if e, ok := ks.suffix[inst]; ok {
-			r.orderAt(ks, m.Key, inst, e.Cmd)
+		if cmd, ok := adopt[inst]; ok {
+			r.orderAt(ks, m.Key, inst, cmd)
 		} else {
 			r.orderAt(ks, m.Key, inst, command.Noop())
 		}
 	}
-	ks.suffix = nil
+	ks.suffixes = nil
 	r.becomeOwner(m.Key, ks)
+}
+
+// adoptSuffix picks, for every instance from base on that a promise
+// reported, the value a new owner must re-propose there: a committed one;
+// else that of the highest ballot above round 1, whose proposer ran a
+// prepare and so carries any earlier decision; else a round-1 value.
+// Round-1 claims skip the prepare, so their ballots order nothing any
+// claimant knew — and a claimant always grants its own claim first. When
+// the promises report two round-1 values for one instance, the chosen
+// one (a classic quorum accepted it; round-1 grants are exclusive per
+// key, so at most one was) may be either, and only the promises of all n
+// replicas (all) tell; until then ok is false.
+func adoptSuffix(suffixes [][]SuffixEntry, base uint64, cq int, all bool) (adopt map[uint64]command.Command, ok bool) {
+	best := make(map[uint64]SuffixEntry)
+	claims := make(map[uint64][]claim) // each instance's round-1 values
+	for _, suffix := range suffixes {
+		for _, e := range suffix {
+			if e.Inst < base {
+				continue
+			}
+			if !e.Committed && e.Ballot.round() == 1 {
+				cs := claims[e.Inst]
+				i := slices.IndexFunc(cs, func(c claim) bool { return c.Ballot == e.Ballot })
+				if i < 0 {
+					i, cs = len(cs), append(cs, claim{SuffixEntry: e})
+					claims[e.Inst] = cs
+				}
+				cs[i].reporters++
+			}
+			cur, seen := best[e.Inst]
+			if !seen || e.Committed && !cur.Committed || (e.Committed == cur.Committed && e.Ballot > cur.Ballot) {
+				best[e.Inst] = e
+			}
+		}
+	}
+	adopt = make(map[uint64]command.Command, len(best))
+	for inst, e := range best {
+		if cs := claims[inst]; !e.Committed && e.Ballot.round() == 1 && len(cs) > 1 {
+			if !all {
+				return nil, false
+			}
+			for _, c := range cs {
+				if c.reporters >= cq {
+					e = c.SuffixEntry
+				}
+			}
+		}
+		adopt[inst] = e.Cmd
+	}
+	return adopt, true
+}
+
+// claim is one round-1 value reported for an instance, and how many
+// promises reported it.
+type claim struct {
+	SuffixEntry
+	reporters int
 }
 
 func (r *Replica) onPrepareKeyNACK(m *PrepareKeyNACK) {

@@ -70,7 +70,6 @@ type slot struct {
 // slot.
 type Replica struct {
 	*protocol.Runtime
-	ep   transport.Endpoint
 	self timestamp.NodeID
 	n    int
 	cq   int
@@ -101,7 +100,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg.Metrics = metrics.NewRecorder()
 	}
 	r := &Replica{
-		ep:      ep,
 		self:    ep.Self(),
 		n:       len(ep.Peers()),
 		cq:      quorum.ClassicSize(len(ep.Peers())),
@@ -113,13 +111,13 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		acks:    make(map[uint64]*quorum.Tracker),
 		pending: protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
-	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.Step, r.pending.FailAll)
+	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.step, r.pending.FailAll)
 	r.ownNext = uint64(r.self)
 	return r
 }
 
-// Step handles one event at the instant now. Mencius has no timers.
-func (r *Replica) Step(now time.Time, ev protocol.Event) {
+// step handles one event at the instant now. Mencius has no timers.
+func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	switch m := ev.Payload.(type) {
 	case protocol.Submission:
@@ -150,7 +148,7 @@ func (r *Replica) onSubmit(cmd command.Command) {
 	if s > r.maxSeen {
 		r.maxSeen = s
 	}
-	r.ep.Broadcast(&Accept{Slot: s, Cmd: cmd})
+	r.Broadcast(&Accept{Slot: s, Cmd: cmd})
 }
 
 func (r *Replica) setSlot(s uint64, st slotState, cmd command.Command) {
@@ -176,7 +174,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 		r.maxSeen = m.Slot
 	}
 	r.setSlot(m.Slot, slotAccepted, m.Cmd)
-	r.ep.Send(from, &AcceptOK{Slot: m.Slot})
+	r.Send(from, &AcceptOK{Slot: m.Slot})
 	r.skipOwnBelow(m.Slot)
 	r.execute()
 }
@@ -193,7 +191,7 @@ func (r *Replica) skipOwnBelow(bound uint64) {
 		next += uint64(r.n)
 	}
 	r.ownNext = next
-	r.ep.Broadcast(&SkipTo{Slot: next})
+	r.Broadcast(&SkipTo{Slot: next})
 }
 
 func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
@@ -208,7 +206,7 @@ func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
 	delete(r.acks, m.Slot)
 	sl := r.slots[m.Slot]
 	r.setSlot(m.Slot, slotCommitted, sl.cmd)
-	r.ep.Broadcast(&Commit{Slot: m.Slot, Cmd: sl.cmd})
+	r.Broadcast(&Commit{Slot: m.Slot, Cmd: sl.cmd})
 	r.execute()
 }
 

@@ -62,7 +62,6 @@ type logEntry struct {
 // runtime's: non-leaders forward a submission to the leader.
 type Replica struct {
 	*protocol.Runtime
-	ep     transport.Endpoint
 	n      int
 	cq     int
 	cfg    Config
@@ -88,7 +87,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		cfg.Metrics = metrics.NewRecorder()
 	}
 	r := &Replica{
-		ep:      ep,
 		n:       len(ep.Peers()),
 		cq:      quorum.ClassicSize(len(ep.Peers())),
 		cfg:     cfg,
@@ -98,13 +96,13 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		acks:    make(map[uint64]*quorum.Tracker),
 		pending: protocol.NewPending(ep.Self(), cfg.Metrics),
 	}
-	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.Step, r.pending.FailAll)
+	r.Runtime = protocol.NewRuntime(ep, nil, 0, r.step, r.pending.FailAll)
 	return r
 }
 
-// Step handles one event at the instant now. The steady-state protocol
+// step handles one event at the instant now. The steady-state protocol
 // has no timers.
-func (r *Replica) Step(now time.Time, ev protocol.Event) {
+func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	switch m := ev.Payload.(type) {
 	case protocol.Submission:
@@ -112,7 +110,7 @@ func (r *Replica) Step(now time.Time, ev protocol.Event) {
 		if r.leader {
 			r.sequence(cmd)
 		} else {
-			r.ep.Send(r.cfg.Leader, &Forward{Cmd: cmd})
+			r.Send(r.cfg.Leader, &Forward{Cmd: cmd})
 		}
 	case *Forward:
 		r.onForward(m)
@@ -137,7 +135,7 @@ func (r *Replica) sequence(cmd command.Command) {
 	r.next++
 	acks := quorum.NewTracker(r.cq)
 	r.acks[idx] = &acks
-	r.ep.Broadcast(&Accept{Index: idx, Cmd: cmd})
+	r.Broadcast(&Accept{Index: idx, Cmd: cmd})
 }
 
 func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
@@ -145,7 +143,7 @@ func (r *Replica) onAccept(from timestamp.NodeID, m *Accept) {
 		r.log = append(r.log, logEntry{})
 	}
 	r.log[m.Index] = logEntry{cmd: m.Cmd, ok: true}
-	r.ep.Send(from, &AcceptOK{Index: m.Index})
+	r.Send(from, &AcceptOK{Index: m.Index})
 }
 
 func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
@@ -167,7 +165,7 @@ func (r *Replica) onAcceptOK(from timestamp.NodeID, m *AcceptOK) {
 		advanced = true
 	}
 	if advanced {
-		r.ep.Broadcast(&Commit{Index: r.commitTo - 1})
+		r.Broadcast(&Commit{Index: r.commitTo - 1})
 	}
 }
 

@@ -21,16 +21,23 @@ func TestPostMessageDoesNotAllocate(t *testing.T) {
 }
 
 // Nor may the other half of the hop: the runtime taking a posted message
-// off the inbox, reading the clock and stepping the engine with it.
+// off the inbox, reading the clock and stepping the engine with it — nor
+// the engine's reply to itself, which Step queues and steps in turn.
 func TestStepMessageDoesNotAllocate(t *testing.T) {
 	steps := 0
-	rt := NewRuntime(nil, nil, 0, func(time.Time, Event) { steps++ }, func() {})
+	var rt *Runtime
+	rt = NewRuntime(&fakeEP{}, nil, 0, func(_ time.Time, ev Event) {
+		steps++
+		if ev.From != rt.self {
+			rt.Send(rt.self, ev.Payload)
+		}
+	}, func() {})
 	msg := &struct{ n int }{1}
 	got := testing.AllocsPerRun(200, func() {
 		rt.loop.PostMessage(2, msg)
 		rt.handle(<-rt.loop.inbox)
 	})
-	if got != 0 || steps == 0 {
-		t.Fatalf("dequeue + step allocates %.1f per message over %d steps, want 0", got, steps)
+	if got != 0 || steps != 2*201 {
+		t.Fatalf("dequeue + step + self reply allocates %.1f per message over %d steps, want 0 over %d", got, steps, 2*201)
 	}
 }

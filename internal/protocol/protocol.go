@@ -2,13 +2,15 @@
 // engines in this repository (CAESAR, EPaxos, Multi-Paxos, Mencius and
 // M2Paxos), plus what they all run on: the single-goroutine event loop
 // (Loop) and the one Runtime around it. An engine is its state and a step
-// function — Step(now, ev), handed every message, Submission, Tick and
+// function — step(now, ev), handed every message, Submission, Tick and
 // engine-internal event together with the instant it is handled at; the
 // Runtime it embeds owns everything else (transport handler, loop
-// goroutine, ticker, clock, a new → running → stopped lifecycle safe under
-// concurrent Start and Stop) and is where the engine's Start, Stop and
-// Submit come from. No engine reads a clock, so whoever calls Step — the
-// Runtime in production, a test or a simulator directly — owns its time.
+// goroutine, ticker, clock, loopback, a new → running → stopped lifecycle
+// safe under concurrent Start and Stop) and is where the engine's Start,
+// Stop, Submit, Step, Send and Broadcast come from. A message an engine
+// sends itself never reaches the transport: Step steps it before
+// returning. No engine reads a clock, so whoever calls Step — the Runtime
+// in production, a test or a simulator directly — owns its time.
 // The engines with no client table of their own share Pending.
 //
 // Every engine is a replicated state machine: clients Submit commands to any

@@ -26,23 +26,33 @@ type inspection struct{ fn func() }
 
 // Runtime is everything around an engine's state machine, once for all
 // five: the transport handler, the Loop and its goroutine, the ticker,
-// the clock, and the lifecycle. An engine embeds one, so Start, Stop and
-// Submit are the Runtime's, and supplies two functions: step, which is
-// handed every event together with the instant it is handled at — the
-// engine reads no clock of its own, so whoever calls step owns its time —
-// and drained, which fails what is still in flight once the loop has
-// stopped.
+// the clock, loopback and the lifecycle. An engine embeds one, so Start,
+// Stop, Submit, Step, Send and Broadcast are the Runtime's, and supplies
+// two functions: step, which is handed every event together with the
+// instant it is handled at — the engine reads no clock of its own, so
+// whoever calls Step owns its time — and drained, which fails what is
+// still in flight once the loop has stopped.
+//
+// A message the engine addresses to itself never reaches the transport:
+// Send and Broadcast queue the self copy, and Step hands it to step as a
+// remote event from self before returning, so the replica's own vote,
+// reply or decision costs no goroutine hand-off.
 //
 // The lifecycle is new → running → stopped and only moves forward: a
 // Stop before Start is final (the later Start does nothing), and Start
 // and Stop are safe to call concurrently.
 type Runtime struct {
 	ep      transport.Endpoint
+	self    timestamp.NodeID
+	peers   []timestamp.NodeID
 	loop    *Loop
 	now     func() time.Time
 	tick    time.Duration
 	step    func(now time.Time, ev Event)
 	drained func()
+	// loopback is the FIFO of self-addressed messages Step has yet to
+	// step. Loop state: only Send and Broadcast, called from step, append.
+	loopback []any
 
 	mu      sync.Mutex // guards state
 	state   uint8
@@ -67,6 +77,8 @@ func NewRuntime(ep transport.Endpoint, now func() time.Time, tick time.Duration,
 	}
 	return &Runtime{
 		ep:      ep,
+		self:    ep.Self(),
+		peers:   ep.Peers(),
 		loop:    NewLoop(InboxSize),
 		now:     now,
 		tick:    tick,
@@ -104,9 +116,50 @@ func (rt *Runtime) run() { go rt.loop.Run(rt.handle) }
 func (rt *Runtime) handle(ev Event) {
 	if in, ok := ev.Payload.(inspection); ok {
 		in.fn()
+		rt.stepLoopback(rt.now())
 		return
 	}
-	rt.step(rt.now(), ev)
+	rt.Step(rt.now(), ev)
+}
+
+// Step hands ev to the engine at instant now, then every message the
+// engine sent itself meanwhile, oldest first — including those sent while
+// an earlier one was stepped — each as a remote event from self at the
+// same instant. The loop calls it for every event, and so does a test or
+// simulator that owns the schedule: one Step is one event's whole effect
+// on this replica.
+func (rt *Runtime) Step(now time.Time, ev Event) {
+	rt.step(now, ev)
+	rt.stepLoopback(now)
+}
+
+// stepLoopback steps the queued self messages, and what they queue, in order.
+func (rt *Runtime) stepLoopback(now time.Time) {
+	for i := 0; i < len(rt.loopback); i++ {
+		msg := rt.loopback[i]
+		rt.loopback[i] = nil
+		rt.step(now, Event{From: rt.self, Remote: true, Payload: msg})
+	}
+	rt.loopback = rt.loopback[:0]
+}
+
+// Send delivers msg to peer to. A message to self is queued for the Step
+// in progress instead; the queue has no bound, so the loop never blocks
+// on itself. Called from step only.
+func (rt *Runtime) Send(to timestamp.NodeID, msg any) {
+	if to == rt.self {
+		rt.loopback = append(rt.loopback, msg)
+		return
+	}
+	rt.ep.Send(to, msg)
+}
+
+// Broadcast delivers msg to every node in the cluster, self included (§V:
+// leaders message all of Π), with Send's semantics for each.
+func (rt *Runtime) Broadcast(msg any) {
+	for _, to := range rt.peers {
+		rt.Send(to, msg)
+	}
 }
 
 // runTicker posts a Tick per interval until Stop.
@@ -173,8 +226,8 @@ func (rt *Runtime) Post(ev any) bool { return rt.loop.Post(ev) }
 func (rt *Runtime) TryPost(ev any) bool { return rt.loop.TryPost(ev) }
 
 // Inspect runs fn on the loop goroutine between two steps, where reading
-// the engine's state is race-free. It reports false on a stopped runtime.
-// For tests.
+// the engine's state is race-free, and then steps what fn sent to self,
+// as Step would. It reports false on a stopped runtime. For tests.
 func (rt *Runtime) Inspect(fn func()) bool { return rt.loop.Post(inspection{fn}) }
 
 // Now reads the runtime's clock, for the stamps an engine takes off the

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,17 +14,29 @@ import (
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-// fakeEP is an endpoint that records what the runtime does to it.
+// fakeEP is node 0 of three: an endpoint that records what the runtime
+// does to it.
 type fakeEP struct {
-	mu      sync.Mutex
-	handler transport.Handler
-	closed  int
+	mu         sync.Mutex
+	handler    transport.Handler
+	closed     int
+	sent       []sentMsg
+	broadcasts int
 }
 
-func (e *fakeEP) Self() timestamp.NodeID         { return 0 }
-func (e *fakeEP) Peers() []timestamp.NodeID      { return []timestamp.NodeID{0} }
-func (e *fakeEP) Send(timestamp.NodeID, any)     {}
-func (e *fakeEP) Broadcast(any)                  {}
+type sentMsg struct {
+	to  timestamp.NodeID
+	msg any
+}
+
+func (e *fakeEP) Self() timestamp.NodeID    { return 0 }
+func (e *fakeEP) Peers() []timestamp.NodeID { return []timestamp.NodeID{0, 1, 2} }
+func (e *fakeEP) Send(to timestamp.NodeID, msg any) {
+	e.mu.Lock()
+	e.sent = append(e.sent, sentMsg{to, msg})
+	e.mu.Unlock()
+}
+func (e *fakeEP) Broadcast(any)                  { e.mu.Lock(); e.broadcasts++; e.mu.Unlock() }
 func (e *fakeEP) SetHandler(h transport.Handler) { e.mu.Lock(); e.handler = h; e.mu.Unlock() }
 func (e *fakeEP) Close() error                   { e.mu.Lock(); e.closed++; e.mu.Unlock(); return nil }
 
@@ -168,6 +182,101 @@ func TestRuntimeLifecycleRaces(t *testing.T) {
 			go func() { defer wg.Done(); f() }()
 		}
 		wg.Wait()
+	}
+}
+
+// echoEngine answers what its script says to each event it steps and
+// logs every event as "<from>:<payload>" ("local:" when not a message).
+type echoEngine struct {
+	*Runtime
+	script map[any]func()
+	log    []string
+}
+
+func newEchoEngine(ep transport.Endpoint) *echoEngine {
+	e := &echoEngine{script: map[any]func(){}}
+	e.Runtime = NewRuntime(ep, nil, 0, func(_ time.Time, ev Event) {
+		from := "local"
+		if ev.Remote {
+			from = fmt.Sprint(ev.From)
+		}
+		e.log = append(e.log, fmt.Sprintf("%s:%v", from, ev.Payload))
+		if f := e.script[ev.Payload]; f != nil {
+			f()
+		}
+	}, func() {})
+	return e
+}
+
+// TestRuntimeLoopbackStepsSelfMessagesInOneStep: what an event sends to
+// self — by Send and as Broadcast's self copy, and what a self message
+// sends to self in turn — is stepped before that event's Step returns,
+// in the order it was sent, as a message from self; the endpoint carries
+// only the copies for the other nodes, as sends.
+func TestRuntimeLoopbackStepsSelfMessagesInOneStep(t *testing.T) {
+	ep := &fakeEP{}
+	e := newEchoEngine(ep)
+	e.script["go"] = func() {
+		e.Send(0, "a")
+		e.Broadcast("b")
+		e.Send(1, "x")
+		e.Send(0, "c")
+	}
+	e.script["a"] = func() { e.Send(0, "a2"); e.Send(2, "y") }
+	e.script["a2"] = func() { e.Broadcast("z") }
+	e.Step(time.Now(), Event{Payload: "go"})
+	want := []string{"local:go", "p0:a", "p0:b", "p0:c", "p0:a2", "p0:z"}
+	if !slices.Equal(e.log, want) {
+		t.Fatalf("one Step stepped %v, want %v", e.log, want)
+	}
+	wantSent := []sentMsg{{1, "b"}, {2, "b"}, {1, "x"}, {2, "y"}, {1, "z"}, {2, "z"}}
+	if !slices.Equal(ep.sent, wantSent) || ep.broadcasts != 0 {
+		t.Fatalf("endpoint saw sends %v and %d broadcasts, want %v and none", ep.sent, ep.broadcasts, wantSent)
+	}
+	e.Step(time.Now(), Event{Payload: "quiet"})
+	if n := len(e.log); n != len(want)+1 {
+		t.Fatalf("a second Step stepped %v: the loopback queue was not emptied", e.log[len(want):])
+	}
+}
+
+// TestRuntimeLoopbackOnTheLoop: on a started runtime a message from a
+// peer and the self message it sets off are one turn of the loop — an
+// Inspect posted behind the message runs after both — and what an
+// Inspect sends itself is stepped before the next event.
+func TestRuntimeLoopbackOnTheLoop(t *testing.T) {
+	ep := &fakeEP{}
+	e := newEchoEngine(ep)
+	e.script["ping"] = func() { e.Broadcast("pong") }
+	e.Start()
+	defer e.Stop()
+	ep.handler(2, "ping")
+	seen := make(chan []string, 1)
+	e.Inspect(func() { seen <- slices.Clone(e.log); e.Send(0, "inspected") })
+	if got, want := <-seen, []string{"p2:ping", "p0:pong"}; !slices.Equal(got, want) {
+		t.Fatalf("stepped %v, want %v", got, want)
+	}
+	e.Post("next")
+	e.Inspect(func() { seen <- slices.Clone(e.log) })
+	if got, want := <-seen, []string{"p2:ping", "p0:pong", "p0:inspected", "local:next"}; !slices.Equal(got, want) {
+		t.Fatalf("stepped %v, want %v", got, want)
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if want := []sentMsg{{1, "pong"}, {2, "pong"}}; !slices.Equal(ep.sent, want) || ep.broadcasts != 0 {
+		t.Fatalf("endpoint saw sends %v and %d broadcasts, want %v and none", ep.sent, ep.broadcasts, want)
+	}
+}
+
+// TestRuntimeLoopbackFlushesDrainedEvents: an event Stop's drain steps
+// still has its self messages stepped before the drained hook runs.
+func TestRuntimeLoopbackFlushesDrainedEvents(t *testing.T) {
+	ep := &fakeEP{}
+	e := newEchoEngine(ep)
+	e.script["queued"] = func() { e.Send(0, "self") }
+	e.Post("queued") // never started: Stop's drain is what steps it
+	e.Stop()
+	if want := []string{"local:queued", "p0:self"}; !slices.Equal(e.log, want) {
+		t.Fatalf("Stop drained %v, want %v", e.log, want)
 	}
 }
 
