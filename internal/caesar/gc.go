@@ -2,6 +2,7 @@ package caesar
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -15,9 +16,64 @@ import (
 // periodically acknowledges the commands it delivered to their leaders;
 // a leader that has collected an acknowledgement from every node
 // broadcasts a purge. Purged records leave the history and conflict index;
-// the deliveredSet keeps the delivery fact forever (cheaply), and a
-// per-key timestamp fence keeps rejecting proposals that would order below
-// an already-purged delivery.
+// the deliveredSet keeps the delivery fact forever (cheaply), and the purge
+// fence keeps rejecting proposals that would order below an already-purged
+// delivery.
+//
+// The fence is generational, so that it forgets what no proposal can
+// reach. purge raises per-key entries in the current generation. Below a
+// floor timestamp every proposal is rejected, whatever its keys; on every
+// GC tick the floor rises to the cluster's purge horizon, and once it
+// covers the previous generation's highest timestamp the history rotates
+// (history.rotate): the previous generation is dropped and the current one
+// takes its place.
+//
+// A NACK is not free. Recovery reads a rejected tuple as proof that the
+// command was not decided at its timestamp (Fig 5, case iii), and a leader
+// re-proposing at the same timestamp (case v) moves to a retry on one
+// NACK. So the floor may reject a proposal of c at ts only if c is never
+// decided at ts — the property a purged conflict above ts gives the per-key
+// entries. A floor checked against this replica's own records alone does
+// not have it: a command decided fast without this replica, whose leader
+// crashed before its Stables left, is known only elsewhere.
+//
+// The horizon is built from the heartbeats (onHeartbeat). A replica's Low
+// is the lowest of its clock's next timestamp and the timestamp of every
+// record it still indexes, delivered or not: a record leaves the index
+// only when it is purged, that is delivered everywhere. Its Seen is the
+// lowest Low it knows of, its own and the last one every other replica
+// heartbeated (zero for a replica not heard from yet). The horizon is the
+// lowest Seen known, this replica's own taken at the tick.
+//
+//   - Safety. Suppose c is decided at ts and not delivered here. Let G be
+//     the replica whose clock issued ts (c's leader, or a recoverer that
+//     chose a fresh timestamp). Until c is purged, which needs this
+//     replica's delivery, every Low G reports is at most ts: before G
+//     issued ts its clock was not past it, and after, its record of c sits
+//     at ts, where c is decided. Every Seen that counts G's report is then
+//     at most ts, and so is every horizon. If G crashed and restarted, its
+//     new incarnation knows nothing of c. Take instead a replica h that got
+//     c at ts from G's old incarnation and holds it still. Until h got c,
+//     its view of G was a report of the old incarnation; from then on, its
+//     own Low is at most ts. So every Seen h reports is at most ts, and so
+//     is every horizon. Either way the floor stays at or below ts while c
+//     is undelivered here, and a floor NACK is never given to a command
+//     decided at the rejected timestamp. The replicas that OK'd G's own
+//     decision got c before G crashed. When a recoverer decided, h is a
+//     replica whose tuple it re-proposed, and this needs a crashed
+//     incarnation's messages to reach a replica before its successor's.
+//   - Exactness. An entry is dropped only once the floor covers it, so
+//     every query at or above the floor gets exactly the answer a fence
+//     that never forgot would give.
+//   - No fast-path cost. A fresh proposal's timestamp is at or above every
+//     Low its leader reported before issuing it, and its own record keeps
+//     every later Low at or below it, so no floor is above it. Nor is one
+//     above a waiter or any other record this replica indexes: the floor
+//     never passes this replica's own Low.
+//   - What holds the floor. A replica not heard from (a crashed one, or
+//     heartbeats disabled) keeps it where it is, and so does a record that
+//     never gets purged; purges need every replica's ack anyway, so the
+//     fence stops growing too. caesar_purge_fence_keys shows it.
 
 // flushGC sends the batched delivery acks, leader by leader in node order,
 // and any pending purges.
@@ -162,15 +218,18 @@ func (r *Replica) onPurgeBatch(_ timestamp.NodeID, m *PurgeBatch) {
 	}
 }
 
-// history.purge removes the record and raises the per-key fence to its
-// timestamp: the command was delivered on every node at rec.ts, so any
-// future proposal of a conflicting command at a lower timestamp must be
-// rejected even though the record is gone — otherwise it could be ordered
-// "before" a command the whole cluster already executed.
+// history.purge removes the record and raises the current generation's
+// fence on each of its keys to its timestamp: the command was delivered on
+// every node at rec.ts, so any future proposal of a conflicting command at
+// a lower timestamp must be rejected even though the record is gone —
+// otherwise it could be ordered "before" a command the whole cluster
+// already executed. Once rotations have carried the entry out of both
+// generations, the floor rejects that proposal instead.
 func (h *history) purge(rec *record) {
 	for _, k := range rec.cmd.Keys() {
 		if cur, ok := h.fence[k]; !ok || cur.Less(rec.ts) {
 			h.fence[k] = rec.ts
+			h.fenceMax = timestamp.Max(h.fenceMax, rec.ts)
 		}
 	}
 	if rec.cmd.Op == command.OpFence && h.purgedBarrier.Less(rec.ts) {
@@ -184,15 +243,20 @@ func (h *history) purge(rec *record) {
 	h.remove(rec)
 }
 
-// fencedAbove reports whether a proposal of cmd at ts falls below the purge
-// fence of any of its keys — or, for any command, below a purged barrier
-// (and, for a barrier proposal, below any purged record at all) — which
-// forces a rejection.
+// fencedAbove reports whether a proposal of cmd at ts must be rejected
+// because of what was purged: it falls below the floor, below either
+// generation's fence on one of its keys, below a purged barrier, or — for
+// a barrier proposal — below any purged record at all. A noop conflicts
+// with nothing and is never fenced. At or above the floor the answer is
+// the one a fence keeping every purged key forever would give; below it
+// the answer is true, and the cluster-wide horizon the floor follows makes
+// that a rejection the protocol may give (see the comment at the top of
+// this file).
 func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool {
 	if cmd.Op == command.OpNoop {
 		return false
 	}
-	if ts.Less(h.purgedBarrier) {
+	if ts.Less(h.floor) || ts.Less(h.purgedBarrier) {
 		return true
 	}
 	if cmd.Op == command.OpFence && ts.Less(h.purgedMax) {
@@ -202,6 +266,64 @@ func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool 
 		if f, ok := h.fence[k]; ok && ts.Less(f) {
 			return true
 		}
+		if f, ok := h.prevFence[k]; ok && ts.Less(f) {
+			return true
+		}
 	}
 	return false
+}
+
+// rotate runs once per GC tick: the floor rises to horizon (it never
+// falls), and once it covers the previous generation's highest timestamp,
+// that generation is dropped and the current one becomes the previous one.
+// Until then the rotation is postponed, and rotate reports false.
+//
+// The new generation is sized like the one that just ended: a Go map never
+// gives back the buckets of its peak, so clearing and reusing the maps
+// would keep a load burst's size for good.
+func (h *history) rotate(horizon timestamp.Timestamp) bool {
+	h.floor = timestamp.Max(h.floor, horizon)
+	if h.floor.Less(h.prevMax) {
+		return false
+	}
+	h.prevFence, h.prevMax = h.fence, h.fenceMax
+	h.fence, h.fenceMax = make(map[string]timestamp.Timestamp, len(h.prevFence)), timestamp.Timestamp{}
+	return true
+}
+
+// fenceKeys is the number of per-key entries the fence holds, over both
+// generations.
+func (h *history) fenceKeys() int { return len(h.fence) + len(h.prevFence) }
+
+// low is the lowest of bound and the timestamp of every indexed record.
+func (h *history) low(bound timestamp.Timestamp) timestamp.Timestamp {
+	for rec := h.first; rec != nil; rec = rec.next {
+		if rec.indexed && rec.ts.Less(bound) {
+			bound = rec.ts
+		}
+	}
+	return bound
+}
+
+// reportHorizon refreshes this replica's own Low and Seen (see the comment
+// at the top of this file) and returns the horizon: the lowest Seen known.
+func (r *Replica) reportHorizon() timestamp.Timestamp {
+	r.lows[r.self] = r.hist.low(r.clock.Current())
+	r.seens[r.self] = slices.MinFunc(r.lows, timestamp.Timestamp.Compare)
+	return slices.MinFunc(r.seens, timestamp.Timestamp.Compare)
+}
+
+// heartbeat is the failure detector's heartbeat, carrying this replica's
+// horizon report.
+func (r *Replica) heartbeat() *Heartbeat {
+	r.reportHorizon()
+	return &Heartbeat{Low: r.lows[r.self], Seen: r.seens[r.self]}
+}
+
+// onHeartbeat keeps a replica's latest horizon report (its life was
+// already observed in step).
+func (r *Replica) onHeartbeat(from timestamp.NodeID, m *Heartbeat) {
+	if uint(from) < uint(len(r.lows)) {
+		r.lows[from], r.seens[from] = m.Low, m.Seen
+	}
 }

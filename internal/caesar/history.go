@@ -160,9 +160,16 @@ type history struct {
 	// instead of key lists — resizes are rare, so the one-off O(history)
 	// pass is cheap.
 	barriers []*record
-	// fence holds, per key, the highest timestamp of a purged (globally
-	// delivered) command on that key; see history.purge.
-	fence map[string]timestamp.Timestamp
+	// The purge fence remembers, per key, the highest timestamp of a
+	// purged (globally delivered) command on that key — until the floor
+	// covers it. fence is the current generation, which purge raises;
+	// prevFence is the one before it. fenceMax and prevMax are their
+	// highest timestamps, and floor, which follows the cluster's purge
+	// horizon, covers every older generation at once: below it, any
+	// proposal is rejected. See gc.go.
+	fence, prevFence  map[string]timestamp.Timestamp
+	fenceMax, prevMax timestamp.Timestamp
+	floor             timestamp.Timestamp
 	// purgedBarrier is the highest timestamp of a purged fence: every
 	// command conflicted with it, so proposals below it are rejected even
 	// though the record is gone. purgedMax is the highest timestamp of

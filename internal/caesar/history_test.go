@@ -1,9 +1,10 @@
 package caesar
 
-// The conflict index (history.byKey and the scans over it) against a
-// brute-force scan of history.recs, under seeded random operation
-// sequences; plus BenchmarkConflictIndex, which keeps on record the
-// per-key depth at which the sorted slices would lose to a tree.
+// The conflict index (history.byKey and the scans over it) and the
+// generational purge fence against a brute-force scan of history.recs and
+// of every purge ever made, under seeded random operation sequences; plus
+// BenchmarkConflictIndex, which keeps on record the per-key depth at which
+// the sorted slices would lose to a tree.
 
 import (
 	"fmt"
@@ -30,6 +31,16 @@ type indexModel struct {
 	purged []purgedCmd
 	seq    uint64
 	steps  int
+	// top is the highest purged timestamp. base is where fresh stamps
+	// start: drain raises it past top, as a replica's clock observes every
+	// timestamp it acks.
+	top  timestamp.Timestamp
+	base uint64
+	// quiet counts the rotations in a row, since the last purge, whose
+	// floor covers top; raised and emptied count the rotations that raised
+	// the floor and those checked to leave both generations empty, so a run
+	// that never exercised them fails.
+	quiet, raised, emptied int
 }
 
 func (m *indexModel) fatalf(format string, args ...any) {
@@ -44,7 +55,7 @@ func (m *indexModel) key() string { return indexTestKeys[m.rng.Intn(len(indexTes
 // stamp draws from a range small enough that records collide on a
 // timestamp all the time.
 func (m *indexModel) stamp() timestamp.Timestamp {
-	return ts(uint64(1+m.rng.Intn(24)), int32(m.rng.Intn(3)))
+	return ts(m.base+uint64(1+m.rng.Intn(24)), int32(m.rng.Intn(3)))
 }
 
 // command draws single-key reads and writes, multi-key commands (now and
@@ -78,8 +89,13 @@ func (m *indexModel) command() command.Command {
 
 func (m *indexModel) pick() *record { return m.live[m.rng.Intn(len(m.live))] }
 
-// step applies one random mutation to the history.
+// step applies one random mutation to the history, or ends a purge fence
+// generation.
 func (m *indexModel) step() {
+	if m.rng.Intn(10) == 0 {
+		m.rotate()
+		return
+	}
 	p := m.rng.Intn(100)
 	if len(m.live) == 0 || (p < 25 && len(m.live) < 48) {
 		rec := m.h.ensure(m.command())
@@ -107,14 +123,68 @@ func (m *indexModel) step() {
 	case p < 85:
 		m.h.index(rec)
 	default:
-		m.purged = append(m.purged, purgedCmd{cmd: rec.cmd, ts: rec.ts})
-		m.h.purge(rec)
-		for i, r := range m.live {
-			if r == rec {
-				m.live = append(m.live[:i], m.live[i+1:]...)
-				break
+		m.purge(rec)
+	}
+}
+
+func (m *indexModel) purge(rec *record) {
+	m.purged = append(m.purged, purgedCmd{cmd: rec.cmd, ts: rec.ts})
+	m.h.purge(rec)
+	m.live = slices.DeleteFunc(m.live, func(r *record) bool { return r == rec })
+	m.top = timestamp.Max(m.top, rec.ts)
+	m.quiet = 0
+}
+
+// drain purges every live record, as a quiet cluster eventually does, and
+// moves fresh stamps above everything purged.
+func (m *indexModel) drain() {
+	for len(m.live) > 0 {
+		m.purge(m.live[0])
+	}
+	m.base = m.top.Seq
+}
+
+// rotate ends a GC tick at the horizon of a cluster whose only records are
+// the model's: the lowest of a clock above the stamps drawn and every
+// indexed record. It checks what a rotation may do: raise the floor to the
+// horizon and never over an indexed record, postpone exactly while the
+// floor is below the previous generation's maximum, and, twice in a row
+// with the floor over everything purged and no purge between, leave both
+// generations empty.
+func (m *indexModel) rotate() {
+	clock := ts(m.base+25, 0)
+	horizon, want := m.h.low(clock), clock
+	for _, rec := range m.live {
+		if rec.indexed && rec.ts.Less(want) {
+			want = rec.ts
+		}
+	}
+	if horizon != want {
+		m.fatalf("low(%v) = %v, want %v", clock, horizon, want)
+	}
+	floor, prevMax := m.h.floor, m.h.prevMax
+	rotated := m.h.rotate(horizon)
+	if m.h.floor != timestamp.Max(floor, horizon) {
+		m.fatalf("rotating at the horizon %v moved the floor %v → %v", horizon, floor, m.h.floor)
+	}
+	if rotated == m.h.floor.Less(prevMax) {
+		m.fatalf("rotated=%v with the floor at %v and the previous maximum %v", rotated, m.h.floor, prevMax)
+	}
+	if m.h.floor != floor {
+		m.raised++
+		for _, rec := range m.live {
+			if rec.indexed && rec.ts.Less(m.h.floor) {
+				m.fatalf("rotation raised the floor %v → %v, over open %v at %v", floor, m.h.floor, rec.cmd, rec.ts)
 			}
 		}
+	}
+	if m.h.floor.Less(m.top) {
+		m.quiet = 0
+	} else if m.quiet++; m.quiet >= 2 {
+		if n := m.h.fenceKeys(); n > 0 {
+			m.fatalf("%d rotations over everything purged left %d fence entries", m.quiet, n)
+		}
+		m.emptied++
 	}
 }
 
@@ -226,8 +296,16 @@ func (m *indexModel) check(cmd command.Command, bound timestamp.Timestamp) {
 	m.same("whitelisted computePredecessors "+what, m.h.computePredecessors(cmd, bound, wl, true), want)
 	m.same("the whitelist after computePredecessors "+what, wl, sent)
 
-	if got, want := m.h.fencedAbove(cmd, bound), m.naiveFenced(cmd, bound); got != want {
-		m.fatalf("fencedAbove %s = %v, want %v", what, got, want)
+	// The fence never misses a purged conflict; it forgets only below the
+	// floor, where it rejects everything but a noop.
+	fenced, naive := m.h.fencedAbove(cmd, bound), m.naiveFenced(cmd, bound)
+	switch {
+	case naive && !fenced:
+		m.fatalf("fencedAbove %s = false, a purged conflict orders above it", what)
+	case bound.Less(m.h.floor) && cmd.Op != command.OpNoop && !fenced:
+		m.fatalf("fencedAbove %s = false below the floor %v", what, m.h.floor)
+	case !bound.Less(m.h.floor) && fenced != naive:
+		m.fatalf("fencedAbove %s = %v at or above the floor %v, want %v", what, fenced, m.h.floor, naive)
 	}
 }
 
@@ -270,7 +348,11 @@ func TestConflictIndexMatchesNaiveScan(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			m := &indexModel{t: t, rng: rand.New(rand.NewSource(seed)), h: newHistory()}
 			for m.steps = 1; m.steps <= 10000; m.steps++ {
-				m.step()
+				if m.steps%500 == 0 {
+					m.drain()
+				} else {
+					m.step()
+				}
 				m.checkLists()
 				// A fresh command at a random bound, and a command the
 				// history holds probing at a timestamp some record sits on.
@@ -278,6 +360,10 @@ func TestConflictIndexMatchesNaiveScan(t *testing.T) {
 				if len(m.live) > 0 {
 					m.check(m.pick().cmd, m.pick().ts)
 				}
+			}
+			t.Logf("rotations that raised the floor: %d; checked to empty both generations: %d", m.raised, m.emptied)
+			if m.raised == 0 || m.emptied == 0 {
+				t.Fatal("the run never raised the purge fence's floor or never emptied it")
 			}
 		})
 	}

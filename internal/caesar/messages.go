@@ -168,5 +168,10 @@ type PurgeBatch struct {
 	IDs []command.ID
 }
 
-// Heartbeat feeds the failure detector.
-type Heartbeat struct{}
+// Heartbeat feeds the failure detector and carries the sender's purge
+// horizon report (gc.go): Low, the lowest of its clock's next timestamp and
+// every record it indexes, and Seen, the lowest Low it knows of any
+// replica, its own included.
+type Heartbeat struct {
+	Low, Seen timestamp.Timestamp
+}

@@ -201,6 +201,11 @@ type Replica struct {
 	unacked   map[command.ID]time.Time
 	// purgePending accumulates fully acknowledged IDs to purge.
 	purgePending []command.ID
+	// lows and seens are the purge horizon reports, by node ID: the Low
+	// and the Seen each replica last heartbeated, this one's refreshed at
+	// every tick that reads them (gc.go). Zero until a replica is heard
+	// from.
+	lows, seens []timestamp.Timestamp
 
 	fd      *failure.Detector
 	nextSeq uint64
@@ -248,6 +253,8 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		hist:        newHistory(),
 		delivered:   delivered,
 		ackPending:  make([][]command.ID, n),
+		lows:        make([]timestamp.Timestamp, n),
+		seens:       make([]timestamp.Timestamp, n),
 		unacked:     make(map[command.ID]time.Time),
 		nextSeq:     cfg.SeqFloor,
 		seqReserved: cfg.SeqFloor,
@@ -363,7 +370,7 @@ func (r *Replica) dispatch(from timestamp.NodeID, payload any) {
 	case *PurgeBatch:
 		r.onPurgeBatch(from, m)
 	case *Heartbeat:
-		// Life already observed in Step.
+		r.onHeartbeat(from, m)
 	}
 }
 
@@ -420,17 +427,20 @@ func (r *Replica) onTick(now time.Time) {
 	if r.fd != nil {
 		if now.Sub(r.lastHB) >= r.cfg.HeartbeatInterval {
 			r.lastHB = now
-			r.Broadcast(&Heartbeat{})
+			r.Broadcast(r.heartbeat())
 		}
 		for _, suspect := range r.fd.Tick(now) {
 			r.onSuspect(suspect, now, open)
 		}
 		r.checkRecoveryDeadlines(now, open)
 	}
-	// Garbage collection.
+	// Garbage collection, and the purge fence's floor follows the horizon
+	// (gc.go).
 	if r.cfg.GCInterval > 0 && now.Sub(r.lastGC) >= r.cfg.GCInterval {
 		r.lastGC = now
 		r.flushGC()
+		r.hist.rotate(r.reportHorizon())
+		r.met.PurgeFenceKeys.Store(int64(r.hist.fenceKeys()))
 	}
 	// Stable retransmission for replicas that have not acknowledged.
 	if r.cfg.RetransmitAfter > 0 && now.Sub(r.lastRetx) >= r.cfg.RetransmitAfter/2 {

@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/idset"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/quorum"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
+	"github.com/caesar-consensus/caesar/internal/trace"
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
@@ -368,6 +370,310 @@ func TestPurgeFenceRejectsBelowPurgedTimestamp(t *testing.T) {
 	}
 	if !reply.NACK {
 		t.Fatal("purge fence must force a NACK")
+	}
+}
+
+// gcTick steps the replica through its next GC tick, which moves the purge
+// fence's floor to the horizon.
+func gcTick(r *Replica) {
+	r.Step(r.now.Add(r.cfg.GCInterval), protocol.Event{Payload: protocol.Tick{}})
+}
+
+// stableAndPurged delivers cmd at timestamp at and purges it, as a fully
+// acknowledged command is.
+func stableAndPurged(r *Replica, cmd command.Command, at timestamp.Timestamp) {
+	r.onStable(cmd.ID.Node, &Stable{Cmd: cmd, Time: at})
+	r.onPurgeBatch(cmd.ID.Node, &PurgeBatch{IDs: []command.ID{cmd.ID}})
+}
+
+// peersReport delivers the heartbeats of a cluster whose other replicas
+// hold nothing at or below at: each reports at as its Low and its Seen.
+func peersReport(r *Replica, at timestamp.Timestamp, peers ...timestamp.NodeID) {
+	for _, p := range peers {
+		r.onHeartbeat(p, &Heartbeat{Low: at, Seen: at})
+	}
+}
+
+// A proposal parked by the wait condition is a command this replica knows:
+// while a higher-stamped command on another key is purged, every other
+// replica reports past it and two GC ticks pass, the floor must stay at or
+// below it, so that when its blocker turns stable listing it, it is
+// answered OK and not NACKed.
+func TestPurgeFenceKeepsParkedWaiterAboveFloor(t *testing.T) {
+	r, ep := testReplica(2)
+	peersReport(r, ts(100, 0), 0, 1, 3, 4)
+	cbar := put(0, 1, "k")
+	r.onFastPropose(0, &FastPropose{Cmd: cbar, Time: ts(10, 0)})
+	c := put(1, 1, "k")
+	r.onFastPropose(1, &FastPropose{Cmd: c, Time: ts(5, 1)})
+	if len(r.waiters) != 1 {
+		t.Fatalf("waiters = %d, want c parked behind the pending blocker", len(r.waiters))
+	}
+	stableAndPurged(r, put(3, 1, "x"), ts(20, 3))
+	gcTick(r)
+	gcTick(r)
+	if r.hist.floor != ts(5, 1) {
+		t.Fatalf("the floor is %v, want it held at the parked proposal's %v", r.hist.floor, ts(5, 1))
+	}
+	if len(r.waiters) != 1 {
+		t.Fatalf("waiters = %d after two GC ticks, want c still parked", len(r.waiters))
+	}
+
+	ep.clear()
+	r.onStable(0, &Stable{Cmd: cbar, Time: ts(10, 0), Pred: []command.ID{c.ID}})
+	reply, ok := ep.lastTo(1).(*FastProposeReply)
+	if !ok {
+		t.Fatalf("no reply after the blocker turned stable, sent=%v", ep.sent)
+	}
+	if reply.NACK || reply.Time != ts(5, 1) {
+		t.Fatalf("reply NACK=%v at %v, want OK at %v", reply.NACK, reply.Time, ts(5, 1))
+	}
+}
+
+// The floor rises only once every replica has reported past it: a purged
+// entry waits while one replica is not heard from. Then a proposal below
+// the floor for a command this replica never indexed is NACKed even on a
+// key no purge touched; the suggestion is above the floor, and the command
+// finishes through the retry, which never consults the fence. The gauge
+// follows both generations.
+func TestPurgeFenceNacksBelowClusterHorizon(t *testing.T) {
+	r, ep := testReplica(2)
+	var applied []command.ID
+	r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+		applied = append(applied, cmd.ID)
+		return nil
+	})
+	stableAndPurged(r, put(0, 1, "a"), ts(10, 0))
+	peersReport(r, ts(30, 0), 0, 1, 3)
+	gcTick(r)
+	gcTick(r)
+	if !r.hist.floor.IsZero() {
+		t.Fatalf("floor = %v with replica 4 never heard from, want zero", r.hist.floor)
+	}
+	if n := r.met.PurgeFenceKeys.Load(); n != 1 {
+		t.Fatalf("caesar_purge_fence_keys = %d while the floor waits, want 1", n)
+	}
+	peersReport(r, ts(30, 0), 4)
+	gcTick(r)
+	if !ts(10, 0).Less(r.hist.floor) || !r.hist.floor.Less(ts(30, 0)) {
+		t.Fatalf("floor = %v once every replica reported %v, want this replica's own clock, above the purge at %v",
+			r.hist.floor, ts(30, 0), ts(10, 0))
+	}
+	gcTick(r)
+	if n := r.met.PurgeFenceKeys.Load(); n != 0 {
+		t.Fatalf("caesar_purge_fence_keys = %d after two rotations over everything purged, want 0", n)
+	}
+
+	ep.clear()
+	late := put(1, 1, "b")
+	r.onFastPropose(1, &FastPropose{Cmd: late, Time: ts(5, 1)})
+	reply, ok := ep.lastTo(1).(*FastProposeReply)
+	if !ok {
+		t.Fatalf("no reply, sent=%v", ep.sent)
+	}
+	if !reply.NACK || reply.Time.Less(r.hist.floor) {
+		t.Fatalf("reply NACK=%v at %v, want a NACK suggesting at or above the floor %v", reply.NACK, reply.Time, r.hist.floor)
+	}
+
+	r.onRetry(1, &Retry{Cmd: late, Time: reply.Time, Pred: reply.Pred})
+	retried, ok := ep.lastTo(1).(*RetryReply)
+	if !ok || retried.Time != reply.Time {
+		t.Fatalf("retry at %v answered %+v, want a RetryReply at the suggestion", reply.Time, ep.lastTo(1))
+	}
+	r.onStable(1, &Stable{Cmd: late, Time: retried.Time, Pred: retried.Pred})
+	if !slices.Equal(applied, []command.ID{{Node: 0, Seq: 1}, late.ID}) {
+		t.Fatalf("applied %v, want the purged command and then the retried one", applied)
+	}
+}
+
+// A record below the previous generation's maximum holds the floor at its
+// timestamp, which postpones the rotation, for as long as it is indexed:
+// delivered is not enough, its purge is what lets the next GC tick rotate.
+func TestPurgeFencePostponesRotationUntilRecordPurged(t *testing.T) {
+	r, _ := testReplica(2)
+	peersReport(r, ts(100, 0), 0, 1, 3, 4)
+	open := put(1, 1, "b")
+	r.onFastPropose(1, &FastPropose{Cmd: open, Time: ts(7, 1)})
+	stableAndPurged(r, put(0, 1, "a"), ts(10, 0))
+	gcTick(r)
+	gcTick(r)
+	if r.hist.floor != ts(7, 1) || r.hist.prevMax != ts(10, 0) {
+		t.Fatalf("floor %v, previous maximum %v: want the floor at the open record's %v and the rotation postponed",
+			r.hist.floor, r.hist.prevMax, ts(7, 1))
+	}
+	if n := r.met.PurgeFenceKeys.Load(); n != 1 {
+		t.Fatalf("caesar_purge_fence_keys = %d while postponed, want 1", n)
+	}
+
+	r.onStable(1, &Stable{Cmd: open, Time: ts(7, 1)})
+	gcTick(r)
+	if r.hist.floor != ts(7, 1) || r.hist.prevMax != ts(10, 0) {
+		t.Fatalf("floor %v, previous maximum %v once the record was delivered: want it still postponed",
+			r.hist.floor, r.hist.prevMax)
+	}
+	r.onPurgeBatch(1, &PurgeBatch{IDs: []command.ID{open.ID}})
+	gcTick(r)
+	if !ts(10, 0).Less(r.hist.floor) || r.hist.prevMax != ts(7, 1) {
+		t.Fatalf("floor %v, previous maximum %v once the record was purged: want the floor past %v and the purge at %v the previous generation",
+			r.hist.floor, r.hist.prevMax, ts(10, 0), ts(7, 1))
+	}
+}
+
+// The two tests below put a command O where only a cluster-wide horizon
+// keeps the floor off it: decided fast without replica X, known only to
+// the replicas that OK'd it. X's floor must not pass O's timestamp while O
+// is undelivered at X: recovery reads a rejected tuple as proof that the
+// command was not decided there (Fig 5, case iii).
+const fastLeader, fastX = 4, 1
+
+// fastCase is the script's state: the network, the ring every replica
+// traces into, O's FastPropose to X held back, and O's ID and timestamp.
+type fastCase struct {
+	net  *simNet
+	ring *trace.Ring
+	held simMsg
+	o    command.ID
+	at   timestamp.Timestamp
+}
+
+// fastDecisionWithoutX runs five replicas two GC ticks, with every clock
+// but the leader's at 1000, so that O's timestamp is below everything the
+// others have seen. The leader then decides O fast with the OKs of nodes
+// 0, 2 and 3: O's FastPropose to X is held back, and the leader's Stables
+// never leave (net.drop keeps dropping them).
+func fastDecisionWithoutX(t *testing.T) *fastCase {
+	t.Helper()
+	f := &fastCase{ring: trace.NewRing(1 << 14), o: command.ID{Node: fastLeader, Seq: 1}, at: ts(1, fastLeader)}
+	f.net = newSimNet(t, 5, func(int) Config { return Config{Trace: f.ring} })
+	net := f.net
+	for _, rep := range net.reps[:fastLeader] {
+		rep.clock.Observe(ts(1000, 0))
+	}
+	net.tick(100 * time.Millisecond)
+	net.tick(100 * time.Millisecond)
+	var holding []simMsg
+	net.drop = func(m simMsg) bool {
+		switch p := m.payload.(type) {
+		case *FastPropose:
+			if m.from == fastLeader && m.to == fastX {
+				holding = append(holding, m)
+				return true
+			}
+		case *Stable:
+			return m.from == fastLeader && p.Cmd.ID.Node == fastLeader
+		}
+		return false
+	}
+	net.submit(fastLeader, command.Put("o", nil), nil)
+	net.pump()
+	if rec := net.reps[fastLeader].hist.get(f.o); rec == nil || rec.ts != f.at || len(holding) != 1 ||
+		!slices.Equal(net.applied[fastLeader], []command.ID{f.o}) {
+		t.Fatalf("script broken: want O applied at %v by its leader alone and its FastPropose to X held, have %v and %d held",
+			f.at, net.applied[fastLeader], len(holding))
+	}
+	f.held = holding[0]
+	return f
+}
+
+// lateProposeToX delivers the held FastPropose and checks that X answered
+// it OK: its record of O is fast-pending at O's timestamp, not rejected.
+func (f *fastCase) lateProposeToX(t *testing.T) {
+	t.Helper()
+	f.net.drop = nil
+	f.net.send(f.held.from, f.held.to, f.held.payload)
+	f.net.pump()
+	if rec := f.net.reps[fastX].hist.get(f.o); rec == nil || rec.status != StatusFastPending || rec.ts != f.at {
+		t.Fatalf("X answered O's late FastPropose with %+v, want an OK at %v", rec, f.at)
+	}
+}
+
+// checkDeliveredAt fails the test unless every replica delivered O, and
+// only at the timestamp its leader delivered it at.
+func (f *fastCase) checkDeliveredAt(t *testing.T) {
+	t.Helper()
+	delivered := make([]bool, f.net.n)
+	for _, e := range f.ring.CommandHistory(f.o) {
+		if e.Kind != trace.KindDeliver {
+			continue
+		}
+		if e.Time != f.at {
+			t.Fatalf("node %v delivered O at %v, its leader at %v", e.Node, e.Time, f.at)
+		}
+		delivered[e.Node] = true
+	}
+	if i := slices.Index(delivered, false); i >= 0 {
+		t.Fatalf("node %d never delivered O", i)
+	}
+}
+
+// The leader crashes for good. An unrelated command was decided and purged
+// everywhere above O first, and the GC ticks run long enough to fold it
+// into any floor that heard only X's own records. Then O's FastPropose
+// reaches X, and the survivors' recovery must finish O at the timestamp
+// the leader applied it at.
+func TestPurgeFenceKeepsCrashedLeadersFastDecision(t *testing.T) {
+	f := fastDecisionWithoutX(t)
+	net, x := f.net, fastX
+	net.submit(0, command.Put("d", nil), nil)
+	net.pump()
+	for i := 0; i < 5; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	d := command.ID{Node: 0, Seq: 1}
+	if net.reps[x].hist.get(d) != nil || !slices.Contains(net.applied[x], d) {
+		t.Fatal("script broken: the unrelated command was not delivered and purged at X")
+	}
+	if floor := net.reps[x].hist.floor; f.at.Less(floor) {
+		t.Fatalf("X's floor %v passed O's timestamp %v while O was undelivered at X", floor, f.at)
+	}
+
+	net.down[fastLeader] = true
+	f.lateProposeToX(t)
+	for i := 0; i < 60; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	f.checkDeliveredAt(t)
+}
+
+// The leader restarts instead, with O in its delivered set and a clock
+// past O, so its new incarnation reports a Low above O. X hears nothing
+// from the replicas that hold O after O's proposal: the last Lows it has
+// of them are from before, above O. Only their Seen — and the restarted
+// leader's, which it took from their Lows — keeps X's floor at O.
+func TestPurgeFenceKeepsFastDecisionAcrossLeaderRestart(t *testing.T) {
+	f := fastDecisionWithoutX(t)
+	net, leader, x := f.net, timestamp.NodeID(fastLeader), timestamp.NodeID(fastX)
+	stable := net.drop
+	net.drop = func(m simMsg) bool {
+		_, hb := m.payload.(*Heartbeat)
+		return stable(m) || hb && m.to == x && m.from != leader
+	}
+	net.down[leader] = true
+	net.tick(100 * time.Millisecond)
+	predelivered := idset.New()
+	predelivered.Add(f.o)
+	net.reps[leader] = New(&simEP{net: net, self: leader}, protocol.ApplierFunc(func(cmd command.Command) []byte {
+		net.applied[leader] = append(net.applied[leader], cmd.ID)
+		return nil
+	}), Config{Now: net.clock.Now, Trace: f.ring, Predelivered: predelivered, SeqFloor: f.o.Seq, ClockSeed: f.at.Seq})
+	net.down[leader] = false
+	for i := 0; i < 3; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	if low := net.reps[x].lows[leader]; !f.at.Less(low) {
+		t.Fatalf("script broken: X holds the restarted leader's Low at %v, want it above O's %v", low, f.at)
+	}
+	if floor := net.reps[x].hist.floor; f.at.Less(floor) {
+		t.Fatalf("X's floor %v passed O's timestamp %v while O was undelivered at X", floor, f.at)
+	}
+
+	f.lateProposeToX(t)
+	for i := 0; i < 80; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	f.checkDeliveredAt(t)
+	if !slices.Equal(net.applied[leader], []command.ID{f.o}) {
+		t.Fatalf("the leader applied %v across its restart, want O once", net.applied[leader])
 	}
 }
 

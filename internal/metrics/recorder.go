@@ -1,6 +1,9 @@
 package metrics
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Recorder aggregates every per-replica measurement the experiments need.
 // A nil *Recorder is valid and records nothing, so engines can be run
@@ -65,6 +68,12 @@ type Recorder struct {
 	FsyncedRecords Counter
 	FsyncLatency   DurationSum
 	Snapshots      Counter
+
+	// PurgeFenceKeys is a level, not a count: the per-key entries a CAESAR
+	// replica's purge fence holds over its two generations, stored by the
+	// replica's event loop on every GC tick. It is per group and not
+	// linked to the node-level recorder.
+	PurgeFenceKeys atomic.Int64
 }
 
 // NewRecorder returns a Recorder ready for use.

@@ -399,6 +399,7 @@ func TestRecorderFamilies(t *testing.T) {
 		"caesar_recoveries_total",
 		"caesar_read_fence_parks_total",
 		"caesar_wait_condition_seconds",
+		"caesar_purge_fence_keys",
 		"caesar_latency_seconds",
 		"caesar_read_latency_seconds",
 		"caesar_read_retries_total",

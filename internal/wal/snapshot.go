@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -47,16 +48,19 @@ func writeSnapshotFile(dir string, data snapshotData) error {
 	if err := gob.NewEncoder(&body).Encode(data); err != nil {
 		return err
 	}
+	if !gobBounded(body.Bytes()) {
+		// decodeSnapshot would refuse it as corrupt: installed, it would
+		// let removeCovered delete the segments it covers and leave a
+		// data dir the node refuses at start.
+		return errors.New("wal: snapshot does not walk as a bounded gob stream (see gobwalk.go)")
+	}
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriterSize(tmp, 1<<16)
-	var hdr [16]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body.Bytes(), crcTable))
+	hdr := snapHeader(body.Bytes())
 	werr := func() error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
@@ -86,13 +90,30 @@ func writeSnapshotFile(dir string, data snapshotData) error {
 	return syncDir(dir)
 }
 
+// snapHeader is the header in front of a snapshot body: the magic, the
+// body's length and its CRC.
+func snapHeader(body []byte) [16]byte {
+	var hdr [16]byte
+	copy(hdr[:8], snapMagic)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, crcTable))
+	return hdr
+}
+
 // readSnapshotFile loads and verifies one snapshot file.
 func readSnapshotFile(path string) (snapshotData, error) {
-	var data snapshotData
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return data, err
+		return snapshotData{}, err
 	}
+	return decodeSnapshot(raw)
+}
+
+// decodeSnapshot verifies a snapshot file's header and decodes its body.
+// Whatever the bytes, it returns the snapshot or an error wrapping
+// ErrCorrupt, and it allocates in proportion to len(raw) (see gobwalk.go).
+func decodeSnapshot(raw []byte) (snapshotData, error) {
+	var data snapshotData
 	if len(raw) < 16 || string(raw[:8]) != snapMagic {
 		return data, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
@@ -104,6 +125,9 @@ func readSnapshotFile(path string) (snapshotData, error) {
 	body := raw[16:]
 	if crc32.Checksum(body, crcTable) != sum {
 		return data, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
+	}
+	if !gobBounded(body) {
+		return data, fmt.Errorf("%w: snapshot body is not a bounded gob stream", ErrCorrupt)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&data); err != nil {
 		return data, fmt.Errorf("%w: %v", ErrCorrupt, err)

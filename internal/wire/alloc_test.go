@@ -24,7 +24,7 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"FastPropose of a 16-byte put", samplePropose(), 0, 3}, // struct + key + value
 		{"FastProposeReply, empty Pred", &caesar.FastProposeReply{CmdID: command.ID{Node: 1, Seq: 42}}, 0, 1},
-		{"Heartbeat", &caesar.Heartbeat{}, 0, 0},
+		{"Heartbeat", &caesar.Heartbeat{}, 0, 1},
 	}
 	for _, tc := range cases {
 		env := &Envelope{From: 1, Payload: tc.payload}

@@ -63,7 +63,8 @@ func TestMalformedFramesAreErrors(t *testing.T) {
 		{"sender only", withBody(2), ErrFrame},
 		{"unknown tag", withBody(2, 0), ErrFrame},
 		{"tag past the table", withBody(2, tagShardEnvelope+1), ErrFrame},
-		{"trailing garbage", withBody(2, tagHeartbeat, 0xff), ErrFrame},
+		{"trailing garbage", withBody(2, tagHeartbeat, 0, 0, 0, 0, 0xff), ErrFrame},
+		{"short heartbeat", withBody(2, tagHeartbeat, 0, 0, 0), ErrFrame},
 		{"bool out of range", withBody(2, tagRecover, 0, 0, 0, 2), ErrFrame},
 		{"forged id count", withBody(2, tagPurgeBatch, 0xff, 0xff, 0xff, 0xff, 0x0f), ErrFrame},
 		{"nested shard envelope", withBody(2, tagShardEnvelope, 1, 0, tagShardEnvelope, 2, 0, tagHeartbeat), ErrFrame},

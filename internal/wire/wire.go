@@ -28,7 +28,7 @@
 //	                        Time timestamp, Pred ids, TupleBallot, Forced bool
 //	10   StableAckBatch     IDs ids
 //	11   PurgeBatch         IDs ids
-//	12   Heartbeat          (none)
+//	12   Heartbeat          Low timestamp, Seen timestamp
 //	13   shard.Envelope     uvarint Shard, uvarint Gen, message (tags 1–12 only)
 //
 // Cross-shard pieces, abort markers, batches and resize fences are not
@@ -202,7 +202,8 @@ func appendMessage(b []byte, payload any, nested bool) ([]byte, error) {
 	case *caesar.PurgeBatch:
 		b = codec.AppendIDs(append(b, tagPurgeBatch), m.IDs)
 	case *caesar.Heartbeat:
-		b = append(b, tagHeartbeat)
+		b = codec.AppendTimestamp(append(b, tagHeartbeat), m.Low)
+		b = codec.AppendTimestamp(b, m.Seen)
 	case *shard.Envelope:
 		if nested {
 			return b, fmt.Errorf("%w: shard envelope inside a shard envelope", ErrMessage)
@@ -377,7 +378,9 @@ func readMessage(r *msgReader, nested bool) (any, error) {
 	case tagPurgeBatch:
 		return &caesar.PurgeBatch{IDs: r.IDs()}, nil
 	case tagHeartbeat:
-		return &caesar.Heartbeat{}, nil
+		m := &caesar.Heartbeat{Low: r.Timestamp()}
+		m.Seen = r.Timestamp()
+		return m, nil
 	case tagShardEnvelope:
 		if nested {
 			return nil, fmt.Errorf("%w: shard envelope inside a shard envelope", ErrFrame)

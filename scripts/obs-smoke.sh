@@ -85,6 +85,7 @@ for fam in \
     caesar_fast_decisions_total \
     caesar_slow_decisions_total \
     caesar_wait_condition_seconds \
+    caesar_purge_fence_keys \
     caesar_latency_seconds_bucket \
     caesar_wal_fsyncs_total \
     caesar_wal_fsync_seconds \
@@ -121,6 +122,7 @@ statusz=$(curl -fsS http://127.0.0.1:9180/statusz)
 echo "$statusz" | grep -q '"caesar_fast_decisions_total"'
 echo "$statusz" | grep -q '"caesar_store_retained_versions"'
 echo "$statusz" | grep -q '"caesar_read_retries_total"'
+echo "$statusz" | grep -q '"caesar_purge_fence_keys"'
 
 # Admin commands over the client port.
 exec 3<>/dev/tcp/127.0.0.1/8480
