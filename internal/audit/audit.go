@@ -105,7 +105,8 @@ type Stamp struct {
 
 // State is a node's full audit state: every group's quote plus the
 // recent cut-point stamps. It is the unit persisted into WAL snapshots
-// (gob) and served over /auditz (json, inside Report).
+// (internal/codec fields, that package's "snapshot" row) and served over
+// /auditz (json, inside Report).
 type State struct {
 	Groups []GroupState `json:"groups"`
 	Stamps []Stamp      `json:"stamps,omitempty"`

@@ -2,6 +2,7 @@ package caesar
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"time"
 
@@ -159,7 +160,8 @@ type history struct {
 	// empty) list as well, and a fence's own scans walk the whole history
 	// instead of key lists — resizes are rare, so the one-off O(history)
 	// pass is cheap.
-	barriers []*record
+	barriers           []*record
+	recsPeak, keysPeak int // for recs and byKey; see shrink
 	// The purge fence remembers, per key, the highest timestamp of a
 	// purged (globally delivered) command on that key — until the floor
 	// covers it. fence is the current generation, which purge raises;
@@ -209,6 +211,7 @@ func (h *history) ensure(cmd command.Command) *record {
 		h.last = rec
 		h.open = append(h.open, rec)
 		h.recs[cmd.ID] = rec
+		h.recsPeak = max(h.recsPeak, len(h.recs))
 	case rec.cmd.Op == 0 && cmd.Op != 0:
 		rec.cmd = cmd
 		// The stuck scan timed how long delivery was parked on the name;
@@ -273,6 +276,7 @@ func (h *history) index(rec *record) {
 			l = &keyList{}
 			l.recs = l.first[:0]
 			h.byKey[k] = l
+			h.keysPeak = max(h.keysPeak, len(h.byKey))
 		}
 		// present only when the command names k twice.
 		if i, present := slices.BinarySearchFunc(l.recs, pos, cmpRecord); !present {
@@ -306,6 +310,7 @@ func (h *history) unindex(rec *record) {
 		case !present:
 		case len(l.recs) == 1:
 			delete(h.byKey, k)
+			h.byKey = shrink(h.byKey, &h.keysPeak)
 		default:
 			l.recs = slices.Delete(l.recs, i, i+1)
 		}
@@ -317,6 +322,7 @@ func (h *history) unindex(rec *record) {
 func (h *history) remove(rec *record) {
 	h.unindex(rec)
 	delete(h.recs, rec.id())
+	h.recs = shrink(h.recs, &h.recsPeak)
 	if rec.prev == nil {
 		h.first = rec.next
 	} else {
@@ -327,6 +333,25 @@ func (h *history) remove(rec *record) {
 	} else {
 		rec.next.prev = rec.prev
 	}
+}
+
+const shrinkFrom = 1024 // the smallest peak shrink rebuilds a map from
+
+// shrink returns m, or a copy sized to what m holds once that is under a
+// quarter of *peak, the most it held since it was made (reset here). A Go
+// map never gives back the slots of its peak, so recs and byKey would keep
+// the node's longest backlog: lan3-mixed4g's preload, 2,000 to 3,700
+// records per group by scheduling, moved live_heap_mb by up to 2.5 MB.
+// Smaller peaks stay: under churn a map settles at 8–10 slots per entry,
+// and a rebuild would restart that growth at a moment set by scheduling.
+func shrink[K comparable, V any](m map[K]V, peak *int) map[K]V {
+	if *peak < shrinkFrom || 4*len(m) >= *peak {
+		return m
+	}
+	c := make(map[K]V, len(m))
+	maps.Copy(c, m)
+	*peak = len(c)
+	return c
 }
 
 // touches reports whether k is one of the command's keys.

@@ -369,6 +369,36 @@ func TestConflictIndexMatchesNaiveScan(t *testing.T) {
 	}
 }
 
+// A backlog's maps are rebuilt as it drains, and what they hold survives
+// the rebuilds: the records left are found by ID and by key.
+func TestHistoryMapsShrinkAfterBacklog(t *testing.T) {
+	const n, left = 4 * shrinkFrom, 10
+	h := newHistory()
+	for seq := uint64(1); seq <= n; seq++ {
+		h.setTimestamp(h.ensure(put(0, seq, fmt.Sprint("k", seq))), ts(seq, 0))
+	}
+	if h.recsPeak != n || h.keysPeak != n {
+		t.Fatalf("peaks %d and %d after %d records", h.recsPeak, h.keysPeak, n)
+	}
+	for h.first.id().Seq <= n-left {
+		h.remove(h.first)
+	}
+	if h.recsPeak >= shrinkFrom || h.keysPeak >= shrinkFrom {
+		t.Errorf("peaks %d and %d with %d records left: the maps were not rebuilt", h.recsPeak, h.keysPeak, left)
+	}
+	if len(h.recs) != left || len(h.byKey) != left {
+		t.Fatalf("%d records and %d keys left, want %d", len(h.recs), len(h.byKey), left)
+	}
+	for seq := uint64(n - left + 1); seq <= n; seq++ {
+		cmd := put(1, seq, fmt.Sprint("k", seq))
+		var found []command.ID
+		h.conflicts(cmd, ts(n+1, 0), below, func(rec *record) bool { found = append(found, rec.id()); return true })
+		if want := (command.ID{Seq: seq}); h.get(want) == nil || !slices.Equal(found, []command.ID{want}) {
+			t.Errorf("record %d: get %v, conflicts on its key %v", seq, h.get(want), found)
+		}
+	}
+}
+
 // BenchmarkConflictIndex measures the index at per-key depths from the
 // benchmark's common case (1) to far beyond its hottest key (1024): one
 // index+unindex pair at the tail and in the middle of the key's list, and

@@ -30,6 +30,29 @@
 //	batch      OpBatch (batch): commands
 //	marker     OpFence (rebalance): uvarint Epoch, uvarint Shards, uvarint
 //	           PrevShards
+//
+// The WAL snapshot and the set it persists per group. A group is the
+// uvarint of its int32's 32 bits; lists read as maps are written in
+// ascending order, so equal snapshots are equal bytes. Changing one is a
+// new snapshot generation (wal's snapMagic):
+//
+//	delivered set  uvarint count + that many (node, uvarint watermark,
+//	               uvarint count + that many uvarint Seqs above it), nodes
+//	               and Seqs ascending (idset); its Len is recomputed
+//	snapshot       uvarint Cut, uvarint Applied, uvarint MaxTS;
+//	               uvarint count + (bytes key, bytes value), by key;
+//	               uvarint count + (group, delivered set), by group;
+//	               uvarint count + executed XIDs (node, uvarint Seq);
+//	               uvarint count + pending transactions (XID, uvarint
+//	               count + groups, commands, uvarint Epoch, uvarint count +
+//	               groups Got, timestamp Merged);
+//	               uvarint count + epochs (uvarint Epoch, Shards,
+//	               PrevShards); sequence floors, then clock floors, each
+//	               uvarint count + (group, uvarint), by group;
+//	               uvarint count + audit groups (group, uvarint Epoch,
+//	               Frontier, Digest, IDFold); uvarint count + audit stamps
+//	               (bytes Kind, uvarint Seq, group, uvarint Epoch,
+//	               Frontier, Digest)
 package codec
 
 import (
@@ -136,6 +159,14 @@ func NewReader(b []byte) Reader { return Reader{b: b} }
 
 // Err returns ErrMalformed once any read has failed.
 func (r *Reader) Err() error { return r.err }
+
+// Fail latches ErrMalformed, for a field that reads cleanly but breaks a
+// rule of the layout around it (an order, a bound).
+func (r *Reader) Fail() {
+	if r.err == nil {
+		r.err = ErrMalformed
+	}
+}
 
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.b) }

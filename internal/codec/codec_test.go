@@ -83,6 +83,16 @@ func TestForgedCountsAreRejected(t *testing.T) {
 	}
 }
 
+// TestFailLatches: a field that breaks its layout's rule fails the decode
+// like a short input — later reads return zero values, End reports it.
+func TestFailLatches(t *testing.T) {
+	r := NewReader(AppendUvarint(nil, 7))
+	r.Fail()
+	if v := r.Uvarint(); v != 0 || r.End() != ErrMalformed {
+		t.Fatalf("after Fail: read %d, End %v, want 0 and ErrMalformed", v, r.End())
+	}
+}
+
 // TestCommandsRoundTrip: a counted command list reads back whole, an empty
 // one as nil, and End accepts exactly the bytes the list took.
 func TestCommandsRoundTrip(t *testing.T) {

@@ -8,6 +8,10 @@
 package idset
 
 import (
+	"maps"
+	"slices"
+
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -71,56 +75,80 @@ func (s *Set) Has(id command.ID) bool {
 // Len returns the number of members.
 func (s *Set) Len() int64 { return s.count }
 
-// Dump is a serializable image of a Set: the per-node watermarks plus the
-// sparse out-of-order sequences above them. The durable log
-// (internal/wal) persists delivered-command sets in this form — it stays
-// O(nodes + reorder window) no matter how many commands the set holds.
-type Dump struct {
-	WM    map[timestamp.NodeID]uint64
-	Above map[timestamp.NodeID][]uint64
-	Count int64
+// Clone returns a copy of the set that shares nothing with it.
+func (s *Set) Clone() *Set {
+	c := &Set{wm: maps.Clone(s.wm), above: maps.Clone(s.above), count: s.count}
+	for n, over := range c.above {
+		c.above[n] = maps.Clone(over)
+	}
+	return c
 }
 
-// Dump exports the set. The result shares nothing with the receiver.
-func (s *Set) Dump() Dump {
-	d := Dump{
-		WM:    make(map[timestamp.NodeID]uint64, len(s.wm)),
-		Above: make(map[timestamp.NodeID][]uint64, len(s.above)),
-		Count: s.count,
-	}
-	for n, wm := range s.wm {
-		d.WM[n] = wm
+// AppendTo appends the set in internal/codec fields: per node, ascending,
+// its watermark and the sequences above it, ascending (the "delivered set"
+// row of that package's table). The durable log (internal/wal) persists
+// delivered-command sets in this form — O(nodes + reorder window) bytes no
+// matter how many commands the set holds.
+func (s *Set) AppendTo(b []byte) []byte {
+	nodes := make([]timestamp.NodeID, 0, len(s.wm)+len(s.above))
+	for n := range s.wm {
+		nodes = append(nodes, n)
 	}
 	for n, over := range s.above {
-		if len(over) == 0 {
-			continue
+		if _, ok := s.wm[n]; !ok && len(over) > 0 {
+			nodes = append(nodes, n)
 		}
-		seqs := make([]uint64, 0, len(over))
-		for seq := range over {
+	}
+	slices.Sort(nodes)
+	b = codec.AppendUvarint(b, uint64(len(nodes)))
+	var seqs []uint64
+	for _, n := range nodes {
+		seqs = seqs[:0]
+		for seq := range s.above[n] {
 			seqs = append(seqs, seq)
 		}
-		d.Above[n] = seqs
+		slices.Sort(seqs)
+		b = codec.AppendNode(b, n)
+		b = codec.AppendUvarint(b, s.wm[n])
+		b = codec.AppendUvarint(b, uint64(len(seqs)))
+		for _, seq := range seqs {
+			b = codec.AppendUvarint(b, seq)
+		}
 	}
-	return d
+	return b
 }
 
-// FromDump rebuilds a Set from a Dump. The result shares nothing with the
-// dump.
-func FromDump(d Dump) *Set {
+// Read decodes a set AppendTo wrote. Only the form AppendTo produces is
+// accepted — nodes strictly ascending, each with members, every sequence
+// above its watermark's successor and strictly ascending — so Len, which
+// is recomputed here, counts every member once; anything else latches
+// r's error.
+func Read(r *codec.Reader) *Set {
 	s := New()
-	for n, wm := range d.WM {
-		s.wm[n] = wm
-	}
-	for n, seqs := range d.Above {
-		if len(seqs) == 0 {
-			continue
+	var prev timestamp.NodeID
+	// A node, its watermark and its count take at least a byte each.
+	for i, n := 0, r.Count(3); i < n && r.Err() == nil; i++ {
+		node, wm, k := r.Node(), r.Uvarint(), r.Count(1)
+		if i > 0 && node <= prev || wm == 0 && k == 0 {
+			r.Fail()
 		}
-		over := make(map[uint64]struct{}, len(seqs))
-		for _, seq := range seqs {
-			over[seq] = struct{}{}
+		prev = node
+		if wm > 0 {
+			s.wm[node] = wm
 		}
-		s.above[n] = over
+		if k > 0 {
+			over := make(map[uint64]struct{}, k)
+			last := wm + 1
+			for j := 0; j < k; j++ {
+				seq := r.Uvarint()
+				if seq <= last {
+					r.Fail()
+				}
+				over[seq], last = struct{}{}, seq
+			}
+			s.above[node] = over
+		}
+		s.count += int64(wm) + int64(k)
 	}
-	s.count = d.Count
 	return s
 }

@@ -27,41 +27,54 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // appendCommandRec appends a command record's payload to b — the log
 // encodes straight into its batch buffer.
 func appendCommandRec(b []byte, group int32, cmd command.Command, ts timestamp.Timestamp) []byte {
-	b = append(b, recCommand)
-	b = codec.AppendUvarint(b, uint64(uint32(group)))
+	b = appendInt32(append(b, recCommand), group)
 	b = codec.AppendTimestamp(b, ts)
 	return codec.AppendCommand(b, cmd)
 }
 
 func encodeTxRec(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, recTx)
-	b = codec.AppendNode(b, xid.Node)
-	b = codec.AppendUvarint(b, xid.Seq)
+	b := appendXID(append(make([]byte, 0, 64), recTx), xid)
 	b = codec.AppendTimestamp(b, merged)
 	return codec.AppendCommands(b, ops)
 }
 
 func encodeEpochRec(ec EpochChange) []byte {
-	b := make([]byte, 0, 16)
-	b = append(b, recEpoch)
+	return appendEpoch(append(make([]byte, 0, 16), recEpoch), ec)
+}
+
+// encodeFloorRec encodes a reservation, typ recSeq or recClock.
+func encodeFloorRec(typ byte, group int32, upto uint64) []byte {
+	b := appendInt32(append(make([]byte, 0, 12), typ), group)
+	return codec.AppendUvarint(b, upto)
+}
+
+// The fields records and snapshots share: an int32 (a group, a shard
+// count) is the uvarint of its 32 bits, an XID a node and a uvarint Seq,
+// an epoch change three uvarints.
+
+func appendInt32(b []byte, v int32) []byte { return codec.AppendUvarint(b, uint64(uint32(v))) }
+
+func readInt32(r *codec.Reader) int32 { return int32(uint32(r.Uvarint())) }
+
+func appendXID(b []byte, xid xshard.XID) []byte {
+	return codec.AppendUvarint(codec.AppendNode(b, xid.Node), xid.Seq)
+}
+
+func readXID(r *codec.Reader) xshard.XID {
+	node := r.Node()
+	return xshard.XID{Node: node, Seq: r.Uvarint()}
+}
+
+func appendEpoch(b []byte, ec EpochChange) []byte {
 	b = codec.AppendUvarint(b, uint64(ec.Epoch))
-	b = codec.AppendUvarint(b, uint64(uint32(ec.Shards)))
-	return codec.AppendUvarint(b, uint64(uint32(ec.PrevShards)))
+	b = appendInt32(b, ec.Shards)
+	return appendInt32(b, ec.PrevShards)
 }
 
-func encodeSeqRec(group int32, upto uint64) []byte {
-	b := make([]byte, 0, 12)
-	b = append(b, recSeq)
-	b = codec.AppendUvarint(b, uint64(uint32(group)))
-	return codec.AppendUvarint(b, upto)
-}
-
-func encodeClockRec(group int32, upto uint64) []byte {
-	b := make([]byte, 0, 12)
-	b = append(b, recClock)
-	b = codec.AppendUvarint(b, uint64(uint32(group)))
-	return codec.AppendUvarint(b, upto)
+func readEpoch(r *codec.Reader) EpochChange {
+	epoch := uint32(r.Uvarint())
+	shards := readInt32(r)
+	return EpochChange{Epoch: epoch, Shards: shards, PrevShards: readInt32(r)}
 }
 
 // decoded is one replayed record, tagged by type.
@@ -85,20 +98,17 @@ func decodeRecord(payload []byte) (decoded, error) {
 	d := codec.NewReader(payload[1:])
 	switch rec.typ {
 	case recCommand:
-		rec.group = int32(uint32(d.Uvarint()))
+		rec.group = readInt32(&d)
 		rec.ts = d.Timestamp()
 		rec.cmd = d.Command()
 	case recTx:
-		rec.xid.Node = d.Node()
-		rec.xid.Seq = d.Uvarint()
+		rec.xid = readXID(&d)
 		rec.merged = d.Timestamp()
 		rec.ops = d.Commands()
 	case recEpoch:
-		rec.epoch.Epoch = uint32(d.Uvarint())
-		rec.epoch.Shards = int32(uint32(d.Uvarint()))
-		rec.epoch.PrevShards = int32(uint32(d.Uvarint()))
+		rec.epoch = readEpoch(&d)
 	case recSeq, recClock:
-		rec.group = int32(uint32(d.Uvarint()))
+		rec.group = readInt32(&d)
 		rec.seq = d.Uvarint()
 	default:
 		return decoded{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, rec.typ)

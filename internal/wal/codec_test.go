@@ -50,10 +50,8 @@ func encodeRecord(rec decoded) []byte {
 		return encodeTxRec(rec.xid, rec.merged, rec.ops)
 	case recEpoch:
 		return encodeEpochRec(rec.epoch)
-	case recSeq:
-		return encodeSeqRec(rec.group, rec.seq)
 	default:
-		return encodeClockRec(rec.group, rec.seq)
+		return encodeFloorRec(rec.typ, rec.group, rec.seq)
 	}
 }
 

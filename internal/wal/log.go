@@ -498,7 +498,7 @@ func (l *Log) LogEpoch(ec EpochChange) error {
 // record is synced, whatever the lanes are doing.
 func (l *Log) ReserveSeq(group int32, upto uint64) error {
 	return l.await(func(fn func(error)) error {
-		return l.appendRecord(encodeSeqRec(group, upto), func(a *aggregates) {
+		return l.appendRecord(encodeFloorRec(recSeq, group, upto), func(a *aggregates) {
 			a.noteSeq(group, upto)
 		}, fn)
 	})
@@ -508,7 +508,7 @@ func (l *Log) ReserveSeq(group int32, upto uint64) error {
 // timestamp.Clock.SetReserve.
 func (l *Log) LogClock(group int32, upto uint64) error {
 	return l.await(func(fn func(error)) error {
-		return l.appendRecord(encodeClockRec(group, upto), func(a *aggregates) {
+		return l.appendRecord(encodeFloorRec(recClock, group, upto), func(a *aggregates) {
 			a.noteClock(group, upto)
 		}, fn)
 	})

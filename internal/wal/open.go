@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"github.com/caesar-consensus/caesar/internal/batch"
-	"github.com/caesar-consensus/caesar/internal/idset"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 )
 
@@ -43,7 +42,14 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 	// still on disk because truncation only removes what the newest
 	// snapshot covers.
 	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := readSnapshotFile(filepath.Join(dir, snapName(snaps[i])))
+		raw, err := os.ReadFile(filepath.Join(dir, snapName(snaps[i])))
+		if err != nil {
+			continue
+		}
+		if err := refuseGeneration(raw, snapMagic, "snapshot", snaps[i]); err != nil {
+			return nil, nil, err
+		}
+		data, err := decodeSnapshot(raw)
 		if err != nil {
 			continue
 		}
@@ -54,34 +60,12 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 		// sequence and the restarted node re-proves its recovered state
 		// against live peers.
 		store.RestoreAudit(data.Audit)
-		for g, d := range data.Delivered {
-			l.agg.delivered[g] = idset.FromDump(d)
-		}
-		for _, xid := range data.ExecutedTx {
-			l.agg.executedTx[xid] = struct{}{}
-			l.agg.txs[xid] = &txAgg{state: 1}
-		}
-		l.agg.txOrder = append(l.agg.txOrder, data.ExecutedTx...)
-		for _, p := range data.PendingTx {
-			e := &txAgg{groups: p.Groups, ops: p.Ops, epoch: p.Epoch, merged: p.Merged, got: make(map[int32]bool)}
-			for _, g := range p.Got {
-				e.got[g] = true
-			}
-			l.agg.txs[p.XID] = e
-		}
-		l.agg.epochs = append(l.agg.epochs, data.Epochs...)
+		l.agg.restore(data.State)
 		if opts.OnEpoch != nil {
 			for _, ec := range data.Epochs {
 				opts.OnEpoch(ec)
 			}
 		}
-		for g, v := range data.SeqFloor {
-			l.agg.seqFloor[g] = v
-		}
-		for g, v := range data.ClockFloor {
-			l.agg.clockFloor[g] = v
-		}
-		l.agg.maxTS = data.MaxTS
 		cut = data.Cut
 		haveSnap = true
 		break
@@ -132,7 +116,7 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 	st := l.agg.state()
 	st.Applied = store.Applied()
 	st.Empty = !haveSnap && records == 0
-	return l, st, nil
+	return l, &st, nil
 }
 
 // scanDir lists segment and snapshot indices, ascending.
@@ -155,6 +139,16 @@ func scanDir(dir string) (segs, snaps []uint64, err error) {
 	return segs, snaps, nil
 }
 
+// refuseGeneration returns an ErrCorrupt naming both generations when raw,
+// the file what idx, starts with another generation of magic — its first
+// seven bytes and another eighth — and nil otherwise.
+func refuseGeneration(raw []byte, magic, what string, idx uint64) error {
+	if len(raw) >= len(magic) && string(raw[:7]) == magic[:7] && raw[7] != magic[7] {
+		return fmt.Errorf("%w: %s %d was written by format %s, this build reads %s only", ErrCorrupt, what, idx, raw[:8], magic)
+	}
+	return nil
+}
+
 // replaySegment replays one segment into the aggregates and the store.
 // In the final segment a torn tail is truncated off the file; anywhere
 // else it is corruption.
@@ -164,8 +158,8 @@ func (l *Log) replaySegment(idx uint64, final bool, app batch.Applier) (int, err
 	if err != nil {
 		return 0, err
 	}
-	if len(raw) >= segHeaderLen && string(raw[:7]) == segMagic[:7] && raw[7] != segMagic[7] {
-		return 0, fmt.Errorf("%w: segment %d was written by format %s, this build reads %s only", ErrCorrupt, idx, raw[:8], segMagic)
+	if err := refuseGeneration(raw, segMagic, "segment", idx); err != nil {
+		return 0, err
 	}
 	if len(raw) < segHeaderLen || string(raw[:8]) != segMagic ||
 		binary.LittleEndian.Uint64(raw[8:16]) != idx {

@@ -1,86 +1,67 @@
 package wal
 
 import (
-	"bufio"
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/caesar-consensus/caesar/internal/audit"
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/flight"
 	"github.com/caesar-consensus/caesar/internal/idset"
-	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-// snapshotData is the on-disk snapshot: the store image plus every log
-// aggregate, covering all segments with index < Cut. Encoded as gob
-// (one-shot, so gob's self-description costs nothing per record) behind
-// a small CRC'd header.
+// snapshotData is the on-disk snapshot, covering all segments with index
+// < Cut.
 type snapshotData struct {
 	// Cut is the first segment index NOT covered: replay starts there.
-	Cut        uint64
-	KV         map[string][]byte
-	Applied    int64
-	Delivered  map[int32]idset.Dump
-	ExecutedTx []xshard.XID
-	PendingTx  []PendingTx
-	Epochs     []EpochChange
-	SeqFloor   map[int32]uint64
-	ClockFloor map[int32]uint64
-	MaxTS      uint64
-	// Audit carries the store's per-group applied-state digests captured
-	// at the cut (internal/audit). Snapshots written before auditing
-	// existed decode it as the zero State; gob tolerates the added field.
+	Cut uint64
+	// KV is the store image: what the log prefix before the cut applied.
+	KV map[string][]byte
+	// Audit is the store's per-group applied-state digests captured with
+	// KV (internal/audit).
 	Audit audit.State
+	// State is the log's aggregates at the cut, with the store's Applied
+	// count; Empty is never set.
+	State
 }
 
-const snapMagic = "CAESNAP1"
+// A snapshot file is a header — the magic, the body's length and its
+// CRC-32C — and a body of internal/codec fields (the "snapshot" row of that
+// package's table). The magic's last byte is the format generation
+// (generation 1 was a gob stream); a snapshot of another generation is
+// refused at open, not migrated.
+const (
+	snapMagic     = "CAESNAP2"
+	snapHeaderLen = 16
+)
 
 // writeSnapshotFile atomically writes a snapshot: temp file, fsync,
 // rename, fsync dir.
-func writeSnapshotFile(dir string, data snapshotData) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(data); err != nil {
-		return err
-	}
-	if !gobBounded(body.Bytes()) {
-		// decodeSnapshot would refuse it as corrupt: installed, it would
-		// let removeCovered delete the segments it covers and leave a
-		// data dir the node refuses at start.
-		return errors.New("wal: snapshot does not walk as a bounded gob stream (see gobwalk.go)")
-	}
+func writeSnapshotFile(dir string, data *snapshotData) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriterSize(tmp, 1<<16)
-	hdr := snapHeader(body.Bytes())
-	werr := func() error {
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(body.Bytes()); err != nil {
-			return err
-		}
-		return w.Flush()
-	}()
-	if werr != nil {
+	size := 4096 // the store image is most of a snapshot: size the buffer by it
+	for k, v := range data.KV {
+		size += len(k) + len(v) + 4
+	}
+	_, err = tmp.Write(sealSnapshot(appendSnapshotBody(make([]byte, snapHeaderLen, size), data)))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		// Renaming a short snapshot into place would let truncation
 		// delete the segments it fails to replace.
-		tmp.Close()
-		return werr
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
 		return err
 	}
 	final := filepath.Join(dir, snapName(data.Cut))
@@ -90,49 +71,170 @@ func writeSnapshotFile(dir string, data snapshotData) error {
 	return syncDir(dir)
 }
 
-// snapHeader is the header in front of a snapshot body: the magic, the
-// body's length and its CRC.
-func snapHeader(body []byte) [16]byte {
-	var hdr [16]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(body, crcTable))
-	return hdr
+// sealSnapshot fills in the header reserved at the front of file from the
+// body behind it.
+func sealSnapshot(file []byte) []byte {
+	body := file[snapHeaderLen:]
+	copy(file, snapMagic)
+	binary.LittleEndian.PutUint32(file[8:12], uint32(len(body)))
+	binary.LittleEndian.PutUint32(file[12:16], crc32.Checksum(body, crcTable))
+	return file
 }
 
-// readSnapshotFile loads and verifies one snapshot file.
-func readSnapshotFile(path string) (snapshotData, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return snapshotData{}, err
-	}
-	return decodeSnapshot(raw)
+// appendSnapshotBody appends d's body. Maps go in ascending key order, so
+// equal snapshots are equal bytes.
+func appendSnapshotBody(b []byte, d *snapshotData) []byte {
+	b = codec.AppendUvarint(b, d.Cut)
+	b = codec.AppendUvarint(b, uint64(d.Applied))
+	b = codec.AppendUvarint(b, d.MaxTS)
+	b = appendMap(b, d.KV, func(b []byte, k string, v []byte) []byte {
+		return codec.AppendBytes(codec.AppendString(b, k), v)
+	})
+	b = appendMap(b, d.Delivered, func(b []byte, g int32, set *idset.Set) []byte {
+		return set.AppendTo(appendInt32(b, g))
+	})
+	b = appendList(b, d.ExecutedTx, appendXID)
+	b = appendList(b, d.PendingTx, func(b []byte, p PendingTx) []byte {
+		b = appendList(appendXID(b, p.XID), p.Groups, appendInt32)
+		b = codec.AppendUvarint(codec.AppendCommands(b, p.Ops), uint64(p.Epoch))
+		return codec.AppendTimestamp(appendList(b, p.Got, appendInt32), p.Merged)
+	})
+	b = appendList(b, d.Epochs, appendEpoch)
+	b = appendMap(b, d.SeqFloor, appendFloor)
+	b = appendMap(b, d.ClockFloor, appendFloor)
+	b = appendList(b, d.Audit.Groups, func(b []byte, gs audit.GroupState) []byte {
+		b = codec.AppendUvarint(appendInt32(b, gs.Group), uint64(gs.Epoch))
+		b = codec.AppendUvarint(b, gs.Frontier)
+		b = codec.AppendUvarint(b, uint64(gs.Digest))
+		return codec.AppendUvarint(b, uint64(gs.IDFold))
+	})
+	return appendList(b, d.Audit.Stamps, func(b []byte, st audit.Stamp) []byte {
+		b = codec.AppendUvarint(codec.AppendString(b, st.Kind), st.Seq)
+		b = codec.AppendUvarint(appendInt32(b, st.Group), uint64(st.Epoch))
+		b = codec.AppendUvarint(b, st.Frontier)
+		return codec.AppendUvarint(b, uint64(st.Digest))
+	})
 }
 
 // decodeSnapshot verifies a snapshot file's header and decodes its body.
 // Whatever the bytes, it returns the snapshot or an error wrapping
-// ErrCorrupt, and it allocates in proportion to len(raw) (see gobwalk.go).
+// ErrCorrupt, and it allocates in proportion to len(raw): every count is
+// checked against the bytes left before anything is sized by it.
 func decodeSnapshot(raw []byte) (snapshotData, error) {
-	var data snapshotData
-	if len(raw) < 16 || string(raw[:8]) != snapMagic {
-		return data, fmt.Errorf("%w: snapshot header", ErrCorrupt)
+	var d snapshotData
+	if len(raw) < snapHeaderLen || string(raw[:8]) != snapMagic {
+		return d, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	n := binary.LittleEndian.Uint32(raw[8:12])
-	sum := binary.LittleEndian.Uint32(raw[12:16])
-	if uint64(len(raw)-16) != uint64(n) {
-		return data, fmt.Errorf("%w: snapshot length", ErrCorrupt)
+	body := raw[snapHeaderLen:]
+	if uint64(len(body)) != uint64(binary.LittleEndian.Uint32(raw[8:12])) {
+		return d, fmt.Errorf("%w: snapshot length", ErrCorrupt)
 	}
-	body := raw[16:]
-	if crc32.Checksum(body, crcTable) != sum {
-		return data, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(raw[12:16]) {
+		return d, fmt.Errorf("%w: snapshot checksum", ErrCorrupt)
 	}
-	if !gobBounded(body) {
-		return data, fmt.Errorf("%w: snapshot body is not a bounded gob stream", ErrCorrupt)
+	r := codec.NewReader(body)
+	d.Cut = r.Uvarint()
+	d.Applied = int64(r.Uvarint())
+	d.MaxTS = r.Uvarint()
+	d.KV = readMap(&r, 2, func(r *codec.Reader) (string, []byte) { return r.String(), r.Bytes() })
+	d.Delivered = readMap(&r, 2, func(r *codec.Reader) (int32, *idset.Set) { return readInt32(r), idset.Read(r) })
+	d.ExecutedTx = readList(&r, 2, readXID)
+	// A pending transaction's XID and Merged take two bytes each, its four
+	// other fields one.
+	d.PendingTx = readList(&r, 8, func(r *codec.Reader) PendingTx {
+		var p PendingTx
+		p.XID = readXID(r)
+		p.Groups = readList(r, 1, readInt32)
+		p.Ops = r.Commands()
+		p.Epoch = uint32(r.Uvarint())
+		p.Got = readList(r, 1, readInt32)
+		p.Merged = r.Timestamp()
+		return p
+	})
+	d.Epochs = readList(&r, 3, readEpoch)
+	d.SeqFloor = readMap(&r, 2, readFloor)
+	d.ClockFloor = readMap(&r, 2, readFloor)
+	d.Audit.Groups = readList(&r, 5, func(r *codec.Reader) audit.GroupState {
+		var gs audit.GroupState
+		gs.Group = readInt32(r)
+		gs.Epoch = uint32(r.Uvarint())
+		gs.Frontier = r.Uvarint()
+		gs.Digest = audit.Digest(r.Uvarint())
+		gs.IDFold = audit.Digest(r.Uvarint())
+		return gs
+	})
+	d.Audit.Stamps = readList(&r, 6, func(r *codec.Reader) audit.Stamp {
+		var st audit.Stamp
+		st.Kind = r.String()
+		st.Seq = r.Uvarint()
+		st.Group = readInt32(r)
+		st.Epoch = uint32(r.Uvarint())
+		st.Frontier = r.Uvarint()
+		st.Digest = audit.Digest(r.Uvarint())
+		return st
+	})
+	if err := r.End(); err != nil {
+		return snapshotData{}, fmt.Errorf("%w: snapshot body", ErrCorrupt)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&data); err != nil {
-		return data, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	return d, nil
+}
+
+func appendFloor(b []byte, g int32, upto uint64) []byte {
+	return codec.AppendUvarint(appendInt32(b, g), upto)
+}
+
+func readFloor(r *codec.Reader) (int32, uint64) { return readInt32(r), r.Uvarint() }
+
+// appendList appends a counted list.
+func appendList[T any](b []byte, xs []T, put func([]byte, T) []byte) []byte {
+	b = codec.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = put(b, x)
 	}
-	return data, nil
+	return b
+}
+
+// readList reads a counted list whose elements take at least minSize
+// bytes each; an empty one decodes to nil.
+func readList[T any](r *codec.Reader, minSize int, read func(*codec.Reader) T) []T {
+	n := r.Count(minSize)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]T, n)
+	for i := range xs {
+		xs[i] = read(r)
+	}
+	return xs
+}
+
+// appendMap appends a counted map in ascending key order.
+func appendMap[K cmp.Ordered, V any](b []byte, m map[K]V, put func([]byte, K, V) []byte) []byte {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = codec.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = put(b, k, m[k])
+	}
+	return b
+}
+
+// readMap reads a map appendMap wrote, like readList; an empty one decodes
+// to nil.
+func readMap[K comparable, V any](r *codec.Reader, minSize int, read func(*codec.Reader) (K, V)) map[K]V {
+	n := r.Count(minSize)
+	if n == 0 {
+		return nil
+	}
+	m := make(map[K]V, n)
+	for i := 0; i < n; i++ {
+		k, v := read(r)
+		m[k] = v
+	}
+	return m
 }
 
 // Snapshot takes a snapshot now. What fixes the cut happens in two short
@@ -164,7 +266,7 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 			l.failLocked(err)
 			return err
 		}
-		data = l.agg.toSnapshotData(l.segIndex)
+		data = snapshotData{Cut: l.segIndex, State: l.agg.state()}
 		l.cut = newMeet(l.lanesLocked(nil))
 		l.enqueueLocked(pendingRec{meet: l.cut, fn: func(err error) {
 			if err == nil {
@@ -188,7 +290,7 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshotFile(l.dir, data); err != nil {
+	if err := writeSnapshotFile(l.dir, &data); err != nil {
 		return err
 	}
 	l.mu.Lock()

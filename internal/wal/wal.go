@@ -66,6 +66,8 @@
 package wal
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -203,7 +205,7 @@ func (s *State) GroupSeed(g int32) GroupSeed {
 		seed.ClockSeed = cf
 	}
 	if set := s.Delivered[g]; set != nil && set.Len() > 0 {
-		seed.Delivered = idset.FromDump(set.Dump())
+		seed.Delivered = set.Clone()
 	}
 	return seed
 }
@@ -392,52 +394,47 @@ func (a *aggregates) noteTx(xid xshard.XID, merged timestamp.Timestamp) {
 	}
 }
 
-// toSnapshotData copies every aggregate into the serializable snapshot
-// form; state() derives the recovery State from the same copy. This is
-// the single place aggregate fields are copied out — a new field added
-// to aggregates only needs to be threaded through here. Callers hold
-// the log's mu.
-func (a *aggregates) toSnapshotData(cut uint64) snapshotData {
-	data := snapshotData{
-		Cut:        cut,
-		Delivered:  make(map[int32]idset.Dump, len(a.delivered)),
-		ExecutedTx: append([]xshard.XID(nil), a.txOrder...),
+// state copies every aggregate out, into the recovery State OpenInto
+// returns and the body of the next snapshot: the single place aggregate
+// fields are copied out, and restore the single place they are copied in.
+// The store-side field (Applied) is filled by the caller. Callers hold the
+// log's mu.
+func (a *aggregates) state() State {
+	st := State{
+		Delivered:  make(map[int32]*idset.Set, len(a.delivered)),
+		ExecutedTx: slices.Clone(a.txOrder),
 		PendingTx:  a.pending(),
-		Epochs:     append([]EpochChange(nil), a.epochs...),
-		SeqFloor:   make(map[int32]uint64, len(a.seqFloor)),
-		ClockFloor: make(map[int32]uint64, len(a.clockFloor)),
+		Epochs:     slices.Clone(a.epochs),
+		SeqFloor:   maps.Clone(a.seqFloor),
+		ClockFloor: maps.Clone(a.clockFloor),
 		MaxTS:      a.maxTS,
 	}
 	for g, set := range a.delivered {
-		data.Delivered[g] = set.Dump()
-	}
-	for g, v := range a.seqFloor {
-		data.SeqFloor[g] = v
-	}
-	for g, v := range a.clockFloor {
-		data.ClockFloor[g] = v
-	}
-	return data
-}
-
-// state builds an independent recovery State from the aggregates; the
-// store-side field (Applied) is filled by the caller. Callers hold
-// the log's mu.
-func (a *aggregates) state() *State {
-	d := a.toSnapshotData(0)
-	st := &State{
-		Delivered:  make(map[int32]*idset.Set, len(d.Delivered)),
-		ExecutedTx: d.ExecutedTx,
-		PendingTx:  d.PendingTx,
-		Epochs:     d.Epochs,
-		SeqFloor:   d.SeqFloor,
-		ClockFloor: d.ClockFloor,
-		MaxTS:      d.MaxTS,
-	}
-	for g, dump := range d.Delivered {
-		st.Delivered[g] = idset.FromDump(dump)
+		st.Delivered[g] = set.Clone()
 	}
 	return st
+}
+
+// restore seeds fresh aggregates from a snapshot's State, which it takes
+// over.
+func (a *aggregates) restore(st State) {
+	maps.Copy(a.delivered, st.Delivered)
+	for _, xid := range st.ExecutedTx {
+		a.executedTx[xid] = struct{}{}
+		a.txs[xid] = &txAgg{state: 1}
+	}
+	a.txOrder = st.ExecutedTx
+	for _, p := range st.PendingTx {
+		e := &txAgg{groups: p.Groups, ops: p.Ops, epoch: p.Epoch, merged: p.Merged, got: make(map[int32]bool)}
+		for _, g := range p.Got {
+			e.got[g] = true
+		}
+		a.txs[p.XID] = e
+	}
+	a.epochs = st.Epochs
+	maps.Copy(a.seqFloor, st.SeqFloor)
+	maps.Copy(a.clockFloor, st.ClockFloor)
+	a.maxTS = st.MaxTS
 }
 
 // pending extracts the still-pending transactions, for State.

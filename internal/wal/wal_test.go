@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,6 +232,37 @@ func TestOldGenerationSegmentIsRefused(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(seg); !bytes.Equal(after, raw) {
 		t.Fatal("the refused segment was modified")
+	}
+}
+
+// TestOldGenerationSnapshotIsRefused: a snapshot written before snapshots
+// left gob (magic CAESNAP1) is refused by name too. Skipping it instead
+// would leave replay starting past the segments it covered, and the error
+// would blame a missing snapshot.
+func TestOldGenerationSnapshotIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	logPut(t, l, 0, 1, 1, "a", "1")
+	if err := l.Snapshot(func() (map[string][]byte, int64) { return map[string][]byte{"a": []byte("1")}, 1 }); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	_, snaps, err := scanDir(dir)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want 1 snapshot, got %v (%v)", snaps, err)
+	}
+	snap := filepath.Join(dir, snapName(snaps[0]))
+	raw, _ := os.ReadFile(snap)
+	copy(raw, "CAESNAP1")
+	os.WriteFile(snap, raw, 0o644)
+
+	_, _, err = OpenInto(dir, kvstore.New(), Options{})
+	want := fmt.Sprintf("snapshot %d was written by format CAESNAP1, this build reads CAESNAP2 only", snaps[0])
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenInto over a CAESNAP1 snapshot: %v, want ErrCorrupt saying %q", err, want)
+	}
+	if after, _ := os.ReadFile(snap); !bytes.Equal(after, raw) {
+		t.Fatal("the refused snapshot was modified")
 	}
 }
 
