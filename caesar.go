@@ -119,15 +119,15 @@ var ErrResizeConflict = rebalance.ErrResizeConflict
 // WithShards it runs several independent consensus groups and routes each
 // command to its key's group; Resize changes the group count live.
 type Node struct {
-	id      timestamp.NodeID
-	stk     *stack.Stack
-	engine  protocol.Engine
-	resizer *rebalance.Engine // nil on unsharded nodes
-	store   *kvstore.Store
-	reads   *reads.Engine
-	met     *metrics.Recorder
-	shards  int
-	closed  atomic.Bool
+	id     timestamp.NodeID
+	stk    *stack.Stack
+	engine protocol.Engine
+	co     *rebalance.Coordinator // nil on unsharded nodes
+	store  *kvstore.Store
+	reads  *reads.Engine
+	met    *metrics.Recorder
+	shards int
+	closed atomic.Bool
 }
 
 // Options tunes a node; the zero value is production defaults.
@@ -247,14 +247,14 @@ func newNode(ep transport.Endpoint, opts Options, shards int) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		id:      ep.Self(),
-		stk:     stk,
-		engine:  stk.Engine,
-		resizer: stk.Resizer,
-		store:   stk.Store,
-		reads:   stk.Reads,
-		met:     met,
-		shards:  stk.Shards,
+		id:     ep.Self(),
+		stk:    stk,
+		engine: stk.Engine,
+		co:     stk.Coordinator,
+		store:  stk.Store,
+		reads:  stk.Reads,
+		met:    met,
+		shards: stk.Shards,
 	}
 	stk.Start()
 	return n, nil
@@ -359,13 +359,8 @@ func (n *Node) Read(ctx context.Context, key string) ([]byte, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
 	}
-	if n.reads != nil && n.reads.Available() {
-		val, _, err := n.reads.Read(ctx, key)
-		if err == nil || !errors.Is(err, reads.ErrUnavailable) {
-			return val, err
-		}
-	}
-	return n.Propose(ctx, Get(key))
+	val, _, err := n.reads.Read(ctx, key)
+	return val, err
 }
 
 // ReadTx serves a snapshot read of several keys — possibly spanning
@@ -383,23 +378,8 @@ func (n *Node) ReadTx(ctx context.Context, keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if n.reads != nil && n.reads.Available() {
-		vals, _, err := n.reads.ReadTx(ctx, keys)
-		if err == nil || !errors.Is(err, reads.ErrUnavailable) {
-			return vals, err
-		}
-	}
-	// No local read support (not reachable for CAESAR-built nodes): fall
-	// back to proposing each read — correct per key, not a snapshot.
-	vals := make([][]byte, len(keys))
-	for i, k := range keys {
-		v, err := n.Propose(ctx, Get(k))
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
+	vals, _, err := n.reads.ReadTx(ctx, keys)
+	return vals, err
 }
 
 // Stats snapshots the node's counters.
@@ -415,8 +395,8 @@ func (n *Node) Stats() Stats {
 // Shards returns the number of consensus groups this node currently runs
 // (1 unless the cluster was built with WithShards; live resizes move it).
 func (n *Node) Shards() int {
-	if n.resizer != nil {
-		return n.resizer.Shards()
+	if n.co != nil {
+		return n.co.Shards()
 	}
 	return n.shards
 }
@@ -440,10 +420,10 @@ func (n *Node) Resize(ctx context.Context, shards int) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
-	if n.resizer == nil {
+	if n.co == nil {
 		return ErrNotSharded
 	}
-	return n.resizer.Resize(ctx, shards)
+	return n.co.Resize(ctx, shards)
 }
 
 // Close stops the replica: engines first (quiescing deliveries), then —

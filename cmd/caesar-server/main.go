@@ -344,9 +344,9 @@ func handleStats(out *bufio.Writer, n *node) {
 	m := n.met
 	shards := n.stk.Shards
 	epoch := uint32(0)
-	if re := n.stk.Resizer; re != nil {
-		shards = re.Shards()
-		epoch = re.Coordinator().Epoch()
+	if co := n.stk.Coordinator; co != nil {
+		shards = co.Shards()
+		epoch = co.Epoch()
 	}
 	fmt.Fprintf(out,
 		"OK shards=%d epoch=%d proposals=%d executed=%d fast=%d slow=%d retries=%d nacks=%d recoveries=%d read_parks=%d xshard_commits=%d xshard_aborts=%d fsyncs=%d mean_latency=%v p99_latency=%v\n",
@@ -478,27 +478,26 @@ func handleWorkload(out *bufio.Writer, n *node, args []string) {
 }
 
 // handleResize serves the RESIZE admin command: it changes the live
-// deployment's consensus-group count through the rebalance layer and
-// replies once the transition completed on this replica (the peers finish
-// theirs as the markers deliver).
-func handleResize(out *bufio.Writer, rep protocol.Engine, arg string) {
+// deployment's consensus-group count through the rebalance coordinator
+// and replies once the transition completed on this replica (the peers
+// finish theirs as the markers deliver).
+func handleResize(out *bufio.Writer, co *rebalance.Coordinator, arg string) {
 	n, err := strconv.Atoi(arg)
 	if err != nil || n < 1 {
 		fmt.Fprintf(out, "ERR usage: RESIZE <shards> (a positive group count)\n")
 		return
 	}
-	re, ok := rep.(*rebalance.Engine)
-	if !ok {
+	if co == nil {
 		fmt.Fprintf(out, "ERR this replica is not sharded (start it with -shards > 1)\n")
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := re.Resize(ctx, n); err != nil {
+	if err := co.Resize(ctx, n); err != nil {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
 	}
-	fmt.Fprintf(out, "OK %d shards\n", re.Shards())
+	fmt.Fprintf(out, "OK %d shards\n", co.Shards())
 }
 
 // parseMPut builds one atomic multi-put transaction from an MPUT line.
@@ -526,12 +525,8 @@ const readTimeout = 30 * time.Second
 
 // handleGet serves GET from the node-local read engine — stamped against
 // the key's group clock, answered once the delivery frontier passes the
-// stamp, linearizable with no consensus round — falling back to a
-// proposed read only if local reads are unavailable.
-func handleGet(out *bufio.Writer, stk *stack.Stack, key string) bool {
-	if stk.Reads == nil || !stk.Reads.Available() {
-		return false
-	}
+// stamp, linearizable with no consensus round.
+func handleGet(out *bufio.Writer, stk *stack.Stack, key string) {
 	ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
 	defer cancel()
 	val, _, err := stk.Reads.Read(ctx, key)
@@ -543,7 +538,6 @@ func handleGet(out *bufio.Writer, stk *stack.Stack, key string) bool {
 	default:
 		fmt.Fprintf(out, "OK\n")
 	}
-	return true
 }
 
 // handleMGet serves MGET: one consistent local snapshot across the keys
@@ -553,10 +547,6 @@ func handleGet(out *bufio.Writer, stk *stack.Stack, key string) bool {
 func handleMGet(out *bufio.Writer, stk *stack.Stack, keys []string) {
 	if len(keys) == 0 {
 		fmt.Fprintf(out, "ERR usage: MGET <key> [<key>...]\n")
-		return
-	}
-	if stk.Reads == nil || !stk.Reads.Available() {
-		fmt.Fprintf(out, "ERR snapshot reads unavailable on this replica\n")
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), readTimeout)
@@ -591,11 +581,9 @@ func handleClient(conn net.Conn, n *node) {
 		case len(fields) == 3 && strings.EqualFold(fields[0], "PUT"):
 			cmd = command.Put(fields[1], []byte(fields[2]))
 		case len(fields) == 2 && strings.EqualFold(fields[0], "GET"):
-			if handleGet(out, stk, fields[1]) {
-				out.Flush()
-				continue
-			}
-			cmd = command.Get(fields[1])
+			handleGet(out, stk, fields[1])
+			out.Flush()
+			continue
 		case strings.EqualFold(fields[0], "MGET"):
 			// Re-tokenize on purpose: fields came from SplitN(line, 3)
 			// (PUT values run to end of line), which would fold keys
@@ -611,7 +599,7 @@ func handleClient(conn net.Conn, n *node) {
 				continue
 			}
 		case len(fields) == 2 && strings.EqualFold(fields[0], "RESIZE"):
-			handleResize(out, rep, fields[1])
+			handleResize(out, stk.Coordinator, fields[1])
 			out.Flush()
 			continue
 		case len(fields) == 1 && strings.EqualFold(fields[0], "STATS"):

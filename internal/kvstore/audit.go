@@ -22,7 +22,7 @@ import (
 // consensus group. The attribution must be a pure function of
 // (key, epoch) — both are replicated verbatim with the command — so all
 // replicas fold a write into the same group regardless of local state.
-// Installed by internal/stack (audit.Epochs.GroupOf); nil attributes
+// Installed by internal/stack (shard.Epochs.GroupOf); nil attributes
 // everything to group 0, which single-group deployments rely on.
 type GroupFn func(key string, epoch uint32) int32
 

@@ -76,7 +76,8 @@ type GroupReader interface {
 
 // ErrUnavailable reports that a key's consensus group has no local read
 // support on this node (an engine without read frontiers, e.g. the
-// comparison protocols); callers fall back to proposing the read.
+// comparison protocols). Every node stack.CaesarEngine builds has a reader
+// for each group, so there it surfaces as an error, never as a fallback.
 var ErrUnavailable = errors.New("reads: no local read support for the key's consensus group")
 
 // ErrRetriesExhausted reports a read that kept racing resizes (or kept
@@ -93,7 +94,7 @@ var (
 	errRetryStopped = errors.New("reads: serving group stopped, retry")
 )
 
-// maxAttempts bounds the internal retry loop, mirroring rebalance's
+// maxAttempts bounds the internal retry loop, mirroring xshard's
 // maxEpochRetries: exceeding it means the deployment is resizing
 // continuously.
 const maxAttempts = 8
@@ -187,13 +188,6 @@ func (e *Engine) contendProfile() *contend.Profile {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.ctd
-}
-
-// Available reports whether at least one group supports local reads.
-func (e *Engine) Available() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.groups) > 0
 }
 
 func (e *Engine) reader(g int) GroupReader {

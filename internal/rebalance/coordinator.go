@@ -1,6 +1,8 @@
 package rebalance
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,6 +17,14 @@ import (
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
+// ErrResizeInProgress rejects a resize initiated while another transition
+// is still completing on this node.
+var ErrResizeInProgress = errors.New("rebalance: a resize is already in progress")
+
+// ErrResizeConflict reports that a concurrently initiated resize won the
+// epoch: the deployment was resized, but to the winner's shard count.
+var ErrResizeConflict = errors.New("rebalance: a concurrent resize won the epoch")
+
 // Config tunes one node's rebalance coordinator.
 type Config struct {
 	// Self is this node's ID; it staggers fence re-proposals and decides
@@ -28,13 +38,6 @@ type Config struct {
 	// synchronously (the install is not visible to deliveries until it
 	// returns); it must not call back into the coordinator.
 	Journal func(m Marker)
-	// OnInstall, when non-nil, observes each epoch this node installs,
-	// with the same discipline as Journal: called once per installed
-	// epoch, synchronously before any delivery can observe the new epoch,
-	// and it must not call back into the coordinator or block. The node
-	// stack feeds its audit epoch tracker (internal/audit) from it so
-	// writes stamped with the new epoch attribute to the right groups.
-	OnInstall func(m Marker)
 	// Trace, when non-nil, records each fence delivery this node applies,
 	// tying resize progress into command histories.
 	Trace *trace.Ring
@@ -163,7 +166,7 @@ func (p *fencePass) pass() {
 	}
 }
 
-// Coordinator is one node's rebalancing brain: it owns the epoch table,
+// Coordinator is one node's rebalancing brain: it drives resizes (Resize),
 // installs transitions when fences deliver, gates every group's deliveries
 // against the epoch state, runs the state handoff, and retires groups
 // after a shrink. One Coordinator serves all of a node's groups. The
@@ -183,16 +186,17 @@ type Coordinator struct {
 	// follow this order. The chain lives on the first-acquired lock.
 	//caesarlint:lockorder gate < table < store
 	mu sync.Mutex
-	// Wired by bind (Engine construction).
+	// Wired by Bind.
 	inner    *shard.Engine
 	table    *xshard.Table
 	resubmit func(command.Command, protocol.DoneFunc)
 
-	epoch  uint32
-	shards int
-	// epochShards remembers every epoch's shard count, so routers of past
-	// epochs can be rebuilt (survivor-side abort markers, stale checks).
-	epochShards map[uint32]int32
+	// history is the node's routing-epoch history, shared with the commit
+	// table and the store: installLocked writes each new epoch into it,
+	// and the gate's verdicts rebuild past epochs' routers from it.
+	history *shard.Epochs
+	epoch   uint32
+	shards  int
 	// groupEpoch is, per group, the highest epoch the group has passed a
 	// fence for (or was created at).
 	groupEpoch map[int]uint32
@@ -237,36 +241,31 @@ type waiter struct {
 	ch    chan struct{}
 }
 
-// NewCoordinatorAt builds a coordinator at a given point of the epoch
-// history — a fresh node's {0: shards} at epoch 0, or the history a crash
-// restart recovered: epochs maps every installed epoch to its shard
-// count, and epoch is the last installed one. It must be wired to the
-// engines with bind (done by NewEngine) before traffic flows; its Applier
+// NewCoordinatorAt builds a coordinator at a given point of the node's
+// routing-epoch history — a fresh node's epoch 0, or the last epoch a
+// crash restart recovered: history holds every installed epoch's shard
+// count (at least epoch's), and epoch is the last installed one. It must
+// be wired to the engines with Bind before traffic flows; its Applier
 // method is safe to use while constructing the groups. The node resumes at
 // that epoch with no transition in flight — a crash mid-transition is
 // safe because with the node-shared store a handoff moves no state and
 // gated (queued) deliveries were never acknowledged; the
 // groups' fence prefixes are treated as complete at the restored epoch.
-func NewCoordinatorAt(cfg Config, epochs map[uint32]int32, epoch uint32) *Coordinator {
-	shards := int(epochs[epoch])
+func NewCoordinatorAt(cfg Config, history *shard.Epochs, epoch uint32) *Coordinator {
+	shards := int(history.Shards(epoch))
 	if shards < 1 {
 		shards = 1
 	}
-	es := make(map[uint32]int32, len(epochs))
-	for e, n := range epochs {
-		es[e] = n
-	}
-	es[epoch] = int32(shards)
 	co := &Coordinator{
-		cfg:         cfg.withDefaults(),
-		epoch:       epoch,
-		epochShards: es,
-		groupEpoch:  make(map[int]uint32),
-		queuedKeys:  make(map[groupKey]int),
-		handed:      make(map[*queuedCmd]struct{}),
-		inners:      make(map[int]protocol.DeferringApplier),
-		shards:      shards,
-		retireTo:    -1,
+		cfg:        cfg.withDefaults(),
+		history:    history,
+		epoch:      epoch,
+		groupEpoch: make(map[int]uint32),
+		queuedKeys: make(map[groupKey]int),
+		handed:     make(map[*queuedCmd]struct{}),
+		inners:     make(map[int]protocol.DeferringApplier),
+		shards:     shards,
+		retireTo:   -1,
 	}
 	for g := 0; g < shards; g++ {
 		co.groupEpoch[g] = epoch
@@ -274,25 +273,20 @@ func NewCoordinatorAt(cfg Config, epochs map[uint32]int32, epoch uint32) *Coordi
 	return co
 }
 
-// bind wires the coordinator to the engine stack; resubmit re-proposes
-// skipped commands through the full routing path (Engine.Submit).
-func (co *Coordinator) bind(x *xshard.Engine, resubmit func(command.Command, protocol.DoneFunc)) {
+// Bind wires the coordinator to the node's cross-shard engine, whose
+// groups must apply through Applier: fences go to x's groups, stale
+// pieces are killed in x's table, and skipped commands are re-proposed
+// through the full routing path (x.Submit). It switches x's router to the
+// coordinator's epoch, so a restarted node proposes under the epoch it
+// recovered.
+func (co *Coordinator) Bind(x *xshard.Engine) {
 	co.mu.Lock()
 	co.inner = x.Inner()
 	co.table = x.Table()
-	co.resubmit = resubmit
+	co.resubmit = x.Submit
 	epoch, shards := co.epoch, co.shards
 	co.mu.Unlock()
 	co.inner.SetRouter(shard.NewRouterAt(epoch, shards))
-	co.table.SetRouterAt(co.RouterAt)
-}
-
-// RouterAt rebuilds the router of a past (or the current) epoch; unknown
-// epochs fall back to the current router.
-func (co *Coordinator) RouterAt(epoch uint32) shard.Router {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.routerForLocked(epoch)
 }
 
 // Epoch returns the current routing epoch.
@@ -357,8 +351,9 @@ func (co *Coordinator) DebugState() []string {
 	return out
 }
 
-// start launches the maintenance sweeper.
-func (co *Coordinator) start() {
+// Start launches the maintenance sweeper. Call it after the engine's
+// groups have started.
+func (co *Coordinator) Start() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.running {
@@ -370,8 +365,10 @@ func (co *Coordinator) start() {
 	go co.sweeper(co.stopCh, co.doneCh)
 }
 
-// stop halts the sweeper and fails every gated delivery with ErrStopped.
-func (co *Coordinator) stop() {
+// Stop halts the sweeper and fails every gated delivery with ErrStopped.
+// Call it after the engine's groups have stopped, so no delivery reaches
+// the gate any more. Idempotent.
+func (co *Coordinator) Stop() {
 	co.mu.Lock()
 	if !co.running {
 		co.mu.Unlock()
@@ -580,7 +577,8 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, cmd command.Comma
 	if cmd.Op == command.OpXCommit {
 		// A stale participant piece kills its transaction everywhere,
 		// deterministically; the coordinating node's client callback gets
-		// ErrEpochRetry and the engine re-proposes under the new epoch.
+		// ErrEpochRetry and xshard.Engine.Submit re-proposes under the new
+		// epoch.
 		if p, err := xshard.DecodePiece(cmd.Payload); err == nil {
 			co.table.KillStale(int32(group), p.XID)
 		}
@@ -690,12 +688,12 @@ func (co *Coordinator) touchesQueuedLocked(group int, cmd command.Command) bool 
 	return false
 }
 
-// routerForLocked rebuilds the router of one recorded epoch (falling back
+// routerForLocked rebuilds the router of one installed epoch (falling back
 // to the current one for an unknown epoch, which cannot happen for any
 // epoch a groupEpoch entry holds).
 func (co *Coordinator) routerForLocked(epoch uint32) shard.Router {
-	if n, ok := co.epochShards[epoch]; ok {
-		return shard.NewRouterAt(epoch, int(n))
+	if r, ok := co.history.RouterAt(epoch); ok {
+		return r
 	}
 	return shard.NewRouterAt(co.epoch, co.shards)
 }
@@ -869,7 +867,7 @@ func (co *Coordinator) installLocked(m Marker) bool {
 	co.pending = t
 	co.epoch = m.Epoch
 	co.shards = int(m.Shards)
-	co.epochShards[m.Epoch] = m.Shards
+	co.history.Install(m.Epoch, m.Shards)
 	for g := int(m.PrevShards); g < int(m.Shards); g++ {
 		co.groupEpoch[g] = m.Epoch
 	}
@@ -878,9 +876,6 @@ func (co *Coordinator) installLocked(m Marker) bool {
 		// classify under co.mu, which we hold until the install's own
 		// unlocked window below).
 		co.cfg.Journal(m)
-	}
-	if co.cfg.OnInstall != nil {
-		co.cfg.OnInstall(m)
 	}
 	co.cfg.Flight.Eventf(flight.KindEpoch,
 		"epoch %d installed: %d -> %d group(s)", m.Epoch, m.PrevShards, m.Shards)
@@ -1107,6 +1102,91 @@ func (co *Coordinator) classifyReleasedLocked(q *queuedCmd) gateVerdict {
 		return gateStale
 	}
 	return gatePass
+}
+
+// Resize changes the deployment's consensus-group count to shards, live:
+// it proposes the resize marker through group 0 — whose total order of
+// fences decides the epoch cluster-wide — propagates it to every other
+// existing group, and waits until this node's transition completes (every
+// fence delivered, every source group's state handed off). Other nodes
+// complete on their own as their fences deliver; survivors re-propose
+// missing fences, so a crashed initiator cannot wedge the transition.
+//
+// Returns nil when the resize completed locally, ErrResizeConflict when a
+// concurrent resize won the epoch (the deployment resized, but to the
+// winner's count), ErrResizeInProgress when called mid-transition, or the
+// context's error. A no-op resize (shards == current) returns nil
+// immediately.
+func (co *Coordinator) Resize(ctx context.Context, shards int) error {
+	if shards < 1 {
+		return fmt.Errorf("rebalance: invalid shard count %d", shards)
+	}
+	co.mu.Lock()
+	if co.pending != nil {
+		co.mu.Unlock()
+		return ErrResizeInProgress
+	}
+	if shards == co.shards {
+		co.mu.Unlock()
+		return nil
+	}
+	m := Marker{Epoch: co.epoch + 1, Shards: int32(shards), PrevShards: int32(co.shards)}
+	inner := co.inner
+	co.mu.Unlock()
+	co.cfg.Flight.Eventf(flight.KindResize,
+		"resize initiated here: epoch %d, %d -> %d group(s)", m.Epoch, m.PrevShards, m.Shards)
+
+	fence, err := FenceCommand(m)
+	if err != nil {
+		return err
+	}
+	// Decide: group 0 serializes competing resizes, and the history keeps
+	// the first marker of each epoch.
+	if err := submitFence(ctx, inner, 0, fence); err != nil {
+		return err
+	}
+	if co.history.Shards(m.Epoch) != m.Shards {
+		return ErrResizeConflict
+	}
+	// Fence the remaining old groups (the sweeper finishes this if we
+	// crash or a submission is lost).
+	errs := make(chan error, int(m.PrevShards))
+	for g := 1; g < int(m.PrevShards); g++ {
+		go func(g int) { errs <- submitFence(ctx, inner, g, fence) }(g)
+	}
+	for g := 1; g < int(m.PrevShards); g++ {
+		if err := <-errs; err != nil && ctx.Err() != nil {
+			return err
+		}
+	}
+	// Hand off: wait for the local transition to finish. The waiter
+	// channel also closes when the coordinator stops mid-transition, so
+	// completion is re-checked from state, not inferred from the wakeup.
+	select {
+	case <-co.WaitEpoch(m.Epoch):
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	co.mu.Lock()
+	completed := co.epoch >= m.Epoch && co.pending == nil
+	co.mu.Unlock()
+	if !completed {
+		return protocol.ErrStopped
+	}
+	return nil
+}
+
+// submitFence proposes the fence to one group and waits for its local
+// delivery.
+func submitFence(ctx context.Context, inner *shard.Engine, group int, fence command.Command) error {
+	ch := make(chan protocol.Result, 1)
+	inner.SubmitTo(group, fence, func(res protocol.Result) { ch <- res })
+	select {
+	case res := <-ch:
+		return res.Err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // WaitEpoch parks until the transition installing epoch has completed

@@ -18,14 +18,16 @@
 //
 // A resize runs in four steps:
 //
-//  1. Decide. The initiator proposes the marker to group 0. Group 0's
-//     total order of fences serializes concurrent resizes — the first
-//     marker of an epoch wins, later ones for the same epoch are no-ops.
+//  1. Decide. The initiator (Coordinator.Resize) proposes the marker to
+//     group 0. Group 0's total order of fences serializes concurrent
+//     resizes — the first marker of an epoch wins, later ones for the
+//     same epoch are no-ops.
 //  2. Fence. The marker is propagated to every other existing group (by
 //     the initiator; any replica re-proposes missing fences on timeout,
 //     so a crashed initiator cannot wedge the transition — duplicate
 //     fences for an installed epoch are no-ops). Delivering the first
-//     fence of the new epoch installs it on that replica: new groups are
+//     fence of the new epoch installs it on that replica: the node's
+//     routing-epoch history (shard.Epochs) records it, new groups are
 //     created (the Mux buffers their early traffic), the proposer-side
 //     router switches, and the gate below starts classifying.
 //  3. Hand off. No key bytes move — every group of a node applies to the
@@ -65,8 +67,9 @@
 // decided when the grace window closes fails with protocol.ErrStopped
 // (outcome reported, never silently dropped — a submission that merely
 // raced the shrink and found the group gone, shard.ErrNoGroup, is
-// re-routed automatically by Engine.Submit); and latency on migrating
-// keys stalls for up to one handoff round while their queue drains.
+// re-routed automatically by xshard.Engine.Submit); and latency on
+// migrating keys stalls for up to one handoff round while their queue
+// drains.
 package rebalance
 
 import (

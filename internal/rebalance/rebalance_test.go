@@ -113,10 +113,13 @@ func (r *recordingApplier) applied() []string {
 }
 
 // newTestCoordinator builds an unbound coordinator suitable for driving
-// the gate directly: no engines, a standalone commit table, manual fences.
+// the gate directly: no engines, a standalone commit table sharing the
+// coordinator's epoch history, manual fences.
 func newTestCoordinator(shards int) (*Coordinator, *recordingApplier) {
-	co := NewCoordinatorAt(Config{Self: 0, Now: time.Now}, map[uint32]int32{0: int32(shards)}, 0)
-	co.table = xshard.NewTable(xshard.TableConfig{Self: 0, Exec: kvstore.New()})
+	history := shard.NewEpochs()
+	history.Install(0, int32(shards))
+	co := NewCoordinatorAt(Config{Self: 0, Now: time.Now}, history, 0)
+	co.table = xshard.NewTable(xshard.TableConfig{Self: 0, Exec: kvstore.New()}, history)
 	app := &recordingApplier{}
 	return co, app
 }
@@ -277,19 +280,55 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 	}
 }
 
+// TestResolveDoesNotTakeTheGateLock pins the declared lock order gate <
+// table: the commit table's resolution sweep rebuilds a held transaction's
+// routers from the history it shares with the coordinator, never through
+// the coordinator, so a sweep under the table lock finishes while the gate
+// lock is held.
+func TestResolveDoesNotTakeTheGateLock(t *testing.T) {
+	co, _ := newTestCoordinator(2)
+	now := time.Unix(0, 0)
+	table := xshard.NewTable(xshard.TableConfig{
+		Self: 0, Exec: kvstore.New(), ResolveTimeout: time.Second,
+		Now: func() time.Time { return now },
+	}, co.history)
+	co.table = table
+	r := shard.NewRouterAt(0, 2)
+	ops := []command.Command{command.Put(keyHomedAt(t, r, r, 0, 0), nil), command.Put(keyHomedAt(t, r, r, 1, 1), nil)}
+	table.Expect(xshard.XID{Node: 0, Seq: 1}, []int32{0, 1}, ops, 0, nil)
+	now = now.Add(time.Hour) // past the entry's resolution deadline
+
+	co.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		table.Resolve()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("Resolve blocked while the gate lock was held")
+	}
+	co.mu.Unlock()
+	<-done
+}
+
 // TestRouterAtRemembersEpochHistory checks survivors can rebuild old
-// routers after several resizes.
+// routers after several resizes: each fence records its epoch in the
+// history the coordinator's verdicts rebuild routers from.
 func TestRouterAtRemembersEpochHistory(t *testing.T) {
 	co, _ := newTestCoordinator(2)
 	co.onFence(0, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	co.onFence(1, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
-	if r := co.RouterAt(0); r.Shards() != 2 || r.Epoch() != 0 {
-		t.Fatalf("RouterAt(0) = %d shards at epoch %d", r.Shards(), r.Epoch())
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if r := co.routerForLocked(0); r.Shards() != 2 || r.Epoch() != 0 {
+		t.Fatalf("router of epoch 0 = %d shards at epoch %d", r.Shards(), r.Epoch())
 	}
-	if r := co.RouterAt(1); r.Shards() != 4 {
-		t.Fatalf("RouterAt(1) = %d shards", r.Shards())
+	if r := co.routerForLocked(1); r.Shards() != 4 || r.Epoch() != 1 {
+		t.Fatalf("router of epoch 1 = %d shards at epoch %d", r.Shards(), r.Epoch())
 	}
-	if r := co.RouterAt(99); r.Shards() != 4 {
+	if r := co.routerForLocked(99); r.Shards() != 4 {
 		t.Fatalf("unknown epoch fell back to %d shards, want current", r.Shards())
 	}
 }
@@ -376,8 +415,9 @@ func TestReleasedVerdictUsesDeliveryPosition(t *testing.T) {
 	if key == "" {
 		t.Fatal("no probe key found")
 	}
+	co.history.Install(1, 4)
+	co.history.Install(2, 8)
 	co.mu.Lock()
-	co.epochShards[1], co.epochShards[2] = 4, 8
 	cmd := command.Put(key, nil)
 	cmd.Epoch = 1
 	// Delivered in group 2 while its prefix was epoch 1 (not stale);

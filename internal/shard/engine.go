@@ -35,8 +35,8 @@ type Engine struct {
 	mu     sync.RWMutex
 	router Router
 	groups []protocol.Engine // nil entries are retired shards
-	build  BuildFunc         // nil when groups were wired externally
-	mux    *Mux              // nil when groups were wired externally (per-shard networks)
+	build  BuildFunc
+	mux    *Mux
 
 	started bool
 	stopped bool
@@ -44,26 +44,15 @@ type Engine struct {
 
 var _ protocol.Engine = (*Engine)(nil)
 
-// New builds a sharded engine over one shared endpoint: a Mux gives each
+// NewAt builds a sharded engine over one shared endpoint: a Mux gives each
 // shard a tagged logical channel, and build constructs each group on its
-// channel. Stop closes the endpoint.
-func New(ep transport.Endpoint, shards int, build BuildFunc) *Engine {
-	mux := NewMux(ep, shards)
-	groups := make([]protocol.Engine, mux.Shards())
-	for s := range groups {
-		groups[s] = build(s, mux.Endpoint(s))
-	}
-	return &Engine{router: NewRouter(len(groups)), groups: groups, build: build, mux: mux}
-}
-
-// NewAt builds a sharded engine whose group instances attach at the
+// channel. Stop closes the endpoint. The group instances attach at the
 // given per-group mux generations — the routing epochs the groups were
 // most recently created at. A node restarting into a previously resized
 // deployment must match the generations its peers' mux slots run, or its
 // outbound traffic would be dropped as stale (and inbound buffered for a
 // generation that never attaches). gens[i] is group i's generation; a
-// fresh deployment is all zeros, for which NewAt behaves exactly like
-// New.
+// fresh deployment is all zeros.
 func NewAt(ep transport.Endpoint, gens []int32, build BuildFunc) *Engine {
 	mux := NewMux(ep, len(gens))
 	groups := make([]protocol.Engine, len(gens))
@@ -71,13 +60,6 @@ func NewAt(ep transport.Endpoint, gens []int32, build BuildFunc) *Engine {
 		groups[s] = build(s, mux.Attach(s, gens[s]))
 	}
 	return &Engine{router: NewRouter(len(groups)), groups: groups, build: build, mux: mux}
-}
-
-// NewFromGroups wraps externally wired groups (e.g. one network per shard).
-// The caller keeps ownership of the groups' transports; such an engine
-// cannot grow.
-func NewFromGroups(groups []protocol.Engine) *Engine {
-	return &Engine{router: NewRouter(len(groups)), groups: groups}
 }
 
 // Router returns the engine's current key → shard map (a snapshot: the
@@ -130,14 +112,9 @@ func (e *Engine) Group(i int) protocol.Engine {
 // EnsureGroups grows the engine to at least n groups, building the new
 // ones at generation gen (the routing epoch of the resize creating them)
 // and starting them if the engine runs. Revives retired slots too. It is
-// idempotent: existing live groups are untouched. Fails on an engine wired
-// with NewFromGroups (no builder, no shared mux).
+// idempotent: existing live groups are untouched.
 func (e *Engine) EnsureGroups(n int, gen int32) error {
 	e.mu.Lock()
-	if e.build == nil || e.mux == nil {
-		e.mu.Unlock()
-		return errors.New("shard: engine cannot grow (externally wired groups)")
-	}
 	if e.stopped {
 		e.mu.Unlock()
 		return protocol.ErrStopped
@@ -181,15 +158,12 @@ func (e *Engine) RetireFrom(n int) {
 			e.groups[s] = nil
 		}
 	}
-	mux := e.mux
 	e.mu.Unlock()
 	for _, g := range victims {
 		g.Stop()
 	}
-	if mux != nil {
-		for _, s := range slots {
-			mux.Retire(s)
-		}
+	for _, s := range slots {
+		e.mux.Retire(s)
 	}
 }
 
@@ -303,7 +277,5 @@ func (e *Engine) Stop() {
 			g.Stop()
 		}
 	}
-	if e.mux != nil {
-		_ = e.mux.Close()
-	}
+	_ = e.mux.Close()
 }

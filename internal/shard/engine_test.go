@@ -38,14 +38,29 @@ func (f *fakeGroup) count() int {
 	return len(f.submitted)
 }
 
-func TestShardedEngineRoutesSubmissions(t *testing.T) {
+// newFakes returns n fresh fake groups.
+func newFakes(n int) []*fakeGroup {
+	fakes := make([]*fakeGroup, n)
+	for i := range fakes {
+		fakes[i] = &fakeGroup{}
+	}
+	return fakes
+}
+
+// newEngine builds a sharded engine over a one-node network whose groups
+// are the given engines, handed over through the build func.
+func newEngine[G protocol.Engine](t *testing.T, groups []G) *Engine {
+	t.Helper()
 	net := memnet.New(memnet.Config{Nodes: 1})
-	defer net.Close()
-	fakes := make([]*fakeGroup, 4)
-	eng := New(net.Endpoint(0), 4, func(s int, _ transport.Endpoint) protocol.Engine {
-		fakes[s] = &fakeGroup{}
-		return fakes[s]
+	t.Cleanup(net.Close)
+	return NewAt(net.Endpoint(0), make([]int32, len(groups)), func(s int, _ transport.Endpoint) protocol.Engine {
+		return groups[s]
 	})
+}
+
+func TestShardedEngineRoutesSubmissions(t *testing.T) {
+	fakes := newFakes(4)
+	eng := newEngine(t, fakes)
 	eng.Start()
 	defer eng.Stop()
 
@@ -67,13 +82,8 @@ func TestShardedEngineRoutesSubmissions(t *testing.T) {
 }
 
 func TestShardedEngineBroadcastsKeylessCommands(t *testing.T) {
-	net := memnet.New(memnet.Config{Nodes: 1})
-	defer net.Close()
-	fakes := make([]*fakeGroup, 4)
-	eng := New(net.Endpoint(0), 4, func(s int, _ transport.Endpoint) protocol.Engine {
-		fakes[s] = &fakeGroup{}
-		return fakes[s]
-	})
+	fakes := newFakes(4)
+	eng := newEngine(t, fakes)
 	eng.Start()
 	defer eng.Stop()
 
@@ -98,7 +108,7 @@ func TestShardedEngineBroadcastsKeylessCommands(t *testing.T) {
 func TestShardedEngineKeylessBroadcastReportsFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	ok := &fakeGroup{}
-	eng := NewFromGroups([]protocol.Engine{ok, failingGroup{err: boom}})
+	eng := newEngine(t, []protocol.Engine{ok, failingGroup{err: boom}})
 	var res protocol.Result
 	eng.Submit(command.Noop(), func(r protocol.Result) { res = r })
 	if !errors.Is(res.Err, boom) {
@@ -121,11 +131,7 @@ func (failingGroup) Start() {}
 func (failingGroup) Stop()  {}
 
 func TestShardedEngineRejectsCrossShard(t *testing.T) {
-	net := memnet.New(memnet.Config{Nodes: 1})
-	defer net.Close()
-	eng := New(net.Endpoint(0), 4, func(int, transport.Endpoint) protocol.Engine {
-		return &fakeGroup{}
-	})
+	eng := newEngine(t, newFakes(4))
 	eng.Start()
 	defer eng.Stop()
 
@@ -146,13 +152,8 @@ func TestShardedEngineRejectsCrossShard(t *testing.T) {
 }
 
 func TestShardedEngineStopFansOutAndReleasesEndpoint(t *testing.T) {
-	net := memnet.New(memnet.Config{Nodes: 1})
-	defer net.Close()
-	fakes := make([]*fakeGroup, 3)
-	eng := New(net.Endpoint(0), 3, func(s int, _ transport.Endpoint) protocol.Engine {
-		fakes[s] = &fakeGroup{}
-		return fakes[s]
-	})
+	fakes := newFakes(3)
+	eng := newEngine(t, fakes)
 	eng.Start()
 	eng.Stop()
 	eng.Stop() // idempotent, like every protocol.Engine
@@ -164,8 +165,8 @@ func TestShardedEngineStopFansOutAndReleasesEndpoint(t *testing.T) {
 }
 
 func TestShardedEngineFromGroups(t *testing.T) {
-	fakes := []*fakeGroup{{}, {}}
-	eng := NewFromGroups([]protocol.Engine{fakes[0], fakes[1]})
+	fakes := newFakes(2)
+	eng := newEngine(t, fakes)
 	if eng.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want 2", eng.Shards())
 	}

@@ -81,13 +81,6 @@ func NewMux(ep transport.Endpoint, shards int) *Mux {
 	return m
 }
 
-// Shards returns the number of logical channels (live or retired).
-func (m *Mux) Shards() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.slots)
-}
-
 // dispatch unwraps one inbound envelope and hands it to its shard, or
 // buffers it when the shard's instance is still being created.
 func (m *Mux) dispatch(from timestamp.NodeID, payload any) {
@@ -139,22 +132,6 @@ func (m *Mux) buffer(from timestamp.NodeID, env *Envelope) {
 		return
 	}
 	slot.pending = append(slot.pending, pendingMsg{from: from, gen: env.Gen, payload: env.Payload})
-}
-
-// Endpoint returns the logical endpoint for one shard at its current
-// generation. It panics on an out-of-range shard — a wiring bug, not a
-// runtime condition.
-func (m *Mux) Endpoint(shard int) transport.Endpoint {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if shard < 0 || shard >= len(m.slots) {
-		panic(fmt.Sprintf("shard: endpoint %d outside [0,%d)", shard, len(m.slots)))
-	}
-	gen := m.slots[shard].gen
-	if gen < 0 {
-		gen = 0
-	}
-	return &subEndpoint{mux: m, shard: int32(shard), gen: gen}
 }
 
 // Attach creates (or revives) the slot for shard at generation gen and

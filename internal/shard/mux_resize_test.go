@@ -45,7 +45,7 @@ func TestShardMuxDropsStaleGenerations(t *testing.T) {
 	b := NewMux(net.Endpoint(1), 4)
 	defer b.Close()
 
-	oldSender := a.Endpoint(3) // generation 0
+	oldSender := a.Attach(3, 0)
 	var c collector
 	b.Attach(3, 2).SetHandler(c.handle) // revived at epoch 2
 	newSender := a.Attach(3, 2)
@@ -74,12 +74,12 @@ func TestShardMuxRetireDropsAndRevives(t *testing.T) {
 	defer b.Close()
 
 	var c collector
-	b.Endpoint(1).SetHandler(c.handle)
-	a.Endpoint(1).Send(1, "before")
+	b.Attach(1, 0).SetHandler(c.handle)
+	a.Attach(1, 0).Send(1, "before")
 	c.wait(t, 1)
 
 	b.Retire(1)
-	a.Endpoint(1).Send(1, "while-retired")
+	a.Attach(1, 0).Send(1, "while-retired")
 	time.Sleep(20 * time.Millisecond)
 	if c.count() != 1 {
 		t.Fatalf("retired slot delivered traffic: %d messages", c.count())

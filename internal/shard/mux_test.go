@@ -52,12 +52,12 @@ func TestShardMuxRoutesByTag(t *testing.T) {
 	m1 := NewMux(net.Endpoint(1), 2)
 
 	var s0, s1 collector
-	m1.Endpoint(0).SetHandler(s0.handle)
-	m1.Endpoint(1).SetHandler(s1.handle)
+	m1.Attach(0, 0).SetHandler(s0.handle)
+	m1.Attach(1, 0).SetHandler(s1.handle)
 
-	m0.Endpoint(0).Send(1, "for-shard-0")
-	m0.Endpoint(1).Send(1, "for-shard-1")
-	m0.Endpoint(1).Broadcast("broadcast-1")
+	m0.Attach(0, 0).Send(1, "for-shard-0")
+	m0.Attach(1, 0).Send(1, "for-shard-1")
+	m0.Attach(1, 0).Broadcast("broadcast-1")
 
 	if got := s0.wait(t, 1); got[0] != "for-shard-0" {
 		t.Fatalf("shard 0 received %v", got)
@@ -76,7 +76,7 @@ func TestShardMuxDropsUntaggedAndUnhandled(t *testing.T) {
 	defer net.Close()
 	m1 := NewMux(net.Endpoint(1), 2)
 	var s0 collector
-	m1.Endpoint(0).SetHandler(s0.handle)
+	m1.Attach(0, 0).SetHandler(s0.handle)
 
 	// Untagged payload, out-of-range shard, and a shard with no handler:
 	// all silently dropped, like transport sends to crashed peers.
@@ -96,16 +96,16 @@ func TestShardMuxSubEndpointClose(t *testing.T) {
 	defer net.Close()
 	m1 := NewMux(net.Endpoint(1), 2)
 	var s0, s1 collector
-	ep0 := m1.Endpoint(0)
+	ep0 := m1.Attach(0, 0)
 	ep0.SetHandler(s0.handle)
-	m1.Endpoint(1).SetHandler(s1.handle)
+	m1.Attach(1, 0).SetHandler(s1.handle)
 
 	sender := NewMux(net.Endpoint(0), 2)
 	if err := ep0.Close(); err != nil {
 		t.Fatalf("sub-endpoint close: %v", err)
 	}
-	sender.Endpoint(0).Send(1, "after-close")
-	sender.Endpoint(1).Send(1, "sibling")
+	sender.Attach(0, 0).Send(1, "after-close")
+	sender.Attach(1, 0).Send(1, "sibling")
 
 	// The sibling shard keeps receiving after shard 0 detached.
 	if got := s1.wait(t, 1); got[0] != "sibling" {
@@ -121,8 +121,8 @@ func TestShardMuxCloseDeregistersHandlers(t *testing.T) {
 	defer net.Close()
 	m1 := NewMux(net.Endpoint(1), 2)
 	var s0, s1 collector
-	m1.Endpoint(0).SetHandler(s0.handle)
-	m1.Endpoint(1).SetHandler(s1.handle)
+	m1.Attach(0, 0).SetHandler(s0.handle)
+	m1.Attach(1, 0).SetHandler(s1.handle)
 
 	if err := m1.Close(); err != nil {
 		t.Fatalf("mux close: %v", err)
@@ -142,7 +142,7 @@ func TestShardMuxSelfAndPeers(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 3})
 	defer net.Close()
 	m := NewMux(net.Endpoint(2), 4)
-	ep := m.Endpoint(3)
+	ep := m.Attach(3, 0)
 	if ep.Self() != 2 {
 		t.Fatalf("Self() = %v, want 2", ep.Self())
 	}

@@ -109,7 +109,7 @@ func TestEngineStampsRoutingEpoch(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 1})
 	defer net.Close()
 	got := make(chan command.Command, 8)
-	e := New(net.Endpoint(0), 2, func(g int, ep transport.Endpoint) protocol.Engine {
+	e := NewAt(net.Endpoint(0), make([]int32, 2), func(g int, ep transport.Endpoint) protocol.Engine {
 		return &epochRecorder{group: g, got: got}
 	})
 	e.Submit(command.Put("k", nil), nil)
@@ -131,7 +131,7 @@ func TestEngineEnsureAndRetireGroups(t *testing.T) {
 	defer net.Close()
 	got := make(chan command.Command, 8)
 	var builds int
-	e := New(net.Endpoint(0), 2, func(g int, ep transport.Endpoint) protocol.Engine {
+	e := NewAt(net.Endpoint(0), make([]int32, 2), func(g int, ep transport.Endpoint) protocol.Engine {
 		builds++
 		return &epochRecorder{group: g, got: got}
 	})

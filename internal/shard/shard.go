@@ -6,13 +6,16 @@
 // Nothing is ordered across shards: a sharded deployment offers per-key
 // (per-shard) linearizability, not cross-shard serializability.
 //
-// The package has three pieces:
+// The package has four pieces:
 //
 //   - Router: a stable, epoch-versioned key → shard map built on Jump
 //     Consistent Hash, so growing the shard count from G to G+1 moves only
 //     ~1/(G+1) of keys. An epoch names one shard count; the live
 //     rebalancing layer (internal/rebalance) installs a new epoch to
 //     resize a running deployment.
+//   - Epochs: a node's routing-epoch history, from which the router of
+//     any installed epoch is rebuilt — one per node, shared by the
+//     rebalancing layer, the cross-shard commit table and the store.
 //   - Mux: splits one transport.Endpoint into per-shard logical endpoints
 //     by tagging every payload with its shard, reusing the memnet and
 //     tcpnet transports unchanged. Channels can be added (and retired) at
@@ -30,8 +33,10 @@ import (
 )
 
 // ErrCrossShard rejects multi-key commands whose keys hash to different
-// shards. Cross-shard transactions need a coordination layer (e.g.
-// two-phase commit across groups) that this subsystem does not provide yet.
+// shards. internal/xshard, layered over the sharded engine on every node,
+// catches it and commits such a command atomically across the groups it
+// touches; through that layer it surfaces only for a single member command
+// whose own keys span groups.
 var ErrCrossShard = errors.New("shard: command keys span multiple shards")
 
 // Router maps keys to shards. The zero value routes everything to shard 0

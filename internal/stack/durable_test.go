@@ -184,7 +184,7 @@ func TestDurableShardedReplayMatchesAcrossResize(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	if err := stacks[0].Resizer.Resize(ctx, 4); err != nil {
+	if err := stacks[0].Coordinator.Resize(ctx, 4); err != nil {
 		t.Errorf("resize: %v", err)
 	}
 	cancel()

@@ -163,7 +163,7 @@ func TestHotPairTransfersAcrossResize(t *testing.T) {
 			}(w)
 		}
 		time.Sleep(300 * time.Millisecond)
-		if r := stacks[0].Resizer; r != nil {
+		if r := stacks[0].Coordinator; r != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			if err := r.Resize(ctx, 6); err != nil {
 				t.Errorf("iter %d resize: %v", iter, err)
@@ -176,7 +176,7 @@ func TestHotPairTransfersAcrossResize(t *testing.T) {
 		wg.Wait()
 		if stalled.Load() || t.Failed() {
 			for i, s := range stacks {
-				co := s.Resizer.Coordinator()
+				co := s.Coordinator
 				t.Logf("node %d: table pending=%d, epoch=%d resizing=%v queued=%d",
 					i, s.Table.Pending(), co.Epoch(), co.Resizing(), co.QueuedCommands())
 				for _, line := range co.DebugState() {

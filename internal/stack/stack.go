@@ -176,17 +176,19 @@ type Config struct {
 
 // Stack is one built node.
 type Stack struct {
-	// Engine is the node's top-level submission engine.
+	// Engine is the node's top-level submission engine: the *xshard.Engine
+	// on a sharded node, the single group's engine otherwise.
 	Engine protocol.Engine
 	// Store is the node's (possibly recovered) store.
 	Store *kvstore.Store
-	// Resizer is the live-rebalancing engine; nil unless Config.Rebalance
-	// on a sharded node.
-	Resizer *rebalance.Engine
+	// Coordinator is the live-rebalancing coordinator — Resize, the
+	// routing epoch and the resize state; nil unless Config.Rebalance on a
+	// sharded node. Start and Stop run it beside Engine.
+	Coordinator *rebalance.Coordinator
 	// Reads is the node-local read engine (internal/reads): linearizable
 	// single-key reads and cross-shard snapshot reads served from Store
-	// without a proposal. Always constructed; Reads.Available reports
-	// whether any group's engine exposes a read frontier (CAESAR does).
+	// without a proposal. Always constructed; a group whose engine exposes
+	// no read frontier (CAESAR does) answers reads.ErrUnavailable.
 	Reads *reads.Engine
 	// Table is the cross-shard commit table; nil on unsharded nodes.
 	Table *xshard.Table
@@ -217,10 +219,8 @@ type Stack struct {
 	ackers []ackProber
 
 	// Audit surface: the node's identity for /auditz reports, the
-	// coordinator the report quotes routing state from, the divergence
-	// sink's counter and the configured callback.
+	// divergence sink's counter and the configured callback.
 	self         string
-	co           *rebalance.Coordinator
 	onDivergence func(audit.Divergence)
 	divergences  atomic.Uint64
 }
@@ -247,14 +247,16 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	}
 	s.self = ep.Self().String()
 	s.onDivergence = cfg.OnDivergence
-	// Audit epoch tracker: digest folds attribute each write to a group
-	// via (key, routing epoch), so the tracker must know the epoch
-	// history before recovery replays any command. It is fed from three
-	// places: the WAL's recovered history (OnEpoch below), live installs
-	// (rebalance.Config.OnInstall), and the initial-epoch seed after the
-	// final shard count is known.
-	epochTracker := audit.NewEpochs()
-	store.SetGroupFn(epochTracker.GroupOf)
+	// The node's routing-epoch history, its only copy: the store's digest
+	// folds attribute each write to a group via (key, routing epoch), the
+	// commit table keys abort markers by a transaction's epoch, and the
+	// rebalance coordinator judges deliveries by past epochs' routers. The
+	// store needs it before recovery replays any command. It is written
+	// from three places: the WAL's recovered history (OnEpoch below), the
+	// initial-epoch seed once the final shard count is known, and the
+	// coordinator's live installs.
+	history := shard.NewEpochs()
+	store.SetGroupFn(history.GroupOf)
 	if cfg.Now != nil {
 		cfg.Flight.SetNow(cfg.Now)
 	}
@@ -295,7 +297,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 			Flight:  cfg.Flight,
 			Self:    ep.Self(),
 			Now:     cfg.Now,
-			OnEpoch: func(ec wal.EpochChange) { epochTracker.Install(ec.Epoch, ec.Shards) },
+			OnEpoch: func(ec wal.EpochChange) { history.Install(ec.Epoch, ec.Shards) },
 		})
 		if err != nil {
 			return nil, err
@@ -316,12 +318,11 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	shards := cfg.Shards
 	s.Shards = shards
 	// Fresh deployments (and non-durable ones) never see an epoch-0
-	// record; seed the tracker once the final shard count is known. A
-	// recovered history already installed the true epoch-0 count above —
-	// never overwrite it with the post-resize count.
-	if epochTracker.Shards(0) == 0 {
-		epochTracker.Install(0, int32(shards))
-	}
+	// record; seed the history once the final shard count is known. A
+	// recovered history already installed the true epoch-0 count above,
+	// and the first install wins, so the post-resize count never
+	// overwrites it.
+	history.Install(0, int32(shards))
 
 	wrap := func(g int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
 		if log == nil {
@@ -344,7 +345,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 
 	if !sharded {
 		s.Engine = buildGroup(0, ep, wrap(0, app), seedFor(0))
-		s.finish(ep, cfg, nil)
+		s.finish(ep, cfg)
 		return s, nil
 	}
 
@@ -362,7 +363,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		tcfg.XIDFloor = st.XIDFloor()
 		tcfg.ReserveXID = log.ReserveXID
 	}
-	table := xshard.NewTable(tcfg)
+	table := xshard.NewTable(tcfg, history)
 	s.Table = table
 	if st != nil {
 		table.SeedExecuted(st.ExecutedTx)
@@ -377,33 +378,14 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	chain := func(g int) protocol.TimestampedApplier { return wrap(g, table.Applier(g, app)) }
 	var co *rebalance.Coordinator
 	if cfg.Rebalance {
-		rcfg := rebalance.Config{
-			Self:   ep.Self(),
-			Trace:  cfg.Trace,
-			Flight: cfg.Flight,
-			Now:    cfg.Now,
-			// Live epoch installs reach the audit tracker before any delivery
-			// can observe the new epoch (same discipline as Journal), so an
-			// epoch-stamped write never misses its attribution.
-			OnInstall: func(m rebalance.Marker) {
-				epochTracker.Install(m.Epoch, m.Shards)
-			},
-		}
+		rcfg := rebalance.Config{Self: ep.Self(), Trace: cfg.Trace, Flight: cfg.Flight, Now: cfg.Now}
 		if log != nil {
 			rcfg.Journal = func(m rebalance.Marker) {
 				_ = log.LogEpoch(wal.EpochChange{Epoch: m.Epoch, Shards: m.Shards, PrevShards: m.PrevShards})
 			}
 		}
-		epochs := map[uint32]int32{0: int32(shards)}
-		epoch := uint32(0)
-		if st != nil && len(st.Epochs) > 0 {
-			epochs = make(map[uint32]int32, len(st.Epochs))
-			for _, ec := range st.Epochs {
-				epochs[ec.Epoch] = ec.Shards
-			}
-			epoch = st.Epochs[len(st.Epochs)-1].Epoch
-		}
-		co = rebalance.NewCoordinatorAt(rcfg, epochs, epoch)
+		current, _ := st.CurrentEpoch() // nil-safe: epoch 0 for a fresh node
+		co = rebalance.NewCoordinatorAt(rcfg, history, current.Epoch)
 		below := chain
 		chain = func(g int) protocol.TimestampedApplier { return co.Applier(g, below(g)) }
 	}
@@ -415,10 +397,10 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	xe := xshard.New(inner, table)
 	s.Engine = xe
 	if co != nil {
-		s.Resizer = rebalance.NewEngine(xe, co)
-		s.Engine = s.Resizer
+		co.Bind(xe)
+		s.Coordinator = co
 	}
-	s.finish(ep, cfg, co)
+	s.finish(ep, cfg)
 	return s, nil
 }
 
@@ -426,9 +408,8 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 // scrape-time gauges, the process runtime gauges, the /tracez collection
 // endpoint and — when Config.StallThreshold arms it — the stall watchdog
 // with its probes, sections, counters and /debugz endpoint.
-func (s *Stack) finish(ep transport.Endpoint, cfg Config, co *rebalance.Coordinator) {
-	s.co = co
-	s.registerGauges(cfg.Obs, co)
+func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
+	s.registerGauges(cfg.Obs, cfg.Now)
 	obs.RegisterRuntime(cfg.Obs)
 	if cfg.Trace != nil {
 		cfg.Obs.Handle("/tracez", trace.Handler(ep.Self(), cfg.Trace))
@@ -517,7 +498,7 @@ func (s *Stack) finish(ep transport.Endpoint, cfg Config, co *rebalance.Coordina
 		}
 		return best, found
 	}})
-	if co != nil {
+	if co := s.Coordinator; co != nil {
 		wd.AddSection("rebalance", func() string { return strings.Join(co.DebugState(), "\n") })
 	}
 	s.Watchdog = wd
@@ -599,11 +580,14 @@ func (s *Stack) registerHotKeys(ob *obs.Registry) {
 // registerGauges installs the stack's scrape-time gauges: everything here
 // is sampled from existing accessors only when /metrics or /statusz is
 // hit, so the registry costs the running node nothing.
-func (s *Stack) registerGauges(ob *obs.Registry, co *rebalance.Coordinator) {
+func (s *Stack) registerGauges(ob *obs.Registry, now func() time.Time) {
 	if ob == nil {
 		return
 	}
-	if co != nil {
+	if now == nil {
+		now = time.Now
+	}
+	if co := s.Coordinator; co != nil {
 		ob.Gauge("caesar_shards",
 			"Consensus groups in the current routing epoch.", nil,
 			func() float64 { return float64(co.Shards()) })
@@ -630,7 +614,13 @@ func (s *Stack) registerGauges(ob *obs.Registry, co *rebalance.Coordinator) {
 			func() float64 { return float64(t.Pending()) })
 		ob.Gauge("caesar_xshard_oldest_held_seconds",
 			"Age of the oldest transaction still held in the commit table.", nil,
-			func() float64 { return t.OldestHeldAge().Seconds() })
+			func() float64 {
+				_, since, _, ok := t.OldestHeld()
+				if !ok {
+					return 0
+				}
+				return now().Sub(since).Seconds()
+			})
 	}
 	if l := s.Log; l != nil {
 		ob.Gauge("caesar_wal_segment_index",
@@ -674,9 +664,9 @@ func (s *Stack) AuditReport() audit.Report {
 		Applied: s.Store.Applied(),
 		State:   s.Store.AuditState(),
 	}
-	if s.co != nil {
-		rep.Epoch = s.co.Epoch()
-		rep.Resizing = s.co.Resizing()
+	if co := s.Coordinator; co != nil {
+		rep.Epoch = co.Epoch()
+		rep.Resizing = co.Resizing()
 	}
 	return rep
 }
@@ -697,10 +687,13 @@ func (s *Stack) NoteDivergence(d audit.Divergence) {
 // AuditDivergences returns how many divergences were noted at this node.
 func (s *Stack) AuditDivergences() uint64 { return s.divergences.Load() }
 
-// Start launches the engine stack, the stall watchdog's scan loop and,
-// with a log, the snapshot loop.
+// Start launches the engine stack, the rebalance coordinator's sweeper,
+// the stall watchdog's scan loop and, with a log, the snapshot loop.
 func (s *Stack) Start() {
 	s.Engine.Start()
+	if s.Coordinator != nil {
+		s.Coordinator.Start()
+	}
 	if s.Recovered != nil {
 		s.Flight.Eventf(flight.KindNode, "node started: %d group(s), state recovered from data dir", s.Shards)
 	} else {
@@ -742,9 +735,11 @@ func (s *Stack) Snapshot() error {
 	return s.Log.Snapshot(s.export)
 }
 
-// Stop shuts the node down: snapshot loop, engines (no loop delivers —
-// appends — anything more), then the log, whose Close syncs, applies and
-// acknowledges every record the loops had appended before it returns. The
+// Stop shuts the node down: snapshot loop, engines (the groups — no loop
+// delivers, appends, anything more — then the commit table), the
+// rebalance coordinator (failing the deliveries it still gated), then the
+// log, whose Close syncs, applies and acknowledges every record the loops
+// had appended before it returns. The
 // store a stopped node leaves is therefore exactly what its data dir
 // replays to; completions that run after their engine stopped find its
 // loop closed and drop their GC ack, which a restart re-sends.
@@ -757,6 +752,9 @@ func (s *Stack) Stop() {
 		s.snapStop = nil
 	}
 	s.Engine.Stop()
+	if s.Coordinator != nil {
+		s.Coordinator.Stop()
+	}
 	if s.Log != nil {
 		_ = s.Log.Close()
 	}

@@ -100,9 +100,10 @@ type Options struct {
 	Self timestamp.NodeID
 	// OnEpoch, when non-nil, observes every routing-epoch installation
 	// recovered from the log (snapshot history first, then replayed
-	// epoch records, in install order). The node stack feeds its audit
-	// epoch tracker from it so digest folds during tail replay attribute
-	// writes to the same groups the pre-crash incarnation did.
+	// epoch records, in install order). The node stack installs them into
+	// its routing-epoch history (shard.Epochs) so digest folds during tail
+	// replay attribute writes to the same groups the pre-crash incarnation
+	// did.
 	OnEpoch func(EpochChange)
 	// Now supplies the clock fsync-latency measurements are stamped
 	// from, so a node stack running under an injected clock measures

@@ -18,8 +18,10 @@ import (
 
 func TestCrossShardEngineConformance(t *testing.T) {
 	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
-		table := xshard.NewTable(xshard.TableConfig{Self: ep.Self(), Exec: app})
-		inner := shard.New(ep, 4, func(g int, sep transport.Endpoint) protocol.Engine {
+		history := shard.NewEpochs()
+		history.Install(0, 4)
+		table := xshard.NewTable(xshard.TableConfig{Self: ep.Self(), Exec: app}, history)
+		inner := shard.NewAt(ep, make([]int32, 4), func(g int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, table.Applier(g, app), caesar.Config{HeartbeatInterval: -1})
 		})
 		return xshard.New(inner, table)

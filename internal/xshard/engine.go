@@ -1,12 +1,19 @@
 package xshard
 
 import (
+	"errors"
 	"sort"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
 )
+
+// maxEpochRetries bounds re-proposals of a command that keeps landing
+// behind resize fences; exceeding it means the deployment is resizing
+// continuously, and the client sees the retry error rather than waiting
+// forever.
+const maxEpochRetries = 8
 
 // Engine wraps a sharded engine with the cross-shard coordinator: keyless
 // and single-group submissions pass straight through, while a multi-key
@@ -22,16 +29,9 @@ var _ protocol.Engine = (*Engine)(nil)
 
 // New wires the coordinator over the sharded engine. Every group of inner
 // must apply commands through table.Applier so pieces and markers reach
-// the same table. The default epoch resolver ignores the epoch and
-// answers with the engine's current router — exact until a live resize
-// happens, at which point the rebalancing layer rebinds it with real
-// epoch history (Table.SetRouterAt).
+// the same table.
 func New(inner *shard.Engine, table *Table) *Engine {
-	table.bind(
-		func(uint32) shard.Router { return inner.Router() },
-		func(g int, cmd command.Command, done protocol.DoneFunc) {
-			inner.SubmitTo(g, cmd, done)
-		})
+	table.bind(inner.SubmitTo)
 	return &Engine{inner: inner, table: table}
 }
 
@@ -48,7 +48,34 @@ func (e *Engine) Table() *Table { return e.table }
 // the single-group command or every participant piece of a transaction —
 // is stamped with one routing epoch; a resize fence racing the submission
 // invalidates the whole set together, never a subset.
+//
+// A transaction killed because it straddled a resize marker
+// (ErrEpochRetry) is re-proposed under the new routing automatically, a
+// bounded number of times — as is a submission that raced a shrink and
+// reached a group after its retirement (shard.ErrNoGroup): by then the
+// router has moved on, so the retry routes to the key's live home.
 func (e *Engine) Submit(cmd command.Command, done protocol.DoneFunc) {
+	e.submit(cmd, done, 0)
+}
+
+func (e *Engine) submit(cmd command.Command, done protocol.DoneFunc, attempt int) {
+	e.route(cmd, func(res protocol.Result) {
+		retriable := errors.Is(res.Err, ErrEpochRetry) || errors.Is(res.Err, shard.ErrNoGroup)
+		if retriable && attempt < maxEpochRetries {
+			fresh := cmd
+			fresh.ID = command.ID{}
+			e.submit(fresh, done, attempt+1)
+			return
+		}
+		if done != nil {
+			done(res)
+		}
+	})
+}
+
+// route places one submission: a keyless barrier on every group, a
+// single-group command on its group, a transaction across its groups.
+func (e *Engine) route(cmd command.Command, done protocol.DoneFunc) {
 	if len(cmd.Keys()) == 0 {
 		e.inner.Submit(cmd, done) // keyless barrier: broadcast to every group
 		return

@@ -36,8 +36,10 @@ func xcluster(t testing.TB, n, g int, ccfg caesar.Config, tcfg TableConfig) (*me
 		tc := tcfg
 		tc.Self = timestamp.NodeID(i)
 		tc.Exec = app
-		table := NewTable(tc)
-		inner := shard.New(net.Endpoint(timestamp.NodeID(i)), g, func(gi int, sep transport.Endpoint) protocol.Engine {
+		history := shard.NewEpochs()
+		history.Install(0, int32(g))
+		table := NewTable(tc, history)
+		inner := shard.NewAt(net.Endpoint(timestamp.NodeID(i)), make([]int32, g), func(gi int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, table.Applier(gi, app), ccfg)
 		})
 		nodes[i] = &xnode{store: store, table: table, eng: New(inner, table)}

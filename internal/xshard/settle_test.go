@@ -132,7 +132,7 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	tb := NewTable(TableConfig{Self: 0, Exec: &recordingExec{}, ResolveTimeout: time.Hour,
 		ApplyTx: func(_ XID, _ timestamp.Timestamp, gs []int32, _ []command.Command, done func(error)) {
 			groups, land = gs, done
-		}})
+		}}, nil)
 	xid := XID{Node: 0, Seq: 1}
 	ops := testOps("a", "b")
 	var res *protocol.Result

@@ -116,7 +116,7 @@ type entry struct {
 	// expiry once executed or dead.
 	deadline time.Time
 	// regAt is when this node first learned of the transaction; the
-	// held-transaction-age gauge (OldestHeldAge) reads it.
+	// held-transaction-age gauge (OldestHeld) reads it.
 	regAt time.Time
 	// pieceIDs are the consensus command IDs of the pieces registered
 	// here, so the trace spine can record the transaction's outcome
@@ -175,12 +175,12 @@ type landing struct {
 // mutex (see BenchmarkTableRegister).
 type Table struct {
 	cfg TableConfig
-	// routerAt rebuilds the router of a given routing epoch, so
-	// survivor-side abort markers are keyed exactly like the pieces they
-	// must conflict with even when the current epoch has moved on. Bound
-	// by Engine; the rebalancing layer rebinds it with real epoch
-	// history.
-	routerAt func(epoch uint32) shard.Router
+	// history is the node's routing-epoch history: survivor-side abort
+	// markers are keyed by the router of the transaction's own epoch, so
+	// they conflict with the pieces they chase even when the current
+	// epoch has moved on. Lookups are lock-free, so Resolve reads it
+	// under the table lock without reaching above it in the lock order.
+	history *shard.Epochs
 	// submit proposes a command on one group; bound by Engine.
 	submit func(group int, cmd command.Command, done protocol.DoneFunc)
 
@@ -217,10 +217,13 @@ type Table struct {
 	halted bool
 }
 
-// NewTable builds an empty commit table.
-func NewTable(cfg TableConfig) *Table {
+// NewTable builds an empty commit table over the node's routing-epoch
+// history. A table whose resolution sweep never runs (Resolve, started by
+// Engine) may be given a nil history.
+func NewTable(cfg TableConfig, history *shard.Epochs) *Table {
 	return &Table{
 		cfg:          cfg.withDefaults(),
+		history:      history,
 		nextSeq:      cfg.XIDFloor,
 		xidReserved:  cfg.XIDFloor,
 		entries:      make(map[XID]*entry),
@@ -230,18 +233,10 @@ func NewTable(cfg TableConfig) *Table {
 	}
 }
 
-// bind wires the table to the sharded engine it resolves through.
-func (t *Table) bind(routerAt func(uint32) shard.Router, submit func(int, command.Command, protocol.DoneFunc)) {
-	t.routerAt = routerAt
+// bind wires the table to the sharded engine it proposes abort markers
+// through.
+func (t *Table) bind(submit func(int, command.Command, protocol.DoneFunc)) {
 	t.submit = submit
-}
-
-// SetRouterAt replaces the epoch → router resolver; the rebalancing layer
-// installs one that remembers every epoch's shard count.
-func (t *Table) SetRouterAt(fn func(uint32) shard.Router) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.routerAt = fn
 }
 
 // xidReserveBlock is how many transaction sequences one durable
@@ -376,35 +371,13 @@ func (t *Table) Pending() int {
 	return n
 }
 
-// OldestHeldAge returns the age of the oldest in-flight transaction held
-// in the table, or 0 when none is pending. A growing value on a live
-// node means some transaction's pieces (or abort markers) are not
-// landing — the commit-table stall signal the observability endpoint
-// exposes as a gauge.
-func (t *Table) OldestHeldAge() time.Duration {
-	now := t.cfg.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var oldest time.Time
-	for _, e := range t.entries {
-		if e.state != entryPending || e.regAt.IsZero() {
-			continue
-		}
-		if oldest.IsZero() || e.regAt.Before(oldest) {
-			oldest = e.regAt
-		}
-	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return now.Sub(oldest)
-}
-
 // OldestHeld identifies the oldest in-flight transaction: its XID, when
 // this node first learned of it, and a representative registered piece
 // command (zero until any piece lands). The stall watchdog's held-tx
 // probe uses it to name the wedged transaction — and, through the piece
-// ID, to pull its traced CommandHistory into the diagnosis bundle.
+// ID, to pull its traced CommandHistory into the diagnosis bundle; the
+// held-age gauge reads its age. A growing age on a live node means some
+// transaction's pieces (or abort markers) are not landing.
 func (t *Table) OldestHeld() (XID, time.Time, command.ID, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -790,9 +763,9 @@ func (t *Table) registerAbort(group int32, a *Abort) {
 // group was ordered after the group's resize fence under an outdated
 // routing epoch. Deterministic on every node: the fence/piece order is
 // fixed by the group's consensus, so all replicas kill (or none do). The
-// coordinator's client callback reports ErrEpochRetry, which the
-// rebalancing layer turns into a re-partition and re-proposal under the
-// new epoch.
+// coordinator's client callback reports ErrEpochRetry, which
+// Engine.Submit turns into a re-partition and re-proposal under the new
+// epoch.
 func (t *Table) KillStale(group int32, xid XID) {
 	t.mu.Lock()
 	defer t.flush()
@@ -1002,7 +975,6 @@ func (t *Table) Resolve() {
 	}
 	var markers []marker
 	t.mu.Lock()
-	routerAt := t.routerAt
 	for xid, e := range t.entries {
 		if e.state != entryPending {
 			if now.After(e.deadline) {
@@ -1010,10 +982,14 @@ func (t *Table) Resolve() {
 			}
 			continue
 		}
-		if !now.After(e.deadline) || len(e.groups) == 0 || routerAt == nil {
+		if !now.After(e.deadline) || len(e.groups) == 0 {
 			continue
 		}
-		parts, err := partition(routerAt(e.epoch), e.ops)
+		router, ok := t.history.RouterAt(e.epoch)
+		if !ok {
+			continue
+		}
+		parts, err := partition(router, e.ops)
 		if err != nil {
 			continue
 		}

@@ -111,18 +111,18 @@ func BenchmarkTableRegister(b *testing.B) {
 func TestResolveKillsTransactionOfRetiredGroup(t *testing.T) {
 	exec := &recordingExec{}
 	now := time.Unix(0, 0)
+	history := shard.NewEpochs()
+	history.Install(0, 4)
 	tb := NewTable(TableConfig{
 		Self: 0, Exec: exec,
 		ResolveTimeout: time.Second,
 		Now:            func() time.Time { return now },
+	}, history)
+	tb.bind(func(g int, cmd command.Command, done protocol.DoneFunc) {
+		if done != nil {
+			done(protocol.Result{Err: shard.ErrNoGroup}) // group retired
+		}
 	})
-	tb.bind(
-		func(uint32) shard.Router { return shard.NewRouter(4) },
-		func(g int, cmd command.Command, done protocol.DoneFunc) {
-			if done != nil {
-				done(protocol.Result{Err: shard.ErrNoGroup}) // group retired
-			}
-		})
 
 	// Keys homed in groups 1 and 3 of the 4-group epoch.
 	r := shard.NewRouter(4)

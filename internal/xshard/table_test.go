@@ -55,7 +55,7 @@ func testOps(keys ...string) []command.Command {
 }
 
 func newTestTable(exec protocol.TimestampedAtomicApplier) *Table {
-	return NewTable(TableConfig{Self: 0, Exec: exec, ResolveTimeout: time.Hour})
+	return NewTable(TableConfig{Self: 0, Exec: exec, ResolveTimeout: time.Hour}, nil)
 }
 
 func TestTableExecutesWhenAllPiecesRegistered(t *testing.T) {

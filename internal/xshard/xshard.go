@@ -70,8 +70,8 @@ var ErrAborted = errors.New("xshard: cross-shard transaction aborted")
 // was routed under a routing epoch that is no longer current, so the
 // transaction's group partition may be wrong. The kill is deterministic on
 // every node (the fence/piece order is fixed by the group's consensus);
-// the submitting node's rebalancing layer re-partitions and re-proposes
-// the transaction under the new epoch.
+// the submitting node's Engine.Submit re-partitions and re-proposes the
+// transaction under the new epoch.
 var ErrEpochRetry = errors.New("xshard: transaction straddled a resize epoch, retry under the new routing")
 
 // XID identifies a cross-shard transaction: the coordinating node plus a

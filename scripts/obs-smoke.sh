@@ -10,7 +10,8 @@
 # — proves "no divergence" on the healthy cluster, and that the
 # contention profile — /workloadz, the WORKLOAD admin command and the
 # caesar_contention_* families — names a deliberately hammered key as
-# the top offender.
+# the top offender, and that the admin RESIZE changes the live group
+# count on every replica.
 #
 # Run from the repository root: ./scripts/obs-smoke.sh
 set -euo pipefail
@@ -329,5 +330,35 @@ echo "$topout" | grep -A2 'HOT KEY' | grep -q 'hotkey' || {
     echo "$topout" >&2
     exit 1
 }
+
+# RESIZE: the admin port changes the live deployment's group count,
+# 2 -> 3. The replica answers once its own transition completed; every
+# replica — the others complete as the fences deliver — must then report
+# the new count and epoch through STATS and caesar_routing_epoch.
+exec 3<>/dev/tcp/127.0.0.1/8480
+printf 'RESIZE 3\n' >&3
+IFS= read -r resize <&3
+exec 3<&-
+[ "$resize" = "OK 3 shards" ] || { echo "RESIZE 3 answered: $resize" >&2; exit 1; }
+for id in 0 1 2; do
+    resized=0
+    for _ in $(seq 1 50); do
+        exec 3<>/dev/tcp/127.0.0.1/848$id
+        printf 'STATS\n' >&3
+        IFS= read -r stats_after <&3
+        exec 3<&-
+        epoch=$(curl -fsS "http://127.0.0.1:918$id/metrics" | awk '/^caesar_routing_epoch /{print $2}')
+        if echo "$stats_after" | grep -q '^OK shards=3 epoch=1 ' && [ "$epoch" = 1 ]; then
+            resized=1
+            break
+        fi
+        sleep 0.2
+    done
+    if [ "$resized" != 1 ]; then
+        echo "replica $id did not reach 3 shards at epoch 1: STATS $stats_after, caesar_routing_epoch $epoch" >&2
+        cat "$workdir/server$id.log" >&2
+        exit 1
+    fi
+done
 
 echo "observability smoke OK: fast_decisions=$fast, $(echo "$traceout" | head -1), $(echo "$auditrun" | head -1), $(echo "$stats" | cut -c1-120)"
