@@ -31,33 +31,37 @@
 //	marker     OpFence (rebalance): uvarint Epoch, uvarint Shards, uvarint
 //	           PrevShards
 //
-// The WAL snapshot and the set it persists per group. A group is the
+// The WAL snapshot and the ID sets it persists. A group is the
 // uvarint of its int32's 32 bits; lists read as maps are written in
 // ascending order, so equal snapshots are equal bytes. Changing one is a
 // new snapshot generation (wal's snapMagic):
 //
-//	delivered set  uvarint count + that many (node, uvarint watermark,
-//	               uvarint count + that many uvarint Seqs above it), nodes
-//	               and Seqs ascending (idset); its Len is recomputed
-//	snapshot       uvarint Cut, uvarint Applied, uvarint MaxTS;
-//	               uvarint count + (bytes key, bytes value), by key;
-//	               uvarint count + (group, delivered set), by group;
-//	               uvarint count + executed XIDs (node, uvarint Seq);
-//	               uvarint count + pending transactions (XID, uvarint
-//	               count + groups, commands, uvarint Epoch, uvarint count +
-//	               groups Got, timestamp Merged);
-//	               uvarint count + epochs (uvarint Epoch, Shards,
-//	               PrevShards); sequence floors, then clock floors, each
-//	               uvarint count + (group, uvarint), by group;
-//	               uvarint count + audit groups (group, uvarint Epoch,
-//	               Frontier, Digest, IDFold); uvarint count + audit stamps
-//	               (bytes Kind, uvarint Seq, group, uvarint Epoch,
-//	               Frontier, Digest)
+//	id set    uvarint count + that many (node, uvarint count + that many
+//	          runs), nodes ascending (idset). A run [lo, hi] is uvarint
+//	          lo - start, uvarint hi - lo, where start is 0 for a node's
+//	          first run and the previous run's hi + 2 after it: runs
+//	          ascend and neither overlap nor touch, so a set has one
+//	          encoding. Its Len is recomputed
+//	snapshot  uvarint Cut, uvarint Applied, uvarint MaxTS;
+//	          uvarint count + (bytes key, bytes value), by key;
+//	          uvarint count + (group, id set of delivered commands), by
+//	          group; id set of settled XIDs (executed or dead, as IDs);
+//	          uvarint count + pending transactions (XID, uvarint count +
+//	          groups, commands, uvarint Epoch, uvarint count + groups
+//	          Got, timestamp Merged);
+//	          uvarint count + epochs (uvarint Epoch, Shards, PrevShards);
+//	          sequence floors, then clock floors, each uvarint count +
+//	          (group, uvarint), by group;
+//	          uvarint count + audit groups (group, uvarint Epoch,
+//	          Frontier, Digest, IDFold); uvarint count + audit stamps
+//	          (bytes Kind, uvarint Seq, group, uvarint Epoch, Frontier,
+//	          Digest)
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -258,9 +262,15 @@ func (r *Reader) Count(minSize int) int {
 	return int(n)
 }
 
-// Node reads a node ID.
+// Node reads a node ID. A value wider than 32 bits is malformed: no
+// AppendNode wrote it, and truncating it would read two encodings as one
+// node.
 func (r *Reader) Node() timestamp.NodeID {
-	return timestamp.NodeID(int32(uint32(r.Uvarint())))
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail()
+	}
+	return timestamp.NodeID(int32(uint32(v)))
 }
 
 // Timestamp reads a timestamp.

@@ -93,6 +93,20 @@ func TestFailLatches(t *testing.T) {
 	}
 }
 
+// TestNodeWiderThan32BitsIsMalformed: a node field is the uvarint of 32
+// bits, so a wider value is no encoding of any node — truncated, it would
+// read as the same node as its low half.
+func TestNodeWiderThan32BitsIsMalformed(t *testing.T) {
+	r := NewReader(AppendUvarint(nil, 1<<32|5))
+	if r.Node(); r.End() != ErrMalformed {
+		t.Fatalf("a 33-bit node read with End %v, want ErrMalformed", r.End())
+	}
+	r = NewReader(AppendNode(nil, -1))
+	if n := r.Node(); n != -1 || r.End() != nil {
+		t.Fatalf("node -1 read back as %d (%v)", n, r.End())
+	}
+}
+
 // TestCommandsRoundTrip: a counted command list reads back whole, an empty
 // one as nil, and End accepts exactly the bytes the list took.
 func TestCommandsRoundTrip(t *testing.T) {

@@ -43,8 +43,8 @@ type Histogram struct {
 	// exIdx is the highest bucket index an exemplar-carrying observation
 	// has hit (-1 when none); the slot behind exMu holds that
 	// observation's duration and reference. Off the lock-free Observe
-	// path: only ObserveRef touches it, and only for observations at or
-	// above the current top bucket.
+	// path: only ObserveRefFunc (under ObserveRef) touches it, and only for
+	// observations at or above the current top bucket.
 	exIdx atomic.Int32
 	exMu  sync.Mutex
 	exDur time.Duration
@@ -112,10 +112,18 @@ func (h *Histogram) Observe(d time.Duration) {
 // feed to TRACE / caesar-trace when the tail spikes. Same cost as
 // Observe except at a new top bucket.
 func (h *Histogram) ObserveRef(d time.Duration, ref string) {
-	h.Observe(d)
 	if ref == "" {
+		h.Observe(d)
 		return
 	}
+	h.ObserveRefFunc(d, func() string { return ref })
+}
+
+// ObserveRefFunc is ObserveRef for a reference that costs something to
+// build: ref is called only when the sample becomes the exemplar, so the
+// common sample pays for no string.
+func (h *Histogram) ObserveRefFunc(d time.Duration, ref func() string) {
+	h.Observe(d)
 	idx := int32(bucketFor(d))
 	for {
 		cur := h.exIdx.Load()
@@ -126,8 +134,9 @@ func (h *Histogram) ObserveRef(d time.Duration, ref string) {
 			break
 		}
 	}
+	s := ref()
 	h.exMu.Lock()
-	h.exDur, h.exRef = d, ref
+	h.exDur, h.exRef = d, s
 	h.exMu.Unlock()
 }
 

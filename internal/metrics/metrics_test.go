@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/caesar-consensus/caesar/internal/command"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -214,5 +216,28 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
+	}
+}
+
+// TestObserveLatencyRefRendersOnlyTheExemplar: the reference — a command
+// ID, as CAESAR's delivery passes it — is rendered for a sample that
+// becomes the exemplar and for no other, so the common delivery allocates
+// nothing.
+func TestObserveLatencyRefRendersOnlyTheExemplar(t *testing.T) {
+	r := NewRecorder()
+	top := command.ID{Node: 1, Seq: 7}
+	r.ObserveLatencyRef(50*time.Millisecond, top.String)
+	id := command.ID{Node: 2, Seq: 9}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.ObserveLatencyRef(2*time.Millisecond, id.String)
+	}); allocs != 0 {
+		t.Fatalf("a sample below the top bucket allocates %.1f times", allocs)
+	}
+	if _, ref, ok := r.Latency.Exemplar(); !ok || ref != top.String() {
+		t.Fatalf("exemplar %q, want %q", ref, top.String())
+	}
+	r.ObserveLatencyRef(90*time.Millisecond, id.String)
+	if _, ref, _ := r.Latency.Exemplar(); ref != id.String() {
+		t.Fatalf("a new top bucket left exemplar %q, want %q", ref, id.String())
 	}
 }

@@ -158,11 +158,13 @@ func (r *Recorder) ObserveLatency(d time.Duration) {
 // ObserveLatencyRef is ObserveLatency carrying the command's ID as a
 // histogram exemplar: a /statusz scrape showing a p99 spike also names a
 // command that landed in the top bucket, ready for TRACE / caesar-trace.
-func (r *Recorder) ObserveLatencyRef(d time.Duration, ref string) {
+// ref renders the ID, and runs only for a sample that becomes the
+// exemplar (see Histogram.ObserveRefFunc).
+func (r *Recorder) ObserveLatencyRef(d time.Duration, ref func() string) {
 	if r == nil {
 		return
 	}
-	r.Latency.ObserveRef(d, ref)
+	r.Latency.ObserveRefFunc(d, ref)
 }
 
 // SlowRatio returns the fraction of this leader's decisions that took the

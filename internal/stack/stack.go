@@ -366,7 +366,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	table := xshard.NewTable(tcfg, history)
 	s.Table = table
 	if st != nil {
-		table.SeedExecuted(st.ExecutedTx)
+		table.SeedSettled(st.Settled)
 		for _, p := range st.PendingTx {
 			table.SeedPending(p.XID, p.Groups, p.Ops, p.Epoch, p.Got, p.Merged)
 		}

@@ -64,7 +64,7 @@ func TestOpenIntoReplaysDirectly(t *testing.T) {
 	if !st2.Delivered[0].Has(command.ID{Node: 1, Seq: 3}) {
 		t.Fatal("tail command missing from the delivered set")
 	}
-	if len(st2.ExecutedTx) != 1 || st2.ExecutedTx[0] != xid {
-		t.Fatalf("ExecutedTx = %v", st2.ExecutedTx)
+	if st2.Settled.Len() != 1 || !st2.Settled.Has(command.ID(xid)) {
+		t.Fatalf("Settled holds %d XIDs, want exactly %v", st2.Settled.Len(), xid)
 	}
 }

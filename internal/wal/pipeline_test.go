@@ -265,8 +265,8 @@ func TestDeferredAppendSnapshotCut(t *testing.T) {
 	if st.Applied != store.Applied() {
 		t.Errorf("replayed Applied = %d, the live store stopped at %d", st.Applied, store.Applied())
 	}
-	if len(st.ExecutedTx) != cmds/7 {
-		t.Errorf("%d executed transactions recovered, want %d", len(st.ExecutedTx), cmds/7)
+	if st.Settled.Len() != cmds/7 {
+		t.Errorf("%d executed transactions recovered, want %d", st.Settled.Len(), cmds/7)
 	}
 }
 

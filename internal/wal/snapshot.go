@@ -33,10 +33,12 @@ type snapshotData struct {
 // A snapshot file is a header — the magic, the body's length and its
 // CRC-32C — and a body of internal/codec fields (the "snapshot" row of that
 // package's table). The magic's last byte is the format generation
-// (generation 1 was a gob stream); a snapshot of another generation is
-// refused at open, not migrated.
+// (generation 1 was a gob stream, generation 2 listed every executed
+// transaction and wrote a delivered set as a watermark and the sequences
+// above it); a snapshot of another generation is refused at open, not
+// migrated.
 const (
-	snapMagic     = "CAESNAP2"
+	snapMagic     = "CAESNAP3"
 	snapHeaderLen = 16
 )
 
@@ -93,7 +95,7 @@ func appendSnapshotBody(b []byte, d *snapshotData) []byte {
 	b = appendMap(b, d.Delivered, func(b []byte, g int32, set *idset.Set) []byte {
 		return set.AppendTo(appendInt32(b, g))
 	})
-	b = appendList(b, d.ExecutedTx, appendXID)
+	b = d.Settled.AppendTo(b)
 	b = appendList(b, d.PendingTx, func(b []byte, p PendingTx) []byte {
 		b = appendList(appendXID(b, p.XID), p.Groups, appendInt32)
 		b = codec.AppendUvarint(codec.AppendCommands(b, p.Ops), uint64(p.Epoch))
@@ -138,7 +140,10 @@ func decodeSnapshot(raw []byte) (snapshotData, error) {
 	d.MaxTS = r.Uvarint()
 	d.KV = readMap(&r, 2, func(r *codec.Reader) (string, []byte) { return r.String(), r.Bytes() })
 	d.Delivered = readMap(&r, 2, func(r *codec.Reader) (int32, *idset.Set) { return readInt32(r), idset.Read(r) })
-	d.ExecutedTx = readList(&r, 2, readXID)
+	// Like an empty list or map, an empty set decodes to nil.
+	if settled := idset.Read(&r); settled.Len() > 0 {
+		d.Settled = settled
+	}
 	// A pending transaction's XID and Merged take two bytes each, its four
 	// other fields one.
 	d.PendingTx = readList(&r, 8, func(r *codec.Reader) PendingTx {

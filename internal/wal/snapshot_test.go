@@ -21,7 +21,7 @@ import (
 )
 
 // sampleSnapshot fills every field of a snapshot, negative groups and
-// nodes and a delivered set with a member above its watermark included.
+// nodes and a delivered set with a gap included.
 func sampleSnapshot() snapshotData {
 	delivered := idset.New()
 	for _, seq := range []uint64{1, 2, 3, 7} {
@@ -31,6 +31,8 @@ func sampleSnapshot() snapshotData {
 	stray.Add(command.ID{Node: -1, Seq: 5})
 	put := command.Put("k", []byte("v"))
 	put.ID = command.ID{Node: 2, Seq: 9}
+	settled := idset.New()
+	settled.Add(command.ID(xshard.XID{Node: 1, Seq: 5}))
 	return snapshotData{
 		Cut: 4,
 		KV:  map[string][]byte{"k": []byte("v"), "k2": []byte("v2")},
@@ -39,9 +41,9 @@ func sampleSnapshot() snapshotData {
 			Stamps: []audit.Stamp{{Kind: "snapshot", Seq: 12, Frontier: 12, Digest: 0xfeed}},
 		},
 		State: State{
-			Applied:    12,
-			Delivered:  map[int32]*idset.Set{0: delivered, 1: stray},
-			ExecutedTx: []xshard.XID{{Node: 1, Seq: 5}},
+			Applied:   12,
+			Delivered: map[int32]*idset.Set{0: delivered, 1: stray},
+			Settled:   settled,
 			PendingTx: []PendingTx{{XID: xshard.XID{Node: 2, Seq: 6}, Groups: []int32{0, 1}, Ops: []command.Command{put},
 				Epoch: 1, Got: []int32{1}, Merged: timestamp.Timestamp{Seq: 30, Node: 2}}},
 			Epochs:     []EpochChange{{Epoch: 1, Shards: 2, PrevShards: 1}},
@@ -85,17 +87,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotLayout pins the body layout: the "snapshot" and "delivered
-// set" rows of internal/codec's table. A change here is a new snapshot
+// TestSnapshotLayout pins the body layout: the "snapshot" and "id set" rows
+// of internal/codec's table. A change here is a new snapshot
 // generation (snapMagic).
 func TestSnapshotLayout(t *testing.T) {
 	const golden = "" +
 		"040c4d" + // Cut 4, Applied 12, MaxTS 77
 		"02" + "016b0176" + "026b32027632" + // KV: k=v, k2=v2
 		"02" + // Delivered, two groups:
-		"00" + "01" + "01" + "03" + "0107" + // group 0: node 1, watermark 3, {7}
-		"01" + "01" + "ffffffff0f" + "00" + "0105" + // group 1: node -1, no watermark, {5}
-		"01" + "0105" + // ExecutedTx: x1.5
+		"00" + "01" + "01" + "02" + "0102" + "0200" + // group 0: node 1, runs [1,3] and [7,7]
+		"01" + "01" + "ffffffff0f" + "01" + "0500" + // group 1: node -1, run [5,5]
+		"01" + "01" + "01" + "0500" + // Settled: x1.5
 		"01" + "0206" + "020001" + // PendingTx: x2.6 over groups 0 and 1,
 		"01" + "0209" + "01" + "016b" + "0176" + "00" + "00" + "00" + // put k=v as 2.9,
 		"01" + "0101" + "1e02" + // epoch 1, got group 1, merged 30.2
@@ -157,7 +159,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	body := snapshotBody(snapshotData{State: State{Delivered: map[int32]*idset.Set{0: twins}}})
 	f.Add(body)
-	f.Add(bytes.Replace(body, []byte{2, 3, 0}, []byte{1, 3, 0}, 1))
+	f.Add(bytes.Replace(body, []byte{2, 1, 1, 2}, []byte{1, 1, 1, 2}, 1))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, raw := range [][]byte{in, frameSnapshot(in)} {
 			d, err := decodeSnapshot(raw)

@@ -13,8 +13,9 @@
 // the latest snapshot plus the log tail and hands back a State from
 // which the node stack rebuilds its store, its per-group
 // delivered-command sets (so re-sent decisions are acknowledged but not
-// re-applied — exactly-once survives the crash), its commit-table
-// tombstones, its routing epoch and its ID sequence floor.
+// re-applied — exactly-once survives the crash), its commit table's
+// settled and pending transactions, its routing epoch and its ID sequence
+// floor.
 //
 // # Group commit
 //
@@ -135,7 +136,10 @@ type EpochChange struct {
 
 // State is everything recovered by OpenInto besides the store contents:
 // the bookkeeping a restarting node stack needs to rejoin with
-// exactly-once application intact.
+// exactly-once application intact. Its ID sets are run-length
+// (internal/idset), so what it costs — in memory and in every snapshot —
+// grows with the gaps in the IDs, not with how many commands and
+// transactions the node has seen.
 type State struct {
 	// Applied is the replayed store's executed-command count (snapshot
 	// plus log tail).
@@ -145,10 +149,11 @@ type State struct {
 	// delivered set from it so re-sent decisions are acknowledged
 	// without re-executing.
 	Delivered map[int32]*idset.Set
-	// ExecutedTx lists the cross-shard transactions this node executed;
-	// the commit table seeds tombstones from it so re-delivered pieces
-	// cannot commit a transaction twice.
-	ExecutedTx []xshard.XID
+	// Settled holds the cross-shard transactions that executed or died
+	// here, as XIDs converted to command IDs; nil when there are none. The
+	// commit table seeds its settled set from it, so re-delivered pieces
+	// can neither commit a transaction twice nor revive a dead one.
+	Settled *idset.Set
 	// PendingTx holds the transactions whose pieces were (partly)
 	// delivered here but which had not executed or died by the crash;
 	// the commit table re-registers them so its resolution machinery
@@ -272,25 +277,25 @@ const (
 	recClock   byte = 5 // a logical-clock issue reservation
 )
 
-// txAgg mirrors one commit-table entry during aggregation: enough of the
-// table's state machine (piece-before-abort wins per group, tombstones
-// absorb stragglers) to rebuild its pending set at recovery.
+// txAgg mirrors one pending commit-table entry during aggregation: enough
+// of the table's state machine (piece-before-abort wins per group, settled
+// transactions ignore stragglers) to rebuild its pending set at recovery.
 type txAgg struct {
 	groups []int32
 	ops    []command.Command
 	epoch  uint32
 	got    map[int32]bool
 	merged timestamp.Timestamp
-	state  uint8 // 0 pending, 1 executed, 2 dead
 }
 
 // aggregates is the log's running recovery bookkeeping: rebuilt from
 // snapshot + replay at OpenInto, extended on every append, persisted into
 // the next snapshot. Guarded by Log.mu.
 type aggregates struct {
-	delivered  map[int32]*idset.Set
-	executedTx map[xshard.XID]struct{}
-	txOrder    []xshard.XID
+	delivered map[int32]*idset.Set
+	// settled holds the XIDs that executed or died; txs the transactions
+	// still pending, each until it joins settled.
+	settled    *idset.Set
 	txs        map[xshard.XID]*txAgg
 	epochs     []EpochChange
 	seqFloor   map[int32]uint64
@@ -301,7 +306,7 @@ type aggregates struct {
 func newAggregates() *aggregates {
 	return &aggregates{
 		delivered:  make(map[int32]*idset.Set),
-		executedTx: make(map[xshard.XID]struct{}),
+		settled:    idset.New(),
 		txs:        make(map[xshard.XID]*txAgg),
 		seqFloor:   make(map[int32]uint64),
 		clockFloor: make(map[int32]uint64),
@@ -349,10 +354,13 @@ func (a *aggregates) noteCommand(group int32, cmd command.Command, ts timestamp.
 func (a *aggregates) notePiece(group int32, p *xshard.Piece, ts timestamp.Timestamp, epoch uint32) {
 	e := a.txs[p.XID]
 	if e == nil {
+		if a.settled.Has(command.ID(p.XID)) {
+			return
+		}
 		e = &txAgg{got: make(map[int32]bool)}
 		a.txs[p.XID] = e
 	}
-	if e.state != 0 || e.got[group] {
+	if e.got[group] {
 		return
 	}
 	if len(e.groups) == 0 {
@@ -365,31 +373,23 @@ func (a *aggregates) notePiece(group int32, p *xshard.Piece, ts timestamp.Timest
 }
 
 // noteAbort mirrors Table.registerAbort: a marker beaten by its group's
-// piece is a no-op, otherwise the transaction is dead.
+// piece, or arriving after the transaction settled, is a no-op; otherwise
+// the transaction is dead.
 func (a *aggregates) noteAbort(group int32, xid xshard.XID) {
-	e := a.txs[xid]
-	if e == nil {
-		e = &txAgg{got: make(map[int32]bool)}
-		a.txs[xid] = e
-	}
-	if e.state != 0 || e.got[group] {
+	if e := a.txs[xid]; e != nil && e.got[group] {
 		return
 	}
-	e.state = 2
-	e.groups, e.ops, e.got = nil, nil, nil
+	a.settle(xid)
+}
+
+// settle moves xid from the pending transactions to the settled set.
+func (a *aggregates) settle(xid xshard.XID) {
+	delete(a.txs, xid)
+	a.settled.Add(command.ID(xid))
 }
 
 func (a *aggregates) noteTx(xid xshard.XID, merged timestamp.Timestamp) {
-	if _, ok := a.executedTx[xid]; !ok {
-		a.executedTx[xid] = struct{}{}
-		a.txOrder = append(a.txOrder, xid)
-	}
-	if e := a.txs[xid]; e != nil {
-		e.state = 1
-		e.groups, e.ops, e.got = nil, nil, nil
-	} else {
-		a.txs[xid] = &txAgg{state: 1}
-	}
+	a.settle(xid)
 	if merged.Seq > a.maxTS {
 		a.maxTS = merged.Seq
 	}
@@ -403,7 +403,6 @@ func (a *aggregates) noteTx(xid xshard.XID, merged timestamp.Timestamp) {
 func (a *aggregates) state() State {
 	st := State{
 		Delivered:  make(map[int32]*idset.Set, len(a.delivered)),
-		ExecutedTx: slices.Clone(a.txOrder),
 		PendingTx:  a.pending(),
 		Epochs:     slices.Clone(a.epochs),
 		SeqFloor:   maps.Clone(a.seqFloor),
@@ -413,6 +412,9 @@ func (a *aggregates) state() State {
 	for g, set := range a.delivered {
 		st.Delivered[g] = set.Clone()
 	}
+	if a.settled.Len() > 0 {
+		st.Settled = a.settled.Clone()
+	}
 	return st
 }
 
@@ -420,11 +422,9 @@ func (a *aggregates) state() State {
 // over.
 func (a *aggregates) restore(st State) {
 	maps.Copy(a.delivered, st.Delivered)
-	for _, xid := range st.ExecutedTx {
-		a.executedTx[xid] = struct{}{}
-		a.txs[xid] = &txAgg{state: 1}
+	if st.Settled != nil {
+		a.settled = st.Settled
 	}
-	a.txOrder = st.ExecutedTx
 	for _, p := range st.PendingTx {
 		e := &txAgg{groups: p.Groups, ops: p.Ops, epoch: p.Epoch, merged: p.Merged, got: make(map[int32]bool)}
 		for _, g := range p.Got {
@@ -442,9 +442,6 @@ func (a *aggregates) restore(st State) {
 func (a *aggregates) pending() []PendingTx {
 	var out []PendingTx
 	for xid, e := range a.txs {
-		if e.state != 0 || len(e.got) == 0 {
-			continue
-		}
 		p := PendingTx{XID: xid, Groups: e.groups, Ops: e.ops, Epoch: e.epoch, Merged: e.merged}
 		for g := range e.got {
 			p.Got = append(p.Got, g)

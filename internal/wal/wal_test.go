@@ -124,8 +124,8 @@ func TestRoundTrip(t *testing.T) {
 	if !st.Delivered[1].Has(command.ID{Node: 3, Seq: 9}) {
 		t.Error("group 1 delivered set missing multi-key command")
 	}
-	if len(st.ExecutedTx) != 1 || st.ExecutedTx[0] != xid {
-		t.Errorf("ExecutedTx = %v, want [%v]", st.ExecutedTx, xid)
+	if st.Settled.Len() != 1 || !st.Settled.Has(command.ID(xid)) {
+		t.Errorf("Settled holds %d XIDs, want exactly %v", st.Settled.Len(), xid)
 	}
 	if len(st.Epochs) != 2 || st.Epochs[1] != (EpochChange{Epoch: 1, Shards: 4, PrevShards: 2}) {
 		t.Errorf("Epochs = %v", st.Epochs)
@@ -235,34 +235,37 @@ func TestOldGenerationSegmentIsRefused(t *testing.T) {
 	}
 }
 
-// TestOldGenerationSnapshotIsRefused: a snapshot written before snapshots
-// left gob (magic CAESNAP1) is refused by name too. Skipping it instead
-// would leave replay starting past the segments it covered, and the error
-// would blame a missing snapshot.
+// TestOldGenerationSnapshotIsRefused: a snapshot of an earlier generation
+// — gob (CAESNAP1), or codec fields that listed every executed transaction
+// (CAESNAP2) — is refused by name too. Skipping it instead would leave
+// replay starting past the segments it covered, and the error would blame a
+// missing snapshot.
 func TestOldGenerationSnapshotIsRefused(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{})
-	logPut(t, l, 0, 1, 1, "a", "1")
-	if err := l.Snapshot(func() (map[string][]byte, int64) { return map[string][]byte{"a": []byte("1")}, 1 }); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	_, snaps, err := scanDir(dir)
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("want 1 snapshot, got %v (%v)", snaps, err)
-	}
-	snap := filepath.Join(dir, snapName(snaps[0]))
-	raw, _ := os.ReadFile(snap)
-	copy(raw, "CAESNAP1")
-	os.WriteFile(snap, raw, 0o644)
+	for _, magic := range []string{"CAESNAP1", "CAESNAP2"} {
+		dir := t.TempDir()
+		l, _ := mustOpen(t, dir, Options{})
+		logPut(t, l, 0, 1, 1, "a", "1")
+		if err := l.Snapshot(func() (map[string][]byte, int64) { return map[string][]byte{"a": []byte("1")}, 1 }); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		_, snaps, err := scanDir(dir)
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("want 1 snapshot, got %v (%v)", snaps, err)
+		}
+		snap := filepath.Join(dir, snapName(snaps[0]))
+		raw, _ := os.ReadFile(snap)
+		copy(raw, magic)
+		os.WriteFile(snap, raw, 0o644)
 
-	_, _, err = OpenInto(dir, kvstore.New(), Options{})
-	want := fmt.Sprintf("snapshot %d was written by format CAESNAP1, this build reads CAESNAP2 only", snaps[0])
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("OpenInto over a CAESNAP1 snapshot: %v, want ErrCorrupt saying %q", err, want)
-	}
-	if after, _ := os.ReadFile(snap); !bytes.Equal(after, raw) {
-		t.Fatal("the refused snapshot was modified")
+		_, _, err = OpenInto(dir, kvstore.New(), Options{})
+		want := fmt.Sprintf("snapshot %d was written by format %s, this build reads CAESNAP3 only", snaps[0], magic)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("OpenInto over a %s snapshot: %v, want ErrCorrupt saying %q", magic, err, want)
+		}
+		if after, _ := os.ReadFile(snap); !bytes.Equal(after, raw) {
+			t.Fatalf("the refused %s snapshot was modified", magic)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package xshard
 // that could still execute at or below T.
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -122,8 +123,8 @@ func TestWaitSettledRechecksForNewBlockers(t *testing.T) {
 
 // TestExecutedTransactionIsWaitedForUntilItLands: with a durable layer the
 // commit table decides a transaction, hands it to ApplyTx and is told
-// later that the writes are in the store. In between the transaction is a
-// tombstone, but a snapshot read at or above its timestamp and a handoff
+// later that the writes are in the store. In between the transaction is
+// settled, but a snapshot read at or above its timestamp and a handoff
 // drain of a participant group — registered before or after the decision —
 // must both keep waiting; another key's read must not.
 func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
@@ -142,6 +143,9 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 
 	early := make(chan struct{})
 	tb.AwaitGroupDrain(0, func() { close(early) })
+	if got := tb.DebugDrainWaiters(); len(got) != 1 || !strings.Contains(got[0], "x0.1(got=1/2)") {
+		t.Errorf("drain waiters while the transaction is pending: %q", got)
+	}
 	tb.registerPiece(1, piece, ts(9, 2), 0, command.ID{})
 	if land == nil {
 		t.Fatal("a complete transaction was not handed to ApplyTx")
@@ -175,6 +179,9 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	}
 	if res != nil {
 		t.Error("the client was answered before the transaction's writes reached the store")
+	}
+	if got := tb.DebugDrainWaiters(); len(got) != 2 || !strings.Contains(got[0], "x0.1(settled, landing)") {
+		t.Errorf("drain waiters while the transaction lands: %q", got)
 	}
 
 	land(nil)

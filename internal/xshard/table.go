@@ -10,6 +10,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/contend"
+	"github.com/caesar-consensus/caesar/internal/idset"
 	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
@@ -40,9 +41,8 @@ type TableConfig struct {
 	// XIDFloor is the highest transaction sequence a crashed predecessor
 	// may have used (its durable reservation watermark): fresh XIDs start
 	// strictly above it. Without it a restarted coordinator would mint
-	// XIDs colliding with its predecessor's — whose table entries are
-	// seeded as tombstones, silently swallowing the new transaction's
-	// pieces.
+	// XIDs colliding with its predecessor's — which are seeded as settled,
+	// silently swallowing the new transaction's pieces.
 	XIDFloor uint64
 	// ReserveXID, when non-nil, durably records a new XID reservation
 	// before sequences beyond the previous watermark are used; taken in
@@ -78,21 +78,8 @@ func (c TableConfig) withDefaults() TableConfig {
 	return c
 }
 
-// entryState is the lifecycle of one commit-table entry.
-type entryState uint8
-
-const (
-	// entryPending: pieces are still being collected.
-	entryPending entryState = iota
-	// entryExecuted: the transaction was applied; the entry is a
-	// tombstone absorbing late abort markers until swept.
-	entryExecuted
-	// entryDead: an abort marker preceded the piece in some group; late
-	// pieces are dropped until the tombstone is swept.
-	entryDead
-)
-
-// entry is one transaction's state in the table.
+// entry is one pending transaction's state in the table: its pieces are
+// still being collected, or it waits for a conflicting one to go first.
 type entry struct {
 	xid    XID
 	groups []int32
@@ -110,10 +97,8 @@ type entry struct {
 	// transaction's execution timestamp after.
 	merged timestamp.Timestamp
 	// done is the client callback; set only on the coordinating node.
-	done  protocol.DoneFunc
-	state entryState
-	// deadline is the next resolution attempt while pending, the sweep
-	// expiry once executed or dead.
+	done protocol.DoneFunc
+	// deadline is the next resolution attempt.
 	deadline time.Time
 	// regAt is when this node first learned of the transaction; the
 	// held-transaction-age gauge (OldestHeld) reads it.
@@ -153,9 +138,9 @@ type settleWaiter struct {
 }
 
 // landing is an executed transaction whose writes have not reached the
-// store yet — a durable layer applies them after the record's sync. Its
-// entry is a tombstone already, but handoff drains and snapshot reads must
-// keep waiting for it exactly as if it were still held.
+// store yet — a durable layer applies them after the record's sync. It is
+// settled already, but handoff drains and snapshot reads must keep waiting
+// for it exactly as if it were still held.
 type landing struct {
 	groups []int32
 	keys   map[string]struct{}
@@ -173,6 +158,13 @@ type landing struct {
 // registration is O(conflicts), not O(table²) — the difference between a
 // flat table and one holding hundreds of in-flight transactions under one
 // mutex (see BenchmarkTableRegister).
+//
+// A transaction that executed or died leaves the entries for the settled
+// set, which remembers it for the node's lifetime at the cost of the runs
+// its coordinator's XIDs form (internal/idset) — one per coordinator in
+// the steady state, not a record per transaction. A late piece, abort
+// marker, KillStale or Expect for a settled XID is a no-op, and resolution
+// walks the pending transactions only.
 type Table struct {
 	cfg TableConfig
 	// history is the node's routing-epoch history: survivor-side abort
@@ -190,7 +182,10 @@ type Table struct {
 	//caesarlint:lockorder table
 	mu          sync.Mutex
 	xidReserved uint64
-	entries     map[XID]*entry
+	// entries holds the pending transactions; settled, every XID that
+	// executed or died here (an XID converts to a command.ID).
+	entries map[XID]*entry
+	settled *idset.Set
 	// pendingByKey indexes the pending entries by every key they touch;
 	// completed holds the pending entries whose pieces have all arrived
 	// (the only drain candidates).
@@ -227,6 +222,7 @@ func NewTable(cfg TableConfig, history *shard.Epochs) *Table {
 		nextSeq:      cfg.XIDFloor,
 		xidReserved:  cfg.XIDFloor,
 		entries:      make(map[XID]*entry),
+		settled:      idset.New(),
 		pendingByKey: make(map[string]map[*entry]struct{}),
 		completed:    make(map[*entry]struct{}),
 		landing:      make(map[XID]landing),
@@ -258,25 +254,16 @@ func (t *Table) nextXID() XID {
 	return XID{Node: t.cfg.Self, Seq: t.nextSeq}
 }
 
-// SeedExecuted marks transactions as already executed — crash recovery
-// seeds the set a restarted node's write-ahead log replayed. The entries
-// are effectively permanent tombstones (a century-long sweep deadline):
-// a leader may re-send the Stable decisions of unacknowledged pieces at
-// any time after the restart, and a re-registered piece set must never
-// re-commit a transaction the pre-crash table already applied.
-func (t *Table) SeedExecuted(xids []XID) {
+// SeedSettled marks transactions as settled — crash recovery seeds the
+// set a restarted node's write-ahead log replayed, and the table keeps a
+// copy. A leader may re-send the Stable decisions of unacknowledged pieces
+// at any time after the restart, and a re-registered piece set must never
+// re-commit a transaction the pre-crash table already applied (nor revive
+// one it saw die). Call before traffic flows.
+func (t *Table) SeedSettled(settled *idset.Set) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	deadline := t.cfg.Now().Add(100 * 365 * 24 * time.Hour)
-	for _, xid := range xids {
-		e := t.ensureLocked(xid)
-		if e.state != entryPending {
-			continue
-		}
-		e.state = entryExecuted
-		e.ops, e.keys, e.got, e.done = nil, nil, nil, nil
-		e.deadline = deadline
-	}
+	t.settled = settled.Clone()
 }
 
 // SeedPending re-registers a transaction whose pieces a crashed
@@ -290,8 +277,8 @@ func (t *Table) SeedPending(xid XID, groups []int32, ops []command.Command, epoc
 	t.mu.Lock()
 	defer t.flush()
 	defer t.mu.Unlock()
-	e := t.ensureLocked(xid)
-	if e.state != entryPending || len(e.groups) > 0 {
+	e := t.pendingLocked(xid)
+	if e == nil || len(e.groups) > 0 {
 		return
 	}
 	t.fillLocked(e, groups, ops, epoch)
@@ -315,9 +302,6 @@ func (t *Table) PendingDetail() []string {
 	defer t.mu.Unlock()
 	var out []string
 	for xid, e := range t.entries {
-		if e.state != entryPending {
-			continue
-		}
 		got := make([]int32, 0, len(e.got))
 		for g := range e.got {
 			got = append(got, g)
@@ -333,7 +317,9 @@ func (t *Table) PendingDetail() []string {
 }
 
 // DebugDrainWaiters renders each parked handoff-drain waiter's remaining
-// blocking set and those entries' current states, for stall diagnostics.
+// blocking set and those transactions' current states, for stall
+// diagnostics: the pieces a pending one holds, or settled (and still
+// landing, while its writes are on their way to the store).
 func (t *Table) DebugDrainWaiters() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -342,9 +328,11 @@ func (t *Table) DebugDrainWaiters() []string {
 		var xids []string
 		n := 0
 		for xid := range w.remaining {
-			state := "GONE"
+			state := "settled"
 			if e := t.entries[xid]; e != nil {
-				state = fmt.Sprintf("state=%d got=%d/%d", e.state, len(e.got), len(e.groups))
+				state = fmt.Sprintf("got=%d/%d", len(e.got), len(e.groups))
+			} else if _, ok := t.landing[xid]; ok {
+				state = "settled, landing"
 			}
 			xids = append(xids, fmt.Sprintf("%v(%s)", xid, state))
 			if n++; n >= 8 {
@@ -357,18 +345,12 @@ func (t *Table) DebugDrainWaiters() []string {
 	return out
 }
 
-// Pending returns the number of in-flight (non-tombstone) transactions,
-// for tests and introspection.
+// Pending returns the number of in-flight transactions, for tests and
+// introspection.
 func (t *Table) Pending() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, e := range t.entries {
-		if e.state == entryPending {
-			n++
-		}
-	}
-	return n
+	return len(t.entries)
 }
 
 // OldestHeld identifies the oldest in-flight transaction: its XID, when
@@ -387,7 +369,7 @@ func (t *Table) OldestHeld() (XID, time.Time, command.ID, bool) {
 		piece  command.ID
 	)
 	for _, e := range t.entries {
-		if e.state != entryPending || e.regAt.IsZero() {
+		if e.regAt.IsZero() {
 			continue
 		}
 		if oldest.IsZero() || e.regAt.Before(oldest) {
@@ -425,7 +407,7 @@ func (t *Table) stopAndFail() {
 	stop, stopped := t.stop, t.stopped
 	var dones []protocol.DoneFunc
 	for _, e := range t.entries {
-		if e.state == entryPending && e.done != nil {
+		if e.done != nil {
 			dones = append(dones, e.done)
 			e.done = nil
 		}
@@ -448,7 +430,7 @@ func (t *Table) stopAndFail() {
 	}
 }
 
-// sweeper periodically resolves stuck transactions and sweeps tombstones.
+// sweeper periodically resolves stuck transactions.
 func (t *Table) sweeper(stop, stopped chan struct{}) {
 	defer close(stopped)
 	// Real-time cadence by design: deadlines inside Resolve read
@@ -487,24 +469,34 @@ func (t *Table) flush() {
 	t.mu.Unlock()
 }
 
-// ensure returns the entry for xid, creating a pending one if absent.
+// pendingLocked returns the pending entry for xid, creating it if absent,
+// or nil once xid has settled: a late Expect, piece, marker or KillStale
+// must not resurrect a settled transaction into the pending index, where
+// its zero merged bound would block every same-key transaction behind it.
 // Callers hold t.mu.
-func (t *Table) ensureLocked(xid XID) *entry {
+func (t *Table) pendingLocked(xid XID) *entry {
 	e := t.entries[xid]
 	if e == nil {
+		if t.settled.Has(command.ID(xid)) {
+			return nil
+		}
 		e = &entry{xid: xid, got: make(map[int32]bool)}
 		t.entries[xid] = e
 	}
 	return e
 }
 
+// settleLocked moves a resolving entry from the pending table to the
+// settled set.
+func (t *Table) settleLocked(e *entry) {
+	delete(t.entries, e.xid)
+	t.settled.Add(command.ID(e.xid))
+}
+
 // fillLocked populates an entry's transaction body if still unknown and
-// indexes it by its keys. Tombstones are never filled (or re-indexed): a
-// late Expect or piece for a settled transaction must not resurrect it
-// into the pending index, where its zero merged bound would block every
-// same-key transaction behind it.
+// indexes it by its keys.
 func (t *Table) fillLocked(e *entry, groups []int32, ops []command.Command, epoch uint32) {
-	if len(e.groups) > 0 || e.state != entryPending {
+	if len(e.groups) > 0 {
 		return
 	}
 	e.groups = groups
@@ -620,7 +612,7 @@ func (t *Table) AwaitGroupDrain(group int32, fn func()) {
 	defer t.flush()
 	w := &drainWaiter{remaining: make(map[XID]struct{}), fn: fn}
 	for xid, e := range t.entries {
-		if e.state == entryPending && e.got[group] {
+		if e.got[group] {
 			w.remaining[xid] = struct{}{}
 		}
 	}
@@ -666,9 +658,6 @@ func (t *Table) settleCheckLocked(w *settleWaiter) bool {
 	w.remaining = make(map[XID]struct{})
 	for _, k := range w.keys {
 		for e := range t.pendingByKey[k] {
-			if e.state != entryPending {
-				continue
-			}
 			if !w.bound.Less(e.merged) { // lower bound <= read point: could execute below it
 				w.remaining[e.xid] = struct{}{}
 			}
@@ -696,7 +685,10 @@ func (t *Table) settleCheckLocked(w *settleWaiter) bool {
 func (t *Table) Expect(xid XID, groups []int32, ops []command.Command, epoch uint32, done protocol.DoneFunc) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.ensureLocked(xid)
+	e := t.pendingLocked(xid)
+	if e == nil {
+		return
+	}
 	t.fillLocked(e, groups, ops, epoch)
 	e.done = done
 	e.deadline = t.cfg.Now().Add(t.cfg.ResolveTimeout)
@@ -715,9 +707,9 @@ func (t *Table) registerPiece(group int32, p *Piece, ts timestamp.Timestamp, epo
 	t.mu.Lock()
 	defer t.flush()
 	defer t.mu.Unlock()
-	e := t.ensureLocked(p.XID)
-	if e.state != entryPending {
-		return // tombstone: executed already, or dead in some group
+	e := t.pendingLocked(p.XID)
+	if e == nil {
+		return // settled: executed already, or dead in some group
 	}
 	if len(e.groups) == 0 {
 		// First sighting on this node: survivors learn the full
@@ -751,8 +743,8 @@ func (t *Table) registerAbort(group int32, a *Abort) {
 	t.mu.Lock()
 	defer t.flush()
 	defer t.mu.Unlock()
-	e := t.ensureLocked(a.XID)
-	if e.state != entryPending || e.got[group] {
+	e := t.pendingLocked(a.XID)
+	if e == nil || e.got[group] {
 		return
 	}
 	t.killLocked(e, ErrAborted)
@@ -770,8 +762,8 @@ func (t *Table) KillStale(group int32, xid XID) {
 	t.mu.Lock()
 	defer t.flush()
 	defer t.mu.Unlock()
-	e := t.ensureLocked(xid)
-	if e.state != entryPending {
+	e := t.pendingLocked(xid)
+	if e == nil {
 		return
 	}
 	t.killLocked(e, ErrEpochRetry)
@@ -798,24 +790,20 @@ func (t *Table) holdAttributeLocked(e *entry) {
 	}
 }
 
-// killLocked turns an entry into a dead tombstone and queues its client
-// failure with the given reason.
+// killLocked settles an entry as dead and queues its client failure with
+// the given reason.
 func (t *Table) killLocked(e *entry, reason error) {
 	t.holdAttributeLocked(e)
 	t.unindexLocked(e)
+	t.settleLocked(e)
 	t.noteResolvedLocked(e.xid)
-	e.state = entryDead
 	for _, id := range e.pieceIDs {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxAbort, id, e.merged)
 	}
-	e.ops, e.keys, e.got, e.pieceIDs = nil, nil, nil, nil
-	e.deadline = t.cfg.Now().Add(4 * t.cfg.ResolveTimeout)
 	if t.cfg.Metrics != nil {
 		t.cfg.Metrics.CrossShardAborts.Inc()
 	}
-	if e.done != nil {
-		done := e.done
-		e.done = nil
+	if done := e.done; done != nil {
 		t.queue = append(t.queue, func() { done(protocol.Result{Err: reason}) })
 	}
 }
@@ -904,21 +892,19 @@ func (t *Table) blockedLocked(e *entry) bool {
 	return false
 }
 
-// executeLocked marks one completed transaction executed and queues its
-// atomic application and client callback; the queue runs them outside the
-// lock (the applier may sleep, the callback may re-enter the table), in
-// decision order.
+// executeLocked settles one completed transaction as executed and queues
+// its atomic application and client callback; the queue runs them outside
+// the lock (the applier may sleep, the callback may re-enter the table),
+// in decision order.
 func (t *Table) executeLocked(e *entry) {
 	t.holdAttributeLocked(e)
 	t.unindexLocked(e)
+	t.settleLocked(e)
 	xid, merged, groups, ops, done := e.xid, e.merged, e.groups, e.ops, e.done
 	t.landing[xid] = landing{groups: groups, keys: e.keys, merged: merged}
-	e.state = entryExecuted
 	for _, id := range e.pieceIDs {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxExec, id, merged)
 	}
-	e.ops, e.keys, e.got, e.done, e.pieceIDs = nil, nil, nil, nil, nil
-	e.deadline = t.cfg.Now().Add(4 * t.cfg.ResolveTimeout)
 	if t.cfg.Metrics != nil {
 		t.cfg.Metrics.CrossShardCommits.Inc()
 	}
@@ -945,7 +931,7 @@ func (t *Table) pieceFailed(xid XID, err error) {
 	defer t.flush()
 	defer t.mu.Unlock()
 	e := t.entries[xid]
-	if e == nil || e.state != entryPending {
+	if e == nil {
 		return
 	}
 	if e.done != nil {
@@ -957,7 +943,7 @@ func (t *Table) pieceFailed(xid XID, err error) {
 }
 
 // Resolve runs one resolution sweep: it proposes abort markers for
-// transactions stuck past their deadline and sweeps expired tombstones.
+// transactions stuck past their deadline.
 // Marker submissions are repeated every ResolveTimeout until the
 // transaction executes or dies — duplicates are harmless, losing every
 // race they cannot win. The background sweeper calls it every quarter of
@@ -976,12 +962,6 @@ func (t *Table) Resolve() {
 	var markers []marker
 	t.mu.Lock()
 	for xid, e := range t.entries {
-		if e.state != entryPending {
-			if now.After(e.deadline) {
-				delete(t.entries, xid)
-			}
-			continue
-		}
 		if !now.After(e.deadline) || len(e.groups) == 0 {
 			continue
 		}
@@ -1038,7 +1018,7 @@ func (t *Table) killUnreachable(xid XID) {
 	defer t.flush()
 	defer t.mu.Unlock()
 	e := t.entries[xid]
-	if e == nil || e.state != entryPending {
+	if e == nil {
 		return
 	}
 	t.killLocked(e, ErrAborted)

@@ -52,7 +52,7 @@ func TestTableAwaitGroupDrain(t *testing.T) {
 
 // TestTableKillStale checks the epoch-kill path: the transaction dies with
 // ErrEpochRetry on the coordinator's callback, and a late piece hits the
-// tombstone.
+// settled set.
 func TestTableKillStale(t *testing.T) {
 	exec := &recordingExec{}
 	tb := newTestTable(exec)

@@ -2,11 +2,13 @@ package xshard
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -125,7 +127,7 @@ func TestTableMarkerBeforePieceKills(t *testing.T) {
 		t.Fatalf("dead transaction executed %d times, want 0", exec.count())
 	}
 	if tb.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0 (dead tombstone only)", tb.Pending())
+		t.Fatalf("Pending() = %d, want 0 (settled dead)", tb.Pending())
 	}
 }
 
@@ -204,6 +206,99 @@ func TestTableBlockingIsTransitive(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("execution order %v, want E1,E2,O (merged-timestamp order)", order)
+		}
+	}
+}
+
+// TestLateAbortMarkerIsIgnored: a transaction executes, the clock passes
+// four resolve timeouts, a resolution sweep runs, and then an abort marker
+// for the transaction arrives. It must find the transaction
+// settled: no entry is created, nothing is killed, no abort is counted.
+func TestLateAbortMarkerIsIgnored(t *testing.T) {
+	now := time.Unix(1000, 0)
+	met := metrics.NewRecorder()
+	tb := NewTable(TableConfig{Self: 0, Exec: &recordingExec{}, ResolveTimeout: time.Second,
+		Metrics: met, Now: func() time.Time { return now }}, nil)
+	xid := XID{Node: 1, Seq: 3}
+	piece := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps("a", "b")}
+	tb.registerPiece(0, piece, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(1, piece, ts(6, 1), 0, command.ID{})
+	if got := met.CrossShardCommits.Load(); got != 1 {
+		t.Fatalf("%d commits, want 1", got)
+	}
+	now = now.Add(4*time.Second + time.Millisecond)
+	tb.Resolve()
+	tb.registerAbort(1, &Abort{XID: xid, Group: 1})
+	if n := len(tb.entries); n != 0 {
+		t.Fatalf("the late marker left %d entries", n)
+	}
+	if got := met.CrossShardAborts.Load(); got != 0 {
+		t.Fatalf("the late marker counted %d aborts of a transaction that committed", got)
+	}
+}
+
+// TestSettledIsNoOp: once settled, a transaction ignores every late input
+// — a piece, a marker, a stale kill, an Expect — whether it executed or
+// died.
+func TestSettledIsNoOp(t *testing.T) {
+	exec := &recordingExec{}
+	tb := newTestTable(exec)
+	ops := testOps("a", "b")
+	done, dead := XID{Node: 1, Seq: 1}, XID{Node: 1, Seq: 2}
+	for _, g := range []int32{0, 1} {
+		tb.registerPiece(g, &Piece{XID: done, Groups: []int32{0, 1}, Ops: ops}, ts(5, g), 0, command.ID{})
+	}
+	tb.registerAbort(0, &Abort{XID: dead, Group: 0})
+	for _, xid := range []XID{done, dead} {
+		tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(7, 0), 0, command.ID{})
+		tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(7, 1), 0, command.ID{})
+		tb.registerAbort(1, &Abort{XID: xid, Group: 1})
+		tb.KillStale(0, xid)
+		called := false
+		tb.Expect(xid, []int32{0, 1}, ops, 0, func(protocol.Result) { called = true })
+		if called {
+			t.Errorf("%v: Expect's callback fired", xid)
+		}
+	}
+	if n := len(tb.entries); n != 0 || exec.count() != 1 {
+		t.Fatalf("%d entries and %d executions after the late inputs, want 0 and 1", n, exec.count())
+	}
+	if tb.settled.Runs(1) != 1 {
+		t.Fatalf("settled runs for node 1: %d, want 1", tb.settled.Runs(1))
+	}
+}
+
+// TestTenThousandSettledTransactionsCostARunEach: 10,000 transactions from
+// three coordinators, completed slightly out of XID order, leave no entry
+// behind and at most two runs per coordinator in the settled set.
+func TestTenThousandSettledTransactionsCostARunEach(t *testing.T) {
+	exec := &recordingExec{}
+	tb := newTestTable(exec)
+	const coordinators, perCoordinator = 3, 3334
+	for seq := uint64(1); seq <= perCoordinator; seq += 2 {
+		for node := int32(0); node < coordinators; node++ {
+			// Each pair completes in reverse: seq+1 first, then seq.
+			for _, s := range []uint64{seq + 1, seq} {
+				if s > perCoordinator {
+					continue
+				}
+				xid := XID{Node: timestamp.NodeID(node), Seq: s}
+				key := fmt.Sprintf("k%d/%d", node, s)
+				p := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps(key+"a", key+"b")}
+				tb.registerPiece(0, p, ts(s, 0), 0, command.ID{})
+				tb.registerPiece(1, p, ts(s, 1), 0, command.ID{})
+			}
+		}
+	}
+	if got := exec.count(); got != coordinators*perCoordinator {
+		t.Fatalf("%d executions, want %d", got, coordinators*perCoordinator)
+	}
+	if n := len(tb.entries); n != 0 {
+		t.Fatalf("%d entries left", n)
+	}
+	for node := timestamp.NodeID(0); node < coordinators; node++ {
+		if runs := tb.settled.Runs(node); runs > 2 {
+			t.Errorf("coordinator %d: %d settled runs", node, runs)
 		}
 	}
 }
