@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -263,15 +264,18 @@ func newNode(ep transport.Endpoint, opts Options, shards int) (*Node, error) {
 // ID returns the node's identifier.
 func (n *Node) ID() int { return int(n.id) }
 
-// toInner converts a public command to its consensus representation.
+// toInner converts a public command to its consensus representation. The
+// value is copied: a command's bytes are immutable from submission on —
+// the history, the log, every in-process replica and the store share them
+// — and the caller's buffer stays the caller's.
 func toInner(cmd Command) (command.Command, error) {
 	switch cmd.Kind {
 	case OpPut:
-		return command.Put(cmd.Key, cmd.Value), nil
+		return command.Put(cmd.Key, bytes.Clone(cmd.Value)), nil
 	case OpGet:
 		return command.Get(cmd.Key), nil
 	case OpAdd:
-		return command.Command{Op: command.OpAdd, Key: cmd.Key, Value: cmd.Value}, nil
+		return command.Command{Op: command.OpAdd, Key: cmd.Key, Value: bytes.Clone(cmd.Value)}, nil
 	default:
 		return command.Command{}, fmt.Errorf("caesar: unknown command kind %d", cmd.Kind)
 	}
@@ -291,7 +295,9 @@ func (n *Node) submitWait(ctx context.Context, inner command.Command) ([]byte, e
 
 // Propose submits a command to the replicated state machine through this
 // node and waits for its execution here. It returns the command's result
-// (the read value for gets, nil for puts).
+// (the read value for gets, nil for puts); the returned slice belongs to
+// the caller. The node copies cmd.Value before submitting it, so the
+// caller may reuse its buffer once Propose returns.
 func (n *Node) Propose(ctx context.Context, cmd Command) ([]byte, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
@@ -300,7 +306,8 @@ func (n *Node) Propose(ctx context.Context, cmd Command) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.submitWait(ctx, inner)
+	val, err := n.submitWait(ctx, inner)
+	return bytes.Clone(val), err
 }
 
 // ProposeTx submits several commands as one atomic transaction and waits
@@ -354,23 +361,24 @@ func (n *Node) ProposeTx(ctx context.Context, cmds []Command) error {
 // successive reads of a key through one node never go backwards; see the
 // package documentation's read model for the precise guarantee. Reads
 // racing a live Resize retry internally under a consistent epoch. The
-// returned value is nil for an absent key (like Propose of a Get).
+// returned value is nil for an absent key (like Propose of a Get) and
+// belongs to the caller.
 func (n *Node) Read(ctx context.Context, key string) ([]byte, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
 	}
 	val, _, err := n.reads.Read(ctx, key)
-	return val, err
+	return bytes.Clone(val), err
 }
 
 // ReadTx serves a snapshot read of several keys — possibly spanning
 // consensus groups — at one merged read timestamp, without proposing or
 // writing transaction pieces: a consistent cut of the store in which an
 // atomic transaction's writes (ProposeTx) appear for all of its keys or
-// for none. Values align with keys; absent keys read nil. Like Read, the
-// snapshot is served locally after the groups' delivery frontiers pass
-// the read point and every held cross-shard transaction on the keys has
-// settled.
+// for none. Values align with keys; absent keys read nil. The returned
+// slices belong to the caller. Like Read, the snapshot is served locally
+// after the groups' delivery frontiers pass the read point and every held
+// cross-shard transaction on the keys has settled.
 func (n *Node) ReadTx(ctx context.Context, keys []string) ([][]byte, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
@@ -379,6 +387,9 @@ func (n *Node) ReadTx(ctx context.Context, keys []string) ([][]byte, error) {
 		return nil, nil
 	}
 	vals, _, err := n.reads.ReadTx(ctx, keys)
+	for i, v := range vals {
+		vals[i] = bytes.Clone(v)
+	}
 	return vals, err
 }
 

@@ -55,6 +55,14 @@ func (s Status) String() string {
 // command.UnionIDs, which writes into neither argument. A sender gives up
 // a set the moment it sends it.
 //
+// The same holds for a command's bytes from the moment it is submitted
+// (protocol.Engine.Submit), before any message carries it: the record of
+// every replica's history, the write-ahead log, the peers of an in-process
+// cluster and the key-value store (internal/kvstore, which keeps a put's
+// value as it is) share one allocation, and none of them writes into it.
+// Whoever hands a command to Submit gives up its Value and ExtraKeys; the
+// public API in the root package copies a caller's buffer first.
+//
 // internal/wire gives each message a tag and encodes its fields in
 // declaration order — a message added here needs a case there — and
 // refuses a Pred or Whitelist from a peer that is not strictly ascending.

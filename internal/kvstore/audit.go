@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"sort"
 
 	"github.com/caesar-consensus/caesar/internal/audit"
@@ -223,7 +224,11 @@ func (s *Store) InjectDivergence(key string) int32 {
 	if e := s.keys[key]; e != nil {
 		epoch = e.cur.epoch
 		if len(e.cur.val) > 0 {
-			e.cur.val[0] ^= 0x80
+			// A flipped copy, never the stored slice: that is the
+			// command's, which in-process replicas share.
+			v := bytes.Clone(e.cur.val)
+			v[0] ^= 0x80
+			e.cur.val = v
 		}
 	}
 	var g int32

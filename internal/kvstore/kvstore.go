@@ -26,6 +26,20 @@
 //
 // The entry sits behind a pointer because a Go map never gives back its
 // widest slots (PR 14): the slot stays 24 bytes whatever the entry holds.
+// The entry itself is 48 bytes, one of Go's size classes — 40 for the
+// current version (its stamp packed as sequence, node and epoch, then the
+// value's slice header) and 8 for the pointer to the older versions, which
+// is nil unless a write met a registered read. A nil value is the absence
+// a key's first write replaced; an empty put stores a non-nil empty slice.
+//
+// The store keeps a write's value as the command carries it and never
+// copies it: a command's bytes are immutable from submission on (see the
+// wire-message comment in internal/caesar/messages.go), so the history
+// record, the write-ahead log, every in-process replica and the store can
+// share one allocation. The values GetAt, SnapshotAt, Get and Apply return
+// are the stored slices and equally read-only; the public API in the root
+// package copies where a caller's buffer comes in or goes out. Export and
+// Import copy, since their maps belong to the caller.
 package kvstore
 
 import (
@@ -53,15 +67,22 @@ func decodeInt(b []byte) int64 {
 // overruns surface as an uncovered read, never a wrong value.
 const versionRing = 8
 
-// version is one write's stamped value. Ordering across versions of a key
-// follows apply order; a version is visible at a read point (epoch, ts)
-// when it was applied under an earlier routing epoch, or under the same
-// epoch at or below the read timestamp.
+// version is one write's stamped value: the decided timestamp, flattened to
+// its sequence and node so that the routing epoch fills what would be the
+// timestamp's padding, and the value, nil for absence. Ordering across
+// versions of a key follows apply order; a version is visible at a read
+// point (epoch, ts) when it was applied under an earlier routing epoch, or
+// under the same epoch at or below the read timestamp.
 type version struct {
-	epoch   uint32
-	ts      timestamp.Timestamp
-	val     []byte
-	present bool
+	seq   uint64
+	node  timestamp.NodeID
+	epoch uint32
+	val   []byte
+}
+
+// ts returns the version's timestamp.
+func (v version) ts() timestamp.Timestamp {
+	return timestamp.Timestamp{Seq: v.seq, Node: v.node}
 }
 
 // visibleAt reports whether the version is within a read point.
@@ -69,16 +90,25 @@ func (v version) visibleAt(epoch uint32, ts timestamp.Timestamp) bool {
 	if v.epoch != epoch {
 		return v.epoch < epoch
 	}
-	return !ts.Less(v.ts) // v.ts <= ts
+	return !ts.Less(v.ts()) // v.ts() <= ts
 }
 
 // entry is one key's state: cur is its newest version — an imported or
 // recovered value carries the zero stamp, visible at every read point —
 // and older, oldest first, the versions replaced while a read was in
-// flight (the zero version, absent, for a key a write created then).
+// flight (the zero version, absent, for a key a write created then); nil
+// when there are none, so the common entry pays one word for the list.
 type entry struct {
 	cur   version
-	older []version
+	older *[]version
+}
+
+// replaced returns the older versions, oldest first.
+func (e *entry) replaced() []version {
+	if e.older == nil {
+		return nil
+	}
+	return *e.older
 }
 
 // current returns the key's value now; a nil entry is an absent key.
@@ -164,10 +194,13 @@ func (s *Store) applyLocked(cmd command.Command, ts timestamp.Timestamp) []byte 
 	e := s.keys[cmd.Key]
 	switch cmd.Op {
 	case command.OpPut:
-		// Copy: the command buffer may be shared across in-process
-		// replicas.
-		v := make([]byte, len(cmd.Value))
-		copy(v, cmd.Value)
+		// Kept as it is, never written into (see the package comment). A
+		// nil value is an empty put — a decoded empty value is nil — and
+		// must not read as absent.
+		v := cmd.Value
+		if v == nil {
+			v = []byte{}
+		}
 		s.writeLocked(e, cmd, ts, v)
 		return nil
 	case command.OpGet:
@@ -194,18 +227,21 @@ func (s *Store) writeLocked(e *entry, cmd command.Command, ts timestamp.Timestam
 		e = &entry{}
 		s.keys[cmd.Key] = e
 	}
-	switch {
+	switch older := e.replaced(); {
 	case s.readers.Load() == 0:
-		s.retained -= len(e.older)
+		s.retained -= len(older)
 		e.older = nil
-	case len(e.older) == versionRing:
-		copy(e.older, e.older[1:])
-		e.older[versionRing-1] = e.cur
+	case len(older) == versionRing:
+		copy(older, older[1:])
+		older[versionRing-1] = e.cur
 	default:
-		e.older = append(e.older, e.cur)
+		if e.older == nil {
+			e.older = new([]version)
+		}
+		*e.older = append(older, e.cur)
 		s.retained++
 	}
-	e.cur = version{epoch: cmd.Epoch, ts: ts, val: val, present: true}
+	e.cur = version{seq: ts.Seq, node: ts.Node, epoch: cmd.Epoch, val: val}
 	s.foldLocked(cmd, ts, val)
 }
 
@@ -241,11 +277,12 @@ func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (v
 		return nil, false, true
 	}
 	if e.cur.visibleAt(epoch, ts) {
-		return e.cur.val, e.cur.present, true
+		return e.cur.val, e.cur.val != nil, true
 	}
-	for i := len(e.older) - 1; i >= 0; i-- {
-		if v := e.older[i]; v.visibleAt(epoch, ts) {
-			return v.val, v.present, true
+	older := e.replaced()
+	for i := len(older) - 1; i >= 0; i-- {
+		if v := older[i]; v.visibleAt(epoch, ts) {
+			return v.val, v.val != nil, true
 		}
 	}
 	return nil, false, false
@@ -269,9 +306,9 @@ func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) 
 		v, p, c := s.getAtLocked(k, epoch, ts)
 		if !c {
 			e := s.keys[k]
-			hidden = e.cur.ts
-			for _, ver := range e.older {
-				hidden = timestamp.Max(hidden, ver.ts)
+			hidden = e.cur.ts()
+			for _, ver := range e.replaced() {
+				hidden = timestamp.Max(hidden, ver.ts())
 			}
 			return nil, nil, hidden, false
 		}
@@ -307,12 +344,12 @@ func (s *Store) Import(snap map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, v := range snap {
-		c := make([]byte, len(v))
+		c := make([]byte, len(v)) // never nil: nil is absence
 		copy(c, v)
 		if e := s.keys[k]; e != nil {
-			s.retained -= len(e.older)
+			s.retained -= len(e.replaced())
 		}
-		s.keys[k] = &entry{cur: version{val: c, present: true}}
+		s.keys[k] = &entry{cur: version{val: c}}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 )
@@ -30,13 +31,33 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
-func TestPutCopiesValue(t *testing.T) {
+// TestPutKeepsCommandValue pins the ownership rule: a command's bytes are
+// immutable from submission on, so the store keeps the put's value as the
+// command carries it, and overwriting a key allocates nothing.
+func TestPutKeepsCommandValue(t *testing.T) {
 	s := New()
 	buf := []byte("original")
 	s.Apply(command.Put("k", buf))
-	buf[0] = 'X'
-	if v, _ := s.Get("k"); string(v) != "original" {
-		t.Fatalf("store aliases caller buffer: %q", v)
+	if v, _ := s.Get("k"); len(v) != len(buf) || &v[0] != &buf[0] {
+		t.Fatalf("store holds %q at %p, want the command's bytes at %p", v, v, buf)
+	}
+	cmd := command.Put("k", []byte("next"))
+	if n := testing.AllocsPerRun(100, func() { s.Apply(cmd) }); n != 0 {
+		t.Fatalf("overwriting put allocated %v times, want 0", n)
+	}
+}
+
+// TestLayout pins the per-key sizes. Go allocates in size classes — 48,
+// 64, 80 bytes — so an entry one word over 48 would cost 64: the version
+// packs its stamp as sequence, node and epoch (a timestamp.Timestamp field
+// would carry 4 bytes of padding, and the epoch 4 more), and the entry
+// keeps its rarely used list of older versions behind one pointer.
+func TestLayout(t *testing.T) {
+	if got := unsafe.Sizeof(version{}); got != 40 {
+		t.Errorf("version is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Errorf("entry is %d bytes, want 48", got)
 	}
 }
 

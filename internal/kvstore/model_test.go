@@ -173,6 +173,12 @@ func TestStoreMatchesFullHistoryModel(t *testing.T) {
 				return keyName(rng.Intn(nkeys))
 			}
 			value := func() []byte {
+				switch rng.Intn(30) {
+				case 0: // empty, as the codec decodes it: present, never absent
+					return nil
+				case 1:
+					return []byte{}
+				}
 				if rng.Intn(3) == 0 { // 8 bytes: what an add reads as a number
 					v := make([]byte, 8)
 					binary.BigEndian.PutUint64(v, uint64(rng.Intn(1000)))
@@ -298,8 +304,8 @@ func TestStoreMatchesFullHistoryModel(t *testing.T) {
 					k := keyName(i)
 					got, ok := s.Get(k)
 					rk := ref.keys[k]
-					if ok != (rk != nil) || (ok && !bytes.Equal(got, rk.cur())) {
-						t.Fatalf("step %d: Get(%s) = %x,%v, model %+v", step, k, got, ok, rk)
+					if ok != (rk != nil) || (ok && (got == nil || !bytes.Equal(got, rk.cur()))) {
+						t.Fatalf("step %d: Get(%s) = %x (nil %v),%v, model %+v", step, k, got, got == nil, ok, rk)
 					}
 					if ev, eok := exp[k]; eok != ok || !bytes.Equal(ev, got) {
 						t.Fatalf("step %d: Export[%s] = %x,%v, Get %x,%v", step, k, ev, eok, got, ok)
@@ -328,7 +334,7 @@ func TestStoreMatchesFullHistoryModel(t *testing.T) {
 								t.Fatalf("step %d: GetAt(%s, epoch %d, %v) covered with %x,%v, the full history says %x,%v", step, k, e, at, gv, gp, xv, xp)
 							}
 							wv, wp, wc := ref.getAt(k, e, at)
-							if gc != wc || gp != wp || !bytes.Equal(gv, wv) {
+							if gc != wc || gp != wp || !bytes.Equal(gv, wv) || gp == (gv == nil) {
 								t.Fatalf("step %d: GetAt(%s, epoch %d, %v) = %x,%v,%v, model %x,%v,%v", step, k, e, at, gv, gp, gc, wv, wp, wc)
 							}
 						}

@@ -644,8 +644,10 @@ func (co *Coordinator) classifyLocked(group int, cmd command.Command) gateVerdic
 		// (groupEpoch), never this node's global epoch — the prefix is
 		// identical on every replica at this delivery position, while the
 		// global epoch advances with other groups' fences at
-		// replica-dependent times.
-		if co.keysMovedLocked(group, cmd, co.groupEpoch[group]) {
+		// replica-dependent times. A piece is stale even on keys that
+		// stayed: every piece of a surviving transaction then precedes its
+		// group's fence, which the piece hold below relies on.
+		if isPiece || co.keysMovedLocked(group, cmd, co.groupEpoch[group]) {
 			return gateStale
 		}
 		return gatePass
@@ -655,20 +657,29 @@ func (co *Coordinator) classifyLocked(group int, cmd command.Command) gateVerdic
 		// first fence is still in flight); park until it is.
 		return gateQueue
 	}
-	if t := co.pending; t != nil && cmd.Epoch == t.marker.Epoch && !isPiece && co.awaitsHandoffLocked(t, cmd) {
-		// Pieces are exempt from the handoff gate for the same reason
-		// they are exempt from the per-key FIFO: registering a piece
-		// touches only the commit table, never the store, and holding it
-		// would close the wait-graph cycle this gate must stay out of —
-		// a source group's drain waits on held transactions, a held
-		// transaction waits on its queued piece, the queued piece waits
-		// on the handoff, and the handoff waits on the drain. (Seen live:
-		// an old-epoch transaction, complete but execution-deferred
-		// behind new-epoch transactions whose merged bounds start low in
-		// a fresh group's clock, wedged both hot groups' drains forever.)
-		// The transaction's *execution* still orders correctly: the
-		// table runs it at the merged timestamp against the node-shared
-		// store, which a resize never moves.
+	if isPiece && cmd.Epoch > co.groupEpoch[group] {
+		// A newer epoch's piece ordered before this group's fence: hold it
+		// until the fence is delivered. The commit table runs an earlier
+		// epoch's transaction first (xshard's epoch-then-merged order), so
+		// it must see every one before a later transaction on a shared key
+		// can complete. The old epoch's pieces all precede the fence (the
+		// stale rule above), so held this way, they register first on
+		// every replica. The hold waits on the fence alone — a delivery —
+		// never on a drain or a handoff, so it adds no wait-graph edge.
+		return gateQueue
+	}
+	if t := co.pending; t != nil && cmd.Epoch == t.marker.Epoch && co.awaitsHandoffLocked(t, cmd) {
+		// The new epoch's traffic on a key whose source group has not
+		// handed off yet. For a piece this is the moved-key half of the
+		// hold above: the source's drain settles every older transaction
+		// on the key before the piece registers. No wait-graph cycle: the
+		// drain counts only earlier epochs' transactions, whose pieces the
+		// gate never holds (they precede their fences or are stale) and
+		// which the table never defers behind a later epoch's. (With a
+		// merged-only order pieces had to skip this gate: an old-epoch
+		// transaction, complete but deferred behind new-epoch ones whose
+		// bounds started low in a fresh group's clock, wedged both hot
+		// groups' drains forever.)
 		return gateQueue
 	}
 	return gatePass
@@ -797,11 +808,11 @@ func (co *Coordinator) onFence(group int, m Marker, passed *fencePass) {
 	co.mu.Unlock()
 
 	if h != nil && table != nil {
-		// Source group: wait for the transactions this group ordered
-		// pre-fence to settle — all of them, so the set is taken once
-		// every pre-fence delivery has reached the table.
+		// Source group: wait for the earlier epochs' transactions this
+		// group ordered pre-fence to settle — all of them, so the set is
+		// taken once every pre-fence delivery has reached the table.
 		passed.after(func() {
-			table.AwaitGroupDrain(int32(group), func() {
+			table.AwaitGroupDrain(int32(group), m.Epoch, func() {
 				co.mu.Lock()
 				if co.pending == t {
 					h.drained = true
@@ -1076,15 +1087,14 @@ func (co *Coordinator) orderedBehindLocked(i int) bool {
 }
 
 // stillGatedLocked reports whether a queued entry must keep waiting: its
-// epoch is not installed yet, or — for state-machine commands — a handoff
-// it depends on is incomplete (pieces wait only for their epoch's
-// install; see classifyLocked).
+// epoch is not installed yet, it is a piece whose group has not fenced its
+// epoch, or a handoff it depends on is incomplete (see classifyLocked).
 func (co *Coordinator) stillGatedLocked(q *queuedCmd) bool {
 	if q.cmd.Epoch > co.epoch {
 		return true
 	}
-	if q.cmd.Op == command.OpXCommit {
-		return false
+	if q.cmd.Op == command.OpXCommit && q.cmd.Epoch > co.groupEpoch[q.group] {
+		return true
 	}
 	if t := co.pending; t != nil && q.cmd.Epoch == t.marker.Epoch && co.awaitsHandoffLocked(t, q.cmd) {
 		return true

@@ -280,6 +280,71 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 	}
 }
 
+// TestGateOrdersPiecesAroundTheFence pins the rules that let the commit
+// table run an earlier epoch's transaction first: a newer epoch's piece is
+// held until its group's fence and, on a moved key, until the key's source
+// group has handed off; an older epoch's piece delivered after the fence
+// kills its transaction even on a key that did not move.
+func TestGateOrdersPiecesAroundTheFence(t *testing.T) {
+	co, app := newTestCoordinator(2)
+	prev, next := shard.NewRouterAt(0, 2), shard.NewRouterAt(1, 4)
+	moved := keyHomedAt(t, prev, next, 1, 3)
+	stayed0 := keyHomedAt(t, prev, next, 0, 0)
+	stayed1 := keyHomedAt(t, prev, next, 1, 1)
+	gate1, gate3 := co.Applier(1, app), co.Applier(3, app)
+	marker := Marker{Epoch: 1, Shards: 4, PrevShards: 2}
+	piece := func(xid xshard.XID, groups []int32, ops []command.Command, epoch uint32, seq uint64) command.Command {
+		t.Helper()
+		cmd, err := xshard.PieceCommand(xid, groups, ops, ops[len(ops)-1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Epoch, cmd.ID = epoch, command.ID{Node: 1, Seq: seq}
+		return cmd
+	}
+
+	// Epoch 1 installs through group 0's fence; group 1 has not fenced.
+	co.onFence(0, marker, &fencePass{passed: true})
+	newer := []command.Command{command.Put(moved, nil), command.Put(stayed1, nil)}
+	if fired, _ := applyThrough(co, gate1, piece(xshard.XID{Node: 1, Seq: 1}, []int32{1, 3}, newer[1:], 1, 1)); fired {
+		t.Fatal("a newer epoch's piece passed its group before the group's fence")
+	}
+	if fired, _ := applyThrough(co, gate3, piece(xshard.XID{Node: 1, Seq: 1}, []int32{1, 3}, newer[:1], 1, 4)); fired {
+		t.Fatal("a newer epoch's piece on a moved key passed before the key's source group handed off")
+	}
+	older := piece(xshard.XID{Node: 1, Seq: 2}, []int32{0, 1}, []command.Command{command.Put(stayed0, nil), command.Put(stayed1, nil)}, 0, 2)
+	if fired, _ := applyThrough(co, gate1, older); !fired {
+		t.Fatal("an older epoch's pre-fence piece was held")
+	}
+	co.onFence(1, marker, &fencePass{passed: true})
+	deadline := time.Now().Add(5 * time.Second)
+	for co.QueuedCommands() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held pieces were not released by group 1's fence")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// After the fence, an older epoch's piece is stale though no key of it
+	// moved.
+	xid := xshard.XID{Node: 0, Seq: 3}
+	ops := []command.Command{command.Put(stayed0, nil), command.Put(stayed1, nil)}
+	var got protocol.Result
+	killed := make(chan struct{})
+	co.table.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { got = r; close(killed) })
+	if fired, _ := applyThrough(co, gate1, piece(xid, []int32{0, 1}, ops, 0, 3)); !fired {
+		t.Fatal("stale piece delivery did not complete")
+	}
+	select {
+	case <-killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a post-fence piece of an older epoch did not kill its transaction")
+	}
+	if got.Err != xshard.ErrEpochRetry {
+		t.Fatalf("transaction callback err = %v, want ErrEpochRetry", got.Err)
+	}
+}
+
 // TestResolveDoesNotTakeTheGateLock pins the declared lock order gate <
 // table: the commit table's resolution sweep rebuilds a held transaction's
 // routers from the history it shares with the coordinator, never through

@@ -31,7 +31,13 @@ func TestRestartGapCostsOneRun(t *testing.T) {
 	for i := 0; i < before; i++ {
 		submit(t, stacks[2], command.Put(testKey(i), []byte{byte(i)}))
 	}
-	waitUntil(t, 5*time.Second, func() bool { return stacks[2].Store.Applied() >= before })
+	// Every replica holds the pre-crash commands before node 2 goes down:
+	// the crash drops its messages in flight, and with heartbeats off no
+	// peer would ever recover a command whose Stable it lost — the
+	// post-restart commands on that key would wait behind it forever.
+	for _, s := range stacks {
+		waitUntil(t, 5*time.Second, func() bool { return s.Store.Applied() >= before })
+	}
 	net.Crash(2)
 	stacks[2].Stop()
 	net.Restore(2)

@@ -142,7 +142,7 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	tb.registerPiece(0, piece, ts(5, 0), 0, command.ID{})
 
 	early := make(chan struct{})
-	tb.AwaitGroupDrain(0, func() { close(early) })
+	tb.AwaitGroupDrain(0, 1, func() { close(early) })
 	if got := tb.DebugDrainWaiters(); len(got) != 1 || !strings.Contains(got[0], "x0.1(got=1/2)") {
 		t.Errorf("drain waiters while the transaction is pending: %q", got)
 	}
@@ -155,7 +155,7 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	}
 
 	late := make(chan struct{})
-	tb.AwaitGroupDrain(1, func() { close(late) })
+	tb.AwaitGroupDrain(1, 1, func() { close(late) })
 	read := settled(tb, []string{"a"}, 20)
 	if !settled(tb, []string{"z"}, 20)() {
 		t.Error("a read of an unrelated key waited for the landing transaction")

@@ -145,6 +145,7 @@ type landing struct {
 	groups []int32
 	keys   map[string]struct{}
 	merged timestamp.Timestamp
+	epoch  uint32
 }
 
 // Table is one node's cross-shard commit table: it holds each in-flight
@@ -600,24 +601,27 @@ func (t *Table) noteDrainedLocked(xid XID) {
 	t.drainWaiters = kept
 }
 
-// AwaitGroupDrain snapshots the in-flight transactions holding a piece
-// delivered by the given group and parks fn until every one of them has
-// resolved (applied or died); fn fires immediately when there are none.
-// The snapshot is replica-deterministic when taken at a fixed point of the
-// group's delivery order — the rebalancing layer calls it while applying
-// the group's resize fence, so every node waits for the same transaction
-// set before completing the group's state handoff.
-func (t *Table) AwaitGroupDrain(group int32, fn func()) {
+// AwaitGroupDrain snapshots the in-flight transactions of routing epochs
+// before epoch holding a piece delivered by the given group and parks fn
+// until every one of them has resolved (applied or died); fn fires
+// immediately when there are none. The snapshot is replica-deterministic
+// when taken at a fixed point of the group's delivery order — the
+// rebalancing layer calls it while applying the group's resize fence for
+// epoch, so every node waits for the same transaction set before
+// completing the group's state handoff. Transactions of epoch itself are
+// left out: the handoff holds their pieces, so waiting for them would
+// wait on itself.
+func (t *Table) AwaitGroupDrain(group int32, epoch uint32, fn func()) {
 	t.mu.Lock()
 	defer t.flush()
 	w := &drainWaiter{remaining: make(map[XID]struct{}), fn: fn}
 	for xid, e := range t.entries {
-		if e.got[group] {
+		if e.got[group] && e.epoch < epoch {
 			w.remaining[xid] = struct{}{}
 		}
 	}
 	for xid, ld := range t.landing {
-		if slices.Contains(ld.groups, group) {
+		if ld.epoch < epoch && slices.Contains(ld.groups, group) {
 			w.remaining[xid] = struct{}{}
 		}
 	}
@@ -809,9 +813,9 @@ func (t *Table) killLocked(e *entry, reason error) {
 }
 
 // drainLocked executes every completed transaction whose turn has come:
-// completed entries run in merged-timestamp order, and an entry defers
-// while a conflicting incomplete transaction could still merge below it
-// (its timestamp lower bound is smaller). Execution can unblock further
+// completed entries run in (routing epoch, merged timestamp) order, and an
+// entry defers while a conflicting incomplete transaction could still rank
+// below it (runsBefore). Execution can unblock further
 // entries, so the pass loops until a fixpoint. Only the completed set is
 // scanned, and each candidate's blockers are found through the key index —
 // one registration costs O(its conflicts), not a rescan of every held
@@ -823,8 +827,8 @@ func (t *Table) drainLocked() {
 			ready = append(ready, e)
 		}
 		sort.Slice(ready, func(i, j int) bool {
-			if ready[i].merged != ready[j].merged {
-				return ready[i].merged.Less(ready[j].merged)
+			if ready[i].epoch != ready[j].epoch || ready[i].merged != ready[j].merged {
+				return runsBefore(ready[i], ready[j])
 			}
 			if ready[i].xid.Node != ready[j].xid.Node {
 				return ready[i].xid.Node < ready[j].xid.Node
@@ -869,22 +873,35 @@ func touchesAny(e *entry, keys map[string]struct{}) bool {
 	return false
 }
 
+// runsBefore is the execution order of conflicting transactions: an
+// earlier routing epoch first, then the lower merged timestamp. The epoch
+// comes first because timestamps of different epochs do not compare: the
+// groups a resize creates start their clocks near zero, so a transaction
+// of the new epoch can merge far below one the old epoch ordered before
+// the resize fence. For an incomplete entry, merged is a lower bound.
+func runsBefore(a, b *entry) bool {
+	if a.epoch != b.epoch {
+		return a.epoch < b.epoch
+	}
+	return a.merged.Less(b.merged)
+}
+
 // blockedLocked reports whether a completed entry must wait: a conflicting
-// transaction is still collecting pieces and its merged-timestamp lower
-// bound is at or below this entry's final timestamp, so it could still
-// order first (ties included — per-group timestamp spaces are independent,
-// so equal timestamps across transactions are possible, and XID breaks the
-// tie only once both are complete). The blocker eventually completes,
-// dies, or is aborted by the resolution timer — each of which re-drains
-// the table. Blockers are found through the key index: only entries
-// actually sharing a key are examined.
+// transaction is still collecting pieces and could still order first — an
+// earlier epoch's, or one of the same epoch whose merged-timestamp lower
+// bound is at or below this entry's final timestamp (ties included —
+// per-group timestamp spaces are independent, so equal timestamps across
+// transactions are possible, and XID breaks the tie only once both are
+// complete). The blocker eventually completes, dies, or is aborted by the
+// resolution timer — each of which re-drains the table. Blockers are found
+// through the key index: only entries actually sharing a key are examined.
 func (t *Table) blockedLocked(e *entry) bool {
 	for k := range e.keys {
 		for o := range t.pendingByKey[k] {
 			if o == e || o.complete() {
 				continue
 			}
-			if !e.merged.Less(o.merged) {
+			if !runsBefore(e, o) {
 				return true
 			}
 		}
@@ -901,7 +918,7 @@ func (t *Table) executeLocked(e *entry) {
 	t.unindexLocked(e)
 	t.settleLocked(e)
 	xid, merged, groups, ops, done := e.xid, e.merged, e.groups, e.ops, e.done
-	t.landing[xid] = landing{groups: groups, keys: e.keys, merged: merged}
+	t.landing[xid] = landing{groups: groups, keys: e.keys, merged: merged, epoch: e.epoch}
 	for _, id := range e.pieceIDs {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxExec, id, merged)
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // TestTableAwaitGroupDrain checks the handoff hook: the callback fires
-// only after every transaction holding a piece from the group has resolved
-// (by execution here, by death elsewhere), and immediately when none does.
+// only after every earlier-epoch transaction holding a piece from the group
+// has resolved (by execution here, by death elsewhere), and immediately
+// when none does. A transaction of the fence's own epoch is not waited for.
 func TestTableAwaitGroupDrain(t *testing.T) {
 	exec := &recordingExec{}
 	tb := newTestTable(exec)
@@ -24,9 +25,11 @@ func TestTableAwaitGroupDrain(t *testing.T) {
 	tb.registerPiece(0, &Piece{XID: x1, Groups: []int32{0, 1}, Ops: testOps("a", "b")}, ts(1, 0), 0, command.ID{})
 	tb.registerPiece(0, &Piece{XID: x2, Groups: []int32{0, 1}, Ops: testOps("c", "d")}, ts(2, 0), 0, command.ID{})
 	tb.registerPiece(1, &Piece{XID: x3, Groups: []int32{1, 2}, Ops: testOps("e", "f")}, ts(3, 1), 0, command.ID{})
+	x4 := XID{Node: 1, Seq: 4}
+	tb.registerPiece(0, &Piece{XID: x4, Groups: []int32{0, 3}, Ops: testOps("g", "h")}, ts(3, 0), 1, command.ID{})
 
 	fired := make(chan struct{})
-	tb.AwaitGroupDrain(0, func() { close(fired) })
+	tb.AwaitGroupDrain(0, 1, func() { close(fired) })
 	select {
 	case <-fired:
 		t.Fatal("drain fired while two group-0 transactions were pending")
@@ -42,11 +45,16 @@ func TestTableAwaitGroupDrain(t *testing.T) {
 	}
 	// x2 dies by abort marker.
 	tb.registerAbort(1, &Abort{XID: x2, Group: 1})
-	<-fired // must fire now; x3 never mattered
+	// Must fire now: x3 never mattered, nor epoch 1's x4.
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain waited for a transaction of the fence's own epoch")
+	}
 
 	// With nothing pending the callback is immediate.
 	immediate := make(chan struct{})
-	tb.AwaitGroupDrain(0, func() { close(immediate) })
+	tb.AwaitGroupDrain(0, 1, func() { close(immediate) })
 	<-immediate
 }
 

@@ -158,6 +158,47 @@ func TestTableOrdersConflictingTransactionsByMergedTimestamp(t *testing.T) {
 	}
 }
 
+// TestTableRunsEarlierEpochFirst: merged timestamps of different routing
+// epochs do not compare — a group a resize created starts its clock near
+// zero — so conflicting transactions run epoch first. The stamps are a
+// resize's: O was ordered in old groups 0 and 1, N in group 1 and the new
+// group 5.
+func TestTableRunsEarlierEpochFirst(t *testing.T) {
+	exec := &recordingExec{}
+	tb := newTestTable(exec)
+	o, n := XID{Node: 2, Seq: 20}, XID{Node: 1, Seq: 21}
+	opsO := testOps("shared", "o-only")
+	opsN := testOps("shared", "n-only")
+	pieceO := &Piece{XID: o, Groups: []int32{0, 1}, Ops: opsO}
+	pieceN := &Piece{XID: n, Groups: []int32{1, 5}, Ops: opsN}
+
+	tb.registerPiece(0, pieceO, ts(23709, 2), 0, command.ID{})
+	tb.registerPiece(5, pieceN, ts(3, 1), 1, command.ID{})
+	tb.registerPiece(1, pieceN, ts(58, 1), 1, command.ID{})
+	if exec.count() != 0 {
+		t.Fatal("the later epoch's transaction ran while an earlier epoch's was incomplete")
+	}
+	tb.registerPiece(1, pieceO, ts(55, 2), 0, command.ID{})
+	if exec.count() != 2 {
+		t.Fatalf("executed %d transactions, want 2", exec.count())
+	}
+	if exec.calls[0][1].Key != "o-only" || exec.calls[1][1].Key != "n-only" {
+		t.Fatalf("ran %v then %v, want epoch 0's O first despite its higher merged stamp",
+			exec.calls[0][1].Key, exec.calls[1][1].Key)
+	}
+
+	// The other way round: a later epoch's incomplete transaction, however
+	// low its bound, never holds back an earlier epoch's.
+	o2, n2 := XID{Node: 2, Seq: 22}, XID{Node: 1, Seq: 23}
+	tb.registerPiece(5, &Piece{XID: n2, Groups: []int32{1, 5}, Ops: opsN}, ts(4, 1), 1, command.ID{})
+	pieceO2 := &Piece{XID: o2, Groups: []int32{0, 1}, Ops: opsO}
+	tb.registerPiece(0, pieceO2, ts(23710, 2), 0, command.ID{})
+	tb.registerPiece(1, pieceO2, ts(56, 2), 0, command.ID{})
+	if exec.count() != 3 {
+		t.Fatalf("epoch 0's transaction waited behind epoch 1's: %d executions, want 3", exec.count())
+	}
+}
+
 func TestTableNonConflictingCompletionsDoNotBlock(t *testing.T) {
 	exec := &recordingExec{}
 	tb := newTestTable(exec)

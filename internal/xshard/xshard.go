@@ -30,10 +30,15 @@
 // serializability — two concurrent conflicting cross-shard transactions
 // may be observed in different relative orders by different nodes when one
 // completes before the other becomes locally visible; the commit table
-// orders the transactions it holds concurrently by merged timestamp, which
-// removes the common races but not all of them. The same relaxation
-// applies between a cross-shard transaction and single-group commands on
-// its keys: while a transaction is held in the commit table, a single-key
+// orders the transactions it holds concurrently by routing epoch, then
+// merged timestamp, which removes the common races but not all of them.
+// (Epoch first because the groups of different epochs keep independent
+// clocks: a group a resize created starts near zero. internal/rebalance
+// holds each epoch's pieces behind its groups' fences so that an earlier
+// epoch's transaction is always visible before a later one on a key they
+// share can complete.) The same relaxation applies between a cross-shard
+// transaction and single-group commands on its keys: while a transaction
+// is held in the commit table, a single-key
 // command its group ordered after the piece is applied immediately (the
 // delivery pipeline is never blocked), so it can execute before the
 // transaction on one node and after it on another. Keys never touched by
