@@ -425,8 +425,9 @@ func (n *Node) Shards() int {
 // propagation if this node crashes mid-resize). It returns
 // ErrResizeInProgress when a transition is already running,
 // ErrResizeConflict when a concurrently initiated resize won (the
-// deployment resized, but to the winner's count), and ErrNotSharded on a
-// node built without WithShards.
+// deployment resized, but to the winner's count), ErrNotSharded on a
+// node built without WithShards, and an error, before anything is
+// proposed, for a count outside [1, 4096].
 func (n *Node) Resize(ctx context.Context, shards int) error {
 	if n.closed.Load() {
 		return ErrClosed

@@ -74,7 +74,8 @@ func WithNodeOptions(opts Options) ClusterOption {
 // are atomic but not strictly serializable against each other. The group
 // count is elastic: Node.Resize changes it live, with consensus-fenced
 // state handoff (internal/rebalance). g < 1 is treated as 1 (an unsharded
-// deployment).
+// deployment); a node runs at most 4,096 groups, and NewLocalCluster
+// refuses more.
 func WithShards(g int) ClusterOption {
 	return func(c *clusterConfig) { c.shards = g }
 }

@@ -187,22 +187,24 @@
 //
 // The paper's DELIVER hands the state machine a command and its agreed
 // timestamp, nothing else, and the node stack (internal/stack) keeps
-// that shape through every layer with two statically typed roles
-// (internal/protocol). The node state machine — the store behind the
-// batch unpacker, protocol.TimestampedAtomicApplier — executes single
-// commands and atomic multi-key units at their decided timestamps. The
-// per-group chain, protocol.TimestampedApplier, is what one group's
-// engine delivers into: rebalance gate → write-ahead log → cross-shard
-// commit table → state machine, each layer taking a chain and returning
-// one, so a layer that dropped the timestamp (and with it the MVCC
-// version stamp local reads depend on) would not compile. One facet
-// stays optional: a chain that may finish a command after its delivery
-// point is also a protocol.DeferringApplier — the rebalance gate, parking
-// commands behind a handoff, and the write-ahead log, completing every
-// command after its sync; the gate forwards the deferral of the chain
-// below it (protocol.Deferring). The engine asks for the facet once, when
-// it is built — with Deferring the only applier type assertions outside
-// tests.
+// that shape through every layer with statically typed roles
+// (internal/protocol), each with one entry point. The per-group chain,
+// protocol.Applier, is what one group's engine delivers into: rebalance
+// gate → write-ahead log → cross-shard commit table → state machine.
+// The gate and the log each take a chain and return one with the single
+// method ApplyDeferred, which may finish a command after its delivery
+// point — the gate parks commands behind a handoff, the log completes
+// every command after its sync — and never parks the event loop. The
+// commit table's interception, the batch unpacker and the store are
+// synchronous layers (protocol.TimestampedApplier, ApplyAt); the store
+// behind the unpacker is the node state machine
+// (protocol.TimestampedAtomicApplier), which also executes atomic
+// multi-key units. A layer that dropped the timestamp (and with it the
+// MVCC version stamp local reads depend on) would not compile. Where a
+// chain ends in a synchronous layer — an in-memory node without a gate —
+// the stack wraps it in protocol.Sync, and CAESAR, which asks once, when
+// it is built, whether its chain is also a synchronous layer (the only
+// applier type assertion outside tests), applies it on the event loop.
 //
 // # Transports
 //

@@ -185,7 +185,8 @@ func NewApplier(inner protocol.TimestampedAtomicApplier) Applier {
 	return Applier{Inner: inner}
 }
 
-// Apply implements protocol.Applier.
+// Apply is ApplyAt at timestamp.Zero. No interface requires it; it stays
+// because the benchmark's timing wrapper (bench/rig.go) calls it.
 func (a Applier) Apply(cmd command.Command) []byte {
 	return a.ApplyAt(cmd, timestamp.Zero)
 }
@@ -205,8 +206,8 @@ func (a Applier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	return nil
 }
 
-// ApplyAll is ApplyAllAt at timestamp.Zero. No interface requires it; the
-// benchmark's timing wrapper (bench/rig.go) calls it on this concrete type.
+// ApplyAll is ApplyAllAt at timestamp.Zero. No interface requires it; it
+// stays because the benchmark's timing wrapper (bench/rig.go) calls it.
 func (a Applier) ApplyAll(cmds []command.Command) [][]byte {
 	return a.ApplyAllAt(cmds, timestamp.Zero)
 }

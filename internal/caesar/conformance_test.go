@@ -15,7 +15,7 @@ import (
 
 func TestConformance(t *testing.T) {
 	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
-		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1})
+		return caesar.New(ep, protocol.Sync(app), caesar.Config{HeartbeatInterval: -1})
 	})
 }
 
@@ -24,7 +24,7 @@ func TestConformanceNoGC(t *testing.T) {
 		t.Skip("variant battery")
 	}
 	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
-		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1, GCInterval: -1})
+		return caesar.New(ep, protocol.Sync(app), caesar.Config{HeartbeatInterval: -1, GCInterval: -1})
 	})
 }
 
@@ -35,6 +35,6 @@ func TestConformanceWaitDisabled(t *testing.T) {
 	// The §IV-A ablation must still be safe — it only trades fast
 	// decisions for retries.
 	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
-		return caesar.New(ep, app, caesar.Config{HeartbeatInterval: -1, DisableWait: true})
+		return caesar.New(ep, protocol.Sync(app), caesar.Config{HeartbeatInterval: -1, DisableWait: true})
 	})
 }

@@ -103,14 +103,15 @@ func (r *Replica) deliverable(rec *record) bool {
 
 // deliverNow executes one command and completes client bookkeeping. The
 // applier chain receives the decided timestamp (the cross-shard commit
-// table merges per-group stable timestamps through ApplyAt). A deferring
-// chain may postpone the execution past the delivery point; the client
-// callback then fires when the applier completes the command, from
-// whatever goroutine does so — all replica-side bookkeeping is finished
-// here, inside the event loop, before the applier is invoked. Either way
-// the client-ack bookkeeping (noteClientAck, slow-command report
-// included) runs before done: a waiter woken by done must find the report
-// and the ack event already there.
+// table merges per-group stable timestamps through ApplyAt). A chain that
+// ends in a synchronous layer (protocol.Sync) is applied here, on the
+// event loop. Any other may postpone the execution past the delivery
+// point; the client callback then fires when the chain completes the
+// command, from whatever goroutine does so — all replica-side bookkeeping
+// is finished here, inside the event loop, before the chain is invoked.
+// Either way the client-ack bookkeeping (noteClientAck, slow-command
+// report included) runs before done: a waiter woken by done must find the
+// report and the ack event already there.
 func (r *Replica) deliverNow(rec *record) {
 	// A seeded delivered set (crash recovery) can already contain this
 	// command: it was applied — and logged — before the crash, and a
@@ -152,9 +153,9 @@ func (r *Replica) deliverNow(rec *record) {
 	// — acking a delivery whose apply is still deferred (a rebalance
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
-	if r.appDefer != nil {
+	if r.appAt == nil {
 		ts := rec.ts // rec is only read and written inside the event loop: the callback posts it back
-		r.appDefer.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
+		r.app.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
 			// Completion may run on any goroutine — including the event
 			// loop itself (the gate's pass path completes synchronously),
 			// where a blocking Post on a full inbox would deadlock the
@@ -185,12 +186,7 @@ func (r *Replica) deliverNow(rec *record) {
 		})
 		return
 	}
-	var value []byte
-	if r.appAt != nil {
-		value = r.appAt.ApplyAt(rec.cmd, rec.ts)
-	} else {
-		value = r.app.Apply(rec.cmd)
-	}
+	value := r.appAt.ApplyAt(rec.cmd, rec.ts)
 	rec.applied = true
 	r.releaseReads(rec)
 	r.queueAck(id)

@@ -26,7 +26,7 @@ type orderRecorder struct {
 	fence map[command.ID]bool
 }
 
-func (r *orderRecorder) Apply(cmd command.Command) []byte {
+func (r *orderRecorder) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.order = append(r.order, cmd.ID)
@@ -55,7 +55,7 @@ func TestFenceCutsDeliveryOrderIdentically(t *testing.T) {
 	engines := make([]*caesar.Replica, nodes)
 	for i := range engines {
 		recs[i] = &orderRecorder{fence: make(map[command.ID]bool)}
-		engines[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), recs[i], caesar.Config{HeartbeatInterval: -1})
+		engines[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), protocol.Sync(recs[i]), caesar.Config{HeartbeatInterval: -1})
 		engines[i].Start()
 		defer engines[i].Stop()
 	}

@@ -38,7 +38,7 @@ type record struct {
 	next, prev *record
 
 	// delivered is set once the command has been handed to the applier;
-	// applied once the applier completed it (a DeferringApplier may hold
+	// applied once the applier completed it (a deferring chain may hold
 	// the gap open across a rebalance handoff). GC acks key on applied:
 	// on a durable node an acked command must already be in the
 	// write-ahead log, which the applier chain writes. deliveredAt and

@@ -170,14 +170,13 @@ type Replica struct {
 	fq    int // fast quorum size
 
 	cfg Config
-	// app is the applier chain decided commands are delivered into.
-	// appAt and appDefer are its two facets, probed once in New — the
-	// only applier probes outside tests: nil appAt means an applier that
-	// takes no timestamp (tests, microbenchmarks), nil appDefer one that
-	// always applies synchronously.
-	app      protocol.Applier
-	appAt    protocol.TimestampedApplier
-	appDefer protocol.DeferringApplier
+	// app is the applier chain decided commands are delivered into, and
+	// appAt its synchronous facet, probed once in New — the only applier
+	// probe outside tests. Non-nil appAt (a chain that ends in a
+	// synchronous layer, protocol.Sync) is applied on the event loop;
+	// otherwise every delivery goes through app.ApplyDeferred.
+	app   protocol.Applier
+	appAt protocol.TimestampedApplier
 
 	met   *metrics.Recorder
 	ctd   *contend.Group
@@ -266,7 +265,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 		r.clock.SetReserve(cfg.ClockSeed, cfg.ReserveClock)
 	}
 	r.appAt, _ = app.(protocol.TimestampedApplier)
-	r.appDefer, _ = app.(protocol.DeferringApplier)
 	r.Runtime = protocol.NewRuntime(ep, cfg.Now, cfg.TickInterval, r.step, r.failInFlight)
 	r.now = r.Now()
 	if cfg.HeartbeatInterval > 0 {

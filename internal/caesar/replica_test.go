@@ -30,7 +30,7 @@ func newOrderLog() *orderLog {
 	}
 }
 
-func (l *orderLog) Apply(cmd command.Command) []byte {
+func (l *orderLog) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
@@ -75,7 +75,7 @@ func newCluster(t testing.TB, n int, netCfg memnet.Config, cfg Config) *cluster 
 	c := &cluster{net: net}
 	for i := 0; i < n; i++ {
 		log := newOrderLog()
-		rep := New(net.Endpoint(timestamp.NodeID(i)), log, cfg)
+		rep := New(net.Endpoint(timestamp.NodeID(i)), protocol.Sync(log), cfg)
 		c.logs = append(c.logs, log)
 		c.replicas = append(c.replicas, rep)
 	}
@@ -329,7 +329,7 @@ func TestClusterKeepsWorkingAfterCrash(t *testing.T) {
 func TestStopFailsInflight(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 5, Delay: memnet.UniformDelay(time.Hour)})
 	defer net.Close()
-	rep := New(net.Endpoint(0), newOrderLog(), Config{HeartbeatInterval: -1})
+	rep := New(net.Endpoint(0), protocol.Sync(newOrderLog()), Config{HeartbeatInterval: -1})
 	rep.Start()
 	ch := make(chan protocol.Result, 1)
 	rep.Submit(command.Put("x", nil), func(res protocol.Result) { ch <- res })

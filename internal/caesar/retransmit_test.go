@@ -44,7 +44,7 @@ func TestStableRetransmissionCatchesUpPartitionedReplica(t *testing.T) {
 	}
 	for i := range reps {
 		stores[i] = kvstore.New()
-		reps[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), stores[i], cfg)
+		reps[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), protocol.Sync(stores[i]), cfg)
 		reps[i].Start()
 	}
 	defer func() {
@@ -100,7 +100,7 @@ func TestPredeliveredSuppressesReexecution(t *testing.T) {
 		if i == 2 {
 			c.Predelivered = pre
 		}
-		reps[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), stores[i], c)
+		reps[i] = caesar.New(net.Endpoint(timestamp.NodeID(i)), protocol.Sync(stores[i]), c)
 		reps[i].Start()
 	}
 	defer func() {

@@ -296,10 +296,10 @@ func TestStableEchoForDecidedCommand(t *testing.T) {
 func TestBreakLoopDeliversInTimestampOrder(t *testing.T) {
 	r, _ := testReplica(2)
 	applied := []command.ID{}
-	r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+	setApplier(r, protocol.ApplierFunc(func(cmd command.Command) []byte {
 		applied = append(applied, cmd.ID)
 		return nil
-	})
+	}))
 	a, b := put(0, 1, "k"), put(1, 1, "k")
 	// Mutual predecessors (a loop, possible because pred inclusion does
 	// not imply timestamp order): must deliver by timestamp: a (ts 3)
@@ -439,10 +439,10 @@ func TestPurgeFenceKeepsParkedWaiterAboveFloor(t *testing.T) {
 func TestPurgeFenceNacksBelowClusterHorizon(t *testing.T) {
 	r, ep := testReplica(2)
 	var applied []command.ID
-	r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+	setApplier(r, protocol.ApplierFunc(func(cmd command.Command) []byte {
 		applied = append(applied, cmd.ID)
 		return nil
-	})
+	}))
 	stableAndPurged(r, put(0, 1, "a"), ts(10, 0))
 	peersReport(r, ts(30, 0), 0, 1, 3)
 	gcTick(r)
@@ -857,10 +857,10 @@ func TestDisableWaitRejectsInsteadOfWaiting(t *testing.T) {
 func TestStableLearnedBelowLocalPromise(t *testing.T) {
 	r, _ := testReplica(2)
 	var applied []command.ID
-	r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+	setApplier(r, protocol.ApplierFunc(func(cmd command.Command) []byte {
 		applied = append(applied, cmd.ID)
 		return nil
-	})
+	}))
 	c := put(0, 1, "k")
 	r.onFastPropose(0, &FastPropose{Cmd: c, Time: ts(5, 0)})
 	rec := r.hist.get(c.ID)
@@ -879,12 +879,18 @@ func TestStableLearnedBelowLocalPromise(t *testing.T) {
 	}
 }
 
-// syncDeferrer is a DeferringApplier completing every command on the
-// caller's goroutine, like the rebalance gate's pass path.
-type syncDeferrer struct{}
+// setApplier replaces r's applier chain after New and repeats New's probe
+// for a synchronous layer, so the swapped-in chain decides the apply path.
+func setApplier(r *Replica, app protocol.Applier) {
+	r.app = app
+	r.appAt, _ = app.(protocol.TimestampedApplier)
+}
 
-func (syncDeferrer) Apply(command.Command) []byte { return nil }
-func (syncDeferrer) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done func(protocol.Result)) {
+// inlineChain is a chain with no synchronous facet that completes every
+// command on the caller's goroutine, like the rebalance gate's pass path.
+type inlineChain struct{}
+
+func (inlineChain) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done func(protocol.Result)) {
 	done(protocol.Result{})
 }
 
@@ -897,7 +903,7 @@ func TestSlowReportPrecedesClientAck(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			r, _ := testReplica(0)
 			if path == "deferred" {
-				r.appDefer = syncDeferrer{}
+				setApplier(r, inlineChain{})
 			}
 			var order []string
 			r.cfg.SlowThreshold = time.Nanosecond
@@ -993,10 +999,10 @@ func TestStableMessageSurvivesLoopBreaking(t *testing.T) {
 	deliver := func(first, second *Stable) (*Replica, *[]command.ID) {
 		r, _ := testReplica(2)
 		applied := &[]command.ID{}
-		r.app = protocol.ApplierFunc(func(cmd command.Command) []byte {
+		setApplier(r, protocol.ApplierFunc(func(cmd command.Command) []byte {
 			*applied = append(*applied, cmd.ID)
 			return nil
-		})
+		}))
 		r.onStable(first.Cmd.ID.Node, first)
 		r.onStable(second.Cmd.ID.Node, second)
 		return r, applied

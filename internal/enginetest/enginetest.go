@@ -50,10 +50,6 @@ func NewRecorder() *Recorder {
 // stack their chain on it; it ignores timestamps.
 var _ protocol.TimestampedAtomicApplier = (*Recorder)(nil)
 
-func (r *Recorder) Apply(cmd command.Command) []byte {
-	return r.ApplyAt(cmd, timestamp.Zero)
-}
-
 func (r *Recorder) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()

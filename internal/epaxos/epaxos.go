@@ -189,7 +189,7 @@ type Replica struct {
 	fastQ int
 
 	cfg Config
-	app protocol.Applier
+	app protocol.TimestampedApplier
 	met *metrics.Recorder
 	// now is the instant of the step being handled.
 	now time.Time
@@ -215,7 +215,7 @@ type Replica struct {
 var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
-func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
+func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
 	peers := ep.Peers()
 	n := len(peers)

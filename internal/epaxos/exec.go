@@ -1,6 +1,10 @@
 package epaxos
 
-import "sort"
+import (
+	"sort"
+
+	"github.com/caesar-consensus/caesar/internal/timestamp"
+)
 
 // Execution: EPaxos delivers by analysing the dependency graph of committed
 // instances — find the strongly connected components reachable from the
@@ -116,7 +120,7 @@ func (r *Replica) execute(inst *instance) {
 		return
 	}
 	inst.status = iexecuted
-	value := r.app.Apply(inst.cmd)
+	value := r.app.ApplyAt(inst.cmd, timestamp.Zero)
 	r.met.Executed.Inc()
 
 	r.pending.Complete(r.now, inst.cmd.ID, value)

@@ -197,7 +197,7 @@ func build(o Options, net *memnet.Network, mets []*metrics.Recorder) []protocol.
 			} else {
 				cfg.HeartbeatInterval = -1
 			}
-			eng = caesar.New(ep, app, cfg)
+			eng = caesar.New(ep, protocol.Sync(app), cfg)
 		case EPaxos:
 			cfg := epaxos.Config{Metrics: met}
 			if crashRun {

@@ -119,8 +119,9 @@ func (e *entry) current() ([]byte, bool) {
 	return e.cur.val, true
 }
 
-// Store is an in-memory key-value store satisfying protocol.Applier.
-// Apply is invoked from a single goroutine per replica, but reads (Get,
+// Store is an in-memory key-value store, the node state machine at the
+// bottom of every group's chain (protocol.TimestampedAtomicApplier).
+// ApplyAt and ApplyAllAt run on the groups' delivery paths, and reads (Get,
 // GetAt, Len) may come from other goroutines, so access is guarded.
 type Store struct {
 	// Innermost rank in the node's declared lock order (see
@@ -150,12 +151,6 @@ func New() *Store {
 		keys:   make(map[string]*entry),
 		audits: make(map[int32]*groupAudit),
 	}
-}
-
-// Apply executes one command and returns its result (the stored value for
-// a GET, nil otherwise).
-func (s *Store) Apply(cmd command.Command) []byte {
-	return s.ApplyAt(cmd, timestamp.Zero)
 }
 
 // BeginRead registers a local read: until the matching EndRead every write

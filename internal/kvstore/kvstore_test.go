@@ -10,17 +10,18 @@ import (
 	"unsafe"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
 func TestPutGet(t *testing.T) {
 	s := New()
-	if v := s.Apply(command.Put("k", []byte("v1"))); v != nil {
+	if v := s.ApplyAt(command.Put("k", []byte("v1")), timestamp.Zero); v != nil {
 		t.Fatalf("put returned %q", v)
 	}
-	if v := s.Apply(command.Get("k")); string(v) != "v1" {
+	if v := s.ApplyAt(command.Get("k"), timestamp.Zero); string(v) != "v1" {
 		t.Fatalf("get returned %q", v)
 	}
-	if v := s.Apply(command.Get("missing")); v != nil {
+	if v := s.ApplyAt(command.Get("missing"), timestamp.Zero); v != nil {
 		t.Fatalf("missing key returned %q", v)
 	}
 	if v, ok := s.Get("k"); !ok || string(v) != "v1" {
@@ -37,12 +38,12 @@ func TestPutGet(t *testing.T) {
 func TestPutKeepsCommandValue(t *testing.T) {
 	s := New()
 	buf := []byte("original")
-	s.Apply(command.Put("k", buf))
+	s.ApplyAt(command.Put("k", buf), timestamp.Zero)
 	if v, _ := s.Get("k"); len(v) != len(buf) || &v[0] != &buf[0] {
 		t.Fatalf("store holds %q at %p, want the command's bytes at %p", v, v, buf)
 	}
 	cmd := command.Put("k", []byte("next"))
-	if n := testing.AllocsPerRun(100, func() { s.Apply(cmd) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.ApplyAt(cmd, timestamp.Zero) }); n != 0 {
 		t.Fatalf("overwriting put allocated %v times, want 0", n)
 	}
 }
@@ -63,11 +64,11 @@ func TestLayout(t *testing.T) {
 
 func TestAddSemantics(t *testing.T) {
 	s := New()
-	v := s.Apply(command.Add("n", 5))
+	v := s.ApplyAt(command.Add("n", 5), timestamp.Zero)
 	if got := int64(binary.BigEndian.Uint64(v)); got != 5 {
 		t.Fatalf("add on empty = %d", got)
 	}
-	v = s.Apply(command.Add("n", -8))
+	v = s.ApplyAt(command.Add("n", -8), timestamp.Zero)
 	if got := int64(binary.BigEndian.Uint64(v)); got != -3 {
 		t.Fatalf("add result = %d", got)
 	}
@@ -81,7 +82,7 @@ func TestAddAccumulates(t *testing.T) {
 		var got []byte
 		for _, d := range deltas {
 			want += int64(d)
-			got = s.Apply(command.Add("acc", int64(d)))
+			got = s.ApplyAt(command.Add("acc", int64(d)), timestamp.Zero)
 		}
 		if len(deltas) == 0 {
 			return true
@@ -95,7 +96,7 @@ func TestAddAccumulates(t *testing.T) {
 
 func TestNoopAndBatchIgnored(t *testing.T) {
 	s := New()
-	if v := s.Apply(command.Noop()); v != nil {
+	if v := s.ApplyAt(command.Noop(), timestamp.Zero); v != nil {
 		t.Fatal("noop returned a value")
 	}
 	if s.Len() != 0 {
@@ -112,7 +113,7 @@ func TestLastWriterWins(t *testing.T) {
 		for i, w := range writes {
 			key := string(rune('a' + w%4))
 			val := []byte{byte(i)}
-			s.Apply(command.Put(key, val))
+			s.ApplyAt(command.Put(key, val), timestamp.Zero)
 			last[key] = byte(i)
 		}
 		for k, want := range last {
@@ -137,7 +138,7 @@ func BenchmarkApplyPut(b *testing.B) {
 		s := New()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.Apply(command.Command{Op: command.OpPut, Key: "hot", Value: val})
+			s.ApplyAt(command.Command{Op: command.OpPut, Key: "hot", Value: val}, timestamp.Zero)
 		}
 	})
 	keys := make([]string, 24676)

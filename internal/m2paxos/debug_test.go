@@ -18,7 +18,7 @@ type countApplier struct {
 	total int
 }
 
-func (c *countApplier) Apply(cmd command.Command) []byte {
+func (c *countApplier) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	c.mu.Lock()
 	c.total++
 	c.mu.Unlock()

@@ -197,7 +197,7 @@ type Replica struct {
 	n    int
 	cq   int
 	cfg  Config
-	app  protocol.Applier
+	app  protocol.TimestampedApplier
 	met  *metrics.Recorder
 	// now is the instant of the step being handled.
 	now time.Time
@@ -214,7 +214,7 @@ type Replica struct {
 var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
-func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
+func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Replica {
 	cfg = cfg.withDefaults()
 	r := &Replica{
 		self:      ep.Self(),
@@ -636,7 +636,7 @@ func (r *Replica) execute(key string) {
 		if cmd.Op == command.OpNoop || !r.executed.Add(cmd.ID) {
 			continue // gap filler or duplicate via adoption
 		}
-		value := r.app.Apply(cmd)
+		value := r.app.ApplyAt(cmd, timestamp.Zero)
 		r.met.Executed.Inc()
 		r.met.Decided.Inc()
 		r.pending.Complete(r.now, cmd.ID, value)

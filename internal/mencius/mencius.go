@@ -74,7 +74,7 @@ type Replica struct {
 	n    int
 	cq   int
 	cfg  Config
-	app  protocol.Applier
+	app  protocol.TimestampedApplier
 	met  *metrics.Recorder
 	// now is the instant of the step being handled.
 	now time.Time
@@ -95,7 +95,7 @@ type Replica struct {
 var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
-func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
+func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Replica {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRecorder()
 	}
@@ -249,7 +249,7 @@ func (r *Replica) execute() {
 		sl := r.slots[s]
 		switch {
 		case sl != nil && sl.state == slotCommitted:
-			value := r.app.Apply(sl.cmd)
+			value := r.app.ApplyAt(sl.cmd, timestamp.Zero)
 			r.met.Executed.Inc()
 			r.met.Decided.Inc()
 			r.pending.Complete(r.now, sl.cmd.ID, value)

@@ -65,7 +65,7 @@ type Replica struct {
 	n      int
 	cq     int
 	cfg    Config
-	app    protocol.Applier
+	app    protocol.TimestampedApplier
 	met    *metrics.Recorder
 	leader bool
 	// now is the instant of the step being handled.
@@ -82,7 +82,7 @@ type Replica struct {
 var _ protocol.Engine = (*Replica)(nil)
 
 // New builds a replica attached to the endpoint.
-func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
+func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Replica {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRecorder()
 	}
@@ -180,7 +180,7 @@ func (r *Replica) onCommit(m *Commit) {
 func (r *Replica) execute() {
 	for r.execTo < r.commitTo && r.execTo < uint64(len(r.log)) && r.log[r.execTo].ok {
 		cmd := r.log[r.execTo].cmd
-		value := r.app.Apply(cmd)
+		value := r.app.ApplyAt(cmd, timestamp.Zero)
 		r.met.Executed.Inc()
 		r.met.Decided.Inc()
 		r.execTo++

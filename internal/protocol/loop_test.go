@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
 func TestLoopProcessesInOrder(t *testing.T) {
@@ -94,8 +95,13 @@ func TestApplierFunc(t *testing.T) {
 		called = true
 		return []byte("ok")
 	})
-	if string(af.Apply(command.Put("k", nil))) != "ok" || !called {
+	if string(af.ApplyAt(command.Put("k", nil), timestamp.Zero)) != "ok" || !called {
 		t.Fatal("ApplierFunc adapter broken")
+	}
+	var got Result
+	af.ApplyDeferred(command.Put("k", nil), timestamp.Zero, func(r Result) { got = r })
+	if string(got.Value) != "ok" {
+		t.Fatal("ApplierFunc did not complete its deferred apply before returning")
 	}
 }
 

@@ -20,15 +20,14 @@
 // proposed it — that is the "ordering and processing" latency measured by
 // the paper's evaluation.
 //
-// Below the engine there are two statically typed roles. The node state
-// machine (TimestampedAtomicApplier: the store behind the batch unpacker)
-// executes single commands and atomic units at their decided timestamps.
-// The per-group chain (TimestampedApplier) is what one group's engine
-// delivers into; internal/stack composes it from layers that each take a
-// chain and return one, ending at the state machine. The only runtime
-// probe left is asking, once at construction, whether a chain is also a
-// DeferringApplier: the engine about the chain it delivers into, and a
-// layer that forwards deferral about the chain below it (Deferring).
+// Below the engine there are two statically typed roles. The per-group
+// chain (Applier) is what one group's engine delivers into, through
+// ApplyDeferred alone; internal/stack composes it from layers (the
+// rebalance gate, the write-ahead log) that each take a chain and return
+// one. A synchronous layer (TimestampedApplier: the commit table's
+// interception, the batch unpacker, the store) applies before returning,
+// and Sync makes a chain of one. The only runtime probe left is CAESAR's,
+// once at construction: is its chain also a synchronous layer?
 package protocol
 
 import (
@@ -68,28 +67,30 @@ type Engine interface {
 	Stop()
 }
 
-// Applier is the deterministic state machine commands are executed
-// against, as an engine without agreed timestamps (the four baselines,
-// ApplierFunc in tests and microbenchmarks) sees it.
+// Applier is the per-group delivery chain: what a node stack hands each
+// consensus group's engine. The paper's DELIVER hands the state machine a
+// command and its stable timestamp, and that is the one entry, so a layer
+// that would drop the timestamp does not compile. The chain may complete a
+// command past its delivery point: the rebalance gate (internal/rebalance)
+// holds commands that reached their new consensus group before the group's
+// state handoff finished, without blocking delivery of later, unrelated
+// commands, and the write-ahead log (internal/wal) completes every command
+// after the fsync that covers its record, from goroutines of its own, so
+// the event loop never waits for the disk. The client's DoneFunc fires when
+// the chain completes the command.
 type Applier interface {
-	// Apply executes cmd and returns its application-level result.
-	// It is called from a single goroutine per replica, in decision
-	// order.
-	Apply(cmd command.Command) []byte
+	// ApplyDeferred executes cmd, decided at ts within its engine's
+	// timestamp space, now or later, and reports its result through done:
+	// exactly once, from any goroutine. A Result carrying Err means the
+	// command was not applied.
+	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result))
 }
 
-// TimestampedApplier is the per-group delivery chain: what a node stack
-// hands each consensus group's engine. Every layer of the chain — the
-// rebalance gate, the write-ahead log, the cross-shard commit table —
-// takes one and returns one, so the decided timestamp (the only thing the
-// paper's DELIVER hands the state machine besides the command) reaches
-// the store through static types; a layer that would drop it does not
-// compile. Apply is the entry for engines that agree on no timestamp and
-// is ApplyAt at timestamp.Zero.
+// TimestampedApplier is a synchronous layer: ApplyAt executes cmd, decided
+// at ts, and returns its application-level result. The four baselines,
+// which agree on no timestamp, deliver into one at timestamp.Zero, from a
+// single goroutine per replica in decision order.
 type TimestampedApplier interface {
-	Applier
-	// ApplyAt executes cmd, which was decided at ts within its engine's
-	// timestamp space.
 	ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte
 }
 
@@ -106,47 +107,25 @@ type TimestampedAtomicApplier interface {
 	ApplyAllAt(cmds []command.Command, ts timestamp.Timestamp) [][]byte
 }
 
-// DeferringApplier is the one optional facet of a chain, and the only
-// one an engine probes for (once, at construction): a chain that may
-// postpone a command's execution past its delivery point. The engine
-// hands it the command plus a completion callback instead of expecting a
-// synchronous return, and the client's DoneFunc fires when the applier
-// completes the command. The live rebalancing gate (internal/rebalance)
-// uses this to hold commands that reached their new consensus group
-// before the group's state handoff finished — delivery of later,
-// unrelated commands is never blocked — and the write-ahead log
-// (internal/wal) to complete every command after the fsync that covers
-// its record, from goroutines of its own, so the event loop never waits
-// for the disk. Appliers must call done exactly once, from any goroutine; a
-// Result carrying Err means the command was not applied.
-type DeferringApplier interface {
-	Applier
-	// ApplyDeferred executes cmd — now or later — and reports its result
-	// through done. ts is the command's decided timestamp.
-	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result))
-}
+// Sync returns the chain that ends in layer: each delivery is applied and
+// completed before ApplyDeferred returns. The chain is also layer's
+// TimestampedApplier, so CAESAR applies it directly.
+func Sync(layer TimestampedApplier) Applier { return syncChain{layer} }
 
-// Deferring returns chain's deferring facet: chain itself when it is a
-// DeferringApplier, otherwise an adapter that applies synchronously and
-// completes before returning. A layer that forwards deferral to the chain
-// below it (the rebalance gate above the write-ahead log) resolves this
-// once, at construction, and calls ApplyDeferred unconditionally.
-func Deferring(chain TimestampedApplier) DeferringApplier {
-	if d, ok := chain.(DeferringApplier); ok {
-		return d
-	}
-	return syncDeferrer{chain}
-}
+type syncChain struct{ TimestampedApplier }
 
-// syncDeferrer completes every deferred apply synchronously.
-type syncDeferrer struct{ TimestampedApplier }
-
-func (s syncDeferrer) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result)) {
+func (s syncChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result)) {
 	done(Result{Value: s.ApplyAt(cmd, ts)})
 }
 
-// ApplierFunc adapts a function to the Applier interface.
+// ApplierFunc adapts a function that ignores timestamps to both a chain
+// and a synchronous layer (tests, microbenchmarks).
 type ApplierFunc func(cmd command.Command) []byte
 
-// Apply implements Applier.
-func (f ApplierFunc) Apply(cmd command.Command) []byte { return f(cmd) }
+// ApplyAt implements TimestampedApplier.
+func (f ApplierFunc) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte { return f(cmd) }
+
+// ApplyDeferred implements Applier; it completes before returning.
+func (f ApplierFunc) ApplyDeferred(cmd command.Command, _ timestamp.Timestamp, done func(Result)) {
+	done(Result{Value: f(cmd)})
+}

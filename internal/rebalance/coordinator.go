@@ -221,7 +221,7 @@ type Coordinator struct {
 	drainAgain bool
 
 	// inners holds each group's inner applier chain for queue drains.
-	inners map[int]protocol.DeferringApplier
+	inners map[int]protocol.Applier
 
 	// Scheduled retirement after a shrink.
 	retireTo int
@@ -263,7 +263,7 @@ func NewCoordinatorAt(cfg Config, history *shard.Epochs, epoch uint32) *Coordina
 		groupEpoch: make(map[int]uint32),
 		queuedKeys: make(map[groupKey]int),
 		handed:     make(map[*queuedCmd]struct{}),
-		inners:     make(map[int]protocol.DeferringApplier),
+		inners:     make(map[int]protocol.Applier),
 		shards:     shards,
 		retireTo:   -1,
 	}
@@ -466,58 +466,34 @@ func (co *Coordinator) Sweep() {
 
 // Applier wraps one group's applier chain with the epoch gate. It must be
 // the outermost layer (above the cross-shard interception), so fences and
-// epoch checks see every delivery first. The gate forwards deferral: a
-// delivery it lets through goes to the chain's ApplyDeferred, so a chain
-// that completes later (the write-ahead log) never parks the gate's
-// caller, and the order in which the gate hands deliveries down is the
-// order the chain applies them in.
-func (co *Coordinator) Applier(group int, chain protocol.TimestampedApplier) protocol.TimestampedApplier {
-	inner := protocol.Deferring(chain)
+// epoch checks see every delivery first. A delivery the gate lets through
+// goes to the chain's ApplyDeferred, so a chain that completes later (the
+// write-ahead log) never parks the gate's caller, and the order in which
+// the gate hands deliveries down is the order the chain applies them in.
+func (co *Coordinator) Applier(group int, chain protocol.Applier) protocol.Applier {
 	co.mu.Lock()
-	co.inners[group] = inner
+	co.inners[group] = chain
 	co.mu.Unlock()
-	return &gateApplier{co: co, group: group, inner: inner}
+	return &gateApplier{co: co, group: group, inner: chain}
 }
 
 // gateApplier is the per-group delivery gate.
 type gateApplier struct {
 	co    *Coordinator
 	group int
-	inner protocol.DeferringApplier
+	inner protocol.Applier
 }
 
-var _ protocol.DeferringApplier = (*gateApplier)(nil)
-
-// Apply implements protocol.Applier.
-func (a *gateApplier) Apply(cmd command.Command) []byte {
-	return a.ApplyAt(cmd, timestamp.Zero)
-}
-
-// ApplyAt implements protocol.TimestampedApplier for engines that do not
-// support deferral: a gated command blocks until released. The CAESAR
-// engine uses ApplyDeferred instead, which never blocks delivery.
-func (a *gateApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
-	var (
-		wg  sync.WaitGroup
-		res protocol.Result
-	)
-	wg.Add(1)
-	a.ApplyDeferred(cmd, ts, func(r protocol.Result) { res = r; wg.Done() })
-	//caesarlint:allow loopblock -- the blocking form is for engines that deliver from a goroutine of their own and cannot defer; no protocol.Loop handler calls it (caesar.New finds ApplyDeferred)
-	wg.Wait()
-	return res.Value
-}
-
-// ApplyDeferred implements protocol.DeferringApplier: the gate decides
-// whether the delivery goes down the chain now, parks until a handoff
-// completes, or is skipped as stale. done fires exactly once: synchronously
-// on the stale path, when the chain completes the command otherwise.
+// ApplyDeferred implements protocol.Applier: the gate decides whether the
+// delivery goes down the chain now, parks until a handoff completes, or is
+// skipped as stale. done fires exactly once: synchronously on the stale
+// path, when the chain completes the command otherwise.
 func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	a.co.gate(a.group, a.inner, cmd, ts, done)
 }
 
 // gate classifies one delivery and carries out the verdict.
-func (co *Coordinator) gate(group int, inner protocol.DeferringApplier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	if cmd.Op == command.OpFence {
 		co.cfg.Trace.Record(co.cfg.Self, trace.KindFence, cmd.ID, ts)
 		passed := new(fencePass)
@@ -1126,10 +1102,11 @@ func (co *Coordinator) classifyReleasedLocked(q *queuedCmd) gateVerdict {
 // concurrent resize won the epoch (the deployment resized, but to the
 // winner's count), ErrResizeInProgress when called mid-transition, or the
 // context's error. A no-op resize (shards == current) returns nil
-// immediately.
+// immediately, and a count outside [1, shard.MaxGroups] an error before
+// anything is proposed.
 func (co *Coordinator) Resize(ctx context.Context, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("rebalance: invalid shard count %d", shards)
+	if !shard.ValidGroups(shards) {
+		return fmt.Errorf("rebalance: invalid shard count %d, want 1..%d", shards, shard.MaxGroups)
 	}
 	co.mu.Lock()
 	if co.pending != nil {

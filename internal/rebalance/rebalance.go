@@ -77,6 +77,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/shard"
 )
 
 // Marker is the payload of a resize fence: it installs Epoch, whose router
@@ -102,7 +103,10 @@ func EncodeMarker(m Marker) ([]byte, error) {
 	return codec.AppendUvarint(b, uint64(uint32(m.PrevShards))), nil
 }
 
-// DecodeMarker reverses EncodeMarker.
+// DecodeMarker reverses EncodeMarker. A group count outside
+// [1, shard.MaxGroups] is malformed: no node could install it, and the
+// gate passes a fence it cannot decode down without installing it, on
+// every replica alike.
 func DecodeMarker(payload []byte) (Marker, error) {
 	r := codec.NewReader(payload)
 	var m Marker
@@ -111,6 +115,9 @@ func DecodeMarker(payload []byte) (Marker, error) {
 	m.PrevShards = int32(uint32(r.Uvarint()))
 	if err := r.End(); err != nil {
 		return Marker{}, err
+	}
+	if !shard.ValidGroups(int(m.Shards)) || !shard.ValidGroups(int(m.PrevShards)) {
+		return Marker{}, codec.ErrMalformed
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package rebalance
 
 import (
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -59,6 +60,23 @@ func TestMarkerFormatIsPinned(t *testing.T) {
 	if _, err := DecodeMarker(append(raw, 0)); !errors.Is(err, codec.ErrMalformed) {
 		t.Errorf("trailing byte: %v, want ErrMalformed", err)
 	}
+	// A group count no node can run is refused as well: installing it
+	// would panic the mux of every replica that delivered the fence.
+	for _, bad := range []Marker{
+		{Epoch: 1, Shards: shard.MaxGroups + 1, PrevShards: 4},
+		{Epoch: 1, Shards: 4, PrevShards: shard.MaxGroups + 1},
+		{Epoch: 1, Shards: 0, PrevShards: 4},
+		{Epoch: 1, Shards: 4, PrevShards: -1},
+	} {
+		raw, _ := EncodeMarker(bad)
+		if _, err := DecodeMarker(raw); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%v: %v, want ErrMalformed", bad, err)
+		}
+	}
+	edge := Marker{Epoch: 1, Shards: shard.MaxGroups, PrevShards: 1}
+	if raw, _ := EncodeMarker(edge); !markerRoundTrips(raw, edge) {
+		t.Errorf("%v does not round-trip", edge)
+	}
 	if avg := testing.AllocsPerRun(100, func() { DecodeMarker(raw) }); avg != 0 {
 		t.Errorf("DecodeMarker: %.1f allocs, want 0", avg)
 	}
@@ -67,11 +85,46 @@ func TestMarkerFormatIsPinned(t *testing.T) {
 func TestMarkerRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 2000; i++ {
-		m := Marker{Epoch: rng.Uint32() >> uint(rng.Intn(32)), Shards: int32(rng.Uint32()), PrevShards: int32(rng.Uint32() >> uint(rng.Intn(32)))}
+		m := Marker{Epoch: rng.Uint32() >> uint(rng.Intn(32)), Shards: int32(1 + rng.Intn(shard.MaxGroups)), PrevShards: int32(1 + rng.Intn(shard.MaxGroups))}
 		raw, _ := EncodeMarker(m)
-		if got, err := DecodeMarker(raw); err != nil || got != m {
-			t.Fatalf("decode(encode(%+v)) = %+v, %v", m, got, err)
+		if !markerRoundTrips(raw, m) {
+			t.Fatalf("decode(encode(%+v)) differs", m)
 		}
+		// The same marker with one count pushed outside [1, MaxGroups].
+		bad := m
+		out := int32(rng.Uint32() >> uint(rng.Intn(32)))
+		if shard.ValidGroups(int(out)) {
+			out = -out
+		}
+		if rng.Intn(2) == 0 {
+			bad.Shards = out
+		} else {
+			bad.PrevShards = out
+		}
+		raw, _ = EncodeMarker(bad)
+		if _, err := DecodeMarker(raw); !errors.Is(err, codec.ErrMalformed) {
+			t.Fatalf("decode(encode(%+v)): %v, want ErrMalformed", bad, err)
+		}
+	}
+}
+
+func markerRoundTrips(raw []byte, m Marker) bool {
+	got, err := DecodeMarker(raw)
+	return err == nil && got == m
+}
+
+// TestResizeRefusesUnrunnableGroupCount: a count outside
+// [1, shard.MaxGroups] is refused before a fence is proposed. Above the
+// bound, ordering the fence would panic every replica's mux at install.
+func TestResizeRefusesUnrunnableGroupCount(t *testing.T) {
+	co, _ := newTestCoordinator(2)
+	for _, n := range []int{0, shard.MaxGroups + 1} {
+		if err := co.Resize(context.Background(), n); err == nil {
+			t.Errorf("Resize(%d) accepted", n)
+		}
+	}
+	if co.Epoch() != 0 || co.Shards() != 2 || co.Resizing() {
+		t.Fatalf("refused resizes moved the coordinator: epoch %d, %d shards, resizing %v", co.Epoch(), co.Shards(), co.Resizing())
 	}
 }
 
@@ -93,10 +146,6 @@ func keyHomedAt(t *testing.T, prev, next shard.Router, prevHome, nextHome int) s
 type recordingApplier struct {
 	mu   sync.Mutex
 	keys []string
-}
-
-func (r *recordingApplier) Apply(cmd command.Command) []byte {
-	return r.ApplyAt(cmd, timestamp.Zero)
 }
 
 func (r *recordingApplier) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
@@ -127,9 +176,8 @@ func newTestCoordinator(shards int) (*Coordinator, *recordingApplier) {
 // applyThrough pushes one delivery through the gate and reports whether
 // its completion fired synchronously.
 func applyThrough(co *Coordinator, gate protocol.Applier, cmd command.Command) (fired bool, res protocol.Result) {
-	da := gate.(protocol.DeferringApplier)
 	ch := make(chan protocol.Result, 1)
-	da.ApplyDeferred(cmd, timestamp.Zero, func(r protocol.Result) { ch <- r })
+	gate.ApplyDeferred(cmd, timestamp.Zero, func(r protocol.Result) { ch <- r })
 	select {
 	case r := <-ch:
 		return true, r
@@ -148,8 +196,8 @@ func TestGateQueuesUntilHandoffCompletes(t *testing.T) {
 	moved := keyHomedAt(t, prev, next, 0, 2)
 	stayed := keyHomedAt(t, prev, next, 0, 0)
 
-	gate2 := co.Applier(2, app)
-	gate0 := co.Applier(0, app)
+	gate2 := co.Applier(2, protocol.Sync(app))
+	gate0 := co.Applier(0, protocol.Sync(app))
 
 	// The new epoch reaches group 2 (its birth group) before group 0's
 	// fence: the moved key's command must wait for group 0's handoff.
@@ -215,7 +263,7 @@ func TestGateSkipsStaleAndReroutes(t *testing.T) {
 			done(protocol.Result{Value: []byte("rerouted")})
 		}
 	}
-	gate0 := co.Applier(0, app)
+	gate0 := co.Applier(0, protocol.Sync(app))
 	for g := 0; g < 2; g++ {
 		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})
 	}
@@ -256,7 +304,7 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 	moved := keyHomedAt(t, prev, next, 0, 2)
 	other := keyHomedAt(t, prev, next, 1, 1)
 
-	gate0 := co.Applier(0, app)
+	gate0 := co.Applier(0, protocol.Sync(app))
 	xid := xshard.XID{Node: 0, Seq: 1}
 	ops := []command.Command{command.Put(moved, nil), command.Put(other, nil)}
 	var got protocol.Result
@@ -291,7 +339,7 @@ func TestGateOrdersPiecesAroundTheFence(t *testing.T) {
 	moved := keyHomedAt(t, prev, next, 1, 3)
 	stayed0 := keyHomedAt(t, prev, next, 0, 0)
 	stayed1 := keyHomedAt(t, prev, next, 1, 1)
-	gate1, gate3 := co.Applier(1, app), co.Applier(3, app)
+	gate1, gate3 := co.Applier(1, protocol.Sync(app)), co.Applier(3, protocol.Sync(app))
 	marker := Marker{Epoch: 1, Shards: 4, PrevShards: 2}
 	piece := func(xid xshard.XID, groups []int32, ops []command.Command, epoch uint32, seq uint64) command.Command {
 		t.Helper()
@@ -421,7 +469,7 @@ func TestCompetingMarkersFirstWins(t *testing.T) {
 // replica-dependent times.
 func TestStaleVerdictUsesGroupFencePrefix(t *testing.T) {
 	co, app := newTestCoordinator(2)
-	gate0 := co.Applier(0, app)
+	gate0 := co.Applier(0, protocol.Sync(app))
 
 	// Epoch 1 (2→4) completes everywhere.
 	for g := 0; g < 2; g++ {
@@ -583,10 +631,10 @@ func TestHandoffWaitsForADeferringChain(t *testing.T) {
 		}
 	}
 	chains := make(map[int]*heldChain)
-	gates := make(map[int]protocol.DeferringApplier)
+	gates := make(map[int]protocol.Applier)
 	for g := 0; g < 8; g++ {
 		chains[g] = &heldChain{}
-		gates[g] = co.Applier(g, chains[g]).(protocol.DeferringApplier)
+		gates[g] = co.Applier(g, chains[g])
 	}
 	put := func(g int, epoch uint32, seq uint64) *bool {
 		cmd := command.Put(key, nil)

@@ -18,7 +18,7 @@ import (
 func TestShardedConformance(t *testing.T) {
 	enginetest.Run(t, func(ep transport.Endpoint, app protocol.TimestampedAtomicApplier) protocol.Engine {
 		return shard.NewAt(ep, make([]int32, 4), func(_ int, sep transport.Endpoint) protocol.Engine {
-			return caesar.New(sep, app, caesar.Config{HeartbeatInterval: -1})
+			return caesar.New(sep, protocol.Sync(app), caesar.Config{HeartbeatInterval: -1})
 		})
 	})
 }

@@ -29,13 +29,18 @@ type Envelope struct {
 // silent-drop semantics; consensus recovers them through retries.
 const pendingCap = 8192
 
-// maxSlots bounds how far inbound traffic can grow the slot table: a
-// corrupt or hostile envelope with an absurd shard number must not make
-// the node allocate (and buffer for) billions of phantom slots. Local
-// Attach calls — driven by consensus-agreed resizes — share the bound;
-// far more groups than this per node is a misconfiguration long before it
-// is a mux problem.
-const maxSlots = 4096
+// MaxGroups is the most consensus groups a node runs. It bounds how far
+// inbound traffic can grow the slot table: a corrupt or hostile envelope
+// with an absurd shard number must not make the node allocate (and buffer
+// for) billions of phantom slots. Local Attach calls — driven by
+// consensus-agreed resizes — share the bound, so a group count above it is
+// refused where it enters: the node's configuration (stack.Build), a
+// resize request and a resize marker (internal/rebalance).
+const MaxGroups = 4096
+
+// ValidGroups reports whether a node can run n consensus groups: the one
+// test every entry point of a group count applies.
+func ValidGroups(n int) bool { return n >= 1 && n <= MaxGroups }
 
 // muxSlot is one shard's channel state.
 type muxSlot struct {
@@ -109,7 +114,7 @@ func (m *Mux) dispatch(from timestamp.NodeID, payload any) {
 // or it exists with no handler, or the envelope belongs to a future
 // generation. Stale generations are dropped.
 func (m *Mux) buffer(from timestamp.NodeID, env *Envelope) {
-	if int(env.Shard) >= maxSlots {
+	if int(env.Shard) >= MaxGroups {
 		return
 	}
 	m.mu.Lock()
@@ -139,8 +144,8 @@ func (m *Mux) buffer(from timestamp.NodeID, env *Envelope) {
 // epoch as the generation; buffered traffic of that generation is
 // preserved for the handler, anything older is discarded.
 func (m *Mux) Attach(shard int, gen int32) transport.Endpoint {
-	if shard < 0 || shard >= maxSlots {
-		panic(fmt.Sprintf("shard: attach of shard %d outside [0,%d)", shard, maxSlots))
+	if shard < 0 || shard >= MaxGroups {
+		panic(fmt.Sprintf("shard: attach of shard %d outside [0,%d)", shard, MaxGroups))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

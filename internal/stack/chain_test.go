@@ -28,7 +28,11 @@ import (
 // a cross-group transaction executed by the commit table at the merged
 // (max) piece timestamp, or a batch on an unsharded node — carry one
 // stamp. A layer that forwarded a command without its timestamp would
-// stamp the write zero and fail here.
+// stamp the write zero and fail here. It also pins which chains CAESAR
+// applies on its event loop: only the unsharded in-memory one ends in a
+// synchronous layer (protocol.TimestampedApplier); a chain that holds the
+// rebalance gate or the write-ahead log must complete through
+// ApplyDeferred, so it must not offer one.
 func TestChainCarriesDecidedTimestamps(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -51,6 +55,9 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 				rings[g] = trace.NewRing(256)
 			}
 			dir := t.TempDir()
+			// synchronous records, per group of node 0, whether the chain
+			// BuildEngine received is also a synchronous layer.
+			synchronous := make([]bool, tc.shards)
 			stacks := make([]*stack.Stack, nodes)
 			for i := range stacks {
 				node := i
@@ -62,6 +69,7 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 						ccfg := caesar.Config{HeartbeatInterval: -1}
 						if node == 0 {
 							ccfg.Trace = rings[g]
+							_, synchronous[g] = app.(protocol.TimestampedApplier)
 						}
 						return stack.CaesarEngine(ccfg)(g, sep, app, seed, met, ctd)
 					},
@@ -78,6 +86,12 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 			for _, s := range stacks {
 				s.Start()
 				defer s.Stop()
+			}
+			wantSync := tc.shards == 1 && !tc.durable
+			for g, got := range synchronous {
+				if got != wantSync {
+					t.Fatalf("group %d's chain is a protocol.TimestampedApplier: %v, want %v", g, got, wantSync)
+				}
 			}
 			router := shard.NewRouter(tc.shards)
 			// keyIn returns a fresh key homed in group g.

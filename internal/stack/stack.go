@@ -96,9 +96,10 @@ func CaesarEngine(base caesar.Config) BuildEngine {
 
 // Config describes the node to build.
 type Config struct {
-	// Shards is the consensus-group count; < 2 builds an unsharded node.
-	// A recovered data dir's routing epoch overrides it — the durable
-	// truth about the deployment's group count beats a restart flag.
+	// Shards is the consensus-group count; < 2 builds an unsharded node,
+	// and above shard.MaxGroups Build fails. A recovered data dir's
+	// routing epoch overrides it — the durable truth about the
+	// deployment's group count beats a restart flag.
 	Shards int
 	// Store is the node's key-value store; nil creates one. Recovery
 	// imports the replayed state into it before any engine starts.
@@ -270,7 +271,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	s.Contend = ctd
 	rd.SetContend(ctd)
 	cfg.Obs.RegisterNodeRecorder(cfg.Metrics)
-	buildGroup := func(g int, sep transport.Endpoint, app protocol.TimestampedApplier, seed wal.GroupSeed) protocol.Engine {
+	buildGroup := func(g int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed) protocol.Engine {
 		gm := cfg.Metrics.Group()
 		cfg.Obs.RegisterRecorder(obs.Labels{"group": strconv.Itoa(g)}, gm)
 		s.registerContention(cfg.Obs, g, ctd.Group(g))
@@ -316,6 +317,12 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		s.Recovered = st
 	}
 	shards := cfg.Shards
+	if !shard.ValidGroups(shards) {
+		if log != nil {
+			log.Close()
+		}
+		return nil, fmt.Errorf("stack: %d consensus groups, a node runs at most %d", shards, shard.MaxGroups)
+	}
 	s.Shards = shards
 	// Fresh deployments (and non-durable ones) never see an epoch-0
 	// record; seed the history once the final shard count is known. A
@@ -324,9 +331,9 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	// overwrites it.
 	history.Install(0, int32(shards))
 
-	wrap := func(g int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
+	wrap := func(g int, inner protocol.TimestampedApplier) protocol.Applier {
 		if log == nil {
-			return inner
+			return protocol.Sync(inner)
 		}
 		return log.GroupApplier(g, inner)
 	}
@@ -375,7 +382,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 
 	// chain composes one group's layers in the package comment's order.
 	rd.SetTable(table)
-	chain := func(g int) protocol.TimestampedApplier { return wrap(g, table.Applier(g, app)) }
+	chain := func(g int) protocol.Applier { return wrap(g, table.Applier(g, app)) }
 	var co *rebalance.Coordinator
 	if cfg.Rebalance {
 		rcfg := rebalance.Config{Self: ep.Self(), Trace: cfg.Trace, Flight: cfg.Flight, Now: cfg.Now}
@@ -387,7 +394,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		current, _ := st.CurrentEpoch() // nil-safe: epoch 0 for a fresh node
 		co = rebalance.NewCoordinatorAt(rcfg, history, current.Epoch)
 		below := chain
-		chain = func(g int) protocol.TimestampedApplier { return co.Applier(g, below(g)) }
+		chain = func(g int) protocol.Applier { return co.Applier(g, below(g)) }
 	}
 	inner := shard.NewAt(ep, gens, func(g int, sep transport.Endpoint) protocol.Engine {
 		return buildGroup(g, sep, chain(g), seedFor(g))
@@ -711,6 +718,7 @@ func (s *Stack) Start() {
 // once it has grown enough.
 func (s *Stack) snapshotLoop() {
 	defer close(s.snapDone)
+	//caesarlint:allow wallclock -- snapshot cadence only; the log's size, not an instant, decides whether to cut
 	tick := time.NewTicker(s.snapInterval)
 	defer tick.Stop()
 	for {

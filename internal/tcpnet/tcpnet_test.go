@@ -77,7 +77,7 @@ func TestCaesarOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		store := kvstore.New()
-		rep := caesar.New(tr, store, caesar.Config{HeartbeatInterval: -1})
+		rep := caesar.New(tr, protocol.Sync(store), caesar.Config{HeartbeatInterval: -1})
 		rep.Start()
 		reps = append(reps, rep)
 		stores = append(stores, store)

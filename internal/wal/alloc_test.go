@@ -14,7 +14,6 @@ import (
 // the log's allocations alone.
 type nopApplier struct{}
 
-func (nopApplier) Apply(command.Command) []byte                        { return nil }
 func (nopApplier) ApplyAt(command.Command, timestamp.Timestamp) []byte { return nil }
 
 // TestApplyDeferredAllocs gates the append path: one record through
@@ -25,7 +24,7 @@ func (nopApplier) ApplyAt(command.Command, timestamp.Timestamp) []byte { return 
 func TestApplyDeferredAllocs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	defer l.Close()
-	app := deferring(l, 0, nopApplier{})
+	app := l.GroupApplier(0, nopApplier{})
 	acked := make(chan struct{}, 1)
 	done := func(protocol.Result) { acked <- struct{}{} }
 	cmd := command.Put("p0-0000", make([]byte, 16))

@@ -14,14 +14,14 @@ import (
 // what this node applies, in local apply order — which is what replay
 // must reproduce.
 //
-// The returned chain is a protocol.DeferringApplier, and that is the
-// entry CAESAR's event loop uses: ApplyDeferred appends the record and
-// returns, and the group's completion lane applies and completes the
-// command after the sync that covers it. A refused append (closed log during
-// shutdown, the sticky failure of a dying disk) completes the command
-// with the error instead: it is in no log, so it is neither applied nor
-// acknowledged, and the restart path re-delivers it.
-func (l *Log) GroupApplier(group int, inner protocol.TimestampedApplier) protocol.TimestampedApplier {
+// The returned chain's one entry, ApplyDeferred, is what CAESAR's event
+// loop calls: it appends the record and returns, and the group's
+// completion lane applies and completes the command after the sync that
+// covers it. A refused append (closed log during shutdown, the sticky
+// failure of a dying disk) completes the command with the error instead:
+// it is in no log, so it is neither applied nor acknowledged, and the
+// restart path re-delivers it.
+func (l *Log) GroupApplier(group int, inner protocol.TimestampedApplier) protocol.Applier {
 	return &groupApplier{l: l, group: int32(group), inner: inner}
 }
 
@@ -31,29 +31,7 @@ type groupApplier struct {
 	inner protocol.TimestampedApplier
 }
 
-var _ protocol.DeferringApplier = (*groupApplier)(nil)
-
-func (a *groupApplier) Apply(cmd command.Command) []byte {
-	return a.ApplyAt(cmd, timestamp.Zero)
-}
-
-// ApplyAt is the enqueue-and-wait form for engines that cannot defer (the
-// baselines deliver from their own goroutine and expect the value back);
-// see Log.await for who may call it. An error cannot travel through this
-// signature: the value is nil and the command was not applied.
-func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
-	var v []byte
-	_ = a.l.await(func(fn func(error)) error {
-		return a.l.appendCommand(a.group, pendingRec{cmd: cmd, ts: ts, inner: a.inner,
-			done: func(res protocol.Result) {
-				v = res.Value
-				fn(res.Err)
-			}})
-	})
-	return v
-}
-
-// ApplyDeferred implements protocol.DeferringApplier: it never blocks.
+// ApplyDeferred implements protocol.Applier: it never blocks.
 func (a *groupApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	e := pendingRec{cmd: cmd, ts: ts, inner: a.inner, done: done}
 	if err := a.l.appendCommand(a.group, e); err != nil {

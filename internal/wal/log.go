@@ -416,10 +416,10 @@ func (l *Log) appendRecord(payload []byte, note func(*aggregates), fn func(error
 
 // await runs one append and parks the caller until its entry completed —
 // the enqueue-and-wait form. An entry that completes on a lane (LogCommand,
-// groupApplier.ApplyAt, Snapshot) may be awaited by neither an event loop
-// nor a completion: either would stall every record behind it, the second
-// forever. A reservation completes on the syncer, as soon as its record is
-// synced, so an event loop may await it.
+// Snapshot) may be awaited by neither an event loop nor a completion:
+// either would stall every record behind it, the second forever. A
+// reservation completes on the syncer, as soon as its record is synced, so
+// an event loop may await it.
 func (l *Log) await(enqueue func(fn func(error)) error) error {
 	var (
 		wg  sync.WaitGroup
@@ -429,7 +429,6 @@ func (l *Log) await(enqueue func(fn func(error)) error) error {
 	if err := enqueue(func(err error) { res = err; wg.Done() }); err != nil {
 		return err
 	}
-	//caesarlint:allow loopblock -- the wait for a sync is the caller's contract (see await): CAESAR's loop delivers through ApplyDeferred, which never reaches this, and reserves once per block of submissions
 	wg.Wait()
 	return res
 }

@@ -20,11 +20,6 @@ import (
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-// deferring returns group's chain over inner as the engine sees it.
-func deferring(l *Log, group int, inner protocol.TimestampedApplier) protocol.DeferringApplier {
-	return l.GroupApplier(group, inner).(protocol.DeferringApplier)
-}
-
 // addCmd is the i-th increment of "ctr" by node.
 func addCmd(node timestamp.NodeID, i int) (command.Command, timestamp.Timestamp) {
 	cmd := command.Add("ctr", 1)
@@ -50,7 +45,7 @@ func TestDeferredAppendsShareSyncs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	release, syncs := stallSync(l)
 	store := kvstore.New()
-	app := deferring(l, 0, store)
+	app := l.GroupApplier(0, store)
 
 	const n = 32
 	var (
@@ -122,7 +117,7 @@ func TestAcknowledgedIsDurable(t *testing.T) {
 		synced.Store(fi.Size())
 		return err
 	}
-	app := deferring(l, 0, kvstore.New())
+	app := l.GroupApplier(0, kvstore.New())
 
 	type ack struct {
 		seq    uint64
@@ -212,7 +207,7 @@ func TestDeferredAppendSnapshotCut(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			app := deferring(l, w%2, inner)
+			app := l.GroupApplier(w%2, inner)
 			var acked sync.WaitGroup
 			acked.Add(each)
 			for i := 1; i <= each; i++ {
@@ -277,8 +272,6 @@ type gated struct {
 	order []string
 }
 
-func (g *gated) Apply(cmd command.Command) []byte { return g.ApplyAt(cmd, timestamp.Zero) }
-
 func (g *gated) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	if g.open != nil {
 		<-g.open
@@ -295,7 +288,7 @@ func (g *gated) note(what string) {
 
 // put appends a put of key on app and returns a channel closed at its
 // completion.
-func put(t *testing.T, app protocol.DeferringApplier, seq uint64, key string) chan struct{} {
+func put(t *testing.T, app protocol.Applier, seq uint64, key string) chan struct{} {
 	t.Helper()
 	done := make(chan struct{})
 	cmd := command.Put(key, []byte("v"))
@@ -330,10 +323,10 @@ func TestStalledCompletionHoldsOnlyItsGroup(t *testing.T) {
 	defer l.Close()
 	stuck := &gated{open: make(chan struct{})}
 	free := &gated{}
-	first := put(t, deferring(l, 0, stuck), 1, "a")
-	second := put(t, deferring(l, 0, stuck), 2, "b")
+	first := put(t, l.GroupApplier(0, stuck), 1, "a")
+	second := put(t, l.GroupApplier(0, stuck), 2, "b")
 
-	if !within(put(t, deferring(l, 1, free), 3, "c"), 10*time.Second) {
+	if !within(put(t, l.GroupApplier(1, free), 3, "c"), 10*time.Second) {
 		t.Fatal("group 1's command waited for group 0's stalled apply")
 	}
 	reserved := make(chan struct{})
@@ -380,7 +373,7 @@ func TestTransactionKeepsItsLogPositionInEveryLane(t *testing.T) {
 	release, _ := stallSync(l) // everything below lands in one batch
 	j := &gated{}
 	slow := make(chan struct{})
-	g0, g1, g2 := deferring(l, 0, j), deferring(l, 1, slowInto{slow, j}), deferring(l, 2, j)
+	g0, g1, g2 := l.GroupApplier(0, j), l.GroupApplier(1, slowInto{slow, j}), l.GroupApplier(2, j)
 
 	put(t, g0, 1, "0-before")
 	put(t, g1, 2, "1-before") // held until slow closes
@@ -424,8 +417,6 @@ type slowInto struct {
 	journal *gated
 }
 
-func (s slowInto) Apply(cmd command.Command) []byte { return s.ApplyAt(cmd, timestamp.Zero) }
-
 func (s slowInto) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	<-s.gate
 	return s.journal.ApplyAt(cmd, ts)
@@ -438,7 +429,7 @@ func TestCloseCompletesPending(t *testing.T) {
 	l, _ := mustOpen(t, dir, Options{})
 	release, _ := stallSync(l)
 	store := kvstore.New()
-	app := deferring(l, 0, store)
+	app := l.GroupApplier(0, store)
 
 	const n = 20
 	fired := make([]atomic.Int32, n+2)
@@ -492,7 +483,7 @@ func TestFailedSyncIsStickyAndJournaledOnce(t *testing.T) {
 	disk := errors.New("disk on fire")
 	l.syncHook = func(*os.File) error { return disk }
 	store := kvstore.New()
-	app := deferring(l, 0, store)
+	app := l.GroupApplier(0, store)
 
 	for i := 1; i <= 3; i++ {
 		cmd, ts := addCmd(1, i)
@@ -530,7 +521,7 @@ func BenchmarkLogPipelined(b *testing.B) {
 			defer l.Close()
 			var syncs atomic.Int64
 			l.syncHook = func(f *os.File) error { syncs.Add(1); return f.Sync() }
-			app := deferring(l, 0, store)
+			app := l.GroupApplier(0, store)
 			window := make(chan struct{}, depth)
 			done := func(protocol.Result) { <-window }
 			cmd := command.Put("p0-0000", make([]byte, 16))

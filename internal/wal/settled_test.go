@@ -22,7 +22,7 @@ func TestSettledTransactionsLeaveNoAggregates(t *testing.T) {
 	l, _ := mustOpen(t, dir, Options{})
 	store := kvstore.New()
 	tb := xshard.NewTable(xshard.TableConfig{Self: 0, Exec: store, ApplyTx: l.TxApplier(store)}, nil)
-	apps := []protocol.DeferringApplier{deferring(l, 0, tb.Applier(0, store)), deferring(l, 1, tb.Applier(1, store))}
+	apps := []protocol.Applier{l.GroupApplier(0, tb.Applier(0, store)), l.GroupApplier(1, tb.Applier(1, store))}
 
 	const txs, coordinators = 10000, 3
 	var acked sync.WaitGroup

@@ -47,11 +47,11 @@
 // for a completion; a completion may wait for other lanes at a
 // transaction or a cut, and never for a sync; the syncer waits for the
 // disk alone and runs nothing but reservation wake-ups. Transactions,
-// epochs, reservations and snapshot cuts travel the same queue. There is
-// no second path: the calls that wait for a completion (LogCommand,
-// Snapshot, the chain's ApplyAt) enqueue like everything else and park
-// only their own caller, which therefore must be neither a completion nor
-// an event loop delivering commands.
+// epochs, reservations and snapshot cuts travel the same queue. The
+// chain has one entry, ApplyDeferred, which never waits; the calls that
+// wait for a completion (LogCommand, Snapshot) enqueue like everything
+// else and park only their own caller, which therefore must be neither a
+// completion nor an event loop delivering commands.
 //
 // # Crash model
 //

@@ -278,7 +278,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 		cmd := command.Add("ctr", 1)
 		cmd.ID = command.ID{Node: 1, Seq: uint64(i)}
 		if _, err := l.LogCommand(0, cmd, timestamp.Timestamp{Seq: uint64(i), Node: 1}, func() []byte {
-			return store.Apply(cmd)
+			return store.ApplyAt(cmd, timestamp.Zero)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestSnapshotTruncatesAndRecovers(t *testing.T) {
 		cmd := command.Add("ctr", 1)
 		cmd.ID = command.ID{Node: 1, Seq: uint64(i)}
 		if _, err := l.LogCommand(0, cmd, timestamp.Timestamp{Seq: uint64(i), Node: 1}, func() []byte {
-			return store.Apply(cmd)
+			return store.ApplyAt(cmd, timestamp.Zero)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestConcurrentAppendSnapshotCut(t *testing.T) {
 				cmd := command.Add("ctr", 1)
 				cmd.ID = command.ID{Node: timestamp.NodeID(w), Seq: uint64(i)}
 				if _, err := l.LogCommand(int32(w%2), cmd, timestamp.Timestamp{Seq: uint64(i), Node: timestamp.NodeID(w)}, func() []byte {
-					return store.Apply(cmd)
+					return store.ApplyAt(cmd, timestamp.Zero)
 				}); err != nil {
 					t.Errorf("LogCommand: %v", err)
 					return

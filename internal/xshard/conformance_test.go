@@ -22,7 +22,7 @@ func TestCrossShardEngineConformance(t *testing.T) {
 		history.Install(0, 4)
 		table := xshard.NewTable(xshard.TableConfig{Self: ep.Self(), Exec: app}, history)
 		inner := shard.NewAt(ep, make([]int32, 4), func(g int, sep transport.Endpoint) protocol.Engine {
-			return caesar.New(sep, table.Applier(g, app), caesar.Config{HeartbeatInterval: -1})
+			return caesar.New(sep, protocol.Sync(table.Applier(g, app)), caesar.Config{HeartbeatInterval: -1})
 		})
 		return xshard.New(inner, table)
 	})

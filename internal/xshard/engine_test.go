@@ -40,7 +40,7 @@ func xcluster(t testing.TB, n, g int, ccfg caesar.Config, tcfg TableConfig) (*me
 		history.Install(0, int32(g))
 		table := NewTable(tc, history)
 		inner := shard.NewAt(net.Endpoint(timestamp.NodeID(i)), make([]int32, g), func(gi int, sep transport.Endpoint) protocol.Engine {
-			return caesar.New(sep, table.Applier(gi, app), ccfg)
+			return caesar.New(sep, protocol.Sync(table.Applier(gi, app)), ccfg)
 		})
 		nodes[i] = &xnode{store: store, table: table, eng: New(inner, table)}
 		nodes[i].eng.Start()

@@ -1056,11 +1056,6 @@ type groupApplier struct {
 	inner protocol.TimestampedApplier
 }
 
-// Apply implements protocol.Applier (engines without timestamps).
-func (a *groupApplier) Apply(cmd command.Command) []byte {
-	return a.ApplyAt(cmd, timestamp.Zero)
-}
-
 // ApplyAt implements protocol.TimestampedApplier; ts is the command's
 // stable timestamp within this group.
 func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {

@@ -21,10 +21,6 @@ type recordingExec struct {
 	lastTS timestamp.Timestamp
 }
 
-func (r *recordingExec) Apply(cmd command.Command) []byte {
-	return r.ApplyAt(cmd, timestamp.Zero)
-}
-
 func (r *recordingExec) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	r.ApplyAllAt([]command.Command{cmd}, ts)
 	return nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	caesar "github.com/caesar-consensus/caesar"
+	"github.com/caesar-consensus/caesar/internal/shard"
 )
 
 // TestResizeQuiescent grows and shrinks a quiet cluster and checks that
@@ -221,4 +222,33 @@ func cnt(i int) string { return fmt.Sprintf("counter/%d", i) }
 
 func pair(w int) (string, string) {
 	return fmt.Sprintf("acct/a%d", w), fmt.Sprintf("acct/b%d", w)
+}
+
+// TestGroupCountAboveMuxBound: a group count above the most a node runs
+// (shard.MaxGroups) is refused where it enters — at construction, and by
+// a resize, before its fence is ordered — instead of panicking every
+// replica's mux when the groups are attached; the cluster keeps serving.
+func TestGroupCountAboveMuxBound(t *testing.T) {
+	if c, err := caesar.NewLocalCluster(3, caesar.WithShards(shard.MaxGroups+1)); err == nil {
+		c.Close()
+		t.Fatalf("NewLocalCluster built %d groups per node", shard.MaxGroups+1)
+	}
+	cluster, err := caesar.NewLocalCluster(3, caesar.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := cluster.Node(0).Resize(ctx, shard.MaxGroups+1); err == nil {
+		t.Fatalf("Resize to %d groups accepted", shard.MaxGroups+1)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cluster.Node(i).Propose(ctx, caesar.Put(key(i), []byte("after"))); err != nil {
+			t.Fatalf("node %d after the refused resize: %v", i, err)
+		}
+		if got := cluster.Node(i).Shards(); got != 2 {
+			t.Fatalf("node %d runs %d groups, want 2", i, got)
+		}
+	}
 }

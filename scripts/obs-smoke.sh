@@ -11,7 +11,7 @@
 # contention profile — /workloadz, the WORKLOAD admin command and the
 # caesar_contention_* families — names a deliberately hammered key as
 # the top offender, and that the admin RESIZE changes the live group
-# count on every replica.
+# count on every replica and refuses a count above the bound.
 #
 # Run from the repository root: ./scripts/obs-smoke.sh
 set -euo pipefail
@@ -359,6 +359,29 @@ for id in 0 1 2; do
         cat "$workdir/server$id.log" >&2
         exit 1
     fi
+done
+
+# RESIZE above the most groups a node runs (4096) is refused with ERR
+# before any fence is ordered, and every replica keeps serving at 3
+# shards, epoch 1.
+exec 3<>/dev/tcp/127.0.0.1/8481
+printf 'RESIZE 4097\n' >&3
+IFS= read -r refused <&3
+exec 3<&-
+case "$refused" in
+    ERR*) ;;
+    *) echo "RESIZE 4097 answered: $refused" >&2; exit 1 ;;
+esac
+for id in 0 1 2; do
+    exec 3<>/dev/tcp/127.0.0.1/848$id
+    printf 'STATS\n' >&3
+    IFS= read -r stats_after <&3
+    exec 3<&-
+    echo "$stats_after" | grep -q '^OK shards=3 epoch=1 ' || {
+        echo "replica $id after RESIZE 4097: STATS $stats_after" >&2
+        cat "$workdir/server$id.log" >&2
+        exit 1
+    }
 done
 
 echo "observability smoke OK: fast_decisions=$fast, $(echo "$traceout" | head -1), $(echo "$auditrun" | head -1), $(echo "$stats" | cut -c1-120)"

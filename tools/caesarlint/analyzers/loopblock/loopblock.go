@@ -30,14 +30,13 @@
 // applier's pass path). Interface-dispatched calls cannot be resolved
 // statically and are not walked, with one exception: the applier chain.
 // A loop handler delivers every decided command through an ApplierTypes
-// interface (deliverNow calls the probed protocol.TimestampedApplier or
-// DeferringApplier), so that dispatch is resolved to its implementations:
-// every method by which a type of the analyzed package implements one of
-// those interfaces is walked as a handler root, in the package that
-// declares it — which is how a log layer parking its caller on a
-// per-record channel is caught although no handler names it. A form of
-// such a method that is off-loop by contract (the enqueue-and-wait
-// ApplyAt of engines that cannot defer) says so with an allow annotation.
+// interface (deliverNow calls the chain's protocol.Applier.ApplyDeferred,
+// or the synchronous layer it probed, protocol.TimestampedApplier), so
+// that dispatch is resolved to its implementations: every method by which
+// a type of the analyzed package implements one of those interfaces is
+// walked as a handler root, in the package that declares it — which is how
+// a log layer parking its caller on a per-record channel is caught
+// although no handler names it.
 // Test files are not analyzed (tests drive loops with deliberately
 // synchronous handlers).
 //
@@ -76,7 +75,6 @@ var StepFuncs = []string{
 var ApplierTypes = []string{
 	"github.com/caesar-consensus/caesar/internal/protocol.Applier",
 	"github.com/caesar-consensus/caesar/internal/protocol.TimestampedApplier",
-	"github.com/caesar-consensus/caesar/internal/protocol.DeferringApplier",
 }
 
 // Analyzer is the loopblock check.

@@ -14,7 +14,7 @@ func withFakeLoop(t *testing.T) {
 	saved, savedSteps, savedAppliers := loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes
 	loopblock.LoopTypes = []string{"fakeloop.Loop", "fakeloop.Runtime"}
 	loopblock.StepFuncs = []string{"fakeloop.NewRuntime"}
-	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier", "fakeloop.DeferringApplier"}
+	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier"}
 	t.Cleanup(func() {
 		loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes = saved, savedSteps, savedAppliers
 	})

@@ -91,22 +91,14 @@ func (rt *Runtime) Stop() {
 	rt.drained()
 }
 
-// Applier, TimestampedApplier and DeferringApplier stand in for
-// internal/protocol's applier interfaces: what a loop handler delivers
-// decided commands through. The test points loopblock.ApplierTypes at
-// them.
+// Applier and TimestampedApplier stand in for internal/protocol's applier
+// interfaces: what a loop handler delivers decided commands through. The
+// test points loopblock.ApplierTypes at them.
 type Applier interface {
-	Apply(cmd int) []byte
-}
-
-// TimestampedApplier is the per-group chain.
-type TimestampedApplier interface {
-	Applier
-	ApplyAt(cmd int, ts uint64) []byte
-}
-
-// DeferringApplier may complete a command after it returns.
-type DeferringApplier interface {
-	Applier
 	ApplyDeferred(cmd int, ts uint64, done func([]byte))
+}
+
+// TimestampedApplier is a synchronous layer.
+type TimestampedApplier interface {
+	ApplyAt(cmd int, ts uint64) []byte
 }

@@ -14,8 +14,8 @@ import (
 
 type engine struct {
 	*fakeloop.Runtime
-	chain     fakeloop.TimestampedApplier
-	deferring fakeloop.DeferringApplier
+	chain fakeloop.Applier
+	sync  fakeloop.TimestampedApplier
 }
 
 // New roots the step; it names no implementation.
@@ -24,8 +24,8 @@ func New(e *engine) {
 }
 
 func (e *engine) step(ev any) {
-	e.chain.ApplyAt(1, 1)
-	e.deferring.ApplyDeferred(2, 2, func([]byte) {})
+	e.sync.ApplyAt(1, 1)
+	e.chain.ApplyDeferred(2, 2, func([]byte) {})
 }
 
 type blockingLog struct {
@@ -36,8 +36,6 @@ type blockingLog struct {
 
 // blockingApplier implements TimestampedApplier over blockingLog.
 type blockingApplier struct{ l *blockingLog }
-
-func (a *blockingApplier) Apply(cmd int) []byte { return a.ApplyAt(cmd, 0) }
 
 func (a *blockingApplier) ApplyAt(cmd int, ts uint64) []byte {
 	v, _ := a.l.logCommand(cmd, func() []byte { return nil })
@@ -69,24 +67,9 @@ type pipelinedLog struct {
 	kick    chan struct{}
 }
 
-// pipelinedApplier implements both facets: ApplyDeferred hands the log the
-// record and returns; ApplyAt is the enqueue-and-wait form, off-loop by
-// contract and annotated as such.
+// pipelinedApplier implements the chain: ApplyDeferred hands the log the
+// record and returns, so nothing on it can park the loop.
 type pipelinedApplier struct{ l *pipelinedLog }
-
-func (a *pipelinedApplier) Apply(cmd int) []byte { return a.ApplyAt(cmd, 0) }
-
-func (a *pipelinedApplier) ApplyAt(cmd int, ts uint64) []byte {
-	var (
-		wg sync.WaitGroup
-		v  []byte
-	)
-	wg.Add(1)
-	a.ApplyDeferred(cmd, ts, func(res []byte) { v = res; wg.Done() })
-	//caesarlint:allow loopblock -- enqueue-and-wait is for engines that deliver from their own goroutine; the loop uses ApplyDeferred
-	wg.Wait()
-	return v
-}
 
 func (a *pipelinedApplier) ApplyDeferred(cmd int, ts uint64, done func([]byte)) {
 	a.l.mu.Lock()

@@ -45,6 +45,7 @@ var PathSuffixes = []string{
 	"internal/protocol",
 	"internal/flight",
 	"internal/contend",
+	"internal/stack",
 }
 
 // forbidden is the set of time-package functions that read or schedule
