@@ -217,7 +217,12 @@
 // (or in-process network) to engine allocates nothing and the engine
 // itself reads no clock. What a replica sends itself — a leader's own
 // vote, its own Stable — never touches the transport: the Runtime queues
-// it and steps it before that Step returns. In-process deployments (NewLocalCluster, the
+// it and steps it before that Step returns. A decision does not resend
+// what a replica holds: a leader's Stable names the command by ID to
+// every replica that voted for it in the deciding phase and carries it
+// whole only to the rest (a replica restarted since its vote drops the
+// named form and learns the decision from the leader's whole-command
+// retransmission). In-process deployments (NewLocalCluster, the
 // harness) use internal/memnet and pass payloads by reference.
 // Multi-process deployments (caesar-server) use internal/tcpnet over
 // internal/wire: a hand-rolled binary format — a four-byte length, the

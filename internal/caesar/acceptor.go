@@ -230,9 +230,22 @@ func (r *Replica) onRetry(from timestamp.NodeID, m *Retry) {
 // onStable handles the acceptor side of the stable phase (Fig 4, lines
 // S2–S7): record the final timestamp and predecessors, break predecessor
 // loops and deliver once every predecessor is decided.
+//
+// A Stable whose command is an ID alone (Op 0) names a command this
+// replica voted for. If it holds no payload for it — it restarted since
+// the vote — the message is dropped unacknowledged, and the leader's
+// retransmission, which carries the command whole, teaches it the
+// decision.
 func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 	id := m.Cmd.ID
-	rec := r.hist.ensure(m.Cmd)
+	var rec *record
+	if m.Cmd.Op == 0 {
+		if rec = r.hist.get(id); rec == nil || rec.cmd.Op == 0 {
+			return
+		}
+	} else {
+		rec = r.hist.ensure(m.Cmd)
+	}
 	// A decision is final, so it is learned whatever ballot this replica
 	// has promised since: a recoverer's own loop-backed Recover raises
 	// the promise before a survivor's echoStable answers at the record's

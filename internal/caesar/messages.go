@@ -132,7 +132,10 @@ type RetryReply struct {
 }
 
 // Stable finalises a command: it must be decided at Time after every
-// command in Pred (message STABLE).
+// command in Pred (message STABLE). The leader's broadcast sends a replica
+// that voted in the deciding phase the command by name — Cmd is its ID
+// alone, Op 0 — since that replica already holds it; every other Stable
+// (to a non-voter, an echo, a retransmission) carries the command whole.
 type Stable struct {
 	Ballot uint32
 	Cmd    command.Command

@@ -197,7 +197,9 @@ func (r *Replica) onRetryReply(from timestamp.NodeID, m *RetryReply) {
 }
 
 // startStable broadcasts the decision (Fig 4, line S1) and books the
-// decision-path metrics.
+// decision-path metrics. A replica that voted in the deciding phase holds
+// the command already, so its Stable names it by ID alone; the others get
+// it whole. A decision that mixes both forms allocates them together.
 func (r *Replica) startStable(c *coordinator) {
 	now := r.now
 	switch c.phase {
@@ -216,5 +218,26 @@ func (r *Replica) startStable(c *coordinator) {
 	}
 	c.phase = phaseStable
 	c.stableAt = now
-	r.Broadcast(&Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred})
+	whole := Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred}
+	named := whole
+	named.Cmd = command.Command{ID: c.cmd.ID}
+	var toVoter, toOther *Stable
+	switch c.votes.Count() {
+	case 0:
+		toOther = new(Stable)
+		*toOther = whole
+	case r.n:
+		toVoter = new(Stable)
+		*toVoter = named
+	default:
+		pair := &[2]Stable{named, whole}
+		toVoter, toOther = &pair[0], &pair[1]
+	}
+	for _, p := range r.peers {
+		if c.votes.Has(int32(p)) {
+			r.Send(p, toVoter)
+		} else {
+			r.Send(p, toOther)
+		}
+	}
 }

@@ -298,3 +298,145 @@ func TestSelfTakeoverKeepsSubmitInstant(t *testing.T) {
 		t.Fatalf("slow-command log fired %d times, want once", slow)
 	}
 }
+
+// watchStables makes net record every Stable it delivers between two nodes.
+func watchStables(net *simNet, also func(simMsg) bool) *[]simMsg {
+	var stables []simMsg
+	net.drop = func(m simMsg) bool {
+		if _, ok := m.payload.(*Stable); ok {
+			stables = append(stables, m)
+		}
+		return also != nil && also(m)
+	}
+	return &stables
+}
+
+// byName reports whether a Stable names its command by ID alone.
+func byName(m simMsg, id command.ID) bool {
+	s := m.payload.(*Stable)
+	return s.Cmd.ID == id && s.Cmd.Op == 0 && s.Cmd.Key == "" && s.Cmd.Value == nil && s.Cmd.Payload == nil
+}
+
+// TestStableByNameFastDecision: at N=3 the fast quorum is every replica, so
+// a fast decision's Stable names the command to both peers — no key, no
+// value — and each delivers the command it voted for.
+func TestStableByNameFastDecision(t *testing.T) {
+	net := newSimNet(t, 3, func(int) Config { return Config{HeartbeatInterval: -1} })
+	stables := watchStables(net, nil)
+	acked := 0
+	net.submit(0, command.Put("k", []byte("v")), func(res protocol.Result) {
+		if res.Err == nil {
+			acked++
+		}
+	})
+	net.pump()
+	id := command.ID{Node: 0, Seq: 1}
+	if len(*stables) != 2 {
+		t.Fatalf("%d Stables crossed the network, want one to each peer", len(*stables))
+	}
+	for _, m := range *stables {
+		if !byName(m, id) {
+			t.Fatalf("the Stable to voter %v carries %+v, want the ID alone", m.to, m.payload.(*Stable).Cmd)
+		}
+	}
+	if fast := net.reps[0].met.FastDecisions.Load(); acked != 1 || fast != 1 {
+		t.Fatalf("%d acknowledgement(s), %d fast decision(s), want one of each", acked, fast)
+	}
+	for node, applied := range net.applied {
+		if !slices.Equal(applied, []command.ID{id}) {
+			t.Fatalf("node %d applied %v, want [%v]", node, applied, id)
+		}
+		if rec := net.reps[node].hist.get(id); rec.cmd.Key != "k" || string(rec.cmd.Value) != "v" {
+			t.Fatalf("node %d's record holds %+v, want the command whole", node, rec.cmd)
+		}
+	}
+}
+
+// TestStableByNameIgnoredByRestartedVoter: a voter that lost its history
+// between its vote and the decision — a restart — cannot resolve a Stable
+// by name. It drops it without planting a record or acknowledging, so the
+// leader keeps the command unpurged and re-sends the decision whole after
+// RetransmitAfter; that one it delivers.
+func TestStableByNameIgnoredByRestartedVoter(t *testing.T) {
+	net := newSimNet(t, 3, func(int) Config { return Config{HeartbeatInterval: -1} })
+	wiped := false
+	stables := watchStables(net, func(m simMsg) bool {
+		if m.to == 2 && !wiped {
+			if _, ok := m.payload.(*Stable); ok {
+				net.reps[2].hist = newHistory()
+				wiped = true
+			}
+		}
+		return false
+	})
+	net.submit(0, command.Put("k", []byte("v")), nil)
+	net.pump()
+	id := command.ID{Node: 0, Seq: 1}
+	if !wiped || !byName((*stables)[len(*stables)-1], id) {
+		t.Fatal("script broken: node 2 should have been sent the decision by name")
+	}
+	if rec := net.reps[2].hist.get(id); rec != nil {
+		t.Fatalf("the Stable by name planted a record on the restarted voter: %+v", rec.cmd)
+	}
+	if len(net.applied[2]) != 0 || len(net.reps[2].ackPending[0]) != 0 {
+		t.Fatalf("the restarted voter applied %v and owes acks %v, want neither", net.applied[2], net.reps[2].ackPending[0])
+	}
+
+	// A GC flush later the leader holds acks from nodes 0 and 1 only.
+	net.tick(100 * time.Millisecond)
+	if leader := net.reps[0].hist.get(id); leader == nil || leader.acked != 0b011 {
+		t.Fatalf("the leader purged the command or holds the wrong acks after a flush: %+v", leader)
+	}
+	sent := len(*stables)
+	for i := 0; i < 20 && len(net.applied[2]) == 0; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	if !slices.Equal(net.applied[2], []command.ID{id}) {
+		t.Fatalf("the restarted voter applied %v after the retransmission window, want [%v]", net.applied[2], id)
+	}
+	if len(*stables) != sent+1 {
+		t.Fatalf("%d Stables after the first broadcast, want the one retransmission", len(*stables)-sent)
+	}
+	if resend := (*stables)[sent]; resend.to != 2 || resend.payload.(*Stable).Cmd.Key != "k" {
+		t.Fatalf("the retransmission to node %v carries %+v, want the command whole to node 2", resend.to, resend.payload.(*Stable).Cmd)
+	}
+	for i := 0; i < 3; i++ {
+		net.tick(100 * time.Millisecond)
+	}
+	for node, rep := range net.reps {
+		if rep.hist.get(id) != nil {
+			t.Fatalf("node %d still holds the command: the restarted voter's ack never completed the purge", node)
+		}
+	}
+}
+
+// TestStableByNameMixedAtFiveNodes: at N=5 a fast decision needs four of
+// the five votes. The replica that never saw the proposal gets the
+// command whole, the three other voters by name, and all five deliver.
+func TestStableByNameMixedAtFiveNodes(t *testing.T) {
+	net := newSimNet(t, 5, func(int) Config { return Config{HeartbeatInterval: -1} })
+	stables := watchStables(net, func(m simMsg) bool {
+		_, propose := m.payload.(*FastPropose)
+		return propose && m.to == 4
+	})
+	net.submit(0, command.Put("k", []byte("v")), nil)
+	net.pump()
+	id := command.ID{Node: 0, Seq: 1}
+	if fast := net.reps[0].met.FastDecisions.Load(); fast != 1 || len(*stables) != 4 {
+		t.Fatalf("%d fast decision(s), %d Stables on the network, want 1 and 4", fast, len(*stables))
+	}
+	for _, m := range *stables {
+		cmd := m.payload.(*Stable).Cmd
+		switch {
+		case m.to == 4 && (cmd.Key != "k" || string(cmd.Value) != "v"):
+			t.Fatalf("the non-voter got %+v, want the command whole", cmd)
+		case m.to != 4 && !byName(m, id):
+			t.Fatalf("voter %v got %+v, want the ID alone", m.to, cmd)
+		}
+	}
+	for node, applied := range net.applied {
+		if !slices.Equal(applied, []command.ID{id}) {
+			t.Fatalf("node %d applied %v, want [%v]", node, applied, id)
+		}
+	}
+}

@@ -16,10 +16,11 @@
 // its weight as the new entry's error floor, so a key whose true event
 // count exceeds any tracked floor is guaranteed to be tracked. Memory is
 // O(K) per group regardless of keyspace size, and every recording is one
-// short critical section (a map probe and a few adds; eviction scans K
-// entries, K small). Durations are passed in by callers from their
-// injected clocks — this package never reads the wall clock, so it is
-// safe in consensus-path packages under the wallclock lint.
+// short critical section: a map probe, a few adds and an O(log K) step in
+// a min-heap by weight, which keeps the entry eviction takes at its root.
+// Durations are passed in by callers from their injected clocks — this
+// package never reads the wall clock, so it is safe in consensus-path
+// packages under the wallclock lint.
 //
 // The per-group sketches aggregate into a node-wide Profile: TopKeys
 // merges and ranks the sketches, Losses decomposes each group's
@@ -42,7 +43,7 @@ import (
 
 // DefaultK is the per-group sketch capacity used when NewProfile is
 // given a non-positive K. 64 tracked keys per group is enough to rank
-// any realistic skew's head while keeping eviction scans trivial.
+// any realistic skew's head.
 const DefaultK = 64
 
 // KeyStats is one key's row in the contention profile. Events is the
@@ -94,9 +95,11 @@ type Losses struct {
 	Recovery int64 `json:"recovery"`
 }
 
-// entry is one tracked key inside a group's sketch.
+// entry is one tracked key inside a group's sketch; at is its index in
+// the group's heap.
 type entry struct {
 	key        string
+	at         int
 	weight     int64
 	errFloor   int64
 	touches    int64
@@ -117,6 +120,9 @@ type Group struct {
 
 	mu    sync.Mutex
 	byKey map[string]*entry
+	// heap holds the entries of byKey as a binary min-heap by weight:
+	// heap[0] is the one an untracked key evicts.
+	heap []*entry
 
 	lossNack     atomic.Int64
 	lossBlocked  atomic.Int64
@@ -134,25 +140,63 @@ func (g *Group) record(key string, f func(*entry)) {
 	g.mu.Lock()
 	e := g.byKey[key]
 	if e == nil {
-		if len(g.byKey) < g.k {
-			e = &entry{key: key}
+		if len(g.heap) < g.k {
+			e = &entry{key: key, at: len(g.heap)}
+			g.heap = append(g.heap, e)
+			g.up(e.at)
 		} else {
-			var min *entry
-			for _, c := range g.byKey {
-				if min == nil || c.weight < min.weight {
-					min = c
-				}
-			}
-			// Reuse the evicted entry: fresh keys evict on every admission.
-			delete(g.byKey, min.key)
-			*min = entry{key: key, weight: min.weight, errFloor: min.weight}
-			e = min
+			// Reuse the evicted entry, in place at the root: fresh keys
+			// evict on every admission.
+			e = g.heap[0]
+			delete(g.byKey, e.key)
+			*e = entry{key: key, weight: e.weight, errFloor: e.weight}
 		}
 		g.byKey[key] = e
 	}
 	e.weight++
+	g.down(e.at) // weights only grow
 	f(e)
 	g.mu.Unlock()
+}
+
+// up and down restore the heap order around the entry at i, lighter
+// entries towards the root, and keep every moved entry's at current.
+// (container/heap's interface calls made a fresh-key Touch a third
+// slower.)
+func (g *Group) up(i int) {
+	h := g.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].weight <= h[i].weight {
+			return
+		}
+		g.swap(i, p)
+		i = p
+	}
+}
+
+func (g *Group) down(i int) {
+	h := g.heap
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].weight < h[m].weight {
+			m = r
+		}
+		if h[i].weight <= h[m].weight {
+			return
+		}
+		g.swap(i, m)
+		i = m
+	}
+}
+
+func (g *Group) swap(i, j int) {
+	h := g.heap
+	h[i], h[j] = h[j], h[i]
+	h[i].at, h[j].at = i, j
 }
 
 // Touch records a proposal carrying key through this group.
@@ -311,7 +355,7 @@ func (p *Profile) Group(id int) *Group {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if g = p.groups[id]; g == nil {
-		g = &Group{id: id, k: p.k, byKey: make(map[string]*entry, p.k)}
+		g = &Group{id: id, k: p.k, byKey: make(map[string]*entry, p.k), heap: make([]*entry, 0, p.k)}
 		p.groups[id] = g
 	}
 	return g

@@ -313,3 +313,69 @@ func TestConcurrentRecordScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestEvictionTakesAMinimumWeightEntry is the heap against a linear scan:
+// after every record, an admission by eviction must have taken the weight
+// of a lightest entry as its floor, and every entry must sit where the heap
+// says it does, no lighter than its parent.
+func TestEvictionTakesAMinimumWeightEntry(t *testing.T) {
+	const k = 8
+	g := NewProfile(k).Group(0)
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, 200)
+	record := []func(string){g.Touch, g.Nack, g.Blocked, g.Park, g.Retry, g.Recovery,
+		func(key string) { g.Hold(key, time.Millisecond) }}
+	evictions := 0
+	for i := 0; i < 20000; i++ {
+		key := "k" + strconv.FormatUint(zipf.Uint64(), 10)
+		min := int64(-1)
+		if _, tracked := g.byKey[key]; !tracked && len(g.byKey) == k {
+			for _, e := range g.byKey {
+				if min < 0 || e.weight < min {
+					min = e.weight
+				}
+			}
+		}
+		record[rng.Intn(len(record))](key)
+		e := g.byKey[key]
+		if min >= 0 {
+			evictions++
+			if e.errFloor != min || e.weight != min+1 {
+				t.Fatalf("record %d: %q admitted with floor %d, weight %d; the lightest entry weighed %d", i, key, e.errFloor, e.weight, min)
+			}
+		}
+		if len(g.heap) != len(g.byKey) || len(g.byKey) > k {
+			t.Fatalf("record %d: heap holds %d entries, map %d, capacity %d", i, len(g.heap), len(g.byKey), k)
+		}
+		for at, e := range g.heap {
+			if e.at != at || g.byKey[e.key] != e {
+				t.Fatalf("record %d: heap[%d] is %q, which says it is at %d", i, at, e.key, e.at)
+			}
+			if parent := g.heap[(at-1)/2]; at > 0 && parent.weight > e.weight {
+				t.Fatalf("record %d: heap[%d] weighs %d under a parent of %d", i, at, e.weight, parent.weight)
+			}
+		}
+	}
+	if evictions < 1000 {
+		t.Fatalf("script broken: %d admissions by eviction", evictions)
+	}
+}
+
+// BenchmarkTouch records never-repeating keys on a full sketch of the
+// default size: every Touch is an admission by eviction, as it is for a
+// proposal on a fresh key at every replica.
+func BenchmarkTouch(b *testing.B) {
+	g := NewProfile(DefaultK).Group(0)
+	keys := make([]string, 1<<14) // far more than DefaultK: each comes back evicted
+	for i := range keys {
+		keys[i] = "key" + strconv.Itoa(i)
+	}
+	for _, k := range keys {
+		g.Touch(k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Touch(keys[i&(len(keys)-1)])
+	}
+}

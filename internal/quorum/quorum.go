@@ -66,6 +66,10 @@ func (t *Tracker) Add(voter int32) bool {
 	return t.voted != before
 }
 
+// Has reports whether voter has voted. A voter outside [0, MaxNodes) never
+// has: its shift leaves the word.
+func (t Tracker) Has(voter int32) bool { return t.voted&(1<<uint(voter)) != 0 }
+
 // Count returns the number of distinct voters seen.
 func (t Tracker) Count() int { return bits.OnesCount64(t.voted) }
 

@@ -104,14 +104,23 @@ func TestTrackerMatchesSetModel(t *testing.T) {
 			if tr.Count() != len(seen) || tr.Reached() != (len(seen) >= target) {
 				t.Fatalf("round %d: count %d reached %v after %d distinct voters, target %d", round, tr.Count(), tr.Reached(), len(seen), target)
 			}
+			for v := int32(0); v < int32(n); v++ {
+				if tr.Has(v) != seen[v] {
+					t.Fatalf("round %d: Has(%d) = %v, seen %v", round, v, tr.Has(v), seen)
+				}
+			}
 		}
 	}
 }
 
 // A voter the word cannot hold must fail loudly: shifted past bit 63 its
-// vote would vanish and the phase wait for a quorum that cannot form.
+// vote would vanish and the phase wait for a quorum that cannot form. Asked
+// whether it voted, it has not.
 func TestTrackerRejectsVoterOutsideWord(t *testing.T) {
 	for _, voter := range []int32{-1, MaxNodes, MaxNodes + 1} {
+		if full := (Tracker{voted: ^uint64(0)}); full.Has(voter) {
+			t.Errorf("Has(%d) = true on a full word", voter)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -24,6 +24,8 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"FastPropose of a 16-byte put", samplePropose(), 0, 3}, // struct + key + value
 		{"FastProposeReply, empty Pred", &caesar.FastProposeReply{CmdID: command.ID{Node: 1, Seq: 42}}, 0, 1},
+		{"Stable by name", &caesar.Stable{Cmd: command.Command{ID: command.ID{Node: 1, Seq: 42}}}, 0, 1},
+		{"Stable of a 16-byte put", &caesar.Stable{Cmd: samplePropose().Cmd}, 0, 3}, // struct + key + value
 		{"Heartbeat", &caesar.Heartbeat{}, 0, 1},
 	}
 	for _, tc := range cases {

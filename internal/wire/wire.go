@@ -23,6 +23,8 @@
 //	 5   Retry              Ballot, Cmd command, Time timestamp, Pred ids
 //	 6   RetryReply         Ballot, CmdID id, Time timestamp, Pred ids
 //	 7   Stable             Ballot, Cmd command, Time timestamp, Pred ids
+//	                        (to a replica that voted, Cmd is the ID alone:
+//	                        op 0 and empty key, value and payload)
 //	 8   Recover            Ballot, CmdID id
 //	 9   RecoverReply       Ballot, CmdID id, Nop bool, Cmd command, Status byte,
 //	                        Time timestamp, Pred ids, TupleBallot, Forced bool

@@ -10,6 +10,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/rebalance"
 	"github.com/caesar-consensus/caesar/internal/shard"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
@@ -108,6 +109,27 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 				t.Fatalf("round trip mutated the message:\n sent %#v\n got  %#v", msg, got.Payload)
 			}
 		})
+	}
+}
+
+// TestStableByNameRoundTrips: the Stable a leader sends a replica that
+// voted names the command by ID alone. It needs no layout of its own — it
+// is a command with op 0 and nothing else — and decodes to exactly the
+// struct that was sent, with no key or value bytes behind it.
+func TestStableByNameRoundTrips(t *testing.T) {
+	id := command.ID{Node: 2, Seq: 77}
+	sent := &caesar.Stable{Ballot: 3, Cmd: command.Command{ID: id}, Time: timestamp.Timestamp{Seq: 9, Node: 2},
+		Pred: []command.ID{{Node: 0, Seq: 4}}}
+	var got Envelope
+	if err := NewDecoder(bytes.NewReader(frame(t, &Envelope{From: 2, Payload: sent}))).Decode(&got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	m, ok := got.Payload.(*caesar.Stable)
+	if !ok || !reflect.DeepEqual(m, sent) {
+		t.Fatalf("round trip diverged: sent %#v, got %#v", sent, got.Payload)
+	}
+	if m.Cmd.Key != "" || m.Cmd.Value != nil || m.Cmd.Payload != nil || m.Cmd.Op != 0 {
+		t.Fatalf("a Stable by name decoded a command body: %#v", m.Cmd)
 	}
 }
 
