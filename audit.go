@@ -92,9 +92,7 @@ func (c *Cluster) auditor() *audit.Collector {
 		sources[idx] = audit.Source{
 			Name: fmt.Sprintf("p%d", idx),
 			Fetch: func(ctx context.Context) (audit.Report, error) {
-				c.nodeMu.RLock()
-				n := c.nodes[idx]
-				c.nodeMu.RUnlock()
+				n := c.Node(idx)
 				if n.closed.Load() {
 					return audit.Report{}, fmt.Errorf("node %d is down", idx)
 				}

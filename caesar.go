@@ -133,24 +133,12 @@ type Node struct {
 
 // Options tunes a node; the zero value is production defaults.
 type Options struct {
-	// FastQuorumTimeout is how long a leader waits for a fast quorum
-	// before falling back to the slow proposal phase. Default 400ms.
-	FastQuorumTimeout time.Duration
 	// HeartbeatInterval drives the failure detector; negative disables
 	// failure handling (testing only). Default 100ms.
 	HeartbeatInterval time.Duration
 	// SuspectTimeout is the silence threshold before a peer is
 	// suspected and its commands recovered. Default 1s.
 	SuspectTimeout time.Duration
-	// DisableGC retains all command metadata (debugging only).
-	DisableGC bool
-	// DataDir enables the durable write-ahead log (internal/wal): every
-	// acknowledged command is fsynced (group commit — many decisions,
-	// one sync) before its client learns the result, and a node rebuilt
-	// from the same directory replays snapshot + log tail, rejoins the
-	// cluster and continues with exactly-once application intact. Empty
-	// keeps the node purely in memory.
-	DataDir string
 	// RetransmitAfter is how long a command leader waits for a missing
 	// delivery acknowledgement before re-sending the decision — the
 	// catch-up path a restarted replica relearns missed commands
@@ -160,28 +148,6 @@ type Options struct {
 	// — from proposal through fsync to client acknowledgement — into the
 	// given ring buffer. Cheap enough to leave on in production.
 	Trace *Trace
-	// SlowCommandThreshold, when > 0, logs the full traced history of any
-	// command proposed through this node whose submit-to-ack latency
-	// exceeds it (the slow-command log). Most useful together with Trace.
-	SlowCommandThreshold time.Duration
-	// FlightBuffer caps the node's always-on flight recorder — the bounded
-	// journal of node-level events (recovery, suspects, retransmits,
-	// resizes, snapshots, watchdog trips) behind Node.FlightLog and the
-	// watchdog's bundles. <= 0 selects the default (1024 events).
-	FlightBuffer int
-	// StallThreshold arms the node's stall watchdog: when positive, a
-	// background scanner samples the oldest held cross-shard transaction,
-	// the oldest parked read fence and the oldest unacknowledged command
-	// against this threshold, and on a trip assembles a diagnosis bundle
-	// (Node.Diagnose, OnStall, the server's /debugz). Zero disables the
-	// watchdog; Diagnose then reports only the flight log.
-	StallThreshold time.Duration
-	// WatchdogInterval paces the watchdog's scans. Default 1s.
-	WatchdogInterval time.Duration
-	// OnStall fires once per healthy→stalled transition with the
-	// watchdog's diagnosis. It runs on the scanning goroutine and must
-	// not block; hand the bundle off if handling is slow.
-	OnStall func(Diagnosis)
 	// OnDivergence fires when a cross-replica audit (Cluster.Audit, a
 	// background auditor enabled with WithAuditInterval, or an external
 	// caesar-audit feeding a server's collector) proves this node is
@@ -190,21 +156,6 @@ type Options struct {
 	// goroutine and must not block. The flight-journal event and the
 	// caesar_audit_divergence_total counter fire regardless.
 	OnDivergence func(Divergence)
-}
-
-func (o Options) toConfig() caesar.Config {
-	cfg := caesar.Config{
-		FastTimeout:       o.FastQuorumTimeout,
-		HeartbeatInterval: o.HeartbeatInterval,
-		SuspectTimeout:    o.SuspectTimeout,
-		RetransmitAfter:   o.RetransmitAfter,
-		Trace:             o.Trace.inner(),
-		SlowThreshold:     o.SlowCommandThreshold,
-	}
-	if o.DisableGC {
-		cfg.GCInterval = -1
-	}
-	return cfg
 }
 
 // newNode wires a replica — or, with shards > 1, a sharded set of replicas
@@ -218,26 +169,26 @@ func (o Options) toConfig() caesar.Config {
 // transactions spanning groups commit atomically instead of failing, and
 // Resize changes the group count live. With a data dir, a node built from
 // a previous incarnation's directory recovers its state before joining.
-func newNode(ep transport.Endpoint, opts Options, shards int) (*Node, error) {
+// Every node runs the stack's stall watchdog at its defaults (10s
+// threshold, 1s scans) and a 1,024-event flight recorder.
+func newNode(ep transport.Endpoint, opts Options, shards int, dataDir string) (*Node, error) {
 	met := metrics.NewRecorder()
-	cfg := opts.toConfig()
-	cfg.Metrics = met
-	rec := flight.New(ep.Self(), opts.FlightBuffer)
-	cfg.Flight = rec
+	rec := flight.New(ep.Self(), 1024)
 	scfg := stack.Config{
-		Shards:           shards,
-		Metrics:          met,
-		Trace:            opts.Trace.inner(),
-		DataDir:          opts.DataDir,
-		Rebalance:        true,
-		Flight:           rec,
-		StallThreshold:   opts.StallThreshold,
-		WatchdogInterval: opts.WatchdogInterval,
-		Build:            stack.CaesarEngine(cfg),
-	}
-	if opts.OnStall != nil {
-		onStall := opts.OnStall
-		scfg.OnStall = func(d *flight.Diagnosis) { onStall(Diagnosis{inner: d}) }
+		Shards:    shards,
+		Metrics:   met,
+		Trace:     opts.Trace.inner(),
+		DataDir:   dataDir,
+		Rebalance: true,
+		Flight:    rec,
+		Build: stack.CaesarEngine(caesar.Config{
+			HeartbeatInterval: opts.HeartbeatInterval,
+			SuspectTimeout:    opts.SuspectTimeout,
+			RetransmitAfter:   opts.RetransmitAfter,
+			Trace:             opts.Trace.inner(),
+			Metrics:           met,
+			Flight:            rec,
+		}),
 	}
 	if opts.OnDivergence != nil {
 		onDiv := opts.OnDivergence

@@ -2,6 +2,7 @@ package caesar_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,5 +89,33 @@ func TestPublicCrashTolerance(t *testing.T) {
 	}
 	if string(got) != "after" {
 		t.Fatalf("got %q, want %q", got, "after")
+	}
+}
+
+// TestDefaultNodeDiagnoses checks the diagnosis API of a node built with
+// no options: the stall watchdog runs by default, so an on-demand bundle
+// carries its sections, and the flight recorder journals the node's start.
+func TestDefaultNodeDiagnoses(t *testing.T) {
+	cluster, err := caesar.NewLocalCluster(3, caesar.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	node := cluster.Node(0)
+
+	d := node.Diagnose()
+	if d.Stalled() || len(d.Stalls()) != 0 {
+		t.Errorf("healthy node diagnosed stalls: %v", d.Stalls())
+	}
+	for _, section := range []string{"-- commit table --", "-- rebalance --", "-- flight recorder --"} {
+		if !strings.Contains(d.String(), section) {
+			t.Errorf("bundle lacks section %q:\n%s", section, d)
+		}
+	}
+	if last, ok := node.LastStall(); ok {
+		t.Errorf("LastStall on a healthy node = %s", last)
+	}
+	if log := node.FlightLog(8); !strings.Contains(log, "node started: 2 group(s)") {
+		t.Errorf("FlightLog(8) lacks the node-start event:\n%s", log)
 	}
 }

@@ -20,10 +20,8 @@ type Cluster struct {
 	cfg   clusterConfig
 	nodes []*Node
 
-	// nodeMu guards the nodes slice against the audit collector's
-	// background reads racing Restart's node swap; the other accessors
-	// keep their historical unguarded semantics (callers already
-	// serialize Crash/Restart against their own use).
+	// nodeMu guards the nodes slice's elements: Restart swaps one while
+	// Node, Crash, Close and the audit collector read them.
 	nodeMu sync.RWMutex
 	// auditMu guards the lazily built cross-replica audit collector.
 	auditMu   sync.Mutex
@@ -95,14 +93,13 @@ func WithTrace(t *Trace) ClusterOption {
 	return func(c *clusterConfig) { c.opts.Trace = t }
 }
 
-// nodeOpts resolves node i's options (its data subdirectory, when the
-// cluster is durable).
-func (cfg clusterConfig) nodeOpts(i int) Options {
-	opts := cfg.opts
-	if cfg.dataDir != "" {
-		opts.DataDir = filepath.Join(cfg.dataDir, fmt.Sprintf("node%d", i))
+// nodeDir is node i's data subdirectory; empty when the cluster is not
+// durable.
+func (cfg clusterConfig) nodeDir(i int) string {
+	if cfg.dataDir == "" {
+		return ""
 	}
-	return opts
+	return filepath.Join(cfg.dataDir, fmt.Sprintf("node%d", i))
 }
 
 // NewLocalCluster builds and starts an n-node cluster. n must be at least
@@ -118,7 +115,7 @@ func NewLocalCluster(n int, options ...ClusterOption) (*Cluster, error) {
 	net := memnet.New(memnet.Config{Nodes: n, Delay: cfg.delay, Jitter: cfg.jitter})
 	c := &Cluster{net: net, cfg: cfg}
 	for i := 0; i < n; i++ {
-		node, err := newNode(net.Endpoint(timestamp.NodeID(i)), cfg.nodeOpts(i), cfg.shards)
+		node, err := newNode(net.Endpoint(timestamp.NodeID(i)), cfg.opts, cfg.shards, cfg.nodeDir(i))
 		if err != nil {
 			for _, built := range c.nodes {
 				built.Close()
@@ -134,8 +131,12 @@ func NewLocalCluster(n int, options ...ClusterOption) (*Cluster, error) {
 	return c, nil
 }
 
-// Node returns the i-th node.
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
+// Node returns the i-th node — after a Restart, the new incarnation.
+func (c *Cluster) Node(i int) *Node {
+	c.nodeMu.RLock()
+	defer c.nodeMu.RUnlock()
+	return c.nodes[i]
+}
 
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.nodes) }
@@ -145,7 +146,7 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // node's data dir is left behind for Restart.
 func (c *Cluster) Crash(i int) {
 	c.net.Crash(timestamp.NodeID(i))
-	c.nodes[i].Close()
+	c.Node(i).Close()
 }
 
 // Restart rebuilds a crashed node from its data directory and rejoins it
@@ -162,11 +163,11 @@ func (c *Cluster) Restart(i int) error {
 	if i < 0 || i >= len(c.nodes) {
 		return fmt.Errorf("caesar: no node %d", i)
 	}
-	if !c.nodes[i].closed.Load() {
+	if !c.Node(i).closed.Load() {
 		return fmt.Errorf("caesar: node %d is still running (Crash it first)", i)
 	}
 	c.net.Restore(timestamp.NodeID(i))
-	node, err := newNode(c.net.Endpoint(timestamp.NodeID(i)), c.cfg.nodeOpts(i), c.cfg.shards)
+	node, err := newNode(c.net.Endpoint(timestamp.NodeID(i)), c.cfg.opts, c.cfg.shards, c.cfg.nodeDir(i))
 	if err != nil {
 		return err
 	}
@@ -185,7 +186,10 @@ func (c *Cluster) Close() {
 	if col != nil {
 		col.Stop()
 	}
-	for _, n := range c.nodes {
+	c.nodeMu.RLock()
+	nodes := append([]*Node(nil), c.nodes...)
+	c.nodeMu.RUnlock()
+	for _, n := range nodes {
 		n.Close()
 	}
 	c.net.Close()

@@ -31,11 +31,11 @@
 //	TRACE <cmd-id>               →  the traced milestones of one command
 //	                                (as printed by the slow-command log,
 //	                                e.g. TRACE c0.17), one per line, then
-//	                                OK <n> events; needs -trace-buffer > 0.
-//	                                A miss distinguishes "never traced
-//	                                here" from "ring may have evicted it"
-//	                                and points at caesar-trace for the
-//	                                cluster-wide view.
+//	                                OK <n> events. A miss distinguishes
+//	                                "never traced here" from "ring may
+//	                                have evicted it" and points at
+//	                                caesar-trace for the cluster-wide
+//	                                view.
 //	DIAGNOSE                     →  the stall watchdog's on-demand
 //	                                diagnosis bundle (admin: tripped
 //	                                probes, commit-table detail, flight-
@@ -57,6 +57,11 @@
 //	                                (default 10) with their per-cause
 //	                                attribution, then OK <n> keys — the
 //	                                admin-port complement of /workloadz
+//
+// Every replica records its protocol milestones into a 4,096-event
+// command-trace ring and its node-level events into a 1,024-event flight
+// recorder, and runs the stall watchdog (10s threshold, scanned every
+// second), logging each trip as a STALL line.
 //
 // With -metrics-addr the replica additionally serves an observability
 // HTTP endpoint: /metrics (Prometheus text format), /statusz (JSON),
@@ -114,19 +119,15 @@ import (
 
 // options collects the parsed flags.
 type options struct {
-	id           int
-	peers        string
-	clientAddr   string
-	shards       int
-	dataDir      string
-	metricsAddr  string
-	traceBuffer  int
-	slowCommand  time.Duration
-	flightBuffer int
-	stallAfter   time.Duration
-	scanEvery    time.Duration
-	auditPeers   string
-	auditEvery   time.Duration
+	id          int
+	peers       string
+	clientAddr  string
+	shards      int
+	dataDir     string
+	metricsAddr string
+	slowCommand time.Duration
+	auditPeers  string
+	auditEvery  time.Duration
 }
 
 func main() {
@@ -137,11 +138,7 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 1, "independent consensus groups per node (keys are routed by consistent hashing)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable write-ahead log directory; the replica recovers from it on restart (empty = in-memory only)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "observability HTTP listen address serving /metrics, /statusz, /healthz, /readyz and /debug/pprof/ (empty = off)")
-	flag.IntVar(&o.traceBuffer, "trace-buffer", 4096, "command-trace ring capacity in events (0 disables tracing)")
 	flag.DurationVar(&o.slowCommand, "slow-command", 0, "log the traced history of commands slower than this submit-to-ack latency (0 disables)")
-	flag.IntVar(&o.flightBuffer, "flight-buffer", 1024, "flight-recorder ring capacity in node-level events")
-	flag.DurationVar(&o.stallAfter, "stall-threshold", 10*time.Second, "stall-watchdog trip threshold for wedged work (0 disables the watchdog)")
-	flag.DurationVar(&o.scanEvery, "watchdog-interval", time.Second, "stall-watchdog scan cadence")
 	flag.StringVar(&o.auditPeers, "audit-peers", "", "comma-separated metrics base URLs of every replica (e.g. http://127.0.0.1:9000,...); runs the cross-replica state auditor in-process (empty = off)")
 	flag.DurationVar(&o.auditEvery, "audit-interval", 2*time.Second, "cadence of the in-process cross-replica auditor (needs -audit-peers)")
 	flag.Parse()
@@ -175,11 +172,8 @@ func run(o options) error {
 	}
 	met := metrics.NewRecorder()
 	reg := obs.NewRegistry()
-	var ring *trace.Ring
-	if o.traceBuffer > 0 {
-		ring = trace.NewRing(o.traceBuffer)
-	}
-	rec := flight.New(timestamp.NodeID(o.id), o.flightBuffer)
+	ring := trace.NewRing(4096)
+	rec := flight.New(timestamp.NodeID(o.id), 1024)
 	// One shared stack constructor wires store, commit table, rebalance
 	// coordinator and (with -data-dir) the write-ahead log: every group
 	// shares them, multi-key MPUTs spanning groups commit atomically, the
@@ -189,15 +183,13 @@ func run(o options) error {
 	// trace ring thread through the same constructor, so every layer a
 	// command crosses is observable.
 	stk, err := stack.Build(tr, stack.Config{
-		Shards:           o.shards,
-		Metrics:          met,
-		Obs:              reg,
-		Trace:            ring,
-		DataDir:          o.dataDir,
-		Rebalance:        true,
-		Flight:           rec,
-		StallThreshold:   o.stallAfter,
-		WatchdogInterval: o.scanEvery,
+		Shards:    o.shards,
+		Metrics:   met,
+		Obs:       reg,
+		Trace:     ring,
+		DataDir:   o.dataDir,
+		Rebalance: true,
+		Flight:    rec,
 		OnStall: func(d *flight.Diagnosis) {
 			for _, s := range d.Stalls {
 				log.Printf("replica %d STALL %s", o.id, s)
@@ -367,10 +359,6 @@ func handleStats(out *bufio.Writer, n *node) {
 // evicted — and points at caesar-trace either way, since another
 // replica's ring often still holds the history.
 func handleTrace(out *bufio.Writer, n *node, arg string) {
-	if n.ring == nil {
-		fmt.Fprintf(out, "ERR tracing disabled (start the replica with -trace-buffer > 0)\n")
-		return
-	}
 	id, err := command.ParseID(arg)
 	if err != nil {
 		fmt.Fprintf(out, "ERR usage: TRACE <cmd-id>: %v\n", err)
@@ -391,16 +379,9 @@ func handleTrace(out *bufio.Writer, n *node, arg string) {
 }
 
 // handleDiagnose serves the DIAGNOSE admin command: the stall watchdog's
-// on-demand bundle (or, without a watchdog, the flight-recorder tail),
-// one line per bundle line, terminated by OK.
+// on-demand bundle, one line per bundle line, terminated by OK.
 func handleDiagnose(out *bufio.Writer, n *node) {
-	var body string
-	if wd := n.stk.Watchdog; wd != nil {
-		body = wd.Diagnose().Render()
-	} else {
-		body = "watchdog disabled (start the replica with -stall-threshold > 0)\n" +
-			flight.Format(n.rec.Tail(32))
-	}
+	body := n.stk.Watchdog.Diagnose().Render()
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		fmt.Fprintf(out, "%s\n", line)
 	}

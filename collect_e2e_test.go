@@ -28,7 +28,7 @@ func TestCrossNodeTraceCollection(t *testing.T) {
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		rings[i] = NewTrace(4096)
-		node, err := newNode(net.Endpoint(timestamp.NodeID(i)), Options{Trace: rings[i]}, 1)
+		node, err := newNode(net.Endpoint(timestamp.NodeID(i)), Options{Trace: rings[i]}, 1, "")
 		if err != nil {
 			t.Fatal(err)
 		}

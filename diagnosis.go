@@ -2,13 +2,14 @@ package caesar
 
 import "github.com/caesar-consensus/caesar/internal/flight"
 
-// Diagnosis is one assembled stall-diagnosis bundle: the tripped stall
-// probes (none for an on-demand bundle of a healthy node) plus every
-// diagnostic section a node carries — the wedged commands' traced
-// histories, the commit table's pending detail, the rebalance
-// coordinator's transition state, the flight-recorder tail and, on
-// trips, a goroutine profile. Bundles come from Node.Diagnose, from
-// Options.OnStall and from the server's /debugz endpoint and DIAGNOSE
+// Diagnosis is one assembled stall-diagnosis bundle from the node's stall
+// watchdog, which every node runs (10s threshold, scanned every second):
+// the tripped stall probes (none for an on-demand bundle of a healthy
+// node) plus every diagnostic section a node carries — the wedged
+// commands' traced histories, the commit table's pending detail, the
+// rebalance coordinator's transition state, the flight-recorder tail and,
+// on trips, a goroutine profile. Bundles come from Node.Diagnose and
+// Node.LastStall, and from the server's /debugz endpoint and DIAGNOSE
 // admin command.
 type Diagnosis struct {
 	inner *flight.Diagnosis
@@ -37,24 +38,15 @@ func (d Diagnosis) Stalls() []string {
 func (d Diagnosis) String() string { return d.inner.Render() }
 
 // Diagnose assembles an on-demand diagnosis bundle right now, regardless
-// of thresholds. Without Options.StallThreshold the node has no watchdog
-// and the bundle degrades to the flight-recorder tail alone.
+// of thresholds.
 func (n *Node) Diagnose() Diagnosis {
-	if wd := n.stk.Watchdog; wd != nil {
-		return Diagnosis{inner: wd.Diagnose()}
-	}
-	d := &flight.Diagnosis{Node: n.id}
-	if tail := n.stk.Flight.Tail(64); len(tail) > 0 {
-		d.Sections = append(d.Sections, flight.RenderedSection{
-			Name: "flight recorder",
-			Body: flight.Format(tail),
-		})
-	}
-	return Diagnosis{inner: d}
+	return Diagnosis{inner: n.stk.Watchdog.Diagnose()}
 }
 
 // LastStall returns the most recent watchdog trip's bundle — kept after
-// the stall clears, for post-mortems — and whether one exists.
+// the stall clears, for post-mortems — and whether one exists. It is the
+// pull form of a stall notification: poll it, or Diagnose, to learn of
+// stalls.
 func (n *Node) LastStall() (Diagnosis, bool) {
 	d := n.stk.Watchdog.Last()
 	return Diagnosis{inner: d}, d != nil

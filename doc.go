@@ -147,8 +147,7 @@
 //	cluster.Crash(1)           // kill it
 //	err := cluster.Restart(1)  // rebuild it from dir/node1 and rejoin
 //
-// (Options.DataDir for a single node; `caesar-server -data-dir` for a
-// multi-process replica.) Every applied command, executed cross-shard
+// (`caesar-server -data-dir` for a multi-process replica.) Every applied command, executed cross-shard
 // transaction, installed routing epoch and ID/clock reservation is
 // written to a segmented, CRC-checksummed write-ahead log
 // (internal/wal) and fsynced — group commit: many decisions, one sync —
@@ -253,15 +252,16 @@
 // each event stamped with its node of origin, so one shared ring
 // reconstructs a command's life across a cluster. Recording is one short
 // critical section per event and the ring overwrites its oldest entries,
-// so it is safe to leave on in production. Options.SlowCommandThreshold
-// turns the same machinery into a slow-command log: any locally
-// submitted command whose submit→ack latency exceeds the threshold is
-// dumped with its full traced history.
+// so it is safe to leave on in production.
 //
-// A multi-process replica exports the registry over HTTP:
+// A multi-process replica always traces, into a 4,096-event ring, and
+// exports the registry over HTTP:
 //
-//	caesar-server -metrics-addr :9100 -trace-buffer 8192 -slow-command 100ms
+//	caesar-server -metrics-addr :9100 -slow-command 100ms
 //
+// -slow-command turns the trace ring into a slow-command log: any
+// locally submitted command whose submit→ack latency exceeds the
+// threshold is dumped with its full traced history. The replica
 // serves /metrics (Prometheus text format: per-group fast/slow
 // decisions, wait-condition time, latency histograms, commit-table
 // occupancy and held-transaction age, WAL fsync latency and segment
@@ -284,23 +284,23 @@
 // structured rare events — node start/stop, leadership recoveries,
 // suspected peers, retransmissions, shard resizes, routing-epoch
 // installs, WAL snapshots, watchdog stalls — each stamped with a
-// monotonic sequence number. Options.FlightBuffer sizes it;
+// monotonic sequence number. It keeps the newest 1,024 events;
 // Node.FlightLog dumps the tail, and `FLIGHT [<n>]` does the same over
 // a server's admin port.
 //
-// The watchdog (Options.StallThreshold to enable) periodically scans
-// the node's own progress indicators — the oldest transaction held in
+// The watchdog scans, once a second, the node's own progress indicators — the oldest transaction held in
 // the cross-shard commit table, the oldest read parked at its delivery
 // fence, the oldest locally submitted command still missing its client
 // acknowledgement — entirely from the injected clock. When any age
-// crosses the threshold it assembles a diagnosis bundle: the wedged
+// crosses 10s it assembles a diagnosis bundle: the wedged
 // items oldest-first, each wedged command's full traced history, the
 // commit table's held-transaction detail, the rebalance coordinator's
-// state, the flight-recorder tail and a goroutine profile. The bundle
-// fires Options.OnStall once per healthy→stalled transition, is
-// journaled, and is always available on demand: Node.Diagnose /
-// Node.LastStall in process, `DIAGNOSE` on the admin port, /debugz
-// (current) and /debugz?last=1 (last trip) on the metrics listener.
+// state, the flight-recorder tail and a goroutine profile. Each
+// healthy→stalled transition is journaled (and logged as a STALL line
+// by caesar-server), and bundles are always available on demand:
+// Node.Diagnose and Node.LastStall (the last trip's bundle) in process,
+// `DIAGNOSE` on the admin port, /debugz (current) and /debugz?last=1
+// (last trip) on the metrics listener.
 //
 // Each caesar-server node traces into its own ring, so one replica's
 // TRACE shows one view. The /tracez endpoint serves a command's local

@@ -49,7 +49,7 @@ type record struct {
 	deliveredAt time.Time
 	resentAt    time.Time
 	// stuckSince is set by the stuck-record scan the first time it sees
-	// the record unfinished; a record still unfinished a full StuckTimeout
+	// the record unfinished; a record still unfinished a full stuck timeout
 	// later is recovered even if its leader looks alive (it may be a
 	// restarted incarnation that lost the command).
 	stuckSince time.Time

@@ -292,3 +292,15 @@ func (r *Replica) reproposeFastPending(set []*RecoverReply, c *coordinator) {
 func (c Config) RecoveryTimeout() time.Duration {
 	return 4 * c.SuspectTimeout
 }
+
+// stuckTimeout is how long a command may sit pre-stable before this
+// replica recovers it even though its leader looks alive: 3×
+// SuspectTimeout. The failure detector only catches leaders that stay
+// silent; a leader that crashed and RESTARTED heartbeats again but has
+// lost its in-flight commands, which would otherwise stay pending
+// forever — blocking the wait condition and the delivery of everything
+// conflicting with them. Recovery is ballot-protected, so firing on a
+// merely slow command is safe. Only active when failure handling is on.
+func (c Config) stuckTimeout() time.Duration {
+	return 3 * c.SuspectTimeout
+}

@@ -86,16 +86,6 @@ type Config struct {
 	// restarted (or long-partitioned) replica relearn decisions it
 	// missed while down. Default 1s; negative disables.
 	RetransmitAfter time.Duration
-	// StuckTimeout is how long a command may sit pre-stable before this
-	// replica recovers it even though its leader looks alive. The
-	// failure detector only catches leaders that stay silent; a leader
-	// that crashed and RESTARTED heartbeats again but has lost its
-	// in-flight commands, which would otherwise stay pending forever —
-	// blocking the wait condition and the delivery of everything
-	// conflicting with them. Recovery is ballot-protected, so firing on
-	// a merely slow command is safe. Default 3× SuspectTimeout; negative
-	// disables. Only active when failure handling is on.
-	StuckTimeout time.Duration
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 	// Contend, when non-nil, receives this replica's contention
@@ -147,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetransmitAfter == 0 {
 		c.RetransmitAfter = time.Second
-	}
-	if c.StuckTimeout == 0 {
-		c.StuckTimeout = 3 * c.SuspectTimeout
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
@@ -447,7 +434,7 @@ func (r *Replica) onTick(now time.Time) {
 	}
 	// Stuck-command recovery runs on its own cadence: it must keep
 	// working even with retransmission disabled.
-	if r.fd != nil && r.cfg.StuckTimeout > 0 && now.Sub(r.lastStuck) >= r.cfg.StuckTimeout/4 {
+	if r.fd != nil && now.Sub(r.lastStuck) >= r.cfg.stuckTimeout()/4 {
 		r.lastStuck = now
 		r.recoverStuck(now, open)
 	}
@@ -474,7 +461,7 @@ func scheduleRecovery(rec *record, at time.Time) bool {
 }
 
 // recoverStuck schedules recovery for commands that have sat unfinished a
-// full StuckTimeout even though their leader looks alive. Three classes
+// full stuck timeout even though their leader looks alive. Three classes
 // the failure detector cannot see:
 //
 //   - a foreign pre-stable record whose leader is a restarted incarnation
@@ -501,7 +488,7 @@ func (r *Replica) recoverStuck(now time.Time, open []*record) {
 			rec.stuckSince = now
 			continue
 		}
-		if now.Sub(rec.stuckSince) < r.cfg.StuckTimeout {
+		if now.Sub(rec.stuckSince) < r.cfg.stuckTimeout() {
 			continue
 		}
 		rec.stuckSince = now // throttle rescheduling
@@ -510,7 +497,7 @@ func (r *Replica) recoverStuck(now time.Time, open []*record) {
 		// crashed ones. recoverStuck only runs with the detector on.
 		if scheduleRecovery(rec, now.Add(time.Duration(r.fd.Rank())*r.cfg.RecoveryBackoff)) {
 			r.cfg.Flight.Record(flight.KindStuck, r.cfg.FlightGroup, rec.id(),
-				"unfinished past %v with a live leader; ballot-protected takeover scheduled", r.cfg.StuckTimeout)
+				"unfinished past %v with a live leader; ballot-protected takeover scheduled", r.cfg.stuckTimeout())
 		}
 	}
 }

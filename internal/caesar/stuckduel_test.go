@@ -3,7 +3,7 @@ package caesar
 // Whitebox reproduction of the rare post-restart liveness flake (ROADMAP):
 // a leader that crashed and RESTARTED heartbeats again but has lost its
 // in-flight commands, so the silence-based failure detector never fires
-// and both survivors recover the stuck command through StuckTimeout —
+// and both survivors recover the stuck command through the stuck scan —
 // dueling recoverers. Driven entirely on a fake clock, with tick steps
 // chosen so both survivors' staggered schedules fire on the same instant
 // (the maximal duel): their ballot-1 prepares race, can strand each other
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/flight"
 	"github.com/caesar-consensus/caesar/internal/memnet"
 	"github.com/caesar-consensus/caesar/internal/quorum"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -23,16 +24,21 @@ import (
 func TestDuelingStuckRecoverersConverge(t *testing.T) {
 	base := time.Unix(2_000_000, 0)
 	fc := &fakeClock{now: base}
+	rec := flight.New(0, 4096) // shared by the three replicas
+	rec.SetNow(fc.Now)
 	cfg := Config{
 		FastTimeout:       200 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
 		SuspectTimeout:    time.Second, // never trips: every node keeps heartbeating
-		StuckTimeout:      200 * time.Millisecond,
 		RecoveryBackoff:   50 * time.Millisecond,
 		TickInterval:      time.Hour, // ticks are posted manually
 		Now:               fc.Now,
+		Flight:            rec,
 	}
 	c := newCluster(t, 3, memnet.Config{}, cfg)
+	// The stuck scan marks the orphan on its first tick and recovers it a
+	// stuck timeout — 3× SuspectTimeout — later, never sooner.
+	stuckAfter := base.Add(3 * cfg.SuspectTimeout)
 
 	// Node 0 is a restarted incarnation that lost an in-flight command:
 	// it heartbeats (it gets ticks like everyone) but holds no record of
@@ -69,6 +75,22 @@ func TestDuelingStuckRecoverersConverge(t *testing.T) {
 			// Converged: the orphan delivered on both survivors. It must
 			// also have delivered (or at least stabilized) identically.
 			c.checkOrder(t, []string{orphan.Key}, nil)
+			if !fc.Now().After(stuckAfter) {
+				t.Fatalf("orphan recovered at %v, before the stuck timeout elapsed at %v", fc.Now().Sub(base), stuckAfter.Sub(base))
+			}
+			stuck := 0
+			for _, e := range rec.Dump() {
+				if e.Kind != flight.KindStuck {
+					continue
+				}
+				stuck++
+				if e.At.Before(stuckAfter) {
+					t.Fatalf("stuck takeover scheduled at %v, before 3× SuspectTimeout (%v)", e.At.Sub(base), stuckAfter.Sub(base))
+				}
+			}
+			if stuck == 0 {
+				t.Fatal("orphan recovered without a stuck takeover in the flight journal")
+			}
 			return
 		}
 		if time.Now().After(deadline) {
@@ -108,11 +130,14 @@ func TestStrandedDuelRetriesConverge(t *testing.T) {
 	cfg := Config{
 		FastTimeout:       200 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,
-		SuspectTimeout:    time.Second,
-		StuckTimeout:      -1, // the stranded state is installed directly
-		RecoveryBackoff:   50 * time.Millisecond,
-		TickInterval:      time.Hour,
-		Now:               fc.Now,
+		// The stranded state is installed directly, so the stuck scan
+		// must stay out of it: its 3× SuspectTimeout (45s) exceeds the
+		// 40s of simulated time the test runs after the recovery
+		// deadlines.
+		SuspectTimeout:  15 * time.Second,
+		RecoveryBackoff: 50 * time.Millisecond,
+		TickInterval:    time.Hour,
+		Now:             fc.Now,
 	}
 	c := newCluster(t, 3, memnet.Config{}, cfg)
 

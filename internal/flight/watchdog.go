@@ -122,9 +122,6 @@ type Config struct {
 	// Trace, when non-nil, supplies wedged commands' histories to the
 	// diagnosis bundle.
 	Trace *trace.Ring
-	// HistoryLimit bounds the flight-recorder tail included in bundles.
-	// Default 64 events.
-	HistoryLimit int
 	// OnStall fires once per healthy→stalled transition with the
 	// assembled diagnosis; it runs on the scanning goroutine, so it
 	// must not block (hand work off if it needs to).
@@ -133,9 +130,10 @@ type Config struct {
 	// pacing — fake-clock tests and callers that already own a timer
 	// feed it. The watchdog never closes it.
 	Ticks <-chan time.Time
-	// Goroutines includes a full goroutine profile in trip bundles.
-	Goroutines bool
 }
+
+// historyLimit bounds the flight-recorder tail included in bundles.
+const historyLimit = 64
 
 func (c Config) withDefaults() Config {
 	if c.Now == nil {
@@ -146,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 10 * time.Second
-	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 64
 	}
 	return c
 }
@@ -181,7 +176,7 @@ func NewWatchdog(cfg Config) *Watchdog {
 
 // AddProbe registers one stall signal.
 func (w *Watchdog) AddProbe(p Probe) {
-	if w == nil || p.Sample == nil {
+	if p.Sample == nil {
 		return
 	}
 	if p.Threshold <= 0 {
@@ -194,7 +189,7 @@ func (w *Watchdog) AddProbe(p Probe) {
 
 // AddSection registers one diagnosis-bundle collector.
 func (w *Watchdog) AddSection(name string, collect func() string) {
-	if w == nil || collect == nil {
+	if collect == nil {
 		return
 	}
 	w.mu.Lock()
@@ -206,25 +201,16 @@ func (w *Watchdog) AddSection(name string, collect func() string) {
 // healthy→stalled transitions. Both are scrape-time gauges in the obs
 // registry.
 func (w *Watchdog) Scans() int64 {
-	if w == nil {
-		return 0
-	}
 	return w.scans.Load()
 }
 
 // Trips returns the number of healthy→stalled transitions observed.
 func (w *Watchdog) Trips() int64 {
-	if w == nil {
-		return 0
-	}
 	return w.trips.Load()
 }
 
 // Stalled reports whether the last scan found a probe above threshold.
 func (w *Watchdog) Stalled() bool {
-	if w == nil {
-		return false
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stalled
@@ -233,9 +219,6 @@ func (w *Watchdog) Stalled() bool {
 // Last returns the most recent trip's diagnosis (kept after the stall
 // clears, for post-mortems); nil before the first trip.
 func (w *Watchdog) Last() *Diagnosis {
-	if w == nil {
-		return nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.last
@@ -267,7 +250,7 @@ func (w *Watchdog) sample(now time.Time) []Stall {
 
 // bundle assembles a diagnosis: the given stalls, each wedged command's
 // traced history, every registered section, the flight-recorder tail
-// and (on trips, when configured) a goroutine profile.
+// and, on trips, a goroutine profile.
 func (w *Watchdog) bundle(now time.Time, stalls []Stall) *Diagnosis {
 	d := &Diagnosis{At: now, Node: w.cfg.Self, Stalls: stalls}
 	seen := make(map[command.ID]bool)
@@ -292,10 +275,10 @@ func (w *Watchdog) bundle(now time.Time, stalls []Stall) *Diagnosis {
 	if w.cfg.Recorder != nil {
 		d.Sections = append(d.Sections, RenderedSection{
 			Name: "flight recorder",
-			Body: Format(w.cfg.Recorder.Tail(w.cfg.HistoryLimit)),
+			Body: Format(w.cfg.Recorder.Tail(historyLimit)),
 		})
 	}
-	if w.cfg.Goroutines && len(stalls) > 0 {
+	if len(stalls) > 0 {
 		d.Sections = append(d.Sections, RenderedSection{
 			Name: "goroutines",
 			Body: goroutineProfile(),
@@ -318,9 +301,6 @@ func goroutineProfile() string {
 // transition is journaled as a clear. Returns the current diagnosis
 // when stalled, nil when healthy.
 func (w *Watchdog) Scan() *Diagnosis {
-	if w == nil {
-		return nil
-	}
 	w.scans.Add(1)
 	now := w.cfg.Now()
 	stalls := w.sample(now)
@@ -356,9 +336,6 @@ func (w *Watchdog) Scan() *Diagnosis {
 // none), every section, the flight tail. /debugz and the DIAGNOSE admin
 // command serve it.
 func (w *Watchdog) Diagnose() *Diagnosis {
-	if w == nil {
-		return nil
-	}
 	now := w.cfg.Now()
 	return w.bundle(now, w.sample(now))
 }
@@ -366,9 +343,6 @@ func (w *Watchdog) Diagnose() *Diagnosis {
 // Start launches the background scan loop; Stop joins it. Without
 // Config.Ticks the loop paces itself on a real-time ticker.
 func (w *Watchdog) Start() {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	if w.stop != nil {
 		w.mu.Unlock()
@@ -404,9 +378,6 @@ func (w *Watchdog) loop(stop, done chan struct{}) {
 // Stop joins the background loop; safe to call without Start and more
 // than once.
 func (w *Watchdog) Stop() {
-	if w == nil {
-		return
-	}
 	w.mu.Lock()
 	stop, done := w.stop, w.done
 	w.stop, w.done = nil, nil

@@ -48,6 +48,9 @@ const (
 	MultiPaxosIN Protocol = "multipaxos-in"
 )
 
+// jitter is the per-message jitter before scaling.
+const jitter = 2 * time.Millisecond
+
 // Options configures one experiment run.
 type Options struct {
 	Protocol Protocol
@@ -55,8 +58,6 @@ type Options struct {
 	Nodes int
 	// Scale shrinks the WAN latencies (default 0.05).
 	Scale float64
-	// Jitter is the per-message jitter before scaling (default 2ms).
-	Jitter time.Duration
 	// ConflictPct is the workload's conflict percentage.
 	ConflictPct float64
 	// ClientsPerNode: closed-loop clients co-located with each node
@@ -83,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale == 0 {
 		o.Scale = 0.05
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 2 * time.Millisecond
 	}
 	if o.ClientsPerNode == 0 {
 		o.ClientsPerNode = 10
@@ -233,7 +231,7 @@ func Run(o Options) Result {
 	net := memnet.New(memnet.Config{
 		Nodes:  o.Nodes,
 		Delay:  memnet.GeoDelay(o.Scale),
-		Jitter: time.Duration(float64(o.Jitter) * o.Scale),
+		Jitter: time.Duration(float64(jitter) * o.Scale),
 		Seed:   o.Seed,
 	})
 	defer net.Close()

@@ -50,9 +50,6 @@ func (b Ballot) node() timestamp.NodeID { return timestamp.NodeID(uint16(b)) }
 
 // Config tunes a Replica.
 type Config struct {
-	// RetryTimeout bounds how long an unacknowledged round waits before
-	// escalating to a prepare at a higher round. Default 500ms.
-	RetryTimeout time.Duration
 	// Metrics receives measurements; nil allocates a private recorder.
 	Metrics *metrics.Recorder
 }
@@ -60,10 +57,11 @@ type Config struct {
 // tickInterval is the retry timer's granularity.
 const tickInterval = 25 * time.Millisecond
 
+// retryTimeout bounds how long an unacknowledged round waits before
+// escalating to a prepare at a higher round.
+const retryTimeout = 500 * time.Millisecond
+
 func (c Config) withDefaults() Config {
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 500 * time.Millisecond
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRecorder()
 	}
@@ -299,7 +297,7 @@ func (r *Replica) route(cmd command.Command, hops uint8) {
 		}
 		ks.role = roleAcquiring
 		ks.ballot = makeBallot(1, r.self)
-		ks.deadline = r.now.Add(r.cfg.RetryTimeout)
+		ks.deadline = r.now.Add(retryTimeout)
 		r.order(ks, cmd)
 	}
 }
@@ -321,7 +319,7 @@ func (r *Replica) orderAt(ks *keyState, key string, inst uint64, cmd command.Com
 		cmd:      cmd,
 		ballot:   ks.ballot,
 		votes:    quorum.NewTracker(r.cq),
-		deadline: r.now.Add(r.cfg.RetryTimeout),
+		deadline: r.now.Add(retryTimeout),
 	}
 	r.Broadcast(&Accept{Key: key, Ballot: ks.ballot, Inst: inst, Cmd: cmd})
 }
@@ -442,7 +440,7 @@ func (r *Replica) startPrepare(key string, ks *keyState) {
 	ks.prepVotes = quorum.NewTracker(r.cq)
 	ks.suffixes = nil
 	ks.floor = r.execNext[key]
-	ks.deadline = r.now.Add(r.cfg.RetryTimeout)
+	ks.deadline = r.now.Add(retryTimeout)
 	r.met.Retries.Inc()
 	r.Broadcast(&PrepareKey{Key: key, Ballot: ks.ballot})
 }

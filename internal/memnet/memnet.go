@@ -34,12 +34,13 @@ type Config struct {
 	// Seed seeds the jitter/drop randomness; 0 selects a fixed default so
 	// runs are reproducible unless a seed is chosen explicitly.
 	Seed int64
-	// QueueSize bounds each link's in-flight queue. Sends beyond it block
-	// the sender, providing backpressure. Defaults to 4096. (This channel
-	// is intentionally larger than the style guide's "one or none": links
-	// model a network pipe, and the capacity is the pipe's BDP.)
-	QueueSize int
 }
+
+// queueSize bounds each link's in-flight queue. Sends beyond it block
+// the sender, providing backpressure. (This channel is intentionally
+// larger than the style guide's "one or none": links model a network
+// pipe, and the capacity is the pipe's BDP.)
+const queueSize = 4096
 
 type envelope struct {
 	from, to timestamp.NodeID
@@ -73,9 +74,6 @@ type Network struct {
 
 // New builds the network and starts its delivery goroutines.
 func New(cfg Config) *Network {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 4096
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -93,7 +91,7 @@ func New(cfg Config) *Network {
 	for i := 0; i < cfg.Nodes; i++ {
 		for j := 0; j < cfg.Nodes; j++ {
 			key := [2]timestamp.NodeID{timestamp.NodeID(i), timestamp.NodeID(j)}
-			l := &link{ch: make(chan envelope, cfg.QueueSize)}
+			l := &link{ch: make(chan envelope, queueSize)}
 			n.links[key] = l
 			n.wg.Add(1)
 			go n.drain(l)

@@ -144,12 +144,11 @@ type Config struct {
 	// the same recorder into the engines it constructs (like Trace) for
 	// recovery/suspect/retransmit events to land in the same journal.
 	Flight *flight.Recorder
-	// StallThreshold arms the stall watchdog: when positive, Build
-	// constructs one that scans the commit table's oldest held
-	// transaction, the read engine's oldest parked fence and each group
-	// engine's oldest unacknowledged command against this threshold, and
-	// Start launches its scan loop. Zero leaves the node without a
-	// watchdog.
+	// StallThreshold is the stall watchdog's trip threshold: every node
+	// runs one that scans the commit table's oldest held transaction,
+	// the write-ahead log's oldest unsynced record, the read engine's
+	// oldest parked fence and each group engine's oldest unacknowledged
+	// command against it. Default 10s.
 	StallThreshold time.Duration
 	// WatchdogInterval paces the watchdog's background scans. Default 1s.
 	WatchdogInterval time.Duration
@@ -208,8 +207,8 @@ type Stack struct {
 	// caesar_contention_*/caesar_hotkey_* families. The sketch is bounded
 	// and lock-cheap, so it is always on; never nil.
 	Contend *contend.Profile
-	// Watchdog is the node's stall watchdog; nil unless
-	// Config.StallThreshold was set. Start/Stop manage its scan loop.
+	// Watchdog is the node's stall watchdog; never nil. Start/Stop
+	// manage its scan loop.
 	Watchdog *flight.Watchdog
 
 	snapInterval time.Duration
@@ -413,8 +412,8 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 
 // finish completes a built stack along every construction path: the
 // scrape-time gauges, the process runtime gauges, the /tracez collection
-// endpoint and — when Config.StallThreshold arms it — the stall watchdog
-// with its probes, sections, counters and /debugz endpoint.
+// endpoint and the stall watchdog with its probes, sections, counters and
+// /debugz endpoint.
 func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
 	s.registerGauges(cfg.Obs, cfg.Now)
 	obs.RegisterRuntime(cfg.Obs)
@@ -426,19 +425,15 @@ func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
 		cfg.Obs.Handle("/workloadz", s.Contend.Handler())
 		s.registerHotKeys(cfg.Obs)
 	}
-	if cfg.StallThreshold <= 0 {
-		return
-	}
 	wd := flight.NewWatchdog(flight.Config{
-		Self:       ep.Self(),
-		Now:        cfg.Now,
-		Interval:   cfg.WatchdogInterval,
-		Threshold:  cfg.StallThreshold,
-		Recorder:   cfg.Flight,
-		Trace:      cfg.Trace,
-		OnStall:    cfg.OnStall,
-		Ticks:      cfg.WatchdogTicks,
-		Goroutines: true,
+		Self:      ep.Self(),
+		Now:       cfg.Now,
+		Interval:  cfg.WatchdogInterval,
+		Threshold: cfg.StallThreshold,
+		Recorder:  cfg.Flight,
+		Trace:     cfg.Trace,
+		OnStall:   cfg.OnStall,
+		Ticks:     cfg.WatchdogTicks,
 	})
 	if t := s.Table; t != nil {
 		wd.AddProbe(flight.Probe{Name: "held-tx", Sample: func(now time.Time) (flight.Sample, bool) {

@@ -74,7 +74,7 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 	stk.Start()
 	defer stk.Stop()
 	if stk.Watchdog == nil {
-		t.Fatal("StallThreshold set but Build left Watchdog nil")
+		t.Fatal("Build left Watchdog nil")
 	}
 
 	// A healthy scan first: nothing is pending, so no trip.

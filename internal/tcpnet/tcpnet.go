@@ -38,9 +38,10 @@ type Config struct {
 	// DialRetry is the backoff between reconnect attempts. Default
 	// 500ms.
 	DialRetry time.Duration
-	// QueueSize bounds each peer's outbound queue. Default 4096.
-	QueueSize int
 }
+
+// queueSize bounds each peer's outbound queue.
+const queueSize = 4096
 
 // Transport implements transport.Endpoint over TCP.
 type Transport struct {
@@ -176,9 +177,6 @@ func Listen(cfg Config) (*Transport, error) {
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 500 * time.Millisecond
 	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = 4096
-	}
 	if int(cfg.Self) >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("tcpnet: self id %d outside address list", cfg.Self)
 	}
@@ -194,7 +192,7 @@ func Listen(cfg Config) (*Transport, error) {
 		done:     make(chan struct{}),
 	}
 	for i := range t.sends {
-		t.sends[i] = make(chan any, cfg.QueueSize)
+		t.sends[i] = make(chan any, queueSize)
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()

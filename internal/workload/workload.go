@@ -22,6 +22,11 @@ import (
 // DefaultSharedPool is the paper's shared pool size.
 const DefaultSharedPool = 100
 
+// valueSize is the payload size: the paper's command size is 15 bytes
+// including key, value, request ID and operation type, which leaves 8
+// bytes of value.
+const valueSize = 8
+
 // Config parametrises a generator.
 type Config struct {
 	// ConflictPct in [0,100]: probability a command targets the shared
@@ -29,10 +34,6 @@ type Config struct {
 	ConflictPct float64
 	// SharedPool is the number of shared keys (default 100).
 	SharedPool int
-	// ValueSize is the payload size; the paper's command size is 15
-	// bytes including key, value, request ID and operation type, so the
-	// default value payload is 8 bytes.
-	ValueSize int
 	// Seed makes the stream reproducible.
 	Seed int64
 }
@@ -53,9 +54,6 @@ func NewGenerator(cfg Config, prefix string) *Generator {
 	if cfg.SharedPool <= 0 {
 		cfg.SharedPool = DefaultSharedPool
 	}
-	if cfg.ValueSize <= 0 {
-		cfg.ValueSize = 8
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -64,7 +62,7 @@ func NewGenerator(cfg Config, prefix string) *Generator {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(seed)),
 		prefix: prefix,
-		value:  make([]byte, cfg.ValueSize),
+		value:  make([]byte, valueSize),
 	}
 	g.rng.Read(g.value)
 	return g

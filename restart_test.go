@@ -111,14 +111,6 @@ func TestRestartUnderLoad(t *testing.T) {
 		stop      atomic.Bool
 		wg        sync.WaitGroup
 	)
-	// Restart swaps the node object; workers fetch it under a read lock.
-	var nodeMu sync.RWMutex
-	node := func(i int) *caesar.Node {
-		nodeMu.RLock()
-		defer nodeMu.RUnlock()
-		return cluster.Node(i)
-	}
-
 	// Increment workers. Each owns one counter, so acked/submitted
 	// accounting needs no cross-worker coordination; proposals through
 	// the dying node fail (or report unknown outcomes) and are simply
@@ -130,7 +122,7 @@ func TestRestartUnderLoad(t *testing.T) {
 			c := w % counters
 			for !stop.Load() {
 				atomic.AddInt64(&submitted[c], 1)
-				if _, err := node(w%3).Propose(ctx, caesar.Add(cnt(c), 1)); err == nil {
+				if _, err := cluster.Node(w%3).Propose(ctx, caesar.Add(cnt(c), 1)); err == nil {
 					atomic.AddInt64(&acked[c], 1)
 				} else if ctx.Err() != nil {
 					return
@@ -148,7 +140,7 @@ func TestRestartUnderLoad(t *testing.T) {
 			defer wg.Done()
 			a, b := pair(w)
 			for !stop.Load() {
-				err := node(w%3).ProposeTx(ctx, []caesar.Command{
+				err := cluster.Node(w%3).ProposeTx(ctx, []caesar.Command{
 					caesar.Add(a, 1),
 					caesar.Add(b, -1),
 				})
@@ -171,10 +163,7 @@ func TestRestartUnderLoad(t *testing.T) {
 	time.Sleep(400 * time.Millisecond)
 	cluster.Crash(1)
 	time.Sleep(600 * time.Millisecond)
-	nodeMu.Lock()
-	err = cluster.Restart(1)
-	nodeMu.Unlock()
-	if err != nil {
+	if err := cluster.Restart(1); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
 	time.Sleep(600 * time.Millisecond)
@@ -296,4 +285,51 @@ func TestRestartAfterResize(t *testing.T) {
 	// Crash + restart across a resize: the restored node rebuilt both
 	// epochs' digests and must still prove equality with its peers.
 	requireCleanAudit(t, cluster, &fp)
+}
+
+// TestNodeAccessDuringRestart reads through Cluster.Node from several
+// goroutines while the main goroutine crashes and restarts node 1: Node,
+// Crash and Restart share the node slice, so under -race this test fails
+// unless every accessor takes the cluster's lock.
+func TestNodeAccessDuringRestart(t *testing.T) {
+	cluster, err := caesar.NewLocalCluster(3, caesar.WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := cluster.Node(0).Propose(ctx, caesar.Put("k", []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				for i := 0; i < cluster.Size(); i++ {
+					_, _ = cluster.Node(i).Read(ctx, "k") // ErrClosed while node 1 is down
+				}
+			}
+		}()
+	}
+	for round := 0; round < 3; round++ {
+		time.Sleep(20 * time.Millisecond)
+		cluster.Crash(1)
+		if err := cluster.Restart(1); err != nil {
+			t.Fatalf("Restart: %v", err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	got, err := cluster.Node(1).Read(ctx, "k")
+	if err != nil || string(got) != "v" {
+		t.Fatalf("read through the restarted node = %q, %v; want \"v\"", got, err)
+	}
 }

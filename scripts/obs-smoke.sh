@@ -35,7 +35,7 @@ audit_peers=http://127.0.0.1:9180,http://127.0.0.1:9181,http://127.0.0.1:9182
 for id in 0 1 2; do
     "$workdir/caesar-server" -id "$id" -peers "$peers" \
         -client "127.0.0.1:848$id" -shards 2 \
-        -metrics-addr "127.0.0.1:918$id" -trace-buffer 4096 \
+        -metrics-addr "127.0.0.1:918$id" \
         -audit-peers "$audit_peers" -audit-interval 500ms \
         >"$workdir/server$id.log" 2>&1 &
 done

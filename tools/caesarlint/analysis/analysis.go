@@ -29,6 +29,12 @@ type Analyzer struct {
 	Doc string
 	// Run applies the check to one package.
 	Run func(*Pass) error
+	// Finish, when non-nil, runs once after Run has seen every package
+	// of a standalone load, on a pass that carries only the load's fact
+	// store and Report: the hook for whole-program checks, which decide
+	// only when every package has been seen. The vettool shim never
+	// calls it (one compilation unit is not the whole program).
+	Finish func(*Pass) error
 }
 
 // Diagnostic is one finding.

@@ -19,7 +19,8 @@ func (f Finding) String() string {
 }
 
 // RunAll applies each analyzer to each package, sharing one fact store,
-// and returns the findings sorted by position. Packages must arrive in
+// then runs each analyzer's Finish hook, and returns the findings sorted
+// by position. Packages must arrive in
 // dependency order (Load guarantees it) so facts exported by callee
 // packages are visible when their callers are analyzed. On test-variant
 // packages only diagnostics located in _test.go files are kept, so a
@@ -29,6 +30,7 @@ func RunAll(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Find
 	var findings []Finding
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
+			pkg, a := pkg, a // Report may run after the loop moves on (a Finish hook's deferred report)
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      fset,
@@ -47,6 +49,18 @@ func RunAll(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Find
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}
+		}
+	}
+	for _, a := range analyzers {
+		if a.Finish == nil {
+			continue
+		}
+		pass := &Pass{Analyzer: a, Fset: fset, Facts: facts}
+		pass.Report = func(d Diagnostic) {
+			findings = append(findings, Finding{Analyzer: a.Name, Pos: fset.Position(d.Pos), Message: d.Message})
+		}
+		if err := a.Finish(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {

@@ -1,6 +1,6 @@
 // Command caesarlint runs the repo's concurrency & determinism
-// analyzers (wallclock, loopblock, lockorder, atomicfield, maprange) in
-// one of two modes:
+// analyzers (wallclock, loopblock, lockorder, atomicfield, maprange)
+// and its dead-configuration check (deadknob) in one of two modes:
 //
 // Standalone (authoritative — whole-repo load, cross-package facts):
 //
@@ -25,6 +25,7 @@ import (
 
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analysis"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/atomicfield"
+	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/deadknob"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/lockorder"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/loopblock"
 	"github.com/caesar-consensus/caesar/tools/caesarlint/analyzers/maprange"
@@ -38,6 +39,7 @@ var analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	atomicfield.Analyzer,
 	maprange.Analyzer,
+	deadknob.Analyzer,
 }
 
 func main() {

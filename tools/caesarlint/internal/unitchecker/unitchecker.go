@@ -129,8 +129,16 @@ func Run(configFile string, analyzers []*analysis.Analyzer) int {
 		return typecheckFailure(cfg, writeVetx, err)
 	}
 
+	// One unit is not the whole program, so whole-program checks (the
+	// Finish hooks) do not run here.
+	perUnit := make([]*analysis.Analyzer, len(analyzers))
+	for i, a := range analyzers {
+		a := *a
+		a.Finish = nil
+		perUnit[i] = &a
+	}
 	pkg := &analysis.Package{Path: cfg.ImportPath, Files: files, Types: tpkg, Info: info}
-	findings, err := analysis.RunAll(fset, []*analysis.Package{pkg}, analyzers)
+	findings, err := analysis.RunAll(fset, []*analysis.Package{pkg}, perUnit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
