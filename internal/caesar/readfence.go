@@ -83,18 +83,22 @@ func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done func(err
 // them, never lower them), so a record currently at or above ts can never
 // finalize below it and is not waited for; a record below ts that later
 // retries above it is waited for anyway — a small latency cost, never a
-// correctness one.
+// correctness one. The waiter is allocated at the first blocker: a read
+// that nothing blocks costs none.
 func (r *Replica) onReadFence(e evReadFence) {
 	phantom := command.Command{Op: command.OpGet, Key: e.keys[0]}
 	if len(e.keys) > 1 {
 		phantom.ExtraKeys = e.keys[1:]
 	}
-	w := &readWaiter{done: e.done}
+	var w *readWaiter
 	r.hist.conflicts(phantom, e.ts, below, func(rec *record) bool {
 		if rec.applied {
 			return true
 		}
 		id := rec.id()
+		if w == nil {
+			w = &readWaiter{done: e.done}
+		}
 		w.remaining++
 		rec.reads = append(rec.reads, w)
 		if r.ctd != nil {
@@ -107,7 +111,7 @@ func (r *Replica) onReadFence(e evReadFence) {
 		r.cfg.Trace.Record(r.self, trace.KindReadPark, id, e.ts)
 		return true
 	})
-	if w.remaining == 0 {
+	if w == nil {
 		e.done(nil)
 		return
 	}

@@ -198,6 +198,18 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Uint32 reads a uvarint that must fit 32 bits: no encoder of a 32-bit
+// field wrote a wider one, and truncating it would read two encodings as
+// one value.
+func (r *Reader) Uint32() uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail()
+		return 0
+	}
+	return uint32(v)
+}
+
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if r.err != nil {
@@ -266,11 +278,7 @@ func (r *Reader) Count(minSize int) int {
 // AppendNode wrote it, and truncating it would read two encodings as one
 // node.
 func (r *Reader) Node() timestamp.NodeID {
-	v := r.Uvarint()
-	if v > math.MaxUint32 {
-		r.Fail()
-	}
-	return timestamp.NodeID(int32(uint32(v)))
+	return timestamp.NodeID(int32(r.Uint32()))
 }
 
 // Timestamp reads a timestamp.
@@ -312,7 +320,7 @@ func (r *Reader) Command() command.Command {
 		}
 	}
 	cmd.Payload = r.Bytes()
-	cmd.Epoch = uint32(r.Uvarint())
+	cmd.Epoch = r.Uint32()
 	return cmd
 }
 

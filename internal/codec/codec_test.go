@@ -107,6 +107,25 @@ func TestNodeWiderThan32BitsIsMalformed(t *testing.T) {
 	}
 }
 
+// TestUint32WiderThan32BitsIsMalformed: the same rule for every 32-bit
+// field, a command's Epoch among them.
+func TestUint32WiderThan32BitsIsMalformed(t *testing.T) {
+	r := NewReader(AppendUvarint(nil, 1<<32|1))
+	if v := r.Uint32(); v != 0 || r.End() != ErrMalformed {
+		t.Fatalf("a 33-bit value read as %d with End %v, want ErrMalformed", v, r.End())
+	}
+	r = NewReader(AppendUvarint(nil, 1<<32-1))
+	if v := r.Uint32(); v != 1<<32-1 || r.End() != nil {
+		t.Fatalf("2³²-1 read back as %d (%v)", v, r.End())
+	}
+	b := AppendCommand(nil, command.Command{Key: "k"})
+	b = AppendUvarint(b[:len(b)-1], 1<<32|1) // Epoch, the last field
+	r = NewReader(b)
+	if r.Command(); r.End() != ErrMalformed {
+		t.Fatalf("a command with a 33-bit epoch read with End %v, want ErrMalformed", r.End())
+	}
+}
+
 // TestCommandsRoundTrip: a counted command list reads back whole, an empty
 // one as nil, and End accepts exactly the bytes the list took.
 func TestCommandsRoundTrip(t *testing.T) {

@@ -353,20 +353,21 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 	// transaction in the commit table; the snapshot must wait until no
 	// such transaction could still execute at or below the point.
 	if table := e.currentTable(); table != nil {
-		settled := make(chan struct{})
-		settleStart := e.now()
-		table.WaitSettled(keys, ts, func() { close(settled) })
-		select {
-		case <-settled:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		if p := e.contendProfile(); p != nil {
-			// A settle wait is a read parked by the commit table: charge
-			// the elapsed time to the read's keys in their home groups.
-			if wait := e.now().Sub(settleStart); wait > 0 {
-				for _, k := range keys {
-					p.Group(router.Shard(k)).ParkDone(k, wait)
+		if settled := table.WaitSettled(keys, ts); settled != nil {
+			settleStart := e.now()
+			select {
+			case <-settled:
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			}
+			if p := e.contendProfile(); p != nil {
+				// A settle wait is a read parked by the commit table:
+				// charge the elapsed time to the read's keys in their
+				// home groups.
+				if wait := e.now().Sub(settleStart); wait > 0 {
+					for _, k := range keys {
+						p.Group(router.Shard(k)).ParkDone(k, wait)
+					}
 				}
 			}
 		}

@@ -110,9 +110,9 @@ func EncodeMarker(m Marker) ([]byte, error) {
 func DecodeMarker(payload []byte) (Marker, error) {
 	r := codec.NewReader(payload)
 	var m Marker
-	m.Epoch = uint32(r.Uvarint())
-	m.Shards = int32(uint32(r.Uvarint()))
-	m.PrevShards = int32(uint32(r.Uvarint()))
+	m.Epoch = r.Uint32()
+	m.Shards = int32(r.Uint32())
+	m.PrevShards = int32(r.Uint32())
 	if err := r.End(); err != nil {
 		return Marker{}, err
 	}

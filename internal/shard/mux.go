@@ -16,10 +16,38 @@ import (
 // epoch the instance was created at): after a live resize retires and
 // later recreates a shard slot, traffic from the dead instance carries an
 // older generation and is dropped instead of corrupting its successor.
+//
+// Envelopes come from EnvelopeChunks — each shard endpoint's on the
+// sending side, each wire decoder's on the receiving side.
 type Envelope struct {
 	Shard   int32
 	Gen     int32
 	Payload any
+}
+
+// EnvelopeChunk is how many envelopes one allocation provides.
+const EnvelopeChunk = 32
+
+// EnvelopeChunks hands out envelopes EnvelopeChunk to an allocation and
+// never reuses a slot: an envelope may outlive its Send (a transport
+// re-encodes a failed batch on its next connection, an in-process one
+// hands the sender's envelope to the receiver, a trace keeps what was
+// sent), so nothing may write to one once it has been handed on. The
+// price is that a live envelope keeps its chunk, and up to
+// EnvelopeChunk-1 sibling payloads, reachable. The zero value is ready to
+// use; it is not safe for concurrent use.
+type EnvelopeChunks struct {
+	free []Envelope // the unused tail of the current chunk
+}
+
+// Next returns an envelope no one else has been given.
+func (c *EnvelopeChunks) Next() *Envelope {
+	if len(c.free) == 0 {
+		c.free = make([]Envelope, EnvelopeChunk)
+	}
+	env := &c.free[0]
+	c.free = c.free[1:]
+	return env
 }
 
 // pendingCap bounds the per-slot buffer of inbound messages that arrived
@@ -203,6 +231,9 @@ type subEndpoint struct {
 	mux   *Mux
 	shard int32
 	gen   int32
+
+	envMu sync.Mutex
+	envs  EnvelopeChunks
 }
 
 var _ transport.Endpoint = (*subEndpoint)(nil)
@@ -211,11 +242,20 @@ func (s *subEndpoint) Self() timestamp.NodeID    { return s.mux.ep.Self() }
 func (s *subEndpoint) Peers() []timestamp.NodeID { return s.mux.ep.Peers() }
 
 func (s *subEndpoint) Send(to timestamp.NodeID, payload any) {
-	s.mux.ep.Send(to, &Envelope{Shard: s.shard, Gen: s.gen, Payload: payload})
+	s.mux.ep.Send(to, s.envelope(payload))
 }
 
 func (s *subEndpoint) Broadcast(payload any) {
-	s.mux.ep.Broadcast(&Envelope{Shard: s.shard, Gen: s.gen, Payload: payload})
+	s.mux.ep.Broadcast(s.envelope(payload))
+}
+
+// envelope wraps payload in a fresh envelope from the endpoint's chunks.
+func (s *subEndpoint) envelope(payload any) *Envelope {
+	s.envMu.Lock()
+	env := s.envs.Next()
+	s.envMu.Unlock()
+	*env = Envelope{Shard: s.shard, Gen: s.gen, Payload: payload}
+	return env
 }
 
 func (s *subEndpoint) SetHandler(h transport.Handler) {

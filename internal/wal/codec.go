@@ -54,7 +54,7 @@ func encodeFloorRec(typ byte, group int32, upto uint64) []byte {
 
 func appendInt32(b []byte, v int32) []byte { return codec.AppendUvarint(b, uint64(uint32(v))) }
 
-func readInt32(r *codec.Reader) int32 { return int32(uint32(r.Uvarint())) }
+func readInt32(r *codec.Reader) int32 { return int32(r.Uint32()) }
 
 func appendXID(b []byte, xid xshard.XID) []byte {
 	return codec.AppendUvarint(codec.AppendNode(b, xid.Node), xid.Seq)
@@ -72,7 +72,7 @@ func appendEpoch(b []byte, ec EpochChange) []byte {
 }
 
 func readEpoch(r *codec.Reader) EpochChange {
-	epoch := uint32(r.Uvarint())
+	epoch := r.Uint32()
 	shards := readInt32(r)
 	return EpochChange{Epoch: epoch, Shards: shards, PrevShards: readInt32(r)}
 }

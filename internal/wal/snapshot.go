@@ -151,7 +151,7 @@ func decodeSnapshot(raw []byte) (snapshotData, error) {
 		p.XID = readXID(r)
 		p.Groups = readList(r, 1, readInt32)
 		p.Ops = r.Commands()
-		p.Epoch = uint32(r.Uvarint())
+		p.Epoch = r.Uint32()
 		p.Got = readList(r, 1, readInt32)
 		p.Merged = r.Timestamp()
 		return p
@@ -162,7 +162,7 @@ func decodeSnapshot(raw []byte) (snapshotData, error) {
 	d.Audit.Groups = readList(&r, 5, func(r *codec.Reader) audit.GroupState {
 		var gs audit.GroupState
 		gs.Group = readInt32(r)
-		gs.Epoch = uint32(r.Uvarint())
+		gs.Epoch = r.Uint32()
 		gs.Frontier = r.Uvarint()
 		gs.Digest = audit.Digest(r.Uvarint())
 		gs.IDFold = audit.Digest(r.Uvarint())
@@ -173,7 +173,7 @@ func decodeSnapshot(raw []byte) (snapshotData, error) {
 		st.Kind = r.String()
 		st.Seq = r.Uvarint()
 		st.Group = readInt32(r)
-		st.Epoch = uint32(r.Uvarint())
+		st.Epoch = r.Uint32()
 		st.Frontier = r.Uvarint()
 		st.Digest = audit.Digest(r.Uvarint())
 		return st

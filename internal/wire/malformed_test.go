@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
@@ -103,6 +104,50 @@ func TestMalformedFramesAreErrors(t *testing.T) {
 		}
 		if env.Payload != nil {
 			t.Errorf("%s: a failed decode left payload %T in the envelope", tc.name, env.Payload)
+		}
+	}
+}
+
+// join concatenates byte slices.
+func join(parts ...[]byte) []byte {
+	var b []byte
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// TestFieldsWiderThan32BitsAreErrors: a ballot, shard, generation or
+// command epoch is the uvarint of 32 bits. A wider value is no encoding of
+// any message — truncated, Shard 2³²+1 would read as shard 1 — so the
+// frame is refused, while the same frame with the value 1 decodes.
+func TestFieldsWiderThan32BitsAreErrors(t *testing.T) {
+	put := codec.AppendCommand(nil, command.Put("k", []byte("v")))
+	put = put[:len(put)-1] // the command's last field, Epoch 0
+	cases := []struct {
+		name  string
+		frame func(v []byte) []byte
+	}{
+		{"Ballot", func(v []byte) []byte { return withBody(join([]byte{2, tagRecover}, v, []byte{0, 0})...) }},
+		{"Shard", func(v []byte) []byte {
+			return withBody(join([]byte{2, tagShardEnvelope}, v, []byte{0, tagHeartbeat, 0, 0, 0, 0})...)
+		}},
+		{"Gen", func(v []byte) []byte {
+			return withBody(join([]byte{2, tagShardEnvelope, 1}, v, []byte{tagHeartbeat, 0, 0, 0, 0})...)
+		}},
+		{"Command.Epoch", func(v []byte) []byte {
+			return withBody(join([]byte{2, tagStable, 0}, put, v, []byte{0, 0, 0})...)
+		}},
+	}
+	narrow, wide := codec.AppendUvarint(nil, 1), codec.AppendUvarint(nil, 1<<32|1)
+	for _, tc := range cases {
+		var env Envelope
+		if err := NewDecoder(bytes.NewReader(tc.frame(narrow))).Decode(&env); err != nil {
+			t.Fatalf("%s = 1: %v", tc.name, err)
+		}
+		env = Envelope{}
+		if err := NewDecoder(bytes.NewReader(tc.frame(wide))).Decode(&env); !errors.Is(err, ErrFrame) || env.Payload != nil {
+			t.Errorf("%s = 2³²+1: err %v, payload %#v; want ErrFrame and none", tc.name, err, env.Payload)
 		}
 	}
 }

@@ -45,7 +45,9 @@
 // binary-searches them; IDs in an ack or purge batch are a list, in any
 // order), and
 // decoded keys, values and payloads are exact-size copies, so the
-// decoder's frame buffer is never pinned by a message.
+// decoder's frame buffer is never pinned by a message. A decoded shard
+// envelope comes from the decoder's shard.EnvelopeChunks, which never
+// reuses a slot: it pins its chunk, not the frame buffer.
 package wire
 
 import (
@@ -227,6 +229,8 @@ type Decoder struct {
 	r   io.Reader
 	hdr [frameHeader]byte
 	buf []byte
+	// envs needs no lock: a decoder has one reader.
+	envs shard.EnvelopeChunks
 }
 
 // NewDecoder returns a Decoder reading from r.
@@ -252,7 +256,7 @@ func (d *Decoder) Decode(env *Envelope) error {
 	}
 	r := msgReader{Reader: codec.NewReader(body)}
 	from := r.Node()
-	payload, err := readMessage(&r, false)
+	payload, err := d.readMessage(&r, false)
 	if err != nil {
 		return err
 	}
@@ -309,11 +313,11 @@ func (r *msgReader) idSet() []command.ID {
 	return ids
 }
 
-func readBallot(r *msgReader) uint32 { return uint32(r.Uvarint()) }
+func readBallot(r *msgReader) uint32 { return r.Uint32() }
 
 // readMessage reads one tagged message; nested as in appendMessage. The
 // caller checks r.Err once the whole frame is read.
-func readMessage(r *msgReader, nested bool) (any, error) {
+func (d *Decoder) readMessage(r *msgReader, nested bool) (any, error) {
 	switch tag := r.Byte(); tag {
 	case tagFastPropose:
 		m := &caesar.FastPropose{Ballot: readBallot(r)}
@@ -387,9 +391,10 @@ func readMessage(r *msgReader, nested bool) (any, error) {
 		if nested {
 			return nil, fmt.Errorf("%w: shard envelope inside a shard envelope", ErrFrame)
 		}
-		m := &shard.Envelope{Shard: int32(uint32(r.Uvarint()))}
-		m.Gen = int32(uint32(r.Uvarint()))
-		payload, err := readMessage(r, true)
+		m := d.envs.Next()
+		m.Shard = int32(r.Uint32())
+		m.Gen = int32(r.Uint32())
+		payload, err := d.readMessage(r, true)
 		m.Payload = payload
 		return m, err
 	default:

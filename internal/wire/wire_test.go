@@ -162,6 +162,41 @@ func TestStreamCarriesMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestDecodedEnvelopesAreNeverReused: a decoder takes shard envelopes from
+// chunks and never hands a slot out twice, so an envelope a receiver still
+// holds keeps its shard, generation and message however many frames the
+// decoder reads after it.
+func TestDecodedEnvelopesAreNeverReused(t *testing.T) {
+	const frames = 3*shard.EnvelopeChunk + 5
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for i := 0; i < frames; i++ {
+		env := &shard.Envelope{Shard: int32(i % 7), Gen: int32(i), Payload: &caesar.Recover{Ballot: uint32(i)}}
+		if err := enc.Encode(&Envelope{From: 1, Payload: env}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec := NewDecoder(&buf)
+	got := make([]*shard.Envelope, frames)
+	for i := range got {
+		var out Envelope
+		if err := dec.Decode(&out); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		got[i] = out.Payload.(*shard.Envelope)
+	}
+	seen := make(map[*shard.Envelope]bool)
+	for i, env := range got {
+		if seen[env] {
+			t.Fatalf("frame %d: envelope %p was handed out twice", i, env)
+		}
+		seen[env] = true
+		if m, ok := env.Payload.(*caesar.Recover); !ok || env.Shard != int32(i%7) || env.Gen != int32(i) || m.Ballot != uint32(i) {
+			t.Fatalf("frame %d: envelope now holds shard %d gen %d payload %#v", i, env.Shard, env.Gen, env.Payload)
+		}
+	}
+}
+
 // TestCrossShardPayloadsRoundTrip pins the encoding path of the
 // cross-shard commit layer: pieces and abort markers ride as opaque
 // Payload bytes inside ordinary engine commands, so a sharded

@@ -14,11 +14,14 @@ import (
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
-// settled registers a settle waiter and returns a poll helper.
+// settled registers a settle waiter and returns a poll helper; a nil
+// channel is a read that settled at once.
 func settled(tb *Table, keys []string, bound uint64) func() bool {
-	fired := make(chan struct{})
-	tb.WaitSettled(keys, ts(bound, 0), func() { close(fired) })
+	fired := tb.WaitSettled(keys, ts(bound, 0))
 	return func() bool {
+		if fired == nil {
+			return true
+		}
 		select {
 		case <-fired:
 			return true
@@ -93,6 +96,27 @@ func TestWaitSettledReleasedByAbort(t *testing.T) {
 	tb.registerAbort(1, &Abort{XID: xid})
 	if !done() {
 		t.Fatal("not settled after the blocking transaction died")
+	}
+}
+
+// TestWaitSettledReleasedByStop: a read parked behind a held transaction
+// is released when the table stops — the transaction failed with
+// ErrStopped and can no longer execute below the read point — and a read
+// on a stopped table does not park at all.
+func TestWaitSettledReleasedByStop(t *testing.T) {
+	tb := newTestTable(&recordingExec{})
+	xid := XID{Node: 1, Seq: 1}
+	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps("a", "b")}, ts(5, 0), 0, command.ID{})
+	done := settled(tb, []string{"a"}, 10)
+	if done() {
+		t.Fatal("settled with a held transaction below the bound")
+	}
+	tb.stopAndFail()
+	if !done() {
+		t.Fatal("a parked read was not released when the table stopped")
+	}
+	if ch := tb.WaitSettled([]string{"a"}, ts(10, 0)); ch != nil {
+		t.Fatal("a read on a stopped table parked")
 	}
 }
 

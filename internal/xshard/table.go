@@ -134,7 +134,7 @@ type settleWaiter struct {
 	keys      []string
 	bound     timestamp.Timestamp
 	remaining map[XID]struct{}
-	fn        func()
+	done      chan struct{}
 }
 
 // landing is an executed transaction whose writes have not reached the
@@ -413,7 +413,12 @@ func (t *Table) stopAndFail() {
 			e.done = nil
 		}
 	}
-	settles := t.settleWaiters
+	// Parked snapshot reads are released rather than stranded: their
+	// blocking transactions fail with ErrStopped below, so nothing below
+	// their read point can execute anymore.
+	for _, w := range t.settleWaiters {
+		close(w.done)
+	}
 	t.settleWaiters = nil
 	t.mu.Unlock()
 	if stop != nil {
@@ -422,12 +427,6 @@ func (t *Table) stopAndFail() {
 	}
 	for _, done := range dones {
 		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-	// Parked snapshot reads are released rather than stranded: their
-	// blocking transactions just failed with ErrStopped above, so nothing
-	// below their read point can execute anymore.
-	for _, w := range settles {
-		w.fn()
 	}
 }
 
@@ -459,13 +458,16 @@ func (t *Table) flush() {
 		return
 	}
 	t.flushing = true
-	for len(t.queue) > 0 {
-		fn := t.queue[0]
-		t.queue = t.queue[1:]
+	// Actions queued while one runs land behind it; once all have run the
+	// queue keeps its backing array for the next batch.
+	for i := 0; i < len(t.queue); i++ {
+		fn := t.queue[i]
+		t.queue[i] = nil
 		t.mu.Unlock()
 		fn()
 		t.mu.Lock()
 	}
+	t.queue = t.queue[:0]
 	t.flushing = false
 	t.mu.Unlock()
 }
@@ -551,9 +553,11 @@ func (t *Table) noteSettledLocked(xid XID) {
 		delete(w.remaining, xid)
 		// Re-check from scratch when the recorded set empties: new
 		// qualifying entries may have registered since the last scan.
-		if len(w.remaining) == 0 && t.settleCheckLocked(w) {
-			t.queue = append(t.queue, w.fn)
-			continue
+		if len(w.remaining) == 0 {
+			if w.remaining = t.settleBlockersLocked(w.keys, w.bound); w.remaining == nil {
+				close(w.done)
+				continue
+			}
 		}
 		kept = append(kept, w)
 	}
@@ -633,52 +637,61 @@ func (t *Table) AwaitGroupDrain(group int32, epoch uint32, fn func()) {
 	t.mu.Unlock()
 }
 
-// WaitSettled parks fn until no in-flight transaction touching any of
-// keys could still execute at a merged timestamp at or below bound; fn
-// fires immediately (from the queue, outside the lock) when none can. The
-// local-read engine calls it after its consensus-frontier wait: a piece
-// applied below a read's timestamp sits in this table until its siblings
-// stabilize, and the read must not serve state that is missing a
-// transaction it would have to observe. fn must not re-enter the table
-// synchronously with a blocking call.
-func (t *Table) WaitSettled(keys []string, bound timestamp.Timestamp, fn func()) {
+// WaitSettled reports when no in-flight transaction touching any of keys
+// can still execute at a merged timestamp at or below bound. It returns
+// nil when none can now, or when the table has stopped (nothing pending
+// can ever resolve; stopAndFail failed the clients). Otherwise it returns
+// a channel that is closed, under the table lock, once the read settles
+// or the table stops. The local-read engine calls it after its
+// consensus-frontier wait: a piece applied below a read's timestamp sits
+// in this table until its siblings stabilize, and the read must not serve
+// state that is missing a transaction it would have to observe. A read
+// that nothing blocks allocates nothing here.
+func (t *Table) WaitSettled(keys []string, bound timestamp.Timestamp) <-chan struct{} {
 	t.mu.Lock()
-	defer t.flush()
-	// On a stopped table nothing pending can ever resolve (stopAndFail
-	// already failed the clients and cleared the waiters); release the
-	// read immediately instead of stranding it until its context expires.
-	w := &settleWaiter{keys: keys, bound: bound, fn: fn}
-	if t.halted || t.settleCheckLocked(w) {
-		t.queue = append(t.queue, fn)
-	} else {
-		t.settleWaiters = append(t.settleWaiters, w)
+	defer t.mu.Unlock()
+	if t.halted {
+		return nil
 	}
-	t.mu.Unlock()
+	remaining := t.settleBlockersLocked(keys, bound)
+	if remaining == nil {
+		return nil
+	}
+	w := &settleWaiter{keys: keys, bound: bound, remaining: remaining, done: make(chan struct{})}
+	t.settleWaiters = append(t.settleWaiters, w)
+	return w.done
 }
 
-// settleCheckLocked recomputes w's blocking set through the key index;
-// true means nothing blocks the read point now.
-func (t *Table) settleCheckLocked(w *settleWaiter) bool {
-	w.remaining = make(map[XID]struct{})
-	for _, k := range w.keys {
+// settleBlockersLocked computes through the key index the transactions
+// that could still execute on keys at or below bound; nil, with no map
+// allocated, means nothing blocks the read point now.
+func (t *Table) settleBlockersLocked(keys []string, bound timestamp.Timestamp) map[XID]struct{} {
+	var remaining map[XID]struct{}
+	block := func(xid XID) {
+		if remaining == nil {
+			remaining = make(map[XID]struct{})
+		}
+		remaining[xid] = struct{}{}
+	}
+	for _, k := range keys {
 		for e := range t.pendingByKey[k] {
-			if !w.bound.Less(e.merged) { // lower bound <= read point: could execute below it
-				w.remaining[e.xid] = struct{}{}
+			if !bound.Less(e.merged) { // lower bound <= read point: could execute below it
+				block(e.xid)
 			}
 		}
 	}
 	for xid, ld := range t.landing {
-		if w.bound.Less(ld.merged) {
+		if bound.Less(ld.merged) {
 			continue
 		}
-		for _, k := range w.keys {
+		for _, k := range keys {
 			if _, ok := ld.keys[k]; ok {
-				w.remaining[xid] = struct{}{}
+				block(xid)
 				break
 			}
 		}
 	}
-	return len(w.remaining) == 0
+	return remaining
 }
 
 // Expect registers the coordinator-side entry before its pieces are

@@ -168,7 +168,7 @@ func DecodePiece(payload []byte) (*Piece, error) {
 	if n := r.Count(1); n > 0 { // a group is at least one uvarint byte
 		groups = make([]int32, n)
 		for i := range groups {
-			groups[i] = int32(uint32(r.Uvarint()))
+			groups[i] = int32(r.Uint32())
 		}
 	}
 	ops := r.Commands()
@@ -184,7 +184,7 @@ func DecodeAbort(payload []byte) (*Abort, error) {
 	if err != nil {
 		return nil, err
 	}
-	group := int32(uint32(r.Uvarint()))
+	group := int32(r.Uint32())
 	if err := r.End(); err != nil {
 		return nil, err
 	}
