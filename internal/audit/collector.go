@@ -159,8 +159,8 @@ func suspectKey(d Divergence) string {
 }
 
 // Collector periodically gathers every node's audit report and raises
-// divergences. Mirrors the shape of the stall watchdog: Start spawns one
-// goroutine, Stop joins it, RunOnce is the testable unit.
+// divergences across nodes, so it keeps its own loop rather than a node's
+// maintenance tick: Start spawns it, Stop joins it, RunOnce is testable.
 type Collector struct {
 	// Sources name the nodes to audit.
 	Sources []Source

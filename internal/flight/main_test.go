@@ -6,7 +6,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/leakcheck"
 )
 
-// TestMain fails the package if watchdog goroutines outlive the tests —
-// a missed Stop join would leave a scanner polling a clock nothing
-// advances.
+// TestMain fails the package if a goroutine outlives the tests: the
+// recorder and the watchdog run none of their own — the node stack's
+// maintenance loop paces Scan.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -27,7 +27,7 @@ type Sample struct {
 }
 
 // Probe samples one stall signal. Probes must be safe to call from the
-// watchdog goroutine at any time — in particular they must not post into
+// scanning goroutine at any time — in particular they must not post into
 // (or wait on) an event loop, since a wedged loop is exactly what they
 // exist to detect.
 type Probe struct {
@@ -110,10 +110,8 @@ type Config struct {
 	// Self is the node the diagnoses are attributed to.
 	Self timestamp.NodeID
 	// Now is the clock ages are measured on. Default time.Now; inject a
-	// fake together with Ticks to drive scans under simulated time.
+	// fake and call Scan to drive the watchdog under simulated time.
 	Now func() time.Time
-	// Interval paces the background scan loop. Default 1s.
-	Interval time.Duration
 	// Threshold is the default trip threshold for probes that do not
 	// set their own. Default 10s.
 	Threshold time.Duration
@@ -126,10 +124,6 @@ type Config struct {
 	// assembled diagnosis; it runs on the scanning goroutine, so it
 	// must not block (hand work off if it needs to).
 	OnStall func(*Diagnosis)
-	// Ticks, when non-nil, replaces the internal ticker as the scan
-	// pacing — fake-clock tests and callers that already own a timer
-	// feed it. The watchdog never closes it.
-	Ticks <-chan time.Time
 }
 
 // historyLimit bounds the flight-recorder tail included in bundles.
@@ -139,19 +133,16 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.Threshold <= 0 {
 		c.Threshold = 10 * time.Second
 	}
 	return c
 }
 
-// Watchdog periodically scans stall probes and assembles diagnosis
-// bundles when one trips. Construct with NewWatchdog, register probes
-// and sections, then Start; Scan and Diagnose also work without Start
-// (on-demand scans, fake-clock tests).
+// Watchdog scans stall probes and assembles diagnosis bundles when one
+// trips. Construct with NewWatchdog and register probes and sections;
+// whoever owns the node's clock paces Scan (internal/stack's maintenance
+// loop), and Diagnose serves on-demand bundles. It runs no goroutine.
 type Watchdog struct {
 	cfg Config
 
@@ -163,9 +154,6 @@ type Watchdog struct {
 
 	scans atomic.Int64
 	trips atomic.Int64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewWatchdog returns a watchdog with no probes; it trips on nothing
@@ -338,53 +326,4 @@ func (w *Watchdog) Scan() *Diagnosis {
 func (w *Watchdog) Diagnose() *Diagnosis {
 	now := w.cfg.Now()
 	return w.bundle(now, w.sample(now))
-}
-
-// Start launches the background scan loop; Stop joins it. Without
-// Config.Ticks the loop paces itself on a real-time ticker.
-func (w *Watchdog) Start() {
-	w.mu.Lock()
-	if w.stop != nil {
-		w.mu.Unlock()
-		return
-	}
-	w.stop = make(chan struct{})
-	w.done = make(chan struct{})
-	stop, done := w.stop, w.done
-	w.mu.Unlock()
-	go w.loop(stop, done)
-}
-
-// loop is the background scanner.
-func (w *Watchdog) loop(stop, done chan struct{}) {
-	defer close(done)
-	ticks := w.cfg.Ticks
-	if ticks == nil {
-		//caesarlint:allow wallclock -- scan cadence only; every sampled age compares cfg.Now instants
-		t := time.NewTicker(w.cfg.Interval)
-		defer t.Stop()
-		ticks = t.C
-	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticks:
-			w.Scan()
-		}
-	}
-}
-
-// Stop joins the background loop; safe to call without Start and more
-// than once.
-func (w *Watchdog) Stop() {
-	w.mu.Lock()
-	stop, done := w.stop, w.done
-	w.stop, w.done = nil, nil
-	w.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -186,37 +186,6 @@ func TestWatchdogDiagnoseOnDemand(t *testing.T) {
 	}
 }
 
-func TestWatchdogStartStopTicks(t *testing.T) {
-	now, advance := fakeClock(time.Unix(5000, 0))
-	ticks := make(chan time.Time)
-	tripped := make(chan *Diagnosis, 1)
-	w := NewWatchdog(Config{
-		Self:      1,
-		Now:       now,
-		Threshold: 5 * time.Second,
-		Ticks:     ticks,
-		OnStall:   func(d *Diagnosis) { tripped <- d },
-	})
-	held := now()
-	w.AddProbe(heldProbe("held-tx", &held, command.ID{Node: 1, Seq: 1}))
-	w.Start()
-	w.Start() // idempotent
-	defer w.Stop()
-
-	advance(6 * time.Second)
-	ticks <- time.Time{} // tick payload is ignored; cfg.Now is the clock
-	select {
-	case d := <-tripped:
-		if len(d.Stalls) != 1 {
-			t.Fatalf("stalls = %+v", d.Stalls)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog loop did not scan on injected tick")
-	}
-	w.Stop()
-	w.Stop() // idempotent
-}
-
 func TestNilDiagnosisRenders(t *testing.T) {
 	var d *Diagnosis // what Last returns before the first trip
 	if !strings.Contains(d.Render(), "no diagnosis") {

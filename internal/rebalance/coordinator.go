@@ -232,8 +232,6 @@ type Coordinator struct {
 	waiters []waiter
 
 	running bool
-	stopCh  chan struct{}
-	doneCh  chan struct{}
 }
 
 type waiter struct {
@@ -351,23 +349,18 @@ func (co *Coordinator) DebugState() []string {
 	return out
 }
 
-// Start launches the maintenance sweeper. Call it after the engine's
-// groups have started.
+// Start opens the coordinator for resizes. Call it after the engine's
+// groups have started. Fence re-proposals and retirements fall due on
+// Sweep, which the node stack's maintenance loop calls.
 func (co *Coordinator) Start() {
 	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.running {
-		return
-	}
 	co.running = true
-	co.stopCh = make(chan struct{})
-	co.doneCh = make(chan struct{})
-	go co.sweeper(co.stopCh, co.doneCh)
+	co.mu.Unlock()
 }
 
-// Stop halts the sweeper and fails every gated delivery with ErrStopped.
-// Call it after the engine's groups have stopped, so no delivery reaches
-// the gate any more. Idempotent.
+// Stop fails every gated delivery with ErrStopped. Call it after the
+// engine's groups have stopped, so no delivery reaches the gate any more.
+// Idempotent.
 func (co *Coordinator) Stop() {
 	co.mu.Lock()
 	if !co.running {
@@ -375,15 +368,12 @@ func (co *Coordinator) Stop() {
 		return
 	}
 	co.running = false
-	stopCh, doneCh := co.stopCh, co.doneCh
 	queue := co.queue
 	co.queue = nil
 	co.queuedKeys = make(map[groupKey]int)
 	ws := co.waiters
 	co.waiters = nil
 	co.mu.Unlock()
-	close(stopCh)
-	<-doneCh
 	for _, q := range queue {
 		// Entries mid-release report through the drainer; failing them
 		// here would fire their completion twice.
@@ -396,28 +386,6 @@ func (co *Coordinator) Stop() {
 	}
 }
 
-// sweepInterval is the maintenance timer granularity.
-const sweepInterval = 250 * time.Millisecond
-
-// sweeper drives timers: overdue fence re-proposals and scheduled
-// retirements.
-func (co *Coordinator) sweeper(stopCh, doneCh chan struct{}) {
-	defer close(doneCh)
-	// Real-time cadence by design: fence/retire deadlines inside Sweep
-	// read cfg.Now; deterministic tests call Sweep directly.
-	//caesarlint:allow wallclock -- sweep cadence only; deadlines compare cfg.Now instants
-	tick := time.NewTicker(sweepInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stopCh:
-			return
-		case <-tick.C:
-			co.Sweep()
-		}
-	}
-}
-
 // fenceTimeout is how long an installed epoch may wait for a group's fence
 // before this node re-proposes it (a crashed initiator's propagation is
 // finished by survivors).
@@ -425,8 +393,9 @@ const fenceTimeout = 2 * time.Second
 
 // Sweep runs one maintenance pass: it re-proposes fences for groups that
 // have not delivered theirs within fenceTimeout (staggered by node rank so
-// one survivor usually wins) and executes a due retirement. Tests with an
-// injected clock call it directly.
+// one survivor usually wins) and executes a due retirement. The node
+// stack's maintenance loop calls it every tick; every deadline it
+// compares is a Config.Now instant.
 func (co *Coordinator) Sweep() {
 	now := co.cfg.Now()
 	var refence []int
@@ -1135,8 +1104,8 @@ func (co *Coordinator) Resize(ctx context.Context, shards int) error {
 	if co.history.Shards(m.Epoch) != m.Shards {
 		return ErrResizeConflict
 	}
-	// Fence the remaining old groups (the sweeper finishes this if we
-	// crash or a submission is lost).
+	// Fence the remaining old groups (Sweep finishes this if we crash or
+	// a submission is lost).
 	errs := make(chan error, int(m.PrevShards))
 	for g := 1; g < int(m.PrevShards); g++ {
 		go func(g int) { errs <- submitFence(ctx, inner, g, fence) }(g)

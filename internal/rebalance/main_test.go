@@ -7,8 +7,8 @@ import (
 )
 
 // TestMain fails the package if coordinator goroutines outlive the
-// tests: the sweeper, handoff workers and deferred-delivery reposters
-// must all be joined by Stop.
+// tests: handoff workers and deferred-delivery reposters must all be
+// joined by Stop.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

@@ -62,9 +62,8 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 			for i := range stacks {
 				node := i
 				cfg := stack.Config{
-					Shards:           tc.shards,
-					SnapshotInterval: -1,
-					Rebalance:        true,
+					Shards:    tc.shards,
+					Rebalance: true,
 					Build: func(g int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, met *metrics.Recorder, ctd *contend.Group) protocol.Engine {
 						ccfg := caesar.Config{HeartbeatInterval: -1}
 						if node == 0 {

@@ -61,8 +61,7 @@ func TestRefusedAppendIsNotAcknowledged(t *testing.T) {
 			ep = tap
 		}
 		stk, err := stack.Build(ep, stack.Config{
-			DataDir:          fmt.Sprintf("%s/n%d", dir, i),
-			SnapshotInterval: -1,
+			DataDir: fmt.Sprintf("%s/n%d", dir, i),
 			Build: stack.CaesarEngine(caesar.Config{
 				HeartbeatInterval: -1,
 				GCInterval:        5 * time.Millisecond,

@@ -7,9 +7,9 @@ import (
 )
 
 // TestMain fails the package if any layer of a built node outlives the
-// tests: the stack joins every subsystem on Stop — loops, tickers,
-// sweepers, the WAL syncer and the snapshot loop — so a survivor here is
-// a missed join somewhere in the stack.
+// tests: the stack joins every subsystem on Stop — event loops, tickers,
+// the WAL syncer and the maintenance loop — so a survivor here is a
+// missed join somewhere in the stack.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

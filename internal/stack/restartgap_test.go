@@ -42,9 +42,8 @@ func TestRestartGapCostsOneRun(t *testing.T) {
 	stacks[2].Stop()
 	net.Restore(2)
 	rebuilt, err := stack.Build(net.Endpoint(2), stack.Config{
-		DataDir:          dirs(2),
-		SnapshotInterval: -1,
-		Build:            stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1, GCInterval: 10 * time.Millisecond}),
+		DataDir: dirs(2),
+		Build:   stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1, GCInterval: 10 * time.Millisecond}),
 	})
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)

@@ -22,6 +22,12 @@
 // and returns, and everything below it — table, applier, the client and
 // GC acknowledgements — runs on the group's completion lane in the log,
 // after the sync that covers the record, in the group's append order.
+//
+// Time enters a node in one place: every timer a stack-built layer keeps
+// (fence re-proposals, orphaned-transaction resolution, watchdog scans,
+// snapshot checks) falls due on Stack.Tick, against Config.Now. A node
+// with an injected clock runs none of them unless its clock's owner calls
+// Tick.
 package stack
 
 import (
@@ -129,10 +135,6 @@ type Config struct {
 	// dir replays snapshot + log tail and rejoins. Empty disables
 	// durability (the pre-existing purely in-memory behavior).
 	DataDir string
-	// SnapshotInterval is how often the snapshot loop checks whether the
-	// log grew past wal.Options.SnapshotBytes. Default 1s; negative
-	// disables the loop (tests snapshot explicitly).
-	SnapshotInterval time.Duration
 	// Rebalance layers live resizing over a sharded node. Requires
 	// engines that deliver OpFence markers (CAESAR); plain sharded
 	// deployments of other protocols leave it false.
@@ -150,11 +152,9 @@ type Config struct {
 	// oldest parked fence and each group engine's oldest unacknowledged
 	// command against it. Default 10s.
 	StallThreshold time.Duration
-	// WatchdogInterval paces the watchdog's background scans. Default 1s.
+	// WatchdogInterval is how often the maintenance loop runs a watchdog
+	// scan, measured on Now. Default 1s.
 	WatchdogInterval time.Duration
-	// WatchdogTicks, when non-nil, replaces the watchdog's internal
-	// ticker as its scan pacing — fake-clock tests feed it.
-	WatchdogTicks <-chan time.Time
 	// OnStall fires once per healthy→stalled transition with the
 	// watchdog's assembled diagnosis; it must not block.
 	OnStall func(*flight.Diagnosis)
@@ -166,9 +166,13 @@ type Config struct {
 	// Now is the clock every stack-built layer measures and times out
 	// against: the read engine's latency stamps, the WAL's fsync
 	// measurements, the commit table's and the rebalance coordinator's
-	// deadlines. Default time.Now; inject a fake to drive the whole node
-	// under simulated time. Engines built by Build must be given the
-	// same clock for the node's timeline to be coherent.
+	// deadlines, the trace ring's and the flight recorder's stamps.
+	// Default time.Now; inject a fake to drive the whole node under
+	// simulated time. Injecting Now hands the caller every timer: the
+	// node runs no maintenance loop, so it snapshots, resolves orphaned
+	// transactions, re-proposes fences and scans for stalls only when
+	// whoever advances the clock calls Stack.Tick. Engines built by Build
+	// must be given the same clock for the node's timeline to be coherent.
 	Now func() time.Time
 	// Build constructs each group's engine. Required.
 	Build BuildEngine
@@ -207,13 +211,23 @@ type Stack struct {
 	// caesar_contention_*/caesar_hotkey_* families. The sketch is bounded
 	// and lock-cheap, so it is always on; never nil.
 	Contend *contend.Profile
-	// Watchdog is the node's stall watchdog; never nil. Start/Stop
-	// manage its scan loop.
+	// Watchdog is the node's stall watchdog; never nil. The maintenance
+	// loop, or Tick, runs its scans.
 	Watchdog *flight.Watchdog
 
-	snapInterval time.Duration
-	snapStop     chan struct{}
-	snapDone     chan struct{}
+	now       func() time.Time
+	scanEvery time.Duration
+
+	// mu guards the lifecycle and the maintenance cadences' next-due
+	// instants. quit and done are the maintenance loop's, nil on a node
+	// whose clock was injected. busy is set while the loop's worker runs
+	// a maintenance pass, and work lets Stop join it.
+	mu                 sync.Mutex
+	started, stopped   bool
+	quit, done         chan struct{}
+	nextScan, nextSnap time.Time
+	busy               atomic.Bool
+	work               sync.WaitGroup
 
 	ackMu  sync.Mutex
 	ackers []ackProber
@@ -241,9 +255,13 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	if app == nil {
 		app = batch.NewApplier(store)
 	}
-	s := &Stack{Store: store, Flight: cfg.Flight, snapInterval: cfg.SnapshotInterval}
-	if s.snapInterval == 0 {
-		s.snapInterval = time.Second
+	s := &Stack{Store: store, Flight: cfg.Flight, now: cfg.Now, scanEvery: cfg.WatchdogInterval}
+	if s.now == nil {
+		s.now = time.Now
+		s.quit, s.done = make(chan struct{}), make(chan struct{})
+	}
+	if s.scanEvery <= 0 {
+		s.scanEvery = time.Second
 	}
 	s.self = ep.Self().String()
 	s.onDivergence = cfg.OnDivergence
@@ -259,6 +277,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	store.SetGroupFn(history.GroupOf)
 	if cfg.Now != nil {
 		cfg.Flight.SetNow(cfg.Now)
+		cfg.Trace.SetNow(cfg.Now)
 	}
 	// The read engine attaches each group's read frontier as the group is
 	// built — including groups a live resize adds later, which come
@@ -415,7 +434,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 // endpoint and the stall watchdog with its probes, sections, counters and
 // /debugz endpoint.
 func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
-	s.registerGauges(cfg.Obs, cfg.Now)
+	s.registerGauges(cfg.Obs)
 	obs.RegisterRuntime(cfg.Obs)
 	if cfg.Trace != nil {
 		cfg.Obs.Handle("/tracez", trace.Handler(ep.Self(), cfg.Trace))
@@ -428,12 +447,10 @@ func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
 	wd := flight.NewWatchdog(flight.Config{
 		Self:      ep.Self(),
 		Now:       cfg.Now,
-		Interval:  cfg.WatchdogInterval,
 		Threshold: cfg.StallThreshold,
 		Recorder:  cfg.Flight,
 		Trace:     cfg.Trace,
 		OnStall:   cfg.OnStall,
-		Ticks:     cfg.WatchdogTicks,
 	})
 	if t := s.Table; t != nil {
 		wd.AddProbe(flight.Probe{Name: "held-tx", Sample: func(now time.Time) (flight.Sample, bool) {
@@ -582,12 +599,9 @@ func (s *Stack) registerHotKeys(ob *obs.Registry) {
 // registerGauges installs the stack's scrape-time gauges: everything here
 // is sampled from existing accessors only when /metrics or /statusz is
 // hit, so the registry costs the running node nothing.
-func (s *Stack) registerGauges(ob *obs.Registry, now func() time.Time) {
+func (s *Stack) registerGauges(ob *obs.Registry) {
 	if ob == nil {
 		return
-	}
-	if now == nil {
-		now = time.Now
 	}
 	if co := s.Coordinator; co != nil {
 		ob.Gauge("caesar_shards",
@@ -621,7 +635,7 @@ func (s *Stack) registerGauges(ob *obs.Registry, now func() time.Time) {
 				if !ok {
 					return 0
 				}
-				return now().Sub(since).Seconds()
+				return s.now().Sub(since).Seconds()
 			})
 	}
 	if l := s.Log; l != nil {
@@ -689,9 +703,24 @@ func (s *Stack) NoteDivergence(d audit.Divergence) {
 // AuditDivergences returns how many divergences were noted at this node.
 func (s *Stack) AuditDivergences() uint64 { return s.divergences.Load() }
 
-// Start launches the engine stack, the rebalance coordinator's sweeper,
-// the stall watchdog's scan loop and, with a log, the snapshot loop.
+// The maintenance loop ticks every tickEvery; a tick asks the log whether
+// it has grown enough to snapshot every snapshotEvery.
+const (
+	tickEvery     = 250 * time.Millisecond
+	snapshotEvery = time.Second
+)
+
+// Start launches the engine stack, the rebalance coordinator and the
+// maintenance loop — except on a node built with Config.Now, whose clock's
+// owner must call Tick or the node runs no timer at all. Idempotent; a
+// stopped stack does not start again.
 func (s *Stack) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started || s.stopped {
+		return
+	}
+	s.started = true
 	s.Engine.Start()
 	if s.Coordinator != nil {
 		s.Coordinator.Start()
@@ -701,29 +730,90 @@ func (s *Stack) Start() {
 	} else {
 		s.Flight.Eventf(flight.KindNode, "node started: %d group(s)", s.Shards)
 	}
-	s.Watchdog.Start()
-	if s.Log != nil && s.snapInterval > 0 {
-		s.snapStop = make(chan struct{})
-		s.snapDone = make(chan struct{})
-		go s.snapshotLoop()
+	if s.quit != nil {
+		go s.loop()
 	}
 }
 
-// snapshotLoop periodically truncates the log behind a fresh snapshot
-// once it has grown enough.
-func (s *Stack) snapshotLoop() {
-	defer close(s.snapDone)
-	//caesarlint:allow wallclock -- snapshot cadence only; the log's size, not an instant, decides whether to cut
-	tick := time.NewTicker(s.snapInterval)
+// loop is the node's one maintenance goroutine. It scans itself and runs
+// the rest of a pass, which can wait on a group loop or the disk, on a
+// worker that lives while the pass runs (a tick finding one busy skips
+// it), so nothing the watchdog exists to report can stop its scans.
+func (s *Stack) loop() {
+	defer close(s.done)
+	//caesarlint:allow wallclock -- maintenance cadence only; every deadline a tick acts on compares instants of the stack's clock
+	tick := time.NewTicker(tickEvery)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.snapStop:
+		case <-s.quit:
 			return
 		case <-tick.C:
-			_ = s.Log.MaybeSnapshot(s.export)
+			s.scan()
+			if s.busy.CompareAndSwap(false, true) {
+				s.work.Add(1)
+				go func() {
+					defer s.work.Done()
+					s.maintain()
+					s.busy.Store(false)
+				}()
+			}
 		}
 	}
+}
+
+// Tick runs one maintenance pass on the stack's clock: a watchdog scan
+// once WatchdogInterval has passed since the last, the coordinator's sweep
+// and the commit table's resolution, and a snapshot check once a second
+// has passed (the first Tick runs all four). It waits on whatever the
+// sweep, the resolution or the snapshot waits on. On a node with an
+// injected clock only the clock's owner calls it.
+func (s *Stack) Tick() {
+	s.scan()
+	s.maintain()
+}
+
+// scan runs a watchdog scan if one is due; a scan only samples.
+func (s *Stack) scan() {
+	s.mu.Lock()
+	ok := due(&s.nextScan, s.now(), s.scanEvery)
+	s.mu.Unlock()
+	if ok {
+		s.Watchdog.Scan()
+	}
+}
+
+// maintain is the part of a pass that can block.
+func (s *Stack) maintain() {
+	if s.Coordinator != nil {
+		s.Coordinator.Sweep()
+	}
+	if s.Table != nil {
+		s.Table.Resolve()
+	}
+	if s.Log == nil {
+		return
+	}
+	s.mu.Lock()
+	ok := due(&s.nextSnap, s.now(), snapshotEvery)
+	s.mu.Unlock()
+	if ok {
+		_ = s.Log.MaybeSnapshot(s.export)
+	}
+}
+
+// due reports whether *next has come round at now and, if so, moves it
+// one period on from when it was due (ticker jitter does not stretch the
+// period), or from now if the clock ran more than a period past it.
+func due(next *time.Time, now time.Time, every time.Duration) bool {
+	if now.Before(*next) {
+		return false
+	}
+	*next = next.Add(every)
+	if !next.After(now) {
+		*next = now.Add(every)
+	}
+	return true
 }
 
 func (s *Stack) export() (map[string][]byte, int64) {
@@ -738,23 +828,33 @@ func (s *Stack) Snapshot() error {
 	return s.Log.Snapshot(s.export)
 }
 
-// Stop shuts the node down: snapshot loop, engines (the groups — no loop
-// delivers, appends, anything more — then the commit table), the
-// rebalance coordinator (failing the deliveries it still gated), then the
-// log, whose Close syncs, applies and acknowledges every record the loops
-// had appended before it returns. The
-// store a stopped node leaves is therefore exactly what its data dir
-// replays to; completions that run after their engine stopped find its
-// loop closed and drop their GC ack, which a restart re-sends.
+// Stop shuts the node down: the maintenance loop, then the engines (the
+// groups — no loop delivers, appends, anything more — then the commit
+// table), then the maintenance pass still running, if any (a stopped
+// group fails what a sweep or a resolution submits to it), the rebalance
+// coordinator (failing the deliveries it still gated), then the log,
+// whose Close syncs, applies and acknowledges every record the loops had
+// appended before it returns. The store a stopped node leaves is
+// therefore exactly what its data dir replays to;
+// completions that run after their engine stopped find its loop closed
+// and drop their GC ack, which a restart re-sends. Idempotent, and a
+// stack that was never started stops as well.
 func (s *Stack) Stop() {
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		return
+	}
+	s.stopped = true
+	loop := s.started && s.quit != nil
+	s.mu.Unlock()
 	s.Flight.Eventf(flight.KindNode, "node stopping")
-	s.Watchdog.Stop()
-	if s.snapStop != nil {
-		close(s.snapStop)
-		<-s.snapDone
-		s.snapStop = nil
+	if loop {
+		close(s.quit)
+		<-s.done
 	}
 	s.Engine.Stop()
+	s.work.Wait()
 	if s.Coordinator != nil {
 		s.Coordinator.Stop()
 	}

@@ -22,10 +22,9 @@ func buildCluster(t *testing.T, net *memnet.Network, n, shards int, dirFor func(
 			dir = dirFor(i)
 		}
 		stk, err := stack.Build(net.Endpoint(timestamp.NodeID(i)), stack.Config{
-			Shards:           shards,
-			DataDir:          dir,
-			SnapshotInterval: -1,
-			Rebalance:        true,
+			Shards:    shards,
+			DataDir:   dir,
+			Rebalance: true,
 			Build: stack.CaesarEngine(caesar.Config{
 				HeartbeatInterval: -1,
 				GCInterval:        10 * time.Millisecond,
@@ -81,11 +80,10 @@ func TestDurableShardedRestartRecoversState(t *testing.T) {
 	// history must override it.
 	net.Restore(2)
 	rebuilt, err := stack.Build(net.Endpoint(2), stack.Config{
-		Shards:           7, // wrong on purpose
-		DataDir:          dirs(2),
-		SnapshotInterval: -1,
-		Rebalance:        true,
-		Build:            stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1}),
+		Shards:    7, // wrong on purpose
+		DataDir:   dirs(2),
+		Rebalance: true,
+		Build:     stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1}),
 	})
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
@@ -112,7 +110,7 @@ func TestDurableShardedRestartRecoversState(t *testing.T) {
 	submit(t, rebuilt, command.Put("after-restart", []byte("ok")))
 }
 
-// TestUnshardedDurableNodeSnapshots drives the snapshot loop end to end
+// TestUnshardedDurableNodeSnapshots drives a forced snapshot end to end
 // on a single-group durable node.
 func TestUnshardedDurableNodeSnapshots(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 3})

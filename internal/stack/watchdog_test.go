@@ -47,18 +47,15 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 3})
 	defer net.Close()
 	now, advance := fakeClock(time.Unix(1000, 0))
-	ticks := make(chan time.Time)
 	stalls := make(chan *flight.Diagnosis, 1)
 	rec := flight.New(0, 128)
 	ring := trace.NewRing(256)
 	stk, err := stack.Build(net.Endpoint(0), stack.Config{
-		Shards:           2,
-		SnapshotInterval: -1,
-		Rebalance:        true,
-		Trace:            ring,
-		Flight:           rec,
-		StallThreshold:   10 * time.Second,
-		WatchdogTicks:    ticks,
+		Shards:         2,
+		Rebalance:      true,
+		Trace:          ring,
+		Flight:         rec,
+		StallThreshold: 10 * time.Second,
 		OnStall: func(d *flight.Diagnosis) {
 			select {
 			case stalls <- d:
@@ -78,8 +75,10 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 	}
 
 	// A healthy scan first: nothing is pending, so no trip.
-	ticks <- now()
-	waitUntil(t, 5*time.Second, func() bool { return stk.Watchdog.Scans() >= 1 })
+	stk.Tick()
+	if stk.Watchdog.Scans() != 1 {
+		t.Fatalf("Scans = %d after the first Tick, want 1", stk.Watchdog.Scans())
+	}
 	if stk.Watchdog.Stalled() {
 		t.Fatal("watchdog stalled on a healthy node")
 	}
@@ -94,20 +93,22 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 
 	// Under threshold: still healthy.
 	advance(9 * time.Second)
-	ticks <- now()
-	waitUntil(t, 5*time.Second, func() bool { return stk.Watchdog.Scans() >= 2 })
+	stk.Tick()
+	if stk.Watchdog.Scans() != 2 {
+		t.Fatalf("Scans = %d, want 2", stk.Watchdog.Scans())
+	}
 	if stk.Watchdog.Stalled() {
 		t.Fatal("watchdog tripped below threshold")
 	}
 
 	// Past threshold: the next scan must trip.
 	advance(2 * time.Second)
-	ticks <- now()
+	stk.Tick()
 	var d *flight.Diagnosis
 	select {
 	case d = <-stalls:
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog did not trip within one scan of crossing the threshold")
+	default:
+		t.Fatal("watchdog did not trip on the first Tick past the threshold")
 	}
 	if len(d.Stalls) == 0 {
 		t.Fatal("trip diagnosis has no stalls")
@@ -146,15 +147,12 @@ func TestWatchdogMetricsAndDebugz(t *testing.T) {
 	net := memnet.New(memnet.Config{Nodes: 3})
 	defer net.Close()
 	now, _ := fakeClock(time.Unix(2000, 0))
-	ticks := make(chan time.Time)
 	stk, err := stack.Build(net.Endpoint(0), stack.Config{
-		Shards:           2,
-		SnapshotInterval: -1,
-		Rebalance:        true,
-		Flight:           flight.New(0, 128),
-		StallThreshold:   10 * time.Second,
-		WatchdogTicks:    ticks,
-		Now:              now,
+		Shards:         2,
+		Rebalance:      true,
+		Flight:         flight.New(0, 128),
+		StallThreshold: 10 * time.Second,
+		Now:            now,
 		Build: func(_ int, sep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, _ *metrics.Recorder, _ *contend.Group) protocol.Engine {
 			return caesar.New(sep, app, caesar.Config{HeartbeatInterval: -1, Now: now})
 		},
@@ -175,5 +173,82 @@ func TestWatchdogMetricsAndDebugz(t *testing.T) {
 	}
 	if !strings.Contains(rendered, "commit table") {
 		t.Errorf("diagnosis missing commit-table section:\n%s", rendered)
+	}
+}
+
+// blockingEngine holds every Submit until release closes, announcing the
+// first on entered: a group whose inbox never drains.
+type blockingEngine struct {
+	protocol.Engine
+	release <-chan struct{}
+	entered chan<- struct{}
+}
+
+func (b blockingEngine) Submit(cmd command.Command, done protocol.DoneFunc) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	<-b.release
+	b.Engine.Submit(cmd, done)
+}
+
+// TestWatchdogScansWhileMaintenanceBlocks runs the real maintenance loop
+// on the wall clock and wedges the commit table's resolution: the
+// orphaned transaction's abort marker goes to a group whose Submit never
+// returns. The watchdog must keep scanning past the blocked pass and trip
+// on the transaction it holds — a wedged group loop is what it exists to
+// report, so no pass that waits on one may stand between it and a scan.
+func TestWatchdogScansWhileMaintenanceBlocks(t *testing.T) {
+	net := memnet.New(memnet.Config{Nodes: 3})
+	defer net.Close()
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	stalls := make(chan *flight.Diagnosis, 1)
+	build := stack.CaesarEngine(caesar.Config{HeartbeatInterval: -1})
+	stk, err := stack.Build(net.Endpoint(0), stack.Config{
+		Shards:           2,
+		StallThreshold:   3500 * time.Millisecond,
+		WatchdogInterval: 250 * time.Millisecond,
+		OnStall: func(d *flight.Diagnosis) {
+			select {
+			case stalls <- d:
+			default:
+			}
+		},
+		Build: func(g int, ep transport.Endpoint, app protocol.Applier, seed wal.GroupSeed, met *metrics.Recorder, ctd *contend.Group) protocol.Engine {
+			return blockingEngine{Engine: build(g, ep, app, seed, met, ctd), release: release, entered: entered}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	defer stk.Stop()
+	defer close(release)
+
+	// Nothing else submits, so the first Submit is the resolution's
+	// marker, due ResolveTimeout (3s) after Expect.
+	xid := xshard.XID{Node: 0, Seq: 1}
+	stk.Table.Expect(xid, []int32{0, 1}, []command.Command{
+		command.Put("blocked-a", []byte("v")),
+		command.Put("blocked-b", []byte("v")),
+	}, 0, nil)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the orphaned transaction's abort marker was never submitted")
+	}
+	scans := stk.Watchdog.Scans()
+	select {
+	case d := <-stalls:
+		if len(d.Stalls) == 0 || d.Stalls[0].Probe != "held-tx" {
+			t.Fatalf("tripped on %v, want the held-tx probe", d.Stalls)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no trip while the resolution was blocked; scans %d → %d", scans, stk.Watchdog.Scans())
+	}
+	if stk.Watchdog.Scans() <= scans {
+		t.Errorf("Scans = %d, no scan after the resolution blocked at %d", stk.Watchdog.Scans(), scans)
 	}
 }

@@ -140,6 +140,7 @@ type Ring struct {
 	next int
 	full bool
 	seq  uint64
+	now  func() time.Time
 }
 
 // NewRing returns a recorder holding up to capacity events.
@@ -147,7 +148,15 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{buf: make([]Event, capacity), now: time.Now}
+}
+
+// SetNow replaces the clock Record stamps events from (time.Now), aligning
+// the ring with a node stack's injected clock. Call before recording.
+func (r *Ring) SetNow(now func() time.Time) {
+	if r != nil {
+		r.now = now
+	}
 }
 
 // Append records one event, stamping its per-ring Seq. Safe for
@@ -170,12 +179,12 @@ func (r *Ring) Append(e Event) {
 }
 
 // Record is Append with the fields spelled out and the timestamp taken
-// now.
+// now, on the ring's clock (SetNow).
 func (r *Ring) Record(node timestamp.NodeID, kind Kind, cmd command.ID, ts timestamp.Timestamp) {
 	if r == nil {
 		return
 	}
-	r.Append(Event{At: time.Now(), Node: node, Kind: kind, Cmd: cmd, Time: ts})
+	r.Append(Event{At: r.now(), Node: node, Kind: kind, Cmd: cmd, Time: ts})
 }
 
 // Snapshot returns the recorded events oldest-first.

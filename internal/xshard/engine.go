@@ -131,10 +131,11 @@ func (e *Engine) submitCross(router shard.Router, cmd command.Command, done prot
 	}
 }
 
-// Start implements protocol.Engine.
+// Start implements protocol.Engine. Transactions stuck past their
+// deadline resolve only when something calls the table's Resolve — the
+// node stack's maintenance loop.
 func (e *Engine) Start() {
 	e.inner.Start()
-	e.table.start()
 }
 
 // Stop implements protocol.Engine: the groups stop first, then the table

@@ -66,9 +66,11 @@ func TestCoordinatorCrashBetweenPiecesAborts(t *testing.T) {
 		return nodes[1].table.Pending() == 1 && nodes[2].table.Pending() == 1
 	})
 
-	// Resolution: abort markers kill it; nothing is ever applied.
+	// Resolution: abort markers kill it; nothing is ever applied. The
+	// survivors resolve on every poll, as a node's maintenance loop would
+	// on every tick.
 	waitCond(t, "survivors abort the orphan", 10*time.Second, func() bool {
-		return nodes[1].table.Pending() == 0 && nodes[2].table.Pending() == 0
+		return resolved(nodes[1:])
 	})
 	for i, nd := range nodes[1:] {
 		for _, k := range keys {
@@ -136,7 +138,7 @@ func TestCoordinatorCrashMidFlightIsAllOrNothing(t *testing.T) {
 
 	// Wait for quiescence: no survivor holds a pending transaction.
 	waitCond(t, "survivors quiesce", 15*time.Second, func() bool {
-		return nodes[1].table.Pending() == 0 && nodes[2].table.Pending() == 0
+		return resolved(nodes[1:])
 	})
 	// Give a committed outcome time to apply on both, then take stock.
 	time.Sleep(100 * time.Millisecond)
@@ -152,4 +154,15 @@ func TestCoordinatorCrashMidFlightIsAllOrNothing(t *testing.T) {
 	if on1 != on2 {
 		t.Fatalf("survivors diverged: node1 applied=%v node2 applied=%v", on1, on2)
 	}
+}
+
+// resolved runs one resolution pass on each node's table and reports
+// whether none of them holds a pending transaction any more.
+func resolved(nodes []*xnode) bool {
+	idle := true
+	for _, nd := range nodes {
+		nd.table.Resolve()
+		idle = idle && nd.table.Pending() == 0
+	}
+	return idle
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // TestMain fails the package if commit-table goroutines outlive the
-// tests: the sweeper and every queued-callback flush must be joined by
-// Stop.
+// tests: every queued-callback flush must be joined by Stop.
 func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }

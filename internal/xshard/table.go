@@ -203,19 +203,13 @@ type Table struct {
 	queue    []func()
 	flushing bool
 
-	// stop and stopped are the sweeper's: nil until start.
-	stop    chan struct{}
-	stopped chan struct{}
 	// halted marks a table shut down by stopAndFail: nothing pending can
-	// resolve anymore, so settle waiters release instead of parking, and
-	// a later start does nothing — like the engines', the lifecycle only
-	// moves forward.
+	// resolve anymore, so settle waiters release instead of parking.
 	halted bool
 }
 
 // NewTable builds an empty commit table over the node's routing-epoch
-// history. A table whose resolution sweep never runs (Resolve, started by
-// Engine) may be given a nil history.
+// history. A table nothing calls Resolve on may be given a nil history.
 func NewTable(cfg TableConfig, history *shard.Epochs) *Table {
 	return &Table{
 		cfg:          cfg.withDefaults(),
@@ -271,7 +265,7 @@ func (t *Table) SeedSettled(settled *idset.Set) {
 // predecessor had delivered (and logged) but which had not executed or
 // died by the crash: got lists the groups whose piece arrived, merged is
 // their timestamp max. The entry joins the table's normal lifecycle —
-// late pieces complete it, the resolution sweeper aborts it on timeout —
+// late pieces complete it, resolution aborts it on timeout —
 // with no client callback (that client is gone). Call before traffic
 // flows.
 func (t *Table) SeedPending(xid XID, groups []int32, ops []command.Command, epoch uint32, got []int32, merged timestamp.Timestamp) {
@@ -384,20 +378,8 @@ func (t *Table) OldestHeld() (XID, time.Time, command.ID, bool) {
 	return xid, oldest, piece, !oldest.IsZero()
 }
 
-// start launches the resolution sweeper.
-func (t *Table) start() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stop != nil || t.halted {
-		return
-	}
-	t.stop = make(chan struct{})
-	t.stopped = make(chan struct{})
-	go t.sweeper(t.stop, t.stopped)
-}
-
-// stopAndFail stops the sweeper and fails the pending client callbacks
-// with protocol.ErrStopped.
+// stopAndFail fails the pending client callbacks with
+// protocol.ErrStopped.
 func (t *Table) stopAndFail() {
 	t.mu.Lock()
 	if t.halted {
@@ -405,7 +387,6 @@ func (t *Table) stopAndFail() {
 		return
 	}
 	t.halted = true
-	stop, stopped := t.stop, t.stopped
 	var dones []protocol.DoneFunc
 	for _, e := range t.entries {
 		if e.done != nil {
@@ -421,30 +402,8 @@ func (t *Table) stopAndFail() {
 	}
 	t.settleWaiters = nil
 	t.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-stopped
-	}
 	for _, done := range dones {
 		done(protocol.Result{Err: protocol.ErrStopped})
-	}
-}
-
-// sweeper periodically resolves stuck transactions.
-func (t *Table) sweeper(stop, stopped chan struct{}) {
-	defer close(stopped)
-	// Real-time cadence by design: deadlines inside Resolve read
-	// cfg.Now; tests needing determinism call Resolve directly.
-	//caesarlint:allow wallclock -- sweep cadence only; deadlines compare cfg.Now instants
-	tick := time.NewTicker(t.cfg.ResolveTimeout / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			t.Resolve()
-		}
 	}
 }
 
@@ -976,10 +935,9 @@ func (t *Table) pieceFailed(xid XID, err error) {
 // transactions stuck past their deadline.
 // Marker submissions are repeated every ResolveTimeout until the
 // transaction executes or dies — duplicates are harmless, losing every
-// race they cannot win. The background sweeper calls it every quarter of
-// ResolveTimeout (wall clock); tests that inject a fake TableConfig.Now call it directly
-// after advancing the clock, so resolution deadlines are fully drivable
-// under simulated time. Markers are keyed by the entry's own routing
+// race they cannot win. The node stack's maintenance loop calls it every
+// tick (internal/stack); every deadline it compares is a TableConfig.Now
+// instant, so resolution is fully drivable under simulated time. Markers are keyed by the entry's own routing
 // epoch, so they conflict with the pieces they chase even while a resize
 // is moving the current epoch on.
 func (t *Table) Resolve() {

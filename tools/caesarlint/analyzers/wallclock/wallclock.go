@@ -46,6 +46,7 @@ var PathSuffixes = []string{
 	"internal/flight",
 	"internal/contend",
 	"internal/stack",
+	"internal/trace",
 }
 
 // forbidden is the set of time-package functions that read or schedule
