@@ -26,53 +26,25 @@
 //	                                deployment's consensus-group count —
 //	                                any replica accepts it; requires
 //	                                -shards > 1 at startup)
-//	STATS                        →  OK k=v ... (admin: one-line snapshot of
-//	                                the replica's protocol counters)
-//	TRACE <cmd-id>               →  the traced milestones of one command
-//	                                (as printed by the slow-command log,
-//	                                e.g. TRACE c0.17), one per line, then
-//	                                OK <n> events. A miss distinguishes
-//	                                "never traced here" from "ring may
-//	                                have evicted it" and points at
-//	                                caesar-trace for the cluster-wide
-//	                                view.
-//	DIAGNOSE                     →  the stall watchdog's on-demand
-//	                                diagnosis bundle (admin: tripped
-//	                                probes, commit-table detail, flight-
-//	                                recorder tail), then OK
-//	FLIGHT [<n>]                 →  the newest n (default 32) flight-
-//	                                recorder events, then OK <n> events
-//	AUDIT                        →  the replica's applied-state audit
-//	                                quote: one line per consensus group
-//	                                (routing epoch, write frontier, state
-//	                                digest, identity fold) plus recent
-//	                                cut-point stamps, then OK <n> groups —
-//	                                the admin-port complement of /auditz
-//	                                (cmd/caesar-audit compares these
-//	                                across replicas)
-//	WORKLOAD [<n>]               →  the replica's contention profile
-//	                                (admin): the fast-path-loss
-//	                                decomposition by cause (total, then per
-//	                                consensus group) and the n hottest keys
-//	                                (default 10) with their per-cause
-//	                                attribution, then OK <n> keys — the
-//	                                admin-port complement of /workloadz
 //
 // Every replica records its protocol milestones into a 4,096-event
 // command-trace ring and its node-level events into a 1,024-event flight
 // recorder, and runs the stall watchdog (10s threshold, scanned every
 // second), logging each trip as a STALL line.
 //
-// With -metrics-addr the replica additionally serves an observability
-// HTTP endpoint: /metrics (Prometheus text format), /statusz (JSON),
-// /healthz, /readyz, the standard pprof handlers under /debug/pprof/,
-// /debugz (the stall watchdog's diagnosis bundle; ?last=1 for the most
-// recent trip), /tracez (the command-trace ring as JSON; ?cmd=c0.17
-// filters to one command — the per-node endpoint cmd/caesar-trace merges
-// across replicas), /auditz (the replica's applied-state digests as
-// JSON, the endpoint cmd/caesar-audit diffs across replicas) and
-// /workloadz (the contention profile: hot keys and per-group fast-path
-// losses as JSON; ?top=N caps the key list).
+// The client port serves clients only. Every diagnostic is served by the
+// observability HTTP listener that -metrics-addr starts: /metrics
+// (Prometheus text format), /statusz (JSON), /healthz, /readyz, the
+// standard pprof handlers under /debug/pprof/, /debugz (the stall
+// watchdog's diagnosis bundle with the newest 64 flight-recorder events;
+// ?last=1 for the most recent trip), /tracez (the command-trace ring as
+// JSON; ?cmd=c0.17 filters to one command — the per-node endpoint
+// cmd/caesar-trace merges across replicas), /auditz (the replica's
+// applied-state digests as JSON, the endpoint cmd/caesar-audit diffs
+// across replicas) and /workloadz (the contention profile: hot keys and
+// per-group fast-path losses as JSON; ?top=N caps the key list). A
+// replica started without -metrics-addr serves no diagnostics; its only
+// operator output is the log.
 //
 // With -audit-peers (a comma-separated list of every replica's metrics
 // base URL) the replica additionally runs the cross-replica auditor
@@ -137,7 +109,7 @@ func main() {
 	flag.StringVar(&o.clientAddr, "client", "", "client-facing listen address")
 	flag.IntVar(&o.shards, "shards", 1, "independent consensus groups per node (keys are routed by consistent hashing)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable write-ahead log directory; the replica recovers from it on restart (empty = in-memory only)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "observability HTTP listen address serving /metrics, /statusz, /healthz, /readyz and /debug/pprof/ (empty = off)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "observability HTTP listen address serving every diagnostic: /metrics, /statusz, /debugz, /tracez, /auditz, /workloadz, /healthz, /readyz and /debug/pprof/ (empty = none)")
 	flag.DurationVar(&o.slowCommand, "slow-command", 0, "log the traced history of commands slower than this submit-to-ack latency (0 disables)")
 	flag.StringVar(&o.auditPeers, "audit-peers", "", "comma-separated metrics base URLs of every replica (e.g. http://127.0.0.1:9000,...); runs the cross-replica state auditor in-process (empty = off)")
 	flag.DurationVar(&o.auditEvery, "audit-interval", 2*time.Second, "cadence of the in-process cross-replica auditor (needs -audit-peers)")
@@ -146,16 +118,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "caesar-server:", err)
 		os.Exit(1)
 	}
-}
-
-// node bundles one replica's stack with its observability surfaces for
-// the client-protocol handlers.
-type node struct {
-	stk  *stack.Stack
-	met  *metrics.Recorder
-	ring *trace.Ring
-	rec  *flight.Recorder
-	tr   *tcpnet.Transport
 }
 
 func run(o options) error {
@@ -259,8 +221,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	n := &node{stk: stk, met: met, ring: ring, rec: rec, tr: tr}
-	go serveClients(ln, n)
+	go serveClients(ln, stk)
 	ready.Store(true)
 
 	// In-process cross-replica auditor: gather every replica's /auditz
@@ -269,11 +230,7 @@ func run(o options) error {
 	// may run it — raised divergences dedupe per collector, and the check
 	// itself is read-only.
 	var auditor *audit.Collector
-	if o.auditPeers != "" {
-		var sources []audit.Source
-		for _, base := range strings.Split(o.auditPeers, ",") {
-			sources = append(sources, audit.HTTPSource(nil, strings.TrimSpace(base)))
-		}
+	if sources := auditSources(o.auditPeers); len(sources) > 0 {
 		auditor = &audit.Collector{
 			Sources:  sources,
 			Interval: o.auditEvery,
@@ -318,144 +275,29 @@ func run(o options) error {
 	return nil
 }
 
+// auditSources builds the in-process auditor's sources from the
+// -audit-peers list, skipping empty entries as caesar-audit does: a
+// trailing comma must not become a phantom node that never answers.
+func auditSources(list string) []audit.Source {
+	var sources []audit.Source
+	for _, base := range strings.Split(list, ",") {
+		if base = strings.TrimSpace(base); base != "" {
+			sources = append(sources, audit.HTTPSource(nil, base))
+		}
+	}
+	return sources
+}
+
 // serveClients accepts client connections and executes their requests —
 // writes through consensus, reads through the node-local read engine.
-func serveClients(ln net.Listener, n *node) {
+func serveClients(ln net.Listener, stk *stack.Stack) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		go handleClient(conn, n)
+		go handleClient(conn, stk)
 	}
-}
-
-// handleStats serves the STATS admin command: a one-line snapshot of the
-// replica's protocol counters, the admin-port complement of /metrics.
-func handleStats(out *bufio.Writer, n *node) {
-	m := n.met
-	shards := n.stk.Shards
-	epoch := uint32(0)
-	if co := n.stk.Coordinator; co != nil {
-		shards = co.Shards()
-		epoch = co.Epoch()
-	}
-	fmt.Fprintf(out,
-		"OK shards=%d epoch=%d proposals=%d executed=%d fast=%d slow=%d retries=%d nacks=%d recoveries=%d read_parks=%d xshard_commits=%d xshard_aborts=%d fsyncs=%d mean_latency=%v p99_latency=%v\n",
-		shards, epoch,
-		m.Proposals.Load(), m.Executed.Load(),
-		m.FastDecisions.Load(), m.SlowDecisions.Load(),
-		m.Retries.Load(), m.Nacks.Load(), m.Recoveries.Load(),
-		m.ReadFenceParks.Load(),
-		m.CrossShardCommits.Load(), m.CrossShardAborts.Load(),
-		m.Fsyncs.Load(),
-		m.Latency.Mean(), m.Latency.Quantile(0.99))
-}
-
-// handleTrace serves the TRACE admin command: one command's buffered
-// milestones, oldest first, one per line, terminated by an OK count. A
-// miss says whether the command was never traced on this replica (the
-// ring has not wrapped, so absence is authoritative) or may have been
-// evicted — and points at caesar-trace either way, since another
-// replica's ring often still holds the history.
-func handleTrace(out *bufio.Writer, n *node, arg string) {
-	id, err := command.ParseID(arg)
-	if err != nil {
-		fmt.Fprintf(out, "ERR usage: TRACE <cmd-id>: %v\n", err)
-		return
-	}
-	events := n.ring.CommandHistory(id)
-	if len(events) == 0 {
-		if _, wrapped := n.ring.Stats(); wrapped {
-			fmt.Fprintf(out, "# %v not found: ring wrapped, so its history may have been evicted here (try caesar-trace to query every replica)\n", id)
-		} else {
-			fmt.Fprintf(out, "# %v not found: not in local ring (never traced on this replica; caesar-trace queries the others)\n", id)
-		}
-	}
-	for _, e := range events {
-		fmt.Fprintf(out, "%s\n", e)
-	}
-	fmt.Fprintf(out, "OK %d events\n", len(events))
-}
-
-// handleDiagnose serves the DIAGNOSE admin command: the stall watchdog's
-// on-demand bundle, one line per bundle line, terminated by OK.
-func handleDiagnose(out *bufio.Writer, n *node) {
-	body := n.stk.Watchdog.Diagnose().Render()
-	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-		fmt.Fprintf(out, "%s\n", line)
-	}
-	fmt.Fprintf(out, "OK\n")
-}
-
-// handleFlight serves the FLIGHT admin command: the newest n events of
-// the node's flight recorder, oldest-first.
-func handleFlight(out *bufio.Writer, n *node, args []string) {
-	max := 32
-	if len(args) == 1 {
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 1 {
-			fmt.Fprintf(out, "ERR usage: FLIGHT [<max-events>]\n")
-			return
-		}
-		max = v
-	}
-	events := n.rec.Tail(max)
-	for _, e := range events {
-		fmt.Fprintf(out, "%s\n", e)
-	}
-	fmt.Fprintf(out, "OK %d events\n", len(events))
-}
-
-// handleAudit serves the AUDIT admin command: the replica's applied-state
-// audit quote, the admin-port complement of /auditz. One comment line of
-// node context, one line per consensus group (epoch, write frontier,
-// state digest, identity fold), the recent cut-point stamps, then an OK
-// count. cmd/caesar-audit compares the same quotes across replicas.
-func handleAudit(out *bufio.Writer, n *node) {
-	rep := n.stk.AuditReport()
-	fmt.Fprintf(out, "# node=%s epoch=%d resizing=%v applied=%d divergences=%d\n",
-		rep.Node, rep.Epoch, rep.Resizing, rep.Applied, n.stk.AuditDivergences())
-	for _, g := range rep.Groups {
-		fmt.Fprintf(out, "group=%d epoch=%d frontier=%d digest=%s idfold=%s\n",
-			g.Group, g.Epoch, g.Frontier, g.Digest, g.IDFold)
-	}
-	for _, s := range rep.Stamps {
-		fmt.Fprintf(out, "stamp kind=%s seq=%d group=%d epoch=%d frontier=%d digest=%s\n",
-			s.Kind, s.Seq, s.Group, s.Epoch, s.Frontier, s.Digest)
-	}
-	fmt.Fprintf(out, "OK %d groups\n", len(rep.Groups))
-}
-
-// handleWorkload serves the WORKLOAD admin command: the node's contention
-// profile — the fast-path-loss decomposition (total, then per consensus
-// group) followed by the hottest keys with their per-cause attribution —
-// the admin-port complement of /workloadz.
-func handleWorkload(out *bufio.Writer, n *node, args []string) {
-	max := 10
-	if len(args) == 1 {
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 1 {
-			fmt.Fprintf(out, "ERR usage: WORKLOAD [<max-keys>]\n")
-			return
-		}
-		max = v
-	}
-	p := n.stk.Contend
-	tot := p.TotalLosses()
-	fmt.Fprintf(out, "# fast-path losses: nack=%d blocked=%d retry=%d recovery=%d\n",
-		tot.Nack, tot.Blocked, tot.Retry, tot.Recovery)
-	for _, gl := range p.GroupLossTable() {
-		fmt.Fprintf(out, "group=%d nack=%d blocked=%d retry=%d recovery=%d\n",
-			gl.Group, gl.Losses.Nack, gl.Losses.Blocked, gl.Losses.Retry, gl.Losses.Recovery)
-	}
-	keys := p.TopKeys(max)
-	for _, ks := range keys {
-		fmt.Fprintf(out, "key=%s group=%d events=%d touches=%d nacks=%d waits=%d parks=%d retries=%d recoveries=%d holds=%d wait=%s\n",
-			ks.Key, ks.Group, ks.Events, ks.Touches, ks.Nacks, ks.Waits,
-			ks.Parks, ks.Retries, ks.Recoveries, ks.Holds, ks.WaitTime)
-	}
-	fmt.Fprintf(out, "OK %d keys\n", len(keys))
 }
 
 // handleResize serves the RESIZE admin command: it changes the live
@@ -548,9 +390,8 @@ func handleMGet(out *bufio.Writer, stk *stack.Stack, keys []string) {
 	fmt.Fprintf(out, "OK %s\n", strings.Join(parts, " "))
 }
 
-func handleClient(conn net.Conn, n *node) {
+func handleClient(conn net.Conn, stk *stack.Stack) {
 	defer conn.Close()
-	stk := n.stk
 	rep := stk.Engine
 	sc := bufio.NewScanner(conn)
 	out := bufio.NewWriter(conn)
@@ -583,32 +424,8 @@ func handleClient(conn net.Conn, n *node) {
 			handleResize(out, stk.Coordinator, fields[1])
 			out.Flush()
 			continue
-		case len(fields) == 1 && strings.EqualFold(fields[0], "STATS"):
-			handleStats(out, n)
-			out.Flush()
-			continue
-		case len(fields) == 2 && strings.EqualFold(fields[0], "TRACE"):
-			handleTrace(out, n, fields[1])
-			out.Flush()
-			continue
-		case len(fields) == 1 && strings.EqualFold(fields[0], "DIAGNOSE"):
-			handleDiagnose(out, n)
-			out.Flush()
-			continue
-		case strings.EqualFold(fields[0], "FLIGHT"):
-			handleFlight(out, n, strings.Fields(line)[1:])
-			out.Flush()
-			continue
-		case len(fields) == 1 && strings.EqualFold(fields[0], "AUDIT"):
-			handleAudit(out, n)
-			out.Flush()
-			continue
-		case strings.EqualFold(fields[0], "WORKLOAD"):
-			handleWorkload(out, n, strings.Fields(line)[1:])
-			out.Flush()
-			continue
 		default:
-			fmt.Fprintf(out, "ERR usage: PUT <key> <value> | GET <key> | MGET <k> [<k>...] | MPUT <k> <v> [<k> <v>...] | RESIZE <shards> | STATS | TRACE <cmd-id> | DIAGNOSE | FLIGHT [<n>] | AUDIT | WORKLOAD [<n>]\n")
+			fmt.Fprintf(out, "ERR usage: PUT <key> <value> | GET <key> | MGET <k> [<k>...] | MPUT <k> <v> [<k> <v>...] | RESIZE <shards>\n")
 			out.Flush()
 			continue
 		}

@@ -1,6 +1,6 @@
 // Command caesar-trace assembles a cluster-wide timeline for one
-// command. Each caesar-server node traces into its own local ring, so a
-// TRACE admin command only shows one replica's view; caesar-trace
+// command. Each caesar-server node traces into its own local ring, so one
+// node's /tracez only shows one replica's view; caesar-trace
 // fetches every node's /tracez JSON (served on the metrics listener) and
 // merges the histories into one causally-ordered timeline — ordered by
 // logical timestamp and per-node ring sequence, never by wall clock.

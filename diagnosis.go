@@ -9,8 +9,7 @@ import "github.com/caesar-consensus/caesar/internal/flight"
 // commands' traced histories, the commit table's pending detail, the
 // rebalance coordinator's transition state, the flight-recorder tail and,
 // on trips, a goroutine profile. Bundles come from Node.Diagnose and
-// Node.LastStall, and from the server's /debugz endpoint and DIAGNOSE
-// admin command.
+// Node.LastStall, and from the server's /debugz endpoint.
 type Diagnosis struct {
 	inner *flight.Diagnosis
 }

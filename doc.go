@@ -268,9 +268,9 @@
 // stats, read-fence parks, routing epoch and resize state, per-peer
 // transport messages/bytes), /statusz (the same families as JSON with
 // p50/p99), /healthz + /readyz probes, and the net/http/pprof profiler.
-// The client port gains STATS (one-line counter snapshot) and
-// TRACE <cmd-id> (one command's buffered history) admin commands. The
-// registry reads the same lock-free counters the hot path already
+// That listener is the server's one diagnostic surface: the client port
+// serves clients only, and a server started without -metrics-addr serves
+// no diagnostics. The registry reads the same lock-free counters the hot path already
 // maintains, so scraping costs the scraper, not the consensus path.
 //
 // # Diagnosis
@@ -285,8 +285,8 @@
 // suspected peers, retransmissions, shard resizes, routing-epoch
 // installs, WAL snapshots, watchdog stalls — each stamped with a
 // monotonic sequence number. It keeps the newest 1,024 events;
-// Node.FlightLog dumps the tail, and `FLIGHT [<n>]` does the same over
-// a server's admin port.
+// Node.FlightLog dumps the tail, and every diagnosis bundle carries the
+// newest 64 events.
 //
 // The watchdog scans, once a second, the node's own progress indicators — the oldest transaction held in
 // the cross-shard commit table, the oldest read parked at its delivery
@@ -299,11 +299,11 @@
 // healthy→stalled transition is journaled (and logged as a STALL line
 // by caesar-server), and bundles are always available on demand:
 // Node.Diagnose and Node.LastStall (the last trip's bundle) in process,
-// `DIAGNOSE` on the admin port, /debugz (current) and /debugz?last=1
-// (last trip) on the metrics listener.
+// /debugz (current) and /debugz?last=1 (last trip) on the metrics
+// listener.
 //
 // Each caesar-server node traces into its own ring, so one replica's
-// TRACE shows one view. The /tracez endpoint serves a command's local
+// ring shows one view. The /tracez endpoint serves a command's local
 // events as JSON, and cmd/caesar-trace fetches it from every node and
 // merges the per-node histories into a single causally ordered cluster
 // timeline — ordered by logical timestamp and per-node sequence, never
@@ -340,7 +340,7 @@
 // agreement instead of starting blind.
 //
 // Multi-process, each caesar-server serves its audit report at /auditz
-// (JSON) and the admin command AUDIT, and can audit its peers
+// (JSON), and can audit its peers
 // continuously with -audit-peers. cmd/caesar-audit is the standalone
 // checker — one round, a monitor loop, or a JSON proof bundle:
 //
@@ -372,7 +372,7 @@
 //
 // The profile surfaces everywhere the other legs do: /workloadz on the
 // metrics listener (JSON: top keys and the per-group loss table;
-// ?top=N caps the list), the admin command `WORKLOAD [<n>]`, the
+// ?top=N caps the list), the
 // caesar_contention_losses_total{group,cause} counter family and the
 // caesar_hotkey_* per-key gauges on /metrics, and a merged cluster-wide
 // hot-keys panel in cmd/caesar-top. The lan3-mixed4g workload of bench/

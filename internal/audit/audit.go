@@ -29,9 +29,9 @@
 //
 // The digests are exposed on every surface the other legs already live
 // on: caesar_audit_* metric families in the obs registry, /auditz JSON on
-// the metrics listener (Handler), the AUDIT admin command, WAL snapshots
-// (a restarted node re-proves its recovered state), and the cross-node
-// Collector behind cmd/caesar-audit.
+// the metrics listener (Handler), WAL snapshots (a restarted node
+// re-proves its recovered state), and the cross-node Collector behind
+// cmd/caesar-audit.
 package audit
 
 import (
@@ -87,8 +87,8 @@ type GroupState struct {
 
 // Stamp is one recorded cut point: the state of a group's digest at a
 // well-defined moment of the node's history (a resize fence delivery, a
-// WAL snapshot cut). Stamps are operator context for /auditz and the
-// AUDIT command — divergence detection compares live quotes, which need
+// WAL snapshot cut). Stamps are operator context for /auditz —
+// divergence detection compares live quotes, which need
 // no cut alignment thanks to IDFold.
 type Stamp struct {
 	// Kind labels the cut point: "fence" or "snapshot".

@@ -139,7 +139,7 @@ func (r *Replica) deliverNow(rec *record) {
 		done, c.done = c.done, nil
 		// The command's ID rides along as the latency histogram's
 		// exemplar: a /statusz p99 spike then names a command an
-		// operator can hand straight to TRACE / caesar-trace. The ID is
+		// operator can hand straight to /tracez / caesar-trace. The ID is
 		// rendered only for a sample that becomes the exemplar.
 		r.met.ObserveLatencyRef(now.Sub(c.proposedAt), id.String)
 		if !c.stableAt.IsZero() {

@@ -84,8 +84,8 @@ func (id ID) String() string { return fmt.Sprintf("c%d.%d", id.Node, id.Seq) }
 func (id ID) IsZero() bool { return id == ID{} }
 
 // ParseID parses an ID as String prints it: c<node>.<seq>, leading "c"
-// optional. The canonical parser for every operator surface (TRACE,
-// /tracez, caesar-trace).
+// optional. The canonical parser for every operator surface (/tracez,
+// caesar-trace).
 func ParseID(s string) (ID, error) {
 	node, seq, ok := strings.Cut(strings.TrimPrefix(s, "c"), ".")
 	if !ok {

@@ -278,12 +278,12 @@ func BenchmarkConflictsSingleKey(b *testing.B) {
 	}
 }
 
-// FuzzParseID checks the operator-surface parser (TRACE, /tracez,
-// caesar-trace) against String: every ID a replica can mint (node 0..N-1)
-// survives the trip, a negative node — which none can — is refused, and
-// whatever the parser accepts re-parses from its own rendering to itself.
-// The parser is lenient where strconv is ("c+5.7" is c5.7, "5.7" too), so
-// the second trip is the one that must be exact.
+// FuzzParseID checks the operator-surface parser (/tracez, caesar-trace)
+// against String: every ID a replica can mint (node 0..N-1) survives the
+// trip, a negative node — which none can — is refused, and whatever the
+// parser accepts re-parses from its own rendering to itself. The parser
+// is lenient where strconv is ("c+5.7" is c5.7, "5.7" too), so the
+// second trip is the one that must be exact.
 func FuzzParseID(f *testing.F) {
 	for _, s := range []string{"c0.17", "c+5.7", "5.7", "c05.007", "c-1.2", "c2147483647.18446744073709551615", "c1.", ".1", "c1.-1", ""} {
 		f.Add(s, int32(3), uint64(41))

@@ -19,9 +19,9 @@
 // assembles a diagnosis bundle from its registered sections: the wedged
 // command's traced history, the commit table's pending detail, the
 // rebalance coordinator's transition state, the flight-recorder tail and
-// a goroutine profile. The bundle is what /debugz, the DIAGNOSE admin
-// command and the Options.OnStall callback hand to operators and to the
-// future autoscaler/chaos harness.
+// a goroutine profile. The bundle is what /debugz and the
+// Options.OnStall callback hand to operators and to the future
+// autoscaler/chaos harness.
 package flight
 
 import (

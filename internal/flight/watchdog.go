@@ -81,8 +81,8 @@ type RenderedSection struct {
 	Body string
 }
 
-// Render formats the bundle for operators: the /debugz body, the
-// DIAGNOSE reply and the stall log entry.
+// Render formats the bundle for operators: the /debugz body and the
+// stall log entry.
 func (d *Diagnosis) Render() string {
 	if d == nil {
 		return "no diagnosis\n"
@@ -321,8 +321,7 @@ func (w *Watchdog) Scan() *Diagnosis {
 
 // Diagnose assembles an on-demand bundle right now, regardless of
 // thresholds: the current probe samples above threshold (possibly
-// none), every section, the flight tail. /debugz and the DIAGNOSE admin
-// command serve it.
+// none), every section, the flight tail. /debugz serves it.
 func (w *Watchdog) Diagnose() *Diagnosis {
 	now := w.cfg.Now()
 	return w.bundle(now, w.sample(now))

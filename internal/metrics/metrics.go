@@ -109,7 +109,7 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveRef records one sample carrying a reference (a command ID, a
 // read key). When the sample lands in the highest bucket seen so far it
 // becomes the histogram's exemplar — the concrete thing an operator can
-// feed to TRACE / caesar-trace when the tail spikes. Same cost as
+// feed to /tracez / caesar-trace when the tail spikes. Same cost as
 // Observe except at a new top bucket.
 func (h *Histogram) ObserveRef(d time.Duration, ref string) {
 	if ref == "" {

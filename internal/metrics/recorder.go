@@ -157,7 +157,7 @@ func (r *Recorder) ObserveLatency(d time.Duration) {
 
 // ObserveLatencyRef is ObserveLatency carrying the command's ID as a
 // histogram exemplar: a /statusz scrape showing a p99 spike also names a
-// command that landed in the top bucket, ready for TRACE / caesar-trace.
+// command that landed in the top bucket, ready for /tracez / caesar-trace.
 // ref renders the ID, and runs only for a sample that becomes the
 // exemplar (see Histogram.ObserveRefFunc).
 func (r *Recorder) ObserveLatencyRef(d time.Duration, ref func() string) {

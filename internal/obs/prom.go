@@ -133,7 +133,7 @@ type StatusSeries struct {
 	Max    float64 `json:"max,omitempty"`
 	// Exemplar names the observation behind the histogram's worst bucket
 	// (a command ID for the latency histogram, a key for reads) with its
-	// duration in seconds — the handle an operator feeds to TRACE /
+	// duration in seconds — the handle an operator feeds to /tracez /
 	// caesar-trace when the tail spikes.
 	Exemplar        string  `json:"exemplar,omitempty"`
 	ExemplarSeconds float64 `json:"exemplar_seconds,omitempty"`

@@ -177,7 +177,7 @@ func Listen(cfg Config) (*Transport, error) {
 	if cfg.DialRetry == 0 {
 		cfg.DialRetry = 500 * time.Millisecond
 	}
-	if int(cfg.Self) >= len(cfg.Addrs) {
+	if cfg.Self < 0 || int(cfg.Self) >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("tcpnet: self id %d outside address list", cfg.Self)
 	}
 	ln, err := net.Listen("tcp", cfg.Addrs[cfg.Self])

@@ -3,6 +3,7 @@ package tcpnet_test
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,22 @@ func freeAddrs(t *testing.T, n int) []string {
 		ln.Close()
 	}
 	return addrs
+}
+
+// TestListenRejectsSelfOutsideAddrs checks that an ID below zero or past
+// the end of the address list is an error, not an index panic.
+func TestListenRejectsSelfOutsideAddrs(t *testing.T) {
+	addrs := freeAddrs(t, 3)
+	for _, self := range []timestamp.NodeID{-1, timestamp.NodeID(len(addrs))} {
+		tr, err := tcpnet.Listen(tcpnet.Config{Self: self, Addrs: addrs})
+		if err == nil {
+			tr.Close()
+			t.Fatalf("Listen(Self: %d) over %d addresses succeeded", self, len(addrs))
+		}
+		if !strings.Contains(err.Error(), "outside address list") {
+			t.Fatalf("Listen(Self: %d): %v, want an outside-address-list error", self, err)
+		}
+	}
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {

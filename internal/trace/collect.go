@@ -13,7 +13,7 @@ import (
 )
 
 // Cross-node trace collection. Over TCP every node records into its own
-// ring, so a local TRACE only reconstructs one replica's view of a
+// ring, so one ring only reconstructs one replica's view of a
 // command. The pieces here close the loop: Handler serves a node's ring
 // as JSON (/tracez), Collect fetches every node's events for a command,
 // and MergeTimelines interleaves them into one causally-ordered cluster

@@ -219,7 +219,7 @@ func (r *Ring) Len() int {
 }
 
 // Stats reports how many events were ever appended and whether the ring
-// has wrapped (overwritten its oldest events). A TRACE miss on a wrapped
+// has wrapped (overwritten its oldest events). A lookup miss on a wrapped
 // ring is ambiguous — the command may have been evicted — while a miss on
 // an unwrapped ring proves the command was never traced here.
 func (r *Ring) Stats() (appended uint64, wrapped bool) {

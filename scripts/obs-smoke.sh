@@ -2,16 +2,18 @@
 # Observability smoke test: start a three-replica caesar-server cluster
 # with the metrics endpoint enabled, drive real traffic, and assert that
 # the live scrape exposes the key metric families — with a nonzero
-# fast-decision count — that the STATS/TRACE/DIAGNOSE/FLIGHT/AUDIT
-# admin commands answer, that /debugz serves the watchdog diagnosis,
-# that caesar-trace merges a cluster-wide timeline from the live
-# /tracez endpoints, and that the state auditor — /auditz, the
-# in-process -audit-peers loop and the standalone caesar-audit checker
-# — proves "no divergence" on the healthy cluster, and that the
-# contention profile — /workloadz, the WORKLOAD admin command and the
-# caesar_contention_* families — names a deliberately hammered key as
-# the top offender, and that the admin RESIZE changes the live group
-# count on every replica and refuses a count above the bound.
+# fast-decision count — that /statusz carries the group count, that
+# /tracez holds a command's events, that /debugz serves the watchdog
+# diagnosis with its commit-table and flight-recorder sections, that
+# caesar-trace merges a cluster-wide timeline from the live /tracez
+# endpoints, that the state auditor — /auditz, the in-process
+# -audit-peers loop and the standalone caesar-audit checker — proves "no
+# divergence" on the healthy cluster, that the contention profile —
+# /workloadz and the caesar_contention_* families — names a deliberately
+# hammered key as the top offender, that the client port refuses the
+# diagnostic verbs it no longer serves, and that the admin RESIZE changes
+# the live group count on every replica and refuses a count above the
+# bound.
 #
 # Run from the repository root: ./scripts/obs-smoke.sh
 set -euo pipefail
@@ -125,73 +127,52 @@ echo "$statusz" | grep -q '"caesar_store_retained_versions"'
 echo "$statusz" | grep -q '"caesar_read_retries_total"'
 echo "$statusz" | grep -q '"caesar_purge_fence_keys"'
 
-# Admin commands over the client port.
+# /statusz reports the group count the client port's RESIZE changes.
+echo "$statusz" | grep -q '"caesar_shards"' || {
+    echo "/statusz missing caesar_shards:" >&2
+    echo "$statusz" >&2
+    exit 1
+}
+
+# /tracez on the node the writes went through holds c0.1's events.
+tracez=$(curl -fsS 'http://127.0.0.1:9180/tracez?cmd=c0.1')
+trace_events=$(echo "$tracez" | grep -c '"At":' || true)
+if [ "$trace_events" -lt 1 ]; then
+    echo "/tracez?cmd=c0.1 found no events:" >&2
+    echo "$tracez" >&2
+    exit 1
+fi
+
+# /debugz: the watchdog's on-demand bundle. The cluster is healthy, so
+# the header must say so on every replica asked, the bundle must carry
+# the commit-table section, and its flight-recorder section (the newest
+# 64 events) must hold the node-start event.
+for id in 0 1; do
+    debugz=$(curl -fsS "http://127.0.0.1:918$id/debugz")
+    echo "$debugz" | grep -q 'healthy' || {
+        echo "/debugz on healthy replica $id did not report healthy:" >&2
+        echo "$debugz" >&2
+        exit 1
+    }
+    echo "$debugz" | grep -q '^-- commit table --' || {
+        echo "/debugz on replica $id missing the commit-table section:" >&2
+        echo "$debugz" >&2
+        exit 1
+    }
+    echo "$debugz" | sed -n '/^-- flight recorder --/,/^-- /p' | grep -q 'node started' || {
+        echo "/debugz flight-recorder section on replica $id missing the node-start event:" >&2
+        echo "$debugz" >&2
+        exit 1
+    }
+done
+
+# The client port serves clients only: a diagnostic verb gets the usage
+# line.
 exec 3<>/dev/tcp/127.0.0.1/8480
 printf 'STATS\n' >&3
 IFS= read -r stats <&3
-echo "$stats" | grep -q '^OK shards=' || { echo "STATS answered: $stats" >&2; exit 1; }
-printf 'TRACE c0.1\n' >&3
-trace_ok=""
-while IFS= read -r line <&3; do
-    case "$line" in
-    OK\ *) trace_ok=$line; break ;;
-    ERR*) echo "TRACE answered: $line" >&2; exit 1 ;;
-    esac
-done
 exec 3<&-
-echo "$trace_ok" | grep -Eq '^OK [1-9][0-9]* events' || {
-    echo "TRACE c0.1 found no events: $trace_ok" >&2
-    exit 1
-}
-
-# DIAGNOSE: the watchdog's on-demand bundle over the admin port. The
-# cluster is healthy, so the header must say so and still carry the
-# commit-table section.
-exec 3<>/dev/tcp/127.0.0.1/8480
-printf 'DIAGNOSE\n' >&3
-diagnose=""
-while IFS= read -r line <&3; do
-    case "$line" in
-    OK*) break ;;
-    ERR*) echo "DIAGNOSE answered: $line" >&2; exit 1 ;;
-    *) diagnose="$diagnose$line"$'\n' ;;
-    esac
-done
-echo "$diagnose" | grep -q 'healthy' || {
-    echo "DIAGNOSE on a healthy cluster did not report healthy:" >&2
-    echo "$diagnose" >&2
-    exit 1
-}
-echo "$diagnose" | grep -q 'commit table' || {
-    echo "DIAGNOSE bundle missing the commit-table section:" >&2
-    echo "$diagnose" >&2
-    exit 1
-}
-
-# FLIGHT: the structured journal must hold the node-start event.
-printf 'FLIGHT 8\n' >&3
-flight_out=""
-while IFS= read -r line <&3; do
-    case "$line" in
-    OK*) break ;;
-    ERR*) echo "FLIGHT answered: $line" >&2; exit 1 ;;
-    *) flight_out="$flight_out$line"$'\n' ;;
-    esac
-done
-exec 3<&-
-echo "$flight_out" | grep -q 'node started' || {
-    echo "FLIGHT journal missing the node-start event:" >&2
-    echo "$flight_out" >&2
-    exit 1
-}
-
-# /debugz serves the same watchdog diagnosis over the metrics listener.
-debugz=$(curl -fsS http://127.0.0.1:9181/debugz)
-echo "$debugz" | grep -q 'healthy' || {
-    echo "/debugz on a healthy replica did not report healthy:" >&2
-    echo "$debugz" >&2
-    exit 1
-}
+echo "$stats" | grep -q '^ERR usage' || { echo "STATS on the client port answered: $stats" >&2; exit 1; }
 
 # caesar-trace: collect c0.1 from every replica's /tracez and merge the
 # views into one cluster timeline — it must span at least two nodes.
@@ -220,29 +201,6 @@ echo "$auditz" | grep -q '"digest"' || {
 echo "$auditz" | grep -q '"frontier"' || {
     echo "/auditz missing frontier:" >&2
     echo "$auditz" >&2
-    exit 1
-}
-
-# AUDIT admin command: per-group digest lines over the client port.
-exec 3<>/dev/tcp/127.0.0.1/8481
-printf 'AUDIT\n' >&3
-audit_out=""
-while IFS= read -r line <&3; do
-    case "$line" in
-    OK\ *) audit_out="$audit_out$line"$'\n'; break ;;
-    ERR*) echo "AUDIT answered: $line" >&2; exit 1 ;;
-    *) audit_out="$audit_out$line"$'\n' ;;
-    esac
-done
-exec 3<&-
-echo "$audit_out" | grep -q '^group=.*digest=' || {
-    echo "AUDIT missing per-group digest lines:" >&2
-    echo "$audit_out" >&2
-    exit 1
-}
-echo "$audit_out" | grep -q 'divergences=0' || {
-    echo "AUDIT on a healthy cluster reports divergences:" >&2
-    echo "$audit_out" >&2
     exit 1
 }
 
@@ -288,31 +246,6 @@ echo "$workloadz" | grep -q '"groups":' || {
     exit 1
 }
 
-# WORKLOAD admin command: same profile as text over the client port —
-# loss header, per-group lines, hammered key as the first key line.
-exec 3<>/dev/tcp/127.0.0.1/8480
-printf 'WORKLOAD 5\n' >&3
-workload_out=""
-while IFS= read -r line <&3; do
-    case "$line" in
-    OK\ *) workload_out="$workload_out$line"$'\n'; break ;;
-    ERR*) echo "WORKLOAD answered: $line" >&2; exit 1 ;;
-    *) workload_out="$workload_out$line"$'\n' ;;
-    esac
-done
-exec 3<&-
-echo "$workload_out" | grep -q '^# fast-path losses: nack=' || {
-    echo "WORKLOAD missing the loss header:" >&2
-    echo "$workload_out" >&2
-    exit 1
-}
-first_key=$(echo "$workload_out" | grep '^key=' | head -1)
-echo "$first_key" | grep -q '^key=hotkey ' || {
-    echo "WORKLOAD top offender is not the hammered key: $first_key" >&2
-    echo "$workload_out" >&2
-    exit 1
-}
-
 # caesar-top: one frame of the live console, audit column clean.
 topout=$("$workdir/caesar-top" -nodes "$audit_peers" -once)
 echo "$topout" | grep -q 'NODE' || {
@@ -334,28 +267,29 @@ echo "$topout" | grep -A2 'HOT KEY' | grep -q 'hotkey' || {
 # RESIZE: the admin port changes the live deployment's group count,
 # 2 -> 3. The replica answers once its own transition completed; every
 # replica — the others complete as the fences deliver — must then report
-# the new count and epoch through STATS and caesar_routing_epoch.
+# the new count and epoch through caesar_shards and caesar_routing_epoch.
 exec 3<>/dev/tcp/127.0.0.1/8480
 printf 'RESIZE 3\n' >&3
 IFS= read -r resize <&3
 exec 3<&-
 [ "$resize" = "OK 3 shards" ] || { echo "RESIZE 3 answered: $resize" >&2; exit 1; }
+# routing prints replica $1's group count and routing epoch from /metrics.
+routing() {
+    curl -fsS "http://127.0.0.1:918$1/metrics" |
+        awk '/^caesar_shards /{s=$2} /^caesar_routing_epoch /{e=$2} END{print s, e}'
+}
 for id in 0 1 2; do
     resized=0
     for _ in $(seq 1 50); do
-        exec 3<>/dev/tcp/127.0.0.1/848$id
-        printf 'STATS\n' >&3
-        IFS= read -r stats_after <&3
-        exec 3<&-
-        epoch=$(curl -fsS "http://127.0.0.1:918$id/metrics" | awk '/^caesar_routing_epoch /{print $2}')
-        if echo "$stats_after" | grep -q '^OK shards=3 epoch=1 ' && [ "$epoch" = 1 ]; then
+        read -r shards epoch < <(routing "$id")
+        if [ "$shards" = 3 ] && [ "$epoch" = 1 ]; then
             resized=1
             break
         fi
         sleep 0.2
     done
     if [ "$resized" != 1 ]; then
-        echo "replica $id did not reach 3 shards at epoch 1: STATS $stats_after, caesar_routing_epoch $epoch" >&2
+        echo "replica $id did not reach 3 shards at epoch 1: caesar_shards $shards, caesar_routing_epoch $epoch" >&2
         cat "$workdir/server$id.log" >&2
         exit 1
     fi
@@ -373,15 +307,12 @@ case "$refused" in
     *) echo "RESIZE 4097 answered: $refused" >&2; exit 1 ;;
 esac
 for id in 0 1 2; do
-    exec 3<>/dev/tcp/127.0.0.1/848$id
-    printf 'STATS\n' >&3
-    IFS= read -r stats_after <&3
-    exec 3<&-
-    echo "$stats_after" | grep -q '^OK shards=3 epoch=1 ' || {
-        echo "replica $id after RESIZE 4097: STATS $stats_after" >&2
+    read -r shards epoch < <(routing "$id")
+    [ "$shards" = 3 ] && [ "$epoch" = 1 ] || {
+        echo "replica $id after RESIZE 4097: caesar_shards $shards, caesar_routing_epoch $epoch" >&2
         cat "$workdir/server$id.log" >&2
         exit 1
     }
 done
 
-echo "observability smoke OK: fast_decisions=$fast, $(echo "$traceout" | head -1), $(echo "$auditrun" | head -1), $(echo "$stats" | cut -c1-120)"
+echo "observability smoke OK: fast_decisions=$fast, $(echo "$traceout" | head -1), $(echo "$auditrun" | head -1), shards=$shards epoch=$epoch"
