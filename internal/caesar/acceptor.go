@@ -200,7 +200,9 @@ func (r *Replica) reply(from timestamp.NodeID, id command.ID, ts timestamp.Times
 	if slow {
 		r.Send(from, &SlowProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
 	} else {
-		r.Send(from, &FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack})
+		m := r.replies.Next()
+		*m = FastProposeReply{Ballot: ballot, CmdID: id, Time: ts, Pred: pred, NACK: nack}
+		r.Send(from, m)
 	}
 }
 
@@ -285,12 +287,7 @@ func (r *Replica) onStable(from timestamp.NodeID, m *Stable) {
 // proposing the command, typically during recovery races. The decision is
 // idempotent, so replaying it is always safe.
 func (r *Replica) echoStable(to timestamp.NodeID, rec *record) {
-	r.Send(to, &Stable{
-		Ballot: rec.ballot,
-		Cmd:    rec.cmd,
-		Time:   rec.ts,
-		Pred:   rec.pred,
-	})
+	r.Send(to, r.stable(rec.ballot, rec.cmd, rec.ts, rec.pred))
 }
 
 // resolveWaiters re-evaluates every parked proposal; those whose blockers

@@ -182,12 +182,7 @@ func (r *Replica) retransmitStables(now time.Time) {
 		}
 		rec.resentAt = now
 		resent++
-		r.Broadcast(&Stable{
-			Ballot: rec.ballot,
-			Cmd:    rec.cmd,
-			Time:   rec.ts,
-			Pred:   rec.pred,
-		})
+		r.Broadcast(r.stable(rec.ballot, rec.cmd, rec.ts, rec.pred))
 	}
 	if resent > 0 {
 		r.cfg.Flight.Record(flight.KindRetransmit, r.cfg.FlightGroup, command.ID{},

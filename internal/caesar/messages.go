@@ -55,6 +55,16 @@ func (s Status) String() string {
 // command.UnionIDs, which writes into neither argument. A sender gives up
 // a set the moment it sends it.
 //
+// A handler copies out what it keeps — a record takes the command and the
+// set, never the message — and no handler keeps a *FastPropose,
+// *FastProposeReply or *Stable past the step that handles it; RecoverReply,
+// which recovery keeps, is allocated singly. Those three carry every fast
+// decision, so they are slots of chunks (internal/chunk) on both sides of
+// the wire: a replica takes what it sends from its own chunks, and
+// internal/wire decodes into the decoder's. A slot is never reused, so a
+// message a transport or trace holds on to stays intact; holding one only
+// keeps its chunk's memory alive.
+//
 // The same holds for a command's bytes from the moment it is submitted
 // (protocol.Engine.Submit), before any message carries it: the record of
 // every replica's history, the write-ahead log, the peers of an in-process

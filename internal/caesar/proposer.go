@@ -77,13 +77,15 @@ func (r *Replica) startFastProposal(c *coordinator, ts timestamp.Timestamp, whit
 	c.anyNack = false
 	c.timedOut = false
 	c.deadline = r.now.Add(r.cfg.FastTimeout)
-	r.Broadcast(&FastPropose{
+	m := r.proposes.Next()
+	*m = FastPropose{
 		Ballot:       c.ballot,
 		Cmd:          c.cmd,
 		Time:         ts,
 		Whitelist:    whitelist,
 		HasWhitelist: hasWhitelist,
-	})
+	}
+	r.Broadcast(m)
 }
 
 // vote books one reply towards the quorum of a phase: the sender's vote,
@@ -199,7 +201,7 @@ func (r *Replica) onRetryReply(from timestamp.NodeID, m *RetryReply) {
 // startStable broadcasts the decision (Fig 4, line S1) and books the
 // decision-path metrics. A replica that voted in the deciding phase holds
 // the command already, so its Stable names it by ID alone; the others get
-// it whole. A decision that mixes both forms allocates them together.
+// it whole.
 func (r *Replica) startStable(c *coordinator) {
 	now := r.now
 	switch c.phase {
@@ -218,20 +220,12 @@ func (r *Replica) startStable(c *coordinator) {
 	}
 	c.phase = phaseStable
 	c.stableAt = now
-	whole := Stable{Ballot: c.ballot, Cmd: c.cmd, Time: c.ts, Pred: c.pred}
-	named := whole
-	named.Cmd = command.Command{ID: c.cmd.ID}
 	var toVoter, toOther *Stable
-	switch c.votes.Count() {
-	case 0:
-		toOther = new(Stable)
-		*toOther = whole
-	case r.n:
-		toVoter = new(Stable)
-		*toVoter = named
-	default:
-		pair := &[2]Stable{named, whole}
-		toVoter, toOther = &pair[0], &pair[1]
+	if c.votes.Count() > 0 {
+		toVoter = r.stable(c.ballot, command.Command{ID: c.cmd.ID}, c.ts, c.pred)
+	}
+	if c.votes.Count() < r.n {
+		toOther = r.stable(c.ballot, c.cmd, c.ts, c.pred)
 	}
 	for _, p := range r.peers {
 		if c.votes.Has(int32(p)) {
@@ -240,4 +234,12 @@ func (r *Replica) startStable(c *coordinator) {
 			r.Send(p, toOther)
 		}
 	}
+}
+
+// stable returns a Stable from the replica's chunk: every Stable this
+// replica sends is one (messages.go).
+func (r *Replica) stable(ballot uint32, cmd command.Command, ts timestamp.Timestamp, pred []command.ID) *Stable {
+	m := r.stables.Next()
+	*m = Stable{Ballot: ballot, Cmd: cmd, Time: ts, Pred: pred}
+	return m
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/contend"
 	"github.com/caesar-consensus/caesar/internal/failure"
@@ -192,6 +193,13 @@ type Replica struct {
 	// every tick that reads them (gc.go). Zero until a replica is heard
 	// from.
 	lows, seens []timestamp.Timestamp
+
+	// proposes, replies and stables are where the FastPropose,
+	// FastProposeReply and Stable this replica sends come from
+	// (messages.go); event-loop state, so they need no lock.
+	proposes chunk.Of[FastPropose]
+	replies  chunk.Of[FastProposeReply]
+	stables  chunk.Of[Stable]
 
 	fd      *failure.Detector
 	nextSeq uint64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
@@ -17,37 +18,13 @@ import (
 // later recreates a shard slot, traffic from the dead instance carries an
 // older generation and is dropped instead of corrupting its successor.
 //
-// Envelopes come from EnvelopeChunks — each shard endpoint's on the
-// sending side, each wire decoder's on the receiving side.
+// Envelopes come from chunks (internal/chunk) — each shard endpoint's on
+// the sending side, each wire decoder's on the receiving side — so never
+// write to one once it has been handed on.
 type Envelope struct {
 	Shard   int32
 	Gen     int32
 	Payload any
-}
-
-// EnvelopeChunk is how many envelopes one allocation provides.
-const EnvelopeChunk = 32
-
-// EnvelopeChunks hands out envelopes EnvelopeChunk to an allocation and
-// never reuses a slot: an envelope may outlive its Send (a transport
-// re-encodes a failed batch on its next connection, an in-process one
-// hands the sender's envelope to the receiver, a trace keeps what was
-// sent), so nothing may write to one once it has been handed on. The
-// price is that a live envelope keeps its chunk, and up to
-// EnvelopeChunk-1 sibling payloads, reachable. The zero value is ready to
-// use; it is not safe for concurrent use.
-type EnvelopeChunks struct {
-	free []Envelope // the unused tail of the current chunk
-}
-
-// Next returns an envelope no one else has been given.
-func (c *EnvelopeChunks) Next() *Envelope {
-	if len(c.free) == 0 {
-		c.free = make([]Envelope, EnvelopeChunk)
-	}
-	env := &c.free[0]
-	c.free = c.free[1:]
-	return env
 }
 
 // pendingCap bounds the per-slot buffer of inbound messages that arrived
@@ -233,7 +210,7 @@ type subEndpoint struct {
 	gen   int32
 
 	envMu sync.Mutex
-	envs  EnvelopeChunks
+	envs  chunk.Of[Envelope]
 }
 
 var _ transport.Endpoint = (*subEndpoint)(nil)

@@ -1,13 +1,18 @@
 package tcpnet_test
 
 import (
+	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/chunk"
+	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/tcpnet"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/wire"
@@ -144,5 +149,53 @@ func TestGarbageClosesTheConnection(t *testing.T) {
 	case <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("healthy link stopped delivering")
+	}
+}
+
+// TestReceivedMessagesAreNeverReused: the link's decoder fills chunk slots
+// on the read goroutine while the receiver's loop still reads messages it
+// was handed earlier. A slot written twice would change a kept message
+// under the loop's feet (and, under -race, be reported as a race).
+func TestReceivedMessagesAreNeverReused(t *testing.T) {
+	const n = 4 * (2*chunk.Size + 1)
+	msg := func(i int) any {
+		id := command.ID{Node: 0, Seq: uint64(i + 1)}
+		at := timestamp.Timestamp{Seq: uint64(i + 1)}
+		pred := []command.ID{{Node: 1, Seq: uint64(i)}}
+		switch i % 4 {
+		case 0:
+			cmd := command.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+			cmd.ID = id
+			return &caesar.FastPropose{Ballot: uint32(i), Cmd: cmd, Time: at}
+		case 1:
+			return &caesar.FastProposeReply{Ballot: uint32(i), CmdID: id, Time: at, Pred: pred}
+		case 2:
+			return &caesar.Stable{Ballot: uint32(i), Cmd: command.Command{ID: id}, Time: at, Pred: pred}
+		default:
+			return &shard.Envelope{Shard: 1, Gen: int32(i), Payload: &caesar.FastProposeReply{Ballot: uint32(i), CmdID: id}}
+		}
+	}
+	// Buffered for every message, so the read goroutine never waits on the
+	// loop and keeps decoding while the loop re-reads.
+	inbox := make(chan any, n)
+	a, _, _ := pair(t, func(_ timestamp.NodeID, payload any) { inbox <- payload })
+	go func() {
+		for i := 0; i < n; i++ {
+			a.Send(1, msg(i))
+		}
+	}()
+	var kept []any
+	for len(kept) < n {
+		select {
+		case m := <-inbox:
+			kept = append(kept, m)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d messages arrived", len(kept), n)
+		}
+		for i, m := range kept {
+			if want := msg(i); !reflect.DeepEqual(m, want) {
+				t.Fatalf("message %d, read after %d arrived: %#v, sent %#v", i, len(kept), m, want)
+			}
+		}
 	}
 }

@@ -45,9 +45,14 @@
 // binary-searches them; IDs in an ack or purge batch are a list, in any
 // order), and
 // decoded keys, values and payloads are exact-size copies, so the
-// decoder's frame buffer is never pinned by a message. A decoded shard
-// envelope comes from the decoder's shard.EnvelopeChunks, which never
-// reuses a slot: it pins its chunk, not the frame buffer.
+// decoder's frame buffer is never pinned by a message.
+//
+// The per-operation messages — FastPropose, FastProposeReply and Stable —
+// and the shard envelopes around them are decoded into slots of per-link
+// chunks (internal/chunk), one set per Decoder, which never reuses a slot:
+// a decoded struct pins its chunk, not the frame buffer. The other nine
+// messages are allocated one by one, RecoverReply because recovery keeps
+// it.
 package wire
 
 import (
@@ -58,6 +63,7 @@ import (
 	"slices"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/shard"
@@ -229,8 +235,11 @@ type Decoder struct {
 	r   io.Reader
 	hdr [frameHeader]byte
 	buf []byte
-	// envs needs no lock: a decoder has one reader.
-	envs shard.EnvelopeChunks
+	// The chunks need no lock: a decoder has one reader.
+	proposes chunk.Of[caesar.FastPropose]
+	replies  chunk.Of[caesar.FastProposeReply]
+	stables  chunk.Of[caesar.Stable]
+	envs     chunk.Of[shard.Envelope]
 }
 
 // NewDecoder returns a Decoder reading from r.
@@ -320,14 +329,16 @@ func readBallot(r *msgReader) uint32 { return r.Uint32() }
 func (d *Decoder) readMessage(r *msgReader, nested bool) (any, error) {
 	switch tag := r.Byte(); tag {
 	case tagFastPropose:
-		m := &caesar.FastPropose{Ballot: readBallot(r)}
+		m := d.proposes.Next()
+		m.Ballot = readBallot(r)
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
 		m.Whitelist = r.idSet()
 		m.HasWhitelist = r.Bool()
 		return m, nil
 	case tagFastProposeReply:
-		m := &caesar.FastProposeReply{Ballot: readBallot(r)}
+		m := d.replies.Next()
+		m.Ballot = readBallot(r)
 		m.CmdID = r.ID()
 		m.Time = r.Timestamp()
 		m.Pred = r.idSet()
@@ -359,7 +370,8 @@ func (d *Decoder) readMessage(r *msgReader, nested bool) (any, error) {
 		m.Pred = r.idSet()
 		return m, nil
 	case tagStable:
-		m := &caesar.Stable{Ballot: readBallot(r)}
+		m := d.stables.Next()
+		m.Ballot = readBallot(r)
 		m.Cmd = r.Command()
 		m.Time = r.Timestamp()
 		m.Pred = r.idSet()

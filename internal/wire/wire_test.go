@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/caesar-consensus/caesar/internal/caesar"
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/rebalance"
 	"github.com/caesar-consensus/caesar/internal/shard"
@@ -162,38 +163,71 @@ func TestStreamCarriesMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestDecodedEnvelopesAreNeverReused: a decoder takes shard envelopes from
-// chunks and never hands a slot out twice, so an envelope a receiver still
-// holds keeps its shard, generation and message however many frames the
-// decoder reads after it.
-func TestDecodedEnvelopesAreNeverReused(t *testing.T) {
-	const frames = 3*shard.EnvelopeChunk + 5
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	for i := 0; i < frames; i++ {
-		env := &shard.Envelope{Shard: int32(i % 7), Gen: int32(i), Payload: &caesar.Recover{Ballot: uint32(i)}}
-		if err := enc.Encode(&Envelope{From: 1, Payload: env}); err != nil {
-			t.Fatal(err)
-		}
+// TestDecodedMessagesAreNeverReused: a decoder takes FastPropose,
+// FastProposeReply, Stable and shard envelopes from chunks and never hands
+// a slot out twice, so a message a receiver still holds keeps every field
+// however many frames the decoder reads after it.
+func TestDecodedMessagesAreNeverReused(t *testing.T) {
+	const frames = 2*chunk.Size + 1
+	id := func(node, i int) command.ID { return command.ID{Node: timestamp.NodeID(node), Seq: uint64(i + 1)} }
+	at := func(i int) timestamp.Timestamp { return timestamp.Timestamp{Seq: uint64(i + 1), Node: 2} }
+	kinds := []struct {
+		name string
+		msg  func(i int) any
+	}{
+		{"FastPropose", func(i int) any {
+			cmd := command.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+			cmd.ID = id(1, i)
+			m := &caesar.FastPropose{Ballot: uint32(i), Cmd: cmd, Time: at(i)}
+			if i%2 == 0 {
+				m.Whitelist, m.HasWhitelist = []command.ID{id(3, i)}, true
+			}
+			return m
+		}},
+		{"FastProposeReply", func(i int) any {
+			return &caesar.FastProposeReply{Ballot: uint32(i), CmdID: id(1, i), Time: at(i), Pred: []command.ID{id(3, i)}, NACK: i%3 == 0}
+		}},
+		{"Stable", func(i int) any {
+			cmd := command.Command{ID: id(1, i)}
+			if i%2 == 0 {
+				cmd = command.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+				cmd.ID = id(1, i)
+			}
+			return &caesar.Stable{Ballot: uint32(i), Cmd: cmd, Time: at(i), Pred: []command.ID{id(3, i)}}
+		}},
+		{"shard.Envelope", func(i int) any {
+			return &shard.Envelope{Shard: int32(i % 7), Gen: int32(i), Payload: &caesar.FastProposeReply{Ballot: uint32(i), CmdID: id(1, i)}}
+		}},
 	}
-	dec := NewDecoder(&buf)
-	got := make([]*shard.Envelope, frames)
-	for i := range got {
-		var out Envelope
-		if err := dec.Decode(&out); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		got[i] = out.Payload.(*shard.Envelope)
-	}
-	seen := make(map[*shard.Envelope]bool)
-	for i, env := range got {
-		if seen[env] {
-			t.Fatalf("frame %d: envelope %p was handed out twice", i, env)
-		}
-		seen[env] = true
-		if m, ok := env.Payload.(*caesar.Recover); !ok || env.Shard != int32(i%7) || env.Gen != int32(i) || m.Ballot != uint32(i) {
-			t.Fatalf("frame %d: envelope now holds shard %d gen %d payload %#v", i, env.Shard, env.Gen, env.Payload)
-		}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc := NewEncoder(&buf)
+			for i := 0; i < frames; i++ {
+				if err := enc.Encode(&Envelope{From: 1, Payload: kind.msg(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dec := NewDecoder(&buf)
+			got := make([]any, frames)
+			for i := range got {
+				var out Envelope
+				if err := dec.Decode(&out); err != nil {
+					t.Fatalf("decode %d: %v", i, err)
+				}
+				got[i] = out.Payload
+			}
+			seen := make(map[any]bool)
+			for i, m := range got {
+				if seen[m] {
+					t.Fatalf("frame %d: %p was handed out twice", i, m)
+				}
+				seen[m] = true
+				if want := kind.msg(i); !reflect.DeepEqual(m, want) {
+					t.Fatalf("frame %d of %d now reads %#v, was sent as %#v", i, frames, m, want)
+				}
+			}
+		})
 	}
 }
 
