@@ -26,10 +26,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/audit"
+	"github.com/caesar-consensus/caesar/internal/obs"
 )
 
 func main() {
@@ -48,10 +48,8 @@ func main() {
 	}
 	client := &http.Client{Timeout: *timeout}
 	var sources []audit.Source
-	for _, u := range strings.Split(*nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			sources = append(sources, audit.HTTPSource(client, u))
-		}
+	for _, u := range obs.NodeURLs(*nodes) {
+		sources = append(sources, audit.HTTPSource(client, u))
 	}
 	if len(sources) == 0 {
 		fmt.Fprintln(os.Stderr, "caesar-audit: -nodes named no URLs")

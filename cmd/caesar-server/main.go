@@ -230,7 +230,11 @@ func run(o options) error {
 	// may run it — raised divergences dedupe per collector, and the check
 	// itself is read-only.
 	var auditor *audit.Collector
-	if sources := auditSources(o.auditPeers); len(sources) > 0 {
+	if peers := obs.NodeURLs(o.auditPeers); len(peers) > 0 {
+		var sources []audit.Source
+		for _, base := range peers {
+			sources = append(sources, audit.HTTPSource(nil, base))
+		}
 		auditor = &audit.Collector{
 			Sources:  sources,
 			Interval: o.auditEvery,
@@ -273,19 +277,6 @@ func run(o options) error {
 		log.Printf("replica %d shutdown timed out", o.id)
 	}
 	return nil
-}
-
-// auditSources builds the in-process auditor's sources from the
-// -audit-peers list, skipping empty entries as caesar-audit does: a
-// trailing comma must not become a phantom node that never answers.
-func auditSources(list string) []audit.Source {
-	var sources []audit.Source
-	for _, base := range strings.Split(list, ",") {
-		if base = strings.TrimSpace(base); base != "" {
-			sources = append(sources, audit.HTTPSource(nil, base))
-		}
-	}
-	return sources
 }
 
 // serveClients accepts client connections and executes their requests —

@@ -134,24 +134,3 @@ func TestParseMPut(t *testing.T) {
 		}
 	}
 }
-
-func TestAuditSourcesSkipEmptyEntries(t *testing.T) {
-	for _, c := range []struct {
-		list string
-		want []string
-	}{
-		{"", nil},
-		{",", nil},
-		{"http://a:1", []string{"http://a:1"}},
-		{"http://a:1,", []string{"http://a:1"}},
-		{" http://a:1 ,, http://b:2 ", []string{"http://a:1", "http://b:2"}},
-	} {
-		var got []string
-		for _, src := range auditSources(c.list) {
-			got = append(got, src.Name)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("auditSources(%q) = %q, want %q", c.list, got, c.want)
-		}
-	}
-}

@@ -257,12 +257,7 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	var urls []string
-	for _, u := range strings.Split(*nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
+	urls := obs.NodeURLs(*nodes)
 	if len(urls) == 0 {
 		fmt.Fprintln(os.Stderr, "caesar-top: -nodes named no URLs")
 		os.Exit(2)

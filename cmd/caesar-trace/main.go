@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/obs"
 	"github.com/caesar-consensus/caesar/internal/trace"
 )
 
@@ -46,11 +46,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "caesar-trace: bad -cmd %q: %v\n", *cmdStr, err)
 		os.Exit(2)
 	}
-	var urls []string
-	for _, u := range strings.Split(*nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
+	urls := obs.NodeURLs(*nodes)
+	if len(urls) == 0 {
+		fmt.Fprintln(os.Stderr, "caesar-trace: -nodes named no URLs")
+		os.Exit(2)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

@@ -1,6 +1,7 @@
 package caesar
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 	"time"
@@ -20,13 +21,14 @@ import (
 // fence keeps rejecting proposals that would order below an already-purged
 // delivery.
 //
-// The fence is generational, so that it forgets what no proposal can
-// reach. purge raises per-key entries in the current generation. Below a
-// floor timestamp every proposal is rejected, whatever its keys; on every
-// GC tick the floor rises to the cluster's purge horizon, and once it
-// covers the previous generation's highest timestamp the history rotates
-// (history.rotate): the previous generation is dropped and the current one
-// takes its place.
+// The fence forgets what no proposal can reach. purge raises the fence of
+// each of the record's keys, which lives in the key's conflict-list entry
+// (keyList.fence). Below a floor timestamp every proposal is rejected,
+// whatever its keys; on every GC tick the floor rises to the cluster's
+// purge horizon (history.raiseFloor), and an entry whose fence the floor
+// covers and whose list is empty leaves the index. An entry the floor
+// covers answers every query exactly as the floor does, so nothing needs
+// to tell older fences from newer ones.
 //
 // A NACK is not free. Recovery reads a rejected tuple as proof that the
 // command was not decided at its timestamp (Fig 5, case iii), and a leader
@@ -62,7 +64,7 @@ import (
 //     decision got c before G crashed. When a recoverer decided, h is a
 //     replica whose tuple it re-proposed, and this needs a crashed
 //     incarnation's messages to reach a replica before its successor's.
-//   - Exactness. An entry is dropped only once the floor covers it, so
+//   - Exactness. A fence is dropped only once the floor covers it, so
 //     every query at or above the floor gets exactly the answer a fence
 //     that never forgot would give.
 //   - No fast-path cost. A fresh proposal's timestamp is at or above every
@@ -213,18 +215,19 @@ func (r *Replica) onPurgeBatch(_ timestamp.NodeID, m *PurgeBatch) {
 	}
 }
 
-// history.purge removes the record and raises the current generation's
-// fence on each of its keys to its timestamp: the command was delivered on
-// every node at rec.ts, so any future proposal of a conflicting command at
-// a lower timestamp must be rejected even though the record is gone —
-// otherwise it could be ordered "before" a command the whole cluster
-// already executed. Once rotations have carried the entry out of both
-// generations, the floor rejects that proposal instead.
+// history.purge removes the record and raises the fence on each of its
+// keys to its timestamp: the command was delivered on every node at rec.ts,
+// so any future proposal of a conflicting command at a lower timestamp must
+// be rejected even though the record is gone — otherwise it could be
+// ordered "before" a command the whole cluster already executed. A fence
+// the floor covers is not needed: the floor rejects that proposal instead.
+// The fence rises before remove unindexes the record, so the entry its list
+// empties stays and is not made again.
 func (h *history) purge(rec *record) {
-	for _, k := range rec.cmd.Keys() {
-		if cur, ok := h.fence[k]; !ok || cur.Less(rec.ts) {
-			h.fence[k] = rec.ts
-			h.fenceMax = timestamp.Max(h.fenceMax, rec.ts)
+	if h.floor.Less(rec.ts) {
+		for _, k := range rec.cmd.Keys() {
+			l := h.list(k)
+			l.fence = timestamp.Max(l.fence, rec.ts)
 		}
 	}
 	if rec.cmd.Op == command.OpFence && h.purgedBarrier.Less(rec.ts) {
@@ -239,14 +242,13 @@ func (h *history) purge(rec *record) {
 }
 
 // fencedAbove reports whether a proposal of cmd at ts must be rejected
-// because of what was purged: it falls below the floor, below either
-// generation's fence on one of its keys, below a purged barrier, or — for
-// a barrier proposal — below any purged record at all. A noop conflicts
-// with nothing and is never fenced. At or above the floor the answer is
-// the one a fence keeping every purged key forever would give; below it
-// the answer is true, and the cluster-wide horizon the floor follows makes
-// that a rejection the protocol may give (see the comment at the top of
-// this file).
+// because of what was purged: it falls below the floor, below the fence on
+// one of its keys, below a purged barrier, or — for a barrier proposal —
+// below any purged record at all. A noop conflicts with nothing and is
+// never fenced. At or above the floor the answer is the one a fence keeping
+// every purged key forever would give; below it the answer is true, and
+// the cluster-wide horizon the floor follows makes that a rejection the
+// protocol may give (see the comment at the top of this file).
 func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool {
 	if cmd.Op == command.OpNoop {
 		return false
@@ -258,37 +260,30 @@ func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool 
 		return true
 	}
 	for _, k := range cmd.Keys() {
-		if f, ok := h.fence[k]; ok && ts.Less(f) {
-			return true
-		}
-		if f, ok := h.prevFence[k]; ok && ts.Less(f) {
+		if l := h.byKey[k]; l != nil && ts.Less(l.fence) {
 			return true
 		}
 	}
 	return false
 }
 
-// rotate runs once per GC tick: the floor rises to horizon (it never
-// falls), and once it covers the previous generation's highest timestamp,
-// that generation is dropped and the current one becomes the previous one.
-// Until then the rotation is postponed, and rotate reports false.
-//
-// The new generation is sized like the one that just ended: a Go map never
-// gives back the buckets of its peak, so clearing and reusing the maps
-// would keep a load burst's size for good.
-func (h *history) rotate(horizon timestamp.Timestamp) bool {
+// raiseFloor runs once per GC tick: the floor rises to horizon (it never
+// falls), and every entry whose list is empty and whose fence the floor
+// now covers leaves the index. It returns the number of entries whose
+// fence is still above the floor (caesar_purge_fence_keys).
+func (h *history) raiseFloor(horizon timestamp.Timestamp) (fenced int) {
 	h.floor = timestamp.Max(h.floor, horizon)
-	if h.floor.Less(h.prevMax) {
-		return false
-	}
-	h.prevFence, h.prevMax = h.fence, h.fenceMax
-	h.fence, h.fenceMax = make(map[string]timestamp.Timestamp, len(h.prevFence)), timestamp.Timestamp{}
-	return true
+	//caesarlint:allow maprange -- deletes entries and counts them; nothing is sent, applied or traced from the order
+	maps.DeleteFunc(h.byKey, func(_ string, l *keyList) bool {
+		if h.floor.Less(l.fence) {
+			fenced++
+			return false
+		}
+		return len(l.recs) == 0
+	})
+	h.byKey = shrink(h.byKey, &h.keysPeak)
+	return fenced
 }
-
-// fenceKeys is the number of per-key entries the fence holds, over both
-// generations.
-func (h *history) fenceKeys() int { return len(h.fence) + len(h.prevFence) }
 
 // low is the lowest of bound and the timestamp of every indexed record.
 func (h *history) low(bound timestamp.Timestamp) timestamp.Timestamp {

@@ -106,16 +106,21 @@ func cmpRecord(rec *record, k tsKey) int {
 	return cmp.Compare(id.Seq, k.id.Seq)
 }
 
-// keyList is one key's indexed records, sorted by (timestamp, command ID).
-// The index maps a key to a pointer, not to the slice itself: a Go map
-// never gives back the slots of its largest size, and a 24-byte slice
-// header in each of them showed on the benchmark's live_heap_mb (+0.2 MB
-// on lan3-mem, +0.8 MB on lan3-mixed4g). first backs the list while it
-// holds one record — the common case — so a fresh key still costs a
-// single allocation.
+// keyList is one key's indexed records, sorted by (timestamp, command ID),
+// and its purge fence. The index maps a key to a pointer, not to the slice
+// itself: a Go map never gives back the slots of its largest size, and a
+// 24-byte slice header in each of them showed on the benchmark's
+// live_heap_mb (+0.2 MB on lan3-mem, +0.8 MB on lan3-mixed4g). first backs
+// the list while it holds one record — the common case — so a fresh key
+// still costs a single allocation.
+//
+// fence is the highest timestamp of a purged command on the key (see
+// gc.go). An entry whose list is empty stays while its fence is above the
+// history's floor, so a key that comes back reuses it.
 type keyList struct {
 	recs  []*record
 	first [1]*record
+	fence timestamp.Timestamp
 }
 
 // records returns the list; a key absent from the index has none.
@@ -153,7 +158,8 @@ type history struct {
 	// can be running for; see unfinished.
 	first, last *record
 	open        []*record
-	byKey       map[string]*keyList
+	// byKey is the conflict index and the purge fence, one entry per key.
+	byKey map[string]*keyList
 	// barriers holds the indexed OpFence records, in the order they were
 	// indexed. A fence conflicts with every command, so it lives outside
 	// the per-key lists: ordinary conflict scans consult this (usually
@@ -162,16 +168,9 @@ type history struct {
 	// pass is cheap.
 	barriers           []*record
 	recsPeak, keysPeak int // for recs and byKey; see shrink
-	// The purge fence remembers, per key, the highest timestamp of a
-	// purged (globally delivered) command on that key — until the floor
-	// covers it. fence is the current generation, which purge raises;
-	// prevFence is the one before it. fenceMax and prevMax are their
-	// highest timestamps, and floor, which follows the cluster's purge
-	// horizon, covers every older generation at once: below it, any
-	// proposal is rejected. See gc.go.
-	fence, prevFence  map[string]timestamp.Timestamp
-	fenceMax, prevMax timestamp.Timestamp
-	floor             timestamp.Timestamp
+	// floor follows the cluster's purge horizon: below it any proposal is
+	// rejected, and a key's fence at or below it is forgotten. See gc.go.
+	floor timestamp.Timestamp
 	// purgedBarrier is the highest timestamp of a purged fence: every
 	// command conflicted with it, so proposals below it are rejected even
 	// though the record is gone. purgedMax is the highest timestamp of
@@ -188,7 +187,6 @@ func newHistory() *history {
 	return &history{
 		recs:  make(map[command.ID]*record),
 		byKey: make(map[string]*keyList),
-		fence: make(map[string]timestamp.Timestamp),
 	}
 }
 
@@ -274,13 +272,7 @@ func (h *history) index(rec *record) {
 	}
 	pos := tsKey{ts: rec.ts, id: rec.id()}
 	for _, k := range rec.cmd.Keys() {
-		l := h.byKey[k]
-		if l == nil {
-			l = &keyList{}
-			l.recs = l.first[:0]
-			h.byKey[k] = l
-			h.keysPeak = max(h.keysPeak, len(h.byKey))
-		}
+		l := h.list(k)
 		// present only when the command names k twice.
 		if i, present := slices.BinarySearchFunc(l.recs, pos, cmpRecord); !present {
 			l.recs = slices.Insert(l.recs, i, rec)
@@ -293,8 +285,20 @@ func (h *history) index(rec *record) {
 	}
 }
 
+// list returns k's entry, making an empty one if the key has none.
+func (h *history) list(k string) *keyList {
+	l := h.byKey[k]
+	if l == nil {
+		l = &keyList{}
+		l.recs = l.first[:0]
+		h.byKey[k] = l
+		h.keysPeak = max(h.keysPeak, len(h.byKey))
+	}
+	return l
+}
+
 // unindex removes the record from the conflict index; a key whose list
-// empties leaves the map.
+// empties leaves the map unless its fence is above the floor.
 func (h *history) unindex(rec *record) {
 	if !rec.indexed {
 		return
@@ -311,11 +315,11 @@ func (h *history) unindex(rec *record) {
 		i, present := slices.BinarySearchFunc(l.records(), pos, cmpRecord)
 		switch {
 		case !present:
-		case len(l.recs) == 1:
+		case len(l.recs) > 1 || h.floor.Less(l.fence):
+			l.recs = slices.Delete(l.recs, i, i+1)
+		default:
 			delete(h.byKey, k)
 			h.byKey = shrink(h.byKey, &h.keysPeak)
-		default:
-			l.recs = slices.Delete(l.recs, i, i+1)
 		}
 	}
 }

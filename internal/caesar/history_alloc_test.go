@@ -24,4 +24,13 @@ func TestConflictIndexAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
 		t.Errorf("index+unindex on a held key: %v allocations, want 0", n)
 	}
+	// A key whose list emptied while its fence is above the floor: the
+	// entry stays, and the key reuses it.
+	purged := h.ensure(put(0, 9, "fenced"))
+	h.setTimestamp(purged, ts(9, 0))
+	h.purge(purged)
+	rec.cmd = put(1, 1, "fenced")
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("index+unindex on a key held by its fence: %v allocations, want 0", n)
+	}
 }

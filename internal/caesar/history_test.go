@@ -1,10 +1,11 @@
 package caesar
 
-// The conflict index (history.byKey and the scans over it) and the
-// generational purge fence against a brute-force scan of history.recs and
-// of every purge ever made, under seeded random operation sequences; plus
-// BenchmarkConflictIndex, which keeps on record the per-key depth at which
-// the sorted slices would lose to a tree, and BenchmarkPredecessors.
+// The conflict index (history.byKey and the scans over it) and the purge
+// fence its entries carry against a brute-force scan of history.recs and of
+// every purge ever made, under seeded random operation sequences (and
+// FuzzConflictIndex over the seed); plus BenchmarkConflictIndex, which
+// keeps on record the per-key depth at which the sorted slices would lose
+// to a tree, and BenchmarkPredecessors.
 
 import (
 	"fmt"
@@ -36,11 +37,10 @@ type indexModel struct {
 	// timestamp it acks.
 	top  timestamp.Timestamp
 	base uint64
-	// quiet counts the rotations in a row, since the last purge, whose
-	// floor covers top; raised and emptied count the rotations that raised
-	// the floor and those checked to leave both generations empty, so a run
-	// that never exercised them fails.
-	quiet, raised, emptied int
+	// raised and emptied count the GC ticks that raised the floor and
+	// those checked to leave no fenced entry, so a run that never
+	// exercised them fails.
+	raised, emptied int
 }
 
 func (m *indexModel) fatalf(format string, args ...any) {
@@ -89,11 +89,10 @@ func (m *indexModel) command() command.Command {
 
 func (m *indexModel) pick() *record { return m.live[m.rng.Intn(len(m.live))] }
 
-// step applies one random mutation to the history, or ends a purge fence
-// generation.
+// step applies one random mutation to the history, or ends a GC tick.
 func (m *indexModel) step() {
 	if m.rng.Intn(10) == 0 {
-		m.rotate()
+		m.raiseFloor()
 		return
 	}
 	p := m.rng.Intn(100)
@@ -132,7 +131,6 @@ func (m *indexModel) purge(rec *record) {
 	m.h.purge(rec)
 	m.live = slices.DeleteFunc(m.live, func(r *record) bool { return r == rec })
 	m.top = timestamp.Max(m.top, rec.ts)
-	m.quiet = 0
 }
 
 // drain purges every live record, as a quiet cluster eventually does, and
@@ -144,14 +142,13 @@ func (m *indexModel) drain() {
 	m.base = m.top.Seq
 }
 
-// rotate ends a GC tick at the horizon of a cluster whose only records are
-// the model's: the lowest of a clock above the stamps drawn and every
-// indexed record. It checks what a rotation may do: raise the floor to the
-// horizon and never over an indexed record, postpone exactly while the
-// floor is below the previous generation's maximum, and, twice in a row
-// with the floor over everything purged and no purge between, leave both
-// generations empty.
-func (m *indexModel) rotate() {
+// raiseFloor ends a GC tick at the horizon of a cluster whose only records
+// are the model's: the lowest of a clock above the stamps drawn and every
+// indexed record. It checks what a tick may do: raise the floor to the
+// horizon and never over an indexed record, count the entries whose fence
+// is above the floor, and, once the floor covers everything purged, leave
+// no fenced entry.
+func (m *indexModel) raiseFloor() {
 	clock := ts(m.base+25, 0)
 	horizon, want := m.h.low(clock), clock
 	for _, rec := range m.live {
@@ -162,27 +159,31 @@ func (m *indexModel) rotate() {
 	if horizon != want {
 		m.fatalf("low(%v) = %v, want %v", clock, horizon, want)
 	}
-	floor, prevMax := m.h.floor, m.h.prevMax
-	rotated := m.h.rotate(horizon)
+	floor := m.h.floor
+	fenced := m.h.raiseFloor(horizon)
 	if m.h.floor != timestamp.Max(floor, horizon) {
-		m.fatalf("rotating at the horizon %v moved the floor %v → %v", horizon, floor, m.h.floor)
+		m.fatalf("raising the floor to the horizon %v moved it %v → %v", horizon, floor, m.h.floor)
 	}
-	if rotated == m.h.floor.Less(prevMax) {
-		m.fatalf("rotated=%v with the floor at %v and the previous maximum %v", rotated, m.h.floor, prevMax)
+	above := 0
+	for _, l := range m.h.byKey {
+		if m.h.floor.Less(l.fence) {
+			above++
+		}
+	}
+	if fenced != above {
+		m.fatalf("raiseFloor counted %d fenced entries, %d have a fence above the floor %v", fenced, above, m.h.floor)
 	}
 	if m.h.floor != floor {
 		m.raised++
 		for _, rec := range m.live {
 			if rec.indexed && rec.ts.Less(m.h.floor) {
-				m.fatalf("rotation raised the floor %v → %v, over open %v at %v", floor, m.h.floor, rec.cmd, rec.ts)
+				m.fatalf("raised the floor %v → %v, over open %v at %v", floor, m.h.floor, rec.cmd, rec.ts)
 			}
 		}
 	}
-	if m.h.floor.Less(m.top) {
-		m.quiet = 0
-	} else if m.quiet++; m.quiet >= 2 {
-		if n := m.h.fenceKeys(); n > 0 {
-			m.fatalf("%d rotations over everything purged left %d fence entries", m.quiet, n)
+	if !m.h.floor.Less(m.top) {
+		if fenced > 0 {
+			m.fatalf("a floor %v over everything purged left %d fenced entries", m.h.floor, fenced)
 		}
 		m.emptied++
 	}
@@ -313,13 +314,14 @@ func (m *indexModel) check(cmd command.Command, bound timestamp.Timestamp) {
 }
 
 // checkLists verifies the index's own shape: every key's list strictly
-// sorted and non-empty, holding exactly the indexed records on that key.
+// sorted and holding exactly the indexed records on that key, and empty
+// only while the key's fence is above the floor.
 func (m *indexModel) checkLists() {
 	entries := 0
 	for k, l := range m.h.byKey {
 		recs := l.recs
-		if len(recs) == 0 {
-			m.fatalf("key %q kept an empty list", k)
+		if len(recs) == 0 && !m.h.floor.Less(l.fence) {
+			m.fatalf("key %q kept an empty list with its fence %v at or below the floor %v", k, l.fence, m.h.floor)
 		}
 		for i, rec := range recs {
 			if !rec.indexed || !touches(rec.cmd, k) {
@@ -346,30 +348,50 @@ func (m *indexModel) checkLists() {
 	}
 }
 
+// run drives the model for steps steps, draining the history every 500,
+// and probes the index after each one.
+func (m *indexModel) run(steps int) {
+	for m.steps = 1; m.steps <= steps; m.steps++ {
+		if m.steps%500 == 0 {
+			m.drain()
+		} else {
+			m.step()
+		}
+		m.checkLists()
+		// A fresh command at a random bound, and a command the history
+		// holds probing at a timestamp some record sits on.
+		m.check(m.command(), m.stamp())
+		if len(m.live) > 0 {
+			m.check(m.pick().cmd, m.pick().ts)
+		}
+	}
+}
+
+func newIndexModel(t *testing.T, seed int64) *indexModel {
+	return &indexModel{t: t, rng: rand.New(rand.NewSource(seed)), h: newHistory()}
+}
+
 func TestConflictIndexMatchesNaiveScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			m := &indexModel{t: t, rng: rand.New(rand.NewSource(seed)), h: newHistory()}
-			for m.steps = 1; m.steps <= 10000; m.steps++ {
-				if m.steps%500 == 0 {
-					m.drain()
-				} else {
-					m.step()
-				}
-				m.checkLists()
-				// A fresh command at a random bound, and a command the
-				// history holds probing at a timestamp some record sits on.
-				m.check(m.command(), m.stamp())
-				if len(m.live) > 0 {
-					m.check(m.pick().cmd, m.pick().ts)
-				}
-			}
-			t.Logf("rotations that raised the floor: %d; checked to empty both generations: %d", m.raised, m.emptied)
+			m := newIndexModel(t, seed)
+			m.run(10000)
+			t.Logf("ticks that raised the floor: %d; checked to leave no fenced entry: %d", m.raised, m.emptied)
 			if m.raised == 0 || m.emptied == 0 {
 				t.Fatal("the run never raised the purge fence's floor or never emptied it")
 			}
 		})
 	}
+}
+
+// FuzzConflictIndex runs the model from any seed, for 2,000 steps.
+func FuzzConflictIndex(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		newIndexModel(t, seed).run(2000)
+	})
 }
 
 // A backlog's maps are rebuilt as it drains, and what they hold survives

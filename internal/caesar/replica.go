@@ -432,8 +432,7 @@ func (r *Replica) onTick(now time.Time) {
 	if r.cfg.GCInterval > 0 && now.Sub(r.lastGC) >= r.cfg.GCInterval {
 		r.lastGC = now
 		r.flushGC()
-		r.hist.rotate(r.reportHorizon())
-		r.met.PurgeFenceKeys.Store(int64(r.hist.fenceKeys()))
+		r.met.PurgeFenceKeys.Store(int64(r.hist.raiseFloor(r.reportHorizon())))
 	}
 	// Stable retransmission for replicas that have not acknowledged.
 	if r.cfg.RetransmitAfter > 0 && now.Sub(r.lastRetx) >= r.cfg.RetransmitAfter/2 {

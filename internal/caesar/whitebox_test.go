@@ -435,7 +435,7 @@ func TestPurgeFenceKeepsParkedWaiterAboveFloor(t *testing.T) {
 // the floor for a command this replica never indexed is NACKed even on a
 // key no purge touched; the suggestion is above the floor, and the command
 // finishes through the retry, which never consults the fence. The gauge
-// follows both generations.
+// drops to zero on the tick whose floor covers the purge.
 func TestPurgeFenceNacksBelowClusterHorizon(t *testing.T) {
 	r, ep := testReplica(2)
 	var applied []command.ID
@@ -459,9 +459,8 @@ func TestPurgeFenceNacksBelowClusterHorizon(t *testing.T) {
 		t.Fatalf("floor = %v once every replica reported %v, want this replica's own clock, above the purge at %v",
 			r.hist.floor, ts(30, 0), ts(10, 0))
 	}
-	gcTick(r)
 	if n := r.met.PurgeFenceKeys.Load(); n != 0 {
-		t.Fatalf("caesar_purge_fence_keys = %d after two rotations over everything purged, want 0", n)
+		t.Fatalf("caesar_purge_fence_keys = %d after a tick whose floor covers everything purged, want 0", n)
 	}
 
 	ep.clear()
@@ -486,37 +485,50 @@ func TestPurgeFenceNacksBelowClusterHorizon(t *testing.T) {
 	}
 }
 
-// A record below the previous generation's maximum holds the floor at its
-// timestamp, which postpones the rotation, for as long as it is indexed:
-// delivered is not enough, its purge is what lets the next GC tick rotate.
-func TestPurgeFencePostponesRotationUntilRecordPurged(t *testing.T) {
+// An open record holds the floor at its timestamp for as long as it is
+// indexed: delivered is not enough. While it does, the entry of a key
+// purged above it stays and the gauge counts it, and a proposal on that key
+// between the floor and the fence is NACKed. One GC tick after the record's
+// purge the floor covers the fence, the entry is gone, and the floor NACKs
+// the proposal instead.
+func TestPurgeFenceHeldByOpenRecordUntilPurged(t *testing.T) {
 	r, _ := testReplica(2)
 	peersReport(r, ts(100, 0), 0, 1, 3, 4)
 	open := put(1, 1, "b")
 	r.onFastPropose(1, &FastPropose{Cmd: open, Time: ts(7, 1)})
 	stableAndPurged(r, put(0, 1, "a"), ts(10, 0))
-	gcTick(r)
-	gcTick(r)
-	if r.hist.floor != ts(7, 1) || r.hist.prevMax != ts(10, 0) {
-		t.Fatalf("floor %v, previous maximum %v: want the floor at the open record's %v and the rotation postponed",
-			r.hist.floor, r.hist.prevMax, ts(7, 1))
+	between := func(when string) {
+		t.Helper()
+		if !r.evalBlocking(put(3, 1, "a"), ts(8, 3)).nack {
+			t.Fatalf("%s: a proposal on the purged key at %v, between the floor and the fence, is not NACKed", when, ts(8, 3))
+		}
 	}
-	if n := r.met.PurgeFenceKeys.Load(); n != 1 {
-		t.Fatalf("caesar_purge_fence_keys = %d while postponed, want 1", n)
+	held := func(when string) {
+		t.Helper()
+		gcTick(r)
+		if r.hist.floor != ts(7, 1) {
+			t.Fatalf("%s: the floor is %v, want it held at the open record's %v", when, r.hist.floor, ts(7, 1))
+		}
+		if n := r.met.PurgeFenceKeys.Load(); n != 1 || r.hist.byKey["a"] == nil {
+			t.Fatalf("%s: caesar_purge_fence_keys = %d, entry %v: want the purged key's entry held", when, n, r.hist.byKey["a"])
+		}
+		between(when)
 	}
-
+	held("while the record is pending")
+	held("one tick later")
 	r.onStable(1, &Stable{Cmd: open, Time: ts(7, 1)})
-	gcTick(r)
-	if r.hist.floor != ts(7, 1) || r.hist.prevMax != ts(10, 0) {
-		t.Fatalf("floor %v, previous maximum %v once the record was delivered: want it still postponed",
-			r.hist.floor, r.hist.prevMax)
-	}
+	held("once the record was delivered")
+
 	r.onPurgeBatch(1, &PurgeBatch{IDs: []command.ID{open.ID}})
+	between("once the record was purged")
 	gcTick(r)
-	if !ts(10, 0).Less(r.hist.floor) || r.hist.prevMax != ts(7, 1) {
-		t.Fatalf("floor %v, previous maximum %v once the record was purged: want the floor past %v and the purge at %v the previous generation",
-			r.hist.floor, r.hist.prevMax, ts(10, 0), ts(7, 1))
+	if !ts(10, 0).Less(r.hist.floor) {
+		t.Fatalf("the floor is %v one tick after the purge, want it past the fence at %v", r.hist.floor, ts(10, 0))
 	}
+	if n := r.met.PurgeFenceKeys.Load(); n != 0 || len(r.hist.byKey) != 0 {
+		t.Fatalf("caesar_purge_fence_keys = %d with %d entries one tick after the purge, want none", n, len(r.hist.byKey))
+	}
+	between("one tick after the purge")
 }
 
 // The two tests below put a command O where only a cluster-wide horizon

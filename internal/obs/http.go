@@ -116,3 +116,16 @@ func FetchJSON[T any](ctx context.Context, client *http.Client, url string) (T, 
 	}
 	return v, nil
 }
+
+// NodeURLs splits a comma-separated list of nodes' base URLs (a -nodes or
+// -audit-peers flag), trimming spaces and dropping empty entries: a
+// trailing comma must not become a phantom node that never answers.
+func NodeURLs(list string) []string {
+	var urls []string
+	for _, u := range strings.Split(list, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	return urls
+}

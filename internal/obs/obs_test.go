@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -411,6 +412,25 @@ func TestRecorderFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(text, "# TYPE "+fam+" ") {
 			t.Errorf("family %s not registered:\n%s", fam, text)
+		}
+	}
+}
+
+func TestNodeURLsSkipEmptyEntries(t *testing.T) {
+	for _, c := range []struct {
+		list string
+		want []string
+	}{
+		{"", nil},
+		{",", nil},
+		{" , ,", nil},
+		{"http://a:1", []string{"http://a:1"}},
+		{"http://a:1,", []string{"http://a:1"}},
+		{",http://a:1", []string{"http://a:1"}},
+		{" http://a:1 ,, http://b:2 ", []string{"http://a:1", "http://b:2"}},
+	} {
+		if got := NodeURLs(c.list); !slices.Equal(got, c.want) {
+			t.Errorf("NodeURLs(%q) = %q, want %q", c.list, got, c.want)
 		}
 	}
 }

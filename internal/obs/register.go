@@ -39,7 +39,7 @@ func (r *Registry) RegisterRecorder(ls Labels, rec *metrics.Recorder) {
 	r.Summary("caesar_deliver_phase_seconds",
 		"Leader time from decision to local execution.", ls, &rec.DeliverPhase)
 	r.Gauge("caesar_purge_fence_keys",
-		"Per-key purge fence entries over both generations, as of the last GC tick; a reading that keeps growing means a silent replica or a record never purged holds the cluster's purge horizon.",
+		"Conflict-index entries whose purge fence is above the floor, as of the last GC tick; a reading that keeps growing means a silent replica or a record never purged holds the cluster's purge horizon.",
 		ls, func() float64 { return float64(rec.PurgeFenceKeys.Load()) })
 }
 

@@ -106,7 +106,9 @@ for fam in \
     caesar_audit_divergence_total \
     caesar_contention_losses_total \
     caesar_hotkey_events; do
-    if ! echo "$metrics" | grep -q "^$fam"; then
+    # A here-string, not a pipe: grep -q exits at the first match, and
+    # under pipefail the echo it cut off would fail the check.
+    if ! grep -q "^$fam" <<<"$metrics"; then
         echo "scrape missing family $fam:" >&2
         echo "$metrics" >&2
         exit 1
@@ -189,6 +191,19 @@ echo "$traceout" | grep -q 'propose' || {
     echo "$traceout" >&2
     exit 1
 }
+
+# A -nodes list that names no URL is a usage error (exit 2) for every
+# CLI that takes one, not a collection that found nothing on zero nodes.
+for cli in "caesar-trace -cmd c0.1" caesar-audit caesar-top; do
+    code=0
+    # shellcheck disable=SC2086 # $cli is the binary and its other flags
+    "$workdir/"$cli -nodes , 2>"$workdir/empty-nodes.err" || code=$?
+    if [ "$code" != 2 ] || ! grep -q -- '-nodes named no URLs' "$workdir/empty-nodes.err"; then
+        echo "$cli -nodes , exited $code, want 2 and a refusal:" >&2
+        cat "$workdir/empty-nodes.err" >&2
+        exit 1
+    fi
+done
 
 # /auditz: one node's audit report as JSON — per-group digest quotes
 # with the digests rendered as hex strings, not JSON numbers.

@@ -9,7 +9,13 @@
 // order, node order), and a map is for lookup only.
 //
 // The check is by the operand's type, so a map hidden behind a named type
-// or a struct field is caught the same. Test files are exempt.
+// or a struct field is caught the same. A call to one of the maps
+// package's functions that walk a map and hand its entries to caller code
+// — All, Keys and Values, whose iterators a loop or a collector then
+// ranges over, DeleteFunc and EqualFunc, which call a function per entry —
+// is a range over a map too, and is flagged unless it is the direct
+// argument of slices.Sorted or slices.SortedFunc, which put the entries in
+// a defined order. Test files are exempt.
 //
 // A loop whose order provably cannot escape — it takes a minimum, or
 // inserts into a sorted set — is waived with a trailing or preceding
@@ -36,6 +42,16 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// walkers are the maps package's functions that hand a map's entries to
+// caller code in iteration order; sorters are the slices package's
+// functions that take such an iterator and give a defined order back.
+var (
+	walkers = map[string]bool{"All": true, "Keys": true, "Values": true, "DeleteFunc": true, "EqualFunc": true}
+	sorters = map[string]bool{"Sorted": true, "SortedFunc": true}
+)
+
+const remedy = "iteration order is random and must not reach a message, an apply or a trace event; walk a slice or list with a defined order, or annotate //caesarlint:allow maprange -- <why the order cannot escape>"
+
 func run(pass *analysis.Pass) error {
 	if !pathApplies(pass.Pkg.Path()) {
 		return nil
@@ -44,22 +60,49 @@ func run(pass *analysis.Pass) error {
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
+		sorted := make(map[ast.Expr]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
-			loop, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			if t := pass.TypesInfo.TypeOf(loop.X); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					pass.Reportf(loop.Pos(),
-						"range over a map (%s) in the consensus core: iteration order is random and must not reach a message, an apply or a trace event; walk a slice or list with a defined order, or annotate //caesarlint:allow maprange -- <why the order cannot escape>",
-						types.TypeString(t, types.RelativeTo(pass.Pkg)))
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						pass.Reportf(n.Pos(), "range over a map (%s) in the consensus core: %s",
+							types.TypeString(t, types.RelativeTo(pass.Pkg)), remedy)
+					}
+				}
+			case *ast.CallExpr:
+				if sorters[stdFunc(pass, n, "slices")] && len(n.Args) > 0 {
+					sorted[n.Args[0]] = true
+				}
+				if name := stdFunc(pass, n, "maps"); walkers[name] && !sorted[n] {
+					pass.Reportf(n.Pos(), "maps.%s walks a map in the consensus core: %s", name, remedy)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// stdFunc returns the name of the function call calls if it is a
+// package-level function of the standard library package pkg, and "" if it
+// is not.
+func stdFunc(pass *analysis.Pass, call *ast.CallExpr, pkg string) string {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok { // an explicit instantiation
+		fun = ix.X
+	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
+		fun = ix.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkg {
+		return ""
+	}
+	return fn.Name()
 }
 
 func pathApplies(path string) bool {
