@@ -118,4 +118,7 @@ func TestDefaultNodeDiagnoses(t *testing.T) {
 	if log := node.FlightLog(8); !strings.Contains(log, "node started: 2 group(s)") {
 		t.Errorf("FlightLog(8) lacks the node-start event:\n%s", log)
 	}
+	if log := node.FlightLog(-1); log != "" {
+		t.Errorf("FlightLog(-1) = %q, want no events", log)
+	}
 }

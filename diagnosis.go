@@ -54,7 +54,7 @@ func (n *Node) LastStall() (Diagnosis, bool) {
 // FlightLog renders the newest max events of the node's flight recorder
 // (the always-on journal of node-level events: recovery, suspects,
 // retransmits, resizes, WAL snapshots, watchdog trips), oldest-first,
-// one per line.
+// one per line; the empty string for max <= 0.
 func (n *Node) FlightLog(max int) string {
 	return flight.Format(n.stk.Flight.Tail(max))
 }

@@ -241,8 +241,11 @@ func (r *Recorder) Dump() []Event {
 	return out
 }
 
-// Tail returns the newest n events, oldest-first.
+// Tail returns the newest n events, oldest-first; none for n <= 0.
 func (r *Recorder) Tail(n int) []Event {
+	if n <= 0 {
+		return nil
+	}
 	all := r.Dump()
 	if len(all) > n {
 		all = all[len(all)-n:]

@@ -54,6 +54,11 @@ func TestRecorderWrap(t *testing.T) {
 	if len(tail) != 2 || tail[0].Seq != 9 || tail[1].Seq != 10 {
 		t.Fatalf("Tail(2) = %v, want seqs 9,10", tail)
 	}
+	for _, n := range []int{0, -1, -5} {
+		if tail := r.Tail(n); len(tail) != 0 {
+			t.Fatalf("Tail(%d) = %v, want no events", n, tail)
+		}
+	}
 }
 
 func TestRecorderNilSafe(t *testing.T) {

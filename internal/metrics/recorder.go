@@ -69,9 +69,9 @@ type Recorder struct {
 	FsyncLatency   DurationSum
 	Snapshots      Counter
 
-	// PurgeFenceKeys is a level, not a count: the per-key entries a CAESAR
-	// replica's purge fence holds over its two generations, stored by the
-	// replica's event loop on every GC tick. It is per group and not
+	// PurgeFenceKeys is a level, not a count: the conflict-index entries
+	// of a CAESAR replica whose purge fence is above the floor, stored by
+	// the replica's event loop on every GC tick. It is per group and not
 	// linked to the node-level recorder.
 	PurgeFenceKeys atomic.Int64
 }

@@ -158,7 +158,7 @@ func (e *Engine) Attach(g int, r GroupReader) {
 	e.groups[g] = r
 }
 
-// SetRouter installs the current-router source (shard.Engine.Router); nil
+// SetRouter installs the current-router source (xshard.Engine.Router); nil
 // means an unsharded node (a single group at epoch 0).
 func (e *Engine) SetRouter(fn func() shard.Router) {
 	e.mu.Lock()

@@ -187,9 +187,8 @@ type Coordinator struct {
 	//caesarlint:lockorder gate < table < store
 	mu sync.Mutex
 	// Wired by Bind.
-	inner    *shard.Engine
-	table    *xshard.Table
-	resubmit func(command.Command, protocol.DoneFunc)
+	engine *xshard.Engine
+	table  *xshard.Table
 
 	// history is the node's routing-epoch history, shared with the commit
 	// table and the store: installLocked writes each new epoch into it,
@@ -271,20 +270,19 @@ func NewCoordinatorAt(cfg Config, history *shard.Epochs, epoch uint32) *Coordina
 	return co
 }
 
-// Bind wires the coordinator to the node's cross-shard engine, whose
-// groups must apply through Applier: fences go to x's groups, stale
-// pieces are killed in x's table, and skipped commands are re-proposed
-// through the full routing path (x.Submit). It switches x's router to the
-// coordinator's epoch, so a restarted node proposes under the epoch it
-// recovered.
-func (co *Coordinator) Bind(x *xshard.Engine) {
+// Bind wires the coordinator to the node's sharded engine and its commit
+// table; the engine's groups must apply through Applier. Fences go to the
+// engine's groups, stale pieces are killed in the table, and skipped
+// commands are re-proposed through the full routing path (x.Submit). It
+// switches x's router to the coordinator's epoch, so a restarted node
+// proposes under the epoch it recovered.
+func (co *Coordinator) Bind(x *xshard.Engine, table *xshard.Table) {
 	co.mu.Lock()
-	co.inner = x.Inner()
-	co.table = x.Table()
-	co.resubmit = x.Submit
+	co.engine = x
+	co.table = table
 	epoch, shards := co.epoch, co.shards
 	co.mu.Unlock()
-	co.inner.SetRouter(shard.NewRouterAt(epoch, shards))
+	x.SetRouter(shard.NewRouterAt(epoch, shards))
 }
 
 // Epoch returns the current routing epoch.
@@ -413,7 +411,7 @@ func (co *Coordinator) Sweep() {
 			t.startedAt = now // back off before the next round
 		}
 	}
-	inner := co.inner
+	engine := co.engine
 	doRetire := co.retireTo >= 0 && now.After(co.retireAt) && co.pending == nil
 	retireTo := co.retireTo
 	if doRetire {
@@ -421,15 +419,15 @@ func (co *Coordinator) Sweep() {
 	}
 	co.mu.Unlock()
 
-	if len(refence) > 0 && inner != nil {
+	if len(refence) > 0 && engine != nil {
 		if cmd, err := FenceCommand(marker); err == nil {
 			for _, g := range refence {
-				inner.SubmitTo(g, cmd, nil)
+				engine.SubmitTo(g, cmd, nil)
 			}
 		}
 	}
-	if doRetire && inner != nil {
-		inner.RetireFrom(retireTo)
+	if doRetire && engine != nil {
+		engine.RetireFrom(retireTo)
 	}
 }
 
@@ -506,13 +504,13 @@ func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Comma
 		return
 	default:
 		co.mu.Unlock()
-		co.finishSkipped(verdict, group, cmd, done)
+		co.finishSkipped(verdict, group, inner, cmd, ts, done)
 	}
 }
 
 // finishSkipped handles the stale and lost-marker verdicts outside the
-// lock.
-func (co *Coordinator) finishSkipped(v gateVerdict, group int, cmd command.Command, done func(protocol.Result)) {
+// lock; chain is the group's applier chain below the gate.
+func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	if v == gateDropMarker {
 		done(protocol.Result{})
 		return
@@ -523,22 +521,33 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, cmd command.Comma
 		// A stale participant piece kills its transaction everywhere,
 		// deterministically; the coordinating node's client callback gets
 		// ErrEpochRetry and xshard.Engine.Submit re-proposes under the new
-		// epoch.
+		// epoch. The chain gets the group's abort marker in the piece's
+		// place, under the piece's ID: the write-ahead log records the
+		// kill at the piece's position (and the ID in the group's
+		// delivered set), so a restart finds the transaction settled
+		// rather than held. The table below has it settled already and
+		// ignores the marker.
 		if p, err := xshard.DecodePiece(cmd.Payload); err == nil {
 			co.table.KillStale(int32(group), p.XID)
+			if chain != nil {
+				marker, _ := xshard.AbortCommand(p.XID, int32(group), nil)
+				marker.ID, marker.Epoch = cmd.ID, cmd.Epoch
+				chain.ApplyDeferred(marker, ts, done)
+				return
+			}
 		}
 		done(protocol.Result{})
 		return
 	}
 	co.mu.Lock()
-	resubmit := co.resubmit
+	engine := co.engine
 	mine := cmd.ID.Node == co.cfg.Self
 	co.mu.Unlock()
-	if mine && resubmit != nil {
+	if mine && engine != nil {
 		// Re-route this node's own command under the current epoch; the
 		// client callback fires when the re-proposal executes.
 		cmd.ID = command.ID{}
-		resubmit(cmd, func(res protocol.Result) { done(res) })
+		engine.Submit(cmd, done)
 		return
 	}
 	done(protocol.Result{})
@@ -782,10 +791,10 @@ func (co *Coordinator) installLocked(m Marker) bool {
 	if co.retireTo >= 0 {
 		retireTo := co.retireTo
 		co.retireTo = -1
-		inner := co.inner
+		engine := co.engine
 		co.mu.Unlock()
-		if inner != nil {
-			inner.RetireFrom(retireTo)
+		if engine != nil {
+			engine.RetireFrom(retireTo)
 		}
 		co.mu.Lock()
 		if co.pending != nil {
@@ -835,13 +844,12 @@ func (co *Coordinator) installLocked(m Marker) bool {
 	}
 	co.cfg.Flight.Eventf(flight.KindEpoch,
 		"epoch %d installed: %d -> %d group(s)", m.Epoch, m.PrevShards, m.Shards)
-	inner := co.inner
-	if inner != nil {
+	if engine := co.engine; engine != nil {
 		co.mu.Unlock()
 		if m.Shards > m.PrevShards {
-			_ = inner.EnsureGroups(int(m.Shards), int32(m.Epoch))
+			_ = engine.EnsureGroups(int(m.Shards), int32(m.Epoch))
 		}
-		inner.SetRouter(t.next)
+		engine.SetRouter(t.next)
 		co.mu.Lock()
 	}
 	return true
@@ -953,7 +961,7 @@ func (co *Coordinator) drainQueue() bool {
 			progress, changed = true, true
 			switch {
 			case skip:
-				co.finishSkipped(verdict, q.group, q.cmd, q.done)
+				co.finishSkipped(verdict, q.group, inner, q.cmd, q.ts, q.done)
 			case inner != nil:
 				// Handing the command down fixes its place in the
 				// chain's apply order; the entry can leave the queue
@@ -1087,7 +1095,7 @@ func (co *Coordinator) Resize(ctx context.Context, shards int) error {
 		return nil
 	}
 	m := Marker{Epoch: co.epoch + 1, Shards: int32(shards), PrevShards: int32(co.shards)}
-	inner := co.inner
+	engine := co.engine
 	co.mu.Unlock()
 	co.cfg.Flight.Eventf(flight.KindResize,
 		"resize initiated here: epoch %d, %d -> %d group(s)", m.Epoch, m.PrevShards, m.Shards)
@@ -1098,7 +1106,7 @@ func (co *Coordinator) Resize(ctx context.Context, shards int) error {
 	}
 	// Decide: group 0 serializes competing resizes, and the history keeps
 	// the first marker of each epoch.
-	if err := submitFence(ctx, inner, 0, fence); err != nil {
+	if err := submitFence(ctx, engine, 0, fence); err != nil {
 		return err
 	}
 	if co.history.Shards(m.Epoch) != m.Shards {
@@ -1108,7 +1116,7 @@ func (co *Coordinator) Resize(ctx context.Context, shards int) error {
 	// a submission is lost).
 	errs := make(chan error, int(m.PrevShards))
 	for g := 1; g < int(m.PrevShards); g++ {
-		go func(g int) { errs <- submitFence(ctx, inner, g, fence) }(g)
+		go func(g int) { errs <- submitFence(ctx, engine, g, fence) }(g)
 	}
 	for g := 1; g < int(m.PrevShards); g++ {
 		if err := <-errs; err != nil && ctx.Err() != nil {
@@ -1134,9 +1142,9 @@ func (co *Coordinator) Resize(ctx context.Context, shards int) error {
 
 // submitFence proposes the fence to one group and waits for its local
 // delivery.
-func submitFence(ctx context.Context, inner *shard.Engine, group int, fence command.Command) error {
+func submitFence(ctx context.Context, engine *xshard.Engine, group int, fence command.Command) error {
 	ch := make(chan protocol.Result, 1)
-	inner.SubmitTo(group, fence, func(res protocol.Result) { ch <- res })
+	engine.SubmitTo(group, fence, func(res protocol.Result) { ch <- res })
 	select {
 	case res := <-ch:
 		return res.Err

@@ -66,7 +66,7 @@
 // a command already accepted into a retiring group's consensus but not
 // decided when the grace window closes fails with protocol.ErrStopped
 // (outcome reported, never silently dropped — a submission that merely
-// raced the shrink and found the group gone, shard.ErrNoGroup, is
+// raced the shrink and found the group gone, xshard.ErrNoGroup, is
 // re-routed automatically by xshard.Engine.Submit); and latency on
 // migrating keys stalls for up to one handoff round while their queue
 // drains.

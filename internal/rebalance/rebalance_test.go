@@ -13,9 +13,11 @@ import (
 	"github.com/caesar-consensus/caesar/internal/codec"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/kvstore"
+	"github.com/caesar-consensus/caesar/internal/memnet"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
+	"github.com/caesar-consensus/caesar/internal/transport"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
@@ -248,6 +250,19 @@ func TestGateQueuesUntilHandoffCompletes(t *testing.T) {
 	}
 }
 
+// rerouteGroup is a group engine that hands every submission to a
+// recorder and completes it with the value "rerouted".
+type rerouteGroup func(command.Command)
+
+func (r rerouteGroup) Submit(cmd command.Command, done protocol.DoneFunc) {
+	r(cmd)
+	if done != nil {
+		done(protocol.Result{Value: []byte("rerouted")})
+	}
+}
+func (rerouteGroup) Start() {}
+func (rerouteGroup) Stop()  {}
+
 // TestGateSkipsStaleAndReroutes checks the exactly-once path for a command
 // routed under the old epoch but ordered after its group's fence: every
 // replica skips it; only the submitting node re-routes it.
@@ -257,12 +272,13 @@ func TestGateSkipsStaleAndReroutes(t *testing.T) {
 	moved := keyHomedAt(t, prev, next, 0, 2)
 
 	var resubmitted []command.Command
-	co.resubmit = func(cmd command.Command, done protocol.DoneFunc) {
-		resubmitted = append(resubmitted, cmd)
-		if done != nil {
-			done(protocol.Result{Value: []byte("rerouted")})
-		}
-	}
+	net := memnet.New(memnet.Config{Nodes: 1})
+	defer net.Close()
+	x := xshard.NewEngine(net.Endpoint(0), make([]int32, 2), co.table, func(int, transport.Endpoint) protocol.Engine {
+		return rerouteGroup(func(cmd command.Command) { resubmitted = append(resubmitted, cmd) })
+	})
+	co.Bind(x, co.table)
+	defer x.Stop()
 	gate0 := co.Applier(0, protocol.Sync(app))
 	for g := 0; g < 2; g++ {
 		co.onFence(g, Marker{Epoch: 1, Shards: 4, PrevShards: 2}, &fencePass{passed: true})

@@ -1,4 +1,9 @@
-package shard
+package shard_test
+
+// The sharded engine over fake groups: xshard.Engine composes this
+// package's Router and Mux into a node's submission engine, and these
+// cases pin what it does with them — routing, epoch stamping, growth,
+// retirement and revival — without running consensus.
 
 import (
 	"errors"
@@ -7,12 +12,15 @@ import (
 	"testing"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/memnet"
 	"github.com/caesar-consensus/caesar/internal/protocol"
+	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/transport"
+	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
-// fakeGroup records what one shard's engine was asked to do.
+// fakeGroup records what one group's engine was asked to do.
 type fakeGroup struct {
 	mu        sync.Mutex
 	submitted []command.Command
@@ -38,6 +46,12 @@ func (f *fakeGroup) count() int {
 	return len(f.submitted)
 }
 
+func (f *fakeGroup) last() command.Command {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.submitted[len(f.submitted)-1]
+}
+
 // newFakes returns n fresh fake groups.
 func newFakes(n int) []*fakeGroup {
 	fakes := make([]*fakeGroup, n)
@@ -47,20 +61,35 @@ func newFakes(n int) []*fakeGroup {
 	return fakes
 }
 
-// newEngine builds a sharded engine over a one-node network whose groups
-// are the given engines, handed over through the build func.
-func newEngine[G protocol.Engine](t *testing.T, groups []G) *Engine {
+// newEngine builds a sharded engine over a one-node network with a fresh
+// commit table; build makes each group, at construction and on growth.
+func newEngine(t *testing.T, groups int, build xshard.BuildFunc) *xshard.Engine {
 	t.Helper()
 	net := memnet.New(memnet.Config{Nodes: 1})
 	t.Cleanup(net.Close)
-	return NewAt(net.Endpoint(0), make([]int32, len(groups)), func(s int, _ transport.Endpoint) protocol.Engine {
-		return groups[s]
-	})
+	history := shard.NewEpochs()
+	history.Install(0, int32(groups))
+	table := xshard.NewTable(xshard.TableConfig{Self: 0, Exec: kvstore.New()}, history)
+	return xshard.NewEngine(net.Endpoint(0), make([]int32, groups), table, build)
+}
+
+// fakeEngine builds a sharded engine whose groups are the given fakes.
+func fakeEngine(t *testing.T, fakes []*fakeGroup) *xshard.Engine {
+	t.Helper()
+	return newEngine(t, len(fakes), func(g int, _ transport.Endpoint) protocol.Engine { return fakes[g] })
+}
+
+// submitTo proposes a put on group g and returns the error its
+// completion reported.
+func submitTo(e *xshard.Engine, g int) error {
+	var err error
+	e.SubmitTo(g, command.Put("x", nil), func(res protocol.Result) { err = res.Err })
+	return err
 }
 
 func TestShardedEngineRoutesSubmissions(t *testing.T) {
 	fakes := newFakes(4)
-	eng := newEngine(t, fakes)
+	eng := fakeEngine(t, fakes)
 	eng.Start()
 	defer eng.Stop()
 
@@ -70,6 +99,16 @@ func TestShardedEngineRoutesSubmissions(t *testing.T) {
 		key := fmt.Sprintf("key-%d", i)
 		want[eng.Router().Shard(key)]++
 		eng.Submit(command.Put(key, nil), nil)
+	}
+	// A keyless command goes to the one group the router names for it.
+	home, err := eng.Router().Route(command.Noop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[home]++
+	eng.Submit(command.Noop(), nil)
+	if fakes[home].last().Op != command.OpNoop {
+		t.Fatalf("the keyless command missed group %d, the router's home for it", home)
 	}
 	for s, f := range fakes {
 		if f.count() != want[s] {
@@ -81,57 +120,12 @@ func TestShardedEngineRoutesSubmissions(t *testing.T) {
 	}
 }
 
-func TestShardedEngineBroadcastsKeylessCommands(t *testing.T) {
-	fakes := newFakes(4)
-	eng := newEngine(t, fakes)
-	eng.Start()
-	defer eng.Stop()
-
-	// A keyless command (noop/barrier) must reach every group, not only
-	// shard 0 — otherwise a barrier never flushes shards 1..G-1.
-	var fired int
-	var res protocol.Result
-	eng.Submit(command.Noop(), func(r protocol.Result) { fired++; res = r })
-	for s, f := range fakes {
-		if f.count() != 1 {
-			t.Errorf("shard %d received %d copies of the barrier, want 1", s, f.count())
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("done fired %d times, want exactly once", fired)
-	}
-	if res.Err != nil {
-		t.Fatalf("barrier failed: %v", res.Err)
-	}
-}
-
-func TestShardedEngineKeylessBroadcastReportsFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	ok := &fakeGroup{}
-	eng := newEngine(t, []protocol.Engine{ok, failingGroup{err: boom}})
-	var res protocol.Result
-	eng.Submit(command.Noop(), func(r protocol.Result) { res = r })
-	if !errors.Is(res.Err, boom) {
-		t.Fatalf("barrier error = %v, want %v", res.Err, boom)
-	}
-	if ok.count() != 1 {
-		t.Fatalf("healthy group received %d submissions, want 1", ok.count())
-	}
-}
-
-// failingGroup fails every submission.
-type failingGroup struct{ err error }
-
-func (f failingGroup) Submit(_ command.Command, done protocol.DoneFunc) {
-	if done != nil {
-		done(protocol.Result{Err: f.err})
-	}
-}
-func (failingGroup) Start() {}
-func (failingGroup) Stop()  {}
-
+// TestShardedEngineRejectsCrossShard: a transaction spanning groups is
+// split into pieces, but a single member command whose own keys span
+// groups has no piece to go in and is rejected.
 func TestShardedEngineRejectsCrossShard(t *testing.T) {
-	eng := newEngine(t, newFakes(4))
+	fakes := newFakes(4)
+	eng := fakeEngine(t, fakes)
 	eng.Start()
 	defer eng.Stop()
 
@@ -143,17 +137,22 @@ func TestShardedEngineRejectsCrossShard(t *testing.T) {
 			b = k
 		}
 	}
-	cross := command.Command{Op: command.OpBatch, Key: a, ExtraKeys: []string{b}}
+	cross := command.Command{Op: command.OpPut, Key: a, ExtraKeys: []string{b}}
 	var got error
 	eng.Submit(cross, func(res protocol.Result) { got = res.Err })
-	if !errors.Is(got, ErrCrossShard) {
+	if !errors.Is(got, shard.ErrCrossShard) {
 		t.Fatalf("cross-shard submit returned %v, want ErrCrossShard", got)
+	}
+	for s, f := range fakes {
+		if f.count() != 0 {
+			t.Errorf("shard %d received %d submissions of a rejected command", s, f.count())
+		}
 	}
 }
 
 func TestShardedEngineStopFansOutAndReleasesEndpoint(t *testing.T) {
 	fakes := newFakes(3)
-	eng := newEngine(t, fakes)
+	eng := fakeEngine(t, fakes)
 	eng.Start()
 	eng.Stop()
 	eng.Stop() // idempotent, like every protocol.Engine
@@ -166,18 +165,102 @@ func TestShardedEngineStopFansOutAndReleasesEndpoint(t *testing.T) {
 
 func TestShardedEngineFromGroups(t *testing.T) {
 	fakes := newFakes(2)
-	eng := newEngine(t, fakes)
-	if eng.Shards() != 2 {
-		t.Fatalf("Shards() = %d, want 2", eng.Shards())
-	}
+	eng := fakeEngine(t, fakes)
 	eng.Start()
+	defer eng.Stop()
 	eng.Submit(command.Put("k", nil), nil)
-	eng.Stop()
-	total := fakes[0].count() + fakes[1].count()
-	if total != 1 {
+	if total := fakes[0].count() + fakes[1].count(); total != 1 {
 		t.Fatalf("groups received %d submissions, want 1", total)
 	}
-	if eng.Group(0) != fakes[0] {
-		t.Fatal("Group(0) did not return the wired engine")
+	for g, f := range fakes {
+		before := f.count()
+		if err := submitTo(eng, g); err != nil {
+			t.Fatalf("SubmitTo(%d): %v", g, err)
+		}
+		if f.count() != before+1 {
+			t.Fatalf("SubmitTo(%d) did not reach the group built for slot %d", g, g)
+		}
+	}
+	if err := submitTo(eng, 2); !errors.Is(err, xshard.ErrNoGroup) {
+		t.Fatalf("SubmitTo past the built groups: %v, want ErrNoGroup", err)
+	}
+}
+
+// epochRecorder records submitted commands per group.
+type epochRecorder struct {
+	group int
+	got   chan command.Command
+}
+
+func (e *epochRecorder) Submit(cmd command.Command, done protocol.DoneFunc) {
+	e.got <- cmd
+	if done != nil {
+		done(protocol.Result{})
+	}
+}
+func (e *epochRecorder) Start() {}
+func (e *epochRecorder) Stop()  {}
+
+// TestEngineStampsRoutingEpoch checks that submissions carry the epoch of
+// the router that placed them — the tag replicas use to spot commands
+// routed under an outdated epoch after a resize.
+func TestEngineStampsRoutingEpoch(t *testing.T) {
+	got := make(chan command.Command, 8)
+	e := newEngine(t, 2, func(g int, ep transport.Endpoint) protocol.Engine {
+		return &epochRecorder{group: g, got: got}
+	})
+	e.Submit(command.Put("k", nil), nil)
+	if cmd := <-got; cmd.Epoch != 0 {
+		t.Fatalf("epoch-0 submission stamped %d", cmd.Epoch)
+	}
+	e.SetRouter(shard.NewRouterAt(3, 2))
+	e.Submit(command.Put("k", nil), nil)
+	if cmd := <-got; cmd.Epoch != 3 {
+		t.Fatalf("epoch-3 submission stamped %d", cmd.Epoch)
+	}
+}
+
+// TestEngineEnsureAndRetireGroups exercises the dynamic group set: growth
+// builds and starts new groups, SubmitTo reaches them, RetireFrom stops
+// them and reports ErrNoGroup, and a revival gets a fresh instance.
+func TestEngineEnsureAndRetireGroups(t *testing.T) {
+	got := make(chan command.Command, 8)
+	var builds int
+	e := newEngine(t, 2, func(g int, ep transport.Endpoint) protocol.Engine {
+		builds++
+		return &epochRecorder{group: g, got: got}
+	})
+	e.Start()
+	defer e.Stop()
+	// reaches submits to one group and reports whether it is live.
+	reaches := func(g int) bool {
+		err := submitTo(e, g)
+		if err == nil {
+			<-got
+		} else if !errors.Is(err, xshard.ErrNoGroup) {
+			t.Fatalf("SubmitTo(%d) err = %v, want nil or ErrNoGroup", g, err)
+		}
+		return err == nil
+	}
+	if builds != 2 || !reaches(1) || reaches(2) {
+		t.Fatalf("construction built %d groups, want 2 live slots", builds)
+	}
+	if err := e.EnsureGroups(4, 1); err != nil {
+		t.Fatalf("EnsureGroups: %v", err)
+	}
+	if builds != 4 || !reaches(3) {
+		t.Fatalf("after growth: %d builds, want 4 and group 3 live", builds)
+	}
+
+	e.RetireFrom(2)
+	if !reaches(1) || reaches(2) || reaches(3) {
+		t.Fatal("after retire: want groups 0-1 live and 2-3 answering ErrNoGroup")
+	}
+
+	if err := e.EnsureGroups(4, 2); err != nil {
+		t.Fatalf("revival: %v", err)
+	}
+	if builds != 6 || !reaches(2) || !reaches(3) {
+		t.Fatalf("revival reused a dead instance: %d builds", builds)
 	}
 }

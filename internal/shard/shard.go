@@ -6,7 +6,8 @@
 // Nothing is ordered across shards: a sharded deployment offers per-key
 // (per-shard) linearizability, not cross-shard serializability.
 //
-// The package has four pieces:
+// The package has three pieces, which internal/xshard's Engine composes
+// into a node's sharded submission engine:
 //
 //   - Router: a stable, epoch-versioned key → shard map built on Jump
 //     Consistent Hash, so growing the shard count from G to G+1 moves only
@@ -20,9 +21,6 @@
 //     by tagging every payload with its shard, reusing the memnet and
 //     tcpnet transports unchanged. Channels can be added (and retired) at
 //     runtime for live resizes.
-//   - Engine: a protocol.Engine that fans submissions out to per-shard
-//     engines and aggregates their lifecycle; groups can be added and
-//     retired while it runs.
 package shard
 
 import (
@@ -33,10 +31,9 @@ import (
 )
 
 // ErrCrossShard rejects multi-key commands whose keys hash to different
-// shards. internal/xshard, layered over the sharded engine on every node,
-// catches it and commits such a command atomically across the groups it
-// touches; through that layer it surfaces only for a single member command
-// whose own keys span groups.
+// shards. internal/xshard's engine catches it and commits such a command
+// atomically across the groups it touches; it surfaces only for a single
+// member command whose own keys span groups.
 var ErrCrossShard = errors.New("shard: command keys span multiple shards")
 
 // Router maps keys to shards. The zero value routes everything to shard 0
@@ -93,12 +90,10 @@ func (r Router) Shard(key string) int {
 	return jump(h, r.Shards())
 }
 
-// Route returns the shard every key of cmd maps to. Keyless commands
-// (noops) have no home shard and default to 0 — Engine.Submit broadcasts
-// them to every group instead of calling Route, so a barrier flushes the
-// whole deployment. A multi-key command whose keys span shards is rejected
-// with ErrCrossShard; internal/xshard catches that and runs the atomic
-// cross-group commit instead.
+// Route returns the shard every key of cmd maps to. A keyless command
+// (a noop) has no home shard and routes to shard 0. A multi-key command
+// whose keys span shards is rejected with ErrCrossShard; internal/xshard
+// catches that and runs the atomic cross-group commit instead.
 func (r Router) Route(cmd command.Command) (int, error) {
 	keys := cmd.Keys()
 	if len(keys) == 0 {

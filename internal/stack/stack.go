@@ -9,8 +9,10 @@
 //
 //	rebalance gate → write-ahead log → cross-shard table → node applier
 //
-// The gate must see fences before anything else (and it drops stale
-// deliveries, which therefore never reach the log — replay agrees). The
+// The gate must see fences before anything else. It drops stale
+// deliveries, which therefore never reach the log — replay agrees —
+// except a stale transaction piece, which reaches it as its group's abort
+// marker, so the log settles the transaction the gate killed. The
 // log sits above the commit table so a transaction piece is durable, and
 // in the recovered delivered set, before the table can react to it; the
 // transaction's effects are logged separately when the table executes
@@ -414,15 +416,14 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		below := chain
 		chain = func(g int) protocol.Applier { return co.Applier(g, below(g)) }
 	}
-	inner := shard.NewAt(ep, gens, func(g int, sep transport.Endpoint) protocol.Engine {
+	xe := xshard.NewEngine(ep, gens, table, func(g int, sep transport.Endpoint) protocol.Engine {
 		return buildGroup(g, sep, chain(g), seedFor(g))
 	})
-	rd.SetRouter(inner.Router)
-	ctd.SetGroupOf(func(k string) int { return inner.Router().Shard(k) })
-	xe := xshard.New(inner, table)
+	rd.SetRouter(xe.Router)
+	ctd.SetGroupOf(func(k string) int { return xe.Router().Shard(k) })
 	s.Engine = xe
 	if co != nil {
-		co.Bind(xe)
+		co.Bind(xe, table)
 		s.Coordinator = co
 	}
 	s.finish(ep, cfg)

@@ -1,9 +1,10 @@
 package xshard_test
 
-// Black-box conformance: the cross-shard engine is a protocol.Engine and
-// must keep the full Generalized Consensus contract for single-key
-// traffic — the coordinator layer only intercepts multi-group commands,
-// everything else passes through the sharded deployment untouched.
+// Black-box conformance: the sharded engine, with the commit table in every
+// group's chain, is a protocol.Engine and must keep the full Generalized
+// Consensus contract for single-key traffic — the table only intercepts
+// transaction pieces and markers, everything else passes through to the
+// key's group untouched.
 
 import (
 	"testing"
@@ -21,9 +22,8 @@ func TestCrossShardEngineConformance(t *testing.T) {
 		history := shard.NewEpochs()
 		history.Install(0, 4)
 		table := xshard.NewTable(xshard.TableConfig{Self: ep.Self(), Exec: app}, history)
-		inner := shard.NewAt(ep, make([]int32, 4), func(g int, sep transport.Endpoint) protocol.Engine {
+		return xshard.NewEngine(ep, make([]int32, 4), table, func(g int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, protocol.Sync(table.Applier(g, app)), caesar.Config{HeartbeatInterval: -1})
 		})
-		return xshard.New(inner, table)
 	})
 }

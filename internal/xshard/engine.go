@@ -2,11 +2,14 @@ package xshard
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
+	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
 // maxEpochRetries bounds re-proposals of a command that keeps landing
@@ -15,31 +18,159 @@ import (
 // forever.
 const maxEpochRetries = 8
 
-// Engine wraps a sharded engine with the cross-shard coordinator: keyless
-// and single-group submissions pass straight through, while a multi-key
-// command whose keys span groups is split into per-group participant
-// pieces and committed atomically through the node's commit table instead
-// of being rejected with shard.ErrCrossShard.
+// ErrNoGroup is reported for submissions routed to a group that is
+// retired (or was never created) on this node — a transient condition
+// during a live resize, terminal otherwise.
+var ErrNoGroup = errors.New("xshard: no live group for shard")
+
+// BuildFunc constructs the consensus engine of one group on its logical
+// endpoint. Called once per group at construction and again for every
+// group a live resize adds; the applier and metrics each group should use
+// are captured by the closure. The engine it returns must have the
+// lifecycle enginetest's Lifecycle case checks (every engine on a
+// protocol.Runtime does): a Stop before Start is final, which is what lets
+// EnsureGroups start a new group without fencing against a racing Stop.
+type BuildFunc func(group int, ep transport.Endpoint) protocol.Engine
+
+// Engine is a sharded node's submission engine: G independent consensus
+// groups behind one protocol.Engine. A command is routed by its keys to
+// one group, so commands on different groups are agreed and executed in
+// parallel while same-key (conflicting) commands keep their group's total
+// order; a keyless command goes to group 0. A multi-key command whose keys
+// span groups is split into per-group participant pieces and committed
+// atomically through the node's commit table. The group set and the
+// router are dynamic: the live rebalancing layer (internal/rebalance)
+// installs a new epoch's router and adds or retires groups while traffic
+// flows.
 type Engine struct {
-	inner *shard.Engine
 	table *Table
+	build BuildFunc
+	mux   *shard.Mux
+
+	mu      sync.RWMutex
+	router  shard.Router
+	groups  []protocol.Engine // nil entries are retired groups
+	started bool
+	stopped bool
 }
 
 var _ protocol.Engine = (*Engine)(nil)
 
-// New wires the coordinator over the sharded engine. Every group of inner
-// must apply commands through table.Applier so pieces and markers reach
-// the same table.
-func New(inner *shard.Engine, table *Table) *Engine {
-	table.bind(inner.SubmitTo)
-	return &Engine{inner: inner, table: table}
+// NewEngine builds a sharded engine over one shared endpoint: a shard.Mux
+// gives each group a tagged logical channel, and build constructs each
+// group on its channel. A group must apply commands through
+// table.Applier for cross-group commands to commit: that is where their
+// pieces and markers reach the table. Stop closes the endpoint. The group instances attach at the given per-group mux
+// generations — the routing epochs the groups were most recently created
+// at. A node restarting into a previously resized deployment must match
+// the generations its peers' mux slots run, or its outbound traffic would
+// be dropped as stale (and inbound buffered for a generation that never
+// attaches). gens[i] is group i's generation; a fresh deployment is all
+// zeros.
+func NewEngine(ep transport.Endpoint, gens []int32, table *Table, build BuildFunc) *Engine {
+	mux := shard.NewMux(ep, len(gens))
+	groups := make([]protocol.Engine, len(gens))
+	for g := range groups {
+		groups[g] = build(g, mux.Attach(g, gens[g]))
+	}
+	e := &Engine{table: table, build: build, mux: mux, router: shard.NewRouter(len(groups)), groups: groups}
+	table.submit = e.SubmitTo
+	return e
 }
 
-// Inner returns the wrapped sharded engine.
-func (e *Engine) Inner() *shard.Engine { return e.inner }
+// Router returns the engine's current key → group map (a snapshot: the
+// rebalancing layer may install a newer epoch at any time).
+func (e *Engine) Router() shard.Router {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.router
+}
 
-// Table returns the node's commit table.
-func (e *Engine) Table() *Table { return e.table }
+// SetRouter installs a new routing epoch. Submissions routed after this
+// call carry the new router's epoch stamp.
+func (e *Engine) SetRouter(r shard.Router) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.router = r
+}
+
+// EnsureGroups grows the engine to at least n groups, building the new
+// ones at generation gen (the routing epoch of the resize creating them)
+// and starting them if the engine runs. Revives retired slots too. It is
+// idempotent: existing live groups are untouched.
+func (e *Engine) EnsureGroups(n int, gen int32) error {
+	e.mu.Lock()
+	if e.stopped {
+		e.mu.Unlock()
+		return protocol.ErrStopped
+	}
+	var added []protocol.Engine
+	for g := 0; g < n; g++ {
+		if g < len(e.groups) && e.groups[g] != nil {
+			continue
+		}
+		eng := e.build(g, e.mux.Attach(g, gen))
+		for g >= len(e.groups) {
+			e.groups = append(e.groups, nil)
+		}
+		e.groups[g] = eng
+		added = append(added, eng)
+	}
+	started := e.started
+	e.mu.Unlock()
+	if started {
+		// A Stop racing this growth may sweep the new groups before they
+		// start; a group's Stop is final, so its Start then does nothing.
+		for _, g := range added {
+			g.Start()
+		}
+	}
+	return nil
+}
+
+// RetireFrom stops and detaches every group with index >= n. Their mux
+// slots drop in-flight traffic from now on; a later EnsureGroups with a
+// higher generation can revive them.
+func (e *Engine) RetireFrom(n int) {
+	e.mu.Lock()
+	var victims []protocol.Engine
+	var slots []int
+	for g := n; g < len(e.groups); g++ {
+		if e.groups[g] != nil {
+			victims = append(victims, e.groups[g])
+			slots = append(slots, g)
+			e.groups[g] = nil
+		}
+	}
+	e.mu.Unlock()
+	for _, g := range victims {
+		g.Stop()
+	}
+	for _, g := range slots {
+		e.mux.Retire(g)
+	}
+}
+
+// SubmitTo proposes cmd on one specific group, bypassing routing, or
+// fails it with ErrNoGroup when that group is not live. The rebalancing
+// layer uses it for fences, the commit table for abort markers and
+// Submit for everything it routes; callers stamp cmd.Epoch themselves
+// from the router snapshot they routed with.
+func (e *Engine) SubmitTo(group int, cmd command.Command, done protocol.DoneFunc) {
+	e.mu.RLock()
+	var g protocol.Engine
+	if group >= 0 && group < len(e.groups) {
+		g = e.groups[group]
+	}
+	e.mu.RUnlock()
+	if g == nil {
+		if done != nil {
+			done(protocol.Result{Err: ErrNoGroup})
+		}
+		return
+	}
+	g.Submit(cmd, done)
+}
 
 // Submit implements protocol.Engine. done fires after local execution: for
 // a cross-shard command that is the atomic application of the whole
@@ -52,15 +183,15 @@ func (e *Engine) Table() *Table { return e.table }
 // A transaction killed because it straddled a resize marker
 // (ErrEpochRetry) is re-proposed under the new routing automatically, a
 // bounded number of times — as is a submission that raced a shrink and
-// reached a group after its retirement (shard.ErrNoGroup): by then the
-// router has moved on, so the retry routes to the key's live home.
+// reached a group after its retirement (ErrNoGroup): by then the router
+// has moved on, so the retry routes to the key's live home.
 func (e *Engine) Submit(cmd command.Command, done protocol.DoneFunc) {
 	e.submit(cmd, done, 0)
 }
 
 func (e *Engine) submit(cmd command.Command, done protocol.DoneFunc, attempt int) {
 	e.route(cmd, func(res protocol.Result) {
-		retriable := errors.Is(res.Err, ErrEpochRetry) || errors.Is(res.Err, shard.ErrNoGroup)
+		retriable := errors.Is(res.Err, ErrEpochRetry) || errors.Is(res.Err, ErrNoGroup)
 		if retriable && attempt < maxEpochRetries {
 			fresh := cmd
 			fresh.ID = command.ID{}
@@ -73,17 +204,14 @@ func (e *Engine) submit(cmd command.Command, done protocol.DoneFunc, attempt int
 	})
 }
 
-// route places one submission: a keyless barrier on every group, a
-// single-group command on its group, a transaction across its groups.
+// route places one submission: a command whose keys share a group (or a
+// keyless one, which the router homes in group 0) on that group, a
+// transaction across its groups.
 func (e *Engine) route(cmd command.Command, done protocol.DoneFunc) {
-	if len(cmd.Keys()) == 0 {
-		e.inner.Submit(cmd, done) // keyless barrier: broadcast to every group
-		return
-	}
-	router := e.inner.Router()
+	router := e.Router()
 	if g, err := router.Route(cmd); err == nil {
 		cmd.Epoch = router.Epoch()
-		e.inner.SubmitTo(g, cmd, done) // single group: the common fast path
+		e.SubmitTo(g, cmd, done) // single group: the common fast path
 		return
 	}
 	e.submitCross(router, cmd, done)
@@ -123,7 +251,7 @@ func (e *Engine) submitCross(router shard.Router, cmd command.Command, done prot
 	for _, g := range groups {
 		pc := pieceWithPayload(payload, parts[int(g)])
 		pc.Epoch = router.Epoch()
-		e.inner.SubmitTo(int(g), pc, func(res protocol.Result) {
+		e.SubmitTo(int(g), pc, func(res protocol.Result) {
 			if res.Err != nil {
 				e.table.pieceFailed(xid, res.Err)
 			}
@@ -135,12 +263,26 @@ func (e *Engine) submitCross(router shard.Router, cmd command.Command, done prot
 // deadline resolve only when something calls the table's Resolve — the
 // node stack's maintenance loop.
 func (e *Engine) Start() {
-	e.inner.Start()
+	for _, g := range e.mark(&e.started) {
+		g.Start()
+	}
 }
 
-// Stop implements protocol.Engine: the groups stop first, then the table
-// fails whatever was still in flight. Idempotent.
+// Stop implements protocol.Engine: the groups stop first, then the shared
+// endpoint is released and the table fails whatever was still in flight.
+// Idempotent, like the groups it wraps.
 func (e *Engine) Stop() {
-	e.inner.Stop()
+	for _, g := range e.mark(&e.stopped) {
+		g.Stop()
+	}
+	_ = e.mux.Close()
 	e.table.stopAndFail()
+}
+
+// mark sets one lifecycle flag and returns the live groups as of then.
+func (e *Engine) mark(flag *bool) []protocol.Engine {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	*flag = true
+	return slices.DeleteFunc(slices.Clone(e.groups), func(g protocol.Engine) bool { return g == nil })
 }

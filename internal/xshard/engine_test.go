@@ -39,10 +39,10 @@ func xcluster(t testing.TB, n, g int, ccfg caesar.Config, tcfg TableConfig) (*me
 		history := shard.NewEpochs()
 		history.Install(0, int32(g))
 		table := NewTable(tc, history)
-		inner := shard.NewAt(net.Endpoint(timestamp.NodeID(i)), make([]int32, g), func(gi int, sep transport.Endpoint) protocol.Engine {
+		eng := NewEngine(net.Endpoint(timestamp.NodeID(i)), make([]int32, g), table, func(gi int, sep transport.Endpoint) protocol.Engine {
 			return caesar.New(sep, protocol.Sync(table.Applier(gi, app)), ccfg)
 		})
-		nodes[i] = &xnode{store: store, table: table, eng: New(inner, table)}
+		nodes[i] = &xnode{store: store, table: table, eng: eng}
 		nodes[i].eng.Start()
 	}
 	t.Cleanup(func() {
@@ -106,7 +106,7 @@ func waitCond(t testing.TB, desc string, timeout time.Duration, pred func() bool
 
 func TestCrossShardCommitEndToEnd(t *testing.T) {
 	_, nodes := xcluster(t, 3, 2, caesar.Config{HeartbeatInterval: -1}, TableConfig{})
-	keys := keysInGroups(nodes[0].eng.Inner().Router(), 0, 1)
+	keys := keysInGroups(nodes[0].eng.Router(), 0, 1)
 
 	res := submitWait(t, nodes[0], txn(t,
 		command.Put(keys[0], []byte("left")),
@@ -138,7 +138,7 @@ func TestCrossShardConcurrentTransfersConverge(t *testing.T) {
 		t.Skip("multi-node stress run")
 	}
 	_, nodes := xcluster(t, 3, 4, caesar.Config{HeartbeatInterval: -1}, TableConfig{})
-	r := nodes[0].eng.Inner().Router()
+	r := nodes[0].eng.Router()
 	accounts := keysInGroups(r, 0, 1, 2, 3)
 
 	// Fund every account through ordinary single-key consensus.
@@ -217,7 +217,7 @@ func kvDecode(b []byte) int64 {
 
 func TestCrossShardSingleGroupBatchPassesThrough(t *testing.T) {
 	_, nodes := xcluster(t, 3, 2, caesar.Config{HeartbeatInterval: -1}, TableConfig{})
-	r := nodes[0].eng.Inner().Router()
+	r := nodes[0].eng.Router()
 	// Two keys on the SAME group: the transaction is an ordinary batch and
 	// must not enter the commit table.
 	keys := keysInGroups(r, 0, 0)
@@ -235,14 +235,4 @@ func TestCrossShardSingleGroupBatchPassesThrough(t *testing.T) {
 		v, ok := nodes[1].store.Get(keys[1])
 		return ok && string(v) == "w"
 	})
-}
-
-func TestCrossShardBarrierFlushesAllGroups(t *testing.T) {
-	_, nodes := xcluster(t, 3, 4, caesar.Config{HeartbeatInterval: -1}, TableConfig{})
-	// A keyless barrier through the cross-shard engine reaches every group
-	// (the shard.Engine broadcast path), not just shard 0.
-	res := submitWait(t, nodes[2], command.Noop(), 10*time.Second)
-	if res.Err != nil {
-		t.Fatalf("barrier failed: %v", res.Err)
-	}
 }

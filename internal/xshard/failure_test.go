@@ -36,7 +36,7 @@ func TestCoordinatorCrashBetweenPiecesAborts(t *testing.T) {
 	}
 	tcfg := TableConfig{ResolveTimeout: 250 * time.Millisecond}
 	net, nodes := xcluster(t, 3, 2, recoveryCfg(), tcfg)
-	r := nodes[0].eng.Inner().Router()
+	r := nodes[0].eng.Router()
 	keys := keysInGroups(r, 0, 1)
 	ops := []command.Command{
 		command.Put(keys[0], []byte("half")),
@@ -55,7 +55,7 @@ func TestCoordinatorCrashBetweenPiecesAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	nodes[0].eng.Inner().Group(0).Submit(pc, func(protocol.Result) { close(done) })
+	nodes[0].eng.SubmitTo(0, pc, func(protocol.Result) { close(done) })
 	<-done
 	time.Sleep(30 * time.Millisecond) // let the stable broadcast reach the survivors
 
@@ -91,7 +91,7 @@ func TestCoordinatorCrashAfterAllPiecesCommits(t *testing.T) {
 	}
 	tcfg := TableConfig{ResolveTimeout: 2 * time.Second}
 	net, nodes := xcluster(t, 3, 2, recoveryCfg(), tcfg)
-	keys := keysInGroups(nodes[0].eng.Inner().Router(), 0, 1)
+	keys := keysInGroups(nodes[0].eng.Router(), 0, 1)
 
 	res := submitWait(t, nodes[0], txn(t,
 		command.Put(keys[0], []byte("left")),
@@ -127,7 +127,7 @@ func TestCoordinatorCrashMidFlightIsAllOrNothing(t *testing.T) {
 	}
 	tcfg := TableConfig{ResolveTimeout: 400 * time.Millisecond}
 	net, nodes := xcluster(t, 3, 2, recoveryCfg(), tcfg)
-	keys := keysInGroups(nodes[0].eng.Inner().Router(), 0, 1)
+	keys := keysInGroups(nodes[0].eng.Router(), 0, 1)
 
 	nodes[0].eng.Submit(txn(t,
 		command.Put(keys[0], []byte("l")),

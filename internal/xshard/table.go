@@ -174,7 +174,8 @@ type Table struct {
 	// epoch has moved on. Lookups are lock-free, so Resolve reads it
 	// under the table lock without reaching above it in the lock order.
 	history *shard.Epochs
-	// submit proposes a command on one group; bound by Engine.
+	// submit proposes a command on one group: the Engine's SubmitTo,
+	// set by NewEngine.
 	submit func(group int, cmd command.Command, done protocol.DoneFunc)
 
 	// Ranked "table" in the node's declared lock order (see
@@ -222,12 +223,6 @@ func NewTable(cfg TableConfig, history *shard.Epochs) *Table {
 		completed:    make(map[*entry]struct{}),
 		landing:      make(map[XID]landing),
 	}
-}
-
-// bind wires the table to the sharded engine it proposes abort markers
-// through.
-func (t *Table) bind(submit func(int, command.Command, protocol.DoneFunc)) {
-	t.submit = submit
 }
 
 // xidReserveBlock is how many transaction sequences one durable
@@ -982,7 +977,7 @@ func (t *Table) Resolve() {
 	for _, m := range markers {
 		xid := m.xid
 		submit(m.group, m.cmd, func(res protocol.Result) {
-			if errors.Is(res.Err, shard.ErrNoGroup) {
+			if errors.Is(res.Err, ErrNoGroup) {
 				// The participant group no longer exists (retired by a
 				// shrink). Retirement implies the group's pre-fence
 				// history was fully delivered here — had the piece been

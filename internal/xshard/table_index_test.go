@@ -126,11 +126,11 @@ func TestResolveKillsTransactionOfRetiredGroup(t *testing.T) {
 		ResolveTimeout: time.Second,
 		Now:            func() time.Time { return now },
 	}, history)
-	tb.bind(func(g int, cmd command.Command, done protocol.DoneFunc) {
+	tb.submit = func(g int, cmd command.Command, done protocol.DoneFunc) {
 		if done != nil {
-			done(protocol.Result{Err: shard.ErrNoGroup}) // group retired
+			done(protocol.Result{Err: ErrNoGroup}) // group retired
 		}
-	})
+	}
 
 	// Keys homed in groups 1 and 3 of the 4-group epoch.
 	r := shard.NewRouter(4)

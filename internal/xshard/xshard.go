@@ -1,6 +1,7 @@
-// Package xshard layers an atomic cross-group commit over the sharded
-// engine (internal/shard), replacing the ErrCrossShard rejection of
-// multi-key commands whose keys span consensus groups.
+// Package xshard is a sharded node's submission engine: it routes every
+// command to its consensus group (internal/shard's Router, over one Mux)
+// and commits a multi-key command whose keys span groups atomically,
+// instead of rejecting it with shard.ErrCrossShard.
 //
 // A cross-shard transaction is split into one participant piece per touched
 // group. Each piece is proposed through its group's ordinary consensus

@@ -104,11 +104,18 @@ func Load(fset *token.FileSet, dir string, patterns []string, includeTests bool)
 
 	// `go list -deps` emits packages in dependency order, so by the time
 	// a package is checked every non-standard import is in `checked`.
+	// recompiled holds, per package under test, the in-repo packages its
+	// external test imports that import it in turn: go recompiles them
+	// against the augmented package, and so does the xtest check below.
+	recompiled := make(map[string][]*listPackage)
 	for _, lp := range deps {
 		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
 		if lp.ForTest != "" || strings.HasSuffix(lp.ImportPath, ".test") {
+			if base := variantBase(lp.ImportPath); lp.ForTest != "" && base != lp.ForTest && base != lp.ForTest+"_test" {
+				recompiled[lp.ForTest] = append(recompiled[lp.ForTest], lp)
+			}
 			continue
 		}
 		if _, done := checked[lp.ImportPath]; done {
@@ -143,8 +150,17 @@ func Load(fset *token.FileSet, dir string, patterns []string, includeTests bool)
 			ximp := imp
 			if aug != nil {
 				// The external test package sees the augmented version
-				// of the package under test.
-				ximp = &mapImporter{base: imp, pkgs: map[string]*types.Package{lp.ImportPath: aug}}
+				// of the package under test, directly and through the
+				// packages recompiled against it.
+				variants := map[string]*types.Package{lp.ImportPath: aug}
+				ximp = &mapImporter{base: imp, pkgs: variants}
+				for _, dep := range recompiled[lp.ImportPath] {
+					pkg, err := check(variantBase(dep.ImportPath), dep.Dir, dep.GoFiles, true, ximp)
+					if err != nil {
+						return nil, err
+					}
+					variants[pkg.Path] = pkg.Types
+				}
 			}
 			pkg, err := check(lp.ImportPath+"_test", lp.Dir, lp.XTestGoFiles, true, ximp)
 			if err != nil {
@@ -154,6 +170,13 @@ func Load(fset *token.FileSet, dir string, patterns []string, includeTests bool)
 		}
 	}
 	return out, nil
+}
+
+// variantBase strips the " [p.test]" suffix go list gives a package
+// compiled for p's tests.
+func variantBase(importPath string) string {
+	base, _, _ := strings.Cut(importPath, " [")
+	return base
 }
 
 // goList runs `go list -json` with args in dir and decodes the stream.
