@@ -2,26 +2,34 @@ package caesar_test
 
 import (
 	"context"
-	"sync/atomic"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	caesar "github.com/caesar-consensus/caesar"
 )
 
-// falsePositives counts background-auditor divergence callbacks across a
-// conformance run; the auditing variants of the restart/rebalance/reads
-// suites assert it stays zero — live traffic, crashes, replays and
-// resizes must never be mistaken for divergence.
+// falsePositives keeps the background auditor's divergence callbacks
+// across a conformance run; the auditing variants of the
+// restart/rebalance/reads suites assert it stays empty — live traffic,
+// crashes, replays and resizes must never be mistaken for divergence —
+// and print every divergence it holds when it is not.
 type falsePositives struct {
-	n atomic.Int64
+	mu   sync.Mutex
+	seen []caesar.Divergence
 }
 
 // guard returns node options with the divergence callback armed. The
-// callback only counts (no *testing.T): the background collector may
+// callback only records (no *testing.T): the background collector may
 // fire concurrently with the test body winding down.
 func (fp *falsePositives) guard(opts caesar.Options) caesar.Options {
-	opts.OnDivergence = func(caesar.Divergence) { fp.n.Add(1) }
+	opts.OnDivergence = func(d caesar.Divergence) {
+		fp.mu.Lock()
+		fp.seen = append(fp.seen, d)
+		fp.mu.Unlock()
+	}
 	return opts
 }
 
@@ -48,8 +56,14 @@ func requireCleanAudit(t *testing.T, c *caesar.Cluster, fp *falsePositives) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if n := fp.n.Load(); n != 0 {
-		t.Fatalf("background auditor raised %d divergences on a healthy cluster", n)
+	fp.mu.Lock()
+	defer fp.mu.Unlock()
+	if n := len(fp.seen); n != 0 {
+		var b strings.Builder
+		for _, d := range fp.seen {
+			fmt.Fprintf(&b, "\n  %s", d)
+		}
+		t.Fatalf("background auditor raised %d divergences on a healthy cluster:%s", n, b.String())
 	}
 }
 

@@ -86,6 +86,24 @@ func nodeSeries(fams []obs.StatusFamily, name string) (obs.StatusSeries, bool) {
 	return obs.StatusSeries{}, false
 }
 
+// nodeValue is the family's node-level value: its unlabeled series, or,
+// for a family exported only per group (the consensus counters), the sum
+// of its series.
+func nodeValue(fams []obs.StatusFamily, name string) float64 {
+	if s, ok := nodeSeries(fams, name); ok {
+		return s.Value
+	}
+	sum := 0.0
+	for _, f := range fams {
+		if f.Name == name {
+			for _, s := range f.Series {
+				sum += s.Value
+			}
+		}
+	}
+	return sum
+}
+
 func scrape(ctx context.Context, client *http.Client, base string) sample {
 	smp := sample{when: time.Now()}
 	fams, err := obs.FetchJSON[[]obs.StatusFamily](ctx, client, strings.TrimRight(base, "/")+"/statusz")
@@ -93,40 +111,20 @@ func scrape(ctx context.Context, client *http.Client, base string) sample {
 		smp.err = err
 		return smp
 	}
-	if s, ok := nodeSeries(fams, "caesar_executed_total"); ok {
-		smp.executed = s.Value
-	}
+	smp.executed = nodeValue(fams, "caesar_executed_total")
 	if s, ok := nodeSeries(fams, "caesar_latency_seconds"); ok {
 		smp.p50, smp.p99 = s.P50, s.P99
 		smp.exemplar, smp.exemplarSec = s.Exemplar, s.ExemplarSeconds
 	}
-	if s, ok := nodeSeries(fams, "caesar_fast_decisions_total"); ok {
-		smp.fast = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_slow_decisions_total"); ok {
-		smp.slow = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_xshard_held"); ok {
-		smp.xshardHeld = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_shards"); ok {
-		smp.shards = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_routing_epoch"); ok {
-		smp.epoch = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_watchdog_stalled"); ok {
-		smp.stalled = s.Value > 0
-	}
-	if s, ok := nodeSeries(fams, "caesar_watchdog_trips_total"); ok {
-		smp.trips = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_audit_divergence_total"); ok {
-		smp.divergences = s.Value
-	}
-	if s, ok := nodeSeries(fams, "caesar_audit_writes_total"); ok {
-		smp.auditWrites = s.Value
-	}
+	smp.fast = nodeValue(fams, "caesar_fast_decisions_total")
+	smp.slow = nodeValue(fams, "caesar_slow_decisions_total")
+	smp.xshardHeld = nodeValue(fams, "caesar_xshard_held")
+	smp.shards = nodeValue(fams, "caesar_shards")
+	smp.epoch = nodeValue(fams, "caesar_routing_epoch")
+	smp.stalled = nodeValue(fams, "caesar_watchdog_stalled") > 0
+	smp.trips = nodeValue(fams, "caesar_watchdog_trips_total")
+	smp.divergences = nodeValue(fams, "caesar_audit_divergence_total")
+	smp.auditWrites = nodeValue(fams, "caesar_audit_writes_total")
 	return smp
 }
 

@@ -208,13 +208,14 @@
 // # Transports
 //
 // An engine sees its peers through a transport.Endpoint and runs on one
-// goroutine, its protocol.Loop: a transport hands each inbound message to
-// Loop.PostMessage, which carries the sender beside the payload in a
-// typed mailbox entry, and the engine's protocol.Runtime — the one
-// lifecycle, ticker and clock all five engines share — takes it off the
-// inbox, reads the clock and calls Step(now, ev), so the hop from socket
-// (or in-process network) to engine allocates nothing and the engine
-// itself reads no clock. What a replica sends itself — a leader's own
+// goroutine, its protocol.Runtime's loop — the one inbox, ticker, clock
+// and lifecycle all five engines share: a transport hands each inbound
+// message to Runtime.PostMessage, which carries the sender beside the
+// payload in a typed inbox entry, and the loop takes it off the inbox,
+// reads the clock and calls Step(now, ev), so the hop from socket (or
+// in-process network) to engine allocates nothing and the engine itself
+// reads no clock. The same goroutine steps the engine's Tick when its
+// ticker fires. What a replica sends itself — a leader's own
 // vote, its own Stable — never touches the transport: the Runtime queues
 // it and steps it before that Step returns. A decision does not resend
 // what a replica holds: a leader's Stable names the command by ID to

@@ -1,7 +1,7 @@
 // Package leakcheck fails a test binary whose goroutines outlive its
 // tests. Every layer of the node stack owns goroutines with an explicit
-// join on Stop — the protocol loop, the replica ticker, the WAL syncer,
-// the node's maintenance loop — so any
+// join on Stop — each engine's event loop, the WAL syncer, the node's
+// maintenance loop — so any
 // goroutine still alive after the package's tests have run is a shutdown
 // bug: a missed join that in production leaks loops on every restart
 // and, under the fake-clock harness, leaves a goroutine reading a clock

@@ -13,10 +13,14 @@ import (
 // build tag.)
 func TestPostMessageDoesNotAllocate(t *testing.T) {
 	const runs = 200
-	l := NewLoop(runs + 8) // nothing drains it; it only has to hold the posts
+	rt := NewRuntime(&fakeEP{}, nil, 0, func(time.Time, Event) {}, func() {})
 	msg := &struct{ n int }{1}
-	if got := testing.AllocsPerRun(runs, func() { l.PostMessage(2, msg) }); got != 0 {
+	// Nothing drains the inbox; it only has to hold the posts.
+	if got := testing.AllocsPerRun(runs, func() { rt.PostMessage(2, msg) }); got != 0 {
 		t.Fatalf("PostMessage allocates %.1f per message, want 0", got)
+	}
+	if n := len(rt.inbox); n != runs+1 {
+		t.Fatalf("the inbox holds %d messages, want %d", n, runs+1)
 	}
 }
 
@@ -34,8 +38,8 @@ func TestStepMessageDoesNotAllocate(t *testing.T) {
 	}, func() {})
 	msg := &struct{ n int }{1}
 	got := testing.AllocsPerRun(200, func() {
-		rt.loop.PostMessage(2, msg)
-		rt.handle(<-rt.loop.inbox)
+		rt.PostMessage(2, msg)
+		rt.handle(<-rt.inbox)
 	})
 	if got != 0 || steps != 2*201 {
 		t.Fatalf("dequeue + step + self reply allocates %.1f per message over %d steps, want 0 over %d", got, steps, 2*201)

@@ -1,13 +1,13 @@
 // Package protocol defines the contract shared by all five consensus
 // engines in this repository (CAESAR, EPaxos, Multi-Paxos, Mencius and
-// M2Paxos), plus what they all run on: the single-goroutine event loop
-// (Loop) and the one Runtime around it. An engine is its state and a step
+// M2Paxos), plus what they all run on: the Runtime, whose one goroutine
+// steps an engine's events in order. An engine is its state and a step
 // function — step(now, ev), handed every message, Submission, Tick and
 // engine-internal event together with the instant it is handled at; the
-// Runtime it embeds owns everything else (transport handler, loop
-// goroutine, ticker, clock, loopback, a new → running → stopped lifecycle
-// safe under concurrent Start and Stop) and is where the engine's Start,
-// Stop, Submit, Step, Send and Broadcast come from. A message an engine
+// Runtime it embeds owns everything else (transport handler, inbox, the
+// loop goroutine and its ticker, clock, loopback, a new → running →
+// stopped lifecycle safe under concurrent Start and Stop) and is where the
+// engine's Start, Stop, Submit, Post, Step, Send and Broadcast come from. A message an engine
 // sends itself never reaches the transport: Step steps it before
 // returning. No engine reads a clock, so whoever calls Step — the Runtime
 // in production, a test or a simulator directly — owns its time.

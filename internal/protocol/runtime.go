@@ -24,19 +24,44 @@ type Tick struct{}
 // the engine never sees it.
 type inspection struct{ fn func() }
 
+// halt is the last event of a runtime's inbox: Stop posts it behind
+// every accepted event, and the loop closes it and returns.
+type halt chan struct{}
+
+// Event is one inbox entry. Post and TryPost enqueue a local event — a
+// submission, an engine-internal request — as Payload; PostMessage
+// enqueues a transport message with Remote set and its sender in From.
+// The sender travels beside the payload instead of both being boxed into
+// one interface value: a message payload is already a pointer, so posting
+// it allocates nothing.
+type Event struct {
+	From    timestamp.NodeID
+	Remote  bool
+	Payload any
+}
+
+// InboxSize is the inbox capacity every engine runs with. It is a
+// queueing buffer, not a synchronisation channel: it absorbs bursts from
+// the network-delivery goroutines, and posters block (backpressure) when
+// it fills.
+const InboxSize = 8192
+
 // Runtime is everything around an engine's state machine, once for all
-// five: the transport handler, the Loop and its goroutine, the ticker,
-// the clock, loopback and the lifecycle. An engine embeds one, so Start,
-// Stop, Submit, Step, Send and Broadcast are the Runtime's, and supplies
-// two functions: step, which is handed every event together with the
-// instant it is handled at — the engine reads no clock of its own, so
-// whoever calls Step owns its time — and drained, which fails what is
-// still in flight once the loop has stopped.
+// five: the transport handler, the inbox and the one goroutine that
+// consumes it, the ticker, the clock, loopback and the lifecycle. An
+// engine embeds one, so Start, Stop, Submit, Post, Step, Send and
+// Broadcast are the Runtime's, and supplies two functions: step, which is
+// handed every event together with the instant it is handled at — the
+// engine reads no clock of its own, so whoever calls Step owns its time —
+// and drained, which fails what is still in flight once the loop has
+// stopped.
 //
-// A message the engine addresses to itself never reaches the transport:
-// Send and Broadcast queue the self copy, and Step hands it to step as a
-// remote event from self before returning, so the replica's own vote,
-// reply or decision costs no goroutine hand-off.
+// Transport messages, client submissions, engine events and ticks are all
+// stepped on the loop goroutine, one at a time, so engine state needs no
+// locking. A message the engine addresses to itself never reaches the
+// transport: Send and Broadcast queue the self copy, and Step hands it to
+// step as a remote event from self before returning, so the replica's own
+// vote, reply or decision costs no goroutine hand-off.
 //
 // The lifecycle is new → running → stopped and only moves forward: a
 // Stop before Start is final (the later Start does nothing), and Start
@@ -45,7 +70,6 @@ type Runtime struct {
 	ep      transport.Endpoint
 	self    timestamp.NodeID
 	peers   []timestamp.NodeID
-	loop    *Loop
 	now     func() time.Time
 	tick    time.Duration
 	step    func(now time.Time, ev Event)
@@ -53,12 +77,20 @@ type Runtime struct {
 	// loopback is the FIFO of self-addressed messages Step has yet to
 	// step. Loop state: only Send and Broadcast, called from step, append.
 	loopback []any
+	inbox    chan Event
 
-	mu      sync.Mutex // guards state
-	state   uint8
-	quit    chan struct{} // closed when Stop begins; ends the ticker
-	stopped chan struct{} // closed when Stop has finished
-	ticker  sync.WaitGroup
+	// fence orders posts before Stop: a post holds it shared while it
+	// enqueues, Stop takes it exclusively to set closed, so every post
+	// that returned true has its event in the inbox ahead of Stop's halt —
+	// an event is never accepted and then silently discarded.
+	fence  sync.RWMutex
+	closed bool
+
+	// mu guards state. Stop holds it until the engine is down, so a
+	// concurrent Stop returns only then, and a Start waiting on it finds
+	// the runtime stopped.
+	mu    sync.Mutex
+	state uint8
 }
 
 const (
@@ -79,18 +111,16 @@ func NewRuntime(ep transport.Endpoint, now func() time.Time, tick time.Duration,
 		ep:      ep,
 		self:    ep.Self(),
 		peers:   ep.Peers(),
-		loop:    NewLoop(InboxSize),
+		inbox:   make(chan Event, InboxSize),
 		now:     now,
 		tick:    tick,
 		step:    step,
 		drained: drained,
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
 	}
 }
 
-// Start attaches the transport handler and launches the event loop and
-// the ticker. It does nothing on a runtime already started or stopped.
+// Start attaches the transport handler and launches the event loop. It
+// does nothing on a runtime already started or stopped.
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -98,28 +128,50 @@ func (rt *Runtime) Start() {
 		return
 	}
 	rt.state = stateRunning
-	rt.ep.SetHandler(func(from timestamp.NodeID, payload any) {
-		rt.loop.PostMessage(from, payload)
-	})
-	rt.run()
-	if rt.tick > 0 {
-		rt.ticker.Add(1)
-		go rt.runTicker()
+	rt.ep.SetHandler(rt.PostMessage)
+	go rt.run(rt.tick)
+}
+
+// run is the loop goroutine: it steps the inbox's events in order, and a
+// Tick every interval (none for 0), until it reaches the halt.
+func (rt *Runtime) run(interval time.Duration) {
+	var ticks <-chan time.Time
+	if interval > 0 {
+		// The cadence is real time by design — it only decides how often
+		// the engine gets to compare deadlines; every instant it compares
+		// is the step's now, read from the injected clock. Fake-clock
+		// tests keep it silent (a long interval) and step Tick themselves.
+		//caesarlint:allow wallclock -- liveness cadence only; all compared instants come from the runtime's clock
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		ticks = t.C
+	}
+	for {
+		select {
+		case ev := <-rt.inbox:
+			if !rt.handle(ev) {
+				return
+			}
+		case <-ticks:
+			rt.Step(rt.now(), Event{Payload: Tick{}})
+		}
 	}
 }
 
-// run launches the loop goroutine.
-func (rt *Runtime) run() { go rt.loop.Run(rt.handle) }
-
-// handle is the loop's consumer: it reads the clock once per event and
-// steps the engine.
-func (rt *Runtime) handle(ev Event) {
-	if in, ok := ev.Payload.(inspection); ok {
-		in.fn()
+// handle steps one inbox event at the clock's instant; it reports false
+// for the halt, which ends the loop.
+func (rt *Runtime) handle(ev Event) bool {
+	switch p := ev.Payload.(type) {
+	case halt:
+		close(p)
+		return false
+	case inspection:
+		p.fn()
 		rt.stepLoopback(rt.now())
-		return
+	default:
+		rt.Step(rt.now(), ev)
 	}
-	rt.Step(rt.now(), ev)
+	return true
 }
 
 // Step hands ev to the engine at instant now, then every message the
@@ -162,73 +214,88 @@ func (rt *Runtime) Broadcast(msg any) {
 	}
 }
 
-// runTicker posts a Tick per interval until Stop.
-func (rt *Runtime) runTicker() {
-	defer rt.ticker.Done()
-	// The cadence is real time by design — it only decides how often the
-	// engine gets to compare deadlines; every instant it compares is the
-	// step's now, read from the injected clock. Fake-clock tests keep this
-	// goroutine silent (a long interval) and step Tick themselves.
-	//caesarlint:allow wallclock -- liveness cadence only; all compared instants come from the runtime's clock
-	t := time.NewTicker(rt.tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.quit:
-			return
-		case <-t.C:
-			rt.loop.Post(Tick{})
-		}
-	}
-}
-
-// Stop ends the ticker, closes the endpoint, stops the loop — which
-// steps what its inbox still holds — and then has the engine fail what is
-// in flight with ErrStopped. It returns once all of that is done, also
+// Stop closes the endpoint and the inbox to new events, steps every event
+// accepted before it — then the loop exits — and has the engine fail what
+// is in flight with ErrStopped. It returns once all of that is done, also
 // when another Stop is the one doing it.
 func (rt *Runtime) Stop() {
 	rt.mu.Lock()
-	prev := rt.state
-	rt.state = stateStopped
-	rt.mu.Unlock()
-	switch prev {
+	defer rt.mu.Unlock()
+	switch rt.state {
 	case stateStopped:
-		<-rt.stopped
 		return
 	case stateNew:
-		// Never started, so nothing has consumed the inbox: run the loop
-		// for the drain alone, and what Submit queued is stepped and then
+		// Never started, so nothing consumes the inbox: run the loop for
+		// the drain alone, and what Submit queued is stepped and then
 		// failed like any other in-flight command.
-		rt.run()
+		go rt.run(0)
 	}
-	close(rt.quit)
-	rt.ticker.Wait()
+	rt.state = stateStopped
 	_ = rt.ep.Close()
-	rt.loop.Stop()
+	rt.fence.Lock()
+	rt.closed = true
+	rt.fence.Unlock()
+	h := make(halt)
+	rt.inbox <- Event{Payload: h}
+	<-h
 	rt.drained()
-	close(rt.stopped)
 }
 
 // Submit proposes cmd on this replica; done (may be nil) fires after
 // local execution, or with ErrStopped.
 func (rt *Runtime) Submit(cmd command.Command, done DoneFunc) {
-	if !rt.loop.Post(Submission{Cmd: cmd, Done: done}) && done != nil {
+	if !rt.Post(Submission{Cmd: cmd, Done: done}) && done != nil {
 		done(Result{Err: ErrStopped})
 	}
 }
 
-// Post enqueues an engine-internal event for step, with Loop.Post's
-// semantics.
-func (rt *Runtime) Post(ev any) bool { return rt.loop.Post(ev) }
+// Post enqueues an engine-internal event for step, blocking while the
+// inbox is full. It reports false once Stop has begun; true guarantees
+// the event is stepped.
+func (rt *Runtime) Post(ev any) bool { return rt.post(Event{Payload: ev}) }
 
-// TryPost is Post for callers that may be the loop goroutine: it never
-// blocks (Loop.TryPost).
-func (rt *Runtime) TryPost(ev any) bool { return rt.loop.TryPost(ev) }
+// PostMessage enqueues a transport message from the given sender, with
+// Post's blocking; after Stop it drops the message. It is the transport
+// handler.
+func (rt *Runtime) PostMessage(from timestamp.NodeID, payload any) {
+	rt.post(Event{From: from, Remote: true, Payload: payload})
+}
+
+func (rt *Runtime) post(ev Event) bool {
+	rt.fence.RLock()
+	defer rt.fence.RUnlock()
+	if rt.closed {
+		return false
+	}
+	// The loop drains a full inbox until it reaches the halt, which Stop
+	// cannot post while this post holds the fence.
+	rt.inbox <- ev
+	return true
+}
+
+// TryPost enqueues a local event without ever blocking: it reports false
+// once Stop has begun or while the inbox is full. For best-effort events
+// posted from contexts that may BE the loop goroutine (an applier
+// completion running synchronously inside step), where a blocking Post on
+// a full inbox would deadlock the loop against itself.
+func (rt *Runtime) TryPost(ev any) bool {
+	rt.fence.RLock()
+	defer rt.fence.RUnlock()
+	if rt.closed {
+		return false
+	}
+	select {
+	case rt.inbox <- Event{Payload: ev}:
+		return true
+	default:
+		return false
+	}
+}
 
 // Inspect runs fn on the loop goroutine between two steps, where reading
 // the engine's state is race-free, and then steps what fn sent to self,
 // as Step would. It reports false on a stopped runtime. For tests.
-func (rt *Runtime) Inspect(fn func()) bool { return rt.loop.Post(inspection{fn}) }
+func (rt *Runtime) Inspect(fn func()) bool { return rt.Post(inspection{fn}) }
 
 // Now reads the runtime's clock, for the stamps an engine takes off the
 // loop goroutine (a deferred apply completing); on it, the step's now is

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/leakcheck"
 	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
@@ -182,6 +184,131 @@ func TestRuntimeLifecycleRaces(t *testing.T) {
 			go func() { defer wg.Done(); f() }()
 		}
 		wg.Wait()
+	}
+}
+
+func TestRuntimeStepsEventsInPostOrder(t *testing.T) {
+	e := newFakeEngine(&fakeEP{}, nil, 0)
+	e.Start()
+	for i := 0; i < 100; i++ {
+		if !e.Post(i) {
+			t.Fatal("post rejected on a running runtime")
+		}
+	}
+	e.Stop()
+	if len(e.steps) != 100 {
+		t.Fatalf("stepped %d events, want 100", len(e.steps))
+	}
+	for i, ev := range e.steps {
+		if ev.Payload != any(i) {
+			t.Fatalf("order violated at %d: %v", i, ev.Payload)
+		}
+	}
+}
+
+// TestRuntimeStopStepsEverythingAccepted: events still in the inbox when
+// Stop is called are stepped before Stop returns, and before drained.
+func TestRuntimeStopStepsEverythingAccepted(t *testing.T) {
+	var stepped atomic.Int64
+	block := make(chan struct{})
+	started := make(chan struct{})
+	var atDrain int64
+	rt := NewRuntime(&fakeEP{}, nil, 0, func(_ time.Time, ev Event) {
+		if ev.Payload == "block" {
+			close(started)
+			<-block // hold the loop so the rest stays in the inbox
+			return
+		}
+		stepped.Add(1)
+	}, func() { atDrain = stepped.Load() })
+	rt.Start()
+	rt.Post("block")
+	<-started
+	for i := 0; i < 10; i++ {
+		rt.Post(i)
+	}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(block)
+	}()
+	rt.Stop() // must wait for the drain
+	if n := stepped.Load(); n != 10 || atDrain != 10 {
+		t.Fatalf("Stop stepped %d of 10 queued events, %d of them before drained", n, atDrain)
+	}
+}
+
+func TestRuntimePostAfterStop(t *testing.T) {
+	e := newFakeEngine(&fakeEP{}, nil, 0)
+	e.Start()
+	e.Stop()
+	if e.Post("late") || e.TryPost("late") {
+		t.Fatal("a stopped runtime accepted a post")
+	}
+	e.PostMessage(1, "late")
+	if len(e.steps) != 0 {
+		t.Fatalf("a stopped runtime stepped %v", e.steps)
+	}
+}
+
+func TestRuntimeStopIdempotent(t *testing.T) {
+	ep := &fakeEP{}
+	e := newFakeEngine(ep, nil, time.Millisecond)
+	e.Start()
+	e.Stop()
+	e.Stop() // must not panic, deadlock or drain twice
+	if e.drained != 1 || ep.closed != 1 {
+		t.Fatalf("two Stops: %d drains, %d closes; want 1 each", e.drained, ep.closed)
+	}
+}
+
+func TestRuntimePostMessageCarriesSender(t *testing.T) {
+	e := newFakeEngine(&fakeEP{}, nil, 0)
+	e.Start()
+	msg := &struct{ n int }{7}
+	e.PostMessage(3, msg)
+	e.Post("local")
+	e.Stop()
+	if len(e.steps) != 2 {
+		t.Fatalf("stepped %d events, want 2", len(e.steps))
+	}
+	if ev := e.steps[0]; !ev.Remote || ev.From != 3 || ev.Payload != any(msg) {
+		t.Fatalf("message stepped as %+v", ev)
+	}
+	if ev := e.steps[1]; ev.Remote || ev.Payload != "local" {
+		t.Fatalf("local event stepped as %+v", ev)
+	}
+}
+
+// TestRuntimeRunsOneGoroutine: the loop steps the ticks itself, so a
+// started runtime costs one goroutine, and a stopped one none.
+func TestRuntimeRunsOneGoroutine(t *testing.T) {
+	if err := leakcheck.Check(5 * time.Second); err != nil {
+		t.Fatalf("goroutines left over before the test: %v", err)
+	}
+	before := runtime.NumGoroutine()
+	ticks := make(chan struct{}, 1)
+	rt := NewRuntime(&fakeEP{}, nil, time.Millisecond, func(_ time.Time, ev Event) {
+		if _, ok := ev.Payload.(Tick); ok {
+			select {
+			case ticks <- struct{}{}:
+			default:
+			}
+		}
+	}, func() {})
+	rt.Start()
+	for i := 0; i < 3; i++ {
+		select {
+		case <-ticks:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d Ticks stepped in 5s at a 1ms interval, want 3", i)
+		}
+	}
+	if n := runtime.NumGoroutine() - before; n != 1 {
+		t.Errorf("a started runtime runs %d goroutines, want 1", n)
+	}
+	rt.Stop()
+	if err := leakcheck.Check(5 * time.Second); err != nil {
+		t.Fatalf("a stopped runtime left goroutines: %v", err)
 	}
 }
 

@@ -453,8 +453,10 @@ type gateApplier struct {
 
 // ApplyDeferred implements protocol.Applier: the gate decides whether the
 // delivery goes down the chain now, parks until a handoff completes, or is
-// skipped as stale. done fires exactly once: synchronously on the stale
-// path, when the chain completes the command otherwise.
+// skipped as stale. done fires exactly once: at once for a marker that
+// lost to its queued piece, otherwise when the chain completes the command
+// or the stand-in a stale one goes down as (this node's own stale command:
+// when its re-proposal executes).
 func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
 	a.co.gate(a.group, a.inner, cmd, ts, done)
 }
@@ -516,41 +518,46 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Ap
 		return
 	}
 	// gateStale: every replica skips at the same point of the group's
-	// order (the verdict depends only on the delivered fence prefix).
+	// order (the verdict depends only on the delivered fence prefix). The
+	// chain gets a stand-in under the command's ID, epoch and timestamp,
+	// so the write-ahead log records the skip at the command's position
+	// and the ID in the group's delivered set (a restart must not park a
+	// re-sent decision that lists the ID as a predecessor): a piece's
+	// group abort marker, a noop for any other command.
+	stand, then := command.Command{Op: command.OpNoop}, done
 	if cmd.Op == command.OpXCommit {
 		// A stale participant piece kills its transaction everywhere,
 		// deterministically; the coordinating node's client callback gets
 		// ErrEpochRetry and xshard.Engine.Submit re-proposes under the new
-		// epoch. The chain gets the group's abort marker in the piece's
-		// place, under the piece's ID: the write-ahead log records the
-		// kill at the piece's position (and the ID in the group's
-		// delivered set), so a restart finds the transaction settled
-		// rather than held. The table below has it settled already and
-		// ignores the marker.
-		if p, err := xshard.DecodePiece(cmd.Payload); err == nil {
-			co.table.KillStale(int32(group), p.XID)
-			if chain != nil {
-				marker, _ := xshard.AbortCommand(p.XID, int32(group), nil)
-				marker.ID, marker.Epoch = cmd.ID, cmd.Epoch
-				chain.ApplyDeferred(marker, ts, done)
-				return
-			}
+		// epoch. The log settles the transaction from the marker, so a
+		// restart finds it settled rather than held; the table below has
+		// it settled already and ignores the marker.
+		p, err := xshard.DecodePiece(cmd.Payload)
+		if err != nil {
+			done(protocol.Result{})
+			return
 		}
-		done(protocol.Result{})
+		co.table.KillStale(int32(group), p.XID)
+		stand, _ = xshard.AbortCommand(p.XID, int32(group), nil)
+	} else {
+		co.mu.Lock()
+		engine := co.engine
+		co.mu.Unlock()
+		if cmd.ID.Node == co.cfg.Self && engine != nil {
+			// Re-route this node's own command under the current epoch
+			// once the noop is applied; the client callback fires when the
+			// re-proposal executes.
+			again := cmd
+			again.ID = command.ID{}
+			then = func(protocol.Result) { engine.Submit(again, done) }
+		}
+	}
+	if chain == nil {
+		then(protocol.Result{})
 		return
 	}
-	co.mu.Lock()
-	engine := co.engine
-	mine := cmd.ID.Node == co.cfg.Self
-	co.mu.Unlock()
-	if mine && engine != nil {
-		// Re-route this node's own command under the current epoch; the
-		// client callback fires when the re-proposal executes.
-		cmd.ID = command.ID{}
-		engine.Submit(cmd, done)
-		return
-	}
-	done(protocol.Result{})
+	stand.ID, stand.Epoch = cmd.ID, cmd.Epoch
+	chain.ApplyDeferred(stand, ts, then)
 }
 
 // classifyLocked is the gate's decision procedure. Everything it reads —

@@ -148,12 +148,14 @@ func keyHomedAt(t *testing.T, prev, next shard.Router, prevHome, nextHome int) s
 type recordingApplier struct {
 	mu   sync.Mutex
 	keys []string
+	cmds []command.Command
 }
 
 func (r *recordingApplier) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.keys = append(r.keys, cmd.Key)
+	r.cmds = append(r.cmds, cmd)
 	return []byte(cmd.Key)
 }
 
@@ -265,7 +267,8 @@ func (rerouteGroup) Stop()  {}
 
 // TestGateSkipsStaleAndReroutes checks the exactly-once path for a command
 // routed under the old epoch but ordered after its group's fence: every
-// replica skips it; only the submitting node re-routes it.
+// replica skips it, handing the chain a noop under its ID in its place;
+// only the submitting node re-routes it.
 func TestGateSkipsStaleAndReroutes(t *testing.T) {
 	co, app := newTestCoordinator(2)
 	prev, next := shard.NewRouterAt(0, 2), shard.NewRouterAt(1, 4)
@@ -305,8 +308,15 @@ func TestGateSkipsStaleAndReroutes(t *testing.T) {
 	if len(resubmitted) != 1 || resubmitted[0].Key != moved {
 		t.Fatalf("resubmitted %v", resubmitted)
 	}
-	if got := app.applied(); len(got) != 0 {
-		t.Fatalf("stale commands were applied locally: %v", got)
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	if len(app.cmds) != 2 {
+		t.Fatalf("the chain saw %v, want a noop for each stale command", app.cmds)
+	}
+	for i, id := range []command.ID{theirs.ID, ours.ID} {
+		if c := app.cmds[i]; c.Op != command.OpNoop || c.ID != id {
+			t.Fatalf("stale command %v reached the chain as %v, want a noop under its ID", id, c)
+		}
 	}
 }
 

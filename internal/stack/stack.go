@@ -9,10 +9,11 @@
 //
 //	rebalance gate → write-ahead log → cross-shard table → node applier
 //
-// The gate must see fences before anything else. It drops stale
-// deliveries, which therefore never reach the log — replay agrees —
-// except a stale transaction piece, which reaches it as its group's abort
-// marker, so the log settles the transaction the gate killed. The
+// The gate must see fences before anything else. A stale delivery
+// reaches the log only as a stand-in under its ID — a transaction piece
+// as its group's abort marker, so the log settles the transaction the
+// gate killed, any other command as a noop — so a restarted replica's
+// delivered set holds the ID and replay applies what the live path did. The
 // log sits above the commit table so a transaction piece is durable, and
 // in the recovered delivered set, before the table can react to it; the
 // transaction's effects are logged separately when the table executes

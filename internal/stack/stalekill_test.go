@@ -1,6 +1,7 @@
 package stack_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/rebalance"
+	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/stack"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
@@ -113,5 +115,77 @@ func TestStaleKillIsDurable(t *testing.T) {
 	}
 	if set := rebuilt.Recovered.Delivered[1]; set == nil || !set.Has(stale.ID) {
 		t.Fatalf("group 1's recovered delivered set lacks the stale piece %v", stale.ID)
+	}
+}
+
+// TestStaleSkipIsDurable: an ordinary command routed under epoch 0 to a
+// key that moves reaches group 1 after that group's resize fence, so the
+// rebalance gate skips it as stale — a peer's as dropped, this node's as
+// re-routed under the new epoch. The log must record the skip at the
+// command's position, as a noop under its ID: after a restart on the same
+// data dir group 1's delivered set holds both IDs, and the store counts
+// both noops as applied on the live and on the replay path alike.
+func TestStaleSkipIsDurable(t *testing.T) {
+	net := memnet.New(memnet.Config{Nodes: 1})
+	defer net.Close()
+	now, _ := fakeClock(time.Unix(5000, 0))
+	dir := t.TempDir()
+	var groups []*handGroup
+	build := func() *stack.Stack {
+		groups = nil
+		stk, err := stack.Build(net.Endpoint(0), stack.Config{
+			Shards:    2,
+			Rebalance: true,
+			DataDir:   dir,
+			Now:       now,
+			Build: func(g int, _ transport.Endpoint, app protocol.Applier, _ wal.GroupSeed, _ *metrics.Recorder, _ *contend.Group) protocol.Engine {
+				h := &handGroup{app: app}
+				groups = append(groups, h)
+				return h
+			},
+		})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		stk.Start()
+		return stk
+	}
+
+	stk := build()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("moves-%d", i); shard.NewRouter(2).Shard(k) == 1 {
+			key = k
+		}
+	}
+	fence, err := rebalance.FenceCommand(rebalance.Marker{Epoch: 1, Shards: 1, PrevShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fence.ID = command.ID{Node: 0, Seq: 1}
+	groups[1].deliver(t, fence, timestamp.Timestamp{Seq: 1})
+	peers := command.Put(key, []byte("peer's"))
+	peers.ID = command.ID{Node: 1, Seq: 1}
+	mine := command.Put(key, []byte("mine"))
+	mine.ID = command.ID{Node: 0, Seq: 2}
+	groups[1].deliver(t, peers, timestamp.Timestamp{Seq: 2, Node: 1})
+	groups[1].deliver(t, mine, timestamp.Timestamp{Seq: 3})
+	if n := stk.Store.Applied(); n != 2 {
+		t.Errorf("the live store counts %d applied commands, want the 2 noops", n)
+	}
+	if v, ok := stk.Store.Get(key); ok {
+		t.Fatalf("a stale put reached the store: %s = %q", key, v)
+	}
+	stk.Stop()
+
+	rebuilt := build()
+	defer rebuilt.Stop()
+	for _, id := range []command.ID{peers.ID, mine.ID} {
+		if set := rebuilt.Recovered.Delivered[1]; set == nil || !set.Has(id) {
+			t.Errorf("group 1's recovered delivered set lacks the stale command %v", id)
+		}
+	}
+	if n := rebuilt.Store.Applied(); n != 2 {
+		t.Errorf("the replayed store counts %d applied commands, want the 2 noops", n)
 	}
 }

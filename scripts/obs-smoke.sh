@@ -273,6 +273,14 @@ echo "$topout" | grep -q 'DIVERGED' && {
     echo "$topout" >&2
     exit 1
 }
+# Node 0 led the writes, so its FAST% column is a number: the decision
+# counters are exported per group, and the console sums them.
+fastcol=$(awk '$1 == "127.0.0.1:9180" {print $5}' <<<"$topout")
+[[ "$fastcol" =~ ^[0-9]+(\.[0-9]+)?$ ]] || {
+    echo "caesar-top shows node 0's FAST% as '$fastcol' after the writes, want a number:" >&2
+    echo "$topout" >&2
+    exit 1
+}
 echo "$topout" | grep -A2 'HOT KEY' | grep -q 'hotkey' || {
     echo "caesar-top hot-keys panel missing the hammered key:" >&2
     echo "$topout" >&2

@@ -1,6 +1,6 @@
 // Package loopblock guards CAESAR's single-threaded per-group event loop:
 // protocol state needs no locking precisely because one goroutine consumes
-// the loop's inbox sequentially (protocol.Loop), so anything that parks
+// the inbox sequentially (protocol.Runtime's loop), so anything that parks
 // that goroutine — an fsync, a blocking channel operation, a WaitGroup
 // join, and above all a blocking Post back into the loop's own full inbox
 // — stalls every group event behind it, and in the worst case (the PR-4
@@ -10,15 +10,15 @@
 // The analyzer finds the handler roots — the function an engine hands a
 // StepFuncs constructor as its `step` (protocol.NewRuntime: the one method
 // the runtime calls for every event), and any function value passed to a
-// LoopTypes `Run` method (the runtime's own consumer) — walks the
+// LoopTypes `Run` method (an event loop that takes its consumer) — walks the
 // package-local static call graph from them, and flags, on every
 // reachable path:
 //
 //   - calls to known-blocking primitives (time.Sleep, sync.WaitGroup.Wait,
 //     sync.Cond.Wait, os.File.Sync, net dialing),
-//   - a blocking Post or PostMessage back into a protocol.Loop, directly
-//     or through the protocol.Runtime an engine embeds (TryPost with a
-//     goroutine fallback is the sanctioned pattern),
+//   - a blocking Post or PostMessage back into the protocol.Runtime an
+//     engine embeds (TryPost with a goroutine fallback is the sanctioned
+//     pattern),
 //   - bare channel sends/receives and default-less selects,
 //   - calls into functions — same package or imported — whose bodies were
 //     found to block (a "blocks" fact every package exports for its
@@ -57,7 +57,6 @@ import (
 // root and whose Post is the self-deadlock to catch, as
 // "import/path.TypeName". Tests point it at golden packages.
 var LoopTypes = []string{
-	"github.com/caesar-consensus/caesar/internal/protocol.Loop",
 	"github.com/caesar-consensus/caesar/internal/protocol.Runtime",
 }
 
@@ -80,7 +79,7 @@ var ApplierTypes = []string{
 // Analyzer is the loopblock check.
 var Analyzer = &analysis.Analyzer{
 	Name: "loopblock",
-	Doc:  "flags blocking operations reachable from protocol.Loop event handlers",
+	Doc:  "flags blocking operations reachable from protocol.Runtime event handlers",
 	Run:  run,
 }
 
