@@ -269,18 +269,34 @@ func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool 
 
 // raiseFloor runs once per GC tick: the floor rises to horizon (it never
 // falls), and every entry whose list is empty and whose fence the floor
-// now covers leaves the index. It returns the number of entries whose
-// fence is still above the floor (caesar_purge_fence_keys).
+// now covers leaves the index. The spare list keeps no more of the
+// entries that left, its own included, than list made since the previous
+// raise (see history.spare). It returns the number of entries whose fence
+// is still above the floor (caesar_purge_fence_keys).
 func (h *history) raiseFloor(horizon timestamp.Timestamp) (fenced int) {
 	h.floor = timestamp.Max(h.floor, horizon)
-	//caesarlint:allow maprange -- deletes entries and counts them; nothing is sent, applied or traced from the order
+	bound := h.made
+	h.made = 0
+	//caesarlint:allow maprange -- deletes entries, keeps cleared ones as spares and counts them; nothing is sent, applied or traced from the order
 	maps.DeleteFunc(h.byKey, func(_ string, l *keyList) bool {
 		if h.floor.Less(l.fence) {
 			fenced++
 			return false
 		}
-		return len(l.recs) == 0
+		if len(l.recs) != 0 {
+			return false
+		}
+		h.drop(l, bound)
+		return true
 	})
+	if len(h.spare) > bound {
+		clear(h.spare[bound:])
+		h.spare = h.spare[:bound]
+	}
+	if cap(h.spare) >= shrinkFrom && 4*len(h.spare) < cap(h.spare) {
+		// A backlog's raise grew the slice; what it keeps now fits a quarter.
+		h.spare = slices.Clone(h.spare)
+	}
 	h.byKey = shrink(h.byKey, &h.keysPeak)
 	return fenced
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -21,6 +22,11 @@ import (
 // a stable record lists it as a predecessor — is a record whose status is
 // StatusNone and whose cmd carries nothing but the ID; ensure fills the
 // payload in when a message brings it.
+//
+// A record is a slot of the history's chunk (internal/chunk), never reused:
+// a purged record may still be held — the open list lets go of it only at
+// its next scan — and records are purged roughly in the order they were
+// made, so a chunk of them is let go soon after its last one is.
 type record struct {
 	cmd command.Command
 	ts  timestamp.Timestamp
@@ -34,7 +40,8 @@ type record struct {
 	// promised is Ballots[c]: proposals and prepares below it are ignored.
 	promised uint32
 
-	// next and prev link the history's records in creation order.
+	// next and prev link the history's records in creation order; remove
+	// clears them.
 	next, prev *record
 
 	// delivered is set once the command has been handed to the applier;
@@ -117,6 +124,13 @@ func cmpRecord(rec *record, k tsKey) int {
 // fence is the highest timestamp of a purged command on the key (see
 // gc.go). An entry whose list is empty stays while its fence is above the
 // history's floor, so a key that comes back reuses it.
+//
+// An entry that leaves the index is cleared — first would otherwise keep
+// its purged record, and the record's chunk, alive — and kept on the
+// history's spare list for list to reuse. Entries are recycled, not
+// chunked: a hot key's entry lives as long as the key stays busy, and would
+// pin its chunk. No *keyList leaves the history's methods, and no conflicts
+// callback indexes or unindexes, so nothing holds an entry that is reused.
 type keyList struct {
 	recs  []*record
 	first [1]*record
@@ -160,6 +174,19 @@ type history struct {
 	open        []*record
 	// byKey is the conflict index and the purge fence, one entry per key.
 	byKey map[string]*keyList
+	// spare holds cleared entries that left byKey, for list to reuse, so a
+	// fresh key costs no allocation. made counts the entries list has made
+	// since the previous floor raise (raiseFloor, once per GC tick); spare
+	// never grows past it while entries are dropped, and a raise trims it
+	// to what the interval it ends made. A backlog's entries (lan3-mixed4g's
+	// preload drops 16 k) are therefore let go by the second raise after it
+	// drained, and after a raise with no entry made since the last one
+	// spare is empty.
+	spare []*keyList
+	made  int
+	// records is the chunk every record is taken from (event-loop state,
+	// like the rest of the history).
+	records chunk.Of[record]
 	// barriers holds the indexed OpFence records, in the order they were
 	// indexed. A fence conflicts with every command, so it lives outside
 	// the per-key lists: ordinary conflict scans consult this (usually
@@ -203,7 +230,8 @@ func (h *history) ensure(cmd command.Command) *record {
 	rec, ok := h.recs[cmd.ID]
 	switch {
 	case !ok:
-		rec = &record{cmd: cmd, prev: h.last}
+		rec = h.records.Next()
+		rec.cmd, rec.prev = cmd, h.last
 		if h.last == nil {
 			h.first = rec
 		} else {
@@ -285,16 +313,33 @@ func (h *history) index(rec *record) {
 	}
 }
 
-// list returns k's entry, making an empty one if the key has none.
+// list returns k's entry, making an empty one — a spare, when there is
+// one — if the key has none.
 func (h *history) list(k string) *keyList {
 	l := h.byKey[k]
 	if l == nil {
-		l = &keyList{}
+		if n := len(h.spare); n > 0 {
+			l = h.spare[n-1]
+			h.spare[n-1] = nil
+			h.spare = h.spare[:n-1]
+		} else {
+			l = &keyList{}
+		}
 		l.recs = l.first[:0]
 		h.byKey[k] = l
 		h.keysPeak = max(h.keysPeak, len(h.byKey))
+		h.made++
 	}
 	return l
+}
+
+// drop clears an entry that has left byKey and keeps it as a spare while
+// spare holds fewer than bound.
+func (h *history) drop(l *keyList, bound int) {
+	*l = keyList{}
+	if len(h.spare) < bound {
+		h.spare = append(h.spare, l)
+	}
 }
 
 // unindex removes the record from the conflict index; a key whose list
@@ -320,12 +365,16 @@ func (h *history) unindex(rec *record) {
 		default:
 			delete(h.byKey, k)
 			h.byKey = shrink(h.byKey, &h.keysPeak)
+			h.drop(l, h.made)
 		}
 	}
 }
 
-// remove purges the record entirely (garbage collection). The record keeps
-// its next link, so a walk standing on it carries on.
+// remove purges the record entirely (garbage collection). Its links are
+// cleared: a purged record stays reachable while a sibling in its chunk
+// lives, and a next link would then keep every record made after it, one
+// chunk after another. Only a PurgeBatch removes records, and no walk of
+// the history handles one, so no walk stands on a record as it goes.
 func (h *history) remove(rec *record) {
 	h.unindex(rec)
 	delete(h.recs, rec.id())
@@ -340,6 +389,7 @@ func (h *history) remove(rec *record) {
 	} else {
 		rec.next.prev = rec.prev
 	}
+	rec.next, rec.prev = nil, nil
 }
 
 const shrinkFrom = 1024 // the smallest peak shrink rebuilds a map from

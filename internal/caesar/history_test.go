@@ -318,7 +318,9 @@ func (m *indexModel) check(cmd command.Command, bound timestamp.Timestamp) {
 // only while the key's fence is above the floor.
 func (m *indexModel) checkLists() {
 	entries := 0
+	inIndex := make(map[*keyList]bool, len(m.h.byKey))
 	for k, l := range m.h.byKey {
+		inIndex[l] = true
 		recs := l.recs
 		if len(recs) == 0 && !m.h.floor.Less(l.fence) {
 			m.fatalf("key %q kept an empty list with its fence %v at or below the floor %v", k, l.fence, m.h.floor)
@@ -332,6 +334,12 @@ func (m *indexModel) checkLists() {
 			}
 		}
 		entries += len(recs)
+	}
+	// A spare is cleared and no key's entry.
+	for i, l := range m.h.spare {
+		if l.recs != nil || l.first[0] != nil || l.fence != (timestamp.Timestamp{}) || inIndex[l] {
+			m.fatalf("spare %d holds %d records, first %v, fence %v, indexed %v", i, len(l.recs), l.first[0], l.fence, inIndex[l])
+		}
 	}
 	want := 0
 	for _, rec := range m.h.recs {
@@ -421,6 +429,52 @@ func TestHistoryMapsShrinkAfterBacklog(t *testing.T) {
 		if want := (command.ID{Seq: seq}); h.get(want) == nil || !slices.Equal(found, []command.ID{want}) {
 			t.Errorf("record %d: get %v, conflicts on its key %v", seq, h.get(want), found)
 		}
+	}
+}
+
+// TestConflictIndexSparesHoldNoRecord: an entry that leaves the index —
+// by unindex, or by raiseFloor once the floor covers its fence — is
+// cleared before it goes on the spare list, so it keeps no purged record
+// (and that record's chunk) alive, and the next key to need an entry
+// reuses it. A floor raise with no entry made since the previous one
+// leaves the spare list empty.
+func TestConflictIndexSparesHoldNoRecord(t *testing.T) {
+	h := newHistory()
+	cleared := func(what string, l *keyList) {
+		t.Helper()
+		if l.recs != nil || l.first[0] != nil || l.fence != (timestamp.Timestamp{}) {
+			t.Fatalf("%s: the dropped entry holds %d records, first %v, fence %v", what, len(l.recs), l.first[0], l.fence)
+		}
+	}
+	a := h.ensure(put(1, 1, "a"))
+	h.setTimestamp(a, ts(1, 1))
+	l := h.byKey["a"]
+	h.unindex(a)
+	if h.byKey["a"] != nil || !slices.Equal(h.spare, []*keyList{l}) {
+		t.Fatalf("unindex left entry %v and spares %v, want no entry and one spare", h.byKey["a"], h.spare)
+	}
+	cleared("unindex", l)
+
+	// The spare serves the next key; a purge keeps the entry while its
+	// fence is above the floor, and the raise that covers it drops it.
+	b := h.ensure(put(1, 2, "b"))
+	h.setTimestamp(b, ts(2, 1))
+	if h.byKey["b"] != l || len(h.spare) != 0 {
+		t.Fatalf("a new key got entry %p with %d spares left, want the spare %p", h.byKey["b"], len(h.spare), l)
+	}
+	h.purge(b)
+	if h.byKey["b"] != l {
+		t.Fatal("the purge dropped an entry whose fence is above the floor")
+	}
+	h.raiseFloor(ts(3, 0))
+	if h.byKey["b"] != nil || !slices.Equal(h.spare, []*keyList{l}) {
+		t.Fatalf("raiseFloor left entry %v and spares %v, want no entry and one spare", h.byKey["b"], h.spare)
+	}
+	cleared("raiseFloor", l)
+
+	h.raiseFloor(ts(4, 0))
+	if len(h.spare) != 0 {
+		t.Fatalf("%d spares after a floor raise with no entry made since the last one, want 0", len(h.spare))
 	}
 }
 

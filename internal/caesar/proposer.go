@@ -22,7 +22,9 @@ const (
 
 // coordinator is the leader-side state for one command this replica leads,
 // either because a client submitted it here or because this replica
-// recovered it; the command's record points at it.
+// recovered it; the command's record points at it. It is a slot of the
+// replica's coords chunk (internal/chunk), never reused: it lives as long
+// as its record, and one that recovery replaces is left as it was.
 type coordinator struct {
 	cmd    command.Command
 	ballot uint32

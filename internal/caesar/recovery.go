@@ -206,7 +206,8 @@ func (r *Replica) finishRecovery(rec *record, rc *recovery) {
 	// submit instant: the command is as old as its submission, however
 	// many ballots it takes.
 	newCoord := func(cmd command.Command) *coordinator {
-		c := &coordinator{cmd: cmd, ballot: rc.ballot, proposedAt: r.now}
+		c := r.coords.Next()
+		c.cmd, c.ballot, c.proposedAt = cmd, rc.ballot, r.now
 		if old := rec.coord; old != nil {
 			c.done, c.proposedAt = old.done, old.proposedAt
 		}

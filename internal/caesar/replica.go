@@ -200,6 +200,10 @@ type Replica struct {
 	proposes chunk.Of[FastPropose]
 	replies  chunk.Of[FastProposeReply]
 	stables  chunk.Of[Stable]
+	// coords is where every coordinator this replica leads a command with
+	// comes from, a submitted one or a recovered one; a coordinator lives
+	// as long as its record, and a replaced one is never reused.
+	coords chunk.Of[coordinator]
 
 	fd      *failure.Detector
 	nextSeq uint64
@@ -314,7 +318,7 @@ func (r *Replica) OldestUnacked() (command.ID, time.Time, bool) {
 // step is the single event dispatcher: the runtime's Step calls it for
 // every event, self-addressed messages included, with the instant the
 // event is handled at. Every timeout, deadline and measurement below reads
-// r.now, never a clock. A protocol.Submission makes this replica the
+// r.now, never a clock. A *protocol.Submission makes this replica the
 // command's leader (§V-B); its Done fires after local execution.
 func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
@@ -328,7 +332,7 @@ func (r *Replica) step(now time.Time, ev protocol.Event) {
 	switch e := ev.Payload.(type) {
 	case protocol.Tick:
 		r.onTick(now)
-	case protocol.Submission:
+	case *protocol.Submission:
 		r.onSubmit(e.Cmd, e.Done)
 	case evAck:
 		r.onAck(e.rec)
@@ -390,12 +394,8 @@ func (r *Replica) onSubmit(cmd command.Command, done protocol.DoneFunc) {
 		r.unacked[cmd.ID] = r.now
 		r.unackedMu.Unlock()
 	}
-	c := &coordinator{
-		cmd:        cmd,
-		ballot:     0,
-		proposedAt: r.now,
-		done:       done,
-	}
+	c := r.coords.Next()
+	c.cmd, c.proposedAt, c.done = cmd, r.now, done
 	r.hist.ensure(cmd).coord = c
 	ts := r.clock.Next()
 	r.cfg.Trace.Record(r.self, trace.KindPropose, cmd.ID, ts)

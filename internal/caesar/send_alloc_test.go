@@ -46,3 +46,14 @@ func TestProposeAndReplyAllocateUnderOneMessage(t *testing.T) {
 		t.Errorf("reply allocates %.0f per FastProposeReply, want under 1", n)
 	}
 }
+
+// A submitted command's record and coordinator are slots of the history's
+// and the replica's chunks, and its FastPropose one of the replica's: the
+// leader's whole onSubmit costs under one allocation per command.
+func TestSubmitAllocatesUnderOneCommand(t *testing.T) {
+	r, ep := testReplica(5)
+	cmd := command.Put("k", nil)
+	if n := testing.AllocsPerRun(1000, func() { r.onSubmit(cmd, nil); ep.clear() }); n >= 1 {
+		t.Errorf("onSubmit allocates %.2f per command, want under 1", n)
+	}
+}

@@ -1,12 +1,15 @@
 package caesar
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/quorum"
+	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
 // TestSentMessagesAreNeverReused: the FastPropose, FastProposeReply and
@@ -73,5 +76,70 @@ func TestSentMessagesAreNeverReused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecordsAreNeverReused: a history's records are slots of its chunk,
+// and a purged record may still be stood on by a walk or held by a parked
+// waiter. Over more than two chunks, with every other record purged as the
+// later ones are made, each record is handed out zeroed and its own, and
+// keeps what was written to it.
+func TestRecordsAreNeverReused(t *testing.T) {
+	const n = 2*chunk.Size + 1
+	h := newHistory()
+	recs := make([]*record, n)
+	for i := range recs {
+		id := command.ID{Node: 1, Seq: uint64(i + 1)}
+		rec := h.ensure(put(1, id.Seq, "k"))
+		if rec.status != StatusNone || rec.ts != (timestamp.Timestamp{}) || rec.pred != nil || rec.coord != nil || rec.next != nil {
+			t.Fatalf("record %d handed out holding state: %+v", i, *rec)
+		}
+		if slices.Contains(recs[:i], rec) {
+			t.Fatalf("record %d shares a slot with an earlier one", i)
+		}
+		h.write(rec, StatusStable, ts(id.Seq, 1), []command.ID{{Node: 2, Seq: id.Seq}}, uint32(i), false)
+		recs[i] = rec
+		if i%2 == 1 {
+			h.purge(recs[i-1])
+		}
+	}
+	for i, rec := range recs {
+		seq := uint64(i + 1)
+		if rec.id() != (command.ID{Node: 1, Seq: seq}) || rec.ts != ts(seq, 1) || rec.status != StatusStable ||
+			rec.ballot != uint32(i) || !slices.Equal(rec.pred, []command.ID{{Node: 2, Seq: seq}}) {
+			t.Fatalf("record %d now reads %v at %v, status %v, ballot %d, pred %v", i, rec.id(), rec.ts, rec.status, rec.ballot, rec.pred)
+		}
+	}
+}
+
+// TestCoordinatorsAreNeverReused: the coordinators a replica leads its
+// commands with are slots of its chunk. Over more than two chunks of
+// submissions, each coordinator is its own and reads, after the later
+// ones were made, exactly as it did when its command was proposed.
+func TestCoordinatorsAreNeverReused(t *testing.T) {
+	const n = 2*chunk.Size + 1
+	r, ep := testReplica(5)
+	coords := make([]*coordinator, n)
+	wants := make([]coordinator, n)
+	for i := range coords {
+		r.onSubmit(command.Put(fmt.Sprintf("k%d", i), nil), nil)
+		ep.clear()
+		rec := r.hist.get(command.ID{Node: 5, Seq: uint64(i + 1)})
+		if rec == nil || rec.coord == nil {
+			t.Fatalf("submission %d left no coordinator", i)
+		}
+		c := rec.coord
+		if slices.Contains(coords[:i], c) {
+			t.Fatalf("coordinator %d shares a slot with an earlier one", i)
+		}
+		if c.cmd.Key != fmt.Sprintf("k%d", i) || c.phase != phaseFastProposal {
+			t.Fatalf("coordinator %d reads key %q in phase %d", i, c.cmd.Key, c.phase)
+		}
+		coords[i], wants[i] = c, *c
+	}
+	for i, c := range coords {
+		if !reflect.DeepEqual(*c, wants[i]) {
+			t.Fatalf("coordinator %d now reads %+v, was %+v", i, *c, wants[i])
+		}
 	}
 }

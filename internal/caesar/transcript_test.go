@@ -135,7 +135,7 @@ func (n *simNet) tick(d time.Duration) {
 }
 
 func (n *simNet) submit(node int, cmd command.Command, done protocol.DoneFunc) {
-	n.reps[node].Step(n.clock.Now(), protocol.Event{Payload: protocol.Submission{Cmd: cmd, Done: done}})
+	n.reps[node].Step(n.clock.Now(), protocol.Event{Payload: &protocol.Submission{Cmd: cmd, Done: done}})
 }
 
 // transcriptRun plays the fixed script once and returns the transcript and

@@ -245,7 +245,7 @@ func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Re
 // Metrics returns the replica's recorder.
 func (r *Replica) Metrics() *metrics.Recorder { return r.met }
 
-// step handles one event at the instant now; a protocol.Submission makes
+// step handles one event at the instant now; a *protocol.Submission makes
 // this replica the command's leader.
 func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
@@ -253,7 +253,7 @@ func (r *Replica) step(now time.Time, ev protocol.Event) {
 		r.fd.Observe(ev.From, now)
 	}
 	switch m := ev.Payload.(type) {
-	case protocol.Submission:
+	case *protocol.Submission:
 		r.onSubmit(r.pending.Register(now, m))
 	case protocol.Tick:
 		r.onTick(now)

@@ -247,7 +247,7 @@ func (r *Replica) key(k string) *keyState {
 func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	switch m := ev.Payload.(type) {
-	case protocol.Submission:
+	case *protocol.Submission:
 		r.route(r.pending.Register(now, m), 0)
 	case protocol.Tick:
 		r.onTick(now)

@@ -105,7 +105,7 @@ func New(ep transport.Endpoint, app protocol.TimestampedApplier, cfg Config) *Re
 func (r *Replica) step(now time.Time, ev protocol.Event) {
 	r.now = now
 	switch m := ev.Payload.(type) {
-	case protocol.Submission:
+	case *protocol.Submission:
 		cmd := r.pending.Register(now, m)
 		if r.leader {
 			r.sequence(cmd)

@@ -5,6 +5,8 @@ package protocol
 import (
 	"testing"
 	"time"
+
+	"github.com/caesar-consensus/caesar/internal/command"
 )
 
 // Posting an inbound message must not allocate: every message of every
@@ -43,5 +45,17 @@ func TestStepMessageDoesNotAllocate(t *testing.T) {
 	})
 	if got != 0 || steps != 2*201 {
 		t.Fatalf("dequeue + step + self reply allocates %.1f per message over %d steps, want 0 over %d", got, steps, 2*201)
+	}
+}
+
+// A submission is a slot of the runtime's chunk, posted as a pointer:
+// Submit costs under one allocation per command.
+func TestSubmitAllocatesUnderOneSubmission(t *testing.T) {
+	rt := NewRuntime(&fakeEP{}, nil, 0, func(time.Time, Event) {}, func() {})
+	cmd := command.Put("k", nil)
+	done := func(Result) {}
+	// Nothing drains the inbox; it only has to hold the posts.
+	if got := testing.AllocsPerRun(200, func() { rt.Submit(cmd, done) }); got >= 1 {
+		t.Fatalf("Submit allocates %.2f per submission, want under 1", got)
 	}
 }

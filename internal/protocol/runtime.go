@@ -4,13 +4,17 @@ import (
 	"sync"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/metrics"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 	"github.com/caesar-consensus/caesar/internal/transport"
 )
 
-// Submission is the payload of a client submission event.
+// Submission is the payload of a client submission event. Submit posts a
+// *Submission, a slot of the runtime's chunk (internal/chunk): an engine
+// reads it in the step that handles it and keeps nothing of the slot
+// itself, and nothing writes to it once it is posted.
 type Submission struct {
 	Cmd  command.Command
 	Done DoneFunc
@@ -91,6 +95,11 @@ type Runtime struct {
 	// the runtime stopped.
 	mu    sync.Mutex
 	state uint8
+
+	// subs is where Submit takes its submissions from; clients submit
+	// from their own goroutines, so subsMu guards it.
+	subsMu sync.Mutex
+	subs   chunk.Of[Submission]
 }
 
 const (
@@ -242,9 +251,15 @@ func (rt *Runtime) Stop() {
 }
 
 // Submit proposes cmd on this replica; done (may be nil) fires after
-// local execution, or with ErrStopped.
+// local execution, or with ErrStopped. The engine is stepped a
+// *Submission taken from the runtime's chunk, so a submission costs no
+// allocation of its own. Safe for concurrent use.
 func (rt *Runtime) Submit(cmd command.Command, done DoneFunc) {
-	if !rt.Post(Submission{Cmd: cmd, Done: done}) && done != nil {
+	rt.subsMu.Lock()
+	s := rt.subs.Next()
+	rt.subsMu.Unlock()
+	s.Cmd, s.Done = cmd, done
+	if !rt.Post(s) && done != nil {
 		done(Result{Err: ErrStopped})
 	}
 }
@@ -324,12 +339,14 @@ func NewPending(self timestamp.NodeID, met *metrics.Recorder) *Pending {
 }
 
 // Register mints the next command ID of this node for s, records the
-// submission as arrived at now, and returns the command carrying the ID.
-func (p *Pending) Register(now time.Time, s Submission) command.Command {
+// submission as arrived at now, and returns a copy of the command carrying
+// the ID: s itself is a posted slot and is not written.
+func (p *Pending) Register(now time.Time, s *Submission) command.Command {
 	p.seq++
-	s.Cmd.ID = command.ID{Node: p.self, Seq: p.seq}
-	p.subs[s.Cmd.ID] = pendingSub{done: s.Done, at: now}
-	return s.Cmd
+	cmd := s.Cmd
+	cmd.ID = command.ID{Node: p.self, Seq: p.seq}
+	p.subs[cmd.ID] = pendingSub{done: s.Done, at: now}
+	return cmd
 }
 
 // Complete reports the execution of command id at now: if this replica

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/leakcheck"
 	"github.com/caesar-consensus/caesar/internal/metrics"
@@ -60,7 +61,7 @@ func newFakeEngine(ep transport.Endpoint, now func() time.Time, tick time.Durati
 func (e *fakeEngine) step(now time.Time, ev Event) {
 	e.steps = append(e.steps, ev)
 	e.nows = append(e.nows, now)
-	if s, ok := ev.Payload.(Submission); ok {
+	if s, ok := ev.Payload.(*Submission); ok {
 		e.parked = append(e.parked, s.Done)
 	}
 }
@@ -104,7 +105,7 @@ func TestRuntimeStepsEveryEventAtTheInjectedInstant(t *testing.T) {
 	if ev := e.steps[1]; ev.Remote || ev.Payload != "internal" {
 		t.Fatalf("posted event stepped as %+v", ev)
 	}
-	if _, ok := e.steps[2].Payload.(Submission); !ok {
+	if _, ok := e.steps[2].Payload.(*Submission); !ok {
 		t.Fatalf("submission stepped as %+v", e.steps[2])
 	}
 	for i, now := range e.nows {
@@ -414,9 +415,9 @@ func TestPending(t *testing.T) {
 	var got []Result
 	done := func(res Result) { got = append(got, res) }
 
-	a := p.Register(t0, Submission{Cmd: command.Put("a", nil), Done: done})
-	b := p.Register(t0, Submission{Cmd: command.Put("b", nil)}) // no callback
-	c := p.Register(t0, Submission{Cmd: command.Put("c", nil), Done: done})
+	a := p.Register(t0, &Submission{Cmd: command.Put("a", nil), Done: done})
+	b := p.Register(t0, &Submission{Cmd: command.Put("b", nil)}) // no callback
+	c := p.Register(t0, &Submission{Cmd: command.Put("c", nil), Done: done})
 	if a.ID != (command.ID{Node: 2, Seq: 1}) || b.ID.Seq != 2 || c.ID.Seq != 3 {
 		t.Fatalf("minted %v %v %v", a.ID, b.ID, c.ID)
 	}
@@ -436,5 +437,63 @@ func TestPending(t *testing.T) {
 	p.FailAll()
 	if len(got) != 2 || got[1].Err != ErrStopped {
 		t.Fatalf("after FailAll: %+v", got)
+	}
+}
+
+// TestSubmissionsAreNeverReused: Submit takes every submission from one
+// chunk, from whatever goroutine the client calls it on. Four submitters
+// over more than two chunks each: every stepped submission is its own
+// slot, still carries its own command after every later one was stepped,
+// and its own callback, which fires once.
+func TestSubmissionsAreNeverReused(t *testing.T) {
+	const submitters, per = 4, 2*chunk.Size + 1
+	type stepped struct {
+		s   *Submission
+		key string
+	}
+	var got []stepped // loop state, read once Stop has returned
+	rt := NewRuntime(&fakeEP{}, nil, 0, func(_ time.Time, ev Event) {
+		if s, ok := ev.Payload.(*Submission); ok {
+			got = append(got, stepped{s, s.Cmd.Key})
+		}
+	}, func() {})
+	rt.Start()
+	var mu sync.Mutex
+	fired := make(map[string]int)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				key := fmt.Sprintf("g%d-%d", g, i)
+				rt.Submit(command.Put(key, nil), func(Result) {
+					mu.Lock()
+					fired[key]++
+					mu.Unlock()
+				})
+			}
+		}(g)
+	}
+	wg.Wait()
+	rt.Stop()
+	if len(got) != submitters*per {
+		t.Fatalf("%d submissions stepped, want %d", len(got), submitters*per)
+	}
+	slots := make(map[*Submission]bool)
+	for _, g := range got {
+		if slots[g.s] {
+			t.Fatalf("submission %q stepped in a slot already stepped", g.key)
+		}
+		slots[g.s] = true
+		if g.s.Cmd.Key != g.key {
+			t.Fatalf("submission stepped as %q now reads %q", g.key, g.s.Cmd.Key)
+		}
+		g.s.Done(Result{})
+	}
+	for _, g := range got {
+		if n := fired[g.key]; n != 1 {
+			t.Fatalf("callback of %q fired %d times, want once", g.key, n)
+		}
 	}
 }
