@@ -154,8 +154,8 @@
 // before it is applied and its client is acknowledged. The consensus
 // loops never wait for the disk: a delivery hands the log its record and
 // the loop moves on; after the sync that covers the record the log
-// applies and acknowledges it on its group's completion lane, each
-// group in its log order — so a slow disk grows a queue
+// applies and acknowledges it on its one completion goroutine, in log
+// order — so a slow disk grows a queue
 // (caesar_wal_pending_records) instead of stopping decisions, and a
 // command the log refuses (closed, failed disk) fails at its client
 // instead of being acknowledged. Periodic snapshots truncate the log. A

@@ -270,13 +270,13 @@ func (h *history) fencedAbove(cmd command.Command, ts timestamp.Timestamp) bool 
 // raiseFloor runs once per GC tick: the floor rises to horizon (it never
 // falls), and every entry whose list is empty and whose fence the floor
 // now covers leaves the index. The spare list keeps no more of the
-// entries that left, its own included, than list made since the previous
-// raise (see history.spare). It returns the number of entries whose fence
-// is still above the floor (caesar_purge_fence_keys).
+// entries that left, its own included, than list made in the two
+// intervals this raise ends (see history.spare). It returns the number of
+// entries whose fence is still above the floor (caesar_purge_fence_keys).
 func (h *history) raiseFloor(horizon timestamp.Timestamp) (fenced int) {
 	h.floor = timestamp.Max(h.floor, horizon)
-	bound := h.made
-	h.made = 0
+	bound := h.lastMade + h.made
+	h.lastMade, h.made = h.made, 0
 	//caesarlint:allow maprange -- deletes entries, keeps cleared ones as spares and counts them; nothing is sent, applied or traced from the order
 	maps.DeleteFunc(h.byKey, func(_ string, l *keyList) bool {
 		if h.floor.Less(l.fence) {

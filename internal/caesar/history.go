@@ -176,14 +176,17 @@ type history struct {
 	byKey map[string]*keyList
 	// spare holds cleared entries that left byKey, for list to reuse, so a
 	// fresh key costs no allocation. made counts the entries list has made
-	// since the previous floor raise (raiseFloor, once per GC tick); spare
-	// never grows past it while entries are dropped, and a raise trims it
-	// to what the interval it ends made. A backlog's entries (lan3-mixed4g's
-	// preload drops 16 k) are therefore let go by the second raise after it
-	// drained, and after a raise with no entry made since the last one
-	// spare is empty.
-	spare []*keyList
-	made  int
+	// since the previous floor raise (raiseFloor, once per GC tick), and
+	// lastMade those of the interval before it; spare never grows past
+	// their sum while entries are dropped, and a raise trims it to what the
+	// two intervals before it made. The bound spans two intervals because a
+	// raise drops entries in batches the heartbeats set, which may exceed
+	// what its own interval made. A backlog's entries (lan3-mixed4g's
+	// preload drops 16 k) are therefore let go by the third raise after it
+	// drained, and after two raises with no entry made spare is empty.
+	spare    []*keyList
+	made     int
+	lastMade int
 	// records is the chunk every record is taken from (event-loop state,
 	// like the rest of the history).
 	records chunk.Of[record]
@@ -365,7 +368,7 @@ func (h *history) unindex(rec *record) {
 		default:
 			delete(h.byKey, k)
 			h.byKey = shrink(h.byKey, &h.keysPeak)
-			h.drop(l, h.made)
+			h.drop(l, h.lastMade+h.made)
 		}
 	}
 }

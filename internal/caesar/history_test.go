@@ -436,8 +436,8 @@ func TestHistoryMapsShrinkAfterBacklog(t *testing.T) {
 // by unindex, or by raiseFloor once the floor covers its fence — is
 // cleared before it goes on the spare list, so it keeps no purged record
 // (and that record's chunk) alive, and the next key to need an entry
-// reuses it. A floor raise with no entry made since the previous one
-// leaves the spare list empty.
+// reuses it. Two floor raises with no entry made since the one before
+// them leave the spare list empty.
 func TestConflictIndexSparesHoldNoRecord(t *testing.T) {
 	h := newHistory()
 	cleared := func(what string, l *keyList) {
@@ -473,8 +473,37 @@ func TestConflictIndexSparesHoldNoRecord(t *testing.T) {
 	cleared("raiseFloor", l)
 
 	h.raiseFloor(ts(4, 0))
+	h.raiseFloor(ts(5, 0))
 	if len(h.spare) != 0 {
-		t.Fatalf("%d spares after a floor raise with no entry made since the last one, want 0", len(h.spare))
+		t.Fatalf("%d spares after two floor raises with no entry made since the one before, want 0", len(h.spare))
+	}
+}
+
+// TestConflictIndexSparesOutlastAnUnevenRaise: a floor raise drops entries
+// in a batch the heartbeats time, not the keys' pace, so it may drop more
+// than the interval it ends made. The spare list keeps what the two
+// intervals before the raise made, and the next interval's fresh keys take
+// the dropped entries instead of allocating.
+func TestConflictIndexSparesOutlastAnUnevenRaise(t *testing.T) {
+	h := newHistory()
+	const n = 8
+	dropped := make(map[*keyList]bool)
+	for i := 1; i <= n; i++ {
+		key := fmt.Sprintf("k%d", i)
+		rec := h.ensure(put(1, uint64(i), key))
+		h.setTimestamp(rec, ts(uint64(i), 1))
+		dropped[h.byKey[key]] = true
+		h.purge(rec)
+	}
+	h.raiseFloor(ts(0, 0))   // ends the interval that made n entries; every fence stays above the floor
+	h.raiseFloor(ts(n+1, 0)) // ends an interval that made none, and drops all n
+	if len(h.spare) != n {
+		t.Fatalf("%d spares after a raise dropped %d entries the interval before it made, want %d", len(h.spare), n, n)
+	}
+	for i := 1; i <= n; i++ {
+		if l := h.list(fmt.Sprintf("fresh%d", i)); !dropped[l] {
+			t.Fatalf("fresh key %d got a new entry, not one the raise dropped", i)
+		}
 	}
 }
 

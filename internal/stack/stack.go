@@ -23,8 +23,8 @@
 // On a durable node the log is also where a delivery leaves its group's
 // event loop: the gate forwards ApplyDeferred to the log, the log appends
 // and returns, and everything below it — table, applier, the client and
-// GC acknowledgements — runs on the group's completion lane in the log,
-// after the sync that covers the record, in the group's append order.
+// GC acknowledgements — runs on the log's one completion goroutine, after
+// the sync that covers the record, in log order across every group.
 //
 // Time enters a node in one place: every timer a stack-built layer keeps
 // (fence re-proposals, orphaned-transaction resolution, watchdog scans,

@@ -23,7 +23,6 @@ func (nopApplier) ApplyAt(command.Command, timestamp.Timestamp) []byte { return 
 // growth). The race detector allocates on its own, hence the build tag.
 func TestApplyDeferredAllocs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
-	defer l.Close()
 	app := l.GroupApplier(0, nopApplier{})
 	acked := make(chan struct{}, 1)
 	done := func(protocol.Result) { acked <- struct{}{} }

@@ -15,12 +15,12 @@ import (
 // must reproduce.
 //
 // The returned chain's one entry, ApplyDeferred, is what CAESAR's event
-// loop calls: it appends the record and returns, and the group's
-// completion lane applies and completes the command after the sync that
-// covers it. A refused append (closed log during shutdown, the sticky
-// failure of a dying disk) completes the command with the error instead:
-// it is in no log, so it is neither applied nor acknowledged, and the
-// restart path re-delivers it.
+// loop calls: it appends the record and returns, and the log's completer
+// applies and completes the command after the sync that covers it, at
+// the record's position in the log. A refused append (closed log during
+// shutdown, the sticky failure of a dying disk) completes the command
+// with the error instead: it is in no log, so it is neither applied nor
+// acknowledged, and the restart path re-delivers it.
 func (l *Log) GroupApplier(group int, inner protocol.TimestampedApplier) protocol.Applier {
 	return &groupApplier{l: l, group: int32(group), inner: inner}
 }
@@ -42,8 +42,8 @@ func (a *groupApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp
 // TxApplier returns the commit-table hook that logs an executed
 // cross-shard transaction and applies its ops atomically through exec
 // once the record is durable. Wire it as xshard.TableConfig.ApplyTx.
-func (l *Log) TxApplier(exec protocol.TimestampedAtomicApplier) func(xshard.XID, timestamp.Timestamp, []int32, []command.Command, func(error)) {
-	return func(xid xshard.XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, done func(error)) {
-		l.LogTx(xid, merged, groups, ops, func() { exec.ApplyAllAt(ops, merged) }, done)
+func (l *Log) TxApplier(exec protocol.TimestampedAtomicApplier) func(xshard.XID, timestamp.Timestamp, []command.Command, func(error)) {
+	return func(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command, done func(error)) {
+		l.LogTx(xid, merged, ops, func() { exec.ApplyAllAt(ops, merged) }, done)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
+	"github.com/caesar-consensus/caesar/internal/trace"
 	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
@@ -44,13 +45,13 @@ func segName(index uint64) string  { return fmt.Sprintf("wal-%016d.seg", index) 
 func snapName(index uint64) string { return fmt.Sprintf("snap-%016d.snap", index) }
 
 // pendingRec is one entry of the completion queue: a record appended to
-// the batch buffer, waiting for the sync that covers it. Where it
-// completes once durable: on lane, or — meet — on several lanes at once,
-// or, with neither, on the syncer itself, which is for signals only (a
-// reservation's waiter): the syncer never applies and never blocks.
+// the batch buffer, waiting for the sync that covers it. Once durable it
+// completes on the completer, in append order — or, onSync, on the syncer
+// itself, as soon as it is synced, and the completer passes it by; onSync
+// is for entries that apply nothing (an epoch, a reservation's waiter):
+// the syncer never applies and never blocks.
 type pendingRec struct {
-	lane *lane
-	meet *meet
+	onSync bool
 	// A delivered command on its chain: once durable, inner applies cmd
 	// at ts and done reports the result.
 	cmd   command.Command
@@ -61,7 +62,7 @@ type pendingRec struct {
 	// executed transaction, an epoch, a reservation, a snapshot cut —
 	// completes through fn instead.
 	fn func(err error)
-	// err, set when the entry is handed to its lane, is the failure that
+	// err, set when the syncer hands the entry on, is the failure that
 	// kept its record from becoming durable.
 	err error
 }
@@ -69,15 +70,16 @@ type pendingRec struct {
 // Log is one node's write-ahead log handle. All methods are safe for
 // concurrent use. An append encodes its frame into the batch buffer,
 // joins the completion queue and returns; the syncer goroutine writes and
-// fsyncs the buffer and hands the covered entries, in append order, to
-// their groups' completion lanes, which trace KindFsync, apply and
-// acknowledge. Who may wait for what: an event loop may wait for a sync
-// (a reservation), never for a completion; a completion may wait for
-// another lane to reach a meet, never for a sync; the syncer waits for
-// the disk alone. Completion order within a lane is append order, which
-// is replay order; an entry that concerns several groups (a transaction,
-// a snapshot cut) holds its log position in each of their lanes, so a
-// snapshot observes a store that matches its log cut exactly.
+// fsyncs the buffer and hands the covered entries to the completer
+// goroutine, which completes them one after another in append order:
+// trace KindFsync, apply, acknowledge. Completion order is thus log
+// order, which is replay order, for every group at once: a transaction or
+// a snapshot cut completes after everything appended before it and before
+// anything after it, so a snapshot observes a store that matches its log
+// cut exactly. Who may wait for what: an event loop may wait for a sync
+// (a reservation), never for a completion; a completion waits for nothing
+// in the log — only for the store's lock, or for room in an inbox it
+// acknowledges into; the syncer waits for the disk alone.
 type Log struct {
 	dir  string
 	opts Options
@@ -101,7 +103,7 @@ type Log struct {
 	ioMu sync.Mutex
 
 	//caesarlint:lockorder wal-file
-	mu        sync.Mutex // buffer, queue, lanes, file position and aggregates
+	mu        sync.Mutex // buffer, queues, file position and aggregates
 	f         *os.File
 	segIndex  uint64
 	segBytes  int64
@@ -122,34 +124,44 @@ type Log struct {
 	pendingSince  time.Time
 	inFlight      int
 	inFlightSince time.Time
-	// lanes holds the completion lane of every group seen so far, by
-	// group; cut is the snapshot cut a Snapshot call is waiting at.
-	lanes  []*lane
-	cut    *meet
-	werr   error // sticky write/sync failure
-	closed bool
+	// synced holds the entries the syncer handed on and the completer has
+	// not taken yet, spareSynced the backing array of the batch it took
+	// before; completing counts the entries of the batch it is running.
+	// syncedSince and completingSince say when the oldest entry of each
+	// joined the log, to the resolution of the sync that carried it.
+	synced          []pendingRec
+	spareSynced     []pendingRec
+	syncedSince     time.Time
+	completing      int
+	completingSince time.Time
+	werr            error // sticky write/sync failure
+	closed          bool
 
-	kick       chan struct{}
-	stop       chan struct{}
-	syncerDone chan struct{}
-	lanesDone  sync.WaitGroup
+	kick          chan struct{}
+	stop          chan struct{}
+	syncerDone    chan struct{}
+	wake          chan struct{}
+	completerDone chan struct{}
 	// syncHook, when set (tests, before the first append), replaces the
 	// batch fsync.
 	syncHook func(*os.File) error
 }
 
-// startSyncer launches the group-commit goroutine.
-func (l *Log) startSyncer() {
+// start launches the log's two goroutines, the syncer and the completer.
+func (l *Log) start() {
 	l.kick = make(chan struct{}, 1)
 	l.stop = make(chan struct{})
 	l.syncerDone = make(chan struct{})
+	l.wake = make(chan struct{}, 1)
+	l.completerDone = make(chan struct{})
 	go l.syncer()
+	go l.completer()
 }
 
 // syncer is the group-commit loop: each pass writes and fsyncs whatever
 // was appended since the previous pass took its batch — the longer a
 // sync takes, the bigger the next batch, which is the self-tuning at the
-// heart of group commit — and hands the batch to the lanes.
+// heart of group commit — and hands the batch to the completer.
 func (l *Log) syncer() {
 	defer close(l.syncerDone)
 	for {
@@ -163,7 +175,7 @@ func (l *Log) syncer() {
 	}
 }
 
-// syncBatch makes one write+fsync pass and dispatches its entries.
+// syncBatch makes one write+fsync pass and hands its entries on.
 func (l *Log) syncBatch() {
 	l.ioMu.Lock()
 	l.mu.Lock()
@@ -177,7 +189,7 @@ func (l *Log) syncBatch() {
 	l.buf, l.spareBuf = l.spareBuf, nil
 	l.frames = 0
 	l.inFlight, l.inFlightSince = len(batch), l.pendingSince
-	err, f, since := l.werr, l.f, l.pendingSince
+	err, f := l.werr, l.f
 	l.mu.Unlock()
 
 	// A batch of nothing but a snapshot cut has no record to sync; a batch
@@ -191,24 +203,31 @@ func (l *Log) syncBatch() {
 			err = l.syncFile(f, frames)
 		}
 	}
-	// Hand over first: the roll below is not on any record's way to its
-	// acknowledgement.
 	for i := range batch {
 		e := &batch[i]
 		e.err = err
-		switch {
-		case e.meet != nil:
-			for _, ln := range e.meet.lanes {
-				ln.push(e, since)
-			}
-		case e.lane != nil:
-			e.lane.push(e, since)
-		default:
+		if e.onSync {
 			e.fn(err)
 		}
 	}
+	// Hand the batch on in one piece before the roll below, which is not
+	// on any record's way to its acknowledgement: the array itself when the
+	// completer has taken everything before it, else a copy behind the rest.
+	l.mu.Lock()
+	if len(l.synced) == 0 {
+		l.synced, batch = batch, l.synced
+		l.syncedSince = l.inFlightSince
+	} else {
+		l.synced = append(l.synced, batch...)
+	}
+	l.inFlight = 0
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 
-	clear(batch) // the lanes hold copies; drop what the entries pinned
+	clear(batch) // drop what a copied batch's entries pinned
 	l.mu.Lock()
 	if err != nil {
 		l.failLocked(err)
@@ -221,9 +240,48 @@ func (l *Log) syncBatch() {
 	if cap(buf) <= maxSpare {
 		l.spareBuf = buf[:0]
 	}
-	l.inFlight = 0
 	l.mu.Unlock()
 	l.ioMu.Unlock()
+}
+
+// completer completes what the syncer hands on, batch by batch in append
+// order, until Close closes wake. A wake-up that finds nothing (its batch
+// was taken with an earlier one) completes nothing.
+func (l *Log) completer() {
+	defer close(l.completerDone)
+	for range l.wake {
+		l.mu.Lock()
+		batch := l.synced
+		l.synced, l.spareSynced = l.spareSynced, nil
+		l.completing, l.completingSince = len(batch), l.syncedSince
+		l.mu.Unlock()
+
+		for i := range batch {
+			l.complete(&batch[i])
+		}
+
+		clear(batch) // drop the commands and callbacks the entries pinned
+		l.mu.Lock()
+		l.spareSynced, l.completing = batch[:0], 0
+		l.mu.Unlock()
+	}
+}
+
+// complete finishes one entry on the completer. A command whose record is
+// durable is traced, applied and acknowledged, in that order; one whose
+// record is not (e.err) is reported and never applied — it is treated
+// exactly like a command delivered an instant after a crash.
+func (l *Log) complete(e *pendingRec) {
+	switch {
+	case e.onSync: // completed by the syncer
+	case e.inner == nil:
+		e.fn(e.err)
+	case e.err != nil:
+		e.done(protocol.Result{Err: e.err})
+	default:
+		l.opts.Trace.Record(l.opts.Self, trace.KindFsync, e.cmd.ID, e.ts)
+		e.done(protocol.Result{Value: e.inner.ApplyAt(e.cmd, e.ts)})
+	}
 }
 
 // syncFile fsyncs f for a batch of the given record count and feeds the
@@ -373,9 +431,9 @@ func (l *Log) enqueueLocked(e pendingRec) {
 }
 
 // appendCommand appends the record of e.cmd, delivered by group at e.ts,
-// and queues e as its completion on the group's lane, returning without
-// waiting for the sync. A refused append (closed log, sticky failure,
-// oversized record) returns the reason and queues nothing.
+// and queues e as its completion, returning without waiting for the
+// sync. A refused append (closed log, sticky failure, oversized record)
+// returns the reason and queues nothing.
 func (l *Log) appendCommand(group int32, e pendingRec) error {
 	// Decoded here, not in noteCommand: cheap as a piece's decode is
 	// (~0.5 µs, a handful of allocations), it need not run under the lock
@@ -388,7 +446,6 @@ func (l *Log) appendCommand(group int32, e pendingRec) error {
 		return err
 	}
 	l.buf = appendCommandRec(l.buf, group, e.cmd, e.ts)
-	e.lane = l.laneLocked(group)
 	if err := l.sealFrameLocked(start, e); err != nil {
 		return err
 	}
@@ -407,7 +464,7 @@ func (l *Log) appendRecord(payload []byte, note func(*aggregates), fn func(error
 		return err
 	}
 	l.buf = append(l.buf, payload...)
-	if err := l.sealFrameLocked(start, pendingRec{fn: fn}); err != nil {
+	if err := l.sealFrameLocked(start, pendingRec{onSync: true, fn: fn}); err != nil {
 		return err
 	}
 	note(l.agg)
@@ -415,11 +472,11 @@ func (l *Log) appendRecord(payload []byte, note func(*aggregates), fn func(error
 }
 
 // await runs one append and parks the caller until its entry completed —
-// the enqueue-and-wait form. An entry that completes on a lane (LogCommand,
-// Snapshot) may be awaited by neither an event loop nor a completion:
-// either would stall every record behind it, the second forever. A
-// reservation completes on the syncer, as soon as its record is synced, so
-// an event loop may await it.
+// the enqueue-and-wait form. An entry that completes on the completer
+// (LogCommand, Snapshot) may be awaited by neither an event loop nor a
+// completion: either would stall every record behind it, the second
+// forever. A reservation completes on the syncer, as soon as its record
+// is synced, so an event loop may await it.
 func (l *Log) await(enqueue func(fn func(error)) error) error {
 	var (
 		wg  sync.WaitGroup
@@ -434,11 +491,11 @@ func (l *Log) await(enqueue func(fn func(error)) error) error {
 }
 
 // LogCommand makes one group's applied command durable, then runs apply
-// — on the group's lane, at the command's position in its apply order —
-// and returns its value: enqueue-and-wait over the same queue
-// ApplyDeferred feeds (see await for who may call it). The record
-// precedes the application (and the acknowledgement that follows it) —
-// the "write-ahead" in the name. A failed append skips apply and returns
+// — on the completer, at the command's position in the log — and returns
+// its value: enqueue-and-wait over the same queue ApplyDeferred feeds
+// (see await for who may call it). The record precedes the application
+// (and the acknowledgement that follows it) — the "write-ahead" in the
+// name. A failed append skips apply and returns
 // the error.
 func (l *Log) LogCommand(group int32, cmd command.Command, ts timestamp.Timestamp, apply func() []byte) ([]byte, error) {
 	var v []byte
@@ -454,19 +511,18 @@ func (l *Log) LogCommand(group int32, cmd command.Command, ts timestamp.Timestam
 }
 
 // LogTx appends an executed cross-shard transaction and returns; once the
-// record is durable, and every lane of groups — the transaction's
-// participants — has completed what precedes it, apply runs (the atomic
-// application of its ops) and then done(nil), while those lanes wait. A
+// record is durable and everything appended before it has completed,
+// apply runs (the atomic application of its ops) and then done(nil). A
 // record that is refused or never becomes durable gets done(err) alone.
 // The commit table calls LogTx from inside a piece's completion — which is
 // why it must not wait.
-func (l *Log) LogTx(xid xshard.XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, apply func(), done func(error)) {
+func (l *Log) LogTx(xid xshard.XID, merged timestamp.Timestamp, ops []command.Command, apply func(), done func(error)) {
 	payload := encodeTxRec(xid, merged, ops)
 	l.mu.Lock()
 	start, err := l.beginFrameLocked()
 	if err == nil {
 		l.buf = append(l.buf, payload...)
-		err = l.sealFrameLocked(start, pendingRec{meet: newMeet(l.lanesLocked(groups)), fn: func(err error) {
+		err = l.sealFrameLocked(start, pendingRec{fn: func(err error) {
 			if err == nil {
 				apply()
 			}
@@ -494,7 +550,7 @@ func (l *Log) LogEpoch(ec EpochChange) error {
 // ReserveSeq makes a proposer's sequence reservation durable: after a
 // restart the group's proposer starts above the highest reservation, so
 // command IDs are never reused across the crash. It returns when the
-// record is synced, whatever the lanes are doing.
+// record is synced, whatever the completer is doing.
 func (l *Log) ReserveSeq(group int32, upto uint64) error {
 	return l.await(func(fn func(error)) error {
 		return l.appendRecord(encodeFloorRec(recSeq, group, upto), func(a *aggregates) {
@@ -540,11 +596,11 @@ type Stats struct {
 	SegmentBytes int64
 	// SinceSnapshot is the log growth since the last snapshot cut.
 	SinceSnapshot int64
-	// Pending counts the entries appended but not yet completed (one that
-	// meets on several lanes counts on each), and OldestPending is how
-	// long the oldest of them has waited, to the resolution of the sync
-	// that carried it: a stalled disk — or a stalled state machine —
-	// shows as both growing while the event loops keep deciding.
+	// Pending counts the entries appended and not yet passed by the
+	// completer, and OldestPending is how long the oldest of them has
+	// waited, to the resolution of the sync that carried it: a stalled
+	// disk — or a stalled state machine — shows as both growing while the
+	// event loops keep deciding.
 	Pending       int
 	OldestPending time.Duration
 }
@@ -558,24 +614,25 @@ func (l *Log) Stats() Stats {
 		SegmentIndex:  l.segIndex,
 		SegmentBytes:  l.segBytes,
 		SinceSnapshot: l.sinceSnap,
-		Pending:       l.inFlight + len(l.pending),
+		Pending:       l.completing + len(l.synced) + l.inFlight + len(l.pending),
 	}
+	// Entries complete in log order: the oldest is in the first stage,
+	// from the completer back to the batch buffer, that holds any.
 	switch {
+	case l.completing > 0:
+		st.OldestPending = now.Sub(l.completingSince)
+	case len(l.synced) > 0:
+		st.OldestPending = now.Sub(l.syncedSince)
 	case l.inFlight > 0:
 		st.OldestPending = now.Sub(l.inFlightSince)
 	case len(l.pending) > 0:
 		st.OldestPending = now.Sub(l.pendingSince)
 	}
-	for _, ln := range l.lanes {
-		n, oldest := ln.backlog(now)
-		st.Pending += n
-		st.OldestPending = max(st.OldestPending, oldest)
-	}
 	return st
 }
 
 // Close refuses further appends, lets the syncer's final pass write, sync
-// and dispatch everything appended before, and the lanes complete it —
+// and hand on everything appended before, and the completer complete it —
 // every queued command is applied and acknowledged, once, before Close
 // returns — and closes the active segment.
 func (l *Log) Close() error {
@@ -589,13 +646,8 @@ func (l *Log) Close() error {
 
 	close(l.stop)
 	<-l.syncerDone
-	l.mu.Lock()
-	lanes := l.lanes // a closed log starts no lane
-	l.mu.Unlock()
-	for _, ln := range lanes {
-		close(ln.wake)
-	}
-	l.lanesDone.Wait()
+	close(l.wake) // the syncer, its one sender, has returned
+	<-l.completerDone
 
 	l.mu.Lock()
 	defer l.mu.Unlock()

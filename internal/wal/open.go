@@ -111,7 +111,7 @@ func OpenInto(dir string, store *kvstore.Store, opts Options) (*Log, *State, err
 	if err != nil {
 		return nil, nil, err
 	}
-	l.startSyncer()
+	l.start()
 
 	st := l.agg.state()
 	st.Applied = store.Applied()

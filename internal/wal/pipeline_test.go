@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,7 +186,7 @@ func (a *txEvery) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	if seen := a.seen.Add(1); seen%a.n == 0 {
 		ops := []command.Command{command.Add("ctr", 1), command.Add("txs", 1)}
 		a.txs.Add(1)
-		a.l.LogTx(xshard.XID{Node: 9, Seq: uint64(seen)}, ts, []int32{0, 1}, ops,
+		a.l.LogTx(xshard.XID{Node: 9, Seq: uint64(seen)}, ts, ops,
 			func() { a.Store.ApplyAllAt(ops, ts) },
 			func(error) { a.txs.Done() })
 	}
@@ -265,22 +266,18 @@ func TestDeferredAppendSnapshotCut(t *testing.T) {
 	}
 }
 
-// gated is a chain end whose applies wait for open and are journaled.
-type gated struct {
-	open  chan struct{}
+// journaled is a chain end whose applies are journaled by key.
+type journaled struct {
 	mu    sync.Mutex
 	order []string
 }
 
-func (g *gated) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
-	if g.open != nil {
-		<-g.open
-	}
+func (g *journaled) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte {
 	g.note(cmd.Key)
 	return nil
 }
 
-func (g *gated) note(what string) {
+func (g *journaled) note(what string) {
 	g.mu.Lock()
 	g.order = append(g.order, what)
 	g.mu.Unlock()
@@ -311,24 +308,25 @@ func within(ch chan struct{}, d time.Duration) bool {
 	}
 }
 
-// TestStalledCompletionHoldsOnlyItsGroup pins who may wait for whom: a
-// completion that does not return — a slow state machine, an acknowledgement
-// posting into a full inbox — holds back its own group's later commands
-// and nothing else. Another group's commands complete, and a reservation,
-// which an event loop waits for inside a handler, returns as soon as its
-// record is synced: were it queued behind completions, a loop parked on it
-// could be the very loop the stalled completion is posting to.
-func TestStalledCompletionHoldsOnlyItsGroup(t *testing.T) {
+// TestStalledCompletionHoldsLaterOnesNeverAReservation pins who may wait
+// for whom: a completion that does not return — a slow state machine, an
+// acknowledgement posting into a full inbox — holds back every completion
+// behind it in the log, its own group's and any other's, since completions
+// run in log order. A reservation, which an event loop waits for inside a
+// handler, still returns as soon as its record is synced: were it queued
+// behind completions, a loop parked on it could be the very loop the
+// stalled completion is posting to.
+func TestStalledCompletionHoldsLaterOnesNeverAReservation(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
-	defer l.Close()
-	stuck := &gated{open: make(chan struct{})}
-	free := &gated{}
-	first := put(t, l.GroupApplier(0, stuck), 1, "a")
-	second := put(t, l.GroupApplier(0, stuck), 2, "b")
+	j := &journaled{}
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the log's Close, which completes what is held
+	stuck := l.GroupApplier(0, slowInto{gate, j})
+	first := put(t, stuck, 1, "a")
+	second := put(t, stuck, 2, "b")
+	other := put(t, l.GroupApplier(1, j), 3, "c")
 
-	if !within(put(t, l.GroupApplier(1, free), 3, "c"), 10*time.Second) {
-		t.Fatal("group 1's command waited for group 0's stalled apply")
-	}
 	reserved := make(chan struct{})
 	go func() {
 		defer close(reserved)
@@ -342,58 +340,50 @@ func TestStalledCompletionHoldsOnlyItsGroup(t *testing.T) {
 	if !within(reserved, 10*time.Second) {
 		t.Fatal("a reservation waited for a stalled completion")
 	}
-	if within(first, 20*time.Millisecond) || within(second, 0) {
-		t.Fatal("a command completed while its apply was held")
+	if within(first, 20*time.Millisecond) || within(second, 0) || within(other, 0) {
+		t.Fatal("a command completed while an apply before it was held")
 	}
-	// The pass that synced the reservation may still be winding down.
-	st := l.Stats()
-	for deadline := time.Now().Add(10 * time.Second); st.Pending != 2 && time.Now().Before(deadline); st = l.Stats() {
-		time.Sleep(time.Millisecond)
-	}
-	if st.Pending != 2 || st.OldestPending <= 0 {
-		t.Errorf("Stats() = %d pending, oldest %v with two commands held in a lane, want 2 and an age", st.Pending, st.OldestPending)
+	// The completer has passed none of the five entries: the three held
+	// commands and, behind them, the two reservations the syncer completed.
+	if st := l.Stats(); st.Pending != 5 || st.OldestPending <= 0 {
+		t.Errorf("Stats() = %d pending, oldest %v with three commands and two reservations behind a held apply, want 5 and an age", st.Pending, st.OldestPending)
 	}
 
-	close(stuck.open)
-	if !within(first, 10*time.Second) || !within(second, 10*time.Second) {
+	release()
+	if !within(first, 10*time.Second) || !within(second, 10*time.Second) || !within(other, 10*time.Second) {
 		t.Fatal("released applies did not complete")
 	}
-	if got := strings.Join(stuck.order, ""); got != "ab" {
-		t.Errorf("group 0 applied in order %q, want append order ab", got)
+	if got := strings.Join(j.order, ""); got != "abc" {
+		t.Errorf("applied in order %q, want append order abc", got)
 	}
 }
 
-// TestTransactionKeepsItsLogPositionInEveryLane: a transaction over groups
-// 0 and 1 applies after everything either group appended before it — even
-// when one lane gets there long before the other — and before anything
-// they appended after it, while a group it does not touch runs on.
-func TestTransactionKeepsItsLogPositionInEveryLane(t *testing.T) {
+// TestTransactionKeepsItsLogPosition: a transaction over groups 0 and 1
+// applies after everything either group appended before it — even when
+// one of those applies takes long — and before anything they appended
+// after it.
+func TestTransactionKeepsItsLogPosition(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
-	defer l.Close()
 	release, _ := stallSync(l) // everything below lands in one batch
-	j := &gated{}
+	j := &journaled{}
 	slow := make(chan struct{})
-	g0, g1, g2 := l.GroupApplier(0, j), l.GroupApplier(1, slowInto{slow, j}), l.GroupApplier(2, j)
+	g0, g1 := l.GroupApplier(0, j), l.GroupApplier(1, slowInto{slow, j})
 
 	put(t, g0, 1, "0-before")
 	put(t, g1, 2, "1-before") // held until slow closes
 	txDone := make(chan struct{})
-	l.LogTx(xshard.XID{Node: 1, Seq: 1}, timestamp.Timestamp{Seq: 3, Node: 1}, []int32{0, 1}, nil,
+	l.LogTx(xshard.XID{Node: 1, Seq: 1}, timestamp.Timestamp{Seq: 3, Node: 1}, nil,
 		func() { j.note("tx") }, func(error) { close(txDone) })
 	after0 := put(t, g0, 4, "0-after")
 	after1 := put(t, g1, 5, "1-after")
-	bystander := put(t, g2, 6, "2")
 	close(release)
 
-	if !within(bystander, 10*time.Second) {
-		t.Fatal("a group outside the transaction waited for it")
-	}
 	if within(txDone, 20*time.Millisecond) || within(after0, 0) {
-		t.Fatal("the transaction, or group 0's later command, ran before group 1 reached the transaction")
+		t.Fatal("the transaction, or group 0's later command, ran before group 1's earlier command")
 	}
 	close(slow)
 	if !within(after0, 10*time.Second) || !within(after1, 10*time.Second) {
-		t.Fatal("lanes did not move on after the transaction")
+		t.Fatal("completions did not move on after the transaction")
 	}
 	pos := make(map[string]int)
 	for i, what := range j.order {
@@ -411,10 +401,51 @@ func TestTransactionKeepsItsLogPositionInEveryLane(t *testing.T) {
 	}
 }
 
+// logGoroutines counts the goroutines a Log started.
+func logGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by github.com/caesar-consensus/caesar/internal/wal.(*Log).")
+}
+
+// TestLogRunsTwoGoroutines: however many groups append, a log runs its
+// syncer and its completer, and neither outlives Close.
+func TestLogRunsTwoGoroutines(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{})
+	store := kvstore.New()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		cmd, ts := addCmd(1, g+1)
+		l.GroupApplier(g, store).ApplyDeferred(cmd, ts, func(res protocol.Result) {
+			if res.Err != nil {
+				t.Errorf("command %v: %v", cmd.ID, res.Err)
+			}
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	if n := logGoroutines(); n != 2 {
+		t.Errorf("a log appended to by four groups runs %d goroutines, want 2: the syncer and the completer", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// A goroutine Close waited for may still be returning from its last
+	// deferred call.
+	n := logGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); n != 0 && time.Now().Before(deadline); n = logGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	if n != 0 {
+		t.Errorf("%d of the log's goroutines outlived Close", n)
+	}
+}
+
 // slowInto applies into journal once gate opens.
 type slowInto struct {
 	gate    chan struct{}
-	journal *gated
+	journal *journaled
 }
 
 func (s slowInto) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
@@ -479,7 +510,6 @@ func TestCloseCompletesPending(t *testing.T) {
 func TestFailedSyncIsStickyAndJournaledOnce(t *testing.T) {
 	rec := flight.New(1, 16)
 	l, _ := mustOpen(t, t.TempDir(), Options{Flight: rec})
-	defer l.Close()
 	disk := errors.New("disk on fire")
 	l.syncHook = func(*os.File) error { return disk }
 	store := kvstore.New()
@@ -509,35 +539,51 @@ func TestFailedSyncIsStickyAndJournaledOnce(t *testing.T) {
 
 // BenchmarkLogPipelined appends from one goroutine with 1, 8 and 64
 // records in flight — what one event loop does to the log at increasing
-// load: ops/s, records per fsync and allocations per record.
+// load — and from four goroutines, each on its own group with 16 in
+// flight, over one store — a sharded durable node: ops/s, records per
+// fsync and allocations per record.
 func BenchmarkLogPipelined(b *testing.B) {
 	for _, depth := range []int{1, 8, 64} {
-		b.Run("inflight="+strconv.Itoa(depth), func(b *testing.B) {
-			store := kvstore.New()
-			l, _, err := OpenInto(b.TempDir(), store, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			var syncs atomic.Int64
-			l.syncHook = func(f *os.File) error { syncs.Add(1); return f.Sync() }
-			app := l.GroupApplier(0, store)
+		b.Run("inflight="+strconv.Itoa(depth), func(b *testing.B) { benchPipelined(b, 1, depth) })
+	}
+	b.Run("groups=4", func(b *testing.B) { benchPipelined(b, 4, 16) })
+}
+
+// benchPipelined runs b.N puts through groups appending goroutines, each
+// keeping depth records in flight.
+func benchPipelined(b *testing.B, groups, depth int) {
+	store := kvstore.New()
+	l, _, err := OpenInto(b.TempDir(), store, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	var syncs atomic.Int64
+	l.syncHook = func(f *os.File) error { syncs.Add(1); return f.Sync() }
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < groups; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			app := l.GroupApplier(g, store)
 			window := make(chan struct{}, depth)
 			done := func(protocol.Result) { <-window }
-			cmd := command.Put("p0-0000", make([]byte, 16))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 1; i <= b.N; i++ {
+			cmd := command.Put("p"+strconv.Itoa(g)+"-0000", make([]byte, 16))
+			for i := g; i < b.N; i += groups {
+				seq := uint64(i/groups + 1) // each group's IDs run without gaps
 				window <- struct{}{}
-				cmd.ID = command.ID{Node: 1, Seq: uint64(i)}
-				app.ApplyDeferred(cmd, timestamp.Timestamp{Seq: uint64(i), Node: 1}, done)
+				cmd.ID = command.ID{Node: 1, Seq: seq}
+				app.ApplyDeferred(cmd, timestamp.Timestamp{Seq: seq, Node: 1}, done)
 			}
 			for i := 0; i < depth; i++ {
 				window <- struct{}{} // drain: every slot free again
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-			b.ReportMetric(float64(b.N)/float64(syncs.Load()), "records/fsync")
-		})
+		}(g)
 	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	b.ReportMetric(float64(b.N)/float64(syncs.Load()), "records/fsync")
 }

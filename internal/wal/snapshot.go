@@ -245,15 +245,15 @@ func readMap[K comparable, V any](r *codec.Reader, minSize int, read func(*codec
 // Snapshot takes a snapshot now. What fixes the cut happens in two short
 // steps. At enqueue, under the log's locks: roll to a fresh segment, so
 // the cut falls on a segment boundary, copy the aggregates, and queue a
-// cut entry behind every record appended so far. When every lane has
-// reached the cut — everything before it applied, nothing after it yet,
-// all of them waiting — export the store. The slow part — encoding and
-// fsyncing the snapshot file, then deleting covered segments — runs after
-// that, while appends and completions continue: they land in segments >=
-// cut and stay outside the snapshot by construction, and a crash
-// mid-write just leaves the previous snapshot + all segments in place.
-// Concurrent Snapshot calls are serialized. Snapshot waits for the lanes,
-// so no completion may call it.
+// cut entry behind every record appended so far. When the completer
+// reaches the cut — everything before it applied, nothing after it yet —
+// export the store. The slow part — encoding and fsyncing the snapshot
+// file, then deleting covered segments — runs after that, while appends
+// and completions continue: they land in segments >= cut and stay outside
+// the snapshot by construction, and a crash mid-write just leaves the
+// previous snapshot + all segments in place. Concurrent Snapshot calls
+// are serialized. Snapshot waits for the completer, so no completion may
+// call it.
 func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 	l.snapSerial.Lock()
 	defer l.snapSerial.Unlock()
@@ -272,12 +272,11 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 			return err
 		}
 		data = snapshotData{Cut: l.segIndex, State: l.agg.state()}
-		l.cut = newMeet(l.lanesLocked(nil))
-		l.enqueueLocked(pendingRec{meet: l.cut, fn: func(err error) {
+		l.enqueueLocked(pendingRec{fn: func(err error) {
 			if err == nil {
 				data.KV, data.Applied = export()
 				// No apply can run between the export above and this
-				// capture — every lane is stopped at the cut — so the
+				// capture — the completer is running the cut — so the
 				// audit digests correspond exactly to the KV cut persisted
 				// next to them. AuditSnapshot also stamps every group
 				// with a "snapshot" cut point.
@@ -289,9 +288,6 @@ func (l *Log) Snapshot(export func() (map[string][]byte, int64)) error {
 		}})
 		return nil
 	})
-	l.mu.Lock()
-	l.cut = nil
-	l.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -25,33 +25,34 @@
 // batch buffer, joins a completion queue and wakes the syncer. The syncer
 // goroutine writes and fsyncs whatever accumulated while its previous
 // sync was in flight — many decisions, one Sync — and hands the covered
-// entries, in append order, to completion lanes, one goroutine per
-// consensus group: apply to the store, acknowledge the client, release
-// the engine's GC ack. So a record is durable before its apply runs and
-// before anyone is told, and the batch grows with the arrival rate,
-// which is what keeps durable throughput within a small factor of
-// in-memory throughput (HotStuff-1 makes the same trade: speculate on the
-// decision, batch the durability).
+// entries, in one piece, to the log's one completion goroutine, which
+// completes them in log order: apply to the store, acknowledge the
+// client, release the engine's GC ack. So a record is durable before its
+// apply runs and before anyone is told, and the batch grows with the
+// arrival rate, which is what keeps durable throughput within a small
+// factor of in-memory throughput (HotStuff-1 makes the same trade:
+// speculate on the decision, batch the durability).
 //
-// Order: a group's commands complete in the order of its log records,
-// which is the order replay reproduces. Groups own disjoint keys, so
-// their lanes run side by side — a state machine that takes time holds
-// its own group only. A record that concerns several groups keeps its log
-// position in each of them: an executed transaction completes when the
-// lanes of all its participant groups have reached it, while they wait,
-// and a snapshot cut likewise on every lane, so the exported store is
-// exactly the log prefix before the cut.
+// Order: every entry completes in the order of the log's records, which
+// is the order replay reproduces — for every group at once, so an
+// executed transaction applies after everything logged before it and
+// before anything logged after it, and a snapshot cut exports exactly the
+// log prefix before the cut. Applies from several groups would queue on
+// the store's one lock in any case; what one goroutine does cost is
+// isolation: a state machine that takes time holds back every group's
+// later completions.
 //
 // Who waits for what: an event loop may wait for a sync — a sequence or
 // clock reservation returns as soon as its record is synced — and never
-// for a completion; a completion may wait for other lanes at a
-// transaction or a cut, and never for a sync; the syncer waits for the
-// disk alone and runs nothing but reservation wake-ups. Transactions,
-// epochs, reservations and snapshot cuts travel the same queue. The
-// chain has one entry, ApplyDeferred, which never waits; the calls that
-// wait for a completion (LogCommand, Snapshot) enqueue like everything
-// else and park only their own caller, which therefore must be neither a
-// completion nor an event loop delivering commands.
+// for a completion; a completion waits for nothing in the log — only for
+// the store's lock, or for room in an inbox it acknowledges into; the
+// syncer waits for the disk alone and runs nothing but reservation
+// wake-ups. Transactions, epochs, reservations and
+// snapshot cuts travel the same queue. The chain has one entry,
+// ApplyDeferred, which never waits; the calls that wait for a completion
+// (LogCommand, Snapshot) enqueue like everything else and park only their
+// own caller, which therefore must be neither a completion nor an event
+// loop delivering commands.
 //
 // # Crash model
 //

@@ -25,6 +25,8 @@ type recovered struct {
 	KV map[string][]byte
 }
 
+// mustOpen opens dir and closes the log when the test ends (Close is
+// idempotent, so a test may close it earlier).
 func mustOpen(t *testing.T, dir string, opts Options) (*Log, recovered) {
 	t.Helper()
 	store := kvstore.New()
@@ -32,6 +34,7 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Log, recovered) {
 	if err != nil {
 		t.Fatalf("OpenInto(%s): %v", dir, err)
 	}
+	t.Cleanup(func() { l.Close() })
 	return l, recovered{State: st, KV: store.Export(nil)}
 }
 
@@ -53,7 +56,7 @@ func logTx(t *testing.T, l *Log, xid xshard.XID, merged timestamp.Timestamp, ops
 		err error
 	)
 	wg.Add(1)
-	l.LogTx(xid, merged, nil, ops, apply, func(e error) { err = e; wg.Done() })
+	l.LogTx(xid, merged, ops, apply, func(e error) { err = e; wg.Done() })
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("LogTx: %v", err)

@@ -153,10 +153,9 @@ func TestWaitSettledRechecksForNewBlockers(t *testing.T) {
 // must both keep waiting; another key's read must not.
 func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	var land func(error)
-	var groups []int32
 	tb := NewTable(TableConfig{Self: 0, Exec: &recordingExec{}, ResolveTimeout: time.Hour,
-		ApplyTx: func(_ XID, _ timestamp.Timestamp, gs []int32, _ []command.Command, done func(error)) {
-			groups, land = gs, done
+		ApplyTx: func(_ XID, _ timestamp.Timestamp, _ []command.Command, done func(error)) {
+			land = done
 		}}, nil)
 	xid := XID{Node: 0, Seq: 1}
 	ops := testOps("a", "b")
@@ -173,9 +172,6 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	tb.registerPiece(1, piece, ts(9, 2), 0, command.ID{})
 	if land == nil {
 		t.Fatal("a complete transaction was not handed to ApplyTx")
-	}
-	if len(groups) != 2 {
-		t.Fatalf("ApplyTx got participant groups %v, want both", groups)
 	}
 
 	late := make(chan struct{})

@@ -27,17 +27,16 @@ type TableConfig struct {
 	// one as one indivisible unit at its merged timestamp.
 	Exec protocol.TimestampedAtomicApplier
 	// ApplyTx, when non-nil, executes a completed transaction instead of
-	// Exec: it receives the transaction's identity, merged timestamp,
-	// participant groups and ops, in the table's decision order, and must
-	// not block — it may apply later, in call order among transactions
-	// that share a group, and reports through done exactly once, from any
-	// goroutine: nil once the ops are in the store, the error when they
-	// never will be. The durable layer (internal/wal) uses it to append
+	// Exec: it receives the transaction's identity, merged timestamp and
+	// ops, in the table's decision order, and must not block — it may
+	// apply later, in call order, and reports through done exactly once,
+	// from any goroutine: nil once the ops are in the store, the error
+	// when they never will be. The durable layer (internal/wal) uses it to append
 	// the outcome and apply atomically once the record is durable, so
 	// crash recovery re-seeds exactly the executed set; the table is
 	// called from inside that layer's completions, so a wait here would
 	// be a wait on itself.
-	ApplyTx func(xid XID, merged timestamp.Timestamp, groups []int32, ops []command.Command, done func(error))
+	ApplyTx func(xid XID, merged timestamp.Timestamp, ops []command.Command, done func(error))
 	// XIDFloor is the highest transaction sequence a crashed predecessor
 	// may have used (its durable reservation watermark): fresh XIDs start
 	// strictly above it. Without it a restarted coordinator would mint
@@ -524,9 +523,8 @@ func (t *Table) noteSettledLocked(xid XID) {
 // settleAfterApply finishes an executed transaction once its apply has
 // landed (or, err, never will — a log that refused the record): it
 // resolves xid for the waiters and fires the client callback. It runs
-// outside the lock: on the queue flusher without a durable layer, on a
-// completion lane of the log with one, hence the flush for the releases
-// it queued.
+// outside the lock: on the queue flusher without a durable layer, on the
+// log's completer with one, hence the flush for the releases it queued.
 func (t *Table) settleAfterApply(xid XID, done protocol.DoneFunc, err error) {
 	t.mu.Lock()
 	delete(t.landing, xid)
@@ -884,8 +882,8 @@ func (t *Table) executeLocked(e *entry) {
 	t.holdAttributeLocked(e)
 	t.unindexLocked(e)
 	t.settleLocked(e)
-	xid, merged, groups, ops, done := e.xid, e.merged, e.groups, e.ops, e.done
-	t.landing[xid] = landing{groups: groups, keys: e.keys, merged: merged, epoch: e.epoch}
+	xid, merged, ops, done := e.xid, e.merged, e.ops, e.done
+	t.landing[xid] = landing{groups: e.groups, keys: e.keys, merged: merged, epoch: e.epoch}
 	for _, id := range e.pieceIDs {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxExec, id, merged)
 	}
@@ -895,7 +893,7 @@ func (t *Table) executeLocked(e *entry) {
 	exec, applyTx := t.cfg.Exec, t.cfg.ApplyTx
 	t.queue = append(t.queue, func() {
 		if applyTx != nil {
-			applyTx(xid, merged, groups, ops, func(err error) { t.settleAfterApply(xid, done, err) })
+			applyTx(xid, merged, ops, func(err error) { t.settleAfterApply(xid, done, err) })
 			return
 		}
 		exec.ApplyAllAt(ops, merged)
