@@ -193,7 +193,13 @@
 // The gate and the log each take a chain and return one with the single
 // method ApplyDeferred, which may finish a command after its delivery
 // point — the gate parks commands behind a handoff, the log completes
-// every command after its sync — and never parks the event loop. The
+// every command after its sync — and never parks the event loop. It
+// reports the result through a protocol.Completion, exactly once, from
+// any goroutine (on the loop itself when the gate passes a command to a
+// synchronous chain): CAESAR hands it a slot of the replica's delivery
+// chunk, not a closure, so a delivered command reaches the store without
+// a heap object of its own — the store takes a new key's entry from its
+// own chunk too. The
 // commit table's interception, the batch unpacker and the store are
 // synchronous layers (protocol.TimestampedApplier, ApplyAt); the store
 // behind the unpacker is the node state machine

@@ -106,9 +106,11 @@ func (r *Replica) deliverable(rec *record) bool {
 // table merges per-group stable timestamps through ApplyAt). A chain that
 // ends in a synchronous layer (protocol.Sync) is applied here, on the
 // event loop. Any other may postpone the execution past the delivery
-// point; the client callback then fires when the chain completes the
-// command, from whatever goroutine does so — all replica-side bookkeeping
-// is finished here, inside the event loop, before the chain is invoked.
+// point: it is handed a delivery from the replica's chunk as the
+// command's completion, and the client callback fires when the chain
+// completes it, from whatever goroutine does so — all replica-side
+// bookkeeping is finished here, inside the event loop, before the chain
+// is invoked.
 // Either way the client-ack bookkeeping (noteClientAck, slow-command
 // report included) runs before done: a waiter woken by done must find the
 // report and the ack event already there.
@@ -154,36 +156,12 @@ func (r *Replica) deliverNow(rec *record) {
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
 	if r.appAt == nil {
-		ts := rec.ts // rec is only read and written inside the event loop: the callback posts it back
-		r.app.ApplyDeferred(rec.cmd, rec.ts, func(res protocol.Result) {
-			// Completion may run on any goroutine — including the event
-			// loop itself (the gate's pass path completes synchronously),
-			// where a blocking Post on a full inbox would deadlock the
-			// loop against itself. TryPost never blocks; when it fails
-			// (full inbox), the ack is re-posted from a fresh goroutine,
-			// where blocking is safe — losing it would leave the record
-			// unapplied forever, parking every read fence on its keys and
-			// withholding its GC ack (a shutdown race just drops it: Post
-			// fails on a stopped loop).
-			//
-			// A chain that refused the command (res.Err: the write-ahead
-			// log is closed or its disk failed) neither logged nor applied
-			// it, so there is no ack: a GC-acked command may be purged
-			// cluster-wide, and this one is on no replay path of this
-			// node. The record stays unapplied and the client is told.
-			if res.Err == nil && !r.TryPost(evAck{rec: rec}) {
-				go r.Post(evAck{rec: rec})
-			}
-			if done != nil {
-				// Stamp from the runtime's (injected) clock — r.now is
-				// loop-owned state, the callback is not: under the
-				// fake-clock harness a wall-clock stamp here is compared
-				// against proposedAt instants nothing else advances,
-				// inventing (or hiding) slow-command latency.
-				r.noteClientAck(id, ts, proposedAt, r.Now())
-				done(res)
-			}
-		})
+		// rec is only read and written inside the event loop: the
+		// completion posts it back, and carries its own copies of what it
+		// reads.
+		d := r.deliveries.Next()
+		*d = delivery{r: r, rec: rec, id: id, ts: rec.ts, proposedAt: proposedAt, done: done}
+		r.app.ApplyDeferred(rec.cmd, rec.ts, d)
 		return
 	}
 	value := r.appAt.ApplyAt(rec.cmd, rec.ts)
@@ -193,6 +171,54 @@ func (r *Replica) deliverNow(rec *record) {
 	if done != nil {
 		r.noteClientAck(id, rec.ts, proposedAt, r.now)
 		done(protocol.Result{Value: value})
+	}
+}
+
+// delivery is one command handed to a deferred chain: what its completion
+// needs once the chain reports, from whatever goroutine. Deliveries are
+// slots of the replica's chunk (event-loop state), handed out in delivery
+// order and completed in about that order, so a chunk is freed soon after
+// its last slot completes. A slot is never reused: the loop never touches
+// one after ApplyDeferred, and Complete, its only user from then on, drops
+// the record and the callback it points at, so a completed slot pins
+// neither while its chunk lives on.
+type delivery struct {
+	r          *Replica
+	rec        *record
+	id         command.ID
+	ts         timestamp.Timestamp
+	proposedAt time.Time
+	done       protocol.DoneFunc // the client's callback, nil on a replica that did not lead the command
+}
+
+// Complete implements protocol.Completion. It may run on any goroutine —
+// including the event loop itself (the gate's pass path completes
+// synchronously), where a blocking Post on a full inbox would deadlock the
+// loop against itself. TryPost never blocks; when it fails (full inbox),
+// the ack is re-posted from a fresh goroutine, where blocking is safe —
+// losing it would leave the record unapplied forever, parking every read
+// fence on its keys and withholding its GC ack (a shutdown race just drops
+// it: Post fails on a stopped loop).
+//
+// A chain that refused the command (res.Err: the write-ahead log is closed
+// or its disk failed) neither logged nor applied it, so there is no ack: a
+// GC-acked command may be purged cluster-wide, and this one is on no
+// replay path of this node. The record stays unapplied and the client is
+// told.
+func (d *delivery) Complete(res protocol.Result) {
+	r, rec, done := d.r, d.rec, d.done
+	d.rec, d.done = nil, nil
+	if res.Err == nil && !r.TryPost(evAck{rec: rec}) {
+		go r.Post(evAck{rec: rec})
+	}
+	if done != nil {
+		// Stamp from the runtime's (injected) clock — r.now is loop-owned
+		// state, the completion is not: under the fake-clock harness a
+		// wall-clock stamp here is compared against proposedAt instants
+		// nothing else advances, inventing (or hiding) slow-command
+		// latency.
+		r.noteClientAck(d.id, d.ts, d.proposedAt, r.Now())
+		done(res)
 	}
 }
 

@@ -204,6 +204,9 @@ type Replica struct {
 	// comes from, a submitted one or a recovered one; a coordinator lives
 	// as long as its record, and a replaced one is never reused.
 	coords chunk.Of[coordinator]
+	// deliveries is where every command handed to a deferred chain takes
+	// its completion from (delivery.go).
+	deliveries chunk.Of[delivery]
 
 	fd      *failure.Detector
 	nextSeq uint64

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
 	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
+	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/quorum"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -140,6 +143,92 @@ func TestCoordinatorsAreNeverReused(t *testing.T) {
 	for i, c := range coords {
 		if !reflect.DeepEqual(*c, wants[i]) {
 			t.Fatalf("coordinator %d now reads %+v, was %+v", i, *c, wants[i])
+		}
+	}
+}
+
+// handedChain is a deferred chain that records what it is handed, for the
+// test to complete later.
+type handedChain struct {
+	cmds  []command.Command
+	dones []protocol.Completion
+}
+
+func (h *handedChain) ApplyDeferred(cmd command.Command, _ timestamp.Timestamp, done protocol.Completion) {
+	h.cmds = append(h.cmds, cmd)
+	h.dones = append(h.dones, done)
+}
+
+// TestDeliveriesAreNeverReused: a command handed to a deferred chain takes
+// its completion from the replica's delivery chunk, and the chain may
+// complete it long after later deliveries were made, from another
+// goroutine, in any order. Over more than two chunks, each completion is
+// its own slot, reports its own command to its own client callback, and
+// reads, after every completion ran, as it did when it was handed on —
+// but for the record and the callback, which its completion dropped.
+func TestDeliveriesAreNeverReused(t *testing.T) {
+	const n = 2*chunk.Size + 1
+	r, _ := testReplica(0)
+	chain := &handedChain{}
+	setApplier(r, chain)
+	got := make([]protocol.Result, n)
+	calls := make([]int, n)
+	for i := 0; i < n; i++ {
+		i := i
+		c := put(0, uint64(i+1), "k"+strconv.Itoa(i))
+		rec := r.hist.ensure(c)
+		rec.status, rec.ts = StatusStable, ts(uint64(i+1), 0)
+		rec.coord = &coordinator{cmd: c, proposedAt: r.now,
+			done: func(res protocol.Result) { got[i] = res; calls[i]++ }}
+		r.deliverNow(rec)
+	}
+	if len(chain.dones) != n {
+		t.Fatalf("the chain was handed %d deliveries, want %d", len(chain.dones), n)
+	}
+	deliveries := make([]*delivery, n)
+	wants := make([]delivery, n)
+	for i, done := range chain.dones {
+		d, ok := done.(*delivery)
+		if !ok {
+			t.Fatalf("delivery %d completes through a %T, want a *delivery", i, done)
+		}
+		if slices.Contains(deliveries[:i], d) {
+			t.Fatalf("delivery %d shares a slot with an earlier one", i)
+		}
+		if d.id != chain.cmds[i].ID || d.rec == nil || d.rec.id() != d.id || d.ts != ts(uint64(i+1), 0) {
+			t.Fatalf("delivery %d names %v at %v, handed %v", i, d.id, d.ts, chain.cmds[i].ID)
+		}
+		deliveries[i], wants[i] = d, *d
+	}
+
+	// Complete from another goroutine, odd positions last, each half in
+	// reverse.
+	order := make([]int, 0, n)
+	for i := n - 1; i >= 0; i -= 2 {
+		order = append(order, i)
+	}
+	for i := n - 2; i >= 0; i -= 2 {
+		order = append(order, i)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, i := range order {
+			chain.dones[i].Complete(protocol.Result{Value: []byte(strconv.Itoa(i))})
+		}
+	}()
+	wg.Wait()
+
+	for i, d := range deliveries {
+		if calls[i] != 1 || string(got[i].Value) != strconv.Itoa(i) {
+			t.Fatalf("client of delivery %d called %d times with %q, want once with %q", i, calls[i], got[i].Value, strconv.Itoa(i))
+		}
+		if d.r != wants[i].r || d.id != wants[i].id || d.ts != wants[i].ts || !d.proposedAt.Equal(wants[i].proposedAt) {
+			t.Fatalf("delivery %d now reads %v at %v, was %v at %v", i, d.id, d.ts, wants[i].id, wants[i].ts)
+		}
+		if d.rec != nil || d.done != nil {
+			t.Fatalf("completed delivery %d still points at its record or callback", i)
 		}
 	}
 }

@@ -902,8 +902,8 @@ func setApplier(r *Replica, app protocol.Applier) {
 // command on the caller's goroutine, like the rebalance gate's pass path.
 type inlineChain struct{}
 
-func (inlineChain) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done func(protocol.Result)) {
-	done(protocol.Result{})
+func (inlineChain) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done protocol.Completion) {
+	done.Complete(protocol.Result{})
 }
 
 // TestSlowReportPrecedesClientAck pins the order a client can observe on

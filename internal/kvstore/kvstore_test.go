@@ -62,6 +62,67 @@ func TestLayout(t *testing.T) {
 	}
 }
 
+// TestEntryChunkFillsItsSizeClass pins the store's entry chunk inside one
+// 2,048-byte size class, its malloc header included, and within one entry
+// of filling it: 16 entries of 48 bytes plus the header would land in the
+// 896-byte class and waste 14 % of the chunk.
+func TestEntryChunkFillsItsSizeClass(t *testing.T) {
+	size := int(unsafe.Sizeof(entry{}))
+	used := entriesPerChunk*size + mallocHeader
+	if used > 2048 || 2048-used >= size {
+		t.Errorf("%d entries of %d bytes and the header take %d bytes, want at most 2048 and within %d of it", entriesPerChunk, size, used, size)
+	}
+}
+
+// TestEntriesAreNeverReused: a key's entry is a slot of the store's chunk
+// and lives as long as the store. Over more than two chunks of new keys,
+// written while a reader reads the keys already there, and with every
+// other key imported over, each key keeps its own entry and its value.
+func TestEntriesAreNeverReused(t *testing.T) {
+	const n = 2*entriesPerChunk + 1
+	s := New()
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Get(key(i % n))
+		}
+	}()
+	for i := 0; i < n; i++ {
+		s.ApplyAt(command.Put(key(i), []byte(key(i))), ts(uint64(i+1)))
+	}
+	over := make(map[string][]byte)
+	for i := 0; i < n; i += 2 {
+		over[key(i)] = []byte("imported-" + key(i))
+	}
+	s.Import(over)
+	close(stop)
+	<-read
+
+	seen := make(map[*entry]int)
+	for i := 0; i < n; i++ {
+		e := s.keys[key(i)]
+		if prev, ok := seen[e]; ok {
+			t.Fatalf("key %d shares its entry with key %d", i, prev)
+		}
+		seen[e] = i
+		want := key(i)
+		if i%2 == 0 {
+			want = "imported-" + key(i)
+		}
+		if v, ok := s.Get(key(i)); !ok || string(v) != want {
+			t.Fatalf("key %d reads %q, %v, want %q", i, v, ok, want)
+		}
+	}
+}
+
 func TestAddSemantics(t *testing.T) {
 	s := New()
 	v := s.ApplyAt(command.Add("n", 5), timestamp.Zero)

@@ -51,6 +51,22 @@ type Result struct {
 // invoked from the replica's event loop and must not block.
 type DoneFunc func(Result)
 
+// Complete implements Completion: DoneFunc(f) is the Completion of a
+// caller that needs a closure. A func value is pointer-shaped, so the
+// conversion allocates nothing.
+func (f DoneFunc) Complete(res Result) { f(res) }
+
+// Completion is how an applier chain reports a delivered command's result:
+// Complete is called exactly once, from any goroutine — on a chain's pass
+// path (protocol.Sync, the rebalance gate letting a command through to a
+// synchronous layer) on the event loop itself, before ApplyDeferred
+// returns, so it must never block. An interface rather than a func lets
+// the engine hand the chain a pointer to state it already holds (CAESAR's
+// deliveries come from a chunk) instead of a closure per command.
+type Completion interface {
+	Complete(Result)
+}
+
 // ErrStopped is reported for commands that were still in flight when the
 // replica shut down.
 var ErrStopped = errors.New("protocol: replica stopped")
@@ -80,10 +96,12 @@ type Engine interface {
 // the chain completes the command.
 type Applier interface {
 	// ApplyDeferred executes cmd, decided at ts within its engine's
-	// timestamp space, now or later, and reports its result through done:
-	// exactly once, from any goroutine. A Result carrying Err means the
-	// command was not applied.
-	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result))
+	// timestamp space, now or later, and reports its result through
+	// done.Complete: exactly once, from any goroutine — on the event loop,
+	// before ApplyDeferred returns, when the chain completes at once (the
+	// gate's pass path into Sync). A Result carrying Err means the command
+	// was not applied.
+	ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done Completion)
 }
 
 // TimestampedApplier is a synchronous layer: ApplyAt executes cmd, decided
@@ -114,8 +132,8 @@ func Sync(layer TimestampedApplier) Applier { return syncChain{layer} }
 
 type syncChain struct{ TimestampedApplier }
 
-func (s syncChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(Result)) {
-	done(Result{Value: s.ApplyAt(cmd, ts)})
+func (s syncChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done Completion) {
+	done.Complete(Result{Value: s.ApplyAt(cmd, ts)})
 }
 
 // ApplierFunc adapts a function that ignores timestamps to both a chain
@@ -126,6 +144,6 @@ type ApplierFunc func(cmd command.Command) []byte
 func (f ApplierFunc) ApplyAt(cmd command.Command, _ timestamp.Timestamp) []byte { return f(cmd) }
 
 // ApplyDeferred implements Applier; it completes before returning.
-func (f ApplierFunc) ApplyDeferred(cmd command.Command, _ timestamp.Timestamp, done func(Result)) {
-	done(Result{Value: f(cmd)})
+func (f ApplierFunc) ApplyDeferred(cmd command.Command, _ timestamp.Timestamp, done Completion) {
+	done.Complete(Result{Value: f(cmd)})
 }

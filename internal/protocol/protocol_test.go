@@ -17,7 +17,7 @@ func TestApplierFunc(t *testing.T) {
 		t.Fatal("ApplierFunc adapter broken")
 	}
 	var got Result
-	af.ApplyDeferred(command.Put("k", nil), timestamp.Zero, func(r Result) { got = r })
+	af.ApplyDeferred(command.Put("k", nil), timestamp.Zero, DoneFunc(func(r Result) { got = r }))
 	if string(got.Value) != "ok" {
 		t.Fatal("ApplierFunc did not complete its deferred apply before returning")
 	}

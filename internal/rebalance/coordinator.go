@@ -83,7 +83,7 @@ type queuedCmd struct {
 	groupEpoch uint32
 	cmd        command.Command
 	ts         timestamp.Timestamp
-	done       func(protocol.Result)
+	done       protocol.Completion
 	// releasing marks an entry whose apply is in flight: it stays in the
 	// queue — still claiming its keys, still ordering later same-key
 	// traffic behind it — until the apply returns.
@@ -376,7 +376,7 @@ func (co *Coordinator) Stop() {
 		// Entries mid-release report through the drainer; failing them
 		// here would fire their completion twice.
 		if q.done != nil && !q.releasing {
-			q.done(protocol.Result{Err: protocol.ErrStopped})
+			q.done.Complete(protocol.Result{Err: protocol.ErrStopped})
 		}
 	}
 	for _, w := range ws {
@@ -457,12 +457,12 @@ type gateApplier struct {
 // lost to its queued piece, otherwise when the chain completes the command
 // or the stand-in a stale one goes down as (this node's own stale command:
 // when its re-proposal executes).
-func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (a *gateApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done protocol.Completion) {
 	a.co.gate(a.group, a.inner, cmd, ts, done)
 }
 
 // gate classifies one delivery and carries out the verdict.
-func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done protocol.Completion) {
 	if cmd.Op == command.OpFence {
 		co.cfg.Trace.Record(co.cfg.Self, trace.KindFence, cmd.ID, ts)
 		passed := new(fencePass)
@@ -474,10 +474,10 @@ func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Comma
 		// delivery — a restarted replica's delivered set has to contain
 		// fence IDs, or re-sent decisions listing a fence as predecessor
 		// would park forever — and the store ignores fences.
-		inner.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+		inner.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 			passed.pass()
-			done(res)
-		})
+			done.Complete(res)
+		}))
 		return
 	}
 	co.mu.Lock()
@@ -512,9 +512,9 @@ func (co *Coordinator) gate(group int, inner protocol.Applier, cmd command.Comma
 
 // finishSkipped handles the stale and lost-marker verdicts outside the
 // lock; chain is the group's applier chain below the gate.
-func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Applier, cmd command.Command, ts timestamp.Timestamp, done protocol.Completion) {
 	if v == gateDropMarker {
-		done(protocol.Result{})
+		done.Complete(protocol.Result{})
 		return
 	}
 	// gateStale: every replica skips at the same point of the group's
@@ -534,7 +534,7 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Ap
 		// it settled already and ignores the marker.
 		p, err := xshard.DecodePiece(cmd.Payload)
 		if err != nil {
-			done(protocol.Result{})
+			done.Complete(protocol.Result{})
 			return
 		}
 		co.table.KillStale(int32(group), p.XID)
@@ -549,11 +549,11 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Ap
 			// re-proposal executes.
 			again := cmd
 			again.ID = command.ID{}
-			then = func(protocol.Result) { engine.Submit(again, done) }
+			then = protocol.DoneFunc(func(protocol.Result) { engine.Submit(again, done.Complete) })
 		}
 	}
 	if chain == nil {
-		then(protocol.Result{})
+		then.Complete(protocol.Result{})
 		return
 	}
 	stand.ID, stand.Epoch = cmd.ID, cmd.Epoch
@@ -973,12 +973,12 @@ func (co *Coordinator) drainQueue() bool {
 				// Handing the command down fixes its place in the
 				// chain's apply order; the entry can leave the queue
 				// whether or not the chain has completed it yet.
-				inner.ApplyDeferred(q.cmd, q.ts, func(res protocol.Result) {
-					q.done(res)
+				inner.ApplyDeferred(q.cmd, q.ts, protocol.DoneFunc(func(res protocol.Result) {
+					q.done.Complete(res)
 					co.landed(q)
-				})
+				}))
 			default:
-				q.done(protocol.Result{})
+				q.done.Complete(protocol.Result{})
 			}
 			co.mu.Lock()
 			for j, e := range co.queue {

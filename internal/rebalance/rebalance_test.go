@@ -181,7 +181,7 @@ func newTestCoordinator(shards int) (*Coordinator, *recordingApplier) {
 // its completion fired synchronously.
 func applyThrough(co *Coordinator, gate protocol.Applier, cmd command.Command) (fired bool, res protocol.Result) {
 	ch := make(chan protocol.Result, 1)
-	gate.ApplyDeferred(cmd, timestamp.Zero, func(r protocol.Result) { ch <- r })
+	gate.ApplyDeferred(cmd, timestamp.Zero, protocol.DoneFunc(func(r protocol.Result) { ch <- r }))
 	select {
 	case r := <-ch:
 		return true, r
@@ -625,10 +625,10 @@ type heldChain struct {
 	held []func()
 }
 
-func (h *heldChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (h *heldChain) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done protocol.Completion) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.held = append(h.held, func() { done(protocol.Result{Value: h.ApplyAt(cmd, ts)}) })
+	h.held = append(h.held, func() { done.Complete(protocol.Result{Value: h.ApplyAt(cmd, ts)}) })
 }
 
 // completeAll completes everything the chain holds, in the order taken.
@@ -667,7 +667,7 @@ func TestHandoffWaitsForADeferringChain(t *testing.T) {
 		cmd.Epoch = epoch
 		cmd.ID = command.ID{Node: 1, Seq: seq}
 		done := new(bool)
-		gates[g].ApplyDeferred(cmd, timestamp.Zero, func(protocol.Result) { *done = true })
+		gates[g].ApplyDeferred(cmd, timestamp.Zero, protocol.DoneFunc(func(protocol.Result) { *done = true }))
 		return done
 	}
 	fence := func(g int, m Marker) {
@@ -675,7 +675,7 @@ func TestHandoffWaitsForADeferringChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gates[g].ApplyDeferred(cmd, timestamp.Zero, func(protocol.Result) {})
+		gates[g].ApplyDeferred(cmd, timestamp.Zero, protocol.DoneFunc(func(protocol.Result) {}))
 	}
 	taken := func(g int) int {
 		chains[g].mu.Lock()

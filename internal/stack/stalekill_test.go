@@ -37,7 +37,7 @@ func (*handGroup) Stop()  {}
 func (h *handGroup) deliver(t *testing.T, cmd command.Command, ts timestamp.Timestamp) {
 	t.Helper()
 	done := make(chan struct{})
-	h.app.ApplyDeferred(cmd, ts, func(protocol.Result) { close(done) })
+	h.app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(protocol.Result) { close(done) }))
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):

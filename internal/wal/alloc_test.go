@@ -25,7 +25,7 @@ func TestApplyDeferredAllocs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	app := l.GroupApplier(0, nopApplier{})
 	acked := make(chan struct{}, 1)
-	done := func(protocol.Result) { acked <- struct{}{} }
+	done := protocol.DoneFunc(func(protocol.Result) { acked <- struct{}{} })
 	cmd := command.Put("p0-0000", make([]byte, 16))
 	seq := uint64(0)
 	one := func() {

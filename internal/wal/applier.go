@@ -32,10 +32,10 @@ type groupApplier struct {
 }
 
 // ApplyDeferred implements protocol.Applier: it never blocks.
-func (a *groupApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done func(protocol.Result)) {
+func (a *groupApplier) ApplyDeferred(cmd command.Command, ts timestamp.Timestamp, done protocol.Completion) {
 	e := pendingRec{cmd: cmd, ts: ts, inner: a.inner, done: done}
 	if err := a.l.appendCommand(a.group, e); err != nil {
-		done(protocol.Result{Err: err})
+		done.Complete(protocol.Result{Err: err})
 	}
 }
 

@@ -57,7 +57,7 @@ type pendingRec struct {
 	cmd   command.Command
 	ts    timestamp.Timestamp
 	inner protocol.TimestampedApplier
-	done  func(protocol.Result)
+	done  protocol.Completion
 	// Every other entry (inner is nil) — LogCommand's command, an
 	// executed transaction, an epoch, a reservation, a snapshot cut —
 	// completes through fn instead.
@@ -277,10 +277,10 @@ func (l *Log) complete(e *pendingRec) {
 	case e.inner == nil:
 		e.fn(e.err)
 	case e.err != nil:
-		e.done(protocol.Result{Err: e.err})
+		e.done.Complete(protocol.Result{Err: e.err})
 	default:
 		l.opts.Trace.Record(l.opts.Self, trace.KindFsync, e.cmd.ID, e.ts)
-		e.done(protocol.Result{Value: e.inner.ApplyAt(e.cmd, e.ts)})
+		e.done.Complete(protocol.Result{Value: e.inner.ApplyAt(e.cmd, e.ts)})
 	}
 }
 

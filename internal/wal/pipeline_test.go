@@ -60,7 +60,7 @@ func TestDeferredAppendsShareSyncs(t *testing.T) {
 		defer close(appended)
 		for i := 1; i <= n; i++ {
 			cmd, ts := addCmd(1, i)
-			app.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+			app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 				if res.Err != nil {
 					t.Errorf("command %v: %v", cmd.ID, res.Err)
 				}
@@ -68,7 +68,7 @@ func TestDeferredAppendsShareSyncs(t *testing.T) {
 				order = append(order, cmd.ID.Seq)
 				mu.Unlock()
 				wg.Done()
-			})
+			}))
 		}
 	}()
 	select {
@@ -131,13 +131,13 @@ func TestAcknowledgedIsDurable(t *testing.T) {
 		wg.Add(burst)
 		for i := 1; i <= burst; i++ {
 			cmd, ts := addCmd(1, r*burst+i)
-			app.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+			app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 				if res.Err != nil {
 					t.Errorf("command %v: %v", cmd.ID, res.Err)
 				}
 				acks = append(acks, ack{cmd.ID.Seq, synced.Load()})
 				wg.Done()
-			})
+			}))
 		}
 		wg.Wait()
 	}
@@ -213,12 +213,12 @@ func TestDeferredAppendSnapshotCut(t *testing.T) {
 			acked.Add(each)
 			for i := 1; i <= each; i++ {
 				cmd, ts := addCmd(timestamp.NodeID(w), i)
-				app.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+				app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 					if res.Err != nil {
 						t.Errorf("command %v: %v", cmd.ID, res.Err)
 					}
 					acked.Done()
-				})
+				}))
 			}
 			acked.Wait()
 		}(w)
@@ -290,12 +290,12 @@ func put(t *testing.T, app protocol.Applier, seq uint64, key string) chan struct
 	done := make(chan struct{})
 	cmd := command.Put(key, []byte("v"))
 	cmd.ID = command.ID{Node: 1, Seq: seq}
-	app.ApplyDeferred(cmd, timestamp.Timestamp{Seq: seq, Node: 1}, func(res protocol.Result) {
+	app.ApplyDeferred(cmd, timestamp.Timestamp{Seq: seq, Node: 1}, protocol.DoneFunc(func(res protocol.Result) {
 		if res.Err != nil {
 			t.Errorf("put %s: %v", key, res.Err)
 		}
 		close(done)
-	})
+	}))
 	return done
 }
 
@@ -417,12 +417,12 @@ func TestLogRunsTwoGoroutines(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		cmd, ts := addCmd(1, g+1)
-		l.GroupApplier(g, store).ApplyDeferred(cmd, ts, func(res protocol.Result) {
+		l.GroupApplier(g, store).ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 			if res.Err != nil {
 				t.Errorf("command %v: %v", cmd.ID, res.Err)
 			}
 			wg.Done()
-		})
+		}))
 	}
 	wg.Wait()
 	if n := logGoroutines(); n != 2 {
@@ -466,12 +466,12 @@ func TestCloseCompletesPending(t *testing.T) {
 	fired := make([]atomic.Int32, n+2)
 	for i := 1; i <= n; i++ {
 		cmd, ts := addCmd(1, i)
-		app.ApplyDeferred(cmd, ts, func(res protocol.Result) {
+		app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 			if res.Err != nil {
 				t.Errorf("command %v: %v", cmd.ID, res.Err)
 			}
 			fired[cmd.ID.Seq].Add(1)
-		})
+		}))
 	}
 	var closeErr error
 	closed := make(chan struct{})
@@ -491,7 +491,7 @@ func TestCloseCompletesPending(t *testing.T) {
 
 	cmd, ts := addCmd(1, n+1)
 	var late protocol.Result
-	app.ApplyDeferred(cmd, ts, func(res protocol.Result) { late = res })
+	app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) { late = res }))
 	if !errors.Is(late.Err, ErrClosed) {
 		t.Errorf("append after Close completed with %v, want ErrClosed", late.Err)
 	}
@@ -518,7 +518,7 @@ func TestFailedSyncIsStickyAndJournaledOnce(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		cmd, ts := addCmd(1, i)
 		got := make(chan error, 1)
-		app.ApplyDeferred(cmd, ts, func(res protocol.Result) { got <- res.Err })
+		app.ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) { got <- res.Err }))
 		if err := <-got; !errors.Is(err, disk) {
 			t.Fatalf("command %d completed with %v, want the sync's error", i, err)
 		}
@@ -569,7 +569,7 @@ func benchPipelined(b *testing.B, groups, depth int) {
 			defer wg.Done()
 			app := l.GroupApplier(g, store)
 			window := make(chan struct{}, depth)
-			done := func(protocol.Result) { <-window }
+			done := protocol.DoneFunc(func(protocol.Result) { <-window })
 			cmd := command.Put("p"+strconv.Itoa(g)+"-0000", make([]byte, 16))
 			for i := g; i < b.N; i += groups {
 				seq := uint64(i/groups + 1) // each group's IDs run without gaps

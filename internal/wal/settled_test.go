@@ -31,12 +31,12 @@ func TestSettledTransactionsLeaveNoAggregates(t *testing.T) {
 		ids[g]++
 		cmd.ID = command.ID{Node: timestamp.NodeID(g), Seq: ids[g]}
 		acked.Add(1)
-		apps[g].ApplyDeferred(cmd, ts, func(res protocol.Result) {
+		apps[g].ApplyDeferred(cmd, ts, protocol.DoneFunc(func(res protocol.Result) {
 			if res.Err != nil {
 				t.Errorf("%v: %v", cmd.ID, res.Err)
 			}
 			acked.Done()
-		})
+		}))
 	}
 	for i := 0; i < txs; i++ {
 		xid := xshard.XID{Node: timestamp.NodeID(i % coordinators), Seq: uint64(i/coordinators) + 1}

@@ -44,8 +44,11 @@
 //
 // Who waits for what: an event loop may wait for a sync — a sequence or
 // clock reservation returns as soon as its record is synced — and never
-// for a completion; a completion waits for nothing in the log — only for
-// the store's lock, or for room in an inbox it acknowledges into; the
+// for a completion; a completion (the protocol.Completion ApplyDeferred
+// was handed, whose Complete the completer calls once the record is
+// durable and applied, or with the error that kept it from the log)
+// waits for nothing in the log — only for the store's lock, or for room
+// in an inbox it acknowledges into; the
 // syncer waits for the disk alone and runs nothing but reservation
 // wake-ups. Transactions, epochs, reservations and
 // snapshot cuts travel the same queue. The chain has one entry,

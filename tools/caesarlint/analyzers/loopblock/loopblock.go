@@ -31,12 +31,15 @@
 // statically and are not walked, with one exception: the applier chain.
 // A loop handler delivers every decided command through an ApplierTypes
 // interface (deliverNow calls the chain's protocol.Applier.ApplyDeferred,
-// or the synchronous layer it probed, protocol.TimestampedApplier), so
-// that dispatch is resolved to its implementations: every method by which
-// a type of the analyzed package implements one of those interfaces is
-// walked as a handler root, in the package that declares it — which is how
-// a log layer parking its caller on a per-record channel is caught
-// although no handler names it.
+// or the synchronous layer it probed, protocol.TimestampedApplier), and
+// the chain reports back through another (protocol.Completion, whose
+// Complete runs on the loop when the gate's pass path reaches
+// protocol.Sync), so that dispatch is resolved to its implementations:
+// every method by which a type of the analyzed package implements one of
+// those interfaces is walked as a handler root, in the package that
+// declares it — which is how a log layer parking its caller on a
+// per-record channel, or a completion posting back into a full inbox
+// (CAESAR's delivery.Complete), is caught although no handler names it.
 // Test files are not analyzed (tests drive loops with deliberately
 // synchronous handlers).
 //
@@ -69,11 +72,13 @@ var StepFuncs = []string{
 }
 
 // ApplierTypes lists the interfaces through which a loop handler reaches
-// the applier chain, as "import/path.TypeName": their implementations'
-// methods are handler roots. Tests point it at golden packages.
+// the applier chain, and through which the chain calls back, as
+// "import/path.TypeName": their implementations' methods are handler
+// roots. Tests point it at golden packages.
 var ApplierTypes = []string{
 	"github.com/caesar-consensus/caesar/internal/protocol.Applier",
 	"github.com/caesar-consensus/caesar/internal/protocol.TimestampedApplier",
+	"github.com/caesar-consensus/caesar/internal/protocol.Completion",
 }
 
 // Analyzer is the loopblock check.

@@ -14,7 +14,7 @@ func withFakeLoop(t *testing.T) {
 	saved, savedSteps, savedAppliers := loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes
 	loopblock.LoopTypes = []string{"fakeloop.Loop", "fakeloop.Runtime"}
 	loopblock.StepFuncs = []string{"fakeloop.NewRuntime"}
-	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier"}
+	loopblock.ApplierTypes = []string{"fakeloop.Applier", "fakeloop.TimestampedApplier", "fakeloop.Completion"}
 	t.Cleanup(func() {
 		loopblock.LoopTypes, loopblock.StepFuncs, loopblock.ApplierTypes = saved, savedSteps, savedAppliers
 	})
@@ -30,8 +30,9 @@ func TestCrossPackageBlocksFacts(t *testing.T) {
 	analysistest.Run(t, "testdata", loopblock.Analyzer, "loopuser")
 }
 
-// TestApplierDispatch: a blocking receive behind an applier interface is
-// flagged in the implementation although no handler names it.
+// TestApplierDispatch: a blocking receive behind an applier interface, and
+// a blocking Post in a completion, are flagged in the implementation
+// although no handler names it.
 func TestApplierDispatch(t *testing.T) {
 	withFakeLoop(t)
 	analysistest.Run(t, "testdata", loopblock.Analyzer, "loopapply")

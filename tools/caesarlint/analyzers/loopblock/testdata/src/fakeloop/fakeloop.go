@@ -91,12 +91,25 @@ func (rt *Runtime) Stop() {
 	rt.drained()
 }
 
-// Applier and TimestampedApplier stand in for internal/protocol's applier
-// interfaces: what a loop handler delivers decided commands through. The
-// test points loopblock.ApplierTypes at them.
+// Applier, TimestampedApplier and Completion stand in for
+// internal/protocol's applier interfaces: what a loop handler delivers
+// decided commands through, and what the chain reports a result through.
+// The test points loopblock.ApplierTypes at them.
 type Applier interface {
-	ApplyDeferred(cmd int, ts uint64, done func([]byte))
+	ApplyDeferred(cmd int, ts uint64, done Completion)
 }
+
+// Completion receives one deferred apply's result, exactly once, from any
+// goroutine — the loop's own on the chain's pass path.
+type Completion interface {
+	Complete(val []byte)
+}
+
+// DoneFunc is the Completion of a caller that needs a closure.
+type DoneFunc func([]byte)
+
+// Complete implements Completion.
+func (f DoneFunc) Complete(val []byte) { f(val) }
 
 // TimestampedApplier is a synchronous layer.
 type TimestampedApplier interface {

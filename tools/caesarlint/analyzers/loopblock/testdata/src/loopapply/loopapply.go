@@ -25,7 +25,8 @@ func New(e *engine) {
 
 func (e *engine) step(ev any) {
 	e.sync.ApplyAt(1, 1)
-	e.chain.ApplyDeferred(2, 2, func([]byte) {})
+	e.chain.ApplyDeferred(2, 2, fakeloop.DoneFunc(func([]byte) {}))
+	e.chain.ApplyDeferred(3, 3, &postingCompletion{e: e})
 }
 
 type blockingLog struct {
@@ -63,7 +64,7 @@ func (l *blockingLog) append(cmd int) error {
 
 type pipelinedLog struct {
 	mu      sync.Mutex
-	pending []func([]byte)
+	pending []fakeloop.Completion
 	kick    chan struct{}
 }
 
@@ -71,13 +72,33 @@ type pipelinedLog struct {
 // record and returns, so nothing on it can park the loop.
 type pipelinedApplier struct{ l *pipelinedLog }
 
-func (a *pipelinedApplier) ApplyDeferred(cmd int, ts uint64, done func([]byte)) {
+func (a *pipelinedApplier) ApplyDeferred(cmd int, ts uint64, done fakeloop.Completion) {
 	a.l.mu.Lock()
 	a.l.pending = append(a.l.pending, done)
 	a.l.mu.Unlock()
 	select {
 	case a.l.kick <- struct{}{}:
 	default:
+	}
+}
+
+// blockingCompletion reports a deferred apply back to its loop with a
+// blocking Post. The chain's pass path completes on the loop itself, so on
+// a full inbox that Post deadlocks the loop against itself; no handler
+// names Complete, but it implements Completion, so its walk is rooted.
+type blockingCompletion struct{ e *engine }
+
+func (c *blockingCompletion) Complete(val []byte) {
+	c.e.Post(val) // want `blocking Post from the event loop back into itself`
+}
+
+// postingCompletion is the sanctioned shape: TryPost, and a goroutine that
+// may block only when the inbox is full.
+type postingCompletion struct{ e *engine }
+
+func (c *postingCompletion) Complete(val []byte) {
+	if !c.e.TryPost(val) {
+		go c.e.Post(val)
 	}
 }
 
