@@ -23,35 +23,43 @@
 // that may live on long after its neighbours — a hot key's conflict-list
 // entry — would pin its chunk, and is recycled by its owner instead.
 //
-// A chunk holds at most maxBytes: Size values of a small type, fewer of a
-// large one (5 CAESAR records or coordinators, at 392 and 344 bytes), so a
-// straggler pins about 2 KiB and not 16 times its own size. With 16-slot
-// chunks for records, coordinators, submissions and key entries alike,
-// the benchmark's lan3-mixed4g read 0.45 to 0.69 MB more live heap.
+// A chunk asks for at most maxBytes: Size values of a small type, fewer
+// of a large one (5 CAESAR records or coordinators, at 392 and 344
+// bytes), so a straggler pins about 2 KiB and not 16 times its own size.
+// With 16-slot chunks for records, coordinators, submissions and key
+// entries alike, the benchmark's lan3-mixed4g read 0.45 to 0.69 MB more
+// live heap.
 //
-// A chunk is not sized to its size class. Go puts an 8-byte malloc header
-// in front of every object over 512 bytes that holds pointers, so a chunk
-// of exactly 2,048 bytes lands in the 2,304-byte class. Measured with
-// runtime.MemStats on go1.24 (amd64), bytes asked for against the class
-// allocated:
+// A chunk then fills the size class that request lands in. Go puts an
+// 8-byte malloc header in front of every object over 512 bytes that holds
+// pointers, so 16 Submissions (2,048 bytes) land in the 2,304-byte class,
+// which holds 17 of them; Next hands out every slot the class holds, as
+// slices.Grow rounds the capacity up. Measured with runtime.MemStats on
+// go1.24 (amd64), slots asked for and handed out per allocation, and the
+// share of the class that holds no value (the malloc header included):
 //
-//	type              size  per chunk  bytes  class  waste
-//	Submission         128     16      2,048  2,304  11.1 %
-//	FastProposeReply    72     16      1,152  1,280  10.0 %
-//	delivery            80     16      1,280  1,408   9.1 %
-//	FastPropose        176     11      1,936  2,048   5.5 %
-//	record             392      5      1,960  2,048   4.3 %
-//	coordinator        344      5      1,720  1,792   4.0 %
-//	Stable             168     12      2,016  2,048   1.6 %
-//	shard.Envelope      24     16        384    384   0.0 %
+//	type              size  asked  slots  class  unused
+//	Submission         128     16     17  2,304   5.6 %
+//	FastProposeReply    72     16     17  1,280   4.4 %
+//	delivery            80     16     17  1,408   3.4 %
+//	FastPropose        176     11     11  2,048   5.5 %
+//	record             392      5      5  2,048   4.3 %
+//	coordinator        344      5      5  1,792   4.0 %
+//	Stable             168     12     12  2,048   1.6 %
+//	shard.Envelope      24     16     16    384   0.0 %
 //
-// Those values die with their step or soon after, so the waste is short
-// lived. The store's entries live as long as the store: 16 of them, 768
-// bytes, would land in the 896-byte class and waste 14.3 % of all entry
-// memory, which is why the store sizes its own chunk.
+// No chunk takes more bytes than the request alone would
+// (TestChunksHoldAtMostMaxBytes). Those values die with their step or soon
+// after, so the rest is short lived. The store's entries live as long as
+// the store: 16 of them, 768 bytes, would land in the 896-byte class and
+// waste 14.3 % of all entry memory, which is why the store sizes its own
+// chunk.
 package chunk
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 const (
 	// Size is the most values one allocation provides.
@@ -70,7 +78,10 @@ type Of[T any] struct {
 // Next returns a zeroed T no one else has been given.
 func (c *Of[T]) Next() *T {
 	if len(c.free) == 0 {
-		c.free = make([]T, perChunk[T]())
+		// Grow rounds the capacity up to what the allocation's size class
+		// holds: the slots that would otherwise be its waste.
+		c.free = slices.Grow([]T(nil), perChunk[T]())
+		c.free = c.free[:cap(c.free)]
 	}
 	v := &c.free[0]
 	c.free = c.free[1:]

@@ -1,6 +1,10 @@
 package chunk
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 // TestSlotsAreNeverReused: over more than two chunks, every value handed
 // out is zeroed, its own, and keeps what was written to it.
@@ -22,13 +26,77 @@ func TestSlotsAreNeverReused(t *testing.T) {
 	}
 }
 
-// TestChunksHoldAtMostMaxBytes: a small type comes Size to a chunk, a
-// large one as many as fit in maxBytes, and one larger still alone.
+// Pointerful stand-ins for the chunked types, at their sizes on amd64: a
+// pointerful object over 512 bytes carries the 8-byte malloc header.
+type (
+	ptrs24  struct{ _ [3]*byte }  // shard.Envelope
+	ptrs72  struct{ _ [9]*byte }  // caesar.FastProposeReply
+	ptrs80  struct{ _ [10]*byte } // caesar.delivery
+	ptrs128 struct{ _ [16]*byte } // protocol.Submission
+	ptrs168 struct{ _ [21]*byte } // caesar.Stable
+	ptrs176 struct{ _ [22]*byte } // caesar.FastPropose
+	ptrs344 struct{ _ [43]*byte } // caesar.coordinator
+	ptrs392 struct{ _ [49]*byte } // caesar.record
+)
+
+// sink keeps what a measurement allocated reachable.
+var sink any
+
+// Measuring allocations: rounds of perRound calls, each into storage of
+// its own made beforehand.
+const (
+	rounds   = 5
+	perRound = 256
+)
+
+// allocated returns the bytes one call of alloc(i) takes, as
+// runtime.MemStats counts them: the size class, malloc header included.
+// What the runtime allocates meanwhile only adds, so it is the least of
+// the rounds' averages.
+func allocated(alloc func(i int)) uint64 {
+	least := uint64(math.MaxUint64)
+	for r := 0; r < rounds; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := r * perRound; i < (r+1)*perRound; i++ {
+			alloc(i)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/perRound)
+	}
+	return least
+}
+
+// checkChunk compares one chunk of T with make([]T, perChunk): the same
+// bytes, and at least as many slots (want, as the package comment's table
+// lists).
+// The race detector's build allocates Next's chunk twice, so it checks
+// the slots only.
+func checkChunk[T any](t *testing.T, name string, want int) {
+	t.Helper()
+	chunks := make([]Of[T], rounds*perRound)
+	bytes := allocated(func(i int) { chunks[i].Next() })
+	slots := len(chunks[0].free) + 1
+	made := make([][]T, rounds*perRound)
+	before := allocated(func(i int) { made[i] = make([]T, perChunk[T]()) })
+	sink = [2]any{chunks, made}
+	if bytes != before && !raceEnabled {
+		t.Errorf("%s: a chunk takes %d bytes, make([]T, %d) %d", name, bytes, perChunk[T](), before)
+	}
+	if slots < perChunk[T]() || slots != want {
+		t.Errorf("%s: %d slots per chunk, want %d (at least %d)", name, slots, want, perChunk[T]())
+	}
+}
+
+// TestChunksHoldAtMostMaxBytes: a chunk asks for Size values of a small
+// type, as many as fit in maxBytes of a large one, and one larger still
+// alone; it takes exactly the bytes that request takes, and hands out
+// every slot the size class holds. The slot counts are go1.24's (amd64).
 func TestChunksHoldAtMostMaxBytes(t *testing.T) {
 	check := func(name string, got, want int) {
 		t.Helper()
 		if got != want {
-			t.Errorf("%s: %d values per chunk, want %d", name, got, want)
+			t.Errorf("%s: %d values asked per chunk, want %d", name, got, want)
 		}
 	}
 	check("struct{}", perChunk[struct{}](), Size)
@@ -36,13 +104,17 @@ func TestChunksHoldAtMostMaxBytes(t *testing.T) {
 	check("[128]byte", perChunk[[128]byte](), Size)
 	check("[392]byte", perChunk[[392]byte](), 5)
 	check("[4096]byte", perChunk[[4096]byte](), 1)
-	// Next allocates what perChunk says: the fifth of five 392-byte
-	// values leaves the chunk empty.
-	var c Of[[392]byte]
-	for i := 0; i < 5; i++ {
-		c.Next()
-	}
-	if len(c.free) != 0 {
-		t.Errorf("after 5 values of 392 bytes, %d slots left in the chunk, want 0", len(c.free))
-	}
+
+	checkChunk[struct{}](t, "struct{}", Size)
+	checkChunk[int](t, "int", Size)
+	checkChunk[[128]byte](t, "[128]byte", Size) // exactly the 2,048-byte class
+	checkChunk[[4096]byte](t, "[4096]byte", 1)
+	checkChunk[ptrs24](t, "24-byte", 16)
+	checkChunk[ptrs72](t, "72-byte", 17)
+	checkChunk[ptrs80](t, "80-byte", 17)
+	checkChunk[ptrs128](t, "128-byte", 17)
+	checkChunk[ptrs168](t, "168-byte", 12)
+	checkChunk[ptrs176](t, "176-byte", 11)
+	checkChunk[ptrs344](t, "344-byte", 5)
+	checkChunk[ptrs392](t, "392-byte", 5)
 }

@@ -176,9 +176,19 @@ func (c Command) Keys() []string {
 // set of a command that carries cmds as members (a batch, a cross-shard
 // piece). The order is a function of cmds alone, so two calls build the
 // same command. A transaction has a handful of keys: duplicates are found
-// by scanning the output, not with a map.
+// by scanning the output, not with a map, and the output is sized once,
+// for every key counted.
 func KeyUnion(cmds []Command) []string {
-	var keys []string
+	n := 0
+	for _, c := range cmds {
+		if c.Op != OpNoop && c.Op != OpFence {
+			n += 1 + len(c.ExtraKeys)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	keys := make([]string, 0, n)
 	for _, c := range cmds {
 		for _, k := range c.Keys() {
 			if !slices.Contains(keys, k) {

@@ -532,13 +532,13 @@ func (co *Coordinator) finishSkipped(v gateVerdict, group int, chain protocol.Ap
 		// epoch. The log settles the transaction from the marker, so a
 		// restart finds it settled rather than held; the table below has
 		// it settled already and ignores the marker.
-		p, err := xshard.DecodePiece(cmd.Payload)
+		xid, err := xshard.PieceXID(cmd.Payload)
 		if err != nil {
 			done.Complete(protocol.Result{})
 			return
 		}
-		co.table.KillStale(int32(group), p.XID)
-		stand, _ = xshard.AbortCommand(p.XID, int32(group), nil)
+		co.table.KillStale(int32(group), xid)
+		stand, _ = xshard.AbortCommand(xid, int32(group), nil)
 	} else {
 		co.mu.Lock()
 		engine := co.engine
@@ -573,7 +573,7 @@ func (co *Coordinator) classifyLocked(group int, cmd command.Command) gateVerdic
 		if ab, err := xshard.DecodeAbort(cmd.Payload); err == nil {
 			for _, q := range co.queue {
 				if q.group == group && q.cmd.Op == command.OpXCommit {
-					if p, err := xshard.DecodePiece(q.cmd.Payload); err == nil && p.XID == ab.XID {
+					if xid, err := xshard.PieceXID(q.cmd.Payload); err == nil && xid == ab.XID {
 						return gateDropMarker
 					}
 				}

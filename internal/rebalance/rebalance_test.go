@@ -335,7 +335,7 @@ func TestGateKillsStaleTransactionPieces(t *testing.T) {
 	ops := []command.Command{command.Put(moved, nil), command.Put(other, nil)}
 	var got protocol.Result
 	fired := make(chan struct{})
-	co.table.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { got = r; close(fired) })
+	co.table.Expect(xid, []int32{0, 1}, ops, nil, 0, func(r protocol.Result) { got = r; close(fired) })
 
 	piece, err := xshard.PieceCommand(xid, []int32{0, 1}, ops, ops[:1])
 	if err != nil {
@@ -405,7 +405,7 @@ func TestGateOrdersPiecesAroundTheFence(t *testing.T) {
 	ops := []command.Command{command.Put(stayed0, nil), command.Put(stayed1, nil)}
 	var got protocol.Result
 	killed := make(chan struct{})
-	co.table.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { got = r; close(killed) })
+	co.table.Expect(xid, []int32{0, 1}, ops, nil, 0, func(r protocol.Result) { got = r; close(killed) })
 	if fired, _ := applyThrough(co, gate1, piece(xid, []int32{0, 1}, ops, 0, 3)); !fired {
 		t.Fatal("stale piece delivery did not complete")
 	}
@@ -434,7 +434,7 @@ func TestResolveDoesNotTakeTheGateLock(t *testing.T) {
 	co.table = table
 	r := shard.NewRouterAt(0, 2)
 	ops := []command.Command{command.Put(keyHomedAt(t, r, r, 0, 0), nil), command.Put(keyHomedAt(t, r, r, 1, 1), nil)}
-	table.Expect(xshard.XID{Node: 0, Seq: 1}, []int32{0, 1}, ops, 0, nil)
+	table.Expect(xshard.XID{Node: 0, Seq: 1}, []int32{0, 1}, ops, nil, 0, nil)
 	now = now.Add(time.Hour) // past the entry's resolution deadline
 
 	co.mu.Lock()

@@ -2,7 +2,12 @@
 
 package shard
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"github.com/caesar-consensus/caesar/internal/command"
+)
 
 // TestSubEndpointSendAllocationBudget: a shard endpoint wraps each payload
 // in a slot of an envelope chunk, so a Send allocates nothing on average.
@@ -17,5 +22,23 @@ func TestSubEndpointSendAllocationBudget(t *testing.T) {
 		ep.Broadcast(msg)
 	}); avg != 0 {
 		t.Errorf("Send and Broadcast allocate %.2f per call pair, want 0", avg)
+	}
+}
+
+// TestHomeAllocatesNothing: probing a command whose keys span two shards
+// costs nothing; only Route builds the ErrCrossShard message it reports.
+func TestHomeAllocatesNothing(t *testing.T) {
+	r := NewRouter(4)
+	a := "alpha"
+	b := ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("k-%d", i); r.Shard(k) != r.Shard(a) {
+			b = k
+		}
+	}
+	cross := command.Command{Op: command.OpBatch, Key: a, ExtraKeys: []string{b}}
+	var ok bool
+	if avg := testing.AllocsPerRun(200, func() { _, ok = r.Home(cross) }); avg != 0 || ok {
+		t.Errorf("Home of a two-shard command: %.1f allocs and ok=%v, want 0 and false", avg, ok)
 	}
 }

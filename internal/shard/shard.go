@@ -26,6 +26,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/caesar-consensus/caesar/internal/command"
 )
@@ -92,20 +93,33 @@ func (r Router) Shard(key string) int {
 
 // Route returns the shard every key of cmd maps to. A keyless command
 // (a noop) has no home shard and routes to shard 0. A multi-key command
-// whose keys span shards is rejected with ErrCrossShard; internal/xshard
-// catches that and runs the atomic cross-group commit instead.
+// whose keys span shards is rejected with ErrCrossShard, whose message
+// names two keys and their shards; internal/xshard catches that and runs
+// the atomic cross-group commit instead.
 func (r Router) Route(cmd command.Command) (int, error) {
-	keys := cmd.Keys()
-	if len(keys) == 0 {
-		return 0, nil
+	s, ok := r.Home(cmd)
+	if ok {
+		return s, nil
 	}
-	s := r.Shard(keys[0])
-	for _, k := range keys[1:] {
-		if other := r.Shard(k); other != s {
-			return 0, fmt.Errorf("%w: %q→%d, %q→%d", ErrCrossShard, keys[0], s, k, other)
+	k := cmd.ExtraKeys[slices.IndexFunc(cmd.ExtraKeys, func(k string) bool { return r.Shard(k) != s })]
+	return 0, fmt.Errorf("%w: %q→%d, %q→%d", ErrCrossShard, cmd.Key, s, k, r.Shard(k))
+}
+
+// Home is Route without the error: the shard every key of cmd maps to and
+// true, or cmd.Key's shard and false when the keys span shards. It
+// allocates nothing, so a submission path can probe with it and build
+// Route's message only when it shows one.
+func (r Router) Home(cmd command.Command) (int, bool) {
+	if cmd.Op == command.OpNoop || cmd.Op == command.OpFence {
+		return 0, true // keyless, as Keys reports it
+	}
+	s := r.Shard(cmd.Key)
+	for _, k := range cmd.ExtraKeys {
+		if r.Shard(k) != s {
+			return s, false
 		}
 	}
-	return s, nil
+	return s, true
 }
 
 // jump is Jump Consistent Hash (Lamping & Veach, 2014): a uniform map from

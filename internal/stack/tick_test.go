@@ -127,7 +127,7 @@ func TestTickResolvesOrphanedTransaction(t *testing.T) {
 	tb.Expect(xshard.XID{Node: 0, Seq: 1}, []int32{0, 1}, []command.Command{
 		command.Put("orphan-a", []byte("v")),
 		command.Put("orphan-b", []byte("v")),
-	}, 0, func(res protocol.Result) { aborted <- res.Err })
+	}, nil, 0, func(res protocol.Result) { aborted <- res.Err })
 
 	advance(2 * time.Second)
 	stacks[0].Tick()

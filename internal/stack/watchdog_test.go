@@ -89,7 +89,7 @@ func TestWatchdogTripsOnHeldTransaction(t *testing.T) {
 	stk.Table.Expect(xid, []int32{0, 1}, []command.Command{
 		command.Put("wedged-a", []byte("v")),
 		command.Put("wedged-b", []byte("v")),
-	}, 0, nil)
+	}, nil, 0, nil)
 
 	// Under threshold: still healthy.
 	advance(9 * time.Second)
@@ -233,7 +233,7 @@ func TestWatchdogScansWhileMaintenanceBlocks(t *testing.T) {
 	stk.Table.Expect(xid, []int32{0, 1}, []command.Command{
 		command.Put("blocked-a", []byte("v")),
 		command.Put("blocked-b", []byte("v")),
-	}, 0, nil)
+	}, nil, 0, nil)
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):

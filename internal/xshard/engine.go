@@ -3,7 +3,6 @@ package xshard
 import (
 	"errors"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -157,12 +156,7 @@ func (e *Engine) RetireFrom(n int) {
 // Submit for everything it routes; callers stamp cmd.Epoch themselves
 // from the router snapshot they routed with.
 func (e *Engine) SubmitTo(group int, cmd command.Command, done protocol.DoneFunc) {
-	e.mu.RLock()
-	var g protocol.Engine
-	if group >= 0 && group < len(e.groups) {
-		g = e.groups[group]
-	}
-	e.mu.RUnlock()
+	g := e.group(group)
 	if g == nil {
 		if done != nil {
 			done(protocol.Result{Err: ErrNoGroup})
@@ -170,6 +164,16 @@ func (e *Engine) SubmitTo(group int, cmd command.Command, done protocol.DoneFunc
 		return
 	}
 	g.Submit(cmd, done)
+}
+
+// group returns the live engine of one group, or nil.
+func (e *Engine) group(group int) protocol.Engine {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if group >= 0 && group < len(e.groups) {
+		return e.groups[group]
+	}
+	return nil
 }
 
 // Submit implements protocol.Engine. done fires after local execution: for
@@ -180,48 +184,48 @@ func (e *Engine) SubmitTo(group int, cmd command.Command, done protocol.DoneFunc
 // is stamped with one routing epoch; a resize fence racing the submission
 // invalidates the whole set together, never a subset.
 //
-// A transaction killed because it straddled a resize marker
-// (ErrEpochRetry) is re-proposed under the new routing automatically, a
-// bounded number of times — as is a submission that raced a shrink and
-// reached a group after its retirement (ErrNoGroup): by then the router
-// has moved on, so the retry routes to the key's live home.
+// A submission that raced a shrink and found its group retired
+// (ErrNoGroup) is routed again, a bounded number of times: by then the
+// router has moved on, so the retry finds the key's live home. A
+// single-group command learns that from the group lookup, before it is
+// proposed, so it goes to its group with done itself. A transaction killed
+// because it straddled a resize marker (ErrEpochRetry) is re-proposed
+// under the new routing the same way, from the one callback the commit
+// table fires for it.
 func (e *Engine) Submit(cmd command.Command, done protocol.DoneFunc) {
 	e.submit(cmd, done, 0)
 }
 
 func (e *Engine) submit(cmd command.Command, done protocol.DoneFunc, attempt int) {
-	e.route(cmd, func(res protocol.Result) {
-		retriable := errors.Is(res.Err, ErrEpochRetry) || errors.Is(res.Err, ErrNoGroup)
-		if retriable && attempt < maxEpochRetries {
-			fresh := cmd
-			fresh.ID = command.ID{}
-			e.submit(fresh, done, attempt+1)
+	for ; ; attempt++ {
+		router := e.Router()
+		home, ok := router.Home(cmd)
+		if !ok {
+			e.submitCross(router, cmd, done, attempt)
 			return
 		}
-		if done != nil {
-			done(res)
+		// A single group (or a keyless command, which the router homes in
+		// group 0): the common fast path.
+		if g := e.group(home); g != nil {
+			cmd.Epoch = router.Epoch()
+			g.Submit(cmd, done)
+			return
 		}
-	})
-}
-
-// route places one submission: a command whose keys share a group (or a
-// keyless one, which the router homes in group 0) on that group, a
-// transaction across its groups.
-func (e *Engine) route(cmd command.Command, done protocol.DoneFunc) {
-	router := e.Router()
-	if g, err := router.Route(cmd); err == nil {
-		cmd.Epoch = router.Epoch()
-		e.SubmitTo(g, cmd, done) // single group: the common fast path
-		return
+		if attempt >= maxEpochRetries {
+			if done != nil {
+				done(protocol.Result{Err: ErrNoGroup})
+			}
+			return
+		}
 	}
-	e.submitCross(router, cmd, done)
 }
 
 // submitCross splits the transaction under one router snapshot and
 // proposes one piece per touched group. The client callback is parked in
 // the commit table; it fires when the last local piece delivery completes
-// the transaction.
-func (e *Engine) submitCross(router shard.Router, cmd command.Command, done protocol.DoneFunc) {
+// the transaction, or retries the submission when the transaction died of
+// a resize.
+func (e *Engine) submitCross(router shard.Router, cmd command.Command, done protocol.DoneFunc, attempt int) {
 	fail := func(err error) {
 		if done != nil {
 			done(protocol.Result{Err: err})
@@ -232,30 +236,37 @@ func (e *Engine) submitCross(router shard.Router, cmd command.Command, done prot
 		fail(err)
 		return
 	}
-	parts, err := partition(router, ops)
+	groups, err := partition(router, ops)
 	if err != nil {
 		fail(err) // a single member spanning groups stays unsupported
 		return
 	}
-	groups := make([]int32, 0, len(parts))
-	for g := range parts {
-		groups = append(groups, int32(g))
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
 
 	xid := e.table.nextXID()
 	// One payload serves every group — the Piece is identical across
 	// participants, only the key stamping differs.
 	payload := encodePiece(xid, groups, ops)
-	e.table.Expect(xid, groups, ops, router.Epoch(), done)
+	e.table.Expect(xid, groups, ops, payload, router.Epoch(), func(res protocol.Result) {
+		retriable := errors.Is(res.Err, ErrEpochRetry) || errors.Is(res.Err, ErrNoGroup)
+		if retriable && attempt < maxEpochRetries {
+			again := cmd
+			again.ID = command.ID{}
+			e.submit(again, done, attempt+1)
+			return
+		}
+		if done != nil {
+			done(res)
+		}
+	})
+	pieceDone := func(res protocol.Result) {
+		if res.Err != nil {
+			e.table.pieceFailed(xid, res.Err)
+		}
+	}
 	for _, g := range groups {
-		pc := pieceWithPayload(payload, parts[int(g)])
+		pc := pieceCommand(payload, groupKeys(router, ops, g))
 		pc.Epoch = router.Epoch()
-		e.SubmitTo(int(g), pc, func(res protocol.Result) {
-			if res.Err != nil {
-				e.table.pieceFailed(xid, res.Err)
-			}
-		})
+		e.SubmitTo(int(g), pc, pieceDone)
 	}
 }
 

@@ -46,11 +46,7 @@ func TestCoordinatorCrashBetweenPiecesAborts(t *testing.T) {
 	// Hand-craft the partial commit the coordinator would have left
 	// behind: only group 0's piece is proposed, through node 0.
 	xid := nodes[0].table.nextXID()
-	parts, err := partition(r, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := PieceCommand(xid, []int32{0, 1}, ops, parts[0])
+	pc, err := PieceCommand(xid, []int32{0, 1}, ops, ops[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestWaitSettledBlocksOnHeldTxBelowBound(t *testing.T) {
 	// One piece registered at ts 5: the entry's merged lower bound (5) is
 	// below the read point (10), so the transaction could still execute
 	// below it.
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 
 	done := settled(tb, []string{"a"}, 10)
 	if done() {
@@ -54,7 +54,7 @@ func TestWaitSettledBlocksOnHeldTxBelowBound(t *testing.T) {
 	}
 	// The second piece completes the transaction; it executes and the
 	// read point settles.
-	tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(7, 1), 0, command.ID{})
+	tb.registerPiece(1, xid, encodePiece(xid, []int32{0, 1}, ops), ts(7, 1), 0, command.ID{})
 	if !done() {
 		t.Fatal("not settled after the blocking transaction executed")
 	}
@@ -69,7 +69,7 @@ func TestWaitSettledIgnoresTxAboveBound(t *testing.T) {
 	ops := testOps("a", "b")
 	// Merged lower bound 50 > read point 10: the transaction will execute
 	// above the read point and is invisible to it.
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(50, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(50, 0), 0, command.ID{})
 	if !settled(tb, []string{"a"}, 10)() {
 		t.Fatal("blocked on a transaction strictly above the bound")
 	}
@@ -78,7 +78,7 @@ func TestWaitSettledIgnoresTxAboveBound(t *testing.T) {
 func TestWaitSettledIgnoresOtherKeys(t *testing.T) {
 	tb := newTestTable(&recordingExec{})
 	xid := XID{Node: 1, Seq: 1}
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps("x", "y")}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, testOps("x", "y")), ts(5, 0), 0, command.ID{})
 	if !settled(tb, []string{"a"}, 10)() {
 		t.Fatal("blocked on a transaction touching different keys")
 	}
@@ -88,7 +88,7 @@ func TestWaitSettledReleasedByAbort(t *testing.T) {
 	tb := newTestTable(&recordingExec{})
 	xid := XID{Node: 1, Seq: 1}
 	ops := testOps("a", "b")
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 	done := settled(tb, []string{"b"}, 10)
 	if done() {
 		t.Fatal("settled with a held transaction below the bound")
@@ -106,7 +106,7 @@ func TestWaitSettledReleasedByAbort(t *testing.T) {
 func TestWaitSettledReleasedByStop(t *testing.T) {
 	tb := newTestTable(&recordingExec{})
 	xid := XID{Node: 1, Seq: 1}
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps("a", "b")}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, testOps("a", "b")), ts(5, 0), 0, command.ID{})
 	done := settled(tb, []string{"a"}, 10)
 	if done() {
 		t.Fatal("settled with a held transaction below the bound")
@@ -126,17 +126,17 @@ func TestWaitSettledRechecksForNewBlockers(t *testing.T) {
 	first := XID{Node: 1, Seq: 1}
 	second := XID{Node: 2, Seq: 1}
 	ops := testOps("a", "b")
-	tb.registerPiece(0, &Piece{XID: first, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, first, encodePiece(first, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 	done := settled(tb, []string{"a"}, 10)
 
 	// A second transaction on the key lands below the bound while the
 	// waiter is parked; resolving only the first must re-park, not fire.
-	tb.registerPiece(0, &Piece{XID: second, Groups: []int32{0, 1}, Ops: ops}, ts(6, 0), 0, command.ID{})
-	tb.registerPiece(1, &Piece{XID: first, Groups: []int32{0, 1}, Ops: ops}, ts(7, 1), 0, command.ID{})
+	tb.registerPiece(0, second, encodePiece(second, []int32{0, 1}, ops), ts(6, 0), 0, command.ID{})
+	tb.registerPiece(1, first, encodePiece(first, []int32{0, 1}, ops), ts(7, 1), 0, command.ID{})
 	if done() {
 		t.Fatal("settled while a newly arrived transaction still blocks the bound")
 	}
-	tb.registerPiece(1, &Piece{XID: second, Groups: []int32{0, 1}, Ops: ops}, ts(8, 1), 0, command.ID{})
+	tb.registerPiece(1, second, encodePiece(second, []int32{0, 1}, ops), ts(8, 1), 0, command.ID{})
 	if !done() {
 		t.Fatal("not settled after every blocker resolved")
 	}
@@ -160,16 +160,16 @@ func TestExecutedTransactionIsWaitedForUntilItLands(t *testing.T) {
 	xid := XID{Node: 0, Seq: 1}
 	ops := testOps("a", "b")
 	var res *protocol.Result
-	tb.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { res = &r })
-	piece := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}
-	tb.registerPiece(0, piece, ts(5, 0), 0, command.ID{})
+	tb.Expect(xid, []int32{0, 1}, ops, nil, 0, func(r protocol.Result) { res = &r })
+	piece := encodePiece(xid, []int32{0, 1}, ops)
+	tb.registerPiece(0, xid, piece, ts(5, 0), 0, command.ID{})
 
 	early := make(chan struct{})
 	tb.AwaitGroupDrain(0, 1, func() { close(early) })
 	if got := tb.DebugDrainWaiters(); len(got) != 1 || !strings.Contains(got[0], "x0.1(got=1/2)") {
 		t.Errorf("drain waiters while the transaction is pending: %q", got)
 	}
-	tb.registerPiece(1, piece, ts(9, 2), 0, command.ID{})
+	tb.registerPiece(1, xid, piece, ts(9, 2), 0, command.ID{})
 	if land == nil {
 		t.Fatal("a complete transaction was not handed to ApplyTx")
 	}

@@ -1,6 +1,8 @@
 package xshard
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -79,18 +81,28 @@ func (c TableConfig) withDefaults() TableConfig {
 
 // entry is one pending transaction's state in the table: its pieces are
 // still being collected, or it waits for a conflicting one to go first.
+// Its body — groups, ops, keys and the slots — is filled once, from the
+// coordinator's Expect, the first piece delivered here or a crash
+// recovery's seed, and never changes after.
 type entry struct {
 	xid    XID
 	groups []int32
 	ops    []command.Command
-	keys   map[string]struct{}
+	// keys is the transaction's key set, command.KeyUnion(ops): the keys
+	// the entry is indexed under in pendingByKey.
+	keys []string
+	// payload is the encoded piece the body was filled from, nil for a
+	// seeded entry. Every piece of a transaction carries the same bytes,
+	// so a piece whose payload equals it registers without a decode.
+	payload []byte
 	// epoch is the routing epoch the transaction's pieces were
 	// partitioned under; survivor-side resolution rebuilds the same
 	// per-group key split from it.
 	epoch uint32
-	// got marks the groups whose piece was delivered before any abort
-	// marker of that group.
-	got map[int32]bool
+	// slots holds one slot per participating group, in groups' order;
+	// got counts the slots whose piece arrived.
+	slots []slot
+	got   int
 	// merged is the running max of the registered pieces' stable
 	// timestamps — a lower bound until the entry completes, the
 	// transaction's execution timestamp after.
@@ -102,15 +114,37 @@ type entry struct {
 	// regAt is when this node first learned of the transaction; the
 	// held-transaction-age gauge (OldestHeld) reads it.
 	regAt time.Time
-	// pieceIDs are the consensus command IDs of the pieces registered
-	// here, so the trace spine can record the transaction's outcome
-	// against each piece's CommandHistory.
-	pieceIDs []command.ID
+}
+
+// slot is one participating group's registration in an entry.
+type slot struct {
+	// got marks a group whose piece was delivered before any abort
+	// marker of that group.
+	got bool
+	// id is the piece's consensus command ID (zero when unknown), so the
+	// trace spine can record the transaction's outcome against each
+	// piece's CommandHistory.
+	id command.ID
+}
+
+// slot returns the slot of one participating group, or nil for a group
+// the transaction does not span.
+func (e *entry) slot(group int32) *slot {
+	if i := slices.Index(e.groups, group); i >= 0 {
+		return &e.slots[i]
+	}
+	return nil
+}
+
+// has reports whether the group's piece was delivered.
+func (e *entry) has(group int32) bool {
+	s := e.slot(group)
+	return s != nil && s.got
 }
 
 // complete reports whether every participating group delivered its piece.
 func (e *entry) complete() bool {
-	return len(e.groups) > 0 && len(e.got) == len(e.groups)
+	return len(e.groups) > 0 && e.got == len(e.groups)
 }
 
 // drainWaiter parks a callback until a snapshot of in-flight transactions
@@ -142,7 +176,7 @@ type settleWaiter struct {
 // for it exactly as if it were still held.
 type landing struct {
 	groups []int32
-	keys   map[string]struct{}
+	keys   []string
 	merged timestamp.Timestamp
 	epoch  uint32
 }
@@ -158,6 +192,16 @@ type landing struct {
 // registration is O(conflicts), not O(table²) — the difference between a
 // flat table and one holding hundreds of in-flight transactions under one
 // mutex (see BenchmarkTableRegister).
+//
+// A node decodes a transaction's body once. The coordinator's entry keeps
+// the payload it encoded, and a survivor's keeps the first piece it
+// decoded; a later piece with the same payload bytes, which is every
+// piece of a transaction its coordinator submitted, is matched by its
+// header alone (PieceXID). A piece whose bytes differ is decoded, and
+// dropped if it is malformed. The per-key lists of the index, the drain
+// pass's scratch and the flush queue are the table's own and reused, so a
+// transaction costs its entry, its slots, its key set and the body it
+// decodes, and nothing per key or per drain.
 //
 // A transaction that executed or died leaves the entries for the settled
 // set, which remembers it for the node's lifetime at the cost of the runs
@@ -187,20 +231,26 @@ type Table struct {
 	// executed or died here (an XID converts to a command.ID).
 	entries map[XID]*entry
 	settled *idset.Set
-	// pendingByKey indexes the pending entries by every key they touch;
-	// completed holds the pending entries whose pieces have all arrived
-	// (the only drain candidates).
-	pendingByKey  map[string]map[*entry]struct{}
+	// pendingByKey indexes the pending entries by every key they touch,
+	// in registration order; a key's list goes to spareLists when it
+	// empties, for the next key to reuse. completed holds the pending
+	// entries whose pieces have all arrived (the only drain candidates).
+	pendingByKey  map[string][]*entry
+	spareLists    [][]*entry
 	completed     map[*entry]struct{}
 	landing       map[XID]landing
 	drainWaiters  []*drainWaiter
 	settleWaiters []*settleWaiter
 	nextSeq       uint64
+	// ready and blockedKeys are drainLocked's scratch: the completed
+	// entries in execution order, and the keys of the ones that defer.
+	ready       []*entry
+	blockedKeys map[string]struct{}
 	// queue holds executions and client callbacks decided under mu, to
 	// be run outside it (the applier may sleep, callbacks may re-enter
 	// the table); flushing marks the single goroutine draining it, which
 	// keeps the apply order identical to the decision order.
-	queue    []func()
+	queue    []action
 	flushing bool
 
 	// halted marks a table shut down by stopAndFail: nothing pending can
@@ -218,9 +268,45 @@ func NewTable(cfg TableConfig, history *shard.Epochs) *Table {
 		xidReserved:  cfg.XIDFloor,
 		entries:      make(map[XID]*entry),
 		settled:      idset.New(),
-		pendingByKey: make(map[string]map[*entry]struct{}),
+		pendingByKey: make(map[string][]*entry),
 		completed:    make(map[*entry]struct{}),
 		landing:      make(map[XID]landing),
+		blockedKeys:  make(map[string]struct{}),
+	}
+}
+
+// maxSpareLists bounds the emptied key lists the table keeps for reuse:
+// enough for the keys of a few hundred transactions in flight.
+const maxSpareLists = 1024
+
+// action is one step of the flush queue: a parked handoff drain's
+// callback, an executed transaction's application, or a client callback
+// failed with err.
+type action struct {
+	fn     func()
+	apply  bool
+	xid    XID
+	merged timestamp.Timestamp
+	ops    []command.Command
+	done   protocol.DoneFunc
+	err    error
+}
+
+// run takes one action outside the lock.
+func (t *Table) run(a action) {
+	switch {
+	case a.fn != nil:
+		a.fn()
+	case a.apply:
+		if applyTx := t.cfg.ApplyTx; applyTx != nil {
+			xid, done := a.xid, a.done
+			applyTx(xid, a.merged, a.ops, func(err error) { t.settleAfterApply(xid, done, err) })
+			return
+		}
+		t.cfg.Exec.ApplyAllAt(a.ops, a.merged)
+		t.settleAfterApply(a.xid, a.done, nil)
+	default:
+		a.done(protocol.Result{Err: a.err})
 	}
 }
 
@@ -270,11 +356,14 @@ func (t *Table) SeedPending(xid XID, groups []int32, ops []command.Command, epoc
 	if e == nil || len(e.groups) > 0 {
 		return
 	}
-	t.fillLocked(e, groups, ops, epoch)
+	t.fillLocked(e, groups, ops, nil, epoch)
 	stagger := time.Duration(int32(t.cfg.Self)+1) * t.cfg.ResolveTimeout / 4
 	e.deadline = t.cfg.Now().Add(t.cfg.ResolveTimeout + stagger)
 	for _, g := range got {
-		e.got[g] = true
+		if s := e.slot(g); s != nil && !s.got {
+			s.got = true
+			e.got++
+		}
 	}
 	e.merged = merged
 	if e.complete() {
@@ -291,11 +380,13 @@ func (t *Table) PendingDetail() []string {
 	defer t.mu.Unlock()
 	var out []string
 	for xid, e := range t.entries {
-		got := make([]int32, 0, len(e.got))
-		for g := range e.got {
-			got = append(got, g)
+		got := make([]int32, 0, e.got)
+		for i, s := range e.slots {
+			if s.got {
+				got = append(got, e.groups[i])
+			}
 		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		slices.Sort(got)
 		out = append(out, fmt.Sprintf(
 			"xid=%v groups=%v got=%v merged=%v epoch=%d complete=%v done=%v deadline=%s",
 			xid, e.groups, got, e.merged, e.epoch, e.complete(), e.done != nil,
@@ -319,7 +410,7 @@ func (t *Table) DebugDrainWaiters() []string {
 		for xid := range w.remaining {
 			state := "settled"
 			if e := t.entries[xid]; e != nil {
-				state = fmt.Sprintf("got=%d/%d", len(e.got), len(e.groups))
+				state = fmt.Sprintf("got=%d/%d", e.got, len(e.groups))
 			} else if _, ok := t.landing[xid]; ok {
 				state = "settled, landing"
 			}
@@ -364,8 +455,11 @@ func (t *Table) OldestHeld() (XID, time.Time, command.ID, bool) {
 		if oldest.IsZero() || e.regAt.Before(oldest) {
 			xid, oldest = e.xid, e.regAt
 			piece = command.ID{}
-			if len(e.pieceIDs) > 0 {
-				piece = e.pieceIDs[0]
+			for _, s := range e.slots {
+				if !s.id.IsZero() {
+					piece = s.id
+					break
+				}
 			}
 		}
 	}
@@ -414,10 +508,10 @@ func (t *Table) flush() {
 	// Actions queued while one runs land behind it; once all have run the
 	// queue keeps its backing array for the next batch.
 	for i := 0; i < len(t.queue); i++ {
-		fn := t.queue[i]
-		t.queue[i] = nil
+		a := t.queue[i]
+		t.queue[i] = action{}
 		t.mu.Unlock()
-		fn()
+		t.run(a)
 		t.mu.Lock()
 	}
 	t.queue = t.queue[:0]
@@ -436,7 +530,7 @@ func (t *Table) pendingLocked(xid XID) *entry {
 		if t.settled.Has(command.ID(xid)) {
 			return nil
 		}
-		e = &entry{xid: xid, got: make(map[int32]bool)}
+		e = &entry{xid: xid}
 		t.entries[xid] = e
 	}
 	return e
@@ -449,37 +543,47 @@ func (t *Table) settleLocked(e *entry) {
 	t.settled.Add(command.ID(e.xid))
 }
 
-// fillLocked populates an entry's transaction body if still unknown and
-// indexes it by its keys.
-func (t *Table) fillLocked(e *entry, groups []int32, ops []command.Command, epoch uint32) {
+// fillLocked populates an entry's transaction body, and the payload it
+// came from (nil when none did), if still unknown and indexes it by its
+// keys.
+func (t *Table) fillLocked(e *entry, groups []int32, ops []command.Command, payload []byte, epoch uint32) {
 	if len(e.groups) > 0 {
 		return
 	}
 	e.groups = groups
 	e.ops = ops
+	e.payload = payload
 	e.epoch = epoch
 	e.regAt = t.cfg.Now()
-	e.keys = make(map[string]struct{})
-	for _, k := range command.KeyUnion(ops) {
-		e.keys[k] = struct{}{}
-		m := t.pendingByKey[k]
-		if m == nil {
-			m = make(map[*entry]struct{})
-			t.pendingByKey[k] = m
+	e.slots = make([]slot, len(groups))
+	e.keys = command.KeyUnion(ops)
+	for _, k := range e.keys {
+		list, ok := t.pendingByKey[k]
+		if !ok && len(t.spareLists) > 0 {
+			list = t.spareLists[len(t.spareLists)-1]
+			t.spareLists = t.spareLists[:len(t.spareLists)-1]
 		}
-		m[e] = struct{}{}
+		t.pendingByKey[k] = append(list, e)
 	}
 }
 
 // unindexLocked removes a settling entry from the key index and the drain
 // candidates.
 func (t *Table) unindexLocked(e *entry) {
-	for k := range e.keys {
-		if m := t.pendingByKey[k]; m != nil {
-			delete(m, e)
-			if len(m) == 0 {
-				delete(t.pendingByKey, k)
-			}
+	for _, k := range e.keys {
+		list := t.pendingByKey[k]
+		i := slices.Index(list, e)
+		if i < 0 {
+			continue
+		}
+		list = slices.Delete(list, i, i+1)
+		if len(list) > 0 {
+			t.pendingByKey[k] = list
+			continue
+		}
+		delete(t.pendingByKey, k)
+		if len(t.spareLists) < maxSpareLists {
+			t.spareLists = append(t.spareLists, list)
 		}
 	}
 	delete(t.completed, e)
@@ -546,7 +650,7 @@ func (t *Table) noteDrainedLocked(xid XID) {
 	for _, w := range t.drainWaiters {
 		delete(w.remaining, xid)
 		if len(w.remaining) == 0 {
-			t.queue = append(t.queue, w.fn)
+			t.queue = append(t.queue, action{fn: w.fn})
 			continue
 		}
 		kept = append(kept, w)
@@ -572,7 +676,7 @@ func (t *Table) AwaitGroupDrain(group int32, epoch uint32, fn func()) {
 	defer t.flush()
 	w := &drainWaiter{remaining: make(map[XID]struct{}), fn: fn}
 	for xid, e := range t.entries {
-		if e.got[group] && e.epoch < epoch {
+		if e.has(group) && e.epoch < epoch {
 			w.remaining[xid] = struct{}{}
 		}
 	}
@@ -582,7 +686,7 @@ func (t *Table) AwaitGroupDrain(group int32, epoch uint32, fn func()) {
 		}
 	}
 	if len(w.remaining) == 0 {
-		t.queue = append(t.queue, fn)
+		t.queue = append(t.queue, action{fn: fn})
 	} else {
 		t.drainWaiters = append(t.drainWaiters, w)
 	}
@@ -626,7 +730,7 @@ func (t *Table) settleBlockersLocked(keys []string, bound timestamp.Timestamp) m
 		remaining[xid] = struct{}{}
 	}
 	for _, k := range keys {
-		for e := range t.pendingByKey[k] {
+		for _, e := range t.pendingByKey[k] {
 			if !bound.Less(e.merged) { // lower bound <= read point: could execute below it
 				block(e.xid)
 			}
@@ -637,7 +741,7 @@ func (t *Table) settleBlockersLocked(keys []string, bound timestamp.Timestamp) m
 			continue
 		}
 		for _, k := range keys {
-			if _, ok := ld.keys[k]; ok {
+			if slices.Contains(ld.keys, k) {
 				block(xid)
 				break
 			}
@@ -647,54 +751,67 @@ func (t *Table) settleBlockersLocked(keys []string, bound timestamp.Timestamp) m
 }
 
 // Expect registers the coordinator-side entry before its pieces are
-// submitted; done (may be nil) fires on local execution or abort. The
-// coordinator gets the earliest resolution deadline — it is the node best
-// placed to notice a participant that never landed. Exported for the
+// submitted; done (may be nil) fires on local execution or abort. payload
+// is the pieces' encoded payload: the entry keeps it, and the pieces that
+// carry it register without being decoded (nil decodes the first piece).
+// The coordinator gets the earliest resolution deadline — it is the node
+// best placed to notice a participant that never landed. Exported for the
 // layered engines (xshard's own coordinator, rebalance tests).
-func (t *Table) Expect(xid XID, groups []int32, ops []command.Command, epoch uint32, done protocol.DoneFunc) {
+func (t *Table) Expect(xid XID, groups []int32, ops []command.Command, payload []byte, epoch uint32, done protocol.DoneFunc) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.pendingLocked(xid)
 	if e == nil {
 		return
 	}
-	t.fillLocked(e, groups, ops, epoch)
+	t.fillLocked(e, groups, ops, payload, epoch)
 	e.done = done
 	e.deadline = t.cfg.Now().Add(t.cfg.ResolveTimeout)
 }
 
-// registerPiece records one group's delivered piece; called from that
-// group's delivery goroutine via the group applier. ts is the piece's
+// registerPiece records one group's delivered piece of transaction xid,
+// whose encoded payload is payload; called from that group's delivery
+// goroutine via the group applier. The payload is decoded only when it
+// differs from the one the entry was filled from (or there is no entry
+// yet), and a piece that does not decode is dropped. ts is the piece's
 // stable timestamp within its group (zero for engines without timestamps);
 // epoch is the routing epoch the piece was submitted under; cmdID is the
 // piece's consensus command ID (zero when unknown), kept for the trace
 // spine.
-func (t *Table) registerPiece(group int32, p *Piece, ts timestamp.Timestamp, epoch uint32, cmdID command.ID) {
+func (t *Table) registerPiece(group int32, xid XID, payload []byte, ts timestamp.Timestamp, epoch uint32, cmdID command.ID) {
 	if !cmdID.IsZero() {
 		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxHold, cmdID, ts)
 	}
 	t.mu.Lock()
 	defer t.flush()
 	defer t.mu.Unlock()
-	e := t.pendingLocked(p.XID)
-	if e == nil {
+	e := t.entries[xid]
+	if e == nil && t.settled.Has(command.ID(xid)) {
 		return // settled: executed already, or dead in some group
 	}
-	if len(e.groups) == 0 {
-		// First sighting on this node: survivors learn the full
-		// transaction from any piece and stagger their resolution
-		// deadline behind the coordinator's by node rank.
-		t.fillLocked(e, p.Groups, p.Ops, epoch)
-		stagger := time.Duration(int32(t.cfg.Self)+1) * t.cfg.ResolveTimeout / 4
-		e.deadline = t.cfg.Now().Add(t.cfg.ResolveTimeout + stagger)
+	if e == nil || !bytes.Equal(e.payload, payload) {
+		_, groups, ops, err := decodePiece(payload)
+		if err != nil {
+			return
+		}
+		if e == nil {
+			e = t.pendingLocked(xid)
+		}
+		if len(e.groups) == 0 {
+			// First sighting on this node: survivors learn the full
+			// transaction from any piece and stagger their resolution
+			// deadline behind the coordinator's by node rank.
+			t.fillLocked(e, groups, ops, payload, epoch)
+			stagger := time.Duration(int32(t.cfg.Self)+1) * t.cfg.ResolveTimeout / 4
+			e.deadline = t.cfg.Now().Add(t.cfg.ResolveTimeout + stagger)
+		}
 	}
-	if e.got[group] {
+	s := e.slot(group)
+	if s == nil || s.got {
 		return
 	}
-	e.got[group] = true
-	if !cmdID.IsZero() {
-		e.pieceIDs = append(e.pieceIDs, cmdID)
-	}
+	s.got, s.id = true, cmdID
+	e.got++
 	if e.merged.Less(ts) {
 		e.merged = ts
 	}
@@ -713,7 +830,7 @@ func (t *Table) registerAbort(group int32, a *Abort) {
 	defer t.flush()
 	defer t.mu.Unlock()
 	e := t.pendingLocked(a.XID)
-	if e == nil || e.got[group] {
+	if e == nil || e.has(group) {
 		return
 	}
 	t.killLocked(e, ErrAborted)
@@ -754,7 +871,7 @@ func (t *Table) holdAttributeLocked(e *entry) {
 		g = int(e.groups[0])
 	}
 	cg := p.Group(g)
-	for k := range e.keys {
+	for _, k := range e.keys {
 		cg.Hold(k, age)
 	}
 }
@@ -766,14 +883,22 @@ func (t *Table) killLocked(e *entry, reason error) {
 	t.unindexLocked(e)
 	t.settleLocked(e)
 	t.noteResolvedLocked(e.xid)
-	for _, id := range e.pieceIDs {
-		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxAbort, id, e.merged)
-	}
+	t.traceLocked(e, trace.KindTxAbort)
 	if t.cfg.Metrics != nil {
 		t.cfg.Metrics.CrossShardAborts.Inc()
 	}
-	if done := e.done; done != nil {
-		t.queue = append(t.queue, func() { done(protocol.Result{Err: reason}) })
+	if e.done != nil {
+		t.queue = append(t.queue, action{done: e.done, err: reason})
+	}
+}
+
+// traceLocked records a resolving entry's outcome against each of its
+// registered pieces.
+func (t *Table) traceLocked(e *entry, kind trace.Kind) {
+	for _, s := range e.slots {
+		if !s.id.IsZero() {
+			t.cfg.Trace.Record(t.cfg.Self, kind, s.id, e.merged)
+		}
 	}
 }
 
@@ -787,42 +912,49 @@ func (t *Table) killLocked(e *entry, reason error) {
 // entry.
 func (t *Table) drainLocked() {
 	for len(t.completed) > 0 {
-		ready := make([]*entry, 0, len(t.completed))
 		for e := range t.completed {
-			ready = append(ready, e)
+			t.ready = append(t.ready, e)
 		}
-		sort.Slice(ready, func(i, j int) bool {
-			if ready[i].epoch != ready[j].epoch || ready[i].merged != ready[j].merged {
-				return runsBefore(ready[i], ready[j])
-			}
-			if ready[i].xid.Node != ready[j].xid.Node {
-				return ready[i].xid.Node < ready[j].xid.Node
-			}
-			return ready[i].xid.Seq < ready[j].xid.Seq
-		})
+		slices.SortFunc(t.ready, drainOrder)
+		if len(t.blockedKeys) > 0 {
+			clear(t.blockedKeys)
+		}
 		progress := false
-		var blockedKeys map[string]struct{}
-		for _, e := range ready {
+		for _, e := range t.ready {
 			// Blocking is transitive through completed entries: if an
 			// earlier-timestamped conflicting entry is deferred, this one
 			// must defer too, or replicas where the earlier one was not
 			// deferred would execute the pair in the opposite order.
-			if t.blockedLocked(e) || touchesAny(e, blockedKeys) {
-				if blockedKeys == nil {
-					blockedKeys = make(map[string]struct{})
-				}
-				for k := range e.keys {
-					blockedKeys[k] = struct{}{}
+			if t.blockedLocked(e) || touchesAny(e, t.blockedKeys) {
+				for _, k := range e.keys {
+					t.blockedKeys[k] = struct{}{}
 				}
 				continue
 			}
 			t.executeLocked(e)
 			progress = true
 		}
+		clear(t.ready)
+		t.ready = t.ready[:0]
 		if !progress {
 			return
 		}
 	}
+}
+
+// drainOrder is the order completed entries are tried in: runsBefore's,
+// then XID for a deterministic tie break.
+func drainOrder(a, b *entry) int {
+	if c := cmp.Compare(a.epoch, b.epoch); c != 0 {
+		return c
+	}
+	if c := a.merged.Compare(b.merged); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.xid.Node, b.xid.Node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.xid.Seq, b.xid.Seq)
 }
 
 // touchesAny reports whether e shares a key with the blocked-key set.
@@ -830,7 +962,7 @@ func touchesAny(e *entry, keys map[string]struct{}) bool {
 	if len(keys) == 0 {
 		return false
 	}
-	for k := range e.keys {
+	for _, k := range e.keys {
 		if _, ok := keys[k]; ok {
 			return true
 		}
@@ -861,8 +993,8 @@ func runsBefore(a, b *entry) bool {
 // resolution timer — each of which re-drains the table. Blockers are found
 // through the key index: only entries actually sharing a key are examined.
 func (t *Table) blockedLocked(e *entry) bool {
-	for k := range e.keys {
-		for o := range t.pendingByKey[k] {
+	for _, k := range e.keys {
+		for _, o := range t.pendingByKey[k] {
 			if o == e || o.complete() {
 				continue
 			}
@@ -882,23 +1014,12 @@ func (t *Table) executeLocked(e *entry) {
 	t.holdAttributeLocked(e)
 	t.unindexLocked(e)
 	t.settleLocked(e)
-	xid, merged, ops, done := e.xid, e.merged, e.ops, e.done
-	t.landing[xid] = landing{groups: e.groups, keys: e.keys, merged: merged, epoch: e.epoch}
-	for _, id := range e.pieceIDs {
-		t.cfg.Trace.Record(t.cfg.Self, trace.KindTxExec, id, merged)
-	}
+	t.landing[e.xid] = landing{groups: e.groups, keys: e.keys, merged: e.merged, epoch: e.epoch}
+	t.traceLocked(e, trace.KindTxExec)
 	if t.cfg.Metrics != nil {
 		t.cfg.Metrics.CrossShardCommits.Inc()
 	}
-	exec, applyTx := t.cfg.Exec, t.cfg.ApplyTx
-	t.queue = append(t.queue, func() {
-		if applyTx != nil {
-			applyTx(xid, merged, ops, func(err error) { t.settleAfterApply(xid, done, err) })
-			return
-		}
-		exec.ApplyAllAt(ops, merged)
-		t.settleAfterApply(xid, done, nil)
-	})
+	t.queue = append(t.queue, action{apply: true, xid: e.xid, merged: e.merged, ops: e.ops, done: e.done})
 }
 
 // pieceFailed reacts to a participant submission that could not be placed
@@ -917,9 +1038,8 @@ func (t *Table) pieceFailed(xid XID, err error) {
 		return
 	}
 	if e.done != nil {
-		done := e.done
+		t.queue = append(t.queue, action{done: e.done, err: err})
 		e.done = nil
-		t.queue = append(t.queue, func() { done(protocol.Result{Err: err}) })
 	}
 	e.deadline = t.cfg.Now()
 }
@@ -950,18 +1070,11 @@ func (t *Table) Resolve() {
 		if !ok {
 			continue
 		}
-		parts, err := partition(router, e.ops)
-		if err != nil {
-			continue
-		}
-		for _, g := range e.groups {
-			if e.got[g] {
+		for i, g := range e.groups {
+			if e.slots[i].got {
 				continue
 			}
-			cmd, err := AbortCommand(e.xid, g, parts[int(g)])
-			if err != nil {
-				continue
-			}
+			cmd := abortCommand(e.xid, g, groupKeys(router, e.ops, g))
 			cmd.Epoch = e.epoch
 			markers = append(markers, marker{xid: xid, group: int(g), cmd: cmd})
 		}
@@ -1025,8 +1138,8 @@ type groupApplier struct {
 func (a *groupApplier) ApplyAt(cmd command.Command, ts timestamp.Timestamp) []byte {
 	switch cmd.Op {
 	case command.OpXCommit:
-		if p, err := DecodePiece(cmd.Payload); err == nil {
-			a.t.registerPiece(a.group, p, ts, cmd.Epoch, cmd.ID)
+		if xid, err := PieceXID(cmd.Payload); err == nil {
+			a.t.registerPiece(a.group, xid, cmd.Payload, ts, cmd.Epoch, cmd.ID)
 		}
 		return nil
 	case command.OpXAbort:

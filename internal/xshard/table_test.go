@@ -62,16 +62,16 @@ func TestTableExecutesWhenAllPiecesRegistered(t *testing.T) {
 	xid := XID{Node: 0, Seq: 1}
 	ops := testOps("a", "b")
 	var res *protocol.Result
-	tb.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { res = &r })
+	tb.Expect(xid, []int32{0, 1}, ops, nil, 0, func(r protocol.Result) { res = &r })
 
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 	if exec.count() != 0 {
 		t.Fatal("executed before all groups registered")
 	}
 	if res != nil {
 		t.Fatal("done fired early")
 	}
-	tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(9, 2), 0, command.ID{})
+	tb.registerPiece(1, xid, encodePiece(xid, []int32{0, 1}, ops), ts(9, 2), 0, command.ID{})
 	if exec.count() != 1 || len(exec.calls[0]) != 2 {
 		t.Fatalf("expected one atomic execution of 2 ops, got %v", exec.calls)
 	}
@@ -92,11 +92,11 @@ func TestTableMarkerAfterPieceIsNoOp(t *testing.T) {
 	xid := XID{Node: 1, Seq: 7}
 	ops := testOps("a", "b")
 
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 	// The marker lost the race in group 0 (its piece was delivered first):
 	// it must not kill the transaction.
 	tb.registerAbort(0, &Abort{XID: xid, Group: 0})
-	tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(6, 1), 0, command.ID{})
+	tb.registerPiece(1, xid, encodePiece(xid, []int32{0, 1}, ops), ts(6, 1), 0, command.ID{})
 	if exec.count() != 1 {
 		t.Fatalf("transaction executed %d times, want 1 (marker lost the race)", exec.count())
 	}
@@ -109,16 +109,16 @@ func TestTableMarkerBeforePieceKills(t *testing.T) {
 	ops := testOps("a", "b")
 	var got error
 	gotSet := false
-	tb.Expect(xid, []int32{0, 1}, ops, 0, func(r protocol.Result) { got, gotSet = r.Err, true })
+	tb.Expect(xid, []int32{0, 1}, ops, nil, 0, func(r protocol.Result) { got, gotSet = r.Err, true })
 
-	tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(5, 0), 0, command.ID{})
 	// Group 1 delivered the marker before its piece: dead everywhere.
 	tb.registerAbort(1, &Abort{XID: xid, Group: 1})
 	if !gotSet || !errors.Is(got, ErrAborted) {
 		t.Fatalf("done = %v (set=%v), want ErrAborted", got, gotSet)
 	}
 	// The late piece must be dropped, not resurrect the transaction.
-	tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(9, 1), 0, command.ID{})
+	tb.registerPiece(1, xid, encodePiece(xid, []int32{0, 1}, ops), ts(9, 1), 0, command.ID{})
 	if exec.count() != 0 {
 		t.Fatalf("dead transaction executed %d times, want 0", exec.count())
 	}
@@ -137,14 +137,14 @@ func TestTableOrdersConflictingTransactionsByMergedTimestamp(t *testing.T) {
 	ops1 := testOps("shared", "x1-only")
 	ops2 := testOps("shared", "x2-only")
 
-	tb.registerPiece(0, &Piece{XID: x1, Groups: []int32{0, 1}, Ops: ops1}, ts(2, 0), 0, command.ID{})
-	tb.registerPiece(0, &Piece{XID: x2, Groups: []int32{0, 1}, Ops: ops2}, ts(3, 0), 0, command.ID{})
-	tb.registerPiece(1, &Piece{XID: x2, Groups: []int32{0, 1}, Ops: ops2}, ts(10, 1), 0, command.ID{})
+	tb.registerPiece(0, x1, encodePiece(x1, []int32{0, 1}, ops1), ts(2, 0), 0, command.ID{})
+	tb.registerPiece(0, x2, encodePiece(x2, []int32{0, 1}, ops2), ts(3, 0), 0, command.ID{})
+	tb.registerPiece(1, x2, encodePiece(x2, []int32{0, 1}, ops2), ts(10, 1), 0, command.ID{})
 	if exec.count() != 0 {
 		t.Fatal("X2 executed while conflicting X1 could still merge below it")
 	}
 	// X1 completes at merged ⟨20,1⟩ > X2's ⟨10,1⟩: X2 runs first, then X1.
-	tb.registerPiece(1, &Piece{XID: x1, Groups: []int32{0, 1}, Ops: ops1}, ts(20, 1), 0, command.ID{})
+	tb.registerPiece(1, x1, encodePiece(x1, []int32{0, 1}, ops1), ts(20, 1), 0, command.ID{})
 	if exec.count() != 2 {
 		t.Fatalf("executed %d transactions, want 2", exec.count())
 	}
@@ -165,16 +165,16 @@ func TestTableRunsEarlierEpochFirst(t *testing.T) {
 	o, n := XID{Node: 2, Seq: 20}, XID{Node: 1, Seq: 21}
 	opsO := testOps("shared", "o-only")
 	opsN := testOps("shared", "n-only")
-	pieceO := &Piece{XID: o, Groups: []int32{0, 1}, Ops: opsO}
-	pieceN := &Piece{XID: n, Groups: []int32{1, 5}, Ops: opsN}
+	pieceO := encodePiece(o, []int32{0, 1}, opsO)
+	pieceN := encodePiece(n, []int32{1, 5}, opsN)
 
-	tb.registerPiece(0, pieceO, ts(23709, 2), 0, command.ID{})
-	tb.registerPiece(5, pieceN, ts(3, 1), 1, command.ID{})
-	tb.registerPiece(1, pieceN, ts(58, 1), 1, command.ID{})
+	tb.registerPiece(0, o, pieceO, ts(23709, 2), 0, command.ID{})
+	tb.registerPiece(5, n, pieceN, ts(3, 1), 1, command.ID{})
+	tb.registerPiece(1, n, pieceN, ts(58, 1), 1, command.ID{})
 	if exec.count() != 0 {
 		t.Fatal("the later epoch's transaction ran while an earlier epoch's was incomplete")
 	}
-	tb.registerPiece(1, pieceO, ts(55, 2), 0, command.ID{})
+	tb.registerPiece(1, o, pieceO, ts(55, 2), 0, command.ID{})
 	if exec.count() != 2 {
 		t.Fatalf("executed %d transactions, want 2", exec.count())
 	}
@@ -186,10 +186,10 @@ func TestTableRunsEarlierEpochFirst(t *testing.T) {
 	// The other way round: a later epoch's incomplete transaction, however
 	// low its bound, never holds back an earlier epoch's.
 	o2, n2 := XID{Node: 2, Seq: 22}, XID{Node: 1, Seq: 23}
-	tb.registerPiece(5, &Piece{XID: n2, Groups: []int32{1, 5}, Ops: opsN}, ts(4, 1), 1, command.ID{})
-	pieceO2 := &Piece{XID: o2, Groups: []int32{0, 1}, Ops: opsO}
-	tb.registerPiece(0, pieceO2, ts(23710, 2), 0, command.ID{})
-	tb.registerPiece(1, pieceO2, ts(56, 2), 0, command.ID{})
+	tb.registerPiece(5, n2, encodePiece(n2, []int32{1, 5}, opsN), ts(4, 1), 1, command.ID{})
+	pieceO2 := encodePiece(o2, []int32{0, 1}, opsO)
+	tb.registerPiece(0, o2, pieceO2, ts(23710, 2), 0, command.ID{})
+	tb.registerPiece(1, o2, pieceO2, ts(56, 2), 0, command.ID{})
 	if exec.count() != 3 {
 		t.Fatalf("epoch 0's transaction waited behind epoch 1's: %d executions, want 3", exec.count())
 	}
@@ -202,9 +202,9 @@ func TestTableNonConflictingCompletionsDoNotBlock(t *testing.T) {
 	ops1 := testOps("a1", "b1")
 	ops2 := testOps("a2", "b2")
 
-	tb.registerPiece(0, &Piece{XID: x1, Groups: []int32{0, 1}, Ops: ops1}, ts(2, 0), 0, command.ID{})
-	tb.registerPiece(0, &Piece{XID: x2, Groups: []int32{0, 1}, Ops: ops2}, ts(3, 0), 0, command.ID{})
-	tb.registerPiece(1, &Piece{XID: x2, Groups: []int32{0, 1}, Ops: ops2}, ts(10, 1), 0, command.ID{})
+	tb.registerPiece(0, x1, encodePiece(x1, []int32{0, 1}, ops1), ts(2, 0), 0, command.ID{})
+	tb.registerPiece(0, x2, encodePiece(x2, []int32{0, 1}, ops2), ts(3, 0), 0, command.ID{})
+	tb.registerPiece(1, x2, encodePiece(x2, []int32{0, 1}, ops2), ts(10, 1), 0, command.ID{})
 	if exec.count() != 1 {
 		t.Fatalf("disjoint X2 executed %d times, want 1 (no spurious deferral)", exec.count())
 	}
@@ -225,16 +225,16 @@ func TestTableBlockingIsTransitive(t *testing.T) {
 	ops1 := testOps("a", "b")
 	ops2 := testOps("a", "c")
 
-	tb.registerPiece(0, &Piece{XID: o, Groups: []int32{0, 1}, Ops: opsO}, ts(3, 0), 0, command.ID{})
-	tb.registerPiece(0, &Piece{XID: e1, Groups: []int32{0, 1}, Ops: ops1}, ts(4, 0), 0, command.ID{})
-	tb.registerPiece(1, &Piece{XID: e1, Groups: []int32{0, 1}, Ops: ops1}, ts(5, 1), 0, command.ID{})
-	tb.registerPiece(0, &Piece{XID: e2, Groups: []int32{0, 1}, Ops: ops2}, ts(6, 0), 0, command.ID{})
-	tb.registerPiece(1, &Piece{XID: e2, Groups: []int32{0, 1}, Ops: ops2}, ts(7, 1), 0, command.ID{})
+	tb.registerPiece(0, o, encodePiece(o, []int32{0, 1}, opsO), ts(3, 0), 0, command.ID{})
+	tb.registerPiece(0, e1, encodePiece(e1, []int32{0, 1}, ops1), ts(4, 0), 0, command.ID{})
+	tb.registerPiece(1, e1, encodePiece(e1, []int32{0, 1}, ops1), ts(5, 1), 0, command.ID{})
+	tb.registerPiece(0, e2, encodePiece(e2, []int32{0, 1}, ops2), ts(6, 0), 0, command.ID{})
+	tb.registerPiece(1, e2, encodePiece(e2, []int32{0, 1}, ops2), ts(7, 1), 0, command.ID{})
 	if exec.count() != 0 {
 		t.Fatalf("executed %d transactions while O could still merge below both, want 0", exec.count())
 	}
 	// O completes above everyone: the whole chain drains in merged order.
-	tb.registerPiece(1, &Piece{XID: o, Groups: []int32{0, 1}, Ops: opsO}, ts(9, 1), 0, command.ID{})
+	tb.registerPiece(1, o, encodePiece(o, []int32{0, 1}, opsO), ts(9, 1), 0, command.ID{})
 	if exec.count() != 3 {
 		t.Fatalf("executed %d transactions after O completed, want 3", exec.count())
 	}
@@ -257,9 +257,9 @@ func TestLateAbortMarkerIsIgnored(t *testing.T) {
 	tb := NewTable(TableConfig{Self: 0, Exec: &recordingExec{}, ResolveTimeout: time.Second,
 		Metrics: met, Now: func() time.Time { return now }}, nil)
 	xid := XID{Node: 1, Seq: 3}
-	piece := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps("a", "b")}
-	tb.registerPiece(0, piece, ts(5, 0), 0, command.ID{})
-	tb.registerPiece(1, piece, ts(6, 1), 0, command.ID{})
+	piece := encodePiece(xid, []int32{0, 1}, testOps("a", "b"))
+	tb.registerPiece(0, xid, piece, ts(5, 0), 0, command.ID{})
+	tb.registerPiece(1, xid, piece, ts(6, 1), 0, command.ID{})
 	if got := met.CrossShardCommits.Load(); got != 1 {
 		t.Fatalf("%d commits, want 1", got)
 	}
@@ -283,16 +283,16 @@ func TestSettledIsNoOp(t *testing.T) {
 	ops := testOps("a", "b")
 	done, dead := XID{Node: 1, Seq: 1}, XID{Node: 1, Seq: 2}
 	for _, g := range []int32{0, 1} {
-		tb.registerPiece(g, &Piece{XID: done, Groups: []int32{0, 1}, Ops: ops}, ts(5, g), 0, command.ID{})
+		tb.registerPiece(g, done, encodePiece(done, []int32{0, 1}, ops), ts(5, g), 0, command.ID{})
 	}
 	tb.registerAbort(0, &Abort{XID: dead, Group: 0})
 	for _, xid := range []XID{done, dead} {
-		tb.registerPiece(0, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(7, 0), 0, command.ID{})
-		tb.registerPiece(1, &Piece{XID: xid, Groups: []int32{0, 1}, Ops: ops}, ts(7, 1), 0, command.ID{})
+		tb.registerPiece(0, xid, encodePiece(xid, []int32{0, 1}, ops), ts(7, 0), 0, command.ID{})
+		tb.registerPiece(1, xid, encodePiece(xid, []int32{0, 1}, ops), ts(7, 1), 0, command.ID{})
 		tb.registerAbort(1, &Abort{XID: xid, Group: 1})
 		tb.KillStale(0, xid)
 		called := false
-		tb.Expect(xid, []int32{0, 1}, ops, 0, func(protocol.Result) { called = true })
+		tb.Expect(xid, []int32{0, 1}, ops, nil, 0, func(protocol.Result) { called = true })
 		if called {
 			t.Errorf("%v: Expect's callback fired", xid)
 		}
@@ -321,9 +321,9 @@ func TestTenThousandSettledTransactionsCostARunEach(t *testing.T) {
 				}
 				xid := XID{Node: timestamp.NodeID(node), Seq: s}
 				key := fmt.Sprintf("k%d/%d", node, s)
-				p := &Piece{XID: xid, Groups: []int32{0, 1}, Ops: testOps(key+"a", key+"b")}
-				tb.registerPiece(0, p, ts(s, 0), 0, command.ID{})
-				tb.registerPiece(1, p, ts(s, 1), 0, command.ID{})
+				p := encodePiece(xid, []int32{0, 1}, testOps(key+"a", key+"b"))
+				tb.registerPiece(0, xid, p, ts(s, 0), 0, command.ID{})
+				tb.registerPiece(1, xid, p, ts(s, 1), 0, command.ID{})
 			}
 		}
 	}

@@ -16,6 +16,12 @@
 // group delivers its piece on every node in the same order, all nodes make
 // the same commit decision without any extra round of agreement.
 //
+// Every piece carries the same payload bytes, encoded once by the
+// coordinator. A delivery reads only the payload's header (PieceXID); the
+// commit table decodes the body when its entry has none, so a node decodes
+// a transaction once, and its coordinator, whose entry keeps the payload
+// it encoded, not at all.
+//
 // Aborts ride on consensus too: an abort marker conflicts with its group's
 // piece, so the group totally orders the two. Marker first kills the
 // transaction in that group — and therefore everywhere, deterministically —
@@ -58,6 +64,7 @@ package xshard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/caesar-consensus/caesar/internal/batch"
 	"github.com/caesar-consensus/caesar/internal/codec"
@@ -161,22 +168,43 @@ func encodePiece(xid XID, groups []int32, ops []command.Command) []byte {
 // DecodePiece decodes an OpXCommit command's payload. The piece aliases
 // nothing of payload.
 func DecodePiece(payload []byte) (*Piece, error) {
-	r, xid, err := readHeader(payload, kindPiece)
+	xid, groups, ops, err := decodePiece(payload)
 	if err != nil {
 		return nil, err
 	}
-	var groups []int32
+	return &Piece{XID: xid, Groups: groups, Ops: ops}, nil
+}
+
+// decodePiece is DecodePiece without the Piece: the commit table fills
+// its entry from the parts.
+func decodePiece(payload []byte) (xid XID, groups []int32, ops []command.Command, err error) {
+	r, xid, err := readHeader(payload, kindPiece)
+	if err != nil {
+		return xid, nil, nil, err
+	}
 	if n := r.Count(1); n > 0 { // a group is at least one uvarint byte
 		groups = make([]int32, n)
 		for i := range groups {
 			groups[i] = int32(r.Uint32())
 		}
 	}
-	ops := r.Commands()
+	ops = r.Commands()
 	if err := r.End(); err != nil {
-		return nil, err
+		return xid, nil, nil, err
 	}
-	return &Piece{XID: xid, Groups: groups, Ops: ops}, nil
+	return xid, groups, ops, nil
+}
+
+// PieceXID reads the transaction an OpXCommit payload belongs to without
+// decoding the rest, allocating nothing: what a delivery needs to find
+// its table entry, and all the rebalance gate needs of a stale piece. A
+// payload whose header reads cleanly may still fail DecodePiece.
+func PieceXID(payload []byte) (XID, error) {
+	r, xid, err := readHeader(payload, kindPiece)
+	if err == nil {
+		err = r.Err()
+	}
+	return xid, err
 }
 
 // DecodeAbort decodes an OpXAbort command's payload.
@@ -201,43 +229,69 @@ func memberOps(cmd command.Command) ([]command.Command, error) {
 	return []command.Command{cmd}, nil
 }
 
-// partition groups a transaction's members by the shard their keys route
-// to. A member that itself spans groups is unsupported and rejected with
-// the router's ErrCrossShard.
-func partition(r shard.Router, ops []command.Command) (map[int][]command.Command, error) {
-	parts := make(map[int][]command.Command)
+// partition returns the groups a transaction's members route to, sorted
+// and distinct. A member that itself spans groups is unsupported and
+// rejected with the router's ErrCrossShard.
+func partition(r shard.Router, ops []command.Command) ([]int32, error) {
+	groups := make([]int32, 0, min(len(ops), 4)) // a handful, in one allocation
 	for _, op := range ops {
-		g, err := r.Route(op)
-		if err != nil {
+		g, ok := r.Home(op)
+		if !ok {
+			_, err := r.Route(op)
 			return nil, err
 		}
-		parts[g] = append(parts[g], op)
+		if !slices.Contains(groups, int32(g)) {
+			groups = append(groups, int32(g))
+		}
 	}
-	return parts, nil
+	slices.Sort(groups)
+	return groups, nil
 }
 
-// pieceWithPayload stamps one group's participant command from the
-// transaction's pre-encoded payload: an OpXCommit keyed by the group's
-// share of the key set, so it conflicts exactly with that group's
-// affected traffic. The single stamping rule shared by PieceCommand and
-// the coordinator's submit loop (which encodes the payload once for all
-// groups).
-func pieceWithPayload(payload []byte, groupOps []command.Command) command.Command {
-	return command.Command{Op: command.OpXCommit, Payload: payload}.WithKeys(command.KeyUnion(groupOps))
+// groupKeys returns the distinct keys, in first-seen order, of the members
+// that route to group g: one group's share of the transaction's key set,
+// which its piece and its abort marker are keyed by, so they conflict
+// exactly with that group's affected traffic.
+func groupKeys(r shard.Router, ops []command.Command, g int32) []string {
+	var keys []string
+	for _, op := range ops {
+		if h, ok := r.Home(op); !ok || int32(h) != g {
+			continue
+		}
+		for _, k := range op.Keys() {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
+	}
+	return keys
 }
 
 // PieceCommand builds the participant command proposed to one group,
-// carrying the full transaction. The error is always nil (the encoding
-// cannot fail); it stays in the signature with its callers.
+// carrying the full transaction and keyed by the group's members. The
+// error is always nil (the encoding cannot fail); it stays in the
+// signature with its callers.
 func PieceCommand(xid XID, groups []int32, all, groupOps []command.Command) (command.Command, error) {
-	return pieceWithPayload(encodePiece(xid, groups, all), groupOps), nil
+	return pieceCommand(encodePiece(xid, groups, all), command.KeyUnion(groupOps)), nil
+}
+
+// pieceCommand stamps one group's participant command from the
+// transaction's encoded payload, which the coordinator encodes once for
+// every group: only the keys differ between pieces.
+func pieceCommand(payload []byte, keys []string) command.Command {
+	return command.Command{Op: command.OpXCommit, Payload: payload}.WithKeys(keys)
 }
 
 // AbortCommand builds the abort marker proposed to one group, keyed like
 // the group's piece so the two are totally ordered by that group. The
 // error is always nil, as PieceCommand's.
 func AbortCommand(xid XID, group int32, groupOps []command.Command) (command.Command, error) {
+	return abortCommand(xid, group, command.KeyUnion(groupOps)), nil
+}
+
+// abortCommand is AbortCommand over the group's key set.
+func abortCommand(xid XID, group int32, keys []string) command.Command {
 	payload := appendHeader(make([]byte, 0, 16), kindAbort, xid)
 	payload = codec.AppendUvarint(payload, uint64(uint32(group)))
-	return command.Command{Op: command.OpXAbort, Payload: payload}.WithKeys(command.KeyUnion(groupOps)), nil
+	return command.Command{Op: command.OpXAbort, Payload: payload}.WithKeys(keys)
 }
