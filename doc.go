@@ -116,7 +116,11 @@
 // ReadTx fans the frontier wait across every touched group, merges to the
 // max per-group stamp, waits until no held cross-shard transaction on its
 // keys could still execute below it, and cuts one snapshot under a single
-// store lock.
+// store lock. A read's working memory — its key lists, its fence channel,
+// Read's result — is a pooled state the fences complete into and the store
+// snapshots into, so a read that nothing blocks allocates nothing inside
+// the engine (ReadTx allocates the two slices it returns); a state goes
+// back to the pool only once every fence it registered has completed.
 //
 // Guaranteed: a read observes a real point of its key's conflict order —
 // never a torn write, never a reordering; a ReadTx snapshot is one

@@ -209,8 +209,10 @@ type history struct {
 	purgedBarrier timestamp.Timestamp
 	purgedMax     timestamp.Timestamp
 	// scratch collects a predecessor set's IDs before scratchSet copies
-	// them out; the event loop that owns the history owns it too.
+	// them out into a slice of sets; the event loop that owns the history
+	// owns both.
 	scratch []command.ID
+	sets    chunk.Slices[command.ID]
 }
 
 func newHistory() *history {
@@ -503,14 +505,16 @@ func (h *history) predecessorsBelow(cmd command.Command, ts timestamp.Timestamp)
 }
 
 // scratchSet returns the IDs collected in scratch as a set the caller owns:
-// sorted, compacted and copied out in one allocation, nil when empty —
+// sorted, compacted and copied out into a slice carved from the history's
+// chunk of sets (one of its own past a quarter chunk), nil when empty —
 // where growing the set one insert at a time reallocates at every doubling,
-// and lan3-mixed4g's hot keys reach 73 conflicts.
+// and lan3-mixed4g's hot keys reach 73 conflicts. A set lives as long as
+// the message it is sent in or the record it is stored in.
 func (h *history) scratchSet() []command.ID {
-	if len(h.scratch) == 0 {
-		return nil
-	}
-	return slices.Clone(slices.Compact(command.SortIDs(h.scratch)))
+	set := slices.Compact(command.SortIDs(h.scratch))
+	out := h.sets.Make(len(set))
+	copy(out, set)
+	return out
 }
 
 // computePredecessors is COMPUTEPREDECESSORS of Fig 3: with no whitelist

@@ -46,3 +46,25 @@ func TestEnsureAllocatesUnderOneRecord(t *testing.T) {
 		t.Errorf("ensure allocates %.2f per new record, want under 1", n)
 	}
 }
+
+// A predecessor set is carved from the history's chunk of sets: at the
+// conflict depth of BenchmarkPredecessors' middle row, 8, a set costs
+// under one allocation. The set is the caller's, so every call carves a
+// fresh one.
+func TestPredecessorSetAllocatesUnderOne(t *testing.T) {
+	const depth = 8
+	h := newHistory()
+	for i := 1; i <= depth; i++ {
+		h.setTimestamp(h.ensure(put(0, uint64(i), "k")), ts(uint64(2*i), 0))
+	}
+	probe, at := put(1, 1, "k"), ts(uint64(2*depth+1), 1)
+	n := allocsPer(1000, func() {
+		if pred := h.predecessorsBelow(probe, at); len(pred) != depth {
+			t.Fatalf("%d predecessors, want %d", len(pred), depth)
+		}
+	})
+	t.Logf("%.3f allocations per set of %d", n, depth)
+	if n >= 1 {
+		t.Errorf("a predecessor set of %d allocates %.3f, want under 1", depth, n)
+	}
+}

@@ -29,21 +29,23 @@ import (
 )
 
 // readWaiter is one parked read fence: remaining counts the conflicting
-// commands still unapplied; done fires (from the event loop — it must not
-// block) when the count reaches zero. parkedAt lets the full park
+// commands still unapplied; done completes (from the event loop — it must
+// not block) when the count reaches zero. parkedAt lets the full park
 // duration be attributed to the last blocker's key in the contention
 // profile.
 type readWaiter struct {
 	remaining int
-	done      func(error)
+	done      protocol.Completion
 	parkedAt  time.Time
 }
 
-// evReadFence registers a read point inside the event loop.
+// evReadFence registers a read point inside the event loop. ReadFence
+// takes each from the replica's chunk and posts the pointer; the loop
+// never writes to it.
 type evReadFence struct {
 	keys []string
 	ts   timestamp.Timestamp
-	done func(error)
+	done protocol.Completion
 }
 
 // ReadStamp issues a fresh read timestamp from the replica's logical
@@ -66,15 +68,22 @@ func (r *Replica) ObserveStamp(ts timestamp.Timestamp) {
 
 // ReadFence parks done until every command conflicting with keys that this
 // replica has seen and that could still order below ts has been applied to
-// the local store. done is invoked from the event loop (or inline on a
-// stopped replica, with protocol.ErrStopped) and must not block.
-func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done func(error)) {
+// the local store. done completes exactly once, with a nil Err, from the
+// event loop (or inline on a stopped replica, with protocol.ErrStopped),
+// and must not block. keys is read on the event loop until done completes.
+// Safe for concurrent use: the event is a slot of the replica's chunk,
+// taken under fencesMu, so a fence costs under one allocation.
+func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done protocol.Completion) {
 	if len(keys) == 0 {
-		done(nil)
+		done.Complete(protocol.Result{})
 		return
 	}
-	if !r.Post(evReadFence{keys: keys, ts: ts, done: done}) {
-		done(protocol.ErrStopped)
+	r.fencesMu.Lock()
+	e := r.fences.Next()
+	r.fencesMu.Unlock()
+	e.keys, e.ts, e.done = keys, ts, done
+	if !r.Post(e) {
+		done.Complete(protocol.Result{Err: protocol.ErrStopped})
 	}
 }
 
@@ -85,7 +94,7 @@ func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done func(err
 // retries above it is waited for anyway — a small latency cost, never a
 // correctness one. The waiter is allocated at the first blocker: a read
 // that nothing blocks costs none.
-func (r *Replica) onReadFence(e evReadFence) {
+func (r *Replica) onReadFence(e *evReadFence) {
 	phantom := command.Command{Op: command.OpGet, Key: e.keys[0]}
 	if len(e.keys) > 1 {
 		phantom.ExtraKeys = e.keys[1:]
@@ -112,7 +121,7 @@ func (r *Replica) onReadFence(e evReadFence) {
 		return true
 	})
 	if w == nil {
-		e.done(nil)
+		e.done.Complete(protocol.Result{})
 		return
 	}
 	w.parkedAt = r.now
@@ -142,7 +151,7 @@ func (r *Replica) releaseReads(rec *record) {
 			if r.ctd != nil && !w.parkedAt.IsZero() {
 				r.ctd.ParkDone(lastKey, r.now.Sub(w.parkedAt))
 			}
-			w.done(nil)
+			w.done.Complete(protocol.Result{})
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // fence registers a read fence and returns its completion channel.
 func fence(rep *Replica, keys []string, at timestamp.Timestamp) chan error {
 	ch := make(chan error, 1)
-	rep.ReadFence(keys, at, func(err error) { ch <- err })
+	rep.ReadFence(keys, at, protocol.DoneFunc(func(res protocol.Result) { ch <- res.Err }))
 	return ch
 }
 

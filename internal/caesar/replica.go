@@ -207,6 +207,11 @@ type Replica struct {
 	// deliveries is where every command handed to a deferred chain takes
 	// its completion from (delivery.go).
 	deliveries chunk.Of[delivery]
+	// fences is where every read fence posted to the loop comes from
+	// (readfence.go). ReadFence runs on the reader's goroutine, so
+	// fencesMu guards it.
+	fencesMu sync.Mutex
+	fences   chunk.Of[evReadFence]
 
 	fd      *failure.Detector
 	nextSeq uint64
@@ -291,7 +296,7 @@ func (r *Replica) failInFlight() {
 		for _, w := range rec.reads {
 			if w.remaining > 0 { // a fence parks on several records: fail it once
 				w.remaining = 0
-				w.done(protocol.ErrStopped)
+				w.done.Complete(protocol.Result{Err: protocol.ErrStopped})
 			}
 		}
 	}
@@ -339,7 +344,7 @@ func (r *Replica) step(now time.Time, ev protocol.Event) {
 		r.onSubmit(e.Cmd, e.Done)
 	case evAck:
 		r.onAck(e.rec)
-	case evReadFence:
+	case *evReadFence:
 		r.onReadFence(e)
 	}
 }

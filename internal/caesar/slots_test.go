@@ -6,7 +6,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
@@ -229,6 +231,69 @@ func TestDeliveriesAreNeverReused(t *testing.T) {
 		}
 		if d.rec != nil || d.done != nil {
 			t.Fatalf("completed delivery %d still points at its record or callback", i)
+		}
+	}
+}
+
+// fenceProbe is one read fence's completion: it counts how often it fired
+// and with what.
+type fenceProbe struct {
+	fired atomic.Int32
+	err   atomic.Value
+	wg    *sync.WaitGroup
+}
+
+func (p *fenceProbe) Complete(res protocol.Result) {
+	if res.Err != nil {
+		p.err.Store(res.Err)
+	}
+	if p.fired.Add(1) == 1 {
+		p.wg.Done()
+	}
+}
+
+// TestFenceEventsAreNeverReused: ReadFence takes its event from the
+// replica's chunk under a lock and posts the pointer, and the event loop
+// reads it later. Four goroutines each register more than two chunks of
+// fences on a running replica, each with a key and a completion of its
+// own: every completion fires exactly once, without error.
+func TestFenceEventsAreNeverReused(t *testing.T) {
+	const readers, per = 4, 2*chunk.Size + 1
+	r, _ := testReplica(0)
+	r.Start()
+	defer r.Stop()
+	var wg sync.WaitGroup
+	wg.Add(readers * per)
+	probes := make([][]*fenceProbe, readers)
+	var started sync.WaitGroup
+	for g := range probes {
+		probes[g] = make([]*fenceProbe, per)
+		for i := range probes[g] {
+			probes[g][i] = &fenceProbe{wg: &wg}
+		}
+		started.Add(1)
+		go func(g int) {
+			defer started.Done()
+			for i, p := range probes[g] {
+				r.ReadFence([]string{fmt.Sprintf("g%d-%d", g, i)}, r.ReadStamp(), p)
+			}
+		}(g)
+	}
+	started.Wait()
+	all := make(chan struct{})
+	go func() { wg.Wait(); close(all) }()
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+	}
+	for g := range probes {
+		for i, p := range probes[g] {
+			if n := p.fired.Load(); n != 1 {
+				t.Errorf("fence %d of reader %d fired %d times, want once", i, g, n)
+			}
+			if err := p.err.Load(); err != nil {
+				t.Errorf("fence %d of reader %d failed: %v", i, g, err)
+			}
 		}
 	}
 }

@@ -8,6 +8,12 @@
 // every client Submission from one, a CAESAR history every record, and a
 // CAESAR replica every coordinator it leads a command with and every
 // delivery it hands a deferred applier chain as the command's completion.
+// On the read path, a CAESAR replica takes every read fence a reader posts
+// to its event loop from one (under a lock: readers call from their own
+// goroutines). Slices carves short slices from shared chunks the same way:
+// the predecessor sets and whitelists a wire.Decoder decodes (one chunk per
+// link) and the predecessor sets a CAESAR history computes (one chunk per
+// history), each capped at its length so that an append reallocates.
 // The key-value store does not use this package: its entries are never
 // freed (the store has no delete), so it keeps its own never-freed tail,
 // sized to fill its size class (internal/kvstore).
@@ -19,7 +25,9 @@
 // until its next scan. Nothing may write to a slot once it has been handed
 // on. The price is that a live slot keeps its whole chunk reachable, and
 // whatever its siblings point at, so only values that die with their
-// step, or in creation order, like records, are worth chunking. A value
+// step, or in creation order, like records, are worth chunking. An ID set
+// lives as long as the message it came in or the record that keeps it,
+// which die the same way. A value
 // that may live on long after its neighbours — a hot key's conflict-list
 // entry — would pin its chunk, and is recycled by its owner instead.
 //
@@ -47,6 +55,12 @@
 //	coordinator        344      5      5  1,792   4.0 %
 //	Stable             168     12     12  2,048   1.6 %
 //	shard.Envelope      24     16     16    384   0.0 %
+//	evReadFence         56     16     18  1,024   1.6 %
+//	[]command.ID        16    128    128  2,048   0.0 %
+//
+// A Slices chunk also leaves unused the tail too short for the next slice;
+// a slice longer than a quarter chunk (32 IDs) is allocated alone, so that
+// tail stays under a quarter.
 //
 // No chunk takes more bytes than the request alone would
 // (TestChunksHoldAtMostMaxBytes). Those values die with their step or soon
@@ -86,6 +100,40 @@ func (c *Of[T]) Next() *T {
 	v := &c.free[0]
 	c.free = c.free[1:]
 	return v
+}
+
+// Slices carves short []T from shared chunks of maxBytes, and never hands
+// an element out twice. The zero value is ready to use; it is not safe for
+// concurrent use.
+type Slices[T any] struct {
+	free []T // the unused tail of the current chunk
+}
+
+// Make returns a zeroed []T of length n no one else has been given, nil
+// for n = 0. Its capacity is n, so an append reallocates and never writes
+// into the next slice. A slice longer than a quarter chunk is allocated
+// alone.
+func (c *Slices[T]) Make(n int) []T {
+	per := perSlice[T]()
+	switch {
+	case n == 0:
+		return nil
+	case n > per/4:
+		return make([]T, n)
+	case len(c.free) < n:
+		c.free = slices.Grow([]T(nil), per)
+		c.free = c.free[:cap(c.free)]
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// perSlice is how many elements of T one chunk of slices holds: as many
+// as fit in maxBytes, and at least one.
+func perSlice[T any]() int {
+	var v T
+	return max(1, maxBytes/max(1, int(unsafe.Sizeof(v))))
 }
 
 // perChunk is how many values of T one chunk holds: Size, or as many as

@@ -30,6 +30,7 @@ func TestSlotsAreNeverReused(t *testing.T) {
 // pointerful object over 512 bytes carries the 8-byte malloc header.
 type (
 	ptrs24  struct{ _ [3]*byte }  // shard.Envelope
+	ptrs56  struct{ _ [7]*byte }  // caesar.evReadFence
 	ptrs72  struct{ _ [9]*byte }  // caesar.FastProposeReply
 	ptrs80  struct{ _ [10]*byte } // caesar.delivery
 	ptrs128 struct{ _ [16]*byte } // protocol.Submission
@@ -110,6 +111,7 @@ func TestChunksHoldAtMostMaxBytes(t *testing.T) {
 	checkChunk[[128]byte](t, "[128]byte", Size) // exactly the 2,048-byte class
 	checkChunk[[4096]byte](t, "[4096]byte", 1)
 	checkChunk[ptrs24](t, "24-byte", 16)
+	checkChunk[ptrs56](t, "56-byte", 18)
 	checkChunk[ptrs72](t, "72-byte", 17)
 	checkChunk[ptrs80](t, "80-byte", 17)
 	checkChunk[ptrs128](t, "128-byte", 17)
@@ -117,4 +119,76 @@ func TestChunksHoldAtMostMaxBytes(t *testing.T) {
 	checkChunk[ptrs176](t, "176-byte", 11)
 	checkChunk[ptrs344](t, "344-byte", 5)
 	checkChunk[ptrs392](t, "392-byte", 5)
+}
+
+// id stands in for command.ID, the element the wire decoder and the
+// CAESAR history carve ID sets of: 16 bytes, no pointers.
+type id struct {
+	node int32
+	seq  uint64
+}
+
+// TestCarvedSlicesNeverOverlap: over more than two chunks, every slice is
+// zeroed and its own, its capacity is its length (an append reallocates
+// and leaves its neighbour alone), an empty one is nil, and one longer
+// than a quarter chunk is allocated alone, leaving the chunk's tail as it
+// was.
+func TestCarvedSlicesNeverOverlap(t *testing.T) {
+	per := perSlice[id]()
+	if per != maxBytes/16 {
+		t.Fatalf("%d IDs per chunk, want %d", per, maxBytes/16)
+	}
+	var c Slices[id]
+	if s := c.Make(0); s != nil {
+		t.Fatalf("Make(0) = %v, want nil", s)
+	}
+	var got [][]id
+	seq := uint64(0)
+	for carved := 0; carved < 2*per+1; {
+		n := len(got)%(per/4) + 1
+		s := c.Make(n)
+		if len(s) != n || cap(s) != n {
+			t.Fatalf("Make(%d): len %d cap %d, want both %d", n, len(s), cap(s), n)
+		}
+		for i := range s {
+			if s[i] != (id{}) {
+				t.Fatalf("slice %d handed out holding %v", len(got), s[i])
+			}
+			seq++
+			s[i] = id{node: int32(len(got)), seq: seq}
+		}
+		got = append(got, s)
+		carved += n
+	}
+	seq = 0
+	for k, s := range got {
+		for i := range s {
+			seq++
+			if s[i] != (id{node: int32(k), seq: seq}) {
+				t.Fatalf("slice %d element %d now holds %v: another slice wrote it", k, i, s[i])
+			}
+		}
+	}
+
+	first, second := got[0], got[1]
+	grown := append(first, id{seq: 1 << 40})
+	if &grown[0] == &first[0] {
+		t.Fatal("an append to a carved slice kept its array")
+	}
+	if second[0] != (id{node: 1, seq: 2}) {
+		t.Fatalf("an append to slice 0 wrote into slice 1: %v", second[0])
+	}
+
+	tail := len(c.free)
+	long := c.Make(per/4 + 1)
+	if len(c.free) != tail || cap(long) != per/4+1 {
+		t.Fatalf("a %d-element slice was carved from the chunk (tail %d -> %d)", per/4+1, tail, len(c.free))
+	}
+	want := tail - 1
+	if tail == 0 {
+		want = per - 1 // a fresh chunk
+	}
+	if c.Make(1); len(c.free) != want {
+		t.Fatalf("a 1-element slice left a tail of %d, want %d", len(c.free), want)
+	}
 }

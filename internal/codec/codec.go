@@ -63,6 +63,7 @@ import (
 	"errors"
 	"math"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -151,8 +152,9 @@ func AppendCommands(b []byte, cmds []command.Command) []byte {
 // Reader walks one encoded buffer. The first malformed field latches Err;
 // every later read returns a zero value, so callers decode a whole
 // structure and check Err once. Decoded strings and byte slices are
-// exact-size copies — nothing returned aliases the buffer, which callers
-// are free to reuse — and empty ones decode to "" and nil.
+// exact-size copies and ID lists are copies too, exact-size or carved from
+// the caller's chunk — nothing returned aliases the buffer, which callers
+// are free to reuse — and empty ones decode to "", nil and nil.
 type Reader struct {
 	b   []byte
 	err error
@@ -293,13 +295,19 @@ func (r *Reader) ID() command.ID {
 	return command.ID{Node: node, Seq: r.Uvarint()}
 }
 
-// IDs reads a counted list of command IDs; an empty list decodes to nil.
-func (r *Reader) IDs() []command.ID {
+// IDs reads a counted list of command IDs into a slice of from, or of its
+// own when from is nil; an empty list decodes to nil.
+func (r *Reader) IDs(from *chunk.Slices[command.ID]) []command.ID {
 	n := r.Count(2) // an id is at least two uvarint bytes
 	if n == 0 {
 		return nil
 	}
-	ids := make([]command.ID, n)
+	var ids []command.ID
+	if from != nil {
+		ids = from.Make(n)
+	} else {
+		ids = make([]command.ID, n)
+	}
 	for i := range ids {
 		ids[i] = r.ID()
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/caesar-consensus/caesar/internal/chunk"
 	"github.com/caesar-consensus/caesar/internal/command"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
@@ -29,7 +30,8 @@ func TestFieldsRoundTrip(t *testing.T) {
 		b = AppendIDs(b, nil)
 		b = AppendBool(b, true)
 		r := NewReader(b)
-		gotCmd, gotTs, gotIDs, empty, flag := r.Command(), r.Timestamp(), r.IDs(), r.IDs(), r.Bool()
+		var from chunk.Slices[command.ID]
+		gotCmd, gotTs, gotIDs, empty, flag := r.Command(), r.Timestamp(), r.IDs(&from), r.IDs(nil), r.Bool()
 		if r.Err() != nil || r.Len() != 0 {
 			t.Fatalf("%v: err %v, %d bytes left", cmd, r.Err(), r.Len())
 		}
@@ -41,8 +43,8 @@ func TestFieldsRoundTrip(t *testing.T) {
 			r := NewReader(b[:cut])
 			r.Command()
 			r.Timestamp()
-			r.IDs()
-			r.IDs()
+			r.IDs(nil)
+			r.IDs(nil)
 			r.Bool()
 			if r.Err() == nil {
 				t.Fatalf("%d byte prefix of %d decoded cleanly", cut, len(b))
@@ -71,7 +73,7 @@ func TestDecodedFieldsOwnTheirMemory(t *testing.T) {
 func TestForgedCountsAreRejected(t *testing.T) {
 	huge := AppendUvarint(nil, 1<<40)
 	for name, read := range map[string]func(*Reader){
-		"ids":   func(r *Reader) { r.IDs() },
+		"ids":   func(r *Reader) { r.IDs(nil) },
 		"cmds":  func(r *Reader) { r.Commands() },
 		"bytes": func(r *Reader) { r.Bytes() },
 		"count": func(r *Reader) { r.Count(1) },

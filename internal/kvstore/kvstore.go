@@ -316,19 +316,19 @@ func (s *Store) getAtLocked(key string, epoch uint32, ts timestamp.Timestamp) (v
 }
 
 // SnapshotAt reads several keys at one read point under a single lock
-// hold: because writers (including atomic transaction application) mutate
-// under the write lock, the returned values are a consistent cut — a
-// transaction's writes appear for all of its keys or for none. When some
-// key has no retained version visible at the point (covered=false), hidden
-// is the highest stamp among those it retains: a read stamped above it is
-// covered again. Those stamps can sit above the key's own group clock — a
-// cross-shard transaction's writes carry its merged timestamp — so the
-// read layer must push the clock past hidden, not just re-stamp.
-func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) (vals [][]byte, present []bool, hidden timestamp.Timestamp, covered bool) {
+// hold, into the caller's vals and present (each as long as keys): because
+// writers (including atomic transaction application) mutate under the
+// write lock, the values are a consistent cut — a transaction's writes
+// appear for all of its keys or for none. When some key has no retained
+// version visible at the point (covered=false), vals and present are
+// partly written and hidden is the highest stamp among the versions that
+// key retains: a read stamped above it is covered again. Those stamps can
+// sit above the key's own group clock — a cross-shard transaction's writes
+// carry its merged timestamp — so the read layer must push the clock past
+// hidden, not just re-stamp.
+func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp, vals [][]byte, present []bool) (hidden timestamp.Timestamp, covered bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	vals = make([][]byte, len(keys))
-	present = make([]bool, len(keys))
 	for i, k := range keys {
 		v, p, c := s.getAtLocked(k, epoch, ts)
 		if !c {
@@ -337,11 +337,11 @@ func (s *Store) SnapshotAt(keys []string, epoch uint32, ts timestamp.Timestamp) 
 			for _, ver := range e.replaced() {
 				hidden = timestamp.Max(hidden, ver.ts())
 			}
-			return nil, nil, hidden, false
+			return hidden, false
 		}
 		vals[i], present[i] = v, p
 	}
-	return vals, present, timestamp.Zero, true
+	return timestamp.Zero, true
 }
 
 // Export returns a copy of every entry whose key satisfies pred (nil =

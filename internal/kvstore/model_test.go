@@ -353,7 +353,7 @@ func TestStoreMatchesFullHistoryModel(t *testing.T) {
 				}
 				at := timestamp.Timestamp{Seq: seq - uint64(rng.Intn(150)), Node: timestamp.NodeID(rng.Intn(3))}
 				e := epoch - uint32(rng.Intn(min(int(epoch), 2)+1))
-				gv, gp, gh, gc := s.SnapshotAt(probe, e, at)
+				gv, gp, gh, gc := snapshot(s, probe, e, at)
 				wv, wp, wh, wc := ref.snapshotAt(probe, e, at)
 				if gc != wc || gh != wh || len(gv) != len(wv) {
 					t.Fatalf("step %d: SnapshotAt(%v, epoch %d, %v) covered %v hidden %v (%d values), model %v %v (%d)", step, probe, e, at, gc, gh, len(gv), wc, wh, len(wv))

@@ -104,7 +104,7 @@ func TestGetAtRingEvictionFallsToBaseThenUncovered(t *testing.T) {
 		t.Fatal("read below the retention window must report uncovered")
 	}
 	// A snapshot names the stamp a retry has to clear: the key's newest.
-	if _, _, hidden, covered := s.SnapshotAt([]string{"k"}, 0, ts(35)); covered || hidden != ts(10*(versionRing+4)) {
+	if _, _, hidden, covered := snapshot(s, []string{"k"}, 0, ts(35)); covered || hidden != ts(10*(versionRing+4)) {
 		t.Fatalf("snapshot at 35: covered=%v hidden=%v, want uncovered behind %v", covered, hidden, ts(10*(versionRing+4)))
 	}
 }
@@ -141,11 +141,11 @@ func TestSnapshotAtSeesAtomicUnitWholeOrNot(t *testing.T) {
 		command.Put("b", []byte("b1")),
 	}, ts(10))
 
-	vals, _, _, covered := s.SnapshotAt([]string{"a", "b"}, 0, ts(9))
+	vals, _, _, covered := snapshot(s, []string{"a", "b"}, 0, ts(9))
 	if !covered || string(vals[0]) != "a0" || string(vals[1]) != "b0" {
 		t.Fatalf("snapshot below the tx = %q/%q covered=%v", vals[0], vals[1], covered)
 	}
-	vals, _, _, covered = s.SnapshotAt([]string{"a", "b"}, 0, ts(10))
+	vals, _, _, covered = snapshot(s, []string{"a", "b"}, 0, ts(10))
 	if !covered || string(vals[0]) != "a1" || string(vals[1]) != "b1" {
 		t.Fatalf("snapshot at the tx = %q/%q covered=%v", vals[0], vals[1], covered)
 	}
@@ -177,7 +177,7 @@ func TestNoReaderRetainsNothing(t *testing.T) {
 	if got := s.RetainedVersions(); got != 0 {
 		t.Fatalf("RetainedVersions = %d after 10,000 unread puts, want 0", got)
 	}
-	if _, _, hidden, covered := s.SnapshotAt([]string{"k0"}, 0, ts(9999)); covered || hidden != ts(10000) {
+	if _, _, hidden, covered := snapshot(s, []string{"k0"}, 0, ts(9999)); covered || hidden != ts(10000) {
 		t.Fatalf("read below the only version: covered=%v hidden=%v, want uncovered behind %v", covered, hidden, ts(10000))
 	}
 
@@ -242,7 +242,7 @@ func TestRetentionUnderRace(t *testing.T) {
 				s.BeginRead()
 				floor := lastApplied.Load()
 				at := ts(clock.Add(1))
-				vals, _, hidden, covered := s.SnapshotAt([]string{"a", "b"}, 0, at)
+				vals, _, hidden, covered := snapshot(s, []string{"a", "b"}, 0, at)
 				s.EndRead()
 				if !covered {
 					if ran := started.Load() - before; ran <= versionRing || !at.Less(hidden) {
@@ -267,4 +267,14 @@ func TestRetentionUnderRace(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	writer.Wait()
+}
+
+// snapshot is SnapshotAt into slices of its own, nil when uncovered.
+func snapshot(s *Store, keys []string, epoch uint32, at timestamp.Timestamp) ([][]byte, []bool, timestamp.Timestamp, bool) {
+	vals, present := make([][]byte, len(keys)), make([]bool, len(keys))
+	hidden, covered := s.SnapshotAt(keys, epoch, at, vals, present)
+	if !covered {
+		return nil, nil, hidden, false
+	}
+	return vals, present, hidden, true
 }

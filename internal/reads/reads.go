@@ -27,6 +27,22 @@
 // racing a live resize retries under one consistent epoch, exactly like a
 // straddling ProposeTx (rebalance's ErrEpochRetry discipline).
 //
+// # Allocation
+//
+// A read allocates nothing it does not return. Its working memory is a
+// readState from the engine's pool: Read's one-key list and one-value
+// result, the touched groups with their key slices, and a channel with a
+// slot per fence registered. The state is the protocol.Completion every
+// group's fence completes into, and the store snapshots into the caller's
+// slices (kvstore.Store.SnapshotAt), so an unblocked Read allocates nothing
+// and a ReadTx only the two slices it returns. A state goes back to the
+// pool only once every fence it registered has completed: an attempt that
+// returns with one still parked — a cancelled context, an error from one
+// group while another is parked, a stopped group — leaves its state to the
+// GC, and the retry takes a fresh one, so a stale fence can never release
+// a later read. OldestPending copies the keys it reports, since the list
+// goes back with the state.
+//
 // # Guarantee
 //
 // Served reads are real points of the serialization order: a single-key
@@ -47,6 +63,7 @@ package reads
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,10 +85,13 @@ type GroupReader interface {
 	// ObserveStamp raises the group's clock to at least ts: every later
 	// ReadStamp orders above it.
 	ObserveStamp(ts timestamp.Timestamp)
-	// ReadFence calls done (nil error) once every conflicting command the
-	// group has seen that could still order below ts has been applied
-	// locally; done must not block.
-	ReadFence(keys []string, ts timestamp.Timestamp, done func(error))
+	// ReadFence completes done once every conflicting command the group
+	// has seen that could still order below ts has been applied locally:
+	// exactly once, from the group's event loop (or inline, with
+	// protocol.ErrStopped, on a stopped group), with a nil Err. Complete
+	// must not block. keys stays the caller's, read by the group until
+	// done completes.
+	ReadFence(keys []string, ts timestamp.Timestamp, done protocol.Completion)
 }
 
 // ErrUnavailable reports that a key's consensus group has no local read
@@ -119,12 +139,42 @@ type Engine struct {
 	pendingMu  sync.Mutex
 	pendingSeq uint64
 	pending    map[uint64]pendingRead
+
+	// states holds the *readState of reads that returned with every fence
+	// they registered completed.
+	states sync.Pool
 }
 
-// pendingRead is one in-flight read the watchdog can observe.
+// pendingRead is one in-flight read the watchdog can observe. keys is the
+// reader's, so only a copy may leave pendingMu.
 type pendingRead struct {
 	keys  []string
 	since time.Time
+}
+
+// readState is one read's working memory, taken from Engine.states: Read's
+// one-key list and one-value result, the touched groups with their key
+// slices, and the channel the groups' fences complete into, which holds a
+// slot per fence registered. A state goes back to the pool only once every
+// fence it registered has completed (release); an attempt that returns
+// with one still parked leaves its state to the GC, since the fence would
+// complete into whichever read took the state next.
+type readState struct {
+	key     [1]string
+	val     [1][]byte
+	present [1]bool
+	touched []groupRead
+	fenced  chan error
+	parked  int // fences registered and not yet received
+}
+
+// Complete implements protocol.Completion for every fence of an attempt;
+// each fires exactly once, from a group's event loop.
+func (s *readState) Complete(res protocol.Result) {
+	select {
+	case s.fenced <- res.Err:
+	default: // unreachable: fenced holds a slot for every fence registered
+	}
 }
 
 // New builds the engine over the node's store. Groups are attached as the
@@ -136,6 +186,7 @@ func New(store *kvstore.Store, met *metrics.Recorder) *Engine {
 		now:     time.Now,
 		groups:  make(map[int]GroupReader),
 		pending: make(map[uint64]pendingRead),
+		states:  sync.Pool{New: func() any { return new(readState) }},
 	}
 }
 
@@ -218,27 +269,47 @@ func (e *Engine) currentTable() *xshard.Table {
 // key.
 func (e *Engine) Read(ctx context.Context, key string) (val []byte, present bool, err error) {
 	start := e.now()
-	vals, pres, err := e.do(ctx, []string{key})
-	if err != nil {
-		return nil, false, err
+	s := e.states.Get().(*readState)
+	s.key[0] = key
+	// The key and the result stay in the first state even if an attempt
+	// leaves it to the GC: no other read can take it.
+	keys, vals, pres := s.key[:], s.val[:], s.present[:]
+	last, err := e.do(ctx, s, keys, vals, pres)
+	if err == nil {
+		val, present = vals[0], pres[0]
+		e.observe(start, key)
 	}
-	e.observe(start, key)
-	return vals[0], pres[0], nil
+	e.release(last)
+	return val, present, err
 }
 
 // ReadTx serves a snapshot read of several keys — across consensus groups
 // — at one merged read timestamp: a consistent cut in which cross-shard
-// transactions appear whole or not at all. Values align with keys.
+// transactions appear whole or not at all. Values align with keys; the two
+// slices are the read's only allocations when nothing blocks it.
 func (e *Engine) ReadTx(ctx context.Context, keys []string) (vals [][]byte, present []bool, err error) {
 	if len(keys) == 0 {
 		return nil, nil, nil
 	}
 	start := e.now()
-	vals, present, err = e.do(ctx, keys)
-	if err == nil {
-		e.observe(start, keys[0])
+	vals, present = make([][]byte, len(keys)), make([]bool, len(keys))
+	last, err := e.do(ctx, e.states.Get().(*readState), keys, vals, present)
+	e.release(last)
+	if err != nil {
+		return nil, nil, err
 	}
-	return vals, present, err
+	e.observe(start, keys[0])
+	return vals, present, nil
+}
+
+// release puts s back into the pool, unless a fence it registered is still
+// parked: the GC takes that state.
+func (e *Engine) release(s *readState) {
+	if s.parked > 0 {
+		return
+	}
+	s.key[0], s.val[0] = "", nil
+	e.states.Put(s)
 }
 
 // observe records the read's latency with the (first) key as exemplar
@@ -250,13 +321,14 @@ func (e *Engine) observe(start time.Time, ref string) {
 	}
 }
 
-// do runs the attempt loop: route → stamp → fence → settle → snapshot,
-// retrying under a fresh routing epoch and stamp whenever a resize (or a
-// version-window overrun) invalidates the attempt. One dead-group retry
-// is expected (a shrink retired the group; the re-route heals it); a
-// second consecutive one means the node itself is stopping, which the
-// caller should see as such.
-func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error) {
+// do runs the attempt loop: route → stamp → fence → settle → snapshot into
+// vals and present, retrying under a fresh routing epoch and stamp whenever
+// a resize (or a version-window overrun) invalidates the attempt. One
+// dead-group retry is expected (a shrink retired the group; the re-route
+// heals it); a second consecutive one means the node itself is stopping,
+// which the caller should see as such. It returns the state the last
+// attempt used, for the caller to release once it has read the result.
+func (e *Engine) do(ctx context.Context, s *readState, keys []string, vals [][]byte, present []bool) (*readState, error) {
 	e.pendingMu.Lock()
 	e.pendingSeq++
 	token := e.pendingSeq
@@ -271,11 +343,17 @@ func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error
 	defer e.store.EndRead()
 	stopped := 0
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		vals, present, err := e.attempt(ctx, keys)
+		if s.parked > 0 {
+			// The last attempt returned with a fence parked, which will
+			// complete into s: the retry takes a fresh state.
+			e.release(s)
+			s = e.states.Get().(*readState)
+		}
+		err := e.attempt(ctx, s, keys, vals, present)
 		switch {
 		case errors.Is(err, errRetryStopped):
 			if stopped++; stopped >= 2 {
-				return nil, nil, protocol.ErrStopped
+				return s, protocol.ErrStopped
 			}
 			continue
 		case errors.Is(err, errRetry):
@@ -285,9 +363,9 @@ func (e *Engine) do(ctx context.Context, keys []string) ([][]byte, []bool, error
 			stopped = 0
 			continue
 		}
-		return vals, present, err
+		return s, err
 	}
-	return nil, nil, ErrRetriesExhausted
+	return s, ErrRetriesExhausted
 }
 
 // groupRead is one touched group's share of an attempt.
@@ -297,13 +375,16 @@ type groupRead struct {
 	keys   []string
 }
 
-func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, error) {
+// attempt runs one route → stamp → fence → settle → snapshot pass with s,
+// which has no fence parked.
+func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals [][]byte, present []bool) error {
 	// Route every key under one router snapshot; the whole attempt is
 	// invalidated together if a resize moves any key (the read-side
-	// analogue of a ProposeTx's single-epoch split).
+	// analogue of a ProposeTx's single-epoch split). The touched list and
+	// its key slices are the state's, kept from the reads before.
 	router := e.currentRouter()
 	epoch := router.Epoch()
-	touched := make([]groupRead, 0, 4)
+	touched := s.touched[:0]
 	for _, k := range keys {
 		g := router.Shard(k)
 		i := 0
@@ -313,12 +394,17 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 		if i == len(touched) {
 			r := e.reader(g)
 			if r == nil {
-				return nil, nil, ErrUnavailable
+				return ErrUnavailable
 			}
-			touched = append(touched, groupRead{group: g, reader: r})
+			// Grow keeps the entry past the length, whose key slice is
+			// reused.
+			touched = slices.Grow(touched, 1)[:i+1]
+			t := &touched[i]
+			t.group, t.reader, t.keys = g, r, t.keys[:0]
 		}
 		touched[i].keys = append(touched[i].keys, k)
 	}
+	s.touched = touched
 
 	// The read point is the max of the groups' stamps (the commit table's
 	// merged-timestamp discipline, applied to the read): each group then
@@ -327,25 +413,29 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 	for _, t := range touched {
 		ts = timestamp.Max(ts, t.reader.ReadStamp())
 	}
-	fenced := make(chan error, len(touched))
+	if cap(s.fenced) < len(touched) {
+		s.fenced = make(chan error, len(touched))
+	}
 	for _, t := range touched {
-		t.reader.ReadFence(t.keys, ts, func(err error) { fenced <- err })
+		s.parked++
+		t.reader.ReadFence(t.keys, ts, s)
 	}
 	for range touched {
 		select {
-		case err := <-fenced:
+		case err := <-s.fenced:
+			s.parked--
 			if err != nil {
 				// ErrStopped: the group died under the read (a shrink
 				// retired it, or the node is closing). A retry re-routes;
 				// on a closing node the loop surfaces the error via the
 				// next attempt's fence.
 				if errors.Is(err, protocol.ErrStopped) {
-					return nil, nil, e.retryOrStopped(ctx)
+					return e.retryOrStopped(ctx)
 				}
-				return nil, nil, err
+				return err
 			}
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 
@@ -358,7 +448,7 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 			select {
 			case <-settled:
 			case <-ctx.Done():
-				return nil, nil, ctx.Err()
+				return ctx.Err()
 			}
 			if p := e.contendProfile(); p != nil {
 				// A settle wait is a read parked by the commit table:
@@ -383,13 +473,13 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 	if cur.Epoch() != epoch {
 		for _, k := range keys {
 			if cur.Shard(k) != router.Shard(k) {
-				return nil, nil, errRetry
+				return errRetry
 			}
 		}
 		epoch = cur.Epoch()
 	}
 
-	vals, present, hidden, covered := e.store.SnapshotAt(keys, epoch, ts)
+	hidden, covered := e.store.SnapshotAt(keys, epoch, ts, vals, present)
 	if !covered {
 		// No retained version of some key is visible at the read point: a
 		// long fence wait under a same-key write burst, or a version
@@ -401,22 +491,23 @@ func (e *Engine) attempt(ctx context.Context, keys []string) ([][]byte, []bool, 
 		for _, t := range touched {
 			t.reader.ObserveStamp(hidden)
 		}
-		return nil, nil, errRetry
+		return errRetry
 	}
 	if after := e.currentRouter(); after.Epoch() != epoch {
 		// Yet another epoch landed between the recheck and the snapshot
 		// cut: a write stamped with it could have applied invisibly to
 		// the adopted epoch. Rare (two installs inside one read); retry.
-		return nil, nil, errRetry
+		return errRetry
 	}
-	return vals, present, nil
+	return nil
 }
 
 // OldestPending reports the keys and start instant of the
 // longest-running in-flight read — the watchdog's read-fence-park-age
 // signal. A read fence parked behind an unapplied command (or a commit
 // table that never settles) shows up here long before any client
-// timeout fires.
+// timeout fires. The keys are a copy: the read's own list goes back to
+// its caller, or to the pool, when the read returns.
 func (e *Engine) OldestPending() ([]string, time.Time, bool) {
 	e.pendingMu.Lock()
 	defer e.pendingMu.Unlock()
@@ -429,7 +520,7 @@ func (e *Engine) OldestPending() ([]string, time.Time, bool) {
 			keys, oldest = p.keys, p.since
 		}
 	}
-	return keys, oldest, !oldest.IsZero()
+	return slices.Clone(keys), oldest, !oldest.IsZero()
 }
 
 // retryOrStopped turns a dead-group fence into a stopped-flavored retry

@@ -3,7 +3,9 @@ package reads
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ type fakeGroup struct {
 	seq     uint64
 	stamps  int // ReadStamp calls: one per read attempt
 	node    timestamp.NodeID
-	parked  []func(error)
+	parked  []protocol.Completion
 	stopped bool
 }
 
@@ -40,11 +42,11 @@ func (f *fakeGroup) ObserveStamp(ts timestamp.Timestamp) {
 	f.seq = max(f.seq, ts.Seq)
 }
 
-func (f *fakeGroup) ReadFence(_ []string, _ timestamp.Timestamp, done func(error)) {
+func (f *fakeGroup) ReadFence(_ []string, _ timestamp.Timestamp, done protocol.Completion) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.stopped {
-		done(protocol.ErrStopped)
+		done.Complete(protocol.Result{Err: protocol.ErrStopped})
 		return
 	}
 	f.parked = append(f.parked, done)
@@ -56,22 +58,49 @@ func (f *fakeGroup) release() {
 	f.parked = nil
 	f.mu.Unlock()
 	for _, done := range parked {
-		done(nil)
+		done.Complete(protocol.Result{})
 	}
+}
+
+// waitParked blocks until n fences are parked on f.
+func (f *fakeGroup) waitParked(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f.mu.Lock()
+		parked := len(f.parked)
+		f.mu.Unlock()
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fences parked, want %d", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// releaseFirst completes the oldest parked fence alone.
+func (f *fakeGroup) releaseFirst() {
+	f.mu.Lock()
+	done := f.parked[0]
+	f.parked = f.parked[1:]
+	f.mu.Unlock()
+	done.Complete(protocol.Result{})
 }
 
 // instant is a fakeGroup whose fences complete synchronously.
 type instant struct{ fakeGroup }
 
-func (f *instant) ReadFence(_ []string, _ timestamp.Timestamp, done func(error)) {
+func (f *instant) ReadFence(_ []string, _ timestamp.Timestamp, done protocol.Completion) {
 	f.mu.Lock()
 	stopped := f.stopped
 	f.mu.Unlock()
 	if stopped {
-		done(protocol.ErrStopped)
+		done.Complete(protocol.Result{Err: protocol.ErrStopped})
 		return
 	}
-	done(nil)
+	done.Complete(protocol.Result{})
 }
 
 func TestReadServesLocalValueAfterFence(t *testing.T) {
@@ -105,15 +134,7 @@ func TestReadWaitsForFence(t *testing.T) {
 	}()
 	// Wait until the fence parked, apply the conflicting write below the
 	// read stamp, then release.
-	for {
-		g.mu.Lock()
-		parked := len(g.parked)
-		g.mu.Unlock()
-		if parked > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	g.waitParked(t, 1)
 	store.ApplyAt(command.Put("k", []byte("w")), timestamp.Timestamp{Seq: 1})
 	g.release()
 	select {
@@ -208,18 +229,9 @@ func TestReadCancelledContext(t *testing.T) {
 
 func TestReadTxMergesStampsAcrossGroups(t *testing.T) {
 	store := kvstore.New()
-	// Two keys on different groups of a 2-shard router.
 	router := shard.NewRouter(2)
-	k0, k1 := "", ""
-	for i := 0; k0 == "" || k1 == ""; i++ {
-		k := string(rune('a' + i))
-		if router.Shard(k) == 0 && k0 == "" {
-			k0 = k
-		}
-		if router.Shard(k) == 1 && k1 == "" {
-			k1 = k
-		}
-	}
+	keys := twoGroupKeys(router)
+	k0, k1 := keys[0], keys[1]
 	store.ApplyAt(command.Put(k0, []byte("x")), timestamp.Timestamp{Seq: 1})
 	store.ApplyAt(command.Put(k1, []byte("y")), timestamp.Timestamp{Seq: 1, Node: 1})
 
@@ -264,4 +276,156 @@ func TestReadRetriesWhenKeyMovesGroups(t *testing.T) {
 	if err != nil || string(val) != "v" {
 		t.Fatalf("Read across resize = %q, %v", val, err)
 	}
+}
+
+// twoGroupKeys returns a key of group 0 and a key of group 1 under router.
+func twoGroupKeys(router shard.Router) []string {
+	k0, k1 := "", ""
+	for i := 0; k0 == "" || k1 == ""; i++ {
+		k := string(rune('a' + i))
+		if router.Shard(k) == 0 && k0 == "" {
+			k0 = k
+		}
+		if router.Shard(k) == 1 && k1 == "" {
+			k1 = k
+		}
+	}
+	return []string{k0, k1}
+}
+
+// A read cancelled while its fence is parked returns with the fence still
+// registered against its state, so the state goes to the GC, not back to
+// the pool: when the stale fence fires later, it must not release the
+// next read, which still waits for its own fence. Ten rounds, each a
+// chance for the pool to hand the cancelled read's state on.
+func TestReadAfterCancelledReadWaitsForItsOwnFence(t *testing.T) {
+	e := New(kvstore.New(), nil)
+	g := &fakeGroup{}
+	e.Attach(0, g)
+	for round := 0; round < 10; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan error, 1)
+		go func() { _, _, err := e.Read(ctx, "k"); cancelled <- err }()
+		g.waitParked(t, 1)
+		cancel()
+		if err := <-cancelled; !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: cancelled read = %v, want context.Canceled", round, err)
+		}
+		g.release() // the stale fence completes
+
+		done := make(chan error, 1)
+		go func() { _, _, err := e.Read(context.Background(), "k"); done <- err }()
+		g.waitParked(t, 1)
+		select {
+		case err := <-done:
+			t.Fatalf("round %d: read returned (%v) before its own fence completed", round, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		g.release()
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: read = %v", round, err)
+		}
+	}
+}
+
+// stopsOnce is an instant group whose first fence answers ErrStopped, as a
+// group a shrink retires under a read does before the retry re-routes.
+type stopsOnce struct {
+	instant
+	stopped atomic.Bool
+}
+
+func (f *stopsOnce) ReadFence(keys []string, ts timestamp.Timestamp, done protocol.Completion) {
+	if f.stopped.CompareAndSwap(false, true) {
+		done.Complete(protocol.Result{Err: protocol.ErrStopped})
+		return
+	}
+	f.instant.ReadFence(keys, ts, done)
+}
+
+// A two-group ReadTx whose attempt sees one group stop while the other's
+// fence is still parked retries with a fresh state. The stale fence fires
+// first and a write below the read point applies only after it: the
+// retry's snapshot waits for its own fence and returns the write.
+func TestReadTxRetriesPastAStoppedGroupWithItsOwnFences(t *testing.T) {
+	store := kvstore.New()
+	router := shard.NewRouter(2)
+	keys := twoGroupKeys(router)
+	store.ApplyAt(command.Put(keys[1], []byte("y")), timestamp.Timestamp{Seq: 1, Node: 1})
+	e := New(store, nil)
+	e.SetRouter(func() shard.Router { return router })
+	parking := &fakeGroup{node: 0}
+	e.Attach(0, parking)
+	e.Attach(1, &stopsOnce{instant: instant{fakeGroup{node: 1}}})
+
+	type result struct {
+		vals    [][]byte
+		present []bool
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		vals, present, err := e.ReadTx(context.Background(), keys)
+		done <- result{vals, present, err}
+	}()
+	parking.waitParked(t, 2) // the stopped attempt's fence and the retry's
+	parking.releaseFirst()   // the stale one
+	select {
+	case r := <-done:
+		t.Fatalf("ReadTx returned (%q, %v) on the stopped attempt's fence", r.vals, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	store.ApplyAt(command.Put(keys[0], []byte("w")), timestamp.Timestamp{Seq: 1})
+	parking.release()
+	r := <-done
+	if r.err != nil || !r.present[0] || string(r.vals[0]) != "w" || !r.present[1] || string(r.vals[1]) != "y" {
+		t.Fatalf("ReadTx = %q (%v), %v, want [w y]", r.vals, r.present, r.err)
+	}
+}
+
+// OldestPending hands its keys to the stall watchdog, which formats them
+// on its own goroutine after the engine's lock is released; a read's key
+// list is its pooled state's, which the next read overwrites. One
+// goroutine reads key after key while another formats what OldestPending
+// reports: under the race detector, a returned list that is the read's
+// own is a data race.
+func TestOldestPendingKeysAreACopy(t *testing.T) {
+	e := New(kvstore.New(), nil)
+	g := &fakeGroup{}
+	e.Attach(0, g)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // completes fences as they park
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				g.release()
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+	go func() { // the watchdog
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if keys, _, ok := e.OldestPending(); ok {
+					_ = fmt.Sprintf("read of %v parked at its fence", keys)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		if _, _, err := e.Read(context.Background(), fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

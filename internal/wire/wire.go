@@ -52,7 +52,10 @@
 // chunks (internal/chunk), one set per Decoder, which never reuses a slot:
 // a decoded struct pins its chunk, not the frame buffer. The other nine
 // messages are allocated one by one, RecoverReply because recovery keeps
-// it.
+// it. Every decoded Pred and Whitelist is carved from the Decoder's chunk
+// of IDs too, capped at its length (an append reallocates); one longer
+// than a quarter chunk (32 IDs) is allocated alone, and the IDs of an ack
+// or purge batch are an exact-size list of their own.
 package wire
 
 import (
@@ -240,6 +243,7 @@ type Decoder struct {
 	replies  chunk.Of[caesar.FastProposeReply]
 	stables  chunk.Of[caesar.Stable]
 	envs     chunk.Of[shard.Envelope]
+	sets     chunk.Slices[command.ID]
 }
 
 // NewDecoder returns a Decoder reading from r.
@@ -263,7 +267,7 @@ func (d *Decoder) Decode(env *Envelope) error {
 	if err != nil {
 		return err
 	}
-	r := msgReader{Reader: codec.NewReader(body)}
+	r := msgReader{Reader: codec.NewReader(body), sets: &d.sets}
 	from := r.Node()
 	payload, err := d.readMessage(&r, false)
 	if err != nil {
@@ -307,17 +311,19 @@ func (d *Decoder) readBody(n int) ([]byte, error) {
 	return buf, nil
 }
 
-// msgReader reads one frame's fields and remembers whether an ID set among
-// them broke the order the engine relies on.
+// msgReader reads one frame's fields, carving ID sets from the decoder's
+// chunk, and remembers whether one of them broke the order the engine
+// relies on.
 type msgReader struct {
 	codec.Reader
+	sets     *chunk.Slices[command.ID]
 	unsorted bool
 }
 
 // idSet reads a predecessor set or whitelist: ids that must ascend
 // strictly. Encoding does not sort — senders hold sets in that form.
 func (r *msgReader) idSet() []command.ID {
-	ids := r.IDs()
+	ids := r.IDs(r.sets)
 	r.unsorted = r.unsorted || !command.IsSortedIDs(ids)
 	return ids
 }
@@ -392,9 +398,9 @@ func (d *Decoder) readMessage(r *msgReader, nested bool) (any, error) {
 		m.Forced = r.Bool()
 		return m, nil
 	case tagStableAckBatch:
-		return &caesar.StableAckBatch{IDs: r.IDs()}, nil
+		return &caesar.StableAckBatch{IDs: r.IDs(nil)}, nil
 	case tagPurgeBatch:
-		return &caesar.PurgeBatch{IDs: r.IDs()}, nil
+		return &caesar.PurgeBatch{IDs: r.IDs(nil)}, nil
 	case tagHeartbeat:
 		m := &caesar.Heartbeat{Low: r.Timestamp()}
 		m.Seen = r.Timestamp()
