@@ -40,8 +40,10 @@ type readWaiter struct {
 }
 
 // evReadFence registers a read point inside the event loop. ReadFence
-// takes each from the replica's chunk and posts the pointer; the loop
-// never writes to it.
+// takes each from the replica's chunk and posts the pointer. Nothing but
+// the loop holds a posted event, and the loop drops its keys and
+// completion once it has read them, so a handled slot pins neither the
+// keys nor the read's state while its chunk lives on.
 type evReadFence struct {
 	keys []string
 	ts   timestamp.Timestamp
@@ -95,18 +97,20 @@ func (r *Replica) ReadFence(keys []string, ts timestamp.Timestamp, done protocol
 // correctness one. The waiter is allocated at the first blocker: a read
 // that nothing blocks costs none.
 func (r *Replica) onReadFence(e *evReadFence) {
-	phantom := command.Command{Op: command.OpGet, Key: e.keys[0]}
-	if len(e.keys) > 1 {
-		phantom.ExtraKeys = e.keys[1:]
+	keys, at, done := e.keys, e.ts, e.done
+	e.keys, e.done = nil, nil
+	phantom := command.Command{Op: command.OpGet, Key: keys[0]}
+	if len(keys) > 1 {
+		phantom.ExtraKeys = keys[1:]
 	}
 	var w *readWaiter
-	r.hist.conflicts(phantom, e.ts, below, func(rec *record) bool {
+	r.hist.conflicts(phantom, at, below, func(rec *record) bool {
 		if rec.applied {
 			return true
 		}
 		id := rec.id()
 		if w == nil {
-			w = &readWaiter{done: e.done}
+			w = &readWaiter{done: done}
 		}
 		w.remaining++
 		rec.reads = append(rec.reads, w)
@@ -117,11 +121,11 @@ func (r *Replica) onReadFence(e *evReadFence) {
 		}
 		// The event carries the blocking command's ID and the read's
 		// timestamp: the command's history then shows which reads it held.
-		r.cfg.Trace.Record(r.self, trace.KindReadPark, id, e.ts)
+		r.cfg.Trace.Record(r.self, trace.KindReadPark, id, at)
 		return true
 	})
 	if w == nil {
-		e.done.Complete(protocol.Result{})
+		done.Complete(protocol.Result{})
 		return
 	}
 	w.parkedAt = r.now

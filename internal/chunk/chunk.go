@@ -11,8 +11,7 @@
 // On the read path, a CAESAR replica takes every read fence a reader posts
 // to its event loop from one (under a lock: readers call from their own
 // goroutines). Slices carves short slices from shared chunks the same way:
-// the predecessor sets and whitelists a wire.Decoder decodes (one chunk per
-// link) and the predecessor sets a CAESAR history computes (one chunk per
+// the ID lists a wire.Decoder decodes (one chunk per link) and the predecessor sets a CAESAR history computes (one chunk per
 // history), each capped at its length so that an append reallocates.
 // The key-value store does not use this package: its entries are never
 // freed (the store has no delete), so it keeps its own never-freed tail,
@@ -23,7 +22,9 @@
 // in-process one hands the sender's pointer to every receiver, a trace
 // keeps what was sent, a purged record stays on the history's open list
 // until its next scan. Nothing may write to a slot once it has been handed
-// on. The price is that a live slot keeps its whole chunk reachable, and
+// on, but its sole consumer, which may drop the pointers it has read (a
+// delivery once completed, a read fence once its event loop has read it).
+// The price is that a live slot keeps its whole chunk reachable, and
 // whatever its siblings point at, so only values that die with their
 // step, or in creation order, like records, are worth chunking. An ID set
 // lives as long as the message it came in or the record that keeps it,

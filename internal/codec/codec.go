@@ -152,8 +152,8 @@ func AppendCommands(b []byte, cmds []command.Command) []byte {
 // Reader walks one encoded buffer. The first malformed field latches Err;
 // every later read returns a zero value, so callers decode a whole
 // structure and check Err once. Decoded strings and byte slices are
-// exact-size copies and ID lists are copies too, exact-size or carved from
-// the caller's chunk — nothing returned aliases the buffer, which callers
+// exact-size copies and ID lists are copies too, carved from the caller's
+// chunk — nothing returned aliases the buffer, which callers
 // are free to reuse — and empty ones decode to "", nil and nil.
 type Reader struct {
 	b   []byte
@@ -295,19 +295,10 @@ func (r *Reader) ID() command.ID {
 	return command.ID{Node: node, Seq: r.Uvarint()}
 }
 
-// IDs reads a counted list of command IDs into a slice of from, or of its
-// own when from is nil; an empty list decodes to nil.
+// IDs reads a counted list of command IDs into a slice carved from from;
+// an empty list decodes to nil.
 func (r *Reader) IDs(from *chunk.Slices[command.ID]) []command.ID {
-	n := r.Count(2) // an id is at least two uvarint bytes
-	if n == 0 {
-		return nil
-	}
-	var ids []command.ID
-	if from != nil {
-		ids = from.Make(n)
-	} else {
-		ids = make([]command.ID, n)
-	}
+	ids := from.Make(r.Count(2)) // an id is at least two uvarint bytes
 	for i := range ids {
 		ids[i] = r.ID()
 	}

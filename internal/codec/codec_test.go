@@ -31,7 +31,7 @@ func TestFieldsRoundTrip(t *testing.T) {
 		b = AppendBool(b, true)
 		r := NewReader(b)
 		var from chunk.Slices[command.ID]
-		gotCmd, gotTs, gotIDs, empty, flag := r.Command(), r.Timestamp(), r.IDs(&from), r.IDs(nil), r.Bool()
+		gotCmd, gotTs, gotIDs, empty, flag := r.Command(), r.Timestamp(), r.IDs(&from), r.IDs(&from), r.Bool()
 		if r.Err() != nil || r.Len() != 0 {
 			t.Fatalf("%v: err %v, %d bytes left", cmd, r.Err(), r.Len())
 		}
@@ -43,8 +43,8 @@ func TestFieldsRoundTrip(t *testing.T) {
 			r := NewReader(b[:cut])
 			r.Command()
 			r.Timestamp()
-			r.IDs(nil)
-			r.IDs(nil)
+			r.IDs(&from)
+			r.IDs(&from)
 			r.Bool()
 			if r.Err() == nil {
 				t.Fatalf("%d byte prefix of %d decoded cleanly", cut, len(b))
@@ -72,8 +72,9 @@ func TestDecodedFieldsOwnTheirMemory(t *testing.T) {
 // could hold is malformed before anything is allocated for it.
 func TestForgedCountsAreRejected(t *testing.T) {
 	huge := AppendUvarint(nil, 1<<40)
+	var from chunk.Slices[command.ID]
 	for name, read := range map[string]func(*Reader){
-		"ids":   func(r *Reader) { r.IDs(nil) },
+		"ids":   func(r *Reader) { r.IDs(&from) },
 		"cmds":  func(r *Reader) { r.Commands() },
 		"bytes": func(r *Reader) { r.Bytes() },
 		"count": func(r *Reader) { r.Count(1) },

@@ -40,8 +40,9 @@
 // returns with one still parked — a cancelled context, an error from one
 // group while another is parked, a stopped group — leaves its state to the
 // GC, and the retry takes a fresh one, so a stale fence can never release
-// a later read. OldestPending copies the keys it reports, since the list
-// goes back with the state.
+// a later read. A pooled state keeps its slices but no key, value or
+// group reader, so it pins no retired group. OldestPending copies the keys
+// it reports, since the list goes back with the state.
 //
 // # Guarantee
 //
@@ -303,12 +304,19 @@ func (e *Engine) ReadTx(ctx context.Context, keys []string) (vals [][]byte, pres
 }
 
 // release puts s back into the pool, unless a fence it registered is still
-// parked: the GC takes that state.
+// parked: the GC takes that state. A pooled state keeps its touched list
+// and key slices but drops every key, value and group reader, so it pins
+// no group a resize has retired or Attach replaced.
 func (e *Engine) release(s *readState) {
 	if s.parked > 0 {
 		return
 	}
 	s.key[0], s.val[0] = "", nil
+	for i := range s.touched[:cap(s.touched)] {
+		t := &s.touched[:cap(s.touched)][i]
+		clear(t.keys)
+		t.reader, t.keys = nil, t.keys[:0]
+	}
 	e.states.Put(s)
 }
 
@@ -346,7 +354,6 @@ func (e *Engine) do(ctx context.Context, s *readState, keys []string, vals [][]b
 		if s.parked > 0 {
 			// The last attempt returned with a fence parked, which will
 			// complete into s: the retry takes a fresh state.
-			e.release(s)
 			s = e.states.Get().(*readState)
 		}
 		err := e.attempt(ctx, s, keys, vals, present)
@@ -397,9 +404,11 @@ func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals 
 				return ErrUnavailable
 			}
 			// Grow keeps the entry past the length, whose key slice is
-			// reused.
+			// reused; an earlier attempt of this read may have left keys
+			// in it.
 			touched = slices.Grow(touched, 1)[:i+1]
 			t := &touched[i]
+			clear(t.keys)
 			t.group, t.reader, t.keys = g, r, t.keys[:0]
 		}
 		touched[i].keys = append(touched[i].keys, k)

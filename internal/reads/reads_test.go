@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,6 +292,45 @@ func twoGroupKeys(router shard.Router) []string {
 		}
 	}
 	return []string{k0, k1}
+}
+
+// TestReleasedStateHoldsNoReader: a state goes back to the pool with its
+// touched list and key slices but no group reader and no key, also where
+// an earlier attempt of fewer groups or keys left them (two attempts on
+// one state, as a retry makes), so a pooled state pins no group a resize
+// retired or Attach replaced.
+func TestReleasedStateHoldsNoReader(t *testing.T) {
+	router := shard.NewRouter(2)
+	e := New(kvstore.New(), nil)
+	e.SetRouter(func() shard.Router { return router })
+	e.Attach(0, &instant{})
+	e.Attach(1, &instant{})
+	keys := twoGroupKeys(router)
+	for i := 0; len(keys) < 3; i++ { // a second key of group 0
+		if k := fmt.Sprint(i); router.Shard(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	s := new(readState)
+	for _, ks := range [][]string{keys, keys[1:2]} {
+		vals, present := make([][]byte, len(ks)), make([]bool, len(ks))
+		if last, err := e.do(context.Background(), s, ks, vals, present); err != nil || last != s {
+			t.Fatalf("read of %q = %v, with a state of its own %v", ks, err, last == s)
+		}
+	}
+	e.release(s)
+	all := s.touched[:cap(s.touched)]
+	if len(all) < 2 {
+		t.Fatalf("the state kept %d touched entries, want at least 2", len(all))
+	}
+	for i, g := range all {
+		if g.reader != nil {
+			t.Errorf("entry %d keeps the reader of group %d", i, g.group)
+		}
+		if slices.ContainsFunc(g.keys[:cap(g.keys)], func(k string) bool { return k != "" }) {
+			t.Errorf("entry %d keeps keys %q", i, g.keys[:cap(g.keys)])
+		}
+	}
 }
 
 // A read cancelled while its fence is parked returns with the fence still

@@ -52,10 +52,10 @@
 // chunks (internal/chunk), one set per Decoder, which never reuses a slot:
 // a decoded struct pins its chunk, not the frame buffer. The other nine
 // messages are allocated one by one, RecoverReply because recovery keeps
-// it. Every decoded Pred and Whitelist is carved from the Decoder's chunk
-// of IDs too, capped at its length (an append reallocates); one longer
-// than a quarter chunk (32 IDs) is allocated alone, and the IDs of an ack
-// or purge batch are an exact-size list of their own.
+// it. Every decoded ID list — a Pred, a Whitelist, the IDs of an ack or
+// purge batch — is carved from the Decoder's chunk of IDs too, capped at
+// its length (an append reallocates); one longer than a quarter chunk (32
+// IDs) is allocated alone.
 package wire
 
 import (
@@ -398,9 +398,9 @@ func (d *Decoder) readMessage(r *msgReader, nested bool) (any, error) {
 		m.Forced = r.Bool()
 		return m, nil
 	case tagStableAckBatch:
-		return &caesar.StableAckBatch{IDs: r.IDs(nil)}, nil
+		return &caesar.StableAckBatch{IDs: r.IDs(r.sets)}, nil
 	case tagPurgeBatch:
-		return &caesar.PurgeBatch{IDs: r.IDs(nil)}, nil
+		return &caesar.PurgeBatch{IDs: r.IDs(r.sets)}, nil
 	case tagHeartbeat:
 		m := &caesar.Heartbeat{Low: r.Timestamp()}
 		m.Seen = r.Timestamp()
