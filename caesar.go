@@ -104,10 +104,6 @@ var ErrClosed = errors.New("caesar: node closed")
 // nowhere.
 var ErrTxAborted = xshard.ErrAborted
 
-// ErrNotSharded is returned by Resize on a node built without WithShards:
-// an unsharded deployment has no router to re-epoch.
-var ErrNotSharded = errors.New("caesar: node is not sharded (build the cluster with WithShards)")
-
 // ErrResizeInProgress is returned by Resize while another resize is still
 // completing.
 var ErrResizeInProgress = rebalance.ErrResizeInProgress
@@ -116,18 +112,17 @@ var ErrResizeInProgress = rebalance.ErrResizeInProgress
 // the epoch: the deployment was resized, but to the winner's shard count.
 var ErrResizeConflict = rebalance.ErrResizeConflict
 
-// Node is one CAESAR replica with an embedded key-value store. With
-// WithShards it runs several independent consensus groups and routes each
+// Node is one CAESAR replica with an embedded key-value store. It runs one
+// or more independent consensus groups (WithShards) and routes each
 // command to its key's group; Resize changes the group count live.
 type Node struct {
 	id     timestamp.NodeID
 	stk    *stack.Stack
 	engine protocol.Engine
-	co     *rebalance.Coordinator // nil on unsharded nodes
+	co     *rebalance.Coordinator
 	store  *kvstore.Store
 	reads  *reads.Engine
 	met    *metrics.Recorder
-	shards int
 	closed atomic.Bool
 }
 
@@ -158,7 +153,7 @@ type Options struct {
 	OnDivergence func(Divergence)
 }
 
-// newNode wires a replica — or, with shards > 1, a sharded set of replicas
+// newNode wires a node's consensus groups — one replica per group,
 // multiplexed over the endpoint, under the cross-shard commit and live
 // rebalancing layers, and with a data dir under the durable write-ahead
 // log — to the transport; used by Cluster. The actual layering lives in
@@ -206,7 +201,6 @@ func newNode(ep transport.Endpoint, opts Options, shards int, dataDir string) (*
 		store:  stk.Store,
 		reads:  stk.Reads,
 		met:    met,
-		shards: stk.Shards,
 	}
 	stk.Start()
 	return n, nil
@@ -263,8 +257,8 @@ func (n *Node) Propose(ctx context.Context, cmd Command) ([]byte, error) {
 
 // ProposeTx submits several commands as one atomic transaction and waits
 // for its execution on this node: all of them are applied as one
-// indivisible unit on every replica, or none are (ErrTxAborted). On an
-// unsharded node — or when every key routes to one consensus group — the
+// indivisible unit on every replica, or none are (ErrTxAborted). When every
+// key routes to one consensus group — always, on a one-group node — the
 // transaction is an ordinary batch command; when its keys span groups it
 // commits through the cross-shard layer, executing at the merged (max) of
 // the groups' stable timestamps. Cross-shard transactions are atomic but
@@ -355,13 +349,8 @@ func (n *Node) Stats() Stats {
 }
 
 // Shards returns the number of consensus groups this node currently runs
-// (1 unless the cluster was built with WithShards; live resizes move it).
-func (n *Node) Shards() int {
-	if n.co != nil {
-		return n.co.Shards()
-	}
-	return n.shards
-}
+// (WithShards at first, 1 without it; live resizes move it).
+func (n *Node) Shards() int { return n.co.Shards() }
 
 // Resize changes this deployment's consensus-group count to shards, live:
 // no command is lost or reordered, keys whose home group changes are
@@ -376,15 +365,12 @@ func (n *Node) Shards() int {
 // propagation if this node crashes mid-resize). It returns
 // ErrResizeInProgress when a transition is already running,
 // ErrResizeConflict when a concurrently initiated resize won (the
-// deployment resized, but to the winner's count), ErrNotSharded on a
-// node built without WithShards, and an error, before anything is
-// proposed, for a count outside [1, 4096].
+// deployment resized, but to the winner's count), and an error, before
+// anything is proposed, for a count outside [1, 4096]. A cluster built
+// without WithShards resizes like any other: it starts at one group.
 func (n *Node) Resize(ctx context.Context, shards int) error {
 	if n.closed.Load() {
 		return ErrClosed
-	}
-	if n.co == nil {
-		return ErrNotSharded
 	}
 	return n.co.Resize(ctx, shards)
 }

@@ -71,9 +71,10 @@ func WithNodeOptions(opts Options) ClusterOption {
 // merged (max) of the groups' stable timestamps; cross-shard transactions
 // are atomic but not strictly serializable against each other. The group
 // count is elastic: Node.Resize changes it live, with consensus-fenced
-// state handoff (internal/rebalance). g < 1 is treated as 1 (an unsharded
-// deployment); a node runs at most 4,096 groups, and NewLocalCluster
-// refuses more.
+// state handoff (internal/rebalance). g < 1 is treated as 1, which is also
+// the count without this option: a one-group cluster is the same node at
+// G = 1 and resizes like any other. A node runs at most 4,096 groups, and
+// NewLocalCluster refuses more.
 func WithShards(g int) ClusterOption {
 	return func(c *clusterConfig) { c.shards = g }
 }

@@ -16,16 +16,15 @@
 //	                                read engine — linearizable, no
 //	                                consensus round; see internal/reads)
 //	MGET <k1> <k2> ...           →  OK <v1> <v2> ... (one local snapshot
-//	                                read across keys — and, with -shards,
-//	                                across consensus groups; absent keys
-//	                                read "-")
-//	MPUT <k1> <v1> <k2> <v2> ... →  OK (one atomic transaction; with
-//	                                -shards the keys may span groups and
-//	                                commit through the cross-shard layer)
+//	                                read across keys — and across
+//	                                consensus groups; absent keys read "-")
+//	MPUT <k1> <v1> <k2> <v2> ... →  OK (one atomic transaction; keys that
+//	                                span groups commit through the
+//	                                cross-shard layer)
 //	RESIZE <n>                   →  OK <n> shards (admin: change the live
 //	                                deployment's consensus-group count —
-//	                                any replica accepts it; requires
-//	                                -shards > 1 at startup)
+//	                                any replica accepts it, whatever
+//	                                -shards it started with, 1 included)
 //
 // Every replica records its protocol milestones into a 4,096-event
 // command-trace ring and its node-level events into a 1,024-event flight
@@ -107,7 +106,7 @@ func main() {
 	flag.IntVar(&o.id, "id", 0, "this replica's id (index into -peers)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated replica addresses")
 	flag.StringVar(&o.clientAddr, "client", "", "client-facing listen address")
-	flag.IntVar(&o.shards, "shards", 1, "independent consensus groups per node (keys are routed by consistent hashing)")
+	flag.IntVar(&o.shards, "shards", 1, "independent consensus groups per node at first start (keys are routed by consistent hashing; RESIZE changes the count live, and a restart on -data-dir keeps the logged count)")
 	flag.StringVar(&o.dataDir, "data-dir", "", "durable write-ahead log directory; the replica recovers from it on restart (empty = in-memory only)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "observability HTTP listen address serving every diagnostic: /metrics, /statusz, /debugz, /tracez, /auditz, /workloadz, /healthz, /readyz and /debug/pprof/ (empty = none)")
 	flag.DurationVar(&o.slowCommand, "slow-command", 0, "log the traced history of commands slower than this submit-to-ack latency (0 disables)")
@@ -291,10 +290,11 @@ func serveClients(ln net.Listener, stk *stack.Stack) {
 	}
 }
 
-// handleResize serves the RESIZE admin command: it changes the live
-// deployment's consensus-group count through the rebalance coordinator
-// and replies once the transition completed on this replica (the peers
-// finish theirs as the markers deliver).
+// handleResize serves the RESIZE admin command on any replica, one-group
+// ones included: it changes the live deployment's consensus-group count
+// through the rebalance coordinator and replies once the transition
+// completed on this replica (the peers finish theirs as the markers
+// deliver). A stack built without Config.Rebalance has no coordinator.
 func handleResize(out *bufio.Writer, co *rebalance.Coordinator, arg string) {
 	n, err := strconv.Atoi(arg)
 	if err != nil || n < 1 {
@@ -302,7 +302,7 @@ func handleResize(out *bufio.Writer, co *rebalance.Coordinator, arg string) {
 		return
 	}
 	if co == nil {
-		fmt.Fprintf(out, "ERR this replica is not sharded (start it with -shards > 1)\n")
+		fmt.Fprintf(out, "ERR this replica was built without live resizing\n")
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -15,7 +15,8 @@ import (
 	"github.com/caesar-consensus/caesar/internal/timestamp"
 )
 
-// cluster builds and starts three unsharded in-memory stacks.
+// cluster builds and starts three one-group in-memory stacks with live
+// resizing, as the server builds them.
 func cluster(t *testing.T) []*stack.Stack {
 	t.Helper()
 	net := memnet.New(memnet.Config{Nodes: 3})
@@ -23,7 +24,8 @@ func cluster(t *testing.T) []*stack.Stack {
 	stks := make([]*stack.Stack, 3)
 	for i := range stks {
 		stk, err := stack.Build(net.Endpoint(timestamp.NodeID(i)), stack.Config{
-			Build: stack.CaesarEngine(caesar.Config{}),
+			Rebalance: true,
+			Build:     stack.CaesarEngine(caesar.Config{}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,8 +78,11 @@ func TestClientProtocol(t *testing.T) {
 			t.Errorf("%s answered %q, want %q", c.req, got, c.want)
 		}
 	}
-	if got := ask("RESIZE 2"); !strings.HasPrefix(got, "ERR ") {
-		t.Errorf("RESIZE 2 on an unsharded node answered %q, want ERR", got)
+	if got := ask("RESIZE 2"); got != "OK 2 shards" {
+		t.Errorf("RESIZE 2 on a one-group node answered %q, want OK 2 shards", got)
+	}
+	if got := ask("MGET a b c missing"); got != "OK 1 2 3 -" {
+		t.Errorf("MGET after the resize answered %q, want OK 1 2 3 -", got)
 	}
 }
 

@@ -10,12 +10,11 @@ import (
 	"github.com/caesar-consensus/caesar/internal/kvstore"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
-	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
 // TestUnblockedReadAllocationBudget gates what a single-key read costs the
-// read engine when nothing blocks it, on a sharded node (the commit table
-// is bound): nothing. The key list, the touched group and its key slice,
+// read engine when nothing blocks it, with the commit table bound as on
+// every node: nothing. The key list, the touched group and its key slice,
 // the fence channel and the one-value result are the pooled read state's,
 // the fence completes into that state, and the store snapshots into it.
 // The commit table's settle check parks no waiter, channel or callback
@@ -24,9 +23,8 @@ import (
 func TestUnblockedReadAllocationBudget(t *testing.T) {
 	store := kvstore.New()
 	store.ApplyAt(command.Put("k", []byte("v")), timestamp.Timestamp{Seq: 1})
-	e := New(store, nil)
+	e := bound(store, nil)
 	e.Attach(0, &instant{})
-	e.SetTable(xshard.NewTable(xshard.TableConfig{Exec: store}, nil))
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(200, func() {
 		if val, _, err := e.Read(ctx, "k"); err != nil || string(val) != "v" {
@@ -47,11 +45,10 @@ func TestUnblockedReadTxAllocationBudget(t *testing.T) {
 	keys := twoGroupKeys(router)
 	store.ApplyAt(command.Put(keys[0], []byte("x")), timestamp.Timestamp{Seq: 1})
 	store.ApplyAt(command.Put(keys[1], []byte("y")), timestamp.Timestamp{Seq: 1, Node: 1})
-	e := New(store, nil)
-	e.SetRouter(func() shard.Router { return router })
+	e := bound(store, nil)
+	e.router = func() shard.Router { return router }
 	e.Attach(0, &instant{fakeGroup{node: 0}})
 	e.Attach(1, &instant{fakeGroup{node: 1}})
-	e.SetTable(xshard.NewTable(xshard.TableConfig{Exec: store}, nil))
 	ctx := context.Background()
 	avg := testing.AllocsPerRun(200, func() {
 		if vals, _, err := e.ReadTx(ctx, keys); err != nil || string(vals[0]) != "x" || string(vals[1]) != "y" {

@@ -126,10 +126,13 @@ type Engine struct {
 	met   *metrics.Recorder
 	now   func() time.Time
 
-	mu     sync.RWMutex
-	groups map[int]GroupReader
+	// router and table are the node's sharded layers, bound once before
+	// the first read.
 	router func() shard.Router
 	table  *xshard.Table
+
+	mu     sync.RWMutex
+	groups map[int]GroupReader
 	ctd    *contend.Profile
 
 	// pending tracks in-flight reads from registration in the attempt
@@ -179,7 +182,7 @@ func (s *readState) Complete(res protocol.Result) {
 }
 
 // New builds the engine over the node's store. Groups are attached as the
-// node stack constructs them; SetRouter/SetTable bind the sharded layers.
+// node stack constructs them; Bind binds the sharded layers.
 func New(store *kvstore.Store, met *metrics.Recorder) *Engine {
 	return &Engine{
 		store:   store,
@@ -210,20 +213,10 @@ func (e *Engine) Attach(g int, r GroupReader) {
 	e.groups[g] = r
 }
 
-// SetRouter installs the current-router source (xshard.Engine.Router); nil
-// means an unsharded node (a single group at epoch 0).
-func (e *Engine) SetRouter(fn func() shard.Router) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.router = fn
-}
-
-// SetTable binds the node's cross-shard commit table; nil on unsharded
-// nodes.
-func (e *Engine) SetTable(t *xshard.Table) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.table = t
+// Bind installs the node's current-router source (xshard.Engine.Router)
+// and its cross-shard commit table. Call it once, before the first read.
+func (e *Engine) Bind(router func() shard.Router, table *xshard.Table) {
+	e.router, e.table = router, table
 }
 
 // SetContend binds the node's contention profile: the time a snapshot
@@ -246,22 +239,6 @@ func (e *Engine) reader(g int) GroupReader {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.groups[g]
-}
-
-func (e *Engine) currentRouter() shard.Router {
-	e.mu.RLock()
-	fn := e.router
-	e.mu.RUnlock()
-	if fn == nil {
-		return shard.NewRouter(1)
-	}
-	return fn()
-}
-
-func (e *Engine) currentTable() *xshard.Table {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.table
 }
 
 // Read serves a linearizable local read of key: the returned value is the
@@ -389,7 +366,7 @@ func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals 
 	// invalidated together if a resize moves any key (the read-side
 	// analogue of a ProposeTx's single-epoch split). The touched list and
 	// its key slices are the state's, kept from the reads before.
-	router := e.currentRouter()
+	router := e.router()
 	epoch := router.Epoch()
 	touched := s.touched[:0]
 	for _, k := range keys {
@@ -451,22 +428,19 @@ func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals 
 	// Cross-shard settle: a piece applied below the read point parks its
 	// transaction in the commit table; the snapshot must wait until no
 	// such transaction could still execute at or below the point.
-	if table := e.currentTable(); table != nil {
-		if settled := table.WaitSettled(keys, ts); settled != nil {
-			settleStart := e.now()
-			select {
-			case <-settled:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if p := e.contendProfile(); p != nil {
-				// A settle wait is a read parked by the commit table:
-				// charge the elapsed time to the read's keys in their
-				// home groups.
-				if wait := e.now().Sub(settleStart); wait > 0 {
-					for _, k := range keys {
-						p.Group(router.Shard(k)).ParkDone(k, wait)
-					}
+	if settled := e.table.WaitSettled(keys, ts); settled != nil {
+		settleStart := e.now()
+		select {
+		case <-settled:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if p := e.contendProfile(); p != nil {
+			// A settle wait is a read parked by the commit table: charge
+			// the elapsed time to the read's keys in their home groups.
+			if wait := e.now().Sub(settleStart); wait > 0 {
+				for _, k := range keys {
+					p.Group(router.Shard(k)).ParkDone(k, wait)
 				}
 			}
 		}
@@ -478,7 +452,7 @@ func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals 
 	// fenced group — but their newest writes now carry the newer epoch
 	// stamp, so the snapshot must adopt the current epoch or those
 	// (waited-for, acknowledged) writes would be invisible to it.
-	cur := e.currentRouter()
+	cur := e.router()
 	if cur.Epoch() != epoch {
 		for _, k := range keys {
 			if cur.Shard(k) != router.Shard(k) {
@@ -502,7 +476,7 @@ func (e *Engine) attempt(ctx context.Context, s *readState, keys []string, vals 
 		}
 		return errRetry
 	}
-	if after := e.currentRouter(); after.Epoch() != epoch {
+	if after := e.router(); after.Epoch() != epoch {
 		// Yet another epoch landed between the recheck and the snapshot
 		// cut: a write stamped with it could have applied invisibly to
 		// the adopted epoch. Rare (two installs inside one read); retry.

@@ -16,6 +16,7 @@ import (
 	"github.com/caesar-consensus/caesar/internal/protocol"
 	"github.com/caesar-consensus/caesar/internal/shard"
 	"github.com/caesar-consensus/caesar/internal/timestamp"
+	"github.com/caesar-consensus/caesar/internal/xshard"
 )
 
 // fakeGroup is a scriptable GroupReader: stamps come from a counter and
@@ -107,7 +108,7 @@ func (f *instant) ReadFence(_ []string, _ timestamp.Timestamp, done protocol.Com
 func TestReadServesLocalValueAfterFence(t *testing.T) {
 	store := kvstore.New()
 	store.ApplyAt(command.Put("k", []byte("v1")), timestamp.Timestamp{Seq: 1})
-	e := New(store, nil)
+	e := bound(store, nil)
 	g := &instant{}
 	e.Attach(0, g)
 
@@ -119,7 +120,7 @@ func TestReadServesLocalValueAfterFence(t *testing.T) {
 
 func TestReadWaitsForFence(t *testing.T) {
 	store := kvstore.New()
-	e := New(store, nil)
+	e := bound(store, nil)
 	g := &fakeGroup{}
 	e.Attach(0, g)
 
@@ -159,7 +160,7 @@ func TestReadOfKeyVersionedAboveGroupClock(t *testing.T) {
 	for i := byte(0); i < 9; i++ { // one more than a key ever retains
 		store.ApplyAllAt([]command.Command{command.Put("k", []byte{i})}, merged)
 	}
-	e := New(store, nil)
+	e := bound(store, nil)
 	e.Attach(0, g)
 
 	g.stamps = 0
@@ -184,7 +185,7 @@ func TestReadAfterAppliedTxSeesIt(t *testing.T) {
 	merged := timestamp.Timestamp{Seq: 1000, Node: 1}
 	store.ApplyAllAt([]command.Command{command.Put("k", []byte("tx"))}, merged)
 	met := metrics.NewRecorder()
-	e := New(store, met)
+	e := bound(store, met)
 	e.Attach(0, g)
 
 	val, present, err := e.Read(context.Background(), "k")
@@ -200,7 +201,7 @@ func TestReadAfterAppliedTxSeesIt(t *testing.T) {
 }
 
 func TestReadUnknownGroupUnavailable(t *testing.T) {
-	e := New(kvstore.New(), nil)
+	e := bound(kvstore.New(), nil)
 	if _, _, err := e.Read(context.Background(), "k"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -209,7 +210,7 @@ func TestReadUnknownGroupUnavailable(t *testing.T) {
 func TestReadStoppedGroupSurfacesErrStopped(t *testing.T) {
 	// A group that stays dead across the re-route retry is a node
 	// shutting down; the caller sees ErrStopped, not a retry error.
-	e := New(kvstore.New(), nil)
+	e := bound(kvstore.New(), nil)
 	g := &instant{}
 	g.stopped = true
 	e.Attach(0, g)
@@ -219,7 +220,7 @@ func TestReadStoppedGroupSurfacesErrStopped(t *testing.T) {
 }
 
 func TestReadCancelledContext(t *testing.T) {
-	e := New(kvstore.New(), nil)
+	e := bound(kvstore.New(), nil)
 	e.Attach(0, &fakeGroup{}) // fences park forever
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -236,8 +237,8 @@ func TestReadTxMergesStampsAcrossGroups(t *testing.T) {
 	store.ApplyAt(command.Put(k0, []byte("x")), timestamp.Timestamp{Seq: 1})
 	store.ApplyAt(command.Put(k1, []byte("y")), timestamp.Timestamp{Seq: 1, Node: 1})
 
-	e := New(store, nil)
-	e.SetRouter(func() shard.Router { return router })
+	e := bound(store, nil)
+	e.router = func() shard.Router { return router }
 	e.Attach(0, &instant{fakeGroup{node: 0}})
 	e.Attach(1, &instant{fakeGroup{node: 1, seq: 100}}) // the max stamp donor
 
@@ -253,13 +254,13 @@ func TestReadTxMergesStampsAcrossGroups(t *testing.T) {
 func TestReadRetriesWhenKeyMovesGroups(t *testing.T) {
 	store := kvstore.New()
 	store.ApplyAt(command.Put("k", []byte("v")), timestamp.Timestamp{Seq: 1})
-	e := New(store, nil)
+	e := bound(store, nil)
 
 	// The router flips from 1 to 2 shards after the first routing: the
 	// attempt's epoch recheck must retry (and succeed) under the new one.
 	var mu sync.Mutex
 	calls := 0
-	e.SetRouter(func() shard.Router {
+	e.router = func() shard.Router {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
@@ -267,7 +268,7 @@ func TestReadRetriesWhenKeyMovesGroups(t *testing.T) {
 			return shard.NewRouterAt(0, 2)
 		}
 		return shard.NewRouterAt(1, 3)
-	})
+	}
 	for g := 0; g < 3; g++ {
 		e.Attach(g, &instant{fakeGroup{node: timestamp.NodeID(g)}})
 	}
@@ -277,6 +278,15 @@ func TestReadRetriesWhenKeyMovesGroups(t *testing.T) {
 	if err != nil || string(val) != "v" {
 		t.Fatalf("Read across resize = %q, %v", val, err)
 	}
+}
+
+// bound returns an engine over store, bound as a one-group node binds it:
+// to the router of one group at epoch 0 and to an empty commit table. A
+// test of several groups replaces the router before it reads.
+func bound(store *kvstore.Store, met *metrics.Recorder) *Engine {
+	e := New(store, met)
+	e.Bind(func() shard.Router { return shard.NewRouter(1) }, xshard.NewTable(xshard.TableConfig{Exec: store}, nil))
+	return e
 }
 
 // twoGroupKeys returns a key of group 0 and a key of group 1 under router.
@@ -301,8 +311,8 @@ func twoGroupKeys(router shard.Router) []string {
 // retired or Attach replaced.
 func TestReleasedStateHoldsNoReader(t *testing.T) {
 	router := shard.NewRouter(2)
-	e := New(kvstore.New(), nil)
-	e.SetRouter(func() shard.Router { return router })
+	e := bound(kvstore.New(), nil)
+	e.router = func() shard.Router { return router }
 	e.Attach(0, &instant{})
 	e.Attach(1, &instant{})
 	keys := twoGroupKeys(router)
@@ -339,7 +349,7 @@ func TestReleasedStateHoldsNoReader(t *testing.T) {
 // next read, which still waits for its own fence. Ten rounds, each a
 // chance for the pool to hand the cancelled read's state on.
 func TestReadAfterCancelledReadWaitsForItsOwnFence(t *testing.T) {
-	e := New(kvstore.New(), nil)
+	e := bound(kvstore.New(), nil)
 	g := &fakeGroup{}
 	e.Attach(0, g)
 	for round := 0; round < 10; round++ {
@@ -392,8 +402,8 @@ func TestReadTxRetriesPastAStoppedGroupWithItsOwnFences(t *testing.T) {
 	router := shard.NewRouter(2)
 	keys := twoGroupKeys(router)
 	store.ApplyAt(command.Put(keys[1], []byte("y")), timestamp.Timestamp{Seq: 1, Node: 1})
-	e := New(store, nil)
-	e.SetRouter(func() shard.Router { return router })
+	e := bound(store, nil)
+	e.router = func() shard.Router { return router }
 	parking := &fakeGroup{node: 0}
 	e.Attach(0, parking)
 	e.Attach(1, &stopsOnce{instant: instant{fakeGroup{node: 1}}})
@@ -430,7 +440,7 @@ func TestReadTxRetriesPastAStoppedGroupWithItsOwnFences(t *testing.T) {
 // reports: under the race detector, a returned list that is the read's
 // own is a data race.
 func TestOldestPendingKeysAreACopy(t *testing.T) {
-	e := New(kvstore.New(), nil)
+	e := bound(kvstore.New(), nil)
 	g := &fakeGroup{}
 	e.Attach(0, g)
 	stop := make(chan struct{})

@@ -17,6 +17,7 @@ import (
 // epoch the instance was created at): after a live resize retires and
 // later recreates a shard slot, traffic from the dead instance carries an
 // older generation and is dropped instead of corrupting its successor.
+// Group 0 sends no envelope: its messages travel bare (see Mux).
 //
 // Envelopes come from chunks (internal/chunk) — each shard endpoint's on
 // the sending side, each wire decoder's on the receiving side — so never
@@ -67,11 +68,13 @@ type pendingMsg struct {
 }
 
 // Mux splits one transport.Endpoint into per-shard logical endpoints: each
-// outbound payload is wrapped in an Envelope, and inbound envelopes are
-// dispatched to the handler registered for their shard. Out-of-range or
-// stale-generation traffic is dropped; traffic for a shard that exists but
-// has no handler yet (a group being created mid-resize) is buffered until
-// the handler registers.
+// outbound payload of a group other than 0 is wrapped in an Envelope, and
+// inbound envelopes are dispatched to the handler registered for their
+// shard. Group 0 is never retired, so its generation is always 0, and its
+// payloads travel bare: an inbound payload that is not an Envelope is
+// group 0's at generation 0. Out-of-range or stale-generation traffic is
+// dropped; traffic for a shard that exists but has no handler yet (a group
+// being created mid-resize) is buffered until the handler registers.
 type Mux struct {
 	ep transport.Endpoint
 
@@ -91,66 +94,74 @@ func NewMux(ep transport.Endpoint, shards int) *Mux {
 	return m
 }
 
-// dispatch unwraps one inbound envelope and hands it to its shard, or
-// buffers it when the shard's instance is still being created.
+// dispatch unwraps one inbound envelope — or takes a bare payload as group
+// 0's — and hands it to its shard, or buffers it when the shard's instance
+// is still being created.
 func (m *Mux) dispatch(from timestamp.NodeID, payload any) {
-	env, ok := payload.(*Envelope)
-	if !ok || env.Shard < 0 {
+	var shard, gen int32
+	if env, ok := payload.(*Envelope); ok {
+		shard, gen, payload = env.Shard, env.Gen, env.Payload
+	}
+	if shard < 0 {
 		return
 	}
 	m.mu.RLock()
 	var h transport.Handler
-	if int(env.Shard) < len(m.slots) {
-		slot := &m.slots[env.Shard]
-		if env.Gen == slot.gen {
+	if int(shard) < len(m.slots) {
+		slot := &m.slots[shard]
+		if gen == slot.gen {
 			h = slot.handler
 		}
 	}
 	m.mu.RUnlock()
 	if h != nil {
-		h(from, env.Payload)
+		h(from, payload)
 		return
 	}
-	m.buffer(from, env)
+	m.buffer(shard, pendingMsg{from: from, gen: gen, payload: payload})
 }
 
-// buffer holds an envelope for a handler that has not registered yet: the
+// buffer holds a message for a handler that has not registered yet: the
 // shard slot may not exist (a growth resize this node has not learned of),
-// or it exists with no handler, or the envelope belongs to a future
+// or it exists with no handler, or the message belongs to a future
 // generation. Stale generations are dropped.
-func (m *Mux) buffer(from timestamp.NodeID, env *Envelope) {
-	if int(env.Shard) >= MaxGroups {
+func (m *Mux) buffer(shard int32, p pendingMsg) {
+	if int(shard) >= MaxGroups {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for int(env.Shard) >= len(m.slots) {
+	for int(shard) >= len(m.slots) {
 		m.slots = append(m.slots, muxSlot{gen: -1})
 	}
-	slot := &m.slots[env.Shard]
-	if env.Gen == slot.gen && slot.handler != nil {
+	slot := &m.slots[shard]
+	if p.gen == slot.gen && slot.handler != nil {
 		// The handler registered between the RLock check and here;
 		// deliver in-line (handlers must tolerate concurrent calls, as
 		// every transport already requires).
 		h := slot.handler
 		m.mu.Unlock()
-		h(from, env.Payload)
+		h(p.from, p.payload)
 		m.mu.Lock()
 		return
 	}
-	if env.Gen < slot.gen || (slot.retired && env.Gen <= slot.gen) || len(slot.pending) >= pendingCap {
+	if p.gen < slot.gen || (slot.retired && p.gen <= slot.gen) || len(slot.pending) >= pendingCap {
 		return
 	}
-	slot.pending = append(slot.pending, pendingMsg{from: from, gen: env.Gen, payload: env.Payload})
+	slot.pending = append(slot.pending, p)
 }
 
 // Attach creates (or revives) the slot for shard at generation gen and
 // returns its endpoint. Growing a resize calls it with the new routing
 // epoch as the generation; buffered traffic of that generation is
-// preserved for the handler, anything older is discarded.
+// preserved for the handler, anything older is discarded. Group 0 attaches
+// at generation 0 only: its traffic carries no generation on the wire.
 func (m *Mux) Attach(shard int, gen int32) transport.Endpoint {
 	if shard < 0 || shard >= MaxGroups {
 		panic(fmt.Sprintf("shard: attach of shard %d outside [0,%d)", shard, MaxGroups))
+	}
+	if shard == 0 && gen != 0 {
+		panic(fmt.Sprintf("shard: attach of group 0 at generation %d; group 0 is never retired and travels bare at generation 0", gen))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -226,8 +237,12 @@ func (s *subEndpoint) Broadcast(payload any) {
 	s.mux.ep.Broadcast(s.envelope(payload))
 }
 
-// envelope wraps payload in a fresh envelope from the endpoint's chunks.
-func (s *subEndpoint) envelope(payload any) *Envelope {
+// envelope wraps payload in a fresh envelope from the endpoint's chunks,
+// except group 0's, which travels bare.
+func (s *subEndpoint) envelope(payload any) any {
+	if s.shard == 0 {
+		return payload
+	}
 	s.envMu.Lock()
 	env := s.envs.Next()
 	s.envMu.Unlock()

@@ -19,8 +19,11 @@
 //     rebalancing layer, the cross-shard commit table and the store.
 //   - Mux: splits one transport.Endpoint into per-shard logical endpoints
 //     by tagging every payload with its shard, reusing the memnet and
-//     tcpnet transports unchanged. Channels can be added (and retired) at
-//     runtime for live resizes.
+//     tcpnet transports unchanged. Group 0's payloads travel bare: it is
+//     never retired, so it is always generation 0, and any payload that is
+//     not an Envelope is its traffic — a one-group node's wire is the
+//     plain protocol's. Channels can be added (and retired) at runtime for
+//     live resizes.
 package shard
 
 import (

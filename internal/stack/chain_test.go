@@ -26,23 +26,21 @@ import (
 // timestamp a group's engine decided for a command is the version stamp
 // the store records for its write, and all writes of one multi-key unit —
 // a cross-group transaction executed by the commit table at the merged
-// (max) piece timestamp, or a batch on an unsharded node — carry one
+// (max) piece timestamp, or a batch whose keys share a group — carry one
 // stamp. A layer that forwarded a command without its timestamp would
-// stamp the write zero and fail here. It also pins which chains CAESAR
-// applies on its event loop: only the unsharded in-memory one ends in a
-// synchronous layer (protocol.TimestampedApplier); a chain that holds the
-// rebalance gate or the write-ahead log must complete through
-// ApplyDeferred, so it must not offer one.
+// stamp the write zero and fail here. It also pins that no chain the stack
+// composes is a synchronous layer (protocol.TimestampedApplier): every one
+// holds the rebalance gate, so it completes through ApplyDeferred.
 func TestChainCarriesDecidedTimestamps(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		shards  int
 		durable bool
 	}{
-		{"unsharded/memory", 1, false},
-		{"unsharded/durable", 1, true},
-		{"sharded+rebalance/memory", 4, false},
-		{"sharded+rebalance/durable", 4, true},
+		{"one-group/memory", 1, false},
+		{"one-group/durable", 1, true},
+		{"four-group/memory", 4, false},
+		{"four-group/durable", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const nodes = 3
@@ -86,10 +84,9 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 				s.Start()
 				defer s.Stop()
 			}
-			wantSync := tc.shards == 1 && !tc.durable
 			for g, got := range synchronous {
-				if got != wantSync {
-					t.Fatalf("group %d's chain is a protocol.TimestampedApplier: %v, want %v", g, got, wantSync)
+				if got {
+					t.Fatalf("group %d's chain is a protocol.TimestampedApplier, want one that completes through ApplyDeferred", g)
 				}
 			}
 			router := shard.NewRouter(tc.shards)
@@ -124,7 +121,7 @@ func TestChainCarriesDecidedTimestamps(t *testing.T) {
 			submit(t, stacks[0], command.Put(put, []byte("v")))
 			requireStamp(t, store, put, decided(0))
 
-			// One unit writing two keys: two groups when sharded.
+			// One unit writing two keys: two groups when there are two.
 			g2 := tc.shards - 1
 			k1, k2 := keyIn(0), keyIn(g2)
 			unit, err := batch.Pack([]command.Command{command.Put(k1, []byte("x")), command.Put(k2, []byte("y"))})

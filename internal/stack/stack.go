@@ -105,9 +105,10 @@ func CaesarEngine(base caesar.Config) BuildEngine {
 
 // Config describes the node to build.
 type Config struct {
-	// Shards is the consensus-group count; < 2 builds an unsharded node,
-	// and above shard.MaxGroups Build fails. A recovered data dir's
-	// routing epoch overrides it — the durable truth about the
+	// Shards is the consensus-group count; < 1 builds one group, and above
+	// shard.MaxGroups Build fails. Every count builds the same node: the
+	// commit table and an xshard.Engine over G groups. A recovered data
+	// dir's routing epoch overrides it — the durable truth about the
 	// deployment's group count beats a restart flag.
 	Shards int
 	// Store is the node's key-value store; nil creates one. Recovery
@@ -138,9 +139,9 @@ type Config struct {
 	// dir replays snapshot + log tail and rejoins. Empty disables
 	// durability (the pre-existing purely in-memory behavior).
 	DataDir string
-	// Rebalance layers live resizing over a sharded node. Requires
-	// engines that deliver OpFence markers (CAESAR); plain sharded
-	// deployments of other protocols leave it false.
+	// Rebalance layers live resizing over the node's groups. Requires
+	// engines that deliver OpFence markers (CAESAR); deployments of other
+	// protocols leave it false.
 	Rebalance bool
 	// Flight, when non-nil, is the node's flight recorder: the stack
 	// threads it into the write-ahead log (snapshot events) and the
@@ -183,21 +184,21 @@ type Config struct {
 
 // Stack is one built node.
 type Stack struct {
-	// Engine is the node's top-level submission engine: the *xshard.Engine
-	// on a sharded node, the single group's engine otherwise.
-	Engine protocol.Engine
+	// Engine is the node's submission engine, over every group the node
+	// runs — one or many.
+	Engine *xshard.Engine
 	// Store is the node's (possibly recovered) store.
 	Store *kvstore.Store
 	// Coordinator is the live-rebalancing coordinator — Resize, the
-	// routing epoch and the resize state; nil unless Config.Rebalance on a
-	// sharded node. Start and Stop run it beside Engine.
+	// routing epoch and the resize state; nil unless Config.Rebalance.
+	// Start and Stop run it beside Engine.
 	Coordinator *rebalance.Coordinator
 	// Reads is the node-local read engine (internal/reads): linearizable
 	// single-key reads and cross-shard snapshot reads served from Store
 	// without a proposal. Always constructed; a group whose engine exposes
 	// no read frontier (CAESAR does) answers reads.ErrUnavailable.
 	Reads *reads.Engine
-	// Table is the cross-shard commit table; nil on unsharded nodes.
+	// Table is the cross-shard commit table; never nil.
 	Table *xshard.Table
 	// Log is the write-ahead log; nil without a data dir.
 	Log *wal.Log
@@ -308,7 +309,6 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		return eng
 	}
 
-	sharded := cfg.Shards > 1
 	var log *wal.Log
 	var st *wal.State
 	if cfg.DataDir != "" {
@@ -325,14 +325,11 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 			return nil, err
 		}
 		if ec, ok := st.CurrentEpoch(); ok {
-			// The durable epoch history marks a sharded deployment even
-			// if it was resized down to one group — its peers speak the
-			// mux framing, so the restart must too.
-			sharded = true
-			cfg.Shards = int(ec.Shards)
-			if cfg.Shards < 1 {
-				cfg.Shards = 1
-			}
+			cfg.Shards = max(int(ec.Shards), 1)
+		} else if !st.Empty {
+			// Records but no epoch history: the dir was written by a
+			// one-group node before every node logged its epoch 0.
+			cfg.Shards = 1
 		}
 		s.Log = log
 		s.Recovered = st
@@ -371,14 +368,8 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 		return seed
 	}
 
-	if !sharded {
-		s.Engine = buildGroup(0, ep, wrap(0, app), seedFor(0))
-		s.finish(ep, cfg)
-		return s, nil
-	}
-
-	// Sharded: the epoch history must be durable from the very first
-	// record, or a restart could not know the group count.
+	// The epoch history must be durable from the very first record, or a
+	// restart could not know the group count.
 	if log != nil && len(st.Epochs) == 0 {
 		if err := log.LogEpoch(wal.EpochChange{Epoch: 0, Shards: int32(shards), PrevShards: int32(shards)}); err != nil {
 			log.Close()
@@ -402,7 +393,6 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	gens := st.Generations(shards) // nil-safe: zeros for a fresh node
 
 	// chain composes one group's layers in the package comment's order.
-	rd.SetTable(table)
 	chain := func(g int) protocol.Applier { return wrap(g, table.Applier(g, app)) }
 	var co *rebalance.Coordinator
 	if cfg.Rebalance {
@@ -420,7 +410,7 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	xe := xshard.NewEngine(ep, gens, table, func(g int, sep transport.Endpoint) protocol.Engine {
 		return buildGroup(g, sep, chain(g), seedFor(g))
 	})
-	rd.SetRouter(xe.Router)
+	rd.Bind(xe.Router, table)
 	ctd.SetGroupOf(func(k string) int { return xe.Router().Shard(k) })
 	s.Engine = xe
 	if co != nil {
@@ -431,10 +421,9 @@ func Build(ep transport.Endpoint, cfg Config) (*Stack, error) {
 	return s, nil
 }
 
-// finish completes a built stack along every construction path: the
-// scrape-time gauges, the process runtime gauges, the /tracez collection
-// endpoint and the stall watchdog with its probes, sections, counters and
-// /debugz endpoint.
+// finish completes a built stack: the scrape-time gauges, the process
+// runtime gauges, the /tracez collection endpoint and the stall watchdog
+// with its probes, sections, counters and /debugz endpoint.
 func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
 	s.registerGauges(cfg.Obs)
 	obs.RegisterRuntime(cfg.Obs)
@@ -454,21 +443,20 @@ func (s *Stack) finish(ep transport.Endpoint, cfg Config) {
 		Trace:     cfg.Trace,
 		OnStall:   cfg.OnStall,
 	})
-	if t := s.Table; t != nil {
-		wd.AddProbe(flight.Probe{Name: "held-tx", Sample: func(now time.Time) (flight.Sample, bool) {
-			xid, since, cmd, ok := t.OldestHeld()
-			if !ok {
-				return flight.Sample{}, false
-			}
-			return flight.Sample{
-				Detail: fmt.Sprintf("transaction %v held in commit table", xid),
-				Age:    now.Sub(since),
-				Cmd:    cmd,
-			}, true
-		}})
-		wd.AddSection("commit table", func() string { return strings.Join(t.PendingDetail(), "\n") })
-		wd.AddSection("drain waiters", func() string { return strings.Join(t.DebugDrainWaiters(), "\n") })
-	}
+	t := s.Table
+	wd.AddProbe(flight.Probe{Name: "held-tx", Sample: func(now time.Time) (flight.Sample, bool) {
+		xid, since, cmd, ok := t.OldestHeld()
+		if !ok {
+			return flight.Sample{}, false
+		}
+		return flight.Sample{
+			Detail: fmt.Sprintf("transaction %v held in commit table", xid),
+			Age:    now.Sub(since),
+			Cmd:    cmd,
+		}, true
+	}})
+	wd.AddSection("commit table", func() string { return strings.Join(t.PendingDetail(), "\n") })
+	wd.AddSection("drain waiters", func() string { return strings.Join(t.DebugDrainWaiters(), "\n") })
 	if l := s.Log; l != nil {
 		// The event loops do not wait for the disk, so a stalled one shows
 		// here — a queue that grows and ages — and nowhere else.
@@ -626,20 +614,19 @@ func (s *Stack) registerGauges(ob *obs.Registry) {
 			"Consensus groups in the current routing epoch.", nil,
 			func() float64 { return float64(shards) })
 	}
-	if t := s.Table; t != nil {
-		ob.Gauge("caesar_xshard_held",
-			"Cross-shard transactions currently held in the commit table.", nil,
-			func() float64 { return float64(t.Pending()) })
-		ob.Gauge("caesar_xshard_oldest_held_seconds",
-			"Age of the oldest transaction still held in the commit table.", nil,
-			func() float64 {
-				_, since, _, ok := t.OldestHeld()
-				if !ok {
-					return 0
-				}
-				return s.now().Sub(since).Seconds()
-			})
-	}
+	t := s.Table
+	ob.Gauge("caesar_xshard_held",
+		"Cross-shard transactions currently held in the commit table.", nil,
+		func() float64 { return float64(t.Pending()) })
+	ob.Gauge("caesar_xshard_oldest_held_seconds",
+		"Age of the oldest transaction still held in the commit table.", nil,
+		func() float64 {
+			_, since, _, ok := t.OldestHeld()
+			if !ok {
+				return 0
+			}
+			return s.now().Sub(since).Seconds()
+		})
 	if l := s.Log; l != nil {
 		ob.Gauge("caesar_wal_segment_index",
 			"Index of the write-ahead log's active segment file.", nil,
@@ -790,9 +777,7 @@ func (s *Stack) maintain() {
 	if s.Coordinator != nil {
 		s.Coordinator.Sweep()
 	}
-	if s.Table != nil {
-		s.Table.Resolve()
-	}
+	s.Table.Resolve()
 	if s.Log == nil {
 		return
 	}

@@ -100,11 +100,29 @@ func TestShrinkUnderLoad(t *testing.T) {
 	testResizeUnderLoad(t, 4, 2)
 }
 
-func testResizeUnderLoad(t *testing.T, from, to int) {
+// TestResizeFromOneGroupUnderLoad: a cluster built without WithShards is
+// the same node at one group, so it grows 1→3 and shrinks back 3→1 under
+// the same load and checks as any other.
+func TestResizeFromOneGroupUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resize-under-load conformance is a long test")
+	}
+	testResizeUnderLoad(t, 1, 3, 1)
+}
+
+// testResizeUnderLoad builds a cluster of from groups — with no WithShards
+// when from is 1, the default — and resizes it through steps while the
+// load runs.
+func testResizeUnderLoad(t *testing.T, from int, steps ...int) {
 	var fp falsePositives
-	cluster, err := caesar.NewLocalCluster(3, caesar.WithShards(from),
+	opts := []caesar.ClusterOption{
 		caesar.WithAuditInterval(auditEvery),
-		caesar.WithNodeOptions(fp.guard(caesar.Options{})))
+		caesar.WithNodeOptions(fp.guard(caesar.Options{})),
+	}
+	if from != 1 {
+		opts = append(opts, caesar.WithShards(from))
+	}
+	cluster, err := caesar.NewLocalCluster(3, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +185,15 @@ func testResizeUnderLoad(t *testing.T, from, to int) {
 	}
 
 	time.Sleep(300 * time.Millisecond)
-	if err := cluster.Node(0).Resize(ctx, to); err != nil {
-		t.Fatalf("resize %d→%d: %v", from, to, err)
+	to := from
+	for i, next := range steps {
+		if err := cluster.Node(i%3).Resize(ctx, next); err != nil {
+			t.Fatalf("resize %d→%d: %v", to, next, err)
+		}
+		to = next
+		time.Sleep(300 * time.Millisecond)
 	}
-	time.Sleep(500 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
 	if t.Failed() {
