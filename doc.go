@@ -210,10 +210,10 @@
 // (protocol.TimestampedAtomicApplier), which also executes atomic
 // multi-key units. A layer that dropped the timestamp (and with it the
 // MVCC version stamp local reads depend on) would not compile. Where a
-// chain ends in a synchronous layer — an in-memory node without a gate —
-// the stack wraps it in protocol.Sync, and CAESAR, which asks once, when
-// it is built, whether its chain is also a synchronous layer (the only
-// applier type assertion outside tests), applies it on the event loop.
+// chain ends in a synchronous layer — an in-memory node, below its gate —
+// the stack wraps it in protocol.Sync. CAESAR has one delivery path: it
+// hands every command to ApplyDeferred and finishes the delivery when the
+// completion posts back to its loop, however soon that is.
 //
 // # Transports
 //

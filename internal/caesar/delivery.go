@@ -103,17 +103,17 @@ func (r *Replica) deliverable(rec *record) bool {
 
 // deliverNow executes one command and completes client bookkeeping. The
 // applier chain receives the decided timestamp (the cross-shard commit
-// table merges per-group stable timestamps through ApplyAt). A chain that
-// ends in a synchronous layer (protocol.Sync) is applied here, on the
-// event loop. Any other may postpone the execution past the delivery
-// point: it is handed a delivery from the replica's chunk as the
-// command's completion, and the client callback fires when the chain
-// completes it, from whatever goroutine does so — all replica-side
-// bookkeeping is finished here, inside the event loop, before the chain
-// is invoked.
-// Either way the client-ack bookkeeping (noteClientAck, slow-command
-// report included) runs before done: a waiter woken by done must find the
-// report and the ack event already there.
+// table merges per-group stable timestamps through ApplyAt) and may
+// postpone the execution past the delivery point: it is handed a delivery
+// from the replica's chunk as the command's completion, and the client
+// callback fires when the chain completes it, from whatever goroutine does
+// so — all replica-side bookkeeping is finished here, inside the event
+// loop, before the chain is invoked. A chain that completes at once
+// (protocol.Sync) takes the same path: the record counts as applied when
+// the completion's ack comes back through the loop. The client-ack
+// bookkeeping (noteClientAck, slow-command report included) runs before
+// done: a waiter woken by done must find the report and the ack event
+// already there.
 func (r *Replica) deliverNow(rec *record) {
 	// A seeded delivered set (crash recovery) can already contain this
 	// command: it was applied — and logged — before the crash, and a
@@ -155,23 +155,11 @@ func (r *Replica) deliverNow(rec *record) {
 	// — acking a delivery whose apply is still deferred (a rebalance
 	// gate queueing it behind a handoff) could purge a command that a
 	// crash then erases from every replay path.
-	if r.appAt == nil {
-		// rec is only read and written inside the event loop: the
-		// completion posts it back, and carries its own copies of what it
-		// reads.
-		d := r.deliveries.Next()
-		*d = delivery{r: r, rec: rec, id: id, ts: rec.ts, proposedAt: proposedAt, done: done}
-		r.app.ApplyDeferred(rec.cmd, rec.ts, d)
-		return
-	}
-	value := r.appAt.ApplyAt(rec.cmd, rec.ts)
-	rec.applied = true
-	r.releaseReads(rec)
-	r.queueAck(id)
-	if done != nil {
-		r.noteClientAck(id, rec.ts, proposedAt, r.now)
-		done(protocol.Result{Value: value})
-	}
+	// rec is only read and written inside the event loop: the completion
+	// posts it back, and carries its own copies of what it reads.
+	d := r.deliveries.Next()
+	*d = delivery{r: r, rec: rec, id: id, ts: rec.ts, proposedAt: proposedAt, done: done}
+	r.app.ApplyDeferred(rec.cmd, rec.ts, d)
 }
 
 // delivery is one command handed to a deferred chain: what its completion
@@ -225,8 +213,8 @@ func (d *delivery) Complete(res protocol.Result) {
 // noteClientAck records the client-visible acknowledgement of a locally
 // submitted command, immediately before its callback fires, and, when
 // its submit→ack latency exceeds SlowThreshold, dumps the command's
-// traced history through the slow-command log. Called from the event loop on the synchronous apply
-// path and from whatever goroutine completes a deferred apply, so it only
+// traced history through the slow-command log. Called from whatever
+// goroutine completes a delivery, the event loop included, so it only
 // touches concurrency-safe state.
 func (r *Replica) noteClientAck(id command.ID, ts timestamp.Timestamp, proposedAt, now time.Time) {
 	r.unackedMu.Lock()

@@ -158,13 +158,9 @@ type Replica struct {
 	fq    int // fast quorum size
 
 	cfg Config
-	// app is the applier chain decided commands are delivered into, and
-	// appAt its synchronous facet, probed once in New — the only applier
-	// probe outside tests. Non-nil appAt (a chain that ends in a
-	// synchronous layer, protocol.Sync) is applied on the event loop;
-	// otherwise every delivery goes through app.ApplyDeferred.
-	app   protocol.Applier
-	appAt protocol.TimestampedApplier
+	// app is the applier chain decided commands are delivered into: every
+	// delivery goes through app.ApplyDeferred.
+	app protocol.Applier
 
 	met   *metrics.Recorder
 	ctd   *contend.Group
@@ -271,7 +267,6 @@ func New(ep transport.Endpoint, app protocol.Applier, cfg Config) *Replica {
 	if cfg.ReserveClock != nil {
 		r.clock.SetReserve(cfg.ClockSeed, cfg.ReserveClock)
 	}
-	r.appAt, _ = app.(protocol.TimestampedApplier)
 	r.Runtime = protocol.NewRuntime(ep, cfg.Now, cfg.TickInterval, r.step, r.failInFlight)
 	r.now = r.Now()
 	if cfg.HeartbeatInterval > 0 {

@@ -118,24 +118,32 @@ func (n *simNet) pump() {
 		if n.down[m.to] || (n.drop != nil && n.drop(m)) {
 			continue
 		}
-		n.reps[m.to].Step(n.clock.Now(), protocol.Event{From: m.from, Remote: true, Payload: m.payload})
+		n.step(int(m.to), protocol.Event{From: m.from, Remote: true, Payload: m.payload})
 	}
 }
 
 // tick advances the clock, ticks every live replica in node order and
 // delivers what that sets off.
 func (n *simNet) tick(d time.Duration) {
-	now := n.clock.Advance(d)
-	for i, rep := range n.reps {
+	n.clock.Advance(d)
+	for i := range n.reps {
 		if !n.down[i] {
-			rep.Step(now, protocol.Event{Payload: protocol.Tick{}})
+			n.step(i, protocol.Event{Payload: protocol.Tick{}})
 		}
 	}
 	n.pump()
 }
 
 func (n *simNet) submit(node int, cmd command.Command, done protocol.DoneFunc) {
-	n.reps[node].Step(n.clock.Now(), protocol.Event{Payload: &protocol.Submission{Cmd: cmd, Done: done}})
+	n.step(node, protocol.Event{Payload: &protocol.Submission{Cmd: cmd, Done: done}})
+}
+
+// step steps one event on a replica, then the events its chain's
+// completions posted meanwhile, as its loop would have next.
+func (n *simNet) step(node int, ev protocol.Event) {
+	rep := n.reps[node]
+	rep.Step(n.clock.Now(), ev)
+	rep.StepPosted()
 }
 
 // transcriptRun plays the fixed script once and returns the transcript and

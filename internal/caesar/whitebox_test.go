@@ -891,11 +891,9 @@ func TestStableLearnedBelowLocalPromise(t *testing.T) {
 	}
 }
 
-// setApplier replaces r's applier chain after New and repeats New's probe
-// for a synchronous layer, so the swapped-in chain decides the apply path.
+// setApplier replaces r's applier chain after New.
 func setApplier(r *Replica, app protocol.Applier) {
 	r.app = app
-	r.appAt, _ = app.(protocol.TimestampedApplier)
 }
 
 // inlineChain is a chain with no synchronous facet that completes every
@@ -907,7 +905,8 @@ func (inlineChain) ApplyDeferred(_ command.Command, _ timestamp.Timestamp, done 
 }
 
 // TestSlowReportPrecedesClientAck pins the order a client can observe on
-// both apply paths: by the time its callback runs, the slow-command report
+// both kinds of chain — one ending in protocol.Sync and one with no
+// synchronous facet: by the time its callback runs, the slow-command report
 // has been emitted (TestSlowCommandLog read the reports right after the
 // callback woke it and found none about once in 200 runs).
 func TestSlowReportPrecedesClientAck(t *testing.T) {

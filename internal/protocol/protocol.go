@@ -26,8 +26,8 @@
 // rebalance gate, the write-ahead log) that each take a chain and return
 // one. A synchronous layer (TimestampedApplier: the commit table's
 // interception, the batch unpacker, the store) applies before returning,
-// and Sync makes a chain of one. The only runtime probe left is CAESAR's,
-// once at construction: is its chain also a synchronous layer?
+// and Sync makes a chain of one. No engine probes its chain for a
+// synchronous facet: CAESAR delivers every command through ApplyDeferred.
 package protocol
 
 import (
@@ -126,8 +126,7 @@ type TimestampedAtomicApplier interface {
 }
 
 // Sync returns the chain that ends in layer: each delivery is applied and
-// completed before ApplyDeferred returns. The chain is also layer's
-// TimestampedApplier, so CAESAR applies it directly.
+// completed before ApplyDeferred returns.
 func Sync(layer TimestampedApplier) Applier { return syncChain{layer} }
 
 type syncChain struct{ TimestampedApplier }

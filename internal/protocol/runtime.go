@@ -307,6 +307,21 @@ func (rt *Runtime) TryPost(ev any) bool {
 	}
 }
 
+// StepPosted handles, in order, every event waiting in the inbox of a
+// runtime whose loop is not running — what a deferred completion posted
+// while a simulator stepped the engine — as the loop would have next. For
+// simulators that own the schedule and call Step themselves.
+func (rt *Runtime) StepPosted() {
+	for {
+		select {
+		case ev := <-rt.inbox:
+			rt.handle(ev)
+		default:
+			return
+		}
+	}
+}
+
 // Inspect runs fn on the loop goroutine between two steps, where reading
 // the engine's state is race-free, and then steps what fn sent to self,
 // as Step would. It reports false on a stopped runtime. For tests.

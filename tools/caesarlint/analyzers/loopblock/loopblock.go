@@ -31,7 +31,7 @@
 // statically and are not walked, with one exception: the applier chain.
 // A loop handler delivers every decided command through an ApplierTypes
 // interface (deliverNow calls the chain's protocol.Applier.ApplyDeferred,
-// or the synchronous layer it probed, protocol.TimestampedApplier), and
+// whose layers call the synchronous protocol.TimestampedApplier below), and
 // the chain reports back through another (protocol.Completion, whose
 // Complete runs on the loop when the gate's pass path reaches
 // protocol.Sync), so that dispatch is resolved to its implementations:
