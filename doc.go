@@ -40,7 +40,10 @@
 // keyspace when a shard is added. Commands on the same key always land on
 // the same shard, so conflicting commands keep exactly the single-group
 // ordering guarantees, while commands on different shards are proposed,
-// stabilized and executed fully in parallel. See internal/shard and
+// stabilized and executed fully in parallel. A cluster built without
+// WithShards is the same node at g = 1 — the same commit table, router and
+// resize machinery — and group 0's messages carry no shard envelope, so a
+// one-group node's wire is the plain protocol's. See internal/shard and
 // examples/sharding.
 //
 // # Cross-shard transactions
@@ -64,9 +67,10 @@
 //
 // # Live rebalancing
 //
-// A sharded deployment can change its group count without downtime:
+// Any deployment can change its group count without downtime, one that
+// started at one group included:
 //
-//	err := node.Resize(ctx, 8) // any node of a WithShards cluster
+//	err := node.Resize(ctx, 8) // any node of any cluster
 //
 // Routing is epoch-versioned — each epoch names one shard count — and a
 // resize installs the next epoch behind a consensus-ordered marker: a

@@ -25,7 +25,10 @@
 // xshard.Table.WaitSettled), and cuts one snapshot under a single store
 // lock, so a cross-shard transaction is observed whole or not at all. A read
 // racing a live resize retries under one consistent epoch, exactly like a
-// straddling ProposeTx (rebalance's ErrEpochRetry discipline).
+// straddling ProposeTx (rebalance's ErrEpochRetry discipline). Every node,
+// one group or many, binds its router and commit table (Bind) before it
+// serves: there is no single-group shortcut, and a table that holds no
+// transaction on the keys settles at once.
 //
 // # Allocation
 //
@@ -182,7 +185,7 @@ func (s *readState) Complete(res protocol.Result) {
 }
 
 // New builds the engine over the node's store. Groups are attached as the
-// node stack constructs them; Bind binds the sharded layers.
+// node stack constructs them; Bind binds the router and the commit table.
 func New(store *kvstore.Store, met *metrics.Recorder) *Engine {
 	return &Engine{
 		store:   store,

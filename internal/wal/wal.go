@@ -165,8 +165,9 @@ type State struct {
 	// old incarnation stopped.
 	PendingTx []PendingTx
 	// Epochs is the installed routing-epoch history in install order
-	// (the initial epoch first). Empty for unsharded deployments started
-	// before durability was enabled.
+	// (the initial epoch first): a node logs its epoch 0 before any other
+	// record. Empty for a fresh dir, and for one a one-group node wrote
+	// before every node logged its epoch 0, which restarts as one group.
 	Epochs []EpochChange
 	// SeqFloor holds, per group, the highest reserved local sequence
 	// number: the restarted proposer must assign IDs strictly above it
