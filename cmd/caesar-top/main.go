@@ -70,8 +70,8 @@ func scrapeWorkload(ctx context.Context, client *http.Client, base string, top i
 }
 
 // nodeSeries returns the family's node-level series (empty label set);
-// sharded nodes also export per-group labeled series, which the console
-// ignores in favour of the aggregate.
+// nodes also export per-group labeled series, which the console ignores in
+// favour of the aggregate.
 func nodeSeries(fams []obs.StatusFamily, name string) (obs.StatusSeries, bool) {
 	for _, f := range fams {
 		if f.Name != name {

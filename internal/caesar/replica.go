@@ -112,8 +112,7 @@ type Config struct {
 	// ring does not keep across wraps.
 	Flight *flight.Recorder
 	// FlightGroup labels flight events with this replica's consensus
-	// group index on a sharded node; leave zero for single-group
-	// deployments.
+	// group index; leave zero for group 0.
 	FlightGroup int32
 }
 

@@ -27,8 +27,7 @@
 // racing a live resize retries under one consistent epoch, exactly like a
 // straddling ProposeTx (rebalance's ErrEpochRetry discipline). Every node,
 // one group or many, binds its router and commit table (Bind) before it
-// serves: there is no single-group shortcut, and a table that holds no
-// transaction on the keys settles at once.
+// serves; a table that holds no transaction on the keys settles at once.
 //
 // # Allocation
 //
@@ -129,8 +128,8 @@ type Engine struct {
 	met   *metrics.Recorder
 	now   func() time.Time
 
-	// router and table are the node's sharded layers, bound once before
-	// the first read.
+	// router and table are the node's router source and commit table,
+	// bound once before the first read.
 	router func() shard.Router
 	table  *xshard.Table
 

@@ -98,8 +98,10 @@ func TestDirWithoutEpochRecordRestartsAsOneGroup(t *testing.T) {
 			}
 		}
 		submit(t, stacks[0], command.Add("counter", 1))
-		for i, s := range stacks {
+		for _, s := range stacks {
 			waitUntil(t, 5*time.Second, func() bool { return counterAt(s.Store, "counter") == want+1 })
+		}
+		for i, s := range stacks {
 			s.Stop()
 			if st, store := reopen(t, dirs(i)); len(st.Epochs) != 1 || st.Epochs[0] != (wal.EpochChange{Epoch: 0, Shards: 1, PrevShards: 1}) {
 				t.Fatalf("node %d logged epochs %+v, want epoch 0 of one group once", i, st.Epochs)
@@ -134,8 +136,10 @@ func TestGroupZeroKeepsGenerationZero(t *testing.T) {
 			submit(t, stacks[i%nodes], command.Put(testKey(i), []byte{byte(to)}))
 		}
 	}
-	for i, s := range stacks {
+	for _, s := range stacks {
 		waitUntil(t, 10*time.Second, func() bool { return s.Coordinator.Epoch() == 2 && !s.Coordinator.Resizing() })
+	}
+	for i, s := range stacks {
 		s.Stop()
 		st, _ := reopen(t, dirs(i))
 		if gens := st.Generations(3); gens[0] != 0 || gens[1] != 2 || gens[2] != 2 {

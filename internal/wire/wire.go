@@ -31,7 +31,8 @@
 //	10   StableAckBatch     IDs ids
 //	11   PurgeBatch         IDs ids
 //	12   Heartbeat          Low timestamp, Seen timestamp
-//	13   shard.Envelope     uvarint Shard, uvarint Gen, message (tags 1–12 only)
+//	13   shard.Envelope     uvarint Shard, uvarint Gen, message (tags 1–12 only;
+//	                        group 0's messages are sent bare, tags 1–12)
 //
 // Cross-shard pieces, abort markers, batches and resize fences are not
 // messages: they ride inside a command's opaque Payload bytes and need no

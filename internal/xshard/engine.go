@@ -31,7 +31,7 @@ var ErrNoGroup = errors.New("xshard: no live group for shard")
 // EnsureGroups start a new group without fencing against a racing Stop.
 type BuildFunc func(group int, ep transport.Endpoint) protocol.Engine
 
-// Engine is a sharded node's submission engine: G independent consensus
+// Engine is a node's submission engine: G ≥ 1 independent consensus
 // groups behind one protocol.Engine. A command is routed by its keys to
 // one group, so commands on different groups are agreed and executed in
 // parallel while same-key (conflicting) commands keep their group's total

@@ -1,4 +1,4 @@
-// Package xshard is a sharded node's submission engine: it routes every
+// Package xshard is every node's submission engine: it routes every
 // command to its consensus group (internal/shard's Router, over one Mux)
 // and commits a multi-key command whose keys span groups atomically,
 // instead of rejecting it with shard.ErrCrossShard.

@@ -263,8 +263,9 @@ func TestCrossShardTransactionsThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestCrossShardTxUnshardedFallback: ProposeTx on an unsharded cluster is
-// an ordinary atomic batch — the same API works at every shard count.
+// TestCrossShardTxUnshardedFallback: ProposeTx on a one-group cluster (no
+// WithShards) is an ordinary atomic batch — the same API works at every
+// shard count.
 func TestCrossShardTxUnshardedFallback(t *testing.T) {
 	cluster, err := caesar.NewLocalCluster(3)
 	if err != nil {
@@ -278,7 +279,7 @@ func TestCrossShardTxUnshardedFallback(t *testing.T) {
 		caesar.Put("tx/a", []byte("1")),
 		caesar.Put("tx/b", []byte("2")),
 	}); err != nil {
-		t.Fatalf("unsharded ProposeTx: %v", err)
+		t.Fatalf("one-group ProposeTx: %v", err)
 	}
 	got, err := cluster.Node(1).Propose(ctx, caesar.Get("tx/b"))
 	if err != nil || string(got) != "2" {
